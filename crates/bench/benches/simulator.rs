@@ -22,23 +22,23 @@ fn bench_kernel_sim(c: &mut Criterion) {
     let kernel = build_kernel(conv2_shape(), &SgemmConfig::natural(TILE_64X64), "conv2");
     c.bench_function("simulate conv2 kernel on K20 (RR)", |b| {
         b.iter(|| {
-            let mut cache = SimCache::new();
+            let cache = SimCache::new();
             black_box(simulate_kernel(
                 &K20C,
                 black_box(&kernel),
                 DispatchPolicy::RoundRobin,
-                &mut cache,
+                &cache,
             ))
         })
     });
     c.bench_function("simulate conv2 kernel on TX1 (RR)", |b| {
         b.iter(|| {
-            let mut cache = SimCache::new();
+            let cache = SimCache::new();
             black_box(simulate_kernel(
                 &JETSON_TX1,
                 black_box(&kernel),
                 DispatchPolicy::RoundRobin,
-                &mut cache,
+                &cache,
             ))
         })
     });
@@ -57,8 +57,8 @@ fn bench_dispatch_ablation(c: &mut Criterion) {
         &SgemmConfig::natural(TILE_64X64),
         "conv5",
     );
-    let mut cache = SimCache::new();
-    let rr = simulate_kernel(&K20C, &kernel, DispatchPolicy::RoundRobin, &mut cache);
+    let cache = SimCache::new();
+    let rr = simulate_kernel(&K20C, &kernel, DispatchPolicy::RoundRobin, &cache);
     let psm = simulate_kernel(
         &K20C,
         &kernel,
@@ -67,7 +67,7 @@ fn bench_dispatch_ablation(c: &mut Criterion) {
             tlp: 2,
             power_gate: true,
         },
-        &mut cache,
+        &cache,
     );
     println!(
         "[ablation dispatch] RR: {:.3} ms / {:.3} J on {} SMs; PSM(3 SMs): {:.3} ms / {:.3} J",
@@ -79,18 +79,18 @@ fn bench_dispatch_ablation(c: &mut Criterion) {
     );
     c.bench_function("dispatch RR conv5", |b| {
         b.iter(|| {
-            let mut cache = SimCache::new();
+            let cache = SimCache::new();
             black_box(simulate_kernel(
                 &K20C,
                 &kernel,
                 DispatchPolicy::RoundRobin,
-                &mut cache,
+                &cache,
             ))
         })
     });
     c.bench_function("dispatch PSM conv5", |b| {
         b.iter(|| {
-            let mut cache = SimCache::new();
+            let cache = SimCache::new();
             black_box(simulate_kernel(
                 &K20C,
                 &kernel,
@@ -99,7 +99,7 @@ fn bench_dispatch_ablation(c: &mut Criterion) {
                     tlp: 2,
                     power_gate: true,
                 },
-                &mut cache,
+                &cache,
             ))
         })
     });
@@ -127,10 +127,9 @@ fn bench_spill_ablation(c: &mut Criterion) {
     };
     let ks = build_kernel(shape, &shared_cfg, "spill-shared");
     let kg = build_kernel(shape, &global_cfg, "spill-global");
-    let mut cache = SimCache::new();
-    let rs = simulate_kernel(&K20C, &ks, DispatchPolicy::RoundRobin, &mut cache);
-    let mut cache = SimCache::new();
-    let rg = simulate_kernel(&K20C, &kg, DispatchPolicy::RoundRobin, &mut cache);
+    let cache = SimCache::new();
+    let rs = simulate_kernel(&K20C, &ks, DispatchPolicy::RoundRobin, &cache);
+    let rg = simulate_kernel(&K20C, &kg, DispatchPolicy::RoundRobin, &cache);
     println!(
         "[ablation spill] shared: {:.3} ms; global: {:.3} ms ({}x slower)",
         rs.seconds * 1e3,
@@ -139,23 +138,23 @@ fn bench_spill_ablation(c: &mut Criterion) {
     );
     c.bench_function("sim spill-to-shared", |b| {
         b.iter(|| {
-            let mut cache = SimCache::new();
+            let cache = SimCache::new();
             black_box(simulate_kernel(
                 &K20C,
                 &ks,
                 DispatchPolicy::RoundRobin,
-                &mut cache,
+                &cache,
             ))
         })
     });
     c.bench_function("sim spill-to-global", |b| {
         b.iter(|| {
-            let mut cache = SimCache::new();
+            let cache = SimCache::new();
             black_box(simulate_kernel(
                 &K20C,
                 &kg,
                 DispatchPolicy::RoundRobin,
-                &mut cache,
+                &cache,
             ))
         })
     });

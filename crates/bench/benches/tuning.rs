@@ -46,8 +46,8 @@ fn skernel_selection_quality(c: &mut Criterion) {
     let mut analytic_sim = f64::MAX;
     for (i, cand) in candidates.iter().enumerate() {
         let kernel = build_kernel(shape, &cand.config, "ablate");
-        let mut cache = SimCache::new();
-        let r = simulate_kernel(&K20C, &kernel, DispatchPolicy::RoundRobin, &mut cache);
+        let cache = SimCache::new();
+        let r = simulate_kernel(&K20C, &kernel, DispatchPolicy::RoundRobin, &cache);
         if i == 0 {
             analytic_sim = r.seconds; // candidates are sorted by score
         }

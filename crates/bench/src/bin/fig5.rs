@@ -22,8 +22,8 @@ fn layer_cpes(arch: &GpuArch, lib: Library) -> Vec<f64> {
         .iter()
         .filter(|l| l.name.starts_with("CONV"))
         .map(|l| {
-            let mut cache = SimCache::new();
-            let r = simulate_kernel(arch, &l.kernel, DispatchPolicy::RoundRobin, &mut cache);
+            let cache = SimCache::new();
+            let r = simulate_kernel(arch, &l.kernel, DispatchPolicy::RoundRobin, &cache);
             // Grouped layers run groups back-to-back: same cpE per launch.
             r.cpe(arch)
         })

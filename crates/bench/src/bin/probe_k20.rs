@@ -19,10 +19,9 @@ fn main() {
     let lib = library_schedule(&K20C, &spec, Library::CuBlas, 1);
     println!("layer      tuned(PSM)            cuBLAS(RR)");
     for (t, l) in tuned.layers.iter().zip(&lib.layers) {
-        let mut c1 = SimCache::new();
-        let rt = simulate_kernel(&K20C, &t.kernel, t.psm_policy(), &mut c1);
-        let mut c2 = SimCache::new();
-        let rl = simulate_kernel(&K20C, &l.kernel, DispatchPolicy::RoundRobin, &mut c2);
+        let cache = SimCache::new();
+        let rt = simulate_kernel(&K20C, &t.kernel, t.psm_policy(), &cache);
+        let rl = simulate_kernel(&K20C, &l.kernel, DispatchPolicy::RoundRobin, &cache);
         println!(
             "{:>6}  {:.3} ms (grid {:>3} tile {}x{} tlp {} sm {})   {:.3} ms (grid {:>3})",
             t.name,

@@ -20,6 +20,7 @@ use pcnn_kernels::{tune_kernel, tune_kernel_candidates, Library, TunedKernel};
 use pcnn_nn::spec::{LayerSpec, NetworkSpec};
 
 use crate::error::{Error, Result};
+use crate::runtime::{simulate_schedule_with, NetworkCost};
 use crate::task::{AppSpec, UserRequirements};
 use crate::timemodel::{adjust_batch, opt_sm, tuned_layer_time};
 
@@ -226,16 +227,39 @@ impl<P: ScheduleProvider> ScheduleProvider for ScheduleCache<P> {
 }
 
 /// The cross-platform offline compiler.
-#[derive(Debug, Clone)]
+///
+/// Owns the wave memo of every candidate it profiles: batch size and
+/// perforation rate only change a layer's grid, never its CTA program, so
+/// compilations at different batches, ladder rungs and power-gating
+/// choices on one compiler re-simulate almost nothing.
+#[derive(Debug)]
 pub struct OfflineCompiler<'a> {
     arch: &'a GpuArch,
     spec: &'a NetworkSpec,
+    sim: SimCache,
 }
 
 impl<'a> OfflineCompiler<'a> {
     /// Creates a compiler for one (architecture, network) pair.
     pub fn new(arch: &'a GpuArch, spec: &'a NetworkSpec) -> Self {
-        Self { arch, spec }
+        Self {
+            arch,
+            spec,
+            sim: SimCache::new(),
+        }
+    }
+
+    /// The wave memo shared by every compilation and
+    /// [`simulate_schedule`](Self::simulate_schedule) call on this compiler.
+    pub fn sim_cache(&self) -> &SimCache {
+        &self.sim
+    }
+
+    /// [`runtime::simulate_schedule`](crate::runtime::simulate_schedule)
+    /// through this compiler's wave memo: pricing a schedule this compiler
+    /// produced re-simulates nothing.
+    pub fn simulate_schedule(&self, schedule: &Schedule) -> NetworkCost {
+        simulate_schedule_with(self.arch, schedule, &self.sim)
     }
 
     /// §IV.B.1(a): the optimal background batch — the smallest batch at
@@ -284,13 +308,6 @@ impl<'a> OfflineCompiler<'a> {
     pub fn try_compile_batch(&self, batch: usize) -> Result<Schedule> {
         let rates = vec![0.0; self.spec.conv_layers().len()];
         self.try_compile_perforated(batch, &rates, true)
-    }
-
-    /// Panicking convenience wrapper around [`Self::try_compile_batch`].
-    #[deprecated(note = "use `try_compile_batch`, which returns a typed error")]
-    pub fn compile_batch(&self, batch: usize) -> Schedule {
-        self.try_compile_batch(batch)
-            .expect("compile_batch: invalid batch")
     }
 
     /// Compiles a schedule with perforation rates and an explicit
@@ -352,8 +369,7 @@ impl<'a> OfflineCompiler<'a> {
                         tlp: *tlp,
                         power_gate: true,
                     };
-                    let mut cache = SimCache::new();
-                    let sim = simulate_kernel(self.arch, &kernel, policy, &mut cache);
+                    let sim = simulate_kernel(self.arch, &kernel, policy, &self.sim);
                     let measured = sim.seconds * groups as f64;
                     let (_, t) = tuned_layer_time(self.arch, shape, tuned, groups);
                     pcnn_telemetry::counter("offline.candidates.profiled", 1);
@@ -394,14 +410,6 @@ impl<'a> OfflineCompiler<'a> {
         })
     }
 
-    /// Panicking convenience wrapper around
-    /// [`Self::try_compile_perforated`].
-    #[deprecated(note = "use `try_compile_perforated`, which returns a typed error")]
-    pub fn compile_perforated(&self, batch: usize, rates: &[f64], power_gated: bool) -> Schedule {
-        self.try_compile_perforated(batch, rates, power_gated)
-            .expect("compile_perforated: invalid batch or rate vector")
-    }
-
     /// The full offline compilation (§IV.B.3 "Global decision"): start
     /// from the task's initial batch, then shrink via eq. 13 until the
     /// predicted response time meets `T_user`.
@@ -427,12 +435,6 @@ impl<'a> OfflineCompiler<'a> {
             schedule = self.try_compile_batch(batch)?;
         }
         Ok(schedule)
-    }
-
-    /// Panicking convenience wrapper around [`Self::try_compile`].
-    #[deprecated(note = "use `try_compile`, which returns a typed error")]
-    pub fn compile(&self, app: &AppSpec, req: &UserRequirements) -> Schedule {
-        self.try_compile(app, req).expect("compile failed")
     }
 }
 
@@ -511,6 +513,30 @@ mod tests {
             assert!(l.opt_tlp >= 1);
             assert!(l.predicted_seconds > 0.0);
         }
+    }
+
+    /// Batch size only changes each layer's grid, so a second compilation
+    /// on the same compiler finds most of its waves already simulated, and
+    /// pricing a schedule the compiler produced re-simulates nothing.
+    #[test]
+    fn compilations_on_one_compiler_share_wave_simulations() {
+        let spec = alexnet();
+        let c = OfflineCompiler::new(&K20C, &spec);
+        let rates = vec![0.0; spec.conv_layers().len()];
+        let s = c.try_compile_perforated(1, &rates, true).unwrap();
+        let first = c.sim_cache().misses();
+        assert!(first > 0);
+        let warm = c.try_compile_perforated(4, &rates, true).unwrap();
+        let second = c.sim_cache().misses() - first;
+        assert!(second < first, "second compile missed {second} >= {first}");
+
+        let before = c.sim_cache().misses();
+        let cost = c.simulate_schedule(&s);
+        assert_eq!(c.sim_cache().misses(), before);
+        assert_eq!(cost, crate::runtime::simulate_schedule(&K20C, &s));
+        // And the shared memo never changes what is compiled.
+        let fresh = OfflineCompiler::new(&K20C, &spec);
+        assert_eq!(fresh.try_compile_perforated(4, &rates, true).unwrap(), warm);
     }
 
     #[test]

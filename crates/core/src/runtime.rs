@@ -29,7 +29,19 @@ pub struct NetworkCost {
 
 /// Simulates every layer of `schedule` once and sums time and energy.
 /// Grouped-convolution groups run back-to-back (cost multiplied).
+///
+/// Wave simulations are shared across the layers of this one call; use
+/// [`OfflineCompiler::simulate_schedule`](crate::offline::OfflineCompiler::simulate_schedule)
+/// to also share them with the compilation that produced the schedule.
 pub fn simulate_schedule(arch: &GpuArch, schedule: &Schedule) -> NetworkCost {
+    simulate_schedule_with(arch, schedule, &SimCache::new())
+}
+
+pub(crate) fn simulate_schedule_with(
+    arch: &GpuArch,
+    schedule: &Schedule,
+    cache: &SimCache,
+) -> NetworkCost {
     let _span = pcnn_telemetry::span!(
         "runtime.simulate_schedule",
         batch = schedule.batch,
@@ -44,8 +56,7 @@ pub fn simulate_schedule(arch: &GpuArch, schedule: &Schedule) -> NetworkCost {
         } else {
             DispatchPolicy::RoundRobin
         };
-        let mut cache = SimCache::new();
-        let r = simulate_kernel(arch, &layer.kernel, policy, &mut cache);
+        let r = simulate_kernel(arch, &layer.kernel, policy, cache);
         let g = layer.groups as f64;
         seconds += r.seconds * g;
         energy = energy.plus(&r.energy.scaled(g));

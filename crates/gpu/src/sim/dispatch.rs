@@ -72,7 +72,8 @@ impl KernelResult {
     }
 }
 
-/// Simulates one kernel launch under `policy`.
+/// Simulates one kernel launch under `policy`. Wave durations come from
+/// `cache`, which may be shared with any other launch on any architecture.
 ///
 /// # Panics
 ///
@@ -81,7 +82,7 @@ pub fn simulate_kernel(
     arch: &GpuArch,
     kernel: &KernelDesc,
     policy: DispatchPolicy,
-    cache: &mut SimCache,
+    cache: &SimCache,
 ) -> KernelResult {
     assert!(kernel.grid > 0, "empty grid");
     let occ = Occupancy::of(arch, &kernel.resources);
@@ -110,6 +111,7 @@ pub fn simulate_kernel(
         gated = gated
     );
 
+    let mut waves = cache.waves(arch, kernel, sms);
     // Per-SM resident counts and a finish-event heap.
     let mut resident = vec![0usize; sms];
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
@@ -151,7 +153,7 @@ pub fn simulate_kernel(
     for sm in 0..sms {
         if resident[sm] > 0 {
             sms_touched[sm] = true;
-            let d = cache.wave_cycles(arch, kernel, resident[sm], sms);
+            let d = waves.cycles(resident[sm]);
             for _ in 0..resident[sm] {
                 heap.push(Reverse((d, sm)));
             }
@@ -166,7 +168,7 @@ pub fn simulate_kernel(
         if remaining > 0 {
             remaining -= 1;
             resident[sm] += 1;
-            let d = cache.wave_cycles(arch, kernel, resident[sm], sms);
+            let d = waves.cycles(resident[sm]);
             heap.push(Reverse((t + d, sm)));
         }
     }
@@ -239,8 +241,8 @@ mod tests {
     #[test]
     fn all_ctas_complete() {
         let k = kernel(50);
-        let mut cache = SimCache::new();
-        let r = simulate_kernel(&K20C, &k, DispatchPolicy::RoundRobin, &mut cache);
+        let cache = SimCache::new();
+        let r = simulate_kernel(&K20C, &k, DispatchPolicy::RoundRobin, &cache);
         assert!(r.cycles > 0);
         assert!(r.seconds > 0.0);
         // Instruction counts cover the full grid.
@@ -252,9 +254,8 @@ mod tests {
     fn psm_uses_fewer_sms_for_small_grids() {
         // 4 CTAs, PSM tlp 2 -> 2 SMs; RR spreads to 4 SMs.
         let k = kernel(4);
-        let mut c1 = SimCache::new();
-        let rr = simulate_kernel(&K20C, &k, DispatchPolicy::RoundRobin, &mut c1);
-        let mut c2 = SimCache::new();
+        let cache = SimCache::new();
+        let rr = simulate_kernel(&K20C, &k, DispatchPolicy::RoundRobin, &cache);
         let psm = simulate_kernel(
             &K20C,
             &k,
@@ -263,7 +264,7 @@ mod tests {
                 tlp: 2,
                 power_gate: true,
             },
-            &mut c2,
+            &cache,
         );
         assert_eq!(rr.sms_used, 4);
         assert_eq!(psm.sms_used, 2);
@@ -275,33 +276,32 @@ mod tests {
 
     #[test]
     fn bigger_grid_takes_longer() {
-        let mut c1 = SimCache::new();
-        let mut c2 = SimCache::new();
-        let small = simulate_kernel(&K20C, &kernel(10), DispatchPolicy::RoundRobin, &mut c1);
-        let big = simulate_kernel(&K20C, &kernel(200), DispatchPolicy::RoundRobin, &mut c2);
+        let cache = SimCache::new();
+        let small = simulate_kernel(&K20C, &kernel(10), DispatchPolicy::RoundRobin, &cache);
+        let big = simulate_kernel(&K20C, &kernel(200), DispatchPolicy::RoundRobin, &cache);
         assert!(big.cycles > small.cycles);
     }
 
     #[test]
     fn rr_on_full_grid_uses_all_sms() {
-        let mut cache = SimCache::new();
-        let r = simulate_kernel(&K20C, &kernel(100), DispatchPolicy::RoundRobin, &mut cache);
+        let cache = SimCache::new();
+        let r = simulate_kernel(&K20C, &kernel(100), DispatchPolicy::RoundRobin, &cache);
         assert_eq!(r.sms_used, K20C.n_sms);
     }
 
     #[test]
     fn util_matches_eq6() {
         let k = kernel(20);
-        let mut cache = SimCache::new();
-        let r = simulate_kernel(&K20C, &k, DispatchPolicy::RoundRobin, &mut cache);
+        let cache = SimCache::new();
+        let r = simulate_kernel(&K20C, &k, DispatchPolicy::RoundRobin, &cache);
         let util = r.util(k.grid);
         assert!(util > 0.0 && util <= 1.0);
     }
 
     #[test]
     fn cpe_below_one() {
-        let mut cache = SimCache::new();
-        let r = simulate_kernel(&K20C, &kernel(100), DispatchPolicy::RoundRobin, &mut cache);
+        let cache = SimCache::new();
+        let r = simulate_kernel(&K20C, &kernel(100), DispatchPolicy::RoundRobin, &cache);
         let cpe = r.cpe(&K20C);
         assert!(cpe > 0.0 && cpe < 1.0, "cpe {cpe}");
     }

@@ -71,6 +71,7 @@ pub fn simulate_concurrent(
 
     let mut kernels = Vec::with_capacity(partitions.len());
     let mut seconds: f64 = 0.0;
+    let cache = SimCache::new();
     for p in partitions {
         // Run the partition exactly like a PSM launch restricted to its
         // SMs, but with the DRAM share of the full co-running set.
@@ -78,8 +79,7 @@ pub fn simulate_concurrent(
             .ctas_per_sm()
             .max(1);
         let tlp = p.tlp.clamp(1, occ);
-        let mut cache = SimCache::new();
-        let result = simulate_partition(arch, p.kernel, p.sms, tlp, total_sms, &mut cache);
+        let result = simulate_partition(arch, p.kernel, p.sms, tlp, total_sms, &cache);
         seconds = seconds.max(result.seconds);
         kernels.push(result);
     }
@@ -123,11 +123,12 @@ fn simulate_partition(
     sms: usize,
     tlp: usize,
     bandwidth_sms: usize,
-    cache: &mut SimCache,
+    cache: &SimCache,
 ) -> KernelResult {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    let mut waves = cache.waves(arch, kernel, bandwidth_sms);
     let mut resident = vec![0usize; sms];
     let mut remaining = kernel.grid;
     for r in resident.iter_mut() {
@@ -141,7 +142,7 @@ fn simulate_partition(
     for (sm, &r) in resident.iter().enumerate() {
         if r > 0 {
             touched += 1;
-            let d = cache.wave_cycles(arch, kernel, r, bandwidth_sms);
+            let d = waves.cycles(r);
             for _ in 0..r {
                 heap.push(Reverse((d, sm)));
             }
@@ -154,7 +155,7 @@ fn simulate_partition(
         if remaining > 0 {
             remaining -= 1;
             resident[sm] += 1;
-            let d = cache.wave_cycles(arch, kernel, resident[sm], bandwidth_sms);
+            let d = waves.cycles(resident[sm]);
             heap.push(Reverse((t + d, sm)));
         }
     }
@@ -235,8 +236,8 @@ mod tests {
     fn colocation_is_slower_than_solo_but_finishes_both() {
         let k = kernel(26, "x");
         // Solo on all 13 SMs.
-        let mut cache = SimCache::new();
-        let solo = simulate_kernel(&K20C, &k, DispatchPolicy::RoundRobin, &mut cache);
+        let cache = SimCache::new();
+        let solo = simulate_kernel(&K20C, &k, DispatchPolicy::RoundRobin, &cache);
         // Two copies side by side on 6+7 SMs.
         let r = simulate_concurrent(
             &K20C,

@@ -82,21 +82,64 @@ proptest! {
             DispatchPolicy::RoundRobin,
             DispatchPolicy::PrioritySm { sms: psm_sms, tlp: psm_tlp, power_gate: true },
         ] {
-            let mut cache = SimCache::new();
-            let r = simulate_kernel(arch, &k, policy, &mut cache);
+            let cache = SimCache::new();
+            let r = simulate_kernel(arch, &k, policy, &cache);
             prop_assert_eq!(r.instr, expected);
             prop_assert!(r.cycles > 0);
             prop_assert!(r.seconds > 0.0);
         }
     }
 
+    /// One cache shared by launches of different kernels, policies and
+    /// architectures, visited in a shuffled order, returns exactly what a
+    /// fresh cache per launch returns (cycles, counts and f64 energy).
+    #[test]
+    fn shared_cache_equals_fresh_caches(
+        launches in prop::collection::vec(
+            ((arch_strategy(), 1usize..40, 1u32..20, 8u32..40), (any::<bool>(), 1usize..8, 1usize..6)),
+            2..8,
+        ),
+        shuffle in any::<u64>(),
+    ) {
+        let launches: Vec<_> = launches
+            .iter()
+            .map(|&((arch, grid, iters, ffma), (psm, sms, tlp))| {
+                let mut k = toy_kernel(grid, 64, 32, iters);
+                k.trace.body[2] = (Op::Ffma, ffma);
+                let policy = if psm {
+                    DispatchPolicy::PrioritySm { sms, tlp, power_gate: true }
+                } else {
+                    DispatchPolicy::RoundRobin
+                };
+                (arch, k, policy)
+            })
+            .collect();
+        let fresh: Vec<_> = launches
+            .iter()
+            .map(|(arch, k, policy)| simulate_kernel(arch, k, *policy, &SimCache::new()))
+            .collect();
+        // Fisher-Yates driven by the generated seed.
+        let mut order: Vec<usize> = (0..launches.len()).collect();
+        let mut state = shuffle;
+        for i in (1..order.len()).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            order.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let shared = SimCache::new();
+        for _pass in 0..2 {
+            for &i in &order {
+                let (arch, k, policy) = &launches[i];
+                prop_assert_eq!(&simulate_kernel(arch, k, *policy, &shared), &fresh[i]);
+            }
+        }
+    }
+
     /// Simulated time is monotone (weakly) in the grid size.
     #[test]
     fn time_monotone_in_grid(arch in arch_strategy(), grid in 1usize..30, extra in 1usize..30) {
-        let mut c1 = SimCache::new();
-        let mut c2 = SimCache::new();
-        let small = simulate_kernel(arch, &toy_kernel(grid, 64, 32, 8), DispatchPolicy::RoundRobin, &mut c1);
-        let large = simulate_kernel(arch, &toy_kernel(grid + extra, 64, 32, 8), DispatchPolicy::RoundRobin, &mut c2);
+        let cache = SimCache::new();
+        let small = simulate_kernel(arch, &toy_kernel(grid, 64, 32, 8), DispatchPolicy::RoundRobin, &cache);
+        let large = simulate_kernel(arch, &toy_kernel(grid + extra, 64, 32, 8), DispatchPolicy::RoundRobin, &cache);
         prop_assert!(large.cycles >= small.cycles, "{} < {}", large.cycles, small.cycles);
     }
 
@@ -105,14 +148,13 @@ proptest! {
     #[test]
     fn energy_sane(arch in arch_strategy(), grid in 1usize..20) {
         let k = toy_kernel(grid, 64, 32, 8);
-        let mut c1 = SimCache::new();
-        let rr = simulate_kernel(arch, &k, DispatchPolicy::RoundRobin, &mut c1);
-        let mut c2 = SimCache::new();
+        let cache = SimCache::new();
+        let rr = simulate_kernel(arch, &k, DispatchPolicy::RoundRobin, &cache);
         let psm = simulate_kernel(
             arch,
             &k,
             DispatchPolicy::PrioritySm { sms: 1, tlp: 4, power_gate: true },
-            &mut c2,
+            &cache,
         );
         for e in [&rr.energy, &psm.energy] {
             prop_assert!(e.dynamic_j >= 0.0 && e.leakage_j >= 0.0);

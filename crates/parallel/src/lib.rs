@@ -543,10 +543,18 @@ where
                 results.lock().expect("par_map results").extend(local);
             })
         };
-        for w in 0..threads - 1 {
-            s.spawn(move || work(w));
-        }
+        let handles: Vec<_> = (0..threads - 1).map(|w| s.spawn(move || work(w))).collect();
         work(threads - 1);
+        // Join, not just the scope's completion count: a worker that is
+        // still exiting keeps its malloc arena attached, so the next
+        // region's worker gets a fresh one, and back-to-back short regions
+        // (the offline compiler's, one per layer) grow resident memory by
+        // an arena each.
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     finish(meter);
     let mut collected = results.into_inner().expect("par_map results");

@@ -32,9 +32,13 @@ const EPS: f64 = 1e-12;
 /// cost oracle — each platform's costs come from *its own* ladder, so two
 /// platforms at different rungs predict different costs for the same
 /// batch.
+///
+/// One compiler per platform lives as long as the oracle, so every key of
+/// a run shares that platform's wave memo: ladder level and batch size
+/// change each layer's grid, not its CTA program.
 pub struct CostOracle<'a> {
     platforms: &'a [Platform<'a>],
-    spec: &'a NetworkSpec,
+    compilers: Vec<OfflineCompiler<'a>>,
     cache: HashMap<(usize, usize, usize), NetworkCost>,
 }
 
@@ -43,9 +47,17 @@ impl<'a> CostOracle<'a> {
     pub fn new(platforms: &'a [Platform<'a>], spec: &'a NetworkSpec) -> Self {
         Self {
             platforms,
-            spec,
+            compilers: platforms
+                .iter()
+                .map(|p| OfflineCompiler::new(p.arch, spec))
+                .collect(),
             cache: HashMap::new(),
         }
+    }
+
+    /// Detailed wave simulations run so far, over every platform.
+    pub fn wave_simulations(&self) -> u64 {
+        self.compilers.iter().map(|c| c.sim_cache().misses()).sum()
     }
 
     /// Predicted cost of a `size`-image batch on `platform` at that
@@ -59,14 +71,10 @@ impl<'a> CostOracle<'a> {
         if let Some(c) = self.cache.get(&key) {
             return Ok(*c);
         }
-        let p = &self.platforms[platform];
-        let rung = &p.ladder.levels[level];
-        let schedule = OfflineCompiler::new(p.arch, self.spec).try_compile_perforated(
-            size,
-            &rung.rates,
-            true,
-        )?;
-        let mut c = simulate_schedule(p.arch, &schedule);
+        let rung = &self.platforms[platform].ladder.levels[level];
+        let compiler = &self.compilers[platform];
+        let schedule = compiler.try_compile_perforated(size, &rung.rates, true)?;
+        let mut c = compiler.simulate_schedule(&schedule);
         // An algorithm-downgrade rung runs the same work through faster
         // conv kernels: the simulator models the baseline algorithm, so
         // the rung's measured speedup scales predicted time and energy.

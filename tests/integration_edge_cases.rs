@@ -44,7 +44,7 @@ fn psm_with_more_sms_than_grid_is_fine() {
         .find(|l| l.name == "CONV5")
         .expect("CONV5 exists");
     // Grid 6 but 13 SMs requested: only 6 SMs can be touched.
-    let mut cache = SimCache::new();
+    let cache = SimCache::new();
     let r = simulate_kernel(
         &K20C,
         &conv5.kernel,
@@ -53,7 +53,7 @@ fn psm_with_more_sms_than_grid_is_fine() {
             tlp: 1,
             power_gate: true,
         },
-        &mut cache,
+        &cache,
     );
     assert!(r.sms_used <= conv5.kernel.grid);
     assert!(r.seconds > 0.0);
