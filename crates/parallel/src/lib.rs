@@ -710,10 +710,11 @@ mod tests {
 
     #[test]
     fn fine_chunks_feed_all_workers_when_chunks_are_coarse() {
-        // The old GEMM starvation case scaled down: m = 96 rows in
-        // MC = 64-row panels is only ceil(96/64) = 2 chunks, so 6 of 8
-        // workers used to idle. With MR = 4-row units the region must
-        // produce at least as many tasks as workers.
+        // The old row-panel GEMM's starvation case scaled down: m = 96
+        // rows in 64-row panels is only ceil(96/64) = 2 chunks, so 6 of
+        // 8 workers used to idle. Split at 4-row units (the panel and
+        // tile heights of that schedule, not of today's 6x16 GEMM) the
+        // region must produce at least as many tasks as workers.
         let n = 7; // row length, to make units multi-element
         let (mc, mr) = (64 * n, 4 * n);
         let mut data = vec![usize::MAX; 96 * n];

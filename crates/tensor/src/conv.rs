@@ -11,11 +11,11 @@
 //!
 //! - [`conv2d_direct`]: streams input patches straight into the packed
 //!   GEMM's `B` micropanel image — the padding-aware gather of `im2col`
-//!   fused with `pack_b`, skipping the materialised column matrix
-//!   entirely. The packed bytes are identical to
-//!   `pack_b(im2col(input))`, and the compute tail is the *same*
-//!   partition + loop nest as [`crate::gemm`], so outputs are **bitwise
-//!   equal** to the im2col path at every thread count.
+//!   fused with the GEMM's `B` packing, skipping the materialised column
+//!   matrix entirely. The packed bytes are identical to what
+//!   [`crate::gemm`] packs from `im2col(input)`, and the compute tail is
+//!   the *same* partition + loop nest as [`crate::gemm`], so outputs are
+//!   **bitwise equal** to the im2col path at every thread count.
 //! - [`conv2d_winograd`]: the F(2x2,3x3) minimal-filtering transform for
 //!   stride-1 3x3 layers, cutting microkernel multiplies per output from
 //!   9 to 16/4 = 4 (2.25x). Transform matrices use only `{0, ±1, ±0.5}`
@@ -35,7 +35,7 @@
 //! [`Phase::WinogradInverse`], so `pcnn profile` attributes the new
 //! phases per layer.
 
-use crate::gemm::{active_partition, gemm, gemm_packed, packed_b_len, KC, NR};
+use crate::gemm::{active_partition, gemm, gemm_packed, pack_b_with, packed_b_len};
 use crate::im2col::Conv2dGeometry;
 use pcnn_profile::{phase_span, Phase};
 
@@ -92,9 +92,10 @@ impl std::fmt::Display for ConvAlgo {
 /// input patches are gathered straight into the packed GEMM's `B`
 /// micropanel image — element order per patch row matches
 /// [`crate::im2col`] exactly and the ragged panel edges are zero-filled
-/// exactly as `pack_b` does — so the result is bitwise identical to the
-/// im2col reference while skipping the materialised column matrix (one
-/// full write + read of `patch_len x out_positions` floats).
+/// by the same packing walk [`crate::gemm`] uses — so the result is
+/// bitwise identical to the im2col reference while skipping the
+/// materialised column matrix (one full write + read of
+/// `patch_len x out_positions` floats).
 ///
 /// # Panics
 ///
@@ -138,61 +139,34 @@ pub fn conv2d_direct(
     gemm_packed(m, n, k, weight, &b_pack, part, out);
 }
 
-/// Gathers input patches directly into `pack_b`'s micropanel layout:
+/// Gathers input patches directly into the packed GEMM's `B` image:
 /// `B[r][pos]` is the im2col element — patch row `r` decomposes as
 /// `c = r / k^2, ky = r / k % k, kx = r % k` and column `pos` as
-/// `(oy, ox)` — but each value lands at its packed address
-/// (block `r / KC`, panel `pos / NR`, offset `(r % KC) * NR + pos % NR`)
-/// without ever existing in row-major form. Byte-for-byte the same image
-/// `pack_b(n, k, im2col(geom, input))` produces, including the zero-fill
-/// of ragged panel edges.
+/// `(oy, ox)` — but each value lands at its packed address without ever
+/// existing in row-major form. The layout walk (blocks, panels, zero-fill
+/// of ragged panel edges, parallel split) is [`pack_b_with`]'s, shared
+/// with [`gemm`], so the image is byte-for-byte the one
+/// `gemm(.., im2col(geom, input), ..)` packs.
 fn pack_patches(geom: &Conv2dGeometry, input: &[f32], packed: &mut [f32], parallel: bool) {
     let (n, k) = (geom.out_positions(), geom.patch_len());
     let kern = geom.kernel;
-    let n_panels = n.div_ceil(NR);
-    let fill = |pc: usize, offset: usize, part: &mut [f32]| {
-        let p0 = pc * KC;
-        let kc = KC.min(k - p0);
-        // Mirrors `pack_b`: only full blocks split, at micropanel
-        // boundaries, so `offset` is whole KC-deep micropanels.
-        let jp0 = offset / (KC * NR);
-        for (dj, panel) in part.chunks_mut(kc * NR).enumerate() {
-            let j0 = (jp0 + dj) * NR;
-            let nr = NR.min(n - j0);
-            for p in 0..kc {
-                let r = p0 + p;
-                let c = r / (kern * kern);
-                let ky = r / kern % kern;
-                let kx = r % kern;
-                let chan = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
-                let dst = &mut panel[p * NR..(p + 1) * NR];
-                for (j, d) in dst.iter_mut().enumerate().take(nr) {
-                    let pos = j0 + j;
-                    let (oy, ox) = (pos / geom.out_w, pos % geom.out_w);
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                    *d = if iy >= 0
-                        && (iy as usize) < geom.in_h
-                        && ix >= 0
-                        && (ix as usize) < geom.in_w
-                    {
-                        chan[iy as usize * geom.in_w + ix as usize]
-                    } else {
-                        0.0
-                    };
-                }
-                dst[nr..].fill(0.0);
-            }
+    pack_b_with(n, k, packed, parallel, |r, j0, dst| {
+        let c = r / (kern * kern);
+        let ky = r / kern % kern;
+        let kx = r % kern;
+        let chan = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
+        for (j, d) in dst.iter_mut().enumerate() {
+            let pos = j0 + j;
+            let (oy, ox) = (pos / geom.out_w, pos % geom.out_w);
+            let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+            *d = if iy >= 0 && (iy as usize) < geom.in_h && ix >= 0 && (ix as usize) < geom.in_w {
+                chan[iy as usize * geom.in_w + ix as usize]
+            } else {
+                0.0
+            };
         }
-    };
-    let len = k * n_panels * NR;
-    if parallel {
-        pcnn_parallel::par_chunks_mut_fine(&mut packed[..len], n_panels * KC * NR, KC * NR, fill);
-    } else {
-        for (pc, block) in packed[..len].chunks_mut(n_panels * KC * NR).enumerate() {
-            fill(pc, 0, block);
-        }
-    }
+    });
 }
 
 /// Winograd F(2x2,3x3) convolution of one CHW image (stride-1 3x3 only):

@@ -27,26 +27,36 @@
 //!    register-blocked microkernel that accumulates each tile over one
 //!    `KC` block and adds it to `C`.
 //!
-//! The microkernel is plain indexed arithmetic with constant bounds, which
-//! LLVM autovectorizes on any SIMD width without `-ffast-math`-style
-//! reassociation — so results are reproducible across machines and
-//! optimisation levels. On x86-64 the same body is also instantiated under
-//! `#[target_feature(enable = "avx2")]` and selected by a cached runtime
-//! probe; widening the vectors never changes per-element rounding, so both
-//! instantiations are bitwise-equivalent.
+//! The register tile is fitted to the register file it runs on, the way
+//! the paper's offline compiler fits an SGEMM tile to each GPU (§IV.B):
+//! `6 x 16` is 12 eight-lane accumulators + 2 `B` vectors + 1 broadcast =
+//! 15 of AVX2's 16 `ymm` registers. On x86-64 with AVX2 (one cached
+//! runtime probe, the only dispatch) the tile runs [`microkernel_avx2`],
+//! written with explicit `_mm256_mul_ps` + `_mm256_add_ps` intrinsics so
+//! the hot loop's shape does not hang on the autovectorizer's heuristics
+//! (an autovectorised tile is a lottery: the same constant-bound body
+//! compiles to clean broadcast/mul/add in one context and to shuffles
+//! with a stack spill in another). Everywhere else it runs [`microkernel`], plain indexed
+//! arithmetic with constant bounds on the *same* packed layout — which is
+//! also the oracle the explicit kernel is tested bitwise against.
 //!
 //! # Determinism
 //!
-//! Each `C` element accumulates strictly in ascending-`k` order inside a
-//! `KC` block, and blocks are applied in ascending order; the parallel
-//! split never touches the `k` (reduction) dimension, and the rectangle
-//! boundaries depend only on shape constants — never on thread count or
-//! timing. Workers own disjoint rectangles of `C`, so which worker runs a
-//! rectangle is irrelevant: `PCNN_THREADS=1` and `PCNN_THREADS=N` produce
+//! Each `C` element starts every `KC` block from `+0.0`, accumulates
+//! `acc = acc + a * b` (one IEEE multiply, one IEEE add — never a fused
+//! multiply-add) in ascending-`k` order, and the blocks are added to `C`
+//! in ascending order. That sequence — and therefore [`KC`] — *is* the
+//! rounding contract; `MR`, `NR`, `MC`, the vector width and the thread
+//! count only decide which elements are computed side by side, never any
+//! element's operation sequence, so they are free to change (DESIGN.md,
+//! "GEMM rounding contract"; `tests/gemm_bits.rs` pins the output bits
+//! across exactly such a change). The parallel split never touches the
+//! `k` (reduction) dimension, and the rectangle boundaries depend only on
+//! shape constants — never on thread count or timing. Workers own
+//! disjoint rectangles of `C`, so which worker runs a rectangle is
+//! irrelevant: `PCNN_THREADS=1` and `PCNN_THREADS=N` produce
 //! **bitwise-identical** outputs (asserted by
-//! `tests/parallel_determinism.rs`), and the per-element accumulation
-//! order is the same one the earlier row-panel schedule used, so no golden
-//! re-pinning was needed.
+//! `tests/parallel_determinism.rs`).
 //!
 //! # Profiling
 //!
@@ -65,17 +75,22 @@ use pcnn_profile::{phase_span, Phase};
 use std::ops::Range;
 
 /// Microkernel rows: `MR x NR` accumulators live in registers.
-pub const MR: usize = 4;
-/// Microkernel columns. 4x8 f32 accumulators fit the 16 x 128-bit
-/// registers of baseline x86-64 with room for the `A`/`B` operands.
-pub const NR: usize = 8;
+const MR: usize = 6;
+/// Microkernel columns: two 8-lane AVX2 vectors (or one AVX-512 vector)
+/// per accumulator row. 6x16 uses 12 of the 16 `ymm` registers for
+/// accumulators, leaving two for the `B` row and one for the `A`
+/// broadcast.
+const NR: usize = 16;
 
 /// Rows per `A`-packing group (multiple of `MR`): one group's packed `A`
-/// block (`MC x KC` f32) stays L2-resident.
-const MC: usize = 64;
-/// Depth of one packed block: a `KC x NR` `B` micropanel (8 KiB) stays
-/// L1-resident while every row tile of a group streams over it.
-pub(crate) const KC: usize = 256;
+/// block (`MC x KC` f32, 72 KiB) stays L2-resident.
+const MC: usize = 72;
+/// Depth of one packed block: a `KC x NR` `B` micropanel (16 KiB) stays
+/// L1-resident while every row tile of a group streams over it. Unlike
+/// the tile constants above, `KC` is part of the rounding contract (every
+/// block's accumulators start from zero), so changing it moves output
+/// bits.
+const KC: usize = 256;
 
 /// Work (in multiply-adds) below which [`gemm`] stays on one thread: the
 /// cost of a scoped spawn round is ~tens of microseconds, which a GEMM
@@ -204,7 +219,9 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     let span = phase_span(Phase::PackB);
     let mut b_pack = pcnn_parallel::scratch_f32(packed_b_len(n, k));
     pcnn_parallel::with_region_label("gemm.pack_b", || {
-        pack_b(n, k, b, &mut b_pack, part.tasks() > 1);
+        pack_b_with(n, k, &mut b_pack, part.tasks() > 1, |p, j0, dst| {
+            dst.copy_from_slice(&b[p * n + j0..p * n + j0 + dst.len()]);
+        });
     });
     if let Some(s) = span {
         // Reads the k x n source, writes the padded packed image.
@@ -239,8 +256,8 @@ pub(crate) fn packed_b_len(n: usize, k: usize) -> usize {
     k * n.div_ceil(NR) * NR
 }
 
-/// `C += A * B` where `B` is already packed in [`pack_b`]'s micropanel
-/// layout. The compute tail of [`gemm`], shared with the direct
+/// `C += A * B` where `B` is already packed in [`pack_b_with`]'s
+/// micropanel layout. The compute tail of [`gemm`], shared with the direct
 /// convolution (which streams input patches into the packed image
 /// without materialising `B` at all); identical partitioning and loop
 /// nest, so outputs are bitwise-equal to the two-step path.
@@ -276,8 +293,13 @@ pub(crate) fn gemm_packed(
     });
 }
 
-/// Packs `B` into `packed` (pooled scratch, `k * ceil(n/NR) * NR`
-/// elements) as `NR`-wide micropanels, one `KC` block after another.
+/// Builds the packed-`B` image of a `k x n` operand in `packed` (pooled
+/// scratch, [`packed_b_len`] elements) as `NR`-wide micropanels, one `KC`
+/// block after another — the one owner of that layout. The operand
+/// itself is never read here: `fill_row(p, j0, dst)` must write
+/// `B[p][j0..j0 + dst.len()]` into `dst`, which lets [`gemm`] copy rows of
+/// a materialised matrix and the direct convolution gather input patches
+/// through the same walk.
 ///
 /// Block `pc` starts at `p0 * n_panels * NR` (`p0 = pc * KC`) and holds
 /// `n_panels` micropanels of `kc * NR` elements each; element `(p, j)` of
@@ -288,7 +310,13 @@ pub(crate) fn gemm_packed(
 ///
 /// When `parallel`, full `KC` blocks additionally split at micropanel
 /// boundaries so even a single-block `B` feeds the whole pool.
-fn pack_b(n: usize, k: usize, b: &[f32], packed: &mut [f32], parallel: bool) {
+pub(crate) fn pack_b_with(
+    n: usize,
+    k: usize,
+    packed: &mut [f32],
+    parallel: bool,
+    fill_row: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
     let n_panels = n.div_ceil(NR);
     let fill = |pc: usize, offset: usize, part: &mut [f32]| {
         let p0 = pc * KC;
@@ -300,18 +328,18 @@ fn pack_b(n: usize, k: usize, b: &[f32], packed: &mut [f32], parallel: bool) {
         for (dj, panel) in part.chunks_mut(kc * NR).enumerate() {
             let j0 = (jp0 + dj) * NR;
             let nr = NR.min(n - j0);
-            for p in 0..kc {
-                let src = &b[(p0 + p) * n + j0..(p0 + p) * n + j0 + nr];
-                panel[p * NR..p * NR + nr].copy_from_slice(src);
-                panel[p * NR + nr..(p + 1) * NR].fill(0.0);
+            for (p, row) in panel.chunks_mut(NR).enumerate() {
+                let (live, pad) = row.split_at_mut(nr);
+                fill_row(p0 + p, j0, live);
+                pad.fill(0.0);
             }
         }
     };
-    let len = k * n_panels * NR;
+    let packed = &mut packed[..packed_b_len(n, k)];
     if parallel {
-        pcnn_parallel::par_chunks_mut_fine(&mut packed[..len], n_panels * KC * NR, KC * NR, fill);
+        pcnn_parallel::par_chunks_mut_fine(packed, n_panels * KC * NR, KC * NR, fill);
     } else {
-        for (pc, block) in packed[..len].chunks_mut(n_panels * KC * NR).enumerate() {
+        for (pc, block) in packed.chunks_mut(n_panels * KC * NR).enumerate() {
             fill(pc, 0, block);
         }
     }
@@ -344,14 +372,14 @@ fn pack_a(m0: usize, rows: usize, p0: usize, kc: usize, k: usize, a: &[f32], pac
 /// One worker's rectangle of the packed GEMM:
 /// `C[tiles tile_rows, panels tile_cols] += A * B`.
 ///
-/// Checks its `A`-packing scratch out of the pool *before* dispatching —
-/// `#[target_feature]` does not propagate into closures, so the AVX2
-/// instantiation must be a plain call tree. Dispatches once (cached
-/// feature probe) to an AVX2 instantiation of the same body on x86-64
-/// that supports it; both instantiations perform the identical sequence
-/// of IEEE mul/add per accumulator — vector width never changes
-/// per-element rounding — so the result is bitwise-equal whichever path
-/// runs.
+/// Checks its `A`-packing scratch out of the pool, then dispatches once
+/// (cached feature probe) between the two instantiations of
+/// [`gemm_tiles_body`]: on x86-64 with AVX2 the whole loop nest is
+/// compiled for AVX2 around the explicit [`microkernel_avx2`]; anywhere
+/// else it is the baseline build around the portable [`microkernel`].
+/// Both kernels perform the identical sequence of IEEE mul/add per
+/// accumulator on the identical packed layout, so the result is
+/// bitwise-equal whichever path runs.
 #[allow(clippy::too_many_arguments)]
 fn gemm_tiles(
     m: usize,
@@ -382,11 +410,24 @@ fn gemm_tiles(
             gemm_tiles_avx2(m, n, k, a, b_pack, sink, tile_rows, tile_cols, &mut a_pack)
         };
     }
-    gemm_tiles_body(m, n, k, a, b_pack, sink, tile_rows, tile_cols, &mut a_pack)
+    gemm_tiles_body(
+        m,
+        n,
+        k,
+        a,
+        b_pack,
+        sink,
+        tile_rows,
+        tile_cols,
+        &mut a_pack,
+        microkernel,
+    )
 }
 
-/// AVX2 instantiation of [`gemm_tiles_body`]: same source, wider
-/// autovectorization (one 8-lane register per accumulator row).
+/// AVX2 instantiation of [`gemm_tiles_body`]: packing and the `C` update
+/// autovectorise 8 lanes wide, and the tile product is the explicit
+/// [`microkernel_avx2`] (the closure inherits this function's target
+/// features, so the kernel inlines into the loop nest).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -401,12 +442,24 @@ fn gemm_tiles_avx2(
     tile_cols: Range<usize>,
     a_pack: &mut [f32],
 ) {
-    gemm_tiles_body(m, n, k, a, b_pack, sink, tile_rows, tile_cols, a_pack)
+    gemm_tiles_body(
+        m,
+        n,
+        k,
+        a,
+        b_pack,
+        sink,
+        tile_rows,
+        tile_cols,
+        a_pack,
+        |kc, a_micro, b_micro| microkernel_avx2(kc, a_micro, b_micro),
+    )
 }
 
 /// The rectangle loop nest: ascending `KC` blocks on the outside (the
 /// per-element accumulation order that fixes bitwise determinism), then
-/// `MC`-row `A`-packing groups, then the `jr`/`ir` microkernel loops.
+/// `MC`-row `A`-packing groups, then the `jr`/`ir` loops calling `kernel`
+/// on one `MR x NR` tile at a time.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn gemm_tiles_body(
@@ -419,6 +472,7 @@ fn gemm_tiles_body(
     tile_rows: Range<usize>,
     tile_cols: Range<usize>,
     a_pack: &mut [f32],
+    kernel: impl Fn(usize, &[f32], &[f32]) -> [[f32; NR]; MR],
 ) {
     let n_panels = n.div_ceil(NR);
     for pc in 0..k.div_ceil(KC) {
@@ -452,7 +506,7 @@ fn gemm_tiles_body(
                 for (g, a_micro) in a_group.chunks(kc * MR).enumerate() {
                     let i0 = (g0 + g) * MR;
                     let mr = MR.min(m - i0);
-                    let acc = microkernel(kc, a_micro, b_micro);
+                    let acc = kernel(kc, a_micro, b_micro);
                     for (i, acc_row) in acc.iter().enumerate().take(mr) {
                         // SAFETY: row `i0 + i` < m and columns
                         // `j0..j0 + nr` <= n lie inside `C`, and this
@@ -482,13 +536,13 @@ fn gemm_tiles_body(
     }
 }
 
-/// The branch-free `MR x NR` register-blocked microkernel: returns the
+/// The portable `MR x NR` register-blocked microkernel: returns the
 /// product of an `MR x kc` packed `A` micropanel and a `kc x NR` packed
 /// `B` micropanel. Constant loop bounds let LLVM keep `acc` in vector
 /// registers and autovectorize without reassociating any float sum.
 ///
-/// Always inlined into [`gemm_tiles_body`], so it picks up whatever
-/// target features its instantiation was compiled with.
+/// It is the kernel of every target without AVX2 and the differential
+/// oracle [`microkernel_avx2`] is tested bitwise against.
 #[inline(always)]
 fn microkernel(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
     debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
@@ -504,6 +558,50 @@ fn microkernel(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
         }
     }
     acc
+}
+
+/// [`microkernel`] written out for AVX2: each accumulator row is two
+/// 8-lane vectors, each depth step is two `B` loads, `MR` broadcasts and
+/// `2 * MR` multiply-then-add pairs. Explicitly `_mm256_mul_ps` followed
+/// by `_mm256_add_ps` — never a fused multiply-add, whose single rounding would change
+/// the bits — with the accumulator as the add's first operand, exactly
+/// the portable body's `acc + a * b`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
+    use core::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    const { assert!(NR == 16, "two 8-lane vectors per accumulator row") };
+    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
+    let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
+        // SAFETY: `bv` is a `chunks_exact(NR)` chunk — exactly 16
+        // contiguous f32 — so both unaligned 8-lane loads are in bounds.
+        let (b0, b1) = unsafe {
+            (
+                _mm256_loadu_ps(bv.as_ptr()),
+                _mm256_loadu_ps(bv.as_ptr().add(8)),
+            )
+        };
+        for i in 0..MR {
+            let ai = _mm256_set1_ps(av[i]);
+            acc[i][0] = _mm256_add_ps(acc[i][0], _mm256_mul_ps(ai, b0));
+            acc[i][1] = _mm256_add_ps(acc[i][1], _mm256_mul_ps(ai, b1));
+        }
+    }
+    let mut out = [[0.0f32; NR]; MR];
+    for (row, vecs) in out.iter_mut().zip(&acc) {
+        // SAFETY: `row` is a `[f32; 16]`, room for two unaligned 8-lane
+        // stores at offsets 0 and 8.
+        unsafe {
+            _mm256_storeu_ps(row.as_mut_ptr(), vecs[0]);
+            _mm256_storeu_ps(row.as_mut_ptr().add(8), vecs[1]);
+        }
+    }
+    out
 }
 
 /// `C = A * B + bias` where `bias` is broadcast along rows: `C[i][j] += bias[i]`.
@@ -688,8 +786,10 @@ mod tests {
 
     #[test]
     fn gemm_matches_naive_blocked_boundary() {
-        // Sizes that straddle the microkernel and panel boundaries.
-        let (m, n, k) = (65, 67, 129);
+        // One past the packing group (72 rows), a ragged last tile on
+        // both axes (73 = 12 x 6 + 1, 67 = 4 x 16 + 3) and one past a
+        // full pack block (257 = KC + 1).
+        let (m, n, k) = (73, 67, 257);
         let a = seq(m * k);
         let b = seq(k * n);
         let mut c1 = vec![0.0; m * n];
@@ -749,6 +849,56 @@ mod tests {
         }
     }
 
+    /// Full-mantissa pseudo-random values in `[-0.5, 0.5)`: every
+    /// product and every partial sum rounds, so a fused multiply-add or
+    /// a reordered sum would show in the bits.
+    fn noise(seed: u64, len: usize) -> Vec<f32> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+            })
+            .collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_microkernel_is_bitwise_the_portable_microkernel() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: this CPU lacks AVX2, the explicit microkernel never runs here");
+            return;
+        }
+        for kc in 1..=KC {
+            // Every depth, with the live extent of the tile cycling
+            // through 1..=MR rows and 1..=NR columns; the dead rows and
+            // columns are zero, as `pack_a` / `pack_b_with` pad them.
+            let (mr, nr) = (1 + kc % MR, 1 + kc % NR);
+            let mut a = noise(kc as u64, kc * MR);
+            let mut b = noise(!(kc as u64), kc * NR);
+            for p in 0..kc {
+                a[p * MR + mr..(p + 1) * MR].fill(0.0);
+                b[p * NR + nr..(p + 1) * NR].fill(0.0);
+            }
+            let want = microkernel(kc, &a, &b);
+            // SAFETY: AVX2 support was probed at the top of the test.
+            let got = unsafe { microkernel_avx2(kc, &a, &b) };
+            for i in 0..MR {
+                for j in 0..NR {
+                    assert_eq!(
+                        got[i][j].to_bits(),
+                        want[i][j].to_bits(),
+                        "kc {kc}, tile ({i},{j}): {} vs {}",
+                        got[i][j],
+                        want[i][j]
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn profiling_never_changes_gemm_results() {
         let (m, n, k) = (65, 67, 129);
@@ -775,19 +925,31 @@ mod tests {
 
     #[test]
     fn partitioner_golden_splits_on_alexnet_bench_shapes() {
-        // The four `pcnn bench-gemm` shapes all have >= 24 MR-row tiles,
-        // so at 8 threads the duplicated-A-packing penalty steers the
-        // partitioner to a pure row split.
-        for &(m, n, k) in &[
-            (96usize, 3025usize, 363usize), // CONV1
-            (256, 729, 1200),               // CONV2
-            (384, 169, 2304),               // CONV3
-            (256, 169, 3456),               // CONV5
+        // The four `pcnn bench-gemm` shapes at 8 threads, each derived by
+        // hand from the cost model (per unit of k a worker costs
+        // `rows * cols * MR * NR` for compute + `rows * MR` for its
+        // share of the column-split-duplicated A packing).
+        //
+        // CONV1/3/5 have 16, 64 and 43 six-row tiles against 190, 11 and
+        // 11 panels: eight row bands balance as well as any 2-D grid
+        // (e.g. CONV5: 6 x 11 tiles per worker at 8x1, 11 x 6 at 4x2 —
+        // the same 66 tiles) and pack less A, so the pure row split wins.
+        //
+        // CONV2's 43 tiles do not divide by 8: 8x1 leaves the widest
+        // worker 6 tiles x 46 panels = 276 tile products, while 4x2
+        // gives 11 x 23 = 253 — the 2-D grid balances the ragged tile
+        // count better than the duplicated A packing costs. (With the
+        // old 4-row tile this shape had 64 tiles and split 8x1.)
+        for &(m, n, k, want) in &[
+            (96usize, 3025usize, 363usize, (8usize, 1usize)), // CONV1
+            (256, 729, 1200, (4, 2)),                         // CONV2
+            (384, 169, 2304, (8, 1)),                         // CONV3
+            (256, 169, 3456, (8, 1)),                         // CONV5
         ] {
             let p = partition_gemm(m, n, k, 8);
             assert_eq!(
                 (p.row_splits, p.col_splits),
-                (8, 1),
+                want,
                 "partition for ({m},{n},{k})"
             );
         }
@@ -795,10 +957,13 @@ mod tests {
 
     #[test]
     fn partitioner_engages_column_axis_on_short_matrices() {
-        // Only ceil(16/4) = 4 row tiles: a pure row split would strand
-        // half of an 8-worker pool, so the 2-D split must engage.
+        // Only ceil(16/6) = 3 row tiles against 190 column panels: any
+        // row split strands most of an 8-worker pool (3x2 leaves a worker
+        // 1 x 95 = 95 tile products), while eight column bands of 24
+        // panels cost 3 x 24 = 72 each — the column axis takes the whole
+        // split and the tripled A packing (18 rows) is noise beside it.
         let p = partition_gemm(16, 3025, 363, 8);
-        assert_eq!((p.row_splits, p.col_splits), (4, 2));
+        assert_eq!((p.row_splits, p.col_splits), (1, 8));
         // Degenerate grids never exceed the available work.
         let p = partition_gemm(4, 8, 1024, 8);
         assert_eq!((p.row_splits, p.col_splits), (1, 1));

@@ -5,7 +5,7 @@
 //!
 //! The property tests deliberately sweep the ugly corners: strided and
 //! padded geometries together, 1x1 kernels, non-square inputs, and
-//! channel/position counts that leave ragged tails in the 4x8 microkernel
+//! channel/position counts that leave ragged tails in the 6x16 microkernel
 //! grid and the KC-deep pack blocks.
 
 use pcnn_tensor::{
@@ -111,7 +111,7 @@ proptest! {
 /// Named edge geometries from the issue checklist, each asserted bitwise
 /// against the reference: stride>1 with padding, 1x1 kernels (plain and
 /// strided-padded), non-square inputs and microkernel-tail channel
-/// counts (oc % 4 != 0, positions % 8 != 0, patch_len straddling the
+/// counts (oc % 6 != 0, positions % 16 != 0, patch_len straddling the
 /// pack depth).
 #[test]
 fn direct_edge_shapes_are_bitwise_exact() {
@@ -126,8 +126,11 @@ fn direct_edge_shapes_are_bitwise_exact() {
         (Conv2dGeometry::new(3, 10, 14, 1, 2, 1), 6),
         // non-square input, non-square output
         (Conv2dGeometry::new(5, 7, 23, 3, 1, 1), 9),
-        // ragged everything: oc=5 (MR tail), 3x5=15 positions (NR tail),
-        // patch_len 2*3*3=18
+        // ragged everything: oc=7 (one full 6-row tile + a 1-row tail),
+        // 3x11=33 positions (two full 16-column panels + a 1-column
+        // tail), patch_len 2*3*3=18
+        (Conv2dGeometry::new(2, 5, 13, 3, 1, 0), 7),
+        // one below the tile on both axes: oc=5, 3x5=15 positions
         (Conv2dGeometry::new(2, 5, 7, 3, 1, 0), 5),
         // patch_len 33*3*3=297 > KC=256: depth spans two pack blocks
         (Conv2dGeometry::new(33, 8, 8, 3, 1, 1), 4),

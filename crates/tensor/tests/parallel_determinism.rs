@@ -32,18 +32,19 @@ fn gemm_at(threads: usize, m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -
 }
 
 /// Shapes that straddle every blocking boundary of the packed GEMM:
-/// the 4-row (`MR`) and 8-column (`NR`) microkernel tiles, the 64-row
-/// parallel panel (`MC`) and the 256-deep pack block (`KC`) — each at
-/// the boundary, one below and one above — plus shapes large enough to
-/// cross the serial/parallel work threshold.
+/// the 6-row (`MR`) and 16-column (`NR`) microkernel tile, the 72-row
+/// `A`-packing group (`MC`) and the 256-deep pack block (`KC`) — each at
+/// the boundary, one below and one above — plus two-panel column edges
+/// (31, 33) and shapes large enough to cross the serial/parallel work
+/// threshold.
 const ODD_SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
-    (3, 7, 5),
-    (4, 8, 16),
-    (5, 9, 17),
-    (63, 65, 129),
-    (64, 8, 256),
-    (65, 9, 257),
+    (5, 15, 5),
+    (6, 16, 16),
+    (7, 17, 17),
+    (71, 31, 255),
+    (72, 16, 256),
+    (73, 33, 257),
     (97, 130, 300),
     (130, 17, 513),
 ];
