@@ -4,7 +4,7 @@
 //! Two halves, one document:
 //!
 //! * A **shape sweep**: every [`BENCH_CONV_SHAPES`] layer (the real
-//!   AlexNet conv tower plus two VGG-style 3x3 stacks) measured under
+//!   AlexNet conv tower plus three VGG 3x3 layers) measured under
 //!   every eligible algorithm ({im2col, direct, winograd}) at every
 //!   [`CONV_THREAD_SWEEP`] pool width. `pcnn obs check` gates the
 //!   machine-normalised `speedup_vs_im2col` ratios, never absolute
@@ -58,9 +58,11 @@ impl ConvShape {
 }
 
 /// The swept layer shapes: the real AlexNet conv tower (conv2 taken
-/// ungrouped) plus two VGG-style 3x3 stages. CONV1 is strided 11x11 —
-/// Winograd-ineligible, the shape where direct's fused packing wins;
-/// the 3x3 stride-1 layers are Winograd's home turf.
+/// ungrouped), VGG-16's conv1_2 and two VGG-style 3x3 stages. CONV1 is
+/// strided 11x11 — Winograd-ineligible, the shape where direct's fused
+/// packing wins; the 3x3 stride-1 layers are Winograd's home turf, and
+/// VGG1_2 (12.8 MB maps, 64 channels) is the one whose Winograd working
+/// set only fits cache a block of tile rows at a time.
 pub const BENCH_CONV_SHAPES: &[ConvShape] = &[
     ConvShape {
         name: "ALEX_CONV1",
@@ -101,6 +103,16 @@ pub const BENCH_CONV_SHAPES: &[ConvShape] = &[
         stride: 1,
         pad: 1,
         oc: 256,
+    },
+    ConvShape {
+        name: "VGG1_2",
+        c: 64,
+        h: 224,
+        w: 224,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+        oc: 64,
     },
     ConvShape {
         name: "VGG2_2",

@@ -8,8 +8,8 @@
 
 use pcnn_profile::{phase_span, Phase};
 use pcnn_tensor::{
-    col2im_accumulate, conv2d_direct, conv2d_winograd, gemm, gemm_bias, gemm_nt, gemm_tn, im2col,
-    im2col_positions, Conv2dGeometry, ConvAlgo, Tensor,
+    col2im_accumulate, conv2d_direct, conv2d_winograd_prepared, gemm, gemm_bias, gemm_nt, gemm_tn,
+    im2col, im2col_positions, Conv2dGeometry, ConvAlgo, Tensor, WinogradFilter,
 };
 use rand::Rng;
 
@@ -188,10 +188,15 @@ impl Conv2d {
         if let Some(s) = span {
             s.finish(0, 4 * out.data().len() as u64);
         }
+        // One filter transform for the whole batch; dropped (back to the
+        // scratch pool) with the call, never kept on the layer.
+        let filter = (algo == ConvAlgo::Winograd)
+            .then(|| WinogradFilter::new(&self.geom, self.out_channels, self.weight.data()));
         for b in 0..batch {
             let (x, y) = (input.batch_item(b), out.batch_item_mut(b));
-            match algo {
-                ConvAlgo::Direct => conv2d_direct(
+            match &filter {
+                Some(filter) => conv2d_winograd_prepared(&self.geom, filter, &self.bias, x, y),
+                None => conv2d_direct(
                     &self.geom,
                     self.out_channels,
                     self.weight.data(),
@@ -199,15 +204,6 @@ impl Conv2d {
                     x,
                     y,
                 ),
-                ConvAlgo::Winograd => conv2d_winograd(
-                    &self.geom,
-                    self.out_channels,
-                    self.weight.data(),
-                    &self.bias,
-                    x,
-                    y,
-                ),
-                ConvAlgo::Im2col => unreachable!("handled above"),
             }
         }
         Ok(out)
@@ -848,6 +844,28 @@ mod tests {
         let (conv, _) = conv_fixture();
         let bad = Tensor::zeros(vec![1, 3, 6, 6]);
         assert!(matches!(conv.forward(&bad), Err(NnError::Shape { .. })));
+    }
+
+    #[test]
+    fn winograd_batch_shares_one_filter_transform_bitwise() {
+        // The filter is transformed once per call and shared by the
+        // images of the batch: a batch of 3 must be exactly three
+        // batch-1 calls.
+        let geom = Conv2dGeometry::new(3, 9, 7, 3, 1, 1);
+        let conv = Conv2d::new(geom, 5, &mut rng());
+        let per_image = 3 * 9 * 7;
+        let batch = Tensor::from_fn(vec![3, 3, 9, 7], |i| ((i * 7) % 13) as f32 / 13.0 - 0.5);
+        let out = conv.forward_with(&batch, ConvAlgo::Winograd).unwrap();
+        for b in 0..3 {
+            let image = Tensor::from_vec(
+                vec![1, 3, 9, 7],
+                batch.data()[b * per_image..(b + 1) * per_image].to_vec(),
+            )
+            .unwrap();
+            let single = conv.forward_with(&image, ConvAlgo::Winograd).unwrap();
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(out.batch_item(b)), bits(single.data()), "image {b}");
+        }
     }
 
     #[test]

@@ -23,21 +23,46 @@
 //!   from im2col, so outputs are not bitwise-equal to the reference —
 //!   they carry a small rounding difference bounded by
 //!   [`winograd_error_bound`] — but they are bitwise **deterministic**:
-//!   the transforms are serial pure element maps and the 16 per-coordinate
-//!   multiplies go through the deterministic [`crate::gemm`], so every
-//!   thread count produces the identical bits.
+//!   the transforms are pure per-element maps with one fixed sequence of
+//!   adds, subs and `x 0.5`, and the 16 per-coordinate multiplies go
+//!   through the deterministic [`crate::gemm`], so every thread count
+//!   produces the identical bits.
+//!
+//! # The Winograd block pipeline
+//!
+//! Winograd's intermediates are large — `V` (transformed input) and `M`
+//! (products) are each `16 x channels x tiles`, 51 MB on VGG conv1_2 — so
+//! the image is never transformed whole. It runs as a pipeline over
+//! **blocks of whole tile rows** (`winograd_block_rows` of them, from
+//! the shape and one cache-budget constant): transform the block's input
+//! rows into a cache-resident `V` block, run the 16 GEMMs into a
+//! cache-resident `M` block, inverse-transform that block straight into
+//! its rows of the output. The three transforms work a row at a time
+//! with contiguous inner loops. Blocks are also the unit of parallelism:
+//! one parallel region per layer, whole blocks per worker, the GEMMs
+//! inside a block on that worker alone (a single-block layer — small maps,
+//! or filters too large to re-stream per block — lets its GEMMs split
+//! across the pool instead). Block boundaries depend on shape only and
+//! no element's operation sequence depends on them, so the block height
+//! moves time and never bits (`tests/winograd_bits.rs`).
+//!
+//! The filter transform depends on the weights only; [`WinogradFilter`]
+//! holds it so that a caller with a batch pays for it once
+//! ([`conv2d_winograd_prepared`]).
 //!
 //! # Profiling
 //!
 //! Direct's fused pack reports as [`Phase::PackB`] (it *is* the B pack);
-//! Winograd's filter/input transforms report as
-//! [`Phase::WinogradTransform`] and its inverse transform + bias as
-//! [`Phase::WinogradInverse`], so `pcnn profile` attributes the new
-//! phases per layer.
+//! Winograd's filter transform (once) and input transform (per block)
+//! report as [`Phase::WinogradTransform`] and its inverse transform +
+//! bias (per block) as [`Phase::WinogradInverse`], their flops and bytes
+//! summing per layer to the whole-image figures, so `pcnn profile`
+//! attributes the phases per layer.
 
 use crate::gemm::{active_partition, gemm, gemm_packed, pack_b_with, packed_b_len};
 use crate::im2col::Conv2dGeometry;
 use pcnn_profile::{phase_span, Phase};
+use std::ops::Range;
 
 /// A convolution algorithm the tuner can select for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,6 +194,131 @@ fn pack_patches(geom: &Conv2dGeometry, input: &[f32], packed: &mut [f32], parall
     });
 }
 
+/// Cache budget of one Winograd block, in `f32` elements (2 MiB, one
+/// core's L2): the `V` and `M` planes of a block of tile rows —
+/// `16 * (ic + oc)` floats per tile — stay within it, so what the input
+/// transform writes is still cache-resident when the 16 GEMMs read it,
+/// and what they write still is when the inverse transform reads it. The
+/// Winograd analogue of the GEMM's `MC` / `KC`: it moves time, never
+/// bits.
+const WINOGRAD_BLOCK_FLOATS: usize = 512 * 1024;
+
+/// Tile rows per block of [`conv2d_winograd`]'s pipeline — a pure
+/// function of the layer shape, so block boundaries (and with them the
+/// parallel split) never depend on thread count or timing.
+///
+/// A block is as many whole tile rows as fit [`WINOGRAD_BLOCK_FLOATS`],
+/// at least one — unless the transformed filter `U` (`16 * oc * ic`
+/// floats) alone overflows the budget: every block re-streams and
+/// re-packs all of `U`, which on such deep layers costs more than the
+/// `V` / `M` round trip it would save, so they stay one block.
+fn winograd_block_rows(ic: usize, oc: usize, tiles_x: usize, tiles_y: usize) -> usize {
+    if 16 * oc * ic >= WINOGRAD_BLOCK_FLOATS {
+        return tiles_y;
+    }
+    (WINOGRAD_BLOCK_FLOATS / (16 * (ic + oc) * tiles_x)).clamp(1, tiles_y)
+}
+
+/// The Winograd-domain image of one layer's 3x3 filters:
+/// `U[xi] = (G g G^T)[xi]` as 16 row-major `out_channels x in_channels`
+/// matrices, one per transform coordinate, where
+/// `G = [[1,0,0],[1/2,1/2,1/2],[1/2,-1/2,1/2],[0,0,1]]`.
+///
+/// It depends on the weights only, so a caller convolving several images
+/// with one filter bank builds it once and hands it to
+/// [`conv2d_winograd_prepared`]. The storage is pooled scratch: dropping
+/// the value returns it, nothing is cached on the layer.
+pub struct WinogradFilter {
+    out_channels: usize,
+    in_channels: usize,
+    u: pcnn_parallel::ScratchF32,
+}
+
+impl WinogradFilter {
+    /// Transforms the `[out_channels, patch_len]` filter matrix `weight`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `geom` is not a stride-1 3x3 layer or `weight` is shorter
+    /// than the geometry implies.
+    pub fn new(geom: &Conv2dGeometry, out_channels: usize, weight: &[f32]) -> Self {
+        assert_winograd_supports(geom);
+        let (oc, ic) = (out_channels, geom.in_channels);
+        assert!(weight.len() >= oc * ic * 9, "weight too short");
+        // Channels transformed side by side: the arithmetic runs over
+        // `LANES`-wide arrays and every `U[xi][o][..]` row is written in
+        // contiguous runs.
+        const LANES: usize = 16;
+        let span = phase_span(Phase::WinogradTransform);
+        let mut u = pcnn_parallel::scratch_f32(16 * oc * ic);
+        for o in 0..oc {
+            let filters = &weight[o * ic * 9..(o + 1) * ic * 9];
+            for (chunk, gs) in filters.chunks(9 * LANES).enumerate() {
+                let n = gs.len() / 9;
+                let mut g = [[0.0f32; LANES]; 9];
+                for (l, f) in gs.chunks_exact(9).enumerate() {
+                    for (q, &val) in f.iter().enumerate() {
+                        g[q][l] = val;
+                    }
+                }
+                // Rows: G applied to the 3 filter rows -> 4 rows of 3.
+                let mut gg = [[[0.0f32; LANES]; 3]; 4];
+                for j in 0..3 {
+                    for l in 0..LANES {
+                        let (g0, g1, g2) = (g[j][l], g[3 + j][l], g[6 + j][l]);
+                        gg[0][j][l] = g0;
+                        gg[1][j][l] = 0.5 * (g0 + g1 + g2);
+                        gg[2][j][l] = 0.5 * (g0 - g1 + g2);
+                        gg[3][j][l] = g2;
+                    }
+                }
+                // Columns: right-multiply by G^T -> 4x4.
+                for (a, row) in gg.iter().enumerate() {
+                    let mut uu = [[0.0f32; LANES]; 4];
+                    for l in 0..LANES {
+                        let (t0, t1, t2) = (row[0][l], row[1][l], row[2][l]);
+                        uu[0][l] = t0;
+                        uu[1][l] = 0.5 * (t0 + t1 + t2);
+                        uu[2][l] = 0.5 * (t0 - t1 + t2);
+                        uu[3][l] = t2;
+                    }
+                    for (b, vals) in uu.iter().enumerate() {
+                        let at = (a * 4 + b) * oc * ic + o * ic + chunk * LANES;
+                        if n == LANES {
+                            // Constant length: one vector store, not a
+                            // `memcpy` call (3.3 vs 5.0 ms at 512 -> 512).
+                            u[at..at + LANES].copy_from_slice(vals);
+                        } else {
+                            u[at..at + n].copy_from_slice(&vals[..n]);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(s) = span {
+            // Filter reads, U writes; ~40 adds/muls per 3x3 filter.
+            s.finish(
+                (40 * oc * ic) as u64,
+                4 * (oc * ic * 9 + 16 * oc * ic) as u64,
+            );
+        }
+        Self {
+            out_channels,
+            in_channels: ic,
+            u,
+        }
+    }
+}
+
+fn assert_winograd_supports(geom: &Conv2dGeometry) {
+    assert!(
+        ConvAlgo::Winograd.supports(geom),
+        "winograd F(2x2,3x3) requires kernel 3, stride 1 (got kernel {}, stride {})",
+        geom.kernel,
+        geom.stride
+    );
+}
+
 /// Winograd F(2x2,3x3) convolution of one CHW image (stride-1 3x3 only):
 /// `out = weight (*) input + bias`, fully overwriting `out`.
 ///
@@ -176,12 +326,13 @@ fn pack_patches(geom: &Conv2dGeometry, input: &[f32], packed: &mut [f32], parall
 /// classic minimal-filtering factorisation `Y = A^T [ (G g G^T) .*
 /// (B^T d B) ] A`, with the element-wise products batched over channels
 /// into 16 `out_channels x in_channels x tiles` GEMMs (one per transform
-/// coordinate) through the deterministic packed [`crate::gemm`]. All
-/// transform coefficients are `{0, ±1, ±0.5}` — exact in f32 — and the
-/// transforms are serial pure element maps, so the output is bitwise
-/// deterministic at every thread count. Accumulation order differs from
-/// im2col; the numerical difference is bounded by
-/// [`winograd_error_bound`].
+/// coordinate) through the deterministic packed [`crate::gemm`]. The
+/// image is processed as a pipeline over blocks of whole tile rows (see
+/// the module docs). All transform coefficients are
+/// `{0, ±1, ±0.5}` — exact in f32 — and the transforms are pure
+/// per-element maps, so the output is bitwise deterministic at every
+/// thread count. Accumulation order differs from im2col; the numerical
+/// difference is bounded by [`winograd_error_bound`].
 ///
 /// # Panics
 ///
@@ -195,159 +346,272 @@ pub fn conv2d_winograd(
     input: &[f32],
     out: &mut [f32],
 ) {
-    assert!(
-        ConvAlgo::Winograd.supports(geom),
-        "winograd F(2x2,3x3) requires kernel 3, stride 1 (got kernel {}, stride {})",
-        geom.kernel,
-        geom.stride
+    let filter = WinogradFilter::new(geom, out_channels, weight);
+    conv2d_winograd_prepared(geom, &filter, bias, input, out);
+}
+
+/// [`conv2d_winograd`] with the filter transform already done.
+///
+/// Runs the block pipeline of the module docs at the block height
+/// `winograd_block_rows` picks for the shape: nothing image-sized is
+/// materialised, and every output element sees the same sequence of IEEE
+/// operations whatever the block height or thread count.
+///
+/// # Panics
+///
+/// Panics if `geom` is not a stride-1 3x3 layer, if `filter` was built
+/// for another channel count, or if a slice is shorter than the geometry
+/// implies.
+pub fn conv2d_winograd_prepared(
+    geom: &Conv2dGeometry,
+    filter: &WinogradFilter,
+    bias: &[f32],
+    input: &[f32],
+    out: &mut [f32],
+) {
+    assert_winograd_supports(geom);
+    assert_eq!(
+        filter.in_channels, geom.in_channels,
+        "filter was transformed for another layer"
     );
-    let (oc, ic) = (out_channels, geom.in_channels);
-    let n_pos = geom.out_positions();
-    let chw = ic * geom.in_h * geom.in_w;
-    assert!(input.len() >= chw, "input too short");
-    assert!(weight.len() >= oc * geom.patch_len(), "weight too short");
+    let (oc, ic) = (filter.out_channels, geom.in_channels);
+    assert!(input.len() >= ic * geom.in_h * geom.in_w, "input too short");
     assert!(bias.len() >= oc, "bias too short");
-    assert!(out.len() >= oc * n_pos, "out too short");
-    if oc == 0 || ic == 0 || n_pos == 0 {
+    assert!(out.len() >= oc * geom.out_positions(), "out too short");
+    if oc == 0 || ic == 0 || geom.out_positions() == 0 {
         return;
     }
+    let (tiles_y, tiles_x) = (geom.out_h.div_ceil(2), geom.out_w.div_ceil(2));
+    let block_rows = winograd_block_rows(ic, oc, tiles_x, tiles_y);
+    winograd_pipeline(geom, filter, bias, input, out, block_rows);
+}
 
+/// Runs the block pipeline at `block_rows` tile rows per block (the last
+/// block takes what is left). `out` is handed to the blocks as safely
+/// split per-channel row bands: block `b` owns output rows
+/// `2 * b * block_rows..` of every channel.
+fn winograd_pipeline(
+    geom: &Conv2dGeometry,
+    filter: &WinogradFilter,
+    bias: &[f32],
+    input: &[f32],
+    out: &mut [f32],
+    block_rows: usize,
+) {
+    let oc = filter.out_channels;
+    let n_pos = geom.out_positions();
     let tiles_y = geom.out_h.div_ceil(2);
+    let n_blocks = tiles_y.div_ceil(block_rows);
+    // Block-major list of bands: `bands[b * oc + o]` is channel `o`'s
+    // rows of block `b`.
+    let mut channels: Vec<_> = out[..oc * n_pos]
+        .chunks_mut(n_pos)
+        .map(|chan| chan.chunks_mut(2 * block_rows * geom.out_w))
+        .collect();
+    let mut bands: Vec<&mut [f32]> = Vec::with_capacity(n_blocks * oc);
+    for _ in 0..n_blocks {
+        for chan in &mut channels {
+            bands.push(chan.next().expect("every channel has one band per block"));
+        }
+    }
+    let run_block = |b: usize, bands: &mut [&mut [f32]]| {
+        let tile_rows = b * block_rows..tiles_y.min((b + 1) * block_rows);
+        winograd_block(geom, filter, bias, input, tile_rows, bands);
+    };
+    if n_blocks == 1 {
+        // Not a region of one task: that would mark this thread as a
+        // pool worker and serialise the GEMMs inside.
+        run_block(0, &mut bands);
+    } else {
+        pcnn_parallel::with_region_label("conv.winograd", || {
+            pcnn_parallel::par_chunks_mut(&mut bands, oc, run_block);
+        });
+    }
+}
+
+/// One block of the pipeline: input transform of tile rows `tile_rows`,
+/// the 16 GEMMs, inverse transform into `bands` (one slice of output rows
+/// per channel).
+fn winograd_block(
+    geom: &Conv2dGeometry,
+    filter: &WinogradFilter,
+    bias: &[f32],
+    input: &[f32],
+    tile_rows: Range<usize>,
+    bands: &mut [&mut [f32]],
+) {
+    let (oc, ic) = (filter.out_channels, geom.in_channels);
     let tiles_x = geom.out_w.div_ceil(2);
-    let t = tiles_y * tiles_x;
+    let tb = tile_rows.len() * tiles_x;
+    // Padded input row width: tile `tx` reads columns `2 tx..2 tx + 4`.
+    let wp = 2 * tiles_x + 2;
 
-    // U[xi]: oc x ic filter transform, V[xi]: ic x t input transform,
-    // M[xi] = U[xi] * V[xi]: oc x t — 16 coordinates each.
-    let mut u = pcnn_parallel::scratch_f32(16 * oc * ic);
-    let mut v = pcnn_parallel::scratch_f32(16 * ic * t);
-    let mut mbuf = pcnn_parallel::scratch_f32(16 * oc * t);
-
-    // Filter transform: U = G g G^T per (oc, ic) 3x3 filter, where
-    // G = [[1,0,0],[1/2,1/2,1/2],[1/2,-1/2,1/2],[0,0,1]].
+    // The span starts before the checkout and M's zero-fill (pooled
+    // scratch has unspecified contents and `gemm` accumulates), so both
+    // count as transform time.
     let span = phase_span(Phase::WinogradTransform);
-    for o in 0..oc {
-        for c in 0..ic {
-            let g = &weight[o * geom.patch_len() + c * 9..o * geom.patch_len() + c * 9 + 9];
-            // Rows: G applied to the 3 filter rows -> 4 rows of 3.
-            let mut gg = [[0.0f32; 3]; 4];
-            for j in 0..3 {
-                let (g0, g1, g2) = (g[j], g[3 + j], g[6 + j]);
-                gg[0][j] = g0;
-                gg[1][j] = 0.5 * (g0 + g1 + g2);
-                gg[2][j] = 0.5 * (g0 - g1 + g2);
-                gg[3][j] = g2;
-            }
-            // Columns: right-multiply by G^T -> 4x4.
-            for (a, row) in gg.iter().enumerate() {
-                let (t0, t1, t2) = (row[0], row[1], row[2]);
-                let uu = [t0, 0.5 * (t0 + t1 + t2), 0.5 * (t0 - t1 + t2), t2];
-                for (b, &val) in uu.iter().enumerate() {
-                    u[(a * 4 + b) * oc * ic + o * ic + c] = val;
-                }
-            }
-        }
-    }
-    // Input transform: V = B^T d B per (ic, tile) 4x4 input patch, where
-    // B^T = [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]]. Tile (ty, tx)
-    // reads the patch at (ty*2 - pad, tx*2 - pad), zero outside.
-    for c in 0..ic {
-        let chan = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
-        for ti in 0..t {
-            let (ty, tx) = (ti / tiles_x, ti % tiles_x);
-            let iy0 = (ty * 2) as isize - geom.pad as isize;
-            let ix0 = (tx * 2) as isize - geom.pad as isize;
-            let mut d = [[0.0f32; 4]; 4];
-            for (dy, drow) in d.iter_mut().enumerate() {
-                let iy = iy0 + dy as isize;
-                if iy < 0 || iy as usize >= geom.in_h {
-                    continue;
-                }
-                for (dx, dval) in drow.iter_mut().enumerate() {
-                    let ix = ix0 + dx as isize;
-                    if ix >= 0 && (ix as usize) < geom.in_w {
-                        *dval = chan[iy as usize * geom.in_w + ix as usize];
-                    }
-                }
-            }
-            // Rows: B^T d -> 4 rows of 4.
-            let mut w = [[0.0f32; 4]; 4];
-            for j in 0..4 {
-                w[0][j] = d[0][j] - d[2][j];
-                w[1][j] = d[1][j] + d[2][j];
-                w[2][j] = d[2][j] - d[1][j];
-                w[3][j] = d[1][j] - d[3][j];
-            }
-            // Columns: (B^T d) B -> 4x4.
-            for (a, row) in w.iter().enumerate() {
-                let z = [
-                    row[0] - row[2],
-                    row[1] + row[2],
-                    row[2] - row[1],
-                    row[1] - row[3],
-                ];
-                for (b, &val) in z.iter().enumerate() {
-                    v[(a * 4 + b) * ic * t + c * t + ti] = val;
-                }
-            }
-        }
-    }
+    // V[xi]: ic x tb, M[xi]: oc x tb — 16 coordinates each — plus row
+    // temporaries for the two transforms.
+    let mut scratch = pcnn_parallel::scratch_f32(16 * (ic + oc) * tb + 8 * wp);
+    let (v, rest) = scratch.split_at_mut(16 * ic * tb);
+    let (m, rows) = rest.split_at_mut(16 * oc * tb);
+    input_transform(geom, input, tile_rows.clone(), v, rows);
+    m.fill(0.0);
     if let Some(s) = span {
-        // Filter + input reads, U + V writes; ~40 adds/muls per 4x4.
+        // The input rows this block is the first to read (halo rows
+        // belong to the block above), V written; ~40 adds per 4x4.
+        let first_row = |ty: usize| match ty {
+            0 => 0,
+            ty if ty == geom.out_h.div_ceil(2) => geom.in_h,
+            ty => (2 * ty).saturating_sub(geom.pad).min(geom.in_h),
+        };
+        let in_rows = first_row(tile_rows.end) - first_row(tile_rows.start);
         s.finish(
-            (40 * oc * ic + 40 * ic * t) as u64,
-            4 * (oc * geom.patch_len() + chw + 16 * (oc * ic + ic * t)) as u64,
+            (40 * ic * tb) as u64,
+            4 * (ic * in_rows * geom.in_w + 16 * ic * tb) as u64,
         );
     }
 
-    // 16 per-coordinate GEMMs: M[xi] = U[xi] * V[xi]. Pooled scratch has
-    // unspecified contents and `gemm` accumulates, so zero M first.
-    mbuf[..16 * oc * t].fill(0.0);
+    // 16 per-coordinate GEMMs: M[xi] = U[xi] * V[xi].
     for xi in 0..16 {
         gemm(
             oc,
-            t,
+            tb,
             ic,
-            &u[xi * oc * ic..(xi + 1) * oc * ic],
-            &v[xi * ic * t..(xi + 1) * ic * t],
-            &mut mbuf[xi * oc * t..(xi + 1) * oc * t],
+            &filter.u[xi * oc * ic..(xi + 1) * oc * ic],
+            &v[xi * ic * tb..(xi + 1) * ic * tb],
+            &mut m[xi * oc * tb..(xi + 1) * oc * tb],
         );
     }
 
-    // Inverse transform: Y = A^T M A + bias per (oc, tile), clipping the
-    // ragged right/bottom edge, where A^T = [[1,1,1,0],[0,1,-1,-1]].
     let span = phase_span(Phase::WinogradInverse);
-    for o in 0..oc {
-        let out_o = &mut out[o * n_pos..(o + 1) * n_pos];
-        for ti in 0..t {
-            let (ty, tx) = (ti / tiles_x, ti % tiles_x);
-            let m_at = |xi: usize| mbuf[xi * oc * t + o * t + ti];
-            // Rows: A^T M -> 2 rows of 4.
-            let s: [[f32; 4]; 2] = [
-                std::array::from_fn(|j| m_at(j) + m_at(4 + j) + m_at(8 + j)),
-                std::array::from_fn(|j| m_at(4 + j) - m_at(8 + j) - m_at(12 + j)),
-            ];
-            // Columns: (A^T M) A -> 2x2, plus bias.
-            for (dy, srow) in s.iter().enumerate() {
-                let oy = ty * 2 + dy;
-                if oy >= geom.out_h {
-                    break;
-                }
-                let y = [
-                    srow[0] + srow[1] + srow[2] + bias[o],
-                    srow[1] - srow[2] - srow[3] + bias[o],
-                ];
-                for (dx, &val) in y.iter().enumerate() {
-                    let ox = tx * 2 + dx;
-                    if ox < geom.out_w {
-                        out_o[oy * geom.out_w + ox] = val;
+    inverse_transform(geom, tile_rows, m, bias, bands, rows);
+    if let Some(s) = span {
+        s.finish(
+            (16 * oc * tb) as u64,
+            4 * (16 * oc * tb + bands.iter().map(|b| b.len()).sum::<usize>()) as u64,
+        );
+    }
+}
+
+/// Input transform of a block: `V = B^T d B` per (channel, tile) 4x4
+/// input patch, where `B^T = [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]]`
+/// and tile `(ty, tx)` reads the patch at `(2 ty - pad, 2 tx - pad)`, zero
+/// outside the image. `v` is `[16][ic][tiles of the block]`.
+///
+/// Works a tile row at a time so every inner loop is contiguous: the four
+/// zero-padded input rows of the tile row, the `B^T d` row combination
+/// across their whole width, then the stride-2 column combination writing
+/// each of the 16 planes along the tiles.
+fn input_transform(
+    geom: &Conv2dGeometry,
+    input: &[f32],
+    tile_rows: Range<usize>,
+    v: &mut [f32],
+    rows: &mut [f32],
+) {
+    let ic = geom.in_channels;
+    let tiles_x = geom.out_w.div_ceil(2);
+    let tb = tile_rows.len() * tiles_x;
+    let wp = 2 * tiles_x + 2;
+    let [d, w] = split_rows(rows, 4 * wp);
+    for c in 0..ic {
+        let chan = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
+        for (r, ty) in tile_rows.clone().enumerate() {
+            for (dy, drow) in d.chunks_exact_mut(wp).enumerate() {
+                drow.fill(0.0);
+                if let Some(iy) = (2 * ty + dy).checked_sub(geom.pad) {
+                    if iy < geom.in_h {
+                        drow[geom.pad..geom.pad + geom.in_w]
+                            .copy_from_slice(&chan[iy * geom.in_w..(iy + 1) * geom.in_w]);
                     }
+                }
+            }
+            // Rows: B^T d -> 4 rows, across the whole padded width.
+            let [d0, d1, d2, d3] = split_rows(d, wp);
+            let [w0, w1, w2, w3] = split_rows(w, wp);
+            for j in 0..wp {
+                w0[j] = d0[j] - d2[j];
+                w1[j] = d1[j] + d2[j];
+                w2[j] = d2[j] - d1[j];
+                w3[j] = d1[j] - d3[j];
+            }
+            // Columns: (B^T d) B -> 4x4 per tile, plane by plane.
+            for (a, wa) in w.chunks_exact(wp).enumerate() {
+                let at = |b: usize| (a * 4 + b) * ic * tb + c * tb + r * tiles_x;
+                // The four planes of row `a` are `ic * tb` apart.
+                let (z0, rest) = v[at(0)..].split_at_mut(ic * tb);
+                let (z1, rest) = rest.split_at_mut(ic * tb);
+                let (z2, z3) = rest.split_at_mut(ic * tb);
+                let (z0, z1, z2, z3) = (
+                    &mut z0[..tiles_x],
+                    &mut z1[..tiles_x],
+                    &mut z2[..tiles_x],
+                    &mut z3[..tiles_x],
+                );
+                for tx in 0..tiles_x {
+                    let (r0, r1, r2, r3) =
+                        (wa[2 * tx], wa[2 * tx + 1], wa[2 * tx + 2], wa[2 * tx + 3]);
+                    z0[tx] = r0 - r2;
+                    z1[tx] = r1 + r2;
+                    z2[tx] = r2 - r1;
+                    z3[tx] = r1 - r3;
                 }
             }
         }
     }
-    if let Some(s) = span {
-        s.finish((16 * oc * t) as u64, 4 * (16 * oc * t + oc * n_pos) as u64);
+}
+
+/// Inverse transform of a block: `Y = A^T M A + bias` per (channel, tile),
+/// clipping the ragged right/bottom edge, where
+/// `A^T = [[1,1,1,0],[0,1,-1,-1]]`. `m` is `[16][oc][tiles of the block]`,
+/// `bands[o]` channel `o`'s output rows of the block.
+///
+/// The mirror image of [`input_transform`]: a tile row at a time, the 16
+/// planes read contiguously along the tiles, both output rows of the tile
+/// row assembled in `rows` and copied out clipped to the map width.
+fn inverse_transform(
+    geom: &Conv2dGeometry,
+    tile_rows: Range<usize>,
+    m: &[f32],
+    bias: &[f32],
+    bands: &mut [&mut [f32]],
+    rows: &mut [f32],
+) {
+    let oc = bands.len();
+    let tiles_x = geom.out_w.div_ceil(2);
+    let tb = tile_rows.len() * tiles_x;
+    let [y0, y1] = split_rows(rows, 2 * tiles_x);
+    for (o, band) in bands.iter_mut().enumerate() {
+        let bias_o = bias[o];
+        for (r, ty) in tile_rows.clone().enumerate() {
+            let p: [&[f32]; 16] =
+                std::array::from_fn(|xi| &m[xi * oc * tb + o * tb + r * tiles_x..][..tiles_x]);
+            for tx in 0..tiles_x {
+                // Rows: A^T M -> 2 rows of 4.
+                let s0: [f32; 4] = std::array::from_fn(|j| p[j][tx] + p[4 + j][tx] + p[8 + j][tx]);
+                let s1: [f32; 4] =
+                    std::array::from_fn(|j| p[4 + j][tx] - p[8 + j][tx] - p[12 + j][tx]);
+                // Columns: (A^T M) A -> 2x2, plus bias.
+                y0[2 * tx] = s0[0] + s0[1] + s0[2] + bias_o;
+                y0[2 * tx + 1] = s0[1] - s0[2] - s0[3] + bias_o;
+                y1[2 * tx] = s1[0] + s1[1] + s1[2] + bias_o;
+                y1[2 * tx + 1] = s1[1] - s1[2] - s1[3] + bias_o;
+            }
+            for (dy, y) in [&*y0, &*y1].into_iter().enumerate() {
+                if 2 * ty + dy < geom.out_h {
+                    band[(2 * r + dy) * geom.out_w..][..geom.out_w]
+                        .copy_from_slice(&y[..geom.out_w]);
+                }
+            }
+        }
     }
+}
+
+/// The first `N` rows of `buf`, each `len` long.
+fn split_rows<const N: usize>(buf: &mut [f32], len: usize) -> [&mut [f32]; N] {
+    let mut rows = buf.chunks_exact_mut(len);
+    std::array::from_fn(|_| rows.next().expect("scratch holds the rows"))
 }
 
 /// Absolute error bound of [`conv2d_winograd`] vs the im2col reference,
@@ -449,6 +713,71 @@ mod tests {
         let mut got = vec![f32::NAN; oc * geom.out_positions()];
         conv2d_winograd(&geom, oc, &weight, &bias, &input, &mut got);
         assert_eq!(got, want);
+    }
+
+    /// Full-mantissa pseudo-random values in `[-0.5, 0.5)`: every
+    /// transform step and every accumulation rounds, so an element whose
+    /// operation sequence depended on the block height would show in the
+    /// bits.
+    fn noise(seed: u64, len: usize) -> Vec<f32> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The block height decides which tiles are computed together,
+        /// never what any tile computes: every height — one tile row,
+        /// heights that leave a short last block, the whole image — gives
+        /// the same bits.
+        #[test]
+        fn winograd_is_bitwise_independent_of_block_height(
+            ic in 1usize..7,
+            in_h in 1usize..20,
+            in_w in 1usize..20,
+            pad in 0usize..3,
+            oc in 1usize..9,
+            seed in proptest::any::<u64>(),
+        ) {
+            proptest::prop_assume!(in_h + 2 * pad >= 3 && in_w + 2 * pad >= 3);
+            let geom = Conv2dGeometry::new(ic, in_h, in_w, 3, 1, pad);
+            let weight = noise(seed, oc * geom.patch_len());
+            let bias = noise(seed ^ 0xB1A5, oc);
+            let input = noise(seed ^ 0x1DEA, ic * in_h * in_w);
+            let filter = WinogradFilter::new(&geom, oc, &weight);
+            let tiles_y = geom.out_h.div_ceil(2);
+            let run = |block_rows: usize| {
+                let mut out = vec![f32::NAN; oc * geom.out_positions()];
+                winograd_pipeline(&geom, &filter, &bias, &input, &mut out, block_rows);
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let whole = run(tiles_y);
+            for block_rows in [1, 2, 3] {
+                proptest::prop_assert_eq!(run(block_rows.min(tiles_y)), whole.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn block_rows_follow_the_cache_budget() {
+        // VGG conv1_2 (64 -> 64 @ 224^2): one tile row of V + M is
+        // 16 * 128 * 112 floats = 7/16 of the budget, so blocks are two
+        // tile rows.
+        assert_eq!(winograd_block_rows(64, 64, 112, 112), 2);
+        // A map whose single tile row already overflows still gets one.
+        assert_eq!(winograd_block_rows(64, 64, 400, 9), 1);
+        // Small maps fit whole.
+        assert_eq!(winograd_block_rows(128, 128, 7, 7), 7);
+        // Deep layers (U alone is the budget or more) are never split,
+        // however large the map.
+        assert_eq!(winograd_block_rows(128, 256, 28, 28), 28);
+        assert_eq!(winograd_block_rows(512, 512, 14, 14), 14);
     }
 
     #[test]

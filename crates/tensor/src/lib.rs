@@ -26,7 +26,10 @@ mod gemm;
 mod im2col;
 mod tensor;
 
-pub use conv::{conv2d_direct, conv2d_winograd, winograd_error_bound, ConvAlgo};
+pub use conv::{
+    conv2d_direct, conv2d_winograd, conv2d_winograd_prepared, winograd_error_bound, ConvAlgo,
+    WinogradFilter,
+};
 pub use error::ShapeError;
 pub use gemm::{gemm, gemm_bias, gemm_naive, gemm_nt, gemm_tn, partition_gemm, GemmPartition};
 pub use im2col::{col2im_accumulate, conv_output_dim, im2col, im2col_positions, Conv2dGeometry};

@@ -13,34 +13,10 @@
 //! contract in DESIGN.md ("GEMM rounding contract") was broken — an FMA
 //! crept in, `KC` changed, or a reduction was reassociated.
 
+mod common;
+
+use common::{fixture, fnv1a};
 use pcnn_tensor::gemm;
-
-/// Deterministic operand fill from an integer hash of the index: values
-/// in `[-1000, 1000] / 512`, so products carry ~20 significant bits and
-/// every long accumulation really rounds.
-fn fixture(seed: u32, len: usize) -> Vec<f32> {
-    (0..len)
-        .map(|i| {
-            let mut h = (i as u32).wrapping_mul(2_654_435_761) ^ seed;
-            h ^= h >> 15;
-            h = h.wrapping_mul(0x2c1b_3c6d);
-            h ^= h >> 12;
-            ((h % 2001) as f32 - 1000.0) / 512.0
-        })
-        .collect()
-}
-
-/// FNV-1a (64-bit) over the little-endian bit patterns of `c`.
-fn fnv1a(c: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in c {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// `(m, n, k, hash of C)`: the five AlexNet convolution GEMMs and two
 /// Winograd per-coordinate GEMMs (VGG conv3-class and conv5-class).

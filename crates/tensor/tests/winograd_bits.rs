@@ -1,0 +1,63 @@
+//! "The bits did not move", for Winograd: pinned hashes of
+//! [`conv2d_winograd`]'s output.
+//!
+//! The block height of the tile-row pipeline, the row-wise shape of the
+//! three transforms and the thread count are all free to change, because
+//! none of them touches any element's sequence of IEEE operations — the
+//! transforms are per-element maps with a fixed order of adds, subs and
+//! `x 0.5`, and the per-coordinate GEMM's order depends only on `k` and
+//! `KC` (DESIGN.md, "Winograd block pipeline"). This test holds that to
+//! the bit on shapes that straddle every boundary the pipeline has:
+//! several blocks, one block, ragged bottom/right tiles, every padding,
+//! maps narrower than one input tile and a single output pixel. The
+//! hashes below were recorded on the commit *before* the whole-image
+//! Winograd body was replaced by the block pipeline and are asserted
+//! unchanged at every thread count, which is why no golden,
+//! `results/*.txt` or `BENCH_*` document other than the timing columns of
+//! `BENCH_conv.json` needed re-pinning.
+
+mod common;
+
+use common::{fixture, fnv1a};
+use pcnn_tensor::{conv2d_winograd, Conv2dGeometry};
+
+/// `(in_channels, in_h, in_w, pad, out_channels, hash of out)`.
+const PINNED: &[(usize, usize, usize, usize, usize, u64)] = &[
+    // Several blocks: V + M overflow the cache budget.
+    (64, 56, 56, 1, 64, 0xebe2_7104_f682_1530),
+    (32, 112, 40, 1, 48, 0x27ab_9145_7741_a475),
+    // One block, deep: a VGG conv5-class layer.
+    (128, 14, 14, 1, 128, 0x5112_8cad_18d1_7fab),
+    // Odd maps: ragged bottom row and right column of tiles.
+    (16, 13, 13, 1, 24, 0xd751_6534_315a_971f),
+    (5, 7, 5, 1, 7, 0x423e_2fbb_500d_96d2),
+    // Padding 0 and 2 (the output shrinks / grows by two).
+    (8, 12, 10, 0, 6, 0x9d30_6648_6b0d_6a23),
+    (8, 9, 11, 2, 6, 0x41f3_2a67_c403_0a39),
+    // Maps narrower than one 4x4 input tile, and a single output pixel.
+    (3, 6, 3, 1, 4, 0xdfee_63b8_79d6_79e9),
+    (4, 5, 2, 1, 3, 0xcc49_bdd9_9747_e0c8),
+    (6, 3, 3, 0, 5, 0x4e28_e6ba_dc7f_86a9),
+];
+
+#[test]
+fn winograd_output_bits_are_pinned_across_block_and_thread_changes() {
+    for &(ic, in_h, in_w, pad, oc, want) in PINNED {
+        let geom = Conv2dGeometry::new(ic, in_h, in_w, 3, 1, pad);
+        let weight = fixture(0x5749_4e4f, oc * geom.patch_len());
+        let bias = fixture(0x0b1a_5000, oc);
+        let input = fixture(0x1d3a_7e57, ic * in_h * in_w);
+        for threads in [1usize, 2, 3, 8] {
+            let got = pcnn_parallel::with_threads(threads, || {
+                let mut out = vec![f32::NAN; oc * geom.out_positions()];
+                conv2d_winograd(&geom, oc, &weight, &bias, &input, &mut out);
+                fnv1a(&out)
+            });
+            assert_eq!(
+                got, want,
+                "winograd {ic}x{in_h}x{in_w} pad {pad} -> {oc} at {threads} thread(s): \
+                 hash {got:#018x}, pinned {want:#018x}"
+            );
+        }
+    }
+}
