@@ -379,6 +379,28 @@ fn cmd_bench_gemm(flags: &HashMap<String, String>) -> ExitCode {
     t.print(&format!(
         "CPU GEMM baseline ({threads} worker threads, {cores} cores)"
     ));
+    let roof = profile::calibrate().gbs;
+    let mut fc = TableWriter::new(vec![
+        "layer",
+        "batch",
+        "NxK",
+        "ms",
+        "weight GB/s",
+        "of copy roof",
+    ]);
+    for r in baselines::run_fc_bench(reps) {
+        fc.row(vec![
+            r.layer.to_string(),
+            r.batch.to_string(),
+            format!("{}x{}", r.n, r.k),
+            format!("{:.2}", r.ms),
+            format!("{:.2}", r.weight_gbs),
+            format!("{:.0}%", 100.0 * r.weight_gbs / roof),
+        ]);
+    }
+    fc.print(&format!(
+        "FC layers through gemm_nt ({threads} worker threads; copy roof {roof:.1} GB/s)"
+    ));
     if let Some(path) = flags.get("json") {
         if let Err(e) = std::fs::write(path, baselines::gemm_json(&rows, threads, cores, reps)) {
             eprintln!("error: could not write {path}: {e}");

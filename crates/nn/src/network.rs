@@ -140,11 +140,13 @@ impl Network {
     /// Inference forward pass under a perforation plan. Returns logits
     /// `[N, classes]`.
     ///
-    /// Batches are data-parallel (Cappuccino-style): images are split
-    /// into contiguous groups, one per worker, and each group runs the
-    /// whole layer pipeline independently. Every layer treats images
-    /// independently, so the logits are bitwise identical at any thread
-    /// count (including 1).
+    /// Batches are data-parallel (Cappuccino-style) up to the first
+    /// `Flatten`: images are split into contiguous groups, one per worker,
+    /// and each group runs the conv / relu / pool prefix independently.
+    /// The classifier tail then runs once on the whole batch, so the FC
+    /// weights — the operand every image shares — are streamed once per
+    /// batch. Every layer treats images independently, so the logits are
+    /// bitwise identical at any thread count (including 1).
     ///
     /// # Errors
     ///
@@ -188,6 +190,10 @@ impl Network {
         algos
     }
 
+    /// The one inference path behind [`forward`](Self::forward) and
+    /// [`forward_planned`](Self::forward_planned): a batch-split prefix
+    /// and a batch-wide tail, each a [`forward_group`](Self::forward_group)
+    /// over a layer range (the one-group path is the range of all layers).
     fn forward_dispatch(
         &self,
         input: &Tensor,
@@ -202,64 +208,77 @@ impl Network {
             1
         };
         let threads = pcnn_parallel::current_threads();
-        // Small batches (fewer images than workers) run the serial group
-        // path so the pool stays free for the 2-D GEMM split inside each
-        // layer — a starved batch split would pin every worker to at most
-        // one image and leave the kernels single-threaded. Profiling also
-        // forces the serial path: the profiler's active-layer attribution
-        // is a process-global, so exactly one group may walk the layer
-        // pipeline at a time (kernels inside each layer stay parallel).
+        let all = 0..self.layers.len();
+        // The classifier tail starts at the first `Flatten`; everything
+        // before it (conv / relu / pool) is the per-image prefix.
+        let split = self
+            .layers
+            .iter()
+            .position(|l| matches!(l, Layer::Flatten))
+            .unwrap_or(all.end);
+        // Small batches (fewer images than workers) run the whole
+        // pipeline as one group so the pool stays free for the 2-D GEMM
+        // split inside each layer — a starved batch split would pin every
+        // worker to at most one image and leave the kernels
+        // single-threaded. Profiling also forces that path: the
+        // profiler's active-layer attribution is a process-global, so
+        // exactly one group may walk the layer pipeline at a time
+        // (kernels inside each layer stay parallel).
         if batch < 2
             || threads < 2
             || batch < threads
+            || split == 0
             || pcnn_parallel::in_parallel_region()
             || pcnn_profile::enabled()
         {
-            return self.forward_group(input, &perfs, &algos);
+            return self.forward_group(input, all, &perfs, &algos);
         }
-        // Contiguous image groups; group boundaries depend only on the
-        // batch and thread count, and per-image results are independent
-        // of grouping, so outputs match the serial path bitwise.
+        // Only the prefix is batch-split: contiguous image groups, one
+        // per worker, boundaries a function of batch and thread count.
+        // The tail then runs once on the joined `[batch, ...]` features,
+        // outside the region, so every FC weight is read once per batch
+        // (by `gemm_nt`, split over weight rows) instead of once per
+        // group. No layer mixes images, so where the pipeline is cut and
+        // how images are grouped never reaches any logit's arithmetic:
+        // outputs match the one-group path bitwise.
         let group = batch.div_ceil(threads);
-        let classes = self.num_classes;
-        let mut out = Tensor::zeros(vec![batch, classes]);
-        let first_err: std::sync::Mutex<Option<NnError>> = std::sync::Mutex::new(None);
-        pcnn_parallel::par_chunks_mut(out.data_mut(), group * classes, |gi, out_chunk| {
+        let parts = pcnn_parallel::par_map(batch.div_ceil(group), |gi| {
             let start = gi * group;
-            let count = out_chunk.len() / classes;
-            let sub = input.batch_range(start, count);
-            match self.forward_group(&sub, &perfs, &algos) {
-                Ok(logits) => out_chunk.copy_from_slice(logits.data()),
-                Err(e) => {
-                    first_err
-                        .lock()
-                        .expect("forward error slot")
-                        .get_or_insert(e);
-                }
-            }
-        });
-        match first_err.into_inner().expect("forward error slot") {
-            Some(e) => Err(e),
-            None => Ok(out),
+            let sub = input.batch_range(start, group.min(batch - start));
+            self.forward_group(&sub, 0..split, &perfs, &algos)
+        })
+        .into_iter()
+        .collect::<Result<Vec<Tensor>, NnError>>()?;
+        let mut shape = parts[0].shape().to_vec();
+        shape[0] = batch;
+        let mut features = Vec::with_capacity(shape.iter().product());
+        for part in parts {
+            features.extend_from_slice(part.data());
         }
+        let features = Tensor::from_vec(shape, features)?;
+        self.forward_group(&features, split..all.end, &perfs, &algos)
     }
 
-    /// Runs the layer pipeline on one image group, opening a profiler
-    /// layer scope around each layer (a no-op unless profiling is on).
+    /// Runs `layers` of the pipeline on one image group, opening a
+    /// profiler layer scope around each layer (a no-op unless profiling
+    /// is on). The first layer reads `input` in place; an empty range
+    /// returns a copy of it.
     fn forward_group(
         &self,
         input: &Tensor,
+        layers: std::ops::Range<usize>,
         perfs: &[Option<LayerPerforation>],
         algos: &[ConvAlgo],
     ) -> Result<Tensor, NnError> {
-        let mut x = input.clone();
-        for (i, (layer, perf)) in self.layers.iter().zip(perfs).enumerate() {
+        let mut x = std::borrow::Cow::Borrowed(input);
+        for i in layers {
+            let layer = &self.layers[i];
             let scope = pcnn_profile::layer_scope(i, layer.kind());
-            let (out, _) = layer.forward_algo(&x, perf.as_ref(), algos[i])?;
+            let (out, _) = layer.forward_algo(&x, perfs[i].as_ref(), algos[i])?;
             drop(scope);
-            x = out;
+            x = std::borrow::Cow::Owned(out);
         }
-        Ok(x)
+        Ok(x.into_owned())
     }
 
     /// Training-mode forward pass (never perforated) that records every
@@ -373,6 +392,24 @@ mod tests {
             .forward(&input, &PerforationPlan::identity(99))
             .unwrap_err();
         assert!(matches!(err, NnError::Perforation(_)));
+    }
+
+    #[test]
+    fn error_inside_a_prefix_group_surfaces_as_err() {
+        // 8 images over 2 workers takes the batch-split path; the wrong
+        // image size is only noticed by the first conv, inside each
+        // group's worker. The caller must see that error — not a panic,
+        // and not logits assembled from whatever groups finished.
+        let net = tiny_alexnet(5);
+        let input = Tensor::zeros(vec![8, 1, 30, 30]);
+        let err = pcnn_parallel::with_threads(2, || {
+            net.forward(&input, &PerforationPlan::identity(net.conv_count()))
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, NnError::Shape { context, .. } if context == "Conv2d"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The batched inference forward pass splits images across workers; each
-//! image's arithmetic is untouched by the split, so logits must be
-//! **bitwise** identical at any thread count.
+//! The batched inference forward pass splits the conv prefix's images
+//! across workers and runs the classifier tail once on the joined batch;
+//! each image's arithmetic is untouched by the split and by the join, so
+//! logits must be **bitwise** identical at any thread count.
 
 use pcnn_nn::models::tiny_alexnet;
 use pcnn_nn::PerforationPlan;
@@ -18,30 +19,30 @@ fn logits_at(threads: usize, batch: usize, plan: &PerforationPlan) -> Vec<f32> {
     })
 }
 
-#[test]
-fn forward_bitwise_equal_across_thread_counts() {
-    // 5 images over 8 workers exercises ragged grouping (some workers
-    // idle); 8 over 3 exercises uneven multi-image groups.
-    let plan = PerforationPlan::identity(2);
-    for batch in [2, 5, 8] {
-        let one = logits_at(1, batch, &plan);
-        let many = logits_at(8, batch, &plan);
-        assert_eq!(
-            one, many,
-            "batch {batch} logits differ between 1 and 8 threads"
-        );
-        let three = logits_at(3, batch, &plan);
-        assert_eq!(
-            one, three,
-            "batch {batch} logits differ between 1 and 3 threads"
-        );
+/// Logits at 2, 3 and 8 workers against the 1-thread serial forward.
+/// Over batches 5 and 8 that is an even prefix split (8 / 2), uneven
+/// groups with a short last one (5 / 2, 8 / 3, 5 / 3), one image per
+/// worker (8 / 8) and the starved one-group fallback (5 < 8) — each
+/// joined into one `[batch, features]` tensor and classified as a whole.
+fn assert_matches_serial(batches: &[usize], plan: &PerforationPlan) {
+    for &batch in batches {
+        let serial = logits_at(1, batch, plan);
+        for threads in [2, 3, 8] {
+            assert_eq!(
+                serial,
+                logits_at(threads, batch, plan),
+                "batch {batch} logits differ between 1 and {threads} threads"
+            );
+        }
     }
 }
 
 #[test]
+fn forward_bitwise_equal_across_thread_counts() {
+    assert_matches_serial(&[2, 5, 8], &PerforationPlan::identity(2));
+}
+
+#[test]
 fn perforated_forward_bitwise_equal_across_thread_counts() {
-    let plan = PerforationPlan::from_rates(vec![0.5, 0.25]);
-    let one = logits_at(1, 6, &plan);
-    let many = logits_at(8, 6, &plan);
-    assert_eq!(one, many, "perforated logits differ across thread counts");
+    assert_matches_serial(&[5, 6, 8], &PerforationPlan::from_rates(vec![0.5, 0.25]));
 }

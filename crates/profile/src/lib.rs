@@ -64,7 +64,7 @@ pub enum Phase {
     PackA,
     /// Packing `B` micropanels inside the GEMM.
     PackB,
-    /// The register-blocked multiply loops (or the `gemm_nt` dot loop).
+    /// The register-blocked multiply loops (or the `gemm_nt` dot tiles).
     Microkernel,
     /// Bias broadcast, output allocation, interpolation, reshapes.
     Epilogue,

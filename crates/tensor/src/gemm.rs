@@ -40,6 +40,12 @@
 //! arithmetic with constant bounds on the *same* packed layout — which is
 //! also the oracle the explicit kernel is tested bitwise against.
 //!
+//! [`gemm_nt`] (`C += A * B^T`, the FC layers) reduces along the
+//! contiguous axis of both operands, so it needs no packing: it is a
+//! register tile of split-accumulator dot products walked so that the
+//! larger operand — for an FC layer the weights — is read from memory once
+//! per call, however many images the batch holds (see its docs).
+//!
 //! # Determinism
 //!
 //! Each `C` element starts every `KC` block from `+0.0`, accumulates
@@ -56,7 +62,9 @@
 //! disjoint rectangles of `C`, so which worker runs a rectangle is
 //! irrelevant: `PCNN_THREADS=1` and `PCNN_THREADS=N` produce
 //! **bitwise-identical** outputs (asserted by
-//! `tests/parallel_determinism.rs`).
+//! `tests/parallel_determinism.rs`). [`gemm_nt`] has its own contract —
+//! eight lanes and a fixed combining tree per output — with the same
+//! freedoms (`tests/gemm_nt_bits.rs`).
 //!
 //! # Profiling
 //!
@@ -166,17 +174,18 @@ fn split_range(total: usize, parts: usize, idx: usize) -> Range<usize> {
 }
 
 /// Shared mutable view of `C` for workers that own **disjoint**
-/// rectangles of it. The 2-D split hands each worker a set of
-/// `(row tile, column panel)` rectangles whose element ranges interleave
-/// in memory, so safe `split_at_mut` decomposition is impossible; this
-/// wrapper makes the disjointness invariant explicit instead.
+/// rectangles of it. The 2-D split of [`gemm`] (and the column-range
+/// split of [`gemm_nt`]) hands each worker rectangles whose element
+/// ranges interleave in memory, so safe `split_at_mut` decomposition is
+/// impossible; this wrapper makes the disjointness invariant explicit
+/// instead.
 struct TileSink {
     ptr: *mut f32,
 }
 
 // SAFETY: every `accumulate` call writes a span derived from a
-// `(row tile, column panel)` rectangle, and `gemm` assigns each rectangle
-// to exactly one task — concurrent writers never overlap.
+// `(row tile, column panel)` rectangle, and `gemm` and `gemm_nt` assign
+// each rectangle to exactly one task — concurrent writers never overlap.
 unsafe impl Sync for TileSink {}
 
 impl TileSink {
@@ -629,20 +638,53 @@ pub fn gemm_bias(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], bias: &[f32
     gemm(m, n, k, a, b, c);
 }
 
-/// Lanes of the split-accumulator dot product in [`gemm_nt`]. The lane
-/// structure (and the final combining tree) is fixed in source, so the
-/// reduction order never depends on the compiler's vector width.
+/// Lanes of the split-accumulator dot product behind every [`gemm_nt`]
+/// output. The lane structure (and the final combining tree) is fixed in
+/// source, so the reduction order never depends on the compiler's vector
+/// width — and with eight lanes one accumulator is exactly one AVX2
+/// register.
 const DOT_LANES: usize = 8;
+
+/// Rows of the outermost operand per [`gemm_nt`] panel: the unit of the
+/// loop nest and of the parallel split, and the `B` side of the tall
+/// `1 x NT_PANEL` tile — one `A` row (a leftover after the groups of
+/// [`NT_GROUP`]; every row when `m < 4`, so this is the batch-1 FC
+/// kernel) against four streamed `B` rows, four independent accumulator
+/// chains.
+const NT_PANEL: usize = 4;
+/// Rows of `A` in the wide `NT_GROUP x NT_PAIR` tile.
+const NT_GROUP: usize = 4;
+/// Rows of `B` in the wide tile (half a panel): 8 accumulators + 4 `A`
+/// vectors + 2 `B` vectors = 14 of AVX2's 16 `ymm` registers, and six
+/// loads feed eight multiply-add pairs.
+const NT_PAIR: usize = 2;
 
 /// `C += A * B^T` for row-major matrices: `A` is `m x k`, `B` is `n x k`,
 /// `C` is `m x n`.
 ///
-/// Used by the convolution/linear backward passes (`dW = dOut * cols^T`)
-/// and the linear forward pass. Rows of `C` are computed in parallel —
-/// splitting *within* rows when there are fewer rows than workers — and
-/// each dot product accumulates in [`DOT_LANES`] independent lanes
-/// (vectorizable) combined by a fixed tree, so results are deterministic
-/// at any thread count.
+/// Used by the linear forward pass (`A` = the batch's features, `B` = the
+/// weights) and the convolution backward pass (`dW = dOut * cols^T`).
+///
+/// Every output is one split-accumulator dot product: [`DOT_LANES`]
+/// lanes, lane `l` accumulating `acc = acc + a[p] * b[p]` (one IEEE
+/// multiply, one IEEE add — never fused) over `p = l, l + 8, ...` in
+/// ascending order from `+0.0`, the lanes combined by the fixed tree
+/// `((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7))` and the result added to `C`
+/// once. That sequence is the rounding contract (DESIGN.md, "`gemm_nt`
+/// rounding contract"; `tests/gemm_nt_bits.rs` pins the bits). Everything
+/// else only decides which outputs are computed side by side:
+///
+/// - a register tile of `NT_GROUP x NT_PAIR` or `1 x NT_PANEL` dot
+///   products shares every operand load between its accumulators;
+/// - the operand with more rows is walked outermost, [`NT_PANEL`] rows at
+///   a time, and is therefore read from memory **once per call** — for a
+///   batched FC layer each weight row feeds every image of the batch —
+///   while the smaller operand is re-read per panel, from cache;
+/// - large calls split into contiguous ranges of those panels, one per
+///   worker (a function of shape and pool width only), each worker
+///   computing every row of the other operand for its range.
+///
+/// Results are therefore bitwise identical at any thread count.
 ///
 /// # Panics
 ///
@@ -654,52 +696,274 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
     if m == 0 || n == 0 {
         return;
     }
-    let row_job = |i: usize, j0: usize, c_part: &mut [f32]| {
-        let a_row = &a[i * k..i * k + k];
-        for (dj, cv) in c_part.iter_mut().enumerate() {
-            let b_row = &b[(j0 + dj) * k..(j0 + dj) * k + k];
-            *cv += dot_lanes(a_row, b_row);
-        }
+    let sink = TileSink {
+        ptr: c.as_mut_ptr(),
+    };
+    // The operand with more rows goes outermost: it is the one that may
+    // not fit in cache, and the outermost operand is streamed once.
+    let b_outer = n >= m;
+    let panels = if b_outer { n } else { m }.div_ceil(NT_PANEL);
+    let run = |panels: Range<usize>| {
+        let outer = |len: usize| panels.start * NT_PANEL..(panels.end * NT_PANEL).min(len);
+        let (rows, cols) = if b_outer {
+            (0..m, outer(n))
+        } else {
+            (outer(m), 0..n)
+        };
+        gemm_nt_rect(n, k, a, b, &sink, rows, cols, b_outer);
     };
     let span = phase_span(Phase::Microkernel);
     if m * n * k < PAR_MAC_THRESHOLD {
-        for (i, c_row) in c[..m * n].chunks_mut(n).enumerate() {
-            row_job(i, 0, c_row);
-        }
+        run(0..panels);
     } else {
-        pcnn_parallel::with_region_label("gemm_nt", || {
-            pcnn_parallel::par_chunks_mut_fine(&mut c[..m * n], n, 1, row_job);
-        });
+        pcnn_parallel::with_region_label("gemm_nt", || pcnn_parallel::par_for(panels, 1, run));
     }
     if let Some(s) = span {
         s.finish(
             2 * (m * n * k) as u64,
-            // A and B each streamed once per output row/column pair is
-            // the unblocked worst case; count each operand once plus the
-            // C read/write, matching the packed GEMM's convention.
+            // Each operand once plus the C read/write — the packed
+            // GEMM's convention, and since the panel walk what a call
+            // whose smaller operand stays in cache really moves.
             4 * (m * k + n * k + 2 * m * n) as u64,
         );
     }
 }
 
-/// Dot product over [`DOT_LANES`] source-fixed accumulator lanes.
+/// One worker's rectangle of [`gemm_nt`]: `C[rows, cols] += A[rows] *
+/// B[cols]^T`, dispatched once (cached feature probe) between the two
+/// instantiations of [`gemm_nt_rect_body`] — the explicit AVX2 tiles on
+/// x86-64 with AVX2, their portable twins anywhere else. Both run the
+/// identical IEEE sequence per output, so the result is bitwise-equal
+/// whichever path runs.
+#[allow(clippy::too_many_arguments)]
+fn gemm_nt_rect(
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    sink: &TileSink,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    b_outer: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 requirement is established by the runtime
+        // feature probe on the line above.
+        return unsafe { gemm_nt_rect_avx2(n, k, a, b, sink, rows, cols, b_outer) };
+    }
+    gemm_nt_rect_body(n, k, a, b, sink, rows, cols, b_outer, nt_dots, nt_dots)
+}
+
+/// AVX2 instantiation of [`gemm_nt_rect_body`] (the closures inherit this
+/// function's target features, so calling the explicit tiles is safe).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_nt_rect_avx2(
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    sink: &TileSink,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    b_outer: bool,
+) {
+    gemm_nt_rect_body(
+        n,
+        k,
+        a,
+        b,
+        sink,
+        rows,
+        cols,
+        b_outer,
+        |a_rows, b_rows| nt_dots_avx2(a_rows, b_rows),
+        |a_rows, b_rows| nt_dots_avx2(a_rows, b_rows),
+    )
+}
+
+/// Row `r` of a row-major matrix with `k` columns.
 #[inline(always)]
-fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut lanes = [0.0f32; DOT_LANES];
-    let chunks = a.len() / DOT_LANES;
-    for p in 0..chunks {
-        let av = &a[p * DOT_LANES..(p + 1) * DOT_LANES];
-        let bv = &b[p * DOT_LANES..(p + 1) * DOT_LANES];
-        for l in 0..DOT_LANES {
-            lanes[l] += av[l] * bv[l];
+fn row_of(x: &[f32], k: usize, r: usize) -> &[f32] {
+    &x[r * k..(r + 1) * k]
+}
+
+/// The rectangle loop nest of [`gemm_nt`]. `rows` decompose into groups
+/// of [`NT_GROUP`] and then single rows, `cols` into panels of
+/// [`NT_PANEL`]; `b_outer` puts the panel loop outside (each `B` panel
+/// meets every row group while it is cache-hot) or inside (each `A` row
+/// group meets every panel). `wide` and `tall` return the finished dot
+/// products of one register tile.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gemm_nt_rect_body(
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    sink: &TileSink,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    b_outer: bool,
+    wide: impl Fn([&[f32]; NT_GROUP], [&[f32]; NT_PAIR]) -> [[f32; NT_PAIR]; NT_GROUP],
+    tall: impl Fn([&[f32]; 1], [&[f32]; NT_PANEL]) -> [[f32; NT_PANEL]; 1],
+) {
+    // C[i0..i0 + mb, j0..j0 + nb] for one row group and one panel.
+    let block = |i0: usize, mb: usize, j0: usize, nb: usize| {
+        // A ragged panel repeats its last row, so every tile is whole;
+        // the repeated dot products are computed and dropped.
+        let b_rows: [&[f32]; NT_PANEL] = std::array::from_fn(|j| row_of(b, k, j0 + j.min(nb - 1)));
+        if mb == NT_GROUP {
+            let a_rows = std::array::from_fn(|i| row_of(a, k, i0 + i));
+            for jj in (0..nb).step_by(NT_PAIR) {
+                let dots = wide(a_rows, [b_rows[jj], b_rows[jj + 1]]);
+                for (i, d) in dots.iter().enumerate() {
+                    // SAFETY: row `i0 + i` and columns `j0 + jj..` up to
+                    // `j0 + nb` lie inside this task's rectangle of `C`,
+                    // which no other task writes.
+                    unsafe {
+                        sink.accumulate((i0 + i) * n + j0 + jj, &d[..NT_PAIR.min(nb - jj)]);
+                    }
+                }
+            }
+        } else {
+            let dots = tall([row_of(a, k, i0)], b_rows);
+            // SAFETY: as above — row `i0`, columns `j0..j0 + nb`.
+            unsafe { sink.accumulate(i0 * n + j0, &dots[0][..nb]) };
+        }
+    };
+    let col_panels = || {
+        cols.clone()
+            .step_by(NT_PANEL)
+            .map(|j0| (j0, NT_PANEL.min(cols.end - j0)))
+    };
+    let full = rows.start + rows.len() / NT_GROUP * NT_GROUP;
+    let row_groups = || {
+        (rows.start..full)
+            .step_by(NT_GROUP)
+            .map(|i0| (i0, NT_GROUP))
+            .chain((full..rows.end).map(|i0| (i0, 1)))
+    };
+    if b_outer {
+        for (j0, nb) in col_panels() {
+            for (i0, mb) in row_groups() {
+                block(i0, mb, j0, nb);
+            }
+        }
+    } else {
+        for (i0, mb) in row_groups() {
+            for (j0, nb) in col_panels() {
+                block(i0, mb, j0, nb);
+            }
         }
     }
-    for p in chunks * DOT_LANES..a.len() {
-        lanes[p % DOT_LANES] += a[p] * b[p];
+}
+
+/// The portable `MB x NB` register tile of [`gemm_nt`]: the dot products
+/// of `MB` rows of `A` with `NB` rows of `B`, each accumulated in its own
+/// [`DOT_LANES`] lanes over the whole eight-element chunks of `k` and
+/// finished by [`nt_finish`]. Constant bounds let LLVM keep `acc` in
+/// vector registers without reassociating any sum.
+///
+/// It is the kernel of every target without AVX2 and the differential
+/// oracle [`nt_dots_avx2`] is tested bitwise against.
+#[inline(always)]
+fn nt_dots<const MB: usize, const NB: usize>(a: [&[f32]; MB], b: [&[f32]; NB]) -> [[f32; NB]; MB] {
+    let chunk = |row: &[f32], p: usize| -> [f32; DOT_LANES] {
+        row[p * DOT_LANES..(p + 1) * DOT_LANES]
+            .try_into()
+            .expect("whole chunk")
+    };
+    let mut acc = [[[0.0f32; DOT_LANES]; NB]; MB];
+    for p in 0..a[0].len() / DOT_LANES {
+        let bv: [[f32; DOT_LANES]; NB] = std::array::from_fn(|j| chunk(b[j], p));
+        for i in 0..MB {
+            let av = chunk(a[i], p);
+            for j in 0..NB {
+                for l in 0..DOT_LANES {
+                    acc[i][j][l] += av[l] * bv[j][l];
+                }
+            }
+        }
     }
-    ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
-        + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]))
+    nt_finish(a, b, acc)
+}
+
+/// [`nt_dots`] written out for AVX2: one `ymm` register per dot product,
+/// each chunk `NB` loads of `B`, `MB` loads of `A` and `MB * NB`
+/// multiply-then-add pairs. Explicitly `_mm256_mul_ps` followed by
+/// `_mm256_add_ps` — never a fused multiply-add — with the accumulator as
+/// the add's first operand, exactly the portable body's `acc + a * b`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn nt_dots_avx2<const MB: usize, const NB: usize>(
+    a: [&[f32]; MB],
+    b: [&[f32]; NB],
+) -> [[f32; NB]; MB] {
+    use core::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    const { assert!(DOT_LANES == 8, "one 8-lane vector per dot product") };
+    let chunks = a[0].len() / DOT_LANES;
+    assert!(
+        a.iter()
+            .chain(&b)
+            .all(|row| row.len() >= chunks * DOT_LANES),
+        "tile rows shorter than the first"
+    );
+    let mut acc = [[_mm256_setzero_ps(); NB]; MB];
+    for p in 0..chunks {
+        let at = p * DOT_LANES;
+        let mut bv = [_mm256_setzero_ps(); NB];
+        for j in 0..NB {
+            // SAFETY: `at + 8 <= chunks * 8 <= b[j].len()` by the assert
+            // before the loop, so the unaligned 8-lane load is in bounds.
+            bv[j] = unsafe { _mm256_loadu_ps(b[j].as_ptr().add(at)) };
+        }
+        for i in 0..MB {
+            // SAFETY: as above, for `a[i]`.
+            let av = unsafe { _mm256_loadu_ps(a[i].as_ptr().add(at)) };
+            for j in 0..NB {
+                acc[i][j] = _mm256_add_ps(acc[i][j], _mm256_mul_ps(av, bv[j]));
+            }
+        }
+    }
+    let mut lanes = [[[0.0f32; DOT_LANES]; NB]; MB];
+    for (row, vecs) in lanes.iter_mut().zip(&acc) {
+        for (l, &v) in row.iter_mut().zip(vecs) {
+            // SAFETY: `l` is a `[f32; 8]`, room for one unaligned 8-lane
+            // store.
+            unsafe { _mm256_storeu_ps(l.as_mut_ptr(), v) };
+        }
+    }
+    nt_finish(a, b, lanes)
+}
+
+/// Finishes a tile's dot products from their lane accumulators: the
+/// `k % 8` tail elements go to lanes `0..k % 8` in order, then the fixed
+/// combining tree. Scalar on every ISA — once per output, not per `k`.
+#[inline(always)]
+fn nt_finish<const MB: usize, const NB: usize>(
+    a: [&[f32]; MB],
+    b: [&[f32]; NB],
+    lanes: [[[f32; DOT_LANES]; NB]; MB],
+) -> [[f32; NB]; MB] {
+    let k = a[0].len();
+    let tail = k - k % DOT_LANES;
+    let mut dots = [[0.0f32; NB]; MB];
+    for i in 0..MB {
+        for j in 0..NB {
+            let mut l = lanes[i][j];
+            for (lane, (x, y)) in l.iter_mut().zip(a[i][tail..].iter().zip(&b[j][tail..k])) {
+                *lane += x * y;
+            }
+            dots[i][j] = ((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7]));
+        }
+    }
+    dots
 }
 
 /// `C += A^T * B` for row-major matrices: `A` is `k x m`, `B` is `k x n`,
@@ -893,6 +1157,130 @@ mod tests {
                         "kc {kc}, tile ({i},{j}): {} vs {}",
                         got[i][j],
                         want[i][j]
+                    );
+                }
+            }
+        }
+    }
+
+    /// The per-output dot product `gemm_nt` was before it was tiled, kept
+    /// verbatim as the reference its rounding contract is stated in.
+    fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        let mut lanes = [0.0f32; DOT_LANES];
+        let chunks = a.len() / DOT_LANES;
+        for p in 0..chunks {
+            let av = &a[p * DOT_LANES..(p + 1) * DOT_LANES];
+            let bv = &b[p * DOT_LANES..(p + 1) * DOT_LANES];
+            for l in 0..DOT_LANES {
+                lanes[l] += av[l] * bv[l];
+            }
+        }
+        for p in chunks * DOT_LANES..a.len() {
+            lanes[p % DOT_LANES] += a[p] * b[p];
+        }
+        ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
+            + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]))
+    }
+
+    /// Both tile shapes of one kernel family against `dot_lanes` on
+    /// `rows_a` x `rows_b` noise rows of every length in `0..=max_k`.
+    fn assert_tiles_match_dot_lanes(
+        max_k: usize,
+        wide: impl Fn([&[f32]; NT_GROUP], [&[f32]; NT_PAIR]) -> [[f32; NT_PAIR]; NT_GROUP],
+        tall: impl Fn([&[f32]; 1], [&[f32]; NT_PANEL]) -> [[f32; NT_PANEL]; 1],
+    ) {
+        for k in 0..=max_k {
+            let a = noise(k as u64, NT_GROUP * k);
+            let b = noise(!(k as u64), NT_PANEL * k);
+            let a_rows: [&[f32]; NT_GROUP] = std::array::from_fn(|i| row_of(&a, k, i));
+            let b_rows: [&[f32]; NT_PANEL] = std::array::from_fn(|j| row_of(&b, k, j));
+            let w = wide(a_rows, [b_rows[1], b_rows[2]]);
+            for (i, row) in w.iter().enumerate() {
+                for (j, got) in row.iter().enumerate() {
+                    let want = dot_lanes(a_rows[i], b_rows[1 + j]);
+                    assert_eq!(got.to_bits(), want.to_bits(), "k {k}, wide ({i},{j})");
+                }
+            }
+            let t = tall([a_rows[3]], b_rows);
+            for (j, got) in t[0].iter().enumerate() {
+                let want = dot_lanes(a_rows[3], b_rows[j]);
+                assert_eq!(got.to_bits(), want.to_bits(), "k {k}, tall (0,{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn portable_nt_tiles_are_bitwise_dot_lanes() {
+        assert_tiles_match_dot_lanes(300, nt_dots, nt_dots);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_nt_tiles_are_bitwise_the_portable_tiles() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: this CPU lacks AVX2, the explicit tiles never run here");
+            return;
+        }
+        for k in 0..=300 {
+            let a = noise(k as u64, NT_GROUP * k);
+            let b = noise(!(k as u64), NT_PANEL * k);
+            let a_rows: [&[f32]; NT_GROUP] = std::array::from_fn(|i| row_of(&a, k, i));
+            let b_rows: [&[f32]; NT_PANEL] = std::array::from_fn(|j| row_of(&b, k, j));
+            let wide_b = [b_rows[0], b_rows[3]];
+            // SAFETY: AVX2 support was probed at the top of the test.
+            let (wide, tall) = unsafe {
+                (
+                    nt_dots_avx2(a_rows, wide_b),
+                    nt_dots_avx2([a_rows[2]], b_rows),
+                )
+            };
+            assert_eq!(
+                wide.map(|r| r.map(f32::to_bits)),
+                nt_dots(a_rows, wide_b).map(|r| r.map(f32::to_bits)),
+                "k {k}, wide"
+            );
+            assert_eq!(
+                tall.map(|r| r.map(f32::to_bits)),
+                nt_dots([a_rows[2]], b_rows).map(|r| r.map(f32::to_bits)),
+                "k {k}, tall"
+            );
+        }
+        // And against the reference the contract is stated in.
+        assert_tiles_match_dot_lanes(
+            300,
+            // SAFETY: as above.
+            |a, b| unsafe { nt_dots_avx2(a, b) },
+            |a, b| unsafe { nt_dots_avx2(a, b) },
+        );
+    }
+
+    proptest::proptest! {
+        /// `gemm_nt` is one `dot_lanes` per output, added to `C` once —
+        /// whatever the row-group and panel remainders (`m % 4`, `n % 4`,
+        /// odd `n`), the `k % 8` tail, which operand is outermost
+        /// (`m > n` or not) and, for the cases big enough to split, the
+        /// pool width.
+        #[test]
+        fn gemm_nt_is_bitwise_one_dot_lanes_per_output(
+            m in 1usize..11,
+            n in 1usize..41,
+            k in 0usize..1100,
+            threads in 1usize..4,
+            seed in proptest::any::<u64>(),
+        ) {
+            let a = noise(seed, m * k);
+            let b = noise(seed ^ 0xB0B, n * k);
+            let c0 = noise(seed ^ 0xC0C, m * n);
+            let mut c = c0.clone();
+            pcnn_parallel::with_threads(threads, || gemm_nt(m, n, k, &a, &b, &mut c));
+            for i in 0..m {
+                for j in 0..n {
+                    let want = c0[i * n + j] + dot_lanes(row_of(&a, k, i), row_of(&b, k, j));
+                    proptest::prop_assert_eq!(
+                        c[i * n + j].to_bits(),
+                        want.to_bits(),
+                        "{}x{}x{} at {} threads, element ({}, {})", m, n, k, threads, i, j
                     );
                 }
             }
