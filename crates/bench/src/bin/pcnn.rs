@@ -264,8 +264,10 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
 /// `pcnn bench-conv` — sweep the canonical conv layer shapes across
 /// {im2col, direct, winograd} and the thread widths, then prove the
 /// offline-tuned plan beats always-im2col on a full single-threaded
-/// network forward. `--json` writes the `BENCH_conv.json` document the
-/// obs gate reads; `--smoke` runs the reduced CI subset (never commit a
+/// network forward, and print what perforation buys per AlexNet layer at
+/// the degradation ladder's rates (stdout only). `--json` writes the
+/// `BENCH_conv.json` document the obs gate reads; `--smoke` runs the
+/// reduced CI subset (never commit a
 /// smoke document as the baseline — the gate flags its missing shapes).
 fn cmd_bench_conv(flags: &HashMap<String, String>) -> ExitCode {
     let reps: usize = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(3);
@@ -326,6 +328,31 @@ fn cmd_bench_conv(flags: &HashMap<String, String>) -> ExitCode {
         "e2e {} x{}: im2col {:.3} ms -> tuned {:.3} ms ({:.2}x, plan [{}], {} timed / {} pruned)",
         e.model, e.batch, e.baseline_ms, e.tuned_ms, e.tuned_speedup, e.plan, e.explored, e.pruned
     );
+    let mut p = TableWriter::new(vec![
+        "layer",
+        "rung",
+        "retained",
+        "full ms",
+        "perforated ms",
+        "time ratio",
+        "efficiency",
+    ]);
+    for r in conv::run_perforation_bench(reps, smoke) {
+        p.row(vec![
+            r.shape.name.to_string(),
+            r.rung.to_string(),
+            format!("{:.3}", r.retained),
+            format!("{:.2}", r.full_ms),
+            format!("{:.2}", r.perforated_ms),
+            format!("{:.3}", r.perforated_ms / r.full_ms),
+            format!("{:.2}", r.efficiency()),
+        ]);
+    }
+    p.print(&format!(
+        "perforation (default ladder rungs, batch {}, 1 thread, best of {reps}; \
+         efficiency = retained / time ratio)",
+        conv::PERFORATION_BATCH
+    ));
     if let Some(path) = flags.get("json") {
         if let Err(err) = std::fs::write(path, conv::conv_json(&bench, widths)) {
             eprintln!("error: could not write {path}: {err}");

@@ -15,10 +15,18 @@
 //!   im2col baseline. The gated `tuned_speedup` must stay above 1.0 —
 //!   the tuner must pay for itself on a real network, not just on
 //!   isolated layers.
+//!
+//! Beside the document, on stdout only, a **perforation table**
+//! ([`run_perforation_bench`]): what each AlexNet conv layer costs at the
+//! degradation ladder's rates against what it costs in full — the paper's
+//! `rEC` (eq. 9) as this engine achieves it.
 
 use pcnn_core::tune::{run_conv_algo, ConvTuner, WallClockTimer};
+use pcnn_nn::layer::Conv2d;
+use pcnn_nn::perforation::LayerPerforation;
 use pcnn_nn::PerforationPlan;
-use pcnn_tensor::{Conv2dGeometry, ConvAlgo};
+use pcnn_serve::DegradationLadder;
+use pcnn_tensor::{Conv2dGeometry, ConvAlgo, Tensor};
 
 use crate::baselines::machine_cores;
 use crate::profile::{pick_model, profile_input};
@@ -237,17 +245,26 @@ fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// The tuner's deterministic operand fills, by flat index.
+fn weight_fill(i: usize) -> f32 {
+    ((i % 2017) as f32 - 1000.0) / 512.0
+}
+
+fn bias_fill(i: usize) -> f32 {
+    (i % 7) as f32 / 8.0
+}
+
+fn input_fill(i: usize) -> f32 {
+    ((i % 1999) as f32 - 999.0) / 512.0
+}
+
 /// Measures one shape under every eligible algorithm at every sweep
 /// width. Operands are the tuner's deterministic fills.
 fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
     let geom = shape.geometry();
-    let weight: Vec<f32> = (0..shape.oc * geom.patch_len())
-        .map(|i| ((i % 2017) as f32 - 1000.0) / 512.0)
-        .collect();
-    let bias: Vec<f32> = (0..shape.oc).map(|i| (i % 7) as f32 / 8.0).collect();
-    let input: Vec<f32> = (0..shape.c * shape.h * shape.w)
-        .map(|i| ((i % 1999) as f32 - 999.0) / 512.0)
-        .collect();
+    let weight: Vec<f32> = (0..shape.oc * geom.patch_len()).map(weight_fill).collect();
+    let bias: Vec<f32> = (0..shape.oc).map(bias_fill).collect();
+    let input: Vec<f32> = (0..shape.c * shape.h * shape.w).map(input_fill).collect();
     let mut out = vec![0.0f32; shape.oc * geom.out_positions()];
     let mut algos = Vec::new();
     for algo in ConvAlgo::ALL {
@@ -291,6 +308,100 @@ fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
         algos,
         winner,
     }
+}
+
+/// AlexNet's conv4, the one tower layer the sweep leaves out (it has
+/// conv3's geometry and conv5's depth).
+const ALEX_CONV4: ConvShape = ConvShape {
+    name: "ALEX_CONV4",
+    c: 384,
+    h: 13,
+    w: 13,
+    kernel: 3,
+    stride: 1,
+    pad: 1,
+    oc: 384,
+};
+
+/// Images per timed forward of the perforation table: one worker's group
+/// of the batch-8 serving benchmark on a two-worker pool.
+pub const PERFORATION_BATCH: usize = 4;
+
+/// One layer at one ladder rung.
+#[derive(Debug, Clone)]
+pub struct PerforationRow {
+    /// The layer.
+    pub shape: ConvShape,
+    /// Ladder rung (1-based; rung 0 is the unperforated network).
+    pub rung: usize,
+    /// Share of the layer's multiply-adds the rung keeps: kept / all
+    /// positions.
+    pub retained: f64,
+    /// Unperforated `Conv2d::forward`, best-of-`reps` single-thread ms.
+    pub full_ms: f64,
+    /// `Conv2d::forward_perforated` at the rung's rate, likewise.
+    pub perforated_ms: f64,
+}
+
+impl PerforationRow {
+    /// Retained work over retained time: 1.0 when dropping a share of the
+    /// positions drops the same share of the time.
+    pub fn efficiency(&self) -> f64 {
+        self.retained / (self.perforated_ms / self.full_ms)
+    }
+}
+
+/// Times every AlexNet conv layer (the smoke subset's two under `smoke`)
+/// in full and at the rates of every perforation rung of
+/// [`DegradationLadder::default_ladder`], single-threaded, at
+/// [`PERFORATION_BATCH`] images.
+pub fn run_perforation_bench(reps: usize, smoke: bool) -> Vec<PerforationRow> {
+    let tower: Vec<ConvShape> = if smoke {
+        SMOKE_CONV_SHAPES.to_vec()
+    } else {
+        let mut alex: Vec<ConvShape> = BENCH_CONV_SHAPES
+            .iter()
+            .filter(|s| s.name.starts_with("ALEX_"))
+            .copied()
+            .collect();
+        alex.insert(3, ALEX_CONV4);
+        alex
+    };
+    let ladder = DegradationLadder::default_ladder(tower.len());
+    let mut rows = Vec::new();
+    pcnn_parallel::with_threads(1, || {
+        for (li, shape) in tower.iter().enumerate() {
+            let geom = shape.geometry();
+            let weight = Tensor::from_fn(vec![shape.oc, geom.patch_len()], weight_fill);
+            let bias = (0..shape.oc).map(bias_fill).collect();
+            let conv = Conv2d::from_parts(geom, shape.oc, weight, bias);
+            let input = Tensor::from_fn(
+                vec![PERFORATION_BATCH, shape.c, shape.h, shape.w],
+                input_fill,
+            );
+            let timed = |f: &dyn Fn() -> Tensor| {
+                f(); // warm: pool scratch, page faults
+                1e3 * best_secs(reps, || {
+                    std::hint::black_box(f());
+                })
+            };
+            let full_ms = timed(&|| conv.forward(&input).expect("shapes match"));
+            for (rung, level) in ladder.levels.iter().enumerate().skip(1) {
+                let perf = LayerPerforation::new(geom.out_h, geom.out_w, level.rates[li], 1);
+                rows.push(PerforationRow {
+                    shape: *shape,
+                    rung,
+                    retained: 1.0 - perf.effective_rate(),
+                    full_ms,
+                    perforated_ms: timed(&|| {
+                        conv.forward_perforated(&input, &perf)
+                            .expect("shapes match")
+                    }),
+                });
+            }
+        }
+    });
+    rows
 }
 
 /// Batch of the end-to-end forward timing.
@@ -518,5 +629,19 @@ mod tests {
         let e2e = parsed.get("e2e").unwrap();
         assert!(e2e.get("tuned_speedup").unwrap().as_f64().unwrap() > 0.0);
         assert!(!e2e.get("plan").unwrap().as_str().unwrap().is_empty());
+    }
+
+    #[test]
+    fn smoke_perforation_table_has_a_row_per_layer_and_rung() {
+        let rows = run_perforation_bench(1, true);
+        assert_eq!(rows.len(), SMOKE_CONV_SHAPES.len() * 3);
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(r.rung, 1 + i % 3);
+            assert!(r.retained > 0.0 && r.retained < 1.0);
+            assert!(r.full_ms > 0.0 && r.perforated_ms > 0.0);
+            assert!(r.efficiency().is_finite());
+        }
+        // Deeper rungs keep less.
+        assert!(rows[0].retained > rows[1].retained && rows[1].retained > rows[2].retained);
     }
 }

@@ -4,12 +4,13 @@
 //! im2col lowers the input to the data matrix `D_m`, the filter matrix `F_m`
 //! multiplies it with a GEMM, and the result is the output feature map.
 //! Perforated inference (Fig. 11) evaluates the GEMM only at a sampled
-//! subset of output positions and interpolates the rest.
+//! subset of output positions — gathered straight into the GEMM's packed
+//! operand, one GEMM per group of images — and interpolates the rest.
 
 use pcnn_profile::{phase_span, Phase};
 use pcnn_tensor::{
-    col2im_accumulate, conv2d_direct, conv2d_winograd_prepared, gemm, gemm_bias, gemm_nt, gemm_tn,
-    im2col, im2col_positions, Conv2dGeometry, ConvAlgo, Tensor, WinogradFilter,
+    col2im_accumulate, conv2d_direct, conv2d_sampled, conv2d_winograd_prepared, gemm, gemm_bias,
+    gemm_nt, gemm_tn, im2col, Conv2dGeometry, ConvAlgo, Tensor, WinogradFilter,
 };
 use rand::Rng;
 
@@ -36,6 +37,21 @@ pub struct ParamGrads {
     pub d_weight: Tensor,
     /// Gradient of the bias vector.
     pub d_bias: Vec<f32>,
+}
+
+/// Budget, in `f32` elements, of the sampled data matrix (`patch_len x
+/// images * kept`) one perforated GEMM multiplies: 4 MiB. Within it the
+/// images of a group share one packing of the filter matrix; past it the
+/// packed `B` of a whole worker group would outgrow the cache it is
+/// re-read from and add its size to every worker's resident scratch. It
+/// moves time, never bits.
+const SAMPLED_GEMM_FLOATS: usize = 1 << 20;
+
+/// Images per perforated GEMM for a layer with `patch_len`-long patches
+/// and `n_keep` kept positions: as many as fit [`SAMPLED_GEMM_FLOATS`], at
+/// least one — a pure function of the layer shape and the rate.
+fn images_per_sampled_gemm(patch_len: usize, n_keep: usize) -> usize {
+    (SAMPLED_GEMM_FLOATS / (patch_len * n_keep).max(1)).max(1)
 }
 
 /// 2-D convolution: weights `[out_channels, S_f^2 * N_c]`, NCHW activations.
@@ -209,9 +225,20 @@ impl Conv2d {
         Ok(out)
     }
 
-    /// Perforated forward pass (paper Fig. 11): evaluate the GEMM only at
-    /// `perf.kept` output positions and fill the rest by nearest-kept-
-    /// neighbour interpolation.
+    /// Perforated forward pass (paper Fig. 11): evaluate the convolution
+    /// only at `perf`'s kept output positions and fill the rest by
+    /// averaging each position's stencil of kept neighbours.
+    ///
+    /// The kept positions of a whole *group* of images go through one
+    /// [`conv2d_sampled`] call — the patches gathered straight into the
+    /// GEMM's packed `B`, `N = images x kept`, the filter matrix packed
+    /// once per group — and each image's maps are then interpolated from
+    /// its columns of the group's sampled block. The group is as many
+    /// images as keep the sampled data matrix within a fixed budget, a
+    /// function of the layer shape and the rate alone
+    /// (`images_per_sampled_gemm`). No element's arithmetic depends on
+    /// the grouping (DESIGN.md, "Sampled convolution"), so the output is
+    /// bitwise the same at any batch size, group size or thread count.
     ///
     /// # Errors
     ///
@@ -238,60 +265,42 @@ impl Conv2d {
         if kept.is_empty() {
             return Err(NnError::Perforation("no kept positions".into()));
         }
-        let (k, n_pos) = (g.patch_len(), g.out_positions());
-        let n_keep = kept.len();
-        // Pooled scratch: both buffers are fully overwritten each image
-        // (im2col_positions fills `cols`; `sampled` is bias-filled before
-        // the GEMM accumulates into it).
-        let mut cols = pcnn_parallel::scratch_f32(k * n_keep);
-        let mut sampled = pcnn_parallel::scratch_f32(self.out_channels * n_keep);
+        let (k, n_pos, n_keep) = (g.patch_len(), g.out_positions(), kept.len());
+        let (oc, chw) = (self.out_channels, g.in_channels * g.in_h * g.in_w);
+        let group = images_per_sampled_gemm(k, n_keep).min(batch.max(1));
+        // Pooled scratch: `conv2d_sampled` overwrites all it is handed.
+        let mut sampled = pcnn_parallel::scratch_f32(oc * group * n_keep);
         let span = phase_span(Phase::Epilogue);
         let mut out = Tensor::zeros(self.output_shape(batch));
         if let Some(s) = span {
             s.finish(0, 4 * out.data().len() as u64);
         }
-        for b in 0..batch {
-            let span = phase_span(Phase::Im2col);
-            im2col_positions(g, input.batch_item(b), kept, &mut cols);
-            if let Some(s) = span {
-                s.finish(0, 4 * (g.in_channels * g.in_h * g.in_w + k * n_keep) as u64);
-            }
-            let span = phase_span(Phase::Epilogue);
-            for (c, s) in sampled
-                .chunks_mut(n_keep)
-                .enumerate()
-                .take(self.out_channels)
-            {
-                s.fill(self.bias[c]);
-            }
-            if let Some(s) = span {
-                s.finish(0, 4 * (self.out_channels * n_keep) as u64);
-            }
-            gemm(
-                self.out_channels,
-                n_keep,
-                k,
+        for first in (0..batch).step_by(group) {
+            let images = group.min(batch - first);
+            let n = images * n_keep;
+            conv2d_sampled(
+                g,
+                oc,
                 self.weight.data(),
-                &cols,
-                &mut sampled,
+                &self.bias,
+                &input.data()[first * chw..(first + images) * chw],
+                images,
+                kept,
+                &mut sampled[..oc * n],
             );
-            // Interpolation: every position averages its kept-neighbour
-            // stencil (kept positions reference only themselves).
             let span = phase_span(Phase::Epilogue);
-            let out_b = out.batch_item_mut(b);
-            for c in 0..self.out_channels {
-                let src = &sampled[c * n_keep..(c + 1) * n_keep];
-                let dst = &mut out_b[c * n_pos..(c + 1) * n_pos];
-                for (p, d) in dst.iter_mut().enumerate() {
-                    let sources = perf.interpolation_sources(p);
-                    let sum: f32 = sources.iter().map(|&i| src[i as usize]).sum();
-                    *d = sum / sources.len() as f32;
+            for i in 0..images {
+                let out_i = out.batch_item_mut(first + i);
+                for (row, map) in sampled[..oc * n].chunks(n).zip(out_i.chunks_mut(n_pos)) {
+                    perf.interpolate(&row[i * n_keep..(i + 1) * n_keep], map);
                 }
             }
             if let Some(s) = span {
+                // One add per stencil source and one divide per output;
+                // the sampled block read, the maps written.
                 s.finish(
-                    2 * (self.out_channels * n_pos) as u64,
-                    4 * (self.out_channels * (n_keep + n_pos)) as u64,
+                    (images * oc * (perf.stencil_sources() + n_pos)) as u64,
+                    4 * (images * oc * (n_keep + n_pos)) as u64,
                 );
             }
         }
@@ -372,12 +381,30 @@ impl MaxPool2d {
         (input - self.kernel) / self.stride + 1
     }
 
-    /// Forward pass; returns the pooled tensor and the argmax cache.
+    /// Training-mode forward pass; returns the pooled tensor and the
+    /// argmax cache [`backward`](Self::backward) scatters through.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Shape`] if `input` is not 4-D.
     pub fn forward(&self, input: &Tensor) -> Result<(Tensor, LayerCache), NnError> {
+        let mut indices = Vec::new();
+        let out = self.pool(input, |best_idx| indices.push(best_idx))?;
+        Ok((out, LayerCache::PoolIndices(indices)))
+    }
+
+    /// Inference forward pass: [`forward`](Self::forward)'s tensor without
+    /// the argmax cache (8 bytes per output, twice the tensor itself).
+    pub(crate) fn forward_inference(&self, input: &Tensor) -> Result<Tensor, NnError> {
+        self.pool(input, |_| {})
+    }
+
+    /// The pooling walk. A window's best starts as its first element and
+    /// a later one replaces it only if strictly greater, in row-major
+    /// window order — ties keep the earliest, and a NaN wins exactly when
+    /// it comes first. `on_max` is told the winner's flat input index,
+    /// output by output.
+    fn pool(&self, input: &Tensor, mut on_max: impl FnMut(usize)) -> Result<Tensor, NnError> {
         if input.ndim() != 4 {
             return Err(NnError::Shape {
                 context: "MaxPool2d".into(),
@@ -393,7 +420,6 @@ impl MaxPool2d {
         );
         let (oh, ow) = (self.out_dim(h), self.out_dim(w));
         let mut out = Tensor::zeros(vec![n, c, oh, ow]);
-        let mut indices = vec![0usize; n * c * oh * ow];
         let in_data = input.data();
         let out_data = out.data_mut();
         let mut oi = 0;
@@ -415,13 +441,13 @@ impl MaxPool2d {
                             }
                         }
                         out_data[oi] = best;
-                        indices[oi] = best_idx;
+                        on_max(best_idx);
                         oi += 1;
                     }
                 }
             }
         }
-        Ok((out, LayerCache::PoolIndices(indices)))
+        Ok(out)
     }
 
     /// Backward pass: scatter gradients to the cached argmax positions.
@@ -518,9 +544,8 @@ impl Linear {
         let n = input.shape()[0];
         let span = phase_span(Phase::Epilogue);
         let mut out = Tensor::zeros(vec![n, self.out_features]);
-        for (row, o) in out.data_mut().chunks_mut(self.out_features).enumerate() {
+        for o in out.data_mut().chunks_mut(self.out_features) {
             o.copy_from_slice(&self.bias);
-            let _ = row;
         }
         if let Some(s) = span {
             // Zeroed allocation plus the bias broadcast into every row.
@@ -632,8 +657,8 @@ impl Layer {
 
     /// Like [`forward`](Self::forward) but routes a full (unperforated)
     /// conv layer through the chosen algorithm. Perforation takes
-    /// precedence — a perforated conv always runs the position-sampled
-    /// im2col path — and non-conv layers ignore `algo`.
+    /// precedence — a perforated conv always runs the sampled
+    /// convolution — and non-conv layers ignore `algo`.
     ///
     /// # Errors
     ///
@@ -687,7 +712,13 @@ impl Layer {
             }
             Layer::MaxPool2d(p) => {
                 let span = phase_span(Phase::Activation);
-                let result = p.forward(input);
+                // Only a training pass has a backward to cache for.
+                let result = match train_seed {
+                    Some(_) => p.forward(input),
+                    None => p
+                        .forward_inference(input)
+                        .map(|out| (out, LayerCache::None)),
+                };
                 if let Some(s) = span {
                     let in_n = input.data().len() as u64;
                     let out_n = result
@@ -891,6 +922,109 @@ mod tests {
                     "kept position {p} changed"
                 );
             }
+        }
+    }
+
+    /// The perforated forward as it ran before the gather, kept verbatim
+    /// as the reference: per image, `im2col_positions`, a bias fill,
+    /// `gemm`, then every position averaged from its
+    /// `interpolation_sources`.
+    fn perforated_reference(conv: &Conv2d, input: &Tensor, perf: &LayerPerforation) -> Tensor {
+        let g = conv.geometry();
+        let (oc, k, n_pos) = (conv.out_channels(), g.patch_len(), g.out_positions());
+        let kept = perf.kept_positions();
+        let n_keep = kept.len();
+        let (weight, bias) = conv.params();
+        let batch = input.shape()[0];
+        let mut out = Tensor::zeros(conv.output_shape(batch));
+        let mut cols = vec![0.0; k * n_keep];
+        for b in 0..batch {
+            pcnn_tensor::im2col_positions(g, input.batch_item(b), kept, &mut cols);
+            let mut sampled: Vec<f32> = bias
+                .iter()
+                .flat_map(|&v| std::iter::repeat_n(v, n_keep))
+                .collect();
+            gemm(oc, n_keep, k, weight.data(), &cols, &mut sampled);
+            let out_b = out.batch_item_mut(b);
+            for c in 0..oc {
+                let src = &sampled[c * n_keep..(c + 1) * n_keep];
+                for (p, d) in out_b[c * n_pos..(c + 1) * n_pos].iter_mut().enumerate() {
+                    let sources = perf.interpolation_sources(p);
+                    let sum: f32 = sources.iter().map(|&i| src[i as usize]).sum();
+                    *d = sum / sources.len() as f32;
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Gather, grouped GEMM and grouped-stencil walk together are, bit
+        /// for bit, the per-image route they replaced — on the position
+        /// lists and stencils `LayerPerforation` really builds, over
+        /// strided and padded geometries, batches and pool widths.
+        #[test]
+        fn perforated_forward_is_bitwise_the_per_image_reference(
+            c in 1usize..6,
+            side in 5usize..14,
+            kernel in 1usize..6,
+            stride in 1usize..4,
+            pad in 0usize..3,
+            oc in 1usize..14,
+            batch in 1usize..6,
+            threads in 1usize..4,
+            rate in 0.05f64..0.95,
+        ) {
+            let geom = Conv2dGeometry::new(c, side, side, kernel, stride, pad);
+            let conv = Conv2d::new(geom, oc, &mut rng());
+            let input = Tensor::from_fn(vec![batch, c, side, side], |i| {
+                ((i * 2_654_435_761) % 1_000_003) as f32 / 1_000_003.0 - 0.5
+            });
+            let perf = LayerPerforation::new(geom.out_h, geom.out_w, rate, 1);
+            let want = perforated_reference(&conv, &input, &perf);
+            let got = pcnn_parallel::with_threads(threads, || {
+                conv.forward_perforated(&input, &perf).unwrap()
+            });
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    #[test]
+    fn sampled_gemm_groups_follow_the_budget() {
+        // AlexNet conv1-5 at rung 2 (45 %): the kept share of 3025, 729 and
+        // 169 positions against 363-, 2400-, 2304- and 3456-long patches.
+        assert_eq!(images_per_sampled_gemm(363, 1664), 1);
+        assert_eq!(images_per_sampled_gemm(2400, 401), 1);
+        assert_eq!(images_per_sampled_gemm(2304, 93), 4);
+        assert_eq!(images_per_sampled_gemm(3456, 93), 3);
+        // A layer whose single image overflows the budget still gets one.
+        assert_eq!(images_per_sampled_gemm(4608, 784), 1);
+    }
+
+    #[test]
+    fn perforated_batch_is_bitwise_its_images_alone_when_the_budget_splits_it() {
+        // 576-long patches x 702 kept positions: two images per GEMM, so a
+        // batch of five runs as groups of 2 + 2 + 1.
+        let geom = Conv2dGeometry::new(64, 30, 30, 3, 1, 1);
+        let plan = LayerPerforation::new(30, 30, 0.22, 1);
+        assert_eq!(
+            images_per_sampled_gemm(geom.patch_len(), plan.kept_positions().len()),
+            2
+        );
+        let conv = Conv2d::new(geom, 4, &mut rng());
+        let per_image = 64 * 30 * 30;
+        let batch = Tensor::from_fn(vec![5, 64, 30, 30], |i| ((i * 7) % 13) as f32 / 13.0 - 0.5);
+        let out = conv.forward_perforated(&batch, &plan).unwrap();
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for b in 0..5 {
+            let image = Tensor::from_vec(
+                vec![1, 64, 30, 30],
+                batch.data()[b * per_image..(b + 1) * per_image].to_vec(),
+            )
+            .unwrap();
+            let single = conv.forward_perforated(&image, &plan).unwrap();
+            assert_eq!(bits(out.batch_item(b)), bits(single.data()), "image {b}");
         }
     }
 

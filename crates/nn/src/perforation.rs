@@ -16,10 +16,45 @@ pub struct LayerPerforation {
     rate: f64,
     kept: Vec<usize>,
     nearest: Vec<usize>,
-    /// CSR interpolation stencil: position `p` averages the kept indices
-    /// `interp_idx[interp_off[p]..interp_off[p + 1]]`.
-    interp_off: Vec<u32>,
-    interp_idx: Vec<u32>,
+    /// The interpolation stencil, grouped by how many kept values a
+    /// position averages: `stencil[len - 1]` holds the positions with
+    /// `len` sources.
+    stencil: [StencilGroup; MAX_STENCIL],
+    /// Per position, `(stencil length, rank inside that length's group)`.
+    stencil_at: Vec<(u8, u32)>,
+}
+
+/// Most sources a stencil can have: the 3x3 neighbourhood without its
+/// centre.
+const MAX_STENCIL: usize = 8;
+
+/// The positions whose stencils all have the same length. Grouping by
+/// length makes interpolation a handful of fixed-trip loops instead of a
+/// CSR walk with a variable-length inner loop.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct StencilGroup {
+    /// Output positions of the group, ascending.
+    positions: Vec<u32>,
+    /// Each position's indices into the kept list, back to back.
+    sources: Vec<u32>,
+}
+
+impl StencilGroup {
+    /// `dst[p] = (-0.0 + s0 + s1 + ...) / L` for every position of the
+    /// group, the sources added in stencil order. `-0.0` is the identity
+    /// `f32: Sum` folds from — what `sources.iter().sum()` computed before
+    /// the walk was grouped — so `-0.0 + x` is `x` for every `x`, a
+    /// sampled `-0.0` included.
+    fn average<const L: usize>(&self, src: &[f32], dst: &mut [f32]) {
+        for (&p, sources) in self.positions.iter().zip(self.sources.chunks_exact(L)) {
+            let sources: &[u32; L] = sources.try_into().expect("chunks of L");
+            let mut sum = -0.0f32;
+            for &i in sources {
+                sum += src[i as usize];
+            }
+            dst[p as usize] = sum / L as f32;
+        }
+    }
 }
 
 impl LayerPerforation {
@@ -47,15 +82,15 @@ impl LayerPerforation {
             .min(n_pos);
         let kept = kept_positions(out_h, out_w, n_keep);
         let nearest = nearest_kept_map(out_h, out_w, &kept);
-        let (interp_off, interp_idx) = interpolation_stencil(out_h, out_w, &kept, &nearest);
+        let (stencil, stencil_at) = interpolation_stencil(out_h, out_w, &kept, &nearest);
         Self {
             out_h,
             out_w,
             rate,
             kept,
             nearest,
-            interp_off,
-            interp_idx,
+            stencil,
+            stencil_at,
         }
     }
 
@@ -63,9 +98,39 @@ impl LayerPerforation {
     /// whose computed values are averaged to reconstruct `p` (kept
     /// positions reference only themselves).
     pub fn interpolation_sources(&self, p: usize) -> &[u32] {
-        let lo = self.interp_off[p] as usize;
-        let hi = self.interp_off[p + 1] as usize;
-        &self.interp_idx[lo..hi]
+        let (len, rank) = self.stencil_at[p];
+        let len = len as usize;
+        &self.stencil[len - 1].sources[rank as usize * len..][..len]
+    }
+
+    /// Sources summed to reconstruct one whole map: the stencil lengths
+    /// of all positions added up.
+    pub(crate) fn stencil_sources(&self) -> usize {
+        self.stencil.iter().map(|g| g.sources.len()).sum()
+    }
+
+    /// Reconstructs one channel's whole output map `dst` from that
+    /// channel's values at the kept positions `src`: every position is
+    /// the average of its [`interpolation_sources`](Self::interpolation_sources),
+    /// exactly `sources.iter().map(|&i| src[i]).sum::<f32>() / len`, one
+    /// fixed-trip loop per stencil length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not one value per kept position or `dst` not
+    /// one per output position.
+    pub(crate) fn interpolate(&self, src: &[f32], dst: &mut [f32]) {
+        assert_eq!(src.len(), self.kept.len(), "one value per kept position");
+        assert_eq!(dst.len(), self.stencil_at.len(), "one value per position");
+        let [g1, g2, g3, g4, g5, g6, g7, g8] = &self.stencil;
+        g1.average::<1>(src, dst);
+        g2.average::<2>(src, dst);
+        g3.average::<3>(src, dst);
+        g4.average::<4>(src, dst);
+        g5.average::<5>(src, dst);
+        g6.average::<6>(src, dst);
+        g7.average::<7>(src, dst);
+        g8.average::<8>(src, dst);
     }
 
     /// Output map height this plan was built for.
@@ -173,31 +238,32 @@ pub fn nearest_kept_map(out_h: usize, out_w: usize, kept: &[usize]) -> Vec<usize
     nearest
 }
 
-/// Builds the CSR averaging stencil: a dropped position averages the kept
-/// positions within its 3x3 neighbourhood; if none are kept there, it
-/// falls back to its BFS-nearest kept position. Kept positions reference
-/// themselves.
+/// Builds the averaging stencil, grouped by length: a dropped position
+/// averages the kept positions within its 3x3 neighbourhood (row-major
+/// neighbour order); if none are kept there, it falls back to its
+/// BFS-nearest kept position. Kept positions reference themselves.
+/// Returns the groups and, per position, its length and rank in its group.
 fn interpolation_stencil(
     out_h: usize,
     out_w: usize,
     kept: &[usize],
     nearest: &[usize],
-) -> (Vec<u32>, Vec<u32>) {
+) -> ([StencilGroup; MAX_STENCIL], Vec<(u8, u32)>) {
     let n_pos = out_h * out_w;
-    // Map position -> index in kept (usize::MAX if dropped).
+    // Map position -> index in kept (u32::MAX if dropped).
     let mut kept_index = vec![u32::MAX; n_pos];
     for (i, &p) in kept.iter().enumerate() {
         kept_index[p] = i as u32;
     }
-    let mut off = Vec::with_capacity(n_pos + 1);
-    let mut idx = Vec::new();
-    off.push(0u32);
+    let mut stencil: [StencilGroup; MAX_STENCIL] = Default::default();
+    let mut at = Vec::with_capacity(n_pos);
+    let mut idx = Vec::with_capacity(MAX_STENCIL);
     for p in 0..n_pos {
+        idx.clear();
         if kept_index[p] != u32::MAX {
             idx.push(kept_index[p]);
         } else {
             let (y, x) = (p / out_w, p % out_w);
-            let before = idx.len();
             for dy in -1isize..=1 {
                 for dx in -1isize..=1 {
                     if dy == 0 && dx == 0 {
@@ -213,13 +279,16 @@ fn interpolation_stencil(
                     }
                 }
             }
-            if idx.len() == before {
+            if idx.is_empty() {
                 idx.push(nearest[p] as u32);
             }
         }
-        off.push(idx.len() as u32);
+        let group = &mut stencil[idx.len() - 1];
+        at.push((idx.len() as u8, group.positions.len() as u32));
+        group.positions.push(p as u32);
+        group.sources.extend_from_slice(&idx);
     }
-    (off, idx)
+    (stencil, at)
 }
 
 /// Per-network perforation plan: one rate per convolutional layer, in
@@ -379,6 +448,101 @@ mod tests {
     fn layer_perforation_extreme_rate_keeps_some() {
         let p = LayerPerforation::new(4, 4, 0.999, 1);
         assert!(!p.kept_positions().is_empty());
+    }
+
+    /// The interpolation as it ran before the stencil was grouped, kept
+    /// verbatim as the reference: per position, its sources summed by
+    /// `Iterator::sum` and divided by their count.
+    fn interpolate_per_position(perf: &LayerPerforation, src: &[f32]) -> Vec<f32> {
+        (0..perf.out_h() * perf.out_w())
+            .map(|p| {
+                let sources = perf.interpolation_sources(p);
+                let sum: f32 = sources.iter().map(|&i| src[i as usize]).sum();
+                sum / sources.len() as f32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grouped_walk_is_bitwise_the_per_position_loop() {
+        // Maps and rates that between them reach every stencil length from
+        // 1 to 8, border positions and the BFS fallback (no kept
+        // neighbour).
+        let mut lens = std::collections::BTreeSet::new();
+        for (h, w, rate) in [
+            (13, 13, 0.45),
+            (27, 27, 0.25),
+            (27, 27, 0.05),
+            (9, 14, 0.6),
+            (7, 5, 0.93),
+        ] {
+            let perf = LayerPerforation::new(h, w, rate, 1);
+            lens.extend((0..h * w).map(|p| perf.interpolation_sources(p).len()));
+            // Full-mantissa values, so every add and divide rounds.
+            let src: Vec<f32> = (0..perf.kept_positions().len())
+                .map(|i| ((i * 2_654_435_761) % 1_000_003) as f32 / 1_000_003.0 - 0.5)
+                .collect();
+            let mut got = vec![f32::NAN; h * w];
+            perf.interpolate(&src, &mut got);
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&got),
+                bits(&interpolate_per_position(&perf, &src)),
+                "{h}x{w} at {rate}"
+            );
+        }
+        assert_eq!(
+            lens.into_iter().collect::<Vec<_>>(),
+            [1, 2, 3, 4, 5, 6, 7, 8]
+        );
+    }
+
+    #[test]
+    fn interpolation_keeps_the_sign_of_a_sampled_negative_zero() {
+        // `f32: Sum` folds from -0.0, and -0.0 + x is x for every x: a
+        // -0.0 computed at a kept position reaches the output as -0.0, at
+        // that position and wherever it is the only source. A walk that
+        // started its sums from +0.0 would turn it into +0.0.
+        let perf = LayerPerforation::new(6, 6, 0.5, 1);
+        let src = vec![-0.0f32; perf.kept_positions().len()];
+        let mut got = vec![f32::NAN; 36];
+        perf.interpolate(&src, &mut got);
+        assert!(got.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+        assert_eq!(
+            interpolate_per_position(&perf, &src)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            vec![(-0.0f32).to_bits(); 36]
+        );
+    }
+
+    #[test]
+    fn interpolation_sources_survive_the_regrouping() {
+        // Kept positions reference themselves; a dropped position lists
+        // its kept 3x3 neighbours in row-major order.
+        let perf = LayerPerforation::new(5, 5, 0.5, 1);
+        let kept = perf.kept_positions();
+        for p in 0..25 {
+            let sources = perf.interpolation_sources(p);
+            match kept.binary_search(&p) {
+                Ok(i) => assert_eq!(sources, &[i as u32]),
+                Err(_) => {
+                    let (y, x) = (p / 5, p % 5);
+                    let near: Vec<u32> = kept
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &q)| (q / 5).abs_diff(y) <= 1 && (q % 5).abs_diff(x) <= 1)
+                        .map(|(i, _)| i as u32)
+                        .collect();
+                    if near.is_empty() {
+                        assert_eq!(sources, &[perf.nearest_kept()[p] as u32]);
+                    } else {
+                        assert_eq!(sources, near.as_slice());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,11 @@ fn forward_bitwise_equal_across_thread_counts() {
     assert_matches_serial(&[2, 5, 8], &PerforationPlan::identity(2));
 }
 
+/// A perforated conv layer runs each worker group's images through one
+/// sampled GEMM, so the group sizes above are also GEMM widths: 7 images
+/// are one GEMM of 7 columns-blocks serially and at 8 workers, 4 + 3 at
+/// two, 3 + 3 + 1 at three — the same bits every time.
 #[test]
 fn perforated_forward_bitwise_equal_across_thread_counts() {
-    assert_matches_serial(&[5, 6, 8], &PerforationPlan::from_rates(vec![0.5, 0.25]));
+    assert_matches_serial(&[5, 6, 7, 8], &PerforationPlan::from_rates(vec![0.5, 0.25]));
 }

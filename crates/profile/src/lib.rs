@@ -57,12 +57,13 @@ const NO_LAYER: usize = usize::MAX;
 /// The execution phases a layer's time divides into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Convolution input lowering (`im2col` / perforated position
-    /// gather).
+    /// Convolution input lowering: `im2col`'s materialised column
+    /// matrix.
     Im2col,
     /// Packing `A` micropanels inside the GEMM.
     PackA,
-    /// Packing `B` micropanels inside the GEMM.
+    /// Packing `B` micropanels inside the GEMM — for the direct and the
+    /// perforated convolution, the patch gather that fills them.
     PackB,
     /// The register-blocked multiply loops (or the `gemm_nt` dot tiles).
     Microkernel,

@@ -1,5 +1,6 @@
 //! Alternative convolution algorithms: direct (fused-pack) and Winograd
-//! F(2x2,3x3), selectable per layer by the offline autotuner.
+//! F(2x2,3x3), selectable per layer by the offline autotuner — and the
+//! sampled convolution perforated inference runs on.
 //!
 //! The baseline path lowers every convolution with [`crate::im2col`] and
 //! multiplies with the packed [`crate::gemm`]. That is the right call for
@@ -10,12 +11,12 @@
 //! alternatives the per-layer tuner chooses between:
 //!
 //! - [`conv2d_direct`]: streams input patches straight into the packed
-//!   GEMM's `B` micropanel image — the padding-aware gather of `im2col`
-//!   fused with the GEMM's `B` packing, skipping the materialised column
-//!   matrix entirely. The packed bytes are identical to what
-//!   [`crate::gemm`] packs from `im2col(input)`, and the compute tail is
-//!   the *same* partition + loop nest as [`crate::gemm`], so outputs are
-//!   **bitwise equal** to the im2col path at every thread count.
+//!   GEMM's `B` micropanel image — the gather of `im2col` fused with the
+//!   GEMM's `B` packing, skipping the materialised column matrix
+//!   entirely. The packed bytes are identical to what [`crate::gemm`]
+//!   packs from `im2col(input)`, and the compute tail is the *same*
+//!   partition + loop nest as [`crate::gemm`], so outputs are **bitwise
+//!   equal** to the im2col path at every thread count.
 //! - [`conv2d_winograd`]: the F(2x2,3x3) minimal-filtering transform for
 //!   stride-1 3x3 layers, cutting microkernel multiplies per output from
 //!   9 to 16/4 = 4 (2.25x). Transform matrices use only `{0, ±1, ±0.5}`
@@ -27,6 +28,32 @@
 //!   adds, subs and `x 0.5`, and the 16 per-coordinate multiplies go
 //!   through the deterministic [`crate::gemm`], so every thread count
 //!   produces the identical bits.
+//!
+//! # The patch gather
+//!
+//! There is one way a convolution here fills `B` without a column matrix,
+//! and [`conv2d_direct`] is a case of it: [`conv2d_sampled`] convolves a
+//! *group of images* at a *list of output positions* as one GEMM whose
+//! `N` is `images x positions` — the paper's perforation (Fig. 11), with
+//! the images of a group sharing one packing of the filter matrix. The
+//! gather behind both has no division, no bounds test and no branch per
+//! element:
+//!
+//! - the images are copied once into a scratch with a **zero border** of
+//!   `pad` on every side (skipped when `pad == 0`), so a patch hanging
+//!   over the edge reads its padding as ordinary memory;
+//! - every patch row `r = (c, ky, kx)` gets a `u32` **base** — where that
+//!   element sits relative to a patch's top-left corner — and every
+//!   column a `u32` **offset** — its image's start plus its position's
+//!   corner — so `B[r][j] = src[base[r] + offset[j]]`;
+//! - the loads are written straight into the micropanels by
+//!   `gemm::pack_b_with`, the one owner of the packed layout.
+//!
+//! A `C` element's operation sequence depends on `k` and `KC` only —
+//! never on `N`, on where its column sits in `N`, or on which images
+//! share the GEMM (DESIGN.md, "Sampled convolution") — so the sampled
+//! result is bitwise [`crate::im2col_positions`] + bias fill +
+//! [`crate::gemm`] per image, at any group size and thread count.
 //!
 //! # The Winograd block pipeline
 //!
@@ -52,7 +79,8 @@
 //!
 //! # Profiling
 //!
-//! Direct's fused pack reports as [`Phase::PackB`] (it *is* the B pack);
+//! The patch gather reports as [`Phase::PackB`] (it *is* the B pack) and
+//! its bias broadcast as [`Phase::Epilogue`];
 //! Winograd's filter transform (once) and input transform (per block)
 //! report as [`Phase::WinogradTransform`] and its inverse transform +
 //! bias (per block) as [`Phase::WinogradInverse`], their flops and bytes
@@ -113,14 +141,14 @@ impl std::fmt::Display for ConvAlgo {
 /// Direct convolution of one CHW image: `out = weight * patches + bias`.
 ///
 /// `weight` is the `[out_channels, patch_len]` filter matrix, `out` the
-/// `out_channels * out_positions` output map (fully overwritten). The
-/// input patches are gathered straight into the packed GEMM's `B`
-/// micropanel image — element order per patch row matches
-/// [`crate::im2col`] exactly and the ragged panel edges are zero-filled
-/// by the same packing walk [`crate::gemm`] uses — so the result is
-/// bitwise identical to the im2col reference while skipping the
-/// materialised column matrix (one full write + read of
-/// `patch_len x out_positions` floats).
+/// `out_channels * out_positions` output map (fully overwritten). This is
+/// [`conv2d_sampled`] at every output position of one image: the input
+/// patches are gathered straight into the packed GEMM's `B` micropanel
+/// image — element order per patch row matches [`crate::im2col`] exactly
+/// and the ragged panel edges are zero-filled by the same packing walk
+/// [`crate::gemm`] uses — so the result is bitwise identical to the
+/// im2col reference while skipping the materialised column matrix (one
+/// full write + read of `patch_len x out_positions` floats).
 ///
 /// # Panics
 ///
@@ -133,9 +161,85 @@ pub fn conv2d_direct(
     input: &[f32],
     out: &mut [f32],
 ) {
-    let (m, n, k) = (out_channels, geom.out_positions(), geom.patch_len());
+    let all = 0..geom.out_positions();
+    gather_conv(geom, out_channels, weight, bias, input, 1, all, out);
+}
+
+/// Convolution of a group of images at a sampled subset of output
+/// positions — the computational core of the paper's perforation
+/// (Fig. 11, §IV.C.1) — as **one** GEMM whose `N` is
+/// `images * positions.len()`.
+///
+/// `input` holds `images` CHW images back to back; `positions` holds
+/// row-major output indices (`oy * out_w + ox`, any order, repeats
+/// allowed). `out` receives the `out_channels x (images *
+/// positions.len())` row-major matrix `weight * patches + bias` (fully
+/// overwritten): column `i * positions.len() + j` is image `i` at
+/// `positions[j]`. No column matrix exists at any point — the patches are
+/// gathered straight into the packed `B` micropanels (see the module
+/// docs) — and the filter matrix is packed once for the whole group.
+///
+/// Every element is bitwise what [`crate::im2col_positions`] followed by
+/// a bias fill and [`crate::gemm`] computes for its image alone: a `C`
+/// element's operation sequence depends on `k` and `KC` only, never on
+/// how many columns share the GEMM or where its own sits among them.
+///
+/// # Panics
+///
+/// Panics if any slice is shorter than the geometry implies, if a
+/// position is out of range, or if the group is too large for 32-bit
+/// offsets (`images` padded images of 2^32 floats or more).
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_sampled(
+    geom: &Conv2dGeometry,
+    out_channels: usize,
+    weight: &[f32],
+    bias: &[f32],
+    input: &[f32],
+    images: usize,
+    positions: &[usize],
+    out: &mut [f32],
+) {
+    let positions = positions.iter().copied();
+    gather_conv(
+        geom,
+        out_channels,
+        weight,
+        bias,
+        input,
+        images,
+        positions,
+        out,
+    );
+}
+
+/// The one patch gather behind [`conv2d_direct`] and [`conv2d_sampled`]:
+/// bias broadcast, `B` packed straight from the images, packed GEMM.
+///
+/// `B[r][j] = src[row_base[r] + col_off[j]]`, a load with no branch and no
+/// division: `src` is the image group with its zero border (the input
+/// itself when `pad == 0`), `row_base[r]` where patch element
+/// `r = (c, ky, kx)` sits relative to a patch's top-left corner, and
+/// `col_off[j]` the corner of column `j`'s patch — its image's start plus
+/// `(oy, ox) * stride`. The layout walk (blocks, panels, zero-fill of
+/// ragged panel edges, parallel split) is [`pack_b_with`]'s, shared with
+/// [`gemm`], so the packed image is byte-for-byte the one `gemm` packs
+/// from the materialised column matrix, and the compute tail is the same
+/// [`gemm_packed`].
+#[allow(clippy::too_many_arguments)]
+fn gather_conv(
+    geom: &Conv2dGeometry,
+    out_channels: usize,
+    weight: &[f32],
+    bias: &[f32],
+    input: &[f32],
+    images: usize,
+    positions: impl ExactSizeIterator<Item = usize> + Clone,
+    out: &mut [f32],
+) {
+    let (m, n, k) = (out_channels, images * positions.len(), geom.patch_len());
     let chw = geom.in_channels * geom.in_h * geom.in_w;
-    assert!(input.len() >= chw, "input too short");
+    assert!(input.len() >= images * chw, "input too short");
     assert!(weight.len() >= m * k, "weight too short");
     assert!(bias.len() >= m, "bias too short");
     assert!(out.len() >= m * n, "out too short");
@@ -145,13 +249,51 @@ pub fn conv2d_direct(
 
     let part = active_partition(m, n, k);
     let span = phase_span(Phase::PackB);
+    let (pad, kern) = (geom.pad, geom.kernel);
+    let (ph, pw) = (geom.in_h + 2 * pad, geom.in_w + 2 * pad);
+    let image_len = geom.in_channels * ph * pw;
+    assert!(
+        images
+            .checked_mul(image_len)
+            .is_some_and(|len| u32::try_from(len).is_ok()),
+        "image group too large for 32-bit gather offsets"
+    );
+    let bordered = (pad > 0).then(|| {
+        let mut buf = pcnn_parallel::scratch_f32(images * image_len);
+        add_zero_border(geom, &input[..images * chw], &mut buf);
+        buf
+    });
+    let src = bordered.as_deref().unwrap_or(&input[..images * chw]);
+    // Every offset is below `images * image_len`, so the casts are exact.
+    let row_base: Vec<u32> = (0..k)
+        .map(|r| {
+            let (c, ky, kx) = (r / (kern * kern), r / kern % kern, r % kern);
+            ((c * ph + ky) * pw + kx) as u32
+        })
+        .collect();
+    let total = geom.out_positions();
+    let mut col_off: Vec<u32> = Vec::with_capacity(n);
+    for image in 0..images {
+        col_off.extend(positions.clone().map(|pos| {
+            assert!(pos < total, "position {pos} out of range ({total})");
+            let (oy, ox) = (pos / geom.out_w, pos % geom.out_w);
+            (image * image_len + (oy * pw + ox) * geom.stride) as u32
+        }));
+    }
     let mut b_pack = pcnn_parallel::scratch_f32(packed_b_len(n, k));
-    pcnn_parallel::with_region_label("conv.direct.pack", || {
-        pack_patches(geom, input, &mut b_pack, part.tasks() > 1);
+    pcnn_parallel::with_region_label("conv.gather", || {
+        pack_b_with(n, k, &mut b_pack, part.tasks() > 1, |r, j0, dst| {
+            let row = &src[row_base[r] as usize..];
+            for (d, &off) in dst.iter_mut().zip(&col_off[j0..]) {
+                *d = row[off as usize];
+            }
+        });
     });
     if let Some(s) = span {
-        // One image read, the packed image written (no column matrix).
-        s.finish(0, 4 * (chw + packed_b_len(n, k)) as u64);
+        // The images read, their bordered copy and the packed image
+        // written (no column matrix).
+        let border = bordered.as_ref().map_or(0, |b| b.len());
+        s.finish(0, 4 * (images * chw + border + packed_b_len(n, k)) as u64);
     }
 
     let span = phase_span(Phase::Epilogue);
@@ -164,34 +306,31 @@ pub fn conv2d_direct(
     gemm_packed(m, n, k, weight, &b_pack, part, out);
 }
 
-/// Gathers input patches directly into the packed GEMM's `B` image:
-/// `B[r][pos]` is the im2col element — patch row `r` decomposes as
-/// `c = r / k^2, ky = r / k % k, kx = r % k` and column `pos` as
-/// `(oy, ox)` — but each value lands at its packed address without ever
-/// existing in row-major form. The layout walk (blocks, panels, zero-fill
-/// of ragged panel edges, parallel split) is [`pack_b_with`]'s, shared
-/// with [`gemm`], so the image is byte-for-byte the one
-/// `gemm(.., im2col(geom, input), ..)` packs.
-fn pack_patches(geom: &Conv2dGeometry, input: &[f32], packed: &mut [f32], parallel: bool) {
-    let (n, k) = (geom.out_positions(), geom.patch_len());
-    let kern = geom.kernel;
-    pack_b_with(n, k, packed, parallel, |r, j0, dst| {
-        let c = r / (kern * kern);
-        let ky = r / kern % kern;
-        let kx = r % kern;
-        let chan = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
-        for (j, d) in dst.iter_mut().enumerate() {
-            let pos = j0 + j;
-            let (oy, ox) = (pos / geom.out_w, pos % geom.out_w);
-            let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-            *d = if iy >= 0 && (iy as usize) < geom.in_h && ix >= 0 && (ix as usize) < geom.in_w {
-                chan[iy as usize * geom.in_w + ix as usize]
-            } else {
-                0.0
-            };
+/// Copies CHW planes (`geom.in_h x geom.in_w` each) into `bordered` with
+/// `geom.pad` zeros on every side, writing every element of `bordered`
+/// once: a patch that hangs over the image edge then reads its padding as
+/// ordinary memory.
+fn add_zero_border(geom: &Conv2dGeometry, planes: &[f32], bordered: &mut [f32]) {
+    let (pad, in_w) = (geom.pad, geom.in_w);
+    let pw = in_w + 2 * pad;
+    if planes.is_empty() {
+        bordered.fill(0.0);
+        return;
+    }
+    for (plane, src) in bordered
+        .chunks_exact_mut((geom.in_h + 2 * pad) * pw)
+        .zip(planes.chunks_exact(geom.in_h * in_w))
+    {
+        let (top, rest) = plane.split_at_mut(pad * pw);
+        let (rows, bottom) = rest.split_at_mut(geom.in_h * pw);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for (row, src_row) in rows.chunks_exact_mut(pw).zip(src.chunks_exact(in_w)) {
+            row[..pad].fill(0.0);
+            row[pad..pad + in_w].copy_from_slice(src_row);
+            row[pad + in_w..].fill(0.0);
         }
-    });
+    }
 }
 
 /// Cache budget of one Winograd block, in `f32` elements (2 MiB, one
@@ -638,7 +777,7 @@ pub fn winograd_error_bound(geom: &Conv2dGeometry, weight: &[f32], input: &[f32]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gemm_bias, im2col};
+    use crate::{gemm_bias, im2col, im2col_positions};
 
     fn reference(
         geom: &Conv2dGeometry,
@@ -676,6 +815,142 @@ mod tests {
         let mut got = vec![f32::NAN; oc * geom.out_positions()];
         conv2d_direct(&geom, oc, &w, &b, &x, &mut got);
         assert_eq!(got, want);
+    }
+
+    /// What the perforated forward ran before the gather: per image,
+    /// `im2col_positions`, a bias fill and `gemm` — here laid out as
+    /// [`conv2d_sampled`] lays its output out, image `i` in columns
+    /// `i * positions.len()..`.
+    fn sampled_reference(
+        geom: &Conv2dGeometry,
+        oc: usize,
+        weight: &[f32],
+        bias: &[f32],
+        input: &[f32],
+        images: usize,
+        positions: &[usize],
+    ) -> Vec<f32> {
+        let (k, np) = (geom.patch_len(), positions.len());
+        let chw = geom.in_channels * geom.in_h * geom.in_w;
+        let mut out = vec![f32::NAN; oc * images * np];
+        let mut cols = vec![0.0; k * np];
+        for i in 0..images {
+            im2col_positions(geom, &input[i * chw..(i + 1) * chw], positions, &mut cols);
+            let mut sampled: Vec<f32> = bias[..oc]
+                .iter()
+                .flat_map(|&b| std::iter::repeat_n(b, np))
+                .collect();
+            gemm(oc, np, k, weight, &cols, &mut sampled);
+            for (c, row) in sampled.chunks(np.max(1)).enumerate() {
+                out[(c * images + i) * np..][..np].copy_from_slice(row);
+            }
+        }
+        out
+    }
+
+    /// `conv2d_sampled`'s output as bit patterns.
+    fn sampled_bits(
+        geom: &Conv2dGeometry,
+        oc: usize,
+        (weight, bias, input): (&[f32], &[f32], &[f32]),
+        images: usize,
+        positions: &[usize],
+    ) -> Vec<u32> {
+        let mut out = vec![f32::NAN; oc * images * positions.len()];
+        conv2d_sampled(geom, oc, weight, bias, input, images, positions, &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        /// The gather + one GEMM per image group is, bit for bit, the
+        /// per-image `im2col_positions` -> bias fill -> `gemm` it replaced:
+        /// over strided and padded geometries, groups of one to five
+        /// images, pool widths, and position lists that are sorted and
+        /// unique (as `LayerPerforation` builds them) or shuffled with
+        /// repeats (the signature admits both).
+        #[test]
+        fn sampled_is_bitwise_im2col_positions_then_gemm(
+            c in 1usize..6,
+            in_h in 3usize..12,
+            in_w in 3usize..12,
+            kernel in 1usize..6,
+            stride in 1usize..4,
+            pad in 0usize..3,
+            oc in 1usize..20,
+            images in 1usize..6,
+            threads in 1usize..4,
+            keep_mod in 1usize..5,
+            scramble in proptest::any::<bool>(),
+            seed in proptest::any::<u64>(),
+        ) {
+            proptest::prop_assume!(in_h + 2 * pad >= kernel && in_w + 2 * pad >= kernel);
+            let geom = Conv2dGeometry::new(c, in_h, in_w, kernel, stride, pad);
+            let total = geom.out_positions();
+            let positions: Vec<usize> = if scramble {
+                // Any order, with repeats.
+                noise(seed ^ 0x5CA7, total + 3)
+                    .iter()
+                    .map(|v| ((v + 0.5) * total as f32) as usize % total)
+                    .collect()
+            } else {
+                (0..total).filter(|p| p % keep_mod == 0).collect()
+            };
+            let weight = noise(seed, oc * geom.patch_len());
+            let bias = noise(seed ^ 0xB1A5, oc);
+            let input = noise(seed ^ 0x1DEA, images * c * in_h * in_w);
+            let want: Vec<u32> =
+                sampled_reference(&geom, oc, &weight, &bias, &input, images, &positions)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+            let got = pcnn_parallel::with_threads(threads, || {
+                sampled_bits(&geom, oc, (&weight, &bias, &input), images, &positions)
+            });
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn sampled_splits_across_the_pool_without_moving_a_bit() {
+        // Big enough (oc * N * k > 64^3) that the packed GEMM and the
+        // gather really split at 2, 3 and 8 workers; 3 images x 150 kept
+        // positions leave a ragged last panel and panels that straddle two
+        // images.
+        let geom = Conv2dGeometry::new(8, 20, 20, 3, 1, 1);
+        let (oc, images) = (40, 3);
+        let positions: Vec<usize> = (0..geom.out_positions()).filter(|p| p % 8 < 3).collect();
+        assert_eq!(positions.len(), 150);
+        let weight = noise(1, oc * geom.patch_len());
+        let bias = noise(2, oc);
+        let input = noise(3, images * 8 * 20 * 20);
+        let want: Vec<u32> =
+            sampled_reference(&geom, oc, &weight, &bias, &input, images, &positions)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+        for threads in [1, 2, 3, 8] {
+            let got = pcnn_parallel::with_threads(threads, || {
+                sampled_bits(&geom, oc, (&weight, &bias, &input), images, &positions)
+            });
+            assert_eq!(got, want, "{threads} thread(s)");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "position 36 out of range (36)")]
+    fn sampled_panics_on_an_out_of_range_position() {
+        let geom = Conv2dGeometry::new(1, 6, 6, 3, 1, 1);
+        let mut out = vec![0.0; 2];
+        conv2d_sampled(
+            &geom,
+            1,
+            &[0.0; 9],
+            &[0.0],
+            &[0.0; 36],
+            1,
+            &[0, 36],
+            &mut out,
+        );
     }
 
     #[test]

@@ -150,9 +150,14 @@ pub fn im2col(geom: &Conv2dGeometry, input: &[f32], cols: &mut [f32]) {
 /// Like [`im2col`] but stretches only the requested output positions.
 ///
 /// `positions` holds row-major output indices (`oy * out_w + ox`); `cols`
-/// receives a `patch_len() x positions.len()` row-major matrix. This is the
-/// computational core of the paper's perforation (Fig. 11): the convolution
-/// GEMM is evaluated at a sampled subset `W'_o x H'_o` of output positions.
+/// receives a `patch_len() x positions.len()` row-major matrix: the data
+/// matrix of the paper's perforation (Fig. 11), where the convolution GEMM
+/// is evaluated at a sampled subset `W'_o x H'_o` of output positions.
+///
+/// This is the **reference** lowering, with no production caller: the
+/// engine's perforated forward gathers the same elements straight into the
+/// GEMM's packed operand ([`crate::conv2d_sampled`]) and is tested bitwise
+/// against this function followed by [`crate::gemm`].
 ///
 /// # Panics
 ///

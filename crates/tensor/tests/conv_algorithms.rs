@@ -9,7 +9,8 @@
 //! grid and the KC-deep pack blocks.
 
 use pcnn_tensor::{
-    conv2d_direct, conv2d_winograd, gemm_bias, im2col, winograd_error_bound, Conv2dGeometry,
+    conv2d_direct, conv2d_sampled, conv2d_winograd, gemm_bias, im2col, winograd_error_bound,
+    Conv2dGeometry,
 };
 use proptest::prelude::*;
 
@@ -54,6 +55,21 @@ fn run_direct(geom: &Conv2dGeometry, oc: usize, w: &[f32], b: &[f32], x: &[f32])
     out
 }
 
+/// The sampled convolution handed every position of one image, in order:
+/// the case `conv2d_direct` is.
+fn run_sampled_identity(
+    geom: &Conv2dGeometry,
+    oc: usize,
+    w: &[f32],
+    b: &[f32],
+    x: &[f32],
+) -> Vec<f32> {
+    let all: Vec<usize> = (0..geom.out_positions()).collect();
+    let mut out = vec![f32::NAN; oc * all.len()];
+    conv2d_sampled(geom, oc, w, b, x, 1, &all, &mut out);
+    out
+}
+
 fn run_winograd(geom: &Conv2dGeometry, oc: usize, w: &[f32], b: &[f32], x: &[f32]) -> Vec<f32> {
     let mut out = vec![f32::NAN; oc * geom.out_positions()];
     conv2d_winograd(geom, oc, w, b, x, &mut out);
@@ -63,7 +79,8 @@ fn run_winograd(geom: &Conv2dGeometry, oc: usize, w: &[f32], b: &[f32], x: &[f32
 proptest! {
     /// Direct convolution packs the same bytes the im2col path packs, so
     /// any geometry — strided, padded, non-square, ragged — must agree
-    /// with the reference **bitwise**.
+    /// with the reference **bitwise**; so must the sampled convolution it
+    /// shares its gather with, asked for every position.
     #[test]
     fn direct_is_bitwise_im2col_on_any_geometry(
         c in 1usize..6,
@@ -80,7 +97,8 @@ proptest! {
         let (w, b, x) = operands(&geom, oc, seed);
         let want = reference(&geom, oc, &w, &b, &x);
         let got = run_direct(&geom, oc, &w, &b, &x);
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, want.clone());
+        prop_assert_eq!(run_sampled_identity(&geom, oc, &w, &b, &x), want);
     }
 
     /// Winograd on any stride-1 3x3 geometry it supports stays within the
@@ -144,6 +162,7 @@ fn direct_edge_shapes_are_bitwise_exact() {
             "direct != im2col on {}x{}x{} k{} s{} p{} oc{}",
             geom.in_channels, geom.in_h, geom.in_w, geom.kernel, geom.stride, geom.pad, oc
         );
+        assert_eq!(run_sampled_identity(geom, *oc, &w, &b, &x), want);
     }
 }
 
