@@ -159,8 +159,8 @@ impl ProfileRun {
 /// Runs `reps` instrumented forward passes (after one unprofiled warmup)
 /// and snapshots the per-layer phase tables.
 ///
-/// The profiler's global tables are reset on entry and on exit, so runs
-/// compose; telemetry (if enabled) keeps accumulating, and its
+/// The calling thread's profiler tables are reset on entry and on exit,
+/// so runs compose; telemetry (if enabled) keeps accumulating, and its
 /// `parallel.imbalance_milli.*` histograms are folded into the result.
 ///
 /// # Errors
@@ -427,13 +427,6 @@ pub fn render_report(run: &ProfileRun, peaks: &MachinePeaks) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The profiler tables are process-global; tests serialise on this.
-    fn profile_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
 
     #[test]
     fn unknown_model_is_none() {
@@ -443,7 +436,6 @@ mod tests {
 
     #[test]
     fn profile_json_is_reps_invariant_and_deterministic() {
-        let _g = profile_lock();
         let net = pick_model("alexnet").unwrap();
         let doc = pcnn_parallel::with_threads(1, || {
             let r1 = run_profile(&net, 2, 1).unwrap();
@@ -461,7 +453,6 @@ mod tests {
 
     #[test]
     fn report_covers_the_forward_wall_time() {
-        let _g = profile_lock();
         let net = pick_model("alexnet").unwrap();
         let run = pcnn_parallel::with_threads(1, || run_profile(&net, 1, 2).unwrap());
         assert!(run.coverage() > 0.5, "coverage {:.3}", run.coverage());
@@ -498,7 +489,6 @@ mod tests {
 
     #[test]
     fn disabled_profiler_records_nothing() {
-        let _g = profile_lock();
         pcnn_profile::set_enabled(false);
         pcnn_profile::reset();
         let net = pick_model("alexnet").unwrap();

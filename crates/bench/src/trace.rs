@@ -94,32 +94,60 @@ pub fn incident_path(trace: &std::path::Path) -> PathBuf {
 
 /// Extracts the trace path from `--trace <path>` / `--trace=<path>` args,
 /// falling back to the `env` value (the `PCNN_TRACE` variable).
-pub fn trace_path(args: &[String], env: Option<String>) -> Option<PathBuf> {
+///
+/// # Errors
+///
+/// A `--trace` with no path after it is an error naming the accepted
+/// forms, whatever `PCNN_TRACE` says.
+pub fn trace_path(args: &[String], env: Option<String>) -> Result<Option<PathBuf>, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--trace" {
-            return it.next().map(PathBuf::from);
-        }
-        if let Some(v) = a.strip_prefix("--trace=") {
-            return Some(PathBuf::from(v));
-        }
+        let value = match a.strip_prefix("--trace=") {
+            Some(v) => Some(v),
+            None if a == "--trace" => it.next().map(String::as_str),
+            None => continue,
+        };
+        return match value {
+            Some(v) if !v.is_empty() => Ok(Some(PathBuf::from(v))),
+            _ => Err("--trace needs a path: `--trace <path>` or `--trace=<path>`".to_string()),
+        };
     }
-    env.filter(|v| !v.is_empty()).map(PathBuf::from)
+    Ok(env.filter(|v| !v.is_empty()).map(PathBuf::from))
+}
+
+/// Parses the `PCNN_TRACE_MODE` value: unset or empty forces nothing,
+/// anything but `full` or `deterministic` is an error naming the two.
+fn trace_mode(env: Option<String>) -> Result<Option<ExportMode>, String> {
+    match env.as_deref() {
+        None | Some("") => Ok(None),
+        Some("full") => Ok(Some(ExportMode::Full)),
+        Some("deterministic") => Ok(Some(ExportMode::Deterministic)),
+        Some(other) => Err(format!(
+            "PCNN_TRACE_MODE must be `full` or `deterministic`, not `{other}`"
+        )),
+    }
 }
 
 /// Call once at the top of a harness binary's `main`. When tracing was
-/// requested, telemetry recording is switched on for the rest of the run
-/// and the files are written when the returned session drops.
+/// requested, telemetry recording is switched on for the calling (main)
+/// thread for the rest of the run and the files are written when the
+/// returned session drops. A malformed `--trace` or `PCNN_TRACE_MODE`
+/// is reported on stderr and exits with code 2.
 pub fn init_from_env() -> TraceSession {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let path = trace_path(&args, std::env::var("PCNN_TRACE").ok());
+    let parsed = trace_path(&args, std::env::var("PCNN_TRACE").ok()).and_then(|path| {
+        let mode = trace_mode(std::env::var("PCNN_TRACE_MODE").ok())?;
+        Ok((path, mode))
+    });
+    let (path, mode) = parsed.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    });
     if path.is_some() {
         pcnn_telemetry::set_enabled(true);
     }
-    match std::env::var("PCNN_TRACE_MODE").ok().as_deref() {
-        Some("deterministic") => pcnn_telemetry::set_export_mode(ExportMode::Deterministic),
-        Some("full") => pcnn_telemetry::set_export_mode(ExportMode::Full),
-        _ => {}
+    if let Some(mode) = mode {
+        pcnn_telemetry::set_export_mode(mode);
     }
     TraceSession { path }
 }
@@ -136,26 +164,52 @@ mod tests {
     fn parses_flag_forms() {
         assert_eq!(
             trace_path(&s(&["--trace", "/tmp/t.json"]), None),
-            Some(PathBuf::from("/tmp/t.json"))
+            Ok(Some(PathBuf::from("/tmp/t.json")))
         );
         assert_eq!(
             trace_path(&s(&["--trace=/tmp/t.json"]), None),
-            Some(PathBuf::from("/tmp/t.json"))
+            Ok(Some(PathBuf::from("/tmp/t.json")))
         );
-        assert_eq!(trace_path(&s(&["--other"]), None), None);
+        assert_eq!(trace_path(&s(&["--other"]), None), Ok(None));
+    }
+
+    #[test]
+    fn a_flag_without_a_path_is_an_error_not_tracing_off() {
+        for args in [&["--gpu", "k20", "--trace"][..], &["--trace="]] {
+            for env in [None, Some("/tmp/e.json".to_string())] {
+                let err = trace_path(&s(args), env).unwrap_err();
+                assert!(err.contains("--trace <path>"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn mode_is_full_or_deterministic_or_an_error() {
+        assert_eq!(trace_mode(None), Ok(None));
+        assert_eq!(trace_mode(Some(String::new())), Ok(None));
+        assert_eq!(trace_mode(Some("full".into())), Ok(Some(ExportMode::Full)));
+        assert_eq!(
+            trace_mode(Some("deterministic".into())),
+            Ok(Some(ExportMode::Deterministic))
+        );
+        for bad in ["Full", "det", " full"] {
+            let err = trace_mode(Some(bad.into())).unwrap_err();
+            assert!(err.contains("`full` or `deterministic`"), "{err}");
+            assert!(err.contains(bad), "{err}");
+        }
     }
 
     #[test]
     fn env_is_the_fallback() {
         assert_eq!(
             trace_path(&[], Some("/tmp/e.json".into())),
-            Some(PathBuf::from("/tmp/e.json"))
+            Ok(Some(PathBuf::from("/tmp/e.json")))
         );
-        assert_eq!(trace_path(&[], Some(String::new())), None);
+        assert_eq!(trace_path(&[], Some(String::new())), Ok(None));
         // The flag wins over the env var.
         assert_eq!(
             trace_path(&s(&["--trace", "/a"]), Some("/b".into())),
-            Some(PathBuf::from("/a"))
+            Ok(Some(PathBuf::from("/a")))
         );
     }
 

@@ -5,7 +5,6 @@
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Mutex;
 
 use pcnn_bench::profile;
 
@@ -24,13 +23,8 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pcnn-profile-{}-{name}", std::process::id()))
 }
 
-/// The profiler's counter tables are process-global, so tests that
-/// enable or reset them must not interleave.
-static PROFILE_LOCK: Mutex<()> = Mutex::new(());
-
 #[test]
 fn phase_times_cover_at_least_95_percent_of_forward_wall() {
-    let _guard = PROFILE_LOCK.lock().unwrap();
     let net = profile::pick_model("alexnet").unwrap();
     // Timing on a shared container is noisy; a single unlucky run can be
     // preempted mid-layer, so take the best of three attempts.
@@ -179,7 +173,6 @@ fn missing_and_corrupt_inputs_exit_nonzero_with_the_path() {
 
 #[test]
 fn disabled_profiler_records_nothing_on_the_forward_path() {
-    let _guard = PROFILE_LOCK.lock().unwrap();
     pcnn_profile::set_enabled(false);
     pcnn_profile::reset();
     let net = profile::pick_model("alexnet").unwrap();

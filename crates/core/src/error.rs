@@ -2,9 +2,7 @@
 //!
 //! Every fallible public entry point of this crate returns
 //! [`enum@Error`] through the [`Result`] alias instead of panicking on
-//! invalid input. The deprecated panicking wrappers (kept so existing
-//! out-of-tree callers continue to compile) funnel through the same
-//! checks and `expect` the result.
+//! invalid input.
 
 use std::fmt;
 

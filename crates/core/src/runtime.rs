@@ -224,20 +224,6 @@ pub fn execute_trace(
     })
 }
 
-/// Panicking shim with the pre-redesign closure signature, kept so
-/// out-of-tree callers of the original `execute_trace` migrate at their
-/// own pace.
-#[deprecated(note = "use `execute_trace` with a `ScheduleProvider`")]
-pub fn execute_trace_with(
-    arch: &GpuArch,
-    trace: &RequestTrace,
-    batch: usize,
-    mut build: impl FnMut(usize) -> Schedule,
-) -> ExecutionReport {
-    let mut provider = crate::offline::FnProvider(|size| Ok(build(size)));
-    execute_trace(arch, trace, batch, &mut provider).expect("execute_trace failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

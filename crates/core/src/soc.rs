@@ -99,12 +99,6 @@ pub fn score(req: &UserRequirements, inputs: &SocInputs) -> Result<Soc> {
     })
 }
 
-/// Panicking convenience wrapper around [`score`].
-#[deprecated(note = "use `score`, which returns a typed error")]
-pub fn soc(req: &UserRequirements, inputs: &SocInputs) -> Soc {
-    score(req, inputs).expect("soc: invalid inputs")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

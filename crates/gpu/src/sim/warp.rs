@@ -117,7 +117,7 @@ pub fn simulate_sm(
     let mut cycle: u64 = 0;
     // GTO: the most recently issued warp keeps priority.
     let mut last_issued: usize = 0;
-    // Telemetry accumulators, flushed to the global sink once at the end.
+    // Telemetry accumulators, flushed to the sink once at the end.
     let telem = pcnn_telemetry::enabled();
     let mut stalls = [0u64; N_STALL];
     let mut issued_total: u64 = 0;

@@ -220,16 +220,12 @@ impl Network {
         // pipeline as one group so the pool stays free for the 2-D GEMM
         // split inside each layer — a starved batch split would pin every
         // worker to at most one image and leave the kernels
-        // single-threaded. Profiling also forces that path: the
-        // profiler's active-layer attribution is a process-global, so
-        // exactly one group may walk the layer pipeline at a time
-        // (kernels inside each layer stay parallel).
+        // single-threaded.
         if batch < 2
             || threads < 2
             || batch < threads
             || split == 0
             || pcnn_parallel::in_parallel_region()
-            || pcnn_profile::enabled()
         {
             return self.forward_group(input, all, &perfs, &algos);
         }
@@ -240,12 +236,15 @@ impl Network {
         // (by `gemm_nt`, split over weight rows) instead of once per
         // group. No layer mixes images, so where the pipeline is cut and
         // how images are grouped never reaches any logit's arithmetic:
-        // outputs match the one-group path bitwise.
+        // outputs match the one-group path bitwise. Each group's layer
+        // scopes and spans land in the caller's profile, so a profiled
+        // forward is the forward production runs.
         let group = batch.div_ceil(threads);
+        let handoff = pcnn_profile::Handoff::capture();
         let parts = pcnn_parallel::par_map(batch.div_ceil(group), |gi| {
             let start = gi * group;
             let sub = input.batch_range(start, group.min(batch - start));
-            self.forward_group(&sub, 0..split, &perfs, &algos)
+            handoff.enter(|| self.forward_group(&sub, 0..split, &perfs, &algos))
         })
         .into_iter()
         .collect::<Result<Vec<Tensor>, NnError>>()?;

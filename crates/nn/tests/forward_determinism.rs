@@ -50,3 +50,47 @@ fn forward_bitwise_equal_across_thread_counts() {
 fn perforated_forward_bitwise_equal_across_thread_counts() {
     assert_matches_serial(&[5, 6, 7, 8], &PerforationPlan::from_rates(vec![0.5, 0.25]));
 }
+
+/// A profiled forward is the forward production runs. At widths 2 and 3
+/// a batch of 8 is batch-split with the profiler on: every group's layer
+/// scopes and spans reach the calling thread's profile through the
+/// handoff, so the logits are the unprofiled ones bit for bit and every
+/// layer's per-phase FLOP and byte totals are width 1's — but for the
+/// epilogue's bytes, where each group counts a scratch checkout of its
+/// own.
+#[test]
+fn profiled_forward_matches_unprofiled_bits_and_width_1_work() {
+    use pcnn_profile::Phase;
+    let plan = PerforationPlan::identity(2);
+    let unprofiled = logits_at(1, 8, &plan);
+    pcnn_profile::set_enabled(true);
+    let profiled_at = |threads: usize| {
+        pcnn_profile::reset();
+        (logits_at(threads, 8, &plan), pcnn_profile::snapshot())
+    };
+    let (logits, serial) = profiled_at(1);
+    assert_eq!(logits, unprofiled);
+    assert_eq!(serial[0].name, "L00 conv");
+    for threads in [2, 3] {
+        let (logits, wide) = profiled_at(threads);
+        assert_eq!(
+            logits, unprofiled,
+            "profiling moved a bit at {threads} threads"
+        );
+        assert_eq!(wide.len(), serial.len());
+        for (wl, sl) in wide.iter().zip(&serial) {
+            assert_eq!(wl.name, sl.name);
+            for p in Phase::ALL {
+                let (w, s) = (wl.phase(p), sl.phase(p));
+                let at = format!("{} {} at {threads} threads", sl.name, p.name());
+                assert_eq!(w.flops, s.flops, "flops, {at}");
+                if p == Phase::Epilogue {
+                    assert!(w.bytes >= s.bytes, "bytes, {at}");
+                } else {
+                    assert_eq!(w.bytes, s.bytes, "bytes, {at}");
+                }
+            }
+        }
+    }
+    pcnn_profile::set_enabled(false);
+}

@@ -7,10 +7,12 @@
 //! parallel mapping ([`par_map`]), disjoint `&mut` slice-chunk
 //! parallelism ([`par_chunks_mut`], plus the grain-splitting
 //! [`par_chunks_mut_fine`] for workloads whose natural chunk count is
-//! smaller than the pool), all built on [`std::thread::scope`] so
-//! borrowed data needs no `'static` bound and no `unsafe`. A process-wide
-//! [`scratch_f32`] buffer pool lets hot kernels reuse packing scratch
-//! instead of allocating on every call.
+//! smaller than the pool). All four are splits in front of one private
+//! scaffold, `region`: one scoped thread per item but the last, which
+//! runs on the caller, every handle joined — built on
+//! [`std::thread::scope`] so borrowed data needs no `'static` bound and
+//! no `unsafe`. A process-wide [`scratch_f32`] buffer pool lets hot
+//! kernels reuse packing scratch instead of allocating on every call.
 //!
 //! # Determinism
 //!
@@ -43,7 +45,15 @@
 //!
 //! # Telemetry
 //!
-//! When `pcnn-telemetry` recording is on, every parallel region counts
+//! `pcnn-telemetry`'s state belongs to the thread that switched it on,
+//! and every worker thread of the workspace is born in `region` — so
+//! that is the one place a worker is connected to its spawner's sink: a
+//! [`pcnn_telemetry::Handoff`] captured on the caller and entered around
+//! each worker's closure. Code on a worker records where the thread that
+//! started the region records (nowhere, for one relaxed load, when that
+//! thread is not recording); different threads' regions never mix.
+//!
+//! When the calling thread is recording, every parallel region counts
 //! `parallel.regions` and `parallel.tasks` (chunks executed), each
 //! worker records its busy time in the `parallel.worker_busy_ns`
 //! histogram, and the region emits `parallel.busy_ns` /
@@ -199,19 +209,20 @@ fn effective_threads(n_tasks: usize) -> usize {
     }
 }
 
-/// Runs `f` as a pool worker: marks the thread as in-pool and, when
-/// telemetry is recording, records busy time (per-worker histogram plus
-/// the region's per-worker busy slot) and emits the worker's trace slice
-/// onto the worker-pool track of its index.
+/// Runs `f` as a pool worker: marks the thread as in-pool for the
+/// duration (restoring the previous mark, so a nested region that ran
+/// serially on a worker leaves it a worker) and, when telemetry is
+/// recording, records busy time (per-worker histogram plus the region's
+/// per-worker busy slot) and emits the worker's trace slice onto the
+/// worker-pool track of its index.
 fn as_worker<R>(ctx: Option<(&RegionMeter, usize)>, f: impl FnOnce() -> R) -> R {
-    struct Unmark;
-    impl Drop for Unmark {
+    struct Restore(bool);
+    impl Drop for Restore {
         fn drop(&mut self) {
-            IN_POOL.with(|c| c.set(false));
+            IN_POOL.with(|c| c.set(self.0));
         }
     }
-    IN_POOL.with(|c| c.set(true));
-    let _unmark = Unmark;
+    let _restore = Restore(IN_POOL.with(|c| c.replace(true)));
     if pcnn_telemetry::enabled() {
         let start = Instant::now();
         let out = f();
@@ -286,16 +297,58 @@ impl RegionMeter {
     }
 }
 
-/// The `(meter, worker index)` context of worker `w`, as `as_worker`
-/// expects.
-fn ctx(meter: &Option<RegionMeter>, w: usize) -> Option<(&RegionMeter, usize)> {
-    meter.as_ref().map(|m| (m, w))
-}
-
-fn finish(meter: Option<RegionMeter>) {
+/// The one spawn / meter / join scaffold under every helper: runs
+/// `f(item)` once per item, each item moved into a worker of its own —
+/// scoped threads for all but the last, which runs on the caller. A
+/// single item is the serial path: no thread, meter or handoff. `tasks`
+/// is what the region's `parallel.tasks` counter reports.
+///
+/// Workers record into their spawner's telemetry sink: the handoff is
+/// captured here, on the caller, and entered around each worker's
+/// closure (a no-op for the caller's own item, free when the caller is
+/// not recording).
+fn region<T, F>(tasks: usize, items: impl ExactSizeIterator<Item = T>, f: F)
+where
+    T: Send,
+    F: Fn(T) + Sync,
+{
+    let workers = items.len();
+    if workers <= 1 {
+        return as_worker(None, || items.for_each(f));
+    }
+    let meter = RegionMeter::start(workers, tasks);
+    let handoff = pcnn_telemetry::Handoff::capture();
+    std::thread::scope(|s| {
+        let (f, meter, handoff) = (&f, meter.as_ref(), &handoff);
+        let mut handles = Vec::with_capacity(workers - 1);
+        for (w, item) in items.enumerate() {
+            let run = move || handoff.enter(|| as_worker(meter.map(|m| (m, w)), || f(item)));
+            if w + 1 == workers {
+                run();
+            } else {
+                handles.push(s.spawn(run));
+            }
+        }
+        // Join, not just the scope's completion count: a worker that is
+        // still exiting keeps its malloc arena attached, so the next
+        // region's worker gets a fresh one, and back-to-back short regions
+        // (the offline compiler's, one per layer) grow resident memory by
+        // an arena each.
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
     if let Some(m) = meter {
         m.finish();
     }
+}
+
+/// `n` split into `parts` balanced counts: the first `n % parts` get one
+/// extra.
+fn balanced(n: usize, parts: usize) -> impl ExactSizeIterator<Item = usize> {
+    (0..parts).map(move |w| n / parts + usize::from(w < n % parts))
 }
 
 /// Splits `0..len` into one contiguous range per worker (at most
@@ -312,33 +365,13 @@ where
     if len == 0 {
         return;
     }
-    let min_chunk = min_chunk.max(1);
-    let max_workers = len.div_ceil(min_chunk);
-    let threads = effective_threads(max_workers);
-    if threads <= 1 {
-        as_worker(None, || f(0..len));
-        return;
-    }
-    let meter = RegionMeter::start(threads, threads);
-    // Balanced contiguous split: the first `rem` workers get one extra.
-    let per = len / threads;
-    let rem = len % threads;
-    std::thread::scope(|s| {
-        let f = &f;
-        let meter = &meter;
-        let mut start = 0;
-        for w in 0..threads {
-            let take = per + usize::from(w < rem);
-            let range = start..start + take;
-            start += take;
-            if w + 1 == threads {
-                as_worker(ctx(meter, w), || f(range));
-            } else {
-                s.spawn(move || as_worker(ctx(meter, w), || f(range)));
-            }
-        }
+    let threads = effective_threads(len.div_ceil(min_chunk.max(1)));
+    let mut start = 0;
+    let ranges = balanced(len, threads).map(|take| {
+        start += take;
+        start - take..start
     });
-    finish(meter);
+    region(threads, ranges, f);
 }
 
 /// Splits `data` into `chunk_len`-long chunks (the last may be shorter)
@@ -362,45 +395,20 @@ where
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
     let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = effective_threads(n_chunks);
-    if threads <= 1 {
-        as_worker(None, || {
-            for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                f(i, chunk);
-            }
-        });
-        return;
-    }
-    let meter = RegionMeter::start(threads, n_chunks);
-    let per = n_chunks / threads;
-    let rem = n_chunks % threads;
-    std::thread::scope(|s| {
-        let f = &f;
-        let meter = &meter;
-        let mut rest = data;
-        let mut first_chunk = 0;
-        for w in 0..threads {
-            let take_chunks = per + usize::from(w < rem);
-            let take = (take_chunks * chunk_len).min(rest.len());
-            let (part, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let base = first_chunk;
-            first_chunk += take_chunks;
-            let mut run = move || {
-                as_worker(ctx(meter, w), || {
-                    for (i, chunk) in part.chunks_mut(chunk_len).enumerate() {
-                        f(base + i, chunk);
-                    }
-                })
-            };
-            if w + 1 == threads {
-                run();
-            } else {
-                s.spawn(run);
-            }
+    let mut rest = data;
+    let mut first_chunk = 0;
+    let parts = balanced(n_chunks, effective_threads(n_chunks)).map(|take_chunks| {
+        let take = (take_chunks * chunk_len).min(rest.len());
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(take);
+        rest = tail;
+        first_chunk += take_chunks;
+        (first_chunk - take_chunks, part)
+    });
+    region(n_chunks, parts, |(base, part): (usize, &mut [T])| {
+        for (i, chunk) in part.chunks_mut(chunk_len).enumerate() {
+            f(base + i, chunk);
         }
     });
-    finish(meter);
 }
 
 /// [`par_chunks_mut`] with a grain fallback for coarse workloads: when
@@ -454,59 +462,38 @@ where
     // pieces. (chunk index, offset in chunk, length.)
     let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
     for ci in 0..n_chunks {
-        let start = ci * chunk_len;
-        let len = chunk_len.min(data.len() - start);
+        let len = chunk_len.min(data.len() - ci * chunk_len);
         if len == chunk_len {
-            let units = chunk_len / unit;
-            let per = units / splits;
-            let rem = units % splits;
             let mut off = 0;
-            for s in 0..splits {
-                let take = (per + usize::from(s < rem)) * unit;
-                if take > 0 {
-                    tasks.push((ci, off, take));
-                    off += take;
-                }
+            for units in balanced(chunk_len / unit, splits).filter(|&u| u > 0) {
+                tasks.push((ci, off, units * unit));
+                off += units * unit;
             }
         } else {
             tasks.push((ci, 0, len));
         }
     }
-    let workers = threads.min(tasks.len());
-    let meter = RegionMeter::start(workers, tasks.len());
-    let per = tasks.len() / workers;
-    let rem = tasks.len() % workers;
-    std::thread::scope(|s| {
-        let f = &f;
-        let tasks = &tasks;
-        let meter = &meter;
-        let mut rest = data;
-        let mut t0 = 0;
-        for w in 0..workers {
-            let take_tasks = per + usize::from(w < rem);
-            let mine = &tasks[t0..t0 + take_tasks];
-            t0 += take_tasks;
-            let span: usize = mine.iter().map(|t| t.2).sum();
-            let (part, tail) = rest.split_at_mut(span);
-            rest = tail;
-            let run = move || {
-                as_worker(ctx(meter, w), || {
-                    let mut p = part;
-                    for &(ci, off, len) in mine {
-                        let (cur, next) = p.split_at_mut(len);
-                        f(ci, off, cur);
-                        p = next;
-                    }
-                })
-            };
-            if w + 1 == workers {
-                run();
-            } else {
-                s.spawn(run);
-            }
-        }
+    let mut rest = data;
+    let mut queue = tasks.as_slice();
+    let parts = balanced(tasks.len(), threads.min(tasks.len())).map(|take_tasks| {
+        let (mine, later) = queue.split_at(take_tasks);
+        queue = later;
+        let span = mine.iter().map(|t| t.2).sum();
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(span);
+        rest = tail;
+        (mine, part)
     });
-    finish(meter);
+    region(
+        tasks.len(),
+        parts,
+        |(mine, mut part): (&[(usize, usize, usize)], &mut [T])| {
+            for &(ci, off, len) in mine {
+                let (cur, next) = part.split_at_mut(len);
+                f(ci, off, cur);
+                part = next;
+            }
+        },
+    );
 }
 
 /// Computes `f(i)` for every `i in 0..len` in parallel and returns the
@@ -525,38 +512,19 @@ where
     if threads <= 1 {
         return as_worker(None, || (0..len).map(f).collect());
     }
-    let meter = RegionMeter::start(threads, len);
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(len));
-    std::thread::scope(|s| {
-        let (f, next, results, meter) = (&f, &next, &results, &meter);
-        let work = move |w: usize| {
-            as_worker(ctx(meter, w), || {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
-                    }
-                    local.push((i, f(i)));
-                }
-                results.lock().expect("par_map results").extend(local);
-            })
-        };
-        let handles: Vec<_> = (0..threads - 1).map(|w| s.spawn(move || work(w))).collect();
-        work(threads - 1);
-        // Join, not just the scope's completion count: a worker that is
-        // still exiting keeps its malloc arena attached, so the next
-        // region's worker gets a fresh one, and back-to-back short regions
-        // (the offline compiler's, one per layer) grow resident memory by
-        // an arena each.
-        for h in handles {
-            if let Err(panic) = h.join() {
-                std::panic::resume_unwind(panic);
+    region(len, 0..threads, |_| {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                break;
             }
+            local.push((i, f(i)));
         }
+        results.lock().expect("par_map results").extend(local);
     });
-    finish(meter);
     let mut collected = results.into_inner().expect("par_map results");
     collected.sort_unstable_by_key(|(i, _)| *i);
     debug_assert_eq!(collected.len(), len);
@@ -787,8 +755,9 @@ mod tests {
             par_for(4, 1, |_| {
                 assert!(in_parallel_region());
                 // A nested region must not spawn: it runs inline on this
-                // worker, so the flag stays set throughout.
+                // worker, so the flag stays set throughout — and after it.
                 par_for(8, 1, |_| assert!(in_parallel_region()));
+                assert!(in_parallel_region(), "nested region unmarked its worker");
             });
         });
         assert!(!in_parallel_region());
@@ -831,10 +800,6 @@ mod tests {
 
     #[test]
     fn regions_emit_per_worker_slices_and_imbalance() {
-        // Serialise against any other test that flips the global
-        // telemetry switch.
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
         pcnn_telemetry::set_enabled(true);
         pcnn_telemetry::reset();
         with_threads(4, || {

@@ -8,33 +8,45 @@
 //! their phases (im2col, A/B packing, the microkernel loop, epilogues,
 //! activations) in [`phase_span`]s that record elapsed time plus the
 //! phase's arithmetic work (FLOPs) and memory traffic (bytes). Everything
-//! lands in static atomic tables keyed by `(layer, phase)`; [`snapshot`]
-//! turns them into per-layer profiles from which `pcnn-bench` derives
-//! GFLOP/s, arithmetic intensity, and a roofline classification.
+//! lands in tables keyed by `(layer, phase)` that belong to the thread
+//! that switched profiling on; [`snapshot`] returns them as per-layer
+//! profiles from which `pcnn-bench` derives GFLOP/s, arithmetic
+//! intensity, and a roofline classification.
 //!
 //! # Zero cost when disabled
 //!
-//! The profiler is off by default. When off, [`layer_scope`] and
-//! [`phase_span`] return `None` after one relaxed atomic load — no clock
-//! is read, no lock is taken, and **no state is allocated** on the
-//! forward path (the tables are static). This preserves the engine's
-//! measured-overhead guarantee.
+//! The profiler is off by default. While no thread is recording,
+//! [`layer_scope`], [`phase_span`] and [`Handoff::capture`] return their
+//! empty value after one relaxed atomic load — no clock is read, no lock
+//! is taken, and **no state is allocated** on the forward path (a
+//! thread's tables are allocated by its first [`set_enabled`]`(true)`).
+//! This preserves the engine's measured-overhead guarantee.
 //!
-//! # Attribution across worker threads
+//! # Thread-owned state and the handoff
 //!
-//! The active layer is a process-global atomic, so phase spans finished
-//! on pool workers attribute to the layer the main thread is executing.
-//! That is only unambiguous while a single forward pass runs at a time —
-//! `Network::forward` therefore routes to its serial (per-image kernels
-//! still parallel) path whenever profiling is [`enabled`]. Phase counts
-//! and span boundaries depend only on shapes and thread count, so FLOP
-//! and byte totals are deterministic; elapsed times are wall-clock.
+//! [`set_enabled`]`(true)` gives the **calling thread** its own tables,
+//! and every function here acts on the calling thread's: two forwards
+//! profiled on two threads never see each other's spans, and a thread
+//! that never enabled records nothing. A pool worker records into its
+//! spawner's tables through a [`Handoff`] — captured on the spawning
+//! thread with its current layer, entered on the worker, a no-op on the
+//! thread it was captured on. `pcnn-parallel` must not depend on this
+//! crate, so the handoff is taken at exactly the three regions whose
+//! workers record spans: the packed GEMM's tile region, the Winograd
+//! block region and `Network::forward`'s batch split (DESIGN.md §9).
+//!
+//! Phase counts and span boundaries depend only on shapes and thread
+//! count, so FLOP and byte totals are deterministic; elapsed times are
+//! wall-clock and *summed over workers* — a layer's phase time at width
+//! > 1, and its wall time under a batch split, can exceed the forward's.
 //!
 //! Spans finished outside any layer scope (e.g. a raw GEMM benchmark)
 //! accumulate on a separate "(unattributed)" row rather than vanishing.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Maximum distinct layer rows; deeper networks fold into the
@@ -48,11 +60,6 @@ pub const NUM_PHASES: usize = 8;
 
 /// One row past the last layer: work recorded outside any layer scope.
 const UNATTRIBUTED: usize = MAX_LAYERS;
-const ROWS: usize = MAX_LAYERS + 1;
-const CELLS: usize = ROWS * NUM_PHASES;
-
-/// Sentinel for "no layer scope active".
-const NO_LAYER: usize = usize::MAX;
 
 /// The execution phases a layer's time divides into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,53 +112,195 @@ impl Phase {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static CURRENT: AtomicUsize = AtomicUsize::new(NO_LAYER);
+/// Threads currently recording (own tables switched on, or inside an
+/// entered [`Handoff`]): the only process-global, so the disabled path is
+/// one load. `Relaxed` suffices — it publishes no data, and a recording
+/// thread always sees at least its own increment.
+static RECORDING_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-static NS: [AtomicU64; CELLS] = [const { AtomicU64::new(0) }; CELLS];
-static FLOPS: [AtomicU64; CELLS] = [const { AtomicU64::new(0) }; CELLS];
-static BYTES: [AtomicU64; CELLS] = [const { AtomicU64::new(0) }; CELLS];
-static CALLS: [AtomicU64; CELLS] = [const { AtomicU64::new(0) }; CELLS];
-static WALL_NS: [AtomicU64; ROWS] = [const { AtomicU64::new(0) }; ROWS];
+/// One recording's accumulated state, shared between the thread that owns
+/// it and the workers it is handed to.
+type Tables = Arc<Mutex<Recording>>;
 
-/// Layer scopes opened with `index >= MAX_LAYERS` (their spans fold into
-/// the unattributed row); surfaced as the `profile.dropped_layers`
-/// metric so deep models degrade visibly instead of silently merging.
-static DROPPED_LAYERS: AtomicU64 = AtomicU64::new(0);
-
-/// Layer display names, registered lazily by [`layer_scope`] (off the
-/// hot path: one short lock per layer per forward, only while enabled).
-static NAMES: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-
-/// Turns profiling on or off process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+#[derive(Default)]
+struct Recording {
+    /// Rows by index, created on first touch ([`UNATTRIBUTED`] last).
+    layers: BTreeMap<usize, LayerProfile>,
+    /// Layer scopes opened with `index >= MAX_LAYERS` (their spans fold
+    /// into the unattributed row); surfaced as the
+    /// `profile.dropped_layers` metric so deep models degrade visibly
+    /// instead of silently merging.
+    dropped_layers: u64,
 }
 
-/// Whether profiling is recording. One relaxed load.
+impl Recording {
+    /// Row `index`, created as `name()` on first touch.
+    fn row(&mut self, index: usize, name: impl FnOnce() -> String) -> &mut LayerProfile {
+        self.layers.entry(index).or_insert_with(|| LayerProfile {
+            index,
+            name: name(),
+            wall_ns: 0,
+            phases: Default::default(),
+        })
+    }
+
+    /// Row `index` for a span or guard finishing on it: named by its
+    /// [`layer_scope`] unless a [`reset`] came in between.
+    fn open_row(&mut self, index: usize) -> &mut LayerProfile {
+        self.row(index, || match index {
+            UNATTRIBUTED => "(unattributed)".to_string(),
+            _ => format!("L{index:02}"),
+        })
+    }
+}
+
+/// A thread's view of the profiler.
+struct Local {
+    /// What this thread reads and records into: its own tables (kept
+    /// after switching off, for [`snapshot`]) or, inside an entered
+    /// [`Handoff`], its spawner's.
+    tables: Option<Tables>,
+    /// Counted in [`RECORDING_THREADS`] while set; implies `tables`.
+    recording: bool,
+    /// The row spans finished on this thread attribute to.
+    row: usize,
+}
+
+impl Local {
+    /// Sets `recording`, keeping [`RECORDING_THREADS`] in step, and
+    /// returns the previous value.
+    fn set_recording(&mut self, on: bool) -> bool {
+        match (self.recording, on) {
+            (false, true) => RECORDING_THREADS.fetch_add(1, Ordering::Relaxed),
+            (true, false) => RECORDING_THREADS.fetch_sub(1, Ordering::Relaxed),
+            _ => 0,
+        };
+        std::mem::replace(&mut self.recording, on)
+    }
+}
+
+impl Drop for Local {
+    /// A thread that exits while recording stops counting.
+    fn drop(&mut self) {
+        self.set_recording(false);
+    }
+}
+
+thread_local! {
+    static LOCAL: RefCell<Local> = const {
+        RefCell::new(Local {
+            tables: None,
+            recording: false,
+            row: UNATTRIBUTED,
+        })
+    };
+}
+
+/// Turns profiling on or off for the calling thread (and, through a
+/// [`Handoff`], the pool workers it spawns). The first `true` allocates
+/// the thread's tables; `false` keeps them for [`snapshot`].
+pub fn set_enabled(on: bool) {
+    LOCAL.with(|l| {
+        let mut l = l.borrow_mut();
+        if on && l.tables.is_none() {
+            l.tables = Some(Tables::default());
+        }
+        l.set_recording(on);
+    });
+}
+
+/// Whether the calling thread is recording. One relaxed load while no
+/// thread is.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    RECORDING_THREADS.load(Ordering::Relaxed) != 0 && thread_recording()
 }
 
-/// Zeroes every accumulated cell and forgets registered layer names.
+/// The thread-local half of [`enabled`]. Out of line, so a span site in
+/// a kernel's loop nest holds only the load and a branch, as it did when
+/// the switch was one atomic.
+#[cold]
+#[inline(never)]
+fn thread_recording() -> bool {
+    LOCAL.with(|l| l.borrow().recording)
+}
+
+/// Runs `f` on the calling thread's tables and current row, if it has
+/// tables.
+fn with_tables<R>(f: impl FnOnce(&mut Recording, usize) -> R) -> Option<R> {
+    LOCAL.with(|l| {
+        let l = l.borrow();
+        let tables = l.tables.as_ref()?;
+        // Every update leaves the tables valid, so a poisoned lock is
+        // still good to read and add to.
+        let mut rec = tables.lock().unwrap_or_else(PoisonError::into_inner);
+        Some(f(&mut rec, l.row))
+    })
+}
+
+/// Discards everything the calling thread accumulated, layer names
+/// included.
 pub fn reset() {
-    for table in [&NS, &FLOPS, &BYTES, &CALLS] {
-        for cell in table.iter() {
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
-    for cell in WALL_NS.iter() {
-        cell.store(0, Ordering::Relaxed);
-    }
-    DROPPED_LAYERS.store(0, Ordering::Relaxed);
-    NAMES.lock().unwrap_or_else(PoisonError::into_inner).clear();
+    with_tables(|rec, _| *rec = Recording::default());
 }
 
 /// How many layer scopes overflowed the table (folded into the
 /// unattributed row) since the last [`reset`].
 pub fn dropped_layers() -> u64 {
-    DROPPED_LAYERS.load(Ordering::Relaxed)
+    with_tables(|rec, _| rec.dropped_layers).unwrap_or(0)
+}
+
+/// A recording thread's tables and current layer, for a pool worker it
+/// spawns to record into: capture it on the spawning thread, enter it on
+/// the worker. Empty — and free — when the capturing thread is not
+/// recording.
+pub struct Handoff(Option<(Tables, usize)>);
+
+impl Handoff {
+    /// Captures the calling thread's recording state. One relaxed load
+    /// and nothing allocated while no thread is recording.
+    pub fn capture() -> Handoff {
+        if RECORDING_THREADS.load(Ordering::Relaxed) == 0 {
+            return Handoff(None);
+        }
+        Handoff(LOCAL.with(|l| {
+            let l = l.borrow();
+            l.tables.clone().filter(|_| l.recording).map(|t| (t, l.row))
+        }))
+    }
+
+    /// Runs `f` with the calling thread recording into the captured
+    /// tables under the captured layer, then restores its own state (also
+    /// on panic). Just `f()` when the handoff is empty or the thread
+    /// already records into those tables — the one it was captured on.
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Tables>, bool, usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                LOCAL.with(|l| {
+                    let mut l = l.borrow_mut();
+                    l.tables = self.0.take();
+                    l.set_recording(self.1);
+                    l.row = self.2;
+                });
+            }
+        }
+        let Some((tables, row)) = &self.0 else {
+            return f();
+        };
+        let _restore = LOCAL.with(|l| {
+            let mut l = l.borrow_mut();
+            if l.recording && l.tables.as_ref().is_some_and(|t| Arc::ptr_eq(t, tables)) {
+                return None;
+            }
+            Some(Restore(
+                l.tables.replace(Arc::clone(tables)),
+                l.set_recording(true),
+                std::mem::replace(&mut l.row, *row),
+            ))
+        });
+        f()
+    }
 }
 
 /// Marks layer `index` as the attribution target until dropped; restores
@@ -164,32 +313,30 @@ pub struct LayerGuard {
 
 impl Drop for LayerGuard {
     fn drop(&mut self) {
-        WALL_NS[self.row].fetch_add(self.t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        CURRENT.store(self.prev, Ordering::Relaxed);
+        let ns = self.t0.elapsed().as_nanos() as u64;
+        with_tables(|rec, _| rec.open_row(self.row).wall_ns += ns);
+        LOCAL.with(|l| l.borrow_mut().row = self.prev);
     }
 }
 
-/// Opens a layer scope: until the guard drops, phase spans (from any
-/// thread) attribute to layer `index`, displayed as `L{index:02} {kind}`.
-/// Returns `None` — at the cost of one atomic load — when disabled.
+/// Opens a layer scope: until the guard drops, phase spans finished on
+/// this thread (and on workers it hands off to) attribute to layer
+/// `index`, displayed as `L{index:02} {kind}`. Returns `None` — at the
+/// cost of one atomic load — when disabled.
 #[must_use]
 pub fn layer_scope(index: usize, kind: &str) -> Option<LayerGuard> {
     if !enabled() {
         return None;
     }
-    let row = if index < MAX_LAYERS {
-        index
-    } else {
-        DROPPED_LAYERS.fetch_add(1, Ordering::Relaxed);
-        UNATTRIBUTED
-    };
-    if row != UNATTRIBUTED {
-        let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
-        if !names.iter().any(|(r, _)| *r == row) {
-            names.push((row, format!("L{index:02} {kind}")));
+    let row = with_tables(|rec, _| {
+        if index >= MAX_LAYERS {
+            rec.dropped_layers += 1;
+            return UNATTRIBUTED;
         }
-    }
-    let prev = CURRENT.swap(row, Ordering::Relaxed);
+        rec.row(index, || format!("L{index:02} {kind}"));
+        index
+    })?;
+    let prev = LOCAL.with(|l| std::mem::replace(&mut l.borrow_mut().row, row));
     Some(LayerGuard {
         prev,
         row,
@@ -223,15 +370,13 @@ impl PhaseSpan {
     /// currently scoped layer (or the unattributed row).
     pub fn finish(self, flops: u64, bytes: u64) {
         let ns = self.t0.elapsed().as_nanos() as u64;
-        let row = match CURRENT.load(Ordering::Relaxed) {
-            NO_LAYER => UNATTRIBUTED,
-            r => r,
-        };
-        let cell = row * NUM_PHASES + self.phase as usize;
-        NS[cell].fetch_add(ns, Ordering::Relaxed);
-        FLOPS[cell].fetch_add(flops, Ordering::Relaxed);
-        BYTES[cell].fetch_add(bytes, Ordering::Relaxed);
-        CALLS[cell].fetch_add(1, Ordering::Relaxed);
+        with_tables(|rec, row| {
+            let t = &mut rec.open_row(row).phases[self.phase as usize];
+            t.ns += ns;
+            t.flops += flops;
+            t.bytes += bytes;
+            t.calls += 1;
+        });
     }
 }
 
@@ -280,57 +425,22 @@ impl LayerProfile {
     }
 }
 
-/// Reads the current tables into per-layer profiles, index-ascending,
-/// skipping rows with no recorded activity.
+/// The calling thread's per-layer profiles, index-ascending, skipping
+/// rows with no recorded activity.
 pub fn snapshot() -> Vec<LayerProfile> {
-    let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
-    (0..ROWS)
-        .filter_map(|row| {
-            let phases: [PhaseTotals; NUM_PHASES] = std::array::from_fn(|p| {
-                let cell = row * NUM_PHASES + p;
-                PhaseTotals {
-                    ns: NS[cell].load(Ordering::Relaxed),
-                    flops: FLOPS[cell].load(Ordering::Relaxed),
-                    bytes: BYTES[cell].load(Ordering::Relaxed),
-                    calls: CALLS[cell].load(Ordering::Relaxed),
-                }
-            });
-            let wall_ns = WALL_NS[row].load(Ordering::Relaxed);
-            if wall_ns == 0 && phases.iter().all(|t| t.calls == 0) {
-                return None;
-            }
-            let name = if row == UNATTRIBUTED {
-                "(unattributed)".to_string()
-            } else {
-                names
-                    .iter()
-                    .find(|(r, _)| *r == row)
-                    .map(|(_, n)| n.clone())
-                    .unwrap_or_else(|| format!("L{row:02}"))
-            };
-            Some(LayerProfile {
-                index: row,
-                name,
-                wall_ns,
-                phases,
-            })
-        })
-        .collect()
+    with_tables(|rec, _| {
+        let active = |l: &&LayerProfile| l.wall_ns != 0 || l.phases.iter().any(|t| t.calls != 0);
+        rec.layers.values().filter(active).cloned().collect()
+    })
+    .unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The tables are process-global, so tests serialize on this.
-    fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     #[test]
     fn disabled_returns_none_and_records_nothing() {
-        let _g = test_guard();
         set_enabled(false);
         reset();
         assert!(layer_scope(0, "conv").is_none());
@@ -340,7 +450,6 @@ mod tests {
 
     #[test]
     fn spans_attribute_to_the_scoped_layer_and_scopes_nest() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         {
@@ -367,28 +476,93 @@ mod tests {
     }
 
     #[test]
-    fn worker_thread_spans_attribute_to_the_main_threads_layer() {
-        let _g = test_guard();
+    fn handoff_records_into_the_spawner_and_ends_with_its_closure() {
+        // Captured while not recording: empty, whatever happens later.
+        set_enabled(false);
+        let empty = Handoff::capture();
         set_enabled(true);
         reset();
         {
             let _scope = layer_scope(7, "conv");
+            let handoff = Handoff::capture();
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    phase_span(Phase::PackA).unwrap().finish(0, 64);
+                    assert!(!enabled(), "a fresh thread records nothing");
+                    empty.enter(|| assert!(phase_span(Phase::PackA).is_none()));
+                    handoff.enter(|| {
+                        assert!(enabled());
+                        phase_span(Phase::PackA).unwrap().finish(0, 64);
+                    });
+                    // Non-recording again once the closure returned.
+                    assert!(!enabled());
+                    assert!(phase_span(Phase::PackA).is_none());
+                    assert!(snapshot().is_empty());
                 });
             });
+            // On the thread it was captured on, entering changes nothing:
+            // same tables, same layer, and what the closure switches
+            // stays switched.
+            handoff.enter(|| phase_span(Phase::Microkernel).unwrap().finish(5, 0));
+            assert!(enabled());
+            phase_span(Phase::PackB).unwrap().finish(0, 8);
+            handoff.enter(|| set_enabled(false));
+            assert!(!enabled());
         }
         let snap = snapshot();
-        set_enabled(false);
-        let l7 = snap.iter().find(|l| l.index == 7).expect("layer 7");
+        assert_eq!(snap.len(), 1);
+        let l7 = &snap[0];
+        assert_eq!(l7.index, 7);
         assert_eq!(l7.phase(Phase::PackA).calls, 1);
         assert_eq!(l7.phase(Phase::PackA).bytes, 64);
+        assert_eq!(l7.phase(Phase::Microkernel).flops, 5);
+        assert_eq!(l7.phase(Phase::PackB).bytes, 8);
+        assert_eq!(l7.total().calls, 3);
+    }
+
+    #[test]
+    fn concurrent_recorders_and_a_bystander_stay_apart() {
+        // Three rendezvous: everyone is live before anyone records, and
+        // everyone has recorded before anyone reads.
+        let barrier = std::sync::Barrier::new(3);
+        let record = |layer: usize, phase: Phase, flops: u64| {
+            set_enabled(true);
+            barrier.wait();
+            {
+                let _scope = layer_scope(layer, "conv");
+                phase_span(phase).unwrap().finish(flops, 0);
+            }
+            barrier.wait();
+            set_enabled(false);
+            snapshot()
+        };
+        let (a, b, bystander) = std::thread::scope(|s| {
+            let a = s.spawn(|| record(1, Phase::PackA, 10));
+            let b = s.spawn(|| record(2, Phase::PackB, 20));
+            let bystander = s.spawn(|| {
+                barrier.wait();
+                assert!(!enabled());
+                assert!(layer_scope(3, "conv").is_none());
+                assert!(phase_span(Phase::Microkernel).is_none());
+                barrier.wait();
+                snapshot()
+            });
+            (
+                a.join().unwrap(),
+                b.join().unwrap(),
+                bystander.join().unwrap(),
+            )
+        });
+        assert!(bystander.is_empty());
+        for (snap, layer, phase, flops) in [(a, 1, Phase::PackA, 10), (b, 2, Phase::PackB, 20)] {
+            assert_eq!(snap.len(), 1, "a neighbour's layer leaked in");
+            assert_eq!(snap[0].index, layer);
+            assert_eq!(snap[0].total().calls, 1);
+            assert_eq!(snap[0].phase(phase).flops, flops);
+        }
     }
 
     #[test]
     fn out_of_scope_and_overflow_spans_land_on_the_unattributed_row() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         phase_span(Phase::Microkernel).unwrap().finish(10, 20);
@@ -408,7 +582,6 @@ mod tests {
 
     #[test]
     fn layer_table_boundary_counts_dropped_layers() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         // The last in-table index gets its own row, no drop counted.
@@ -442,7 +615,6 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         let _ = layer_scope(1, "linear");

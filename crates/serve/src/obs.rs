@@ -563,7 +563,7 @@ impl Obs {
     }
 
     /// Flushes every remaining window (through the last one holding data)
-    /// and merges the windowed series into the global telemetry sink.
+    /// and merges the windowed series into the telemetry sink.
     pub(crate) fn finish(&mut self) {
         let last = self.windows.last_index().unwrap_or(0);
         while self.next_window <= last {

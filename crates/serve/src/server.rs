@@ -15,10 +15,10 @@ use std::collections::{HashMap, VecDeque};
 
 use pcnn_core::prelude::*;
 use pcnn_data::{ArrivalIter, WorkloadKind};
-use pcnn_gpu::{EnergyBreakdown, GpuArch};
+use pcnn_gpu::EnergyBreakdown;
 use pcnn_nn::spec::NetworkSpec;
 
-use crate::config::{DegradationLadder, ServeWorkload, ServerConfig};
+use crate::config::{ServeWorkload, ServerConfig};
 use crate::fleet::{Platform, RouteCtx, Router};
 use crate::obs::{BatchMember, Completion, Obs};
 use crate::report::{FleetSummary, GpuReport, LatencyAcc, ServeReport, WorkloadReport};
@@ -305,35 +305,6 @@ impl<'a> Server<'a> {
             config: ServerConfig::default(),
             workloads: Vec::new(),
         }
-    }
-
-    /// Builds a homogeneous server: every GPU gets a copy of the one
-    /// ladder.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServerBuilder::build`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "use Server::builder with per-platform ladders (Platform::new)"
-    )]
-    pub fn new(
-        gpus: Vec<&'a GpuArch>,
-        spec: &'a NetworkSpec,
-        ladder: DegradationLadder,
-        config: ServerConfig,
-    ) -> Result<Self> {
-        let mut b = Server::builder(spec).config(config);
-        for gpu in gpus {
-            b = b.platform(Platform::new(gpu, ladder.clone()));
-        }
-        b.build()
-    }
-
-    /// Registers a workload. Submission order breaks priority ties.
-    pub fn add_workload(&mut self, workload: ServeWorkload) -> &mut Self {
-        self.workloads.push(workload);
-        self
     }
 
     /// The registered workloads.

@@ -1,11 +1,5 @@
 //! Observability acceptance tests: the recorder must never change the
 //! serving outcome, and seeded traces must be byte-identical.
-//!
-//! Telemetry state is process-global, so every test that touches it
-//! serializes on one lock and restores the disabled state before
-//! releasing it.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use pcnn_core::prelude::*;
 use pcnn_data::{RequestTrace, TraceSpec, WorkloadKind};
@@ -15,13 +9,6 @@ use pcnn_serve::{
     DegradationLadder, DegradationLevel, Platform, RouterPolicy, ServeWorkload, Server,
     ServerConfig, SloPolicy,
 };
-
-fn telemetry_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 fn tiny_net() -> NetworkSpec {
     NetworkSpec {
@@ -91,7 +78,6 @@ fn run_report(spec: &NetworkSpec, slo: Option<SloPolicy>) -> String {
 #[test]
 fn report_is_byte_identical_with_telemetry_on() {
     let spec = tiny_net();
-    let _guard = telemetry_lock();
     pcnn_telemetry::set_enabled(false);
     let off = run_report(&spec, None);
 
@@ -106,7 +92,6 @@ fn report_is_byte_identical_with_telemetry_on() {
 #[test]
 fn seeded_traces_are_byte_identical() {
     let spec = tiny_net();
-    let _guard = telemetry_lock();
     let traced_run = || {
         pcnn_telemetry::set_enabled(true);
         pcnn_telemetry::reset();
@@ -188,7 +173,6 @@ fn doctored_fleet_report(spec: &NetworkSpec, policy: RouterPolicy, frames: usize
 #[test]
 fn fleet_incident_and_route_trail_are_deterministic() {
     let spec = tiny_net();
-    let _guard = telemetry_lock();
     let traced_run = || {
         pcnn_telemetry::set_enabled(true);
         pcnn_telemetry::reset();
@@ -244,7 +228,6 @@ fn fleet_incident_and_route_trail_are_deterministic() {
 #[test]
 fn audit_trail_names_deadline_slack_for_the_infeasible_platform() {
     let spec = tiny_net();
-    let _guard = telemetry_lock();
     pcnn_telemetry::set_enabled(true);
     pcnn_telemetry::reset();
     pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
@@ -282,7 +265,6 @@ fn audit_trail_names_deadline_slack_for_the_infeasible_platform() {
 #[test]
 fn overload_fires_slo_alerts_in_the_trace() {
     let spec = tiny_net();
-    let _guard = telemetry_lock();
     pcnn_telemetry::set_enabled(true);
     pcnn_telemetry::reset();
     pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);

@@ -373,37 +373,6 @@ fn builder_rejects_bad_inputs() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_constructor_still_builds_homogeneous_fleet() {
-    let spec = tiny_net();
-    let ladder = DegradationLadder::default_ladder(spec.conv_layers().len());
-
-    // The shim validates like the builder…
-    assert!(matches!(
-        Server::new(vec![], &spec, ladder.clone(), config()),
-        Err(Error::InvalidInput {
-            what: "server needs at least one GPU"
-        })
-    ));
-    // …and still serves, giving every GPU a copy of the one ladder.
-    let (workload, _) = interactive_workload(&spec, 0.5, 20, 64, 5);
-    let mut old = Server::new(vec![&K20C, &K20C], &spec, ladder.clone(), config()).unwrap();
-    old.add_workload(workload.clone());
-    assert_eq!(old.platforms().len(), 2);
-    let via_builder = Server::builder(&spec)
-        .platform(Platform::new(&K20C, ladder.clone()))
-        .platform(Platform::new(&K20C, ladder))
-        .config(config())
-        .workload(workload)
-        .build()
-        .unwrap();
-    assert_eq!(
-        old.run().unwrap().to_json(),
-        via_builder.run().unwrap().to_json()
-    );
-}
-
-#[test]
 fn observability_config_errors_are_typed() {
     let spec = tiny_net();
     let ladder = DegradationLadder::default_ladder(spec.conv_layers().len());

@@ -11,8 +11,7 @@
 //!   enclosing scope; spans nest per thread and export as Chrome
 //!   trace-event "X" (complete) events.
 //! * **Counters and histograms** — named monotonic counters
-//!   ([`counter`]) and log2-bucketed histograms ([`histogram`]) in a
-//!   global registry.
+//!   ([`counter`]) and log2-bucketed histograms ([`histogram`]).
 //! * **Instant events** — point-in-time records with arguments via
 //!   [`event!`] (calibration backtracks, tuning candidates, …).
 //! * **Simulated-time slices** — [`sim_slice`] places events on a
@@ -23,13 +22,27 @@
 //!   JSON-Lines run manifest (one record per counter, histogram,
 //!   span aggregate and instant event).
 //!
+//! # Thread-owned state and the handoff
+//!
+//! Everything recorded lands in a *sink* that belongs to the thread that
+//! switched recording on: [`set_enabled`]`(true)` gives the calling
+//! thread its own, and every free function here — recording, [`reset`],
+//! [`snapshot`], [`set_export_mode`], the renderers and exporters — acts
+//! on the calling thread's. Two threads that enable never see each
+//! other's data; a thread that never enabled records nothing. A pool
+//! worker records into its spawner's sink through a [`Handoff`], which
+//! `pcnn-parallel` captures and enters in every region it runs — every
+//! thread of the workspace is born there — so instrumented code never
+//! handles one itself (DESIGN.md §9).
+//!
 //! # Cost when disabled
 //!
-//! Telemetry is **disabled by default**. Every entry point first performs
-//! a single relaxed atomic load and returns immediately when disabled; the
-//! [`span!`]/[`event!`] macros build their argument vectors inside a
+//! Telemetry is **disabled by default**. While no thread is recording,
+//! every entry point performs a single relaxed atomic load and returns;
+//! the [`span!`]/[`event!`] macros build their argument vectors inside a
 //! closure that is never called in that case. No allocation, locking or
-//! formatting happens on any hot path until [`set_enabled`]`(true)`.
+//! formatting happens on any hot path — a thread's sink is allocated by
+//! its first [`set_enabled`]`(true)`.
 //!
 //! # Example
 //!
@@ -56,10 +69,11 @@ pub mod windowed;
 pub use flight::Ring;
 pub use windowed::WindowedSeries;
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Number of log2 histogram buckets. Bucket `i` covers values in
@@ -76,19 +90,55 @@ const BUCKET_BIAS: i32 = 32;
 const INTERN_MIN_COUNT: u32 = 4;
 const INTERN_MIN_LEN: usize = 8;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Threads currently recording (own sink switched on, or inside an
+/// entered [`Handoff`]): the only process-global switch, so the disabled
+/// path is one load. `Relaxed` suffices — it publishes no data, and a
+/// recording thread always sees at least its own increment.
+static RECORDING_THREADS: AtomicUsize = AtomicUsize::new(0);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
+type Sink = Arc<Mutex<Collector>>;
+
 thread_local! {
-    static THREAD: std::cell::RefCell<ThreadState> = std::cell::RefCell::new(ThreadState {
+    static THREAD: RefCell<ThreadState> = RefCell::new(ThreadState {
         tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
         depth: 0,
+        sink: None,
+        recording: false,
+        export_mode: ExportMode::Full,
     });
 }
 
 struct ThreadState {
     tid: u64,
     depth: u32,
+    /// What this thread reads and records into: its own sink (kept after
+    /// switching off, for the exporters) or, inside an entered
+    /// [`Handoff`], its spawner's.
+    sink: Option<Sink>,
+    /// Counted in [`RECORDING_THREADS`] while set; implies `sink`.
+    recording: bool,
+    export_mode: ExportMode,
+}
+
+impl ThreadState {
+    /// Sets `recording`, keeping [`RECORDING_THREADS`] in step, and
+    /// returns the previous value.
+    fn set_recording(&mut self, on: bool) -> bool {
+        match (self.recording, on) {
+            (false, true) => RECORDING_THREADS.fetch_add(1, Ordering::Relaxed),
+            (true, false) => RECORDING_THREADS.fetch_sub(1, Ordering::Relaxed),
+            _ => 0,
+        };
+        std::mem::replace(&mut self.recording, on)
+    }
+}
+
+impl Drop for ThreadState {
+    /// A thread that exits while recording stops counting.
+    fn drop(&mut self) {
+        self.set_recording(false);
+    }
 }
 
 fn epoch() -> Instant {
@@ -96,32 +146,117 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-fn collector() -> &'static Mutex<Collector> {
-    static COLLECTOR: OnceLock<Mutex<Collector>> = OnceLock::new();
-    COLLECTOR.get_or_init(|| Mutex::new(Collector::default()))
-}
-
 fn now_us() -> f64 {
     epoch().elapsed().as_secs_f64() * 1e6
 }
 
-/// Whether telemetry is currently recording.
+/// Whether the calling thread is recording. One relaxed load while no
+/// thread is.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    RECORDING_THREADS.load(Ordering::Relaxed) != 0 && thread_recording()
 }
 
-/// Turns recording on or off. Enabling pins the wall-clock epoch.
+/// The thread-local half of [`enabled`]. Out of line, so an instrumented
+/// site holds only the load and a branch, as it did when the switch was
+/// one atomic.
+#[cold]
+#[inline(never)]
+fn thread_recording() -> bool {
+    THREAD.with(|t| t.borrow().recording)
+}
+
+/// Turns recording on or off for the calling thread (and, through a
+/// [`Handoff`], the pool workers it spawns). The first `true` allocates
+/// the thread's sink and pins the wall-clock epoch; `false` keeps the
+/// sink for the exporters.
 pub fn set_enabled(on: bool) {
     if on {
         epoch();
     }
-    ENABLED.store(on, Ordering::Relaxed);
+    THREAD.with(|t| {
+        let mut t = t.borrow_mut();
+        if on && t.sink.is_none() {
+            t.sink = Some(Sink::default());
+        }
+        t.set_recording(on);
+    });
 }
 
-/// Discards all recorded data (counters, histograms, spans, events).
+/// Runs `f` on the calling thread's sink if it is recording.
+#[inline]
+fn record(f: impl FnOnce(&mut Collector)) {
+    if RECORDING_THREADS.load(Ordering::Relaxed) == 0 {
+        return;
+    }
+    THREAD.with(|t| {
+        let t = t.borrow();
+        if let (true, Some(sink)) = (t.recording, &t.sink) {
+            f(&mut sink.lock().expect("telemetry lock"));
+        }
+    });
+}
+
+/// The calling thread's sink, for reading — an empty one if it never
+/// enabled.
+fn sink() -> Sink {
+    THREAD.with(|t| t.borrow().sink.clone()).unwrap_or_default()
+}
+
+/// Discards everything the calling thread recorded (counters,
+/// histograms, spans, events).
 pub fn reset() {
-    *collector().lock().expect("telemetry lock") = Collector::default();
+    *sink().lock().expect("telemetry lock") = Collector::default();
+}
+
+/// A recording thread's sink, for a pool worker it spawns to record
+/// into: capture it on the spawning thread, enter it on the worker.
+/// Empty — and free — when the capturing thread is not recording.
+pub struct Handoff(Option<Sink>);
+
+impl Handoff {
+    /// Captures the calling thread's sink. One relaxed load and nothing
+    /// allocated while no thread is recording.
+    pub fn capture() -> Handoff {
+        if RECORDING_THREADS.load(Ordering::Relaxed) == 0 {
+            return Handoff(None);
+        }
+        Handoff(THREAD.with(|t| {
+            let t = t.borrow();
+            t.sink.clone().filter(|_| t.recording)
+        }))
+    }
+
+    /// Runs `f` with the calling thread recording into the captured
+    /// sink, then restores its own state (also on panic). Just `f()` when
+    /// the handoff is empty or the thread already records into that sink
+    /// — the one it was captured on.
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Sink>, bool);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                THREAD.with(|t| {
+                    let mut t = t.borrow_mut();
+                    t.sink = self.0.take();
+                    t.set_recording(self.1);
+                });
+            }
+        }
+        let Some(sink) = &self.0 else {
+            return f();
+        };
+        let _restore = THREAD.with(|t| {
+            let mut t = t.borrow_mut();
+            if t.recording && t.sink.as_ref().is_some_and(|s| Arc::ptr_eq(s, sink)) {
+                return None;
+            }
+            Some(Restore(
+                t.sink.replace(Arc::clone(sink)),
+                t.set_recording(true),
+            ))
+        });
+        f()
+    }
 }
 
 /// A typed argument value attached to spans and events.
@@ -344,7 +479,7 @@ struct TraceEvent {
     args: Vec<(&'static str, Value)>,
 }
 
-/// Counter/histogram registries, detachable from the global sink for
+/// Counter/histogram registries, detachable from a thread's sink for
 /// merging and testing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
@@ -408,6 +543,9 @@ struct Collector {
     /// alert fires). First-wins: the state *at the first alert* is the
     /// postmortem-relevant one.
     incident: Option<String>,
+    /// How far [`sim_window`] has reserved the simulated-time axis,
+    /// integer nanoseconds.
+    sim_clock_ns: u64,
 }
 
 impl Collector {
@@ -426,67 +564,56 @@ impl Collector {
     fn name(&self, ev: &TraceEvent) -> &str {
         &self.names[ev.name as usize]
     }
-}
 
-static EXPORT_MODE: AtomicU64 = AtomicU64::new(0);
-
-/// Selects what [`render_chrome_trace`] / [`render_manifest`] (and the
-/// file exporters) include. Defaults to [`ExportMode::Full`].
-pub fn set_export_mode(mode: ExportMode) {
-    EXPORT_MODE.store(
-        match mode {
-            ExportMode::Full => 0,
-            ExportMode::Deterministic => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The current export mode.
-pub fn export_mode() -> ExportMode {
-    match EXPORT_MODE.load(Ordering::Relaxed) {
-        1 => ExportMode::Deterministic,
-        _ => ExportMode::Full,
+    /// Appends a depth-0 event.
+    fn push(
+        &mut self,
+        name: &str,
+        ts_us: f64,
+        tid: u64,
+        kind: EventKind,
+        args: Vec<(&'static str, Value)>,
+    ) {
+        let name = self.intern(name);
+        self.events.push(TraceEvent {
+            name,
+            ts_us,
+            tid,
+            depth: 0,
+            kind,
+            args,
+        });
     }
 }
 
-/// Adds `delta` to the global counter `name`. No-op while disabled.
+/// Selects what the calling thread's [`render_chrome_trace`] /
+/// [`render_manifest`] (and the file exporters) include. Defaults to
+/// [`ExportMode::Full`].
+pub fn set_export_mode(mode: ExportMode) {
+    THREAD.with(|t| t.borrow_mut().export_mode = mode);
+}
+
+/// The calling thread's export mode.
+pub fn export_mode() -> ExportMode {
+    THREAD.with(|t| t.borrow().export_mode)
+}
+
+/// Adds `delta` to the counter `name`. No-op while disabled.
 #[inline]
 pub fn counter(name: &str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    collector()
-        .lock()
-        .expect("telemetry lock")
-        .metrics
-        .add(name, delta);
+    record(|c| c.metrics.add(name, delta));
 }
 
-/// Records `value` into the global histogram `name`. No-op while disabled.
+/// Records `value` into the histogram `name`. No-op while disabled.
 #[inline]
 pub fn histogram(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    collector()
-        .lock()
-        .expect("telemetry lock")
-        .metrics
-        .observe(name, value);
+    record(|c| c.metrics.observe(name, value));
 }
 
-/// Folds a locally accumulated [`Metrics`] into the global sink in one
-/// lock acquisition — the cheap way for hot loops to batch updates.
+/// Folds a locally accumulated [`Metrics`] into the sink in one lock
+/// acquisition — the cheap way for hot loops to batch updates.
 pub fn merge_metrics(local: &Metrics) {
-    if !enabled() {
-        return;
-    }
-    collector()
-        .lock()
-        .expect("telemetry lock")
-        .metrics
-        .merge(local);
+    record(|c| c.metrics.merge(local));
 }
 
 /// An RAII guard recording a span from construction to drop.
@@ -496,6 +623,9 @@ pub struct SpanGuard {
 }
 
 struct ActiveSpan {
+    /// The sink the span was opened under, so it lands there whatever
+    /// the thread's state is by the time it drops.
+    sink: Sink,
     name: String,
     args: Vec<(&'static str, Value)>,
     start_us: f64,
@@ -510,7 +640,7 @@ impl Drop for SpanGuard {
         };
         THREAD.with(|t| t.borrow_mut().depth = span.depth);
         let dur_us = now_us() - span.start_us;
-        let mut c = collector().lock().expect("telemetry lock");
+        let mut c = span.sink.lock().expect("telemetry lock");
         let name = c.intern(&span.name);
         c.events.push(TraceEvent {
             name,
@@ -526,17 +656,21 @@ impl Drop for SpanGuard {
 /// Opens a span; prefer the [`span!`] macro. `args` is only invoked when
 /// telemetry is enabled.
 pub fn enter_span(name: &str, args: impl FnOnce() -> Vec<(&'static str, Value)>) -> SpanGuard {
-    if !enabled() {
+    if RECORDING_THREADS.load(Ordering::Relaxed) == 0 {
         return SpanGuard { active: None };
     }
-    let (tid, depth) = THREAD.with(|t| {
+    let opened = THREAD.with(|t| {
         let mut t = t.borrow_mut();
-        let d = t.depth;
+        let sink = t.sink.clone().filter(|_| t.recording)?;
         t.depth += 1;
-        (t.tid, d)
+        Some((sink, t.tid, t.depth - 1))
     });
+    let Some((sink, tid, depth)) = opened else {
+        return SpanGuard { active: None };
+    };
     SpanGuard {
         active: Some(ActiveSpan {
+            sink,
             name: name.to_string(),
             args: args(),
             start_us: now_us(),
@@ -555,45 +689,36 @@ pub fn record_event(name: &str, args: impl FnOnce() -> Vec<(&'static str, Value)
     let tid = THREAD.with(|t| t.borrow().tid);
     let ts_us = now_us();
     let args = args();
-    let mut c = collector().lock().expect("telemetry lock");
-    let name = c.intern(name);
-    c.events.push(TraceEvent {
-        name,
-        ts_us,
-        tid,
-        depth: 0,
-        kind: EventKind::Instant,
-        args,
-    });
+    record(|c| c.push(name, ts_us, tid, EventKind::Instant, args));
 }
 
-/// Reserves `dur_us` simulated microseconds on the shared simulated-time
-/// axis and returns the window's start offset. Consecutive kernel launches
-/// reserve their windows up front so their [`sim_slice`] timelines lay out
-/// end-to-end instead of all overlapping at zero.
+/// Reserves `dur_us` simulated microseconds on the sink's simulated-time
+/// axis and returns the window's start offset (0 while disabled).
+/// Consecutive kernel launches reserve their windows up front so their
+/// [`sim_slice`] timelines lay out end-to-end instead of all overlapping
+/// at zero.
 pub fn sim_window(dur_us: f64) -> f64 {
-    // Integer nanoseconds so the reservation is a single atomic add.
-    static SIM_CLOCK_NS: AtomicU64 = AtomicU64::new(0);
     let ns = (dur_us.max(0.0) * 1e3).ceil() as u64;
-    SIM_CLOCK_NS.fetch_add(ns, Ordering::Relaxed) as f64 / 1e3
+    let mut start_ns = 0;
+    record(|c| {
+        start_ns = c.sim_clock_ns;
+        c.sim_clock_ns += ns;
+    });
+    start_ns as f64 / 1e3
 }
 
 /// Places a slice on the simulated-time process (pid 2): `track` becomes
 /// the tid (e.g. one per SM), `ts_us`/`dur_us` are in *simulated*
 /// microseconds. No-op while disabled.
 pub fn sim_slice(name: &str, track: u64, ts_us: f64, dur_us: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut c = collector().lock().expect("telemetry lock");
-    let name = c.intern(name);
-    c.events.push(TraceEvent {
-        name,
-        ts_us,
-        tid: track,
-        depth: 0,
-        kind: EventKind::SimSlice { dur_us },
-        args: Vec::new(),
+    record(|c| {
+        c.push(
+            name,
+            ts_us,
+            track,
+            EventKind::SimSlice { dur_us },
+            Vec::new(),
+        )
     });
 }
 
@@ -602,15 +727,13 @@ pub fn sim_slice(name: &str, track: u64, ts_us: f64, dur_us: f64) {
 /// deterministic caller yields a deterministic export. No-op while
 /// disabled; re-registering a track overwrites its name.
 pub fn obs_track_name(track: u64, name: &str) {
-    if !enabled() {
-        return;
-    }
-    let mut c = collector().lock().expect("telemetry lock");
-    if let Some(entry) = c.obs_tracks.iter_mut().find(|(t, _)| *t == track) {
-        entry.1 = name.to_string();
-    } else {
-        c.obs_tracks.push((track, name.to_string()));
-    }
+    record(|c| {
+        if let Some(entry) = c.obs_tracks.iter_mut().find(|(t, _)| *t == track) {
+            entry.1 = name.to_string();
+        } else {
+            c.obs_tracks.push((track, name.to_string()));
+        }
+    });
 }
 
 /// Places a slice on the observability process (pid 3): `ts_us`/`dur_us`
@@ -628,16 +751,7 @@ pub fn obs_slice(
         return;
     }
     let args = args();
-    let mut c = collector().lock().expect("telemetry lock");
-    let name = c.intern(name);
-    c.events.push(TraceEvent {
-        name,
-        ts_us,
-        tid: track,
-        depth: 0,
-        kind: EventKind::ObsSlice { dur_us },
-        args,
-    });
+    record(|c| c.push(name, ts_us, track, EventKind::ObsSlice { dur_us }, args));
 }
 
 /// Records a virtual-time instant on the observability process (pid 3).
@@ -652,16 +766,7 @@ pub fn obs_instant(
         return;
     }
     let args = args();
-    let mut c = collector().lock().expect("telemetry lock");
-    let name = c.intern(name);
-    c.events.push(TraceEvent {
-        name,
-        ts_us,
-        tid: track,
-        depth: 0,
-        kind: EventKind::ObsInstant,
-        args,
-    });
+    record(|c| c.push(name, ts_us, track, EventKind::ObsInstant, args));
 }
 
 /// Places a wall-clock busy slice on the worker-pool process (pid 4):
@@ -680,51 +785,40 @@ pub fn worker_slice(name: &str, worker: u64, start: Instant, dur_ns: u64) {
         .checked_duration_since(epoch())
         .map(|d| d.as_secs_f64() * 1e6)
         .unwrap_or(0.0);
-    let mut c = collector().lock().expect("telemetry lock");
-    let name = c.intern(name);
-    c.events.push(TraceEvent {
-        name,
-        ts_us,
-        tid: worker,
-        depth: 0,
-        kind: EventKind::WorkerSlice {
-            dur_us: dur_ns as f64 / 1e3,
-        },
-        args: Vec::new(),
+    let dur_us = dur_ns as f64 / 1e3;
+    record(|c| {
+        c.push(
+            name,
+            ts_us,
+            worker,
+            EventKind::WorkerSlice { dur_us },
+            Vec::new(),
+        )
     });
 }
 
 /// Stores an incident snapshot (a self-contained JSON document) in the
-/// global sink. First-wins: later calls in the same run are ignored, so
-/// the snapshot always describes the state at the *first* alert. No-op
-/// while disabled.
+/// sink. First-wins: later calls in the same run are ignored, so the
+/// snapshot always describes the state at the *first* alert. No-op while
+/// disabled.
 pub fn record_incident(snapshot: String) {
-    if !enabled() {
-        return;
-    }
-    let mut c = collector().lock().expect("telemetry lock");
-    if c.incident.is_none() {
-        c.incident = Some(snapshot);
-    }
+    record(|c| {
+        c.incident.get_or_insert(snapshot);
+    });
 }
 
 /// The incident snapshot recorded this run, if any alert fired.
 pub fn incident() -> Option<String> {
-    collector().lock().expect("telemetry lock").incident.clone()
+    sink().lock().expect("telemetry lock").incident.clone()
 }
 
-/// Merges a windowed virtual-time series into the global sink for
-/// export (Chrome counter track, manifest `window` records, Prometheus
-/// totals). No-op while disabled.
+/// Merges a windowed virtual-time series into the sink for export
+/// (Chrome counter track, manifest `window` records, Prometheus totals).
+/// No-op while disabled.
 pub fn merge_windowed(series: &windowed::WindowedSeries) {
-    if !enabled() || series.is_empty() {
-        return;
+    if !series.is_empty() {
+        record(|c| c.windowed.push(series.clone()));
     }
-    collector()
-        .lock()
-        .expect("telemetry lock")
-        .windowed
-        .push(series.clone());
 }
 
 /// Opens a timed span guard: `span!("name")` or
@@ -756,9 +850,9 @@ macro_rules! event {
     };
 }
 
-/// A copy of the current counter/histogram registries.
+/// A copy of the calling thread's counter/histogram registries.
 pub fn snapshot() -> Metrics {
-    collector().lock().expect("telemetry lock").metrics.clone()
+    sink().lock().expect("telemetry lock").metrics.clone()
 }
 
 fn write_args(out: &mut String, args: &[(&'static str, Value)]) {
@@ -780,7 +874,8 @@ fn write_args(out: &mut String, args: &[(&'static str, Value)]) {
 /// names, windowed counter tracks), so the document is byte-identical
 /// across runs with identical simulation inputs.
 pub fn render_chrome_trace() -> String {
-    let c = collector().lock().expect("telemetry lock");
+    let sink = sink();
+    let c = sink.lock().expect("telemetry lock");
     let mode = export_mode();
     let mut out = String::from("[\n");
     let mut first = true;
@@ -961,7 +1056,8 @@ pub fn render_chrome_trace() -> String {
 /// virtual-time records remain (meta, windows, `obs_span` aggregates,
 /// `obs_event` instants).
 pub fn render_manifest() -> String {
-    let c = collector().lock().expect("telemetry lock");
+    let sink = sink();
+    let c = sink.lock().expect("telemetry lock");
     let mode = export_mode();
     let full = mode == ExportMode::Full;
     let mut out = String::new();
@@ -1138,7 +1234,8 @@ pub fn export_manifest(path: &std::path::Path) -> std::io::Result<()> {
 /// are exposed, since the wall-clock counters/histograms vary across
 /// runs.
 pub fn render_prometheus() -> String {
-    let c = collector().lock().expect("telemetry lock");
+    let sink = sink();
+    let c = sink.lock().expect("telemetry lock");
     match export_mode() {
         ExportMode::Full => prom::render(&c.metrics, &c.windowed),
         ExportMode::Deterministic => prom::render(&Metrics::default(), &c.windowed),
@@ -1159,16 +1256,8 @@ pub fn export_prometheus(path: &std::path::Path) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
-    // The global sink is process-wide; tests that enable it serialise on
-    // this lock so they do not see each other's data.
-    pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn disabled_records_nothing() {
-        let _g = test_guard();
         set_enabled(false);
         reset();
         counter("x", 5);
@@ -1181,7 +1270,6 @@ mod tests {
 
     #[test]
     fn counters_and_histograms_accumulate() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         counter("c", 2);
@@ -1200,7 +1288,6 @@ mod tests {
 
     #[test]
     fn spans_nest_and_aggregate() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         {
@@ -1240,7 +1327,6 @@ mod tests {
 
     #[test]
     fn sim_slices_land_on_pid_2() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         sim_slice("SM0 wave", 0, 10.0, 25.0);
@@ -1303,7 +1389,6 @@ mod tests {
 
     #[test]
     fn obs_events_land_on_pid_3_and_survive_deterministic_export() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         set_export_mode(ExportMode::Full);
@@ -1355,7 +1440,6 @@ mod tests {
 
     #[test]
     fn windowed_series_render_in_manifest_and_prometheus() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         set_export_mode(ExportMode::Full);
@@ -1379,7 +1463,6 @@ mod tests {
 
     #[test]
     fn repeated_names_are_interned_via_a_string_table() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         for i in 0..50 {
@@ -1411,7 +1494,6 @@ mod tests {
 
     #[test]
     fn interned_trace_size_stays_bounded_and_empty_args_are_omitted() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         const N: usize = 1000;
@@ -1431,7 +1513,6 @@ mod tests {
 
     #[test]
     fn worker_slices_land_on_pid_4_with_named_tracks() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         let t0 = Instant::now();
@@ -1462,7 +1543,6 @@ mod tests {
 
     #[test]
     fn incident_snapshot_is_first_wins_and_gated_on_enabled() {
-        let _g = test_guard();
         set_enabled(false);
         reset();
         record_incident("{\"dropped\":true}".to_string());
@@ -1478,8 +1558,103 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_recorders_and_a_bystander_stay_apart() {
+        // Three rendezvous: everyone is live before anyone records, and
+        // everyone has recorded before anyone reads.
+        let barrier = std::sync::Barrier::new(3);
+        let record = |name: &str, n: u64| {
+            set_enabled(true);
+            barrier.wait();
+            counter(name, n);
+            histogram(name, n as f64);
+            drop(span!(name));
+            event!(name);
+            barrier.wait();
+            set_enabled(false);
+            (snapshot(), render_manifest())
+        };
+        let (a, b, bystander) = std::thread::scope(|s| {
+            let a = s.spawn(|| record("tenant.a", 3));
+            let b = s.spawn(|| record("tenant.b", 5));
+            let bystander = s.spawn(|| {
+                barrier.wait();
+                assert!(!enabled());
+                counter("bystander", 1);
+                drop(span!("bystander"));
+                barrier.wait();
+                (snapshot(), render_manifest())
+            });
+            (
+                a.join().unwrap(),
+                b.join().unwrap(),
+                bystander.join().unwrap(),
+            )
+        });
+        assert_eq!(bystander.0, Metrics::default());
+        for ((metrics, manifest), own, n, other) in [
+            (a, "tenant.a", 3, "tenant.b"),
+            (b, "tenant.b", 5, "tenant.a"),
+        ] {
+            assert_eq!(metrics.counters.len(), 1, "a neighbour's counter leaked in");
+            assert_eq!(metrics.counter_value(own), n);
+            assert_eq!(metrics.histograms.len(), 1);
+            assert!(manifest.contains(&format!("\"type\":\"span\",\"name\":\"{own}\"")));
+            assert!(manifest.contains(&format!("\"type\":\"event\",\"name\":\"{own}\"")));
+            assert!(!manifest.contains(other) && !manifest.contains("bystander"));
+        }
+    }
+
+    #[test]
+    fn handoff_records_into_the_spawner_and_ends_with_its_closure() {
+        // Captured while not recording: empty, whatever happens later.
+        set_enabled(false);
+        let empty = Handoff::capture();
+        set_enabled(true);
+        reset();
+        let handoff = Handoff::capture();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!enabled(), "a fresh thread records nothing");
+                empty.enter(|| counter("worker", 100));
+                handoff.enter(|| {
+                    assert!(enabled());
+                    counter("worker", 2);
+                    drop(span!("worker.span"));
+                });
+                // Non-recording again once the closure returned.
+                assert!(!enabled());
+                counter("worker", 100);
+                assert_eq!(snapshot(), Metrics::default());
+            });
+        });
+        // On the thread it was captured on, entering changes nothing: same
+        // sink, and what the closure switches stays switched.
+        handoff.enter(|| counter("spawner", 1));
+        assert!(enabled());
+        handoff.enter(|| set_enabled(false));
+        assert!(!enabled());
+        let m = snapshot();
+        assert_eq!(m.counter_value("worker"), 2);
+        assert_eq!(m.counter_value("spawner"), 1);
+        assert!(render_manifest().contains("worker.span"));
+    }
+
+    #[test]
+    fn sim_windows_lay_out_end_to_end_per_sink() {
+        set_enabled(false);
+        assert_eq!(sim_window(5.0), 0.0);
+        assert_eq!(sim_window(5.0), 0.0, "a disabled thread reserves nothing");
+        set_enabled(true);
+        reset();
+        assert_eq!(sim_window(2.0), 0.0);
+        assert_eq!(sim_window(3.0), 2.0);
+        reset();
+        assert_eq!(sim_window(1.0), 0.0);
+        set_enabled(false);
+    }
+
+    #[test]
     fn merge_metrics_batches_into_global() {
-        let _g = test_guard();
         set_enabled(true);
         reset();
         let mut local = Metrics::default();

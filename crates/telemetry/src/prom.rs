@@ -1,4 +1,4 @@
-//! Prometheus text-exposition rendering of the global sink.
+//! Prometheus text-exposition rendering of a sink.
 //!
 //! [`render_prometheus`](crate::render_prometheus) writes the counters,
 //! histograms and windowed series of the current snapshot in the

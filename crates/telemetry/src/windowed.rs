@@ -9,7 +9,7 @@
 //! plotted over the run — deterministically, because the windows are a
 //! pure function of the observation stream.
 //!
-//! A series merged into the global sink via
+//! A series merged into the recording thread's sink via
 //! [`merge_windowed`](crate::merge_windowed) is exported three ways:
 //! Chrome trace counter events (`ph:"C"`, one point per window, plotted
 //! by Perfetto), `{"type":"window"}` JSONL manifest records, and the

@@ -1,17 +1,8 @@
 //! Golden tests for the exporters and property tests for metric merging.
 
-use std::sync::Mutex;
-
 use pcnn_telemetry::json::{self, JsonValue};
 use pcnn_telemetry::{self as telemetry, Histogram, Metrics};
 use proptest::prelude::*;
-
-/// The global sink is process-wide; tests that record into it serialise
-/// here so they never observe each other's spans.
-fn sink_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn spans_of<'a>(events: &'a [JsonValue], name: &str) -> Vec<&'a JsonValue> {
     events
@@ -22,7 +13,6 @@ fn spans_of<'a>(events: &'a [JsonValue], name: &str) -> Vec<&'a JsonValue> {
 
 #[test]
 fn chrome_trace_is_valid_json_with_nested_complete_events() {
-    let _g = sink_lock();
     telemetry::set_enabled(true);
     telemetry::reset();
     {
@@ -105,7 +95,6 @@ fn chrome_trace_is_valid_json_with_nested_complete_events() {
 
 #[test]
 fn manifest_lines_each_parse_and_cover_all_record_types() {
-    let _g = sink_lock();
     telemetry::set_enabled(true);
     telemetry::reset();
     telemetry::counter("c.alpha", 3);

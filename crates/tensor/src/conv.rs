@@ -562,8 +562,13 @@ fn winograd_pipeline(
         // pool worker and serialise the GEMMs inside.
         run_block(0, &mut bands);
     } else {
+        // Workers record their blocks' spans into the caller's profile,
+        // under the caller's layer.
+        let handoff = pcnn_profile::Handoff::capture();
         pcnn_parallel::with_region_label("conv.winograd", || {
-            pcnn_parallel::par_chunks_mut(&mut bands, oc, run_block);
+            pcnn_parallel::par_chunks_mut(&mut bands, oc, |b, bands| {
+                handoff.enter(|| run_block(b, bands));
+            });
         });
     }
 }

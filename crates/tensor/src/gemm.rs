@@ -293,11 +293,12 @@ pub(crate) fn gemm_packed(
         let cols = split_range(n_panels, part.col_splits, t % part.col_splits);
         gemm_tiles(m, n, k, a, b_pack, &sink, rows, cols);
     };
+    // Workers record their pack-A / microkernel spans into the caller's
+    // profile, under the caller's layer.
+    let handoff = pcnn_profile::Handoff::capture();
     pcnn_parallel::with_region_label("gemm", || {
         pcnn_parallel::par_for(part.tasks(), 1, |range| {
-            for t in range {
-                run_task(t);
-            }
+            handoff.enter(|| range.for_each(run_task));
         });
     });
 }
@@ -1309,6 +1310,49 @@ mod tests {
         assert!(l.phase(Phase::PackB).calls > 0);
         assert!(l.phase(Phase::Epilogue).calls > 0);
         pcnn_profile::reset();
+    }
+
+    #[test]
+    fn concurrent_profiles_hold_only_their_own_gemm() {
+        // Two tenants profile GEMMs of different shapes at pool width 2
+        // (so each has a spawned worker recording through the handoff)
+        // while a third thread that never enabled runs one too. Three
+        // rendezvous: everyone is live before any GEMM starts, and every
+        // GEMM has finished before anyone reads.
+        let barrier = std::sync::Barrier::new(3);
+        let run = |layer: Option<usize>, (m, n, k): (usize, usize, usize)| {
+            let (a, b) = (seq(m * k), seq(k * n));
+            let mut c = vec![0.0; m * n];
+            pcnn_profile::set_enabled(layer.is_some());
+            barrier.wait();
+            {
+                let _scope = layer.and_then(|l| pcnn_profile::layer_scope(l, "gemm"));
+                pcnn_parallel::with_threads(2, || gemm(m, n, k, &a, &b, &mut c));
+            }
+            barrier.wait();
+            pcnn_profile::set_enabled(false);
+            pcnn_profile::snapshot()
+        };
+        let shapes = [(65, 67, 129), (48, 130, 70)];
+        let (first, second, bystander) = std::thread::scope(|s| {
+            let first = s.spawn(|| run(Some(1), shapes[0]));
+            let second = s.spawn(|| run(Some(2), shapes[1]));
+            let bystander = s.spawn(|| run(None, (64, 64, 64)));
+            (
+                first.join().unwrap(),
+                second.join().unwrap(),
+                bystander.join().unwrap(),
+            )
+        });
+        assert!(bystander.is_empty());
+        for (snap, layer, (m, n, k)) in [(first, 1, shapes[0]), (second, 2, shapes[1])] {
+            assert_eq!(snap.len(), 1, "a neighbour's GEMM leaked in: {snap:?}");
+            assert_eq!(snap[0].index, layer);
+            assert_eq!(
+                snap[0].phase(Phase::Microkernel).flops,
+                (2 * m * n * k) as u64
+            );
+        }
     }
 
     #[test]
