@@ -319,9 +319,10 @@ fn cmd_bench_conv(flags: &HashMap<String, String>) -> ExitCode {
         }
     }
     t.print(&format!(
-        "conv algorithm sweep ({} shapes, best of {reps}, {} cores)",
+        "conv algorithm sweep ({} shapes, best of {reps}, {} cores, GEMM kernel {})",
         bench.rows.len(),
-        baselines::machine_cores()
+        baselines::machine_cores(),
+        pcnn_tensor::kernel_tier()
     ));
     let e = &bench.e2e;
     println!(
@@ -404,7 +405,8 @@ fn cmd_bench_gemm(flags: &HashMap<String, String>) -> ExitCode {
         ]);
     }
     t.print(&format!(
-        "CPU GEMM baseline ({threads} worker threads, {cores} cores)"
+        "CPU GEMM baseline ({threads} worker threads, {cores} cores, kernel {})",
+        pcnn_tensor::kernel_tier()
     ));
     let roof = profile::calibrate().gbs;
     let mut fc = TableWriter::new(vec![
@@ -980,6 +982,19 @@ fn cmd_obs_check(flags: &HashMap<String, String>) -> ExitCode {
         };
         let v = (gate.compare)(&base, &cand);
         report_violations(&format!("{} vs {baseline_path}", gate.name), &v);
+        // Documents recorded on different GEMM kernels gate on the same
+        // machine-normalised ratios; say so rather than fail or stay
+        // silent about whose GFLOP/s these are.
+        let kernel =
+            |doc: &pcnn_telemetry::json::JsonValue| Some(doc.get("kernel")?.as_str()?.to_string());
+        if let (Some(b), Some(c)) = (kernel(&base), kernel(&cand)) {
+            if b != c {
+                println!(
+                    "  note: {} baseline was recorded on the {b} kernel, the candidate ran {c}",
+                    gate.name
+                );
+            }
+        }
         violations += v.len();
     }
 

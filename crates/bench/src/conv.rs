@@ -498,7 +498,10 @@ pub fn run_conv_bench(reps: usize, smoke: bool) -> Result<ConvBench, String> {
 }
 
 /// Renders the `BENCH_conv.json` document — the same bytes `pcnn
-/// bench-conv --json` writes and `pcnn obs check` regenerates.
+/// bench-conv --json` writes and `pcnn obs check` regenerates. The
+/// top-level `kernel` is the GEMM kernel every algorithm ran on
+/// ([`pcnn_tensor::kernel_tier`]; a shape's own `kernel` is its filter
+/// size).
 pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
     let shapes: Vec<String> = bench
         .rows
@@ -548,11 +551,12 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
     let e = &bench.e2e;
     format!(
         concat!(
-            "{{\n  \"bench\": \"conv\",\n  \"smoke\": {},\n  \"reps\": {},\n  \"cores\": {},\n",
+            "{{\n  \"bench\": \"conv\",\n  \"kernel\": \"{}\",\n  \"smoke\": {},\n  \"reps\": {},\n  \"cores\": {},\n",
             "  \"e2e\": {{\"model\": \"{}\", \"batch\": {}, \"baseline_ms\": {:.4}, ",
             "\"tuned_ms\": {:.4}, \"tuned_speedup\": {:.3}, \"plan\": \"{}\", ",
             "\"explored\": {}, \"pruned\": {}}},\n  \"shapes\": [\n{}\n  ]\n}}\n"
         ),
+        pcnn_tensor::kernel_tier(),
         bench.smoke,
         bench.reps,
         machine_cores(),

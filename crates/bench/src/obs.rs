@@ -1472,6 +1472,39 @@ mod tests {
     }
 
     #[test]
+    fn compare_gemm_admits_an_avx2_runner_against_an_avx512_baseline() {
+        let doc = |kernel: &str, ratios: [f64; 4]| {
+            let rows: Vec<String> = ["CONV1", "CONV2", "CONV3", "CONV5"]
+                .iter()
+                .zip(ratios)
+                .map(|(layer, r)| {
+                    format!(
+                        r#"{{"layer":"{layer}","speedup_vs_naive":{r},"scaling_efficiency":0.9}}"#
+                    )
+                })
+                .collect();
+            json::parse(&format!(
+                r#"{{"bench":"gemm","kernel":"{kernel}","shapes":[{}]}}"#,
+                rows.join(",")
+            ))
+            .unwrap()
+        };
+        // The committed recording's ratios on the 16-lane tier, and the
+        // same host forced onto the AVX2 tier the same hour: a runner
+        // without avx512f reads 0.77–0.82x of every baseline ratio, inside
+        // the 40 % band — the gate compares a kernel with the naive loop,
+        // not one tier with another.
+        let base = doc("avx512 16x16", [32.92, 38.59, 26.03, 35.01]);
+        let avx2 = doc("avx2 6x16", [26.25, 28.31, 20.14, 26.45]);
+        assert!(compare_gemm(&base, &avx2).is_empty());
+        // Losing the register tile altogether (the portable tier's SSE2
+        // autovectorisation reads 5–8x) still trips it on every shape,
+        // whatever the document calls its kernel.
+        let portable = doc("portable 6x16", [7.37, 7.94, 5.28, 6.86]);
+        assert_eq!(compare_gemm(&base, &portable).len(), 4);
+    }
+
+    #[test]
     fn compare_conv_gates_ratios_and_tuned_floor() {
         let base = json::parse(
             r#"{"bench":"conv","e2e":{"tuned_speedup":1.30},"shapes":[

@@ -61,17 +61,20 @@ impl MachinePeaks {
 ///
 /// The FLOP probe is a roof, so it must flatter the kernel: one full
 /// pack block deep (`k = 256`, the GEMM's `KC`), `m` and `n` whole
-/// multiples of the 6x16 register tile and the 72-row packing group (no
-/// ragged edge, no padding), and ~450 KiB of operands so everything stays
-/// L2-resident while the packing cost is amortised over 216 rows and 128
-/// columns. (The earlier 96^3 probe was mostly packing and reported a
-/// "peak" every real layer exceeded.) [`render_report`] still checks the
-/// result against what the layers actually sustained.
+/// multiples of the register tile of **every** ISA tier (6x16 and 16x16)
+/// and of the 96-row packing group — `m = 288 = lcm(6, 16, 96)`, also a
+/// multiple of the 72-row group of earlier recordings — so no tier runs a
+/// ragged edge or a padded row, and ~570 KiB of operands so everything
+/// stays L2-resident while the packing cost is amortised over 288 rows
+/// and 128 columns. (The 96^3 probe before that was mostly packing and
+/// reported a "peak" every real layer exceeded; `m = 216` was whole only
+/// on 6-row tiles.) [`render_report`] still checks the result against
+/// what the layers actually sustained.
 ///
 /// Run this *before* enabling the profiler — the probe GEMM would
 /// otherwise land on the unattributed row.
 pub fn calibrate() -> MachinePeaks {
-    let (m, n, k) = (216, 128, 256);
+    let (m, n, k) = (288, 128, 256);
     let a = vec![1.0f32; m * k];
     let b = vec![0.5f32; k * n];
     let mut c = vec![0.0f32; m * n];
@@ -378,13 +381,14 @@ pub fn render_report(run: &ProfileRun, peaks: &MachinePeaks) -> String {
         ]);
     }
     let mut out = format!(
-        "== profile: {} (batch {}, {} rep{}, {} thread{}) ==\n",
+        "== profile: {} (batch {}, {} rep{}, {} thread{}, GEMM kernel {}) ==\n",
         run.model,
         run.batch,
         run.reps,
         if run.reps == 1 { "" } else { "s" },
         run.threads,
         if run.threads == 1 { "" } else { "s" },
+        pcnn_tensor::kernel_tier(),
     );
     out.push_str(&format!(
         "machine peaks: {:.2} GFLOP/s, {:.2} GB/s (balance {:.2} FLOP/B)\n\n",

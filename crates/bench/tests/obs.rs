@@ -42,6 +42,33 @@ fn obs_check_passes_clean_and_fails_injected_regression() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    assert!(
+        !String::from_utf8_lossy(&out.stdout).contains("note:"),
+        "same-kernel documents drew a kernel note"
+    );
+
+    // A candidate recorded on another GEMM kernel is noted, not gated.
+    let baseline = std::fs::read_to_string(&gemm_baseline).unwrap();
+    let kernel = pcnn_telemetry::json::parse(&baseline).unwrap();
+    let kernel = kernel.get("kernel").unwrap().as_str().unwrap().to_string();
+    let other = tmp("other-kernel-gemm.json");
+    std::fs::write(&other, baseline.replace(&kernel, "some other 4x4")).unwrap();
+    let out = pcnn()
+        .args(["obs", "check"])
+        .arg(format!("--candidate-gemm={}", other.display()))
+        .current_dir(&root)
+        .output()
+        .unwrap();
+    std::fs::remove_file(&other).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "kernel mismatch gated: {stdout}");
+    assert!(
+        stdout.contains(&format!(
+            "note: gemm baseline was recorded on the {kernel} kernel, the candidate ran some other 4x4"
+        )),
+        "no kernel note: {stdout}"
+    );
+
     // A doctored candidate (dropped deadline hits) must gate.
     let baseline = std::fs::read_to_string(&serve_baseline).unwrap();
     let doctored = baseline.replace("\"deadlines_met\": 140", "\"deadlines_met\": 100");

@@ -23,22 +23,40 @@
 //!    `ceil(m / 64)` = 2–6 work units for AlexNet shapes, starving it);
 //! 3. every worker shares the read-only packed `B`, packs its own
 //!    `MR`-row micropanels of `A` into pooled scratch ([`MC`]-row groups,
-//!    L2-resident), and runs a branch-free [`MR`]`x`[`NR`]
-//!    register-blocked microkernel that accumulates each tile over one
-//!    `KC` block and adds it to `C`.
+//!    L2-resident), and runs a branch-free `MR x `[`NR`] register-blocked
+//!    microkernel that accumulates each tile over one `KC` block and adds
+//!    it to `C`.
+//!
+//! # ISA tiers
 //!
 //! The register tile is fitted to the register file it runs on, the way
-//! the paper's offline compiler fits an SGEMM tile to each GPU (§IV.B):
-//! `6 x 16` is 12 eight-lane accumulators + 2 `B` vectors + 1 broadcast =
-//! 15 of AVX2's 16 `ymm` registers. On x86-64 with AVX2 (one cached
-//! runtime probe, the only dispatch) the tile runs [`microkernel_avx2`],
-//! written with explicit `_mm256_mul_ps` + `_mm256_add_ps` intrinsics so
-//! the hot loop's shape does not hang on the autovectorizer's heuristics
-//! (an autovectorised tile is a lottery: the same constant-bound body
-//! compiles to clean broadcast/mul/add in one context and to shuffles
-//! with a stack spill in another). Everywhere else it runs [`microkernel`], plain indexed
+//! the paper's offline compiler fits an SGEMM tile to each GPU (§IV.B,
+//! Table IV). A private [`Tier`] — resolved by one cached runtime probe,
+//! the only dispatch, with no knob to override it — is a tile height `MR`
+//! plus a microkernel; `NR = 16` columns and the packed-`B` layout are the
+//! same on every tier, so nothing outside this module (the direct and
+//! sampled convolutions' gather, Winograd's 16 GEMMs) knows tiers exist:
+//!
+//! | tier       | runs on               | tile    | registers                          |
+//! |------------|-----------------------|---------|------------------------------------|
+//! | `avx512`   | x86-64, `avx512f`     | 16 x 16 | 16 acc + `B` + broadcast, 32 `zmm` |
+//! | `avx2`     | x86-64, `avx2`        | 6 x 16  | 12 acc + 2 `B` + broadcast, 16 `ymm` |
+//! | `portable` | everything else       | 6 x 16  | the autovectorizer's choice        |
+//!
+//! The two x86 tiers run [`microkernel_avx512`] / [`microkernel_avx2`],
+//! written with explicit `mul_ps` + `add_ps` intrinsics so the hot loop's
+//! shape does not hang on the autovectorizer's heuristics (an
+//! autovectorised tile is a lottery: the same constant-bound body compiles
+//! to clean broadcast/mul/add in one context and to shuffles with a stack
+//! spill in another), and the loop nest around them is instantiated per
+//! tile height inside the tier's `#[target_feature]` function, so
+//! `A`-packing and the `C` update may use the tier's vectors too. The
+//! portable tier runs [`microkernel`], plain indexed
 //! arithmetic with constant bounds on the *same* packed layout — which is
-//! also the oracle the explicit kernel is tested bitwise against.
+//! also the oracle both explicit kernels are tested bitwise against, and
+//! the whole `gemm` is held bitwise equal across every tier the host can
+//! run. [`kernel_tier`] names the tier in force so a recording can say
+//! which kernel produced it.
 //!
 //! [`gemm_nt`] (`C += A * B^T`, the FC layers) reduces along the
 //! contiguous axis of both operands, so it needs no packing: it is a
@@ -52,13 +70,14 @@
 //! `acc = acc + a * b` (one IEEE multiply, one IEEE add — never a fused
 //! multiply-add) in ascending-`k` order, and the blocks are added to `C`
 //! in ascending order. That sequence — and therefore [`KC`] — *is* the
-//! rounding contract; `MR`, `NR`, `MC`, the vector width and the thread
-//! count only decide which elements are computed side by side, never any
-//! element's operation sequence, so they are free to change (DESIGN.md,
-//! "GEMM rounding contract"; `tests/gemm_bits.rs` pins the output bits
-//! across exactly such a change). The parallel split never touches the
-//! `k` (reduction) dimension, and the rectangle boundaries depend only on
-//! shape constants — never on thread count or timing. Workers own
+//! rounding contract; `MR`, `NR`, `MC`, the vector width — the whole ISA
+//! tier — and the thread count only decide which elements are computed
+//! side by side, never any element's operation sequence, so they are free
+//! to change (DESIGN.md, "GEMM rounding contract"; `tests/gemm_bits.rs`
+//! pins the output bits across exactly such changes). The parallel split
+//! never touches the `k` (reduction) dimension, and the rectangle
+//! boundaries depend only on the shape, the tier's tile and the pool
+//! width — never on timing. Workers own
 //! disjoint rectangles of `C`, so which worker runs a rectangle is
 //! irrelevant: `PCNN_THREADS=1` and `PCNN_THREADS=N` produce
 //! **bitwise-identical** outputs (asserted by
@@ -74,7 +93,10 @@
 //! [`Phase::PackA`] / [`Phase::Microkernel`] spans per (`KC` block,
 //! `MC`-row group) — coarse enough to stay off the hot path — each
 //! carrying its flop and byte traffic for roofline classification, and
-//! [`gemm_bias`]'s bias broadcast as a [`Phase::Epilogue`] span.
+//! [`gemm_bias`]'s bias broadcast as a [`Phase::Epilogue`] span. The
+//! counts are of the *unpadded* operands and [`MC`] is one constant for
+//! every tier, so at a given pool width a profile reads the same whichever
+//! tier ran.
 //! Parallel regions carry the `gemm` / `gemm.pack_b` / `gemm_nt` labels
 //! on the worker-pool trace tracks. Disabled recording costs one atomic
 //! load per would-be span and never changes any arithmetic.
@@ -82,17 +104,29 @@
 use pcnn_profile::{phase_span, Phase};
 use std::ops::Range;
 
-/// Microkernel rows: `MR x NR` accumulators live in registers.
-const MR: usize = 6;
-/// Microkernel columns: two 8-lane AVX2 vectors (or one AVX-512 vector)
-/// per accumulator row. 6x16 uses 12 of the 16 `ymm` registers for
-/// accumulators, leaving two for the `B` row and one for the `A`
-/// broadcast.
+/// Microkernel columns on every tier: two 8-lane AVX2 vectors or one
+/// 16-lane AVX-512 vector per accumulator row. Being tier-independent is
+/// what keeps the packed-`B` layout (and everyone who fills it) ignorant
+/// of tiers.
 const NR: usize = 16;
 
-/// Rows per `A`-packing group (multiple of `MR`): one group's packed `A`
-/// block (`MC x KC` f32, 72 KiB) stays L2-resident.
-const MC: usize = 72;
+/// Tile height of the `portable` and `avx2` tiers: 6x16 is 12 of AVX2's 16
+/// `ymm` registers for accumulators, two for the `B` row and one for the
+/// `A` broadcast.
+const MR_BASE: usize = 6;
+/// Tile height of the `avx512` tier: 16x16 is 16 of the 32 `zmm` registers
+/// for accumulators, one for the `B` row and one for the `A` broadcast —
+/// the height a sweep of 8/12/16/24/28 picked (EXPERIMENTS.md, "A 16-lane
+/// tier"), and a divisor of every AlexNet / VGG channel count, so those
+/// layers never compute a padded row.
+#[cfg(target_arch = "x86_64")]
+const MR_AVX512: usize = 16;
+
+/// Rows per `A`-packing group: one group's packed `A` block (`MC x KC`
+/// f32, 96 KiB) stays L2-resident. One value for every tier — a multiple
+/// of each tier's `MR` — so the group boundaries, and with them the
+/// profiler's span counts, do not depend on the tier.
+const MC: usize = 96;
 /// Depth of one packed block: a `KC x NR` `B` micropanel (16 KiB) stays
 /// L1-resident while every row tile of a group streams over it. Unlike
 /// the tile constants above, `KC` is part of the rounding contract (every
@@ -104,6 +138,88 @@ const KC: usize = 256;
 /// cost of a scoped spawn round is ~tens of microseconds, which a GEMM
 /// this small finishes on its own.
 const PAR_MAC_THRESHOLD: usize = 64 * 64 * 64;
+
+/// The instruction-set tier the packed GEMM runs on: a register-tile
+/// height [`Tier::mr`] plus the microkernel [`gemm_tiles`] dispatches to.
+///
+/// Production code only ever runs [`Tier::detect`]; the `_on` functions
+/// take the tier as a parameter so the tests can hold every tier the host
+/// supports ([`Tier::available`]) bitwise equal to the portable one.
+///
+/// Invariant the `unsafe` dispatch in [`gemm_tiles`] relies on: the x86
+/// variants are constructed only by [`Tier::detect`] and
+/// [`Tier::available`], after the runtime probe for their feature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Tier {
+    /// The best tier this CPU runs (`std` caches the feature probe, so
+    /// this is a load and a bit test).
+    fn detect() -> Tier {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Tier::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Tier::Avx2;
+            }
+        }
+        Tier::Portable
+    }
+
+    /// Every tier this CPU runs, portable first.
+    #[cfg(test)]
+    fn available() -> Vec<Tier> {
+        let mut tiers = vec![Tier::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                tiers.push(Tier::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                tiers.push(Tier::Avx512);
+            }
+        }
+        tiers
+    }
+
+    /// Rows of the tier's register tile.
+    fn mr(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => MR_AVX512,
+            _ => MR_BASE,
+        }
+    }
+}
+
+/// `name MRxNR`, e.g. `avx512 16x16`.
+impl std::fmt::Display for Tier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let name = match self {
+            Tier::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => "avx512",
+        };
+        write!(f, "{name} {}x{NR}", self.mr())
+    }
+}
+
+/// The kernel [`gemm`] runs on this machine — ISA tier and register tile,
+/// displayed as e.g. `avx512 16x16` — for benchmark headers and recorded
+/// documents: GFLOP/s from different tiers are different experiments.
+pub fn kernel_tier() -> impl std::fmt::Display {
+    Tier::detect()
+}
 
 /// How [`gemm`] splits the output grid across workers: the `MR`-row tile
 /// axis into `row_splits` bands and the `NR`-column panel axis into
@@ -124,18 +240,24 @@ impl GemmPartition {
     }
 }
 
-/// Picks the 2-D split of an `m x n x k` GEMM for `threads` workers.
+/// Picks the 2-D split of an `m x n x k` GEMM for `threads` workers on
+/// this machine's register tile.
 ///
 /// Minimises modelled cost per worker: microkernel multiply-adds for its
 /// rectangle plus the `A`-packing work it duplicates (every column band
 /// covering the same rows re-packs those rows — the term that steers fat
 /// shapes toward row splits). Candidates enumerate row-band counts
 /// `1..=threads` with the column bands taking the residual factor, so the
-/// result depends only on `(m, n, k, threads)` — never on timing — and
-/// tasks never exceed `threads`.
+/// result depends only on `(m, n, k, threads)` and the tile height — never
+/// on timing — and tasks never exceed `threads`.
 pub fn partition_gemm(m: usize, n: usize, k: usize, threads: usize) -> GemmPartition {
+    partition_tiles(Tier::detect().mr(), m, n, k, threads)
+}
+
+/// [`partition_gemm`] for a register tile `mr` rows high.
+fn partition_tiles(mr: usize, m: usize, n: usize, k: usize, threads: usize) -> GemmPartition {
     let threads = threads.max(1);
-    let mr_tiles = m.div_ceil(MR).max(1);
+    let mr_tiles = m.div_ceil(mr).max(1);
     let nr_panels = n.div_ceil(NR).max(1);
     let mut best = GemmPartition {
         row_splits: 1,
@@ -148,8 +270,8 @@ pub fn partition_gemm(m: usize, n: usize, k: usize, threads: usize) -> GemmParti
         let cols = nr_panels.div_ceil(tj);
         // Per-worker cost: compute on its rectangle + its share of the
         // (col_splits-duplicated) A packing.
-        let compute = (rows * cols * MR * NR) as u128 * k as u128;
-        let packing = (rows * MR * k) as u128;
+        let compute = (rows * cols * mr * NR) as u128 * k as u128;
+        let packing = (rows * mr * k) as u128;
         let cost = compute + packing;
         if cost < best_cost {
             best_cost = cost;
@@ -215,6 +337,11 @@ impl TileSink {
 ///
 /// Panics if any slice is shorter than its `m/n/k`-implied length.
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_on(Tier::detect(), m, n, k, a, b, c);
+}
+
+/// [`gemm`] on an explicit tier.
+fn gemm_on(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
@@ -222,7 +349,7 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         return;
     }
 
-    let part = active_partition(m, n, k);
+    let part = active_partition_on(tier, m, n, k);
     // The span starts before the scratch checkout so pool bookkeeping
     // (and any first-use zero-fill) counts as packing time.
     let span = phase_span(Phase::PackB);
@@ -236,7 +363,7 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         // Reads the k x n source, writes the padded packed image.
         s.finish(0, 4 * (k * n + packed_b_len(n, k)) as u64);
     }
-    gemm_packed(m, n, k, a, &b_pack, part, c);
+    gemm_packed_on(tier, m, n, k, a, &b_pack, part, c);
 }
 
 /// The partition [`gemm`] would actually run with right now: collapses to
@@ -244,6 +371,10 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 /// or on a one-thread pool. Callers that build their own packed `B` (the
 /// direct convolution) use it to decide whether to parallelise packing.
 pub(crate) fn active_partition(m: usize, n: usize, k: usize) -> GemmPartition {
+    active_partition_on(Tier::detect(), m, n, k)
+}
+
+fn active_partition_on(tier: Tier, m: usize, n: usize, k: usize) -> GemmPartition {
     let threads = if pcnn_parallel::in_parallel_region() {
         1
     } else {
@@ -255,7 +386,7 @@ pub(crate) fn active_partition(m: usize, n: usize, k: usize) -> GemmPartition {
             col_splits: 1,
         }
     } else {
-        partition_gemm(m, n, k, threads)
+        partition_tiles(tier.mr(), m, n, k, threads)
     }
 }
 
@@ -279,19 +410,33 @@ pub(crate) fn gemm_packed(
     part: GemmPartition,
     c: &mut [f32],
 ) {
+    gemm_packed_on(Tier::detect(), m, n, k, a, b_pack, part, c);
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_packed_on(
+    tier: Tier,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b_pack: &[f32],
+    part: GemmPartition,
+    c: &mut [f32],
+) {
     let n_panels = n.div_ceil(NR);
-    let mr_tiles = m.div_ceil(MR);
+    let mr_tiles = m.div_ceil(tier.mr());
     let sink = TileSink {
         ptr: c.as_mut_ptr(),
     };
     if part.tasks() <= 1 {
-        gemm_tiles(m, n, k, a, b_pack, &sink, 0..mr_tiles, 0..n_panels);
+        gemm_tiles(tier, m, n, k, a, b_pack, &sink, 0..mr_tiles, 0..n_panels);
         return;
     }
     let run_task = |t: usize| {
         let rows = split_range(mr_tiles, part.row_splits, t / part.col_splits);
         let cols = split_range(n_panels, part.col_splits, t % part.col_splits);
-        gemm_tiles(m, n, k, a, b_pack, &sink, rows, cols);
+        gemm_tiles(tier, m, n, k, a, b_pack, &sink, rows, cols);
     };
     // Workers record their pack-A / microkernel spans into the caller's
     // profile, under the caller's layer.
@@ -360,7 +505,15 @@ pub(crate) fn pack_b_with(
 /// `p * MR + i`. Short bottom tiles are zero-padded; every element of
 /// `packed[..ceil(rows/MR) * kc * MR]` is written, so pooled scratch with
 /// unspecified contents is safe.
-fn pack_a(m0: usize, rows: usize, p0: usize, kc: usize, k: usize, a: &[f32], packed: &mut [f32]) {
+fn pack_a<const MR: usize>(
+    m0: usize,
+    rows: usize,
+    p0: usize,
+    kc: usize,
+    k: usize,
+    a: &[f32],
+    packed: &mut [f32],
+) {
     for (ir, tile) in packed[..rows.div_ceil(MR) * kc * MR]
         .chunks_mut(kc * MR)
         .enumerate()
@@ -380,18 +533,19 @@ fn pack_a(m0: usize, rows: usize, p0: usize, kc: usize, k: usize, a: &[f32], pac
 }
 
 /// One worker's rectangle of the packed GEMM:
-/// `C[tiles tile_rows, panels tile_cols] += A * B`.
+/// `C[tiles tile_rows, panels tile_cols] += A * B`, the tiles being
+/// `tier`'s.
 ///
-/// Checks its `A`-packing scratch out of the pool, then dispatches once
-/// (cached feature probe) between the two instantiations of
-/// [`gemm_tiles_body`]: on x86-64 with AVX2 the whole loop nest is
-/// compiled for AVX2 around the explicit [`microkernel_avx2`]; anywhere
-/// else it is the baseline build around the portable [`microkernel`].
-/// Both kernels perform the identical sequence of IEEE mul/add per
-/// accumulator on the identical packed layout, so the result is
-/// bitwise-equal whichever path runs.
+/// Checks its `A`-packing scratch out of the pool, then dispatches to the
+/// tier's instantiation of [`gemm_tiles_body`]: the whole loop nest
+/// compiled for AVX-512 around [`microkernel_avx512`], for AVX2 around
+/// [`microkernel_avx2`], or the baseline build around the portable
+/// [`microkernel`]. All three perform the identical sequence of IEEE
+/// mul/add per accumulator on the one packed-`B` layout, so the result is
+/// bitwise-equal whichever runs.
 #[allow(clippy::too_many_arguments)]
 fn gemm_tiles(
+    tier: Tier,
     m: usize,
     n: usize,
     k: usize,
@@ -404,22 +558,63 @@ fn gemm_tiles(
     if tile_rows.is_empty() || tile_cols.is_empty() {
         return;
     }
-    let group_cap = (MC / MR).min(tile_rows.len());
+    let mr = tier.mr();
+    let group_cap = (MC / mr).min(tile_rows.len());
     let span = phase_span(Phase::PackA);
-    let mut a_pack = pcnn_parallel::scratch_f32(group_cap * KC * MR);
+    let mut a_pack = pcnn_parallel::scratch_f32(group_cap * KC * mr);
     if let Some(s) = span {
         // Scratch checkout for the A-panel group (pool bookkeeping plus
-        // any first-use zero-fill).
-        s.finish(0, 4 * (group_cap * KC * MR) as u64);
+        // any first-use zero-fill), counted without the tile padding.
+        let rows = (tile_rows.end * mr).min(m) - tile_rows.start * mr;
+        s.finish(0, 4 * (rows.min(MC) * KC) as u64);
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement is established by the runtime
-        // feature probe on the line above.
-        return unsafe {
+    match tier {
+        // SAFETY: `Tier::Avx512` is only constructed after the runtime
+        // probe found `avx512f` (the invariant on `Tier`).
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe {
+            gemm_tiles_avx512(m, n, k, a, b_pack, sink, tile_rows, tile_cols, &mut a_pack)
+        },
+        // SAFETY: `Tier::Avx2` is only constructed after the runtime
+        // probe found `avx2` (the invariant on `Tier`).
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe {
             gemm_tiles_avx2(m, n, k, a, b_pack, sink, tile_rows, tile_cols, &mut a_pack)
-        };
+        },
+        Tier::Portable => gemm_tiles_body(
+            m,
+            n,
+            k,
+            a,
+            b_pack,
+            sink,
+            tile_rows,
+            tile_cols,
+            &mut a_pack,
+            microkernel::<MR_BASE>,
+        ),
     }
+}
+
+/// AVX-512 instantiation of [`gemm_tiles_body`]: packing and the `C`
+/// update are compiled for the 16-row tile with 512-bit vectors available,
+/// and the tile product is the explicit [`microkernel_avx512`] (the
+/// closure inherits this function's target features, so the kernel inlines
+/// into the loop nest).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_tiles_avx512(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b_pack: &[f32],
+    sink: &TileSink,
+    tile_rows: Range<usize>,
+    tile_cols: Range<usize>,
+    a_pack: &mut [f32],
+) {
     gemm_tiles_body(
         m,
         n,
@@ -429,15 +624,14 @@ fn gemm_tiles(
         sink,
         tile_rows,
         tile_cols,
-        &mut a_pack,
-        microkernel,
+        a_pack,
+        |kc, a_micro, b_micro| microkernel_avx512::<MR_AVX512>(kc, a_micro, b_micro),
     )
 }
 
 /// AVX2 instantiation of [`gemm_tiles_body`]: packing and the `C` update
 /// autovectorise 8 lanes wide, and the tile product is the explicit
-/// [`microkernel_avx2`] (the closure inherits this function's target
-/// features, so the kernel inlines into the loop nest).
+/// [`microkernel_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -469,10 +663,10 @@ fn gemm_tiles_avx2(
 /// The rectangle loop nest: ascending `KC` blocks on the outside (the
 /// per-element accumulation order that fixes bitwise determinism), then
 /// `MC`-row `A`-packing groups, then the `jr`/`ir` loops calling `kernel`
-/// on one `MR x NR` tile at a time.
+/// on one `MR x NR` tile at a time. `tile_rows` counts `MR`-row tiles.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_tiles_body(
+fn gemm_tiles_body<const MR: usize>(
     m: usize,
     n: usize,
     k: usize,
@@ -484,6 +678,7 @@ fn gemm_tiles_body(
     a_pack: &mut [f32],
     kernel: impl Fn(usize, &[f32], &[f32]) -> [[f32; NR]; MR],
 ) {
+    const { assert!(MC.is_multiple_of(MR), "packing groups hold whole tiles") };
     let n_panels = n.div_ceil(NR);
     for pc in 0..k.div_ceil(KC) {
         let p0 = pc * KC;
@@ -494,7 +689,7 @@ fn gemm_tiles_body(
             let g_tiles = (MC / MR).min(tile_rows.end - g0);
             let rows = (g_tiles * MR).min(m - g0 * MR);
             let span = phase_span(Phase::PackA);
-            pack_a(
+            pack_a::<MR>(
                 g0 * MR,
                 rows,
                 p0,
@@ -504,8 +699,9 @@ fn gemm_tiles_body(
                 &mut a_pack[..g_tiles * kc * MR],
             );
             if let Some(s) = span {
-                // Reads the rows x kc source, writes the padded group.
-                s.finish(0, 4 * (rows * kc + g_tiles * kc * MR) as u64);
+                // Reads the rows x kc source and writes it packed; the
+                // tile padding is the tier's and is not counted.
+                s.finish(0, 4 * (2 * rows * kc) as u64);
             }
             let a_group = &a_pack[..g_tiles * kc * MR];
             let span = phase_span(Phase::Microkernel);
@@ -537,8 +733,9 @@ fn gemm_tiles_body(
                     };
                 s.finish(
                     2 * (rows * kc * ncols) as u64,
-                    // Packed A group + packed B panels + C read/write.
-                    4 * (g_tiles * kc * MR + tile_cols.len() * kc * NR + 2 * rows * ncols) as u64,
+                    // The group's rows of A + packed B panels + C
+                    // read/write.
+                    4 * (rows * kc + tile_cols.len() * kc * NR + 2 * rows * ncols) as u64,
                 );
             }
             g0 += g_tiles;
@@ -551,10 +748,11 @@ fn gemm_tiles_body(
 /// `B` micropanel. Constant loop bounds let LLVM keep `acc` in vector
 /// registers and autovectorize without reassociating any float sum.
 ///
-/// It is the kernel of every target without AVX2 and the differential
-/// oracle [`microkernel_avx2`] is tested bitwise against.
+/// It is the kernel of the portable tier and, at each explicit kernel's
+/// tile height, the differential oracle that kernel is tested bitwise
+/// against.
 #[inline(always)]
-fn microkernel(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
+fn microkernel<const MR: usize>(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
     debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
     let mut acc = [[0.0f32; NR]; MR];
     for p in 0..kc {
@@ -579,11 +777,12 @@ fn microkernel(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
+fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR_BASE] {
     use core::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
+    const MR: usize = MR_BASE;
     const { assert!(NR == 16, "two 8-lane vectors per accumulator row") };
     debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
     let mut acc = [[_mm256_setzero_ps(); 2]; MR];
@@ -610,6 +809,41 @@ fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
             _mm256_storeu_ps(row.as_mut_ptr(), vecs[0]);
             _mm256_storeu_ps(row.as_mut_ptr().add(8), vecs[1]);
         }
+    }
+    out
+}
+
+/// [`microkernel`] written out for AVX-512: each accumulator row is one
+/// 16-lane vector, each depth step is one `B` load, `MR` broadcasts and
+/// `MR` multiply-then-add pairs. Explicitly `_mm512_mul_ps` followed by
+/// `_mm512_add_ps` — never a fused multiply-add, for the same reason as
+/// [`microkernel_avx2`] — with the accumulator as the add's first operand.
+/// The kernel does not miss the FMA: `MR` independent four-cycle add
+/// chains keep both 512-bit ports busy on separate multiplies and adds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn microkernel_avx512<const MR: usize>(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
+    use core::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    const { assert!(NR == 16, "one 16-lane vector per accumulator row") };
+    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
+    let mut acc = [_mm512_setzero_ps(); MR];
+    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
+        // SAFETY: `bv` is a `chunks_exact(NR)` chunk — exactly 16
+        // contiguous f32 — so the unaligned 16-lane load is in bounds.
+        let b0 = unsafe { _mm512_loadu_ps(bv.as_ptr()) };
+        for i in 0..MR {
+            acc[i] = _mm512_add_ps(acc[i], _mm512_mul_ps(_mm512_set1_ps(av[i]), b0));
+        }
+    }
+    let mut out = [[0.0f32; NR]; MR];
+    for (row, &v) in out.iter_mut().zip(&acc) {
+        // SAFETY: `row` is a `[f32; 16]`, room for one unaligned 16-lane
+        // store.
+        unsafe { _mm512_storeu_ps(row.as_mut_ptr(), v) };
     }
     out
 }
@@ -1051,10 +1285,10 @@ mod tests {
 
     #[test]
     fn gemm_matches_naive_blocked_boundary() {
-        // One past the packing group (72 rows), a ragged last tile on
-        // both axes (73 = 12 x 6 + 1, 67 = 4 x 16 + 3) and one past a
-        // full pack block (257 = KC + 1).
-        let (m, n, k) = (73, 67, 257);
+        // One past the packing group (96 rows), a ragged last tile on
+        // both axes whatever the tier (97 = 16 x 6 + 1 = 6 x 16 + 1,
+        // 67 = 4 x 16 + 3) and one past a full pack block (257 = KC + 1).
+        let (m, n, k) = (97, 67, 257);
         let a = seq(m * k);
         let b = seq(k * n);
         let mut c1 = vec![0.0; m * n];
@@ -1101,17 +1335,22 @@ mod tests {
     #[test]
     fn microkernel_matches_naive_exactly_on_integers() {
         // Small-integer values make every f32 operation exact, so packed
-        // and naive accumulation orders must agree to the bit.
-        let kc = 19;
-        let a: Vec<f32> = (0..kc * MR).map(|i| (i % 5) as f32 - 2.0).collect();
-        let b: Vec<f32> = (0..kc * NR).map(|i| (i % 9) as f32 - 4.0).collect();
-        let acc = microkernel(kc, &a, &b);
-        for i in 0..MR {
-            for j in 0..NR {
-                let want: f32 = (0..kc).map(|p| a[p * MR + i] * b[p * NR + j]).sum();
-                assert_eq!(acc[i][j], want, "tile ({i},{j})");
+        // and naive accumulation orders must agree to the bit — at both
+        // tile heights the tiers use.
+        fn check<const MR: usize>() {
+            let kc = 19;
+            let a: Vec<f32> = (0..kc * MR).map(|i| (i % 5) as f32 - 2.0).collect();
+            let b: Vec<f32> = (0..kc * NR).map(|i| (i % 9) as f32 - 4.0).collect();
+            let acc = microkernel::<MR>(kc, &a, &b);
+            for i in 0..MR {
+                for j in 0..NR {
+                    let want: f32 = (0..kc).map(|p| a[p * MR + i] * b[p * NR + j]).sum();
+                    assert_eq!(acc[i][j], want, "{MR}-row tile ({i},{j})");
+                }
             }
         }
+        check::<MR_BASE>();
+        check::<16>();
     }
 
     /// Full-mantissa pseudo-random values in `[-0.5, 0.5)`: every
@@ -1129,17 +1368,20 @@ mod tests {
             .collect()
     }
 
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Holds an explicit `kernel` bitwise to the portable microkernel of
+    /// its tile height at every depth in `0..=300` (past `KC`: the kernel
+    /// does not know the constant), the live extent of the tile cycling
+    /// through 1..=MR rows and 1..=NR columns; the dead rows and columns
+    /// are zero, as `pack_a` / `pack_b_with` pad them.
     #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_microkernel_is_bitwise_the_portable_microkernel() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            eprintln!("skipped: this CPU lacks AVX2, the explicit microkernel never runs here");
-            return;
-        }
-        for kc in 1..=KC {
-            // Every depth, with the live extent of the tile cycling
-            // through 1..=MR rows and 1..=NR columns; the dead rows and
-            // columns are zero, as `pack_a` / `pack_b_with` pad them.
+    fn assert_bitwise_the_portable_microkernel<const MR: usize>(
+        kernel: impl Fn(usize, &[f32], &[f32]) -> [[f32; NR]; MR],
+    ) {
+        for kc in 0..=300 {
             let (mr, nr) = (1 + kc % MR, 1 + kc % NR);
             let mut a = noise(kc as u64, kc * MR);
             let mut b = noise(!(kc as u64), kc * NR);
@@ -1147,21 +1389,90 @@ mod tests {
                 a[p * MR + mr..(p + 1) * MR].fill(0.0);
                 b[p * NR + nr..(p + 1) * NR].fill(0.0);
             }
-            let want = microkernel(kc, &a, &b);
-            // SAFETY: AVX2 support was probed at the top of the test.
-            let got = unsafe { microkernel_avx2(kc, &a, &b) };
+            let want = microkernel::<MR>(kc, &a, &b);
+            let got = kernel(kc, &a, &b);
             for i in 0..MR {
-                for j in 0..NR {
-                    assert_eq!(
-                        got[i][j].to_bits(),
-                        want[i][j].to_bits(),
-                        "kc {kc}, tile ({i},{j}): {} vs {}",
-                        got[i][j],
-                        want[i][j]
-                    );
-                }
+                assert_eq!(bits(&got[i]), bits(&want[i]), "kc {kc}, tile row {i}");
             }
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_microkernel_is_bitwise_the_portable_microkernel() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: this CPU lacks AVX2, the explicit microkernel never runs here");
+            return;
+        }
+        // SAFETY: AVX2 support was probed at the top of the test.
+        assert_bitwise_the_portable_microkernel(|kc, a, b| unsafe { microkernel_avx2(kc, a, b) });
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_microkernel_is_bitwise_the_portable_microkernel() {
+        if !std::arch::is_x86_feature_detected!("avx512f") {
+            eprintln!("skipped: this CPU lacks AVX-512F, the 16-lane microkernel never runs here");
+            return;
+        }
+        // SAFETY: AVX-512F support was probed at the top of the test.
+        assert_bitwise_the_portable_microkernel(|kc, a, b| unsafe {
+            microkernel_avx512::<MR_AVX512>(kc, a, b)
+        });
+    }
+
+    proptest::proptest! {
+        /// The whole `gemm` — packing, partition, loop nest, microkernel,
+        /// `C` update — on every tier this CPU runs is bitwise the
+        /// portable tier: ragged rows and columns on both tile heights,
+        /// depths on either side of `KC` and of two blocks, a non-zero
+        /// `C`, and pool widths that split the larger cases — 1–3, or
+        /// (drawn as 0) the ambient width, which CI sets to 2 and 8.
+        #[test]
+        fn gemm_on_every_tier_is_bitwise_the_portable_tier(
+            m in 1usize..71,
+            n in 1usize..71,
+            k in 0usize..601,
+            threads in 0usize..4,
+            seed in proptest::any::<u64>(),
+        ) {
+            let a = noise(seed, m * k);
+            let b = noise(seed ^ 0xB0B, k * n);
+            let c0 = noise(seed ^ 0xC0C, m * n);
+            let width = match threads {
+                0 => pcnn_parallel::current_threads(),
+                w => w,
+            };
+            let run = |tier: Tier| {
+                let mut c = c0.clone();
+                pcnn_parallel::with_threads(width, || gemm_on(tier, m, n, k, &a, &b, &mut c));
+                bits(&c)
+            };
+            let want = run(Tier::Portable);
+            for tier in Tier::available() {
+                proptest::prop_assert_eq!(
+                    &run(tier), &want,
+                    "{}x{}x{} at width {} on {}", m, n, k, width, tier
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_tier_names_the_detected_tier_and_its_tile() {
+        let shown = kernel_tier().to_string();
+        // CI prints this line first (`--nocapture`): which kernel the
+        // runner's pinned-bits and determinism tests actually exercised.
+        println!(
+            "GEMM kernel tier: {shown}; tiers under test: {:?}",
+            Tier::available()
+        );
+        let tier = Tier::detect();
+        assert_eq!(shown, tier.to_string());
+        assert!(shown.ends_with(&format!(" {}x{NR}", tier.mr())), "{shown}");
+        assert_eq!(Tier::Portable.to_string(), "portable 6x16");
+        // Production runs the best tier the tests can reach.
+        assert_eq!(Tier::available().last(), Some(&tier));
     }
 
     /// The per-output dot product `gemm_nt` was before it was tiled, kept
@@ -1313,6 +1624,47 @@ mod tests {
     }
 
     #[test]
+    fn profile_counts_are_the_same_on_every_tier() {
+        // `BENCH_profile.json` is specified machine-independent, so what
+        // a span counts may not depend on the tile: flops, bytes and
+        // calls per phase agree across tiers on shapes that are whole on
+        // every tile (96 = 16 x 6 = 6 x 16 rows), ragged on every tile,
+        // shorter than one tile, and several `MC` groups and `KC` blocks
+        // long. The pool width is pinned to 1, the width the document is
+        // recorded at: a wider pool's 2-D split follows the tile grid, so
+        // there the span *counts* are the tier's own.
+        for &(m, n, k) in &[
+            (96usize, 64usize, 256usize),
+            (97, 67, 257),
+            (8, 50, 9),
+            (200, 33, 600),
+            (1, 1, 1),
+        ] {
+            let (a, b) = (seq(m * k), seq(k * n));
+            let counts = |tier: Tier| {
+                let mut c = vec![0.0; m * n];
+                pcnn_profile::set_enabled(true);
+                pcnn_profile::reset();
+                {
+                    let _scope = pcnn_profile::layer_scope(0, "gemm");
+                    pcnn_parallel::with_threads(1, || gemm_on(tier, m, n, k, &a, &b, &mut c));
+                }
+                pcnn_profile::set_enabled(false);
+                let snap = pcnn_profile::snapshot();
+                Phase::ALL.map(|p| {
+                    let t = snap[0].phase(p);
+                    (p.name(), t.flops, t.bytes, t.calls)
+                })
+            };
+            let want = counts(Tier::Portable);
+            assert_eq!(want[Phase::Microkernel as usize].1, (2 * m * n * k) as u64);
+            for tier in Tier::available() {
+                assert_eq!(counts(tier), want, "{m}x{n}x{k} on {tier}");
+            }
+        }
+    }
+
+    #[test]
     fn concurrent_profiles_hold_only_their_own_gemm() {
         // Two tenants profile GEMMs of different shapes at pool width 2
         // (so each has a spawned worker recording through the handoff)
@@ -1357,34 +1709,46 @@ mod tests {
 
     #[test]
     fn partitioner_golden_splits_on_alexnet_bench_shapes() {
-        // The four `pcnn bench-gemm` shapes at 8 threads, each derived by
-        // hand from the cost model (per unit of k a worker costs
-        // `rows * cols * MR * NR` for compute + `rows * MR` for its
+        // The four `pcnn bench-gemm` shapes at 8 threads, per tile height,
+        // each derived by hand from the cost model (per unit of k a worker
+        // costs `rows * cols * MR * NR` for compute + `rows * MR` for its
         // share of the column-split-duplicated A packing).
-        //
-        // CONV1/3/5 have 16, 64 and 43 six-row tiles against 190, 11 and
-        // 11 panels: eight row bands balance as well as any 2-D grid
-        // (e.g. CONV5: 6 x 11 tiles per worker at 8x1, 11 x 6 at 4x2 —
-        // the same 66 tiles) and pack less A, so the pure row split wins.
+        let golden = |mr: usize, want: [(usize, usize); 4]| {
+            let shapes = [
+                (96usize, 3025usize, 363usize), // CONV1
+                (256, 729, 1200),               // CONV2
+                (384, 169, 2304),               // CONV3
+                (256, 169, 3456),               // CONV5
+            ];
+            for ((m, n, k), want) in shapes.into_iter().zip(want) {
+                let p = partition_tiles(mr, m, n, k, 8);
+                assert_eq!(
+                    (p.row_splits, p.col_splits),
+                    want,
+                    "partition for ({m},{n},{k}) on {mr}-row tiles"
+                );
+            }
+        };
+        // Six-row tiles. CONV1/3/5 have 16, 64 and 43 of them against
+        // 190, 11 and 11 panels: eight row bands balance as well as any
+        // 2-D grid (e.g. CONV5: 6 x 11 tiles per worker at 8x1, 11 x 6 at
+        // 4x2 — the same 66 tiles) and pack less A, so the pure row split
+        // wins.
         //
         // CONV2's 43 tiles do not divide by 8: 8x1 leaves the widest
         // worker 6 tiles x 46 panels = 276 tile products, while 4x2
         // gives 11 x 23 = 253 — the 2-D grid balances the ragged tile
         // count better than the duplicated A packing costs. (With the
         // old 4-row tile this shape had 64 tiles and split 8x1.)
-        for &(m, n, k, want) in &[
-            (96usize, 3025usize, 363usize, (8usize, 1usize)), // CONV1
-            (256, 729, 1200, (4, 2)),                         // CONV2
-            (384, 169, 2304, (8, 1)),                         // CONV3
-            (256, 169, 3456, (8, 1)),                         // CONV5
-        ] {
-            let p = partition_gemm(m, n, k, 8);
-            assert_eq!(
-                (p.row_splits, p.col_splits),
-                want,
-                "partition for ({m},{n},{k})"
-            );
-        }
+        golden(6, [(8, 1), (4, 2), (8, 1), (8, 1)]);
+        // Sixteen-row tiles. CONV1 has only 6 of them: no row split
+        // beats 144 tile products per worker (1x8: 6 x 24; 2x4: 3 x 48;
+        // 6x1: 1 x 190) and of the two that reach it 2x4 packs half the
+        // A. CONV2/3/5 have 16, 24 and 16 tiles, which eight row bands
+        // divide evenly — 2 x 46 = 92, 3 x 11 = 33, 2 x 11 = 22 tile
+        // products — matching or beating every 2-D grid (CONV2 at 4x2:
+        // 4 x 23 = 92 as well) with the least A packed.
+        golden(16, [(2, 4), (8, 1), (8, 1), (8, 1)]);
     }
 
     #[test]
@@ -1394,23 +1758,34 @@ mod tests {
         // 1 x 95 = 95 tile products), while eight column bands of 24
         // panels cost 3 x 24 = 72 each — the column axis takes the whole
         // split and the tripled A packing (18 rows) is noise beside it.
-        let p = partition_gemm(16, 3025, 363, 8);
-        assert_eq!((p.row_splits, p.col_splits), (1, 8));
-        // Degenerate grids never exceed the available work.
-        let p = partition_gemm(4, 8, 1024, 8);
-        assert_eq!((p.row_splits, p.col_splits), (1, 1));
+        // On 16-row tiles the matrix is one tile high and there is no
+        // other choice.
+        for mr in [6, 16] {
+            let p = partition_tiles(mr, 16, 3025, 363, 8);
+            assert_eq!((p.row_splits, p.col_splits), (1, 8), "{mr}-row tiles");
+            // Degenerate grids never exceed the available work.
+            let p = partition_tiles(mr, 4, 8, 1024, 8);
+            assert_eq!((p.row_splits, p.col_splits), (1, 1), "{mr}-row tiles");
+        }
+        // The public entry point is the detected tier's row of the above.
+        assert_eq!(
+            partition_gemm(96, 3025, 363, 8),
+            partition_tiles(Tier::detect().mr(), 96, 3025, 363, 8)
+        );
     }
 
     #[test]
     fn partitioner_never_exceeds_thread_budget() {
-        for &threads in &[1usize, 2, 3, 4, 6, 8, 16] {
-            for &(m, n, k) in &[(96usize, 3025usize, 363), (16, 3025, 363), (130, 17, 513)] {
-                let p = partition_gemm(m, n, k, threads);
-                assert!(
-                    p.tasks() <= threads.max(1),
-                    "({m},{n},{k}) x {threads} threads -> {p:?}"
-                );
-                assert!(p.row_splits <= m.div_ceil(MR) && p.col_splits <= n.div_ceil(NR));
+        for mr in [6usize, 16] {
+            for &threads in &[1usize, 2, 3, 4, 6, 8, 16] {
+                for &(m, n, k) in &[(96usize, 3025usize, 363), (16, 3025, 363), (130, 17, 513)] {
+                    let p = partition_tiles(mr, m, n, k, threads);
+                    assert!(
+                        p.tasks() <= threads.max(1),
+                        "({m},{n},{k}) x {threads} threads on {mr}-row tiles -> {p:?}"
+                    );
+                    assert!(p.row_splits <= m.div_ceil(mr) && p.col_splits <= n.div_ceil(NR));
+                }
             }
         }
     }

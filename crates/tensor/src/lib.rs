@@ -31,6 +31,8 @@ pub use conv::{
     ConvAlgo, WinogradFilter,
 };
 pub use error::ShapeError;
-pub use gemm::{gemm, gemm_bias, gemm_naive, gemm_nt, gemm_tn, partition_gemm, GemmPartition};
+pub use gemm::{
+    gemm, gemm_bias, gemm_naive, gemm_nt, gemm_tn, kernel_tier, partition_gemm, GemmPartition,
+};
 pub use im2col::{col2im_accumulate, conv_output_dim, im2col, im2col_positions, Conv2dGeometry};
 pub use tensor::Tensor;

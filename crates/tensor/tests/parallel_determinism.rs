@@ -32,19 +32,25 @@ fn gemm_at(threads: usize, m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -
 }
 
 /// Shapes that straddle every blocking boundary of the packed GEMM:
-/// the 6-row (`MR`) and 16-column (`NR`) microkernel tile, the 72-row
-/// `A`-packing group (`MC`) and the 256-deep pack block (`KC`) — each at
-/// the boundary, one below and one above — plus two-panel column edges
-/// (31, 33) and shapes large enough to cross the serial/parallel work
-/// threshold.
+/// the 6-row and 16-row (`MR`, by ISA tier) and 16-column (`NR`)
+/// microkernel tile, the 96-row `A`-packing group (`MC`, and the 72 rows
+/// it was before the 16-row tile) and the 256-deep pack block (`KC`) —
+/// each at the boundary, one below and one above — plus two-panel column
+/// edges (31, 33) and shapes large enough to cross the serial/parallel
+/// work threshold.
 const ODD_SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (5, 15, 5),
     (6, 16, 16),
     (7, 17, 17),
+    (15, 33, 300),
+    (16, 32, 256),
+    (17, 31, 257),
     (71, 31, 255),
     (72, 16, 256),
     (73, 33, 257),
+    (95, 47, 255),
+    (96, 48, 256),
     (97, 130, 300),
     (130, 17, 513),
 ];
