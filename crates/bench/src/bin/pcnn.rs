@@ -15,6 +15,9 @@
 //! pcnn bench-gemm [--reps N] [--json <path>]
 //! pcnn bench-conv [--reps N] [--smoke] [--json <path>]
 //! pcnn profile <alexnet|vggnet|googlenet> [--batch N] [--reps N] [--json <path>]
+//! pcnn repro <id>                 print one table / figure / probe of the paper
+//! pcnn repro --list               the experiment registry
+//! pcnn repro all --dir <path>     write <path>/<id>.txt for every committed result
 //! pcnn obs <trace.json>
 //! pcnn obs diff <a.json> <b.json>
 //! pcnn obs route <trace.json> [--req N] [--workload W]
@@ -32,7 +35,7 @@ use pcnn_bench::obs::{
     analyze_incident, analyze_route, analyze_trace, diff_documents, load_document, Violation,
 };
 use pcnn_bench::TableWriter;
-use pcnn_bench::{conv, profile};
+use pcnn_bench::{conv, experiments, profile};
 use pcnn_core::offline::{library_schedule, OfflineCompiler};
 use pcnn_core::runtime::simulate_schedule;
 use pcnn_core::task::{AppSpec, UserRequirements};
@@ -45,7 +48,7 @@ use pcnn_serve::RouterPolicy;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  pcnn platforms\n  pcnn compile  --gpu <k20|titanx|970m|tx1> --net <alexnet|vggnet|googlenet> --task <interactive|realtime|background> [--rate <imgs/s>]\n  pcnn simulate --gpu <...> --net <...> [--batch N] [--library <cublas|cudnn|nervana>]\n  pcnn tune     --gpu <...> --m <M> --n <N> --k <K>\n  pcnn serve    [--gpu <a,b,...>] [--net <...>] [--seed N] [--requests N] [--rate R] [--fps F] [--frames N] [--bg-images N] [--max-batch N] [--no-degrade] [--smoke] [--json <path>]\n  pcnn serve-fleet [--smoke] [--policy <round-robin|affinity|energy|steal>] [--scenario <deadline|slack|drain|ladder>] [--stream N] [--json <path>]\n                                             run the heterogeneous K20c+TX1 fleet scenarios under every routing policy; --scenario runs exactly one (clean traces); --stream N serves N lazy requests in O(1) memory\n  pcnn bench-gemm [--reps N] [--json <path>]\n  pcnn bench-conv [--reps N] [--smoke] [--json <path>]\n                                             sweep conv algorithms ({{im2col,direct,winograd}}) over the canonical layer shapes + tuned-plan e2e proof\n  pcnn profile <alexnet|vggnet|googlenet> [--batch N] [--reps N] [--json <path>]\n                                             per-layer phase/roofline report; --json writes the deterministic profile document\n  pcnn obs <trace.json>                      analyze an exported serve trace\n  pcnn obs diff <a.json> <b.json>            attribute the time delta between two profile documents or Chrome traces\n  pcnn obs route <trace.json> [--req N] [--workload W]   routing audit trail: reason histogram, steal flows, per-request \"why platform P\"\n  pcnn obs incident <trace>.incident.json    postmortem a flight-recorder incident snapshot (alert + last windows + recent decisions)\n  pcnn obs check [--baseline-<name> P] [--candidate-<name> P] [--reps N]   (<name>: serve, gemm, profile, conv, fleet)\n                                             gate fresh runs against the committed baselines\nevery subcommand also accepts --trace <path> (or PCNN_TRACE=<path>) to write a Chrome trace + JSONL manifest + Prometheus metrics,\nand --threads <N> (or PCNN_THREADS=<N>) to pin the CPU worker pool"
+        "usage:\n  pcnn platforms\n  pcnn compile  --gpu <k20|titanx|970m|tx1> --net <alexnet|vggnet|googlenet> --task <interactive|realtime|background> [--rate <imgs/s>]\n  pcnn simulate --gpu <...> --net <...> [--batch N] [--library <cublas|cudnn|nervana>]\n  pcnn tune     --gpu <...> --m <M> --n <N> --k <K>\n  pcnn serve    [--gpu <a,b,...>] [--net <...>] [--seed N] [--requests N] [--rate R] [--fps F] [--frames N] [--bg-images N] [--max-batch N] [--no-degrade] [--smoke] [--json <path>]\n  pcnn serve-fleet [--smoke] [--policy <round-robin|affinity|energy|steal>] [--scenario <deadline|slack|drain|ladder>] [--stream N] [--json <path>]\n                                             run the heterogeneous K20c+TX1 fleet scenarios under every routing policy; --scenario runs exactly one (clean traces); --stream N serves N lazy requests in O(1) memory\n  pcnn bench-gemm [--reps N] [--json <path>]\n  pcnn bench-conv [--reps N] [--smoke] [--json <path>]\n                                             sweep conv algorithms ({{im2col,direct,winograd}}) over the canonical layer shapes + tuned-plan e2e proof\n  pcnn profile <alexnet|vggnet|googlenet> [--batch N] [--reps N] [--json <path>]\n                                             per-layer phase/roofline report; --json writes the deterministic profile document\n  pcnn repro <id> | --list | all --dir <path>\n                                             regenerate a table / figure of the paper (ids: --list); `all` writes <path>/<id>.txt for every results/<id>.txt\n  pcnn obs <trace.json>                      analyze an exported serve trace\n  pcnn obs diff <a.json> <b.json>            attribute the time delta between two profile documents or Chrome traces\n  pcnn obs route <trace.json> [--req N] [--workload W]   routing audit trail: reason histogram, steal flows, per-request \"why platform P\"\n  pcnn obs incident <trace>.incident.json    postmortem a flight-recorder incident snapshot (alert + last windows + recent decisions)\n  pcnn obs check [--baseline-<name> P] [--candidate-<name> P] [--reps N]   (<name>: serve, gemm, profile, conv, fleet)\n                                             gate fresh runs against the committed baselines\nevery subcommand also accepts --trace <path> (or PCNN_TRACE=<path>) to write a Chrome trace + JSONL manifest + Prometheus metrics,\nand --threads <N> (or PCNN_THREADS=<N>) to pin the CPU worker pool"
     );
     ExitCode::from(2)
 }
@@ -1370,6 +1373,55 @@ fn cmd_profile(rest: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `pcnn repro` — the paper's tables and figures out of the
+/// [`experiments`] registry. One [`experiments::Fixtures`] serves the
+/// whole invocation, so `all` trains and simulates shared inputs once.
+fn cmd_repro(rest: &[String]) -> ExitCode {
+    let Some((what, tail)) = rest.split_first() else {
+        return usage();
+    };
+    let Some(flags) = parse_flags(tail) else {
+        return usage();
+    };
+    let mut fixtures = experiments::Fixtures::default();
+    let registry = &experiments::REGISTRY;
+    match (what.as_str(), flags.get("dir")) {
+        ("--list", _) => {
+            for e in registry {
+                let file = if e.committed { "results/" } else { "-" };
+                println!(
+                    "{:<18}{:<10}{:<9}{}",
+                    e.id,
+                    format!("{:?}", e.cost),
+                    file,
+                    e.title
+                );
+            }
+        }
+        ("all", Some(dir)) => {
+            for e in registry.iter().filter(|e| e.committed) {
+                let path = std::path::Path::new(dir).join(format!("{}.txt", e.id));
+                let written = std::fs::create_dir_all(dir)
+                    .and_then(|()| std::fs::write(&path, e.rendered(&mut fixtures)));
+                if let Err(err) = written {
+                    eprintln!("error: could not write {}: {err}", path.display());
+                    return ExitCode::FAILURE;
+                }
+                println!("wrote {}", path.display());
+            }
+        }
+        ("all", None) => return usage(),
+        (id, _) => match registry.iter().find(|e| e.id == id) {
+            Some(e) => print!("{}", e.rendered(&mut fixtures)),
+            None => {
+                eprintln!("error: unknown experiment {id:?} (see `pcnn repro --list`)");
+                return ExitCode::from(2);
+            }
+        },
+    }
+    ExitCode::SUCCESS
+}
+
 fn main() -> ExitCode {
     // Any subcommand accepts `--trace <path>` (or PCNN_TRACE) and writes
     // telemetry files on exit.
@@ -1379,12 +1431,15 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    // `obs` and `profile` take positional arguments.
+    // `obs`, `profile` and `repro` take positional arguments.
     if cmd == "obs" {
         return cmd_obs(rest);
     }
     if cmd == "profile" {
         return cmd_profile(rest);
+    }
+    if cmd == "repro" {
+        return cmd_repro(rest);
     }
     let Some(flags) = parse_flags(rest) else {
         return usage();

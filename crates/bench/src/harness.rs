@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the experiments and the `pcnn` reports.
 
 /// Accumulates rows and prints an aligned ASCII table.
 ///
@@ -70,10 +70,14 @@ impl TableWriter {
         out
     }
 
+    /// Renders under a title banner, as [`print`](Self::print) prints it.
+    pub fn render_titled(&self, title: &str) -> String {
+        format!("\n== {title} ==\n{}\n", self.render())
+    }
+
     /// Renders and prints with a title banner.
     pub fn print(&self, title: &str) {
-        println!("\n== {title} ==");
-        println!("{}", self.render());
+        print!("{}", self.render_titled(title));
     }
 }
 

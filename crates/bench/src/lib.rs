@@ -1,6 +1,8 @@
-//! Shared infrastructure for the benchmark harness binaries that
-//! regenerate every table and figure of the paper (see `DESIGN.md` §4 for
-//! the experiment index and `EXPERIMENTS.md` for recorded results).
+//! Everything behind the one `pcnn` binary: the [`experiments`] registry
+//! that regenerates every table and figure of the paper (`pcnn repro`;
+//! see `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
+//! recorded results), the committed baselines and the observability
+//! tools.
 
 pub mod baselines;
 pub mod conv;

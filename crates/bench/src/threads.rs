@@ -1,7 +1,7 @@
-//! Worker-pool wiring for the harness binaries: every fig/table binary
-//! accepts `--threads <N>` (or the `PCNN_THREADS` environment variable,
-//! which `pcnn-parallel` reads itself) and pins the CPU worker pool to
-//! that many threads for the whole run.
+//! Worker-pool wiring for `pcnn`: every subcommand accepts
+//! `--threads <N>` (or the `PCNN_THREADS` environment variable, which
+//! `pcnn-parallel` reads itself) and pins the CPU worker pool to that
+//! many threads for the whole run.
 
 /// Extracts the thread count from `--threads <N>` / `--threads=<N>` args.
 pub fn threads_flag(args: &[String]) -> Option<usize> {
@@ -17,7 +17,7 @@ pub fn threads_flag(args: &[String]) -> Option<usize> {
     None
 }
 
-/// Call once at the top of a harness binary's `main`, next to
+/// Call once at the top of `main`, next to
 /// [`crate::trace::init_from_env`]. When `--threads <N>` was passed, the
 /// process-wide pool override is installed; otherwise `pcnn-parallel`
 /// falls back to `PCNN_THREADS` and then the machine's parallelism.

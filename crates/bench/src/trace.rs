@@ -1,5 +1,5 @@
-//! Telemetry wiring for the harness binaries: every fig/table binary
-//! accepts `--trace <path>` (or the `PCNN_TRACE` environment variable) and
+//! Telemetry wiring for `pcnn`: every subcommand accepts
+//! `--trace <path>` (or the `PCNN_TRACE` environment variable) and
 //! writes a Chrome trace-event file there plus a JSON-Lines manifest to
 //! `<path>.manifest.jsonl` and a Prometheus text exposition to
 //! `<path>.prom` when it exits.
@@ -128,7 +128,7 @@ fn trace_mode(env: Option<String>) -> Result<Option<ExportMode>, String> {
     }
 }
 
-/// Call once at the top of a harness binary's `main`. When tracing was
+/// Call once at the top of `main`. When tracing was
 /// requested, telemetry recording is switched on for the calling (main)
 /// thread for the rest of the run and the files are written when the
 /// returned session drops. A malformed `--trace` or `PCNN_TRACE_MODE`

@@ -22,7 +22,7 @@ pub struct TrainedModel {
 }
 
 /// Builds the shared synthetic dataset split. The noise level and the
-/// random circular translation were calibrated (see `calibrate_dataset`)
+/// random circular translation were calibrated (`pcnn repro calibrate_dataset`)
 /// so the trained trio reproduces Table I's regime: accuracy rising and
 /// entropy falling with network capacity.
 pub fn dataset() -> (Dataset, Dataset) {
@@ -34,28 +34,27 @@ pub fn dataset() -> (Dataset, Dataset) {
         .build_split(200)
 }
 
-fn train_one(mut net: Network, epochs: usize) -> TrainedModel {
-    let (train_set, test) = dataset();
+/// Trains `net` on `train_set` and returns its unperforated evaluation
+/// on `test`.
+pub(crate) fn train_and_evaluate(
+    net: &mut Network,
+    epochs: usize,
+    train_set: &Dataset,
+    test: &Dataset,
+) -> Evaluation {
     // Decayed-lr schedule; gradient clipping in `Sgd` keeps the deeper
     // models stable.
     for lr in [0.03f32, 0.01, 0.003] {
-        train(
-            &mut net,
-            &train_set.images,
-            &train_set.labels,
-            epochs,
-            16,
-            lr,
-        )
-        .expect("training cannot fail on consistent shapes");
+        train(net, &train_set.images, &train_set.labels, epochs, 16, lr)
+            .expect("training cannot fail on consistent shapes");
     }
-    let baseline = evaluate(
-        &net,
-        &test.images,
-        &test.labels,
-        &PerforationPlan::identity(net.conv_count()),
-    )
-    .expect("evaluation cannot fail");
+    let identity = PerforationPlan::identity(net.conv_count());
+    evaluate(net, &test.images, &test.labels, &identity).expect("evaluation cannot fail")
+}
+
+fn train_one(mut net: Network, epochs: usize) -> TrainedModel {
+    let (train_set, test) = dataset();
+    let baseline = train_and_evaluate(&mut net, epochs, &train_set, &test);
     TrainedModel {
         net,
         test,
@@ -78,13 +77,16 @@ pub fn trained_googlenet() -> TrainedModel {
     train_one(tiny_googlenet(CLASSES), 8)
 }
 
-/// The entropy-based tuning path of the Tiny-AlexNet model, measured on a
-/// calibration slice of the test set (labels recorded for Fig. 16).
-pub fn alexnet_tuning_path(entropy_threshold: f64, max_iters: usize) -> (TrainedModel, TuningPath) {
-    let model = trained_alexnet();
+/// The entropy-based tuning path of the trained Tiny-AlexNet `model`,
+/// measured on a calibration slice of its test set (labels recorded for
+/// Fig. 16).
+pub fn alexnet_tuning_path(
+    model: &TrainedModel,
+    entropy_threshold: f64,
+    max_iters: usize,
+) -> TuningPath {
     let calib = model.test.take(96);
-    let path = AccuracyTuner::new(&model.net, &calib.images)
+    AccuracyTuner::new(&model.net, &calib.images)
         .with_labels(&calib.labels)
-        .tune(entropy_threshold, max_iters);
-    (model, path)
+        .tune(entropy_threshold, max_iters)
 }

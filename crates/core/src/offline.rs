@@ -75,28 +75,11 @@ impl Schedule {
 
 /// All GEMM layers of a network at a batch size, as `(spec index, name,
 /// groups, shape)`. Classifier (FC) layers are `M = out, N = batch,
-/// K = in` GEMMs.
+/// K = in` GEMMs. This is [`gemm_layers_perforated`] at rate 0, where
+/// `ceil((1 - 0) x W_o H_o)` is `W_o H_o` exactly.
 pub fn gemm_layers(spec: &NetworkSpec, batch: usize) -> Vec<(usize, String, usize, SgemmShape)> {
-    let mut out = Vec::new();
-    for (i, layer) in spec.layers.iter().enumerate() {
-        match layer {
-            LayerSpec::Conv(c) => {
-                out.push((i, c.name.clone(), c.groups, SgemmShape::of_conv(c, batch)));
-            }
-            LayerSpec::Fc(f) => out.push((
-                i,
-                f.name.clone(),
-                1,
-                SgemmShape {
-                    m: f.out_features,
-                    n: batch,
-                    k: f.in_features,
-                },
-            )),
-            LayerSpec::Pool(_) => {}
-        }
-    }
-    out
+    let rates = vec![0.0; spec.conv_layers().len()];
+    gemm_layers_perforated(spec, batch, &rates).expect("one rate per conv layer")
 }
 
 /// Like [`gemm_layers`] but with per-conv-layer perforation rates applied:

@@ -3,13 +3,17 @@
 //! The paper's offline stage tunes each layer's kernel to the deployed
 //! microarchitecture; this module is the same idea applied to the real
 //! CPU inference path. For every conv layer shape, [`ConvTuner`]
-//! benchmarks the candidate algorithms ({im2col, direct, winograd}),
-//! prunes the ones the shape cannot run, records the winner in a
-//! [`ConvPlan`] (serializable next to the schedule, memoized per shape
-//! the way [`crate::offline::ScheduleCache`] memoizes schedules), and
-//! traces the search through telemetry (`tune.conv.candidates` /
-//! `tune.conv.pruned` counters plus one `tune.conv.layer` event per
-//! decision).
+//! prunes the candidates ([`ConvAlgo::TUNED`]: direct, winograd) the
+//! shape cannot run, benchmarks the rest — a lone survivor is chosen
+//! untimed — records the winner in a [`ConvPlan`] (serializable next to
+//! the schedule, memoized per shape the way
+//! [`crate::offline::ScheduleCache`] memoizes schedules), and traces the
+//! search through telemetry (`tune.conv.candidates` / `tune.conv.pruned`
+//! counters plus one `tune.conv.layer` event per decision). Im2col is
+//! never a candidate: direct computes the same bits without the column
+//! matrix, so the tuner only times what can differ; im2col remains a
+//! valid [`ConvPlan`] entry, `Network::forward`'s default and the
+//! reference of every differential test.
 //!
 //! Timing goes through the [`CandidateTimer`] trait: the default
 //! [`WallClockTimer`] measures real best-of-N wall time on the worker
@@ -158,9 +162,11 @@ pub struct LayerTuning {
     pub geom: Conv2dGeometry,
     /// Output channels.
     pub out_channels: usize,
-    /// Measured `(candidate, seconds)` pairs, in candidate order.
+    /// Measured `(candidate, seconds)` pairs, in candidate order; empty
+    /// when the shape left a single candidate, which is chosen untimed.
     pub timings: Vec<(ConvAlgo, f64)>,
-    /// Candidates pruned without timing (shape not supported).
+    /// [`ConvAlgo::TUNED`] candidates pruned because the shape does not
+    /// support them.
     pub pruned: Vec<ConvAlgo>,
     /// The winning algorithm.
     pub chosen: ConvAlgo,
@@ -218,9 +224,9 @@ impl<T: CandidateTimer> ConvTuner<T> {
     }
 
     /// Tunes one layer shape: prune unsupported candidates, time the
-    /// rest, pick the fastest (strict `<` scan in [`ConvAlgo::ALL`]
-    /// order, so ties resolve to the earlier candidate
-    /// deterministically).
+    /// rest unless only one is left, pick the fastest (strict `<` scan in
+    /// [`ConvAlgo::TUNED`] order, so ties resolve to the earlier
+    /// candidate — the im2col-bitwise one — deterministically).
     pub fn tune_shape(&mut self, geom: &Conv2dGeometry, out_channels: usize) -> (ConvAlgo, bool) {
         let key = (*geom, out_channels);
         if let Some(hit) = self.cache.get(&key) {
@@ -233,24 +239,26 @@ impl<T: CandidateTimer> ConvTuner<T> {
             in_channels = geom.in_channels,
             out_channels = out_channels
         );
-        let mut timings = Vec::new();
-        let mut pruned = Vec::new();
-        for algo in ConvAlgo::ALL {
-            if !algo.supports(geom) {
-                pruned.push(algo);
-                continue;
-            }
-            let secs = self.timer.time(algo, geom, out_channels);
-            timings.push((algo, secs));
-        }
-        pcnn_telemetry::counter("tune.conv.candidates", timings.len() as u64);
-        pcnn_telemetry::counter("tune.conv.pruned", pruned.len() as u64);
-        let mut chosen = timings[0];
-        for &(algo, secs) in &timings[1..] {
+        let (eligible, pruned): (Vec<_>, Vec<_>) =
+            ConvAlgo::TUNED.into_iter().partition(|a| a.supports(geom));
+        // A lone candidate has nothing to be compared with: no timing.
+        let timings: Vec<(ConvAlgo, f64)> = if eligible.len() > 1 {
+            eligible
+                .iter()
+                .map(|&algo| (algo, self.timer.time(algo, geom, out_channels)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // Direct supports every geometry, so `eligible` is never empty.
+        let mut chosen = timings.first().copied().unwrap_or((eligible[0], 0.0));
+        for &(algo, secs) in timings.iter().skip(1) {
             if secs < chosen.1 {
                 chosen = (algo, secs);
             }
         }
+        pcnn_telemetry::counter("tune.conv.candidates", timings.len() as u64);
+        pcnn_telemetry::counter("tune.conv.pruned", pruned.len() as u64);
         self.cache.insert(
             key,
             ShapeTuning {
@@ -326,20 +334,17 @@ mod tests {
     }
 
     /// Golden tuner-choice test on recorded canonical timings: CONV1
-    /// selects direct, CONV3 selects winograd, and the baseline stays
-    /// im2col where it is fastest. The timings are the shape of real
-    /// release-build measurements (see `BENCH_conv.json`); recording them
-    /// keeps the *choice* logic golden in debug test builds.
+    /// selects direct, CONV3 selects winograd. The timings are the shape
+    /// of real release-build measurements (see `BENCH_conv.json`);
+    /// recording them keeps the *choice* logic golden in debug test
+    /// builds.
     #[test]
     fn tuner_selects_direct_and_winograd_on_canonical_shapes() {
         let timer = RecordedTimer::new()
-            .with(conv1_geom(), 96, ConvAlgo::Im2col, 0.0150)
-            .with(conv1_geom(), 96, ConvAlgo::Direct, 0.0112)
-            .with(conv3_geom(), 384, ConvAlgo::Im2col, 0.0041)
             .with(conv3_geom(), 384, ConvAlgo::Direct, 0.0039)
             .with(conv3_geom(), 384, ConvAlgo::Winograd, 0.0024);
         let mut tuner = ConvTuner::new(timer);
-        // CONV1: winograd ineligible (stride 4) -> pruned, direct wins.
+        // CONV1: winograd ineligible (stride 4) -> pruned, direct is left.
         let (algo, cached) = tuner.tune_shape(&conv1_geom(), 96);
         assert_eq!(algo, ConvAlgo::Direct);
         assert!(!cached);
@@ -395,12 +400,25 @@ mod tests {
 
     #[test]
     fn ties_resolve_to_the_earlier_candidate() {
-        let geom = Conv2dGeometry::new(1, 8, 8, 3, 2, 0); // winograd pruned
+        let geom = Conv2dGeometry::new(1, 8, 8, 3, 1, 0);
         let timer = RecordedTimer::new()
-            .with(geom, 4, ConvAlgo::Im2col, 0.5)
-            .with(geom, 4, ConvAlgo::Direct, 0.5);
+            .with(geom, 4, ConvAlgo::Direct, 0.5)
+            .with(geom, 4, ConvAlgo::Winograd, 0.5);
         let (algo, _) = ConvTuner::new(timer).tune_shape(&geom, 4);
-        assert_eq!(algo, ConvAlgo::Im2col);
+        assert_eq!(algo, ConvAlgo::Direct);
+    }
+
+    /// AlexNet CONV1 / CONV2 (11x11 stride 4, 5x5) leave direct alone:
+    /// the empty recording panics if the tuner asks it for anything.
+    #[test]
+    fn a_single_candidate_shape_is_never_timed() {
+        let mut tuner = ConvTuner::new(RecordedTimer::new());
+        for (geom, oc) in [
+            (conv1_geom(), 96),
+            (Conv2dGeometry::new(48, 27, 27, 5, 1, 2), 128),
+        ] {
+            assert_eq!(tuner.tune_shape(&geom, oc), (ConvAlgo::Direct, false));
+        }
     }
 
     #[test]
@@ -415,8 +433,11 @@ mod tests {
         let metrics = pcnn_telemetry::snapshot();
         pcnn_telemetry::set_enabled(false);
         assert_eq!(report.layers.len(), net.conv_count());
-        // Both tiny_alexnet convs are 3x3 stride 1: all 3 candidates run.
-        assert_eq!(report.explored, 3 * net.conv_count() as u64);
+        // Both tiny_alexnet convs are 3x3 stride 1: both candidates run.
+        assert_eq!(
+            report.explored,
+            (ConvAlgo::TUNED.len() * net.conv_count()) as u64
+        );
         assert_eq!(report.pruned, 0);
         assert_eq!(
             metrics.counter_value("tune.conv.candidates"),

@@ -3,12 +3,13 @@
 //! [`RequestTrace`] materializes every `(arrival, images)` pair up front,
 //! which is fine for hundreds of requests and fatal for millions: the
 //! serving simulator's memory would grow with trace length. [`TraceSpec`]
-//! is the same family of arrival processes as a *specification* — the
-//! shape parameters and the seed — from which arrivals are generated one
-//! at a time ([`TraceSpec::arrivals`]). Request count and total images
-//! are known analytically, so a server can stream a ~1M-request scenario
-//! in O(1) memory while producing exactly the arrivals the equivalent
-//! materialized constructor would (see the equivalence tests below).
+//! is an arrival process as a *specification* — the shape parameters and
+//! the seed — from which arrivals are generated one at a time
+//! ([`TraceSpec::arrivals`]). Request count and total images are known
+//! analytically, so a server can stream a ~1M-request scenario in O(1)
+//! memory. This is the only arrival generator: the shaped
+//! [`RequestTrace`] constructors are [`TraceSpec::materialize`] of the
+//! spec of the same name, and the golden tests below pin each process.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,14 +17,11 @@ use rand::{Rng, SeedableRng};
 use crate::workload::{RequestTrace, WorkloadKind};
 
 /// An arrival process: either an explicit materialized trace or the
-/// parameters of one of the shaped [`RequestTrace`] constructors.
-///
-/// The shaped variants generate arrivals lazily and are byte-equivalent
-/// to their materialized counterparts for the same parameters and seed.
+/// parameters of a shaped process, whose arrivals are generated lazily.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceSpec {
-    /// A fully materialized trace (the compatibility path: every
-    /// [`RequestTrace`] converts via `From`).
+    /// An explicit request list (every [`RequestTrace`] converts via
+    /// `From`).
     Explicit(RequestTrace),
     /// Single-image requests with think times drawn uniformly from
     /// `[min_gap, max_gap]` seconds; see [`RequestTrace::interactive`].
@@ -84,8 +82,7 @@ impl From<RequestTrace> for TraceSpec {
 }
 
 impl TraceSpec {
-    /// Lazy Poisson arrivals, parameter-checked like
-    /// [`RequestTrace::poisson`].
+    /// Lazy Poisson arrivals; see [`RequestTrace::poisson`].
     ///
     /// # Panics
     ///
@@ -101,8 +98,7 @@ impl TraceSpec {
         }
     }
 
-    /// Lazy periodic frames, parameter-checked like
-    /// [`RequestTrace::real_time`].
+    /// Lazy periodic frames; see [`RequestTrace::real_time`].
     ///
     /// # Panics
     ///
@@ -113,8 +109,7 @@ impl TraceSpec {
         TraceSpec::RealTime { n_frames, fps }
     }
 
-    /// Lazy background burst, parameter-checked like
-    /// [`RequestTrace::background`].
+    /// Lazy background burst; see [`RequestTrace::background`].
     ///
     /// # Panics
     ///
@@ -124,7 +119,7 @@ impl TraceSpec {
         TraceSpec::Background { n_images }
     }
 
-    /// Lazy interactive think-time arrivals, parameter-checked like
+    /// Lazy interactive think-time arrivals; see
     /// [`RequestTrace::interactive`].
     ///
     /// # Panics
@@ -144,8 +139,7 @@ impl TraceSpec {
         }
     }
 
-    /// Lazy bursty arrivals, parameter-checked like
-    /// [`RequestTrace::bursty`].
+    /// Lazy bursty arrivals; see [`RequestTrace::bursty`].
     ///
     /// # Panics
     ///
@@ -219,53 +213,55 @@ impl TraceSpec {
     /// A lazy iterator over `(arrival seconds, image count)` pairs, in
     /// arrival order. O(1) state regardless of trace length.
     pub fn arrivals(&self) -> ArrivalIter<'_> {
-        let state = match self {
-            TraceSpec::Explicit(t) => IterState::Slice(t.requests().iter()),
+        let gapped =
+            |seed: u64, bursts_left: usize, burst_size: usize, gap: Gap| IterState::Gapped {
+                rng: StdRng::seed_from_u64(seed),
+                t: 0.0,
+                bursts_left,
+                in_burst: 0,
+                burst_size,
+                gap,
+            };
+        let state = match *self {
+            TraceSpec::Explicit(ref t) => IterState::Slice(t.requests().iter()),
             TraceSpec::Interactive {
                 n_requests,
                 min_gap,
                 max_gap,
                 seed,
-            } => IterState::Gapped {
-                rng: StdRng::seed_from_u64(*seed),
-                t: 0.0,
-                left: *n_requests,
-                gap: Gap::Uniform {
-                    min: *min_gap,
-                    max: *max_gap,
+            } => gapped(
+                seed,
+                n_requests,
+                1,
+                Gap::Uniform {
+                    min: min_gap,
+                    max: max_gap,
                 },
-            },
+            ),
             TraceSpec::RealTime { n_frames, fps } => IterState::Periodic {
                 i: 0,
-                n: *n_frames,
+                n: n_frames,
                 period: 1.0 / fps,
             },
-            TraceSpec::Background { n_images } => IterState::Once(Some(*n_images)),
+            TraceSpec::Background { n_images } => IterState::Once(Some(n_images)),
             TraceSpec::Poisson {
                 n_requests,
                 rate,
                 seed,
                 ..
-            } => IterState::Gapped {
-                rng: StdRng::seed_from_u64(*seed),
-                t: 0.0,
-                left: *n_requests,
-                gap: Gap::Exponential { rate: *rate },
-            },
+            } => gapped(seed, n_requests, 1, Gap::Exponential { rate }),
             TraceSpec::Bursty {
                 n_bursts,
                 burst_size,
                 burst_rate,
                 seed,
                 ..
-            } => IterState::Bursty {
-                rng: StdRng::seed_from_u64(*seed),
-                t: 0.0,
-                bursts_left: *n_bursts,
-                in_burst: 0,
-                burst_size: *burst_size,
-                burst_rate: *burst_rate,
-            },
+            } => gapped(
+                seed,
+                n_bursts,
+                burst_size,
+                Gap::Exponential { rate: burst_rate },
+            ),
         };
         ArrivalIter { state }
     }
@@ -301,10 +297,14 @@ impl Gap {
 
 enum IterState<'a> {
     Slice(std::slice::Iter<'a, (f64, usize)>),
+    /// Bursts of `burst_size` simultaneous single-image requests, one
+    /// gap drawn after each burst; a plain gap process is bursts of one.
     Gapped {
         rng: StdRng,
         t: f64,
-        left: usize,
+        bursts_left: usize,
+        in_burst: usize,
+        burst_size: usize,
         gap: Gap,
     },
     Periodic {
@@ -313,14 +313,6 @@ enum IterState<'a> {
         period: f64,
     },
     Once(Option<usize>),
-    Bursty {
-        rng: StdRng,
-        t: f64,
-        bursts_left: usize,
-        in_burst: usize,
-        burst_size: usize,
-        burst_rate: f64,
-    },
 }
 
 /// Lazy `(arrival seconds, image count)` iterator over a [`TraceSpec`];
@@ -335,13 +327,24 @@ impl Iterator for ArrivalIter<'_> {
     fn next(&mut self) -> Option<(f64, usize)> {
         match &mut self.state {
             IterState::Slice(it) => it.next().copied(),
-            IterState::Gapped { rng, t, left, gap } => {
-                if *left == 0 {
+            IterState::Gapped {
+                rng,
+                t,
+                bursts_left,
+                in_burst,
+                burst_size,
+                gap,
+            } => {
+                if *bursts_left == 0 {
                     return None;
                 }
-                *left -= 1;
                 let at = *t;
-                *t += gap.draw(rng);
+                *in_burst += 1;
+                if *in_burst == *burst_size {
+                    *in_burst = 0;
+                    *bursts_left -= 1;
+                    *t += gap.draw(rng);
+                }
                 Some((at, 1))
             }
             IterState::Periodic { i, n, period } => {
@@ -353,27 +356,6 @@ impl Iterator for ArrivalIter<'_> {
                 Some((at, 1))
             }
             IterState::Once(n) => n.take().map(|n| (0.0, n)),
-            IterState::Bursty {
-                rng,
-                t,
-                bursts_left,
-                in_burst,
-                burst_size,
-                burst_rate,
-            } => {
-                if *bursts_left == 0 {
-                    return None;
-                }
-                let at = *t;
-                *in_burst += 1;
-                if *in_burst == *burst_size {
-                    *in_burst = 0;
-                    *bursts_left -= 1;
-                    let u: f64 = rng.gen_range(0.0..1.0);
-                    *t += -(1.0 - u).ln() / *burst_rate;
-                }
-                Some((at, 1))
-            }
         }
     }
 }
@@ -386,45 +368,80 @@ mod tests {
         spec.arrivals().collect()
     }
 
+    /// The arrivals at `picks` plus the last one.
+    fn sample(spec: &TraceSpec, picks: [usize; 3]) -> Vec<(f64, usize)> {
+        let all = collect(spec);
+        assert_eq!(all.len(), spec.len());
+        assert_eq!(all.iter().map(|r| r.1).sum::<usize>(), spec.total_images());
+        assert_eq!(spec.materialize().requests(), all);
+        let mut out: Vec<_> = picks.iter().map(|&i| all[i]).collect();
+        out.push(*all.last().unwrap());
+        out
+    }
+
+    // One golden per process, recorded from `RequestTrace`'s own
+    // generators before they became `materialize()` of these specs.
+
     #[test]
-    fn poisson_spec_matches_materialized_trace() {
+    fn poisson_arrivals_are_golden() {
         let spec = TraceSpec::poisson(WorkloadKind::Interactive, 500, 20.0, 11);
-        let trace = RequestTrace::poisson(WorkloadKind::Interactive, 500, 20.0, 11);
-        assert_eq!(collect(&spec), trace.requests());
-        assert_eq!(spec.len(), 500);
-        assert_eq!(spec.total_images(), 500);
-        assert_eq!(spec.materialize(), trace);
+        assert_eq!((spec.len(), spec.total_images()), (500, 500));
+        assert_eq!(
+            sample(&spec, [0, 1, 2]),
+            [
+                (0.0, 1),
+                (0.01900773623991328, 1),
+                (0.03422305436139808, 1),
+                (25.479560809016263, 1)
+            ]
+        );
     }
 
     #[test]
-    fn interactive_spec_matches_materialized_trace() {
+    fn interactive_arrivals_are_golden() {
         let spec = TraceSpec::interactive(50, 0.1, 1.0, 7);
-        let trace = RequestTrace::interactive(50, 0.1, 1.0, 7);
-        assert_eq!(collect(&spec), trace.requests());
         assert_eq!(spec.kind(), WorkloadKind::Interactive);
+        assert_eq!(
+            sample(&spec, [0, 1, 2]),
+            [
+                (0.0, 1),
+                (0.4508467735521443, 1),
+                (0.5659562386274848, 1),
+                (27.23568530703577, 1)
+            ]
+        );
     }
 
     #[test]
-    fn real_time_and_background_specs_match() {
+    fn real_time_and_background_arrivals_are_golden() {
         assert_eq!(
-            collect(&TraceSpec::real_time(30, 60.0)),
-            RequestTrace::real_time(30, 60.0).requests()
+            sample(&TraceSpec::real_time(30, 60.0), [0, 1, 2]),
+            [
+                (0.0, 1),
+                (0.016666666666666666, 1),
+                (0.03333333333333333, 1),
+                (0.48333333333333334, 1)
+            ]
         );
-        assert_eq!(
-            collect(&TraceSpec::background(256)),
-            RequestTrace::background(256).requests()
-        );
+        assert_eq!(collect(&TraceSpec::background(256)), [(0.0, 256)]);
         assert_eq!(TraceSpec::background(256).total_images(), 256);
         assert_eq!(TraceSpec::background(256).len(), 1);
     }
 
     #[test]
-    fn bursty_spec_matches_materialized_trace() {
+    fn bursty_arrivals_are_golden() {
         let spec = TraceSpec::bursty(WorkloadKind::Interactive, 10, 4, 2.0, 3);
-        let trace = RequestTrace::bursty(WorkloadKind::Interactive, 10, 4, 2.0, 3);
-        assert_eq!(collect(&spec), trace.requests());
-        assert_eq!(spec.len(), 40);
-        assert_eq!(spec.total_images(), 40);
+        assert_eq!((spec.len(), spec.total_images()), (40, 40));
+        // The first request of bursts 0, 1 and 2, and the last of burst 9.
+        assert_eq!(
+            sample(&spec, [0, 4, 8]),
+            [
+                (0.0, 1),
+                (0.06020906965436336, 1),
+                (0.6626849006012302, 1),
+                (3.3108639173289216, 1)
+            ]
+        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Inference request workloads for the three task classes of §II.B.
+//!
+//! A [`RequestTrace`] is a materialized request list. Its shaped
+//! constructors are the matching [`TraceSpec`] arrival process collected
+//! into a vector: the generator lives in [`crate::spec`] only.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::spec::TraceSpec;
 
 /// The three CNN application classes of the paper (§II.B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -14,7 +17,7 @@ pub enum WorkloadKind {
     Background,
 }
 
-/// A deterministic trace of inference requests.
+/// A deterministic, materialized trace of inference requests.
 ///
 /// Each entry is `(arrival time in seconds, number of images)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,24 +34,7 @@ impl RequestTrace {
     ///
     /// Panics if `n_requests == 0` or the gap range is invalid.
     pub fn interactive(n_requests: usize, min_gap: f64, max_gap: f64, seed: u64) -> Self {
-        assert!(n_requests > 0, "need at least one request");
-        assert!(
-            min_gap >= 0.0 && max_gap >= min_gap,
-            "invalid gap range [{min_gap}, {max_gap}]"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = 0.0;
-        let requests = (0..n_requests)
-            .map(|_| {
-                let at = t;
-                t += rng.gen_range(min_gap..=max_gap);
-                (at, 1)
-            })
-            .collect();
-        Self {
-            kind: WorkloadKind::Interactive,
-            requests,
-        }
+        TraceSpec::interactive(n_requests, min_gap, max_gap, seed).materialize()
     }
 
     /// Real-time workload: one frame every `1/fps` seconds.
@@ -57,14 +43,7 @@ impl RequestTrace {
     ///
     /// Panics if `fps <= 0` or `n_frames == 0`.
     pub fn real_time(n_frames: usize, fps: f64) -> Self {
-        assert!(fps > 0.0, "fps must be positive");
-        assert!(n_frames > 0, "need at least one frame");
-        let period = 1.0 / fps;
-        let requests = (0..n_frames).map(|i| (i as f64 * period, 1)).collect();
-        Self {
-            kind: WorkloadKind::RealTime,
-            requests,
-        }
+        TraceSpec::real_time(n_frames, fps).materialize()
     }
 
     /// Background workload: all `n_images` available at time zero (e.g. a
@@ -74,11 +53,7 @@ impl RequestTrace {
     ///
     /// Panics if `n_images == 0`.
     pub fn background(n_images: usize) -> Self {
-        assert!(n_images > 0, "need at least one image");
-        Self {
-            kind: WorkloadKind::Background,
-            requests: vec![(0.0, n_images)],
-        }
+        TraceSpec::background(n_images).materialize()
     }
 
     /// Builds a trace from explicit `(arrival seconds, image count)`
@@ -106,20 +81,7 @@ impl RequestTrace {
     ///
     /// Panics if `n_requests == 0` or `rate <= 0`.
     pub fn poisson(kind: WorkloadKind, n_requests: usize, rate: f64, seed: u64) -> Self {
-        assert!(n_requests > 0, "need at least one request");
-        assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = 0.0;
-        let requests = (0..n_requests)
-            .map(|_| {
-                let at = t;
-                // Inverse-CDF exponential sample; 1 - u stays in (0, 1].
-                let u: f64 = rng.gen_range(0.0..1.0);
-                t += -(1.0 - u).ln() / rate;
-                (at, 1)
-            })
-            .collect();
-        Self { kind, requests }
+        TraceSpec::poisson(kind, n_requests, rate, seed).materialize()
     }
 
     /// Open-loop bursty workload: `n_bursts` burst events at Poisson
@@ -138,23 +100,7 @@ impl RequestTrace {
         burst_rate: f64,
         seed: u64,
     ) -> Self {
-        assert!(n_bursts > 0, "need at least one burst");
-        assert!(burst_size > 0, "bursts must carry images");
-        assert!(
-            burst_rate > 0.0 && burst_rate.is_finite(),
-            "burst rate must be positive"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut t = 0.0;
-        let mut requests = Vec::with_capacity(n_bursts * burst_size);
-        for _ in 0..n_bursts {
-            for _ in 0..burst_size {
-                requests.push((t, 1));
-            }
-            let u: f64 = rng.gen_range(0.0..1.0);
-            t += -(1.0 - u).ln() / burst_rate;
-        }
-        Self { kind, requests }
+        TraceSpec::bursty(kind, n_bursts, burst_size, burst_rate, seed).materialize()
     }
 
     /// The workload class.

@@ -104,8 +104,14 @@ pub enum ConvAlgo {
 }
 
 impl ConvAlgo {
-    /// Every algorithm, in tuner candidate order.
+    /// Every algorithm a [`ConvAlgo`] can name.
     pub const ALL: [ConvAlgo; 3] = [ConvAlgo::Im2col, ConvAlgo::Direct, ConvAlgo::Winograd];
+
+    /// The tuner's candidates, in candidate order. Im2col is not one:
+    /// direct is bitwise im2col without the column matrix and ties or
+    /// beats it on every AlexNet / VGG-16 shape, so timing both only
+    /// measures noise. Im2col stays the default and the reference.
+    pub const TUNED: [ConvAlgo; 2] = [ConvAlgo::Direct, ConvAlgo::Winograd];
 
     /// Stable lowercase name used in plans, reports and benchmarks.
     pub fn name(self) -> &'static str {
