@@ -27,15 +27,14 @@
 //!                serve, gemm, profile, conv, fleet
 //! ```
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 
-use pcnn_bench::baselines::{self, FleetBench, FleetScenario, ServeScenario};
+use pcnn_bench::baselines::{self, FleetScenario, ServeScenario};
 use pcnn_bench::obs::{
     analyze_incident, analyze_route, analyze_trace, diff_documents, load_document, Violation,
 };
-use pcnn_bench::TableWriter;
 use pcnn_bench::{conv, experiments, profile};
+use pcnn_bench::{Args, CliError, TableWriter};
 use pcnn_core::offline::{library_schedule, OfflineCompiler};
 use pcnn_core::runtime::simulate_schedule;
 use pcnn_core::task::{AppSpec, UserRequirements};
@@ -45,62 +44,81 @@ use pcnn_kernels::sgemm::SgemmShape;
 use pcnn_kernels::{tune_kernel, Library};
 use pcnn_nn::spec::{alexnet, googlenet, vggnet, NetworkSpec};
 use pcnn_serve::RouterPolicy;
+use pcnn_telemetry::json::JsonValue;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  pcnn platforms\n  pcnn compile  --gpu <k20|titanx|970m|tx1> --net <alexnet|vggnet|googlenet> --task <interactive|realtime|background> [--rate <imgs/s>]\n  pcnn simulate --gpu <...> --net <...> [--batch N] [--library <cublas|cudnn|nervana>]\n  pcnn tune     --gpu <...> --m <M> --n <N> --k <K>\n  pcnn serve    [--gpu <a,b,...>] [--net <...>] [--seed N] [--requests N] [--rate R] [--fps F] [--frames N] [--bg-images N] [--max-batch N] [--no-degrade] [--smoke] [--json <path>]\n  pcnn serve-fleet [--smoke] [--policy <round-robin|affinity|energy|steal>] [--scenario <deadline|slack|drain|ladder>] [--stream N] [--json <path>]\n                                             run the heterogeneous K20c+TX1 fleet scenarios under every routing policy; --scenario runs exactly one (clean traces); --stream N serves N lazy requests in O(1) memory\n  pcnn bench-gemm [--reps N] [--json <path>]\n  pcnn bench-conv [--reps N] [--smoke] [--json <path>]\n                                             sweep conv algorithms ({{im2col,direct,winograd}}) over the canonical layer shapes + tuned-plan e2e proof\n  pcnn profile <alexnet|vggnet|googlenet> [--batch N] [--reps N] [--json <path>]\n                                             per-layer phase/roofline report; --json writes the deterministic profile document\n  pcnn repro <id> | --list | all --dir <path>\n                                             regenerate a table / figure of the paper (ids: --list); `all` writes <path>/<id>.txt for every results/<id>.txt\n  pcnn obs <trace.json>                      analyze an exported serve trace\n  pcnn obs diff <a.json> <b.json>            attribute the time delta between two profile documents or Chrome traces\n  pcnn obs route <trace.json> [--req N] [--workload W]   routing audit trail: reason histogram, steal flows, per-request \"why platform P\"\n  pcnn obs incident <trace>.incident.json    postmortem a flight-recorder incident snapshot (alert + last windows + recent decisions)\n  pcnn obs check [--baseline-<name> P] [--candidate-<name> P] [--reps N]   (<name>: serve, gemm, profile, conv, fleet)\n                                             gate fresh runs against the committed baselines\nevery subcommand also accepts --trace <path> (or PCNN_TRACE=<path>) to write a Chrome trace + JSONL manifest + Prometheus metrics,\nand --threads <N> (or PCNN_THREADS=<N>) to pin the CPU worker pool"
-    );
-    ExitCode::from(2)
+/// What every subcommand returns: `Err(Usage)` exits 2 after the usage
+/// text, `Err(Failed)` exits 1.
+type CmdResult = Result<(), CliError>;
+
+const USAGE: &str = "usage:\n  pcnn platforms\n  pcnn compile  --gpu <k20|titanx|970m|tx1> --net <alexnet|vggnet|googlenet> --task <interactive|realtime|background> [--rate <imgs/s>]\n  pcnn simulate --gpu <...> --net <...> [--batch N] [--library <cublas|cudnn|nervana>]\n  pcnn tune     --gpu <...> --m <M> --n <N> --k <K>\n  pcnn serve    [--gpu <a,b,...>] [--net <...>] [--seed N] [--requests N] [--rate R] [--fps F] [--frames N] [--bg-images N] [--max-batch N] [--no-degrade] [--smoke] [--json <path>]\n  pcnn serve-fleet [--smoke] [--policy <round-robin|affinity|energy|steal>] [--scenario <deadline|slack|drain|ladder>] [--stream N] [--json <path>]\n                                             run the heterogeneous K20c+TX1 fleet scenarios under every routing policy; --scenario runs exactly one (clean traces); --stream N serves N lazy requests in O(1) memory\n  pcnn bench-gemm [--reps N] [--json <path>]\n  pcnn bench-conv [--reps N] [--smoke] [--json <path>]\n                                             sweep conv algorithms ({im2col,direct,winograd}) over the canonical layer shapes + tuned-plan e2e proof\n  pcnn profile <alexnet|vggnet|googlenet> [--batch N] [--reps N] [--json <path>]\n                                             per-layer phase/roofline report; --json writes the deterministic profile document\n  pcnn repro <id> | --list | all --dir <path>\n                                             regenerate a table / figure of the paper (ids: --list); `all` writes <path>/<id>.txt for every results/<id>.txt\n  pcnn obs <trace.json>                      analyze an exported serve trace\n  pcnn obs diff <a.json> <b.json>            attribute the time delta between two profile documents or Chrome traces\n  pcnn obs route <trace.json> [--req N] [--workload W]   routing audit trail: reason histogram, steal flows, per-request \"why platform P\"\n  pcnn obs incident <trace>.incident.json    postmortem a flight-recorder incident snapshot (alert + last windows + recent decisions)\n  pcnn obs check [--baseline-<name> P] [--candidate-<name> P] [--reps N]   (<name>: serve, gemm, profile, conv, fleet)\n                                             gate fresh runs against the committed baselines\nevery subcommand also accepts --trace <path> (or PCNN_TRACE=<path>) to write a Chrome trace + JSONL manifest + Prometheus metrics,\nand --threads <N> (or PCNN_THREADS=<N>) to pin the CPU worker pool\nexit codes: 0 success, 1 the run failed, 2 the command line was refused";
+
+/// A run that failed after its command line was accepted.
+fn failed(msg: impl std::fmt::Display) -> CliError {
+    CliError::Failed(msg.to_string())
 }
 
-fn parse_flags(args: &[String]) -> Option<HashMap<String, String>> {
-    let mut flags = HashMap::new();
-    let mut it = args.iter().peekable();
-    while let Some(key) = it.next() {
-        let name = key.strip_prefix("--")?;
-        let (name, value) = match name.split_once('=') {
-            Some((n, v)) => (n, v.to_string()),
-            // A flag followed by another flag (or nothing) is a bare
-            // boolean, e.g. `--smoke`.
-            None => match it.peek() {
-                Some(next) if !next.starts_with("--") => (name, it.next()?.clone()),
-                _ => (name, "true".to_string()),
-            },
-        };
-        flags.insert(name.to_string(), value);
-    }
-    Some(flags)
+/// A `--flag` value outside its closed set, naming the flag, the value
+/// and the set.
+fn unknown(flag: &str, value: &str, expected: &str) -> CliError {
+    CliError::Usage(format!(
+        "{flag}: unknown value `{value}` (expected {expected})"
+    ))
 }
 
-fn pick_gpu(name: &str) -> Option<&'static GpuArch> {
+fn pick_gpu(name: &str) -> Result<&'static GpuArch, CliError> {
     match name {
-        "k20" | "k20c" => Some(&K20C),
-        "titanx" => Some(&TITAN_X),
-        "970m" | "gtx970m" => Some(&GTX_970M),
-        "tx1" => Some(&JETSON_TX1),
-        _ => None,
+        "k20" | "k20c" => Ok(&K20C),
+        "titanx" => Ok(&TITAN_X),
+        "970m" | "gtx970m" => Ok(&GTX_970M),
+        "tx1" => Ok(&JETSON_TX1),
+        _ => Err(unknown("--gpu", name, "k20, titanx, 970m or tx1")),
     }
 }
 
-fn pick_net(name: &str) -> Option<NetworkSpec> {
+fn pick_net(name: &str) -> Result<NetworkSpec, CliError> {
     match name {
-        "alexnet" => Some(alexnet()),
-        "vggnet" | "vgg" | "vgg16" => Some(vggnet()),
-        "googlenet" => Some(googlenet()),
-        _ => None,
+        "alexnet" => Ok(alexnet()),
+        "vggnet" | "vgg" | "vgg16" => Ok(vggnet()),
+        "googlenet" => Ok(googlenet()),
+        _ => Err(unknown("--net", name, "alexnet, vggnet or googlenet")),
     }
 }
 
-fn pick_library(name: &str) -> Option<Library> {
+fn pick_library(name: &str) -> Result<Library, CliError> {
     match name {
-        "cublas" => Some(Library::CuBlas),
-        "cudnn" => Some(Library::CuDnn),
-        "nervana" => Some(Library::Nervana),
-        _ => None,
+        "cublas" => Ok(Library::CuBlas),
+        "cudnn" => Ok(Library::CuDnn),
+        "nervana" => Ok(Library::Nervana),
+        _ => Err(unknown("--library", name, "cublas, cudnn or nervana")),
     }
 }
 
-fn cmd_platforms() -> ExitCode {
+fn pick_policy(name: &str) -> Result<RouterPolicy, CliError> {
+    RouterPolicy::parse(name)
+        .ok_or_else(|| unknown("--policy", name, "round-robin, affinity, energy or steal"))
+}
+
+/// `a/b/c`, the way the tables print a sweep in one cell.
+fn slashed<T: ToString>(items: impl Iterator<Item = T>) -> String {
+    items.map(|x| x.to_string()).collect::<Vec<_>>().join("/")
+}
+
+/// Writes the `--json` document, if one was asked for, and says so.
+fn write_json(path: Option<String>, document: impl FnOnce() -> String) -> CmdResult {
+    let Some(path) = path else { return Ok(()) };
+    std::fs::write(&path, document())
+        .map_err(|e| failed(format!("could not write {path}: {e}")))?;
+    println!("wrote {path}");
+    Ok(())
+}
+
+/// Loads a JSON document (a trace, a baseline, an incident snapshot).
+fn load(path: &str) -> Result<JsonValue, CliError> {
+    load_document(path).map_err(failed)
+}
+
+fn cmd_platforms(args: Args) -> CmdResult {
+    args.finish()?;
     let mut t = TableWriter::new(vec![
         "gpu", "class", "cores", "MHz", "SMs", "TFLOPS", "GB/s",
     ]);
@@ -116,35 +134,31 @@ fn cmd_platforms() -> ExitCode {
         ]);
     }
     t.print("available platforms");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_compile(flags: &HashMap<String, String>) -> ExitCode {
-    let (Some(gpu), Some(net)) = (
-        flags.get("gpu").and_then(|g| pick_gpu(g)),
-        flags.get("net").and_then(|n| pick_net(n)),
-    ) else {
-        return usage();
-    };
-    let rate: f64 = flags
-        .get("rate")
-        .and_then(|r| r.parse().ok())
-        .unwrap_or(30.0);
-    let app = match flags.get("task").map(String::as_str) {
-        Some("interactive") => AppSpec::age_detection(),
-        Some("realtime") => AppSpec::video_surveillance(rate),
-        Some("background") => AppSpec::image_tagging(),
-        _ => return usage(),
-    };
-    let req = UserRequirements::infer(&app);
-    let compiler = OfflineCompiler::new(gpu, &net);
-    let schedule = match compiler.try_compile(&app, &req) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("compile failed: {e}");
-            return ExitCode::FAILURE;
+fn cmd_compile(mut args: Args) -> CmdResult {
+    let gpu = pick_gpu(&args.require::<String>("gpu")?)?;
+    let net = pick_net(&args.require::<String>("net")?)?;
+    let rate: f64 = args.get("rate")?.unwrap_or(30.0);
+    let app = match args.require::<String>("task")?.as_str() {
+        "interactive" => AppSpec::age_detection(),
+        "realtime" => AppSpec::video_surveillance(rate),
+        "background" => AppSpec::image_tagging(),
+        other => {
+            return Err(unknown(
+                "--task",
+                other,
+                "interactive, realtime or background",
+            ))
         }
     };
+    args.finish()?;
+    let req = UserRequirements::infer(&app);
+    let compiler = OfflineCompiler::new(gpu, &net);
+    let schedule = compiler
+        .try_compile(&app, &req)
+        .map_err(|e| failed(format!("compile failed: {e}")))?;
     println!(
         "compiled {} for {} ({:?} task): batch {}",
         net.name, gpu.name, app.kind, schedule.batch
@@ -179,22 +193,18 @@ fn cmd_compile(flags: &HashMap<String, String>) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> ExitCode {
-    let (Some(gpu), Some(net)) = (
-        flags.get("gpu").and_then(|g| pick_gpu(g)),
-        flags.get("net").and_then(|n| pick_net(n)),
-    ) else {
-        return usage();
-    };
-    let batch: usize = flags.get("batch").and_then(|b| b.parse().ok()).unwrap_or(1);
-    let schedule = match flags.get("library") {
+fn cmd_simulate(mut args: Args) -> CmdResult {
+    let gpu = pick_gpu(&args.require::<String>("gpu")?)?;
+    let net = pick_net(&args.require::<String>("net")?)?;
+    let batch: usize = args.get("batch")?.unwrap_or(1);
+    let library = args.get::<String>("library")?;
+    args.finish()?;
+    let schedule = match library {
         Some(lib_name) => {
-            let Some(lib) = pick_library(lib_name) else {
-                return usage();
-            };
+            let lib = pick_library(&lib_name)?;
             let batch = lib.legal_batch(batch);
             if !lib.fits(gpu, &net, batch) {
                 println!(
@@ -205,17 +215,13 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> ExitCode {
                     lib.memory_estimate(gpu, &net, batch).total() / (1 << 20),
                     gpu.usable_mem / (1 << 20)
                 );
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             library_schedule(gpu, &net, lib, batch)
         }
-        None => match OfflineCompiler::new(gpu, &net).try_compile_batch(batch) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("compile failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        None => OfflineCompiler::new(gpu, &net)
+            .try_compile_batch(batch)
+            .map_err(|e| failed(format!("compile failed: {e}")))?,
     };
     let cost = simulate_schedule(gpu, &schedule);
     println!(
@@ -227,23 +233,13 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> ExitCode {
         schedule.batch as f64 / cost.seconds,
         cost.energy.total_j()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
-    let Some(gpu) = flags.get("gpu").and_then(|g| pick_gpu(g)) else {
-        return usage();
-    };
-    let dims: Option<(usize, usize, usize)> = (|| {
-        Some((
-            flags.get("m")?.parse().ok()?,
-            flags.get("n")?.parse().ok()?,
-            flags.get("k")?.parse().ok()?,
-        ))
-    })();
-    let Some((m, n, k)) = dims else {
-        return usage();
-    };
+fn cmd_tune(mut args: Args) -> CmdResult {
+    let gpu = pick_gpu(&args.require::<String>("gpu")?)?;
+    let (m, n, k) = (args.require("m")?, args.require("n")?, args.require("k")?);
+    args.finish()?;
     let shape = SgemmShape { m, n, k };
     let tuned = tune_kernel(gpu, shape);
     let v = tuned.config.variant;
@@ -261,7 +257,7 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
         "  grid {}, optTLP {}, rEC {:.3}, invocation waves {}",
         tuned.grid, tuned.opt_tlp, tuned.rec, tuned.invocations
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `pcnn bench-conv` — sweep the canonical conv layer shapes across
@@ -272,25 +268,15 @@ fn cmd_tune(flags: &HashMap<String, String>) -> ExitCode {
 /// `BENCH_conv.json` document the obs gate reads; `--smoke` runs the
 /// reduced CI subset (never commit a
 /// smoke document as the baseline — the gate flags its missing shapes).
-fn cmd_bench_conv(flags: &HashMap<String, String>) -> ExitCode {
-    let reps: usize = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(3);
-    let smoke = flags.contains_key("smoke");
-    let bench = match conv::run_conv_bench(reps, smoke) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("bench-conv failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_bench_conv(mut args: Args) -> CmdResult {
+    let reps: usize = args.get("reps")?.unwrap_or(3);
+    let smoke = args.flag("smoke");
+    let json = args.get::<String>("json")?;
+    args.finish()?;
+    let bench =
+        conv::run_conv_bench(reps, smoke).map_err(|e| failed(format!("bench-conv failed: {e}")))?;
     let widths = conv::sweep_widths(&bench);
-    let sweep_header = format!(
-        "ms @ {}T",
-        widths
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join("/")
-    );
+    let sweep_header = format!("ms @ {}T", slashed(widths.iter()));
     let mut t = TableWriter::new(vec![
         "layer",
         "shape",
@@ -312,11 +298,7 @@ fn cmd_bench_conv(flags: &HashMap<String, String>) -> ExitCode {
                 a.algo.name().to_string(),
                 format!("{:.2}", a.gflops_1t),
                 format!("{:.2}x", a.speedup_vs_im2col_1t),
-                a.secs
-                    .iter()
-                    .map(|sec| format!("{:.2}", sec * 1e3))
-                    .collect::<Vec<_>>()
-                    .join("/"),
+                slashed(a.secs.iter().map(|sec| format!("{:.2}", sec * 1e3))),
                 if a.algo == r.winner { "*" } else { "" }.to_string(),
             ]);
         }
@@ -357,30 +339,18 @@ fn cmd_bench_conv(flags: &HashMap<String, String>) -> ExitCode {
          efficiency = retained / time ratio)",
         conv::PERFORATION_BATCH
     ));
-    if let Some(path) = flags.get("json") {
-        if let Err(err) = std::fs::write(path, conv::conv_json(&bench, widths)) {
-            eprintln!("error: could not write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    ExitCode::SUCCESS
+    write_json(json, || conv::conv_json(&bench, widths))
 }
 
-fn cmd_bench_gemm(flags: &HashMap<String, String>) -> ExitCode {
-    let reps: usize = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(3);
+fn cmd_bench_gemm(mut args: Args) -> CmdResult {
+    let reps: usize = args.get("reps")?.unwrap_or(3);
+    let json = args.get::<String>("json")?;
+    args.finish()?;
     let threads = pcnn_parallel::current_threads();
     let cores = baselines::machine_cores();
     let rows = baselines::run_gemm_bench(reps);
     let nt_header = format!("packed {threads}T GF/s");
-    let sweep_header = format!(
-        "GF/s @ {}T",
-        baselines::GEMM_THREAD_SWEEP
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join("/")
-    );
+    let sweep_header = format!("GF/s @ {}T", slashed(baselines::GEMM_THREAD_SWEEP.iter()));
     let mut t = TableWriter::new(vec![
         "layer",
         "MxNxK",
@@ -399,11 +369,7 @@ fn cmd_bench_gemm(flags: &HashMap<String, String>) -> ExitCode {
             format!("{:.2}", r.packed_1t_gflops),
             format!("{:.2}", r.packed_nt_gflops),
             format!("{:.2}x", r.speedup_vs_naive),
-            r.scaling
-                .iter()
-                .map(|p| format!("{:.1}", p.gflops))
-                .collect::<Vec<_>>()
-                .join("/"),
+            slashed(r.scaling.iter().map(|p| format!("{:.1}", p.gflops))),
             format!("{:.2}", r.scaling_efficiency),
         ]);
     }
@@ -433,14 +399,7 @@ fn cmd_bench_gemm(flags: &HashMap<String, String>) -> ExitCode {
     fc.print(&format!(
         "FC layers through gemm_nt ({threads} worker threads; copy roof {roof:.1} GB/s)"
     ));
-    if let Some(path) = flags.get("json") {
-        if let Err(e) = std::fs::write(path, baselines::gemm_json(&rows, threads, cores, reps)) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    ExitCode::SUCCESS
+    write_json(json, || baselines::gemm_json(&rows, threads, cores, reps))
 }
 
 /// `pcnn serve` — run the online serving simulator on a canonical mixed
@@ -450,41 +409,36 @@ fn cmd_bench_gemm(flags: &HashMap<String, String>) -> ExitCode {
 /// The scenario is a pure function of the flags, so the JSON report is
 /// byte-identical across runs with the same arguments; the committed
 /// `BENCH_serve.json` baseline is [`ServeScenario::canonical`].
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
-    let gpu_names = flags.get("gpu").map(String::as_str).unwrap_or("k20");
-    let mut gpus = Vec::new();
-    for name in gpu_names.split(',') {
-        let Some(gpu) = pick_gpu(name.trim()) else {
-            return usage();
-        };
-        gpus.push(gpu);
-    }
-    let Some(net) = pick_net(flags.get("net").map(String::as_str).unwrap_or("alexnet")) else {
-        return usage();
-    };
-    let base = if flags.contains_key("smoke") {
+fn cmd_serve(mut args: Args) -> CmdResult {
+    let gpu_names = args.get::<String>("gpu")?.unwrap_or_else(|| "k20".into());
+    let gpus = gpu_names
+        .split(',')
+        .map(|name| pick_gpu(name.trim()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let net = pick_net(
+        &args
+            .get::<String>("net")?
+            .unwrap_or_else(|| "alexnet".into()),
+    )?;
+    let base = if args.flag("smoke") {
         ServeScenario::smoke()
     } else {
         ServeScenario::canonical()
     };
-    let parse = |key: &str, default: f64| {
-        flags
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
     let scenario = ServeScenario {
         gpus,
         net,
-        seed: parse("seed", base.seed as f64) as u64,
-        fps: parse("fps", base.fps),
-        frames: parse("frames", base.frames as f64) as usize,
-        requests: parse("requests", base.requests as f64) as usize,
-        rate: parse("rate", base.rate),
-        bg_images: parse("bg-images", base.bg_images as f64) as usize,
-        max_batch: parse("max-batch", base.max_batch as f64) as usize,
-        degradation: !flags.contains_key("no-degrade"),
+        seed: args.get("seed")?.unwrap_or(base.seed),
+        fps: args.get("fps")?.unwrap_or(base.fps),
+        frames: args.get("frames")?.unwrap_or(base.frames),
+        requests: args.get("requests")?.unwrap_or(base.requests),
+        rate: args.get("rate")?.unwrap_or(base.rate),
+        bg_images: args.get("bg-images")?.unwrap_or(base.bg_images),
+        max_batch: args.get("max-batch")?.unwrap_or(base.max_batch),
+        degradation: !args.flag("no-degrade"),
     };
+    let json = args.get::<String>("json")?;
+    args.finish()?;
     let seed = scenario.seed;
     // Seeded serve traces should be byte-identical: keep only the
     // virtual-time observability data unless the user forced a mode.
@@ -492,13 +446,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
     }
 
-    let report = match scenario.run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = scenario
+        .run()
+        .map_err(|e| failed(format!("serve failed: {e}")))?;
 
     let mut t = TableWriter::new(vec![
         "workload",
@@ -538,14 +488,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         report.total_energy_j,
         report.total_idle_energy_j
     ));
-    if let Some(path) = flags.get("json") {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    ExitCode::SUCCESS
+    write_json(json, || report.to_json())
 }
 
 /// `pcnn serve-fleet` — run the canonical heterogeneous-fleet scenarios
@@ -560,24 +503,21 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
 /// `N` lazily-generated Poisson requests through the streaming event
 /// loop — memory stays independent of `N` because the trace is never
 /// materialized.
-fn cmd_serve_fleet(flags: &HashMap<String, String>) -> ExitCode {
-    let scenario = if flags.contains_key("smoke") {
+fn cmd_serve_fleet(mut args: Args) -> CmdResult {
+    let scenario = if args.flag("smoke") {
         FleetScenario::smoke()
     } else {
         FleetScenario::canonical()
     };
-    let policy = match flags.get("policy") {
-        Some(name) => match RouterPolicy::parse(name) {
-            Some(p) => Some(p),
-            None => {
-                eprintln!(
-                    "error: unknown policy {name:?} (expected round-robin, affinity, energy, or steal)"
-                );
-                return ExitCode::from(2);
-            }
-        },
+    let policy = match args.get::<String>("policy")? {
+        Some(name) => Some(pick_policy(&name)?),
         None => None,
     };
+    let only = args.get::<String>("scenario")?;
+    let stream = args.get::<usize>("stream")?;
+    let json = args.get::<String>("json")?;
+    args.finish()?;
+    let fleet_failed = |e| failed(format!("serve-fleet failed: {e}"));
     // Seeded fleet runs should be byte-identical: keep only the
     // virtual-time observability data unless the user forced a mode.
     if pcnn_telemetry::enabled() && std::env::var("PCNN_TRACE_MODE").is_err() {
@@ -587,10 +527,11 @@ fn cmd_serve_fleet(flags: &HashMap<String, String>) -> ExitCode {
     // `--scenario` runs exactly one scenario, so a trace (and its route
     // audit trail / incident snapshot) covers a single serving run
     // instead of the full 13-run bench sweep.
-    if let Some(name) = flags.get("scenario") {
-        if flags.contains_key("json") {
-            eprintln!("error: --json writes the full bench (drop --scenario)");
-            return ExitCode::from(2);
+    if let Some(name) = only {
+        if json.is_some() {
+            return Err(CliError::Usage(
+                "--json writes the full bench (drop --scenario)".into(),
+            ));
         }
         let p = policy.unwrap_or_default();
         let report = match name.as_str() {
@@ -599,20 +540,15 @@ fn cmd_serve_fleet(flags: &HashMap<String, String>) -> ExitCode {
             "drain" => scenario.run_drain(p),
             // The ladder demo is defined under round-robin.
             "ladder" => scenario.run_ladder_demo(),
-            _ => {
-                eprintln!(
-                    "error: unknown scenario {name:?} (expected deadline, slack, drain, or ladder)"
-                );
-                return ExitCode::from(2);
+            other => {
+                return Err(unknown(
+                    "--scenario",
+                    other,
+                    "deadline, slack, drain or ladder",
+                ))
             }
-        };
-        let report = match report {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("serve-fleet failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        }
+        .map_err(fleet_failed)?;
         println!(
             "{name} scenario ({} router): {}/{} deadlines, {} images served, {:.3} compute J, makespan {:.3} s",
             report.router,
@@ -622,21 +558,13 @@ fn cmd_serve_fleet(flags: &HashMap<String, String>) -> ExitCode {
             report.fleet.compute_j,
             report.makespan_s
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
-    if let Some(n) = flags.get("stream") {
-        let Ok(n) = n.parse::<usize>() else {
-            return usage();
-        };
-        let p = policy.unwrap_or_default();
-        let report = match scenario.run_stream(p, n) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("serve-fleet failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if let Some(n) = stream {
+        let report = scenario
+            .run_stream(policy.unwrap_or_default(), n)
+            .map_err(fleet_failed)?;
         let w = &report.workloads[0];
         println!(
             "streamed {} lazy requests over {} platforms ({} router): {} served, {} rejected, p99 {:.2} ms, makespan {:.2} s",
@@ -648,40 +576,19 @@ fn cmd_serve_fleet(flags: &HashMap<String, String>) -> ExitCode {
             w.latency.p99 * 1e3,
             report.makespan_s
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
-    if policy.is_some() && flags.contains_key("json") {
-        eprintln!("error: --json needs every policy (drop --policy)");
-        return ExitCode::from(2);
+    if policy.is_some() && json.is_some() {
+        return Err(CliError::Usage(
+            "--json needs every policy (drop --policy)".into(),
+        ));
     }
-    let policies: Vec<RouterPolicy> = match policy {
-        Some(p) => vec![p],
-        None => RouterPolicy::all().to_vec(),
-    };
-    let bench = (|| -> pcnn_core::Result<FleetBench> {
-        let mut deadline = Vec::new();
-        let mut slack = Vec::new();
-        let mut drain = Vec::new();
-        for &p in &policies {
-            deadline.push((p, scenario.run_deadline(p)?));
-            slack.push((p, scenario.run_slack(p)?));
-            drain.push((p, scenario.run_drain(p)?));
-        }
-        Ok(FleetBench {
-            deadline,
-            slack,
-            drain,
-            ladder_demo: scenario.run_ladder_demo()?,
-        })
-    })();
-    let bench = match bench {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("serve-fleet failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let bench = match policy {
+        Some(p) => scenario.run_policies(&[p]),
+        None => scenario.run_all(),
+    }
+    .map_err(fleet_failed)?;
 
     let mut t = TableWriter::new(vec![
         "scenario",
@@ -731,11 +638,7 @@ fn cmd_serve_fleet(flags: &HashMap<String, String>) -> ExitCode {
         lt.row(vec![
             g.name.clone(),
             g.images.to_string(),
-            g.images_at_level
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join("/"),
+            slashed(g.images_at_level.iter()),
         ]);
     }
     lt.print(&format!(
@@ -754,37 +657,16 @@ fn cmd_serve_fleet(flags: &HashMap<String, String>) -> ExitCode {
         );
     }
 
-    if let Some(path) = flags.get("json") {
-        if let Err(e) = std::fs::write(path, baselines::fleet_json(&scenario, &bench)) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    ExitCode::SUCCESS
+    write_json(json, || baselines::fleet_json(&scenario, &bench))
 }
 
 /// `pcnn obs <trace.json>` — per-workload queueing-vs-service breakdown,
 /// per-request critical path, and the SLO alert log of an exported serve
 /// trace.
-fn cmd_obs_analyze(path: &str) -> ExitCode {
-    let doc = match load_document(path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let analysis = match analyze_trace(&doc) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_obs_analyze(path: &str) -> CmdResult {
+    let analysis = analyze_trace(&load(path)?).map_err(|e| failed(format!("{path}: {e}")))?;
     if analysis.workloads.is_empty() {
-        println!("no per-request observability events in {path} (was the trace exported by `pcnn serve` with PCNN_TRACE set?)");
-        return ExitCode::FAILURE;
+        return Err(failed(format!("no per-request observability events in {path} (was the trace exported by `pcnn serve` with PCNN_TRACE set?)")));
     }
     let mut t = TableWriter::new(vec![
         "workload",
@@ -853,37 +735,14 @@ fn cmd_obs_analyze(path: &str) -> ExitCode {
         }
         t.print(&format!("SLO alerts ({})", analysis.alerts.len()));
     }
-    ExitCode::SUCCESS
-}
-
-fn load_json(path: &str) -> Option<pcnn_telemetry::json::JsonValue> {
-    match load_document(path) {
-        Ok(d) => Some(d),
-        Err(e) => {
-            eprintln!("error: {e}");
-            None
-        }
-    }
+    Ok(())
 }
 
 /// `pcnn obs diff <a> <b>` — attribute the time delta between two
 /// profile documents (down the layer/phase tree) or two Chrome traces
 /// (per span name), ranked by how much of the delta each row owns.
-fn cmd_obs_diff(a_path: &str, b_path: &str) -> ExitCode {
-    let (a, b) = match (load_document(a_path), load_document(b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let d = match diff_documents(&a, &b) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_obs_diff(a_path: &str, b_path: &str) -> CmdResult {
+    let d = diff_documents(&load(a_path)?, &load(b_path)?).map_err(failed)?;
     println!(
         "total: {:.3} ms -> {:.3} ms ({:+.3} ms)",
         d.base_ms,
@@ -919,7 +778,7 @@ fn cmd_obs_diff(a_path: &str, b_path: &str) -> ExitCode {
         "delta attribution, ranked by |delta| ({} rows)",
         d.culprits.len()
     ));
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn report_violations(what: &str, violations: &[Violation]) {
@@ -942,45 +801,31 @@ fn report_violations(what: &str, violations: &[Violation]) {
 /// its compare function, so this loop is the whole command. With any
 /// explicit `--candidate-{name}` file, only the provided sides are
 /// checked (fast file-vs-file mode); otherwise every gate is re-run.
-fn cmd_obs_check(flags: &HashMap<String, String>) -> ExitCode {
-    let gates = baselines::baseline_gates();
-    let file_mode = gates
-        .iter()
-        .any(|g| flags.contains_key(&format!("candidate-{}", g.name)));
-    let reps: usize = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(3);
+fn cmd_obs_check(mut args: Args) -> CmdResult {
+    // The gate registry is the flag table: `--baseline-<name>` and
+    // `--candidate-<name>` exist for exactly the registered gates.
+    let mut gates = Vec::new();
+    for gate in baselines::baseline_gates() {
+        let baseline = args.get::<String>(&format!("baseline-{}", gate.name))?;
+        let candidate = args.get::<String>(&format!("candidate-{}", gate.name))?;
+        gates.push((gate, baseline, candidate));
+    }
+    let reps: usize = args.get("reps")?.unwrap_or(3);
+    args.finish()?;
+    let file_mode = gates.iter().any(|(_, _, candidate)| candidate.is_some());
     let mut violations = 0usize;
-    for gate in gates {
-        let cand_flag = format!("candidate-{}", gate.name);
-        if file_mode && !flags.contains_key(&cand_flag) {
+    for (gate, baseline, candidate) in gates {
+        if file_mode && candidate.is_none() {
             continue;
         }
-        let baseline_path = flags
-            .get(&format!("baseline-{}", gate.name))
-            .map(String::as_str)
-            .unwrap_or(gate.default_path);
-        let Some(base) = load_json(baseline_path) else {
-            return ExitCode::FAILURE;
-        };
-        let cand = match flags.get(&cand_flag) {
-            Some(p) => {
-                let Some(c) = load_json(p) else {
-                    return ExitCode::FAILURE;
-                };
-                c
-            }
+        let baseline_path = baseline.as_deref().unwrap_or(gate.default_path);
+        let base = load(baseline_path)?;
+        let cand = match candidate {
+            Some(p) => load(&p)?,
             None => {
-                let text = match (gate.regenerate)(reps) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let Ok(c) = pcnn_telemetry::json::parse(&text) else {
-                    eprintln!("error: {} report did not parse as JSON", gate.name);
-                    return ExitCode::FAILURE;
-                };
-                c
+                let text = (gate.regenerate)(reps).map_err(failed)?;
+                pcnn_telemetry::json::parse(&text)
+                    .map_err(|_| failed(format!("{} report did not parse as JSON", gate.name)))?
             }
         };
         let v = (gate.compare)(&base, &cand);
@@ -988,8 +833,7 @@ fn cmd_obs_check(flags: &HashMap<String, String>) -> ExitCode {
         // Documents recorded on different GEMM kernels gate on the same
         // machine-normalised ratios; say so rather than fail or stay
         // silent about whose GFLOP/s these are.
-        let kernel =
-            |doc: &pcnn_telemetry::json::JsonValue| Some(doc.get("kernel")?.as_str()?.to_string());
+        let kernel = |doc: &JsonValue| Some(doc.get("kernel")?.as_str()?.to_string());
         if let (Some(b), Some(c)) = (kernel(&base), kernel(&cand)) {
             if b != c {
                 println!(
@@ -1002,10 +846,9 @@ fn cmd_obs_check(flags: &HashMap<String, String>) -> ExitCode {
     }
 
     if violations > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        return Err(failed(format!("{violations} regression(s)")));
     }
+    Ok(())
 }
 
 fn fmt_slack(slack_s: Option<f64>) -> String {
@@ -1014,45 +857,49 @@ fn fmt_slack(slack_s: Option<f64>) -> String {
         .unwrap_or_else(|| "-".to_string())
 }
 
-fn route_decision_row(d: &pcnn_bench::obs::RouteRecord) -> Vec<String> {
-    vec![
-        format!("{:.4}", d.t_s),
-        d.workload.clone(),
-        format!("#{}", d.req),
-        d.platform.clone().unwrap_or_else(|| "hold".to_string()),
-        d.reason.clone(),
-        if d.dispatched { "yes" } else { "no" }.to_string(),
-        d.queue.to_string(),
-        d.from.clone().unwrap_or_else(|| "-".to_string()),
-    ]
+/// The routing-decision table `obs route` and `obs incident` share.
+fn route_decisions_table(decisions: &[&pcnn_bench::obs::RouteRecord]) -> TableWriter {
+    let mut t = TableWriter::new(vec![
+        "t (s)",
+        "workload",
+        "req",
+        "platform",
+        "reason",
+        "dispatched",
+        "queue",
+        "stolen from",
+    ]);
+    for d in decisions {
+        t.row(vec![
+            format!("{:.4}", d.t_s),
+            d.workload.clone(),
+            format!("#{}", d.req),
+            d.platform.clone().unwrap_or_else(|| "hold".to_string()),
+            d.reason.clone(),
+            if d.dispatched { "yes" } else { "no" }.to_string(),
+            d.queue.to_string(),
+            d.from.clone().unwrap_or_else(|| "-".to_string()),
+        ]);
+    }
+    t
 }
 
 /// `pcnn obs route <trace.json>` — the routing-decision audit trail:
 /// decision histogram by reason, steal-flow matrix, and (with `--req N`
 /// and optionally `--workload W`) the full "why did request X land on
 /// platform P" story including every rejected candidate's score.
-fn cmd_obs_route(path: &str, flags: &HashMap<String, String>) -> ExitCode {
-    let Some(doc) = load_json(path) else {
-        return ExitCode::FAILURE;
-    };
-    let report = match analyze_route(&doc) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_obs_route(path: &str, mut args: Args) -> CmdResult {
+    let req = args.get::<u64>("req")?;
+    let workload = args.get::<String>("workload")?;
+    args.finish()?;
+    let report = analyze_route(&load(path)?).map_err(|e| failed(format!("{path}: {e}")))?;
     if report.decisions.is_empty() {
-        println!("no route.decision events in {path} (was the trace exported by a fleet run with PCNN_TRACE set?)");
-        return ExitCode::FAILURE;
+        return Err(failed(format!("no route.decision events in {path} (was the trace exported by a fleet run with PCNN_TRACE set?)")));
     }
 
-    if let Some(req) = flags.get("req") {
-        let Ok(req) = req.parse::<u64>() else {
-            return usage();
-        };
-        let workload = match flags.get("workload") {
-            Some(w) => w.clone(),
+    if let Some(req) = req {
+        let workload = match workload {
+            Some(w) => w,
             None => {
                 // With a single workload in the trail the flag is noise.
                 let mut names: Vec<&str> = report
@@ -1065,35 +912,22 @@ fn cmd_obs_route(path: &str, flags: &HashMap<String, String>) -> ExitCode {
                 match names.as_slice() {
                     [only] => only.to_string(),
                     many => {
-                        eprintln!(
-                            "error: trace has {} workloads ({}); pick one with --workload",
+                        return Err(CliError::Usage(format!(
+                            "trace has {} workloads ({}); pick one with --workload",
                             many.len(),
                             many.join(", ")
-                        );
-                        return ExitCode::from(2);
+                        )))
                     }
                 }
             }
         };
         let decisions = report.for_request(&workload, req);
         if decisions.is_empty() {
-            println!("no routing decisions for request {workload}#{req} in {path}");
-            return ExitCode::FAILURE;
+            return Err(failed(format!(
+                "no routing decisions for request {workload}#{req} in {path}"
+            )));
         }
-        let mut t = TableWriter::new(vec![
-            "t (s)",
-            "workload",
-            "req",
-            "platform",
-            "reason",
-            "dispatched",
-            "queue",
-            "stolen from",
-        ]);
-        for d in &decisions {
-            t.row(route_decision_row(d));
-        }
-        t.print(&format!(
+        route_decisions_table(&decisions).print(&format!(
             "routing decisions for request {workload}#{req} ({})",
             path
         ));
@@ -1139,7 +973,7 @@ fn cmd_obs_route(path: &str, flags: &HashMap<String, String>) -> ExitCode {
                 story.t_s, story.queue
             ));
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     let mut t = TableWriter::new(vec!["reason", "decisions", "dispatched"]);
@@ -1164,24 +998,15 @@ fn cmd_obs_route(path: &str, flags: &HashMap<String, String>) -> ExitCode {
         t.print("steal-flow matrix");
     }
     println!("drill into one request with: pcnn obs route {path} --req <N> [--workload <name>]");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `pcnn obs incident <snapshot.incident.json>` — postmortem view of a
 /// self-contained incident snapshot: the alert that fired, the last
 /// closed window's state, and the flight recorder's recent routing
 /// decisions and ladder moves.
-fn cmd_obs_incident(path: &str) -> ExitCode {
-    let Some(doc) = load_json(path) else {
-        return ExitCode::FAILURE;
-    };
-    let inc = match analyze_incident(&doc) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_obs_incident(path: &str) -> CmdResult {
+    let inc = analyze_incident(&load(path)?).map_err(|e| failed(format!("{path}: {e}")))?;
     println!(
         "incident: {} SLO on {} violated at t={:.3}s — observed {:.4} vs objective {:.4} (burn {:.2}x)",
         inc.alert.metric,
@@ -1199,19 +1024,17 @@ fn cmd_obs_incident(path: &str) -> ExitCode {
         inc.workloads.join(", ")
     );
     if let Some(last) = inc.windows.last() {
-        let get_f = |v: &pcnn_telemetry::json::JsonValue, k: &str| {
-            v.get(k).and_then(pcnn_telemetry::json::JsonValue::as_f64)
-        };
-        let get_s = |v: &pcnn_telemetry::json::JsonValue, k: &str| {
+        let get_f = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_f64);
+        let get_s = |v: &JsonValue, k: &str| {
             v.get(k)
-                .and_then(pcnn_telemetry::json::JsonValue::as_str)
+                .and_then(JsonValue::as_str)
                 .unwrap_or("?")
                 .to_string()
         };
         let mut t = TableWriter::new(vec!["metric", "label", "count", "mean", "p99", "max"]);
         for r in last
             .get("records")
-            .and_then(pcnn_telemetry::json::JsonValue::as_array)
+            .and_then(JsonValue::as_array)
             .unwrap_or(&[])
         {
             let (count, mean, p99, max) = match get_f(r, "count") {
@@ -1244,21 +1067,11 @@ fn cmd_obs_incident(path: &str) -> ExitCode {
     if inc.route_decisions.is_empty() {
         println!("no route decisions in the flight recorder");
     } else {
-        let mut t = TableWriter::new(vec![
-            "t (s)",
-            "workload",
-            "req",
-            "platform",
-            "reason",
-            "dispatched",
-            "queue",
-            "stolen from",
-        ]);
         let shown = inc.route_decisions.len().min(12);
-        for d in &inc.route_decisions[inc.route_decisions.len() - shown..] {
-            t.row(route_decision_row(d));
-        }
-        t.print(&format!(
+        let recent: Vec<_> = inc.route_decisions[inc.route_decisions.len() - shown..]
+            .iter()
+            .collect();
+        route_decisions_table(&recent).print(&format!(
             "most recent route decisions ({} of {} recorded)",
             shown,
             inc.route_decisions.len()
@@ -1269,10 +1082,10 @@ fn cmd_obs_incident(path: &str) -> ExitCode {
     } else {
         let mut t = TableWriter::new(vec!["t (s)", "workload", "platform", "level", "dir"]);
         for m in &inc.ladder_moves {
-            let f = |k: &str| m.get(k).and_then(pcnn_telemetry::json::JsonValue::as_f64);
+            let f = |k: &str| m.get(k).and_then(JsonValue::as_f64);
             let s = |k: &str| {
                 m.get(k)
-                    .and_then(pcnn_telemetry::json::JsonValue::as_str)
+                    .and_then(JsonValue::as_str)
                     .unwrap_or("?")
                     .to_string()
             };
@@ -1286,36 +1099,38 @@ fn cmd_obs_incident(path: &str) -> ExitCode {
         }
         t.print(&format!("ladder moves ({})", inc.ladder_moves.len()));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_obs(rest: &[String]) -> ExitCode {
-    match rest.split_first() {
-        Some((sub, tail)) if sub == "check" => {
-            let Some(flags) = parse_flags(tail) else {
-                return usage();
-            };
-            cmd_obs_check(&flags)
+/// The next positional, or a usage error saying what was expected there.
+fn expect(args: &mut Args, what: &str) -> Result<String, CliError> {
+    args.positional()
+        .ok_or_else(|| CliError::Usage(format!("missing {what}")))
+}
+
+fn cmd_obs(mut args: Args) -> CmdResult {
+    let first = expect(&mut args, "<trace.json> or an obs subcommand")?;
+    match first.as_str() {
+        "check" => cmd_obs_check(args),
+        "diff" => {
+            let a = expect(&mut args, "<a.json>")?;
+            let b = expect(&mut args, "<b.json>")?;
+            args.finish()?;
+            cmd_obs_diff(&a, &b)
         }
-        Some((sub, tail)) if sub == "diff" => match tail {
-            [a, b] if !a.starts_with("--") && !b.starts_with("--") => cmd_obs_diff(a, b),
-            _ => usage(),
-        },
-        Some((sub, tail)) if sub == "route" => match tail.split_first() {
-            Some((path, rest)) if !path.starts_with("--") => {
-                let Some(flags) = parse_flags(rest) else {
-                    return usage();
-                };
-                cmd_obs_route(path, &flags)
-            }
-            _ => usage(),
-        },
-        Some((sub, tail)) if sub == "incident" => match tail {
-            [path] if !path.starts_with("--") => cmd_obs_incident(path),
-            _ => usage(),
-        },
-        Some((path, _)) if !path.starts_with("--") => cmd_obs_analyze(path),
-        _ => usage(),
+        "route" => {
+            let path = expect(&mut args, "<trace.json>")?;
+            cmd_obs_route(&path, args)
+        }
+        "incident" => {
+            let path = expect(&mut args, "<trace>.incident.json")?;
+            args.finish()?;
+            cmd_obs_incident(&path)
+        }
+        path => {
+            args.finish()?;
+            cmd_obs_analyze(path)
+        }
     }
 }
 
@@ -1323,70 +1138,45 @@ fn cmd_obs(rest: &[String]) -> ExitCode {
 /// roofline report, and (with `--json`) the deterministic profile
 /// document regenerated single-threaded so it is byte-identical across
 /// runs and hosts.
-fn cmd_profile(rest: &[String]) -> ExitCode {
-    let Some((model_name, tail)) = rest.split_first() else {
-        return usage();
-    };
-    if model_name.starts_with("--") {
-        return usage();
-    }
-    let Some(net) = profile::pick_model(model_name) else {
-        eprintln!("error: unknown model {model_name:?} (expected alexnet, vggnet, or googlenet)");
-        return ExitCode::from(2);
-    };
-    let Some(flags) = parse_flags(tail) else {
-        return usage();
-    };
-    let batch: usize = flags
-        .get("batch")
-        .and_then(|b| b.parse().ok())
-        .unwrap_or(profile::BASELINE_BATCH);
-    let reps: usize = flags.get("reps").and_then(|r| r.parse().ok()).unwrap_or(3);
+fn cmd_profile(mut args: Args) -> CmdResult {
+    let model_name = expect(&mut args, "<alexnet|vggnet|googlenet>")?;
+    let net = profile::pick_model(&model_name).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown model {model_name:?} (expected alexnet, vggnet, or googlenet)"
+        ))
+    })?;
+    let batch: usize = args.get("batch")?.unwrap_or(profile::BASELINE_BATCH);
+    let reps: usize = args.get("reps")?.unwrap_or(3);
+    let json = args.get::<String>("json")?;
+    args.finish()?;
+    let profile_failed = |e| failed(format!("profile failed: {e}"));
     // Calibrate before profiling so the probe GEMM stays off the tables.
     let peaks = profile::calibrate();
-    let run = match profile::run_profile(&net, batch, reps) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("profile failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let run = profile::run_profile(&net, batch, reps).map_err(profile_failed)?;
     print!("{}", profile::render_report(&run, &peaks));
-    if let Some(path) = flags.get("json") {
-        // The document models time from shape-determined FLOP/byte
-        // counts, but span *counts* depend on the worker partition —
-        // regenerate single-threaded so the file is host-independent.
-        let doc_run = match pcnn_parallel::with_threads(1, || profile::run_profile(&net, batch, 1))
-        {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("profile failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, profile::profile_json(&doc_run)) {
-            eprintln!("error: could not write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
+    if json.is_none() {
+        return Ok(());
     }
-    ExitCode::SUCCESS
+    // The document models time from shape-determined FLOP/byte counts,
+    // but span *counts* depend on the worker partition — regenerate
+    // single-threaded so the file is host-independent.
+    let doc_run = pcnn_parallel::with_threads(1, || profile::run_profile(&net, batch, 1))
+        .map_err(profile_failed)?;
+    write_json(json, || profile::profile_json(&doc_run))
 }
 
 /// `pcnn repro` — the paper's tables and figures out of the
 /// [`experiments`] registry. One [`experiments::Fixtures`] serves the
 /// whole invocation, so `all` trains and simulates shared inputs once.
-fn cmd_repro(rest: &[String]) -> ExitCode {
-    let Some((what, tail)) = rest.split_first() else {
-        return usage();
-    };
-    let Some(flags) = parse_flags(tail) else {
-        return usage();
-    };
+fn cmd_repro(mut args: Args) -> CmdResult {
+    let list = args.flag("list");
+    let what = args.positional();
+    let dir = args.get::<String>("dir")?;
+    args.finish()?;
     let mut fixtures = experiments::Fixtures::default();
     let registry = &experiments::REGISTRY;
-    match (what.as_str(), flags.get("dir")) {
-        ("--list", _) => {
+    match (what.as_deref(), dir) {
+        _ if list => {
             for e in registry {
                 let file = if e.committed { "results/" } else { "-" };
                 println!(
@@ -1398,61 +1188,65 @@ fn cmd_repro(rest: &[String]) -> ExitCode {
                 );
             }
         }
-        ("all", Some(dir)) => {
+        (Some("all"), Some(dir)) => {
             for e in registry.iter().filter(|e| e.committed) {
-                let path = std::path::Path::new(dir).join(format!("{}.txt", e.id));
-                let written = std::fs::create_dir_all(dir)
-                    .and_then(|()| std::fs::write(&path, e.rendered(&mut fixtures)));
-                if let Err(err) = written {
-                    eprintln!("error: could not write {}: {err}", path.display());
-                    return ExitCode::FAILURE;
-                }
+                let path = std::path::Path::new(&dir).join(format!("{}.txt", e.id));
+                std::fs::create_dir_all(&dir)
+                    .and_then(|()| std::fs::write(&path, e.rendered(&mut fixtures)))
+                    .map_err(|err| failed(format!("could not write {}: {err}", path.display())))?;
                 println!("wrote {}", path.display());
             }
         }
-        ("all", None) => return usage(),
-        (id, _) => match registry.iter().find(|e| e.id == id) {
+        (Some("all"), None) => return Err(CliError::Usage("repro all needs --dir <path>".into())),
+        (Some(id), None) => match registry.iter().find(|e| e.id == id) {
             Some(e) => print!("{}", e.rendered(&mut fixtures)),
             None => {
-                eprintln!("error: unknown experiment {id:?} (see `pcnn repro --list`)");
-                return ExitCode::from(2);
+                return Err(CliError::Usage(format!(
+                    "unknown experiment {id:?} (see `pcnn repro --list`)"
+                )))
             }
         },
+        (Some(_), Some(_)) => return Err(CliError::Usage("--dir goes with `repro all`".into())),
+        (None, _) => return Err(CliError::Usage("missing <id>, `all` or --list".into())),
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Everything after argument zero: the flags every subcommand shares,
+/// then the subcommand. The trace session lives until the subcommand
+/// returns, so its files are written on the way out whatever the result.
+fn run(mut args: Args) -> CmdResult {
+    let _trace = pcnn_bench::trace::init(&mut args)?;
+    if let Some(n) = args.get::<usize>("threads")? {
+        pcnn_parallel::set_threads(n);
+    }
+    let cmd = expect(&mut args, "a subcommand")?;
+    match cmd.as_str() {
+        "platforms" => cmd_platforms(args),
+        "compile" => cmd_compile(args),
+        "simulate" => cmd_simulate(args),
+        "tune" => cmd_tune(args),
+        "serve" => cmd_serve(args),
+        "serve-fleet" => cmd_serve_fleet(args),
+        "bench-gemm" => cmd_bench_gemm(args),
+        "bench-conv" => cmd_bench_conv(args),
+        "profile" => cmd_profile(args),
+        "repro" => cmd_repro(args),
+        "obs" => cmd_obs(args),
+        other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+    }
 }
 
 fn main() -> ExitCode {
-    // Any subcommand accepts `--trace <path>` (or PCNN_TRACE) and writes
-    // telemetry files on exit.
-    let _trace = pcnn_bench::trace::init_from_env();
-    pcnn_bench::threads::init_from_env();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        return usage();
-    };
-    // `obs`, `profile` and `repro` take positional arguments.
-    if cmd == "obs" {
-        return cmd_obs(rest);
-    }
-    if cmd == "profile" {
-        return cmd_profile(rest);
-    }
-    if cmd == "repro" {
-        return cmd_repro(rest);
-    }
-    let Some(flags) = parse_flags(rest) else {
-        return usage();
-    };
-    match cmd.as_str() {
-        "platforms" => cmd_platforms(),
-        "compile" => cmd_compile(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "tune" => cmd_tune(&flags),
-        "serve" => cmd_serve(&flags),
-        "serve-fleet" => cmd_serve_fleet(&flags),
-        "bench-gemm" => cmd_bench_gemm(&flags),
-        "bench-conv" => cmd_bench_conv(&flags),
-        _ => usage(),
+    match run(Args::new(std::env::args().skip(1))) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Usage(msg)) => {
+            eprintln!("error: {msg}\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(CliError::Failed(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -21,14 +21,15 @@
 //! degradation ladder's rates against what it costs in full — the paper's
 //! `rEC` (eq. 9) as this engine achieves it.
 
-use pcnn_core::tune::{run_conv_algo, ConvTuner, WallClockTimer};
+use pcnn_core::tune::{ConvTuner, WallClockTimer};
 use pcnn_nn::layer::Conv2d;
 use pcnn_nn::perforation::LayerPerforation;
 use pcnn_nn::PerforationPlan;
 use pcnn_serve::DegradationLadder;
-use pcnn_tensor::{Conv2dGeometry, ConvAlgo, Tensor};
+use pcnn_tensor::{conv2d, Conv2dGeometry, ConvAlgo, Tensor};
 
 use crate::baselines::machine_cores;
+use crate::harness::best_secs;
 use crate::profile::{pick_model, profile_input};
 
 /// One benchmarked layer shape: a name and the conv geometry.
@@ -234,17 +235,6 @@ pub struct ConvBench {
     pub smoke: bool,
 }
 
-/// Best-of-`reps` wall time of `f`, in seconds.
-fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = std::time::Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// The tuner's deterministic operand fills, by flat index.
 fn weight_fill(i: usize) -> f32 {
     ((i % 2017) as f32 - 1000.0) / 512.0
@@ -275,11 +265,10 @@ fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
             .iter()
             .map(|&t| {
                 pcnn_parallel::with_threads(t, || {
-                    // Warm once per width (pool scratch, page faults).
-                    run_conv_algo(algo, &geom, shape.oc, &weight, &bias, &input, &mut out);
-                    best_secs(reps, || {
-                        run_conv_algo(algo, &geom, shape.oc, &weight, &bias, &input, &mut out)
-                    })
+                    let mut run =
+                        || conv2d(algo, &geom, shape.oc, &weight, &bias, &input, 1, &mut out);
+                    run(); // warm once per width: pool scratch, page faults
+                    best_secs(reps, run)
                 })
             })
             .collect();
@@ -337,7 +326,8 @@ pub struct PerforationRow {
     /// Share of the layer's multiply-adds the rung keeps: kept / all
     /// positions.
     pub retained: f64,
-    /// Unperforated `Conv2d::forward`, best-of-`reps` single-thread ms.
+    /// Unperforated im2col `Conv2d::forward_with`, best-of-`reps`
+    /// single-thread ms.
     pub full_ms: f64,
     /// `Conv2d::forward_perforated` at the rung's rate, likewise.
     pub perforated_ms: f64,
@@ -385,7 +375,10 @@ pub fn run_perforation_bench(reps: usize, smoke: bool) -> Vec<PerforationRow> {
                     std::hint::black_box(f());
                 })
             };
-            let full_ms = timed(&|| conv.forward(&input).expect("shapes match"));
+            let full_ms = timed(&|| {
+                conv.forward_with(&input, ConvAlgo::Im2col)
+                    .expect("shapes match")
+            });
             for (rung, level) in ladder.levels.iter().enumerate().skip(1) {
                 let perf = LayerPerforation::new(geom.out_h, geom.out_w, level.rates[li], 1);
                 rows.push(PerforationRow {
@@ -426,6 +419,9 @@ fn run_e2e(reps: usize) -> Result<E2eResult, String> {
     let plan = report.plan();
     let input = profile_input(&net, E2E_BATCH);
     let perf = PerforationPlan::identity(net.conv_count());
+    // Both plans are compiled once, outside the timed loop.
+    let baseline = net.compile(&perf, None).map_err(|e| e.to_string())?;
+    let tuned = net.compile(&perf, Some(&plan)).map_err(|e| e.to_string())?;
     let mut result = Ok(());
     // Interleave baseline and tuned rounds inside one measurement window:
     // back-to-back best-of windows see different host drift, which on a
@@ -433,28 +429,19 @@ fn run_e2e(reps: usize) -> Result<E2eResult, String> {
     // measured; interleaving lets both minima sample the same quiet
     // moments.
     let (baseline_s, tuned_s) = pcnn_parallel::with_threads(1, || {
-        let mut run = |tuned: bool| {
-            let out = if tuned {
-                net.forward_planned(&input, &perf, &plan)
-            } else {
-                net.forward(&input, &perf)
-            };
-            if let Err(e) = out {
+        let mut run = |exec| {
+            if let Err(e) = net.run(exec, &input) {
                 result = Err(e.to_string());
             }
         };
-        run(false);
-        run(true);
-        let (mut base, mut tuned) = (f64::INFINITY, f64::INFINITY);
+        run(&baseline);
+        run(&tuned);
+        let (mut base_s, mut tuned_s) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..reps {
-            let t0 = std::time::Instant::now();
-            run(false);
-            base = base.min(t0.elapsed().as_secs_f64());
-            let t0 = std::time::Instant::now();
-            run(true);
-            tuned = tuned.min(t0.elapsed().as_secs_f64());
+            base_s = base_s.min(best_secs(1, || run(&baseline)));
+            tuned_s = tuned_s.min(best_secs(1, || run(&tuned)));
         }
-        (base, tuned)
+        (base_s, tuned_s)
     });
     result?;
     Ok(E2eResult {

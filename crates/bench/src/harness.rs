@@ -1,4 +1,5 @@
-//! Plain-text table rendering for the experiments and the `pcnn` reports.
+//! Plain-text table rendering for the experiments and the `pcnn` reports,
+//! and the benchmarks' one timing loop.
 
 /// Accumulates rows and prints an aligned ASCII table.
 ///
@@ -90,6 +91,17 @@ pub fn cell(value: Option<f64>) -> String {
         Some(v) => format!("{v:.2}"),
         None => "x".to_string(),
     }
+}
+
+/// Best-of-`reps` (at least one) wall time of `f`, in seconds.
+pub(crate) fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let t0 = std::time::Instant::now();
+        f();
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
 }
 
 #[cfg(test)]

@@ -4,14 +4,15 @@
 //! recorded results), the committed baselines and the observability
 //! tools.
 
+pub mod args;
 pub mod baselines;
 pub mod conv;
 pub mod experiments;
 pub mod harness;
 pub mod obs;
 pub mod profile;
-pub mod threads;
 pub mod trace;
 pub mod trained;
 
+pub use args::{Args, CliError};
 pub use harness::TableWriter;

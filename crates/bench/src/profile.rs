@@ -172,8 +172,10 @@ impl ProfileRun {
 pub fn run_profile(net: &Network, batch: usize, reps: usize) -> Result<ProfileRun, String> {
     let reps = reps.max(1);
     let input = profile_input(net, batch);
-    let plan = PerforationPlan::identity(net.conv_count());
-    let fwd = |x: &Tensor| net.forward(x, &plan).map_err(|e| e.to_string());
+    let plan = net
+        .compile(&PerforationPlan::identity(net.conv_count()), None)
+        .map_err(|e| e.to_string())?;
+    let fwd = |x: &Tensor| net.run(&plan, x).map_err(|e| e.to_string());
     fwd(&input)?; // warmup: page in weights, allocate nothing lazily later
     pcnn_profile::set_enabled(true);
     pcnn_profile::reset();

@@ -13,7 +13,9 @@ use std::path::PathBuf;
 
 use pcnn_telemetry::ExportMode;
 
-/// RAII handle returned by [`init_from_env`]; exports the trace files on
+use crate::args::{Args, CliError};
+
+/// RAII handle returned by [`init`]; exports the trace files on
 /// drop (i.e. when `main` returns).
 #[must_use = "telemetry is exported when the session is dropped"]
 pub struct TraceSession {
@@ -92,27 +94,16 @@ pub fn incident_path(trace: &std::path::Path) -> PathBuf {
     PathBuf::from(s)
 }
 
-/// Extracts the trace path from `--trace <path>` / `--trace=<path>` args,
-/// falling back to the `env` value (the `PCNN_TRACE` variable).
+/// The trace path: `--trace <path>` / `--trace=<path>` read out of
+/// `args`, falling back to the `env` value (the `PCNN_TRACE` variable).
 ///
 /// # Errors
 ///
-/// A `--trace` with no path after it is an error naming the accepted
-/// forms, whatever `PCNN_TRACE` says.
-pub fn trace_path(args: &[String], env: Option<String>) -> Result<Option<PathBuf>, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = match a.strip_prefix("--trace=") {
-            Some(v) => Some(v),
-            None if a == "--trace" => it.next().map(String::as_str),
-            None => continue,
-        };
-        return match value {
-            Some(v) if !v.is_empty() => Ok(Some(PathBuf::from(v))),
-            _ => Err("--trace needs a path: `--trace <path>` or `--trace=<path>`".to_string()),
-        };
-    }
-    Ok(env.filter(|v| !v.is_empty()).map(PathBuf::from))
+/// A `--trace` with no path after it is a usage error naming the flag,
+/// whatever `PCNN_TRACE` says.
+pub fn trace_path(args: &mut Args, env: Option<String>) -> Result<Option<PathBuf>, CliError> {
+    let flag = args.get::<PathBuf>("trace")?;
+    Ok(flag.or_else(|| env.filter(|v| !v.is_empty()).map(PathBuf::from)))
 }
 
 /// Parses the `PCNN_TRACE_MODE` value: unset or empty forces nothing,
@@ -128,57 +119,56 @@ fn trace_mode(env: Option<String>) -> Result<Option<ExportMode>, String> {
     }
 }
 
-/// Call once at the top of `main`. When tracing was
-/// requested, telemetry recording is switched on for the calling (main)
-/// thread for the rest of the run and the files are written when the
-/// returned session drops. A malformed `--trace` or `PCNN_TRACE_MODE`
-/// is reported on stderr and exits with code 2.
-pub fn init_from_env() -> TraceSession {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = trace_path(&args, std::env::var("PCNN_TRACE").ok()).and_then(|path| {
-        let mode = trace_mode(std::env::var("PCNN_TRACE_MODE").ok())?;
-        Ok((path, mode))
-    });
-    let (path, mode) = parsed.unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    });
+/// Call once at the top of `main`, with the process's [`Args`]. When
+/// tracing was requested, telemetry recording is switched on for the
+/// calling (main) thread for the rest of the run and the files are
+/// written when the returned session drops.
+///
+/// # Errors
+///
+/// A malformed `--trace` or `PCNN_TRACE_MODE` is a [`CliError::Usage`].
+pub fn init(args: &mut Args) -> Result<TraceSession, CliError> {
+    let path = trace_path(args, std::env::var("PCNN_TRACE").ok())?;
+    let mode = trace_mode(std::env::var("PCNN_TRACE_MODE").ok()).map_err(CliError::Usage)?;
     if path.is_some() {
         pcnn_telemetry::set_enabled(true);
     }
     if let Some(mode) = mode {
         pcnn_telemetry::set_export_mode(mode);
     }
-    TraceSession { path }
+    Ok(TraceSession { path })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn s(v: &[&str]) -> Vec<String> {
-        v.iter().map(|x| x.to_string()).collect()
+    fn s(v: &[&str]) -> Args {
+        Args::new(v.iter().map(|x| x.to_string()))
     }
 
     #[test]
     fn parses_flag_forms() {
         assert_eq!(
-            trace_path(&s(&["--trace", "/tmp/t.json"]), None),
+            trace_path(&mut s(&["--trace", "/tmp/t.json"]), None),
             Ok(Some(PathBuf::from("/tmp/t.json")))
         );
         assert_eq!(
-            trace_path(&s(&["--trace=/tmp/t.json"]), None),
+            trace_path(&mut s(&["--trace=/tmp/t.json"]), None),
             Ok(Some(PathBuf::from("/tmp/t.json")))
         );
-        assert_eq!(trace_path(&s(&["--other"]), None), Ok(None));
+        assert_eq!(trace_path(&mut s(&["--other"]), None), Ok(None));
     }
 
     #[test]
     fn a_flag_without_a_path_is_an_error_not_tracing_off() {
         for args in [&["--gpu", "k20", "--trace"][..], &["--trace="]] {
             for env in [None, Some("/tmp/e.json".to_string())] {
-                let err = trace_path(&s(args), env).unwrap_err();
-                assert!(err.contains("--trace <path>"), "{err}");
+                let err = trace_path(&mut s(args), env).unwrap_err();
+                assert!(
+                    matches!(&err, CliError::Usage(m) if m.contains("--trace needs a value")),
+                    "{err:?}"
+                );
             }
         }
     }
@@ -202,13 +192,13 @@ mod tests {
     #[test]
     fn env_is_the_fallback() {
         assert_eq!(
-            trace_path(&[], Some("/tmp/e.json".into())),
+            trace_path(&mut s(&[]), Some("/tmp/e.json".into())),
             Ok(Some(PathBuf::from("/tmp/e.json")))
         );
-        assert_eq!(trace_path(&[], Some(String::new())), Ok(None));
+        assert_eq!(trace_path(&mut s(&[]), Some(String::new())), Ok(None));
         // The flag wins over the env var.
         assert_eq!(
-            trace_path(&s(&["--trace", "/a"]), Some("/b".into())),
+            trace_path(&mut s(&["--trace", "/a"]), Some("/b".into())),
             Ok(Some(PathBuf::from("/a")))
         );
     }

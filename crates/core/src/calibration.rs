@@ -7,7 +7,7 @@
 //! path to a slower but more precise table and continues from there.
 
 use pcnn_nn::entropy::mean_entropy;
-use pcnn_nn::network::Network;
+use pcnn_nn::network::{ExecPlan, Network};
 use pcnn_tensor::Tensor;
 
 use crate::error::{Error, Result};
@@ -54,18 +54,22 @@ impl CalibratedStep {
 pub struct CalibratedPipeline<'a> {
     net: &'a Network,
     path: &'a TuningPath,
+    /// `path`'s entries compiled for `net`, table by table.
+    tables: Vec<ExecPlan>,
     threshold: f64,
     current: usize,
 }
 
 impl<'a> CalibratedPipeline<'a> {
     /// Starts at the deepest (fastest) table whose calibration-time
-    /// entropy respects the threshold.
+    /// entropy respects the threshold. Every table of the path is
+    /// compiled for `net` here, so [`process`](Self::process) only runs.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::EmptyTuningPath`] if `path` has no entries and
-    /// [`Error::InvalidInput`] if `threshold` is not finite.
+    /// Returns [`Error::EmptyTuningPath`] if `path` has no entries,
+    /// [`Error::InvalidInput`] if `threshold` is not finite and
+    /// [`Error::Forward`] if an entry's plan does not fit `net`.
     pub fn new(net: &'a Network, path: &'a TuningPath, threshold: f64) -> Result<Self> {
         if path.entries.is_empty() {
             return Err(Error::EmptyTuningPath);
@@ -75,9 +79,15 @@ impl<'a> CalibratedPipeline<'a> {
                 what: "entropy threshold must be finite",
             });
         }
+        let tables = path
+            .entries
+            .iter()
+            .map(|e| net.compile(&e.plan, None))
+            .collect::<std::result::Result<_, _>>()?;
         Ok(Self {
             net,
             path,
+            tables,
             threshold,
             current: path.deepest_index_within(threshold),
         })
@@ -104,8 +114,7 @@ impl<'a> CalibratedPipeline<'a> {
     /// Propagates forward-pass shape errors as [`Error::Forward`].
     pub fn process(&mut self, batch: &Tensor) -> Result<CalibratedStep> {
         let table_used = self.current;
-        let plan = &self.path.entries[table_used].plan;
-        let logits = self.net.forward(batch, plan)?;
+        let logits = self.net.run(&self.tables[table_used], batch)?;
         let entropy = mean_entropy(&logits);
         pcnn_telemetry::counter("calibration.batches", 1);
         pcnn_telemetry::histogram("calibration.entropy", entropy);

@@ -25,39 +25,10 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use pcnn_nn::{ConvPlan, Layer, Network};
-use pcnn_tensor::{conv2d_direct, conv2d_winograd, gemm_bias, im2col, Conv2dGeometry, ConvAlgo};
+use pcnn_tensor::{conv2d, Conv2dGeometry, ConvAlgo};
 
 /// Memoization key: a conv layer's full shape.
 pub type ConvShapeKey = (Conv2dGeometry, usize);
-
-/// Executes one convolution algorithm on raw slices — the common runner
-/// the tuner, the benchmarks and the tests all share. `out` is fully
-/// overwritten.
-///
-/// # Panics
-///
-/// Panics if `algo` does not support `geom` or a slice is too short.
-pub fn run_conv_algo(
-    algo: ConvAlgo,
-    geom: &Conv2dGeometry,
-    out_channels: usize,
-    weight: &[f32],
-    bias: &[f32],
-    input: &[f32],
-    out: &mut [f32],
-) {
-    match algo {
-        ConvAlgo::Im2col => {
-            let (k, n) = (geom.patch_len(), geom.out_positions());
-            let mut cols = pcnn_parallel::scratch_f32(k * n);
-            im2col(geom, input, &mut cols);
-            // `gemm_bias` overwrites every element with the bias first.
-            gemm_bias(out_channels, n, k, weight, &cols, bias, out);
-        }
-        ConvAlgo::Direct => conv2d_direct(geom, out_channels, weight, bias, input, out),
-        ConvAlgo::Winograd => conv2d_winograd(geom, out_channels, weight, bias, input, out),
-    }
-}
 
 /// How the tuner measures one candidate, in seconds. Deterministic
 /// implementations (canned timings) make tuner choices reproducible in
@@ -100,12 +71,25 @@ impl CandidateTimer for WallClockTimer {
             .map(|i| ((i % 1999) as f32 - 999.0) / 512.0)
             .collect();
         let mut out = vec![0.0f32; out_channels * geom.out_positions()];
+        // The call the plan's layer then makes, one image at a time.
+        let mut run = || {
+            conv2d(
+                algo,
+                geom,
+                out_channels,
+                &weight,
+                &bias,
+                &input,
+                1,
+                &mut out,
+            )
+        };
         // Warm once (pool scratch checkout, page faults), then measure.
-        run_conv_algo(algo, geom, out_channels, &weight, &bias, &input, &mut out);
+        run();
         let mut best = f64::INFINITY;
         for _ in 0..self.reps {
             let t0 = Instant::now();
-            run_conv_algo(algo, geom, out_channels, &weight, &bias, &input, &mut out);
+            run();
             best = best.min(t0.elapsed().as_secs_f64());
         }
         best
@@ -355,47 +339,6 @@ mod tests {
         let (algo, cached) = tuner.tune_shape(&conv1_geom(), 96);
         assert_eq!((algo, cached), (ConvAlgo::Direct, true));
         assert_eq!(tuner.cached_shapes(), 2);
-    }
-
-    /// The tuner must time the kernels the plan then runs: every arm of
-    /// [`run_conv_algo`] gives what `Conv2d::forward_with` gives for the
-    /// same algorithm, bit for bit, on a buffer full of stale values —
-    /// and direct is bitwise im2col, Winograd within its bound of it.
-    #[test]
-    fn run_conv_algo_arms_match_the_layer_forward() {
-        use pcnn_tensor::{winograd_error_bound, Tensor};
-        let geom = Conv2dGeometry::new(5, 11, 9, 3, 1, 1);
-        let oc = 7;
-        let weight: Vec<f32> = (0..oc * geom.patch_len())
-            .map(|i| ((i * 31 % 23) as f32 - 11.0) / 16.0)
-            .collect();
-        let bias: Vec<f32> = (0..oc).map(|i| i as f32 / 8.0 - 0.25).collect();
-        let input: Vec<f32> = (0..5 * 11 * 9)
-            .map(|i| ((i * 17 % 29) as f32 - 14.0) / 8.0)
-            .collect();
-        let layer = pcnn_nn::layer::Conv2d::from_parts(
-            geom,
-            oc,
-            Tensor::from_vec(vec![oc, geom.patch_len()], weight.clone()).unwrap(),
-            bias.clone(),
-        );
-        let x = Tensor::from_vec(vec![1, 5, 11, 9], input.clone()).unwrap();
-        let run = |algo| {
-            let mut out = vec![f32::NAN; oc * geom.out_positions()];
-            run_conv_algo(algo, &geom, oc, &weight, &bias, &input, &mut out);
-            assert_eq!(
-                out,
-                layer.forward_with(&x, algo).unwrap().data(),
-                "{algo} arm differs from the layer's forward"
-            );
-            out
-        };
-        let im2col = run(ConvAlgo::Im2col);
-        assert_eq!(run(ConvAlgo::Direct), im2col);
-        let bound = winograd_error_bound(&geom, &weight, &input);
-        for (w, r) in run(ConvAlgo::Winograd).iter().zip(&im2col) {
-            assert!((w - r).abs() <= bound, "{w} vs {r} (bound {bound})");
-        }
     }
 
     #[test]

@@ -187,41 +187,7 @@ impl<'a> AccuracyTuner<'a> {
             self.labels.is_some(),
             "accuracy-guided tuning requires labels"
         );
-        let n = self.net.conv_count();
-        let mut plan = PerforationPlan::identity(n);
-        let (e0, a0) = self.measure(&plan);
-        let base_acc = a0.expect("labels present");
-        let mut entries = vec![self.entry(plan.clone(), e0, a0)];
-        let conv_flops = self.conv_flops();
-
-        for _ in 0..max_iters {
-            let current = entries.last().expect("non-empty");
-            let cur_acc = current.accuracy.expect("labels present");
-            if base_acc - cur_acc > max_accuracy_loss {
-                break;
-            }
-            let base_time = current.retained_flops;
-            let mut best: Option<(f64, PerforationPlan, f64, Option<f64>)> = None;
-            for layer in 0..n {
-                let new_rate = plan.rate(layer) + self.rate_step;
-                if new_rate > self.max_rate + 1e-9 {
-                    continue;
-                }
-                let candidate = plan.with_rate(layer, new_rate);
-                let (e, a) = self.measure(&candidate);
-                let retained = candidate.retained_flops_fraction(&conv_flops);
-                let time_saving = base_time - retained;
-                let d_acc = (cur_acc - a.expect("labels present")).max(1e-9);
-                let te = time_saving / d_acc;
-                if best.as_ref().map(|(b, ..)| te > *b).unwrap_or(true) {
-                    best = Some((te, candidate, e, a));
-                }
-            }
-            let Some((_, chosen, e, a)) = best else { break };
-            plan = chosen;
-            entries.push(self.entry(plan.clone(), e, a));
-        }
-        TuningPath { entries }
+        self.greedy(Guide::Accuracy, max_accuracy_loss, max_iters)
     }
 
     /// Runs the greedy tuning of Fig. 12 until the entropy threshold is
@@ -229,19 +195,38 @@ impl<'a> AccuracyTuner<'a> {
     /// always starts with the identity plan; the first entry past the
     /// threshold (if reached) is included so calibration has the boundary.
     pub fn tune(&self, entropy_threshold: f64, max_iters: usize) -> TuningPath {
+        self.greedy(Guide::Entropy, entropy_threshold, max_iters)
+    }
+
+    /// The greedy search behind both tuners: each iteration tries one
+    /// more step on every layer and commits the best
+    /// `TE = time saved / rise in the guide's cost` (eq. 14), until the
+    /// cost passes `limit`.
+    fn greedy(&self, guide: Guide, limit: f64, max_iters: usize) -> TuningPath {
         let n = self.net.conv_count();
         let mut plan = PerforationPlan::identity(n);
         let (e0, a0) = self.measure(&plan);
         let mut entries = vec![self.entry(plan.clone(), e0, a0)];
         let conv_flops = self.conv_flops();
+        // What the guide pays for time with, larger is worse. Entropy is
+        // held against the threshold itself, accuracy against its loss
+        // since the baseline.
+        let cost = |entropy: f64, accuracy: Option<f64>| match guide {
+            Guide::Entropy => entropy,
+            Guide::Accuracy => -accuracy.expect("labels present"),
+        };
+        let origin = match guide {
+            Guide::Entropy => 0.0,
+            Guide::Accuracy => cost(e0, a0),
+        };
 
         for _ in 0..max_iters {
             let current = entries.last().expect("non-empty");
-            if current.entropy > entropy_threshold {
+            let cur_cost = cost(current.entropy, current.accuracy);
+            if cur_cost - origin > limit {
                 break;
             }
             let base_time = current.retained_flops;
-            // Try one more step on every layer; keep the best TE (eq. 14).
             let mut best: Option<(f64, PerforationPlan, f64, Option<f64>)> = None;
             for layer in 0..n {
                 let new_rate = plan.rate(layer) + self.rate_step;
@@ -252,8 +237,7 @@ impl<'a> AccuracyTuner<'a> {
                 let (e, a) = self.measure(&candidate);
                 let retained = candidate.retained_flops_fraction(&conv_flops);
                 let time_saving = base_time - retained;
-                let d_entropy = (e - current.entropy).max(1e-9);
-                let te = time_saving / d_entropy;
+                let te = time_saving / (cost(e, a) - cur_cost).max(1e-9);
                 if best.as_ref().map(|(b, ..)| te > *b).unwrap_or(true) {
                     best = Some((te, candidate, e, a));
                 }
@@ -264,6 +248,14 @@ impl<'a> AccuracyTuner<'a> {
         }
         TuningPath { entries }
     }
+}
+
+/// What the greedy search trades time against: output entropy (the
+/// paper's unsupervised tuner) or labelled top-1 accuracy (Fig. 16).
+#[derive(Clone, Copy)]
+enum Guide {
+    Entropy,
+    Accuracy,
 }
 
 #[cfg(test)]

@@ -1,16 +1,22 @@
 //! Runnable CNN layers with real forward and backward passes.
 //!
-//! Convolutions are executed exactly as the paper describes (§II.A, Fig. 2):
-//! im2col lowers the input to the data matrix `D_m`, the filter matrix `F_m`
-//! multiplies it with a GEMM, and the result is the output feature map.
+//! A full convolution is one [`conv2d`] call through the layer's chosen
+//! algorithm; the default is the paper's (§II.A, Fig. 2): im2col lowers
+//! the input to the data matrix `D_m`, the filter matrix `F_m` multiplies
+//! it with a GEMM, and the result is the output feature map.
 //! Perforated inference (Fig. 11) evaluates the GEMM only at a sampled
 //! subset of output positions — gathered straight into the GEMM's packed
 //! operand, one GEMM per group of images — and interpolates the rest.
+//! Inference runs every layer through one step executor
+//! (`Layer::run_step`, what `Network::run` and [`Layer::forward_algo`]
+//! both call); training through [`Layer::forward_train`].
+
+use std::borrow::Cow;
 
 use pcnn_profile::{phase_span, Phase};
 use pcnn_tensor::{
-    col2im_accumulate, conv2d_direct, conv2d_sampled, conv2d_winograd_prepared, gemm, gemm_bias,
-    gemm_nt, gemm_tn, im2col, Conv2dGeometry, ConvAlgo, Tensor, WinogradFilter,
+    col2im_accumulate, conv2d, conv2d_sampled, gemm, gemm_nt, gemm_tn, im2col, Conv2dGeometry,
+    ConvAlgo, Tensor,
 };
 use rand::Rng;
 
@@ -138,47 +144,10 @@ impl Conv2d {
         Ok(input.shape()[0])
     }
 
-    /// Full (unperforated) forward pass.
+    /// Full (unperforated) forward pass through the chosen convolution
+    /// algorithm: one [`conv2d`] call on the whole batch.
     ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Shape`] if `input` is not `[N, N_c, H, W]`.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        let batch = self.check_input(input)?;
-        let g = &self.geom;
-        let (k, n_pos) = (g.patch_len(), g.out_positions());
-        // Pooled scratch: im2col writes every element, so the unspecified
-        // checkout contents never leak into the GEMM. The span covers the
-        // checkout and the output allocation.
-        let span = phase_span(Phase::Epilogue);
-        let mut cols = pcnn_parallel::scratch_f32(k * n_pos);
-        let mut out = Tensor::zeros(self.output_shape(batch));
-        if let Some(s) = span {
-            s.finish(0, 4 * (out.data().len() + k * n_pos) as u64);
-        }
-        for b in 0..batch {
-            let span = phase_span(Phase::Im2col);
-            im2col(g, input.batch_item(b), &mut cols);
-            if let Some(s) = span {
-                // One image read, one data matrix written.
-                s.finish(0, 4 * (g.in_channels * g.in_h * g.in_w + k * n_pos) as u64);
-            }
-            gemm_bias(
-                self.out_channels,
-                n_pos,
-                k,
-                self.weight.data(),
-                &cols,
-                &self.bias,
-                out.batch_item_mut(b),
-            );
-        }
-        Ok(out)
-    }
-
-    /// Full forward pass through the chosen convolution algorithm.
-    ///
-    /// [`ConvAlgo::Im2col`] is exactly [`forward`](Self::forward);
+    /// [`ConvAlgo::Im2col`] is the reference lowering (paper Fig. 2);
     /// [`ConvAlgo::Direct`] produces bitwise-identical output without the
     /// materialised column matrix; [`ConvAlgo::Winograd`] (stride-1 3x3
     /// layers only) is deterministic but within
@@ -189,9 +158,6 @@ impl Conv2d {
     /// Returns [`NnError::Shape`] on input shape mismatch, or
     /// [`NnError::Plan`] if the algorithm cannot run this layer's shape.
     pub fn forward_with(&self, input: &Tensor, algo: ConvAlgo) -> Result<Tensor, NnError> {
-        if algo == ConvAlgo::Im2col {
-            return self.forward(input);
-        }
         if !algo.supports(&self.geom) {
             return Err(NnError::Plan(format!(
                 "{algo} cannot run a {}x{} stride-{} conv layer",
@@ -199,29 +165,25 @@ impl Conv2d {
             )));
         }
         let batch = self.check_input(input)?;
-        let span = phase_span(Phase::Epilogue);
+        // The im2col route reports the output's first touch itself, in
+        // the span of its column-matrix checkout.
+        let span = (algo != ConvAlgo::Im2col)
+            .then(|| phase_span(Phase::Epilogue))
+            .flatten();
         let mut out = Tensor::zeros(self.output_shape(batch));
         if let Some(s) = span {
             s.finish(0, 4 * out.data().len() as u64);
         }
-        // One filter transform for the whole batch; dropped (back to the
-        // scratch pool) with the call, never kept on the layer.
-        let filter = (algo == ConvAlgo::Winograd)
-            .then(|| WinogradFilter::new(&self.geom, self.out_channels, self.weight.data()));
-        for b in 0..batch {
-            let (x, y) = (input.batch_item(b), out.batch_item_mut(b));
-            match &filter {
-                Some(filter) => conv2d_winograd_prepared(&self.geom, filter, &self.bias, x, y),
-                None => conv2d_direct(
-                    &self.geom,
-                    self.out_channels,
-                    self.weight.data(),
-                    &self.bias,
-                    x,
-                    y,
-                ),
-            }
-        }
+        conv2d(
+            algo,
+            &self.geom,
+            self.out_channels,
+            self.weight.data(),
+            &self.bias,
+            input.data(),
+            batch,
+            out.data_mut(),
+        );
         Ok(out)
     }
 
@@ -391,12 +353,6 @@ impl MaxPool2d {
         let mut indices = Vec::new();
         let out = self.pool(input, |best_idx| indices.push(best_idx))?;
         Ok((out, LayerCache::PoolIndices(indices)))
-    }
-
-    /// Inference forward pass: [`forward`](Self::forward)'s tensor without
-    /// the argmax cache (8 bytes per output, twice the tensor itself).
-    pub(crate) fn forward_inference(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.pool(input, |_| {})
     }
 
     /// The pooling walk. A window's best starts as its first element and
@@ -600,6 +556,22 @@ impl Linear {
     }
 }
 
+/// How an inference forward runs one layer — what `Network::compile`
+/// decides, so that `Network::run` only looks it up. A plan holds one per
+/// layer (tens), so the perforation tables sit inline rather than behind
+/// a second pointer.
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Step<'a> {
+    /// A full conv layer through one algorithm.
+    Conv(ConvAlgo),
+    /// A conv layer evaluated at the perforation's kept positions only,
+    /// the rest interpolated.
+    Sampled(Cow<'a, LayerPerforation>),
+    /// Relu, pooling, flatten, linear, dropout: nothing to decide.
+    Other,
+}
+
 /// One layer of a runnable [`crate::Network`].
 #[derive(Debug, Clone)]
 pub enum Layer {
@@ -619,13 +591,22 @@ pub enum Layer {
     Dropout(f32),
 }
 
-/// Deterministic per-element keep decision for dropout: a multiplicative
-/// hash of `(seed, index)` compared against the keep probability.
-fn dropout_keep(seed: u64, index: usize, drop_p: f32) -> bool {
-    let h = (seed ^ (index as u64).wrapping_mul(0x9E3779B97F4A7C15))
-        .wrapping_mul(0xD1B54A32D192ED03)
-        .rotate_left(29);
-    ((h >> 11) as f64 / (1u64 << 53) as f64) >= drop_p as f64
+/// Inverted dropout of a copy of `t` — the forward's activations and the
+/// backward's gradients take the same mask. The per-element keep decision
+/// is deterministic: a multiplicative hash of `(seed, index)` compared
+/// against the keep probability; kept elements are scaled by
+/// `1 / (1 - drop_p)`.
+fn dropout(t: &Tensor, seed: u64, drop_p: f32) -> Tensor {
+    let keep_scale = 1.0 / (1.0 - drop_p);
+    let mut out = t.clone();
+    for (i, v) in out.data_mut().iter_mut().enumerate() {
+        let h = (seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15))
+            .wrapping_mul(0xD1B54A32D192ED03)
+            .rotate_left(29);
+        let keep = ((h >> 11) as f64 / (1u64 << 53) as f64) >= drop_p as f64;
+        *v = if keep { *v * keep_scale } else { 0.0 };
+    }
+    out
 }
 
 impl Layer {
@@ -641,24 +622,11 @@ impl Layer {
         }
     }
 
-    /// Inference forward pass with optional perforation for conv layers
-    /// (dropout layers are the identity).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape/perforation errors from the concrete layer.
-    pub fn forward(
-        &self,
-        input: &Tensor,
-        perf: Option<&LayerPerforation>,
-    ) -> Result<(Tensor, LayerCache), NnError> {
-        self.forward_mode(input, perf, None)
-    }
-
-    /// Like [`forward`](Self::forward) but routes a full (unperforated)
-    /// conv layer through the chosen algorithm. Perforation takes
-    /// precedence — a perforated conv always runs the sampled
-    /// convolution — and non-conv layers ignore `algo`.
+    /// Inference forward pass: a conv layer under a non-identity `perf`
+    /// runs the sampled convolution — perforation takes precedence — and
+    /// a full one runs `algo`; every other layer ignores both (dropout is
+    /// the identity). The cache is always [`LayerCache::None`]: only
+    /// [`forward_train`](Self::forward_train) has a backward to cache for.
     ///
     /// # Errors
     ///
@@ -669,68 +637,60 @@ impl Layer {
         perf: Option<&LayerPerforation>,
         algo: ConvAlgo,
     ) -> Result<(Tensor, LayerCache), NnError> {
-        match self {
-            Layer::Conv2d(c) => {
-                let out = match perf {
-                    Some(p) if !p.is_identity() => c.forward_perforated(input, p)?,
-                    _ => c.forward_with(input, algo)?,
-                };
-                Ok((out, LayerCache::None))
+        let step = match (self, perf) {
+            (Layer::Conv2d(_), Some(p)) if !p.is_identity() => Step::Sampled(Cow::Borrowed(p)),
+            (Layer::Conv2d(_), _) => Step::Conv(algo),
+            _ => Step::Other,
+        };
+        Ok((self.run_step(input, &step)?, LayerCache::None))
+    }
+
+    /// Whether `step` is one this layer can execute: a conv layer needs an
+    /// algorithm that supports its shape or a perforation of its own
+    /// output map, every other layer takes [`Step::Other`] only.
+    pub(crate) fn accepts(&self, step: &Step) -> bool {
+        match (self, step) {
+            (Layer::Conv2d(c), Step::Conv(algo)) => algo.supports(&c.geom),
+            (Layer::Conv2d(c), Step::Sampled(p)) => {
+                (p.out_h(), p.out_w()) == (c.geom.out_h, c.geom.out_w)
             }
-            _ => self.forward(input, perf),
+            (Layer::Conv2d(_), Step::Other) => false,
+            (_, step) => matches!(step, Step::Other),
         }
     }
 
-    /// Forward pass; `train_seed = Some(seed)` activates training-only
-    /// behaviour (dropout masks derived deterministically from the seed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape/perforation errors from the concrete layer.
-    pub fn forward_mode(
-        &self,
-        input: &Tensor,
-        perf: Option<&LayerPerforation>,
-        train_seed: Option<u64>,
-    ) -> Result<(Tensor, LayerCache), NnError> {
-        match self {
-            Layer::Conv2d(c) => {
-                let out = match perf {
-                    Some(p) if !p.is_identity() => c.forward_perforated(input, p)?,
-                    _ => c.forward(input)?,
-                };
-                Ok((out, LayerCache::None))
-            }
-            Layer::Relu => {
+    /// The step executor: the one inference forward of a layer, behind
+    /// both `Network::run` and [`forward_algo`](Self::forward_algo).
+    pub(crate) fn run_step(&self, input: &Tensor, step: &Step) -> Result<Tensor, NnError> {
+        match (self, step) {
+            (Layer::Conv2d(c), Step::Sampled(p)) => c.forward_perforated(input, p),
+            (Layer::Conv2d(c), Step::Conv(algo)) => c.forward_with(input, *algo),
+            (Layer::Conv2d(_), Step::Other) => Err(NnError::Plan(
+                "a conv layer was handed a step compiled for a non-conv layer".into(),
+            )),
+            (Layer::Relu, _) => {
                 let span = phase_span(Phase::Activation);
                 let out = input.map(|x| x.max(0.0));
                 if let Some(s) = span {
                     let numel = out.data().len() as u64;
                     s.finish(numel, 8 * numel);
                 }
-                Ok((out, LayerCache::None))
+                Ok(out)
             }
-            Layer::MaxPool2d(p) => {
+            (Layer::MaxPool2d(p), _) => {
                 let span = phase_span(Phase::Activation);
-                // Only a training pass has a backward to cache for.
-                let result = match train_seed {
-                    Some(_) => p.forward(input),
-                    None => p
-                        .forward_inference(input)
-                        .map(|out| (out, LayerCache::None)),
-                };
+                // No argmax cache (8 bytes per output, twice the tensor
+                // itself): only a training pass has a backward to feed.
+                let result = p.pool(input, |_| {});
                 if let Some(s) = span {
                     let in_n = input.data().len() as u64;
-                    let out_n = result
-                        .as_ref()
-                        .map(|(t, _)| t.data().len() as u64)
-                        .unwrap_or(0);
+                    let out_n = result.as_ref().map_or(0, |t| t.data().len() as u64);
                     // ~1 compare per input element.
                     s.finish(in_n, 4 * (in_n + out_n));
                 }
                 result
             }
-            Layer::Flatten => {
+            (Layer::Flatten, _) => {
                 let span = phase_span(Phase::Epilogue);
                 let n = input.shape()[0];
                 let rest: usize = input.shape()[1..].iter().product();
@@ -738,31 +698,37 @@ impl Layer {
                 if let Some(s) = span {
                     s.finish(0, 8 * out.data().len() as u64);
                 }
-                Ok((out, LayerCache::None))
+                Ok(out)
             }
-            Layer::Linear(l) => Ok((l.forward(input)?, LayerCache::None)),
-            Layer::Dropout(p) => match train_seed {
-                None => {
-                    let span = phase_span(Phase::Epilogue);
-                    let out = input.clone();
-                    if let Some(s) = span {
-                        s.finish(0, 8 * out.data().len() as u64);
-                    }
-                    Ok((out, LayerCache::None))
+            (Layer::Linear(l), _) => l.forward(input),
+            (Layer::Dropout(_), _) => {
+                let span = phase_span(Phase::Epilogue);
+                let out = input.clone();
+                if let Some(s) = span {
+                    s.finish(0, 8 * out.data().len() as u64);
                 }
-                Some(seed) => {
-                    let keep_scale = 1.0 / (1.0 - p);
-                    let mut out = input.clone();
-                    for (i, v) in out.data_mut().iter_mut().enumerate() {
-                        *v = if dropout_keep(seed, i, *p) {
-                            *v * keep_scale
-                        } else {
-                            0.0
-                        };
-                    }
-                    Ok((out, LayerCache::DropoutSeed(seed)))
-                }
-            },
+                Ok(out)
+            }
+        }
+    }
+
+    /// Training-mode forward pass: the inference forward (convolutions
+    /// through im2col, never perforated) except that max pooling records
+    /// its argmax cache and dropout applies the keep mask derived
+    /// deterministically from `seed`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the concrete layer.
+    pub fn forward_train(
+        &self,
+        input: &Tensor,
+        seed: u64,
+    ) -> Result<(Tensor, LayerCache), NnError> {
+        match self {
+            Layer::MaxPool2d(p) => p.forward(input),
+            Layer::Dropout(p) => Ok((dropout(input, seed, *p), LayerCache::DropoutSeed(seed))),
+            _ => self.forward_algo(input, None, ConvAlgo::Im2col),
         }
     }
 
@@ -808,16 +774,7 @@ impl Layer {
                     // Inference-mode dropout is the identity.
                     return (grad_out.clone(), None);
                 };
-                let keep_scale = 1.0 / (1.0 - p);
-                let mut d = grad_out.clone();
-                for (i, v) in d.data_mut().iter_mut().enumerate() {
-                    *v = if dropout_keep(*seed, i, *p) {
-                        *v * keep_scale
-                    } else {
-                        0.0
-                    };
-                }
-                (d, None)
+                (dropout(grad_out, *seed, *p), None)
             }
         }
     }
@@ -844,7 +801,7 @@ mod tests {
     #[test]
     fn conv_forward_shape() {
         let (conv, input) = conv_fixture();
-        let out = conv.forward(&input).unwrap();
+        let out = conv.forward_with(&input, ConvAlgo::Im2col).unwrap();
         assert_eq!(out.shape(), &[2, 4, 6, 6]);
     }
 
@@ -854,7 +811,7 @@ mod tests {
         let geom = Conv2dGeometry::new(1, 4, 4, 3, 1, 0);
         let conv = Conv2d::new(geom, 1, &mut rng());
         let input = Tensor::from_fn(vec![1, 1, 4, 4], |i| i as f32);
-        let out = conv.forward(&input).unwrap();
+        let out = conv.forward_with(&input, ConvAlgo::Im2col).unwrap();
         let (w, b) = conv.params();
         for oy in 0..2 {
             for ox in 0..2 {
@@ -874,7 +831,10 @@ mod tests {
     fn conv_rejects_wrong_channels() {
         let (conv, _) = conv_fixture();
         let bad = Tensor::zeros(vec![1, 3, 6, 6]);
-        assert!(matches!(conv.forward(&bad), Err(NnError::Shape { .. })));
+        assert!(matches!(
+            conv.forward_with(&bad, ConvAlgo::Im2col),
+            Err(NnError::Shape { .. })
+        ));
     }
 
     #[test]
@@ -902,7 +862,7 @@ mod tests {
     #[test]
     fn perforation_rate_zero_is_identity() {
         let (conv, input) = conv_fixture();
-        let full = conv.forward(&input).unwrap();
+        let full = conv.forward_with(&input, ConvAlgo::Im2col).unwrap();
         let plan = LayerPerforation::new(6, 6, 0.0, 1);
         let perf = conv.forward_perforated(&input, &plan).unwrap();
         assert_eq!(full, perf);
@@ -911,7 +871,7 @@ mod tests {
     #[test]
     fn perforation_preserves_kept_positions() {
         let (conv, input) = conv_fixture();
-        let full = conv.forward(&input).unwrap();
+        let full = conv.forward_with(&input, ConvAlgo::Im2col).unwrap();
         let plan = LayerPerforation::new(6, 6, 0.5, 1);
         let perf = conv.forward_perforated(&input, &plan).unwrap();
         for &p in plan.kept_positions() {
@@ -1034,7 +994,7 @@ mod tests {
         let geom = Conv2dGeometry::new(1, 8, 8, 3, 1, 1);
         let conv = Conv2d::new(geom, 2, &mut rng());
         let input = Tensor::full(vec![1, 1, 8, 8], 1.0);
-        let full = conv.forward(&input).unwrap();
+        let full = conv.forward_with(&input, ConvAlgo::Im2col).unwrap();
         let plan = LayerPerforation::new(8, 8, 0.75, 1);
         let perf = conv.forward_perforated(&input, &plan).unwrap();
         // Interior positions (away from the zero-padding boundary) see the
@@ -1058,7 +1018,7 @@ mod tests {
         let mut conv = Conv2d::new(geom, 2, &mut rng());
         let input = Tensor::from_fn(vec![1, 1, 4, 4], |i| (i as f32 / 7.0).sin());
         // Loss = sum(out^2)/2, so dL/dOut = out.
-        let out = conv.forward(&input).unwrap();
+        let out = conv.forward_with(&input, ConvAlgo::Im2col).unwrap();
         let (_, grads) = conv.backward(&input, &out);
         // Check dW numerically for a few weights.
         let eps = 1e-3;
@@ -1066,7 +1026,7 @@ mod tests {
             let orig = conv.weight.data()[wi];
             conv.weight.data_mut()[wi] = orig + eps;
             let lp: f32 = conv
-                .forward(&input)
+                .forward_with(&input, ConvAlgo::Im2col)
                 .unwrap()
                 .data()
                 .iter()
@@ -1074,7 +1034,7 @@ mod tests {
                 .sum();
             conv.weight.data_mut()[wi] = orig - eps;
             let lm: f32 = conv
-                .forward(&input)
+                .forward_with(&input, ConvAlgo::Im2col)
                 .unwrap()
                 .data()
                 .iter()
@@ -1164,7 +1124,7 @@ mod tests {
     fn relu_backward_masks_negatives() {
         let layer = Layer::Relu;
         let input = Tensor::from_vec(vec![1, 4], vec![-1., 2., -3., 4.]).unwrap();
-        let (out, cache) = layer.forward(&input, None).unwrap();
+        let (out, cache) = layer.forward_algo(&input, None, ConvAlgo::Im2col).unwrap();
         assert_eq!(out.data(), &[0., 2., 0., 4.]);
         let grad = Tensor::from_vec(vec![1, 4], vec![1., 1., 1., 1.]).unwrap();
         let (d_in, _) = layer.backward(&input, &out, &cache, &grad);
@@ -1175,7 +1135,7 @@ mod tests {
     fn flatten_roundtrip() {
         let layer = Layer::Flatten;
         let input = Tensor::from_fn(vec![2, 3, 2, 2], |i| i as f32);
-        let (out, cache) = layer.forward(&input, None).unwrap();
+        let (out, cache) = layer.forward_algo(&input, None, ConvAlgo::Im2col).unwrap();
         assert_eq!(out.shape(), &[2, 12]);
         let (back, _) = layer.backward(&input, &out, &cache, &out);
         assert_eq!(back.shape(), input.shape());

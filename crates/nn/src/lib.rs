@@ -8,12 +8,16 @@
 //!   VGGNet-16, GoogLeNet). The analytical models, the SGEMM kernel model
 //!   and the GPU simulator consume these shapes; no full-size network is
 //!   ever executed numerically.
-//! * [`network::Network`] — a *runnable* network of [`layer::Layer`]s with a
-//!   real forward pass (im2col + GEMM), a backward pass for SGD training,
-//!   and perforated inference (paper Fig. 11). The accuracy/entropy
-//!   experiments (Table I, Fig. 16) run small trainable variants of the
-//!   three paper networks on a synthetic labelled dataset, as documented in
-//!   `DESIGN.md`.
+//! * [`network::Network`] — a *runnable* network of [`layer::Layer`]s.
+//!   Inference is decided once and then run: [`Network::compile`] turns a
+//!   [`PerforationPlan`] (paper Fig. 11) and an optional tuned
+//!   [`ConvPlan`] (im2col, direct or Winograd per conv layer) into an
+//!   [`ExecPlan`], and [`Network::run`] executes it on any batch —
+//!   batch-split below the first `Flatten`, bitwise the same at any pool
+//!   width. Training has its own forward and a backward pass for SGD. The
+//!   accuracy/entropy experiments (Table I, Fig. 16) run small trainable
+//!   variants of the three paper networks on a synthetic labelled
+//!   dataset, as documented in `DESIGN.md`.
 //!
 //! # Example
 //!
@@ -40,6 +44,6 @@ pub mod train;
 
 pub use error::NnError;
 pub use layer::Layer;
-pub use network::Network;
+pub use network::{ExecPlan, Network};
 pub use perforation::PerforationPlan;
 pub use plan::ConvPlan;

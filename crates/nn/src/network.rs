@@ -1,8 +1,10 @@
 //! A runnable sequential CNN.
 
+use std::borrow::Cow;
+
 use pcnn_tensor::{ConvAlgo, Tensor};
 
-use crate::layer::{Layer, LayerCache};
+use crate::layer::{Layer, LayerCache, Step};
 use crate::perforation::{LayerPerforation, PerforationPlan};
 use crate::plan::ConvPlan;
 use crate::spec::{ConvSpec, FcSpec, LayerSpec, NetworkSpec, PoolSpec};
@@ -23,6 +25,21 @@ impl ForwardTrace {
     pub fn logits(&self) -> &Tensor {
         self.activations.last().expect("trace always has input")
     }
+}
+
+/// Everything [`Network::compile`] decided for one network under one
+/// perforation plan and conv plan: one step per layer and where the
+/// per-image prefix ends. It holds what a forward used to rebuild at the
+/// top of every call and nothing else — no weights, no batch size, no
+/// scratch — so it is cheap to keep, valid for any batch, and
+/// [`Network::run`] refuses it on any network it was not compiled for.
+#[derive(Debug, Clone)]
+pub struct ExecPlan {
+    /// One step per layer, in layer order.
+    steps: Vec<Step<'static>>,
+    /// Index of the first `Flatten` (the layer count without one): the
+    /// layers before it are batch-split, the rest run on the joined batch.
+    split: usize,
 }
 
 /// A runnable sequential network.
@@ -100,15 +117,30 @@ impl Network {
             .count()
     }
 
-    /// Builds the per-layer [`LayerPerforation`]s for a plan.
+    /// Decides, once, how every layer of this network runs under a
+    /// perforation plan and (optionally) a tuned conv plan — the offline
+    /// half of the paper's compile / look-up split (§IV.B–C). A conv
+    /// layer with a rate above 0 gets its [`LayerPerforation`] tables
+    /// (kept list, nearest map, interpolation stencils) built here, at
+    /// exact rates; a full one gets its algorithm from `conv_plan`
+    /// (im2col without one). Perforation takes precedence: a perforated
+    /// layer ignores the conv plan's entry. Every plan error is raised
+    /// here, so [`run`](Self::run) can only fail on its input.
     ///
-    /// `multiple` rounds each layer's kept-position count up to a multiple
-    /// of the SGEMM tile dimension (pass 1 for exact rates).
-    fn layer_perforations(
+    /// # Errors
+    ///
+    /// Returns [`NnError::Plan`] for a conv plan that does not fit this
+    /// network (length, or an algorithm a layer's shape cannot run) and
+    /// [`NnError::Perforation`] for a perforation plan of the wrong
+    /// length.
+    pub fn compile(
         &self,
         plan: &PerforationPlan,
-        multiple: usize,
-    ) -> Result<Vec<Option<LayerPerforation>>, NnError> {
+        conv_plan: Option<&ConvPlan>,
+    ) -> Result<ExecPlan, NnError> {
+        if let Some(cp) = conv_plan {
+            cp.validate(self)?;
+        }
         if plan.len() != self.conv_count() {
             return Err(NnError::Perforation(format!(
                 "plan covers {} conv layers, network has {}",
@@ -116,49 +148,53 @@ impl Network {
                 self.conv_count()
             )));
         }
-        let mut out = Vec::with_capacity(self.layers.len());
         let mut ci = 0;
-        for layer in &self.layers {
-            if let Layer::Conv2d(c) = layer {
-                let rate = plan.rate(ci);
+        let steps = self
+            .layers
+            .iter()
+            .map(|layer| {
+                let Layer::Conv2d(c) = layer else {
+                    return Step::Other;
+                };
+                let (rate, algo) = (
+                    plan.rate(ci),
+                    conv_plan.map_or(ConvAlgo::Im2col, |cp| cp.algo(ci)),
+                );
                 ci += 1;
-                if rate > 0.0 {
-                    out.push(Some(LayerPerforation::new(
-                        c.geometry().out_h,
-                        c.geometry().out_w,
-                        rate,
-                        multiple,
-                    )));
-                    continue;
+                let g = c.geometry();
+                let perf = (rate > 0.0).then(|| LayerPerforation::new(g.out_h, g.out_w, rate, 1));
+                match perf {
+                    Some(p) if !p.is_identity() => Step::Sampled(Cow::Owned(p)),
+                    _ => Step::Conv(algo),
                 }
-            }
-            out.push(None);
-        }
-        Ok(out)
+            })
+            .collect();
+        // The classifier tail starts at the first `Flatten`; everything
+        // before it (conv / relu / pool) is the per-image prefix.
+        let split = self
+            .layers
+            .iter()
+            .position(|l| matches!(l, Layer::Flatten))
+            .unwrap_or(self.layers.len());
+        Ok(ExecPlan { steps, split })
     }
 
     /// Inference forward pass under a perforation plan. Returns logits
-    /// `[N, classes]`.
-    ///
-    /// Batches are data-parallel (Cappuccino-style) up to the first
-    /// `Flatten`: images are split into contiguous groups, one per worker,
-    /// and each group runs the conv / relu / pool prefix independently.
-    /// The classifier tail then runs once on the whole batch, so the FC
-    /// weights — the operand every image shares — are streamed once per
-    /// batch. Every layer treats images independently, so the logits are
-    /// bitwise identical at any thread count (including 1).
+    /// `[N, classes]`. One-shot form of [`compile`](Self::compile) +
+    /// [`run`](Self::run); a caller that runs one plan more than once
+    /// compiles it once.
     ///
     /// # Errors
     ///
     /// Returns an error on shape mismatch or an inconsistent plan.
     pub fn forward(&self, input: &Tensor, plan: &PerforationPlan) -> Result<Tensor, NnError> {
-        self.forward_dispatch(input, plan, None)
+        self.run(&self.compile(plan, None)?, input)
     }
 
     /// Inference forward pass executing a tuned per-layer [`ConvPlan`]:
     /// each full (unperforated) conv layer runs the algorithm the offline
-    /// tuner chose for its shape, with the same batching, determinism and
-    /// profiling behaviour as [`forward`](Self::forward).
+    /// tuner chose for its shape. One-shot form of
+    /// [`compile`](Self::compile) + [`run`](Self::run).
     ///
     /// # Errors
     ///
@@ -170,52 +206,50 @@ impl Network {
         plan: &PerforationPlan,
         conv_plan: &ConvPlan,
     ) -> Result<Tensor, NnError> {
-        conv_plan.validate(self)?;
-        self.forward_dispatch(input, plan, Some(conv_plan))
+        self.run(&self.compile(plan, Some(conv_plan))?, input)
     }
 
-    /// Expands a conv plan to one algorithm per *layer* index (non-conv
-    /// layers get the ignored im2col default).
-    fn layer_algos(&self, conv_plan: Option<&ConvPlan>) -> Vec<ConvAlgo> {
-        let mut algos = vec![ConvAlgo::Im2col; self.layers.len()];
-        if let Some(cp) = conv_plan {
-            let mut ci = 0;
-            for (i, layer) in self.layers.iter().enumerate() {
-                if matches!(layer, Layer::Conv2d(_)) {
-                    algos[i] = cp.algo(ci);
-                    ci += 1;
-                }
-            }
+    /// Executes a compiled plan on `input`: the one inference path.
+    /// Returns logits `[N, classes]`.
+    ///
+    /// Batches are data-parallel (Cappuccino-style) up to the first
+    /// `Flatten`: images are split into contiguous groups, one per worker,
+    /// and each group runs the conv / relu / pool prefix independently.
+    /// The classifier tail then runs once on the whole batch, so the FC
+    /// weights — the operand every image shares — are streamed once per
+    /// batch. Every layer treats images independently, so the logits are
+    /// bitwise identical at any thread count (including 1), and the plan
+    /// holds nothing that depends on the batch: one plan serves any batch
+    /// size with the same per-image logits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Shape`] on input shape mismatch, or
+    /// [`NnError::Plan`] if `plan` was compiled for another network (its
+    /// step count, a conv layer's position or a conv layer's geometry
+    /// does not match this one).
+    pub fn run(&self, plan: &ExecPlan, input: &Tensor) -> Result<Tensor, NnError> {
+        let fits = plan.steps.len() == self.layers.len()
+            && self
+                .layers
+                .iter()
+                .zip(&plan.steps)
+                .all(|(l, s)| l.accepts(s));
+        if !fits {
+            return Err(NnError::Plan(format!(
+                "execution plan ({} steps) was compiled for another network than {} ({} layers)",
+                plan.steps.len(),
+                self.name,
+                self.layers.len()
+            )));
         }
-        algos
-    }
-
-    /// The one inference path behind [`forward`](Self::forward) and
-    /// [`forward_planned`](Self::forward_planned): a batch-split prefix
-    /// and a batch-wide tail, each a [`forward_group`](Self::forward_group)
-    /// over a layer range (the one-group path is the range of all layers).
-    fn forward_dispatch(
-        &self,
-        input: &Tensor,
-        plan: &PerforationPlan,
-        conv_plan: Option<&ConvPlan>,
-    ) -> Result<Tensor, NnError> {
-        let perfs = self.layer_perforations(plan, 1)?;
-        let algos = self.layer_algos(conv_plan);
         let batch = if input.ndim() == 4 {
             input.shape()[0]
         } else {
             1
         };
         let threads = pcnn_parallel::current_threads();
-        let all = 0..self.layers.len();
-        // The classifier tail starts at the first `Flatten`; everything
-        // before it (conv / relu / pool) is the per-image prefix.
-        let split = self
-            .layers
-            .iter()
-            .position(|l| matches!(l, Layer::Flatten))
-            .unwrap_or(all.end);
+        let (all, split) = (0..self.layers.len(), plan.split);
         // Small batches (fewer images than workers) run the whole
         // pipeline as one group so the pool stays free for the 2-D GEMM
         // split inside each layer — a starved batch split would pin every
@@ -227,7 +261,7 @@ impl Network {
             || split == 0
             || pcnn_parallel::in_parallel_region()
         {
-            return self.forward_group(input, all, &perfs, &algos);
+            return self.run_layers(plan, input, all);
         }
         // Only the prefix is batch-split: contiguous image groups, one
         // per worker, boundaries a function of batch and thread count.
@@ -244,7 +278,7 @@ impl Network {
         let parts = pcnn_parallel::par_map(batch.div_ceil(group), |gi| {
             let start = gi * group;
             let sub = input.batch_range(start, group.min(batch - start));
-            handoff.enter(|| self.forward_group(&sub, 0..split, &perfs, &algos))
+            handoff.enter(|| self.run_layers(plan, &sub, 0..split))
         })
         .into_iter()
         .collect::<Result<Vec<Tensor>, NnError>>()?;
@@ -255,27 +289,26 @@ impl Network {
             features.extend_from_slice(part.data());
         }
         let features = Tensor::from_vec(shape, features)?;
-        self.forward_group(&features, split..all.end, &perfs, &algos)
+        self.run_layers(plan, &features, split..all.end)
     }
 
     /// Runs `layers` of the pipeline on one image group, opening a
     /// profiler layer scope around each layer (a no-op unless profiling
     /// is on). The first layer reads `input` in place; an empty range
     /// returns a copy of it.
-    fn forward_group(
+    fn run_layers(
         &self,
+        plan: &ExecPlan,
         input: &Tensor,
         layers: std::ops::Range<usize>,
-        perfs: &[Option<LayerPerforation>],
-        algos: &[ConvAlgo],
     ) -> Result<Tensor, NnError> {
-        let mut x = std::borrow::Cow::Borrowed(input);
+        let mut x = Cow::Borrowed(input);
         for i in layers {
             let layer = &self.layers[i];
             let scope = pcnn_profile::layer_scope(i, layer.kind());
-            let (out, _) = layer.forward_algo(&x, perfs[i].as_ref(), algos[i])?;
+            let out = layer.run_step(&x, &plan.steps[i])?;
             drop(scope);
-            x = std::borrow::Cow::Owned(out);
+            x = Cow::Owned(out);
         }
         Ok(x.into_owned())
     }
@@ -291,13 +324,10 @@ impl Network {
         let mut activations = vec![input.clone()];
         let mut caches = Vec::with_capacity(self.layers.len());
         for (li, layer) in self.layers.iter().enumerate() {
-            let (out, cache) = layer.forward_mode(
+            let (out, cache) = layer.forward_train(
                 activations.last().expect("nonempty"),
-                None,
-                Some(
-                    seed.wrapping_add(li as u64)
-                        .wrapping_mul(0x9E3779B97F4A7C15),
-                ),
+                seed.wrapping_add(li as u64)
+                    .wrapping_mul(0x9E3779B97F4A7C15),
             )?;
             activations.push(out);
             caches.push(cache);

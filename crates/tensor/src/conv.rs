@@ -29,6 +29,10 @@
 //!   through the deterministic [`crate::gemm`], so every thread count
 //!   produces the identical bits.
 //!
+//! [`conv2d`] is the dispatcher over the three: one call convolves a
+//! group of images through one [`ConvAlgo`], and it is what the layer
+//! forward, the offline tuner and `pcnn bench-conv` all call.
+//!
 //! # The patch gather
 //!
 //! There is one way a convolution here fills `B` without a column matrix,
@@ -87,8 +91,8 @@
 //! summing per layer to the whole-image figures, so `pcnn profile`
 //! attributes the phases per layer.
 
-use crate::gemm::{active_partition, gemm, gemm_packed, pack_b_with, packed_b_len};
-use crate::im2col::Conv2dGeometry;
+use crate::gemm::{active_partition, gemm, gemm_bias, gemm_packed, pack_b_with, packed_b_len};
+use crate::im2col::{im2col, Conv2dGeometry};
 use pcnn_profile::{phase_span, Phase};
 use std::ops::Range;
 
@@ -141,6 +145,77 @@ impl ConvAlgo {
 impl std::fmt::Display for ConvAlgo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Full convolution of `images` CHW images through `algo` — the one way
+/// an unperforated conv layer runs, whoever asks: the layer forward, the
+/// offline tuner timing a candidate, `pcnn bench-conv`.
+///
+/// `input` holds the images back to back, `weight` is the
+/// `[out_channels, patch_len]` filter matrix, and image `i`'s
+/// `out_channels x out_positions` map is written (every element) to
+/// `out[i * map..(i + 1) * map]`. What the images of a call share is
+/// scratch, never arithmetic — im2col one pooled column matrix (its
+/// checkout reports as [`Phase::Epilogue`] together with the first touch
+/// of `out`, each lowering as [`Phase::Im2col`]), Winograd one
+/// [`WinogradFilter`], built here and dropped on return — so a call on a
+/// group is bitwise the calls on its images alone.
+///
+/// # Panics
+///
+/// Panics if `algo` does not [support](ConvAlgo::supports) `geom` or a
+/// slice is shorter than the geometry and `images` imply.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d(
+    algo: ConvAlgo,
+    geom: &Conv2dGeometry,
+    out_channels: usize,
+    weight: &[f32],
+    bias: &[f32],
+    input: &[f32],
+    images: usize,
+    out: &mut [f32],
+) {
+    let chw = geom.in_channels * geom.in_h * geom.in_w;
+    let (k, n_pos) = (geom.patch_len(), geom.out_positions());
+    let map = out_channels * n_pos;
+    assert!(input.len() >= images * chw, "input too short");
+    assert!(out.len() >= images * map, "out too short");
+    let (image, maps) = (|i| i * chw..(i + 1) * chw, |i| i * map..(i + 1) * map);
+    match algo {
+        ConvAlgo::Im2col => {
+            // Pooled scratch: im2col writes every element, so the
+            // unspecified checkout contents never reach the GEMM.
+            let span = phase_span(Phase::Epilogue);
+            let mut cols = pcnn_parallel::scratch_f32(k * n_pos);
+            if let Some(s) = span {
+                s.finish(0, 4 * (images * map + k * n_pos) as u64);
+            }
+            for i in 0..images {
+                let span = phase_span(Phase::Im2col);
+                im2col(geom, &input[image(i)], &mut cols);
+                if let Some(s) = span {
+                    // One image read, one data matrix written.
+                    s.finish(0, 4 * (chw + k * n_pos) as u64);
+                }
+                let y = &mut out[maps(i)];
+                gemm_bias(out_channels, n_pos, k, weight, &cols, bias, y);
+            }
+        }
+        ConvAlgo::Direct => {
+            for i in 0..images {
+                let (x, y) = (&input[image(i)], &mut out[maps(i)]);
+                conv2d_direct(geom, out_channels, weight, bias, x, y);
+            }
+        }
+        ConvAlgo::Winograd => {
+            let filter = WinogradFilter::new(geom, out_channels, weight);
+            for i in 0..images {
+                let (x, y) = (&input[image(i)], &mut out[maps(i)]);
+                conv2d_winograd_prepared(geom, &filter, bias, x, y);
+            }
+        }
     }
 }
 

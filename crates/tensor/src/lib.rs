@@ -27,8 +27,8 @@ mod im2col;
 mod tensor;
 
 pub use conv::{
-    conv2d_direct, conv2d_sampled, conv2d_winograd, conv2d_winograd_prepared, winograd_error_bound,
-    ConvAlgo, WinogradFilter,
+    conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, conv2d_winograd_prepared,
+    winograd_error_bound, ConvAlgo, WinogradFilter,
 };
 pub use error::ShapeError;
 pub use gemm::{

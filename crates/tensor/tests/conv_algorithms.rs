@@ -10,8 +10,8 @@
 
 use pcnn_profile::{Phase, PhaseTotals};
 use pcnn_tensor::{
-    conv2d_direct, conv2d_sampled, conv2d_winograd, gemm_bias, im2col, winograd_error_bound,
-    Conv2dGeometry,
+    conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, gemm_bias, im2col,
+    winograd_error_bound, Conv2dGeometry, ConvAlgo,
 };
 use proptest::prelude::*;
 
@@ -123,6 +123,42 @@ proptest! {
                 (g - r).abs() <= bound,
                 "element {}: {} vs {} (bound {})", i, g, r, bound
             );
+        }
+    }
+}
+
+/// `conv2d` is the one dispatcher the layer forward, the tuner and
+/// `bench-conv` share. Under every algorithm a group of three images is,
+/// bit for bit, three one-image calls (Winograd: one filter transform for
+/// the group, the same bits), a one-image call is the single-image
+/// kernel of that algorithm, and stale values in `out` never survive.
+#[test]
+fn conv2d_on_a_group_is_bitwise_its_images_alone() {
+    let geom = Conv2dGeometry::new(5, 11, 9, 3, 1, 1);
+    let oc = 7;
+    let (w, b, _) = operands(&geom, oc, 0xC0DE);
+    let chw = geom.in_channels * geom.in_h * geom.in_w;
+    let map = oc * geom.out_positions();
+    let group = pseudo(0x6120, 3 * chw);
+    for algo in ConvAlgo::ALL {
+        let mut together = vec![f32::NAN; 3 * map];
+        conv2d(algo, &geom, oc, &w, &b, &group, 3, &mut together);
+        for i in 0..3 {
+            let x = &group[i * chw..(i + 1) * chw];
+            let mut alone = vec![f32::NAN; map];
+            conv2d(algo, &geom, oc, &w, &b, x, 1, &mut alone);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&together[i * map..(i + 1) * map]),
+                bits(&alone),
+                "{algo}, image {i}"
+            );
+            let kernel = match algo {
+                ConvAlgo::Im2col => reference(&geom, oc, &w, &b, x),
+                ConvAlgo::Direct => run_direct(&geom, oc, &w, &b, x),
+                ConvAlgo::Winograd => run_winograd(&geom, oc, &w, &b, x),
+            };
+            assert_eq!(bits(&alone), bits(&kernel), "{algo} vs its kernel");
         }
     }
 }
