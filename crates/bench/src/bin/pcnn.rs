@@ -30,9 +30,7 @@
 use std::process::ExitCode;
 
 use pcnn_bench::baselines::{self, FleetScenario, ServeScenario};
-use pcnn_bench::obs::{
-    analyze_incident, analyze_route, analyze_trace, diff_documents, load_document, Violation,
-};
+use pcnn_bench::obs::{analyze_route, analyze_trace, diff_documents, load_document, Violation};
 use pcnn_bench::{conv, experiments, profile};
 use pcnn_bench::{Args, CliError, TableWriter};
 use pcnn_core::offline::{library_schedule, OfflineCompiler};
@@ -43,6 +41,7 @@ use pcnn_gpu::arch::{all_platforms, GpuArch, GTX_970M, JETSON_TX1, K20C, TITAN_X
 use pcnn_kernels::sgemm::SgemmShape;
 use pcnn_kernels::{tune_kernel, Library};
 use pcnn_nn::spec::{alexnet, googlenet, vggnet, NetworkSpec};
+use pcnn_serve::obs::{IncidentReport, RouteRecord};
 use pcnn_serve::RouterPolicy;
 use pcnn_telemetry::json::JsonValue;
 
@@ -726,7 +725,7 @@ fn cmd_obs_analyze(path: &str) -> CmdResult {
         for a in &analysis.alerts {
             t.row(vec![
                 format!("{:.2}", a.t_s),
-                a.workload.clone(),
+                a.label(),
                 a.metric.clone(),
                 format!("{:.4}", a.observed),
                 format!("{:.4}", a.objective),
@@ -858,7 +857,7 @@ fn fmt_slack(slack_s: Option<f64>) -> String {
 }
 
 /// The routing-decision table `obs route` and `obs incident` share.
-fn route_decisions_table(decisions: &[&pcnn_bench::obs::RouteRecord]) -> TableWriter {
+fn route_decisions_table(decisions: &[&RouteRecord]) -> TableWriter {
     let mut t = TableWriter::new(vec![
         "t (s)",
         "workload",
@@ -1006,11 +1005,12 @@ fn cmd_obs_route(path: &str, mut args: Args) -> CmdResult {
 /// closed window's state, and the flight recorder's recent routing
 /// decisions and ladder moves.
 fn cmd_obs_incident(path: &str) -> CmdResult {
-    let inc = analyze_incident(&load(path)?).map_err(|e| failed(format!("{path}: {e}")))?;
+    let inc =
+        IncidentReport::from_snapshot(&load(path)?).map_err(|e| failed(format!("{path}: {e}")))?;
     println!(
         "incident: {} SLO on {} violated at t={:.3}s — observed {:.4} vs objective {:.4} (burn {:.2}x)",
         inc.alert.metric,
-        inc.alert.workload,
+        inc.alert.label(),
         inc.alert.t_s,
         inc.alert.observed,
         inc.alert.objective,
@@ -1024,13 +1024,8 @@ fn cmd_obs_incident(path: &str) -> CmdResult {
         inc.workloads.join(", ")
     );
     if let Some(last) = inc.windows.last() {
-        let get_f = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_f64);
-        let get_s = |v: &JsonValue, k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?")
-                .to_string()
-        };
+        let get_f = JsonValue::f64_at;
+        let get_s = |v: &JsonValue, k: &str| v.str_at(k).unwrap_or("?").to_string();
         let mut t = TableWriter::new(vec!["metric", "label", "count", "mean", "p99", "max"]);
         for r in last
             .get("records")
@@ -1082,13 +1077,8 @@ fn cmd_obs_incident(path: &str) -> CmdResult {
     } else {
         let mut t = TableWriter::new(vec!["t (s)", "workload", "platform", "level", "dir"]);
         for m in &inc.ladder_moves {
-            let f = |k: &str| m.get(k).and_then(JsonValue::as_f64);
-            let s = |k: &str| {
-                m.get(k)
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?")
-                    .to_string()
-            };
+            let f = |k: &str| m.f64_at(k);
+            let s = |k: &str| m.str_at(k).unwrap_or("?").to_string();
             t.row(vec![
                 format!("{:.4}", f("t_s").unwrap_or(f64::NAN)),
                 s("workload"),

@@ -2,10 +2,14 @@
 //!
 //! Two halves:
 //!
-//! * [`analyze_trace`] reads an exported Chrome trace (the pid-3
-//!   virtual-time observability events written by `pcnn serve` under
-//!   `PCNN_TRACE`) and computes per-workload queueing-vs-service
-//!   breakdowns, the per-request critical path, and the SLO alert log.
+//! * [`analyze_trace`] / [`analyze_route`] consume an exported Chrome
+//!   trace (the pid-3 virtual-time observability events written by
+//!   `pcnn serve` under `PCNN_TRACE`) and compute per-workload
+//!   queueing-vs-service breakdowns, the per-request critical path, the
+//!   SLO alert log and the routing audit trail. They own no format: the
+//!   events come from [`pcnn_telemetry::read_chrome_trace`], the alert
+//!   and decision records from their writer's crate
+//!   ([`pcnn_serve::obs`]), as does the incident snapshot's parser.
 //! * [`compare_serve`] / [`compare_gemm`] / [`compare_profile`] diff a
 //!   fresh benchmark run against the committed `BENCH_serve.json` /
 //!   `BENCH_gemm.json` / `BENCH_profile.json` baselines with per-metric
@@ -22,7 +26,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use pcnn_serve::obs::{Alert, RouteRecord};
 use pcnn_telemetry::json::JsonValue;
+use pcnn_telemetry::read_chrome_trace;
 
 /// Which direction of change is a regression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,24 +137,29 @@ fn check(
     }
 }
 
-fn workloads_by_name(report: &JsonValue) -> BTreeMap<String, &JsonValue> {
-    report
-        .get("workloads")
-        .and_then(|w| w.as_array())
-        .map(|ws| {
-            ws.iter()
-                .filter_map(|w| Some((w.get("name")?.as_str()?.to_string(), w)))
-                .collect()
-        })
-        .unwrap_or_default()
+/// The rows of `doc[section]` — the array of objects every gated
+/// document keeps its per-workload / per-policy / per-layer numbers in —
+/// keyed by each row's string field `key`. `None` when the section is
+/// not an array; a row without the key is in nobody's map, so a gate
+/// reads it as missing.
+fn rows_by<'a>(
+    doc: &'a JsonValue,
+    section: &str,
+    key: &str,
+) -> Option<BTreeMap<String, &'a JsonValue>> {
+    let rows = doc.get(section)?.as_array()?.iter();
+    Some(
+        rows.filter_map(|row| Some((row.str_at(key)?.to_string(), row)))
+            .collect(),
+    )
 }
 
 fn hit_rate(w: &JsonValue) -> Option<f64> {
-    let total = w.get("deadline_total")?.as_f64()?;
+    let total = w.f64_at("deadline_total")?;
     if total == 0.0 {
         return None;
     }
-    Some(w.get("deadlines_met")?.as_f64()? / total)
+    Some(w.f64_at("deadlines_met")? / total)
 }
 
 /// Diffs a fresh serve report against the committed baseline. The serve
@@ -156,23 +167,19 @@ fn hit_rate(w: &JsonValue) -> Option<f64> {
 /// absorb *intentional* small shifts, not noise.
 pub fn compare_serve(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
     let mut v = Vec::new();
-    let f = |doc: &JsonValue, key: &str| doc.get(key).and_then(JsonValue::as_f64);
-    check(
-        &mut v,
-        "makespan_s".into(),
-        f(baseline, "makespan_s"),
-        f(candidate, "makespan_s"),
-        Band::higher_worse(0.05, 1e-9),
-    );
-    check(
-        &mut v,
-        "total_energy_j".into(),
-        f(baseline, "total_energy_j"),
-        f(candidate, "total_energy_j"),
-        Band::higher_worse(0.05, 1e-9),
-    );
-    let base_w = workloads_by_name(baseline);
-    let cand_w = workloads_by_name(candidate);
+    let f = JsonValue::f64_at;
+    for key in ["makespan_s", "total_energy_j"] {
+        let band = Band::higher_worse(0.05, 1e-9);
+        check(
+            &mut v,
+            key.into(),
+            f(baseline, key),
+            f(candidate, key),
+            band,
+        );
+    }
+    let base_w = rows_by(baseline, "workloads", "name").unwrap_or_default();
+    let cand_w = rows_by(candidate, "workloads", "name").unwrap_or_default();
     for (name, bw) in &base_w {
         let Some(cw) = cand_w.get(name) else {
             v.push(Violation {
@@ -185,7 +192,7 @@ pub fn compare_serve(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violati
         };
         let bl = bw.get("latency_s");
         let cl = cw.get("latency_s");
-        if bw.get("deadline_total").and_then(JsonValue::as_f64) > Some(0.0) {
+        if f(bw, "deadline_total") > Some(0.0) {
             check(
                 &mut v,
                 format!("{name}.deadline_hit_rate"),
@@ -201,20 +208,16 @@ pub fn compare_serve(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violati
             cl.and_then(|l| f(l, "p99")),
             Band::higher_worse(0.05, 1e-6),
         );
-        check(
-            &mut v,
-            format!("{name}.mean_entropy"),
-            f(bw, "mean_entropy"),
-            f(cw, "mean_entropy"),
-            Band::higher_worse(0.0, 0.05),
-        );
-        check(
-            &mut v,
-            format!("{name}.rejected_images"),
-            f(bw, "rejected_images"),
-            f(cw, "rejected_images"),
-            Band::higher_worse(0.0, 0.5),
-        );
+        for (key, abs) in [("mean_entropy", 0.05), ("rejected_images", 0.5)] {
+            let band = Band::higher_worse(0.0, abs);
+            check(
+                &mut v,
+                format!("{name}.{key}"),
+                f(bw, key),
+                f(cw, key),
+                band,
+            );
+        }
         if let Some(bs) = bw.get("soc").and_then(|s| f(s, "score")) {
             check(
                 &mut v,
@@ -226,19 +229,6 @@ pub fn compare_serve(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violati
         }
     }
     v
-}
-
-/// `policy name -> row` from one section of a `BENCH_fleet.json`
-/// document.
-fn fleet_rows<'a>(doc: &'a JsonValue, section: &str) -> BTreeMap<String, &'a JsonValue> {
-    doc.get(section)
-        .and_then(|s| s.as_array())
-        .map(|rows| {
-            rows.iter()
-                .filter_map(|r| Some((r.get("policy")?.as_str()?.to_string(), r)))
-                .collect()
-        })
-        .unwrap_or_default()
 }
 
 /// Images a ladder-demo platform served below level 0 (i.e. degraded).
@@ -271,7 +261,8 @@ fn degraded_images(platform: &JsonValue) -> Option<f64> {
 ///   own ladder.
 pub fn compare_fleet(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
     let mut v = Vec::new();
-    let f = |row: &JsonValue, key: &str| row.get(key).and_then(JsonValue::as_f64);
+    let f = JsonValue::f64_at;
+    let fleet_rows = |doc, sec| rows_by(doc, sec, "policy").unwrap_or_default();
     for sec in ["deadline", "slack", "drain"] {
         let base = fleet_rows(baseline, sec);
         let cand = fleet_rows(candidate, sec);
@@ -405,42 +396,22 @@ pub fn compare_fleet(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violati
 ///   many cores the measuring host happens to have.
 pub fn compare_gemm(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
     let mut v = Vec::new();
-    let rows = |doc: &JsonValue, key: &str| -> BTreeMap<String, f64> {
-        doc.get("shapes")
-            .and_then(|s| s.as_array())
-            .map(|rows| {
-                rows.iter()
-                    .filter_map(|r| {
-                        Some((r.get("layer")?.as_str()?.to_string(), r.get(key)?.as_f64()?))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let base = rows(baseline, "speedup_vs_naive");
-    let cand = rows(candidate, "speedup_vs_naive");
-    for (layer, b) in &base {
-        check(
-            &mut v,
-            format!("{layer}.speedup_vs_naive"),
-            Some(*b),
-            cand.get(layer).copied(),
-            Band::lower_worse(0.40, 0.0),
-        );
-    }
-    let base_eff = rows(baseline, "scaling_efficiency");
-    let cand_eff = rows(candidate, "scaling_efficiency");
-    for (layer, b) in &base_eff {
+    let base = rows_by(baseline, "shapes", "layer").unwrap_or_default();
+    let cand = rows_by(candidate, "shapes", "layer").unwrap_or_default();
+    for (key, band) in [
+        ("speedup_vs_naive", Band::lower_worse(0.40, 0.0)),
         // Hyperthreaded hosts legitimately land near 0.5 (8 "cores", ~4x
         // real speedup), so the band is wide; a starved pool on a
         // multicore host reads ~1/cores <= 0.25 and still trips it.
-        check(
-            &mut v,
-            format!("{layer}.scaling_efficiency"),
-            Some(*b),
-            cand_eff.get(layer).copied(),
-            Band::lower_worse(0.60, 0.0),
-        );
+        ("scaling_efficiency", Band::lower_worse(0.60, 0.0)),
+    ] {
+        for (layer, brow) in &base {
+            // A ratio the baseline never recorded is not gated.
+            if let Some(b) = brow.f64_at(key) {
+                let c = cand.get(layer).and_then(|crow| crow.f64_at(key));
+                check(&mut v, format!("{layer}.{key}"), Some(b), c, band);
+            }
+        }
     }
     v
 }
@@ -462,26 +433,16 @@ pub fn compare_gemm(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
 ///   broken tuned path reads far lower.
 pub fn compare_conv(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
     let mut v = Vec::new();
-    let algo_ratios = |doc: &JsonValue| -> BTreeMap<String, f64> {
-        doc.get("shapes")
-            .and_then(|s| s.as_array())
-            .map(|shapes| {
-                shapes
-                    .iter()
-                    .filter_map(|s| {
-                        let layer = s.get("layer")?.as_str()?;
-                        let algos = s.get("algos")?.as_array()?;
-                        Some(algos.iter().filter_map(move |a| {
-                            Some((
-                                format!("{layer}.{}", a.get("algo")?.as_str()?),
-                                a.get("speedup_vs_im2col_1t")?.as_f64()?,
-                            ))
-                        }))
-                    })
-                    .flatten()
-                    .collect()
-            })
-            .unwrap_or_default()
+    let algo_ratios = |doc| -> BTreeMap<String, f64> {
+        let mut ratios = BTreeMap::new();
+        for (layer, shape) in rows_by(doc, "shapes", "layer").unwrap_or_default() {
+            for (algo, row) in rows_by(shape, "algos", "algo").unwrap_or_default() {
+                if let Some(ratio) = row.f64_at("speedup_vs_im2col_1t") {
+                    ratios.insert(format!("{layer}.{algo}"), ratio);
+                }
+            }
+        }
+        ratios
     };
     let base = algo_ratios(baseline);
     let cand = algo_ratios(candidate);
@@ -494,11 +455,7 @@ pub fn compare_conv(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
             Band::lower_worse(0.40, 0.0),
         );
     }
-    let e2e = |doc: &JsonValue| {
-        doc.get("e2e")
-            .and_then(|e| e.get("tuned_speedup"))
-            .and_then(JsonValue::as_f64)
-    };
+    let e2e = |doc: &JsonValue| doc.get("e2e")?.f64_at("tuned_speedup");
     let (be, ce) = (e2e(baseline), e2e(candidate));
     check(
         &mut v,
@@ -596,39 +553,21 @@ pub fn load_document(path: &str) -> Result<JsonValue, ObsError> {
 /// so the bands exist only to absorb intentional small shifts.
 pub fn compare_profile(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
     let mut v = Vec::new();
-    let f = |doc: &JsonValue, key: &str| doc.get(key).and_then(JsonValue::as_f64);
+    let band = Band::higher_worse(0.10, 1e-6);
     check(
         &mut v,
         "total_modelled_ms".into(),
-        f(baseline, "total_modelled_ms"),
-        f(candidate, "total_modelled_ms"),
-        Band::higher_worse(0.10, 1e-6),
+        baseline.f64_at("total_modelled_ms"),
+        candidate.f64_at("total_modelled_ms"),
+        band,
     );
-    let rows = |doc: &JsonValue| -> BTreeMap<String, f64> {
-        doc.get("layers")
-            .and_then(|l| l.as_array())
-            .map(|rows| {
-                rows.iter()
-                    .filter_map(|r| {
-                        Some((
-                            r.get("layer")?.as_str()?.to_string(),
-                            r.get("modelled_ms")?.as_f64()?,
-                        ))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let base = rows(baseline);
-    let cand = rows(candidate);
-    for (layer, b) in &base {
-        check(
-            &mut v,
-            format!("{layer}.modelled_ms"),
-            Some(*b),
-            cand.get(layer).copied(),
-            Band::higher_worse(0.10, 1e-6),
-        );
+    let base = rows_by(baseline, "layers", "layer").unwrap_or_default();
+    let cand = rows_by(candidate, "layers", "layer").unwrap_or_default();
+    for (layer, brow) in &base {
+        if let Some(b) = brow.f64_at("modelled_ms") {
+            let c = cand.get(layer).and_then(|crow| crow.f64_at("modelled_ms"));
+            check(&mut v, format!("{layer}.modelled_ms"), Some(b), c, band);
+        }
     }
     v
 }
@@ -689,34 +628,19 @@ type LayerRow = (f64, BTreeMap<String, f64>);
 /// `layer name -> (modelled_ms, phase -> modelled_ms)` from a profile
 /// document.
 fn profile_rows(doc: &JsonValue) -> Result<BTreeMap<String, LayerRow>, String> {
-    let layers = doc
-        .get("layers")
-        .and_then(|l| l.as_array())
+    let layers = rows_by(doc, "layers", "layer")
         .ok_or_else(|| "profile document has no \"layers\" array".to_string())?;
-    let mut out = BTreeMap::new();
-    for l in layers {
-        let name = l
-            .get("layer")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "layer row is missing its \"layer\" name".to_string())?;
-        let ms = l
-            .get("modelled_ms")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0);
-        let mut phases = BTreeMap::new();
-        if let Some(ps) = l.get("phases").and_then(|p| p.as_array()) {
-            for p in ps {
-                if let (Some(pn), Some(pms)) = (
-                    p.get("phase").and_then(JsonValue::as_str),
-                    p.get("modelled_ms").and_then(JsonValue::as_f64),
-                ) {
-                    phases.insert(pn.to_string(), pms);
-                }
-            }
-        }
-        out.insert(name.to_string(), (ms, phases));
-    }
-    Ok(out)
+    let ms = |row: &JsonValue| row.f64_at("modelled_ms");
+    Ok(layers
+        .into_iter()
+        .map(|(name, layer)| {
+            let phases = rows_by(layer, "phases", "phase").unwrap_or_default();
+            let phases = phases
+                .into_iter()
+                .filter_map(|(phase, row)| Some((phase, ms(row)?)));
+            (name, (ms(layer).unwrap_or(0.0), phases.collect()))
+        })
+        .collect())
 }
 
 /// Diffs two profile documents (`pcnn profile --json` output): the
@@ -755,8 +679,7 @@ pub fn diff_profiles(a: &JsonValue, b: &JsonValue) -> Result<ProfileDiff, String
     }
     rank(&mut culprits);
     let total = |doc: &JsonValue, rows: &BTreeMap<String, (f64, BTreeMap<String, f64>)>| {
-        doc.get("total_modelled_ms")
-            .and_then(JsonValue::as_f64)
+        doc.f64_at("total_modelled_ms")
             .unwrap_or_else(|| rows.values().map(|(ms, _)| ms).sum())
     };
     Ok(ProfileDiff {
@@ -766,43 +689,11 @@ pub fn diff_profiles(a: &JsonValue, b: &JsonValue) -> Result<ProfileDiff, String
     })
 }
 
-/// Per-name total `"X"`-slice durations (ms) from a Chrome trace, with
-/// `"#k"` string-table references resolved back to full names.
-/// The `"#k" -> name` map from a trace's string-table metadata event.
-/// Long runs intern repeated event names; every analyzer resolves names
-/// through this before matching.
-fn trace_string_table(events: &[JsonValue]) -> BTreeMap<String, String> {
-    let mut table: BTreeMap<String, String> = BTreeMap::new();
-    for ev in events {
-        if ev.get("name").and_then(JsonValue::as_str) == Some("trace_string_table") {
-            if let Some(JsonValue::Object(args)) = ev.get("args") {
-                for (k, v) in args {
-                    if let Some(name) = v.as_str() {
-                        table.insert(format!("#{k}"), name.to_string());
-                    }
-                }
-            }
-        }
-    }
-    table
-}
-
+/// Per-name total `"X"`-slice durations (ms) from a Chrome trace.
 fn trace_slice_totals(doc: &JsonValue) -> Result<BTreeMap<String, f64>, String> {
-    let events = doc
-        .as_array()
-        .ok_or_else(|| "trace is not a JSON array".to_string())?;
-    let table = trace_string_table(events);
     let mut out = BTreeMap::new();
-    for ev in events {
-        if ev.get("ph").and_then(JsonValue::as_str) != Some("X") {
-            continue;
-        }
-        let Some(raw) = ev.get("name").and_then(JsonValue::as_str) else {
-            continue;
-        };
-        let name = table.get(raw).map(String::as_str).unwrap_or(raw);
-        let dur = ev.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0);
-        *out.entry(name.to_string()).or_insert(0.0) += dur / 1e3;
+    for ev in read_chrome_trace(doc)?.iter().filter(|ev| ev.ph == "X") {
+        *out.entry(ev.name.to_string()).or_insert(0.0) += ev.dur_us / 1e3;
     }
     Ok(out)
 }
@@ -874,23 +765,6 @@ pub struct CriticalPath {
     pub gpu: u64,
 }
 
-/// One SLO alert from the trace.
-#[derive(Debug, Clone)]
-pub struct Alert {
-    /// Window start, virtual seconds.
-    pub t_s: f64,
-    /// Workload name.
-    pub workload: String,
-    /// Violated objective.
-    pub metric: String,
-    /// Observed value over the window.
-    pub observed: f64,
-    /// The objective it crossed.
-    pub objective: f64,
-    /// Error-budget burn rate.
-    pub burn_rate: f64,
-}
-
 /// Everything `pcnn obs` prints, extracted from one Chrome trace.
 #[derive(Debug, Clone, Default)]
 pub struct TraceAnalysis {
@@ -914,32 +788,26 @@ fn parse_req_name(name: &str) -> Option<(&str, u64, &str)> {
 ///
 /// # Errors
 ///
-/// Returns a message when the document is not a trace-event array.
+/// Returns a message when the document does not read as a trace
+/// ([`read_chrome_trace`]), when a request's `execute` slice does not
+/// say which batch and GPU ran it, or when an SLO alert's args do not
+/// read back ([`Alert::from_args`]) — a critical path on "batch 0, gpu 0"
+/// or an alert log with a hole in it would be a wrong answer, not a
+/// degraded one.
 pub fn analyze_trace(doc: &JsonValue) -> Result<TraceAnalysis, String> {
-    let events = doc
-        .as_array()
-        .ok_or_else(|| "trace is not a JSON array".to_string())?;
     let mut out = TraceAnalysis::default();
-    let table = trace_string_table(events);
     // (label, req) -> accumulated path.
     let mut paths: BTreeMap<(String, u64), CriticalPath> = BTreeMap::new();
-    for ev in events {
-        let raw = ev.get("name").and_then(JsonValue::as_str).unwrap_or("");
-        let name = table.get(raw).map(String::as_str).unwrap_or(raw);
-        let ph = ev.get("ph").and_then(JsonValue::as_str).unwrap_or("");
-        let args = ev.get("args");
-        let arg_f = |key: &str| args.and_then(|a| a.get(key)).and_then(JsonValue::as_f64);
-        let arg_s = |key: &str| args.and_then(|a| a.get(key)).and_then(JsonValue::as_str);
-        match ph {
+    for ev in read_chrome_trace(doc)? {
+        match ev.ph {
             "X" => {
-                if name.starts_with("batch ") && arg_f("actual_s").is_some() {
+                if ev.name.starts_with("batch ") && ev.args.f64_at("actual_s").is_some() {
                     out.batches += 1;
                     continue;
                 }
-                let Some((label, req, stage)) = parse_req_name(name) else {
+                let Some((label, req, stage)) = parse_req_name(ev.name) else {
                     continue;
                 };
-                let dur = ev.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0);
                 let path = paths
                     .entry((label.to_string(), req))
                     .or_insert(CriticalPath {
@@ -950,29 +818,24 @@ pub fn analyze_trace(doc: &JsonValue) -> Result<TraceAnalysis, String> {
                         gpu: 0,
                     });
                 match stage {
-                    "queue" => path.queue_us += dur,
+                    "queue" => path.queue_us += ev.dur_us,
                     "execute" => {
-                        path.exec_us += dur;
-                        path.batch = arg_f("batch").unwrap_or(0.0) as u64;
-                        path.gpu = arg_f("gpu").unwrap_or(0.0) as u64;
+                        let ran_on = |key: &str| {
+                            let id = ev.args.u64_at(key);
+                            id.ok_or_else(|| format!("`{}` has no valid \"{key}\"", ev.name))
+                        };
+                        path.exec_us += ev.dur_us;
+                        path.batch = ran_on("batch")?;
+                        path.gpu = ran_on("gpu")?;
                     }
                     _ => {}
                 }
             }
-            "i" if name == "slo.alert" || name == "slo.platform_alert" => {
-                // Platform alerts carry a `platform` arg where workload
-                // alerts carry `workload`; fold both into one stream.
-                let subject = arg_s("workload")
-                    .map(str::to_string)
-                    .or_else(|| arg_s("platform").map(|p| format!("platform {p}")));
-                out.alerts.push(Alert {
-                    t_s: ev.get("ts").and_then(JsonValue::as_f64).unwrap_or(0.0) / 1e6,
-                    workload: subject.unwrap_or_else(|| "?".to_string()),
-                    metric: arg_s("metric").unwrap_or("?").to_string(),
-                    observed: arg_f("observed").unwrap_or(f64::NAN),
-                    objective: arg_f("objective").unwrap_or(f64::NAN),
-                    burn_rate: arg_f("burn_rate").unwrap_or(f64::NAN),
-                });
+            "i" if ev.name == "slo.alert" || ev.name == "slo.platform_alert" => {
+                let t_s = ev.ts_us / 1e6;
+                let alert = Alert::from_args(t_s, ev.args);
+                out.alerts
+                    .push(alert.map_err(|e| format!("{} at t={t_s}s: {e}", ev.name))?);
             }
             _ => {}
         }
@@ -992,49 +855,6 @@ pub fn analyze_trace(doc: &JsonValue) -> Result<TraceAnalysis, String> {
         }
     }
     Ok(out)
-}
-
-/// One per-candidate score the router considered and (mostly) rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteCandidate {
-    /// Platform (architecture) name.
-    pub platform: String,
-    /// Batch size the score was computed for.
-    pub batch: u64,
-    /// Predicted batch latency on this platform, seconds.
-    pub predicted_s: f64,
-    /// Deadline slack were the batch placed here (`None` for
-    /// deadline-free workloads).
-    pub slack_s: Option<f64>,
-    /// Predicted energy per image, joules.
-    pub joules_per_image: f64,
-    /// Whether the head deadline would still be met here.
-    pub feasible: bool,
-}
-
-/// One routing decision from the audit trail — a placement, hold or
-/// steal, with every candidate's score at decision time.
-#[derive(Debug, Clone)]
-pub struct RouteRecord {
-    /// Decision time, virtual seconds.
-    pub t_s: f64,
-    /// Workload name.
-    pub workload: String,
-    /// Head request id the decision was made for.
-    pub req: u64,
-    /// Chosen platform name, `None` for a hold.
-    pub platform: Option<String>,
-    /// Reason code (`DeadlineSlack`, `JoulesPerImage`, `Steal`, …).
-    pub reason: String,
-    /// Whether the dispatcher went through with the placement (`false`
-    /// for holds, busy platforms and starvation vetoes).
-    pub dispatched: bool,
-    /// Workload queue depth at decision time, images.
-    pub queue: u64,
-    /// For steals: the busy platform the work was stolen from.
-    pub from: Option<String>,
-    /// Per-candidate scores (empty when the router saw no alternatives).
-    pub candidates: Vec<RouteCandidate>,
 }
 
 /// The routing audit trail extracted from one trace: every decision in
@@ -1060,82 +880,25 @@ impl RouteReport {
     }
 }
 
-/// Re-expands the compact candidate encoding the `route.decision` instant
-/// carries: `platform:batch:predicted_s:slack_s:joules_per_image:feasible`
-/// per candidate, `;`-joined, `-` for a deadline-free slack.
-fn parse_candidates(s: &str) -> Vec<RouteCandidate> {
-    let mut out = Vec::new();
-    for c in s.split(';').filter(|c| !c.is_empty()) {
-        // The platform name is free-form; the five score fields are not,
-        // so split from the right.
-        let parts: Vec<&str> = c.rsplitn(6, ':').collect();
-        if parts.len() != 6 {
-            continue;
-        }
-        let (feasible, jpi, slack, predicted, batch, platform) =
-            (parts[0], parts[1], parts[2], parts[3], parts[4], parts[5]);
-        let Ok(predicted_s) = predicted.parse::<f64>() else {
-            continue;
-        };
-        out.push(RouteCandidate {
-            platform: platform.to_string(),
-            batch: batch.parse().unwrap_or(0),
-            predicted_s,
-            slack_s: (slack != "-").then(|| slack.parse().unwrap_or(f64::NAN)),
-            joules_per_image: jpi.parse().unwrap_or(f64::NAN),
-            feasible: feasible == "1",
-        });
-    }
-    out
-}
-
-/// Builds one [`RouteRecord`] from a `route.decision` instant's args.
-fn route_record(t_s: f64, args: &JsonValue) -> Option<RouteRecord> {
-    let arg_s = |key: &str| args.get(key).and_then(JsonValue::as_str);
-    let arg_f = |key: &str| args.get(key).and_then(JsonValue::as_f64);
-    let platform = match arg_s("platform")? {
-        "hold" => None,
-        p => Some(p.to_string()),
-    };
-    Some(RouteRecord {
-        t_s,
-        workload: arg_s("workload")?.to_string(),
-        req: arg_f("req")? as u64,
-        platform,
-        reason: arg_s("reason")?.to_string(),
-        dispatched: args
-            .get("dispatched")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
-        queue: arg_f("queue").unwrap_or(0.0) as u64,
-        from: arg_s("from").map(str::to_string),
-        candidates: parse_candidates(arg_s("candidates").unwrap_or("")),
-    })
-}
-
 /// Extracts the routing audit trail from an exported Chrome trace:
 /// answers "why did request X land on platform P" (`for_request`), and
 /// aggregates the decision histogram and steal-flow matrix.
 ///
 /// # Errors
 ///
-/// Returns a message when the document is not a trace-event array.
+/// Returns a message when the document does not read as a trace
+/// ([`read_chrome_trace`]) or a `route.decision` instant's args do not
+/// read back ([`RouteRecord::from_args`]): a trail that skipped the
+/// decisions it could not parse would answer "why" wrongly.
 pub fn analyze_route(doc: &JsonValue) -> Result<RouteReport, String> {
-    let events = doc
-        .as_array()
-        .ok_or_else(|| "trace is not a JSON array".to_string())?;
-    let table = trace_string_table(events);
     let mut out = RouteReport::default();
-    for ev in events {
-        let raw = ev.get("name").and_then(JsonValue::as_str).unwrap_or("");
-        let name = table.get(raw).map(String::as_str).unwrap_or(raw);
-        if ev.get("ph").and_then(JsonValue::as_str) != Some("i") || name != "route.decision" {
+    for ev in read_chrome_trace(doc)? {
+        if ev.ph != "i" || ev.name != "route.decision" {
             continue;
         }
-        let t_s = ev.get("ts").and_then(JsonValue::as_f64).unwrap_or(0.0) / 1e6;
-        let Some(rec) = ev.get("args").and_then(|a| route_record(t_s, a)) else {
-            continue;
-        };
+        let t_s = ev.ts_us / 1e6;
+        let rec = RouteRecord::from_args(t_s, ev.args)
+            .map_err(|e| format!("route.decision at t={t_s}s: {e}"))?;
         let entry = out.by_reason.entry(rec.reason.clone()).or_insert((0, 0));
         entry.0 += 1;
         if rec.dispatched {
@@ -1149,150 +912,6 @@ pub fn analyze_route(doc: &JsonValue) -> Result<RouteReport, String> {
         out.decisions.push(rec);
     }
     Ok(out)
-}
-
-/// One parsed incident snapshot (`<trace>.incident.json`): the alert
-/// that froze the flight recorder plus the recorder's contents.
-#[derive(Debug, Clone)]
-pub struct IncidentReport {
-    /// Router policy name the run was serving under.
-    pub router: String,
-    /// SLO window width, virtual seconds.
-    pub window_s: f64,
-    /// `"workload"` or `"platform"` — which kind of SLO fired.
-    pub scope: String,
-    /// The alert itself (for platform scope, `workload` carries
-    /// `platform <name>`).
-    pub alert: Alert,
-    /// Fleet platform names, routing-index order.
-    pub platforms: Vec<String>,
-    /// Workload names.
-    pub workloads: Vec<String>,
-    /// The last closed-window snapshots, oldest first (raw records).
-    pub windows: Vec<JsonValue>,
-    /// Recent routing decisions, oldest first.
-    pub route_decisions: Vec<RouteRecord>,
-    /// Recent ladder moves, oldest first (raw records).
-    pub ladder_moves: Vec<JsonValue>,
-}
-
-/// Parses a self-contained incident snapshot produced when a run's first
-/// SLO alert fired.
-///
-/// # Errors
-///
-/// Returns a message when the document is not an incident snapshot.
-pub fn analyze_incident(doc: &JsonValue) -> Result<IncidentReport, String> {
-    if doc.get("kind").and_then(JsonValue::as_str) != Some("incident") {
-        return Err("document is not an incident snapshot (kind != \"incident\")".to_string());
-    }
-    let alert = doc
-        .get("alert")
-        .ok_or_else(|| "incident snapshot has no alert".to_string())?;
-    let astr = |key: &str| alert.get(key).and_then(JsonValue::as_str).unwrap_or("?");
-    let afl = |key: &str| {
-        alert
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(f64::NAN)
-    };
-    let scope = astr("scope").to_string();
-    let subject = astr("subject");
-    let strings = |key: &str| -> Vec<String> {
-        doc.get(key)
-            .and_then(JsonValue::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let arrays = |key: &str| -> Vec<JsonValue> {
-        doc.get(key)
-            .and_then(JsonValue::as_array)
-            .map(<[JsonValue]>::to_vec)
-            .unwrap_or_default()
-    };
-    let route_decisions = arrays("route_decisions")
-        .iter()
-        .filter_map(|d| {
-            let t_s = d.get("t_s").and_then(JsonValue::as_f64).unwrap_or(0.0);
-            // Snapshot decisions carry expanded candidate objects rather
-            // than the trace's compact string.
-            let mut rec = route_record_from_snapshot(t_s, d)?;
-            rec.candidates = d
-                .get("candidates")
-                .and_then(JsonValue::as_array)
-                .map(|cs| cs.iter().filter_map(candidate_from_snapshot).collect())
-                .unwrap_or_default();
-            Some(rec)
-        })
-        .collect();
-    Ok(IncidentReport {
-        router: doc
-            .get("router")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?")
-            .to_string(),
-        window_s: doc
-            .get("window_s")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(f64::NAN),
-        scope: scope.clone(),
-        alert: Alert {
-            t_s: afl("t_s"),
-            workload: if scope == "platform" {
-                format!("platform {subject}")
-            } else {
-                subject.to_string()
-            },
-            metric: astr("metric").to_string(),
-            observed: afl("observed"),
-            objective: afl("objective"),
-            burn_rate: afl("burn_rate"),
-        },
-        platforms: strings("platforms"),
-        workloads: strings("workloads"),
-        windows: arrays("windows"),
-        route_decisions,
-        ladder_moves: arrays("ladder_moves"),
-    })
-}
-
-fn route_record_from_snapshot(t_s: f64, d: &JsonValue) -> Option<RouteRecord> {
-    let arg_s = |key: &str| d.get(key).and_then(JsonValue::as_str);
-    Some(RouteRecord {
-        t_s,
-        workload: arg_s("workload")?.to_string(),
-        req: d.get("req").and_then(JsonValue::as_f64)? as u64,
-        platform: arg_s("platform").map(str::to_string),
-        reason: arg_s("reason")?.to_string(),
-        dispatched: d
-            .get("dispatched")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
-        queue: d.get("queue").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64,
-        from: arg_s("from").map(str::to_string),
-        candidates: Vec::new(),
-    })
-}
-
-fn candidate_from_snapshot(c: &JsonValue) -> Option<RouteCandidate> {
-    Some(RouteCandidate {
-        platform: c.get("platform").and_then(JsonValue::as_str)?.to_string(),
-        batch: c.get("batch").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64,
-        predicted_s: c.get("predicted_s").and_then(JsonValue::as_f64)?,
-        slack_s: c.get("slack_s").and_then(JsonValue::as_f64),
-        joules_per_image: c
-            .get("joules_per_image")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(f64::NAN),
-        feasible: c
-            .get("feasible")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
-    })
 }
 
 #[cfg(test)]
@@ -1697,24 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn candidate_parsing_splits_from_the_right() {
-        // Platform names are free-form (spaces included); only the five
-        // score fields are colon-structured.
-        let cands = parse_candidates("K20c:4:0.5:0.25:2:1;Jetson TX1:4:2:-:0.5:0");
-        assert_eq!(cands.len(), 2);
-        assert_eq!(cands[0].platform, "K20c");
-        assert_eq!(cands[0].batch, 4);
-        assert_eq!(cands[0].slack_s, Some(0.25));
-        assert!(cands[0].feasible);
-        assert_eq!(cands[1].platform, "Jetson TX1");
-        assert_eq!(cands[1].slack_s, None); // deadline-free
-        assert!(!cands[1].feasible);
-        // Malformed fragments are skipped, not panicked on.
-        assert!(parse_candidates("").is_empty());
-        assert!(parse_candidates("junk").is_empty());
-    }
-
-    #[test]
     fn analyze_route_builds_histogram_and_steal_matrix() {
         // `route.decision` is long and frequent enough to be interned, so
         // the analyzer must resolve the trail through the string table.
@@ -1750,42 +1351,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_incident_parses_a_snapshot() {
-        let doc = json::parse(
-            r#"{"kind":"incident","router":"round-robin","window_s":0.25,
-            "alert":{"t_s":0.5,"scope":"platform","subject":"TX1","window":2,
-                     "metric":"deadline_hit_rate","observed":0.5,"objective":0.95,
-                     "burn_rate":10.0},
-            "platforms":["K20c","TX1"],"workloads":["vid"],
-            "windows":[{"window":2,"records":[]}],
-            "route_decisions":[
-              {"t_s":0.4,"workload":"vid","req":7,"platform":"TX1",
-               "reason":"RoundRobin","dispatched":true,"queue":3,
-               "candidates":[{"platform":"TX1","batch":1,"predicted_s":2.0,
-                              "slack_s":-1.0,"joules_per_image":0.5,"feasible":false}]}],
-            "ladder_moves":[{"t_s":0.3,"workload":"vid","platform":"TX1","level":1,"dir":"down"}]}"#,
-        )
-        .unwrap();
-        let inc = analyze_incident(&doc).unwrap();
-        assert_eq!(inc.router, "round-robin");
-        assert_eq!(inc.scope, "platform");
-        // Platform-scope alerts surface as `platform <name>` subjects.
-        assert_eq!(inc.alert.workload, "platform TX1");
-        assert_eq!(inc.alert.metric, "deadline_hit_rate");
-        assert_eq!(inc.platforms, vec!["K20c", "TX1"]);
-        assert_eq!(inc.windows.len(), 1);
-        assert_eq!(inc.ladder_moves.len(), 1);
-        let d = &inc.route_decisions[0];
-        assert_eq!(d.req, 7);
-        assert_eq!(d.platform.as_deref(), Some("TX1"));
-        assert!(!d.candidates[0].feasible);
-        assert_eq!(d.candidates[0].slack_s, Some(-1.0));
-        // A non-incident document is a typed refusal.
-        let not = json::parse(r#"{"kind":"report"}"#).unwrap();
-        assert!(analyze_incident(&not).is_err());
-    }
-
-    #[test]
     fn analyze_trace_surfaces_platform_alerts() {
         let doc = json::parse(
             r#"[
@@ -1797,7 +1362,7 @@ mod tests {
         .unwrap();
         let a = analyze_trace(&doc).unwrap();
         assert_eq!(a.alerts.len(), 1);
-        assert_eq!(a.alerts[0].workload, "platform TX1");
+        assert_eq!(a.alerts[0].label(), "platform TX1");
         assert_eq!(a.alerts[0].metric, "deadline_hit_rate");
     }
 }

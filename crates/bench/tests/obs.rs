@@ -1,9 +1,18 @@
 //! End-to-end tests of the `pcnn obs` subcommand: the analyzer over a
-//! real exported trace, binary-level trace determinism, and the
-//! tolerance-band regression gate.
+//! real exported trace, binary-level trace determinism, the
+//! tolerance-band regression gate, and every analyzer on damaged
+//! documents.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
+
+use pcnn_bench::baselines::FleetScenario;
+use pcnn_bench::obs::{analyze_route, analyze_trace, diff_documents};
+use pcnn_serve::obs::IncidentReport;
+use pcnn_serve::RouterPolicy;
+use pcnn_telemetry::{json, read_chrome_trace};
+use proptest::prelude::*;
 
 fn pcnn() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pcnn"))
@@ -217,4 +226,76 @@ fn analyzer_rejects_non_trace_input() {
     let out = pcnn().arg("obs").arg(&path).output().unwrap();
     std::fs::remove_file(&path).ok();
     assert!(!out.status.success());
+}
+
+/// A real rendered trace and the incident snapshot frozen beside it: the
+/// smoke fleet's deadline scenario under round-robin, which routes,
+/// misses on the slow platform and alerts.
+fn real_documents() -> &'static [String; 2] {
+    static DOCS: OnceLock<[String; 2]> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        pcnn_telemetry::set_enabled(true);
+        pcnn_telemetry::reset();
+        pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
+        FleetScenario::smoke()
+            .run_deadline(RouterPolicy::RoundRobin)
+            .unwrap();
+        let trace = pcnn_telemetry::render_chrome_trace();
+        let incident = pcnn_telemetry::incident().expect("the run alerts");
+        pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
+        pcnn_telemetry::set_enabled(false);
+        [trace, incident]
+    })
+}
+
+/// Whatever the bytes, every stage answers `Ok` or `Err`: a panic in any
+/// of them unwinds through here and fails the test. Each document goes
+/// through each reader — `pcnn obs` takes any path for any subcommand.
+fn survives(bytes: &[u8]) {
+    let Ok(doc) = json::parse(&String::from_utf8_lossy(bytes)) else {
+        return;
+    };
+    let _ = read_chrome_trace(&doc);
+    let _ = analyze_trace(&doc);
+    let _ = analyze_route(&doc);
+    let _ = diff_documents(&doc, &doc);
+    let _ = IncidentReport::from_snapshot(&doc);
+}
+
+#[test]
+fn the_real_documents_read_back_and_truncated_ones_never_panic() {
+    let [trace, incident] = real_documents();
+    let doc = json::parse(trace).unwrap();
+    assert!(!analyze_trace(&doc).unwrap().workloads.is_empty());
+    assert!(!analyze_route(&doc).unwrap().decisions.is_empty());
+    let inc = IncidentReport::from_snapshot(&json::parse(incident).unwrap()).unwrap();
+    assert!(!inc.route_decisions.is_empty());
+    for text in [trace, incident] {
+        for cut in (0..text.len()).step_by(97) {
+            survives(&text.as_bytes()[..cut]);
+        }
+    }
+}
+
+/// Bytes that keep a document parseable more often than a uniform draw:
+/// digits, signs and the separators of JSON and of the packed candidates.
+const STRUCTURAL: &[u8] = b"0123456789-+.eE\"#:;,{}[] ";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn a_mutated_document_is_an_error_never_a_panic(
+        which in 0usize..2,
+        at in 0.0f64..1.0,
+        draw in any::<u16>(),
+    ) {
+        let mut bytes = real_documents()[which].clone().into_bytes();
+        let at = (at * bytes.len() as f64) as usize;
+        bytes[at] = if draw & 0x100 == 0 {
+            draw as u8
+        } else {
+            STRUCTURAL[(draw >> 9) as usize % STRUCTURAL.len()]
+        };
+        survives(&bytes);
+    }
 }

@@ -6,6 +6,7 @@ use pcnn_core::scheduler::map_rates;
 use pcnn_data::TraceSpec;
 
 use crate::fleet::RouterPolicy;
+use crate::server::QUEUE_LOW_WATERMARK;
 
 /// One tenant of the serving simulator: an application, its inferred user
 /// requirements, the open-loop request trace it submits, and how many
@@ -190,15 +191,6 @@ pub struct ServerConfig {
     /// Queue fill fraction beyond which the dispatcher escalates one
     /// ladder level even if deadlines still hold.
     pub queue_high_watermark: f64,
-    /// Queue fill fraction below which a calm dispatch counts toward
-    /// restoring (walking back up) a level.
-    pub queue_low_watermark: f64,
-    /// Consecutive calm dispatches required before restoring one level
-    /// (hysteresis against oscillation).
-    pub restore_patience: usize,
-    /// Fraction of `T_user` a dispatch must finish early by to count as
-    /// calm.
-    pub slack_margin: f64,
     /// Width of the observability / SLO-evaluation windows, virtual
     /// seconds. Only read when telemetry is enabled; it never changes the
     /// serving decisions or the report.
@@ -220,9 +212,6 @@ impl Default for ServerConfig {
             max_batch: 16,
             degradation: true,
             queue_high_watermark: 0.75,
-            queue_low_watermark: 0.25,
-            restore_patience: 4,
-            slack_margin: 0.25,
             obs_window_s: 0.25,
             router: RouterPolicy::RoundRobin,
             platform_slos: Vec::new(),
@@ -249,27 +238,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_queue_high_watermark(mut self, frac: f64) -> Self {
         self.queue_high_watermark = frac;
-        self
-    }
-
-    /// Sets the queue fill fraction below which dispatches count as calm.
-    #[must_use]
-    pub fn with_queue_low_watermark(mut self, frac: f64) -> Self {
-        self.queue_low_watermark = frac;
-        self
-    }
-
-    /// Sets the calm-dispatch count required before restoring a level.
-    #[must_use]
-    pub fn with_restore_patience(mut self, dispatches: usize) -> Self {
-        self.restore_patience = dispatches;
-        self
-    }
-
-    /// Sets the early-finish fraction of `T_user` that counts as calm.
-    #[must_use]
-    pub fn with_slack_margin(mut self, frac: f64) -> Self {
-        self.slack_margin = frac;
         self
     }
 
@@ -318,26 +286,9 @@ impl ServerConfig {
                 what: "queue_high_watermark must be in [0, 1]",
             });
         }
-        if !(self.queue_low_watermark.is_finite()
-            && (0.0..=1.0).contains(&self.queue_low_watermark))
-        {
+        if self.queue_high_watermark < QUEUE_LOW_WATERMARK {
             return Err(Error::InvalidInput {
-                what: "queue_low_watermark must be in [0, 1]",
-            });
-        }
-        if self.queue_low_watermark > self.queue_high_watermark {
-            return Err(Error::InvalidInput {
-                what: "queue_low_watermark must not exceed queue_high_watermark",
-            });
-        }
-        if self.restore_patience == 0 {
-            return Err(Error::InvalidInput {
-                what: "restore_patience must be at least 1",
-            });
-        }
-        if !(self.slack_margin.is_finite() && (0.0..1.0).contains(&self.slack_margin)) {
-            return Err(Error::InvalidInput {
-                what: "slack_margin must be in [0, 1)",
+                what: "queue_high_watermark must not be below the restore watermark (0.25)",
             });
         }
         if !(self.obs_window_s.is_finite() && self.obs_window_s > 0.0) {
@@ -409,9 +360,6 @@ mod tests {
             .with_max_batch(32)
             .with_degradation(false)
             .with_queue_high_watermark(0.9)
-            .with_queue_low_watermark(0.1)
-            .with_restore_patience(2)
-            .with_slack_margin(0.5)
             .with_obs_window(1.0)
             .with_router(RouterPolicy::Affinity)
             .with_platform_slo(
@@ -424,9 +372,6 @@ mod tests {
         assert_eq!(c.max_batch, 32);
         assert!(!c.degradation);
         assert_eq!(c.queue_high_watermark, 0.9);
-        assert_eq!(c.queue_low_watermark, 0.1);
-        assert_eq!(c.restore_patience, 2);
-        assert_eq!(c.slack_margin, 0.5);
         assert_eq!(c.obs_window_s, 1.0);
         assert_eq!(c.router, RouterPolicy::Affinity);
         assert_eq!(c.platform_slos.len(), 1);
@@ -447,23 +392,12 @@ mod tests {
             "queue_high_watermark must be in [0, 1]"
         );
         assert_eq!(
-            what(ok().with_queue_low_watermark(f64::NAN)),
-            "queue_low_watermark must be in [0, 1]"
+            what(ok().with_queue_high_watermark(f64::NAN)),
+            "queue_high_watermark must be in [0, 1]"
         );
         assert_eq!(
-            what(
-                ok().with_queue_low_watermark(0.8)
-                    .with_queue_high_watermark(0.5)
-            ),
-            "queue_low_watermark must not exceed queue_high_watermark"
-        );
-        assert_eq!(
-            what(ok().with_restore_patience(0)),
-            "restore_patience must be at least 1"
-        );
-        assert_eq!(
-            what(ok().with_slack_margin(1.0)),
-            "slack_margin must be in [0, 1)"
+            what(ok().with_queue_high_watermark(0.2)),
+            "queue_high_watermark must not be below the restore watermark (0.25)"
         );
         assert_eq!(
             what(ok().with_obs_window(0.0)),

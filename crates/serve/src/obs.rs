@@ -35,8 +35,16 @@
 //!   route decisions and ladder moves — into a self-contained JSON
 //!   incident snapshot ([`pcnn_telemetry::record_incident`]) for
 //!   postmortem without a full trace.
+//!
+//! A routing decision, ladder move or alert is rendered **once**
+//! ([`emit`]): one args list is the trace instant's `args` and, behind a
+//! `t_s` stamp, the flight-recorder record. The read side lives here too
+//! — [`RouteRecord::from_args`], [`Alert::from_args`] and
+//! [`IncidentReport::from_snapshot`] take a trace instant's `args` and a
+//! snapshot record alike — so `pcnn obs` parses neither format itself.
 
 use pcnn_data::WorkloadKind;
+use pcnn_telemetry::json::JsonValue;
 use pcnn_telemetry::windowed::WindowValue;
 use pcnn_telemetry::{self as telemetry, json, Ring, Value, WindowedSeries};
 
@@ -155,10 +163,76 @@ fn platform_label(arch_name: &str) -> String {
     format!("{}{arch_name}", telemetry::prom::PLATFORM_LABEL_PREFIX)
 }
 
-/// Bounded rings of pre-rendered JSON fragments: the last few closed
+/// One event's args, in the order they are written.
+type EventArgs = Vec<(&'static str, Value)>;
+
+/// Renders one serving event for both sinks: `args` become the `name`
+/// instant on `track` at virtual time `t_s`, and the returned
+/// flight-recorder record is the same list behind what the trace carries
+/// outside `args` — `{"t_s":…, <context>, <args>}`, where `context` is
+/// whatever else only the instant's track and name say (a ladder move's
+/// workload and direction). Only called with the recorder live.
+fn emit(name: &str, track: u64, t_s: f64, context: EventArgs, args: EventArgs) -> String {
+    let mut fields = vec![("t_s", Value::F64(t_s))];
+    fields.extend(context);
+    let head = fields.len();
+    fields.extend(args);
+    let mut record = String::with_capacity(256);
+    telemetry::write_args(&mut record, &fields);
+    telemetry::obs_instant(name, track, t_s * 1e6, move || fields.split_off(head));
+    record
+}
+
+/// The `platform` a `route.decision` names when the router placed nothing.
+const HOLD: &str = "hold";
+
+/// A routing decision's args: the chosen platform (or [`HOLD`]), the
+/// reason code, the queue depth at decision time and every candidate's
+/// score, so the audit trail can answer why the *other* platforms were
+/// passed over. [`RouteRecord::from_args`] is the inverse.
+fn route_args(
+    workload: &str,
+    platform_names: &[String],
+    ctx: &RouteCtx<'_>,
+    decision: &RouteDecision,
+    dispatched: bool,
+) -> EventArgs {
+    let named = |p: Option<usize>| p.map(|p| platform_names[p].clone());
+    let chosen = named(decision.platform).unwrap_or_else(|| HOLD.to_string());
+    let mut args = vec![
+        ("workload", Value::Str(workload.to_string())),
+        ("req", Value::U64(ctx.head_req as u64)),
+        ("platform", Value::Str(chosen)),
+        ("reason", Value::Str(decision.reason.name().to_string())),
+        ("dispatched", Value::Bool(dispatched)),
+        ("queue", Value::U64(ctx.queue_len as u64)),
+        (
+            "candidates",
+            Value::Str(encode_candidates(platform_names, decision)),
+        ),
+    ];
+    if let Some(from) = named(decision.stolen_from) {
+        args.push(("from", Value::Str(from)));
+    }
+    args
+}
+
+/// One monitored objective: whose it is, and where its windowed series
+/// (`serve.*` under the workload's name, `fleet.*` under the platform's
+/// label) and its alerts (the subject's own track) live.
+#[derive(Clone)]
+struct Monitor {
+    scope: SloScope,
+    subject: String,
+    label: String,
+    track: u64,
+    policy: SloPolicy,
+}
+
+/// Bounded rings of pre-rendered JSON records: the last few closed
 /// windows, route decisions and ladder moves. Cheap enough to run on
-/// every traced run (a few string clones per event, fixed memory), and
-/// frozen into the incident snapshot when the first SLO alert fires.
+/// every traced run (one rendering per event, fixed memory), and frozen
+/// into the incident snapshot when the first SLO alert fires.
 struct FlightRecorder {
     windows: Ring<String>,
     decisions: Ring<String>,
@@ -186,10 +260,9 @@ pub(crate) struct Obs {
     /// Per-platform, per-rung output entropy — platforms carry their own
     /// ladders, so the tables are jagged.
     level_entropy: Vec<Vec<f64>>,
-    slo: Vec<SloPolicy>,
-    /// Per-platform objectives, indexed by platform
-    /// ([`ServerConfig::platform_slos`]).
-    platform_slo: Vec<Option<SloPolicy>>,
+    /// Every monitored objective: each workload's, then each platform's
+    /// that declared one ([`ServerConfig::platform_slos`]).
+    monitors: Vec<Monitor>,
     /// First window index not yet closed (snapshotted + SLO-evaluated).
     next_window: u64,
     next_batch: u64,
@@ -219,20 +292,34 @@ impl Obs {
             telemetry::obs_track_name(gpu_track[g], &format!("gpu{g} ({})", p.arch.name));
         }
         let mut labels = Vec::with_capacity(workloads.len());
-        let mut slo = Vec::with_capacity(workloads.len());
+        let mut monitors = Vec::with_capacity(workloads.len());
         for (w, workload) in workloads.iter().enumerate() {
-            telemetry::obs_track_name(wl_track[w], &format!("workload: {}", workload.app.name));
-            labels.push(workload.app.name.clone());
-            slo.push(
-                workload
+            let name = &workload.app.name;
+            telemetry::obs_track_name(wl_track[w], &format!("workload: {name}"));
+            labels.push(name.clone());
+            monitors.push(Monitor {
+                scope: SloScope::Workload,
+                subject: name.clone(),
+                label: name.clone(),
+                track: wl_track[w],
+                policy: workload
                     .slo
                     .clone()
                     .unwrap_or_else(|| SloPolicy::for_kind(workload.app.kind, workload.t_user())),
-            );
+            });
         }
-        let mut platform_slo: Vec<Option<SloPolicy>> = vec![None; platforms.len()];
-        for (g, policy) in &config.platform_slos {
-            platform_slo[*g] = Some(policy.clone());
+        for (g, p) in platforms.iter().enumerate() {
+            // A platform declared twice is monitored once, to its last policy.
+            let declared = config.platform_slos.iter().rev().find(|(i, _)| *i == g);
+            if let Some((_, policy)) = declared {
+                monitors.push(Monitor {
+                    scope: SloScope::Platform,
+                    subject: p.arch.name.to_string(),
+                    label: platform_label(p.arch.name),
+                    track: gpu_track[g],
+                    policy: policy.clone(),
+                });
+            }
         }
         Some(Obs {
             windows: WindowedSeries::new(config.obs_window_s),
@@ -244,8 +331,7 @@ impl Obs {
                 .iter()
                 .map(|p| p.ladder.levels.iter().map(|l| l.entropy).collect())
                 .collect(),
-            slo,
-            platform_slo,
+            monitors,
             next_window: 0,
             next_batch: 0,
             router: router_name.to_string(),
@@ -286,13 +372,10 @@ impl Obs {
             .observe(t, "serve.queue_depth", label, queue_len as f64);
     }
 
-    /// Records one routing decision — placement, hold or steal. Emits a
-    /// `route.decision` instant on the workload's track carrying the
-    /// chosen platform, the reason code, the queue depth at decision time
-    /// and every candidate's score (so the audit trail can answer why the
-    /// *other* platforms were passed over), bumps the windowed
-    /// decision-by-reason and steal-flow counters, and appends the
-    /// decision to the flight recorder.
+    /// Records one routing decision — placement, hold or steal — as a
+    /// `route.decision` instant on the workload's track ([`route_args`])
+    /// and the same record in the flight recorder, and bumps the windowed
+    /// decision-by-reason and steal-flow counters.
     ///
     /// `dispatched` is `false` for holds, busy-platform returns and
     /// placements the dispatcher then vetoed (background starvation).
@@ -305,109 +388,50 @@ impl Obs {
         dispatched: bool,
     ) {
         self.advance(now);
-        let label = self.labels[w].clone();
-        let platform = decision.platform.map(|p| self.platform_names[p].clone());
-        let from = decision.stolen_from.map(|p| self.platform_names[p].clone());
-        let reason = decision.reason.name();
-        let candidates = encode_candidates(&self.platform_names, decision);
-        telemetry::obs_instant("route.decision", self.wl_track[w], now * 1e6, || {
-            let mut args = vec![
-                ("workload", Value::Str(label.clone())),
-                ("req", Value::U64(ctx.head_req as u64)),
-                (
-                    "platform",
-                    Value::Str(platform.clone().unwrap_or_else(|| "hold".to_string())),
-                ),
-                ("reason", Value::Str(reason.to_string())),
-                ("dispatched", Value::Bool(dispatched)),
-                ("queue", Value::U64(ctx.queue_len as u64)),
-                ("candidates", Value::Str(candidates.clone())),
-            ];
-            if let Some(f) = &from {
-                args.push(("from", Value::Str(f.clone())));
-            }
-            args
-        });
-        self.windows.add(now, "route.decisions", reason, 1);
+        self.windows
+            .add(now, "route.decisions", decision.reason.name(), 1);
         if decision.reason == RouteReason::Steal && dispatched {
-            if let (Some(f), Some(t)) = (&from, &platform) {
+            if let (Some(f), Some(t)) = (decision.stolen_from, decision.platform) {
+                let (f, t) = (&self.platform_names[f], &self.platform_names[t]);
                 self.windows
                     .add(now, "route.steals", &format!("{f}->{t}"), 1);
             }
         }
-        let mut rec = String::with_capacity(256);
-        rec.push_str("{\"t_s\":");
-        json::write_number(&mut rec, now);
-        rec.push_str(",\"workload\":");
-        json::write_escaped(&mut rec, &label);
-        rec.push_str(",\"req\":");
-        json::write_number(&mut rec, ctx.head_req as f64);
-        rec.push_str(",\"platform\":");
-        match &platform {
-            Some(p) => json::write_escaped(&mut rec, p),
-            None => rec.push_str("null"),
-        }
-        rec.push_str(",\"reason\":");
-        json::write_escaped(&mut rec, reason);
-        rec.push_str(",\"dispatched\":");
-        rec.push_str(if dispatched { "true" } else { "false" });
-        rec.push_str(",\"queue\":");
-        json::write_number(&mut rec, ctx.queue_len as f64);
-        if let Some(f) = &from {
-            rec.push_str(",\"from\":");
-            json::write_escaped(&mut rec, f);
-        }
-        rec.push_str(",\"candidates\":[");
-        for (i, c) in decision.candidates.iter().enumerate() {
-            if i > 0 {
-                rec.push(',');
-            }
-            rec.push_str("{\"platform\":");
-            json::write_escaped(&mut rec, &self.platform_names[c.platform]);
-            rec.push_str(",\"batch\":");
-            json::write_number(&mut rec, c.batch as f64);
-            rec.push_str(",\"predicted_s\":");
-            json::write_number(&mut rec, c.predicted_s);
-            rec.push_str(",\"slack_s\":");
-            match c.slack_s {
-                Some(s) => json::write_number(&mut rec, s),
-                None => rec.push_str("null"),
-            }
-            rec.push_str(",\"joules_per_image\":");
-            json::write_number(&mut rec, c.joules_per_image);
-            rec.push_str(",\"feasible\":");
-            rec.push_str(if c.feasible { "true" } else { "false" });
-            rec.push('}');
-        }
-        rec.push_str("]}");
-        self.flight.decisions.push(rec);
+        let args = route_args(
+            &self.labels[w],
+            &self.platform_names,
+            ctx,
+            decision,
+            dispatched,
+        );
+        let record = emit("route.decision", self.wl_track[w], now, Vec::new(), args);
+        self.flight.decisions.push(record);
     }
 
     /// Records a ladder move (`up` = deeper / more perforation) on
-    /// platform `g`.
+    /// platform `g`. The instant says whose ladder and which way with its
+    /// track and its name; the flight record spells both out.
     pub(crate) fn on_degrade(&mut self, w: usize, g: usize, t: f64, level: usize, up: bool) {
         self.advance(t);
-        let name = if up { "degrade.up" } else { "degrade.down" };
-        let platform = self.platform_names[g].clone();
-        telemetry::obs_instant(name, self.wl_track[w], t * 1e6, || {
+        let (name, dir) = if up {
+            ("degrade.up", "up")
+        } else {
+            ("degrade.down", "down")
+        };
+        let record = emit(
+            name,
+            self.wl_track[w],
+            t,
+            vec![
+                ("workload", Value::Str(self.labels[w].clone())),
+                ("dir", Value::Str(dir.to_string())),
+            ],
             vec![
                 ("level", Value::U64(level as u64)),
-                ("platform", Value::Str(platform.clone())),
-            ]
-        });
-        let mut rec = String::with_capacity(96);
-        rec.push_str("{\"t_s\":");
-        json::write_number(&mut rec, t);
-        rec.push_str(",\"workload\":");
-        json::write_escaped(&mut rec, &self.labels[w]);
-        rec.push_str(",\"platform\":");
-        json::write_escaped(&mut rec, &platform);
-        rec.push_str(",\"level\":");
-        json::write_number(&mut rec, level as f64);
-        rec.push_str(",\"dir\":\"");
-        rec.push_str(if up { "up" } else { "down" });
-        rec.push_str("\"}");
-        self.flight.ladder.push(rec);
+                ("platform", Value::Str(self.platform_names[g].clone())),
+            ],
+        );
+        self.flight.ladder.push(record);
     }
 
     /// Records one dispatched batch: the batch slice on the GPU track,
@@ -579,11 +603,8 @@ impl Obs {
     /// window's state.
     fn close_window(&mut self, idx: u64) {
         self.snapshot_window(idx);
-        for w in 0..self.slo.len() {
-            self.evaluate_window(w, idx);
-        }
-        for g in 0..self.platform_slo.len() {
-            self.evaluate_platform_window(g, idx);
+        for m in 0..self.monitors.len() {
+            self.evaluate_window(m, idx);
         }
     }
 
@@ -633,69 +654,40 @@ impl Obs {
         self.flight.windows.push(out);
     }
 
-    /// Evaluates workload `w`'s SLO over closed window `idx`, emitting one
-    /// `slo.alert` instant per violated objective.
-    fn evaluate_window(&mut self, w: usize, idx: u64) {
-        let policy = self.slo[w].clone();
-        let label = self.labels[w].clone();
-        let (start_s, _end_s) = self.windows.bounds(idx);
-        let violations = self.check_policy(&policy, idx, "serve", &label);
-        for (metric, observed, objective, burn) in violations {
-            self.windows.add(start_s, "serve.slo_alerts", &label, 1);
-            telemetry::obs_instant("slo.alert", self.wl_track[w], start_s * 1e6, || {
-                vec![
-                    ("workload", Value::Str(label.clone())),
-                    ("window", Value::U64(idx)),
-                    ("metric", Value::Str(metric.to_string())),
-                    ("observed", Value::F64(observed)),
-                    ("objective", Value::F64(objective)),
-                    ("burn_rate", Value::F64(burn)),
-                ]
-            });
-            self.fire_incident(
-                "workload",
-                &label.clone(),
-                idx,
-                start_s,
-                metric,
-                observed,
-                objective,
-                burn,
-            );
-        }
-    }
-
-    /// Evaluates platform `g`'s SLO (if one was configured) over closed
-    /// window `idx`, emitting one `slo.platform_alert` instant — naming
-    /// the platform — per violated objective.
-    fn evaluate_platform_window(&mut self, g: usize, idx: u64) {
-        let Some(policy) = self.platform_slo[g].clone() else {
-            return;
+    /// Evaluates monitor `m` over closed window `idx`: per violated
+    /// objective, one alert instant on the subject's own track, counted
+    /// under `{prefix}.slo_alerts`, and (the run's first) an incident.
+    fn evaluate_window(&mut self, m: usize, idx: u64) {
+        let monitor = &self.monitors[m];
+        let (prefix, event) = match monitor.scope {
+            SloScope::Workload => ("serve", "slo.alert"),
+            SloScope::Platform => ("fleet", "slo.platform_alert"),
         };
-        let name = self.platform_names[g].clone();
-        let plabel = platform_label(&name);
+        let violations = self.check_policy(&monitor.policy, idx, prefix, &monitor.label);
+        if violations.is_empty() {
+            return;
+        }
+        let Monitor {
+            scope,
+            subject,
+            label,
+            track,
+            ..
+        } = monitor.clone();
         let (start_s, _end_s) = self.windows.bounds(idx);
-        let violations = self.check_policy(&policy, idx, "fleet", &plabel);
         for (metric, observed, objective, burn) in violations {
-            self.windows.add(start_s, "fleet.slo_alerts", &plabel, 1);
-            telemetry::obs_instant(
-                "slo.platform_alert",
-                self.gpu_track[g],
-                start_s * 1e6,
-                || {
-                    vec![
-                        ("platform", Value::Str(name.clone())),
-                        ("window", Value::U64(idx)),
-                        ("metric", Value::Str(metric.to_string())),
-                        ("observed", Value::F64(observed)),
-                        ("objective", Value::F64(objective)),
-                        ("burn_rate", Value::F64(burn)),
-                    ]
-                },
-            );
-            self.fire_incident(
-                "platform", &name, idx, start_s, metric, observed, objective, burn,
-            );
+            self.windows
+                .add(start_s, &format!("{prefix}.slo_alerts"), &label, 1);
+            let args = vec![
+                (scope.key(), Value::Str(subject.clone())),
+                ("window", Value::U64(idx)),
+                ("metric", Value::Str(metric.to_string())),
+                ("observed", Value::F64(observed)),
+                ("objective", Value::F64(objective)),
+                ("burn_rate", Value::F64(burn)),
+            ];
+            let alert = emit(event, track, start_s, Vec::new(), args);
+            self.fire_incident(&alert);
         }
     }
 
@@ -753,21 +745,13 @@ impl Obs {
 
     /// Freezes the flight recorder into a self-contained JSON incident
     /// snapshot the moment the run's *first* SLO alert fires (later
-    /// alerts are still traced, but the snapshot captures the onset).
-    /// Registered via [`pcnn_telemetry::record_incident`]; the trace
-    /// session writes it next to the trace as `<trace>.incident.json`.
-    #[allow(clippy::too_many_arguments)]
-    fn fire_incident(
-        &mut self,
-        scope: &str,
-        subject: &str,
-        window: u64,
-        t_s: f64,
-        metric: &str,
-        observed: f64,
-        objective: f64,
-        burn: f64,
-    ) {
+    /// alerts are still traced, but the snapshot captures the onset):
+    /// the run's identity, `alert` — that alert's flight record — and the
+    /// recorder's three rings. Registered via
+    /// [`pcnn_telemetry::record_incident`]; the trace session writes it
+    /// next to the trace as `<trace>.incident.json`.
+    /// [`IncidentReport::from_snapshot`] reads it back.
+    fn fire_incident(&mut self, alert: &str) {
         if self.incident_fired {
             return;
         }
@@ -777,66 +761,38 @@ impl Obs {
         json::write_escaped(&mut out, &self.router);
         out.push_str(",\"window_s\":");
         json::write_number(&mut out, self.window_s);
-        out.push_str(",\"alert\":{\"t_s\":");
-        json::write_number(&mut out, t_s);
-        out.push_str(",\"scope\":");
-        json::write_escaped(&mut out, scope);
-        out.push_str(",\"subject\":");
-        json::write_escaped(&mut out, subject);
-        out.push_str(",\"window\":");
-        json::write_number(&mut out, window as f64);
-        out.push_str(",\"metric\":");
-        json::write_escaped(&mut out, metric);
-        out.push_str(",\"observed\":");
-        json::write_number(&mut out, observed);
-        out.push_str(",\"objective\":");
-        json::write_number(&mut out, objective);
-        out.push_str(",\"burn_rate\":");
-        json::write_number(&mut out, burn);
-        out.push_str("},\"platforms\":[");
-        for (i, p) in self.platform_names.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, p);
+        out.push_str(",\"alert\":");
+        out.push_str(alert);
+        let quoted = |name: &String| {
+            let mut q = String::new();
+            json::write_escaped(&mut q, name);
+            q
+        };
+        let sections: [(&str, Vec<String>); 5] = [
+            (
+                "platforms",
+                self.platform_names.iter().map(quoted).collect(),
+            ),
+            ("workloads", self.labels.iter().map(quoted).collect()),
+            ("windows", self.flight.windows.iter().cloned().collect()),
+            (
+                "route_decisions",
+                self.flight.decisions.iter().cloned().collect(),
+            ),
+            ("ladder_moves", self.flight.ladder.iter().cloned().collect()),
+        ];
+        for (key, items) in sections {
+            out.push_str(&format!(",\"{key}\":[{}]", items.join(",")));
         }
-        out.push_str("],\"workloads\":[");
-        for (i, l) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, l);
-        }
-        out.push_str("],\"windows\":[");
-        for (i, w) in self.flight.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(w);
-        }
-        out.push_str("],\"route_decisions\":[");
-        for (i, d) in self.flight.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(d);
-        }
-        out.push_str("],\"ladder_moves\":[");
-        for (i, m) in self.flight.ladder.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(m);
-        }
-        out.push_str("]}");
+        out.push('}');
         telemetry::record_incident(out);
     }
 }
 
-/// The compact per-candidate encoding the `route.decision` instant
-/// carries: `platform:batch:predicted_s:slack_s:joules_per_image:feasible`
-/// per candidate, `;`-joined, `-` for a deadline-free slack. Kept flat so
-/// the trace stays cheap; `pcnn obs route` re-expands it.
+/// The compact per-candidate encoding the `route.decision` args carry:
+/// `platform:batch:predicted_s:slack_s:joules_per_image:feasible` per
+/// candidate, `;`-joined, `-` for a deadline-free slack. Kept flat so the
+/// trace stays cheap; [`decode_candidates`] re-expands it.
 fn encode_candidates(platform_names: &[String], decision: &RouteDecision) -> String {
     let mut out = String::new();
     for (i, c) in decision.candidates.iter().enumerate() {
@@ -859,6 +815,258 @@ fn encode_candidates(platform_names: &[String], decision: &RouteDecision) -> Str
         out.push(if c.feasible { '1' } else { '0' });
     }
     out
+}
+
+/// The inverse of [`encode_candidates`]. A fragment that is not six
+/// well-formed fields is an error, not a candidate quietly dropped from
+/// the audit trail.
+fn decode_candidates(s: &str) -> Result<Vec<RouteCandidate>, String> {
+    s.split(';')
+        .filter(|c| !c.is_empty())
+        .map(|c| {
+            let bad = || format!("malformed route candidate `{c}`");
+            // The platform name is free-form; the five score fields are
+            // not, so split from the right.
+            let fields: Vec<&str> = c.rsplitn(6, ':').collect();
+            let &[feasible, jpi, slack, predicted, batch, platform] = fields.as_slice() else {
+                return Err(bad());
+            };
+            let num = |field: &str| {
+                let v = field.parse::<f64>().ok();
+                v.filter(|v| v.is_finite()).ok_or_else(bad)
+            };
+            Ok(RouteCandidate {
+                platform: platform.to_string(),
+                batch: batch.parse().map_err(|_| bad())?,
+                predicted_s: num(predicted)?,
+                slack_s: (slack != "-").then(|| num(slack)).transpose()?,
+                joules_per_image: num(jpi)?,
+                feasible: match feasible {
+                    "1" => true,
+                    "0" => false,
+                    _ => return Err(bad()),
+                },
+            })
+        })
+        .collect()
+}
+
+/// A field the writer always emits: its absence (or a wrong type, a
+/// negative or fractional count) fails the record instead of defaulting.
+fn need<T>(value: Option<T>, what: &str, key: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("{what} has no valid \"{key}\""))
+}
+
+/// One per-candidate score the router considered and (mostly) rejected.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteCandidate {
+    /// Platform (architecture) name.
+    pub platform: String,
+    /// Batch size the score was computed for.
+    pub batch: u64,
+    /// Predicted batch latency on this platform, seconds.
+    pub predicted_s: f64,
+    /// Deadline slack were the batch placed here (`None` for
+    /// deadline-free workloads).
+    pub slack_s: Option<f64>,
+    /// Predicted energy per image, joules.
+    pub joules_per_image: f64,
+    /// Whether the head deadline would still be met here.
+    pub feasible: bool,
+}
+
+/// One routing decision from the audit trail — a placement, hold or
+/// steal, with every candidate's score at decision time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteRecord {
+    /// Decision time, virtual seconds.
+    pub t_s: f64,
+    /// Workload name.
+    pub workload: String,
+    /// Head request id the decision was made for.
+    pub req: u64,
+    /// Chosen platform name, `None` for a hold.
+    pub platform: Option<String>,
+    /// Reason code (`DeadlineSlack`, `JoulesPerImage`, `Steal`, …).
+    pub reason: String,
+    /// Whether the dispatcher went through with the placement (`false`
+    /// for holds, busy platforms and starvation vetoes).
+    pub dispatched: bool,
+    /// Workload queue depth at decision time, images.
+    pub queue: u64,
+    /// For steals: the busy platform the work was stolen from.
+    pub from: Option<String>,
+    /// Per-candidate scores (empty when the router saw no alternatives).
+    pub candidates: Vec<RouteCandidate>,
+}
+
+impl RouteRecord {
+    /// Reads a decision back from a `route.decision` instant's `args`
+    /// (`t_s` from the event's timestamp) or from an incident snapshot's
+    /// `route_decisions[]` record (`t_s` from the record's own stamp) —
+    /// the two are the same list.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the field when anything but `from` (only
+    /// steals carry it) is absent or ill-typed, or a candidate is
+    /// malformed.
+    pub fn from_args(t_s: f64, args: &JsonValue) -> Result<RouteRecord, String> {
+        let what = "route decision";
+        let text = |key: &str| need(args.str_at(key), what, key);
+        let platform = Some(text("platform")?).filter(|p| *p != HOLD);
+        Ok(RouteRecord {
+            t_s,
+            workload: text("workload")?.to_string(),
+            req: need(args.u64_at("req"), what, "req")?,
+            platform: platform.map(str::to_string),
+            reason: text("reason")?.to_string(),
+            dispatched: need(
+                args.get("dispatched").and_then(JsonValue::as_bool),
+                what,
+                "dispatched",
+            )?,
+            queue: need(args.u64_at("queue"), what, "queue")?,
+            from: args.str_at("from").map(str::to_string),
+            candidates: decode_candidates(text("candidates")?)?,
+        })
+    }
+}
+
+/// Whose objective an [`Alert`] is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SloScope {
+    /// A workload's [`SloPolicy`] (`slo.alert`).
+    Workload,
+    /// A platform's ([`ServerConfig::platform_slos`], `slo.platform_alert`).
+    Platform,
+}
+
+impl SloScope {
+    /// The arg that names the alert's subject — the one key the two
+    /// alert instants differ in, so also what tells a reader the scope.
+    fn key(self) -> &'static str {
+        match self {
+            SloScope::Workload => "workload",
+            SloScope::Platform => "platform",
+        }
+    }
+}
+
+/// One SLO alert.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Alert {
+    /// Start of the violating window, virtual seconds.
+    pub t_s: f64,
+    /// Whether a workload's or a platform's objective was violated.
+    pub scope: SloScope,
+    /// That workload's or platform's name.
+    pub subject: String,
+    /// Violated objective.
+    pub metric: String,
+    /// Observed value over the window.
+    pub observed: f64,
+    /// The objective it crossed.
+    pub objective: f64,
+    /// Error-budget burn rate.
+    pub burn_rate: f64,
+}
+
+impl Alert {
+    /// Reads an alert back from an `slo.alert` / `slo.platform_alert`
+    /// instant's `args` or from an incident snapshot's `alert` record
+    /// (`t_s` as for [`RouteRecord::from_args`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the args name neither a workload nor a
+    /// platform, or lack the metric or one of its three numbers.
+    pub fn from_args(t_s: f64, args: &JsonValue) -> Result<Alert, String> {
+        let what = "SLO alert";
+        let (scope, subject) = [SloScope::Workload, SloScope::Platform]
+            .into_iter()
+            .find_map(|scope| Some((scope, args.str_at(scope.key())?)))
+            .ok_or("SLO alert names neither a workload nor a platform")?;
+        let num = |key: &str| need(args.f64_at(key), what, key);
+        Ok(Alert {
+            t_s,
+            scope,
+            subject: subject.to_string(),
+            metric: need(args.str_at("metric"), what, "metric")?.to_string(),
+            observed: num("observed")?,
+            objective: num("objective")?,
+            burn_rate: num("burn_rate")?,
+        })
+    }
+
+    /// The subject as tables print it: a workload by its name, a platform
+    /// as `platform <name>`.
+    pub fn label(&self) -> String {
+        match self.scope {
+            SloScope::Workload => self.subject.clone(),
+            SloScope::Platform => format!("platform {}", self.subject),
+        }
+    }
+}
+
+/// One parsed incident snapshot (`<trace>.incident.json`): the alert
+/// that froze the flight recorder plus the recorder's contents.
+#[derive(Debug, Clone)]
+pub struct IncidentReport {
+    /// Router policy name the run was serving under.
+    pub router: String,
+    /// SLO window width, virtual seconds.
+    pub window_s: f64,
+    /// The alert that fired first.
+    pub alert: Alert,
+    /// Fleet platform names, routing-index order.
+    pub platforms: Vec<String>,
+    /// Workload names.
+    pub workloads: Vec<String>,
+    /// The last closed-window snapshots, oldest first (raw records).
+    pub windows: Vec<JsonValue>,
+    /// Recent routing decisions, oldest first.
+    pub route_decisions: Vec<RouteRecord>,
+    /// Recent ladder moves, oldest first (raw records: `t_s`, `workload`,
+    /// `dir`, then the `degrade.*` instant's `level` and `platform`).
+    pub ladder_moves: Vec<JsonValue>,
+}
+
+impl IncidentReport {
+    /// Parses the self-contained snapshot frozen when a run's first SLO
+    /// alert fired.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the document is not an incident snapshot,
+    /// lacks one of its sections, or its alert or one of its decision
+    /// records does not read back.
+    pub fn from_snapshot(doc: &JsonValue) -> Result<IncidentReport, String> {
+        let what = "incident snapshot";
+        if doc.str_at("kind") != Some("incident") {
+            return Err("document is not an incident snapshot (kind != \"incident\")".to_string());
+        }
+        let array = |key: &str| need(doc.get(key).and_then(JsonValue::as_array), what, key);
+        let names = |key: &str| -> Result<Vec<String>, String> {
+            let names = array(key)?.iter().map(JsonValue::as_str);
+            names.map(|n| Ok(need(n, what, key)?.to_string())).collect()
+        };
+        let stamp = |record: &JsonValue| need(record.f64_at("t_s"), "flight record", "t_s");
+        let alert = need(doc.get("alert"), what, "alert")?;
+        let decisions = array("route_decisions")?.iter();
+        Ok(IncidentReport {
+            router: need(doc.str_at("router"), what, "router")?.to_string(),
+            window_s: need(doc.f64_at("window_s"), what, "window_s")?,
+            alert: Alert::from_args(stamp(alert)?, alert)?,
+            platforms: names("platforms")?,
+            workloads: names("workloads")?,
+            windows: array("windows")?.to_vec(),
+            route_decisions: decisions
+                .map(|d| RouteRecord::from_args(stamp(d)?, d))
+                .collect::<Result<_, _>>()?,
+            ladder_moves: array("ladder_moves")?.to_vec(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -894,31 +1102,188 @@ mod tests {
         assert!(bad_entropy.validate().is_err());
     }
 
+    use crate::fleet::CandidateScore;
+
+    fn score(platform: usize, slack_s: Option<f64>, feasible: bool) -> CandidateScore {
+        CandidateScore {
+            platform,
+            batch: 4,
+            predicted_s: 0.5 * 4f64.powi(platform as i32),
+            slack_s,
+            joules_per_image: 2.0 / 4f64.powi(platform as i32),
+            feasible,
+        }
+    }
+
+    fn names() -> Vec<String> {
+        vec!["K20c".into(), "Jetson TX1".into(), "GTX 970m".into()]
+    }
+
     #[test]
     fn candidate_encoding_is_compact_and_stable() {
-        use crate::fleet::{CandidateScore, RouteDecision, RouteReason};
-        let names = vec!["K20c".to_string(), "Jetson TX1".to_string()];
-        let d = RouteDecision::place(0, RouteReason::DeadlineSlack).with_candidates(vec![
-            CandidateScore {
-                platform: 0,
-                batch: 4,
-                predicted_s: 0.5,
-                slack_s: Some(0.25),
-                joules_per_image: 2.0,
-                feasible: true,
-            },
-            CandidateScore {
-                platform: 1,
-                batch: 4,
-                predicted_s: 2.0,
-                slack_s: None,
-                joules_per_image: 0.5,
-                feasible: true,
-            },
-        ]);
+        let d = RouteDecision::place(0, RouteReason::DeadlineSlack)
+            .with_candidates(vec![score(0, Some(0.25), true), score(1, None, true)]);
         assert_eq!(
-            encode_candidates(&names, &d),
+            encode_candidates(&names(), &d),
             "K20c:4:0.5:0.25:2:1;Jetson TX1:4:2:-:0.5:1"
         );
+    }
+
+    #[test]
+    fn candidate_parsing_splits_from_the_right() {
+        // Platform names are free-form (spaces included); only the five
+        // score fields are colon-structured.
+        let cands = decode_candidates("K20c:4:0.5:0.25:2:1;Jetson TX1:4:2:-:0.5:0").unwrap();
+        assert_eq!(cands.len(), 2);
+        assert_eq!(cands[0].platform, "K20c");
+        assert_eq!(cands[0].batch, 4);
+        assert_eq!(cands[0].slack_s, Some(0.25));
+        assert!(cands[0].feasible);
+        assert_eq!(cands[1].platform, "Jetson TX1");
+        assert_eq!(cands[1].slack_s, None); // deadline-free
+        assert!(!cands[1].feasible);
+        assert!(decode_candidates("").unwrap().is_empty());
+        // A damaged fragment fails the decision it belongs to rather than
+        // vanishing from its trail: too few fields, a batch that is no
+        // count, a number that is none, a verdict that is neither.
+        for bad in [
+            "junk",
+            "4:0.5:0.25:2:1",
+            "K20c:-4:0.5:0.25:2:1",
+            "K20c:4:NaN:0.25:2:1",
+            "K20c:4:0.5:0.25:2:yes",
+            "K20c:4:0.5:0.25:2:1;junk",
+        ] {
+            let err = decode_candidates(bad).unwrap_err();
+            assert!(err.contains("malformed route candidate"), "{bad}: {err}");
+        }
+    }
+
+    /// What the reader makes of `args` once rendered and parsed — as a
+    /// trace instant's `args` are.
+    fn reread(args: &EventArgs) -> JsonValue {
+        let mut rendered = String::new();
+        telemetry::write_args(&mut rendered, args);
+        json::parse(&rendered).unwrap()
+    }
+
+    #[test]
+    fn route_decision_round_trips_through_its_args() {
+        let ctx = RouteCtx {
+            workload: 0,
+            kind: WorkloadKind::RealTime,
+            t_user: Some(0.1),
+            now: 1.5,
+            head_arrival: 1.25,
+            head_req: 37,
+            queue_len: 5,
+            queue_fill: 0.5,
+            idle: &[],
+            free_at: &[],
+            levels: &[],
+            targets: &[],
+            peak_flops: &[],
+        };
+        let placed = RouteDecision::place(1, RouteReason::DeadlineSlack).with_candidates(vec![
+            score(0, Some(-0.125), false),
+            score(1, Some(0.25), true),
+            score(2, None, true),
+        ]);
+        let hold = RouteDecision::hold(RouteReason::HoldForBusy);
+        let mut steal =
+            RouteDecision::place(2, RouteReason::Steal).with_candidates(vec![score(2, None, true)]);
+        steal.stolen_from = Some(0);
+        for (decision, dispatched) in [(placed, true), (hold, false), (steal, true)] {
+            let args = route_args("video, \"hd\"", &names(), &ctx, &decision, dispatched);
+            let back = RouteRecord::from_args(1.5, &reread(&args)).unwrap();
+            let named = |p: Option<usize>| p.map(|p| names()[p].clone());
+            assert_eq!(back.t_s, 1.5);
+            assert_eq!(back.workload, "video, \"hd\"");
+            assert_eq!((back.req, back.queue), (37, 5));
+            assert_eq!(back.platform, named(decision.platform));
+            assert_eq!(back.reason, decision.reason.name());
+            assert_eq!(back.dispatched, dispatched);
+            assert_eq!(back.from, named(decision.stolen_from));
+            assert_eq!(back.candidates.len(), decision.candidates.len());
+            for (b, c) in back.candidates.iter().zip(&decision.candidates) {
+                assert_eq!(b.platform, names()[c.platform]);
+                assert_eq!(b.batch, c.batch as u64);
+                assert_eq!(b.predicted_s, c.predicted_s);
+                assert_eq!(b.slack_s, c.slack_s);
+                assert_eq!(b.joules_per_image, c.joules_per_image);
+                assert_eq!(b.feasible, c.feasible);
+            }
+        }
+        // Every field but `from` is required of a record.
+        let hold = RouteDecision::hold(RouteReason::HoldForBusy);
+        let args = route_args("vid", &names(), &ctx, &hold, false);
+        for dropped in 0..args.len() {
+            let mut partial = args.clone();
+            let (key, _) = partial.remove(dropped);
+            let err = RouteRecord::from_args(0.0, &reread(&partial)).unwrap_err();
+            assert!(err.contains(&format!("\"{key}\"")), "{key}: {err}");
+        }
+    }
+
+    #[test]
+    fn analyze_incident_parses_a_snapshot() {
+        // The records are what `emit` renders: the instants' args behind
+        // a `t_s` stamp, candidates packed.
+        let doc = json::parse(
+            r#"{"kind":"incident","router":"round-robin","window_s":0.25,
+            "alert":{"t_s":0.5,"platform":"TX1","window":2,
+                     "metric":"deadline_hit_rate","observed":0.5,"objective":0.95,
+                     "burn_rate":10.0},
+            "platforms":["K20c","TX1"],"workloads":["vid"],
+            "windows":[{"window":2,"records":[]}],
+            "route_decisions":[
+              {"t_s":0.4,"workload":"vid","req":7,"platform":"TX1",
+               "reason":"RoundRobin","dispatched":true,"queue":3,
+               "candidates":"TX1:1:2:-1:0.5:0"},
+              {"t_s":0.45,"workload":"vid","req":8,"platform":"hold",
+               "reason":"HoldForBusy","dispatched":false,"queue":4,"candidates":""}],
+            "ladder_moves":[{"t_s":0.3,"workload":"vid","dir":"down","level":1,"platform":"TX1"}]}"#,
+        )
+        .unwrap();
+        let inc = IncidentReport::from_snapshot(&doc).unwrap();
+        assert_eq!(inc.router, "round-robin");
+        assert_eq!(inc.alert.scope, SloScope::Platform);
+        // Platform-scope alerts surface as `platform <name>` subjects.
+        assert_eq!(inc.alert.label(), "platform TX1");
+        assert_eq!(inc.alert.metric, "deadline_hit_rate");
+        assert_eq!(inc.alert.t_s, 0.5);
+        assert_eq!(inc.platforms, vec!["K20c", "TX1"]);
+        assert_eq!(inc.windows.len(), 1);
+        assert_eq!(inc.ladder_moves.len(), 1);
+        let d = &inc.route_decisions[0];
+        assert_eq!((d.t_s, d.req), (0.4, 7));
+        assert_eq!(d.platform.as_deref(), Some("TX1"));
+        assert!(!d.candidates[0].feasible);
+        assert_eq!(d.candidates[0].slack_s, Some(-1.0));
+        assert_eq!(inc.route_decisions[1].platform, None);
+        // A non-incident document is a typed refusal, and so is a
+        // snapshot whose alert names nobody or that lost a section.
+        let not = json::parse(r#"{"kind":"report"}"#).unwrap();
+        assert!(IncidentReport::from_snapshot(&not).is_err());
+        let text = |doc: &JsonValue| {
+            let JsonValue::Object(fields) = doc else {
+                unreachable!("the snapshot is an object")
+            };
+            fields.clone()
+        };
+        let mut anonymous = text(&doc);
+        anonymous.insert(
+            "alert".into(),
+            json::parse(
+                r#"{"t_s":0.5,"metric":"entropy","observed":1,"objective":1,"burn_rate":1}"#,
+            )
+            .unwrap(),
+        );
+        let err = IncidentReport::from_snapshot(&JsonValue::Object(anonymous)).unwrap_err();
+        assert!(err.contains("neither a workload nor a platform"), "{err}");
+        let mut cut = text(&doc);
+        cut.remove("ladder_moves");
+        let err = IncidentReport::from_snapshot(&JsonValue::Object(cut)).unwrap_err();
+        assert!(err.contains("\"ladder_moves\""), "{err}");
     }
 }

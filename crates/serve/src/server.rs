@@ -19,11 +19,21 @@ use pcnn_gpu::EnergyBreakdown;
 use pcnn_nn::spec::NetworkSpec;
 
 use crate::config::{ServeWorkload, ServerConfig};
-use crate::fleet::{Platform, RouteCtx, Router};
+use crate::fleet::{Platform, RouteCtx};
 use crate::obs::{BatchMember, Completion, Obs};
 use crate::report::{FleetSummary, GpuReport, LatencyAcc, ServeReport, WorkloadReport};
 
 const EPS: f64 = 1e-12;
+
+/// Queue fill fraction at or below which a dispatch can count as calm —
+/// the restore side of the hysteresis whose escalate side is
+/// [`ServerConfig::queue_high_watermark`], which may not be set under it.
+pub(crate) const QUEUE_LOW_WATERMARK: f64 = 0.25;
+/// Fraction of `T_user` a dispatch must finish early by to count as calm.
+const SLACK_MARGIN: f64 = 0.25;
+/// Consecutive calm dispatches before a platform's ladder walks back up
+/// one level: hysteresis against oscillating around the watermark.
+const RESTORE_PATIENCE: usize = 4;
 
 /// Memoized latency/energy predictor: one offline compilation + simulator
 /// run per distinct `(platform, ladder level, batch size)` triple, reused
@@ -419,21 +429,7 @@ impl<'a> Server<'a> {
     /// never serve in time.
     pub fn run(&self) -> Result<ServeReport> {
         let mut router = self.config.router.build();
-        self.run_with_router(self.config.router.name(), router.as_mut())
-    }
-
-    /// Runs the simulation with a caller-supplied [`Router`] — the
-    /// pluggable seam in front of the dispatch loop. `router_name` is
-    /// recorded in the report.
-    ///
-    /// # Errors
-    ///
-    /// As [`Server::run`].
-    pub fn run_with_router(
-        &self,
-        router_name: &'static str,
-        router: &mut dyn Router,
-    ) -> Result<ServeReport> {
+        let router_name = self.config.router.name();
         if self.workloads.is_empty() {
             return Err(Error::InvalidInput {
                 what: "server has no workloads",
@@ -931,11 +927,11 @@ impl<'a> Server<'a> {
         // comfortable slack) walk this platform's ladder back up.
         if self.config.degradation && ws.levels[g] > 0 {
             if let Some(t_user) = ws.t_user {
-                let calm = ws.queue.len() as f64 <= self.config.queue_low_watermark * cap as f64
-                    && finish <= earliest_arrival + t_user * (1.0 - self.config.slack_margin);
+                let calm = ws.queue.len() as f64 <= QUEUE_LOW_WATERMARK * cap as f64
+                    && finish <= earliest_arrival + t_user * (1.0 - SLACK_MARGIN);
                 if calm {
                     ws.calms[g] += 1;
-                    if ws.calms[g] >= self.config.restore_patience {
+                    if ws.calms[g] >= RESTORE_PATIENCE {
                         ws.levels[g] -= 1;
                         ws.degrade_down += 1;
                         ws.calms[g] = 0;

@@ -5,10 +5,12 @@ use pcnn_core::prelude::*;
 use pcnn_data::{RequestTrace, TraceSpec, WorkloadKind};
 use pcnn_gpu::arch::{JETSON_TX1, K20C};
 use pcnn_nn::spec::{ConvSpec, FcSpec, LayerSpec, NetworkSpec};
+use pcnn_serve::obs::{Alert, IncidentReport, RouteRecord, SloScope};
 use pcnn_serve::{
     DegradationLadder, DegradationLevel, Platform, RouterPolicy, ServeWorkload, Server,
     ServerConfig, SloPolicy,
 };
+use pcnn_telemetry::json::{self, JsonValue};
 
 fn tiny_net() -> NetworkSpec {
     NetworkSpec {
@@ -131,8 +133,14 @@ fn unit_cost(spec: &NetworkSpec) -> f64 {
 /// 4x slower than its own compiled cost (a single-rung ladder, so it can
 /// never degrade its way back to feasibility), serving a real-time frame
 /// stream whose deadline K20c holds with 2x slack. Routed per `policy` at
-/// batch 1 so every frame is one routing decision.
-fn doctored_fleet_report(spec: &NetworkSpec, policy: RouterPolicy, frames: usize) -> String {
+/// batch 1 so every frame is one routing decision. With a `tx1_slo` the
+/// objective is the TX1's alone: the workload opts out of its own.
+fn doctored_fleet_report(
+    spec: &NetworkSpec,
+    policy: RouterPolicy,
+    frames: usize,
+    tx1_slo: Option<SloPolicy>,
+) -> String {
     let c1 = unit_cost(spec);
     let n_convs = spec.conv_layers().len();
     let slow = DegradationLadder {
@@ -143,16 +151,20 @@ fn doctored_fleet_report(spec: &NetworkSpec, policy: RouterPolicy, frames: usize
         }],
     };
     let fps = 1.0 / (2.0 * c1);
-    let workload = ServeWorkload::new(
+    let mut workload = ServeWorkload::new(
         AppSpec::video_surveillance(fps),
         TraceSpec::real_time(frames, fps),
         64,
     );
-    let config = ServerConfig {
+    let mut config = ServerConfig {
         max_batch: 1,
         ..ServerConfig::default()
     }
     .with_router(policy);
+    if let Some(slo) = tx1_slo {
+        workload = workload.with_slo(SloPolicy::none());
+        config = config.with_platform_slo(1, slo);
+    }
     let server = Server::builder(spec)
         .platform(Platform::new(
             &K20C,
@@ -166,6 +178,21 @@ fn doctored_fleet_report(spec: &NetworkSpec, policy: RouterPolicy, frames: usize
     server.run().unwrap().to_json()
 }
 
+/// Every `name` instant of a rendered trace, read back through the
+/// format's one reader and the event's own `from_args`.
+fn instants<T>(
+    trace: &str,
+    name: &str,
+    from_args: impl Fn(f64, &JsonValue) -> Result<T, String>,
+) -> Vec<T> {
+    let doc = json::parse(trace).expect("trace must be valid JSON");
+    let records = pcnn_telemetry::read_chrome_trace(&doc).expect("trace must read back");
+    let named = records.iter().filter(|r| r.ph == "i" && r.name == name);
+    named
+        .map(|r| from_args(r.ts_us / 1e6, r.args).expect("instant must read back"))
+        .collect()
+}
+
 /// Round-robin onto the doctored fleet misses deadlines on the slow
 /// platform, so the real-time SLO (95 % hit rate) alerts and freezes an
 /// incident snapshot — and two seeded runs produce byte-identical traces
@@ -177,7 +204,7 @@ fn fleet_incident_and_route_trail_are_deterministic() {
         pcnn_telemetry::set_enabled(true);
         pcnn_telemetry::reset();
         pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
-        let report = doctored_fleet_report(&spec, RouterPolicy::RoundRobin, 12);
+        let report = doctored_fleet_report(&spec, RouterPolicy::RoundRobin, 12, None);
         let trace = pcnn_telemetry::render_chrome_trace();
         let incident = pcnn_telemetry::incident();
         pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
@@ -198,27 +225,25 @@ fn fleet_incident_and_route_trail_are_deterministic() {
     // The slow platform missed at least one deadline, which burned the
     // 95 % error budget and froze a parseable, self-contained snapshot.
     let incident = incident_a.expect("round-robin onto the slow platform must alert");
-    let doc = pcnn_telemetry::json::parse(&incident).expect("incident must be valid JSON");
-    assert_eq!(doc.get("kind").and_then(|v| v.as_str()), Some("incident"));
-    assert_eq!(
-        doc.get("router").and_then(|v| v.as_str()),
-        Some("round-robin")
+    let doc = json::parse(&incident).expect("incident must be valid JSON");
+    let inc = IncidentReport::from_snapshot(&doc).expect("incident must read back");
+    assert_eq!(inc.router, "round-robin");
+    assert_eq!(inc.alert.scope, SloScope::Workload);
+    assert_eq!(inc.alert.metric, "deadline_hit_rate");
+    assert!(
+        !inc.route_decisions.is_empty(),
+        "flight recorder captured no routes"
     );
-    let alert = doc.get("alert").expect("incident carries the alert");
-    assert_eq!(
-        alert.get("metric").and_then(|v| v.as_str()),
-        Some("deadline_hit_rate")
+    // The snapshot's decision records are the trace instants' args.
+    let trail = instants(&trace_a, "route.decision", RouteRecord::from_args);
+    let last = inc.route_decisions.last().unwrap();
+    let traced = trail.iter().find(|d| d.req == last.req && d.dispatched);
+    let traced = traced.expect("frozen decision is in the trace");
+    assert_eq!(traced.candidates, last.candidates);
+    assert!(
+        !inc.windows.is_empty(),
+        "flight recorder captured no windows"
     );
-    let decisions = doc
-        .get("route_decisions")
-        .and_then(|v| v.as_array())
-        .expect("incident carries the recent route decisions");
-    assert!(!decisions.is_empty(), "flight recorder captured no routes");
-    let windows = doc
-        .get("windows")
-        .and_then(|v| v.as_array())
-        .expect("incident carries the recent windows");
-    assert!(!windows.is_empty(), "flight recorder captured no windows");
 }
 
 /// Affinity routing on the same doctored fleet keeps every frame on the
@@ -231,34 +256,90 @@ fn audit_trail_names_deadline_slack_for_the_infeasible_platform() {
     pcnn_telemetry::set_enabled(true);
     pcnn_telemetry::reset();
     pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
-    let report = doctored_fleet_report(&spec, RouterPolicy::Affinity, 12);
+    let report = doctored_fleet_report(&spec, RouterPolicy::Affinity, 12, None);
     let trace = pcnn_telemetry::render_chrome_trace();
     let incident = pcnn_telemetry::incident();
     pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
     pcnn_telemetry::set_enabled(false);
 
-    // Every frame was placed for its deadline slack, on the fast K20c.
-    assert!(
-        trace.contains("\"reason\":\"DeadlineSlack\""),
-        "audit trail does not name DeadlineSlack"
-    );
-    assert!(trace.contains("\"platform\":\"K20c\""));
-    // The slow candidate is in the trail, scored and marked infeasible
-    // (the compact encoding's trailing `:0`).
-    let cand = trace
-        .split(";TX1:")
-        .nth(1)
-        .expect("slow platform scored in the candidate trail");
-    let cand = &cand[..cand.find('"').expect("candidate list is quoted")];
-    assert!(
-        cand.ends_with(":0"),
-        "slow platform should be encoded infeasible, got `TX1:{cand}`"
-    );
+    // Every frame was placed for its deadline slack, on the fast K20c,
+    // with the slow candidate in the trail, scored and marked infeasible.
+    let trail = instants(&trace, "route.decision", RouteRecord::from_args);
+    let placed: Vec<_> = trail.iter().filter(|d| d.dispatched).collect();
+    assert_eq!(placed.len(), 12, "one placement per frame");
+    for d in placed {
+        assert_eq!(d.reason, "DeadlineSlack", "request #{}", d.req);
+        assert_eq!(d.platform.as_deref(), Some("K20c"));
+        let slow = d.candidates.iter().find(|c| c.platform == "TX1");
+        let slow = slow.expect("slow platform scored in the candidate trail");
+        assert!(!slow.feasible, "TX1 should be infeasible: {slow:?}");
+        assert!(slow.slack_s.is_some_and(|s| s < 0.0), "{slow:?}");
+    }
     // All frames on the fast platform, all deadlines met, no incident.
     assert!(report.contains("\"deadlines_met\": 12, \"deadline_total\": 12"));
     assert!(
         incident.is_none(),
         "a clean run must not freeze an incident"
+    );
+}
+
+/// The same misses seen from the platform's side: with the objective
+/// declared on the TX1 (and the workload opted out of its own), the alert
+/// is an `slo.platform_alert` naming the platform on the platform's
+/// track, it is counted under `fleet.slo_alerts`, and the incident it
+/// freezes reads back with platform scope — deterministically.
+#[test]
+fn platform_slo_alerts_name_the_platform_and_freeze_its_incident() {
+    let spec = tiny_net();
+    let slo = SloPolicy {
+        min_hit_rate: Some(0.95),
+        ..SloPolicy::none()
+    };
+    let traced_run = || {
+        pcnn_telemetry::set_enabled(true);
+        pcnn_telemetry::reset();
+        pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
+        doctored_fleet_report(&spec, RouterPolicy::RoundRobin, 12, Some(slo.clone()));
+        let trace = pcnn_telemetry::render_chrome_trace();
+        let manifest = pcnn_telemetry::render_manifest();
+        let incident = pcnn_telemetry::incident();
+        pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
+        pcnn_telemetry::set_enabled(false);
+        (trace, manifest, incident)
+    };
+    let first = traced_run();
+    assert_eq!(first, traced_run(), "seeded platform-SLO runs differ");
+    let (trace, manifest, incident) = first;
+
+    let alerts = instants(&trace, "slo.platform_alert", Alert::from_args);
+    assert!(
+        !alerts.is_empty(),
+        "the TX1's misses fired no platform alert"
+    );
+    for a in &alerts {
+        assert_eq!((a.scope, a.subject.as_str()), (SloScope::Platform, "TX1"));
+        assert_eq!(a.metric, "deadline_hit_rate");
+        assert!(a.observed < a.objective && a.burn_rate > 1.0, "{a:?}");
+    }
+    let workload_alerts = instants(&trace, "slo.alert", Alert::from_args);
+    assert!(workload_alerts.is_empty(), "the workload opted out");
+    assert!(trace.contains("fleet.slo_alerts [platform:TX1]"));
+    assert!(manifest.contains("\"fleet.slo_alerts\""));
+
+    let incident = incident.expect("the first platform alert freezes an incident");
+    let incident = IncidentReport::from_snapshot(&json::parse(&incident).unwrap()).unwrap();
+    assert_eq!(incident.platforms, ["K20c", "TX1"]);
+    assert!(!incident.route_decisions.is_empty());
+    // The frozen alert is the first one traced (the stamp went through
+    // µs in the trace, so compare it to rounding).
+    let (frozen, first) = (&incident.alert, &alerts[0]);
+    assert!((frozen.t_s - first.t_s).abs() < 1e-9);
+    assert_eq!(
+        Alert {
+            t_s: first.t_s,
+            ..frozen.clone()
+        },
+        *first
     );
 }
 

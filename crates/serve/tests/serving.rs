@@ -356,10 +356,10 @@ fn builder_rejects_bad_inputs() {
     assert!(matches!(
         Server::builder(&spec)
             .platform(Platform::new(&K20C, ladder.clone()))
-            .config(config().with_slack_margin(2.0))
+            .config(config().with_queue_high_watermark(2.0))
             .build(),
         Err(Error::InvalidInput {
-            what: "slack_margin must be in [0, 1)"
+            what: "queue_high_watermark must be in [0, 1]"
         })
     ));
 

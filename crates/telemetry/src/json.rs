@@ -65,6 +65,24 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The number under `key` ([`parse`] only yields finite ones).
+    pub fn f64_at(&self, key: &str) -> Option<f64> {
+        self.get(key)?.as_f64()
+    }
+
+    /// The string under `key`.
+    pub fn str_at(&self, key: &str) -> Option<&str> {
+        self.get(key)?.as_str()
+    }
+
+    /// The number under `key` as an id or count: `None` when it is
+    /// absent, negative, fractional or beyond 2^53 — never an `as` cast
+    /// of whatever was there.
+    pub fn u64_at(&self, key: &str) -> Option<u64> {
+        let v = self.f64_at(key)?;
+        (v >= 0.0 && v.fract() == 0.0 && v <= 9_007_199_254_740_992.0).then_some(v as u64)
+    }
 }
 
 /// Appends `s` JSON-escaped (with surrounding quotes) to `out`.
@@ -164,9 +182,12 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf8".to_string())?;
-    text.parse::<f64>()
-        .map(JsonValue::Number)
-        .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+    // `1e999` parses to infinity, which JSON cannot carry and no reader
+    // downstream should have to guard against.
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(JsonValue::Number(v)),
+        _ => Err(format!("invalid number '{text}' at byte {start}")),
+    }
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -303,6 +324,22 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} x").is_err());
         assert!(parse("\"unterminated").is_err());
+        assert!(
+            parse("1e999").is_err(),
+            "an overflowing number is not a number"
+        );
+    }
+
+    #[test]
+    fn typed_lookups_miss_instead_of_casting() {
+        let v = parse(r#"{"n": 7, "neg": -1, "frac": 2.5, "s": "x"}"#).unwrap();
+        assert_eq!(v.f64_at("frac"), Some(2.5));
+        assert_eq!(v.str_at("s"), Some("x"));
+        assert_eq!(v.u64_at("n"), Some(7));
+        for key in ["neg", "frac", "s", "absent"] {
+            assert_eq!(v.u64_at(key), None, "{key}");
+        }
+        assert_eq!(JsonValue::Null.str_at("s"), None);
     }
 
     #[test]

@@ -855,7 +855,10 @@ pub fn snapshot() -> Metrics {
     sink().lock().expect("telemetry lock").metrics.clone()
 }
 
-fn write_args(out: &mut String, args: &[(&'static str, Value)]) {
+/// Appends an args list as one JSON object, keys in list order — the
+/// `"args"` of every trace event and manifest record, and the form any
+/// other sink should use for the same list.
+pub fn write_args(out: &mut String, args: &[(&'static str, Value)]) {
     out.push('{');
     for (i, (k, v)) in args.iter().enumerate() {
         if i > 0 {
@@ -1047,6 +1050,78 @@ pub fn render_chrome_trace() -> String {
     }
     out.push_str("\n]\n");
     out
+}
+
+/// One event of a rendered Chrome trace, as [`read_chrome_trace`] hands
+/// it out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceRecord<'a> {
+    /// Event name, `#k` string-table references already resolved.
+    pub name: &'a str,
+    /// Phase: `"X"` slice, `"i"` instant, `"C"` counter sample, `"M"`
+    /// metadata (process / track names, the string table).
+    pub ph: &'a str,
+    /// Process: 1 wall clock, 2 simulated time, 3 serving (virtual time),
+    /// 4 worker pool; 0 carries only the string table.
+    pub pid: u64,
+    /// Track within the process.
+    pub tid: u64,
+    /// Timestamp, µs on the process's own clock (0 on metadata).
+    pub ts_us: f64,
+    /// Duration of an `"X"` slice, µs (0 on every other phase).
+    pub dur_us: f64,
+    /// The event's `args` object; [`JsonValue::Null`](json::JsonValue)
+    /// when it has none, so typed lookups on it simply miss.
+    pub args: &'a json::JsonValue,
+}
+
+/// Reads back what [`render_chrome_trace`] wrote — the one place outside
+/// the writer that knows the array shape, the string table and the pid
+/// numbering. What the writer always emits is required, and its absence
+/// is an error naming the event rather than a default: every event needs
+/// a string `name` and `ph` and integer `pid` / `tid`, every event but
+/// metadata a `ts`, every `"X"` slice a `dur`. `args` is optional (the
+/// writer omits an empty list), and a name that is not a key of the
+/// string table stands for itself.
+///
+/// # Errors
+///
+/// Returns a message when the document is not a trace-event array or an
+/// event lacks a required field.
+pub fn read_chrome_trace(doc: &json::JsonValue) -> Result<Vec<TraceRecord<'_>>, String> {
+    static NO_ARGS: json::JsonValue = json::JsonValue::Null;
+    let events = doc
+        .as_array()
+        .ok_or_else(|| "trace is not a JSON array".to_string())?;
+    let mut table: HashMap<String, &str> = HashMap::new();
+    for ev in events {
+        if ev.str_at("name") == Some("trace_string_table") {
+            if let Some(json::JsonValue::Object(args)) = ev.get("args") {
+                for (k, v) in args {
+                    if let Some(name) = v.as_str() {
+                        table.insert(format!("#{k}"), name);
+                    }
+                }
+            }
+        }
+    }
+    let mut out = Vec::with_capacity(events.len());
+    for (i, ev) in events.iter().enumerate() {
+        let missing = |field: &str| format!("trace event {i} has no valid \"{field}\"");
+        let raw = ev.str_at("name").ok_or_else(|| missing("name"))?;
+        let ph = ev.str_at("ph").ok_or_else(|| missing("ph"))?;
+        let required = |field: &str| ev.f64_at(field).ok_or_else(|| missing(field));
+        out.push(TraceRecord {
+            name: table.get(raw).copied().unwrap_or(raw),
+            ph,
+            pid: ev.u64_at("pid").ok_or_else(|| missing("pid"))?,
+            tid: ev.u64_at("tid").ok_or_else(|| missing("tid"))?,
+            ts_us: if ph == "M" { 0.0 } else { required("ts")? },
+            dur_us: if ph == "X" { required("dur")? } else { 0.0 },
+            args: ev.get("args").unwrap_or(&NO_ARGS),
+        });
+    }
+    Ok(out)
 }
 
 /// Renders the JSON-Lines manifest (what [`export_manifest`] writes) as a
@@ -1478,18 +1553,43 @@ mod tests {
         assert_eq!(trace.matches("\"name\":\"#0\"").count(), 50);
         // Short or rare names stay literal.
         assert_eq!(trace.matches("\"once\"").count(), 1);
-        // The document stays valid JSON and the table resolves.
+        // The document stays valid JSON and the reader hands both kinds
+        // of name back resolved, with the writer's pid / µs / dur.
         let doc = json::parse(&trace).unwrap();
-        let table = doc
-            .as_array()
-            .unwrap()
+        let records = read_chrome_trace(&doc).unwrap();
+        let slices: Vec<_> = records.iter().filter(|r| r.ph == "X").collect();
+        assert_eq!(slices.len(), 51);
+        let interned = |r: &&&TraceRecord| r.name == "a.very.repetitive.span.name";
+        assert_eq!(slices.iter().filter(interned).count(), 50);
+        let once = slices
             .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("trace_string_table"))
-            .expect("string table event");
+            .find(|r| r.name == "once")
+            .expect("literal name");
         assert_eq!(
-            table.get("args").unwrap().get("0").unwrap().as_str(),
-            Some("a.very.repetitive.span.name")
+            (once.pid, once.tid, once.ts_us, once.dur_us),
+            (2, 0, 0.0, 1.0)
         );
+        assert_eq!(
+            once.args.f64_at("anything"),
+            None,
+            "no args reads as a miss"
+        );
+        assert!(records
+            .iter()
+            .any(|r| r.ph == "M" && r.name == "process_name"));
+        // What the writer always emits is required of a document.
+        for (damaged, field) in [
+            (trace.replacen("\"ph\":\"X\"", "\"pi\":\"X\"", 1), "ph"),
+            (trace.replacen(",\"dur\":1", "", 1), "dur"),
+            (
+                trace.replacen("\"tid\":0,\"ts\"", "\"tid\":-1,\"ts\"", 1),
+                "tid",
+            ),
+        ] {
+            let err = read_chrome_trace(&json::parse(&damaged).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("\"{field}\"")), "{err}");
+        }
+        assert!(read_chrome_trace(&json::parse("{}").unwrap()).is_err());
     }
 
     #[test]
