@@ -1,4 +1,7 @@
-//! Detailed single-SM warp-level cycle simulation with a GTO scheduler.
+//! Detailed single-SM warp-level cycle simulation with a GTO or LRR scheduler.
+//!
+//! [`simulate_sm`] is a pinned pure function of its five inputs, stepped over warp bitmasks and
+//! held cycle for cycle to the `#[cfg(test)]` per-warp reference loop (DESIGN.md §5).
 
 use crate::arch::{GpuArch, WarpScheduler};
 use crate::sim::trace::{Op, GLOBAL_ACCESS_BYTES};
@@ -15,55 +18,93 @@ const STALL_BARRIER: usize = 3;
 const STALL_OTHER: usize = 4;
 const N_STALL: usize = 5;
 
-fn stall_class(op: Op) -> usize {
+/// Op classes. The first `N_BUDGET` draw on a fractional per-cycle issue
+/// budget (LDS / STS share one, LDG / STG the DRAM share); the last two
+/// are the scheduler's pseudo-ops, which take no issue slot.
+const FFMA: usize = 0;
+const LDS: usize = 1;
+const IALU: usize = 2;
+const GLOBAL: usize = 3;
+const WAIT_MEM: usize = 4;
+const BAR: usize = 5;
+const N_BUDGET: usize = 4;
+const N_CLASS: usize = 6;
+
+/// The stall cause a warp waiting on an op of each class is charged to.
+const STALL_OF: [usize; N_CLASS] = [
+    STALL_FFMA,
+    STALL_LDS,
+    STALL_OTHER,
+    STALL_LDG,
+    STALL_LDG,
+    STALL_BARRIER,
+];
+
+fn class(op: Op) -> usize {
     match op {
-        Op::Ffma => STALL_FFMA,
-        Op::Lds | Op::Sts => STALL_LDS,
-        Op::Ldg | Op::Stg | Op::WaitMem => STALL_LDG,
-        Op::Bar => STALL_BARRIER,
-        Op::Ialu => STALL_OTHER,
+        Op::Ffma => FFMA,
+        Op::Lds | Op::Sts => LDS,
+        Op::Ialu => IALU,
+        Op::Ldg | Op::Stg => GLOBAL,
+        Op::WaitMem => WAIT_MEM,
+        Op::Bar => BAR,
     }
 }
 
-#[derive(Debug, Clone)]
-struct Warp {
-    cta: usize,
-    /// Index into the RLE op list.
-    seg: usize,
-    /// Remaining repetitions of the current segment.
-    rem: u32,
-    /// Earliest cycle at which the warp may issue again.
-    ready: u64,
-    /// Latest completion cycle among outstanding global loads.
-    outstanding: u64,
-    /// Waiting at a barrier.
-    at_barrier: bool,
-    done: bool,
-    /// What set `ready` last (a `STALL_*` class), for stall attribution.
-    wait_cause: usize,
+/// Storage of one warp set, bit `i % 64` of word `i / 64` for warp `i`:
+/// one word known at compile time, or as many as the launch needs.
+trait Words: Clone + AsRef<[u64]> + AsMut<[u64]> {
+    fn zeroed(words: usize) -> Self;
 }
 
-/// Fractional per-cycle issue budgets for throughput-limited classes.
-#[derive(Debug, Clone, Copy)]
-struct Budgets {
-    ffma: f64,
-    lds: f64,
-    ialu: f64,
-    /// Global accesses (DRAM-bandwidth share; LDG and STG draw from it).
-    global: f64,
-}
-
-impl Budgets {
-    fn refill(&mut self, rates: &Budgets, dt: f64) {
-        // Budgets cap at two issues' worth (never below 2.0, so fractional
-        // rates can still accumulate to the 1.0 issue threshold); idle
-        // periods cannot bank unlimited throughput.
-        let cap = |r: f64| (r * 2.0).max(2.0);
-        self.ffma = (self.ffma + rates.ffma * dt).min(cap(rates.ffma));
-        self.lds = (self.lds + rates.lds * dt).min(cap(rates.lds));
-        self.ialu = (self.ialu + rates.ialu * dt).min(cap(rates.ialu));
-        self.global = (self.global + rates.global * dt).min(cap(rates.global));
+impl Words for [u64; 1] {
+    fn zeroed(_words: usize) -> Self {
+        [0]
     }
+}
+
+impl Words for Vec<u64> {
+    fn zeroed(words: usize) -> Self {
+        vec![0; words]
+    }
+}
+
+fn insert(set: &mut [u64], i: usize) {
+    set[i / 64] |= 1 << (i % 64);
+}
+
+fn remove(set: &mut [u64], i: usize) {
+    set[i / 64] &= !(1 << (i % 64));
+}
+
+fn contains(set: &[u64], i: usize) -> bool {
+    set[i / 64] >> (i % 64) & 1 != 0
+}
+
+/// The lowest member at or after `from` (which may be past the last warp).
+fn first_from(set: &[u64], from: usize) -> Option<usize> {
+    let w0 = from / 64;
+    let head = *set.get(w0)? & (!0u64 << (from % 64));
+    if head != 0 {
+        return Some(w0 * 64 + head.trailing_zeros() as usize);
+    }
+    (w0 + 1..set.len())
+        .find(|&w| set[w] != 0)
+        .map(|w| w * 64 + set[w].trailing_zeros() as usize)
+}
+
+/// The members of `set`, ascending.
+fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// Simulates `n_ctas` CTAs (each `warps_per_cta` warps running the RLE
@@ -83,37 +124,125 @@ pub fn simulate_sm(
 ) -> u64 {
     assert!(n_ctas > 0 && warps_per_cta > 0, "need at least one warp");
     assert!(active_sms > 0, "need at least one active SM");
-    if ops.is_empty() {
-        return 0;
+    if n_ctas * warps_per_cta <= 64 {
+        run::<[u64; 1]>(arch, ops, warps_per_cta, n_ctas, active_sms)
+    } else {
+        run::<Vec<u64>>(arch, ops, warps_per_cta, n_ctas, active_sms)
     }
+}
+
+/// Per-warp state as parallel arrays, and the warp sets the loop keeps
+/// current.
+struct Sm<'a, M> {
+    ops: &'a [(Op, u32)],
+    /// Op class of each segment of `ops`.
+    seg_class: Vec<usize>,
+    /// Index into the RLE op list.
+    seg: Vec<usize>,
+    /// Remaining repetitions of the current segment.
+    rem: Vec<u32>,
+    /// Earliest cycle at which the warp may issue again.
+    ready: Vec<u64>,
+    /// Latest completion cycle among outstanding global loads.
+    outstanding: Vec<u64>,
+    /// What set `ready` last (a `STALL_*` class), for stall attribution.
+    wait_cause: Vec<usize>,
+    /// Unfinished warps by the class of their current op.
+    class: [M; N_CLASS],
+    /// Unfinished warps not waiting at a barrier.
+    active: M,
+    /// Active warps whose `ready` has come, as of this cycle.
+    ready_now: M,
+    remaining: usize,
+}
+
+impl<M: Words> Sm<'_, M> {
+    /// Moves warp `wi` past one executed repetition, skipping zero-count
+    /// segments; a warp past the last segment leaves every set.
+    fn advance(&mut self, wi: usize) {
+        if self.rem[wi] > 1 {
+            self.rem[wi] -= 1;
+            return;
+        }
+        remove(self.class[self.seg_class[self.seg[wi]]].as_mut(), wi);
+        let mut s = self.seg[wi] + 1;
+        while s < self.ops.len() && self.ops[s].1 == 0 {
+            s += 1;
+        }
+        self.seg[wi] = s;
+        if s < self.ops.len() {
+            self.rem[wi] = self.ops[s].1;
+            insert(self.class[self.seg_class[s]].as_mut(), wi);
+        } else {
+            remove(self.active.as_mut(), wi);
+            remove(self.ready_now.as_mut(), wi);
+            self.remaining -= 1;
+        }
+    }
+}
+
+fn run<M: Words>(
+    arch: &GpuArch,
+    ops: &[(Op, u32)],
+    warps_per_cta: usize,
+    n_ctas: usize,
+    active_sms: usize,
+) -> u64 {
+    // Zero-count segments never execute, the first one included: every
+    // warp starts at the first segment with work, and a program with none
+    // costs nothing, like an empty one.
+    let Some(first) = ops.iter().position(|&(_, n)| n > 0) else {
+        return 0;
+    };
     let t = &arch.timing;
     // DRAM-bandwidth share of this SM, in global warp-accesses per cycle,
     // additionally capped by the LSU (1 access/cycle).
     let global_rate =
         (arch.bytes_per_cycle() / active_sms as f64 / GLOBAL_ACCESS_BYTES as f64).clamp(1e-4, 1.0);
-    let rates = Budgets {
-        ffma: t.ffma_per_cycle,
-        lds: t.lds_per_cycle,
-        ialu: t.ialu_per_cycle,
-        global: global_rate,
+    // Fractional per-cycle issue budgets, indexed by class. They cap at
+    // two issues' worth (never below 2.0, so fractional rates can still
+    // accumulate to the 1.0 issue threshold); idle periods cannot bank
+    // unlimited throughput.
+    let rates: [f64; N_BUDGET] = [
+        t.ffma_per_cycle,
+        t.lds_per_cycle,
+        t.ialu_per_cycle,
+        global_rate,
+    ];
+    let caps = rates.map(|r| (r * 2.0).max(2.0));
+    let refill = |budgets: &mut [f64; N_BUDGET], dt: f64| {
+        for c in 0..N_BUDGET {
+            budgets[c] = (budgets[c] + rates[c] * dt).min(caps[c]);
+        }
     };
     let mut budgets = rates;
+    let stall: [u64; N_BUDGET] = [t.ffma_stall, t.lds_stall, 1, t.ldg_stall];
 
     let n_warps = n_ctas * warps_per_cta;
-    let mut warps: Vec<Warp> = (0..n_warps)
-        .map(|i| Warp {
-            cta: i / warps_per_cta,
-            seg: 0,
-            rem: ops[0].1,
-            ready: 0,
-            outstanding: 0,
-            at_barrier: false,
-            done: false,
-            wait_cause: STALL_OTHER,
-        })
-        .collect();
+    let words = n_warps.div_ceil(64);
+    let mut all = M::zeroed(words);
+    for wi in 0..n_warps {
+        insert(all.as_mut(), wi);
+    }
+    let seg_class: Vec<usize> = ops.iter().map(|&(op, _)| class(op)).collect();
+    let mut class_sets: [M; N_CLASS] = std::array::from_fn(|_| M::zeroed(words));
+    class_sets[seg_class[first]] = all.clone();
+    let mut sm = Sm {
+        ops,
+        seg_class,
+        seg: vec![first; n_warps],
+        rem: vec![ops[first].1; n_warps],
+        ready: vec![0; n_warps],
+        outstanding: vec![0; n_warps],
+        wait_cause: vec![STALL_OTHER; n_warps],
+        class: class_sets,
+        active: all,
+        ready_now: M::zeroed(words),
+        remaining: n_warps,
+    };
+    // A warp set built and consumed within one phase of a cycle.
+    let mut scratch = M::zeroed(words);
     let mut bar_counts = vec![0usize; n_ctas];
-    let mut remaining = n_warps;
     let mut cycle: u64 = 0;
     // GTO: the most recently issued warp keeps priority.
     let mut last_issued: usize = 0;
@@ -122,45 +251,61 @@ pub fn simulate_sm(
     let mut stalls = [0u64; N_STALL];
     let mut issued_total: u64 = 0;
 
-    while remaining > 0 {
+    while sm.remaining > 0 {
         assert!(cycle < MAX_CYCLES, "simulation livelock");
-        budgets.refill(&rates, 1.0);
+        refill(&mut budgets, 1.0);
         let mut issued_any = false;
 
-        // Resolve pseudo-ops (fences and barriers) before issuing.
-        for wi in 0..n_warps {
-            loop {
-                let w = &warps[wi];
-                if w.done || w.at_barrier || w.ready > cycle {
-                    break;
-                }
-                match ops[w.seg].0 {
-                    Op::WaitMem => {
-                        if warps[wi].outstanding > cycle {
-                            let out = warps[wi].outstanding;
-                            warps[wi].ready = out;
-                            warps[wi].wait_cause = STALL_LDG;
+        for (w, (rn, &active)) in sm
+            .ready_now
+            .as_mut()
+            .iter_mut()
+            .zip(sm.active.as_ref())
+            .enumerate()
+        {
+            // A warp still in the set from the last cycle is still ready.
+            let mut bits = active & !*rn;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                *rn |= u64::from(sm.ready[w * 64 + b as usize] <= cycle) << b;
+            }
+        }
+
+        // Resolve pseudo-ops (fences and barriers) before issuing, in warp
+        // order. Only the visited warp's own state and barrier releases
+        // (to `cycle + 1`) change here, so the set of warps to visit is
+        // fixed on entry.
+        for (w, p) in scratch.as_mut().iter_mut().enumerate() {
+            let pseudo = sm.class[WAIT_MEM].as_ref()[w] | sm.class[BAR].as_ref()[w];
+            *p = sm.ready_now.as_ref()[w] & pseudo;
+        }
+        for wi in members(scratch.as_ref()) {
+            while contains(sm.ready_now.as_ref(), wi) {
+                match sm.seg_class[sm.seg[wi]] {
+                    WAIT_MEM => {
+                        if sm.outstanding[wi] > cycle {
+                            sm.ready[wi] = sm.outstanding[wi];
+                            sm.wait_cause[wi] = STALL_LDG;
+                            remove(sm.ready_now.as_mut(), wi);
                             break;
                         }
-                        advance(&mut warps[wi], ops, &mut remaining);
+                        sm.advance(wi);
                     }
-                    Op::Bar => {
-                        let cta = w.cta;
-                        warps[wi].at_barrier = true;
+                    BAR => {
+                        remove(sm.active.as_mut(), wi);
+                        remove(sm.ready_now.as_mut(), wi);
+                        let cta = wi / warps_per_cta;
                         bar_counts[cta] += 1;
                         if bar_counts[cta] == warps_per_cta {
+                            // A warp arrives once per barrier, so every
+                            // warp of the CTA is waiting here.
                             bar_counts[cta] = 0;
-                            for other in warps.iter_mut() {
-                                if other.cta == cta && other.at_barrier {
-                                    other.at_barrier = false;
-                                    other.ready = cycle + 1;
-                                    other.wait_cause = STALL_BARRIER;
-                                    advance_noremaining(other, ops);
-                                    if other.seg >= ops.len() {
-                                        other.done = true;
-                                        remaining -= 1;
-                                    }
-                                }
+                            for other in cta * warps_per_cta..(cta + 1) * warps_per_cta {
+                                insert(sm.active.as_mut(), other);
+                                sm.ready[other] = cycle + 1;
+                                sm.wait_cause[other] = STALL_BARRIER;
+                                sm.advance(other);
                             }
                         }
                         break;
@@ -169,78 +314,58 @@ pub fn simulate_sm(
                 }
             }
         }
-        if remaining == 0 {
+        if sm.remaining == 0 {
             break;
         }
 
-        // Issue up to `issue_slots` warp-instructions, GTO order.
+        // Issue up to `issue_slots` warp-instructions. Each slot takes one
+        // warp of `eligible` (ready now, its class's budget left) — GTO the
+        // last issued warp, else the oldest; LRR the first after the last
+        // issued one, wrapping.
+        let eligible = &mut scratch;
+        for (w, e) in eligible.as_mut().iter_mut().enumerate() {
+            let mut issuable = 0;
+            for (&budget, class) in budgets.iter().zip(&sm.class) {
+                if budget >= 1.0 {
+                    issuable |= class.as_ref()[w];
+                }
+            }
+            *e = sm.ready_now.as_ref()[w] & issuable;
+        }
         for _slot in 0..t.issue_slots {
-            let mut chosen = None;
-            for k in 0..=n_warps {
-                // GTO: the last issued warp keeps priority, then oldest.
-                // LRR: rotate to the warp after the last issued one.
-                let wi = match t.warp_scheduler {
-                    WarpScheduler::Gto => {
-                        if k == 0 {
-                            last_issued
-                        } else {
-                            k - 1
-                        }
-                    }
-                    WarpScheduler::Lrr => (last_issued + 1 + k) % n_warps,
-                };
-                if t.warp_scheduler == WarpScheduler::Gto && k > 0 && wi == last_issued {
-                    continue;
-                }
-                let w = &warps[wi];
-                if w.done || w.at_barrier || w.ready > cycle {
-                    continue;
-                }
-                let op = ops[w.seg].0;
-                if op.is_pseudo() {
-                    continue; // handled in the pre-pass next cycle
-                }
-                let ok = match op {
-                    Op::Ffma => budgets.ffma >= 1.0,
-                    Op::Lds | Op::Sts => budgets.lds >= 1.0,
-                    Op::Ialu => budgets.ialu >= 1.0,
-                    Op::Ldg | Op::Stg => budgets.global >= 1.0,
-                    _ => unreachable!(),
-                };
-                if ok {
-                    chosen = Some(wi);
-                    break;
-                }
-            }
+            let e = eligible.as_ref();
+            let chosen = match t.warp_scheduler {
+                WarpScheduler::Gto if contains(e, last_issued) => Some(last_issued),
+                WarpScheduler::Gto => first_from(e, 0),
+                WarpScheduler::Lrr => first_from(e, last_issued + 1).or_else(|| first_from(e, 0)),
+            };
             let Some(wi) = chosen else { break };
-            let op = ops[warps[wi].seg].0;
-            match op {
-                Op::Ffma => {
-                    budgets.ffma -= 1.0;
-                    warps[wi].ready = cycle + t.ffma_stall;
-                }
-                Op::Lds | Op::Sts => {
-                    budgets.lds -= 1.0;
-                    warps[wi].ready = cycle + t.lds_stall;
-                }
-                Op::Ialu => {
-                    budgets.ialu -= 1.0;
-                    warps[wi].ready = cycle + 1;
-                }
-                Op::Ldg => {
-                    budgets.global -= 1.0;
-                    warps[wi].ready = cycle + t.ldg_stall;
-                    let done_at = cycle + t.global_latency;
-                    warps[wi].outstanding = warps[wi].outstanding.max(done_at);
-                }
-                Op::Stg => {
-                    budgets.global -= 1.0;
-                    warps[wi].ready = cycle + t.ldg_stall;
-                }
-                Op::WaitMem | Op::Bar => unreachable!(),
+            let seg = sm.seg[wi];
+            let c = sm.seg_class[seg];
+            budgets[c] -= 1.0;
+            sm.ready[wi] = cycle + stall[c];
+            if ops[seg].0 == Op::Ldg {
+                let done_at = cycle + t.global_latency;
+                sm.outstanding[wi] = sm.outstanding[wi].max(done_at);
             }
-            warps[wi].wait_cause = stall_class(op);
-            advance(&mut warps[wi], ops, &mut remaining);
+            sm.wait_cause[wi] = STALL_OF[c];
+            sm.advance(wi);
+            if sm.ready[wi] > cycle {
+                remove(sm.ready_now.as_mut(), wi);
+            }
+            // Only class `c`'s budget and warp `wi` changed.
+            if budgets[c] < 1.0 {
+                for (e, &m) in eligible.as_mut().iter_mut().zip(sm.class[c].as_ref()) {
+                    *e &= !m;
+                }
+            }
+            remove(eligible.as_mut(), wi);
+            if contains(sm.ready_now.as_ref(), wi) {
+                let now = sm.seg_class[sm.seg[wi]];
+                if now < N_BUDGET && budgets[now] >= 1.0 {
+                    insert(eligible.as_mut(), wi);
+                }
+            }
             last_issued = wi;
             issued_total += 1;
             issued_any = true;
@@ -254,27 +379,21 @@ pub fn simulate_sm(
             // ready but issue-blocked means a throughput stall on its
             // pending op class; otherwise the earliest-ready warp's
             // in-flight latency is the bottleneck.
-            let mut next = u64::MAX;
-            let mut cause = STALL_OTHER;
-            let mut cause_ready = u64::MAX;
-            for w in warps.iter().filter(|w| !w.done && !w.at_barrier) {
-                next = next.min(w.ready.max(cycle + 1));
-                if telem {
-                    if w.ready <= cycle {
-                        if cause_ready > cycle {
-                            cause_ready = cycle;
-                            cause = stall_class(ops[w.seg].0);
-                        }
-                    } else if w.ready < cause_ready {
-                        cause_ready = w.ready;
-                        cause = w.wait_cause;
-                    }
-                }
-            }
+            let (next, cause) = match first_from(sm.ready_now.as_ref(), 0) {
+                Some(wi) => (cycle + 1, STALL_OF[sm.seg_class[sm.seg[wi]]]),
+                None => members(sm.active.as_ref())
+                    .map(|wi| (sm.ready[wi], sm.wait_cause[wi]))
+                    .fold(
+                        (u64::MAX, STALL_OTHER),
+                        |m, r| if r.0 < m.0 { r } else { m },
+                    ),
+            };
             let next = if next == u64::MAX { cycle + 1 } else { next };
             let dt = next - cycle;
-            stalls[cause] += dt;
-            budgets.refill(&rates, dt as f64);
+            if telem {
+                stalls[cause] += dt;
+            }
+            refill(&mut budgets, dt as f64);
             cycle = next;
         }
     }
@@ -294,34 +413,299 @@ pub fn simulate_sm(
     cycle
 }
 
-fn advance(w: &mut Warp, ops: &[(Op, u32)], remaining: &mut usize) {
-    advance_noremaining(w, ops);
-    if w.seg >= ops.len() {
-        w.done = true;
-        *remaining -= 1;
-    }
-}
+/// The per-warp loop [`simulate_sm`] replaced, kept as the reference it
+/// is differentially tested against: every cycle, every warp is visited
+/// in the pseudo-op pre-pass and again, in scheduler order, for each issue
+/// slot. Only the zero-count first segment rule is new.
+#[cfg(test)]
+mod reference {
+    use super::*;
 
-/// Moves the warp's program counter past one executed repetition.
-fn advance_noremaining(w: &mut Warp, ops: &[(Op, u32)]) {
-    if w.rem > 1 {
-        w.rem -= 1;
-        return;
+    fn stall_class(op: Op) -> usize {
+        match op {
+            Op::Ffma => STALL_FFMA,
+            Op::Lds | Op::Sts => STALL_LDS,
+            Op::Ldg | Op::Stg | Op::WaitMem => STALL_LDG,
+            Op::Bar => STALL_BARRIER,
+            Op::Ialu => STALL_OTHER,
+        }
     }
-    w.seg += 1;
-    // Skip zero-count segments.
-    while w.seg < ops.len() && ops[w.seg].1 == 0 {
+
+    #[derive(Debug, Clone)]
+    struct Warp {
+        cta: usize,
+        /// Index into the RLE op list.
+        seg: usize,
+        /// Remaining repetitions of the current segment.
+        rem: u32,
+        /// Earliest cycle at which the warp may issue again.
+        ready: u64,
+        /// Latest completion cycle among outstanding global loads.
+        outstanding: u64,
+        /// Waiting at a barrier.
+        at_barrier: bool,
+        done: bool,
+        /// What set `ready` last (a `STALL_*` class), for stall attribution.
+        wait_cause: usize,
+    }
+
+    /// Fractional per-cycle issue budgets for throughput-limited classes.
+    #[derive(Debug, Clone, Copy)]
+    struct Budgets {
+        ffma: f64,
+        lds: f64,
+        ialu: f64,
+        /// Global accesses (DRAM-bandwidth share; LDG and STG draw from it).
+        global: f64,
+    }
+
+    impl Budgets {
+        fn refill(&mut self, rates: &Budgets, dt: f64) {
+            let cap = |r: f64| (r * 2.0).max(2.0);
+            self.ffma = (self.ffma + rates.ffma * dt).min(cap(rates.ffma));
+            self.lds = (self.lds + rates.lds * dt).min(cap(rates.lds));
+            self.ialu = (self.ialu + rates.ialu * dt).min(cap(rates.ialu));
+            self.global = (self.global + rates.global * dt).min(cap(rates.global));
+        }
+    }
+
+    pub(super) fn simulate_sm(
+        arch: &GpuArch,
+        ops: &[(Op, u32)],
+        warps_per_cta: usize,
+        n_ctas: usize,
+        active_sms: usize,
+    ) -> u64 {
+        assert!(n_ctas > 0 && warps_per_cta > 0, "need at least one warp");
+        assert!(active_sms > 0, "need at least one active SM");
+        let Some(first) = ops.iter().position(|&(_, n)| n > 0) else {
+            return 0;
+        };
+        let t = &arch.timing;
+        let global_rate = (arch.bytes_per_cycle() / active_sms as f64 / GLOBAL_ACCESS_BYTES as f64)
+            .clamp(1e-4, 1.0);
+        let rates = Budgets {
+            ffma: t.ffma_per_cycle,
+            lds: t.lds_per_cycle,
+            ialu: t.ialu_per_cycle,
+            global: global_rate,
+        };
+        let mut budgets = rates;
+
+        let n_warps = n_ctas * warps_per_cta;
+        let mut warps: Vec<Warp> = (0..n_warps)
+            .map(|i| Warp {
+                cta: i / warps_per_cta,
+                seg: first,
+                rem: ops[first].1,
+                ready: 0,
+                outstanding: 0,
+                at_barrier: false,
+                done: false,
+                wait_cause: STALL_OTHER,
+            })
+            .collect();
+        let mut bar_counts = vec![0usize; n_ctas];
+        let mut remaining = n_warps;
+        let mut cycle: u64 = 0;
+        let mut last_issued: usize = 0;
+        let telem = pcnn_telemetry::enabled();
+        let mut stalls = [0u64; N_STALL];
+        let mut issued_total: u64 = 0;
+
+        while remaining > 0 {
+            assert!(cycle < MAX_CYCLES, "simulation livelock");
+            budgets.refill(&rates, 1.0);
+            let mut issued_any = false;
+
+            for wi in 0..n_warps {
+                loop {
+                    let w = &warps[wi];
+                    if w.done || w.at_barrier || w.ready > cycle {
+                        break;
+                    }
+                    match ops[w.seg].0 {
+                        Op::WaitMem => {
+                            if warps[wi].outstanding > cycle {
+                                let out = warps[wi].outstanding;
+                                warps[wi].ready = out;
+                                warps[wi].wait_cause = STALL_LDG;
+                                break;
+                            }
+                            advance(&mut warps[wi], ops, &mut remaining);
+                        }
+                        Op::Bar => {
+                            let cta = w.cta;
+                            warps[wi].at_barrier = true;
+                            bar_counts[cta] += 1;
+                            if bar_counts[cta] == warps_per_cta {
+                                bar_counts[cta] = 0;
+                                for other in warps.iter_mut() {
+                                    if other.cta == cta && other.at_barrier {
+                                        other.at_barrier = false;
+                                        other.ready = cycle + 1;
+                                        other.wait_cause = STALL_BARRIER;
+                                        advance_noremaining(other, ops);
+                                        if other.seg >= ops.len() {
+                                            other.done = true;
+                                            remaining -= 1;
+                                        }
+                                    }
+                                }
+                            }
+                            break;
+                        }
+                        _ => break,
+                    }
+                }
+            }
+            if remaining == 0 {
+                break;
+            }
+
+            for _slot in 0..t.issue_slots {
+                let mut chosen = None;
+                for k in 0..=n_warps {
+                    let wi = match t.warp_scheduler {
+                        WarpScheduler::Gto => {
+                            if k == 0 {
+                                last_issued
+                            } else {
+                                k - 1
+                            }
+                        }
+                        WarpScheduler::Lrr => (last_issued + 1 + k) % n_warps,
+                    };
+                    if t.warp_scheduler == WarpScheduler::Gto && k > 0 && wi == last_issued {
+                        continue;
+                    }
+                    let w = &warps[wi];
+                    if w.done || w.at_barrier || w.ready > cycle {
+                        continue;
+                    }
+                    let op = ops[w.seg].0;
+                    if op.is_pseudo() {
+                        continue;
+                    }
+                    let ok = match op {
+                        Op::Ffma => budgets.ffma >= 1.0,
+                        Op::Lds | Op::Sts => budgets.lds >= 1.0,
+                        Op::Ialu => budgets.ialu >= 1.0,
+                        Op::Ldg | Op::Stg => budgets.global >= 1.0,
+                        _ => unreachable!(),
+                    };
+                    if ok {
+                        chosen = Some(wi);
+                        break;
+                    }
+                }
+                let Some(wi) = chosen else { break };
+                let op = ops[warps[wi].seg].0;
+                match op {
+                    Op::Ffma => {
+                        budgets.ffma -= 1.0;
+                        warps[wi].ready = cycle + t.ffma_stall;
+                    }
+                    Op::Lds | Op::Sts => {
+                        budgets.lds -= 1.0;
+                        warps[wi].ready = cycle + t.lds_stall;
+                    }
+                    Op::Ialu => {
+                        budgets.ialu -= 1.0;
+                        warps[wi].ready = cycle + 1;
+                    }
+                    Op::Ldg => {
+                        budgets.global -= 1.0;
+                        warps[wi].ready = cycle + t.ldg_stall;
+                        let done_at = cycle + t.global_latency;
+                        warps[wi].outstanding = warps[wi].outstanding.max(done_at);
+                    }
+                    Op::Stg => {
+                        budgets.global -= 1.0;
+                        warps[wi].ready = cycle + t.ldg_stall;
+                    }
+                    Op::WaitMem | Op::Bar => unreachable!(),
+                }
+                warps[wi].wait_cause = stall_class(op);
+                advance(&mut warps[wi], ops, &mut remaining);
+                last_issued = wi;
+                issued_total += 1;
+                issued_any = true;
+            }
+
+            if issued_any {
+                cycle += 1;
+            } else {
+                let mut next = u64::MAX;
+                let mut cause = STALL_OTHER;
+                let mut cause_ready = u64::MAX;
+                for w in warps.iter().filter(|w| !w.done && !w.at_barrier) {
+                    next = next.min(w.ready.max(cycle + 1));
+                    if telem {
+                        if w.ready <= cycle {
+                            if cause_ready > cycle {
+                                cause_ready = cycle;
+                                cause = stall_class(ops[w.seg].0);
+                            }
+                        } else if w.ready < cause_ready {
+                            cause_ready = w.ready;
+                            cause = w.wait_cause;
+                        }
+                    }
+                }
+                let next = if next == u64::MAX { cycle + 1 } else { next };
+                let dt = next - cycle;
+                stalls[cause] += dt;
+                budgets.refill(&rates, dt as f64);
+                cycle = next;
+            }
+        }
+        if telem {
+            let mut m = pcnn_telemetry::Metrics::default();
+            m.add("sim.sm.runs", 1);
+            m.add("sim.sm.cycles", cycle);
+            m.add("sim.sm.instrs_issued", issued_total);
+            m.add("sim.sm.issue_slots", cycle * u64::from(t.issue_slots));
+            m.add("sim.stall_cycles.ffma", stalls[STALL_FFMA]);
+            m.add("sim.stall_cycles.lds", stalls[STALL_LDS]);
+            m.add("sim.stall_cycles.ldg", stalls[STALL_LDG]);
+            m.add("sim.stall_cycles.barrier", stalls[STALL_BARRIER]);
+            m.add("sim.stall_cycles.other", stalls[STALL_OTHER]);
+            pcnn_telemetry::merge_metrics(&m);
+        }
+        cycle
+    }
+
+    fn advance(w: &mut Warp, ops: &[(Op, u32)], remaining: &mut usize) {
+        advance_noremaining(w, ops);
+        if w.seg >= ops.len() {
+            w.done = true;
+            *remaining -= 1;
+        }
+    }
+
+    /// Moves the warp's program counter past one executed repetition.
+    fn advance_noremaining(w: &mut Warp, ops: &[(Op, u32)]) {
+        if w.rem > 1 {
+            w.rem -= 1;
+            return;
+        }
         w.seg += 1;
-    }
-    if w.seg < ops.len() {
-        w.rem = ops[w.seg].1;
+        // Skip zero-count segments.
+        while w.seg < ops.len() && ops[w.seg].1 == 0 {
+            w.seg += 1;
+        }
+        if w.seg < ops.len() {
+            w.rem = ops[w.seg].1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::{JETSON_TX1, K20C};
+    use crate::arch::{all_platforms, JETSON_TX1, K20C, TITAN_X};
+    use proptest::prelude::*;
 
     #[test]
     fn pure_ffma_bounded_by_throughput() {
@@ -424,5 +808,119 @@ mod tests {
         let a = simulate_sm(&K20C, &ops, 4, 3, 13);
         let b = simulate_sm(&K20C, &ops, 4, 3, 13);
         assert_eq!(a, b);
+    }
+
+    type Sim = fn(&GpuArch, &[(Op, u32)], usize, usize, usize) -> u64;
+
+    #[test]
+    fn zero_count_segments_cost_nothing() {
+        let sims: [Sim; 2] = [simulate_sm, reference::simulate_sm];
+        for sim in sims {
+            let cost = |ops: &[(Op, u32)], warps| sim(&K20C, ops, warps, 1, 13);
+            let one_ialu = cost(&[(Op::Ialu, 1)], 1);
+            assert_eq!(one_ialu, 1);
+            assert_eq!(cost(&[(Op::Ffma, 0), (Op::Ialu, 1)], 1), one_ialu);
+            // No phantom global load, and no barrier nobody reached.
+            assert_eq!(cost(&[(Op::Ldg, 0), (Op::Ialu, 1)], 1), one_ialu);
+            assert_eq!(
+                cost(&[(Op::Bar, 0), (Op::Ialu, 1)], 4),
+                cost(&[(Op::Ialu, 1)], 4)
+            );
+            assert_eq!(cost(&[(Op::Ialu, 1), (Op::Ffma, 0), (Op::Ialu, 1)], 1), 2);
+            // All-zero costs what an empty program does.
+            assert_eq!(cost(&[(Op::Ffma, 0)], 1), 0);
+            assert_eq!(cost(&[(Op::Bar, 0), (Op::Ldg, 0)], 4), 0);
+        }
+    }
+
+    const OPS: [Op; 8] = [
+        Op::Ffma,
+        Op::Ialu,
+        Op::Lds,
+        Op::Sts,
+        Op::Ldg,
+        Op::Stg,
+        Op::WaitMem,
+        Op::Bar,
+    ];
+
+    const SM_METRICS: [&str; 9] = [
+        "sim.sm.runs",
+        "sim.sm.cycles",
+        "sim.sm.instrs_issued",
+        "sim.sm.issue_slots",
+        "sim.stall_cycles.ffma",
+        "sim.stall_cycles.lds",
+        "sim.stall_cycles.ldg",
+        "sim.stall_cycles.barrier",
+        "sim.stall_cycles.other",
+    ];
+
+    /// The four shipped architectures, an LRR one, a DVFS-scaled one, and
+    /// one whose warps may issue again in the cycle they issued.
+    fn arch_under_test(ix: usize) -> GpuArch {
+        match ix {
+            0..=3 => all_platforms()[ix].clone(),
+            4 => {
+                let mut lrr = K20C.clone();
+                lrr.timing.warp_scheduler = WarpScheduler::Lrr;
+                lrr
+            }
+            5 => JETSON_TX1.with_frequency_scale(0.6),
+            _ => {
+                let mut eager = TITAN_X.clone();
+                eager.timing.ffma_stall = 0;
+                eager.timing.lds_stall = 0;
+                eager
+            }
+        }
+    }
+
+    /// Cycles of one run and, with telemetry on, the `sim.*` counters it
+    /// recorded.
+    fn observe(
+        sim: Sim,
+        telem: bool,
+        arch: &GpuArch,
+        ops: &[(Op, u32)],
+        shape: (usize, usize, usize),
+    ) -> (u64, Option<[u64; 9]>) {
+        if telem {
+            pcnn_telemetry::set_enabled(true);
+            pcnn_telemetry::reset();
+        }
+        let cycles = sim(arch, ops, shape.0, shape.1, shape.2);
+        let metrics = telem.then(|| {
+            let m = pcnn_telemetry::snapshot();
+            pcnn_telemetry::set_enabled(false);
+            SM_METRICS.map(|k| m.counter_value(k))
+        });
+        (cycles, metrics)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every op, zero counts anywhere, up to 128 warps (two mask
+        /// words), both schedulers: the bitmask loop is the reference loop
+        /// cycle for cycle, stall for stall.
+        #[test]
+        fn bitmask_loop_matches_the_reference(
+            program in prop::collection::vec((0usize..8, 0u32..65), 1..41),
+            arch_ix in 0usize..7,
+            warps_per_cta in 1usize..9,
+            n_ctas in 1usize..17,
+            sms_draw in 0usize..64,
+            telem_draw in 0u8..4,
+        ) {
+            let arch = arch_under_test(arch_ix);
+            let ops: Vec<(Op, u32)> = program.iter().map(|&(o, n)| (OPS[o], n)).collect();
+            let shape = (warps_per_cta, n_ctas, 1 + sms_draw % arch.n_sms);
+            let telem = telem_draw == 0;
+            prop_assert_eq!(
+                observe(simulate_sm, telem, &arch, &ops, shape),
+                observe(reference::simulate_sm, telem, &arch, &ops, shape)
+            );
+        }
     }
 }
