@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use pcnn_data::WorkloadKind;
-use pcnn_gpu::sim::dispatch::simulate_kernel;
+use pcnn_gpu::sim::dispatch::{initial_residents, simulate_kernel};
 use pcnn_gpu::sim::SimCache;
 use pcnn_gpu::{DispatchPolicy, GpuArch, KernelDesc};
 use pcnn_kernels::sgemm::{build_kernel, SgemmShape};
@@ -22,7 +22,7 @@ use pcnn_nn::spec::{LayerSpec, NetworkSpec};
 use crate::error::{Error, Result};
 use crate::runtime::{simulate_schedule_with, NetworkCost};
 use crate::task::{AppSpec, UserRequirements};
-use crate::timemodel::{adjust_batch, opt_sm, tuned_layer_time};
+use crate::timemodel::{adjust_batch, layer_time, opt_sm};
 
 /// The compiled execution plan of one layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,6 +209,28 @@ impl<P: ScheduleProvider> ScheduleProvider for ScheduleCache<P> {
     }
 }
 
+/// One layer's candidate points for the offline compiler: each config's
+/// kernel and time-model prediction, built once and shared by the config's
+/// TLP variants.
+struct Candidates {
+    name: String,
+    groups: usize,
+    shape: SgemmShape,
+    /// `(tuned config, its kernel, predicted seconds)`.
+    configs: Vec<(TunedKernel, KernelDesc, f64)>,
+    /// `(config index, TLP, optSM)`, in profiling order.
+    points: Vec<(usize, usize, usize)>,
+}
+
+/// The Priority-SM policy a candidate point is profiled under.
+fn psm(sms: usize, tlp: usize) -> DispatchPolicy {
+    DispatchPolicy::PrioritySm {
+        sms,
+        tlp,
+        power_gate: true,
+    }
+}
+
 /// The cross-platform offline compiler.
 ///
 /// Owns the wave memo of every candidate it profiles: batch size and
@@ -315,82 +337,136 @@ impl<'a> OfflineCompiler<'a> {
             batch = batch,
             power_gated = power_gated
         );
-        let layers = gemm_layers_perforated(self.spec, batch, rates)?
+        let layers: Vec<Candidates> = gemm_layers_perforated(self.spec, batch, rates)?
             .into_iter()
-            .map(|(_, name, groups, shape)| {
-                let _layer_span = pcnn_telemetry::span!(
-                    "offline.tune_layer",
-                    layer = name.as_str(),
-                    m = shape.m,
-                    n = shape.n,
-                    k = shape.k
-                );
-                // The analytic S_kernel score prunes the design space to a
-                // handful of candidates; a short simulator run on each
-                // decides (the "explore the performance of the candidate
-                // points" step of §IV.B.2). Packing CTAs at the staircase
-                // TLP is not always optimal for compute-bound tiles; also
-                // profile lower TLPs, which eq. 11 spreads across more SMs.
-                let mut points: Vec<(TunedKernel, usize)> = Vec::new();
-                for tuned in tune_kernel_candidates(self.arch, shape, 4) {
-                    let mut tlps = vec![tuned.opt_tlp, tuned.opt_tlp.div_ceil(2), 1];
-                    tlps.sort_unstable();
-                    tlps.dedup();
-                    points.extend(tlps.into_iter().map(|tlp| (tuned.clone(), tlp)));
-                }
-                // Every candidate simulation is independent: profile them
-                // across the worker pool. The selection below walks the
-                // results in candidate order with a strict `<`, so the
-                // winner is identical to the serial scan at any thread
-                // count.
-                let profiled = pcnn_parallel::par_map(points.len(), |idx| {
-                    let (tuned, tlp) = &points[idx];
-                    let kernel = build_kernel(shape, &tuned.config, &name);
-                    let sm = crate::timemodel::opt_sm(kernel.grid.max(1), *tlp, self.arch.n_sms);
-                    let policy = DispatchPolicy::PrioritySm {
-                        sms: sm,
-                        tlp: *tlp,
-                        power_gate: true,
-                    };
-                    let sim = simulate_kernel(self.arch, &kernel, policy, &self.sim);
-                    let measured = sim.seconds * groups as f64;
-                    let (_, t) = tuned_layer_time(self.arch, shape, tuned, groups);
-                    pcnn_telemetry::counter("offline.candidates.profiled", 1);
-                    pcnn_telemetry::event!(
-                        "offline.candidate",
-                        layer = name.as_str(),
-                        tlp = *tlp,
-                        sm = sm,
-                        score = tuned.score,
-                        predicted_cycles = sim.cycles,
-                        measured_seconds = measured,
-                        predicted_seconds = t
-                    );
-                    let plan = LayerPlan {
-                        name: name.clone(),
-                        kernel,
-                        groups,
-                        opt_sm: sm,
-                        opt_tlp: *tlp,
-                        predicted_seconds: t,
-                    };
-                    (measured, plan)
-                });
-                let mut best: Option<(f64, LayerPlan)> = None;
-                for (measured, plan) in profiled {
-                    if best.as_ref().map(|(b, _)| measured < *b).unwrap_or(true) {
-                        best = Some((measured, plan));
-                    }
-                }
-                best.expect("at least one candidate").1
-            })
+            .map(|(_, name, groups, shape)| self.candidates(name, groups, shape))
             .collect();
+        self.simulate_waves(&layers);
+        let layers = layers.into_iter().map(|l| self.select(l)).collect();
         Ok(Schedule {
             batch,
             layers,
             power_gated,
             perforation: rates.to_vec(),
         })
+    }
+
+    /// One layer's candidate points. The analytic S_kernel score prunes
+    /// the design space to a handful of configs; a short simulator run on
+    /// each decides (the "explore the performance of the candidate points"
+    /// step of §IV.B.2). Packing CTAs at the staircase TLP is not always
+    /// optimal for compute-bound tiles; also profile lower TLPs, which
+    /// eq. 11 spreads across more SMs.
+    fn candidates(&self, name: String, groups: usize, shape: SgemmShape) -> Candidates {
+        let mut configs = Vec::new();
+        let mut points = Vec::new();
+        for tuned in tune_kernel_candidates(self.arch, shape, 4) {
+            let kernel = build_kernel(shape, &tuned.config, &name);
+            // Eq. 11 + eq. 12 at the config's own `optTLP`, as
+            // `tuned_layer_time` computes them, from this kernel's
+            // instruction mix: one prediction for all its TLP variants.
+            let density = kernel.trace.warp_instr_counts().fp_fraction();
+            let sm = opt_sm(kernel.grid, tuned.opt_tlp, self.arch.n_sms);
+            let predicted =
+                layer_time(self.arch, shape.flops(), sm, tuned.rec, density) * groups as f64;
+            let mut tlps = vec![tuned.opt_tlp, tuned.opt_tlp.div_ceil(2), 1];
+            tlps.sort_unstable();
+            tlps.dedup();
+            for tlp in tlps {
+                let sm = opt_sm(kernel.grid, tlp, self.arch.n_sms);
+                points.push((configs.len(), tlp, sm));
+            }
+            configs.push((tuned, kernel, predicted));
+        }
+        Candidates {
+            name,
+            groups,
+            shape,
+            configs,
+            points,
+        }
+    }
+
+    /// Simulates every wave the candidates' launches will look up, as one
+    /// parallel batch. A launch only ever reads the waves of its initial
+    /// fill, and the waves are deduplicated by the memo's own key
+    /// (program content, resident CTAs, active SMs), so no two workers
+    /// simulate one wave — even for two layers that share a program — and
+    /// the selection scan after it misses nothing.
+    fn simulate_waves(&self, layers: &[Candidates]) {
+        let mut waves: Vec<(&KernelDesc, usize, usize)> = Vec::new();
+        for layer in layers {
+            for &(c, tlp, sm) in &layer.points {
+                let kernel = &layer.configs[c].1;
+                let resident = initial_residents(self.arch, kernel, psm(sm, tlp));
+                let active = resident.len();
+                for r in resident.into_iter().filter(|&r| r > 0) {
+                    let known = waves.iter().any(|&(k, kr, ka)| {
+                        (kr, ka) == (r, active)
+                            && k.resources == kernel.resources
+                            && k.trace == kernel.trace
+                    });
+                    if !known {
+                        waves.push((kernel, r, active));
+                    }
+                }
+            }
+        }
+        let _span = pcnn_telemetry::span!("offline.simulate_waves", waves = waves.len());
+        pcnn_parallel::par_map(waves.len(), |i| {
+            let (kernel, resident, active) = waves[i];
+            self.sim.waves(self.arch, kernel, active).cycles(resident);
+        });
+    }
+
+    /// Profiles a layer's candidate points in order and keeps the fastest;
+    /// the strict `<` keeps the first of equals.
+    fn select(&self, layer: Candidates) -> LayerPlan {
+        let Candidates {
+            name,
+            groups,
+            shape,
+            mut configs,
+            points,
+        } = layer;
+        let _layer_span = pcnn_telemetry::span!(
+            "offline.tune_layer",
+            layer = name.as_str(),
+            m = shape.m,
+            n = shape.n,
+            k = shape.k
+        );
+        let mut best: Option<(f64, usize)> = None;
+        for (i, &(c, tlp, sm)) in points.iter().enumerate() {
+            let (tuned, kernel, predicted) = &configs[c];
+            let sim = simulate_kernel(self.arch, kernel, psm(sm, tlp), &self.sim);
+            let measured = sim.seconds * groups as f64;
+            pcnn_telemetry::counter("offline.candidates.profiled", 1);
+            pcnn_telemetry::event!(
+                "offline.candidate",
+                layer = name.as_str(),
+                tlp = tlp,
+                sm = sm,
+                score = tuned.score,
+                predicted_cycles = sim.cycles,
+                measured_seconds = measured,
+                predicted_seconds = *predicted
+            );
+            if best.is_none_or(|(b, _)| measured < b) {
+                best = Some((measured, i));
+            }
+        }
+        let (_, i) = best.expect("at least one candidate");
+        let (c, tlp, sm) = points[i];
+        let (_, kernel, predicted) = configs.swap_remove(c);
+        LayerPlan {
+            name,
+            kernel,
+            groups,
+            opt_sm: sm,
+            opt_tlp: tlp,
+            predicted_seconds: predicted,
+        }
     }
 
     /// The full offline compilation (§IV.B.3 "Global decision"): start

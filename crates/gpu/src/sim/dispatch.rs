@@ -72,23 +72,10 @@ impl KernelResult {
     }
 }
 
-/// Simulates one kernel launch under `policy`. Wave durations come from
-/// `cache`, which may be shared with any other launch on any architecture.
-///
-/// # Panics
-///
-/// Panics if the kernel has an empty grid or zero-sized blocks.
-pub fn simulate_kernel(
-    arch: &GpuArch,
-    kernel: &KernelDesc,
-    policy: DispatchPolicy,
-    cache: &SimCache,
-) -> KernelResult {
-    assert!(kernel.grid > 0, "empty grid");
-    let occ = Occupancy::of(arch, &kernel.resources);
-    let occ_tlp = occ.ctas_per_sm().max(1);
-    let telem = pcnn_telemetry::enabled();
-    let (sms, tlp, gated) = match policy {
+/// The SMs a launch uses, its resident-CTA cap and its gated SMs, after
+/// clamping `policy` to the architecture and the kernel's occupancy.
+fn launch_shape(arch: &GpuArch, occ_tlp: usize, policy: DispatchPolicy) -> (usize, usize, usize) {
+    match policy {
         DispatchPolicy::RoundRobin => (arch.n_sms, occ_tlp, 0),
         DispatchPolicy::PrioritySm {
             sms,
@@ -100,28 +87,31 @@ pub fn simulate_kernel(
             let gated = if power_gate { arch.n_sms - sms } else { 0 };
             (sms, tlp, gated)
         }
-    };
+    }
+}
 
-    let _span = pcnn_telemetry::span!(
-        "sim.kernel",
-        name = kernel.name.as_str(),
-        grid = kernel.grid,
-        sms = sms,
-        tlp = tlp,
-        gated = gated
-    );
-
-    let mut waves = cache.waves(arch, kernel, sms);
-    // Per-SM resident counts and a finish-event heap.
+/// The initial fill of a launch: one resident-CTA count per SM it uses,
+/// so the length is the launch's active-SM count. RR deals one CTA per SM
+/// in turn; PSM fills an SM to its TLP before moving on (paper Fig. 7).
+///
+/// A finished CTA is replaced on its own SM while CTAs remain, which puts
+/// that SM back at its initial count, so `(count, len)` over the nonzero
+/// counts are the only waves [`simulate_kernel`] looks up for this launch:
+/// simulating exactly those first leaves it nothing to miss.
+///
+/// # Panics
+///
+/// Panics if the kernel has an empty grid.
+pub fn initial_residents(
+    arch: &GpuArch,
+    kernel: &KernelDesc,
+    policy: DispatchPolicy,
+) -> Vec<usize> {
+    assert!(kernel.grid > 0, "empty grid");
+    let occ_tlp = Occupancy::of(arch, &kernel.resources).ctas_per_sm().max(1);
+    let (sms, tlp, _) = launch_shape(arch, occ_tlp, policy);
     let mut resident = vec![0usize; sms];
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     let mut remaining = kernel.grid;
-    let mut sms_touched = vec![false; sms];
-    // Last CTA completion per SM, for the simulated-time busy timeline.
-    let mut sm_end = vec![0u64; sms];
-
-    // Initial fill. RR deals one CTA per SM in turn; PSM fills an SM to
-    // `tlp` before moving on (paper Fig. 7).
     match policy {
         DispatchPolicy::RoundRobin => 'fill: loop {
             let mut assigned = false;
@@ -148,6 +138,43 @@ pub fn simulate_kernel(
             }
         }
     }
+    resident
+}
+
+/// Simulates one kernel launch under `policy`. Wave durations come from
+/// `cache`, which may be shared with any other launch on any architecture.
+///
+/// # Panics
+///
+/// Panics if the kernel has an empty grid or zero-sized blocks.
+pub fn simulate_kernel(
+    arch: &GpuArch,
+    kernel: &KernelDesc,
+    policy: DispatchPolicy,
+    cache: &SimCache,
+) -> KernelResult {
+    let occ = Occupancy::of(arch, &kernel.resources);
+    let telem = pcnn_telemetry::enabled();
+    let (sms, tlp, gated) = launch_shape(arch, occ.ctas_per_sm().max(1), policy);
+
+    let _span = pcnn_telemetry::span!(
+        "sim.kernel",
+        name = kernel.name.as_str(),
+        grid = kernel.grid,
+        sms = sms,
+        tlp = tlp,
+        gated = gated
+    );
+
+    let mut waves = cache.waves(arch, kernel, sms);
+    // Per-SM resident counts and a finish-event heap.
+    let mut resident = initial_residents(arch, kernel, policy);
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    let mut remaining = kernel.grid - resident.iter().sum::<usize>();
+    let mut sms_touched = vec![false; sms];
+    // Last CTA completion per SM, for the simulated-time busy timeline.
+    let mut sm_end = vec![0u64; sms];
+
     // Launch the initial residents: every CTA on an SM gets the duration of
     // a wave at that SM's resident count.
     for sm in 0..sms {
@@ -216,6 +243,7 @@ mod tests {
     use crate::arch::K20C;
     use crate::occupancy::KernelResources;
     use crate::sim::trace::{CtaTrace, Op};
+    use proptest::prelude::*;
 
     fn kernel(grid: usize) -> KernelDesc {
         KernelDesc {
@@ -304,5 +332,47 @@ mod tests {
         let r = simulate_kernel(&K20C, &kernel(100), DispatchPolicy::RoundRobin, &cache);
         let cpe = r.cpe(&K20C);
         assert!(cpe > 0.0 && cpe < 1.0, "cpe {cpe}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The initial fill is a launch's whole wave set: warming exactly
+        /// its nonzero counts leaves the launch nothing to simulate.
+        #[test]
+        fn warming_the_initial_residents_leaves_no_miss(
+            grid in 1usize..200,
+            sms in 1usize..20,
+            tlp in 1usize..10,
+            psm in any::<bool>(),
+        ) {
+            let k = kernel(grid);
+            let policy = if psm {
+                DispatchPolicy::PrioritySm { sms, tlp, power_gate: true }
+            } else {
+                DispatchPolicy::RoundRobin
+            };
+            let resident = initial_residents(&K20C, &k, policy);
+            let occ = Occupancy::of(&K20C, &k.resources).ctas_per_sm().max(1);
+            let (n, cap) = if psm {
+                (sms.min(K20C.n_sms), tlp.min(occ))
+            } else {
+                (K20C.n_sms, occ)
+            };
+            prop_assert_eq!(resident.len(), n);
+            prop_assert_eq!(resident.iter().sum::<usize>(), grid.min(n * cap));
+            let cache = SimCache::new();
+            let mut waves = cache.waves(&K20C, &k, resident.len());
+            let mut listed: Vec<usize> = resident.iter().copied().filter(|&r| r > 0).collect();
+            listed.sort_unstable();
+            listed.dedup();
+            for &r in &listed {
+                waves.cycles(r);
+            }
+            drop(waves);
+            prop_assert_eq!(cache.misses(), listed.len() as u64);
+            simulate_kernel(&K20C, &k, policy, &cache);
+            prop_assert_eq!(cache.misses(), listed.len() as u64);
+        }
     }
 }

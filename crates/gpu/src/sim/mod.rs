@@ -205,16 +205,11 @@ fn simulate_wave(arch: &GpuArch, kernel: &KernelDesc, tlp: usize, active_sms: us
         "sim.wave.iters_extrapolated",
         u64::from(iters - 2 * SAMPLE_ITERS),
     );
-    // Two detailed runs give the steady-state cycles-per-iteration.
-    let c1 = warp::simulate_sm(
+    // Two detailed samples give the steady-state cycles-per-iteration;
+    // they agree up to iteration `SAMPLE_ITERS + 1`, so they share a run.
+    let (c1, c2) = warp::simulate_sm_pair(
         arch,
         &kernel.trace.sampled(SAMPLE_ITERS),
-        warps,
-        tlp,
-        active_sms,
-    );
-    let c2 = warp::simulate_sm(
-        arch,
         &kernel.trace.sampled(2 * SAMPLE_ITERS),
         warps,
         tlp,

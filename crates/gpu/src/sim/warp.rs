@@ -3,7 +3,7 @@
 //! [`simulate_sm`] is a pinned pure function of its five inputs, stepped over warp bitmasks and
 //! held cycle for cycle to the `#[cfg(test)]` per-warp reference loop (DESIGN.md §5).
 
-use crate::arch::{GpuArch, WarpScheduler};
+use crate::arch::{GpuArch, SmTiming, WarpScheduler};
 use crate::sim::trace::{Op, GLOBAL_ACCESS_BYTES};
 
 /// Hard ceiling to catch livelocks; a real wave never gets near this.
@@ -131,12 +131,95 @@ pub fn simulate_sm(
     }
 }
 
+/// `(simulate_sm(short), simulate_sm(long))` for two programs that share
+/// their leading segments (a wave's 6- and 12-iteration samples), from
+/// one run of `long` where it can: until a warp first leaves the shared
+/// prefix, the two runs are the same run, so `short` resumes from a copy
+/// of `long`'s state taken at the top of a cycle before that (DESIGN.md
+/// §5, "The pair-run contract"). Cycles and `sim.*` counters are those of
+/// the two independent runs.
+pub(crate) fn simulate_sm_pair(
+    arch: &GpuArch,
+    short: &[(Op, u32)],
+    long: &[(Op, u32)],
+    warps_per_cta: usize,
+    n_ctas: usize,
+    active_sms: usize,
+) -> (u64, u64) {
+    assert!(n_ctas > 0 && warps_per_cta > 0, "need at least one warp");
+    assert!(active_sms > 0, "need at least one active SM");
+    let (short, long, _forked) = if n_ctas * warps_per_cta <= 64 {
+        pair::<[u64; 1]>(arch, short, long, warps_per_cta, n_ctas, active_sms)
+    } else {
+        pair::<Vec<u64>>(arch, short, long, warps_per_cta, n_ctas, active_sms)
+    };
+    (short, long)
+}
+
+/// What a run reads besides its program and its state: the SM's timing,
+/// the issue budgets' per-cycle rates and caps, and the CTA shape.
+struct Rules<'a> {
+    t: &'a SmTiming,
+    rates: [f64; N_BUDGET],
+    caps: [f64; N_BUDGET],
+    stall: [u64; N_BUDGET],
+    warps_per_cta: usize,
+    telem: bool,
+}
+
+impl<'a> Rules<'a> {
+    fn new(arch: &'a GpuArch, warps_per_cta: usize, active_sms: usize) -> Self {
+        let t = &arch.timing;
+        // DRAM-bandwidth share of this SM, in global warp-accesses per
+        // cycle, additionally capped by the LSU (1 access/cycle).
+        let global_rate = (arch.bytes_per_cycle() / active_sms as f64 / GLOBAL_ACCESS_BYTES as f64)
+            .clamp(1e-4, 1.0);
+        // Fractional per-cycle issue budgets, indexed by class. They cap at
+        // two issues' worth (never below 2.0, so fractional rates can still
+        // accumulate to the 1.0 issue threshold); idle periods cannot bank
+        // unlimited throughput.
+        let rates = [
+            t.ffma_per_cycle,
+            t.lds_per_cycle,
+            t.ialu_per_cycle,
+            global_rate,
+        ];
+        Self {
+            t,
+            rates,
+            caps: rates.map(|r| (r * 2.0).max(2.0)),
+            stall: [t.ffma_stall, t.lds_stall, 1, t.ldg_stall],
+            warps_per_cta,
+            telem: pcnn_telemetry::enabled(),
+        }
+    }
+
+    fn refill(&self, budgets: &mut [f64; N_BUDGET], dt: f64) {
+        for ((budget, &rate), &cap) in budgets.iter_mut().zip(&self.rates).zip(&self.caps) {
+            *budget = (*budget + rate * dt).min(cap);
+        }
+    }
+}
+
+/// A program as the loop reads it: the RLE ops and each segment's class.
+struct Code<'a> {
+    ops: &'a [(Op, u32)],
+    seg_class: Vec<usize>,
+}
+
+impl<'a> Code<'a> {
+    fn new(ops: &'a [(Op, u32)]) -> Self {
+        Self {
+            ops,
+            seg_class: ops.iter().map(|&(op, _)| class(op)).collect(),
+        }
+    }
+}
+
 /// Per-warp state as parallel arrays, and the warp sets the loop keeps
 /// current.
-struct Sm<'a, M> {
-    ops: &'a [(Op, u32)],
-    /// Op class of each segment of `ops`.
-    seg_class: Vec<usize>,
+#[derive(Clone)]
+struct Sm<M> {
     /// Index into the RLE op list.
     seg: Vec<usize>,
     /// Remaining repetitions of the current segment.
@@ -154,30 +237,306 @@ struct Sm<'a, M> {
     /// Active warps whose `ready` has come, as of this cycle.
     ready_now: M,
     remaining: usize,
+    /// The highest segment any warp has reached (the op count once one
+    /// has finished).
+    max_seg: usize,
 }
 
-impl<M: Words> Sm<'_, M> {
+impl<M: Words> Sm<M> {
     /// Moves warp `wi` past one executed repetition, skipping zero-count
     /// segments; a warp past the last segment leaves every set.
-    fn advance(&mut self, wi: usize) {
+    fn advance(&mut self, code: &Code<'_>, wi: usize) {
         if self.rem[wi] > 1 {
             self.rem[wi] -= 1;
             return;
         }
-        remove(self.class[self.seg_class[self.seg[wi]]].as_mut(), wi);
+        let ops = code.ops;
+        remove(self.class[code.seg_class[self.seg[wi]]].as_mut(), wi);
         let mut s = self.seg[wi] + 1;
-        while s < self.ops.len() && self.ops[s].1 == 0 {
+        while s < ops.len() && ops[s].1 == 0 {
             s += 1;
         }
         self.seg[wi] = s;
-        if s < self.ops.len() {
-            self.rem[wi] = self.ops[s].1;
-            insert(self.class[self.seg_class[s]].as_mut(), wi);
+        self.max_seg = self.max_seg.max(s);
+        if s < ops.len() {
+            self.rem[wi] = ops[s].1;
+            insert(self.class[code.seg_class[s]].as_mut(), wi);
         } else {
             remove(self.active.as_mut(), wi);
             remove(self.ready_now.as_mut(), wi);
             self.remaining -= 1;
         }
+    }
+}
+
+/// The scalars a run carries from one cycle to the next.
+#[derive(Clone, Copy)]
+struct Clock {
+    budgets: [f64; N_BUDGET],
+    cycle: u64,
+    /// GTO: the most recently issued warp keeps priority.
+    last_issued: usize,
+    /// Telemetry accumulators, flushed to the sink once by `finish`.
+    stalls: [u64; N_STALL],
+    issued_total: u64,
+}
+
+/// Everything a run carries from one cycle to the next: a copy taken at
+/// the top of a cycle resumes it exactly.
+#[derive(Clone)]
+struct Loop<M> {
+    sm: Sm<M>,
+    bar_counts: Vec<usize>,
+    clock: Clock,
+}
+
+/// Where the short program of a pair may resume from: the state of the
+/// long run at the top of the first cycle that began with a warp at
+/// `open` or beyond but none at `cut` or beyond. Any cycle before a warp
+/// first reaches `cut` would do; this one leaves the short run only the
+/// window to replay.
+struct Fork<M> {
+    /// The last segment with work before `cut`: a warp's next advance
+    /// from it leaves the shared prefix.
+    open: usize,
+    /// The first segment at which the two programs differ.
+    cut: usize,
+    copy: Option<Loop<M>>,
+}
+
+impl<M: Words> Loop<M> {
+    /// Every warp at the program's first segment with work, at cycle 0;
+    /// `None` if no segment has work.
+    fn init(rules: &Rules<'_>, code: &Code<'_>, n_ctas: usize) -> Option<Self> {
+        // Zero-count segments never execute, the first one included: every
+        // warp starts at the first segment with work, and a program with
+        // none costs nothing, like an empty one.
+        let first = code.ops.iter().position(|&(_, n)| n > 0)?;
+        let n_warps = n_ctas * rules.warps_per_cta;
+        let words = n_warps.div_ceil(64);
+        let mut all = M::zeroed(words);
+        for wi in 0..n_warps {
+            insert(all.as_mut(), wi);
+        }
+        let mut class: [M; N_CLASS] = std::array::from_fn(|_| M::zeroed(words));
+        class[code.seg_class[first]] = all.clone();
+        Some(Self {
+            sm: Sm {
+                seg: vec![first; n_warps],
+                rem: vec![code.ops[first].1; n_warps],
+                ready: vec![0; n_warps],
+                outstanding: vec![0; n_warps],
+                wait_cause: vec![STALL_OTHER; n_warps],
+                class,
+                active: all,
+                ready_now: M::zeroed(words),
+                remaining: n_warps,
+                max_seg: first,
+            },
+            bar_counts: vec![0; n_ctas],
+            clock: Clock {
+                budgets: rules.rates,
+                cycle: 0,
+                last_issued: 0,
+                stalls: [0; N_STALL],
+                issued_total: 0,
+            },
+        })
+    }
+
+    /// Steps cycles until every warp has finished, copying the state into
+    /// `fork` at the top of the first cycle of its window.
+    fn drive(&mut self, rules: &Rules<'_>, code: &Code<'_>, mut fork: Option<&mut Fork<M>>) {
+        let t = rules.t;
+        let ops = code.ops;
+        let warps_per_cta = rules.warps_per_cta;
+        // A warp set built and consumed within one phase of a cycle.
+        let mut scratch = M::zeroed(self.sm.active.as_ref().len());
+        let mut clock = self.clock;
+        while self.sm.remaining > 0 {
+            if let Some(f) = fork.as_deref_mut() {
+                if f.copy.is_none() && (f.open..f.cut).contains(&self.sm.max_seg) {
+                    self.clock = clock;
+                    f.copy = Some(self.clone());
+                }
+            }
+            let cycle = clock.cycle;
+            assert!(cycle < MAX_CYCLES, "simulation livelock");
+            rules.refill(&mut clock.budgets, 1.0);
+            let mut issued_any = false;
+            let sm = &mut self.sm;
+
+            for (w, (rn, &active)) in sm
+                .ready_now
+                .as_mut()
+                .iter_mut()
+                .zip(sm.active.as_ref())
+                .enumerate()
+            {
+                // A warp still in the set from the last cycle is still ready.
+                let mut bits = active & !*rn;
+                while bits != 0 {
+                    let b = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    *rn |= u64::from(sm.ready[w * 64 + b as usize] <= cycle) << b;
+                }
+            }
+
+            // Resolve pseudo-ops (fences and barriers) before issuing, in
+            // warp order. Only the visited warp's own state and barrier
+            // releases (to `cycle + 1`) change here, so the set of warps to
+            // visit is fixed on entry.
+            for (w, p) in scratch.as_mut().iter_mut().enumerate() {
+                let pseudo = sm.class[WAIT_MEM].as_ref()[w] | sm.class[BAR].as_ref()[w];
+                *p = sm.ready_now.as_ref()[w] & pseudo;
+            }
+            for wi in members(scratch.as_ref()) {
+                while contains(sm.ready_now.as_ref(), wi) {
+                    match code.seg_class[sm.seg[wi]] {
+                        WAIT_MEM => {
+                            if sm.outstanding[wi] > cycle {
+                                sm.ready[wi] = sm.outstanding[wi];
+                                sm.wait_cause[wi] = STALL_LDG;
+                                remove(sm.ready_now.as_mut(), wi);
+                                break;
+                            }
+                            sm.advance(code, wi);
+                        }
+                        BAR => {
+                            remove(sm.active.as_mut(), wi);
+                            remove(sm.ready_now.as_mut(), wi);
+                            let cta = wi / warps_per_cta;
+                            self.bar_counts[cta] += 1;
+                            if self.bar_counts[cta] == warps_per_cta {
+                                // A warp arrives once per barrier, so every
+                                // warp of the CTA is waiting here.
+                                self.bar_counts[cta] = 0;
+                                for other in cta * warps_per_cta..(cta + 1) * warps_per_cta {
+                                    insert(sm.active.as_mut(), other);
+                                    sm.ready[other] = cycle + 1;
+                                    sm.wait_cause[other] = STALL_BARRIER;
+                                    sm.advance(code, other);
+                                }
+                            }
+                            break;
+                        }
+                        _ => break,
+                    }
+                }
+            }
+            if sm.remaining == 0 {
+                break;
+            }
+
+            // Issue up to `issue_slots` warp-instructions. Each slot takes
+            // one warp of `eligible` (ready now, its class's budget left) —
+            // GTO the last issued warp, else the oldest; LRR the first
+            // after the last issued one, wrapping.
+            let budgets = &mut clock.budgets;
+            let eligible = &mut scratch;
+            for (w, e) in eligible.as_mut().iter_mut().enumerate() {
+                let mut issuable = 0;
+                for (&budget, class) in budgets.iter().zip(&sm.class) {
+                    if budget >= 1.0 {
+                        issuable |= class.as_ref()[w];
+                    }
+                }
+                *e = sm.ready_now.as_ref()[w] & issuable;
+            }
+            for _slot in 0..t.issue_slots {
+                let e = eligible.as_ref();
+                let last_issued = clock.last_issued;
+                let chosen = match t.warp_scheduler {
+                    WarpScheduler::Gto if contains(e, last_issued) => Some(last_issued),
+                    WarpScheduler::Gto => first_from(e, 0),
+                    WarpScheduler::Lrr => {
+                        first_from(e, last_issued + 1).or_else(|| first_from(e, 0))
+                    }
+                };
+                let Some(wi) = chosen else { break };
+                let seg = sm.seg[wi];
+                let c = code.seg_class[seg];
+                budgets[c] -= 1.0;
+                sm.ready[wi] = cycle + rules.stall[c];
+                if ops[seg].0 == Op::Ldg {
+                    let done_at = cycle + t.global_latency;
+                    sm.outstanding[wi] = sm.outstanding[wi].max(done_at);
+                }
+                sm.wait_cause[wi] = STALL_OF[c];
+                sm.advance(code, wi);
+                if sm.ready[wi] > cycle {
+                    remove(sm.ready_now.as_mut(), wi);
+                }
+                // Only class `c`'s budget and warp `wi` changed.
+                if budgets[c] < 1.0 {
+                    for (e, &m) in eligible.as_mut().iter_mut().zip(sm.class[c].as_ref()) {
+                        *e &= !m;
+                    }
+                }
+                remove(eligible.as_mut(), wi);
+                if contains(sm.ready_now.as_ref(), wi) {
+                    let now = code.seg_class[sm.seg[wi]];
+                    if now < N_BUDGET && budgets[now] >= 1.0 {
+                        insert(eligible.as_mut(), wi);
+                    }
+                }
+                clock.last_issued = wi;
+                clock.issued_total += 1;
+                issued_any = true;
+            }
+
+            if issued_any {
+                clock.cycle += 1;
+            } else {
+                // Fast-forward to the next event, attributing the skipped
+                // cycles to the limiting warp's stall cause: a warp that is
+                // ready but issue-blocked means a throughput stall on its
+                // pending op class; otherwise the earliest-ready warp's
+                // in-flight latency is the bottleneck.
+                let (next, cause) = match first_from(sm.ready_now.as_ref(), 0) {
+                    Some(wi) => (cycle + 1, STALL_OF[code.seg_class[sm.seg[wi]]]),
+                    None => members(sm.active.as_ref())
+                        .map(|wi| (sm.ready[wi], sm.wait_cause[wi]))
+                        .fold(
+                            (u64::MAX, STALL_OTHER),
+                            |m, r| if r.0 < m.0 { r } else { m },
+                        ),
+                };
+                let next = if next == u64::MAX { cycle + 1 } else { next };
+                let dt = next - cycle;
+                if rules.telem {
+                    clock.stalls[cause] += dt;
+                }
+                rules.refill(budgets, dt as f64);
+                clock.cycle = next;
+            }
+        }
+        self.clock = clock;
+    }
+
+    /// Flushes this run's counters to the telemetry sink and returns its
+    /// cycle count.
+    fn finish(&self, rules: &Rules<'_>) -> u64 {
+        let Clock {
+            cycle,
+            stalls,
+            issued_total,
+            ..
+        } = self.clock;
+        if rules.telem {
+            let mut m = pcnn_telemetry::Metrics::default();
+            m.add("sim.sm.runs", 1);
+            m.add("sim.sm.cycles", cycle);
+            m.add("sim.sm.instrs_issued", issued_total);
+            m.add("sim.sm.issue_slots", cycle * u64::from(rules.t.issue_slots));
+            m.add("sim.stall_cycles.ffma", stalls[STALL_FFMA]);
+            m.add("sim.stall_cycles.lds", stalls[STALL_LDS]);
+            m.add("sim.stall_cycles.ldg", stalls[STALL_LDG]);
+            m.add("sim.stall_cycles.barrier", stalls[STALL_BARRIER]);
+            m.add("sim.stall_cycles.other", stalls[STALL_OTHER]);
+            pcnn_telemetry::merge_metrics(&m);
+        }
+        cycle
     }
 }
 
@@ -188,229 +547,58 @@ fn run<M: Words>(
     n_ctas: usize,
     active_sms: usize,
 ) -> u64 {
-    // Zero-count segments never execute, the first one included: every
-    // warp starts at the first segment with work, and a program with none
-    // costs nothing, like an empty one.
-    let Some(first) = ops.iter().position(|&(_, n)| n > 0) else {
+    let rules = Rules::new(arch, warps_per_cta, active_sms);
+    let code = Code::new(ops);
+    let Some(mut state) = Loop::<M>::init(&rules, &code, n_ctas) else {
         return 0;
     };
-    let t = &arch.timing;
-    // DRAM-bandwidth share of this SM, in global warp-accesses per cycle,
-    // additionally capped by the LSU (1 access/cycle).
-    let global_rate =
-        (arch.bytes_per_cycle() / active_sms as f64 / GLOBAL_ACCESS_BYTES as f64).clamp(1e-4, 1.0);
-    // Fractional per-cycle issue budgets, indexed by class. They cap at
-    // two issues' worth (never below 2.0, so fractional rates can still
-    // accumulate to the 1.0 issue threshold); idle periods cannot bank
-    // unlimited throughput.
-    let rates: [f64; N_BUDGET] = [
-        t.ffma_per_cycle,
-        t.lds_per_cycle,
-        t.ialu_per_cycle,
-        global_rate,
-    ];
-    let caps = rates.map(|r| (r * 2.0).max(2.0));
-    let refill = |budgets: &mut [f64; N_BUDGET], dt: f64| {
-        for c in 0..N_BUDGET {
-            budgets[c] = (budgets[c] + rates[c] * dt).min(caps[c]);
+    state.drive(&rules, &code, None);
+    state.finish(&rules)
+}
+
+/// `(short cycles, long cycles, whether short resumed from long's run)`.
+/// Without a copy — no segment with work before the programs differ, or
+/// a warp crossed in the cycle the window opened — `short` runs from
+/// cycle 0 through [`run`].
+fn pair<M: Words>(
+    arch: &GpuArch,
+    short: &[(Op, u32)],
+    long: &[(Op, u32)],
+    warps_per_cta: usize,
+    n_ctas: usize,
+    active_sms: usize,
+) -> (u64, u64, bool) {
+    let rules = Rules::new(arch, warps_per_cta, active_sms);
+    let long_code = Code::new(long);
+    let cut = short.iter().zip(long).take_while(|(a, b)| a == b).count();
+    let mut fork = long[..cut]
+        .iter()
+        .rposition(|&(_, n)| n > 0)
+        .map(|open| Fork {
+            open,
+            cut,
+            copy: None,
+        });
+    let long_cycles = match Loop::<M>::init(&rules, &long_code, n_ctas) {
+        Some(mut state) => {
+            state.drive(&rules, &long_code, fork.as_mut());
+            state.finish(&rules)
         }
+        None => 0,
     };
-    let mut budgets = rates;
-    let stall: [u64; N_BUDGET] = [t.ffma_stall, t.lds_stall, 1, t.ldg_stall];
-
-    let n_warps = n_ctas * warps_per_cta;
-    let words = n_warps.div_ceil(64);
-    let mut all = M::zeroed(words);
-    for wi in 0..n_warps {
-        insert(all.as_mut(), wi);
+    // A copy is only ever taken before the first warp reached `cut`.
+    match fork.and_then(|f| f.copy) {
+        Some(mut state) => {
+            let short_code = Code::new(short);
+            state.drive(&rules, &short_code, None);
+            (state.finish(&rules), long_cycles, true)
+        }
+        None => (
+            run::<M>(arch, short, warps_per_cta, n_ctas, active_sms),
+            long_cycles,
+            false,
+        ),
     }
-    let seg_class: Vec<usize> = ops.iter().map(|&(op, _)| class(op)).collect();
-    let mut class_sets: [M; N_CLASS] = std::array::from_fn(|_| M::zeroed(words));
-    class_sets[seg_class[first]] = all.clone();
-    let mut sm = Sm {
-        ops,
-        seg_class,
-        seg: vec![first; n_warps],
-        rem: vec![ops[first].1; n_warps],
-        ready: vec![0; n_warps],
-        outstanding: vec![0; n_warps],
-        wait_cause: vec![STALL_OTHER; n_warps],
-        class: class_sets,
-        active: all,
-        ready_now: M::zeroed(words),
-        remaining: n_warps,
-    };
-    // A warp set built and consumed within one phase of a cycle.
-    let mut scratch = M::zeroed(words);
-    let mut bar_counts = vec![0usize; n_ctas];
-    let mut cycle: u64 = 0;
-    // GTO: the most recently issued warp keeps priority.
-    let mut last_issued: usize = 0;
-    // Telemetry accumulators, flushed to the sink once at the end.
-    let telem = pcnn_telemetry::enabled();
-    let mut stalls = [0u64; N_STALL];
-    let mut issued_total: u64 = 0;
-
-    while sm.remaining > 0 {
-        assert!(cycle < MAX_CYCLES, "simulation livelock");
-        refill(&mut budgets, 1.0);
-        let mut issued_any = false;
-
-        for (w, (rn, &active)) in sm
-            .ready_now
-            .as_mut()
-            .iter_mut()
-            .zip(sm.active.as_ref())
-            .enumerate()
-        {
-            // A warp still in the set from the last cycle is still ready.
-            let mut bits = active & !*rn;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                *rn |= u64::from(sm.ready[w * 64 + b as usize] <= cycle) << b;
-            }
-        }
-
-        // Resolve pseudo-ops (fences and barriers) before issuing, in warp
-        // order. Only the visited warp's own state and barrier releases
-        // (to `cycle + 1`) change here, so the set of warps to visit is
-        // fixed on entry.
-        for (w, p) in scratch.as_mut().iter_mut().enumerate() {
-            let pseudo = sm.class[WAIT_MEM].as_ref()[w] | sm.class[BAR].as_ref()[w];
-            *p = sm.ready_now.as_ref()[w] & pseudo;
-        }
-        for wi in members(scratch.as_ref()) {
-            while contains(sm.ready_now.as_ref(), wi) {
-                match sm.seg_class[sm.seg[wi]] {
-                    WAIT_MEM => {
-                        if sm.outstanding[wi] > cycle {
-                            sm.ready[wi] = sm.outstanding[wi];
-                            sm.wait_cause[wi] = STALL_LDG;
-                            remove(sm.ready_now.as_mut(), wi);
-                            break;
-                        }
-                        sm.advance(wi);
-                    }
-                    BAR => {
-                        remove(sm.active.as_mut(), wi);
-                        remove(sm.ready_now.as_mut(), wi);
-                        let cta = wi / warps_per_cta;
-                        bar_counts[cta] += 1;
-                        if bar_counts[cta] == warps_per_cta {
-                            // A warp arrives once per barrier, so every
-                            // warp of the CTA is waiting here.
-                            bar_counts[cta] = 0;
-                            for other in cta * warps_per_cta..(cta + 1) * warps_per_cta {
-                                insert(sm.active.as_mut(), other);
-                                sm.ready[other] = cycle + 1;
-                                sm.wait_cause[other] = STALL_BARRIER;
-                                sm.advance(other);
-                            }
-                        }
-                        break;
-                    }
-                    _ => break,
-                }
-            }
-        }
-        if sm.remaining == 0 {
-            break;
-        }
-
-        // Issue up to `issue_slots` warp-instructions. Each slot takes one
-        // warp of `eligible` (ready now, its class's budget left) — GTO the
-        // last issued warp, else the oldest; LRR the first after the last
-        // issued one, wrapping.
-        let eligible = &mut scratch;
-        for (w, e) in eligible.as_mut().iter_mut().enumerate() {
-            let mut issuable = 0;
-            for (&budget, class) in budgets.iter().zip(&sm.class) {
-                if budget >= 1.0 {
-                    issuable |= class.as_ref()[w];
-                }
-            }
-            *e = sm.ready_now.as_ref()[w] & issuable;
-        }
-        for _slot in 0..t.issue_slots {
-            let e = eligible.as_ref();
-            let chosen = match t.warp_scheduler {
-                WarpScheduler::Gto if contains(e, last_issued) => Some(last_issued),
-                WarpScheduler::Gto => first_from(e, 0),
-                WarpScheduler::Lrr => first_from(e, last_issued + 1).or_else(|| first_from(e, 0)),
-            };
-            let Some(wi) = chosen else { break };
-            let seg = sm.seg[wi];
-            let c = sm.seg_class[seg];
-            budgets[c] -= 1.0;
-            sm.ready[wi] = cycle + stall[c];
-            if ops[seg].0 == Op::Ldg {
-                let done_at = cycle + t.global_latency;
-                sm.outstanding[wi] = sm.outstanding[wi].max(done_at);
-            }
-            sm.wait_cause[wi] = STALL_OF[c];
-            sm.advance(wi);
-            if sm.ready[wi] > cycle {
-                remove(sm.ready_now.as_mut(), wi);
-            }
-            // Only class `c`'s budget and warp `wi` changed.
-            if budgets[c] < 1.0 {
-                for (e, &m) in eligible.as_mut().iter_mut().zip(sm.class[c].as_ref()) {
-                    *e &= !m;
-                }
-            }
-            remove(eligible.as_mut(), wi);
-            if contains(sm.ready_now.as_ref(), wi) {
-                let now = sm.seg_class[sm.seg[wi]];
-                if now < N_BUDGET && budgets[now] >= 1.0 {
-                    insert(eligible.as_mut(), wi);
-                }
-            }
-            last_issued = wi;
-            issued_total += 1;
-            issued_any = true;
-        }
-
-        if issued_any {
-            cycle += 1;
-        } else {
-            // Fast-forward to the next event, attributing the skipped
-            // cycles to the limiting warp's stall cause: a warp that is
-            // ready but issue-blocked means a throughput stall on its
-            // pending op class; otherwise the earliest-ready warp's
-            // in-flight latency is the bottleneck.
-            let (next, cause) = match first_from(sm.ready_now.as_ref(), 0) {
-                Some(wi) => (cycle + 1, STALL_OF[sm.seg_class[sm.seg[wi]]]),
-                None => members(sm.active.as_ref())
-                    .map(|wi| (sm.ready[wi], sm.wait_cause[wi]))
-                    .fold(
-                        (u64::MAX, STALL_OTHER),
-                        |m, r| if r.0 < m.0 { r } else { m },
-                    ),
-            };
-            let next = if next == u64::MAX { cycle + 1 } else { next };
-            let dt = next - cycle;
-            if telem {
-                stalls[cause] += dt;
-            }
-            refill(&mut budgets, dt as f64);
-            cycle = next;
-        }
-    }
-    if telem {
-        let mut m = pcnn_telemetry::Metrics::default();
-        m.add("sim.sm.runs", 1);
-        m.add("sim.sm.cycles", cycle);
-        m.add("sim.sm.instrs_issued", issued_total);
-        m.add("sim.sm.issue_slots", cycle * u64::from(t.issue_slots));
-        m.add("sim.stall_cycles.ffma", stalls[STALL_FFMA]);
-        m.add("sim.stall_cycles.lds", stalls[STALL_LDS]);
-        m.add("sim.stall_cycles.ldg", stalls[STALL_LDG]);
-        m.add("sim.stall_cycles.barrier", stalls[STALL_BARRIER]);
-        m.add("sim.stall_cycles.other", stalls[STALL_OTHER]);
-        pcnn_telemetry::merge_metrics(&m);
-    }
-    cycle
 }
 
 /// The per-warp loop [`simulate_sm`] replaced, kept as the reference it
@@ -705,6 +893,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::arch::{all_platforms, JETSON_TX1, K20C, TITAN_X};
+    use crate::sim::trace::CtaTrace;
     use proptest::prelude::*;
 
     #[test]
@@ -876,6 +1065,22 @@ mod tests {
         }
     }
 
+    /// What `run` returns and, with telemetry on, the `sim.*` counters it
+    /// recorded.
+    fn counted<T>(telem: bool, run: impl FnOnce() -> T) -> (T, Option<[u64; 9]>) {
+        if telem {
+            pcnn_telemetry::set_enabled(true);
+            pcnn_telemetry::reset();
+        }
+        let out = run();
+        let metrics = telem.then(|| {
+            let m = pcnn_telemetry::snapshot();
+            pcnn_telemetry::set_enabled(false);
+            SM_METRICS.map(|k| m.counter_value(k))
+        });
+        (out, metrics)
+    }
+
     /// Cycles of one run and, with telemetry on, the `sim.*` counters it
     /// recorded.
     fn observe(
@@ -885,17 +1090,7 @@ mod tests {
         ops: &[(Op, u32)],
         shape: (usize, usize, usize),
     ) -> (u64, Option<[u64; 9]>) {
-        if telem {
-            pcnn_telemetry::set_enabled(true);
-            pcnn_telemetry::reset();
-        }
-        let cycles = sim(arch, ops, shape.0, shape.1, shape.2);
-        let metrics = telem.then(|| {
-            let m = pcnn_telemetry::snapshot();
-            pcnn_telemetry::set_enabled(false);
-            SM_METRICS.map(|k| m.counter_value(k))
-        });
-        (cycles, metrics)
+        counted(telem, || sim(arch, ops, shape.0, shape.1, shape.2))
     }
 
     proptest! {
@@ -921,6 +1116,83 @@ mod tests {
                 observe(simulate_sm, telem, &arch, &ops, shape),
                 observe(reference::simulate_sm, telem, &arch, &ops, shape)
             );
+        }
+
+        /// A wave's two samples from one run are the two independent runs:
+        /// every op, zero counts anywhere (the first and last body segment
+        /// forced to zero in some cases), up to 128 warps, every
+        /// architecture under test — same cycles, same summed counters.
+        #[test]
+        fn pair_run_matches_two_independent_runs(
+            prologue in prop::collection::vec((0usize..8, 0u32..17), 1..13),
+            body in prop::collection::vec((0usize..8, 0u32..17), 1..13),
+            epilogue in prop::collection::vec((0usize..8, 0u32..17), 1..13),
+            body_iters in 13u32..41,
+            zero_ends in 0u8..4,
+            arch_ix in 0usize..7,
+            warps_per_cta in 1usize..9,
+            n_ctas in 1usize..17,
+            sms_draw in 0usize..64,
+            telem_draw in 0u8..4,
+        ) {
+            let rle = |segs: &[(usize, u32)]| -> Vec<(Op, u32)> {
+                segs.iter().map(|&(o, n)| (OPS[o], n)).collect()
+            };
+            let mut trace = CtaTrace {
+                prologue: rle(&prologue),
+                body: rle(&body),
+                body_iters,
+                epilogue: rle(&epilogue),
+            };
+            if zero_ends & 1 != 0 {
+                trace.body[0].1 = 0;
+            }
+            if zero_ends & 2 != 0 {
+                let last = trace.body.len() - 1;
+                trace.body[last].1 = 0;
+            }
+            let arch = arch_under_test(arch_ix);
+            let (short, long) = (trace.sampled(6), trace.sampled(12));
+            let (w, c, s) = (warps_per_cta, n_ctas, 1 + sms_draw % arch.n_sms);
+            let telem = telem_draw == 0;
+            prop_assert_eq!(
+                counted(telem, || simulate_sm_pair(&arch, &short, &long, w, c, s)),
+                counted(telem, || {
+                    (simulate_sm(&arch, &short, w, c, s), simulate_sm(&arch, &long, w, c, s))
+                })
+            );
+        }
+    }
+
+    /// Both branches of the pair run: a barrier-synchronised trace resumes
+    /// its short sample from the long run, and one that crosses out of the
+    /// shared prefix in the very cycle its window opens — one eager warp
+    /// issuing two FFMAs a cycle — falls back to a run from cycle 0.
+    #[test]
+    fn pair_run_forks_or_falls_back() {
+        let barriered = CtaTrace {
+            prologue: vec![(Op::Ldg, 2), (Op::WaitMem, 1)],
+            body: vec![(Op::Lds, 4), (Op::Ffma, 16), (Op::Bar, 1)],
+            body_iters: 20,
+            epilogue: vec![(Op::Stg, 2)],
+        };
+        let eager_ffma = CtaTrace {
+            prologue: vec![],
+            body: vec![(Op::Ffma, 1)],
+            body_iters: 20,
+            epilogue: vec![(Op::Ialu, 1)],
+        };
+        for (arch, trace, warps, forks) in [
+            (K20C.clone(), barriered, 4, true),
+            (arch_under_test(6), eager_ffma, 1, false),
+        ] {
+            let (short, long) = (trace.sampled(6), trace.sampled(12));
+            let got = pair::<[u64; 1]>(&arch, &short, &long, warps, 1, 1);
+            let independent = (
+                simulate_sm(&arch, &short, warps, 1, 1),
+                simulate_sm(&arch, &long, warps, 1, 1),
+            );
+            assert_eq!(got, (independent.0, independent.1, forks), "{}", arch.name);
         }
     }
 }

@@ -30,14 +30,13 @@ const SMOKE_KEYS: [(usize, usize); 17] = [
     (0, 15),
 ];
 
-/// Detailed wave simulations of the smoke fill at pool width 1. With one
-/// cache per candidate and per layer the same fill ran 1 909.
+/// Detailed wave simulations of the smoke fill. With one cache per
+/// candidate and per layer the same fill ran 1 909.
 const SMOKE_WAVE_SIMULATIONS: u64 = 378;
 
-/// Fills `oracle` with the smoke keys at pool width 1, where no racing
-/// duplicate simulation can happen and the count is exact.
-fn fill(oracle: &mut CostOracle<'_>) -> Vec<NetworkCost> {
-    pcnn_parallel::with_threads(1, || {
+/// Fills `oracle` with the smoke keys at pool width `threads`.
+fn fill(threads: usize, oracle: &mut CostOracle<'_>) -> Vec<NetworkCost> {
+    pcnn_parallel::with_threads(threads, || {
         SMOKE_KEYS
             .iter()
             .map(|&(level, size)| oracle.cost(0, level, size).unwrap())
@@ -51,7 +50,7 @@ fn shared_oracle_equals_from_scratch_compilation_on_every_smoke_key() {
     let ladder = DegradationLadder::default_ladder(spec.conv_layers().len());
     let platforms = [Platform::new(&K20C, ladder.clone())];
     let mut oracle = CostOracle::new(&platforms, &spec);
-    let costs = fill(&mut oracle);
+    let costs = fill(1, &mut oracle);
 
     let shared = OfflineCompiler::new(&K20C, &spec);
     for (&(level, size), got) in SMOKE_KEYS.iter().zip(&costs) {
@@ -80,18 +79,27 @@ fn shared_oracle_equals_from_scratch_compilation_on_every_smoke_key() {
 
 /// A change that silently loses the sharing fails here, not in a
 /// benchmark; and an oracle's memo dies with it, so a second one in the
-/// same process does the same work as the first.
+/// same process does the same work as the first. Each compilation
+/// simulates its waves deduplicated by the memo's key, so no two workers
+/// race on one wave and the count is the same at every pool width.
 #[test]
 fn smoke_fill_runs_a_pinned_number_of_wave_simulations() {
     let spec = alexnet();
     let ladder = DegradationLadder::default_ladder(spec.conv_layers().len());
     let platforms = [Platform::new(&K20C, ladder)];
-    for _run in 0..2 {
+    let mut costs = Vec::new();
+    for threads in [1, 2, 3] {
         let mut oracle = CostOracle::new(&platforms, &spec);
-        let first = fill(&mut oracle);
-        assert_eq!(oracle.wave_simulations(), SMOKE_WAVE_SIMULATIONS);
+        let first = fill(threads, &mut oracle);
+        assert_eq!(
+            oracle.wave_simulations(),
+            SMOKE_WAVE_SIMULATIONS,
+            "width {threads}"
+        );
         // Memoized keys cost nothing more.
-        assert_eq!(fill(&mut oracle), first);
+        assert_eq!(fill(threads, &mut oracle), first);
         assert_eq!(oracle.wave_simulations(), SMOKE_WAVE_SIMULATIONS);
+        costs.push(first);
     }
+    assert!(costs.windows(2).all(|w| w[0] == w[1]));
 }
