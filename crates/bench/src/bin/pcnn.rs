@@ -259,14 +259,14 @@ fn cmd_tune(mut args: Args) -> CmdResult {
     Ok(())
 }
 
-/// `pcnn bench-conv` — sweep the canonical conv layer shapes across
-/// {im2col, direct, winograd} and the thread widths, then prove the
-/// offline-tuned plan beats always-im2col on a full single-threaded
-/// network forward, and print what perforation buys per AlexNet layer at
-/// the degradation ladder's rates (stdout only). `--json` writes the
-/// `BENCH_conv.json` document the obs gate reads; `--smoke` runs the
-/// reduced CI subset (never commit a
-/// smoke document as the baseline — the gate flags its missing shapes).
+/// `pcnn bench-conv` — sweep the canonical conv layer shapes across the
+/// im2col reference and {direct, winograd} at the thread widths, then
+/// prove the offline-tuned plan holds parity with the default plan on a
+/// full single-threaded network forward, and print what perforation buys
+/// per AlexNet layer at the degradation ladder's rates (stdout only).
+/// `--json` writes the `BENCH_conv.json` document the obs gate reads;
+/// `--smoke` runs the reduced CI subset (never commit a smoke document
+/// as the baseline — the gate flags its missing shapes).
 fn cmd_bench_conv(mut args: Args) -> CmdResult {
     let reps: usize = args.get("reps")?.unwrap_or(3);
     let smoke = args.flag("smoke");
@@ -310,7 +310,7 @@ fn cmd_bench_conv(mut args: Args) -> CmdResult {
     ));
     let e = &bench.e2e;
     println!(
-        "e2e {} x{}: im2col {:.3} ms -> tuned {:.3} ms ({:.2}x, plan [{}], {} timed / {} pruned)",
+        "e2e {} x{}: default {:.3} ms -> tuned {:.3} ms ({:.2}x, plan [{}], {} timed / {} pruned)",
         e.model, e.batch, e.baseline_ms, e.tuned_ms, e.tuned_speedup, e.plan, e.explored, e.pruned
     );
     let mut p = TableWriter::new(vec![

@@ -423,13 +423,13 @@ pub fn compare_gemm(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
 ///
 /// * per shape and algorithm, `speedup_vs_im2col_1t` — a collapsed ratio
 ///   means the alternative kernel lost its advantage on that shape;
-/// * `e2e.tuned_speedup` — the tuned plan vs always-im2col on the full
-///   network forward, banded against the baseline *and* hard-floored:
-///   a tuned plan that *loses* to the baseline it replaced
+/// * `e2e.tuned_speedup` — the tuned plan vs the default plan on the
+///   full network forward, banded against the baseline *and*
+///   hard-floored: a tuned plan that *loses* to the default
 ///   (`< `[`E2E_SPEEDUP_FLOOR`]`, i.e. beyond measurement noise) is a
 ///   regression regardless of what the committed document says. The
-///   floor sits 5 % under parity because on a near-tie shape the tuner
-///   may honestly keep im2col, which reads ~1.0x plus timer noise — a
+///   floor sits 5 % under parity because the tuner may honestly pick the
+///   default's own algorithm, which reads ~1.0x plus timer noise — a
 ///   broken tuned path reads far lower.
 pub fn compare_conv(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
     let mut v = Vec::new();
@@ -465,7 +465,7 @@ pub fn compare_conv(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
         Band::lower_worse(0.25, 0.0),
     );
     if let Some(c) = ce {
-        // Hard floor: the tuned plan must never lose to always-im2col
+        // Hard floor: the tuned plan must never lose to the default plan
         // beyond measurement noise, whatever the committed value is.
         if c < E2E_SPEEDUP_FLOOR {
             v.push(Violation {
@@ -480,7 +480,7 @@ pub fn compare_conv(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
 }
 
 /// Lowest `e2e.tuned_speedup` the conv gate accepts, regardless of the
-/// committed baseline: parity with always-im2col minus 5 % timer noise.
+/// committed baseline: parity with the default plan minus 5 % timer noise.
 pub const E2E_SPEEDUP_FLOOR: f64 = 0.95;
 
 /// A typed `pcnn obs` failure. The CLI prints the message on stderr and
@@ -575,7 +575,7 @@ pub fn compare_profile(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Viola
 /// One node in a diff tree: a layer (with phase children) or a leaf.
 #[derive(Debug, Clone)]
 pub struct DiffEntry {
-    /// Human path, e.g. `L00 conv` or `L00 conv/im2col`.
+    /// Human path, e.g. `L00 conv` or `L00 conv/pack_b`.
     pub path: String,
     /// Time on side A, ms.
     pub base_ms: f64,
@@ -1156,7 +1156,7 @@ mod tests {
         let v = compare_conv(&base, &collapsed);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].metric, "ALEX_CONV3.winograd.speedup_vs_im2col_1t");
-        // A tuned plan that *loses* to always-im2col trips the hard floor
+        // A tuned plan that *loses* to the default plan trips the hard floor
         // even when the band alone would tolerate the drop...
         let floor = json::parse(
             r#"{"bench":"conv","e2e":{"tuned_speedup":0.93},"shapes":[
@@ -1168,7 +1168,7 @@ mod tests {
         .unwrap();
         let v = compare_conv(&base, &floor);
         assert!(v.iter().any(|x| x.metric.contains("must not drop")));
-        // ...while an honest near-tie (tuner kept im2col, ~1.0x) passes.
+        // ...while an honest near-tie (tuner kept the default, ~1.0x) passes.
         let tie = json::parse(
             r#"{"bench":"conv","e2e":{"tuned_speedup":0.99},"shapes":[
                 {"layer":"ALEX_CONV3","algos":[
@@ -1198,7 +1198,7 @@ mod tests {
             r#"{{"bench":"profile","model":"TinyAlexNet","total_modelled_ms":{},
                 "layers":[
                   {{"layer":"L00 conv","modelled_ms":{conv_ms},"phases":[
-                     {{"phase":"im2col","modelled_ms":0.4}},
+                     {{"phase":"pack_b","modelled_ms":0.4}},
                      {{"phase":"microkernel","modelled_ms":{micro_ms}}}]}},
                   {{"layer":"L03 linear","modelled_ms":1.0,"phases":[
                      {{"phase":"microkernel","modelled_ms":1.0}}]}}

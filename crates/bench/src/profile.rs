@@ -4,7 +4,8 @@
 //! Two outputs from one instrumented forward pass:
 //!
 //! * A **measured report** ([`render_report`]): per-layer wall time split
-//!   into im2col / pack-A / pack-B / microkernel / epilogue / activation,
+//!   into pack-A / pack-B / microkernel / Winograd transforms / epilogue /
+//!   activation,
 //!   achieved GFLOP/s, arithmetic intensity, and a roofline
 //!   classification against machine peaks measured once by
 //!   [`calibrate`]'s probe. When per-worker telemetry is on, the
@@ -346,8 +347,8 @@ pub fn render_report(run: &ProfileRun, peaks: &MachinePeaks) -> String {
         ..*peaks
     };
     let mut t = TableWriter::new(vec![
-        "layer", "wall ms", "im2col", "pack_a", "pack_b", "micro", "wino_t", "wino_i", "epilog",
-        "activ", "GFLOP/s", "FLOP/B", "bound",
+        "layer", "wall ms", "pack_a", "pack_b", "micro", "wino_t", "wino_i", "epilog", "activ",
+        "GFLOP/s", "FLOP/B", "bound",
     ]);
     for l in &run.layers {
         let total = l.total();
@@ -369,7 +370,6 @@ pub fn render_report(run: &ProfileRun, peaks: &MachinePeaks) -> String {
         t.row(vec![
             l.name.clone(),
             format!("{:.3}", l.wall_ns as f64 / reps as f64 / 1e6),
-            cell(Phase::Im2col),
             cell(Phase::PackA),
             cell(Phase::PackB),
             cell(Phase::Microkernel),

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use pcnn_data::{RequestTrace, WorkloadKind};
+use pcnn_data::{TraceSpec, WorkloadKind};
 use pcnn_gpu::sim::dispatch::simulate_kernel;
 use pcnn_gpu::sim::SimCache;
 use pcnn_gpu::{DispatchPolicy, EnergyBreakdown, GpuArch};
@@ -68,7 +68,7 @@ pub(crate) fn simulate_schedule_with(
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// Per-request latency: completion of the request's last image minus
-    /// the request's arrival.
+    /// the request's arrival (0 for a request of no images).
     pub latencies: Vec<f64>,
     /// Time from first arrival to last completion.
     pub makespan: f64,
@@ -130,16 +130,17 @@ impl ExecutionReport {
 /// propagates provider errors.
 pub fn execute_trace(
     arch: &GpuArch,
-    trace: &RequestTrace,
+    trace: &TraceSpec,
     batch: usize,
     provider: &mut dyn ScheduleProvider,
 ) -> Result<ExecutionReport> {
     if batch == 0 {
         return Err(Error::ZeroBatch);
     }
+    let requests: Vec<(f64, usize)> = trace.arrivals().collect();
     // Flatten images: (arrival, request index).
     let mut images: Vec<(f64, usize)> = Vec::new();
-    for (ri, &(at, n)) in trace.requests().iter().enumerate() {
+    for (ri, &(at, n)) in requests.iter().enumerate() {
         for _ in 0..n {
             images.push((at, ri));
         }
@@ -150,7 +151,7 @@ pub fn execute_trace(
     let _span = pcnn_telemetry::span!(
         "runtime.execute_trace",
         batch = batch,
-        requests = trace.requests().len(),
+        requests = requests.len(),
         images = images.len()
     );
 
@@ -178,8 +179,9 @@ pub fn execute_trace(
         Ok(c)
     };
 
-    let n_requests = trace.requests().len();
-    let mut request_done = vec![0.0f64; n_requests];
+    // A request is done when its last image is, and no sooner than it
+    // arrives.
+    let mut request_done: Vec<f64> = requests.iter().map(|&(at, _)| at).collect();
     let mut gpu_free = 0.0f64;
     let mut busy = 0.0f64;
     let mut energy = EnergyBreakdown::default();
@@ -205,8 +207,7 @@ pub fn execute_trace(
     // Idle periods burn the constant platform power only (deep idle).
     let idle_energy_j = (makespan - busy).max(0.0) * arch.energy.constant_w;
 
-    let latencies: Vec<f64> = trace
-        .requests()
+    let latencies: Vec<f64> = requests
         .iter()
         .zip(&request_done)
         .map(|(&(at, _), &done)| done - at)
@@ -238,7 +239,7 @@ mod tests {
             .unwrap()
     }
 
-    fn run(trace: &RequestTrace, batch: usize) -> ExecutionReport {
+    fn run(trace: &TraceSpec, batch: usize) -> ExecutionReport {
         let mut provider = FnProvider(|size| Ok(schedule_builder(size)));
         execute_trace(&K20C, trace, batch, &mut provider).unwrap()
     }
@@ -253,7 +254,7 @@ mod tests {
 
     #[test]
     fn interactive_trace_latencies() {
-        let trace = RequestTrace::interactive(4, 0.5, 1.0, 7);
+        let trace = TraceSpec::interactive(4, 0.5, 1.0, 7);
         let report = run(&trace, 1);
         assert_eq!(report.latencies.len(), 4);
         // Requests are well separated; each latency equals one batch-1 pass.
@@ -265,7 +266,7 @@ mod tests {
 
     #[test]
     fn background_burst_batches() {
-        let trace = RequestTrace::background(10);
+        let trace = TraceSpec::background(10);
         let report = run(&trace, 4);
         // 3 chunks (4+4+2), one request.
         assert_eq!(report.latencies.len(), 1);
@@ -281,7 +282,7 @@ mod tests {
         // 10 images at t = 0, batch 4: chunks of 4, 4 and 2 run
         // back-to-back, so the makespan is exactly 2 x cost(4) + cost(2)
         // and the energy is the sum of the three chunk energies.
-        let trace = RequestTrace::background(10);
+        let trace = TraceSpec::background(10);
         let report = run(&trace, 4);
         let c4 = simulate_schedule(&K20C, &schedule_builder(4));
         let c2 = simulate_schedule(&K20C, &schedule_builder(2));
@@ -299,7 +300,7 @@ mod tests {
     #[test]
     fn tail_smaller_than_batch_is_not_padded() {
         // 3 images, batch 8: a single chunk of 3 — never an 8-image pass.
-        let trace = RequestTrace::background(3);
+        let trace = TraceSpec::background(3);
         let mut sizes = Vec::new();
         let mut provider = FnProvider(|size| {
             sizes.push(size);
@@ -315,7 +316,7 @@ mod tests {
     fn batching_delays_first_request() {
         // Real-time 30 fps frames, batch 8: the first frame waits for 7
         // more frames before processing starts.
-        let trace = RequestTrace::real_time(8, 30.0);
+        let trace = TraceSpec::real_time(8, 30.0);
         let batched = run(&trace, 8);
         let single = run(&trace, 1);
         assert!(
@@ -330,7 +331,7 @@ mod tests {
     fn idle_energy_reported_separately() {
         // Two requests 10 s apart: idle energy is ~10 s x constant power,
         // and the compute energy is exactly two batch-1 passes.
-        let trace = RequestTrace::interactive(2, 10.0, 10.0, 1);
+        let trace = TraceSpec::interactive(2, 10.0, 10.0, 1);
         let report = run(&trace, 1);
         let compute = simulate_schedule(&K20C, &schedule_builder(1));
         assert!(
@@ -348,7 +349,7 @@ mod tests {
 
     #[test]
     fn zero_batch_is_an_error() {
-        let trace = RequestTrace::background(4);
+        let trace = TraceSpec::background(4);
         let spec = alexnet();
         let mut compiler = OfflineCompiler::new(&K20C, &spec);
         let err = execute_trace(&K20C, &trace, 0, &mut compiler).unwrap_err();
@@ -357,20 +358,20 @@ mod tests {
 
     #[test]
     fn empty_trace_is_an_error() {
-        let trace = RequestTrace::from_requests(WorkloadKind::Interactive, vec![]);
+        let trace = TraceSpec::explicit(WorkloadKind::Interactive, vec![]);
         let spec = alexnet();
         let mut compiler = OfflineCompiler::new(&K20C, &spec);
         let err = execute_trace(&K20C, &trace, 1, &mut compiler).unwrap_err();
         assert_eq!(err, Error::EmptyTrace);
         // A trace of requests that all carry zero images is also empty.
-        let trace = RequestTrace::from_requests(WorkloadKind::Interactive, vec![(0.0, 0)]);
+        let trace = TraceSpec::explicit(WorkloadKind::Interactive, vec![(0.0, 0)]);
         let err = execute_trace(&K20C, &trace, 1, &mut compiler).unwrap_err();
         assert_eq!(err, Error::EmptyTrace);
     }
 
     #[test]
     fn batch_mismatch_is_an_error() {
-        let trace = RequestTrace::background(4);
+        let trace = TraceSpec::background(4);
         // A provider that always compiles batch 1 regardless of the ask.
         let mut wrong = FnProvider(|_| Ok(schedule_builder(1)));
         let err = execute_trace(&K20C, &trace, 2, &mut wrong).unwrap_err();
@@ -390,12 +391,75 @@ mod tests {
             compiles += 1;
             Ok(schedule_builder(size))
         }));
-        let trace = RequestTrace::background(10);
+        let trace = TraceSpec::background(10);
         let a = execute_trace(&K20C, &trace, 4, &mut cache).unwrap();
         let b = execute_trace(&K20C, &trace, 4, &mut cache).unwrap();
         assert_eq!(a, b);
         assert_eq!(cache.len(), 2); // sizes 4 and 2
         drop(cache);
         assert_eq!(compiles, 2);
+    }
+
+    #[test]
+    fn a_request_of_no_images_waits_for_nothing() {
+        let trace = TraceSpec::explicit(
+            WorkloadKind::Interactive,
+            vec![(0.0, 1), (2.0, 0), (3.0, 1)],
+        );
+        let report = run(&trace, 1);
+        let pass = simulate_schedule(&K20C, &schedule_builder(1)).seconds;
+        assert_eq!(report.latencies[1], 0.0);
+        assert!((report.latencies[0] - pass).abs() < 1e-12);
+        assert!((report.latencies[2] - pass).abs() < 1e-12);
+        assert!((report.mean_latency() - 2.0 * pass / 3.0).abs() < 1e-12);
+    }
+
+    /// FNV-1a over the little-endian bytes of 64-bit words.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// The executor behind `repro fig13`–`fig15`, pinned: latencies,
+    /// makespan and energy of every shaped process and one explicit list
+    /// on K20c, hashed bit for bit.
+    #[test]
+    fn executor_reports_are_golden() {
+        let spec = alexnet();
+        let mut cache = ScheduleCache::new(OfflineCompiler::new(&K20C, &spec));
+        let traces = [
+            TraceSpec::interactive(6, 0.05, 0.2, 3),
+            TraceSpec::real_time(6, 30.0),
+            TraceSpec::background(5),
+            TraceSpec::poisson(WorkloadKind::Interactive, 6, 20.0, 11),
+            TraceSpec::bursty(WorkloadKind::RealTime, 3, 2, 4.0, 5),
+            TraceSpec::explicit(
+                WorkloadKind::Interactive,
+                vec![(0.0, 1), (0.01, 2), (0.5, 1)],
+            ),
+        ];
+        let hashes: Vec<u64> = traces
+            .iter()
+            .map(|t| {
+                let r = execute_trace(&K20C, t, 2, &mut cache).unwrap();
+                let e = r.energy;
+                let tail = [r.makespan, e.dynamic_j, e.leakage_j, e.dram_j, e.constant_j];
+                fnv1a(r.latencies.iter().chain(&tail).map(|v| v.to_bits()))
+            })
+            .collect();
+        assert_eq!(
+            hashes,
+            [
+                0xe9ac_b3f8_4e25_c5c9,
+                0xba13_8985_0e2d_0859,
+                0xf832_242c_ac98_2bc2,
+                0xc414_9936_16cd_2887,
+                0xb247_c6ce_d731_8653,
+                0xa5b0_a976_00df_cbea,
+            ]
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! evaluation harness that executes each on the GPU simulator and scores
 //! the Satisfaction-of-CNN metric (Figs. 13–15).
 
-use pcnn_data::{RequestTrace, WorkloadKind};
+use pcnn_data::{TraceSpec, WorkloadKind};
 use pcnn_gpu::GpuArch;
 use pcnn_nn::perforation::PerforationPlan;
 use pcnn_nn::spec::NetworkSpec;
@@ -235,7 +235,7 @@ pub struct Evaluation {
 
 fn run_decision(
     ctx: &SchedulerContext<'_>,
-    trace: &RequestTrace,
+    trace: &TraceSpec,
     decision: &Decision,
 ) -> Result<Evaluation> {
     let compiler = OfflineCompiler::new(ctx.arch, ctx.spec);
@@ -271,7 +271,7 @@ fn run_decision(
 pub fn evaluate(
     kind: SchedulerKind,
     ctx: &SchedulerContext<'_>,
-    trace: &RequestTrace,
+    trace: &TraceSpec,
 ) -> Result<Evaluation> {
     if kind != SchedulerKind::Ideal {
         let decision = decide(kind, ctx)?;
@@ -310,11 +310,11 @@ pub fn evaluate(
 }
 
 /// Builds the request trace the paper's three scenarios use (§V.C).
-pub fn scenario_trace(app: &AppSpec, n_requests: usize, seed: u64) -> RequestTrace {
+pub fn scenario_trace(app: &AppSpec, n_requests: usize, seed: u64) -> TraceSpec {
     match app.kind {
-        WorkloadKind::Interactive => RequestTrace::interactive(n_requests, 0.8, 2.0, seed),
-        WorkloadKind::RealTime => RequestTrace::real_time(n_requests, app.data_rate),
-        WorkloadKind::Background => RequestTrace::background(n_requests),
+        WorkloadKind::Interactive => TraceSpec::interactive(n_requests, 0.8, 2.0, seed),
+        WorkloadKind::RealTime => TraceSpec::real_time(n_requests, app.data_rate),
+        WorkloadKind::Background => TraceSpec::background(n_requests),
     }
 }
 

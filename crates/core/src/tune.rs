@@ -11,9 +11,10 @@
 //! search through telemetry (`tune.conv.candidates` / `tune.conv.pruned`
 //! counters plus one `tune.conv.layer` event per decision). Im2col is
 //! never a candidate: direct computes the same bits without the column
-//! matrix, so the tuner only times what can differ; im2col remains a
-//! valid [`ConvPlan`] entry, `Network::forward`'s default and the
-//! reference of every differential test.
+//! matrix, so the tuner only times what can differ; `im2col` remains a
+//! valid [`ConvPlan`] entry (it runs as direct, `Network::forward`'s
+//! default), and the column matrix the reference of every differential
+//! test.
 //!
 //! Timing goes through the [`CandidateTimer`] trait: the default
 //! [`WallClockTimer`] measures real best-of-N wall time on the worker
@@ -202,11 +203,6 @@ impl<T: CandidateTimer> ConvTuner<T> {
         }
     }
 
-    /// Distinct shapes tuned so far.
-    pub fn cached_shapes(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Tunes one layer shape: prune unsupported candidates, time the
     /// rest unless only one is left, pick the fastest (strict `<` scan in
     /// [`ConvAlgo::TUNED`] order, so ties resolve to the earlier
@@ -338,7 +334,7 @@ mod tests {
         // Repeat lookups come from the cache.
         let (algo, cached) = tuner.tune_shape(&conv1_geom(), 96);
         assert_eq!((algo, cached), (ConvAlgo::Direct, true));
-        assert_eq!(tuner.cached_shapes(), 2);
+        assert_eq!(tuner.cache.len(), 2);
     }
 
     #[test]

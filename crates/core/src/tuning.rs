@@ -43,17 +43,8 @@ pub struct TuningPath {
 }
 
 impl TuningPath {
-    /// The deepest entry whose entropy stays within `threshold` — the plan
-    /// the run-time scheduler starts with.
-    pub fn deepest_within(&self, threshold: f64) -> &TuningEntry {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.entropy <= threshold)
-            .unwrap_or(&self.entries[0])
-    }
-
-    /// Index of [`TuningPath::deepest_within`].
+    /// Index of the deepest entry whose entropy stays within `threshold`
+    /// — the plan the run-time scheduler starts with.
     pub fn deepest_index_within(&self, threshold: f64) -> usize {
         (0..self.entries.len())
             .rev()
@@ -77,34 +68,6 @@ impl TuningPath {
             .rev()
             .find(|&i| self.entries[i].entropy + gap.max(0.0) <= threshold)
             .unwrap_or(0)
-    }
-
-    /// Interpolates the entropy expected at a retained-FLOPs fraction —
-    /// the proxy the full-size scheduler uses (see `DESIGN.md`).
-    pub fn entropy_at_retained(&self, retained: f64) -> f64 {
-        let mut pts: Vec<(f64, f64)> = self
-            .entries
-            .iter()
-            .map(|e| (e.retained_flops, e.entropy))
-            .collect();
-        pts.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite"));
-        if retained >= pts[0].0 {
-            return pts[0].1;
-        }
-        for w in pts.windows(2) {
-            let (r0, e0) = w[0];
-            let (r1, e1) = w[1];
-            if retained <= r0 && retained >= r1 {
-                if (r0 - r1).abs() < 1e-12 {
-                    return e0.max(e1);
-                }
-                let t = (r0 - retained) / (r0 - r1);
-                return e0 + t * (e1 - e0);
-            }
-        }
-        // Beyond the deepest measured point: extrapolate pessimistically.
-        let (r_last, e_last) = *pts.last().expect("non-empty path");
-        e_last + (r_last - retained).max(0.0) * 2.0
     }
 }
 
@@ -317,14 +280,13 @@ mod tests {
     }
 
     #[test]
-    fn deepest_within_respects_threshold() {
+    fn deepest_index_within_respects_threshold() {
         let (net, inputs, _) = trained_net_and_data();
         let path = AccuracyTuner::new(&net, &inputs).tune(10.0, 6);
         let mid = (path.entries[0].entropy + path.entries.last().unwrap().entropy) / 2.0;
-        let e = path.deepest_within(mid);
-        assert!(e.entropy <= mid);
         let idx = path.deepest_index_within(mid);
-        assert_eq!(&path.entries[idx], e);
+        assert!(path.entries[idx].entropy <= mid);
+        assert!(path.entries[idx + 1..].iter().all(|e| e.entropy > mid));
     }
 
     #[test]
@@ -347,29 +309,5 @@ mod tests {
             .with_labels(&labels)
             .tune(10.0, 3);
         assert!(path.entries.iter().all(|e| e.accuracy.is_some()));
-    }
-
-    #[test]
-    fn entropy_curve_interpolates() {
-        let (net, inputs, _) = trained_net_and_data();
-        let path = AccuracyTuner::new(&net, &inputs).tune(10.0, 6);
-        let first = &path.entries[0];
-        let last = path.entries.last().unwrap();
-        assert!((path.entropy_at_retained(1.0) - first.entropy).abs() < 1e-9);
-        // Interpolation stays within the envelope of measured entropies
-        // (entropy along the greedy path need not be monotone).
-        let lo = path
-            .entries
-            .iter()
-            .map(|e| e.entropy)
-            .fold(f64::MAX, f64::min);
-        let hi = path
-            .entries
-            .iter()
-            .map(|e| e.entropy)
-            .fold(f64::MIN, f64::max);
-        let mid = (first.retained_flops + last.retained_flops) / 2.0;
-        let e = path.entropy_at_retained(mid);
-        assert!(e >= lo - 1e-9 && e <= hi + 1e-9, "{e} outside [{lo}, {hi}]");
     }
 }

@@ -10,11 +10,11 @@
 //!   meaningful, perforation degrades it smoothly, and output entropy
 //!   tracks accuracy — the three properties the paper's accuracy
 //!   experiments rely on.
-//! * [`workload`] — deterministic request-arrival generators for the three
-//!   task classes of §II.B (interactive, real-time, background).
-//! * [`spec`] — the same arrival processes as lazy specifications
-//!   ([`TraceSpec`]), generated one arrival at a time so a server can
-//!   stream million-request scenarios in O(1) memory.
+//! * [`workload`] — the three task classes of §II.B (interactive,
+//!   real-time, background).
+//! * [`spec`] — their deterministic request-arrival processes as lazy
+//!   specifications ([`TraceSpec`]), generated one arrival at a time so a
+//!   server can stream million-request scenarios in O(1) memory.
 
 pub mod dataset;
 pub mod spec;
@@ -22,4 +22,4 @@ pub mod workload;
 
 pub use dataset::{Dataset, DatasetBuilder};
 pub use spec::{ArrivalIter, TraceSpec};
-pub use workload::{RequestTrace, WorkloadKind};
+pub use workload::WorkloadKind;

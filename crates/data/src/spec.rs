@@ -1,30 +1,32 @@
-//! Lazy arrival-process specifications.
+//! Arrival processes for the three task classes of §II.B.
 //!
-//! [`RequestTrace`] materializes every `(arrival, images)` pair up front,
-//! which is fine for hundreds of requests and fatal for millions: the
-//! serving simulator's memory would grow with trace length. [`TraceSpec`]
-//! is an arrival process as a *specification* — the shape parameters and
-//! the seed — from which arrivals are generated one at a time
-//! ([`TraceSpec::arrivals`]). Request count and total images are known
-//! analytically, so a server can stream a ~1M-request scenario in O(1)
-//! memory. This is the only arrival generator: the shaped
-//! [`RequestTrace`] constructors are [`TraceSpec::materialize`] of the
-//! spec of the same name, and the golden tests below pin each process.
+//! A [`TraceSpec`] is an arrival process as a *specification* — the shape
+//! parameters and the seed, or an explicit request list — from which
+//! arrivals are generated one at a time ([`TraceSpec::arrivals`]).
+//! Request count and total images are known analytically, so a server can
+//! stream a ~1M-request scenario in O(1) memory, and an executor that
+//! needs the whole list collects it. This is the only arrival generator,
+//! and the golden tests below pin each process.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::workload::{RequestTrace, WorkloadKind};
+use crate::workload::WorkloadKind;
 
-/// An arrival process: either an explicit materialized trace or the
-/// parameters of a shaped process, whose arrivals are generated lazily.
+/// An arrival process: either an explicit request list or the parameters
+/// of a shaped process, whose arrivals are generated lazily. Arrivals are
+/// `(arrival time in seconds, number of images)` pairs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceSpec {
-    /// An explicit request list (every [`RequestTrace`] converts via
-    /// `From`).
-    Explicit(RequestTrace),
+    /// An explicit request list; see [`TraceSpec::explicit`].
+    Explicit {
+        /// Workload class.
+        kind: WorkloadKind,
+        /// `(arrival seconds, image count)` pairs, in arrival order.
+        requests: Vec<(f64, usize)>,
+    },
     /// Single-image requests with think times drawn uniformly from
-    /// `[min_gap, max_gap]` seconds; see [`RequestTrace::interactive`].
+    /// `[min_gap, max_gap]` seconds; see [`TraceSpec::interactive`].
     Interactive {
         /// Request count.
         n_requests: usize,
@@ -35,7 +37,7 @@ pub enum TraceSpec {
         /// RNG seed.
         seed: u64,
     },
-    /// One frame every `1/fps` seconds; see [`RequestTrace::real_time`].
+    /// One frame every `1/fps` seconds; see [`TraceSpec::real_time`].
     RealTime {
         /// Frame count.
         n_frames: usize,
@@ -43,12 +45,12 @@ pub enum TraceSpec {
         fps: f64,
     },
     /// All images available at time zero; see
-    /// [`RequestTrace::background`].
+    /// [`TraceSpec::background`].
     Background {
         /// Image count.
         n_images: usize,
     },
-    /// Open-loop Poisson arrivals; see [`RequestTrace::poisson`].
+    /// Open-loop Poisson arrivals; see [`TraceSpec::poisson`].
     Poisson {
         /// Workload class.
         kind: WorkloadKind,
@@ -60,7 +62,7 @@ pub enum TraceSpec {
         seed: u64,
     },
     /// Bursts at Poisson arrivals, each a fan-out of simultaneous
-    /// single-image requests; see [`RequestTrace::bursty`].
+    /// single-image requests; see [`TraceSpec::bursty`].
     Bursty {
         /// Workload class.
         kind: WorkloadKind,
@@ -75,14 +77,32 @@ pub enum TraceSpec {
     },
 }
 
-impl From<RequestTrace> for TraceSpec {
-    fn from(trace: RequestTrace) -> Self {
-        TraceSpec::Explicit(trace)
-    }
-}
-
 impl TraceSpec {
-    /// Lazy Poisson arrivals; see [`RequestTrace::poisson`].
+    /// An explicit `(arrival seconds, image count)` list. Unlike the
+    /// shaped processes this accepts any request list, including an empty
+    /// one or requests of zero images — downstream executors report an
+    /// image-free trace as a typed error instead of panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arrival is negative or not finite, or if arrivals are
+    /// not monotonically non-decreasing.
+    pub fn explicit(kind: WorkloadKind, requests: Vec<(f64, usize)>) -> Self {
+        assert!(
+            requests.iter().all(|&(at, _)| at.is_finite() && at >= 0.0),
+            "arrivals must be finite and non-negative"
+        );
+        assert!(
+            requests.windows(2).all(|w| w[0].0 <= w[1].0),
+            "arrivals must be sorted"
+        );
+        TraceSpec::Explicit { kind, requests }
+    }
+
+    /// Open-loop Poisson workload: `n_requests` single-image requests
+    /// whose inter-arrival gaps are exponentially distributed with mean
+    /// `1 / rate` seconds — the classic model of independent users hitting
+    /// an online service. Deterministic for a given seed.
     ///
     /// # Panics
     ///
@@ -98,7 +118,7 @@ impl TraceSpec {
         }
     }
 
-    /// Lazy periodic frames; see [`RequestTrace::real_time`].
+    /// Real-time workload: one frame every `1/fps` seconds.
     ///
     /// # Panics
     ///
@@ -109,7 +129,8 @@ impl TraceSpec {
         TraceSpec::RealTime { n_frames, fps }
     }
 
-    /// Lazy background burst; see [`RequestTrace::background`].
+    /// Background workload: all `n_images` available at time zero (e.g. a
+    /// camera roll to tag).
     ///
     /// # Panics
     ///
@@ -119,8 +140,9 @@ impl TraceSpec {
         TraceSpec::Background { n_images }
     }
 
-    /// Lazy interactive think-time arrivals; see
-    /// [`RequestTrace::interactive`].
+    /// Interactive workload: single-image requests separated by think
+    /// times drawn uniformly from `[min_gap, max_gap]` seconds.
+    /// Deterministic for a given seed.
     ///
     /// # Panics
     ///
@@ -139,7 +161,11 @@ impl TraceSpec {
         }
     }
 
-    /// Lazy bursty arrivals; see [`RequestTrace::bursty`].
+    /// Open-loop bursty workload: `n_bursts` burst events at Poisson
+    /// arrivals of rate `burst_rate` per second, each delivering
+    /// `burst_size` single-image requests at the same instant (a fan-out
+    /// of simultaneous users, or a device uploading a backlog).
+    /// Deterministic for a given seed.
     ///
     /// # Panics
     ///
@@ -170,7 +196,7 @@ impl TraceSpec {
     /// The workload class.
     pub fn kind(&self) -> WorkloadKind {
         match self {
-            TraceSpec::Explicit(t) => t.kind(),
+            TraceSpec::Explicit { kind, .. } => *kind,
             TraceSpec::Interactive { .. } => WorkloadKind::Interactive,
             TraceSpec::RealTime { .. } => WorkloadKind::RealTime,
             TraceSpec::Background { .. } => WorkloadKind::Background,
@@ -182,7 +208,7 @@ impl TraceSpec {
     /// generated.
     pub fn len(&self) -> usize {
         match self {
-            TraceSpec::Explicit(t) => t.requests().len(),
+            TraceSpec::Explicit { requests, .. } => requests.len(),
             TraceSpec::Interactive { n_requests, .. } => *n_requests,
             TraceSpec::RealTime { n_frames, .. } => *n_frames,
             TraceSpec::Background { .. } => 1,
@@ -196,7 +222,7 @@ impl TraceSpec {
     }
 
     /// Whether the process emits no requests (only possible for an
-    /// explicit empty trace).
+    /// explicit empty list).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -204,7 +230,7 @@ impl TraceSpec {
     /// Total images across all requests — analytic, never generated.
     pub fn total_images(&self) -> usize {
         match self {
-            TraceSpec::Explicit(t) => t.total_images(),
+            TraceSpec::Explicit { requests, .. } => requests.iter().map(|&(_, n)| n).sum(),
             TraceSpec::Background { n_images } => *n_images,
             _ => self.len(),
         }
@@ -223,7 +249,7 @@ impl TraceSpec {
                 gap,
             };
         let state = match *self {
-            TraceSpec::Explicit(ref t) => IterState::Slice(t.requests().iter()),
+            TraceSpec::Explicit { ref requests, .. } => IterState::Slice(requests.iter()),
             TraceSpec::Interactive {
                 n_requests,
                 min_gap,
@@ -264,15 +290,6 @@ impl TraceSpec {
             ),
         };
         ArrivalIter { state }
-    }
-
-    /// Materializes the process into a [`RequestTrace`] (for executors
-    /// that need the whole vector, e.g. the fixed-batch FIFO baseline).
-    pub fn materialize(&self) -> RequestTrace {
-        match self {
-            TraceSpec::Explicit(t) => t.clone(),
-            _ => RequestTrace::from_requests(self.kind(), self.arrivals().collect()),
-        }
     }
 }
 
@@ -373,14 +390,13 @@ mod tests {
         let all = collect(spec);
         assert_eq!(all.len(), spec.len());
         assert_eq!(all.iter().map(|r| r.1).sum::<usize>(), spec.total_images());
-        assert_eq!(spec.materialize().requests(), all);
         let mut out: Vec<_> = picks.iter().map(|&i| all[i]).collect();
         out.push(*all.last().unwrap());
         out
     }
 
-    // One golden per process, recorded from `RequestTrace`'s own
-    // generators before they became `materialize()` of these specs.
+    // One golden per process, recorded from the eager generators these
+    // specs replaced.
 
     #[test]
     fn poisson_arrivals_are_golden() {
@@ -446,12 +462,30 @@ mod tests {
 
     #[test]
     fn explicit_round_trips() {
-        let trace = RequestTrace::from_requests(WorkloadKind::Background, vec![(0.0, 2), (0.5, 1)]);
-        let spec: TraceSpec = trace.clone().into();
-        assert_eq!(collect(&spec), trace.requests());
-        assert_eq!(spec.total_images(), 3);
-        assert_eq!(spec.materialize(), trace);
+        let requests = vec![(0.0, 2), (0.5, 1)];
+        let spec = TraceSpec::explicit(WorkloadKind::Background, requests.clone());
+        assert_eq!(collect(&spec), requests);
+        assert_eq!((spec.len(), spec.total_images()), (2, 3));
+        assert_eq!(spec.kind(), WorkloadKind::Background);
         assert!(!spec.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be finite and non-negative")]
+    fn explicit_rejects_a_nan_arrival() {
+        let _ = TraceSpec::explicit(WorkloadKind::Interactive, vec![(0.0, 1), (f64::NAN, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be finite and non-negative")]
+    fn explicit_rejects_a_negative_arrival() {
+        let _ = TraceSpec::explicit(WorkloadKind::Interactive, vec![(-1.0, 1), (0.0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be sorted")]
+    fn explicit_rejects_unsorted_arrivals() {
+        let _ = TraceSpec::explicit(WorkloadKind::Interactive, vec![(1.0, 1), (0.5, 1)]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::metrics::{compute_efficiency, utilization};
 use crate::occupancy::Occupancy;
 use crate::sim::trace::InstrCounts;
-use crate::sim::{KernelDesc, SimCache};
+use crate::sim::{KernelDesc, SimCache, Waves};
 
 /// CTA dispatch policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +74,11 @@ impl KernelResult {
 
 /// The SMs a launch uses, its resident-CTA cap and its gated SMs, after
 /// clamping `policy` to the architecture and the kernel's occupancy.
-fn launch_shape(arch: &GpuArch, occ_tlp: usize, policy: DispatchPolicy) -> (usize, usize, usize) {
+pub(crate) fn launch_shape(
+    arch: &GpuArch,
+    occ_tlp: usize,
+    policy: DispatchPolicy,
+) -> (usize, usize, usize) {
     match policy {
         DispatchPolicy::RoundRobin => (arch.n_sms, occ_tlp, 0),
         DispatchPolicy::PrioritySm {
@@ -166,44 +170,14 @@ pub fn simulate_kernel(
         gated = gated
     );
 
+    let resident = initial_residents(arch, kernel, policy);
+    let sms_used = resident.iter().filter(|&&r| r > 0).count();
     let mut waves = cache.waves(arch, kernel, sms);
-    // Per-SM resident counts and a finish-event heap.
-    let mut resident = initial_residents(arch, kernel, policy);
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut remaining = kernel.grid - resident.iter().sum::<usize>();
-    let mut sms_touched = vec![false; sms];
-    // Last CTA completion per SM, for the simulated-time busy timeline.
-    let mut sm_end = vec![0u64; sms];
-
-    // Launch the initial residents: every CTA on an SM gets the duration of
-    // a wave at that SM's resident count.
-    for sm in 0..sms {
-        if resident[sm] > 0 {
-            sms_touched[sm] = true;
-            let d = waves.cycles(resident[sm]);
-            for _ in 0..resident[sm] {
-                heap.push(Reverse((d, sm)));
-            }
-        }
-    }
-
-    let mut end = 0u64;
-    while let Some(Reverse((t, sm))) = heap.pop() {
-        end = end.max(t);
-        sm_end[sm] = sm_end[sm].max(t);
-        resident[sm] -= 1;
-        if remaining > 0 {
-            remaining -= 1;
-            resident[sm] += 1;
-            let d = waves.cycles(resident[sm]);
-            heap.push(Reverse((t + d, sm)));
-        }
-    }
+    let (end, sm_end) = run_ctas(&mut waves, resident, kernel.grid);
 
     let seconds = end as f64 / arch.freq_hz();
     let per_warp = kernel.trace.warp_instr_counts();
     let instr = per_warp.scaled((kernel.warps_per_cta() * kernel.grid) as u64);
-    let sms_used = sms_touched.iter().filter(|&&b| b).count();
     let powered = arch.n_sms - gated;
     let energy = EnergyModel.compute(arch, &instr, seconds, powered, gated);
     if telem {
@@ -220,7 +194,7 @@ pub fn simulate_kernel(
         let to_us = 1e6 / arch.freq_hz();
         let base = pcnn_telemetry::sim_window(end as f64 * to_us);
         for (sm, &e) in sm_end.iter().enumerate() {
-            if sms_touched[sm] {
+            if let Some(e) = e {
                 pcnn_telemetry::sim_slice(&kernel.name, sm as u64, base, e as f64 * to_us);
             }
         }
@@ -235,6 +209,45 @@ pub fn simulate_kernel(
         energy,
         flops: kernel.flops,
     }
+}
+
+/// The CTA event loop every launch drains through: each SM's initial
+/// residents start at cycle 0 and each runs for a wave at its SM's
+/// resident count; a finished CTA is replaced on its own SM while any of
+/// the grid's CTAs remain.
+///
+/// Returns the last completion cycle and, per SM, its last completion
+/// (`None` for an SM that ran nothing).
+pub(crate) fn run_ctas(
+    waves: &mut Waves<'_>,
+    mut resident: Vec<usize>,
+    grid: usize,
+) -> (u64, Vec<Option<u64>>) {
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    let mut remaining = grid - resident.iter().sum::<usize>();
+    let mut sm_end = vec![None; resident.len()];
+    for (sm, &r) in resident.iter().enumerate() {
+        if r > 0 {
+            sm_end[sm] = Some(0);
+            let d = waves.cycles(r);
+            for _ in 0..r {
+                heap.push(Reverse((d, sm)));
+            }
+        }
+    }
+    let mut end = 0u64;
+    while let Some(Reverse((t, sm))) = heap.pop() {
+        end = end.max(t);
+        sm_end[sm] = sm_end[sm].max(Some(t));
+        resident[sm] -= 1;
+        if remaining > 0 {
+            remaining -= 1;
+            resident[sm] += 1;
+            let d = waves.cycles(resident[sm]);
+            heap.push(Reverse((t + d, sm)));
+        }
+    }
+    (end, sm_end)
 }
 
 #[cfg(test)]

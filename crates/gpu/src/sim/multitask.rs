@@ -11,7 +11,9 @@
 use crate::arch::GpuArch;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::occupancy::Occupancy;
-use crate::sim::dispatch::KernelResult;
+use crate::sim::dispatch::{
+    initial_residents, launch_shape, run_ctas, DispatchPolicy, KernelResult,
+};
 use crate::sim::{KernelDesc, SimCache};
 
 /// One tenant of a spatial-multitasking launch.
@@ -69,20 +71,40 @@ pub fn simulate_concurrent(
         assert!(p.kernel.grid > 0, "empty grid for {}", p.kernel.name);
     }
 
-    let mut kernels = Vec::with_capacity(partitions.len());
-    let mut seconds: f64 = 0.0;
+    // Each partition runs like an ungated PSM launch on its own SMs, but
+    // with the DRAM share of the whole co-running set; its energy is its
+    // own SMs over its own window.
     let cache = SimCache::new();
-    for p in partitions {
-        // Run the partition exactly like a PSM launch restricted to its
-        // SMs, but with the DRAM share of the full co-running set.
-        let occ = Occupancy::of(arch, &p.kernel.resources)
-            .ctas_per_sm()
-            .max(1);
-        let tlp = p.tlp.clamp(1, occ);
-        let result = simulate_partition(arch, p.kernel, p.sms, tlp, total_sms, &cache);
-        seconds = seconds.max(result.seconds);
-        kernels.push(result);
-    }
+    let kernels: Vec<KernelResult> = partitions
+        .iter()
+        .map(|p| {
+            let policy = DispatchPolicy::PrioritySm {
+                sms: p.sms,
+                tlp: p.tlp,
+                power_gate: false,
+            };
+            let occ = Occupancy::of(arch, &p.kernel.resources);
+            let (_, tlp, _) = launch_shape(arch, occ.ctas_per_sm().max(1), policy);
+            let resident = initial_residents(arch, p.kernel, policy);
+            let sms_used = resident.iter().filter(|&&r| r > 0).count();
+            let mut waves = cache.waves(arch, p.kernel, total_sms);
+            let (cycles, _) = run_ctas(&mut waves, resident, p.kernel.grid);
+            let seconds = cycles as f64 / arch.freq_hz();
+            let per_warp = p.kernel.trace.warp_instr_counts();
+            let instr = per_warp.scaled((p.kernel.warps_per_cta() * p.kernel.grid) as u64);
+            KernelResult {
+                cycles,
+                seconds,
+                sms_used,
+                tlp,
+                max_blocks: occ.max_blocks(arch),
+                instr,
+                energy: EnergyModel.compute(arch, &instr, seconds, p.sms, 0),
+                flops: p.kernel.flops,
+            }
+        })
+        .collect();
+    let seconds = kernels.iter().map(|k| k.seconds).fold(0.0, f64::max);
 
     // Combined energy over the slowest partition's window.
     let mut dynamic = EnergyBreakdown::default();
@@ -116,74 +138,14 @@ pub fn simulate_concurrent(
     }
 }
 
-/// PSM-style event loop over `sms` SMs with a fixed DRAM-sharing SM count.
-fn simulate_partition(
-    arch: &GpuArch,
-    kernel: &KernelDesc,
-    sms: usize,
-    tlp: usize,
-    bandwidth_sms: usize,
-    cache: &SimCache,
-) -> KernelResult {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut waves = cache.waves(arch, kernel, bandwidth_sms);
-    let mut resident = vec![0usize; sms];
-    let mut remaining = kernel.grid;
-    for r in resident.iter_mut() {
-        while *r < tlp && remaining > 0 {
-            *r += 1;
-            remaining -= 1;
-        }
-    }
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut touched = 0usize;
-    for (sm, &r) in resident.iter().enumerate() {
-        if r > 0 {
-            touched += 1;
-            let d = waves.cycles(r);
-            for _ in 0..r {
-                heap.push(Reverse((d, sm)));
-            }
-        }
-    }
-    let mut end = 0u64;
-    while let Some(Reverse((t, sm))) = heap.pop() {
-        end = end.max(t);
-        resident[sm] -= 1;
-        if remaining > 0 {
-            remaining -= 1;
-            resident[sm] += 1;
-            let d = waves.cycles(resident[sm]);
-            heap.push(Reverse((t + d, sm)));
-        }
-    }
-    let seconds = end as f64 / arch.freq_hz();
-    let per_warp = kernel.trace.warp_instr_counts();
-    let instr = per_warp.scaled((kernel.warps_per_cta() * kernel.grid) as u64);
-    let occ = Occupancy::of(arch, &kernel.resources);
-    // Per-partition energy: this partition's SMs over its own window.
-    let energy = EnergyModel.compute(arch, &instr, seconds, sms, 0);
-    KernelResult {
-        cycles: end,
-        seconds,
-        sms_used: touched,
-        tlp,
-        max_blocks: occ.max_blocks(arch),
-        instr,
-        energy,
-        flops: kernel.flops,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::K20C;
     use crate::occupancy::KernelResources;
-    use crate::sim::dispatch::{simulate_kernel, DispatchPolicy};
+    use crate::sim::dispatch::simulate_kernel;
     use crate::sim::trace::{CtaTrace, Op};
+    use proptest::prelude::*;
 
     fn kernel(grid: usize, name: &str) -> KernelDesc {
         KernelDesc {
@@ -346,5 +308,33 @@ mod tests {
             true,
         );
         assert!(shared.kernels[0].seconds >= alone.kernels[0].seconds);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A lone partition is an ungated PSM launch on its SMs: every
+        /// field equals `simulate_kernel`'s except the energy, which covers
+        /// only the partition's own SMs — and so equals it too when the
+        /// partition is the whole chip.
+        #[test]
+        fn one_partition_is_an_ungated_psm_launch(
+            grid in 1usize..80,
+            sms in 1usize..K20C.n_sms + 1,
+            tlp in 1usize..10,
+        ) {
+            let k = kernel(grid, "solo");
+            let r = simulate_concurrent(&K20C, &[Partition { kernel: &k, sms, tlp }], false);
+            let policy = DispatchPolicy::PrioritySm { sms, tlp, power_gate: false };
+            let want = simulate_kernel(&K20C, &k, policy, &SimCache::new());
+            let got = &r.kernels[0];
+            prop_assert_eq!(
+                &KernelResult { energy: want.energy, ..got.clone() },
+                &want
+            );
+            if sms == K20C.n_sms {
+                prop_assert_eq!(got.energy, want.energy);
+            }
+        }
     }
 }

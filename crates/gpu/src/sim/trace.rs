@@ -28,11 +28,6 @@ pub enum Op {
 }
 
 impl Op {
-    /// Whether this op touches DRAM.
-    pub fn is_global(self) -> bool {
-        matches!(self, Op::Ldg | Op::Stg)
-    }
-
     /// Whether this op is pure scheduler bookkeeping (consumes no issue
     /// slot).
     pub fn is_pseudo(self) -> bool {

@@ -9,14 +9,13 @@
 //! Table III (see `pcnn-nn::memory` and `DESIGN.md` §2 for the
 //! calibration).
 
-use pcnn_gpu::sim::KernelDesc;
 use pcnn_gpu::{GpuArch, Platform};
 use pcnn_nn::memory::{estimate, ActivationPrecision, MemoryEstimate, WorkspacePolicy};
-use pcnn_nn::spec::{ConvSpec, NetworkSpec};
+use pcnn_nn::spec::NetworkSpec;
 
 use crate::sgemm::{
-    build_conv_kernel, SgemmConfig, SgemmShape, SgemmVariant, TILE_128X128, TILE_32X128,
-    TILE_32X32, TILE_64X128, TILE_64X64,
+    SgemmConfig, SgemmShape, SgemmVariant, TILE_128X128, TILE_32X128, TILE_32X32, TILE_64X128,
+    TILE_64X64,
 };
 
 /// The three characterized libraries.
@@ -103,13 +102,6 @@ impl Library {
         SgemmConfig::natural(self.variant_for(arch, shape))
     }
 
-    /// Builds the simulator kernel for one group of a conv layer.
-    pub fn conv_kernel(&self, arch: &GpuArch, conv: &ConvSpec, batch: usize) -> KernelDesc {
-        let shape = SgemmShape::of_conv(conv, batch);
-        let config = self.config_for(arch, shape);
-        build_conv_kernel(arch, conv, batch, &config)
-    }
-
     /// The library's convolution-workspace strategy on a platform
     /// (calibrated against Table III; see `DESIGN.md`).
     pub fn workspace_policy(&self, platform: Platform) -> WorkspacePolicy {
@@ -168,6 +160,7 @@ impl Library {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sgemm::build_conv_kernel;
     use pcnn_gpu::arch::{GTX_970M, JETSON_TX1, K20C, TITAN_X};
     use pcnn_gpu::occupancy::Occupancy;
     use pcnn_nn::spec::{alexnet, googlenet, vggnet};
@@ -275,7 +268,8 @@ mod tests {
     fn conv_kernel_has_positive_work() {
         let alex = alexnet();
         let conv2 = alex.conv_layers()[1].clone();
-        let k = Library::CuBlas.conv_kernel(&JETSON_TX1, &conv2, 1);
+        let config = Library::CuBlas.config_for(&JETSON_TX1, SgemmShape::of_conv(&conv2, 1));
+        let k = build_conv_kernel(&JETSON_TX1, &conv2, 1, &config);
         assert_eq!(k.grid, 12); // Table IV
         assert!(k.flops > 0);
         assert!(k.trace.body_iters > 0);

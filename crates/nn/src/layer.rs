@@ -1,9 +1,11 @@
 //! Runnable CNN layers with real forward and backward passes.
 //!
 //! A full convolution is one [`conv2d`] call through the layer's chosen
-//! algorithm; the default is the paper's (§II.A, Fig. 2): im2col lowers
-//! the input to the data matrix `D_m`, the filter matrix `F_m` multiplies
-//! it with a GEMM, and the result is the output feature map.
+//! algorithm; the default, direct, computes the paper's (§II.A, Fig. 2)
+//! bit for bit: the filter matrix `F_m` multiplies the data matrix `D_m`
+//! of the input's patches with a GEMM — the patches gathered straight
+//! into the GEMM's packed operand — and the result is the output feature
+//! map.
 //! Perforated inference (Fig. 11) evaluates the GEMM only at a sampled
 //! subset of output positions — gathered straight into the GEMM's packed
 //! operand, one GEMM per group of images — and interpolates the rest.
@@ -147,10 +149,10 @@ impl Conv2d {
     /// Full (unperforated) forward pass through the chosen convolution
     /// algorithm: one [`conv2d`] call on the whole batch.
     ///
-    /// [`ConvAlgo::Im2col`] is the reference lowering (paper Fig. 2);
-    /// [`ConvAlgo::Direct`] produces bitwise-identical output without the
-    /// materialised column matrix; [`ConvAlgo::Winograd`] (stride-1 3x3
-    /// layers only) is deterministic but within
+    /// [`ConvAlgo::Direct`] (and [`ConvAlgo::Im2col`], its other name)
+    /// computes the im2col reference lowering (paper Fig. 2) bit for bit
+    /// without the materialised column matrix; [`ConvAlgo::Winograd`]
+    /// (stride-1 3x3 layers only) is deterministic but within
     /// [`pcnn_tensor::winograd_error_bound`] of the reference.
     ///
     /// # Errors
@@ -165,11 +167,7 @@ impl Conv2d {
             )));
         }
         let batch = self.check_input(input)?;
-        // The im2col route reports the output's first touch itself, in
-        // the span of its column-matrix checkout.
-        let span = (algo != ConvAlgo::Im2col)
-            .then(|| phase_span(Phase::Epilogue))
-            .flatten();
+        let span = phase_span(Phase::Epilogue);
         let mut out = Tensor::zeros(self.output_shape(batch));
         if let Some(s) = span {
             s.finish(0, 4 * out.data().len() as u64);
@@ -713,7 +711,7 @@ impl Layer {
     }
 
     /// Training-mode forward pass: the inference forward (convolutions
-    /// through im2col, never perforated) except that max pooling records
+    /// through direct, never perforated) except that max pooling records
     /// its argmax cache and dropout applies the keep mask derived
     /// deterministically from `seed`.
     ///
@@ -728,7 +726,7 @@ impl Layer {
         match self {
             Layer::MaxPool2d(p) => p.forward(input),
             Layer::Dropout(p) => Ok((dropout(input, seed, *p), LayerCache::DropoutSeed(seed))),
-            _ => self.forward_algo(input, None, ConvAlgo::Im2col),
+            _ => self.forward_algo(input, None, ConvAlgo::Direct),
         }
     }
 

@@ -11,7 +11,7 @@
 //! * [`network::Network`] — a *runnable* network of [`layer::Layer`]s.
 //!   Inference is decided once and then run: [`Network::compile`] turns a
 //!   [`PerforationPlan`] (paper Fig. 11) and an optional tuned
-//!   [`ConvPlan`] (im2col, direct or Winograd per conv layer) into an
+//!   [`ConvPlan`] (direct or Winograd per conv layer) into an
 //!   [`ExecPlan`], and [`Network::run`] executes it on any batch —
 //!   batch-split below the first `Flatten`, bitwise the same at any pool
 //!   width. Training has its own forward and a backward pass for SGD. The

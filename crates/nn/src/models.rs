@@ -21,9 +21,6 @@ use rand::SeedableRng;
 use crate::layer::{Conv2d, Layer, Linear, MaxPool2d};
 use crate::network::Network;
 
-/// Input image side used by all tiny models.
-pub const TINY_IMAGE_SIDE: usize = 32;
-
 /// Seed used for weight initialisation so experiments are reproducible.
 const INIT_SEED: u64 = 0x5EED;
 
@@ -150,20 +147,20 @@ pub fn tiny_googlenet(classes: usize) -> Network {
     Network::new("TinyGoogLeNet", [1, 32, 32], layers)
 }
 
-/// The three tiny models in paper order (AlexNet, VGGNet, GoogLeNet).
-pub fn tiny_trio(classes: usize) -> Vec<Network> {
-    vec![
-        tiny_alexnet(classes),
-        tiny_vggnet(classes),
-        tiny_googlenet(classes),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PerforationPlan;
     use pcnn_tensor::Tensor;
+
+    /// The three tiny models in paper order (AlexNet, VGGNet, GoogLeNet).
+    fn tiny_trio(classes: usize) -> Vec<Network> {
+        vec![
+            tiny_alexnet(classes),
+            tiny_vggnet(classes),
+            tiny_googlenet(classes),
+        ]
+    }
 
     #[test]
     fn capacity_ordering_matches_real_networks() {

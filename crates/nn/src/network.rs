@@ -123,7 +123,7 @@ impl Network {
     /// layer with a rate above 0 gets its [`LayerPerforation`] tables
     /// (kept list, nearest map, interpolation stencils) built here, at
     /// exact rates; a full one gets its algorithm from `conv_plan`
-    /// (im2col without one). Perforation takes precedence: a perforated
+    /// (direct without one). Perforation takes precedence: a perforated
     /// layer ignores the conv plan's entry. Every plan error is raised
     /// here, so [`run`](Self::run) can only fail on its input.
     ///
@@ -158,7 +158,7 @@ impl Network {
                 };
                 let (rate, algo) = (
                     plan.rate(ci),
-                    conv_plan.map_or(ConvAlgo::Im2col, |cp| cp.algo(ci)),
+                    conv_plan.map_or(ConvAlgo::Direct, |cp| cp.algo(ci)),
                 );
                 ci += 1;
                 let g = c.geometry();

@@ -15,7 +15,6 @@ pub struct LayerPerforation {
     out_w: usize,
     rate: f64,
     kept: Vec<usize>,
-    nearest: Vec<usize>,
     /// The interpolation stencil, grouped by how many kept values a
     /// position averages: `stencil[len - 1]` holds the positions with
     /// `len` sources.
@@ -88,7 +87,6 @@ impl LayerPerforation {
             out_w,
             rate,
             kept,
-            nearest,
             stencil,
             stencil_at,
         }
@@ -157,12 +155,6 @@ impl LayerPerforation {
     /// Sorted list of kept output positions (row-major indices).
     pub fn kept_positions(&self) -> &[usize] {
         &self.kept
-    }
-
-    /// For each output position, the index *within the kept list* of the
-    /// nearest kept position (kept positions map to themselves).
-    pub fn nearest_kept(&self) -> &[usize] {
-        &self.nearest
     }
 
     /// Whether this perforation keeps every position.
@@ -536,7 +528,7 @@ mod tests {
                         .map(|(i, _)| i as u32)
                         .collect();
                     if near.is_empty() {
-                        assert_eq!(sources, &[perf.nearest_kept()[p] as u32]);
+                        assert_eq!(sources, &[nearest_kept_map(5, 5, kept)[p] as u32]);
                     } else {
                         assert_eq!(sources, near.as_slice());
                     }

@@ -18,7 +18,8 @@ pub struct ConvPlan {
 }
 
 impl ConvPlan {
-    /// The baseline plan: every conv layer runs im2col.
+    /// The baseline plan: every conv layer named im2col, which runs as
+    /// direct (the same bits).
     pub fn im2col(n_convs: usize) -> Self {
         Self {
             algos: vec![ConvAlgo::Im2col; n_convs],
@@ -48,11 +49,6 @@ impl ConvPlan {
     /// All per-layer choices, in network order.
     pub fn algos(&self) -> &[ConvAlgo] {
         &self.algos
-    }
-
-    /// Whether any layer deviates from the im2col baseline.
-    pub fn is_baseline(&self) -> bool {
-        self.algos.iter().all(|&a| a == ConvAlgo::Im2col)
     }
 
     /// Serializes as comma-joined algorithm names
@@ -151,11 +147,5 @@ mod tests {
         // Both convs of tiny_alexnet are 3x3 stride 1, so winograd is valid.
         let wino = ConvPlan::from_algos(vec![ConvAlgo::Winograd; net.conv_count()]);
         assert!(wino.validate(&net).is_ok());
-    }
-
-    #[test]
-    fn baseline_detection() {
-        assert!(ConvPlan::im2col(3).is_baseline());
-        assert!(!ConvPlan::from_algos(vec![ConvAlgo::Direct]).is_baseline());
     }
 }

@@ -5,8 +5,8 @@
 //! per-layer phase costs; this crate is that measurement substrate for
 //! the CPU engine. `pcnn-nn` opens a [`layer_scope`] around each layer of
 //! a forward pass, and the hot kernels in `pcnn-tensor` / `pcnn-nn` wrap
-//! their phases (im2col, A/B packing, the microkernel loop, epilogues,
-//! activations) in [`phase_span`]s that record elapsed time plus the
+//! their phases (A/B packing, the microkernel loop, epilogues,
+//! activations, Winograd transforms) in [`phase_span`]s that record elapsed time plus the
 //! phase's arithmetic work (FLOPs) and memory traffic (bytes). Everything
 //! lands in tables keyed by `(layer, phase)` that belong to the thread
 //! that switched profiling on; [`snapshot`] returns them as per-layer
@@ -56,7 +56,7 @@ use std::time::Instant;
 pub const MAX_LAYERS: usize = 128;
 
 /// Number of [`Phase`] variants.
-pub const NUM_PHASES: usize = 8;
+pub const NUM_PHASES: usize = 7;
 
 /// One row past the last layer: work recorded outside any layer scope.
 const UNATTRIBUTED: usize = MAX_LAYERS;
@@ -64,9 +64,6 @@ const UNATTRIBUTED: usize = MAX_LAYERS;
 /// The execution phases a layer's time divides into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Convolution input lowering: `im2col`'s materialised column
-    /// matrix.
-    Im2col,
     /// Packing `A` micropanels inside the GEMM.
     PackA,
     /// Packing `B` micropanels inside the GEMM — for the direct and the
@@ -87,7 +84,6 @@ pub enum Phase {
 impl Phase {
     /// All phases in table order.
     pub const ALL: [Phase; NUM_PHASES] = [
-        Phase::Im2col,
         Phase::PackA,
         Phase::PackB,
         Phase::Microkernel,
@@ -100,7 +96,6 @@ impl Phase {
     /// Stable lowercase name used in reports and profile documents.
     pub fn name(self) -> &'static str {
         match self {
-            Phase::Im2col => "im2col",
             Phase::PackA => "pack_a",
             Phase::PackB => "pack_b",
             Phase::Microkernel => "microkernel",
@@ -444,7 +439,7 @@ mod tests {
         set_enabled(false);
         reset();
         assert!(layer_scope(0, "conv").is_none());
-        assert!(phase_span(Phase::Im2col).is_none());
+        assert!(phase_span(Phase::PackA).is_none());
         assert!(snapshot().is_empty());
     }
 

@@ -49,7 +49,7 @@ pub fn fifo_baseline(
 ) -> Result<BaselineReport> {
     let compiler = OfflineCompiler::new(arch, spec);
     let mut provider = ScheduleCache::new(compiler);
-    let report = execute_trace(arch, &workload.trace.materialize(), batch, &mut provider)?;
+    let report = execute_trace(arch, &workload.trace, batch, &mut provider)?;
     let latency = LatencyStats::of(&report.latencies);
     let (met, total) = match workload.t_user() {
         Some(t_user) => (

@@ -18,9 +18,7 @@ pub struct ServeWorkload {
     /// Inferred user requirements (deadline and entropy threshold).
     pub req: UserRequirements,
     /// The arrival process this workload plays against the server. A lazy
-    /// [`TraceSpec`] so million-request scenarios stream in O(1) memory;
-    /// a materialized [`RequestTrace`](pcnn_data::RequestTrace) converts
-    /// via `Into`.
+    /// [`TraceSpec`] so million-request scenarios stream in O(1) memory.
     pub trace: TraceSpec,
     /// Bounded admission queue, in images. Arrivals beyond this are
     /// rejected (counted, never silently dropped).
@@ -34,12 +32,12 @@ pub struct ServeWorkload {
 
 impl ServeWorkload {
     /// Builds a workload, inferring requirements from the app spec.
-    pub fn new(app: AppSpec, trace: impl Into<TraceSpec>, queue_capacity: usize) -> Self {
+    pub fn new(app: AppSpec, trace: TraceSpec, queue_capacity: usize) -> Self {
         let req = UserRequirements::infer(&app);
         Self {
             app,
             req,
-            trace: trace.into(),
+            trace,
             queue_capacity,
             slo: None,
         }

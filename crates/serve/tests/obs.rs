@@ -2,7 +2,7 @@
 //! serving outcome, and seeded traces must be byte-identical.
 
 use pcnn_core::prelude::*;
-use pcnn_data::{RequestTrace, TraceSpec, WorkloadKind};
+use pcnn_data::{TraceSpec, WorkloadKind};
 use pcnn_gpu::arch::{JETSON_TX1, K20C};
 use pcnn_nn::spec::{ConvSpec, FcSpec, LayerSpec, NetworkSpec};
 use pcnn_serve::obs::{Alert, IncidentReport, RouteRecord, SloScope};
@@ -43,7 +43,7 @@ fn overload_workload(spec: &NetworkSpec, slo: Option<SloPolicy>) -> ServeWorkloa
     let c = batch_cost(spec);
     let throughput = BATCH as f64 / c;
     let t_user = 5.0 * c;
-    let trace = RequestTrace::poisson(WorkloadKind::Interactive, 300, 1.5 * throughput, 42);
+    let trace = TraceSpec::poisson(WorkloadKind::Interactive, 300, 1.5 * throughput, 42);
     let app = AppSpec {
         name: "obs overload".into(),
         kind: WorkloadKind::Interactive,

@@ -6,7 +6,7 @@
 //! and arrival rates off those.
 
 use pcnn_core::prelude::*;
-use pcnn_data::{RequestTrace, WorkloadKind};
+use pcnn_data::{TraceSpec, WorkloadKind};
 use pcnn_gpu::arch::K20C;
 use pcnn_nn::spec::{ConvSpec, FcSpec, LayerSpec, NetworkSpec};
 use pcnn_serve::{fifo_baseline, DegradationLadder, Platform, ServeWorkload, Server, ServerConfig};
@@ -52,7 +52,7 @@ fn interactive_workload(
     let c = batch_cost(spec);
     let throughput = BATCH as f64 / c;
     let t_user = 5.0 * c; // 5 batch times = 40 image service times
-    let trace = RequestTrace::poisson(
+    let trace = TraceSpec::poisson(
         WorkloadKind::Interactive,
         n_requests,
         load * throughput,
@@ -122,7 +122,7 @@ fn algo_rung_is_walked_before_perforation() {
     let throughput = BATCH as f64 / c;
     let load = 1.35;
     let t_user = 8.0 * c;
-    let trace = RequestTrace::poisson(WorkloadKind::Interactive, 400, load * throughput, 7);
+    let trace = TraceSpec::poisson(WorkloadKind::Interactive, 400, load * throughput, 7);
     let app = AppSpec {
         name: "algo rung load test".into(),
         kind: WorkloadKind::Interactive,
@@ -243,12 +243,12 @@ fn realtime_outranks_background_and_both_finish() {
     let fps = 1.0 / period;
     let mut rt = ServeWorkload::new(
         AppSpec::video_surveillance(fps),
-        RequestTrace::real_time(30, fps),
+        TraceSpec::real_time(30, fps),
         64,
     );
     rt.req.t_imperceptible = Some(period);
     rt.req.t_unusable = Some(period);
-    let bg = ServeWorkload::new(AppSpec::image_tagging(), RequestTrace::background(64), 128);
+    let bg = ServeWorkload::new(AppSpec::image_tagging(), TraceSpec::background(64), 128);
 
     let server = Server::builder(&spec)
         .platform(Platform::new(&K20C, ladder))
@@ -290,7 +290,7 @@ fn infeasible_deadline_is_refused_up_front() {
     let fps = 1000.0 * BATCH as f64 / c;
     let rt = ServeWorkload::new(
         AppSpec::video_surveillance(fps),
-        RequestTrace::real_time(4, fps),
+        TraceSpec::real_time(4, fps),
         16,
     );
     let server = Server::builder(&spec)
@@ -424,7 +424,7 @@ fn two_gpus_serve_faster_than_one() {
         ..ServerConfig::default()
     };
     let run = |n_gpus: usize| {
-        let bg = ServeWorkload::new(AppSpec::image_tagging(), RequestTrace::background(128), 256);
+        let bg = ServeWorkload::new(AppSpec::image_tagging(), TraceSpec::background(128), 256);
         let mut b = Server::builder(&spec)
             .config(no_degrade.clone())
             .workload(bg);

@@ -1,14 +1,14 @@
-//! Alternative convolution algorithms: direct (fused-pack) and Winograd
+//! The inference convolutions: direct (fused-pack) and Winograd
 //! F(2x2,3x3), selectable per layer by the offline autotuner — and the
 //! sampled convolution perforated inference runs on.
 //!
-//! The baseline path lowers every convolution with [`crate::im2col`] and
-//! multiplies with the packed [`crate::gemm`]. That is the right call for
-//! large-spatial layers, but the lowering materialises a
+//! The reference lowering is [`crate::im2col`] followed by the packed
+//! [`crate::gemm`] (paper Fig. 2), but the lowering materialises a
 //! `patch_len x out_positions` matrix that the GEMM immediately re-reads
-//! and re-packs — pure overhead for small-spatial/large-channel layers
-//! (cuConv's observation). This module adds the two shape-dependent
-//! alternatives the per-layer tuner chooses between:
+//! and re-packs (cuConv's observation). No inference path builds it; the
+//! column matrix survives only in training's backward pass and as the
+//! test reference. The two shape-dependent algorithms the per-layer tuner
+//! chooses between are:
 //!
 //! - [`conv2d_direct`]: streams input patches straight into the packed
 //!   GEMM's `B` micropanel image — the gather of `im2col` fused with the
@@ -29,7 +29,7 @@
 //!   through the deterministic [`crate::gemm`], so every thread count
 //!   produces the identical bits.
 //!
-//! [`conv2d`] is the dispatcher over the three: one call convolves a
+//! [`conv2d`] is the dispatcher over the two: one call convolves a
 //! group of images through one [`ConvAlgo`], and it is what the layer
 //! forward, the offline tuner and `pcnn bench-conv` all call.
 //!
@@ -91,15 +91,17 @@
 //! summing per layer to the whole-image figures, so `pcnn profile`
 //! attributes the phases per layer.
 
-use crate::gemm::{active_partition, gemm, gemm_bias, gemm_packed, pack_b_with, packed_b_len};
-use crate::im2col::{im2col, Conv2dGeometry};
+use crate::gemm::{active_partition, gemm, gemm_packed, pack_b_with, packed_b_len};
+use crate::im2col::Conv2dGeometry;
 use pcnn_profile::{phase_span, Phase};
 use std::ops::Range;
 
 /// A convolution algorithm the tuner can select for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConvAlgo {
-    /// Materialised im2col lowering + packed GEMM (the baseline).
+    /// The im2col + GEMM computation (paper Fig. 2), kept only as a name:
+    /// stored plans say `im2col`, and it runs as [`ConvAlgo::Direct`],
+    /// which computes the same bits without the column matrix.
     Im2col,
     /// Fused patch-gather into the packed GEMM (no column matrix).
     Direct,
@@ -114,7 +116,7 @@ impl ConvAlgo {
     /// The tuner's candidates, in candidate order. Im2col is not one:
     /// direct is bitwise im2col without the column matrix and ties or
     /// beats it on every AlexNet / VGG-16 shape, so timing both only
-    /// measures noise. Im2col stays the default and the reference.
+    /// measures noise.
     pub const TUNED: [ConvAlgo; 2] = [ConvAlgo::Direct, ConvAlgo::Winograd];
 
     /// Stable lowercase name used in plans, reports and benchmarks.
@@ -155,12 +157,11 @@ impl std::fmt::Display for ConvAlgo {
 /// `input` holds the images back to back, `weight` is the
 /// `[out_channels, patch_len]` filter matrix, and image `i`'s
 /// `out_channels x out_positions` map is written (every element) to
-/// `out[i * map..(i + 1) * map]`. What the images of a call share is
-/// scratch, never arithmetic — im2col one pooled column matrix (its
-/// checkout reports as [`Phase::Epilogue`] together with the first touch
-/// of `out`, each lowering as [`Phase::Im2col`]), Winograd one
-/// [`WinogradFilter`], built here and dropped on return — so a call on a
-/// group is bitwise the calls on its images alone.
+/// `out[i * map..(i + 1) * map]`. [`ConvAlgo::Im2col`] and
+/// [`ConvAlgo::Direct`] both run [`conv2d_direct`] per image. What the
+/// images of a Winograd call share is one [`WinogradFilter`], built here
+/// and dropped on return, never arithmetic — so a call on a group is
+/// bitwise the calls on its images alone.
 ///
 /// # Panics
 ///
@@ -178,32 +179,12 @@ pub fn conv2d(
     out: &mut [f32],
 ) {
     let chw = geom.in_channels * geom.in_h * geom.in_w;
-    let (k, n_pos) = (geom.patch_len(), geom.out_positions());
-    let map = out_channels * n_pos;
+    let map = out_channels * geom.out_positions();
     assert!(input.len() >= images * chw, "input too short");
     assert!(out.len() >= images * map, "out too short");
     let (image, maps) = (|i| i * chw..(i + 1) * chw, |i| i * map..(i + 1) * map);
     match algo {
-        ConvAlgo::Im2col => {
-            // Pooled scratch: im2col writes every element, so the
-            // unspecified checkout contents never reach the GEMM.
-            let span = phase_span(Phase::Epilogue);
-            let mut cols = pcnn_parallel::scratch_f32(k * n_pos);
-            if let Some(s) = span {
-                s.finish(0, 4 * (images * map + k * n_pos) as u64);
-            }
-            for i in 0..images {
-                let span = phase_span(Phase::Im2col);
-                im2col(geom, &input[image(i)], &mut cols);
-                if let Some(s) = span {
-                    // One image read, one data matrix written.
-                    s.finish(0, 4 * (chw + k * n_pos) as u64);
-                }
-                let y = &mut out[maps(i)];
-                gemm_bias(out_channels, n_pos, k, weight, &cols, bias, y);
-            }
-        }
-        ConvAlgo::Direct => {
+        ConvAlgo::Im2col | ConvAlgo::Direct => {
             for i in 0..images {
                 let (x, y) = (&input[image(i)], &mut out[maps(i)]);
                 conv2d_direct(geom, out_channels, weight, bias, x, y);

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release -p pcnn-core --example image_tagging`
 
 use pcnn_core::prelude::*;
-use pcnn_data::RequestTrace;
+use pcnn_data::TraceSpec;
 use pcnn_gpu::arch::all_platforms;
 use pcnn_nn::spec::alexnet;
 
@@ -15,7 +15,7 @@ fn main() {
     let req = UserRequirements::infer(&app);
     let spec = alexnet();
     let photos = 64;
-    let trace = RequestTrace::background(photos);
+    let trace = TraceSpec::background(photos);
 
     println!("tagging {photos} photos in the background\n");
     println!(

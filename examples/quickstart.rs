@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release -p pcnn-core --example quickstart`
 
 use pcnn_core::prelude::*;
-use pcnn_data::RequestTrace;
+use pcnn_data::TraceSpec;
 use pcnn_gpu::arch::K20C;
 use pcnn_nn::spec::alexnet;
 
@@ -52,7 +52,7 @@ fn main() {
     );
 
     // 3. Execute a short interactive trace and score it (§V.A).
-    let trace = RequestTrace::interactive(5, 0.8, 2.0, 42);
+    let trace = TraceSpec::interactive(5, 0.8, 2.0, 42);
     let report =
         execute_trace(&K20C, &trace, schedule.batch, &mut &compiler).expect("trace execution");
     let score = score(

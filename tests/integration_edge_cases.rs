@@ -1,12 +1,13 @@
 //! Edge-case integration tests across crates.
 
 use pcnn_core::prelude::*;
-use pcnn_data::RequestTrace;
+use pcnn_data::TraceSpec;
 use pcnn_gpu::arch::{JETSON_TX1, K20C};
 use pcnn_gpu::sim::dispatch::simulate_kernel;
 use pcnn_gpu::sim::SimCache;
 use pcnn_gpu::{simulate_concurrent, DispatchPolicy, Partition};
-use pcnn_kernels::Library;
+use pcnn_kernels::sgemm::build_conv_kernel;
+use pcnn_kernels::{Library, SgemmShape};
 use pcnn_nn::io::{load, save};
 use pcnn_nn::spec::alexnet;
 
@@ -15,7 +16,7 @@ fn batch_larger_than_trace_still_processes_everything() {
     // 3 images, batch 16: one undersized chunk, everything completes.
     let spec = alexnet();
     let compiler = OfflineCompiler::new(&K20C, &spec);
-    let trace = RequestTrace::interactive(3, 0.1, 0.2, 9);
+    let trace = TraceSpec::interactive(3, 0.1, 0.2, 9);
     let report = execute_trace(&K20C, &trace, 16, &mut &compiler).unwrap();
     assert_eq!(report.latencies.len(), 3);
     assert!(report.latencies.iter().all(|&l| l > 0.0));
@@ -25,7 +26,7 @@ fn batch_larger_than_trace_still_processes_everything() {
 fn single_image_background_burst() {
     let spec = alexnet();
     let compiler = OfflineCompiler::new(&JETSON_TX1, &spec);
-    let trace = RequestTrace::background(1);
+    let trace = TraceSpec::background(1);
     let report = execute_trace(&JETSON_TX1, &trace, 8, &mut &compiler).unwrap();
     assert_eq!(report.latencies.len(), 1);
     assert!(
@@ -96,6 +97,9 @@ fn multitask_hosts_cnn_layer_next_to_background_tenant() {
         false,
     );
     assert_eq!(r.kernels.len(), 2);
+    // The cycles each tenant took on its partition, pinned.
+    let cycles: Vec<u64> = r.kernels.iter().map(|k| k.cycles).collect();
+    assert_eq!(cycles, [119_831, 845_232]);
     assert!(r.seconds > 0.0);
     // Both tenants' full work executed.
     for (res, plan) in r.kernels.iter().zip([conv5, co_tenant]) {
@@ -113,7 +117,8 @@ fn grouped_conv_kernel_covers_one_group() {
     let spec = alexnet();
     let conv2 = spec.conv_layers()[1].clone();
     assert_eq!(conv2.groups, 2);
-    let k = Library::CuBlas.conv_kernel(&K20C, &conv2, 1);
+    let config = Library::CuBlas.config_for(&K20C, SgemmShape::of_conv(&conv2, 1));
+    let k = build_conv_kernel(&K20C, &conv2, 1, &config);
     // One group's useful FLOPs = half the layer total.
     assert_eq!(k.flops * 2, conv2.flops());
 }

@@ -2,7 +2,7 @@
 //! compilation -> simulated execution -> SoC scoring, across crates.
 
 use pcnn_core::prelude::*;
-use pcnn_data::RequestTrace;
+use pcnn_data::TraceSpec;
 use pcnn_gpu::arch::{all_platforms, JETSON_TX1, K20C};
 use pcnn_nn::spec::{alexnet, googlenet, vggnet};
 
@@ -89,7 +89,7 @@ fn trace_execution_scores_finite_soc() {
     let spec = alexnet();
     let compiler = OfflineCompiler::new(&K20C, &spec);
     let schedule = compiler.try_compile(&app, &req).unwrap();
-    let trace = RequestTrace::real_time(5, 30.0);
+    let trace = TraceSpec::real_time(5, 30.0);
     let report = execute_trace(&K20C, &trace, schedule.batch, &mut &compiler).unwrap();
     let s = score(
         &req,
