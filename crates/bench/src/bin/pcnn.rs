@@ -30,7 +30,10 @@
 use std::process::ExitCode;
 
 use pcnn_bench::baselines::{self, FleetScenario, ServeScenario};
-use pcnn_bench::obs::{analyze_route, analyze_trace, diff_documents, load_document, Violation};
+use pcnn_bench::obs::{
+    analyze_route, analyze_trace, diff_documents, first_difference, load_document, ObsError,
+    Violation,
+};
 use pcnn_bench::{conv, experiments, profile};
 use pcnn_bench::{Args, CliError, TableWriter};
 use pcnn_core::offline::{library_schedule, OfflineCompiler};
@@ -791,15 +794,27 @@ fn report_violations(what: &str, violations: &[Violation]) {
     }
 }
 
+/// Reads an `obs check` baseline or candidate file as text.
+fn read(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|source| {
+        let path = path.to_string();
+        failed(ObsError::Io { path, source })
+    })
+}
+
 /// `pcnn obs check` — diff fresh runs (or `--candidate-*` files) against
-/// the committed baselines with per-metric tolerance bands; exits nonzero
-/// on any regression.
+/// the committed baselines; exits nonzero on any regression. A
+/// deterministic document must be byte-identical (the first differing
+/// line is printed); a wall-clock one is held to per-metric tolerance
+/// bands.
 ///
 /// Every baseline comes from the [`baselines::baseline_gates`] registry:
 /// each entry declares its default path, its in-process regenerator, and
-/// its compare function, so this loop is the whole command. With any
-/// explicit `--candidate-{name}` file, only the provided sides are
-/// checked (fast file-vs-file mode); otherwise every gate is re-run.
+/// its compare function (none for a byte-identical document), so this
+/// loop is the whole command. With any explicit `--candidate-{name}`
+/// file, only the provided sides are checked (fast file-vs-file mode),
+/// and a `--baseline-{name}` without its candidate is refused; otherwise
+/// every gate is re-run.
 fn cmd_obs_check(mut args: Args) -> CmdResult {
     // The gate registry is the flag table: `--baseline-<name>` and
     // `--candidate-<name>` exist for exactly the registered gates.
@@ -812,23 +827,50 @@ fn cmd_obs_check(mut args: Args) -> CmdResult {
     let reps: usize = args.get("reps")?.unwrap_or(3);
     args.finish()?;
     let file_mode = gates.iter().any(|(_, _, candidate)| candidate.is_some());
+    // Refused before any gate runs, so a refusal prints nothing on stdout.
+    let unpaired = gates
+        .iter()
+        .find(|(_, b, c)| file_mode && b.is_some() && c.is_none());
+    if let Some((gate, ..)) = unpaired {
+        return Err(CliError::Usage(format!(
+            "--baseline-{0} has no --candidate-{0}: with candidate files, only the gates given one are checked",
+            gate.name
+        )));
+    }
     let mut violations = 0usize;
     for (gate, baseline, candidate) in gates {
         if file_mode && candidate.is_none() {
             continue;
         }
         let baseline_path = baseline.as_deref().unwrap_or(gate.default_path);
-        let base = load(baseline_path)?;
-        let cand = match candidate {
-            Some(p) => load(&p)?,
-            None => {
-                let text = (gate.regenerate)(reps).map_err(failed)?;
-                pcnn_telemetry::json::parse(&text)
-                    .map_err(|_| failed(format!("{} report did not parse as JSON", gate.name)))?
-            }
+        let base = read(baseline_path)?;
+        let cand = match &candidate {
+            Some(p) => read(p)?,
+            None => (gate.regenerate)(reps).map_err(failed)?,
         };
-        let v = (gate.compare)(&base, &cand);
-        report_violations(&format!("{} vs {baseline_path}", gate.name), &v);
+        let what = format!("{} vs {baseline_path}", gate.name);
+        let Some(compare) = gate.compare else {
+            match first_difference(&base, &cand) {
+                None => println!("{what}: ok"),
+                Some((line, committed, candidate)) => {
+                    println!("{what}: not byte-identical, first at line {line}");
+                    println!("  committed: {committed}");
+                    println!("  candidate: {candidate}");
+                    violations += 1;
+                }
+            }
+            continue;
+        };
+        let parse = |text: &str, path: &str| {
+            pcnn_telemetry::json::parse(text).map_err(|message| {
+                let path = path.to_string();
+                failed(ObsError::Parse { path, message })
+            })
+        };
+        let base = parse(&base, baseline_path)?;
+        let cand = parse(&cand, candidate.as_deref().unwrap_or(gate.name))?;
+        let v = compare(&base, &cand);
+        report_violations(&what, &v);
         // Documents recorded on different GEMM kernels gate on the same
         // machine-normalised ratios; say so rather than fail or stay
         // silent about whose GFLOP/s these are.

@@ -1,4 +1,4 @@
-//! `pcnn obs` — trace analysis and tolerance-band regression gating.
+//! `pcnn obs` — trace analysis and baseline regression gating.
 //!
 //! Two halves:
 //!
@@ -10,13 +10,13 @@
 //!   events come from [`pcnn_telemetry::read_chrome_trace`], the alert
 //!   and decision records from their writer's crate
 //!   ([`pcnn_serve::obs`]), as does the incident snapshot's parser.
-//! * [`compare_serve`] / [`compare_gemm`] / [`compare_profile`] diff a
-//!   fresh benchmark run against the committed `BENCH_serve.json` /
-//!   `BENCH_gemm.json` / `BENCH_profile.json` baselines with per-metric
-//!   tolerance bands, returning the violations (`pcnn obs check` exits
-//!   nonzero on any). Serve and profile metrics are deterministic so
-//!   their bands are tight; GEMM gates on machine-normalised speedup
-//!   ratios, never absolute GFLOP/s.
+//! * `pcnn obs check` holds each committed `BENCH_*.json` to one check.
+//!   The deterministic documents (serve, fleet, profile: outputs of the
+//!   simulator or of the fixed reference roofline) must regenerate byte
+//!   for byte; [`first_difference`] names the first line that moved.
+//!   The wall-clock documents are banded: [`compare_gemm`] /
+//!   [`compare_conv`] floor machine-normalised speedup ratios, never
+//!   absolute GFLOP/s or milliseconds.
 //!
 //! When a gate fails, [`diff_documents`] (`pcnn obs diff <a> <b>`)
 //! attributes the top-level time delta between two profile documents
@@ -30,67 +30,36 @@ use pcnn_serve::obs::{Alert, RouteRecord};
 use pcnn_telemetry::json::JsonValue;
 use pcnn_telemetry::read_chrome_trace;
 
-/// Which direction of change is a regression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Larger candidate values regress (latency, energy, rejections).
-    HigherWorse,
-    /// Smaller candidate values regress (hit rates, throughput, SoC).
-    LowerWorse,
-}
-
-/// A one-sided tolerance band around a baseline value.
+/// A relative floor under a baseline value: a candidate regresses when it
+/// drops more than `rel · |baseline|` below it. Every gated metric is a
+/// ratio where higher is better, so the band is open upward.
 #[derive(Debug, Clone, Copy)]
 pub struct Band {
     /// Relative slack, as a fraction of `|baseline|`.
     pub rel: f64,
-    /// Absolute slack floor (wins when the baseline is near zero).
-    pub abs: f64,
-    /// Which side of the band is open.
-    pub dir: Direction,
 }
 
 impl Band {
-    /// A band allowing `rel` relative / `abs` absolute worsening upward.
-    pub fn higher_worse(rel: f64, abs: f64) -> Self {
-        Self {
-            rel,
-            abs,
-            dir: Direction::HigherWorse,
-        }
-    }
-
-    /// A band allowing `rel` relative / `abs` absolute worsening downward.
-    pub fn lower_worse(rel: f64, abs: f64) -> Self {
-        Self {
-            rel,
-            abs,
-            dir: Direction::LowerWorse,
-        }
+    /// A band allowing `rel` relative worsening downward.
+    pub fn lower_worse(rel: f64) -> Self {
+        Self { rel }
     }
 
     /// The worst candidate value still inside the band.
     pub fn limit(&self, baseline: f64) -> f64 {
-        let slack = self.abs.max(self.rel * baseline.abs());
-        match self.dir {
-            Direction::HigherWorse => baseline + slack,
-            Direction::LowerWorse => baseline - slack,
-        }
+        baseline - self.rel * baseline.abs()
     }
 
     /// Whether `candidate` regresses past the band.
     pub fn violated(&self, baseline: f64, candidate: f64) -> bool {
-        match self.dir {
-            Direction::HigherWorse => candidate > self.limit(baseline),
-            Direction::LowerWorse => candidate < self.limit(baseline),
-        }
+        candidate < self.limit(baseline)
     }
 }
 
 /// One metric that moved outside its tolerance band.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Dotted metric path, e.g. `age detection.latency_p99_s`.
+    /// Dotted metric path, e.g. `CONV1.speedup_vs_naive`.
     pub metric: String,
     /// Committed baseline value.
     pub baseline: f64,
@@ -137,11 +106,11 @@ fn check(
     }
 }
 
-/// The rows of `doc[section]` — the array of objects every gated
-/// document keeps its per-workload / per-policy / per-layer numbers in —
-/// keyed by each row's string field `key`. `None` when the section is
-/// not an array; a row without the key is in nobody's map, so a gate
-/// reads it as missing.
+/// The rows of `doc[section]` — the array of objects a benchmark or
+/// profile document keeps its per-shape / per-algorithm / per-layer
+/// numbers in — keyed by each row's string field `key`. `None` when the
+/// section is not an array; a row without the key is in nobody's map, so
+/// a gate reads it as missing.
 fn rows_by<'a>(
     doc: &'a JsonValue,
     section: &str,
@@ -152,237 +121,6 @@ fn rows_by<'a>(
         rows.filter_map(|row| Some((row.str_at(key)?.to_string(), row)))
             .collect(),
     )
-}
-
-fn hit_rate(w: &JsonValue) -> Option<f64> {
-    let total = w.f64_at("deadline_total")?;
-    if total == 0.0 {
-        return None;
-    }
-    Some(w.f64_at("deadlines_met")? / total)
-}
-
-/// Diffs a fresh serve report against the committed baseline. The serve
-/// simulator is deterministic, so the bands are tight — they exist to
-/// absorb *intentional* small shifts, not noise.
-pub fn compare_serve(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
-    let mut v = Vec::new();
-    let f = JsonValue::f64_at;
-    for key in ["makespan_s", "total_energy_j"] {
-        let band = Band::higher_worse(0.05, 1e-9);
-        check(
-            &mut v,
-            key.into(),
-            f(baseline, key),
-            f(candidate, key),
-            band,
-        );
-    }
-    let base_w = rows_by(baseline, "workloads", "name").unwrap_or_default();
-    let cand_w = rows_by(candidate, "workloads", "name").unwrap_or_default();
-    for (name, bw) in &base_w {
-        let Some(cw) = cand_w.get(name) else {
-            v.push(Violation {
-                metric: format!("{name} (workload missing from candidate)"),
-                baseline: 0.0,
-                candidate: f64::NAN,
-                limit: f64::NAN,
-            });
-            continue;
-        };
-        let bl = bw.get("latency_s");
-        let cl = cw.get("latency_s");
-        if f(bw, "deadline_total") > Some(0.0) {
-            check(
-                &mut v,
-                format!("{name}.deadline_hit_rate"),
-                hit_rate(bw),
-                hit_rate(cw),
-                Band::lower_worse(0.0, 0.02),
-            );
-        }
-        check(
-            &mut v,
-            format!("{name}.latency_p99_s"),
-            bl.and_then(|l| f(l, "p99")),
-            cl.and_then(|l| f(l, "p99")),
-            Band::higher_worse(0.05, 1e-6),
-        );
-        for (key, abs) in [("mean_entropy", 0.05), ("rejected_images", 0.5)] {
-            let band = Band::higher_worse(0.0, abs);
-            check(
-                &mut v,
-                format!("{name}.{key}"),
-                f(bw, key),
-                f(cw, key),
-                band,
-            );
-        }
-        if let Some(bs) = bw.get("soc").and_then(|s| f(s, "score")) {
-            check(
-                &mut v,
-                format!("{name}.soc_score"),
-                Some(bs),
-                cw.get("soc").and_then(|s| f(s, "score")),
-                Band::lower_worse(0.05, 1e-9),
-            );
-        }
-    }
-    v
-}
-
-/// Images a ladder-demo platform served below level 0 (i.e. degraded).
-fn degraded_images(platform: &JsonValue) -> Option<f64> {
-    let levels = platform.get("images_at_level")?.as_array()?;
-    Some(
-        levels
-            .iter()
-            .skip(1)
-            .filter_map(JsonValue::as_f64)
-            .sum::<f64>(),
-    )
-}
-
-/// Diffs a fresh fleet benchmark against the committed `BENCH_fleet.json`
-/// baseline. Two layers of gating:
-///
-/// * **bands vs the baseline** — per scenario section and policy row,
-///   the deadline hit rate, energy, joules/image, SoC and makespan are
-///   banded like the serve gate (the simulator is deterministic, so the
-///   bands absorb intentional shifts, not noise);
-/// * **self-invariants on the candidate** — the policy contrasts the
-///   fleet exists to demonstrate, checked regardless of what the
-///   committed document says: platform-affinity must strictly beat
-///   round-robin on deadline hits (and drop none itself), energy-aware
-///   routing must spend strictly fewer joules than round-robin at
-///   equal-or-better SoC, work stealing must drain the background job
-///   strictly faster than pinning, and in the ladder demo the reference
-///   platform must stay undegraded while the small platform walks its
-///   own ladder.
-pub fn compare_fleet(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
-    let mut v = Vec::new();
-    let f = JsonValue::f64_at;
-    let fleet_rows = |doc, sec| rows_by(doc, sec, "policy").unwrap_or_default();
-    for sec in ["deadline", "slack", "drain"] {
-        let base = fleet_rows(baseline, sec);
-        let cand = fleet_rows(candidate, sec);
-        for (policy, brow) in &base {
-            let Some(crow) = cand.get(policy) else {
-                v.push(Violation {
-                    metric: format!("{sec}.{policy} (policy row missing from candidate)"),
-                    baseline: 0.0,
-                    candidate: f64::NAN,
-                    limit: f64::NAN,
-                });
-                continue;
-            };
-            if f(brow, "deadline_total") > Some(0.0) {
-                check(
-                    &mut v,
-                    format!("{sec}.{policy}.deadline_hit_rate"),
-                    hit_rate(brow),
-                    hit_rate(crow),
-                    Band::lower_worse(0.0, 0.02),
-                );
-            }
-            for (key, band) in [
-                ("compute_j", Band::higher_worse(0.05, 1e-9)),
-                ("joules_per_image", Band::higher_worse(0.05, 1e-9)),
-                ("makespan_s", Band::higher_worse(0.05, 1e-9)),
-            ] {
-                check(
-                    &mut v,
-                    format!("{sec}.{policy}.{key}"),
-                    f(brow, key),
-                    f(crow, key),
-                    band,
-                );
-            }
-            if f(brow, "mean_soc") > Some(0.0) {
-                check(
-                    &mut v,
-                    format!("{sec}.{policy}.mean_soc"),
-                    f(brow, "mean_soc"),
-                    f(crow, "mean_soc"),
-                    Band::lower_worse(0.05, 1e-9),
-                );
-            }
-        }
-    }
-    // Self-invariants: `lhs` must stay strictly under `rhs` in the
-    // candidate document. A missing row or metric reads as NaN, which
-    // fails the comparison and lands in the violation list.
-    let mut strictly_under = |metric: String, lhs: Option<f64>, rhs: Option<f64>| {
-        let (l, r) = (lhs.unwrap_or(f64::NAN), rhs.unwrap_or(f64::NAN));
-        // NaN (a missing metric) must count as a violation, so spell out
-        // the NaN arms instead of `l >= r` (false for NaN operands).
-        if l.is_nan() || r.is_nan() || l >= r {
-            v.push(Violation {
-                metric,
-                baseline: r,
-                candidate: l,
-                limit: r,
-            });
-        }
-    };
-    let deadline = fleet_rows(candidate, "deadline");
-    let met = |rows: &BTreeMap<String, &JsonValue>, policy: &str, key: &str| {
-        rows.get(policy).and_then(|r| f(r, key))
-    };
-    strictly_under(
-        "deadline.affinity deadlines_met must strictly beat round-robin".into(),
-        met(&deadline, "round-robin", "deadlines_met"),
-        met(&deadline, "affinity", "deadlines_met"),
-    );
-    strictly_under(
-        "deadline.affinity must meet every deadline".into(),
-        met(&deadline, "affinity", "deadlines_met")
-            .zip(met(&deadline, "affinity", "deadline_total"))
-            .map(|(m, t)| (m - t).abs()),
-        Some(0.5),
-    );
-    let slack = fleet_rows(candidate, "slack");
-    strictly_under(
-        "slack.energy compute_j must stay strictly under round-robin".into(),
-        met(&slack, "energy", "compute_j"),
-        met(&slack, "round-robin", "compute_j"),
-    );
-    strictly_under(
-        "slack.energy joules_per_image must stay strictly under round-robin".into(),
-        met(&slack, "energy", "joules_per_image"),
-        met(&slack, "round-robin", "joules_per_image"),
-    );
-    strictly_under(
-        "slack.energy mean_soc must stay at least round-robin's".into(),
-        met(&slack, "round-robin", "mean_soc"),
-        met(&slack, "energy", "mean_soc").map(|s| s + 1e-12),
-    );
-    let drain = fleet_rows(candidate, "drain");
-    strictly_under(
-        "drain.steal makespan_s must stay strictly under affinity".into(),
-        met(&drain, "steal", "makespan_s"),
-        met(&drain, "affinity", "makespan_s"),
-    );
-    let ladder_platforms = candidate
-        .get("ladder_demo")
-        .and_then(|l| l.get("platforms"))
-        .and_then(|p| p.as_array());
-    let degraded = |i: usize| {
-        ladder_platforms
-            .and_then(|ps| ps.get(i))
-            .and_then(degraded_images)
-    };
-    strictly_under(
-        "ladder_demo reference platform must stay undegraded".into(),
-        degraded(0),
-        Some(0.5),
-    );
-    strictly_under(
-        "ladder_demo small platform must walk its own ladder".into(),
-        Some(0.5),
-        degraded(1),
-    );
-    v
 }
 
 /// Diffs a fresh GEMM benchmark against the committed baseline. Only
@@ -399,11 +137,11 @@ pub fn compare_gemm(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
     let base = rows_by(baseline, "shapes", "layer").unwrap_or_default();
     let cand = rows_by(candidate, "shapes", "layer").unwrap_or_default();
     for (key, band) in [
-        ("speedup_vs_naive", Band::lower_worse(0.40, 0.0)),
+        ("speedup_vs_naive", Band::lower_worse(0.40)),
         // Hyperthreaded hosts legitimately land near 0.5 (8 "cores", ~4x
         // real speedup), so the band is wide; a starved pool on a
         // multicore host reads ~1/cores <= 0.25 and still trips it.
-        ("scaling_efficiency", Band::lower_worse(0.60, 0.0)),
+        ("scaling_efficiency", Band::lower_worse(0.60)),
     ] {
         for (layer, brow) in &base {
             // A ratio the baseline never recorded is not gated.
@@ -452,7 +190,7 @@ pub fn compare_conv(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
             format!("{key}.speedup_vs_im2col_1t"),
             Some(*b),
             cand.get(key).copied(),
-            Band::lower_worse(0.40, 0.0),
+            Band::lower_worse(0.40),
         );
     }
     let e2e = |doc: &JsonValue| doc.get("e2e")?.f64_at("tuned_speedup");
@@ -462,7 +200,7 @@ pub fn compare_conv(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
         "e2e.tuned_speedup".into(),
         be,
         ce,
-        Band::lower_worse(0.25, 0.0),
+        Band::lower_worse(0.25),
     );
     if let Some(c) = ce {
         // Hard floor: the tuned plan must never lose to the default plan
@@ -482,6 +220,29 @@ pub fn compare_conv(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
 /// Lowest `e2e.tuned_speedup` the conv gate accepts, regardless of the
 /// committed baseline: parity with the default plan minus 5 % timer noise.
 pub const E2E_SPEEDUP_FLOOR: f64 = 0.95;
+
+/// Where a regenerated deterministic document first departs from the
+/// committed one: `(1-based line number, committed line, candidate line)`,
+/// or `None` when the two are byte-identical. Every row of the serve,
+/// fleet and profile documents is one line, so the line names the
+/// workload, policy row or layer that moved. A side that ends first reads
+/// as `<end of file>`.
+pub fn first_difference<'a>(
+    committed: &'a str,
+    candidate: &'a str,
+) -> Option<(usize, &'a str, &'a str)> {
+    if committed == candidate {
+        return None;
+    }
+    // Unequal texts split into unequal line sequences, so the search over
+    // the endlessly `None`-padded pair stops.
+    let lines = |text: &'a str| text.split('\n').map(Some).chain(std::iter::repeat(None));
+    let eof = |line: Option<&'a str>| line.unwrap_or("<end of file>");
+    (1..)
+        .zip(lines(committed).zip(lines(candidate)))
+        .find(|(_, (a, b))| a != b)
+        .map(|(line, (a, b))| (line, eof(a), eof(b)))
+}
 
 /// A typed `pcnn obs` failure. The CLI prints the message on stderr and
 /// exits nonzero — a missing or corrupt document is a diagnosable
@@ -545,31 +306,6 @@ pub fn load_document(path: &str) -> Result<JsonValue, ObsError> {
         path: path.to_string(),
         message,
     })
-}
-
-/// Diffs a fresh deterministic profile document against the committed
-/// `BENCH_profile.json` baseline. Modelled times are pure functions of
-/// the layer shapes and fixed reference peaks — machine-independent —
-/// so the bands exist only to absorb intentional small shifts.
-pub fn compare_profile(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
-    let mut v = Vec::new();
-    let band = Band::higher_worse(0.10, 1e-6);
-    check(
-        &mut v,
-        "total_modelled_ms".into(),
-        baseline.f64_at("total_modelled_ms"),
-        candidate.f64_at("total_modelled_ms"),
-        band,
-    );
-    let base = rows_by(baseline, "layers", "layer").unwrap_or_default();
-    let cand = rows_by(candidate, "layers", "layer").unwrap_or_default();
-    for (layer, brow) in &base {
-        if let Some(b) = brow.f64_at("modelled_ms") {
-            let c = cand.get(layer).and_then(|crow| crow.f64_at("modelled_ms"));
-            check(&mut v, format!("{layer}.modelled_ms"), Some(b), c, band);
-        }
-    }
-    v
 }
 
 /// One node in a diff tree: a layer (with phase children) or a leaf.
@@ -921,14 +657,45 @@ mod tests {
 
     #[test]
     fn bands_are_one_sided() {
-        let up = Band::higher_worse(0.10, 0.0);
-        assert!(!up.violated(1.0, 1.05));
-        assert!(up.violated(1.0, 1.2));
-        assert!(!up.violated(1.0, 0.5)); // improvements never violate
-        let down = Band::lower_worse(0.0, 0.02);
-        assert!(!down.violated(0.95, 0.94));
-        assert!(down.violated(0.95, 0.90));
-        assert!(!down.violated(0.95, 1.0));
+        let floor = Band::lower_worse(0.40);
+        assert_eq!(floor.limit(10.0), 6.0);
+        assert!(!floor.violated(10.0, 6.5));
+        assert!(floor.violated(10.0, 5.5));
+        assert!(!floor.violated(10.0, 100.0)); // improvements never violate
+                                               // The slack is relative to |baseline|, so a negative baseline's
+                                               // floor still sits below it.
+        assert_eq!(floor.limit(-10.0), -14.0);
+        // A zero band admits exactly the baseline and anything above it.
+        let exact = Band::lower_worse(0.0);
+        assert!(!exact.violated(0.95, 0.95));
+        assert!(exact.violated(0.95, 0.94));
+    }
+
+    #[test]
+    fn first_difference_names_the_line_that_moved() {
+        let committed = "{\n  \"a\": 1,\n  \"b\": 2\n}\n";
+        assert_eq!(first_difference(committed, committed), None);
+        let moved = committed.replace("\"b\": 2", "\"b\": 3");
+        assert_eq!(
+            first_difference(committed, &moved),
+            Some((3, "  \"b\": 2", "  \"b\": 3"))
+        );
+        // A document cut short, or one that lost only its final newline,
+        // differs where the shorter side ends.
+        assert_eq!(
+            first_difference(committed, "{"),
+            Some((2, "  \"a\": 1,", "<end of file>"))
+        );
+        assert_eq!(
+            first_difference(committed, committed.trim_end()),
+            Some((5, "", "<end of file>"))
+        );
+        // Text that spells the end-of-file marker is still a difference.
+        let spelled = format!("{committed}<end of file>");
+        assert_eq!(
+            first_difference(committed, &spelled),
+            Some((5, "", "<end of file>"))
+        );
     }
 
     #[test]
@@ -969,104 +736,6 @@ mod tests {
         assert_eq!(a.alerts.len(), 1);
         assert_eq!(a.alerts[0].metric, "entropy");
         assert!((a.alerts[0].t_s - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compare_serve_flags_injected_regression() {
-        let base = json::parse(
-            r#"{"makespan_s": 3.0, "total_energy_j": 60.0, "workloads": [
-                {"name":"w","deadlines_met":140,"deadline_total":150,
-                 "latency_s":{"p99":0.11},"mean_entropy":1.25,"rejected_images":0,
-                 "soc":{"score":0.085}}
-            ]}"#,
-        )
-        .unwrap();
-        assert!(compare_serve(&base, &base).is_empty());
-        let worse = json::parse(
-            r#"{"makespan_s": 3.0, "total_energy_j": 60.0, "workloads": [
-                {"name":"w","deadlines_met":120,"deadline_total":150,
-                 "latency_s":{"p99":0.20},"mean_entropy":1.25,"rejected_images":4,
-                 "soc":{"score":0.085}}
-            ]}"#,
-        )
-        .unwrap();
-        let violations = compare_serve(&base, &worse);
-        let metrics: Vec<&str> = violations.iter().map(|v| v.metric.as_str()).collect();
-        assert!(metrics.contains(&"w.deadline_hit_rate"));
-        assert!(metrics.contains(&"w.latency_p99_s"));
-        assert!(metrics.contains(&"w.rejected_images"));
-    }
-
-    fn fleet_doc(
-        affinity_met: u32,
-        energy_compute_j: f64,
-        ref_levels: &str,
-        small_levels: &str,
-    ) -> JsonValue {
-        json::parse(&format!(
-            r#"{{"bench":"fleet",
-              "deadline":[
-                {{"policy":"round-robin","deadlines_met":30,"deadline_total":60,
-                  "compute_j":1.0,"joules_per_image":0.02,"makespan_s":1.0,"mean_soc":0.5}},
-                {{"policy":"affinity","deadlines_met":{affinity_met},"deadline_total":60,
-                  "compute_j":1.0,"joules_per_image":0.02,"makespan_s":1.0,"mean_soc":0.6}}],
-              "slack":[
-                {{"policy":"round-robin","deadlines_met":160,"deadline_total":160,
-                  "compute_j":2.0,"joules_per_image":0.03,"makespan_s":2.0,"mean_soc":0.5}},
-                {{"policy":"energy","deadlines_met":160,"deadline_total":160,
-                  "compute_j":{energy_compute_j},"joules_per_image":0.02,"makespan_s":2.0,"mean_soc":0.5}}],
-              "drain":[
-                {{"policy":"affinity","deadlines_met":0,"deadline_total":0,
-                  "compute_j":1.0,"joules_per_image":0.02,"makespan_s":3.0,"mean_soc":0.0}},
-                {{"policy":"steal","deadlines_met":0,"deadline_total":0,
-                  "compute_j":1.0,"joules_per_image":0.02,"makespan_s":2.0,"mean_soc":0.0}}],
-              "ladder_demo":{{"policy":"round-robin","platforms":[
-                {{"name":"K20c","images":30,"images_at_level":[{ref_levels}]}},
-                {{"name":"Jetson TX1","images":30,"images_at_level":[{small_levels}]}}]}}
-            }}"#,
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn compare_fleet_enforces_bands_and_policy_contrasts() {
-        let base = fleet_doc(60, 1.0, "30, 0, 0, 0", "10, 20, 0, 0");
-        assert!(compare_fleet(&base, &base).is_empty());
-
-        // A candidate whose affinity run drops deadlines trips both the
-        // band and the strict-contrast invariant.
-        let dropped = fleet_doc(50, 1.0, "30, 0, 0, 0", "10, 20, 0, 0");
-        let v = compare_fleet(&base, &dropped);
-        let metrics: Vec<&str> = v.iter().map(|x| x.metric.as_str()).collect();
-        assert!(metrics.contains(&"deadline.affinity.deadline_hit_rate"));
-        assert!(metrics
-            .iter()
-            .any(|m| m.contains("must meet every deadline")));
-
-        // Energy-aware routing losing its joule advantage is flagged even
-        // when every band against the baseline would pass.
-        let inverted = fleet_doc(60, 2.5, "30, 0, 0, 0", "10, 20, 0, 0");
-        let v = compare_fleet(&inverted, &inverted);
-        assert!(v
-            .iter()
-            .any(|x| x.metric.contains("compute_j must stay strictly under")));
-
-        // The ladder demo must keep the reference clean and the small
-        // platform degraded.
-        let ref_walked = fleet_doc(60, 1.0, "20, 10, 0, 0", "10, 20, 0, 0");
-        assert!(compare_fleet(&base, &ref_walked)
-            .iter()
-            .any(|x| x.metric.contains("reference platform must stay undegraded")));
-        let small_flat = fleet_doc(60, 1.0, "30, 0, 0, 0", "30, 0, 0, 0");
-        assert!(compare_fleet(&base, &small_flat)
-            .iter()
-            .any(|x| x.metric.contains("small platform must walk")));
-
-        // A vanished policy row is itself a violation.
-        let missing = json::parse(r#"{"bench":"fleet","deadline":[]}"#).unwrap();
-        assert!(compare_fleet(&base, &missing)
-            .iter()
-            .any(|x| x.metric.contains("policy row missing")));
     }
 
     #[test]
@@ -1206,22 +875,6 @@ mod tests {
             conv_ms + 1.0
         ))
         .unwrap()
-    }
-
-    #[test]
-    fn compare_profile_flags_slower_layer_and_total() {
-        let base = profile_doc(2.0, 1.6);
-        assert!(compare_profile(&base, &base).is_empty());
-        let worse = profile_doc(3.0, 2.6);
-        let v = compare_profile(&base, &worse);
-        let metrics: Vec<&str> = v.iter().map(|x| x.metric.as_str()).collect();
-        assert!(metrics.contains(&"total_modelled_ms"));
-        assert!(metrics.contains(&"L00 conv.modelled_ms"));
-        // A vanished layer is flagged as missing.
-        let missing = json::parse(r#"{"total_modelled_ms":3.0,"layers":[]}"#).unwrap();
-        assert!(compare_profile(&base, &missing)
-            .iter()
-            .any(|x| x.metric.contains("missing")));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `pcnn obs` subcommand: the analyzer over a
-//! real exported trace, binary-level trace determinism, the
-//! tolerance-band regression gate, and every analyzer on damaged
-//! documents.
+//! real exported trace, binary-level trace determinism, the baseline
+//! regression gate (bytes for deterministic documents, bands for
+//! wall-clock ones), and every analyzer on damaged documents.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -78,24 +78,149 @@ fn obs_check_passes_clean_and_fails_injected_regression() {
         "no kernel note: {stdout}"
     );
 
-    // A doctored candidate (dropped deadline hits) must gate.
-    let baseline = std::fs::read_to_string(&serve_baseline).unwrap();
-    let doctored = baseline.replace("\"deadlines_met\": 140", "\"deadlines_met\": 100");
-    assert_ne!(baseline, doctored, "baseline fixture changed shape");
-    let bad = tmp("doctored-serve.json");
-    std::fs::write(&bad, doctored).unwrap();
+    // A deterministic document is held to its bytes: each doctored
+    // candidate fails and names its line, however small the drift.
+    for (gate, row, from, to) in [
+        // 10 of 150 interactive deadlines lost.
+        ("serve", "\"deadlines_met\": 140", "140", "100"),
+        // 3 of 150.
+        ("serve", "\"deadlines_met\": 140", "140", "137"),
+        // +4.7 % makespan.
+        ("serve", "\"makespan_s\"", "2.9999999999666667", "3.14"),
+        // +7.8 % on one layer's modelled time.
+        (
+            "profile",
+            "\"L00 conv\"",
+            "\"modelled_ms\": 0.027822",
+            "\"modelled_ms\": 0.030000",
+        ),
+        // +3.7 % compute energy on the deadline section's energy row (the
+        // first energy row in the document).
+        (
+            "fleet",
+            "{\"policy\": \"energy\"",
+            "\"compute_j\": 2.7961660608639143",
+            "\"compute_j\": 2.9",
+        ),
+    ] {
+        let committed_path = root.join(format!("BENCH_{gate}.json"));
+        let committed = std::fs::read_to_string(&committed_path).unwrap();
+        let (index, line) = committed
+            .lines()
+            .enumerate()
+            .find(|(_, l)| l.contains(row))
+            .unwrap_or_else(|| panic!("BENCH_{gate}.json has no {row} line"));
+        assert!(line.contains(from), "BENCH_{gate}.json changed shape");
+        let doctored_line = line.replacen(from, to, 1);
+        let doctored = committed.replacen(line, &doctored_line, 1);
+        let bad = tmp(&format!("doctored-{gate}.json"));
+        std::fs::write(&bad, doctored).unwrap();
+        let out = pcnn()
+            .args(["obs", "check"])
+            .arg(format!("--baseline-{gate}={}", committed_path.display()))
+            .arg(format!("--candidate-{gate}={}", bad.display()))
+            .output()
+            .unwrap();
+        std::fs::remove_file(&bad).ok();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{gate} {from} -> {to} passed the gate: {stdout}"
+        );
+        for needle in [
+            format!("first at line {}", index + 1),
+            format!("committed: {line}"),
+            format!("candidate: {doctored_line}"),
+        ] {
+            assert!(
+                stdout.contains(&needle),
+                "{gate} {from} -> {to}: no `{needle}` in {stdout}"
+            );
+        }
+    }
+}
+
+#[test]
+fn obs_check_refuses_a_baseline_without_its_candidate() {
+    // With candidate files only the gates given one run, so a baseline
+    // flag for any other gate would be read and then silently ignored.
     let out = pcnn()
-        .args(["obs", "check"])
-        .arg(format!("--baseline-serve={}", serve_baseline.display()))
-        .arg(format!("--candidate-serve={}", bad.display()))
+        .args(["obs", "check", "--baseline-serve", "/nonexistent.json"])
+        .args(["--candidate-gemm", "BENCH_gemm.json"])
+        .current_dir(repo_root())
         .output()
         .unwrap();
-    std::fs::remove_file(&bad).ok();
-    assert!(!out.status.success(), "regressed candidate passed the gate");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "not refused: {stderr}");
     assert!(
-        stdout.contains("REGRESSION") && stdout.contains("deadline_hit_rate"),
-        "unexpected gate output: {stdout}"
+        stderr.contains("--baseline-serve"),
+        "flag not named: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "a refused command line ran");
+}
+
+#[test]
+fn committed_fleet_baseline_shows_every_policy_contrast() {
+    // The contrasts the fleet exists to demonstrate, over the committed
+    // document that `pcnn obs check` holds every regeneration to.
+    let text = std::fs::read_to_string(repo_root().join("BENCH_fleet.json")).unwrap();
+    let doc = json::parse(&text).unwrap();
+    let at = |section: &str, policy: &str, key: &str| {
+        let rows = doc.get(section).and_then(|s| s.as_array());
+        let row = rows
+            .and_then(|rows| rows.iter().find(|r| r.str_at("policy") == Some(policy)))
+            .unwrap_or_else(|| panic!("no {section}.{policy} row"));
+        row.f64_at(key)
+            .unwrap_or_else(|| panic!("no {section}.{policy}.{key}"))
+    };
+    assert!(
+        at("deadline", "affinity", "deadlines_met")
+            > at("deadline", "round-robin", "deadlines_met"),
+        "deadline.affinity deadlines_met must strictly beat round-robin"
+    );
+    assert_eq!(
+        at("deadline", "affinity", "deadlines_met"),
+        at("deadline", "affinity", "deadline_total"),
+        "deadline.affinity must meet every deadline"
+    );
+    assert!(
+        at("slack", "energy", "compute_j") < at("slack", "round-robin", "compute_j"),
+        "slack.energy compute_j must stay strictly under round-robin"
+    );
+    assert!(
+        at("slack", "energy", "joules_per_image") < at("slack", "round-robin", "joules_per_image"),
+        "slack.energy joules_per_image must stay strictly under round-robin"
+    );
+    assert!(
+        at("slack", "energy", "mean_soc") >= at("slack", "round-robin", "mean_soc"),
+        "slack.energy mean_soc must stay at least round-robin's"
+    );
+    assert!(
+        at("drain", "steal", "makespan_s") < at("drain", "affinity", "makespan_s"),
+        "drain.steal makespan_s must stay strictly under affinity"
+    );
+    // Images each ladder-demo platform served below level 0.
+    let platforms = doc
+        .get("ladder_demo")
+        .and_then(|l| l.get("platforms"))
+        .and_then(|p| p.as_array())
+        .expect("ladder_demo platforms");
+    let degraded = |i: usize| -> f64 {
+        let levels = platforms[i]
+            .get("images_at_level")
+            .and_then(|l| l.as_array());
+        let levels = levels.expect("images_at_level");
+        levels.iter().skip(1).map(|n| n.as_f64().unwrap()).sum()
+    };
+    assert_eq!(
+        degraded(0),
+        0.0,
+        "ladder_demo reference platform must stay undegraded"
+    );
+    assert!(
+        degraded(1) > 0.0,
+        "ladder_demo small platform must walk its own ladder"
     );
 }
 

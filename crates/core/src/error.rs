@@ -17,7 +17,8 @@ pub enum Error {
     EmptyTrace,
     /// A batch size of zero was requested.
     ZeroBatch,
-    /// A [`ScheduleProvider`](crate::offline::ScheduleProvider) returned a
+    /// The schedule source handed to
+    /// [`execute_trace`](crate::runtime::execute_trace) returned a
     /// schedule whose batch differs from the requested size.
     BatchMismatch {
         /// The batch size that was requested.

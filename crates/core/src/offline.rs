@@ -9,8 +9,6 @@
 //! 3. derives `optSM` per layer (eq. 11) and predicts the response time
 //!    (eq. 12), shrinking the batch until the requirement holds (eq. 13).
 
-use std::collections::HashMap;
-
 use pcnn_data::WorkloadKind;
 use pcnn_gpu::sim::dispatch::{initial_residents, simulate_kernel};
 use pcnn_gpu::sim::SimCache;
@@ -128,85 +126,6 @@ pub fn gemm_layers_perforated(
         }
     }
     Ok(out)
-}
-
-/// A source of compiled [`Schedule`]s, keyed by batch size.
-///
-/// This is the one schedule-lookup abstraction shared by the trace
-/// executor ([`crate::runtime::execute_trace`]), the serving loop
-/// (`pcnn-serve`) and the benchmark harness, replacing the ad-hoc
-/// `FnMut(usize) -> Schedule` closures each of them used to take.
-/// [`OfflineCompiler`] implements it directly; wrap any provider in a
-/// [`ScheduleCache`] to memoize compilations, or lift a closure with
-/// [`FnProvider`].
-pub trait ScheduleProvider {
-    /// Returns a schedule whose `batch` field equals `batch`.
-    ///
-    /// # Errors
-    ///
-    /// Implementations return [`Error::ZeroBatch`] for `batch == 0` and
-    /// may surface any other compilation failure.
-    fn schedule(&mut self, batch: usize) -> Result<Schedule>;
-}
-
-/// Lifts a closure into a [`ScheduleProvider`].
-///
-/// ```no_run
-/// # use pcnn_core::offline::{FnProvider, OfflineCompiler, ScheduleProvider};
-/// # use pcnn_gpu::arch::K20C;
-/// # use pcnn_nn::spec::alexnet;
-/// let spec = alexnet();
-/// let compiler = OfflineCompiler::new(&K20C, &spec);
-/// let mut provider = FnProvider(|b| compiler.try_compile_batch(b));
-/// let schedule = provider.schedule(4).unwrap();
-/// assert_eq!(schedule.batch, 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FnProvider<F>(pub F);
-
-impl<F: FnMut(usize) -> Result<Schedule>> ScheduleProvider for FnProvider<F> {
-    fn schedule(&mut self, batch: usize) -> Result<Schedule> {
-        (self.0)(batch)
-    }
-}
-
-/// A memoizing [`ScheduleProvider`] wrapper: each distinct batch size is
-/// compiled once and cloned on every subsequent lookup.
-#[derive(Debug, Clone)]
-pub struct ScheduleCache<P> {
-    inner: P,
-    cache: HashMap<usize, Schedule>,
-}
-
-impl<P: ScheduleProvider> ScheduleCache<P> {
-    /// Wraps `inner` with an empty cache.
-    pub fn new(inner: P) -> Self {
-        Self {
-            inner,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// Number of distinct batch sizes compiled so far.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Whether no schedule has been compiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-}
-
-impl<P: ScheduleProvider> ScheduleProvider for ScheduleCache<P> {
-    fn schedule(&mut self, batch: usize) -> Result<Schedule> {
-        if let Some(s) = self.cache.get(&batch) {
-            return Ok(s.clone());
-        }
-        let s = self.inner.schedule(batch)?;
-        self.cache.insert(batch, s.clone());
-        Ok(s)
-    }
 }
 
 /// One layer's candidate points for the offline compiler: each config's
@@ -494,18 +413,6 @@ impl<'a> OfflineCompiler<'a> {
             schedule = self.try_compile_batch(batch)?;
         }
         Ok(schedule)
-    }
-}
-
-impl ScheduleProvider for OfflineCompiler<'_> {
-    fn schedule(&mut self, batch: usize) -> Result<Schedule> {
-        self.try_compile_batch(batch)
-    }
-}
-
-impl ScheduleProvider for &OfflineCompiler<'_> {
-    fn schedule(&mut self, batch: usize) -> Result<Schedule> {
-        self.try_compile_batch(batch)
     }
 }
 

@@ -20,10 +20,7 @@
 
 pub use crate::calibration::{CalibratedPipeline, CalibratedStep};
 pub use crate::error::{Error, Result};
-pub use crate::offline::{
-    library_schedule, FnProvider, LayerPlan, OfflineCompiler, Schedule, ScheduleCache,
-    ScheduleProvider,
-};
+pub use crate::offline::{library_schedule, LayerPlan, OfflineCompiler, Schedule};
 pub use crate::runtime::{execute_trace, simulate_schedule, ExecutionReport, NetworkCost};
 pub use crate::scheduler::{
     decide, evaluate, scenario_trace, Decision, Evaluation, SchedulerContext, SchedulerKind,

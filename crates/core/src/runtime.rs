@@ -15,7 +15,7 @@ use pcnn_gpu::sim::SimCache;
 use pcnn_gpu::{DispatchPolicy, EnergyBreakdown, GpuArch};
 
 use crate::error::{Error, Result};
-use crate::offline::{Schedule, ScheduleProvider};
+use crate::offline::Schedule;
 
 /// Simulated cost of one forward pass of the whole network at the
 /// schedule's batch size.
@@ -107,32 +107,26 @@ impl ExecutionReport {
     }
 }
 
-/// Executes `trace` under schedules looked up from `provider` (one per
+/// Executes `trace` under schedules built by `schedule` (called once per
 /// needed chunk size — the schedule's batch for full chunks, smaller for
-/// the tail).
+/// the tail), e.g. `|b| compiler.try_compile_batch(b)`.
 ///
 /// Images queue FIFO; a chunk of `batch` images starts when all its images
 /// have arrived and the GPU is free. The final partial chunk runs at its
-/// own size.
-///
-/// Any [`ScheduleProvider`] works: an
-/// [`OfflineCompiler`](crate::offline::OfflineCompiler) directly, a
-/// [`ScheduleCache`](crate::offline::ScheduleCache) shared with other
-/// executions, or a closure wrapped in
-/// [`FnProvider`](crate::offline::FnProvider). Costs are memoized per
-/// chunk size for the duration of the call.
+/// own size. Costs are memoized per chunk size for the duration of the
+/// call, so `schedule` never sees a size twice.
 ///
 /// # Errors
 ///
 /// Returns [`Error::ZeroBatch`] if `batch == 0`, [`Error::EmptyTrace`] if
-/// the trace contains no images, [`Error::BatchMismatch`] if the provider
+/// the trace contains no images, [`Error::BatchMismatch`] if `schedule`
 /// returns a schedule whose batch differs from the requested size, and
-/// propagates provider errors.
+/// propagates `schedule`'s errors.
 pub fn execute_trace(
     arch: &GpuArch,
     trace: &TraceSpec,
     batch: usize,
-    provider: &mut dyn ScheduleProvider,
+    mut schedule: impl FnMut(usize) -> Result<Schedule>,
 ) -> Result<ExecutionReport> {
     if batch == 0 {
         return Err(Error::ZeroBatch);
@@ -160,7 +154,7 @@ pub fn execute_trace(
         if let Some(c) = costs.get(&size) {
             return Ok(*c);
         }
-        let schedule = provider.schedule(size)?;
+        let schedule = schedule(size)?;
         if schedule.batch != size {
             return Err(Error::BatchMismatch {
                 requested: size,
@@ -228,7 +222,7 @@ pub fn execute_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offline::{FnProvider, OfflineCompiler, ScheduleCache};
+    use crate::offline::OfflineCompiler;
     use pcnn_gpu::arch::K20C;
     use pcnn_nn::spec::alexnet;
 
@@ -240,8 +234,7 @@ mod tests {
     }
 
     fn run(trace: &TraceSpec, batch: usize) -> ExecutionReport {
-        let mut provider = FnProvider(|size| Ok(schedule_builder(size)));
-        execute_trace(&K20C, trace, batch, &mut provider).unwrap()
+        execute_trace(&K20C, trace, batch, |size| Ok(schedule_builder(size))).unwrap()
     }
 
     #[test]
@@ -302,14 +295,28 @@ mod tests {
         // 3 images, batch 8: a single chunk of 3 — never an 8-image pass.
         let trace = TraceSpec::background(3);
         let mut sizes = Vec::new();
-        let mut provider = FnProvider(|size| {
+        let report = execute_trace(&K20C, &trace, 8, |size| {
             sizes.push(size);
             Ok(schedule_builder(size))
-        });
-        let report = execute_trace(&K20C, &trace, 8, &mut provider).unwrap();
+        })
+        .unwrap();
         assert_eq!(sizes, vec![3]);
         let c3 = simulate_schedule(&K20C, &schedule_builder(3));
         assert!((report.makespan - c3.seconds).abs() < 1e-12);
+    }
+
+    #[test]
+    fn each_chunk_size_is_scheduled_once() {
+        // 10 images, batch 4: chunks of 4, 4 and 2, but the second 4 reuses
+        // the first one's cost.
+        let trace = TraceSpec::background(10);
+        let mut sizes = Vec::new();
+        execute_trace(&K20C, &trace, 4, |size| {
+            sizes.push(size);
+            Ok(schedule_builder(size))
+        })
+        .unwrap();
+        assert_eq!(sizes, vec![4, 2]);
     }
 
     #[test]
@@ -351,8 +358,8 @@ mod tests {
     fn zero_batch_is_an_error() {
         let trace = TraceSpec::background(4);
         let spec = alexnet();
-        let mut compiler = OfflineCompiler::new(&K20C, &spec);
-        let err = execute_trace(&K20C, &trace, 0, &mut compiler).unwrap_err();
+        let compiler = OfflineCompiler::new(&K20C, &spec);
+        let err = execute_trace(&K20C, &trace, 0, |b| compiler.try_compile_batch(b)).unwrap_err();
         assert_eq!(err, Error::ZeroBatch);
     }
 
@@ -360,21 +367,21 @@ mod tests {
     fn empty_trace_is_an_error() {
         let trace = TraceSpec::explicit(WorkloadKind::Interactive, vec![]);
         let spec = alexnet();
-        let mut compiler = OfflineCompiler::new(&K20C, &spec);
-        let err = execute_trace(&K20C, &trace, 1, &mut compiler).unwrap_err();
+        let compiler = OfflineCompiler::new(&K20C, &spec);
+        let err = execute_trace(&K20C, &trace, 1, |b| compiler.try_compile_batch(b)).unwrap_err();
         assert_eq!(err, Error::EmptyTrace);
         // A trace of requests that all carry zero images is also empty.
         let trace = TraceSpec::explicit(WorkloadKind::Interactive, vec![(0.0, 0)]);
-        let err = execute_trace(&K20C, &trace, 1, &mut compiler).unwrap_err();
+        let err = execute_trace(&K20C, &trace, 1, |b| compiler.try_compile_batch(b)).unwrap_err();
         assert_eq!(err, Error::EmptyTrace);
     }
 
     #[test]
     fn batch_mismatch_is_an_error() {
         let trace = TraceSpec::background(4);
-        // A provider that always compiles batch 1 regardless of the ask.
-        let mut wrong = FnProvider(|_| Ok(schedule_builder(1)));
-        let err = execute_trace(&K20C, &trace, 2, &mut wrong).unwrap_err();
+        // A schedule source that always compiles batch 1 regardless of
+        // the ask.
+        let err = execute_trace(&K20C, &trace, 2, |_| Ok(schedule_builder(1))).unwrap_err();
         assert_eq!(
             err,
             Error::BatchMismatch {
@@ -382,22 +389,6 @@ mod tests {
                 got: 1
             }
         );
-    }
-
-    #[test]
-    fn schedule_cache_compiles_each_size_once() {
-        let mut compiles = 0usize;
-        let mut cache = ScheduleCache::new(FnProvider(|size| {
-            compiles += 1;
-            Ok(schedule_builder(size))
-        }));
-        let trace = TraceSpec::background(10);
-        let a = execute_trace(&K20C, &trace, 4, &mut cache).unwrap();
-        let b = execute_trace(&K20C, &trace, 4, &mut cache).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(cache.len(), 2); // sizes 4 and 2
-        drop(cache);
-        assert_eq!(compiles, 2);
     }
 
     #[test]
@@ -429,7 +420,7 @@ mod tests {
     #[test]
     fn executor_reports_are_golden() {
         let spec = alexnet();
-        let mut cache = ScheduleCache::new(OfflineCompiler::new(&K20C, &spec));
+        let compiler = OfflineCompiler::new(&K20C, &spec);
         let traces = [
             TraceSpec::interactive(6, 0.05, 0.2, 3),
             TraceSpec::real_time(6, 30.0),
@@ -444,7 +435,7 @@ mod tests {
         let hashes: Vec<u64> = traces
             .iter()
             .map(|t| {
-                let r = execute_trace(&K20C, t, 2, &mut cache).unwrap();
+                let r = execute_trace(&K20C, t, 2, |b| compiler.try_compile_batch(b)).unwrap();
                 let e = r.energy;
                 let tail = [r.makespan, e.dynamic_j, e.leakage_j, e.dram_j, e.constant_j];
                 fnv1a(r.latencies.iter().chain(&tail).map(|v| v.to_bits()))

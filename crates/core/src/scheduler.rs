@@ -10,7 +10,7 @@ use pcnn_nn::spec::NetworkSpec;
 use pcnn_kernels::Library;
 
 use crate::error::{Error, Result};
-use crate::offline::{library_schedule, FnProvider, OfflineCompiler};
+use crate::offline::{library_schedule, OfflineCompiler};
 use crate::runtime::{execute_trace, ExecutionReport};
 use crate::soc::{score, Soc, SocInputs};
 use crate::task::{AppSpec, UserRequirements};
@@ -239,11 +239,11 @@ fn run_decision(
     decision: &Decision,
 ) -> Result<Evaluation> {
     let compiler = OfflineCompiler::new(ctx.arch, ctx.spec);
-    let mut provider = FnProvider(|size| match decision.library {
+    let schedule = |size| match decision.library {
         Some(lib) => Ok(library_schedule(ctx.arch, ctx.spec, lib, size)),
         None => compiler.try_compile_perforated(size, &decision.rates, decision.power_gated),
-    });
-    let report = execute_trace(ctx.arch, trace, decision.batch, &mut provider)?;
+    };
+    let report = execute_trace(ctx.arch, trace, decision.batch, schedule)?;
     let response = report.response_time(ctx.app.kind);
     let s = score(
         &ctx.req,

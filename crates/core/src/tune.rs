@@ -7,7 +7,7 @@
 //! shape cannot run, benchmarks the rest — a lone survivor is chosen
 //! untimed — records the winner in a [`ConvPlan`] (serializable next to
 //! the schedule, memoized per shape the way
-//! [`crate::offline::ScheduleCache`] memoizes schedules), and traces the
+//! [`crate::runtime::execute_trace`] memoizes per-size costs), and traces the
 //! search through telemetry (`tune.conv.candidates` / `tune.conv.pruned`
 //! counters plus one `tune.conv.layer` event per decision). Im2col is
 //! never a candidate: direct computes the same bits without the column

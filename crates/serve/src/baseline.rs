@@ -48,8 +48,8 @@ pub fn fifo_baseline(
     base_entropy: f64,
 ) -> Result<BaselineReport> {
     let compiler = OfflineCompiler::new(arch, spec);
-    let mut provider = ScheduleCache::new(compiler);
-    let report = execute_trace(arch, &workload.trace, batch, &mut provider)?;
+    let schedule = |b| compiler.try_compile_batch(b);
+    let report = execute_trace(arch, &workload.trace, batch, schedule)?;
     let latency = LatencyStats::of(&report.latencies);
     let (met, total) = match workload.t_user() {
         Some(t_user) => (

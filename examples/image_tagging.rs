@@ -27,8 +27,10 @@ fn main() {
         let schedule = compiler
             .try_compile(&app, &req)
             .expect("compilation failed");
-        let report =
-            execute_trace(arch, &trace, schedule.batch, &mut &compiler).expect("trace execution");
+        let report = execute_trace(arch, &trace, schedule.batch, |b| {
+            compiler.try_compile_batch(b)
+        })
+        .expect("trace execution");
         println!(
             "{:<10} {:>10} {:>14.1} {:>13.0} {:>13.3}",
             arch.name,

@@ -53,8 +53,10 @@ fn main() {
 
     // 3. Execute a short interactive trace and score it (§V.A).
     let trace = TraceSpec::interactive(5, 0.8, 2.0, 42);
-    let report =
-        execute_trace(&K20C, &trace, schedule.batch, &mut &compiler).expect("trace execution");
+    let report = execute_trace(&K20C, &trace, schedule.batch, |b| {
+        compiler.try_compile_batch(b)
+    })
+    .expect("trace execution");
     let score = score(
         &req,
         &SocInputs {

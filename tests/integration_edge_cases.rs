@@ -17,7 +17,7 @@ fn batch_larger_than_trace_still_processes_everything() {
     let spec = alexnet();
     let compiler = OfflineCompiler::new(&K20C, &spec);
     let trace = TraceSpec::interactive(3, 0.1, 0.2, 9);
-    let report = execute_trace(&K20C, &trace, 16, &mut &compiler).unwrap();
+    let report = execute_trace(&K20C, &trace, 16, |b| compiler.try_compile_batch(b)).unwrap();
     assert_eq!(report.latencies.len(), 3);
     assert!(report.latencies.iter().all(|&l| l > 0.0));
 }
@@ -27,7 +27,7 @@ fn single_image_background_burst() {
     let spec = alexnet();
     let compiler = OfflineCompiler::new(&JETSON_TX1, &spec);
     let trace = TraceSpec::background(1);
-    let report = execute_trace(&JETSON_TX1, &trace, 8, &mut &compiler).unwrap();
+    let report = execute_trace(&JETSON_TX1, &trace, 8, |b| compiler.try_compile_batch(b)).unwrap();
     assert_eq!(report.latencies.len(), 1);
     assert!(
         report.idle_energy_j.abs() < 1e-9,

@@ -90,7 +90,10 @@ fn trace_execution_scores_finite_soc() {
     let compiler = OfflineCompiler::new(&K20C, &spec);
     let schedule = compiler.try_compile(&app, &req).unwrap();
     let trace = TraceSpec::real_time(5, 30.0);
-    let report = execute_trace(&K20C, &trace, schedule.batch, &mut &compiler).unwrap();
+    let report = execute_trace(&K20C, &trace, schedule.batch, |b| {
+        compiler.try_compile_batch(b)
+    })
+    .unwrap();
     let s = score(
         &req,
         &SocInputs {
