@@ -4,6 +4,7 @@
 //! is no flag table to keep in sync and no flag that is silently ignored.
 //! `main` reads `--trace` and `--threads` through the same value.
 
+use std::fmt::Display;
 use std::str::FromStr;
 
 /// Why a `pcnn` invocation did not succeed.
@@ -90,6 +91,22 @@ impl Args {
         })
     }
 
+    /// [`get`](Self::get) for a count or a rate, which only a finite
+    /// number above zero can be.
+    ///
+    /// # Errors
+    ///
+    /// As [`get`](Self::get), plus [`CliError::Usage`] naming the flag
+    /// when the value is zero, negative, infinite or NaN.
+    pub fn positive<T: Positive>(&mut self, name: &str) -> Result<Option<T>, CliError> {
+        match self.get::<T>(name)? {
+            Some(v) if !v.is_positive() => Err(CliError::Usage(format!(
+                "--{name}: `{v}` is not a finite number above zero"
+            ))),
+            v => Ok(v),
+        }
+    }
+
     /// [`get`](Self::get) for a flag the subcommand cannot run without.
     ///
     /// # Errors
@@ -115,6 +132,42 @@ impl Args {
             }
             Some(t) => Err(CliError::Usage(format!("unexpected argument `{t}`"))),
         }
+    }
+}
+
+/// A flag value [`Args::positive`] reads: a count or a real.
+pub trait Positive: FromStr + Display {
+    /// Whether the value is a finite number above zero.
+    fn is_positive(&self) -> bool;
+}
+
+impl Positive for usize {
+    fn is_positive(&self) -> bool {
+        *self > 0
+    }
+}
+
+impl Positive for f64 {
+    fn is_positive(&self) -> bool {
+        self.is_finite() && *self > 0.0
+    }
+}
+
+/// Checks the `PCNN_THREADS` value `env` the worker pool falls back to:
+/// unset or empty leaves the width to the hardware; anything else must
+/// be a count above zero, which the pool would otherwise ignore.
+///
+/// # Errors
+///
+/// [`CliError::Usage`] naming the variable when the value is not a
+/// count above zero.
+pub fn check_threads_env(env: Option<&str>) -> Result<(), CliError> {
+    match env.map(str::trim) {
+        None | Some("") => Ok(()),
+        Some(v) if v.parse::<usize>().is_ok_and(|n| n > 0) => Ok(()),
+        Some(v) => Err(CliError::Usage(format!(
+            "PCNN_THREADS: `{v}` is not a thread count above zero"
+        ))),
     }
 }
 
@@ -190,6 +243,36 @@ mod tests {
         assert_eq!(msg, "--frames: `10.7` is not a valid usize");
         // The same text is a fine f64.
         assert_eq!(args(&["--fps", "10.7"]).get::<f64>("fps"), Ok(Some(10.7)));
+    }
+
+    #[test]
+    fn a_count_or_rate_not_above_zero_is_refused_by_name() {
+        assert_eq!(
+            args(&["--frames", "3"]).positive::<usize>("frames"),
+            Ok(Some(3))
+        );
+        assert_eq!(args(&["--fps=0.5"]).positive::<f64>("fps"), Ok(Some(0.5)));
+        assert_eq!(args(&[]).positive::<f64>("fps"), Ok(None));
+        let msg = usage(args(&["--frames", "0"]).positive::<usize>("frames"));
+        assert_eq!(msg, "--frames: `0` is not a finite number above zero");
+        for bad in ["0", "-1", "nan", "inf", "-inf"] {
+            let msg = usage(args(&["--rate", bad]).positive::<f64>("rate"));
+            assert!(msg.starts_with("--rate: `"), "{bad}: {msg}");
+        }
+        // A value of the wrong type is still the type's refusal.
+        let msg = usage(args(&["--m", "-1"]).positive::<usize>("m"));
+        assert_eq!(msg, "--m: `-1` is not a valid usize");
+    }
+
+    #[test]
+    fn threads_env_is_a_count_above_zero_or_unset() {
+        for ok in [None, Some(""), Some("2"), Some(" 8 ")] {
+            assert_eq!(check_threads_env(ok), Ok(()), "{ok:?}");
+        }
+        for bad in ["0", "banana", "-2", "1.5"] {
+            let msg = usage(check_threads_env(Some(bad)));
+            assert!(msg.starts_with("PCNN_THREADS: `"), "{bad}: {msg}");
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use std::process::ExitCode;
 
+use pcnn_bench::args::check_threads_env;
 use pcnn_bench::baselines::{self, FleetScenario, ServeScenario};
 use pcnn_bench::obs::{
     analyze_route, analyze_trace, diff_documents, first_difference, load_document, ObsError,
@@ -142,7 +143,7 @@ fn cmd_platforms(args: Args) -> CmdResult {
 fn cmd_compile(mut args: Args) -> CmdResult {
     let gpu = pick_gpu(&args.require::<String>("gpu")?)?;
     let net = pick_net(&args.require::<String>("net")?)?;
-    let rate: f64 = args.get("rate")?.unwrap_or(30.0);
+    let rate = args.positive("rate")?.unwrap_or(30.0);
     let app = match args.require::<String>("task")?.as_str() {
         "interactive" => AppSpec::age_detection(),
         "realtime" => AppSpec::video_surveillance(rate),
@@ -201,7 +202,7 @@ fn cmd_compile(mut args: Args) -> CmdResult {
 fn cmd_simulate(mut args: Args) -> CmdResult {
     let gpu = pick_gpu(&args.require::<String>("gpu")?)?;
     let net = pick_net(&args.require::<String>("net")?)?;
-    let batch: usize = args.get("batch")?.unwrap_or(1);
+    let batch = args.positive("batch")?.unwrap_or(1);
     let library = args.get::<String>("library")?;
     args.finish()?;
     let schedule = match library {
@@ -240,7 +241,11 @@ fn cmd_simulate(mut args: Args) -> CmdResult {
 
 fn cmd_tune(mut args: Args) -> CmdResult {
     let gpu = pick_gpu(&args.require::<String>("gpu")?)?;
-    let (m, n, k) = (args.require("m")?, args.require("n")?, args.require("k")?);
+    let mut dim = |name| {
+        args.positive(name)?
+            .ok_or_else(|| CliError::Usage(format!("--{name} <value> is required")))
+    };
+    let (m, n, k) = (dim("m")?, dim("n")?, dim("k")?);
     args.finish()?;
     let shape = SgemmShape { m, n, k };
     let tuned = tune_kernel(gpu, shape);
@@ -271,7 +276,7 @@ fn cmd_tune(mut args: Args) -> CmdResult {
 /// `--smoke` runs the reduced CI subset (never commit a smoke document
 /// as the baseline — the gate flags its missing shapes).
 fn cmd_bench_conv(mut args: Args) -> CmdResult {
-    let reps: usize = args.get("reps")?.unwrap_or(3);
+    let reps = args.positive("reps")?.unwrap_or(3);
     let smoke = args.flag("smoke");
     let json = args.get::<String>("json")?;
     args.finish()?;
@@ -345,7 +350,7 @@ fn cmd_bench_conv(mut args: Args) -> CmdResult {
 }
 
 fn cmd_bench_gemm(mut args: Args) -> CmdResult {
-    let reps: usize = args.get("reps")?.unwrap_or(3);
+    let reps = args.positive("reps")?.unwrap_or(3);
     let json = args.get::<String>("json")?;
     args.finish()?;
     let threads = pcnn_parallel::current_threads();
@@ -431,12 +436,12 @@ fn cmd_serve(mut args: Args) -> CmdResult {
         gpus,
         net,
         seed: args.get("seed")?.unwrap_or(base.seed),
-        fps: args.get("fps")?.unwrap_or(base.fps),
-        frames: args.get("frames")?.unwrap_or(base.frames),
-        requests: args.get("requests")?.unwrap_or(base.requests),
-        rate: args.get("rate")?.unwrap_or(base.rate),
-        bg_images: args.get("bg-images")?.unwrap_or(base.bg_images),
-        max_batch: args.get("max-batch")?.unwrap_or(base.max_batch),
+        fps: args.positive("fps")?.unwrap_or(base.fps),
+        frames: args.positive("frames")?.unwrap_or(base.frames),
+        requests: args.positive("requests")?.unwrap_or(base.requests),
+        rate: args.positive("rate")?.unwrap_or(base.rate),
+        bg_images: args.positive("bg-images")?.unwrap_or(base.bg_images),
+        max_batch: args.positive("max-batch")?.unwrap_or(base.max_batch),
         degradation: !args.flag("no-degrade"),
     };
     let json = args.get::<String>("json")?;
@@ -516,7 +521,7 @@ fn cmd_serve_fleet(mut args: Args) -> CmdResult {
         None => None,
     };
     let only = args.get::<String>("scenario")?;
-    let stream = args.get::<usize>("stream")?;
+    let stream = args.positive::<usize>("stream")?;
     let json = args.get::<String>("json")?;
     args.finish()?;
     let fleet_failed = |e| failed(format!("serve-fleet failed: {e}"));
@@ -728,7 +733,7 @@ fn cmd_obs_analyze(path: &str) -> CmdResult {
         for a in &analysis.alerts {
             t.row(vec![
                 format!("{:.2}", a.t_s),
-                a.label(),
+                a.workload.clone(),
                 a.metric.clone(),
                 format!("{:.4}", a.observed),
                 format!("{:.4}", a.objective),
@@ -824,7 +829,7 @@ fn cmd_obs_check(mut args: Args) -> CmdResult {
         let candidate = args.get::<String>(&format!("candidate-{}", gate.name))?;
         gates.push((gate, baseline, candidate));
     }
-    let reps: usize = args.get("reps")?.unwrap_or(3);
+    let reps = args.positive("reps")?.unwrap_or(3);
     args.finish()?;
     let file_mode = gates.iter().any(|(_, _, candidate)| candidate.is_some());
     // Refused before any gate runs, so a refusal prints nothing on stdout.
@@ -1052,7 +1057,7 @@ fn cmd_obs_incident(path: &str) -> CmdResult {
     println!(
         "incident: {} SLO on {} violated at t={:.3}s — observed {:.4} vs objective {:.4} (burn {:.2}x)",
         inc.alert.metric,
-        inc.alert.label(),
+        inc.alert.workload,
         inc.alert.t_s,
         inc.alert.observed,
         inc.alert.objective,
@@ -1177,8 +1182,8 @@ fn cmd_profile(mut args: Args) -> CmdResult {
             "unknown model {model_name:?} (expected alexnet, vggnet, or googlenet)"
         ))
     })?;
-    let batch: usize = args.get("batch")?.unwrap_or(profile::BASELINE_BATCH);
-    let reps: usize = args.get("reps")?.unwrap_or(3);
+    let batch = args.positive("batch")?.unwrap_or(profile::BASELINE_BATCH);
+    let reps = args.positive("reps")?.unwrap_or(3);
     let json = args.get::<String>("json")?;
     args.finish()?;
     let profile_failed = |e| failed(format!("profile failed: {e}"));
@@ -1249,7 +1254,8 @@ fn cmd_repro(mut args: Args) -> CmdResult {
 /// returns, so its files are written on the way out whatever the result.
 fn run(mut args: Args) -> CmdResult {
     let _trace = pcnn_bench::trace::init(&mut args)?;
-    if let Some(n) = args.get::<usize>("threads")? {
+    check_threads_env(std::env::var("PCNN_THREADS").ok().as_deref())?;
+    if let Some(n) = args.positive("threads")? {
         pcnn_parallel::set_threads(n);
     }
     let cmd = expect(&mut args, "a subcommand")?;

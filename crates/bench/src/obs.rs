@@ -567,7 +567,7 @@ pub fn analyze_trace(doc: &JsonValue) -> Result<TraceAnalysis, String> {
                     _ => {}
                 }
             }
-            "i" if ev.name == "slo.alert" || ev.name == "slo.platform_alert" => {
+            "i" if ev.name == "slo.alert" => {
                 let t_s = ev.ts_us / 1e6;
                 let alert = Alert::from_args(t_s, ev.args);
                 out.alerts
@@ -1001,21 +1001,5 @@ mod tests {
         // The dispatching decision's candidates decode with their verdicts.
         assert!(r.decisions[0].candidates[0].feasible);
         assert_eq!(r.decisions[0].candidates[1].slack_s, Some(-0.5));
-    }
-
-    #[test]
-    fn analyze_trace_surfaces_platform_alerts() {
-        let doc = json::parse(
-            r#"[
-            {"name":"slo.platform_alert","ph":"i","pid":3,"tid":1,"ts":250000,"s":"t","args":
-              {"platform":"TX1","metric":"deadline_hit_rate","observed":0.5,
-               "objective":0.95,"burn_rate":10.0}}
-            ]"#,
-        )
-        .unwrap();
-        let a = analyze_trace(&doc).unwrap();
-        assert_eq!(a.alerts.len(), 1);
-        assert_eq!(a.alerts[0].label(), "platform TX1");
-        assert_eq!(a.alerts[0].metric, "deadline_hit_rate");
     }
 }

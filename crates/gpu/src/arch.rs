@@ -13,23 +13,10 @@ pub enum Platform {
     Mobile,
 }
 
-/// Warp scheduling policy of the SM's issue stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WarpScheduler {
-    /// Greedy-then-oldest (the paper's Table VI configuration): the last
-    /// issued warp keeps priority until it stalls.
-    #[default]
-    Gto,
-    /// Loose round-robin: issue rotates to the next ready warp each cycle.
-    Lrr,
-}
-
 /// Per-instruction-class timing and throughput of one SM, plus the energy
 /// coefficients used by [`crate::EnergyModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmTiming {
-    /// Warp scheduling policy.
-    pub warp_scheduler: WarpScheduler,
     /// Warp-instruction issue slots per cycle (warp schedulers).
     pub issue_slots: u32,
     /// FFMA warp-instructions per cycle (`cores_per_sm / 32`).
@@ -53,7 +40,6 @@ pub struct SmTiming {
 impl Default for SmTiming {
     fn default() -> Self {
         Self {
-            warp_scheduler: WarpScheduler::Gto,
             issue_slots: 4,
             ffma_per_cycle: 4.0,
             lds_per_cycle: 1.5,
@@ -206,7 +192,6 @@ pub const K20C: GpuArch = GpuArch {
     mem_capacity: 5 * GB,
     usable_mem: 4 * GB + GB / 2,
     timing: SmTiming {
-        warp_scheduler: WarpScheduler::Gto,
         issue_slots: 4,
         ffma_per_cycle: 6.0, // 192 cores / 32
         lds_per_cycle: 2.0,
@@ -244,7 +229,6 @@ pub const TITAN_X: GpuArch = GpuArch {
     mem_capacity: 12 * GB,
     usable_mem: 10 * GB + 3 * GB / 4,
     timing: SmTiming {
-        warp_scheduler: WarpScheduler::Gto,
         issue_slots: 4,
         ffma_per_cycle: 4.0, // 128 cores / 32
         lds_per_cycle: 1.5,
@@ -282,7 +266,6 @@ pub const GTX_970M: GpuArch = GpuArch {
     mem_capacity: 3 * GB,
     usable_mem: 2 * GB + 7 * GB / 10,
     timing: SmTiming {
-        warp_scheduler: WarpScheduler::Gto,
         issue_slots: 4,
         ffma_per_cycle: 4.0,
         lds_per_cycle: 1.5,
@@ -320,7 +303,6 @@ pub const JETSON_TX1: GpuArch = GpuArch {
     mem_capacity: 4 * GB,
     usable_mem: 3 * GB,
     timing: SmTiming {
-        warp_scheduler: WarpScheduler::Gto,
         issue_slots: 4,
         ffma_per_cycle: 4.0,
         lds_per_cycle: 1.5,

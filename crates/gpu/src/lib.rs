@@ -33,6 +33,5 @@ pub use energy::{EnergyBreakdown, EnergyModel};
 pub use metrics::{compute_efficiency, utilization};
 pub use occupancy::{KernelResources, Occupancy};
 pub use sim::dispatch::{DispatchPolicy, KernelResult};
-pub use sim::multitask::{simulate_concurrent, MultitaskResult, Partition};
 pub use sim::trace::{CtaTrace, Op};
 pub use sim::KernelDesc;

@@ -74,11 +74,7 @@ impl KernelResult {
 
 /// The SMs a launch uses, its resident-CTA cap and its gated SMs, after
 /// clamping `policy` to the architecture and the kernel's occupancy.
-pub(crate) fn launch_shape(
-    arch: &GpuArch,
-    occ_tlp: usize,
-    policy: DispatchPolicy,
-) -> (usize, usize, usize) {
+fn launch_shape(arch: &GpuArch, occ_tlp: usize, policy: DispatchPolicy) -> (usize, usize, usize) {
     match policy {
         DispatchPolicy::RoundRobin => (arch.n_sms, occ_tlp, 0),
         DispatchPolicy::PrioritySm {
@@ -218,7 +214,7 @@ pub fn simulate_kernel(
 ///
 /// Returns the last completion cycle and, per SM, its last completion
 /// (`None` for an SM that ran nothing).
-pub(crate) fn run_ctas(
+fn run_ctas(
     waves: &mut Waves<'_>,
     mut resident: Vec<usize>,
     grid: usize,

@@ -1,7 +1,6 @@
 //! The two-level kernel simulator (see crate docs).
 
 pub mod dispatch;
-pub mod multitask;
 pub mod trace;
 pub mod warp;
 

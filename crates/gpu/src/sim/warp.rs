@@ -1,9 +1,9 @@
-//! Detailed single-SM warp-level cycle simulation with a GTO or LRR scheduler.
+//! Detailed single-SM warp-level cycle simulation with a greedy-then-oldest (GTO) scheduler.
 //!
 //! [`simulate_sm`] is a pinned pure function of its five inputs, stepped over warp bitmasks and
 //! held cycle for cycle to the `#[cfg(test)]` per-warp reference loop (DESIGN.md §5).
 
-use crate::arch::{GpuArch, SmTiming, WarpScheduler};
+use crate::arch::{GpuArch, SmTiming};
 use crate::sim::trace::{Op, GLOBAL_ACCESS_BYTES};
 
 /// Hard ceiling to catch livelocks; a real wave never gets near this.
@@ -81,16 +81,10 @@ fn contains(set: &[u64], i: usize) -> bool {
     set[i / 64] >> (i % 64) & 1 != 0
 }
 
-/// The lowest member at or after `from` (which may be past the last warp).
-fn first_from(set: &[u64], from: usize) -> Option<usize> {
-    let w0 = from / 64;
-    let head = *set.get(w0)? & (!0u64 << (from % 64));
-    if head != 0 {
-        return Some(w0 * 64 + head.trailing_zeros() as usize);
-    }
-    (w0 + 1..set.len())
-        .find(|&w| set[w] != 0)
-        .map(|w| w * 64 + set[w].trailing_zeros() as usize)
+/// The lowest member.
+fn first(set: &[u64]) -> Option<usize> {
+    let w = set.iter().position(|&word| word != 0)?;
+    Some(w * 64 + set[w].trailing_zeros() as usize)
 }
 
 /// The members of `set`, ascending.
@@ -429,9 +423,8 @@ impl<M: Words> Loop<M> {
             }
 
             // Issue up to `issue_slots` warp-instructions. Each slot takes
-            // one warp of `eligible` (ready now, its class's budget left) —
-            // GTO the last issued warp, else the oldest; LRR the first
-            // after the last issued one, wrapping.
+            // one warp of `eligible` (ready now, its class's budget left):
+            // the last issued warp, else the oldest (GTO).
             let budgets = &mut clock.budgets;
             let eligible = &mut scratch;
             for (w, e) in eligible.as_mut().iter_mut().enumerate() {
@@ -446,12 +439,10 @@ impl<M: Words> Loop<M> {
             for _slot in 0..t.issue_slots {
                 let e = eligible.as_ref();
                 let last_issued = clock.last_issued;
-                let chosen = match t.warp_scheduler {
-                    WarpScheduler::Gto if contains(e, last_issued) => Some(last_issued),
-                    WarpScheduler::Gto => first_from(e, 0),
-                    WarpScheduler::Lrr => {
-                        first_from(e, last_issued + 1).or_else(|| first_from(e, 0))
-                    }
+                let chosen = if contains(e, last_issued) {
+                    Some(last_issued)
+                } else {
+                    first(e)
                 };
                 let Some(wi) = chosen else { break };
                 let seg = sm.seg[wi];
@@ -493,7 +484,7 @@ impl<M: Words> Loop<M> {
                 // ready but issue-blocked means a throughput stall on its
                 // pending op class; otherwise the earliest-ready warp's
                 // in-flight latency is the bottleneck.
-                let (next, cause) = match first_from(sm.ready_now.as_ref(), 0) {
+                let (next, cause) = match first(sm.ready_now.as_ref()) {
                     Some(wi) => (cycle + 1, STALL_OF[code.seg_class[sm.seg[wi]]]),
                     None => members(sm.active.as_ref())
                         .map(|wi| (sm.ready[wi], sm.wait_cause[wi]))
@@ -754,17 +745,8 @@ mod reference {
             for _slot in 0..t.issue_slots {
                 let mut chosen = None;
                 for k in 0..=n_warps {
-                    let wi = match t.warp_scheduler {
-                        WarpScheduler::Gto => {
-                            if k == 0 {
-                                last_issued
-                            } else {
-                                k - 1
-                            }
-                        }
-                        WarpScheduler::Lrr => (last_issued + 1 + k) % n_warps,
-                    };
-                    if t.warp_scheduler == WarpScheduler::Gto && k > 0 && wi == last_issued {
+                    let wi = if k == 0 { last_issued } else { k - 1 };
+                    if k > 0 && wi == last_issued {
                         continue;
                     }
                     let w = &warps[wi];
@@ -962,28 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn lrr_and_gto_complete_same_work() {
-        // Both schedulers must finish; GTO is typically at least as fast
-        // on latency-bound mixes (it exploits intra-warp locality).
-        let ops = vec![
-            (Op::Ldg, 4),
-            (Op::WaitMem, 1),
-            (Op::Lds, 8),
-            (Op::Ffma, 64),
-            (Op::Bar, 1),
-            (Op::Stg, 2),
-        ];
-        let mut lrr_arch = K20C.clone();
-        lrr_arch.timing.warp_scheduler = crate::arch::WarpScheduler::Lrr;
-        let gto = simulate_sm(&K20C, &ops, 4, 2, 13);
-        let lrr = simulate_sm(&lrr_arch, &ops, 4, 2, 13);
-        assert!(gto > 0 && lrr > 0);
-        // Same order of magnitude: the policies differ in fairness, not
-        // throughput, for this regular mix.
-        assert!(lrr < 3 * gto && gto < 3 * lrr, "gto {gto} lrr {lrr}");
-    }
-
-    #[test]
     fn deterministic() {
         let ops = vec![
             (Op::Ialu, 8),
@@ -1045,17 +1005,12 @@ mod tests {
         "sim.stall_cycles.other",
     ];
 
-    /// The four shipped architectures, an LRR one, a DVFS-scaled one, and
-    /// one whose warps may issue again in the cycle they issued.
+    /// The four shipped architectures, a DVFS-scaled one, and one whose
+    /// warps may issue again in the cycle they issued.
     fn arch_under_test(ix: usize) -> GpuArch {
         match ix {
             0..=3 => all_platforms()[ix].clone(),
-            4 => {
-                let mut lrr = K20C.clone();
-                lrr.timing.warp_scheduler = WarpScheduler::Lrr;
-                lrr
-            }
-            5 => JETSON_TX1.with_frequency_scale(0.6),
+            4 => JETSON_TX1.with_frequency_scale(0.6),
             _ => {
                 let mut eager = TITAN_X.clone();
                 eager.timing.ffma_stall = 0;
@@ -1097,12 +1052,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Every op, zero counts anywhere, up to 128 warps (two mask
-        /// words), both schedulers: the bitmask loop is the reference loop
+        /// words), every architecture under test: the bitmask loop is the reference loop
         /// cycle for cycle, stall for stall.
         #[test]
         fn bitmask_loop_matches_the_reference(
             program in prop::collection::vec((0usize..8, 0u32..65), 1..41),
-            arch_ix in 0usize..7,
+            arch_ix in 0usize..6,
             warps_per_cta in 1usize..9,
             n_ctas in 1usize..17,
             sms_draw in 0usize..64,
@@ -1129,7 +1084,7 @@ mod tests {
             epilogue in prop::collection::vec((0usize..8, 0u32..17), 1..13),
             body_iters in 13u32..41,
             zero_ends in 0u8..4,
-            arch_ix in 0usize..7,
+            arch_ix in 0usize..6,
             warps_per_cta in 1usize..9,
             n_ctas in 1usize..17,
             sms_draw in 0usize..64,
@@ -1184,7 +1139,7 @@ mod tests {
         };
         for (arch, trace, warps, forks) in [
             (K20C.clone(), barriered, 4, true),
-            (arch_under_test(6), eager_ffma, 1, false),
+            (arch_under_test(5), eager_ffma, 1, false),
         ] {
             let (short, long) = (trace.sampled(6), trace.sampled(12));
             let got = pair::<[u64; 1]>(&arch, &short, &long, warps, 1, 1);

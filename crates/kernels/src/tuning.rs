@@ -56,17 +56,10 @@ pub fn tlp_stairs(arch: &GpuArch, variant: &SgemmVariant) -> Vec<StairPoint> {
     stairs
 }
 
-/// Paper eq. 10, literally: `S_kernel = (1 - rEC) x Spill_cost x
-/// nInvocations`. The formula is degenerate at its boundaries (any
-/// unspilled or exactly-fitting kernel scores 0); it is exposed for
-/// completeness and the ablation benches.
-pub fn s_kernel_literal(rec: f64, spill_cost: f64, invocations: usize) -> f64 {
-    (1.0 - rec) * spill_cost * invocations as f64
-}
-
 /// The effective selection score (smaller is better): an analytic estimate
 /// of the kernel's execution cycles combining the three penalties of
-/// eq. 10 in non-degenerate form —
+/// eq. 10 in non-degenerate form (the literal `(1 - rEC) x Spill_cost x
+/// nInvocations` scores every unspilled or exactly-fitting kernel 0) —
 ///
 /// * `nInvocations` waves of work (eq. 8),
 /// * compute per wave inflated by padding waste `1/rEC` (eq. 9),
@@ -240,13 +233,6 @@ mod tests {
         // Max TLP at 32 regs: 65536/(256*32) = 8.
         let last = stairs.last().unwrap();
         assert_eq!(last.tlp, 8);
-    }
-
-    #[test]
-    fn literal_s_kernel_degenerates() {
-        assert_eq!(s_kernel_literal(1.0, 100.0, 5), 0.0);
-        assert_eq!(s_kernel_literal(0.5, 0.0, 5), 0.0);
-        assert!(s_kernel_literal(0.5, 10.0, 5) > 0.0);
     }
 
     #[test]

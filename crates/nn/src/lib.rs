@@ -32,7 +32,6 @@
 
 pub mod entropy;
 mod error;
-pub mod io;
 pub mod layer;
 pub mod memory;
 pub mod models;

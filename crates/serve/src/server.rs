@@ -25,10 +25,13 @@ use crate::report::{FleetSummary, GpuReport, LatencyAcc, ServeReport, WorkloadRe
 
 const EPS: f64 = 1e-12;
 
+/// Queue fill fraction beyond which the dispatcher escalates one ladder
+/// level even if deadlines still hold.
+const QUEUE_HIGH_WATERMARK: f64 = 0.75;
 /// Queue fill fraction at or below which a dispatch can count as calm —
 /// the restore side of the hysteresis whose escalate side is
-/// [`ServerConfig::queue_high_watermark`], which may not be set under it.
-pub(crate) const QUEUE_LOW_WATERMARK: f64 = 0.25;
+/// [`QUEUE_HIGH_WATERMARK`].
+const QUEUE_LOW_WATERMARK: f64 = 0.25;
 /// Fraction of `T_user` a dispatch must finish early by to count as calm.
 const SLACK_MARGIN: f64 = 0.25;
 /// Consecutive calm dispatches before a platform's ladder walks back up
@@ -84,14 +87,7 @@ impl<'a> CostOracle<'a> {
         let rung = &self.platforms[platform].ladder.levels[level];
         let compiler = &self.compilers[platform];
         let schedule = compiler.try_compile_perforated(size, &rung.rates, true)?;
-        let mut c = compiler.simulate_schedule(&schedule);
-        // An algorithm-downgrade rung runs the same work through faster
-        // conv kernels: the simulator models the baseline algorithm, so
-        // the rung's measured speedup scales predicted time and energy.
-        if rung.time_scale != 1.0 {
-            c.seconds *= rung.time_scale;
-            c.energy = c.energy.scaled(rung.time_scale);
-        }
+        let c = compiler.simulate_schedule(&schedule);
         self.cache.insert(key, c);
         Ok(c)
     }
@@ -227,9 +223,8 @@ impl<'a> ServerBuilder<'a> {
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] if no platform was added, a
-    /// platform's ladder has no levels, a config knob is out of domain
-    /// (see [`ServerConfig::validate`]), or a per-platform SLO names a
-    /// platform index outside the fleet, and [`Error::RateLenMismatch`]
+    /// platform's ladder has no levels or a config knob is out of domain
+    /// (see [`ServerConfig::validate`]), and [`Error::RateLenMismatch`]
     /// if any ladder level's rate vector does not match the network's
     /// conv-layer count.
     pub fn build(self) -> Result<Server<'a>> {
@@ -239,13 +234,6 @@ impl<'a> ServerBuilder<'a> {
             });
         }
         self.config.validate()?;
-        for (g, _) in &self.config.platform_slos {
-            if *g >= self.platforms.len() {
-                return Err(Error::InvalidInput {
-                    what: "platform_slo index must name a fleet platform",
-                });
-            }
-        }
         let n_convs = self.spec.conv_layers().len();
         for p in &self.platforms {
             if p.ladder.levels.is_empty() {
@@ -420,9 +408,8 @@ impl<'a> Server<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidInput`] if no workload was registered or a
-    /// declared [`crate::obs::SloPolicy`] has an objective outside its
-    /// domain, and [`Error::InfeasibleSchedule`] if some deadline
+    /// Returns [`Error::InvalidInput`] if no workload was registered, and
+    /// [`Error::InfeasibleSchedule`] if some deadline
     /// workload cannot meet `T_user` at batch 1 on the deepest usable
     /// ladder level of *any* platform — admission control rejects the
     /// whole workload up front rather than accepting requests it can
@@ -435,11 +422,6 @@ impl<'a> Server<'a> {
                 what: "server has no workloads",
             });
         }
-        for w in &self.workloads {
-            if let Some(slo) = &w.slo {
-                slo.validate()?;
-            }
-        }
         let _span = pcnn_telemetry::span!(
             "serve.run",
             gpus = self.platforms.len(),
@@ -448,7 +430,7 @@ impl<'a> Server<'a> {
         // The recorder exists only while telemetry is enabled; with it
         // disabled the serving decisions and the report are bit-for-bit
         // the code paths of the un-instrumented server.
-        let mut obs = Obs::maybe(router_name, &self.config, &self.platforms, &self.workloads);
+        let mut obs = Obs::maybe(router_name, &self.platforms, &self.workloads);
         let mut costs = CostOracle::new(&self.platforms, self.spec);
         let reference = self.reference();
         let peaks: Vec<f64> = self
@@ -784,7 +766,7 @@ impl<'a> Server<'a> {
         if let Some(t_user) = ws.t_user {
             // Escalate on queue pressure before it turns into misses.
             if self.config.degradation
-                && q as f64 >= self.config.queue_high_watermark * cap as f64
+                && q as f64 >= QUEUE_HIGH_WATERMARK * cap as f64
                 && ws.levels[g] < max_level
             {
                 ws.levels[g] += 1;

@@ -5,11 +5,8 @@ use pcnn_core::prelude::*;
 use pcnn_data::{TraceSpec, WorkloadKind};
 use pcnn_gpu::arch::{JETSON_TX1, K20C};
 use pcnn_nn::spec::{ConvSpec, FcSpec, LayerSpec, NetworkSpec};
-use pcnn_serve::obs::{Alert, IncidentReport, RouteRecord, SloScope};
-use pcnn_serve::{
-    DegradationLadder, DegradationLevel, Platform, RouterPolicy, ServeWorkload, Server,
-    ServerConfig, SloPolicy,
-};
+use pcnn_serve::obs::{IncidentReport, RouteRecord};
+use pcnn_serve::{DegradationLadder, Platform, RouterPolicy, ServeWorkload, Server, ServerConfig};
 use pcnn_telemetry::json::{self, JsonValue};
 
 fn tiny_net() -> NetworkSpec {
@@ -37,9 +34,8 @@ fn batch_cost(spec: &NetworkSpec) -> f64 {
     simulate_schedule(&K20C, &schedule).seconds
 }
 
-/// A 1.5x-overloaded interactive workload (the canonical overload level),
-/// optionally with explicit SLO objectives.
-fn overload_workload(spec: &NetworkSpec, slo: Option<SloPolicy>) -> ServeWorkload {
+/// A 1.5x-overloaded interactive workload (the canonical overload level).
+fn overload_workload(spec: &NetworkSpec) -> ServeWorkload {
     let c = batch_cost(spec);
     let throughput = BATCH as f64 / c;
     let t_user = 5.0 * c;
@@ -53,25 +49,19 @@ fn overload_workload(spec: &NetworkSpec, slo: Option<SloPolicy>) -> ServeWorkloa
     let mut w = ServeWorkload::new(app, trace, 256);
     w.req.t_imperceptible = Some(t_user);
     w.req.t_unusable = Some(20.0 * t_user);
-    if let Some(slo) = slo {
-        w = w.with_slo(slo);
-    }
     w
 }
 
-fn run_report(spec: &NetworkSpec, slo: Option<SloPolicy>) -> String {
-    let c = batch_cost(spec);
+fn run_report(spec: &NetworkSpec) -> String {
     let config = ServerConfig {
         max_batch: BATCH,
-        // A window ~10 batch times wide, so the run spans many windows.
-        obs_window_s: 10.0 * c,
         ..ServerConfig::default()
     };
     let ladder = DegradationLadder::default_ladder(spec.conv_layers().len());
     let server = Server::builder(spec)
         .platform(Platform::new(&K20C, ladder))
         .config(config)
-        .workload(overload_workload(spec, slo))
+        .workload(overload_workload(spec))
         .build()
         .unwrap();
     server.run().unwrap().to_json()
@@ -81,11 +71,11 @@ fn run_report(spec: &NetworkSpec, slo: Option<SloPolicy>) -> String {
 fn report_is_byte_identical_with_telemetry_on() {
     let spec = tiny_net();
     pcnn_telemetry::set_enabled(false);
-    let off = run_report(&spec, None);
+    let off = run_report(&spec);
 
     pcnn_telemetry::set_enabled(true);
     pcnn_telemetry::reset();
-    let on = run_report(&spec, None);
+    let on = run_report(&spec);
     pcnn_telemetry::set_enabled(false);
 
     assert_eq!(off, on, "observability changed the serving outcome");
@@ -98,7 +88,7 @@ fn seeded_traces_are_byte_identical() {
         pcnn_telemetry::set_enabled(true);
         pcnn_telemetry::reset();
         pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
-        run_report(&spec, None);
+        run_report(&spec);
         let trace = pcnn_telemetry::render_chrome_trace();
         let manifest = pcnn_telemetry::render_manifest();
         pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
@@ -129,48 +119,35 @@ fn unit_cost(spec: &NetworkSpec) -> f64 {
     simulate_schedule(&K20C, &schedule).seconds
 }
 
-/// A two-platform fleet run: the reference K20c plus a TX1 doctored to be
-/// 4x slower than its own compiled cost (a single-rung ladder, so it can
-/// never degrade its way back to feasibility), serving a real-time frame
+/// A two-platform fleet run: the reference K20c plus a TX1 clocked down
+/// to a quarter of its frequency (a single-rung ladder, so it can never
+/// degrade its way back to feasibility), serving a real-time frame
 /// stream whose deadline K20c holds with 2x slack. Routed per `policy` at
-/// batch 1 so every frame is one routing decision. With a `tx1_slo` the
-/// objective is the TX1's alone: the workload opts out of its own.
-fn doctored_fleet_report(
-    spec: &NetworkSpec,
-    policy: RouterPolicy,
-    frames: usize,
-    tx1_slo: Option<SloPolicy>,
-) -> String {
+/// batch 1 so every frame is one routing decision.
+fn doctored_fleet_report(spec: &NetworkSpec, policy: RouterPolicy, frames: usize) -> String {
     let c1 = unit_cost(spec);
     let n_convs = spec.conv_layers().len();
-    let slow = DegradationLadder {
-        levels: vec![DegradationLevel {
-            rates: vec![0.0; n_convs],
-            entropy: 0.9,
-            time_scale: 4.0,
-        }],
-    };
+    let slow_tx1 = JETSON_TX1.with_frequency_scale(0.25);
     let fps = 1.0 / (2.0 * c1);
-    let mut workload = ServeWorkload::new(
+    let workload = ServeWorkload::new(
         AppSpec::video_surveillance(fps),
         TraceSpec::real_time(frames, fps),
         64,
     );
-    let mut config = ServerConfig {
+    let config = ServerConfig {
         max_batch: 1,
         ..ServerConfig::default()
     }
     .with_router(policy);
-    if let Some(slo) = tx1_slo {
-        workload = workload.with_slo(SloPolicy::none());
-        config = config.with_platform_slo(1, slo);
-    }
     let server = Server::builder(spec)
         .platform(Platform::new(
             &K20C,
             DegradationLadder::default_ladder(n_convs),
         ))
-        .platform(Platform::new(&JETSON_TX1, slow))
+        .platform(Platform::new(
+            &slow_tx1,
+            DegradationLadder::none(n_convs, 0.9),
+        ))
         .config(config)
         .workload(workload)
         .build()
@@ -204,7 +181,7 @@ fn fleet_incident_and_route_trail_are_deterministic() {
         pcnn_telemetry::set_enabled(true);
         pcnn_telemetry::reset();
         pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
-        let report = doctored_fleet_report(&spec, RouterPolicy::RoundRobin, 12, None);
+        let report = doctored_fleet_report(&spec, RouterPolicy::RoundRobin, 12);
         let trace = pcnn_telemetry::render_chrome_trace();
         let incident = pcnn_telemetry::incident();
         pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
@@ -228,7 +205,7 @@ fn fleet_incident_and_route_trail_are_deterministic() {
     let doc = json::parse(&incident).expect("incident must be valid JSON");
     let inc = IncidentReport::from_snapshot(&doc).expect("incident must read back");
     assert_eq!(inc.router, "round-robin");
-    assert_eq!(inc.alert.scope, SloScope::Workload);
+    assert_eq!(inc.alert.workload, "video surveillance");
     assert_eq!(inc.alert.metric, "deadline_hit_rate");
     assert!(
         !inc.route_decisions.is_empty(),
@@ -256,7 +233,7 @@ fn audit_trail_names_deadline_slack_for_the_infeasible_platform() {
     pcnn_telemetry::set_enabled(true);
     pcnn_telemetry::reset();
     pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
-    let report = doctored_fleet_report(&spec, RouterPolicy::Affinity, 12, None);
+    let report = doctored_fleet_report(&spec, RouterPolicy::Affinity, 12);
     let trace = pcnn_telemetry::render_chrome_trace();
     let incident = pcnn_telemetry::incident();
     pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
@@ -283,80 +260,15 @@ fn audit_trail_names_deadline_slack_for_the_infeasible_platform() {
     );
 }
 
-/// The same misses seen from the platform's side: with the objective
-/// declared on the TX1 (and the workload opted out of its own), the alert
-/// is an `slo.platform_alert` naming the platform on the platform's
-/// track, it is counted under `fleet.slo_alerts`, and the incident it
-/// freezes reads back with platform scope — deterministically.
-#[test]
-fn platform_slo_alerts_name_the_platform_and_freeze_its_incident() {
-    let spec = tiny_net();
-    let slo = SloPolicy {
-        min_hit_rate: Some(0.95),
-        ..SloPolicy::none()
-    };
-    let traced_run = || {
-        pcnn_telemetry::set_enabled(true);
-        pcnn_telemetry::reset();
-        pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
-        doctored_fleet_report(&spec, RouterPolicy::RoundRobin, 12, Some(slo.clone()));
-        let trace = pcnn_telemetry::render_chrome_trace();
-        let manifest = pcnn_telemetry::render_manifest();
-        let incident = pcnn_telemetry::incident();
-        pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
-        pcnn_telemetry::set_enabled(false);
-        (trace, manifest, incident)
-    };
-    let first = traced_run();
-    assert_eq!(first, traced_run(), "seeded platform-SLO runs differ");
-    let (trace, manifest, incident) = first;
-
-    let alerts = instants(&trace, "slo.platform_alert", Alert::from_args);
-    assert!(
-        !alerts.is_empty(),
-        "the TX1's misses fired no platform alert"
-    );
-    for a in &alerts {
-        assert_eq!((a.scope, a.subject.as_str()), (SloScope::Platform, "TX1"));
-        assert_eq!(a.metric, "deadline_hit_rate");
-        assert!(a.observed < a.objective && a.burn_rate > 1.0, "{a:?}");
-    }
-    let workload_alerts = instants(&trace, "slo.alert", Alert::from_args);
-    assert!(workload_alerts.is_empty(), "the workload opted out");
-    assert!(trace.contains("fleet.slo_alerts [platform:TX1]"));
-    assert!(manifest.contains("\"fleet.slo_alerts\""));
-
-    let incident = incident.expect("the first platform alert freezes an incident");
-    let incident = IncidentReport::from_snapshot(&json::parse(&incident).unwrap()).unwrap();
-    assert_eq!(incident.platforms, ["K20c", "TX1"]);
-    assert!(!incident.route_decisions.is_empty());
-    // The frozen alert is the first one traced (the stamp went through
-    // µs in the trace, so compare it to rounding).
-    let (frozen, first) = (&incident.alert, &alerts[0]);
-    assert!((frozen.t_s - first.t_s).abs() < 1e-9);
-    assert_eq!(
-        Alert {
-            t_s: first.t_s,
-            ..frozen.clone()
-        },
-        *first
-    );
-}
-
 #[test]
 fn overload_fires_slo_alerts_in_the_trace() {
     let spec = tiny_net();
     pcnn_telemetry::set_enabled(true);
     pcnn_telemetry::reset();
     pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
-    // Objectives the 1.5x overload cannot hold: a near-perfect hit rate
-    // and an entropy ceiling below the first degradation rung.
-    let slo = SloPolicy {
-        min_hit_rate: Some(0.95),
-        max_p99_s: None,
-        max_entropy: Some(1.0),
-    };
-    run_report(&spec, Some(slo));
+    // The interactive policy every workload of its kind is monitored by
+    // (90 % hit rate, 1.4-nat entropy ceiling), over 0.25 s windows.
+    run_report(&spec);
     let trace = pcnn_telemetry::render_chrome_trace();
     let manifest = pcnn_telemetry::render_manifest();
     pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);

@@ -63,11 +63,7 @@ fn shared_oracle_equals_from_scratch_compilation_on_every_smoke_key() {
             .unwrap();
         assert_eq!(warm, fresh, "schedule at level {level} size {size}");
 
-        let mut expect = simulate_schedule(&K20C, &fresh);
-        if rung.time_scale != 1.0 {
-            expect.seconds *= rung.time_scale;
-            expect.energy = expect.energy.scaled(rung.time_scale);
-        }
+        let expect = simulate_schedule(&K20C, &fresh);
         assert_eq!(
             got.seconds.to_bits(),
             expect.seconds.to_bits(),

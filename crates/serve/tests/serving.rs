@@ -115,82 +115,6 @@ fn overload_degradation_beats_fixed_batch_fifo() {
 }
 
 #[test]
-fn algo_rung_is_walked_before_perforation() {
-    let spec = tiny_net();
-    let n = spec.conv_layers().len();
-    let c = batch_cost(&spec);
-    let throughput = BATCH as f64 / c;
-    let load = 1.35;
-    let t_user = 8.0 * c;
-    let trace = TraceSpec::poisson(WorkloadKind::Interactive, 400, load * throughput, 7);
-    let app = AppSpec {
-        name: "algo rung load test".into(),
-        kind: WorkloadKind::Interactive,
-        data_rate: load * throughput,
-        accuracy_sensitive: false,
-    };
-    let mut workload = ServeWorkload::new(app, trace, 256);
-    workload.req.t_imperceptible = Some(t_user);
-    workload.req.t_unusable = Some(20.0 * t_user);
-    let cfg = ServerConfig {
-        max_batch: BATCH,
-        queue_high_watermark: 0.3,
-        ..ServerConfig::default()
-    };
-
-    let base = DegradationLadder::default_ladder(n);
-    // A tuned conv plan (Winograd/direct kernels) measured ~30 % faster:
-    // the ladder's first escalation becomes an algorithm downgrade, not
-    // perforation.
-    let with_rung = base.clone().with_algo_rung(0.70, 0.02);
-    assert_eq!(with_rung.levels[1].rates, vec![0.0; n]);
-
-    let s1 = Server::builder(&spec)
-        .platform(Platform::new(&K20C, base))
-        .config(cfg.clone())
-        .workload(workload.clone())
-        .build()
-        .unwrap();
-    let without = s1.run().unwrap();
-
-    let s2 = Server::builder(&spec)
-        .platform(Platform::new(&K20C, with_rung))
-        .config(cfg)
-        .workload(workload)
-        .build()
-        .unwrap();
-    let with = s2.run().unwrap();
-
-    let (a, b) = (&without.workloads[0], &with.workloads[0]);
-    // The perforation-only ladder is forced into dropped work…
-    assert!(a.degrade_up > 0, "perforation ladder never walked");
-    assert!(
-        a.final_level >= 2,
-        "expected perforation, got {}",
-        a.final_level
-    );
-    // …while the algo-rung ladder escalates exactly once and parks at the
-    // rung: the overload is absorbed by faster kernels, never by
-    // perforation.
-    assert!(b.degrade_up > 0, "algo-rung ladder never walked");
-    assert_eq!(b.final_level, 1, "walked past the algo rung");
-    // Free speed beats dropped work on both axes: more deadlines met at
-    // strictly lower mean entropy.
-    assert!(
-        b.deadlines_met > a.deadlines_met,
-        "algo rung met {} deadlines vs {} without",
-        b.deadlines_met,
-        a.deadlines_met
-    );
-    assert!(
-        b.mean_entropy < a.mean_entropy,
-        "algo rung entropy {} vs {} without",
-        b.mean_entropy,
-        a.mean_entropy
-    );
-}
-
-#[test]
 fn below_capacity_nothing_is_dropped_and_deadlines_hold() {
     let spec = tiny_net();
     let ladder = DegradationLadder::default_ladder(spec.conv_layers().len());
@@ -353,15 +277,6 @@ fn builder_rejects_bad_inputs() {
             what: "max_batch must be at least 1"
         })
     ));
-    assert!(matches!(
-        Server::builder(&spec)
-            .platform(Platform::new(&K20C, ladder.clone()))
-            .config(config().with_queue_high_watermark(2.0))
-            .build(),
-        Err(Error::InvalidInput {
-            what: "queue_high_watermark must be in [0, 1]"
-        })
-    ));
 
     // A server with no workloads is an error, not an empty report.
     let server = Server::builder(&spec)
@@ -370,48 +285,6 @@ fn builder_rejects_bad_inputs() {
         .build()
         .unwrap();
     assert!(matches!(server.run(), Err(Error::InvalidInput { .. })));
-}
-
-#[test]
-fn observability_config_errors_are_typed() {
-    let spec = tiny_net();
-    let ladder = DegradationLadder::default_ladder(spec.conv_layers().len());
-
-    // A non-positive observability window is rejected at construction,
-    // even though it is only ever read when telemetry is enabled.
-    let bad_window = ServerConfig {
-        obs_window_s: 0.0,
-        ..config()
-    };
-    assert!(matches!(
-        Server::builder(&spec)
-            .platform(Platform::new(&K20C, ladder.clone()))
-            .config(bad_window)
-            .build(),
-        Err(Error::InvalidInput {
-            what: "obs_window_s must be positive and finite"
-        })
-    ));
-
-    // An out-of-domain SLO policy is a typed error from `run()`, not a
-    // silent misconfiguration of the monitor.
-    let (workload, _) = interactive_workload(&spec, 0.5, 10, 64, 1);
-    let bad_slo = pcnn_serve::SloPolicy {
-        min_hit_rate: Some(1.5),
-        ..pcnn_serve::SloPolicy::none()
-    };
-    let server = Server::builder(&spec)
-        .platform(Platform::new(&K20C, ladder))
-        .config(config())
-        .workload(workload.with_slo(bad_slo))
-        .build()
-        .unwrap();
-    assert!(matches!(
-        server.run(),
-        Err(Error::InvalidInput {
-            what: "slo min_hit_rate must be within [0, 1]"
-        })
-    ));
 }
 
 #[test]

@@ -5,10 +5,9 @@ use pcnn_data::TraceSpec;
 use pcnn_gpu::arch::{JETSON_TX1, K20C};
 use pcnn_gpu::sim::dispatch::simulate_kernel;
 use pcnn_gpu::sim::SimCache;
-use pcnn_gpu::{simulate_concurrent, DispatchPolicy, Partition};
+use pcnn_gpu::DispatchPolicy;
 use pcnn_kernels::sgemm::build_conv_kernel;
 use pcnn_kernels::{Library, SgemmShape};
-use pcnn_nn::io::{load, save};
 use pcnn_nn::spec::alexnet;
 
 #[test]
@@ -61,58 +60,6 @@ fn psm_with_more_sms_than_grid_is_fine() {
 }
 
 #[test]
-fn multitask_hosts_cnn_layer_next_to_background_tenant() {
-    // The P-CNN story for released SMs (§III.D.2): CONV5 on its optSM
-    // partition, a co-tenant on the freed SMs; both complete.
-    let spec = alexnet();
-    let tuned = OfflineCompiler::new(&K20C, &spec)
-        .try_compile_batch(1)
-        .unwrap();
-    let conv5 = tuned
-        .layers
-        .iter()
-        .find(|l| l.name == "CONV5")
-        .expect("CONV5 exists");
-    let co_tenant = tuned
-        .layers
-        .iter()
-        .find(|l| l.name == "CONV3")
-        .expect("CONV3 exists");
-    let free_sms = K20C.n_sms - conv5.opt_sm;
-    assert!(free_sms > 0, "CONV5 must release SMs on the K20");
-    let r = simulate_concurrent(
-        &K20C,
-        &[
-            Partition {
-                kernel: &conv5.kernel,
-                sms: conv5.opt_sm,
-                tlp: conv5.opt_tlp,
-            },
-            Partition {
-                kernel: &co_tenant.kernel,
-                sms: free_sms,
-                tlp: co_tenant.opt_tlp,
-            },
-        ],
-        false,
-    );
-    assert_eq!(r.kernels.len(), 2);
-    // The cycles each tenant took on its partition, pinned.
-    let cycles: Vec<u64> = r.kernels.iter().map(|k| k.cycles).collect();
-    assert_eq!(cycles, [119_831, 845_232]);
-    assert!(r.seconds > 0.0);
-    // Both tenants' full work executed.
-    for (res, plan) in r.kernels.iter().zip([conv5, co_tenant]) {
-        let expected = plan
-            .kernel
-            .trace
-            .warp_instr_counts()
-            .scaled((plan.kernel.warps_per_cta() * plan.kernel.grid) as u64);
-        assert_eq!(res.instr, expected, "{}", plan.name);
-    }
-}
-
-#[test]
 fn grouped_conv_kernel_covers_one_group() {
     let spec = alexnet();
     let conv2 = spec.conv_layers()[1].clone();
@@ -121,28 +68,6 @@ fn grouped_conv_kernel_covers_one_group() {
     let k = build_conv_kernel(&K20C, &conv2, 1, &config);
     // One group's useful FLOPs = half the layer total.
     assert_eq!(k.flops * 2, conv2.flops());
-}
-
-#[test]
-fn saved_model_survives_cross_module_use() {
-    // Train-free roundtrip through the tuning stack: a loaded model must
-    // produce an identical tuning path to the original.
-    use pcnn_core::tuning::AccuracyTuner;
-    use pcnn_nn::models::tiny_alexnet;
-    use pcnn_tensor::Tensor;
-
-    let net = tiny_alexnet(5);
-    let mut buf = Vec::new();
-    save(&net, &mut buf).unwrap();
-    let loaded = load(&mut buf.as_slice()).unwrap();
-    let calib = Tensor::from_fn(vec![8, 1, 32, 32], |i| ((i % 97) as f32) / 97.0 - 0.5);
-    let a = AccuracyTuner::new(&net, &calib).tune(f64::MAX, 3);
-    let b = AccuracyTuner::new(&loaded, &calib).tune(f64::MAX, 3);
-    assert_eq!(a.entries.len(), b.entries.len());
-    for (x, y) in a.entries.iter().zip(&b.entries) {
-        assert_eq!(x.plan, y.plan);
-        assert!((x.entropy - y.entropy).abs() < 1e-9);
-    }
 }
 
 #[test]
