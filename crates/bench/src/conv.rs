@@ -9,6 +9,9 @@
 //!   ({direct, winograd}) at every [`CONV_THREAD_SWEEP`] pool width.
 //!   `pcnn obs check` gates the machine-normalised `speedup_vs_im2col`
 //!   ratios, never absolute GFLOP/s.
+//! * A **cost-model score**: beside each tuned row's observed 1-thread
+//!   ms, what the tuner's [`CostModel`] predicts for it — gated by
+//!   [`crate::obs::gate_conv_model`].
 //! * An **end-to-end proof**: the offline [`ConvTuner`] tunes the tiny
 //!   AlexNet engine model, and the tuned plan's single-threaded
 //!   best-of-`reps` forward wall time is compared against the default
@@ -20,12 +23,12 @@
 //! degradation ladder's rates against what it costs in full — the paper's
 //! `rEC` (eq. 9) as this engine achieves it.
 
-use pcnn_core::tune::{ConvTuner, WallClockTimer};
+use pcnn_core::tune::{ConvTuner, CostModel, WallClockTimer};
 use pcnn_nn::layer::Conv2d;
 use pcnn_nn::perforation::LayerPerforation;
 use pcnn_nn::PerforationPlan;
 use pcnn_serve::DegradationLadder;
-use pcnn_tensor::{conv2d, gemm_bias, im2col, Conv2dGeometry, ConvAlgo, Tensor};
+use pcnn_tensor::{conv2d, gemm_bias, im2col, Conv2dGeometry, ConvAlgo, MachinePeaks, Tensor};
 
 use crate::baselines::machine_cores;
 use crate::harness::best_secs;
@@ -186,6 +189,8 @@ pub struct AlgoRow {
     /// `im2col_secs_1t / secs_1t` — the machine-normalised ratio the
     /// regression gate reads. 1.0 for im2col itself.
     pub speedup_vs_im2col_1t: f64,
+    /// The tuner's predicted 1-thread seconds (`None`: the im2col row).
+    pub predicted_secs: Option<f64>,
 }
 
 /// One swept shape with all its algorithm rows.
@@ -198,6 +203,8 @@ pub struct ConvRow {
     pub algos: Vec<AlgoRow>,
     /// The single-thread winner.
     pub winner: ConvAlgo,
+    /// The single-thread peaks its predictions were priced over.
+    pub peaks: MachinePeaks,
 }
 
 /// The end-to-end tuned-plan proof on the tiny AlexNet engine model.
@@ -217,6 +224,8 @@ pub struct E2eResult {
     pub plan: String,
     /// Candidates the tuner actually timed.
     pub explored: u64,
+    /// Candidates the tuner's model priced and decided untimed.
+    pub predicted: u64,
     /// Candidates the tuner pruned by shape eligibility.
     pub pruned: u64,
 }
@@ -248,9 +257,14 @@ fn input_fill(i: usize) -> f32 {
 }
 
 /// Measures one shape under the im2col reference lowering and every
-/// eligible tuned algorithm at every sweep width. Operands are the
-/// tuner's deterministic fills.
+/// eligible tuned algorithm at every sweep width, and prices the tuned
+/// ones over the peaks probed around them. Operands are the tuner's
+/// deterministic fills.
 fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
+    // Probed either side of the timings and priced over the faster
+    // reading: a probe caught in a stall must not price best-of timings.
+    let probe = || pcnn_parallel::with_threads(1, || pcnn_tensor::calibrate(reps));
+    let before = probe();
     let geom = shape.geometry();
     let (k, n) = (geom.patch_len(), geom.out_positions());
     let weight: Vec<f32> = (0..shape.oc * k).map(weight_fill).collect();
@@ -286,6 +300,7 @@ fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
             algo,
             gflops_1t: shape.gflop() / secs[0],
             speedup_vs_im2col_1t: 0.0, // filled below, needs im2col's row
+            predicted_secs: None,      // filled below, needs the second probe
             secs,
         });
     }
@@ -294,8 +309,16 @@ fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
         .find(|a| a.algo == ConvAlgo::Im2col)
         .map(|a| a.secs[0])
         .expect("im2col supports every geometry");
+    let after = probe();
+    let peaks = MachinePeaks {
+        gflops: before.gflops.max(after.gflops),
+        gbs: before.gbs.max(after.gbs),
+    };
+    let model = CostModel::new(peaks, pcnn_tensor::gemm_tile());
     for a in &mut algos {
         a.speedup_vs_im2col_1t = im2col_1t / a.secs[0];
+        a.predicted_secs =
+            (a.algo != ConvAlgo::Im2col).then(|| model.predict(a.algo, &geom, shape.oc));
     }
     let winner = algos
         .iter()
@@ -306,6 +329,7 @@ fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
         shape: *shape,
         algos,
         winner,
+        peaks,
     }
 }
 
@@ -462,6 +486,7 @@ fn run_e2e(reps: usize) -> Result<E2eResult, String> {
         tuned_speedup: baseline_s / tuned_s,
         plan: plan.serialize(),
         explored: report.explored,
+        predicted: report.predicted,
         pruned: report.pruned,
     })
 }
@@ -513,14 +538,19 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
                         .zip(&a.secs)
                         .map(|(t, s)| format!("{{\"threads\": {t}, \"ms\": {:.4}}}", s * 1e3))
                         .collect();
+                    let predicted = a
+                        .predicted_secs
+                        .map(|p| format!("\"predicted_ms\": {:.4}, ", p * 1e3))
+                        .unwrap_or_default();
                     format!(
                         concat!(
                             "{{\"algo\": \"{}\", \"gflops_1t\": {:.3}, ",
-                            "\"speedup_vs_im2col_1t\": {:.3}, \"sweep\": [{}]}}"
+                            "\"speedup_vs_im2col_1t\": {:.3}, {}\"sweep\": [{}]}}"
                         ),
                         a.algo.name(),
                         a.gflops_1t,
                         a.speedup_vs_im2col_1t,
+                        predicted,
                         secs.join(", ")
                     )
                 })
@@ -530,7 +560,8 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
                 concat!(
                     "    {{\"layer\": \"{}\", \"c\": {}, \"h\": {}, \"w\": {}, ",
                     "\"kernel\": {}, \"stride\": {}, \"pad\": {}, \"oc\": {}, ",
-                    "\"winner\": \"{}\", \"algos\": [\n      {}\n    ]}}"
+                    "\"winner\": \"{}\", \"peaks_1t\": {{\"gflops\": {:.2}, \"gbs\": {:.2}}}, ",
+                    "\"algos\": [\n      {}\n    ]}}"
                 ),
                 s.name,
                 s.c,
@@ -541,6 +572,8 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
                 s.pad,
                 s.oc,
                 r.winner.name(),
+                r.peaks.gflops,
+                r.peaks.gbs,
                 algos.join(",\n      ")
             )
         })
@@ -551,7 +584,7 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
             "{{\n  \"bench\": \"conv\",\n  \"kernel\": \"{}\",\n  \"smoke\": {},\n  \"reps\": {},\n  \"cores\": {},\n",
             "  \"e2e\": {{\"model\": \"{}\", \"batch\": {}, \"baseline_ms\": {:.4}, ",
             "\"tuned_ms\": {:.4}, \"tuned_speedup\": {:.3}, \"plan\": \"{}\", ",
-            "\"explored\": {}, \"pruned\": {}}},\n  \"shapes\": [\n{}\n  ]\n}}\n"
+            "\"explored\": {}, \"predicted\": {}, \"pruned\": {}}},\n  \"shapes\": [\n{}\n  ]\n}}\n"
         ),
         pcnn_tensor::kernel_tier(),
         bench.smoke,
@@ -564,6 +597,7 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
         e.tuned_speedup,
         e.plan,
         e.explored,
+        e.predicted,
         e.pruned,
         shapes.join(",\n")
     )

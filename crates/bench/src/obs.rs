@@ -16,7 +16,8 @@
 //!   for byte; [`first_difference`] names the first line that moved.
 //!   The wall-clock documents are banded: [`compare_gemm`] /
 //!   [`compare_conv`] floor machine-normalised speedup ratios, never
-//!   absolute GFLOP/s or milliseconds.
+//!   absolute GFLOP/s or milliseconds, and [`gate_conv_model`] bounds the
+//!   conv tuner's cost-model error on the candidate.
 //!
 //! When a gate fails, [`diff_documents`] (`pcnn obs diff <a> <b>`)
 //! attributes the top-level time delta between two profile documents
@@ -220,6 +221,70 @@ pub fn compare_conv(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violatio
 /// Lowest `e2e.tuned_speedup` the conv gate accepts, regardless of the
 /// committed baseline: parity with the default plan minus 5 % timer noise.
 pub const E2E_SPEEDUP_FLOOR: f64 = 0.95;
+
+/// Highest median |error| of the conv tuner's cost model on a candidate.
+pub const CONV_MODEL_MEDIAN_ERROR: f64 = 0.15;
+
+/// Highest single |error| the conv gate accepts. Evidence: the worst was
+/// 0.22 over the table the model was fitted to (in `pcnn_core::tune`'s
+/// tests), 0.29 over an independent recording of it, and 0.14-0.34 in
+/// eight `bench-conv` runs on a busy host, each worst on a cell whose
+/// observed time was itself the outlier.
+pub const CONV_MODEL_WORST_ERROR: f64 = 0.5;
+
+/// `|predicted / observed - 1|` of every algorithm row of a conv document
+/// that carries a `predicted_ms`, observed at one thread; sorted.
+fn conv_model_errors(doc: &JsonValue) -> Vec<f64> {
+    let mut errors = Vec::new();
+    for shape in rows_by(doc, "shapes", "layer").unwrap_or_default().values() {
+        for row in rows_by(shape, "algos", "algo").unwrap_or_default().values() {
+            let observed = row
+                .get("sweep")
+                .and_then(|s| s.as_array())
+                .and_then(|s| s.iter().find(|p| p.f64_at("threads") == Some(1.0)))
+                .and_then(|p| p.f64_at("ms"));
+            if let (Some(p), Some(o)) = (row.f64_at("predicted_ms"), observed) {
+                errors.push((p / o - 1.0).abs());
+            }
+        }
+    }
+    errors.sort_by(f64::total_cmp);
+    errors
+}
+
+/// The cost-model gate on a conv candidate: the median and the worst
+/// |error| of the tuner's predictions against the candidate's own
+/// single-thread timings, under [`CONV_MODEL_MEDIAN_ERROR`] and
+/// [`CONV_MODEL_WORST_ERROR`]. Only the candidate is held to the bounds
+/// (the baseline's figure is shown beside it); one without predictions
+/// fails.
+pub fn gate_conv_model(baseline: &JsonValue, candidate: &JsonValue) -> Vec<Violation> {
+    let stats = |doc| {
+        let e = conv_model_errors(doc);
+        let median = (!e.is_empty()).then(|| (e[(e.len() - 1) / 2] + e[e.len() / 2]) / 2.0);
+        [median, e.last().copied()]
+    };
+    let limits = [
+        ("median", CONV_MODEL_MEDIAN_ERROR),
+        ("worst", CONV_MODEL_WORST_ERROR),
+    ];
+    let mut v = Vec::new();
+    for ((stat, limit), (b, c)) in limits
+        .into_iter()
+        .zip(stats(baseline).into_iter().zip(stats(candidate)))
+    {
+        if c.is_none_or(|c| c > limit) {
+            let missing = if c.is_none() { " (missing)" } else { "" };
+            v.push(Violation {
+                metric: format!("conv model {stat} |error|{missing}"),
+                baseline: b.unwrap_or(f64::NAN),
+                candidate: c.unwrap_or(f64::NAN),
+                limit,
+            });
+        }
+    }
+    v
+}
 
 /// Where a regenerated deterministic document first departs from the
 /// committed one: `(1-based line number, committed line, candidate line)`,
@@ -860,6 +925,52 @@ mod tests {
         assert!(compare_conv(&base, &missing)
             .iter()
             .any(|x| x.metric.contains("winograd") && x.metric.contains("missing")));
+    }
+
+    /// A conv document whose one shape carries `(predicted, observed)`
+    /// ms pairs for its algorithm rows.
+    fn model_doc(rows: &[(f64, f64)]) -> JsonValue {
+        let algos: Vec<String> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, (p, o))| {
+                format!(
+                    r#"{{"algo":"a{i}","predicted_ms":{p},"sweep":[{{"threads":1,"ms":{o}}},{{"threads":2,"ms":1.0}}]}}"#
+                )
+            })
+            .collect();
+        json::parse(&format!(
+            r#"{{"bench":"conv","shapes":[{{"layer":"L","algos":[{}]}}]}}"#,
+            algos.join(",")
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn gate_conv_model_bounds_the_candidates_median_and_worst_error() {
+        // Errors 0.05, 0.10, 0.20: median 0.10, worst 0.20 — passes.
+        let good = model_doc(&[(1.05, 1.0), (0.9, 1.0), (1.2, 1.0)]);
+        assert!(gate_conv_model(&good, &good).is_empty());
+        // Median 0.20 over the 0.15 bar.
+        let biased = model_doc(&[(1.2, 1.0), (0.8, 1.0), (1.25, 1.0)]);
+        let v = gate_conv_model(&good, &biased);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].metric.contains("median"));
+        assert!((v[0].baseline - 0.10).abs() < 1e-9);
+        // One row off by half: the worst bound trips, the median does not.
+        let outlier = model_doc(&[(1.0, 1.0), (1.01, 1.0), (1.7, 1.0)]);
+        let v = gate_conv_model(&good, &outlier);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].metric.contains("worst"));
+        // Only the candidate is held to the bounds, and one without
+        // predictions fails as missing.
+        assert!(gate_conv_model(&biased, &good).is_empty());
+        let v = gate_conv_model(
+            &good,
+            &json::parse(r#"{"bench":"conv","shapes":[]}"#).unwrap(),
+        );
+        assert_eq!(v.len(), 2);
+        assert!(v.iter().all(|x| x.metric.contains("missing")));
     }
 
     fn profile_doc(conv_ms: f64, micro_ms: f64) -> JsonValue {

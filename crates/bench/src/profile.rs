@@ -8,7 +8,7 @@
 //!   activation,
 //!   achieved GFLOP/s, arithmetic intensity, and a roofline
 //!   classification against machine peaks measured once by
-//!   [`calibrate`]'s probe. When per-worker telemetry is on, the
+//!   [`pcnn_tensor::calibrate`]'s probe. When per-worker telemetry is on, the
 //!   report also surfaces the pool's load-imbalance metric per GEMM
 //!   region.
 //! * A **deterministic profile document** ([`profile_json`]): the same
@@ -24,7 +24,7 @@ use std::time::Instant;
 use pcnn_nn::models::{tiny_alexnet, tiny_googlenet, tiny_vggnet};
 use pcnn_nn::{Network, PerforationPlan};
 use pcnn_profile::{LayerProfile, Phase};
-use pcnn_tensor::Tensor;
+use pcnn_tensor::{MachinePeaks, Tensor};
 
 use crate::TableWriter;
 
@@ -38,73 +38,6 @@ pub const REF_BYTES_PER_NS: f64 = 16.0;
 
 /// Classes used by the `pcnn profile` model constructors.
 const PROFILE_CLASSES: usize = 10;
-
-/// Machine peaks from the calibration probe.
-#[derive(Debug, Clone, Copy)]
-pub struct MachinePeaks {
-    /// Peak compute, GFLOP/s (packed SGEMM probe).
-    pub gflops: f64,
-    /// Peak bandwidth, GB/s (large-buffer copy probe).
-    pub gbs: f64,
-}
-
-impl MachinePeaks {
-    /// The roofline balance point, FLOP/B: layers whose arithmetic
-    /// intensity exceeds it are compute-bound.
-    pub fn balance(&self) -> f64 {
-        self.gflops / self.gbs
-    }
-}
-
-/// Measures machine peaks once: the packed SGEMM where it is fastest for
-/// the FLOP roof and a large buffer copy for the bandwidth roof, each
-/// best-of-5.
-///
-/// The FLOP probe is a roof, so it must flatter the kernel: one full
-/// pack block deep (`k = 256`, the GEMM's `KC`), `m` and `n` whole
-/// multiples of the register tile of **every** ISA tier (6x16 and 16x16)
-/// and of the 96-row packing group — `m = 288 = lcm(6, 16, 96)`, also a
-/// multiple of the 72-row group of earlier recordings — so no tier runs a
-/// ragged edge or a padded row, and ~570 KiB of operands so everything
-/// stays L2-resident while the packing cost is amortised over 288 rows
-/// and 128 columns. (The 96^3 probe before that was mostly packing and
-/// reported a "peak" every real layer exceeded; `m = 216` was whole only
-/// on 6-row tiles.) [`render_report`] still checks the result against
-/// what the layers actually sustained.
-///
-/// Run this *before* enabling the profiler — the probe GEMM would
-/// otherwise land on the unattributed row.
-pub fn calibrate() -> MachinePeaks {
-    let (m, n, k) = (288, 128, 256);
-    let a = vec![1.0f32; m * k];
-    let b = vec![0.5f32; k * n];
-    let mut c = vec![0.0f32; m * n];
-    let flops = 2.0 * (m * n * k) as f64;
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        c.fill(0.0);
-        let t0 = Instant::now();
-        pcnn_tensor::gemm(m, n, k, &a, &b, &mut c);
-        best = best.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(&c);
-    }
-    let gflops = flops / best / 1e9;
-    // 4 MiB source, past any sane L2: copy traffic = read + write.
-    let src = vec![1.0f32; 1 << 20];
-    let mut dst = vec![0.0f32; 1 << 20];
-    let bytes = (2 * 4 * src.len()) as f64;
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = Instant::now();
-        dst.copy_from_slice(&src);
-        best = best.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(&dst);
-    }
-    MachinePeaks {
-        gflops,
-        gbs: bytes / best / 1e9,
-    }
-}
 
 /// Resolves a `pcnn profile` model name to its tiny-CNN constructor.
 pub fn pick_model(name: &str) -> Option<Network> {

@@ -1,42 +1,47 @@
-//! Offline per-layer convolution algorithm search for the CPU engine.
+//! Offline per-layer convolution algorithm search for the CPU engine:
+//! predict, then time.
 //!
 //! The paper's offline stage tunes each layer's kernel to the deployed
-//! microarchitecture; this module is the same idea applied to the real
-//! CPU inference path. For every conv layer shape, [`ConvTuner`]
-//! prunes the candidates ([`ConvAlgo::TUNED`]: direct, winograd) the
-//! shape cannot run, benchmarks the rest — a lone survivor is chosen
-//! untimed — records the winner in a [`ConvPlan`] (serializable next to
-//! the schedule, memoized per shape the way
-//! [`crate::runtime::execute_trace`] memoizes per-size costs), and traces the
-//! search through telemetry (`tune.conv.candidates` / `tune.conv.pruned`
-//! counters plus one `tune.conv.layer` event per decision). Im2col is
-//! never a candidate: direct computes the same bits without the column
-//! matrix, so the tuner only times what can differ; `im2col` remains a
-//! valid [`ConvPlan`] entry (it runs as direct, `Network::forward`'s
-//! default), and the column matrix the reference of every differential
-//! test.
+//! microarchitecture, and it predicts before it observes: its time model
+//! prices every candidate, and simulator time goes only to what the model
+//! cannot separate. [`ConvTuner`] does the same on the real CPU path. For
+//! every conv layer shape it prunes the [`ConvAlgo::TUNED`] candidates
+//! (direct, winograd) the shape cannot run (a lone survivor is chosen
+//! untimed), prices the rest with a [`CostModel`] — the work each kernel
+//! does over the two peaks [`pcnn_tensor::calibrate`] probes — and takes
+//! the predicted winner untimed when the predictions differ by more than
+//! the model's stated [`ERROR_BAND`]; only the rest is benchmarked. The
+//! winner goes into a [`ConvPlan`], memoized per shape, and the search is
+//! traced (`tune.conv.candidates` / `.predicted` / `.pruned` counters and
+//! one `tune.conv.layer` event per decision). Im2col is never a
+//! candidate: direct computes the same bits without the column matrix;
+//! `im2col` stays a valid [`ConvPlan`] entry that runs as direct.
 //!
-//! Timing goes through the [`CandidateTimer`] trait: the default
-//! [`WallClockTimer`] measures real best-of-N wall time on the worker
-//! pool (the kernels parallelise internally), while tests inject a
-//! [`RecordedTimer`] with canned timings so tuner *choices* stay golden
-//! regardless of the machine or build profile running the test.
+//! The [`CandidateTimer`] supplies the peaks and the timings: the default
+//! [`WallClockTimer`] probes and measures real best-of-N wall time on the
+//! worker pool, while the tests replay canned peaks and timings so tuner
+//! *choices* stay golden on any machine or build.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use pcnn_nn::{ConvPlan, Layer, Network};
-use pcnn_tensor::{conv2d, Conv2dGeometry, ConvAlgo};
+use pcnn_tensor::{conv2d, gemm_tile, winograd_block_rows, Conv2dGeometry, ConvAlgo, MachinePeaks};
 
 /// Memoization key: a conv layer's full shape.
 pub type ConvShapeKey = (Conv2dGeometry, usize);
 
-/// How the tuner measures one candidate, in seconds. Deterministic
-/// implementations (canned timings) make tuner choices reproducible in
-/// tests; the production [`WallClockTimer`] measures for real.
+/// How the tuner measures one candidate, in seconds, and the machine
+/// peaks its cost model prices work over. Deterministic implementations
+/// (canned peaks and timings) make tuner choices reproducible in tests;
+/// the production [`WallClockTimer`] measures for real.
 pub trait CandidateTimer {
     /// Seconds one execution of `algo` on this layer shape costs.
     fn time(&mut self, algo: ConvAlgo, geom: &Conv2dGeometry, out_channels: usize) -> f64;
+
+    /// The machine's peaks. A tuner asks once, the first time a shape
+    /// leaves it two candidates to compare.
+    fn peaks(&mut self) -> MachinePeaks;
 }
 
 /// Measures candidates by running them: deterministic synthetic operands,
@@ -51,12 +56,6 @@ impl WallClockTimer {
     /// A timer taking the best of `reps` runs (at least 1).
     pub fn new(reps: usize) -> Self {
         Self { reps: reps.max(1) }
-    }
-}
-
-impl Default for WallClockTimer {
-    fn default() -> Self {
-        Self::new(3)
     }
 }
 
@@ -95,46 +94,125 @@ impl CandidateTimer for WallClockTimer {
         }
         best
     }
-}
 
-/// A [`CandidateTimer`] replaying canned timings, keyed by
-/// `(shape, algorithm)`. Used by the goldened tuner-choice tests.
-///
-/// # Panics
-///
-/// [`time`](CandidateTimer::time) panics if asked for an unrecorded
-/// entry, so tests notice incomplete fixtures immediately.
-#[derive(Debug, Clone, Default)]
-pub struct RecordedTimer {
-    table: HashMap<(ConvShapeKey, ConvAlgo), f64>,
-}
-
-impl RecordedTimer {
-    /// An empty recording.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `secs` for one `(shape, algo)` pair.
-    #[must_use]
-    pub fn with(
-        mut self,
-        geom: Conv2dGeometry,
-        out_channels: usize,
-        algo: ConvAlgo,
-        secs: f64,
-    ) -> Self {
-        self.table.insert(((geom, out_channels), algo), secs);
-        self
+    fn peaks(&mut self) -> MachinePeaks {
+        pcnn_tensor::calibrate(3)
     }
 }
 
-impl CandidateTimer for RecordedTimer {
-    fn time(&mut self, algo: ConvAlgo, geom: &Conv2dGeometry, out_channels: usize) -> f64 {
-        *self
-            .table
-            .get(&((*geom, out_channels), algo))
-            .unwrap_or_else(|| panic!("no recorded timing for {algo} on {geom:?} x{out_channels}"))
+/// The model's stated error, measured on the table beside the tests
+/// (`tests::CALIBRATION`, which they hold it to): the predicted direct /
+/// winograd ratio missed the observed one by a factor of at most 0.18
+/// there (the tiny 8 -> 16 @ 16² shape; 0.12 on every full-size one), and
+/// by 0.22 on an independent recording of the same shapes. Predictions
+/// further apart than this name the faster candidate on the machine too.
+pub const ERROR_BAND: f64 = 0.25;
+
+/// The work one execution of a candidate does: microkernel FLOPs (padded
+/// tiles included), then bytes — `C` traffic (bias fill, one read + write
+/// per packed block), direct's patch gather and zero border, copy-packed
+/// GEMM `B` (Winograd's `V`), Winograd's input / inverse transforms and
+/// `M` fill, its filter transform — and GEMM calls.
+#[derive(Debug, Default)]
+struct Work {
+    flops: f64,
+    c: f64,
+    gather: f64,
+    pack: f64,
+    transform: f64,
+    filter: f64,
+    calls: f64,
+}
+
+/// What one unit of each kind of [`Work`] costs, as a multiple of the
+/// probed peak's time for it (`calls`: bytes of copy per call — pool
+/// checkouts, partition, loop set-up); fitted by non-negative least
+/// squares on relative error over `tests::CALIBRATION`.
+const COST: Work = Work {
+    flops: 0.864,
+    c: 1.756,
+    gather: 5.884,
+    pack: 4.639,
+    transform: 1.326,
+    filter: 7.485,
+    calls: 9291.0,
+};
+
+impl Work {
+    /// Adds `times` packed GEMMs `C[m x n] += A[m x k] B[k x n]`.
+    fn gemm(&mut self, [mr, nr, kc]: [usize; 3], (m, n, k): (usize, usize, usize), times: usize) {
+        let times = times as f64;
+        self.flops += times * (2 * m.div_ceil(mr) * mr * n.div_ceil(nr) * nr * k) as f64;
+        self.c += times * (8 * m * n * k.div_ceil(kc)) as f64;
+        self.pack += times * (4 * k * n.div_ceil(nr) * nr) as f64;
+        self.calls += times;
+    }
+}
+
+/// The per-(shape, algorithm) CPU cost model: the work each kernel does
+/// priced over the machine's two peaks. One execution, one image, one
+/// thread.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostModel {
+    peaks: MachinePeaks,
+    tile: [usize; 3],
+}
+
+impl CostModel {
+    /// The model for these peaks on a GEMM tier's [`gemm_tile`].
+    pub fn new(peaks: MachinePeaks, tile: [usize; 3]) -> Self {
+        Self { peaks, tile }
+    }
+
+    /// Predicted seconds of one execution of `algo` on this shape
+    /// (`Im2col` runs as direct, so it is priced as direct).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `algo` does not support `geom`.
+    pub fn predict(&self, algo: ConvAlgo, geom: &Conv2dGeometry, out_channels: usize) -> f64 {
+        assert!(algo.supports(geom), "{algo} cannot run {geom:?}");
+        let (oc, ic) = (out_channels, geom.in_channels);
+        let (plane, positions) = (geom.in_h * geom.in_w, geom.out_positions());
+        let mut w = Work::default();
+        if algo == ConvAlgo::Winograd {
+            let (tiles_y, tiles_x) = (geom.out_h.div_ceil(2), geom.out_w.div_ceil(2));
+            let rows = winograd_block_rows(ic, oc, tiles_x, tiles_y);
+            for first in (0..tiles_y).step_by(rows) {
+                let tiles = rows.min(tiles_y - first) * tiles_x;
+                w.gemm(self.tile, (oc, tiles, ic), 16);
+            }
+            // Input read, V written, M zeroed and read, output written.
+            let tiles = tiles_y * tiles_x;
+            w.transform = (4 * (ic * plane + 16 * (ic + 2 * oc) * tiles + oc * positions)) as f64;
+            w.filter = (4 * 25 * oc * ic) as f64; // 9 weights read, 16 U written
+        } else {
+            w.gemm(self.tile, (oc, positions, geom.patch_len()), 1);
+            let padded = (geom.in_h + 2 * geom.pad) * (geom.in_w + 2 * geom.pad);
+            let border = usize::from(geom.pad > 0) * 4 * ic * (plane + padded);
+            w.gather = std::mem::take(&mut w.pack) + border as f64;
+            w.c += (4 * oc * positions) as f64;
+        }
+        let bytes = COST.c * w.c
+            + COST.gather * w.gather
+            + COST.pack * w.pack
+            + COST.transform * w.transform
+            + COST.filter * w.filter
+            + COST.calls * w.calls;
+        COST.flops * w.flops / (self.peaks.gflops * 1e9) + bytes / (self.peaks.gbs * 1e9)
+    }
+
+    /// The predicted fastest (earliest of equals) when every other
+    /// prediction is over [`ERROR_BAND`] slower; `None`: time them.
+    pub fn verdict(predictions: &[(ConvAlgo, f64)]) -> Option<ConvAlgo> {
+        let best = predictions
+            .iter()
+            .copied()
+            .reduce(|a, b| if b.1 < a.1 { b } else { a })?;
+        let separated = predictions
+            .iter()
+            .all(|p| p.0 == best.0 || p.1 > best.1 * (1.0 + ERROR_BAND));
+        separated.then_some(best.0)
     }
 }
 
@@ -147,8 +225,13 @@ pub struct LayerTuning {
     pub geom: Conv2dGeometry,
     /// Output channels.
     pub out_channels: usize,
+    /// Predicted `(candidate, seconds)` pairs, in candidate order; empty
+    /// when the shape left a single candidate.
+    pub predictions: Vec<(ConvAlgo, f64)>,
+    /// Whether the model decided the shape untimed.
+    pub predicted: bool,
     /// Measured `(candidate, seconds)` pairs, in candidate order; empty
-    /// when the shape left a single candidate, which is chosen untimed.
+    /// when the shape left a single candidate (or the model decided it).
     pub timings: Vec<(ConvAlgo, f64)>,
     /// [`ConvAlgo::TUNED`] candidates pruned because the shape does not
     /// support them.
@@ -166,6 +249,8 @@ pub struct TuneReport {
     pub layers: Vec<LayerTuning>,
     /// Total candidates actually timed.
     pub explored: u64,
+    /// Total candidates the model priced and the tuner never timed.
+    pub predicted: u64,
     /// Total candidates pruned by shape eligibility.
     pub pruned: u64,
 }
@@ -177,12 +262,13 @@ impl TuneReport {
     }
 }
 
-/// The offline conv-algorithm tuner: times candidates through a
-/// [`CandidateTimer`] and memoizes per shape, so repeated shapes (VGG
-/// towers) and repeated networks tune once.
+/// The offline conv-algorithm tuner: prices candidates over the peaks its
+/// [`CandidateTimer`] supplies once, times the close calls through it, and
+/// memoizes per shape, so repeated shapes and networks tune once.
 #[derive(Debug, Clone)]
 pub struct ConvTuner<T> {
     timer: T,
+    model: Option<CostModel>,
     cache: HashMap<ConvShapeKey, ShapeTuning>,
 }
 
@@ -190,8 +276,16 @@ pub struct ConvTuner<T> {
 #[derive(Debug, Clone)]
 struct ShapeTuning {
     chosen: ConvAlgo,
+    predictions: Vec<(ConvAlgo, f64)>,
     timings: Vec<(ConvAlgo, f64)>,
     pruned: Vec<ConvAlgo>,
+}
+
+impl ShapeTuning {
+    /// Candidates priced and never timed: all when the model decided.
+    fn untimed(&self) -> usize {
+        self.predictions.len() * usize::from(self.timings.is_empty())
+    }
 }
 
 impl<T: CandidateTimer> ConvTuner<T> {
@@ -199,13 +293,15 @@ impl<T: CandidateTimer> ConvTuner<T> {
     pub fn new(timer: T) -> Self {
         Self {
             timer,
+            model: None,
             cache: HashMap::new(),
         }
     }
 
-    /// Tunes one layer shape: prune unsupported candidates, time the
-    /// rest unless only one is left, pick the fastest (strict `<` scan in
-    /// [`ConvAlgo::TUNED`] order, so ties resolve to the earlier
+    /// Tunes one layer shape: prune unsupported candidates; unless only
+    /// one is left, price the rest and take the model's verdict, or —
+    /// where it has none — time them and pick the fastest (strict `<`
+    /// scan in [`ConvAlgo::TUNED`] order, so ties resolve to the earlier
     /// candidate — the im2col-bitwise one — deterministically).
     pub fn tune_shape(&mut self, geom: &Conv2dGeometry, out_channels: usize) -> (ConvAlgo, bool) {
         let key = (*geom, out_channels);
@@ -221,33 +317,45 @@ impl<T: CandidateTimer> ConvTuner<T> {
         );
         let (eligible, pruned): (Vec<_>, Vec<_>) =
             ConvAlgo::TUNED.into_iter().partition(|a| a.supports(geom));
-        // A lone candidate has nothing to be compared with: no timing.
-        let timings: Vec<(ConvAlgo, f64)> = if eligible.len() > 1 {
-            eligible
-                .iter()
-                .map(|&algo| (algo, self.timer.time(algo, geom, out_channels)))
-                .collect()
+        let (mut predictions, mut timings) = (Vec::new(), Vec::new());
+        // Direct supports every geometry, so `eligible` is never empty,
+        // and a lone candidate has nothing to be compared with.
+        let chosen = if eligible.len() < 2 {
+            eligible[0]
         } else {
-            Vec::new()
+            let timer = &mut self.timer;
+            let model = *self
+                .model
+                .get_or_insert_with(|| CostModel::new(timer.peaks(), gemm_tile()));
+            predictions = eligible
+                .iter()
+                .map(|&algo| (algo, model.predict(algo, geom, out_channels)))
+                .collect();
+            CostModel::verdict(&predictions).unwrap_or_else(|| {
+                timings = eligible
+                    .iter()
+                    .map(|&algo| (algo, self.timer.time(algo, geom, out_channels)))
+                    .collect();
+                let mut chosen = timings[0];
+                for &(algo, secs) in &timings[1..] {
+                    if secs < chosen.1 {
+                        chosen = (algo, secs);
+                    }
+                }
+                chosen.0
+            })
         };
-        // Direct supports every geometry, so `eligible` is never empty.
-        let mut chosen = timings.first().copied().unwrap_or((eligible[0], 0.0));
-        for &(algo, secs) in timings.iter().skip(1) {
-            if secs < chosen.1 {
-                chosen = (algo, secs);
-            }
-        }
-        pcnn_telemetry::counter("tune.conv.candidates", timings.len() as u64);
-        pcnn_telemetry::counter("tune.conv.pruned", pruned.len() as u64);
-        self.cache.insert(
-            key,
-            ShapeTuning {
-                chosen: chosen.0,
-                timings,
-                pruned,
-            },
-        );
-        (chosen.0, false)
+        let shape = ShapeTuning {
+            chosen,
+            predictions,
+            timings,
+            pruned,
+        };
+        pcnn_telemetry::counter("tune.conv.candidates", shape.timings.len() as u64);
+        pcnn_telemetry::counter("tune.conv.predicted", shape.untimed() as u64);
+        pcnn_telemetry::counter("tune.conv.pruned", shape.pruned.len() as u64);
+        self.cache.insert(key, shape);
+        (chosen, false)
     }
 
     /// Tunes every conv layer of `net`, returning the report (and through
@@ -255,33 +363,43 @@ impl<T: CandidateTimer> ConvTuner<T> {
     pub fn tune_network(&mut self, net: &Network) -> TuneReport {
         let _span = pcnn_telemetry::span!("tune.conv", network = net.name());
         let mut layers = Vec::new();
-        let (mut explored, mut pruned_total) = (0u64, 0u64);
+        let (mut explored, mut predicted_total, mut pruned_total) = (0u64, 0u64, 0u64);
         let mut conv_index = 0;
         for layer in net.layers() {
             let Layer::Conv2d(c) = layer else { continue };
             let (geom, oc) = (*c.geometry(), c.out_channels());
             let (chosen, cached) = self.tune_shape(&geom, oc);
-            let ShapeTuning {
-                timings, pruned, ..
-            } = self.cache.get(&(geom, oc)).expect("just tuned").clone();
+            let shape = self.cache.get(&(geom, oc)).expect("just tuned").clone();
+            let predicted = shape.untimed() > 0;
             if !cached {
-                explored += timings.len() as u64;
-                pruned_total += pruned.len() as u64;
+                explored += shape.timings.len() as u64;
+                predicted_total += shape.untimed() as u64;
+                pruned_total += shape.pruned.len() as u64;
             }
+            // Priced in `ConvAlgo::TUNED` order: direct, then winograd.
+            let (direct_s, winograd_s) = match shape.predictions[..] {
+                [(_, direct), (_, winograd)] => (direct, winograd),
+                _ => (0.0, 0.0),
+            };
             pcnn_telemetry::event!(
                 "tune.conv.layer",
                 conv_index = conv_index,
                 chosen = chosen.name(),
                 cached = cached,
-                explored = timings.len(),
-                pruned = pruned.len()
+                predicted = predicted,
+                explored = shape.timings.len(),
+                pruned = shape.pruned.len(),
+                direct_predicted_s = direct_s,
+                winograd_predicted_s = winograd_s
             );
             layers.push(LayerTuning {
                 conv_index,
                 geom,
                 out_channels: oc,
-                timings,
-                pruned,
+                predictions: shape.predictions,
+                predicted,
+                timings: shape.timings,
+                pruned: shape.pruned,
                 chosen,
                 cached,
             });
@@ -290,6 +408,7 @@ impl<T: CandidateTimer> ConvTuner<T> {
         TuneReport {
             layers,
             explored,
+            predicted: predicted_total,
             pruned: pruned_total,
         }
     }
@@ -299,6 +418,103 @@ impl<T: CandidateTimer> ConvTuner<T> {
 mod tests {
     use super::*;
     use pcnn_nn::models::tiny_alexnet;
+
+    /// A [`CandidateTimer`] replaying canned peaks and timings, the timings
+    /// keyed by `(shape, algorithm)`. Used by the goldened tuner-choice
+    /// tests.
+    ///
+    /// # Panics
+    ///
+    /// [`time`](CandidateTimer::time) panics if asked for an unrecorded
+    /// entry, so tests notice incomplete fixtures immediately — and that a
+    /// shape the model decides is never timed.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct RecordedTimer {
+        table: HashMap<(ConvShapeKey, ConvAlgo), f64>,
+        peaks: Option<MachinePeaks>,
+    }
+
+    impl RecordedTimer {
+        /// An empty recording replaying [`CALIBRATION_PEAKS`].
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Records `secs` for one `(shape, algo)` pair.
+        #[must_use]
+        pub fn with(
+            mut self,
+            geom: Conv2dGeometry,
+            out_channels: usize,
+            algo: ConvAlgo,
+            secs: f64,
+        ) -> Self {
+            self.table.insert(((geom, out_channels), algo), secs);
+            self
+        }
+
+        /// Replays `peaks` instead.
+        #[must_use]
+        pub fn with_peaks(mut self, peaks: MachinePeaks) -> Self {
+            self.peaks = Some(peaks);
+            self
+        }
+    }
+
+    impl CandidateTimer for RecordedTimer {
+        fn time(&mut self, algo: ConvAlgo, geom: &Conv2dGeometry, out_channels: usize) -> f64 {
+            *self
+                .table
+                .get(&((*geom, out_channels), algo))
+                .unwrap_or_else(|| {
+                    panic!("no recorded timing for {algo} on {geom:?} x{out_channels}")
+                })
+        }
+
+        fn peaks(&mut self) -> MachinePeaks {
+            self.peaks.unwrap_or(CALIBRATION_PEAKS)
+        }
+    }
+
+    /// Typical peaks of [`CALIBRATION`]: what a [`RecordedTimer`] replays
+    /// unless told otherwise.
+    const CALIBRATION_PEAKS: MachinePeaks = MachinePeaks {
+        gflops: 50.0,
+        gbs: 23.0,
+    };
+
+    /// One [`CALIBRATION`] row: `[in_channels, side, kernel, stride, pad,
+    /// out_channels]` of a square layer, the probed `(GFLOP/s, GB/s)`, and
+    /// the observed direct and winograd ms (`NaN`: no Winograd).
+    type CalibrationRow = ([usize; 6], (f64, f64), f64, f64);
+
+    /// What [`COST`] was fitted to and [`ERROR_BAND`] measured on: medians of
+    /// 22 interleaved rounds (12 for VGG2_2 / VGG3_2 of `BENCH_conv.json`,
+    /// the two rows after AlexNet's) of probe, direct best-of-3 and winograd
+    /// best-of-3 at one thread on the 2-vCPU Xeon recorder (`avx512 16x16`):
+    /// VGG-16's nine shapes, AlexNet's five, and the tiny and smoke ones.
+    const CALIBRATION: [CalibrationRow; 20] = [
+        ([3, 224, 3, 1, 1, 64], (52.4, 23.8), 8.328, 17.965),
+        ([64, 224, 3, 1, 1, 64], (49.6, 22.9), 117.267, 55.748),
+        ([64, 112, 3, 1, 1, 128], (55.6, 22.8), 52.732, 29.387),
+        ([128, 112, 3, 1, 1, 128], (48.6, 22.2), 106.616, 47.749),
+        ([128, 56, 3, 1, 1, 256], (48.9, 22.6), 41.729, 22.209),
+        ([256, 56, 3, 1, 1, 256], (52.8, 23.0), 83.249, 43.600),
+        ([256, 28, 3, 1, 1, 512], (49.4, 22.5), 37.720, 23.452),
+        ([512, 28, 3, 1, 1, 512], (47.7, 22.9), 76.927, 44.456),
+        ([512, 14, 3, 1, 1, 512], (48.8, 22.7), 20.849, 19.633),
+        ([3, 227, 11, 4, 0, 96], (53.0, 22.2), 5.317, f64::NAN),
+        ([96, 27, 5, 1, 2, 256], (47.8, 22.6), 18.347, f64::NAN),
+        ([256, 13, 3, 1, 1, 384], (56.3, 22.7), 5.738, 6.920),
+        ([384, 13, 3, 1, 1, 384], (54.7, 23.2), 9.719, 11.393),
+        ([384, 13, 3, 1, 1, 256], (53.1, 23.0), 6.434, 7.359),
+        ([128, 56, 3, 1, 1, 128], (53.3, 24.0), 24.486, 11.091),
+        ([256, 28, 3, 1, 1, 256], (62.2, 24.4), 17.777, 10.285),
+        ([1, 32, 3, 1, 1, 8], (49.4, 22.9), 0.0258, 0.0620),
+        ([8, 16, 3, 1, 1, 16], (49.5, 23.4), 0.0390, 0.0510),
+        ([64, 13, 3, 1, 1, 96], (48.8, 23.4), 0.500, 0.570),
+        ([3, 63, 11, 4, 0, 32], (49.9, 23.4), 0.188, f64::NAN),
+    ];
 
     /// AlexNet CONV1: large-spatial strided 11x11 — the canonical shape
     /// where direct wins (im2col's 8.8 MB column matrix is pure
@@ -372,9 +588,10 @@ mod tests {
         let metrics = pcnn_telemetry::snapshot();
         pcnn_telemetry::set_enabled(false);
         assert_eq!(report.layers.len(), net.conv_count());
-        // Both tiny_alexnet convs are 3x3 stride 1: both candidates run.
+        // Both tiny_alexnet convs are 3x3 stride 1: both candidates of
+        // each are either timed or priced and decided by the model.
         assert_eq!(
-            report.explored,
+            report.explored + report.predicted,
             (ConvAlgo::TUNED.len() * net.conv_count()) as u64
         );
         assert_eq!(report.pruned, 0);
@@ -382,11 +599,196 @@ mod tests {
             metrics.counter_value("tune.conv.candidates"),
             report.explored
         );
+        assert_eq!(
+            metrics.counter_value("tune.conv.predicted"),
+            report.predicted
+        );
         let plan = report.plan();
         assert!(plan.validate(&net).is_ok());
         // A forward pass under the tuned plan runs.
         let input = pcnn_tensor::Tensor::zeros(vec![1, 1, 32, 32]);
         let perf = pcnn_nn::PerforationPlan::identity(net.conv_count());
         net.forward_planned(&input, &perf, &plan).unwrap();
+    }
+
+    /// The recorder's blocking, so the table test reads the same on every
+    /// host tier.
+    const RECORDER: [usize; 3] = [16, 16, 256];
+
+    fn square(row: [usize; 6]) -> (Conv2dGeometry, usize) {
+        let [c, side, kernel, stride, pad, oc] = row;
+        (Conv2dGeometry::new(c, side, side, kernel, stride, pad), oc)
+    }
+
+    /// The band is evidence, not a guess: over the table it was measured
+    /// from, no predicted direct / winograd ratio misses the observed one
+    /// by more than [`ERROR_BAND`], and the median per-(shape, algorithm)
+    /// |error| is inside the 15 % `pcnn obs check` gates.
+    #[test]
+    fn the_stated_band_covers_the_table_it_was_measured_from() {
+        let (mut errors, mut worst_ratio) = (Vec::new(), 0.0f64);
+        for (row, (gflops, gbs), direct_ms, winograd_ms) in CALIBRATION {
+            let model = CostModel::new(MachinePeaks { gflops, gbs }, RECORDER);
+            let (geom, oc) = square(row);
+            let direct = 1e3 * model.predict(ConvAlgo::Direct, &geom, oc);
+            errors.push((direct / direct_ms - 1.0).abs());
+            if winograd_ms.is_nan() {
+                continue;
+            }
+            let winograd = 1e3 * model.predict(ConvAlgo::Winograd, &geom, oc);
+            errors.push((winograd / winograd_ms - 1.0).abs());
+            let miss = (direct / winograd) / (direct_ms / winograd_ms);
+            worst_ratio = worst_ratio.max(miss.max(1.0 / miss) - 1.0);
+        }
+        errors.sort_by(f64::total_cmp);
+        let median = errors[errors.len() / 2];
+        assert!(median <= 0.15, "median |error| {median:.3}");
+        assert!(
+            worst_ratio <= ERROR_BAND,
+            "ratio missed by {worst_ratio:.3}"
+        );
+    }
+
+    /// The conv towers of the full-size VGG-16 and AlexNet, zero weights,
+    /// under a stand-in classifier.
+    fn tower(name: &str, shapes: &[[usize; 6]]) -> Network {
+        let mut layers: Vec<Layer> = shapes
+            .iter()
+            .map(|&row| {
+                let (geom, oc) = square(row);
+                let weight = pcnn_tensor::Tensor::zeros(vec![oc, geom.patch_len()]);
+                Layer::Conv2d(pcnn_nn::layer::Conv2d::from_parts(
+                    geom,
+                    oc,
+                    weight,
+                    vec![0.0; oc],
+                ))
+            })
+            .collect();
+        let head = pcnn_tensor::Tensor::zeros(vec![10, 1]);
+        layers.push(Layer::Linear(pcnn_nn::layer::Linear::from_parts(
+            head,
+            vec![0.0; 10],
+        )));
+        Network::new(name, [shapes[0][0], shapes[0][1], shapes[0][1]], layers)
+    }
+
+    const VGG16: [[usize; 6]; 13] = [
+        [3, 224, 3, 1, 1, 64],
+        [64, 224, 3, 1, 1, 64],
+        [64, 112, 3, 1, 1, 128],
+        [128, 112, 3, 1, 1, 128],
+        [128, 56, 3, 1, 1, 256],
+        [256, 56, 3, 1, 1, 256],
+        [256, 56, 3, 1, 1, 256],
+        [256, 28, 3, 1, 1, 512],
+        [512, 28, 3, 1, 1, 512],
+        [512, 28, 3, 1, 1, 512],
+        [512, 14, 3, 1, 1, 512],
+        [512, 14, 3, 1, 1, 512],
+        [512, 14, 3, 1, 1, 512],
+    ];
+
+    const ALEXNET: [[usize; 6]; 5] = [
+        [3, 227, 11, 4, 0, 96],
+        [96, 27, 5, 1, 2, 256],
+        [256, 13, 3, 1, 1, 384],
+        [384, 13, 3, 1, 1, 384],
+        [384, 13, 3, 1, 1, 256],
+    ];
+
+    /// With the recorder's peaks, only VGG-16's 14² shape and AlexNet's
+    /// three 13² shapes are close enough to time: a recording holding
+    /// nothing else (it panics on anything else) tunes both full-size
+    /// networks to exactly the plan exhaustive tuning builds from the
+    /// same recorded timings.
+    #[test]
+    fn the_model_times_only_close_calls_and_keeps_the_exhaustive_plan() {
+        let recorded = |row: [usize; 6]| {
+            CALIBRATION
+                .iter()
+                .find(|r| r.0 == row)
+                .map(|r| (r.2 / 1e3, r.3 / 1e3))
+                .expect("every full-size shape is in the table")
+        };
+        let close = [
+            [512, 14, 3, 1, 1, 512],
+            [256, 13, 3, 1, 1, 384],
+            [384, 13, 3, 1, 1, 384],
+            [384, 13, 3, 1, 1, 256],
+        ];
+        let mut timer = RecordedTimer::new();
+        for row in close {
+            let ((geom, oc), (direct, winograd)) = (square(row), recorded(row));
+            timer = timer.with(geom, oc, ConvAlgo::Direct, direct).with(
+                geom,
+                oc,
+                ConvAlgo::Winograd,
+                winograd,
+            );
+        }
+        let mut tuner = ConvTuner::new(timer);
+        for (name, shapes) in [("VGG16", &VGG16[..]), ("AlexNet", &ALEXNET[..])] {
+            let report = tuner.tune_network(&tower(name, shapes));
+            let exhaustive: Vec<ConvAlgo> = shapes
+                .iter()
+                .map(|&row| {
+                    let (direct, winograd) = recorded(row);
+                    let wins = ConvAlgo::Winograd.supports(&square(row).0) && winograd < direct;
+                    if wins {
+                        ConvAlgo::Winograd
+                    } else {
+                        ConvAlgo::Direct
+                    }
+                })
+                .collect();
+            assert_eq!(report.plan(), ConvPlan::from_algos(exhaustive), "{name}");
+            for (layer, row) in report.layers.iter().zip(shapes) {
+                let timed = close.contains(row);
+                let two = ConvAlgo::Winograd.supports(&layer.geom);
+                assert_eq!(!layer.timings.is_empty(), timed, "{name} {row:?}");
+                assert_eq!(layer.predicted, two && !timed, "{name} {row:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The model's verdict depends only on the shape and the peaks:
+        /// two tuners replaying the same peaks but opposite timings agree
+        /// wherever the model decided, never time those shapes, and follow
+        /// their own timings wherever it did not.
+        #[test]
+        fn the_verdict_depends_only_on_shape_and_peaks(
+            c in 1usize..96,
+            side in 3usize..40,
+            oc in 1usize..96,
+            gflops in 5.0f64..200.0,
+            gbs in 2.0f64..80.0,
+        ) {
+            let geom = Conv2dGeometry::new(c, side, side, 3, 1, 1);
+            let peaks = MachinePeaks { gflops, gbs };
+            let timer = |direct: f64, winograd: f64| {
+                RecordedTimer::new()
+                    .with_peaks(peaks)
+                    .with(geom, oc, ConvAlgo::Direct, direct)
+                    .with(geom, oc, ConvAlgo::Winograd, winograd)
+            };
+            let mut fast_direct = ConvTuner::new(timer(1.0, 2.0));
+            let mut fast_winograd = ConvTuner::new(timer(2.0, 1.0));
+            let (a, _) = fast_direct.tune_shape(&geom, oc);
+            let (b, _) = fast_winograd.tune_shape(&geom, oc);
+            let model = CostModel::new(peaks, gemm_tile());
+            let priced: Vec<_> = ConvAlgo::TUNED
+                .iter()
+                .map(|&algo| (algo, model.predict(algo, &geom, oc)))
+                .collect();
+            match CostModel::verdict(&priced) {
+                Some(algo) => {
+                    proptest::prop_assert_eq!((a, b), (algo, algo));
+                    proptest::prop_assert!(fast_direct.cache[&(geom, oc)].untimed() > 0);
+                }
+                None => proptest::prop_assert_eq!((a, b), (ConvAlgo::Direct, ConvAlgo::Winograd)),
+            }
+        }
     }
 }

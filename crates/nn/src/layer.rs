@@ -594,6 +594,24 @@ pub enum Layer {
 /// is deterministic: a multiplicative hash of `(seed, index)` compared
 /// against the keep probability; kept elements are scaled by
 /// `1 / (1 - drop_p)`.
+/// ReLU, `max(x, 0)` per element, as one `Activation` span: in place when
+/// the caller hands its tensor over, into a fresh one when it lends it.
+pub(crate) fn relu(input: Cow<'_, Tensor>) -> Tensor {
+    let span = phase_span(Phase::Activation);
+    let out = match input {
+        Cow::Owned(mut t) => {
+            t.data_mut().iter_mut().for_each(|x| *x = x.max(0.0));
+            t
+        }
+        Cow::Borrowed(t) => t.map(|x| x.max(0.0)),
+    };
+    if let Some(s) = span {
+        let numel = out.data().len() as u64;
+        s.finish(numel, 8 * numel);
+    }
+    out
+}
+
 fn dropout(t: &Tensor, seed: u64, drop_p: f32) -> Tensor {
     let keep_scale = 1.0 / (1.0 - drop_p);
     let mut out = t.clone();
@@ -666,15 +684,7 @@ impl Layer {
             (Layer::Conv2d(_), Step::Other) => Err(NnError::Plan(
                 "a conv layer was handed a step compiled for a non-conv layer".into(),
             )),
-            (Layer::Relu, _) => {
-                let span = phase_span(Phase::Activation);
-                let out = input.map(|x| x.max(0.0));
-                if let Some(s) = span {
-                    let numel = out.data().len() as u64;
-                    s.finish(numel, 8 * numel);
-                }
-                Ok(out)
-            }
+            (Layer::Relu, _) => Ok(relu(Cow::Borrowed(input))),
             (Layer::MaxPool2d(p), _) => {
                 let span = phase_span(Phase::Activation);
                 // No argmax cache (8 bytes per output, twice the tensor

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 
 use pcnn_tensor::{ConvAlgo, Tensor};
 
-use crate::layer::{Layer, LayerCache, Step};
+use crate::layer::{relu, Layer, LayerCache, Step};
 use crate::perforation::{LayerPerforation, PerforationPlan};
 use crate::plan::ConvPlan;
 use crate::spec::{ConvSpec, FcSpec, LayerSpec, NetworkSpec, PoolSpec};
@@ -306,7 +306,11 @@ impl Network {
         for i in layers {
             let layer = &self.layers[i];
             let scope = pcnn_profile::layer_scope(i, layer.kind());
-            let out = layer.run_step(&x, &plan.steps[i])?;
+            // An activation this walk owns is rectified in place.
+            let out = match layer {
+                Layer::Relu => relu(x),
+                _ => layer.run_step(&x, &plan.steps[i])?,
+            };
             drop(scope);
             x = Cow::Owned(out);
         }

@@ -544,22 +544,24 @@ static SCRATCH_POOL: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
 const SCRATCH_POOL_CAP: usize = 64;
 
 /// A reusable `f32` buffer checked out of the process-wide scratch pool
-/// by [`scratch_f32`]; dereferences to `[f32]` and returns the buffer to
-/// the pool when dropped.
+/// by [`scratch_f32`]; dereferences to the first `len` elements of a
+/// pooled buffer kept at its full length, and returns the buffer to the
+/// pool when dropped.
 pub struct ScratchF32 {
     buf: Vec<f32>,
+    len: usize,
 }
 
 impl Deref for ScratchF32 {
     type Target = [f32];
     fn deref(&self) -> &[f32] {
-        &self.buf
+        &self.buf[..self.len]
     }
 }
 
 impl DerefMut for ScratchF32 {
     fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf
+        &mut self.buf[..self.len]
     }
 }
 
@@ -596,7 +598,7 @@ pub fn scratch_f32(len: usize) -> ScratchF32 {
         let idx = pool
             .iter()
             .enumerate()
-            .filter(|(_, b)| b.capacity() >= len)
+            .filter(|(_, b)| b.len() >= len)
             .min_by_key(|(_, b)| b.capacity())
             .map(|(i, _)| i);
         idx.map(|i| pool.swap_remove(i))
@@ -611,15 +613,11 @@ pub fn scratch_f32(len: usize) -> ScratchF32 {
             1,
         );
     }
-    let mut buf = reused.unwrap_or_default();
-    if buf.len() >= len {
-        buf.truncate(len);
-    } else {
-        // Within capacity for reused buffers (best-fit above), so this
-        // never reallocates on the reuse path.
-        buf.resize(len, 0.0);
-    }
-    ScratchF32 { buf }
+    // Pooled buffers keep their full length, so a reused one is handed
+    // out as a view and never written here; a new one is zeroed memory
+    // straight from the allocator.
+    let buf = reused.unwrap_or_else(|| vec![0.0; len]);
+    ScratchF32 { buf, len }
 }
 
 #[cfg(test)]

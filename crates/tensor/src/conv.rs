@@ -413,7 +413,7 @@ const WINOGRAD_BLOCK_FLOATS: usize = 512 * 1024;
 /// floats) alone overflows the budget: every block re-streams and
 /// re-packs all of `U`, which on such deep layers costs more than the
 /// `V` / `M` round trip it would save, so they stay one block.
-fn winograd_block_rows(ic: usize, oc: usize, tiles_x: usize, tiles_y: usize) -> usize {
+pub fn winograd_block_rows(ic: usize, oc: usize, tiles_x: usize, tiles_y: usize) -> usize {
     if 16 * oc * ic >= WINOGRAD_BLOCK_FLOATS {
         return tiles_y;
     }

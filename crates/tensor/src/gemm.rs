@@ -221,6 +221,12 @@ pub fn kernel_tier() -> impl std::fmt::Display {
     Tier::detect()
 }
 
+/// `[MR, NR, KC]` on this machine's tier: the register tile a shape is
+/// padded to and the depth of a packed block (each adds a `C` round trip).
+pub fn gemm_tile() -> [usize; 3] {
+    [Tier::detect().mr(), NR, KC]
+}
+
 /// How [`gemm`] splits the output grid across workers: the `MR`-row tile
 /// axis into `row_splits` bands and the `NR`-column panel axis into
 /// `col_splits` bands, yielding `row_splits * col_splits` disjoint

@@ -24,15 +24,18 @@ mod conv;
 mod error;
 mod gemm;
 mod im2col;
+mod peaks;
 mod tensor;
 
 pub use conv::{
     conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, conv2d_winograd_prepared,
-    winograd_error_bound, ConvAlgo, WinogradFilter,
+    winograd_block_rows, winograd_error_bound, ConvAlgo, WinogradFilter,
 };
 pub use error::ShapeError;
 pub use gemm::{
-    gemm, gemm_bias, gemm_naive, gemm_nt, gemm_tn, kernel_tier, partition_gemm, GemmPartition,
+    gemm, gemm_bias, gemm_naive, gemm_nt, gemm_tile, gemm_tn, kernel_tier, partition_gemm,
+    GemmPartition,
 };
 pub use im2col::{col2im_accumulate, conv_output_dim, im2col, im2col_positions, Conv2dGeometry};
+pub use peaks::{calibrate, MachinePeaks};
 pub use tensor::Tensor;
