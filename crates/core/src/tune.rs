@@ -102,17 +102,17 @@ impl CandidateTimer for WallClockTimer {
 
 /// The model's stated error, measured on the table beside the tests
 /// (`tests::CALIBRATION`, which they hold it to): the predicted direct /
-/// winograd ratio missed the observed one by a factor of at most 0.18
-/// there (the tiny 8 -> 16 @ 16² shape; 0.12 on every full-size one), and
-/// by 0.22 on an independent recording of the same shapes. Predictions
-/// further apart than this name the faster candidate on the machine too.
+/// winograd ratio misses the observed one by at most 0.18 there (conv2_1,
+/// 64 -> 128 @ 112²); by 0.15–0.39 on the single busy-host recordings it
+/// is the median of. Predictions further apart than this name the faster
+/// candidate on the machine too.
 pub const ERROR_BAND: f64 = 0.25;
 
 /// The work one execution of a candidate does: microkernel FLOPs (padded
 /// tiles included), then bytes — `C` traffic (bias fill, one read + write
 /// per packed block), direct's patch gather and zero border, copy-packed
-/// GEMM `B` (Winograd's `V`), Winograd's input / inverse transforms and
-/// `M` fill, its filter transform — and GEMM calls.
+/// GEMM `B` (Winograd's `V`), Winograd's input / inverse transforms, its
+/// filter transform — and GEMM calls.
 #[derive(Debug, Default)]
 struct Work {
     flops: f64,
@@ -127,15 +127,16 @@ struct Work {
 /// What one unit of each kind of [`Work`] costs, as a multiple of the
 /// probed peak's time for it (`calls`: bytes of copy per call — pool
 /// checkouts, partition, loop set-up); fitted by non-negative least
-/// squares on relative error over `tests::CALIBRATION`.
+/// squares on relative error over `tests::CALIBRATION` (which put `V`'s
+/// copy into packed `B` in the transform and per-call terms: `pack` 0).
 const COST: Work = Work {
-    flops: 0.864,
-    c: 1.756,
-    gather: 5.884,
-    pack: 4.639,
-    transform: 1.326,
-    filter: 7.485,
-    calls: 9291.0,
+    flops: 0.908,
+    c: 2.195,
+    gather: 5.288,
+    pack: 0.0,
+    transform: 2.659,
+    filter: 4.907,
+    calls: 18327.0,
 };
 
 impl Work {
@@ -182,9 +183,9 @@ impl CostModel {
                 let tiles = rows.min(tiles_y - first) * tiles_x;
                 w.gemm(self.tile, (oc, tiles, ic), 16);
             }
-            // Input read, V written, M zeroed and read, output written.
+            // Input read, V written, M read, output written.
             let tiles = tiles_y * tiles_x;
-            w.transform = (4 * (ic * plane + 16 * (ic + 2 * oc) * tiles + oc * positions)) as f64;
+            w.transform = (4 * (ic * plane + 16 * (ic + oc) * tiles + oc * positions)) as f64;
             w.filter = (4 * 25 * oc * ic) as f64; // 9 weights read, 16 U written
         } else {
             w.gemm(self.tile, (oc, positions, geom.patch_len()), 1);
@@ -488,32 +489,34 @@ mod tests {
     /// the observed direct and winograd ms (`NaN`: no Winograd).
     type CalibrationRow = ([usize; 6], (f64, f64), f64, f64);
 
-    /// What [`COST`] was fitted to and [`ERROR_BAND`] measured on: medians of
-    /// 22 interleaved rounds (12 for VGG2_2 / VGG3_2 of `BENCH_conv.json`,
-    /// the two rows after AlexNet's) of probe, direct best-of-3 and winograd
-    /// best-of-3 at one thread on the 2-vCPU Xeon recorder (`avx512 16x16`):
-    /// VGG-16's nine shapes, AlexNet's five, and the tiny and smoke ones.
+    /// What [`COST`] was fitted to and [`ERROR_BAND`] measured on: per cell,
+    /// the median of three recordings, each the medians of 22 interleaved
+    /// rounds of probe, direct best-of-3 and winograd best-of-3 at one
+    /// thread on the 2-vCPU Xeon recorder (`avx512 16x16`), taken on the
+    /// kernel whose filter transform writes `U` packed: VGG-16's nine
+    /// shapes, AlexNet's five, `BENCH_conv.json`'s VGG2_2 / VGG3_2 (the two
+    /// rows after AlexNet's), and the tiny and smoke ones.
     const CALIBRATION: [CalibrationRow; 20] = [
-        ([3, 224, 3, 1, 1, 64], (52.4, 23.8), 8.328, 17.965),
-        ([64, 224, 3, 1, 1, 64], (49.6, 22.9), 117.267, 55.748),
-        ([64, 112, 3, 1, 1, 128], (55.6, 22.8), 52.732, 29.387),
-        ([128, 112, 3, 1, 1, 128], (48.6, 22.2), 106.616, 47.749),
-        ([128, 56, 3, 1, 1, 256], (48.9, 22.6), 41.729, 22.209),
-        ([256, 56, 3, 1, 1, 256], (52.8, 23.0), 83.249, 43.600),
-        ([256, 28, 3, 1, 1, 512], (49.4, 22.5), 37.720, 23.452),
-        ([512, 28, 3, 1, 1, 512], (47.7, 22.9), 76.927, 44.456),
-        ([512, 14, 3, 1, 1, 512], (48.8, 22.7), 20.849, 19.633),
-        ([3, 227, 11, 4, 0, 96], (53.0, 22.2), 5.317, f64::NAN),
-        ([96, 27, 5, 1, 2, 256], (47.8, 22.6), 18.347, f64::NAN),
-        ([256, 13, 3, 1, 1, 384], (56.3, 22.7), 5.738, 6.920),
-        ([384, 13, 3, 1, 1, 384], (54.7, 23.2), 9.719, 11.393),
-        ([384, 13, 3, 1, 1, 256], (53.1, 23.0), 6.434, 7.359),
-        ([128, 56, 3, 1, 1, 128], (53.3, 24.0), 24.486, 11.091),
-        ([256, 28, 3, 1, 1, 256], (62.2, 24.4), 17.777, 10.285),
-        ([1, 32, 3, 1, 1, 8], (49.4, 22.9), 0.0258, 0.0620),
-        ([8, 16, 3, 1, 1, 16], (49.5, 23.4), 0.0390, 0.0510),
-        ([64, 13, 3, 1, 1, 96], (48.8, 23.4), 0.500, 0.570),
-        ([3, 63, 11, 4, 0, 32], (49.9, 23.4), 0.188, f64::NAN),
+        ([3, 224, 3, 1, 1, 64], (45.2, 22.7), 8.557, 19.546),
+        ([64, 224, 3, 1, 1, 64], (46.2, 21.9), 125.956, 62.334),
+        ([64, 112, 3, 1, 1, 128], (46.3, 21.5), 56.452, 27.532),
+        ([128, 112, 3, 1, 1, 128], (47.0, 21.7), 113.723, 47.755),
+        ([128, 56, 3, 1, 1, 256], (44.1, 21.5), 49.565, 24.102),
+        ([256, 56, 3, 1, 1, 256], (46.2, 21.8), 97.394, 43.622),
+        ([256, 28, 3, 1, 1, 512], (44.2, 21.7), 42.187, 23.745),
+        ([512, 28, 3, 1, 1, 512], (44.6, 21.8), 79.014, 46.902),
+        ([512, 14, 3, 1, 1, 512], (49.1, 21.6), 24.088, 18.788),
+        ([3, 227, 11, 4, 0, 96], (44.1, 21.9), 5.984, f64::NAN),
+        ([96, 27, 5, 1, 2, 256], (44.6, 22.1), 20.762, f64::NAN),
+        ([256, 13, 3, 1, 1, 384], (45.0, 21.9), 6.992, 6.314),
+        ([384, 13, 3, 1, 1, 384], (49.6, 22.6), 9.831, 9.256),
+        ([384, 13, 3, 1, 1, 256], (48.8, 22.7), 7.108, 6.581),
+        ([128, 56, 3, 1, 1, 128], (48.4, 22.4), 22.564, 10.537),
+        ([256, 28, 3, 1, 1, 256], (45.3, 22.5), 20.200, 12.579),
+        ([1, 32, 3, 1, 1, 8], (43.9, 22.3), 0.027, 0.069),
+        ([8, 16, 3, 1, 1, 16], (49.0, 23.0), 0.034, 0.045),
+        ([64, 13, 3, 1, 1, 96], (50.8, 23.1), 0.543, 0.556),
+        ([3, 63, 11, 4, 0, 32], (45.5, 22.5), 0.184, f64::NAN),
     ];
 
     /// AlexNet CONV1: large-spatial strided 11x11 — the canonical shape

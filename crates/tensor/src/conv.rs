@@ -71,27 +71,34 @@
 //! its rows of the output. The three transforms work a row at a time
 //! with contiguous inner loops. Blocks are also the unit of parallelism:
 //! one parallel region per layer, whole blocks per worker, the GEMMs
-//! inside a block on that worker alone (a single-block layer — small maps,
-//! or filters too large to re-stream per block — lets its GEMMs split
-//! across the pool instead). Block boundaries depend on shape only and
-//! no element's operation sequence depends on them, so the block height
-//! moves time and never bits (`tests/winograd_bits.rs`).
+//! inside a block on that worker alone (a single-block layer — a small
+//! map — lets its GEMMs split across the pool instead). Block boundaries
+//! depend on shape only and no element's operation sequence depends on
+//! them, so the block height moves time and never bits
+//! (`tests/winograd_bits.rs`).
 //!
-//! The filter transform depends on the weights only; [`WinogradFilter`]
-//! holds it so that a caller with a batch pays for it once
-//! ([`conv2d_winograd_prepared`]).
+//! The filter transform depends on the weights only, so [`conv2d`] does
+//! it once per call, for all its images (`WinogradFilter`). It writes
+//! `U` straight into the packed-`A` micropanels the GEMM reads, so no
+//! block packs `U` again, however many blocks re-read it; and each GEMM
+//! stores its first `KC` block into `M` instead of adding it, so `M` is
+//! never zero-filled — bitwise the same as zero-fill plus add.
 //!
 //! # Profiling
 //!
 //! The patch gather reports as [`Phase::PackB`] (it *is* the B pack) and
 //! its bias broadcast as [`Phase::Epilogue`];
-//! Winograd's filter transform (once) and input transform (per block)
-//! report as [`Phase::WinogradTransform`] and its inverse transform +
-//! bias (per block) as [`Phase::WinogradInverse`], their flops and bytes
-//! summing per layer to the whole-image figures, so `pcnn profile`
-//! attributes the phases per layer.
+//! Winograd's filter transform (once, packing `U` included — its GEMMs
+//! report no [`Phase::PackA`]) and input transform (per block) report as
+//! [`Phase::WinogradTransform`], the per-GEMM copy of `V` into packed `B`
+//! as [`Phase::PackB`], and its inverse transform + bias (per block) as
+//! [`Phase::WinogradInverse`], their flops and bytes summing per layer to
+//! the whole-image figures, so `pcnn profile` attributes the phases per
+//! layer.
 
-use crate::gemm::{active_partition, gemm, gemm_packed, pack_b_with, packed_b_len};
+use crate::gemm::{
+    active_partition, gemm_packed, gemm_packed_a, pack_a_images, pack_b_with, packed_b_len, A_LANES,
+};
 use crate::im2col::Conv2dGeometry;
 use pcnn_profile::{phase_span, Phase};
 use std::ops::Range;
@@ -409,29 +416,26 @@ const WINOGRAD_BLOCK_FLOATS: usize = 512 * 1024;
 /// parallel split) never depend on thread count or timing.
 ///
 /// A block is as many whole tile rows as fit [`WINOGRAD_BLOCK_FLOATS`],
-/// at least one — unless the transformed filter `U` (`16 * oc * ic`
-/// floats) alone overflows the budget: every block re-streams and
-/// re-packs all of `U`, which on such deep layers costs more than the
-/// `V` / `M` round trip it would save, so they stay one block.
+/// at least one, on every layer: the transformed filter `U` is packed
+/// once per call, so a block re-reads it but never re-packs it.
 pub fn winograd_block_rows(ic: usize, oc: usize, tiles_x: usize, tiles_y: usize) -> usize {
-    if 16 * oc * ic >= WINOGRAD_BLOCK_FLOATS {
-        return tiles_y;
-    }
     (WINOGRAD_BLOCK_FLOATS / (16 * (ic + oc) * tiles_x)).clamp(1, tiles_y)
 }
 
 /// The Winograd-domain image of one layer's 3x3 filters:
-/// `U[xi] = (G g G^T)[xi]` as 16 row-major `out_channels x in_channels`
-/// matrices, one per transform coordinate, where
-/// `G = [[1,0,0],[1/2,1/2,1/2],[1/2,-1/2,1/2],[0,0,1]]`.
+/// `U[xi] = (G g G^T)[xi]`, one `out_channels x in_channels` matrix per
+/// transform coordinate, where
+/// `G = [[1,0,0],[1/2,1/2,1/2],[1/2,-1/2,1/2],[0,0,1]]` — each written
+/// straight into the packed-`A` image its 16 GEMMs read
+/// ([`gemm_packed_a`]), so no block packs it again.
 ///
-/// It depends on the weights only, so a caller convolving several images
-/// with one filter bank builds it once and hands it to
-/// [`conv2d_winograd_prepared`]. The storage is pooled scratch: dropping
-/// the value returns it, nothing is cached on the layer.
-pub struct WinogradFilter {
+/// It depends on the weights only, so [`conv2d`] builds it once for all
+/// the images of a call. The storage is pooled scratch: dropping the
+/// value returns it, nothing is cached on the layer.
+struct WinogradFilter {
     out_channels: usize,
     in_channels: usize,
+    /// The 16 packed images, `U[xi]` at `xi * u.len() / 16`.
     u: pcnn_parallel::ScratchF32,
 }
 
@@ -442,62 +446,50 @@ impl WinogradFilter {
     ///
     /// Panics if `geom` is not a stride-1 3x3 layer or `weight` is shorter
     /// than the geometry implies.
-    pub fn new(geom: &Conv2dGeometry, out_channels: usize, weight: &[f32]) -> Self {
+    fn new(geom: &Conv2dGeometry, out_channels: usize, weight: &[f32]) -> Self {
         assert_winograd_supports(geom);
         let (oc, ic) = (out_channels, geom.in_channels);
         assert!(weight.len() >= oc * ic * 9, "weight too short");
-        // Channels transformed side by side: the arithmetic runs over
-        // `LANES`-wide arrays and every `U[xi][o][..]` row is written in
-        // contiguous runs.
-        const LANES: usize = 16;
         let span = phase_span(Phase::WinogradTransform);
-        let mut u = pcnn_parallel::scratch_f32(16 * oc * ic);
-        for o in 0..oc {
-            let filters = &weight[o * ic * 9..(o + 1) * ic * 9];
-            for (chunk, gs) in filters.chunks(9 * LANES).enumerate() {
-                let n = gs.len() / 9;
-                let mut g = [[0.0f32; LANES]; 9];
-                for (l, f) in gs.chunks_exact(9).enumerate() {
-                    for (q, &val) in f.iter().enumerate() {
-                        g[q][l] = val;
-                    }
-                }
-                // Rows: G applied to the 3 filter rows -> 4 rows of 3.
-                let mut gg = [[[0.0f32; LANES]; 3]; 4];
-                for j in 0..3 {
-                    for l in 0..LANES {
-                        let (g0, g1, g2) = (g[j][l], g[3 + j][l], g[6 + j][l]);
-                        gg[0][j][l] = g0;
-                        gg[1][j][l] = 0.5 * (g0 + g1 + g2);
-                        gg[2][j][l] = 0.5 * (g0 - g1 + g2);
-                        gg[3][j][l] = g2;
-                    }
-                }
-                // Columns: right-multiply by G^T -> 4x4.
-                for (a, row) in gg.iter().enumerate() {
-                    let mut uu = [[0.0f32; LANES]; 4];
-                    for l in 0..LANES {
-                        let (t0, t1, t2) = (row[0][l], row[1][l], row[2][l]);
-                        uu[0][l] = t0;
-                        uu[1][l] = 0.5 * (t0 + t1 + t2);
-                        uu[2][l] = 0.5 * (t0 - t1 + t2);
-                        uu[3][l] = t2;
-                    }
-                    for (b, vals) in uu.iter().enumerate() {
-                        let at = (a * 4 + b) * oc * ic + o * ic + chunk * LANES;
-                        if n == LANES {
-                            // Constant length: one vector store, not a
-                            // `memcpy` call (3.3 vs 5.0 ms at 512 -> 512).
-                            u[at..at + LANES].copy_from_slice(vals);
-                        } else {
-                            u[at..at + n].copy_from_slice(&vals[..n]);
-                        }
-                    }
+        // A tile column at a time: lane `l` is output channel `o0 + l`'s
+        // filter of input channel `c` (lanes past `live` stay zero, and so
+        // does their transform), so the arithmetic runs over
+        // `A_LANES`-wide arrays and returns the column of all 16 images.
+        let u = pack_a_images::<16>(oc, ic, |c, o0, live| {
+            let mut g = [[0.0f32; A_LANES]; 9];
+            for l in 0..live {
+                let f = &weight[((o0 + l) * ic + c) * 9..][..9];
+                for (q, &val) in f.iter().enumerate() {
+                    g[q][l] = val;
                 }
             }
-        }
+            // Rows: G applied to the 3 filter rows -> 4 rows of 3.
+            let mut gg = [[[0.0f32; A_LANES]; 3]; 4];
+            for j in 0..3 {
+                for l in 0..A_LANES {
+                    let (g0, g1, g2) = (g[j][l], g[3 + j][l], g[6 + j][l]);
+                    gg[0][j][l] = g0;
+                    gg[1][j][l] = 0.5 * (g0 + g1 + g2);
+                    gg[2][j][l] = 0.5 * (g0 - g1 + g2);
+                    gg[3][j][l] = g2;
+                }
+            }
+            // Columns: right-multiply by G^T -> 4x4, coordinate a * 4 + b.
+            let mut uu = [[0.0f32; A_LANES]; 16];
+            for (a, row) in gg.iter().enumerate() {
+                for l in 0..A_LANES {
+                    let (t0, t1, t2) = (row[0][l], row[1][l], row[2][l]);
+                    uu[a * 4][l] = t0;
+                    uu[a * 4 + 1][l] = 0.5 * (t0 + t1 + t2);
+                    uu[a * 4 + 2][l] = 0.5 * (t0 - t1 + t2);
+                    uu[a * 4 + 3][l] = t2;
+                }
+            }
+            uu
+        });
         if let Some(s) = span {
-            // Filter reads, U writes; ~40 adds/muls per 3x3 filter.
+            // Filter reads, packed U writes (without the tier's tile
+            // padding); ~40 adds/muls per 3x3 filter.
             s.finish(
                 (40 * oc * ic) as u64,
                 4 * (oc * ic * 9 + 16 * oc * ic) as u64,
@@ -527,12 +519,13 @@ fn assert_winograd_supports(geom: &Conv2dGeometry) {
 /// classic minimal-filtering factorisation `Y = A^T [ (G g G^T) .*
 /// (B^T d B) ] A`, with the element-wise products batched over channels
 /// into 16 `out_channels x in_channels x tiles` GEMMs (one per transform
-/// coordinate) through the deterministic packed [`crate::gemm`]. The
-/// image is processed as a pipeline over blocks of whole tile rows (see
-/// the module docs). All transform coefficients are
-/// `{0, ±1, ±0.5}` — exact in f32 — and the transforms are pure
-/// per-element maps, so the output is bitwise deterministic at every
-/// thread count. Accumulation order differs from im2col; the numerical
+/// coordinate) through the deterministic packed GEMM — bitwise
+/// [`crate::gemm`] into a zeroed product, with the transformed filter
+/// packed once per call. The image is processed as a pipeline over
+/// blocks of whole tile rows (see the module docs). All transform
+/// coefficients are `{0, ±1, ±0.5}` — exact in f32 — and the transforms
+/// are pure per-element maps, so the output is bitwise deterministic at
+/// every thread count. Accumulation order differs from im2col; the numerical
 /// difference is bounded by [`winograd_error_bound`].
 ///
 /// # Panics
@@ -563,7 +556,7 @@ pub fn conv2d_winograd(
 /// Panics if `geom` is not a stride-1 3x3 layer, if `filter` was built
 /// for another channel count, or if a slice is shorter than the geometry
 /// implies.
-pub fn conv2d_winograd_prepared(
+fn conv2d_winograd_prepared(
     geom: &Conv2dGeometry,
     filter: &WinogradFilter,
     bias: &[f32],
@@ -652,9 +645,8 @@ fn winograd_block(
     // Padded input row width: tile `tx` reads columns `2 tx..2 tx + 4`.
     let wp = 2 * tiles_x + 2;
 
-    // The span starts before the checkout and M's zero-fill (pooled
-    // scratch has unspecified contents and `gemm` accumulates), so both
-    // count as transform time.
+    // The span starts before the checkout (pooled scratch), so pool
+    // bookkeeping counts as transform time.
     let span = phase_span(Phase::WinogradTransform);
     // V[xi]: ic x tb, M[xi]: oc x tb — 16 coordinates each — plus row
     // temporaries for the two transforms.
@@ -662,7 +654,6 @@ fn winograd_block(
     let (v, rest) = scratch.split_at_mut(16 * ic * tb);
     let (m, rows) = rest.split_at_mut(16 * oc * tb);
     input_transform(geom, input, tile_rows.clone(), v, rows);
-    m.fill(0.0);
     if let Some(s) = span {
         // The input rows this block is the first to read (halo rows
         // belong to the block above), V written; ~40 adds per 4x4.
@@ -678,16 +669,12 @@ fn winograd_block(
         );
     }
 
-    // 16 per-coordinate GEMMs: M[xi] = U[xi] * V[xi].
-    for xi in 0..16 {
-        gemm(
-            oc,
-            tb,
-            ic,
-            &filter.u[xi * oc * ic..(xi + 1) * oc * ic],
-            &v[xi * ic * tb..(xi + 1) * ic * tb],
-            &mut m[xi * oc * tb..(xi + 1) * oc * tb],
-        );
+    // 16 per-coordinate GEMMs: M[xi] = U[xi] * V[xi], stored, so M needs
+    // no zero-fill.
+    let us = filter.u.chunks_exact(filter.u.len() / 16);
+    let vs = v.chunks_exact(ic * tb);
+    for ((u, v), m) in us.zip(vs).zip(m.chunks_exact_mut(oc * tb)) {
+        gemm_packed_a(oc, tb, ic, u, v, m);
     }
 
     let span = phase_span(Phase::WinogradInverse);
@@ -844,7 +831,7 @@ pub fn winograd_error_bound(geom: &Conv2dGeometry, weight: &[f32], input: &[f32]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gemm_bias, im2col, im2col_positions};
+    use crate::{gemm, gemm_bias, im2col, im2col_positions};
 
     fn reference(
         geom: &Conv2dGeometry,
@@ -1116,10 +1103,29 @@ mod tests {
         assert_eq!(winograd_block_rows(64, 64, 400, 9), 1);
         // Small maps fit whole.
         assert_eq!(winograd_block_rows(128, 128, 7, 7), 7);
-        // Deep layers (U alone is the budget or more) are never split,
-        // however large the map.
-        assert_eq!(winograd_block_rows(128, 256, 28, 28), 28);
-        assert_eq!(winograd_block_rows(512, 512, 14, 14), 14);
+        // Deep layers follow the same rule: U is packed once per call, so
+        // a block re-reads it but never re-packs it.
+        assert_eq!(winograd_block_rows(128, 256, 28, 28), 3);
+        assert_eq!(winograd_block_rows(512, 512, 14, 14), 2);
+        // So every VGG-16 3x3 layer's V + M block is within the budget.
+        for (ic, oc, map) in [
+            (3, 64, 224),
+            (64, 64, 224),
+            (64, 128, 112),
+            (128, 128, 112),
+            (128, 256, 56),
+            (256, 256, 56),
+            (256, 512, 28),
+            (512, 512, 28),
+            (512, 512, 14),
+        ] {
+            let tiles = map / 2;
+            let rows = winograd_block_rows(ic, oc, tiles, tiles);
+            assert!(
+                16 * (ic + oc) * rows * tiles <= WINOGRAD_BLOCK_FLOATS,
+                "{ic} -> {oc} @ {map}: {rows} tile rows"
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //!    microkernel that accumulates each tile over one `KC` block and adds
 //!    it to `C`.
 //!
+//! An `A` many GEMMs share (Winograd's `U`) is packed once instead, by
+//! [`pack_a_images`], and read in place by [`gemm_packed_a`] (`C = A * B`).
+//!
 //! # ISA tiers
 //!
 //! The register tile is fitted to the register file it runs on, the way
@@ -69,7 +72,8 @@
 //! Each `C` element starts every `KC` block from `+0.0`, accumulates
 //! `acc = acc + a * b` (one IEEE multiply, one IEEE add — never a fused
 //! multiply-add) in ascending-`k` order, and the blocks are added to `C`
-//! in ascending order. That sequence — and therefore [`KC`] — *is* the
+//! in ascending order ([`gemm_packed_a`] stores the first instead, which
+//! is the same bits as adding it to a zeroed `C`). That sequence — and therefore [`KC`] — *is* the
 //! rounding contract; `MR`, `NR`, `MC`, the vector width — the whole ISA
 //! tier — and the thread count only decide which elements are computed
 //! side by side, never any element's operation sequence, so they are free
@@ -89,10 +93,11 @@
 //!
 //! When `pcnn-profile` recording is on, the packed GEMM reports its
 //! phases to the engine profiler: `B`-packing as one [`Phase::PackB`]
-//! span per call, `A`-packing and the microkernel loop as
-//! [`Phase::PackA`] / [`Phase::Microkernel`] spans per (`KC` block,
-//! `MC`-row group) — coarse enough to stay off the hot path — each
-//! carrying its flop and byte traffic for roofline classification, and
+//! span per call, `A`-packing (none when `A` arrives packed) and the
+//! microkernel loop as [`Phase::PackA`] / [`Phase::Microkernel`] spans
+//! per (`KC` block, `MC`-row group) — coarse enough to stay off the hot
+//! path — each carrying its flop and byte traffic for roofline
+//! classification, and
 //! [`gemm_bias`]'s bias broadcast as a [`Phase::Epilogue`] span. The
 //! counts are of the *unpadded* operands and [`MC`] is one constant for
 //! every tier, so at a given pool width a profile reads the same whichever
@@ -311,7 +316,7 @@ struct TileSink {
     ptr: *mut f32,
 }
 
-// SAFETY: every `accumulate` call writes a span derived from a
+// SAFETY: every `accumulate` / `write` call writes a span derived from a
 // `(row tile, column panel)` rectangle, and `gemm` and `gemm_nt` assign
 // each rectangle to exactly one task — concurrent writers never overlap.
 unsafe impl Sync for TileSink {}
@@ -330,6 +335,21 @@ impl TileSink {
             *d += v;
         }
     }
+
+    /// `C[start..start + vals.len()] = vals` when `set`, else
+    /// [`accumulate`](Self::accumulate); safe as that is.
+    #[inline(always)]
+    unsafe fn write(&self, set: bool, start: usize, vals: &[f32]) {
+        if !set {
+            return self.accumulate(start, vals);
+        }
+        let dst = std::slice::from_raw_parts_mut(self.ptr.add(start), vals.len());
+        match <&[f32; NR]>::try_from(vals) {
+            // Constant length: vector stores, not a `memcpy` call.
+            Ok(full) => dst.copy_from_slice(full),
+            Err(_) => dst.copy_from_slice(vals),
+        }
+    }
 }
 
 /// `C += A * B` for row-major matrices.
@@ -343,14 +363,32 @@ impl TileSink {
 ///
 /// Panics if any slice is shorter than its `m/n/k`-implied length.
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_on(Tier::detect(), m, n, k, a, b, c);
+    gemm_on(Tier::detect(), m, n, k, OperandA::Rows(a), b, c);
 }
 
-/// [`gemm`] on an explicit tier.
-fn gemm_on(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
+/// `C = A * B` with `A` already packed: one image of a [`pack_a_images`]
+/// result. `B` is row-major and packed here, as [`gemm`] packs it.
+///
+/// The first `KC` block *stores* its products into `C` instead of adding
+/// them, so `C` needs no zero-fill. That is bitwise [`gemm`] into a zeroed
+/// `C`: an accumulator starts at `+0.0` and `+0.0 + x` is `+0.0` for
+/// `x = -0.0`, so it is never `-0.0`, and `+0.0 + x == x` for every other
+/// `x`.
+pub(crate) fn gemm_packed_a(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_on(Tier::detect(), m, n, k, OperandA::Packed(a), b, c);
+}
+
+/// [`gemm`] or [`gemm_packed_a`] on an explicit tier (the one that packed
+/// a packed `A`; its slices panic if it is short).
+fn gemm_on(tier: Tier, m: usize, n: usize, k: usize, a: OperandA, b: &[f32], c: &mut [f32]) {
+    if let OperandA::Rows(a) = a {
+        assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
+    }
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
+    if k == 0 && matches!(a, OperandA::Packed(_)) {
+        c[..m * n].fill(0.0);
+    }
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -416,7 +454,19 @@ pub(crate) fn gemm_packed(
     part: GemmPartition,
     c: &mut [f32],
 ) {
-    gemm_packed_on(Tier::detect(), m, n, k, a, b_pack, part, c);
+    gemm_packed_on(Tier::detect(), m, n, k, OperandA::Rows(a), b_pack, part, c);
+}
+
+/// The `A` operand of the packed loop nest, and with it what the loop
+/// nest does to `C`.
+#[derive(Clone, Copy)]
+enum OperandA<'a> {
+    /// Row-major `m x k`: each `MC`-row group is packed per `KC` block,
+    /// and every block's products are added to `C` (`C += A * B`).
+    Rows(&'a [f32]),
+    /// A [`pack_a_images`] image, read in place; the first `KC` block's
+    /// products are stored into `C` (`C = A * B`, see [`gemm_packed_a`]).
+    Packed(&'a [f32]),
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -425,7 +475,7 @@ fn gemm_packed_on(
     m: usize,
     n: usize,
     k: usize,
-    a: &[f32],
+    a: OperandA,
     b_pack: &[f32],
     part: GemmPartition,
     c: &mut [f32],
@@ -506,6 +556,73 @@ pub(crate) fn pack_b_with(
     }
 }
 
+/// Lanes of the column [`pack_a_images`]'s `fill_col` returns: at least
+/// every tier's `MR`.
+pub(crate) const A_LANES: usize = 16;
+
+/// Length in f32 of one packed-`A` image of an `m x k` operand on `tier`.
+fn packed_a_len_on(tier: Tier, m: usize, k: usize) -> usize {
+    m.div_ceil(tier.mr()) * tier.mr() * k
+}
+
+/// Packs `N` `m x k` operands for [`gemm_packed_a`] into one pooled
+/// scratch of `N` equal images — the `A` side's one owner of the layout,
+/// as [`pack_b_with`] is `B`'s. `fill_col(p, i0, live)` returns, for every
+/// image, column `p` of rows `i0..i0 + live` (`live <= MR`), with zeros in
+/// the lanes past `live`: they are a ragged last tile's padding. So a
+/// caller computes all `N` operands in one pass over its source.
+///
+/// The image is the layout [`gemm`] packs one `MC`-row group into, for the
+/// whole operand: `KC` block `pc` starts at `p0 * ceil(m/MR) * MR`
+/// (`p0 = pc * KC`) and holds the row tiles in order, `kc * MR` elements
+/// each, element `(p, i)` of a tile at `p * MR + i`.
+pub(crate) fn pack_a_images<const N: usize>(
+    m: usize,
+    k: usize,
+    fill_col: impl FnMut(usize, usize, usize) -> [[f32; A_LANES]; N],
+) -> pcnn_parallel::ScratchF32 {
+    pack_a_images_on(Tier::detect(), m, k, fill_col)
+}
+
+fn pack_a_images_on<const N: usize>(
+    tier: Tier,
+    m: usize,
+    k: usize,
+    fill_col: impl FnMut(usize, usize, usize) -> [[f32; A_LANES]; N],
+) -> pcnn_parallel::ScratchF32 {
+    let mut packed = pcnn_parallel::scratch_f32(N * packed_a_len_on(tier, m, k));
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => fill_a_images::<MR_AVX512, N>(m, k, &mut packed, fill_col),
+        _ => fill_a_images::<MR_BASE, N>(m, k, &mut packed, fill_col),
+    }
+    packed
+}
+
+/// [`pack_a_images`]'s walk for an `MR`-row tile: blocks, then tiles, then
+/// depth, so each image is written front to back in `MR`-float runs.
+fn fill_a_images<const MR: usize, const N: usize>(
+    m: usize,
+    k: usize,
+    packed: &mut [f32],
+    mut fill_col: impl FnMut(usize, usize, usize) -> [[f32; A_LANES]; N],
+) {
+    const { assert!(MR <= A_LANES, "a tile column fits the lanes") };
+    let len = m.div_ceil(MR) * MR * k;
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        for i0 in (0..m).step_by(MR) {
+            let tile = p0 * m.div_ceil(MR) * MR + i0 * kc;
+            for p in 0..kc {
+                let cols = fill_col(p0 + p, i0, MR.min(m - i0));
+                for (x, col) in cols.iter().enumerate() {
+                    packed[x * len + tile + p * MR..][..MR].copy_from_slice(&col[..MR]);
+                }
+            }
+        }
+    }
+}
+
 /// Packs `rows x kc` of `A` (starting at `(m0, p0)`) into `MR`-row
 /// micropanels: tile `ir` starts at `ir * kc * MR`, element `(p, i)` at
 /// `p * MR + i`. Short bottom tiles are zero-padded; every element of
@@ -542,8 +659,9 @@ fn pack_a<const MR: usize>(
 /// `C[tiles tile_rows, panels tile_cols] += A * B`, the tiles being
 /// `tier`'s.
 ///
-/// Checks its `A`-packing scratch out of the pool, then dispatches to the
-/// tier's instantiation of [`gemm_tiles_body`]: the whole loop nest
+/// Checks its `A`-packing scratch out of the pool (unless `A` arrives
+/// packed), then dispatches to the tier's instantiation of
+/// [`gemm_tiles_body`]: the whole loop nest
 /// compiled for AVX-512 around [`microkernel_avx512`], for AVX2 around
 /// [`microkernel_avx2`], or the baseline build around the portable
 /// [`microkernel`]. All three perform the identical sequence of IEEE
@@ -555,7 +673,7 @@ fn gemm_tiles(
     m: usize,
     n: usize,
     k: usize,
-    a: &[f32],
+    a: OperandA,
     b_pack: &[f32],
     sink: &TileSink,
     tile_rows: Range<usize>,
@@ -566,26 +684,31 @@ fn gemm_tiles(
     }
     let mr = tier.mr();
     let group_cap = (MC / mr).min(tile_rows.len());
-    let span = phase_span(Phase::PackA);
-    let mut a_pack = pcnn_parallel::scratch_f32(group_cap * KC * mr);
-    if let Some(s) = span {
-        // Scratch checkout for the A-panel group (pool bookkeeping plus
-        // any first-use zero-fill), counted without the tile padding.
-        let rows = (tile_rows.end * mr).min(m) - tile_rows.start * mr;
-        s.finish(0, 4 * (rows.min(MC) * KC) as u64);
-    }
+    // A packed image needs no packing scratch.
+    let mut a_pack = matches!(a, OperandA::Rows(_)).then(|| {
+        let span = phase_span(Phase::PackA);
+        let a_pack = pcnn_parallel::scratch_f32(group_cap * KC * mr);
+        if let Some(s) = span {
+            // Scratch checkout for the A-panel group (pool bookkeeping plus
+            // any first-use zero-fill), counted without the tile padding.
+            let rows = (tile_rows.end * mr).min(m) - tile_rows.start * mr;
+            s.finish(0, 4 * (rows.min(MC) * KC) as u64);
+        }
+        a_pack
+    });
+    let a_pack = a_pack.as_deref_mut().unwrap_or_default();
     match tier {
         // SAFETY: `Tier::Avx512` is only constructed after the runtime
         // probe found `avx512f` (the invariant on `Tier`).
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512 => unsafe {
-            gemm_tiles_avx512(m, n, k, a, b_pack, sink, tile_rows, tile_cols, &mut a_pack)
+            gemm_tiles_avx512(m, n, k, a, b_pack, sink, tile_rows, tile_cols, a_pack)
         },
         // SAFETY: `Tier::Avx2` is only constructed after the runtime
         // probe found `avx2` (the invariant on `Tier`).
         #[cfg(target_arch = "x86_64")]
         Tier::Avx2 => unsafe {
-            gemm_tiles_avx2(m, n, k, a, b_pack, sink, tile_rows, tile_cols, &mut a_pack)
+            gemm_tiles_avx2(m, n, k, a, b_pack, sink, tile_rows, tile_cols, a_pack)
         },
         Tier::Portable => gemm_tiles_body(
             m,
@@ -596,7 +719,7 @@ fn gemm_tiles(
             sink,
             tile_rows,
             tile_cols,
-            &mut a_pack,
+            a_pack,
             microkernel::<MR_BASE>,
         ),
     }
@@ -614,7 +737,7 @@ fn gemm_tiles_avx512(
     m: usize,
     n: usize,
     k: usize,
-    a: &[f32],
+    a: OperandA,
     b_pack: &[f32],
     sink: &TileSink,
     tile_rows: Range<usize>,
@@ -645,7 +768,7 @@ fn gemm_tiles_avx2(
     m: usize,
     n: usize,
     k: usize,
-    a: &[f32],
+    a: OperandA,
     b_pack: &[f32],
     sink: &TileSink,
     tile_rows: Range<usize>,
@@ -668,15 +791,16 @@ fn gemm_tiles_avx2(
 
 /// The rectangle loop nest: ascending `KC` blocks on the outside (the
 /// per-element accumulation order that fixes bitwise determinism), then
-/// `MC`-row `A`-packing groups, then the `jr`/`ir` loops calling `kernel`
-/// on one `MR x NR` tile at a time. `tile_rows` counts `MR`-row tiles.
+/// `MC`-row `A` groups (packed into `a_pack`, or read from a packed
+/// image), then the `jr`/`ir` loops calling `kernel` on one `MR x NR`
+/// tile at a time. `tile_rows` counts `MR`-row tiles.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn gemm_tiles_body<const MR: usize>(
     m: usize,
     n: usize,
     k: usize,
-    a: &[f32],
+    a: OperandA,
     b_pack: &[f32],
     sink: &TileSink,
     tile_rows: Range<usize>,
@@ -694,22 +818,31 @@ fn gemm_tiles_body<const MR: usize>(
         while g0 < tile_rows.end {
             let g_tiles = (MC / MR).min(tile_rows.end - g0);
             let rows = (g_tiles * MR).min(m - g0 * MR);
-            let span = phase_span(Phase::PackA);
-            pack_a::<MR>(
-                g0 * MR,
-                rows,
-                p0,
-                kc,
-                k,
-                a,
-                &mut a_pack[..g_tiles * kc * MR],
-            );
-            if let Some(s) = span {
-                // Reads the rows x kc source and writes it packed; the
-                // tile padding is the tier's and is not counted.
-                s.finish(0, 4 * (2 * rows * kc) as u64);
-            }
-            let a_group = &a_pack[..g_tiles * kc * MR];
+            let a_group: &[f32] = match a {
+                OperandA::Rows(a) => {
+                    let span = phase_span(Phase::PackA);
+                    pack_a::<MR>(
+                        g0 * MR,
+                        rows,
+                        p0,
+                        kc,
+                        k,
+                        a,
+                        &mut a_pack[..g_tiles * kc * MR],
+                    );
+                    if let Some(s) = span {
+                        // Reads the rows x kc source and writes it packed;
+                        // the tile padding is the tier's and is not counted.
+                        s.finish(0, 4 * (2 * rows * kc) as u64);
+                    }
+                    &a_pack[..g_tiles * kc * MR]
+                }
+                // The group's tiles are one run of the block's image.
+                OperandA::Packed(image) => {
+                    &image[p0 * m.div_ceil(MR) * MR + g0 * kc * MR..][..g_tiles * kc * MR]
+                }
+            };
+            let set = pc == 0 && matches!(a, OperandA::Packed(_));
             let span = phase_span(Phase::Microkernel);
             for jp in tile_cols.clone() {
                 let b_micro = &b_block[jp * kc * NR..(jp + 1) * kc * NR];
@@ -723,9 +856,7 @@ fn gemm_tiles_body<const MR: usize>(
                         // SAFETY: row `i0 + i` < m and columns
                         // `j0..j0 + nr` <= n lie inside `C`, and this
                         // task is the sole owner of the rectangle.
-                        unsafe {
-                            sink.accumulate((i0 + i) * n + j0, &acc_row[..nr]);
-                        }
+                        unsafe { sink.write(set, (i0 + i) * n + j0, &acc_row[..nr]) };
                     }
                 }
             }
@@ -740,8 +871,9 @@ fn gemm_tiles_body<const MR: usize>(
                 s.finish(
                     2 * (rows * kc * ncols) as u64,
                     // The group's rows of A + packed B panels + C
-                    // read/write.
-                    4 * (rows * kc + tile_cols.len() * kc * NR + 2 * rows * ncols) as u64,
+                    // read/write (written only, when set).
+                    4 * (rows * kc + tile_cols.len() * kc * NR + (2 - set as usize) * rows * ncols)
+                        as u64,
                 );
             }
             g0 += g_tiles;
@@ -1451,7 +1583,9 @@ mod tests {
             };
             let run = |tier: Tier| {
                 let mut c = c0.clone();
-                pcnn_parallel::with_threads(width, || gemm_on(tier, m, n, k, &a, &b, &mut c));
+                pcnn_parallel::with_threads(width, || {
+                    gemm_on(tier, m, n, k, OperandA::Rows(&a), &b, &mut c)
+                });
                 bits(&c)
             };
             let want = run(Tier::Portable);
@@ -1460,6 +1594,74 @@ mod tests {
                     &run(tier), &want,
                     "{}x{}x{} at width {} on {}", m, n, k, width, tier
                 );
+            }
+        }
+    }
+
+    /// The packed-`A` entry with its first-block store is, bit for bit,
+    /// `gemm` into a zeroed `C`, on every tier this CPU runs, at pool
+    /// widths 1, 2 and the ambient one (CI sets 2 and 8); the 2-D split
+    /// reads a row range of the packed image. Shapes: ragged rows on both
+    /// tile heights, ragged columns, one and three `KC` blocks, `k = 0`,
+    /// and operands whose products are all `-0.0` or cancel exactly, where
+    /// a first block that stored a `-0.0` would show. Both images of a
+    /// two-image pack are run, so the image offsets are held too.
+    #[test]
+    fn packed_a_gemm_on_every_tier_is_bitwise_gemm_into_a_zeroed_c() {
+        let shapes = [
+            (1usize, 1usize, 1usize),
+            (7, 33, 300),
+            (97, 35, 600),
+            (130, 70, 300),
+            (16, 16, 256),
+            (33, 17, 5),
+            (3, 4, 0),
+        ];
+        for (case, &(m, n, k)) in shapes.iter().enumerate() {
+            let seed = case as u64;
+            // `-0.0` times a non-negative `B`: every product is `-0.0`.
+            let b_abs: Vec<f32> = noise(seed ^ 0xB0B, k * n).iter().map(|v| v.abs()).collect();
+            let minus_zero = [noise(seed, m * k), vec![-0.0; m * k]];
+            // Rows whose odd columns negate the even ones, against a `B`
+            // whose odd rows repeat the even ones: each pair of products
+            // cancels exactly, back to `+0.0`.
+            let mut b_pairs = noise(seed ^ 0xB1B, k * n);
+            let mut cancel = [noise(seed ^ 0xA2, m * k), noise(seed ^ 0xA3, m * k)];
+            for p in (0..k.saturating_sub(1)).step_by(2) {
+                for i in 0..m {
+                    cancel[0][i * k + p + 1] = -cancel[0][i * k + p];
+                }
+                b_pairs.copy_within(p * n..(p + 1) * n, (p + 1) * n);
+            }
+            for (a, b) in [(&minus_zero, &b_abs), (&cancel, &b_pairs)] {
+                for width in [1, 2, pcnn_parallel::current_threads()] {
+                    for tier in Tier::available() {
+                        let packed = pack_a_images_on::<2>(tier, m, k, |p, i0, live| {
+                            let mut cols = [[0.0; A_LANES]; 2];
+                            for (x, col) in cols.iter_mut().enumerate() {
+                                for (l, v) in col[..live].iter_mut().enumerate() {
+                                    *v = a[x][(i0 + l) * k + p];
+                                }
+                            }
+                            cols
+                        });
+                        let len = packed.len() / 2;
+                        for (x, a) in a.iter().enumerate() {
+                            let mut want = vec![0.0; m * n];
+                            let mut got = vec![f32::NAN; m * n];
+                            pcnn_parallel::with_threads(width, || {
+                                gemm_on(tier, m, n, k, OperandA::Rows(a), b, &mut want);
+                                let image = OperandA::Packed(&packed[x * len..(x + 1) * len]);
+                                gemm_on(tier, m, n, k, image, b, &mut got);
+                            });
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{m}x{n}x{k}, image {x}, width {width}, {tier}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -1653,7 +1855,9 @@ mod tests {
                 pcnn_profile::reset();
                 {
                     let _scope = pcnn_profile::layer_scope(0, "gemm");
-                    pcnn_parallel::with_threads(1, || gemm_on(tier, m, n, k, &a, &b, &mut c));
+                    pcnn_parallel::with_threads(1, || {
+                        gemm_on(tier, m, n, k, OperandA::Rows(&a), &b, &mut c)
+                    });
                 }
                 pcnn_profile::set_enabled(false);
                 let snap = pcnn_profile::snapshot();

@@ -301,8 +301,9 @@ fn conv_algorithms_bitwise_equal_across_thread_counts() {
 /// `conv2d_winograd` emits its `WinogradTransform` / `WinogradInverse`
 /// spans per block (the filter transform once), so their *sums* per layer
 /// must still be the whole-image formulas `pcnn profile` has always
-/// reported, and together with the GEMM's phases they must still cover
-/// the layer's wall time.
+/// reported; the 16 GEMMs read the `U` the filter transform packed, so
+/// they report no `PackA`; and together with the GEMM's phases the spans
+/// must still cover the layer's wall time.
 #[test]
 fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
     // (in_channels, in_h, in_w, pad, out_channels): four blocks with a
@@ -339,6 +340,14 @@ fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
         let profile = run(1);
 
         let t = geom.out_h.div_ceil(2) * geom.out_w.div_ceil(2);
+        // The filter transform writes U packed for the GEMMs (counted
+        // without the tier's tile padding), so they pack no A; M is
+        // stored by the GEMMs, never zero-filled.
+        assert_eq!(
+            profile.phase(Phase::PackA).calls,
+            0,
+            "A packed per GEMM, layer {layer}"
+        );
         let transform = profile.phase(Phase::WinogradTransform);
         assert_eq!(
             transform.flops,
@@ -387,7 +396,11 @@ fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
         // through the handoff, under this layer, and sum to the same work.
         let wide = run(3);
         let work = |t: PhaseTotals| (t.flops, t.bytes, t.calls);
-        for p in [Phase::WinogradTransform, Phase::WinogradInverse] {
+        for p in [
+            Phase::WinogradTransform,
+            Phase::WinogradInverse,
+            Phase::PackA,
+        ] {
             assert_eq!(work(wide.phase(p)), work(profile.phase(p)), "{p:?}");
         }
         assert_eq!(

@@ -14,7 +14,11 @@
 //! Winograd body was replaced by the block pipeline and are asserted
 //! unchanged at every thread count, which is why no golden,
 //! `results/*.txt` or `BENCH_*` document other than the timing columns of
-//! `BENCH_conv.json` needed re-pinning.
+//! `BENCH_conv.json` needed re-pinning. The deep several-block shape and
+//! the one deeper than a `KC` block were recorded later, on the commit
+//! before the filter transform wrote the GEMM's packed `A` and the 16
+//! GEMMs began storing their first block instead of adding it to a
+//! zero-filled `M`.
 
 mod common;
 
@@ -28,6 +32,12 @@ const PINNED: &[(usize, usize, usize, usize, usize, u64)] = &[
     (32, 112, 40, 1, 48, 0x27ab_9145_7741_a475),
     // One block, deep: a VGG conv5-class layer.
     (128, 14, 14, 1, 128, 0x5112_8cad_18d1_7fab),
+    // Deep and several blocks: one block before every layer kept to the
+    // cache budget.
+    (256, 28, 28, 1, 256, 0xe243_3178_6ee3_9a35),
+    // More input channels than one `KC` block: the 16 GEMMs store their
+    // first block and add the second.
+    (320, 6, 6, 1, 32, 0x8435_f63d_7fe1_0182),
     // Odd maps: ragged bottom row and right column of tiles.
     (16, 13, 13, 1, 24, 0xd751_6534_315a_971f),
     (5, 7, 5, 1, 7, 0x423e_2fbb_500d_96d2),
