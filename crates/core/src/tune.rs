@@ -25,6 +25,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
+use pcnn_nn::layer::Conv2d;
 use pcnn_nn::{ConvPlan, Layer, Network};
 use pcnn_tensor::{conv2d, gemm_tile, winograd_block_rows, Conv2dGeometry, ConvAlgo, MachinePeaks};
 
@@ -36,17 +37,20 @@ pub type ConvShapeKey = (Conv2dGeometry, usize);
 /// (canned peaks and timings) make tuner choices reproducible in tests;
 /// the production [`WallClockTimer`] measures for real.
 pub trait CandidateTimer {
-    /// Seconds one execution of `algo` on this layer shape costs.
-    fn time(&mut self, algo: ConvAlgo, geom: &Conv2dGeometry, out_channels: usize) -> f64;
+    /// Seconds one execution of `algo` on `layer` costs.
+    fn time(&mut self, algo: ConvAlgo, layer: &Conv2d) -> f64;
 
     /// The machine's peaks. A tuner asks once, the first time a shape
     /// leaves it two candidates to compare.
     fn peaks(&mut self) -> MachinePeaks;
 }
 
-/// Measures candidates by running them: deterministic synthetic operands,
-/// best-of-`reps` wall time. Runs on the worker pool — the kernels
-/// parallelise internally at the configured thread count.
+/// Measures candidates by running them: the layer's own weights on a
+/// deterministic synthetic image, best-of-`reps` wall time. Runs on the
+/// worker pool — the kernels parallelise internally at the configured
+/// thread count. Image and output are scratch-pool checkouts, so timing
+/// a layer adds no copy of its weights and nothing a forward would not
+/// hold.
 #[derive(Debug, Clone)]
 pub struct WallClockTimer {
     reps: usize,
@@ -60,30 +64,18 @@ impl WallClockTimer {
 }
 
 impl CandidateTimer for WallClockTimer {
-    fn time(&mut self, algo: ConvAlgo, geom: &Conv2dGeometry, out_channels: usize) -> f64 {
-        // Deterministic pseudo-random operands (same fill pattern as the
-        // GEMM benchmarks): values in roughly [-2, 2).
-        let weight: Vec<f32> = (0..out_channels * geom.patch_len())
-            .map(|i| ((i % 2017) as f32 - 1000.0) / 512.0)
-            .collect();
-        let bias: Vec<f32> = (0..out_channels).map(|i| (i % 7) as f32 / 8.0).collect();
-        let input: Vec<f32> = (0..geom.in_channels * geom.in_h * geom.in_w)
-            .map(|i| ((i % 1999) as f32 - 999.0) / 512.0)
-            .collect();
-        let mut out = vec![0.0f32; out_channels * geom.out_positions()];
+    fn time(&mut self, algo: ConvAlgo, layer: &Conv2d) -> f64 {
+        let (geom, oc) = (layer.geometry(), layer.out_channels());
+        let (weight, bias) = layer.params();
+        // A deterministic pseudo-random image (the GEMM benchmarks' fill
+        // pattern): values in roughly [-2, 2).
+        let mut input = pcnn_parallel::scratch_f32(geom.in_channels * geom.in_h * geom.in_w);
+        for (i, v) in input.iter_mut().enumerate() {
+            *v = ((i % 1999) as f32 - 999.0) / 512.0;
+        }
+        let mut out = pcnn_parallel::scratch_f32(oc * geom.out_positions());
         // The call the plan's layer then makes, one image at a time.
-        let mut run = || {
-            conv2d(
-                algo,
-                geom,
-                out_channels,
-                &weight,
-                &bias,
-                &input,
-                1,
-                &mut out,
-            )
-        };
+        let mut run = || conv2d(algo, geom, oc, weight.data(), bias, &input, 1, &mut out);
         // Warm once (pool scratch checkout, page faults), then measure.
         run();
         let mut best = f64::INFINITY;
@@ -299,12 +291,15 @@ impl<T: CandidateTimer> ConvTuner<T> {
         }
     }
 
-    /// Tunes one layer shape: prune unsupported candidates; unless only
+    /// Tunes one layer's shape: prune unsupported candidates; unless only
     /// one is left, price the rest and take the model's verdict, or —
-    /// where it has none — time them and pick the fastest (strict `<`
-    /// scan in [`ConvAlgo::TUNED`] order, so ties resolve to the earlier
-    /// candidate — the im2col-bitwise one — deterministically).
-    pub fn tune_shape(&mut self, geom: &Conv2dGeometry, out_channels: usize) -> (ConvAlgo, bool) {
+    /// where it has none — time them on the layer and pick the fastest
+    /// (strict `<` scan in [`ConvAlgo::TUNED`] order, so ties resolve to
+    /// the earlier candidate — the im2col-bitwise one —
+    /// deterministically). Returns the choice and whether it came from the
+    /// shape memo.
+    pub fn tune_shape(&mut self, layer: &Conv2d) -> (ConvAlgo, bool) {
+        let (geom, out_channels) = (layer.geometry(), layer.out_channels());
         let key = (*geom, out_channels);
         if let Some(hit) = self.cache.get(&key) {
             return (hit.chosen, true);
@@ -335,7 +330,7 @@ impl<T: CandidateTimer> ConvTuner<T> {
             CostModel::verdict(&predictions).unwrap_or_else(|| {
                 timings = eligible
                     .iter()
-                    .map(|&algo| (algo, self.timer.time(algo, geom, out_channels)))
+                    .map(|&algo| (algo, self.timer.time(algo, layer)))
                     .collect();
                 let mut chosen = timings[0];
                 for &(algo, secs) in &timings[1..] {
@@ -369,7 +364,7 @@ impl<T: CandidateTimer> ConvTuner<T> {
         for layer in net.layers() {
             let Layer::Conv2d(c) = layer else { continue };
             let (geom, oc) = (*c.geometry(), c.out_channels());
-            let (chosen, cached) = self.tune_shape(&geom, oc);
+            let (chosen, cached) = self.tune_shape(c);
             let shape = self.cache.get(&(geom, oc)).expect("just tuned").clone();
             let predicted = shape.untimed() > 0;
             if !cached {
@@ -463,10 +458,11 @@ mod tests {
     }
 
     impl CandidateTimer for RecordedTimer {
-        fn time(&mut self, algo: ConvAlgo, geom: &Conv2dGeometry, out_channels: usize) -> f64 {
+        fn time(&mut self, algo: ConvAlgo, layer: &Conv2d) -> f64 {
+            let (geom, out_channels) = (*layer.geometry(), layer.out_channels());
             *self
                 .table
-                .get(&((*geom, out_channels), algo))
+                .get(&((geom, out_channels), algo))
                 .unwrap_or_else(|| {
                     panic!("no recorded timing for {algo} on {geom:?} x{out_channels}")
                 })
@@ -519,6 +515,12 @@ mod tests {
         ([3, 63, 11, 4, 0, 32], (45.5, 22.5), 0.184, f64::NAN),
     ];
 
+    /// A layer of this shape; the recorded timers read only its shape.
+    fn layer(geom: Conv2dGeometry, oc: usize) -> Conv2d {
+        let weight = pcnn_tensor::Tensor::zeros(vec![oc, geom.patch_len()]);
+        Conv2d::from_parts(geom, oc, weight, vec![0.0; oc])
+    }
+
     /// AlexNet CONV1: large-spatial strided 11x11 — the canonical shape
     /// where direct wins (im2col's 8.8 MB column matrix is pure
     /// overhead).
@@ -544,14 +546,14 @@ mod tests {
             .with(conv3_geom(), 384, ConvAlgo::Winograd, 0.0024);
         let mut tuner = ConvTuner::new(timer);
         // CONV1: winograd ineligible (stride 4) -> pruned, direct is left.
-        let (algo, cached) = tuner.tune_shape(&conv1_geom(), 96);
+        let (algo, cached) = tuner.tune_shape(&layer(conv1_geom(), 96));
         assert_eq!(algo, ConvAlgo::Direct);
         assert!(!cached);
         // CONV3: winograd eligible and fastest.
-        let (algo, _) = tuner.tune_shape(&conv3_geom(), 384);
+        let (algo, _) = tuner.tune_shape(&layer(conv3_geom(), 384));
         assert_eq!(algo, ConvAlgo::Winograd);
         // Repeat lookups come from the cache.
-        let (algo, cached) = tuner.tune_shape(&conv1_geom(), 96);
+        let (algo, cached) = tuner.tune_shape(&layer(conv1_geom(), 96));
         assert_eq!((algo, cached), (ConvAlgo::Direct, true));
         assert_eq!(tuner.cache.len(), 2);
     }
@@ -562,7 +564,7 @@ mod tests {
         let timer = RecordedTimer::new()
             .with(geom, 4, ConvAlgo::Direct, 0.5)
             .with(geom, 4, ConvAlgo::Winograd, 0.5);
-        let (algo, _) = ConvTuner::new(timer).tune_shape(&geom, 4);
+        let (algo, _) = ConvTuner::new(timer).tune_shape(&layer(geom, 4));
         assert_eq!(algo, ConvAlgo::Direct);
     }
 
@@ -575,7 +577,10 @@ mod tests {
             (conv1_geom(), 96),
             (Conv2dGeometry::new(48, 27, 27, 5, 1, 2), 128),
         ] {
-            assert_eq!(tuner.tune_shape(&geom, oc), (ConvAlgo::Direct, false));
+            assert_eq!(
+                tuner.tune_shape(&layer(geom, oc)),
+                (ConvAlgo::Direct, false)
+            );
         }
     }
 
@@ -778,8 +783,8 @@ mod tests {
             };
             let mut fast_direct = ConvTuner::new(timer(1.0, 2.0));
             let mut fast_winograd = ConvTuner::new(timer(2.0, 1.0));
-            let (a, _) = fast_direct.tune_shape(&geom, oc);
-            let (b, _) = fast_winograd.tune_shape(&geom, oc);
+            let (a, _) = fast_direct.tune_shape(&layer(geom, oc));
+            let (b, _) = fast_winograd.tune_shape(&layer(geom, oc));
             let model = CostModel::new(peaks, gemm_tile());
             let priced: Vec<_> = ConvAlgo::TUNED
                 .iter()

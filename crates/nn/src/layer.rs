@@ -11,14 +11,17 @@
 //! operand, one GEMM per group of images — and interpolates the rest.
 //! Inference runs every layer through one step executor
 //! (`Layer::run_step`, what `Network::run` and [`Layer::forward_algo`]
-//! both call); training through [`Layer::forward_train`].
+//! both call), which writes each output into storage its caller hands it:
+//! pooled scratch in `Network::run`, a zeroed tensor behind the public
+//! forwards. Training runs through [`Layer::forward_train`].
 
 use std::borrow::Cow;
+use std::ops::DerefMut;
 
 use pcnn_profile::{phase_span, Phase};
 use pcnn_tensor::{
-    col2im_accumulate, conv2d, conv2d_sampled, gemm, gemm_nt, gemm_tn, im2col, Conv2dGeometry,
-    ConvAlgo, Tensor,
+    col2im_accumulate, conv2d, conv2d_sampled, conv2d_winograd_relu, gemm, gemm_nt, gemm_tn,
+    im2col, Conv2dGeometry, ConvAlgo, Tensor,
 };
 use rand::Rng;
 
@@ -60,6 +63,19 @@ const SAMPLED_GEMM_FLOATS: usize = 1 << 20;
 /// least one — a pure function of the layer shape and the rate.
 fn images_per_sampled_gemm(patch_len: usize, n_keep: usize) -> usize {
     (SAMPLED_GEMM_FLOATS / (patch_len * n_keep).max(1)).max(1)
+}
+
+/// A step's output and its shape, in the storage its caller handed it.
+type Out<O> = Result<(Vec<usize>, O), NnError>;
+
+/// Zeroed storage: what the public forwards write into.
+fn zeroed(len: usize) -> Vec<f32> {
+    vec![0.0; len]
+}
+
+/// A step's output as a tensor.
+fn tensor((shape, data): (Vec<usize>, Vec<f32>)) -> Tensor {
+    Tensor::from_vec(shape, data).expect("a step writes its whole output shape")
 }
 
 /// 2-D convolution: weights `[out_channels, S_f^2 * N_c]`, NCHW activations.
@@ -130,20 +146,21 @@ impl Conv2d {
         vec![n, self.out_channels, self.geom.out_h, self.geom.out_w]
     }
 
-    fn check_input(&self, input: &Tensor) -> Result<usize, NnError> {
+    /// Whether the output map tiles exactly into 2x2 pooling windows.
+    pub(crate) fn even_map(&self) -> bool {
+        self.geom.out_h.is_multiple_of(2) && self.geom.out_w.is_multiple_of(2)
+    }
+
+    fn check_input(&self, shape: &[usize]) -> Result<usize, NnError> {
         let g = &self.geom;
-        if input.ndim() != 4
-            || input.shape()[1] != g.in_channels
-            || input.shape()[2] != g.in_h
-            || input.shape()[3] != g.in_w
-        {
+        if shape.len() != 4 || shape[1..] != [g.in_channels, g.in_h, g.in_w] {
             return Err(NnError::Shape {
                 context: "Conv2d".into(),
                 expected: format!("[N, {}, {}, {}]", g.in_channels, g.in_h, g.in_w),
-                actual: input.shape().to_vec(),
+                actual: shape.to_vec(),
             });
         }
-        Ok(input.shape()[0])
+        Ok(shape[0])
     }
 
     /// Full (unperforated) forward pass through the chosen convolution
@@ -160,29 +177,48 @@ impl Conv2d {
     /// Returns [`NnError::Shape`] on input shape mismatch, or
     /// [`NnError::Plan`] if the algorithm cannot run this layer's shape.
     pub fn forward_with(&self, input: &Tensor, algo: ConvAlgo) -> Result<Tensor, NnError> {
+        self.full_into(input.shape(), input.data(), algo, None, zeroed)
+            .map(tensor)
+    }
+
+    /// [`forward_with`](Self::forward_with) into storage from `new_out`;
+    /// `fused = Some(pool)` runs [`conv2d_winograd_relu`] instead.
+    fn full_into<O: DerefMut<Target = [f32]>>(
+        &self,
+        shape: &[usize],
+        x: &[f32],
+        algo: ConvAlgo,
+        fused: Option<bool>,
+        new_out: impl FnOnce(usize) -> O,
+    ) -> Out<O> {
         if !algo.supports(&self.geom) {
             return Err(NnError::Plan(format!(
                 "{algo} cannot run a {}x{} stride-{} conv layer",
                 self.geom.kernel, self.geom.kernel, self.geom.stride
             )));
         }
-        let batch = self.check_input(input)?;
-        let span = phase_span(Phase::Epilogue);
-        let mut out = Tensor::zeros(self.output_shape(batch));
-        if let Some(s) = span {
-            s.finish(0, 4 * out.data().len() as u64);
+        let batch = self.check_input(shape)?;
+        let mut out_shape = self.output_shape(batch);
+        if fused == Some(true) {
+            out_shape[2] /= 2;
+            out_shape[3] /= 2;
         }
-        conv2d(
-            algo,
+        let span = phase_span(Phase::Epilogue);
+        let mut out = new_out(out_shape.iter().product());
+        if let Some(s) = span {
+            s.finish(0, 4 * out.len() as u64);
+        }
+        let (g, oc, w, b) = (
             &self.geom,
             self.out_channels,
             self.weight.data(),
             &self.bias,
-            input.data(),
-            batch,
-            out.data_mut(),
         );
-        Ok(out)
+        match fused {
+            None => conv2d(algo, g, oc, w, b, x, batch, &mut out),
+            Some(pool) => conv2d_winograd_relu(g, oc, w, b, x, batch, pool, &mut out),
+        }
+        Ok((out_shape, out))
     }
 
     /// Perforated forward pass (paper Fig. 11): evaluate the convolution
@@ -210,7 +246,20 @@ impl Conv2d {
         input: &Tensor,
         perf: &LayerPerforation,
     ) -> Result<Tensor, NnError> {
-        let batch = self.check_input(input)?;
+        self.sampled_into(input.shape(), input.data(), perf, zeroed)
+            .map(tensor)
+    }
+
+    /// [`forward_perforated`](Self::forward_perforated) into storage from
+    /// `new_out`.
+    fn sampled_into<O: DerefMut<Target = [f32]>>(
+        &self,
+        shape: &[usize],
+        x: &[f32],
+        perf: &LayerPerforation,
+        new_out: impl FnOnce(usize) -> O,
+    ) -> Out<O> {
+        let batch = self.check_input(shape)?;
         let g = &self.geom;
         if perf.out_h() != g.out_h || perf.out_w() != g.out_w {
             return Err(NnError::Perforation(format!(
@@ -231,9 +280,9 @@ impl Conv2d {
         // Pooled scratch: `conv2d_sampled` overwrites all it is handed.
         let mut sampled = pcnn_parallel::scratch_f32(oc * group * n_keep);
         let span = phase_span(Phase::Epilogue);
-        let mut out = Tensor::zeros(self.output_shape(batch));
+        let mut out = new_out(batch * oc * n_pos);
         if let Some(s) = span {
-            s.finish(0, 4 * out.data().len() as u64);
+            s.finish(0, 4 * out.len() as u64);
         }
         for first in (0..batch).step_by(group) {
             let images = group.min(batch - first);
@@ -243,14 +292,14 @@ impl Conv2d {
                 oc,
                 self.weight.data(),
                 &self.bias,
-                &input.data()[first * chw..(first + images) * chw],
+                &x[first * chw..(first + images) * chw],
                 images,
                 kept,
                 &mut sampled[..oc * n],
             );
             let span = phase_span(Phase::Epilogue);
             for i in 0..images {
-                let out_i = out.batch_item_mut(first + i);
+                let out_i = &mut out[(first + i) * oc * n_pos..][..oc * n_pos];
                 for (row, map) in sampled[..oc * n].chunks(n).zip(out_i.chunks_mut(n_pos)) {
                     perf.interpolate(&row[i * n_keep..(i + 1) * n_keep], map);
                 }
@@ -264,7 +313,7 @@ impl Conv2d {
                 );
             }
         }
-        Ok(out)
+        Ok((self.output_shape(batch), out))
     }
 
     /// Backward pass. Recomputes im2col from the saved `input`.
@@ -336,46 +385,47 @@ impl MaxPool2d {
         Self { kernel, stride }
     }
 
-    fn out_dim(&self, input: usize) -> usize {
-        assert!(input >= self.kernel, "pool window larger than input");
-        (input - self.kernel) / self.stride + 1
-    }
-
     /// Training-mode forward pass; returns the pooled tensor and the
     /// argmax cache [`backward`](Self::backward) scatters through.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Shape`] if `input` is not 4-D.
+    /// Returns [`NnError::Shape`] if `input` is not 4-D or a window is
+    /// larger than its map.
     pub fn forward(&self, input: &Tensor) -> Result<(Tensor, LayerCache), NnError> {
         let mut indices = Vec::new();
-        let out = self.pool(input, |best_idx| indices.push(best_idx))?;
-        Ok((out, LayerCache::PoolIndices(indices)))
+        let out = self.pool(input.shape(), input.data(), zeroed, |best_idx| {
+            indices.push(best_idx)
+        })?;
+        Ok((tensor(out), LayerCache::PoolIndices(indices)))
     }
 
-    /// The pooling walk. A window's best starts as its first element and
-    /// a later one replaces it only if strictly greater, in row-major
-    /// window order — ties keep the earliest, and a NaN wins exactly when
-    /// it comes first. `on_max` is told the winner's flat input index,
-    /// output by output.
-    fn pool(&self, input: &Tensor, mut on_max: impl FnMut(usize)) -> Result<Tensor, NnError> {
-        if input.ndim() != 4 {
-            return Err(NnError::Shape {
-                context: "MaxPool2d".into(),
-                expected: "[N, C, H, W]".into(),
-                actual: input.shape().to_vec(),
-            });
-        }
-        let (n, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let (oh, ow) = (self.out_dim(h), self.out_dim(w));
-        let mut out = Tensor::zeros(vec![n, c, oh, ow]);
-        let in_data = input.data();
-        let out_data = out.data_mut();
+    /// The pooling walk, into storage from `new_out`. A window's best
+    /// starts as its first element and a later one replaces it only if
+    /// strictly greater, in row-major window order — ties keep the
+    /// earliest, and a NaN wins exactly when it comes first. `on_max` is
+    /// told the winner's flat input index, output by output.
+    fn pool<O: DerefMut<Target = [f32]>>(
+        &self,
+        shape: &[usize],
+        in_data: &[f32],
+        new_out: impl FnOnce(usize) -> O,
+        mut on_max: impl FnMut(usize),
+    ) -> Out<O> {
+        let k = self.kernel;
+        let (n, c, h, w) = match *shape {
+            [n, c, h, w] if h >= k && w >= k => (n, c, h, w),
+            _ => {
+                return Err(NnError::Shape {
+                    context: "MaxPool2d".into(),
+                    expected: format!("[N, C, H >= {k}, W >= {k}]"),
+                    actual: shape.to_vec(),
+                })
+            }
+        };
+        let (oh, ow) = ((h - k) / self.stride + 1, (w - k) / self.stride + 1);
+        let mut out = new_out(n * c * oh * ow);
+        let out_data = &mut out[..];
         let mut oi = 0;
         for b in 0..n {
             for ch in 0..c {
@@ -401,7 +451,7 @@ impl MaxPool2d {
                 }
             }
         }
-        Ok(out)
+        Ok((vec![n, c, oh, ow], out))
     }
 
     /// Backward pass: scatter gradients to the cached argmax positions.
@@ -488,32 +538,39 @@ impl Linear {
     ///
     /// Returns [`NnError::Shape`] on mismatch.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        if input.ndim() != 2 || input.shape()[1] != self.in_features {
-            return Err(NnError::Shape {
-                context: "Linear".into(),
-                expected: format!("[N, {}]", self.in_features),
-                actual: input.shape().to_vec(),
-            });
-        }
-        let n = input.shape()[0];
+        self.forward_into(input.shape(), input.data(), zeroed)
+            .map(tensor)
+    }
+
+    /// [`forward`](Self::forward) into storage from `new_out`.
+    fn forward_into<O: DerefMut<Target = [f32]>>(
+        &self,
+        shape: &[usize],
+        x: &[f32],
+        new_out: impl FnOnce(usize) -> O,
+    ) -> Out<O> {
+        let n = match *shape {
+            [n, features] if features == self.in_features => n,
+            _ => {
+                return Err(NnError::Shape {
+                    context: "Linear".into(),
+                    expected: format!("[N, {}]", self.in_features),
+                    actual: shape.to_vec(),
+                })
+            }
+        };
         let span = phase_span(Phase::Epilogue);
-        let mut out = Tensor::zeros(vec![n, self.out_features]);
-        for o in out.data_mut().chunks_mut(self.out_features) {
+        let mut out = new_out(n * self.out_features);
+        for o in out.chunks_mut(self.out_features) {
             o.copy_from_slice(&self.bias);
         }
         if let Some(s) = span {
-            // Zeroed allocation plus the bias broadcast into every row.
+            // The output checkout plus the bias broadcast into every row.
             s.finish(0, 8 * (n * self.out_features) as u64);
         }
-        gemm_nt(
-            n,
-            self.out_features,
-            self.in_features,
-            input.data(),
-            self.weight.data(),
-            out.data_mut(),
-        );
-        Ok(out)
+        let (m, k) = (self.out_features, self.in_features);
+        gemm_nt(n, m, k, x, self.weight.data(), &mut out);
+        Ok((vec![n, self.out_features], out))
     }
 
     /// Backward pass; returns `(d_input, grads)`.
@@ -563,9 +620,15 @@ impl Linear {
 pub(crate) enum Step<'a> {
     /// A full conv layer through one algorithm.
     Conv(ConvAlgo),
+    /// A full conv layer through Winograd with the ReLU after it — and,
+    /// with `pool`, the 2x2 stride-2 max-pool after that — in its
+    /// write-back.
+    WinogradRelu { pool: bool },
     /// A conv layer evaluated at the perforation's kept positions only,
     /// the rest interpolated.
     Sampled(Cow<'a, LayerPerforation>),
+    /// A ReLU or a pool the conv step before it has already applied.
+    Fused,
     /// Relu, pooling, flatten, linear, dropout: nothing to decide.
     Other,
 }
@@ -589,29 +652,25 @@ pub enum Layer {
     Dropout(f32),
 }
 
+/// ReLU, `max(x, 0)` per element, as one `Activation` span: `out` written
+/// from `input`, or in place without one.
+pub(crate) fn relu(input: Option<&[f32]>, out: &mut [f32]) {
+    let span = phase_span(Phase::Activation);
+    match input {
+        Some(x) => out.iter_mut().zip(x).for_each(|(o, &v)| *o = v.max(0.0)),
+        None => out.iter_mut().for_each(|v| *v = v.max(0.0)),
+    }
+    if let Some(s) = span {
+        let numel = out.len() as u64;
+        s.finish(numel, 8 * numel);
+    }
+}
+
 /// Inverted dropout of a copy of `t` — the forward's activations and the
 /// backward's gradients take the same mask. The per-element keep decision
 /// is deterministic: a multiplicative hash of `(seed, index)` compared
 /// against the keep probability; kept elements are scaled by
 /// `1 / (1 - drop_p)`.
-/// ReLU, `max(x, 0)` per element, as one `Activation` span: in place when
-/// the caller hands its tensor over, into a fresh one when it lends it.
-pub(crate) fn relu(input: Cow<'_, Tensor>) -> Tensor {
-    let span = phase_span(Phase::Activation);
-    let out = match input {
-        Cow::Owned(mut t) => {
-            t.data_mut().iter_mut().for_each(|x| *x = x.max(0.0));
-            t
-        }
-        Cow::Borrowed(t) => t.map(|x| x.max(0.0)),
-    };
-    if let Some(s) = span {
-        let numel = out.data().len() as u64;
-        s.finish(numel, 8 * numel);
-    }
-    out
-}
-
 fn dropout(t: &Tensor, seed: u64, drop_p: f32) -> Tensor {
     let keep_scale = 1.0 / (1.0 - drop_p);
     let mut out = t.clone();
@@ -658,64 +717,84 @@ impl Layer {
             (Layer::Conv2d(_), _) => Step::Conv(algo),
             _ => Step::Other,
         };
-        Ok((self.run_step(input, &step)?, LayerCache::None))
+        Ok((
+            tensor(self.run_step(input.shape(), input.data(), &step, zeroed)?),
+            LayerCache::None,
+        ))
     }
 
     /// Whether `step` is one this layer can execute: a conv layer needs an
-    /// algorithm that supports its shape or a perforation of its own
-    /// output map, every other layer takes [`Step::Other`] only.
+    /// algorithm that supports its shape (an even map, to pool in its
+    /// write-back) or a perforation of its own output map, a ReLU or a
+    /// 2x2 stride-2 pool may be fused, every other layer takes
+    /// [`Step::Other`] only.
     pub(crate) fn accepts(&self, step: &Step) -> bool {
         match (self, step) {
             (Layer::Conv2d(c), Step::Conv(algo)) => algo.supports(&c.geom),
+            (Layer::Conv2d(c), Step::WinogradRelu { pool }) => {
+                ConvAlgo::Winograd.supports(&c.geom) && (!pool || c.even_map())
+            }
             (Layer::Conv2d(c), Step::Sampled(p)) => {
                 (p.out_h(), p.out_w()) == (c.geom.out_h, c.geom.out_w)
             }
-            (Layer::Conv2d(_), Step::Other) => false,
+            (Layer::Relu, Step::Fused) => true,
+            (Layer::MaxPool2d(p), Step::Fused) => (p.kernel, p.stride) == (2, 2),
+            (Layer::Conv2d(_), _) => false,
             (_, step) => matches!(step, Step::Other),
         }
     }
 
     /// The step executor: the one inference forward of a layer, behind
-    /// both `Network::run` and [`forward_algo`](Self::forward_algo).
-    pub(crate) fn run_step(&self, input: &Tensor, step: &Step) -> Result<Tensor, NnError> {
+    /// both `Network::run` and [`forward_algo`](Self::forward_algo). It
+    /// writes every element of the output, into storage from `new_out`.
+    pub(crate) fn run_step<O: DerefMut<Target = [f32]>>(
+        &self,
+        shape: &[usize],
+        x: &[f32],
+        step: &Step,
+        new_out: impl FnOnce(usize) -> O,
+    ) -> Out<O> {
         match (self, step) {
-            (Layer::Conv2d(c), Step::Sampled(p)) => c.forward_perforated(input, p),
-            (Layer::Conv2d(c), Step::Conv(algo)) => c.forward_with(input, *algo),
-            (Layer::Conv2d(_), Step::Other) => Err(NnError::Plan(
+            (Layer::Conv2d(c), Step::Sampled(p)) => c.sampled_into(shape, x, p, new_out),
+            (Layer::Conv2d(c), Step::Conv(algo)) => c.full_into(shape, x, *algo, None, new_out),
+            (Layer::Conv2d(c), Step::WinogradRelu { pool }) => {
+                c.full_into(shape, x, ConvAlgo::Winograd, Some(*pool), new_out)
+            }
+            (Layer::Conv2d(_), _) => Err(NnError::Plan(
                 "a conv layer was handed a step compiled for a non-conv layer".into(),
             )),
-            (Layer::Relu, _) => Ok(relu(Cow::Borrowed(input))),
+            (Layer::Relu, _) => {
+                let mut out = new_out(x.len());
+                relu(Some(x), &mut out);
+                Ok((shape.to_vec(), out))
+            }
             (Layer::MaxPool2d(p), _) => {
                 let span = phase_span(Phase::Activation);
                 // No argmax cache (8 bytes per output, twice the tensor
                 // itself): only a training pass has a backward to feed.
-                let result = p.pool(input, |_| {});
+                let result = p.pool(shape, x, new_out, |_| {});
                 if let Some(s) = span {
-                    let in_n = input.data().len() as u64;
-                    let out_n = result.as_ref().map_or(0, |t| t.data().len() as u64);
+                    let in_n = x.len() as u64;
+                    let out_n = result.as_ref().map_or(0, |(_, o)| o.len() as u64);
                     // ~1 compare per input element.
                     s.finish(in_n, 4 * (in_n + out_n));
                 }
                 result
             }
-            (Layer::Flatten, _) => {
+            (Layer::Linear(l), _) => l.forward_into(shape, x, new_out),
+            // A copy, flattened or not (dropout is the identity here).
+            (Layer::Flatten | Layer::Dropout(_), _) => {
                 let span = phase_span(Phase::Epilogue);
-                let n = input.shape()[0];
-                let rest: usize = input.shape()[1..].iter().product();
-                let out = input.clone().reshape(vec![n, rest])?;
+                let mut out = new_out(x.len());
+                out.copy_from_slice(x);
                 if let Some(s) = span {
-                    s.finish(0, 8 * out.data().len() as u64);
+                    s.finish(0, 8 * out.len() as u64);
                 }
-                Ok(out)
-            }
-            (Layer::Linear(l), _) => l.forward(input),
-            (Layer::Dropout(_), _) => {
-                let span = phase_span(Phase::Epilogue);
-                let out = input.clone();
-                if let Some(s) = span {
-                    s.finish(0, 8 * out.data().len() as u64);
-                }
-                Ok(out)
+                let shape = match self {
+                    Layer::Flatten => vec![shape[0], shape[1..].iter().product()],
+                    _ => shape.to_vec(),
+                };
+                Ok((shape, out))
             }
         }
     }
@@ -1080,6 +1159,25 @@ mod tests {
         assert_eq!(d_in.get(&[0, 0, 3, 1]), 3.0);
         assert_eq!(d_in.get(&[0, 0, 3, 3]), 4.0);
         assert_eq!(d_in.sum(), 10.0);
+    }
+
+    #[test]
+    fn maxpool_refuses_a_window_larger_than_its_map() {
+        let small = Tensor::zeros(vec![1, 1, 2, 2]);
+        for layer in [MaxPool2d::new(3, 2), MaxPool2d::new(3, 1)] {
+            assert!(matches!(
+                layer.forward(&small),
+                Err(NnError::Shape { context, .. }) if context == "MaxPool2d"
+            ));
+            assert!(matches!(
+                Layer::MaxPool2d(layer).forward_algo(&small, None, ConvAlgo::Direct),
+                Err(NnError::Shape { .. })
+            ));
+        }
+        // A 3x2 map is too short for a 3x3 window too.
+        let short = Tensor::zeros(vec![1, 1, 3, 2]);
+        assert!(MaxPool2d::new(3, 2).forward(&short).is_err());
+        assert!(MaxPool2d::new(2, 2).forward(&short).is_ok());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 
+use pcnn_parallel::ScratchF32;
 use pcnn_tensor::{ConvAlgo, Tensor};
 
 use crate::layer::{relu, Layer, LayerCache, Step};
@@ -28,7 +29,8 @@ impl ForwardTrace {
 }
 
 /// Everything [`Network::compile`] decided for one network under one
-/// perforation plan and conv plan: one step per layer and where the
+/// perforation plan and conv plan: one step per layer (a ReLU or pool
+/// fused into the Winograd conv before it runs there) and where the
 /// per-image prefix ends. It holds what a forward used to rebuild at the
 /// top of every call and nothing else — no weights, no batch size, no
 /// scratch — so it is cheap to keep, valid for any batch, and
@@ -124,8 +126,12 @@ impl Network {
     /// (kept list, nearest map, interpolation stencils) built here, at
     /// exact rates; a full one gets its algorithm from `conv_plan`
     /// (direct without one). Perforation takes precedence: a perforated
-    /// layer ignores the conv plan's entry. Every plan error is raised
-    /// here, so [`run`](Self::run) can only fail on its input.
+    /// layer ignores the conv plan's entry. A full Winograd layer followed
+    /// by a ReLU takes the ReLU into its write-back, and the 2x2 stride-2
+    /// max-pool after that too when its map is even: the same operations
+    /// in the same order, so the same bits, but the maps in between are
+    /// never written. Every plan error is raised here, so
+    /// [`run`](Self::run) can only fail on its input.
     ///
     /// # Errors
     ///
@@ -149,7 +155,7 @@ impl Network {
             )));
         }
         let mut ci = 0;
-        let steps = self
+        let mut steps: Vec<Step> = self
             .layers
             .iter()
             .map(|layer| {
@@ -169,6 +175,16 @@ impl Network {
                 }
             })
             .collect();
+        for (i, w) in self.layers.windows(3).enumerate() {
+            if let (Layer::Conv2d(c), Layer::Relu, Step::Conv(ConvAlgo::Winograd)) =
+                (&w[0], &w[1], &steps[i])
+            {
+                let pool = c.even_map()
+                    && matches!(&w[2], Layer::MaxPool2d(p) if (p.kernel, p.stride) == (2, 2));
+                steps[i] = Step::WinogradRelu { pool };
+                steps[i + 1..i + 2 + usize::from(pool)].fill(Step::Fused);
+            }
+        }
         // The classifier tail starts at the first `Flatten`; everything
         // before it (conv / relu / pool) is the per-image prefix.
         let split = self
@@ -211,6 +227,11 @@ impl Network {
 
     /// Executes a compiled plan on `input`: the one inference path.
     /// Returns logits `[N, classes]`.
+    ///
+    /// Every activation `run` makes is checked out of the scratch pool
+    /// (`pcnn_parallel::scratch_f32`) and goes back to it once the next
+    /// layer has read it, so a steady-state forward writes each one into
+    /// memory the process already holds; only the logits are copied out.
     ///
     /// Batches are data-parallel (Cappuccino-style) up to the first
     /// `Flatten`: images are split into contiguous groups, one per worker,
@@ -261,7 +282,8 @@ impl Network {
             || split == 0
             || pcnn_parallel::in_parallel_region()
         {
-            return self.run_layers(plan, input, all);
+            let x = (input.shape(), input.data());
+            return Ok(copy_out(self.run_layers(plan, x, all)?));
         }
         // Only the prefix is batch-split: contiguous image groups, one
         // per worker, boundaries a function of batch and thread count.
@@ -274,47 +296,55 @@ impl Network {
         // scopes and spans land in the caller's profile, so a profiled
         // forward is the forward production runs.
         let group = batch.div_ceil(threads);
+        let per_image = input.len() / batch;
         let handoff = pcnn_profile::Handoff::capture();
         let parts = pcnn_parallel::par_map(batch.div_ceil(group), |gi| {
-            let start = gi * group;
-            let sub = input.batch_range(start, group.min(batch - start));
-            handoff.enter(|| self.run_layers(plan, &sub, 0..split))
+            let images = group.min(batch - gi * group);
+            let shape = [&[images], &input.shape()[1..]].concat();
+            let data = &input.data()[gi * group * per_image..][..images * per_image];
+            handoff.enter(|| self.run_layers(plan, (&shape, data), 0..split))
         })
         .into_iter()
-        .collect::<Result<Vec<Tensor>, NnError>>()?;
-        let mut shape = parts[0].shape().to_vec();
-        shape[0] = batch;
-        let mut features = Vec::with_capacity(shape.iter().product());
-        for part in parts {
-            features.extend_from_slice(part.data());
+        .collect::<Result<Vec<_>, NnError>>()?;
+        let shape = [&[batch], &parts[0].0[1..]].concat();
+        let mut features = pcnn_parallel::scratch_f32(shape.iter().product());
+        for (dst, (_, part)) in features.chunks_mut(parts[0].1.len().max(1)).zip(&parts) {
+            dst.copy_from_slice(part);
         }
-        let features = Tensor::from_vec(shape, features)?;
-        self.run_layers(plan, &features, split..all.end)
+        drop(parts); // back to the pool before the tail runs
+        let tail = self.run_layers(plan, (&shape, &features), split..all.end)?;
+        Ok(copy_out(tail))
     }
 
-    /// Runs `layers` of the pipeline on one image group, opening a
-    /// profiler layer scope around each layer (a no-op unless profiling
-    /// is on). The first layer reads `input` in place; an empty range
-    /// returns a copy of it.
+    /// Runs `layers` (at least one) of the pipeline on `input`, read in
+    /// place, opening a profiler layer scope around each layer (a no-op
+    /// unless profiling is on) but those a conv step has fused. Each
+    /// output is a scratch-pool checkout, and the one it was computed
+    /// from goes back to the pool once it is written; a ReLU rectifies an
+    /// activation this walk holds in place.
     fn run_layers(
         &self,
         plan: &ExecPlan,
-        input: &Tensor,
+        (shape, data): (&[usize], &[f32]),
         layers: std::ops::Range<usize>,
-    ) -> Result<Tensor, NnError> {
-        let mut x = Cow::Borrowed(input);
+    ) -> Result<Activation, NnError> {
+        let mut held: Option<Activation> = None;
         for i in layers {
-            let layer = &self.layers[i];
+            let (layer, step) = (&self.layers[i], &plan.steps[i]);
+            if matches!(step, Step::Fused) {
+                continue;
+            }
             let scope = pcnn_profile::layer_scope(i, layer.kind());
-            // An activation this walk owns is rectified in place.
-            let out = match layer {
-                Layer::Relu => relu(x),
-                _ => layer.run_step(&x, &plan.steps[i])?,
-            };
+            match (layer, held.as_mut()) {
+                (Layer::Relu, Some((_, buf))) => relu(None, buf),
+                _ => {
+                    let (shape, x) = held.as_ref().map_or((shape, data), |(s, b)| (s, b));
+                    held = Some(layer.run_step(shape, x, step, pcnn_parallel::scratch_f32)?);
+                }
+            }
             drop(scope);
-            x = Cow::Owned(out);
         }
-        Ok(x.into_owned())
+        Ok(held.expect("a range of at least one layer"))
     }
 
     /// Training-mode forward pass (never perforated) that records every
@@ -399,6 +429,15 @@ impl Network {
             layers,
         }
     }
+}
+
+/// An activation [`Network::run`] made: its shape and its pooled storage,
+/// which goes back to the pool when dropped.
+type Activation = (Vec<usize>, ScratchF32);
+
+/// The logits, copied out of the pool for the caller to keep.
+fn copy_out((shape, data): Activation) -> Tensor {
+    Tensor::from_vec(shape, data.to_vec()).expect("an activation fills its shape")
 }
 
 #[cfg(test)]

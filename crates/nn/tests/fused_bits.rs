@@ -1,0 +1,149 @@
+//! A Winograd conv followed by a ReLU (and a 2x2 stride-2 max-pool on an
+//! even map) runs as one step of `Network::run`: the ReLU and the pool
+//! happen in the inverse transform's write-back. Each element goes through
+//! the same operations in the same order as the layer-by-layer walk, so
+//! the logits must be **bitwise** that walk's — at every pool width, on
+//! the batch-split path too, and whatever the conv outputs are: negative,
+//! zero, or NaN.
+
+use pcnn_nn::layer::{Conv2d, Linear, MaxPool2d};
+use pcnn_nn::{ConvPlan, Layer, Network, PerforationPlan};
+use pcnn_tensor::{Conv2dGeometry, ConvAlgo, Tensor};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use ConvAlgo::{Direct, Winograd};
+
+/// A VGG-style tower on a 3x33x33 image, with the conv algorithm of each
+/// of its five conv layers; the comments say what `compile` fuses.
+fn tower() -> (Network, ConvPlan) {
+    let mut rng = StdRng::seed_from_u64(11);
+    let conv = |rng: &mut StdRng, c, side, pad, oc| {
+        let geom = Conv2dGeometry::new(c, side, side, 3, 1, pad);
+        let mut layer = Conv2d::new(geom, oc, rng);
+        let (weight, bias) = layer.params_mut();
+        // Channel 0 has no weights and no bias: a map of exact zeros.
+        weight.data_mut()[..geom.patch_len()].fill(0.0);
+        for (o, b) in bias.iter_mut().enumerate().skip(1) {
+            *b = (o as f32 - 2.0) / 8.0;
+        }
+        Layer::Conv2d(layer)
+    };
+    let layers = vec![
+        // 33x33 is odd: the ReLU fuses, the pool runs on its own.
+        conv(&mut rng, 3, 33, 1, 8),
+        Layer::Relu,
+        Layer::MaxPool2d(MaxPool2d::new(2, 2)),
+        // 16x16: ReLU and pool both fuse.
+        conv(&mut rng, 8, 16, 1, 8),
+        Layer::Relu,
+        Layer::MaxPool2d(MaxPool2d::new(2, 2)),
+        // Direct: its ReLU runs in place, its pool on its own.
+        conv(&mut rng, 8, 8, 1, 12),
+        Layer::Relu,
+        Layer::MaxPool2d(MaxPool2d::new(2, 2)),
+        // 4x4 is even, but a 3x3 stride-2 pool stays unfused.
+        conv(&mut rng, 12, 4, 1, 12),
+        Layer::Relu,
+        Layer::MaxPool2d(MaxPool2d::new(3, 2)),
+        // No ReLU after it: nothing fuses.
+        conv(&mut rng, 12, 1, 1, 6),
+        Layer::Flatten,
+        Layer::Linear(Linear::new(6, 5, &mut rng)),
+    ];
+    let plan = ConvPlan::from_algos(vec![Winograd, Winograd, Direct, Winograd, Winograd]);
+    (Network::new("tower", [3, 33, 33], layers), plan)
+}
+
+/// `batch` images of signed values with a few NaN pixels in each, so
+/// that some tiles' conv outputs are NaN before the ReLU.
+fn images(batch: usize) -> Tensor {
+    Tensor::from_fn(vec![batch, 3, 33, 33], |i| {
+        if i % 997 == 13 {
+            f32::NAN
+        } else {
+            ((i * 2_654_435_761) % 1_000_003) as f32 / 500_000.0 - 1.0
+        }
+    })
+}
+
+/// The layer-by-layer reference: `forward_algo` on every layer, one after
+/// the other, each conv through the plan's algorithm.
+fn walk(net: &Network, plan: &ConvPlan, input: &Tensor) -> Tensor {
+    let mut algos = plan.algos().iter();
+    net.layers().iter().fold(input.clone(), |x, layer| {
+        let algo = match layer {
+            Layer::Conv2d(_) => *algos.next().expect("one algorithm per conv"),
+            _ => Direct,
+        };
+        layer.forward_algo(&x, None, algo).expect("walks").0
+    })
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn fused_forward_is_bitwise_the_layer_walk_at_every_width() {
+    let (net, plan) = tower();
+    let identity = PerforationPlan::identity(net.conv_count());
+    for batch in [1, 4] {
+        let input = images(batch);
+        let want = bits(&walk(&net, &plan, &input));
+        for threads in [1, 2, 3, 8] {
+            let got = pcnn_parallel::with_threads(threads, || {
+                net.forward_planned(&input, &identity, &plan).expect("runs")
+            });
+            assert_eq!(bits(&got), want, "batch {batch} at {threads} threads");
+        }
+    }
+}
+
+/// The inputs above do reach every case the write-back must keep: a NaN
+/// conv output, a negative one, an exact zero.
+#[test]
+fn the_tower_has_nan_negative_and_zero_conv_outputs() {
+    let (net, _) = tower();
+    let first = net.layers()[0]
+        .forward_algo(&images(1), None, Winograd)
+        .expect("runs")
+        .0;
+    let data = first.data();
+    assert!(data.iter().any(|v| v.is_nan()));
+    assert!(data.iter().any(|&v| v < 0.0));
+    assert!(data.contains(&0.0));
+}
+
+/// The profile shows what ran: the ReLUs after Winograd layers and the
+/// one 2x2 pool on an even Winograd map have no layer of their own.
+#[test]
+fn fused_layers_leave_the_profile() {
+    let (net, plan) = tower();
+    let identity = PerforationPlan::identity(net.conv_count());
+    pcnn_profile::set_enabled(true);
+    pcnn_profile::reset();
+    pcnn_parallel::with_threads(1, || {
+        net.forward_planned(&images(1), &identity, &plan)
+            .expect("runs")
+    });
+    let layers: Vec<String> = pcnn_profile::snapshot()
+        .into_iter()
+        .map(|l| l.name)
+        .collect();
+    pcnn_profile::set_enabled(false);
+    let ran = [
+        "L00 conv",
+        "L02 maxpool",
+        "L03 conv",
+        "L06 conv",
+        "L07 relu",
+        "L08 maxpool",
+        "L09 conv",
+        "L11 maxpool",
+        "L12 conv",
+        "L13 flatten",
+        "L14 linear",
+    ];
+    assert_eq!(layers, ran);
+}

@@ -585,24 +585,26 @@ impl Drop for ScratchF32 {
 
 /// Checks a `len`-element `f32` buffer out of the process-wide scratch
 /// pool, allocating only when no pooled buffer is large enough. The
-/// packing scratch of every GEMM call comes from here, so steady-state
-/// kernels allocate nothing.
+/// packing scratch of every GEMM call and every activation of
+/// `Network::run` come from here, so a steady-state forward allocates
+/// nothing.
+///
+/// When no pooled buffer fits, the largest one is dropped before the new
+/// one is allocated: the new buffer replaces it rather than joining it,
+/// so the pool holds one buffer per checkout that is live at the same
+/// time, not one per size it has ever been asked for.
 ///
 /// **Contents are unspecified** — callers must write every element they
 /// later read (the packing routines zero their own padding explicitly).
 /// Checkouts are independent: concurrent or nested calls receive disjoint
 /// buffers.
 pub fn scratch_f32(len: usize) -> ScratchF32 {
-    let reused = SCRATCH_POOL.lock().ok().and_then(|mut pool| {
-        // Best fit: the smallest pooled buffer that already holds `len`.
-        let idx = pool
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.len() >= len)
-            .min_by_key(|(_, b)| b.capacity())
-            .map(|(i, _)| i);
-        idx.map(|i| pool.swap_remove(i))
-    });
+    let taken = SCRATCH_POOL
+        .lock()
+        .ok()
+        .and_then(|mut pool| take(&mut pool, len));
+    // A buffer too short to reuse is dropped here, before the allocation.
+    let reused = taken.filter(|b| b.len() >= len);
     if pcnn_telemetry::enabled() {
         pcnn_telemetry::counter(
             if reused.is_some() {
@@ -618,6 +620,19 @@ pub fn scratch_f32(len: usize) -> ScratchF32 {
     // straight from the allocator.
     let buf = reused.unwrap_or_else(|| vec![0.0; len]);
     ScratchF32 { buf, len }
+}
+
+/// Takes out of `pool` the buffer a `len`-element checkout reuses — the
+/// best fit, the smallest that already holds `len` — or, when none does,
+/// the largest, for the caller to drop.
+fn take(pool: &mut Vec<Vec<f32>>, len: usize) -> Option<Vec<f32>> {
+    let fit = pool
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| b.len() >= len)
+        .min_by_key(|(_, b)| b.capacity());
+    let (i, _) = fit.or_else(|| pool.iter().enumerate().max_by_key(|(_, b)| b.capacity()))?;
+    Some(pool.swap_remove(i))
 }
 
 #[cfg(test)]
@@ -794,6 +809,42 @@ mod tests {
         assert_eq!(c.len(), 8);
         let d = scratch_f32(32);
         assert_eq!(d.len(), 32);
+    }
+
+    /// [`scratch_f32`] and the drop of its buffer on a local pool.
+    fn checkout(pool: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
+        take(pool, len)
+            .filter(|b| b.len() >= len)
+            .unwrap_or_else(|| vec![0.0; len])
+    }
+
+    #[test]
+    fn a_checkout_nothing_fits_drops_the_largest_buffer_first() {
+        let mut pool = vec![vec![0.0; 10], vec![0.0; 40], vec![0.0; 20]];
+        // Best fit: the 20, not the 40.
+        assert_eq!(take(&mut pool, 15).map(|b| b.len()), Some(20));
+        // Nothing holds 50: the 40 comes out, to be dropped.
+        assert_eq!(take(&mut pool, 50).map(|b| b.len()), Some(40));
+        assert_eq!(pool.len(), 1);
+        assert_eq!(take(&mut Vec::new(), 1), None);
+    }
+
+    #[test]
+    fn pooled_capacity_stays_bounded_over_alternating_sizes() {
+        // Two checkouts live at a time, their sizes alternating and
+        // growing: the pool keeps two buffers, never one per size seen.
+        let mut pool = Vec::new();
+        for round in 1..=40 {
+            let sizes = if round % 2 == 0 { [10, 30] } else { [30, 10] };
+            let live: Vec<Vec<f32>> = sizes
+                .iter()
+                .map(|&len| checkout(&mut pool, len * round))
+                .collect();
+            pool.extend(live);
+            assert_eq!(pool.len(), 2, "round {round}");
+            let held: usize = pool.iter().map(Vec::capacity).sum();
+            assert!(held <= 2 * 30 * round, "round {round}: {held} floats held");
+        }
     }
 
     #[test]

@@ -201,9 +201,65 @@ pub fn conv2d(
             let filter = WinogradFilter::new(geom, out_channels, weight);
             for i in 0..images {
                 let (x, y) = (&input[image(i)], &mut out[maps(i)]);
-                conv2d_winograd_prepared(geom, &filter, bias, x, y);
+                conv2d_winograd_prepared(geom, &filter, bias, x, WriteBack::Bias, y);
             }
         }
+    }
+}
+
+/// What Winograd's write-back applies after the bias: nothing, ReLU, or
+/// ReLU and then the 2x2 stride-2 max-pool, one window per tile. The
+/// discriminant counts the layers fused.
+#[derive(Clone, Copy, PartialEq)]
+enum WriteBack {
+    Bias,
+    Relu,
+    ReluPool,
+}
+
+impl WriteBack {
+    /// Positions per channel of the map written back.
+    fn positions(self, geom: &Conv2dGeometry) -> usize {
+        geom.out_positions() / if self == WriteBack::ReluPool { 4 } else { 1 }
+    }
+}
+
+/// [`conv2d`] through Winograd with the ReLU after the layer — and, with
+/// `pool`, the 2x2 stride-2 max-pool after that — in the inverse
+/// transform's write-back: the same operations in the same order as the
+/// separate passes, so their bits, but the maps in between are never
+/// stored. With `pool`, image `i`'s map is `out_channels x out_h/2 x
+/// out_w/2` floats.
+///
+/// # Panics
+///
+/// As [`conv2d`] for Winograd, and if `pool` is asked of an odd map.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_winograd_relu(
+    geom: &Conv2dGeometry,
+    out_channels: usize,
+    weight: &[f32],
+    bias: &[f32],
+    input: &[f32],
+    images: usize,
+    pool: bool,
+    out: &mut [f32],
+) {
+    assert!(
+        !pool || (geom.out_h.is_multiple_of(2) && geom.out_w.is_multiple_of(2)),
+        "a fused 2x2 pool needs an even map"
+    );
+    let wb = if pool {
+        WriteBack::ReluPool
+    } else {
+        WriteBack::Relu
+    };
+    let chw = geom.in_channels * geom.in_h * geom.in_w;
+    let map = out_channels * wb.positions(geom);
+    let filter = WinogradFilter::new(geom, out_channels, weight);
+    for i in 0..images {
+        let (x, y) = (&input[i * chw..][..chw], &mut out[i * map..][..map]);
+        conv2d_winograd_prepared(geom, &filter, bias, x, wb, y);
     }
 }
 
@@ -541,10 +597,11 @@ pub fn conv2d_winograd(
     out: &mut [f32],
 ) {
     let filter = WinogradFilter::new(geom, out_channels, weight);
-    conv2d_winograd_prepared(geom, &filter, bias, input, out);
+    conv2d_winograd_prepared(geom, &filter, bias, input, WriteBack::Bias, out);
 }
 
-/// [`conv2d_winograd`] with the filter transform already done.
+/// [`conv2d_winograd`] with the filter transform already done, writing
+/// back through `wb`.
 ///
 /// Runs the block pipeline of the module docs at the block height
 /// `winograd_block_rows` picks for the shape: nothing image-sized is
@@ -561,6 +618,7 @@ fn conv2d_winograd_prepared(
     filter: &WinogradFilter,
     bias: &[f32],
     input: &[f32],
+    wb: WriteBack,
     out: &mut [f32],
 ) {
     assert_winograd_supports(geom);
@@ -571,36 +629,40 @@ fn conv2d_winograd_prepared(
     let (oc, ic) = (filter.out_channels, geom.in_channels);
     assert!(input.len() >= ic * geom.in_h * geom.in_w, "input too short");
     assert!(bias.len() >= oc, "bias too short");
-    assert!(out.len() >= oc * geom.out_positions(), "out too short");
+    assert!(out.len() >= oc * wb.positions(geom), "out too short");
     if oc == 0 || ic == 0 || geom.out_positions() == 0 {
         return;
     }
     let (tiles_y, tiles_x) = (geom.out_h.div_ceil(2), geom.out_w.div_ceil(2));
     let block_rows = winograd_block_rows(ic, oc, tiles_x, tiles_y);
-    winograd_pipeline(geom, filter, bias, input, out, block_rows);
+    winograd_pipeline(geom, filter, bias, input, wb, out, block_rows);
 }
 
 /// Runs the block pipeline at `block_rows` tile rows per block (the last
 /// block takes what is left). `out` is handed to the blocks as safely
 /// split per-channel row bands: block `b` owns output rows
-/// `2 * b * block_rows..` of every channel.
+/// `2 * b * block_rows..` of every channel (`b * block_rows..` pooled).
 fn winograd_pipeline(
     geom: &Conv2dGeometry,
     filter: &WinogradFilter,
     bias: &[f32],
     input: &[f32],
+    wb: WriteBack,
     out: &mut [f32],
     block_rows: usize,
 ) {
-    let oc = filter.out_channels;
-    let n_pos = geom.out_positions();
+    let (oc, map) = (filter.out_channels, wb.positions(geom));
     let tiles_y = geom.out_h.div_ceil(2);
+    let band = match wb {
+        WriteBack::ReluPool => block_rows * geom.out_w / 2,
+        _ => 2 * block_rows * geom.out_w,
+    };
     let n_blocks = tiles_y.div_ceil(block_rows);
     // Block-major list of bands: `bands[b * oc + o]` is channel `o`'s
     // rows of block `b`.
-    let mut channels: Vec<_> = out[..oc * n_pos]
-        .chunks_mut(n_pos)
-        .map(|chan| chan.chunks_mut(2 * block_rows * geom.out_w))
+    let mut channels: Vec<_> = out[..oc * map]
+        .chunks_mut(map)
+        .map(|chan| chan.chunks_mut(band))
         .collect();
     let mut bands: Vec<&mut [f32]> = Vec::with_capacity(n_blocks * oc);
     for _ in 0..n_blocks {
@@ -610,7 +672,7 @@ fn winograd_pipeline(
     }
     let run_block = |b: usize, bands: &mut [&mut [f32]]| {
         let tile_rows = b * block_rows..tiles_y.min((b + 1) * block_rows);
-        winograd_block(geom, filter, bias, input, tile_rows, bands);
+        winograd_block(geom, filter, bias, input, tile_rows, wb, bands);
     };
     if n_blocks == 1 {
         // Not a region of one task: that would mark this thread as a
@@ -637,6 +699,7 @@ fn winograd_block(
     bias: &[f32],
     input: &[f32],
     tile_rows: Range<usize>,
+    wb: WriteBack,
     bands: &mut [&mut [f32]],
 ) {
     let (oc, ic) = (filter.out_channels, geom.in_channels);
@@ -678,10 +741,12 @@ fn winograd_block(
     }
 
     let span = phase_span(Phase::WinogradInverse);
-    inverse_transform(geom, tile_rows, m, bias, bands, rows);
+    inverse_transform(geom, tile_rows, m, bias, wb, bands, rows);
     if let Some(s) = span {
+        // 16 adds per tile, and the fused layers' own counts: a max per
+        // output for the ReLU, a compare per window element for the pool.
         s.finish(
-            (16 * oc * tb) as u64,
+            ((16 + 4 * wb as usize) * oc * tb) as u64,
             4 * (16 * oc * tb + bands.iter().map(|b| b.len()).sum::<usize>()) as u64,
         );
     }
@@ -762,12 +827,14 @@ fn input_transform(
 ///
 /// The mirror image of [`input_transform`]: a tile row at a time, the 16
 /// planes read contiguously along the tiles, both output rows of the tile
-/// row assembled in `rows` and copied out clipped to the map width.
+/// row assembled in `rows`, rectified there if `wb` says so, and copied
+/// out clipped to the map width — or pooled in `MaxPool2d`'s window order.
 fn inverse_transform(
     geom: &Conv2dGeometry,
     tile_rows: Range<usize>,
     m: &[f32],
     bias: &[f32],
+    wb: WriteBack,
     bands: &mut [&mut [f32]],
     rows: &mut [f32],
 ) {
@@ -790,6 +857,23 @@ fn inverse_transform(
                 y0[2 * tx + 1] = s0[1] - s0[2] - s0[3] + bias_o;
                 y1[2 * tx] = s1[0] + s1[1] + s1[2] + bias_o;
                 y1[2 * tx + 1] = s1[1] - s1[2] - s1[3] + bias_o;
+            }
+            if wb != WriteBack::Bias {
+                for v in y0.iter_mut().chain(y1.iter_mut()) {
+                    *v = v.max(0.0);
+                }
+            }
+            if wb == WriteBack::ReluPool {
+                for (tx, d) in band[r * tiles_x..][..tiles_x].iter_mut().enumerate() {
+                    let mut best = y0[2 * tx];
+                    for v in [y0[2 * tx + 1], y1[2 * tx], y1[2 * tx + 1]] {
+                        if v > best {
+                            best = v;
+                        }
+                    }
+                    *d = best;
+                }
+                continue;
             }
             for (dy, y) in [&*y0, &*y1].into_iter().enumerate() {
                 if 2 * ty + dy < geom.out_h {
@@ -1083,7 +1167,7 @@ mod tests {
             let tiles_y = geom.out_h.div_ceil(2);
             let run = |block_rows: usize| {
                 let mut out = vec![f32::NAN; oc * geom.out_positions()];
-                winograd_pipeline(&geom, &filter, &bias, &input, &mut out, block_rows);
+                winograd_pipeline(&geom, &filter, &bias, &input, WriteBack::Bias, &mut out, block_rows);
                 out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             let whole = run(tiles_y);

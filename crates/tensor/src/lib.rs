@@ -28,8 +28,8 @@ mod peaks;
 mod tensor;
 
 pub use conv::{
-    conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, winograd_block_rows,
-    winograd_error_bound, ConvAlgo,
+    conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, conv2d_winograd_relu,
+    winograd_block_rows, winograd_error_bound, ConvAlgo,
 };
 pub use error::ShapeError;
 pub use gemm::{
