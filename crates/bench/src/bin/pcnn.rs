@@ -303,7 +303,10 @@ fn cmd_bench_conv(mut args: Args) -> CmdResult {
                     "{}x{}x{} k{} s{} p{} oc{}",
                     s.c, s.h, s.w, s.kernel, s.stride, s.pad, s.oc
                 ),
-                a.algo.name().to_string(),
+                match conv::winograd_tile_ran(a.algo, s) {
+                    Some(t) => format!("{} F({t}x{t})", a.algo.name()),
+                    None => a.algo.name().to_string(),
+                },
                 format!("{:.2}", a.gflops_1t),
                 format!("{:.2}x", a.speedup_vs_im2col_1t),
                 slashed(a.secs.iter().map(|sec| format!("{:.2}", sec * 1e3))),

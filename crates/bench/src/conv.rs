@@ -28,7 +28,9 @@ use pcnn_nn::layer::Conv2d;
 use pcnn_nn::perforation::LayerPerforation;
 use pcnn_nn::PerforationPlan;
 use pcnn_serve::DegradationLadder;
-use pcnn_tensor::{conv2d, gemm_bias, im2col, Conv2dGeometry, ConvAlgo, MachinePeaks, Tensor};
+use pcnn_tensor::{
+    conv2d, gemm_bias, im2col, winograd_tile, Conv2dGeometry, ConvAlgo, MachinePeaks, Tensor,
+};
 
 use crate::baselines::machine_cores;
 use crate::harness::best_secs;
@@ -529,6 +531,7 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
         .rows
         .iter()
         .map(|r| {
+            let s = &r.shape;
             let algos: Vec<String> = r
                 .algos
                 .iter()
@@ -542,12 +545,16 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
                         .predicted_secs
                         .map(|p| format!("\"predicted_ms\": {:.4}, ", p * 1e3))
                         .unwrap_or_default();
+                    let tile = winograd_tile_ran(a.algo, s)
+                        .map(|t| format!("\"tile\": {t}, "))
+                        .unwrap_or_default();
                     format!(
                         concat!(
-                            "{{\"algo\": \"{}\", \"gflops_1t\": {:.3}, ",
+                            "{{\"algo\": \"{}\", {}\"gflops_1t\": {:.3}, ",
                             "\"speedup_vs_im2col_1t\": {:.3}, {}\"sweep\": [{}]}}"
                         ),
                         a.algo.name(),
+                        tile,
                         a.gflops_1t,
                         a.speedup_vs_im2col_1t,
                         predicted,
@@ -555,7 +562,6 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
                     )
                 })
                 .collect();
-            let s = &r.shape;
             format!(
                 concat!(
                     "    {{\"layer\": \"{}\", \"c\": {}, \"h\": {}, \"w\": {}, ",
@@ -601,6 +607,12 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
         e.pruned,
         shapes.join(",\n")
     )
+}
+
+/// The output tile side a Winograd row ran at ([`winograd_tile`]); `None`
+/// for the other algorithms.
+pub fn winograd_tile_ran(algo: ConvAlgo, shape: &ConvShape) -> Option<usize> {
+    (algo == ConvAlgo::Winograd).then(|| winograd_tile(&shape.geometry(), shape.oc))
 }
 
 /// The thread widths a [`ConvBench`] was swept at.

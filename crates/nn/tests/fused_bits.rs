@@ -14,21 +14,23 @@ use rand::SeedableRng;
 
 use ConvAlgo::{Direct, Winograd};
 
+/// A conv layer whose channel 0 has no weights and no bias: a map of
+/// exact zeros.
+fn conv(rng: &mut StdRng, c: usize, side: usize, pad: usize, oc: usize) -> Layer {
+    let geom = Conv2dGeometry::new(c, side, side, 3, 1, pad);
+    let mut layer = Conv2d::new(geom, oc, rng);
+    let (weight, bias) = layer.params_mut();
+    weight.data_mut()[..geom.patch_len()].fill(0.0);
+    for (o, b) in bias.iter_mut().enumerate().skip(1) {
+        *b = (o as f32 - 2.0) / 8.0;
+    }
+    Layer::Conv2d(layer)
+}
+
 /// A VGG-style tower on a 3x33x33 image, with the conv algorithm of each
 /// of its five conv layers; the comments say what `compile` fuses.
 fn tower() -> (Network, ConvPlan) {
     let mut rng = StdRng::seed_from_u64(11);
-    let conv = |rng: &mut StdRng, c, side, pad, oc| {
-        let geom = Conv2dGeometry::new(c, side, side, 3, 1, pad);
-        let mut layer = Conv2d::new(geom, oc, rng);
-        let (weight, bias) = layer.params_mut();
-        // Channel 0 has no weights and no bias: a map of exact zeros.
-        weight.data_mut()[..geom.patch_len()].fill(0.0);
-        for (o, b) in bias.iter_mut().enumerate().skip(1) {
-            *b = (o as f32 - 2.0) / 8.0;
-        }
-        Layer::Conv2d(layer)
-    };
     let layers = vec![
         // 33x33 is odd: the ReLU fuses, the pool runs on its own.
         conv(&mut rng, 3, 33, 1, 8),
@@ -55,10 +57,37 @@ fn tower() -> (Network, ConvPlan) {
     (Network::new("tower", [3, 33, 33], layers), plan)
 }
 
+/// A tower on a 3x30x30 image whose second conv is large enough for
+/// `ConvAlgo::Winograd` to run F(4x4,3x3): a 30x30 map (2 mod 4, so the
+/// last tile row and column hold one pool window each), 16 channels in
+/// and out.
+fn large_tower() -> (Network, ConvPlan) {
+    let mut rng = StdRng::seed_from_u64(12);
+    let layers = vec![
+        // Three input channels: F(2x2); the ReLU fuses.
+        conv(&mut rng, 3, 30, 1, 16),
+        Layer::Relu,
+        // F(4x4): ReLU and pool both fuse.
+        conv(&mut rng, 16, 30, 1, 16),
+        Layer::Relu,
+        Layer::MaxPool2d(MaxPool2d::new(2, 2)),
+        conv(&mut rng, 16, 15, 1, 8),
+        Layer::Relu,
+        Layer::Flatten,
+        Layer::Linear(Linear::new(8 * 15 * 15, 5, &mut rng)),
+    ];
+    let plan = ConvPlan::from_algos(vec![Winograd, Winograd, Direct]);
+    (Network::new("large tower", [3, 30, 30], layers), plan)
+}
+
 /// `batch` images of signed values with a few NaN pixels in each, so
 /// that some tiles' conv outputs are NaN before the ReLU.
 fn images(batch: usize) -> Tensor {
-    Tensor::from_fn(vec![batch, 3, 33, 33], |i| {
+    images_of(batch, 33)
+}
+
+fn images_of(batch: usize, side: usize) -> Tensor {
+    Tensor::from_fn(vec![batch, 3, side, side], |i| {
         if i % 997 == 13 {
             f32::NAN
         } else {
@@ -86,16 +115,22 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn fused_forward_is_bitwise_the_layer_walk_at_every_width() {
-    let (net, plan) = tower();
-    let identity = PerforationPlan::identity(net.conv_count());
-    for batch in [1, 4] {
-        let input = images(batch);
-        let want = bits(&walk(&net, &plan, &input));
-        for threads in [1, 2, 3, 8] {
-            let got = pcnn_parallel::with_threads(threads, || {
-                net.forward_planned(&input, &identity, &plan).expect("runs")
-            });
-            assert_eq!(bits(&got), want, "batch {batch} at {threads} threads");
+    for ((net, plan), side) in [(tower(), 33), (large_tower(), 30)] {
+        let identity = PerforationPlan::identity(net.conv_count());
+        for batch in [1, 4] {
+            let input = images_of(batch, side);
+            let want = bits(&walk(&net, &plan, &input));
+            for threads in [1, 2, 3, 8] {
+                let got = pcnn_parallel::with_threads(threads, || {
+                    net.forward_planned(&input, &identity, &plan).expect("runs")
+                });
+                let name = net.name();
+                assert_eq!(
+                    bits(&got),
+                    want,
+                    "{name}: batch {batch} at {threads} threads"
+                );
+            }
         }
     }
 }

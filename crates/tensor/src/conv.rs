@@ -1,6 +1,6 @@
 //! The inference convolutions: direct (fused-pack) and Winograd
-//! F(2x2,3x3), selectable per layer by the offline autotuner — and the
-//! sampled convolution perforated inference runs on.
+//! F(2x2,3x3) / F(4x4,3x3), selectable per layer by the offline
+//! autotuner — and the sampled convolution perforated inference runs on.
 //!
 //! The reference lowering is [`crate::im2col`] followed by the packed
 //! [`crate::gemm`] (paper Fig. 2), but the lowering materialises a
@@ -17,19 +17,25 @@
 //!   packs from `im2col(input)`, and the compute tail is the *same*
 //!   partition + loop nest as [`crate::gemm`], so outputs are **bitwise
 //!   equal** to the im2col path at every thread count.
-//! - [`conv2d_winograd`]: the F(2x2,3x3) minimal-filtering transform for
-//!   stride-1 3x3 layers, cutting microkernel multiplies per output from
-//!   9 to 16/4 = 4 (2.25x). Transform matrices use only `{0, ±1, ±0.5}`
-//!   coefficients, all exact in f32. The accumulation *order* differs
-//!   from im2col, so outputs are not bitwise-equal to the reference —
-//!   they carry a small rounding difference bounded by
-//!   [`winograd_error_bound`] — but they are bitwise **deterministic**:
-//!   the transforms are pure per-element maps with one fixed sequence of
-//!   adds, subs and `x 0.5`, and the 16 per-coordinate multiplies go
-//!   through the deterministic [`crate::gemm`], so every thread count
-//!   produces the identical bits.
+//! - Winograd minimal filtering for stride-1 3x3 layers, at one of two
+//!   output tiles that [`winograd_tile`] picks from the layer's shape:
+//!   F(4x4,3x3) on maps of 28 and more with 16 or more channels each way
+//!   (microkernel multiplies per output 9 -> 36/16 = 2.25, 4x), F(2x2,3x3)
+//!   — [`conv2d_winograd`] — everywhere else (9 -> 16/4 = 4, 2.25x).
+//!   F(2x2)'s transform matrices use only `{0, ±1, ±0.5}`, exact in f32;
+//!   F(4x4)'s `B` and `A` are integers, but its `G` has sixths, twelfths
+//!   and twenty-fourths, which round. Either way the accumulation *order*
+//!   differs from im2col, so outputs are not bitwise-equal to the
+//!   reference — they carry a rounding difference bounded by
+//!   [`winograd_error_bound`], 16x larger for F(4x4) — but they are
+//!   bitwise **deterministic**: the tile is a function of the shape
+//!   alone, the transforms are pure per-element maps with one fixed
+//!   sequence of adds, subs and multiplies by constants, and the
+//!   per-coordinate multiplies go through the deterministic
+//!   [`crate::gemm`], so every thread count and every host produce the
+//!   identical bits.
 //!
-//! [`conv2d`] is the dispatcher over the two: one call convolves a
+//! [`conv2d`] is the dispatcher over the algorithms: one call convolves a
 //! group of images through one [`ConvAlgo`], and it is what the layer
 //! forward, the offline tuner and `pcnn bench-conv` all call.
 //!
@@ -61,35 +67,46 @@
 //!
 //! # The Winograd block pipeline
 //!
+//! One pipeline runs both tiles; only the per-line transform kernels
+//! (`input_line`, `inverse_line`, `filter_line`) differ. A `t x t`
+//! output tile reads a `(t + 2)²` input patch, so there are `(t + 2)²`
+//! transform coordinates: 16 for F(2x2), 36 for F(4x4).
+//!
 //! Winograd's intermediates are large — `V` (transformed input) and `M`
-//! (products) are each `16 x channels x tiles`, 51 MB on VGG conv1_2 — so
-//! the image is never transformed whole. It runs as a pipeline over
-//! **blocks of whole tile rows** (`winograd_block_rows` of them, from
-//! the shape and one cache-budget constant): transform the block's input
-//! rows into a cache-resident `V` block, run the 16 GEMMs into a
-//! cache-resident `M` block, inverse-transform that block straight into
-//! its rows of the output. The three transforms work a row at a time
-//! with contiguous inner loops. Blocks are also the unit of parallelism:
-//! one parallel region per layer, whole blocks per worker, the GEMMs
-//! inside a block on that worker alone (a single-block layer — a small
-//! map — lets its GEMMs split across the pool instead). Block boundaries
-//! depend on shape only and no element's operation sequence depends on
-//! them, so the block height moves time and never bits
-//! (`tests/winograd_bits.rs`).
+//! (products) are each `coordinates x channels x tiles`, 51 MB on VGG
+//! conv1_2 at F(2x2) — so the image is never transformed whole. It runs
+//! as a pipeline over **blocks of whole tile rows** (`winograd_block_rows`
+//! of them, from the shape and one cache-budget constant): transform the
+//! block's input rows into a cache-resident `V` block, run the
+//! per-coordinate GEMMs into a cache-resident `M` block, inverse-transform
+//! that block straight into its rows of the output. The three transforms
+//! work a row at a time with contiguous inner loops. Blocks are also the
+//! unit of parallelism: one parallel region per layer, whole blocks per
+//! worker, the GEMMs inside a block on that worker alone (a single-block
+//! layer — a small map — lets its GEMMs split across the pool instead).
+//! Block boundaries depend on shape only and no element's operation
+//! sequence depends on them, so the block height moves time and never
+//! bits (`tests/winograd_bits.rs`).
 //!
 //! The filter transform depends on the weights only, so [`conv2d`] does
 //! it once per call, for all its images (`WinogradFilter`). It writes
 //! `U` straight into the packed-`A` micropanels the GEMM reads, so no
 //! block packs `U` again, however many blocks re-read it; and each GEMM
 //! stores its first `KC` block into `M` instead of adding it, so `M` is
-//! never zero-filled — bitwise the same as zero-fill plus add.
+//! never zero-filled — bitwise the same as zero-fill plus add. A `U`
+//! larger than the scratch pool's largest buffer (F(4x4)'s 36 coordinates
+//! on 256 -> 512 and 512 -> 512) is packed and run in chunks of output
+//! channels instead: such a layer is one block, its input transformed
+//! once, and each chunk's filter transform, GEMMs and inverse run in turn
+//! on it. GEMM rows are independent, so the chunk moves no bit either.
 //!
 //! # Profiling
 //!
 //! The patch gather reports as [`Phase::PackB`] (it *is* the B pack) and
 //! its bias broadcast as [`Phase::Epilogue`];
-//! Winograd's filter transform (once, packing `U` included — its GEMMs
-//! report no [`Phase::PackA`]) and input transform (per block) report as
+//! Winograd's filter transform (once, or once per `U` chunk, packing `U`
+//! included — its GEMMs report no [`Phase::PackA`]) and input transform
+//! (per block) report as
 //! [`Phase::WinogradTransform`], the per-GEMM copy of `V` into packed `B`
 //! as [`Phase::PackB`], and its inverse transform + bias (per block) as
 //! [`Phase::WinogradInverse`], their flops and bytes summing per layer to
@@ -112,7 +129,12 @@ pub enum ConvAlgo {
     Im2col,
     /// Fused patch-gather into the packed GEMM (no column matrix).
     Direct,
-    /// Winograd F(2x2,3x3) minimal filtering (stride-1 3x3 only).
+    /// Winograd minimal filtering (stride-1 3x3 only): F(4x4,3x3) on maps
+    /// of 28 and more with 16 or more channels each way, F(2x2,3x3)
+    /// elsewhere ([`winograd_tile`]). The tile is a function of the shape
+    /// alone, so a layer's bits are the same on every host; F(4x4)'s
+    /// filter transform rounds (its `G` has sixths), so its error bound
+    /// is looser ([`winograd_error_bound`]).
     Winograd,
 }
 
@@ -141,8 +163,8 @@ impl ConvAlgo {
     }
 
     /// Whether this algorithm can execute the given layer shape exactly.
-    /// Im2col and direct handle every geometry; Winograd F(2x2,3x3) is
-    /// specialised to stride-1 3x3 filters.
+    /// Im2col and direct handle every geometry; Winograd is specialised to
+    /// stride-1 3x3 filters.
     pub fn supports(self, geom: &Conv2dGeometry) -> bool {
         match self {
             ConvAlgo::Im2col | ConvAlgo::Direct => true,
@@ -198,7 +220,8 @@ pub fn conv2d(
             }
         }
         ConvAlgo::Winograd => {
-            let filter = WinogradFilter::new(geom, out_channels, weight);
+            let tile = winograd_tile(geom, out_channels);
+            let filter = WinogradFilter::new(geom, out_channels, weight, tile);
             for i in 0..images {
                 let (x, y) = (&input[image(i)], &mut out[maps(i)]);
                 conv2d_winograd_prepared(geom, &filter, bias, x, WriteBack::Bias, y);
@@ -256,7 +279,8 @@ pub fn conv2d_winograd_relu(
     };
     let chw = geom.in_channels * geom.in_h * geom.in_w;
     let map = out_channels * wb.positions(geom);
-    let filter = WinogradFilter::new(geom, out_channels, weight);
+    let tile = winograd_tile(geom, out_channels);
+    let filter = WinogradFilter::new(geom, out_channels, weight, tile);
     for i in 0..images {
         let (x, y) = (&input[i * chw..][..chw], &mut out[i * map..][..map]);
         conv2d_winograd_prepared(geom, &filter, bias, x, wb, y);
@@ -458,105 +482,273 @@ fn add_zero_border(geom: &Conv2dGeometry, planes: &[f32], bordered: &mut [f32]) 
     }
 }
 
-/// Cache budget of one Winograd block, in `f32` elements (2 MiB, one
-/// core's L2): the `V` and `M` planes of a block of tile rows —
+/// Cache budget of one F(2x2) Winograd block, in `f32` elements (2 MiB,
+/// one core's L2): the `V` and `M` planes of a block of tile rows —
 /// `16 * (ic + oc)` floats per tile — stay within it, so what the input
 /// transform writes is still cache-resident when the 16 GEMMs read it,
-/// and what they write still is when the inverse transform reads it. The
+/// and what they write still is when the inverse transform reads it.
+/// F(4x4)'s `36 * (ic + oc)` floats per tile get twice the budget: at
+/// 2 MiB the GEMMs of 256 -> 256 @ 56² would get 28 tiles a block. The
 /// Winograd analogue of the GEMM's `MC` / `KC`: it moves time, never
 /// bits.
 const WINOGRAD_BLOCK_FLOATS: usize = 512 * 1024;
 
-/// Tile rows per block of [`conv2d_winograd`]'s pipeline — a pure
-/// function of the layer shape, so block boundaries (and with them the
-/// parallel split) never depend on thread count or timing.
+/// Budget of one packed `U`, in `f32` elements (16 MiB): F(2x2)'s `U` of
+/// a 512 -> 512 layer, the largest buffer the scratch pool already holds
+/// for VGG-16. A larger `U` (F(4x4)'s 36 coordinates on 256 -> 512 and
+/// 512 -> 512) is packed and run in chunks of output channels.
+const WINOGRAD_U_FLOATS: usize = 16 * 512 * 512;
+
+/// The output tile side [`ConvAlgo::Winograd`] runs a layer at: 4 —
+/// F(4x4,3x3) — where the map is at least 28 on each side and both
+/// channel counts are at least 16; 2 — F(2x2,3x3) — elsewhere.
 ///
-/// A block is as many whole tile rows as fit [`WINOGRAD_BLOCK_FLOATS`],
-/// at least one, on every layer: the transformed filter `U` is packed
-/// once per call, so a block re-reads it but never re-packs it.
-pub fn winograd_block_rows(ic: usize, oc: usize, tiles_x: usize, tiles_y: usize) -> usize {
-    (WINOGRAD_BLOCK_FLOATS / (16 * (ic + oc) * tiles_x)).clamp(1, tiles_y)
+/// F(4x4) does 36 products per 16 outputs against F(2x2)'s 16 per 4,
+/// 1.78x fewer GEMM flops, but its filter transform costs ~2.3x F(2x2)'s
+/// and its input and inverse transforms more per tile: on a 14² or 13²
+/// map, or with few channels, that outweighs the saving (EXPERIMENTS.md,
+/// "F(4x4) on large maps"). A pure function of the shape, like
+/// [`winograd_block_rows`]: no flag and no timing, so a layer computes
+/// the same bits on every host.
+pub fn winograd_tile(geom: &Conv2dGeometry, out_channels: usize) -> usize {
+    let large = geom.out_h.min(geom.out_w) >= 28;
+    if large && geom.in_channels.min(out_channels) >= 16 {
+        4
+    } else {
+        2
+    }
 }
 
-/// The Winograd-domain image of one layer's 3x3 filters:
-/// `U[xi] = (G g G^T)[xi]`, one `out_channels x in_channels` matrix per
-/// transform coordinate, where
-/// `G = [[1,0,0],[1/2,1/2,1/2],[1/2,-1/2,1/2],[0,0,1]]` — each written
-/// straight into the packed-`A` image its 16 GEMMs read
+/// Tile rows per block of the Winograd pipeline on a `tile` kernel — a
+/// pure function of the layer shape, so block boundaries (and with them
+/// the parallel split) never depend on thread count or timing.
+///
+/// A block is as many whole tile rows as fit the tile's share of
+/// [`WINOGRAD_BLOCK_FLOATS`], at least one: `U` is packed once per call,
+/// so a block re-reads it but never re-packs it. A layer whose `U` is
+/// chunked is one block, so its input is transformed once and each chunk
+/// of `U` is packed once.
+pub fn winograd_block_rows(
+    tile: usize,
+    ic: usize,
+    oc: usize,
+    tiles_x: usize,
+    tiles_y: usize,
+) -> usize {
+    if winograd_chunk(tile, ic, oc) < oc {
+        return tiles_y;
+    }
+    let coords = (tile + 2) * (tile + 2);
+    (WINOGRAD_BLOCK_FLOATS * tile / 2 / (coords * (ic + oc) * tiles_x)).clamp(1, tiles_y)
+}
+
+/// Output channels per chunk of a `tile` kernel's packed `U`: all of them
+/// where `U` fits [`WINOGRAD_U_FLOATS`], else the fewest balanced chunks
+/// of whole `A_LANES`-row tiles that each fit. GEMM rows are independent,
+/// so the chunk moves time and memory, never bits.
+fn winograd_chunk(tile: usize, ic: usize, oc: usize) -> usize {
+    let coords = (tile + 2) * (tile + 2);
+    if coords * ic * oc <= WINOGRAD_U_FLOATS {
+        return oc;
+    }
+    let fit = (WINOGRAD_U_FLOATS / (coords * ic) / A_LANES * A_LANES).max(A_LANES);
+    oc.div_ceil(oc.div_ceil(fit))
+        .next_multiple_of(A_LANES)
+        .min(oc)
+}
+
+/// The profiler's flop counts of a `tile` kernel's transforms: one 3x3
+/// filter, one input tile, one output tile's inverse and bias.
+const fn transform_flops(tile: usize) -> [usize; 3] {
+    if tile == 2 {
+        [40, 40, 16]
+    } else {
+        [117, 210, 146]
+    }
+}
+
+/// The Winograd-domain image of one layer's 3x3 filters on a `tile`
+/// kernel: `U[xi] = (G g G^T)[xi]`, one `out_channels x in_channels`
+/// matrix per transform coordinate ([`filter_line`] has `G`), each
+/// written straight into the packed-`A` image its GEMM reads
 /// ([`gemm_packed_a`]), so no block packs it again.
 ///
 /// It depends on the weights only, so [`conv2d`] builds it once for all
-/// the images of a call. The storage is pooled scratch: dropping the
-/// value returns it, nothing is cached on the layer.
-struct WinogradFilter {
+/// the images of a call. A `U` over [`WINOGRAD_U_FLOATS`] is instead
+/// transformed a chunk of output channels at a time, by the block that
+/// runs the chunk, so one chunk is held at once. The storage is pooled
+/// scratch: dropping the value returns it, nothing is cached on the
+/// layer.
+struct WinogradFilter<'w> {
+    tile: usize,
     out_channels: usize,
     in_channels: usize,
-    /// The 16 packed images, `U[xi]` at `xi * u.len() / 16`.
-    u: pcnn_parallel::ScratchF32,
+    /// Output channels per chunk of `U`.
+    chunk: usize,
+    weight: &'w [f32],
+    /// `U` of every output channel when that is one chunk: the
+    /// coordinates' packed images, `U[xi]` at `xi * u.len() / coords`.
+    whole: Option<pcnn_parallel::ScratchF32>,
 }
 
-impl WinogradFilter {
-    /// Transforms the `[out_channels, patch_len]` filter matrix `weight`.
+impl<'w> WinogradFilter<'w> {
+    /// Transforms the `[out_channels, patch_len]` filter matrix `weight`
+    /// for a `tile` kernel, chunked as [`winograd_chunk`] says.
     ///
     /// # Panics
     ///
     /// Panics if `geom` is not a stride-1 3x3 layer or `weight` is shorter
     /// than the geometry implies.
-    fn new(geom: &Conv2dGeometry, out_channels: usize, weight: &[f32]) -> Self {
+    fn new(geom: &Conv2dGeometry, out_channels: usize, weight: &'w [f32], tile: usize) -> Self {
+        let chunk = winograd_chunk(tile, geom.in_channels, out_channels);
+        Self::chunked(geom, out_channels, weight, tile, chunk)
+    }
+
+    /// [`new`](Self::new) with `chunk` output channels per chunk.
+    fn chunked(
+        geom: &Conv2dGeometry,
+        out_channels: usize,
+        weight: &'w [f32],
+        tile: usize,
+        chunk: usize,
+    ) -> Self {
         assert_winograd_supports(geom);
         let (oc, ic) = (out_channels, geom.in_channels);
         assert!(weight.len() >= oc * ic * 9, "weight too short");
+        let mut filter = Self {
+            tile,
+            out_channels,
+            in_channels: ic,
+            chunk: chunk.max(1),
+            weight,
+            whole: None,
+        };
+        if chunk >= oc {
+            filter.whole = Some(filter.transform(0..oc));
+        }
+        filter
+    }
+
+    /// The chunks of output channels, in order.
+    fn chunks(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        (0..self.out_channels)
+            .step_by(self.chunk)
+            .map(|o| o..self.out_channels.min(o + self.chunk))
+    }
+
+    /// The packed `U` of output channels `rows`.
+    fn transform(&self, rows: Range<usize>) -> pcnn_parallel::ScratchF32 {
+        match self.tile {
+            2 => self.transform_tile::<2, 16>(rows),
+            _ => self.transform_tile::<4, 36>(rows),
+        }
+    }
+
+    /// [`transform`](Self::transform) for tile side `T` with `N = (T + 2)²`
+    /// coordinates.
+    fn transform_tile<const T: usize, const N: usize>(
+        &self,
+        rows: Range<usize>,
+    ) -> pcnn_parallel::ScratchF32 {
+        let (ic, alpha, weight, first) = (self.in_channels, T + 2, self.weight, rows.start);
         let span = phase_span(Phase::WinogradTransform);
         // A tile column at a time: lane `l` is output channel `o0 + l`'s
         // filter of input channel `c` (lanes past `live` stay zero, and so
         // does their transform), so the arithmetic runs over
-        // `A_LANES`-wide arrays and returns the column of all 16 images.
-        let u = pack_a_images::<16>(oc, ic, |c, o0, live| {
+        // `A_LANES`-wide arrays and returns the column of all N images.
+        let u = pack_a_images::<N>(rows.len(), ic, |c, o0, live| {
             let mut g = [[0.0f32; A_LANES]; 9];
             for l in 0..live {
-                let f = &weight[((o0 + l) * ic + c) * 9..][..9];
+                let f = &weight[((first + o0 + l) * ic + c) * 9..][..9];
                 for (q, &val) in f.iter().enumerate() {
                     g[q][l] = val;
                 }
             }
-            // Rows: G applied to the 3 filter rows -> 4 rows of 3.
-            let mut gg = [[[0.0f32; A_LANES]; 3]; 4];
-            for j in 0..3 {
-                for l in 0..A_LANES {
-                    let (g0, g1, g2) = (g[j][l], g[3 + j][l], g[6 + j][l]);
-                    gg[0][j][l] = g0;
-                    gg[1][j][l] = 0.5 * (g0 + g1 + g2);
-                    gg[2][j][l] = 0.5 * (g0 - g1 + g2);
-                    gg[3][j][l] = g2;
-                }
+            // Rows: G applied to the 3 filter rows -> alpha rows of 3,
+            // stored column by column.
+            let mut gg = [[[0.0f32; A_LANES]; 6]; 3];
+            for (j, col) in gg.iter_mut().enumerate() {
+                filter_line::<T>([&g[j], &g[3 + j], &g[6 + j]], col);
             }
-            // Columns: right-multiply by G^T -> 4x4, coordinate a * 4 + b.
-            let mut uu = [[0.0f32; A_LANES]; 16];
-            for (a, row) in gg.iter().enumerate() {
-                for l in 0..A_LANES {
-                    let (t0, t1, t2) = (row[0][l], row[1][l], row[2][l]);
-                    uu[a * 4][l] = t0;
-                    uu[a * 4 + 1][l] = 0.5 * (t0 + t1 + t2);
-                    uu[a * 4 + 2][l] = 0.5 * (t0 - t1 + t2);
-                    uu[a * 4 + 3][l] = t2;
-                }
+            // Columns: right-multiply by G^T -> alpha x alpha, coordinate
+            // a * alpha + b.
+            let mut uu = [[0.0f32; A_LANES]; N];
+            for a in 0..alpha {
+                filter_line::<T>([&gg[0][a], &gg[1][a], &gg[2][a]], &mut uu[a * alpha..]);
             }
             uu
         });
         if let Some(s) = span {
             // Filter reads, packed U writes (without the tier's tile
-            // padding); ~40 adds/muls per 3x3 filter.
+            // padding).
+            let filters = rows.len() * ic;
             s.finish(
-                (40 * oc * ic) as u64,
-                4 * (oc * ic * 9 + 16 * oc * ic) as u64,
+                (transform_flops(T)[0] * filters) as u64,
+                4 * (filters * (9 + N)) as u64,
             );
         }
-        Self {
-            out_channels,
-            in_channels: ic,
-            u,
+        u
+    }
+}
+
+/// `G` applied to one line of a 3x3 filter, lane by lane, writing the
+/// `T + 2` lines of `u`. F(2x2): `G = [[1,0,0],[1/2,1/2,1/2],
+/// [1/2,-1/2,1/2],[0,0,1]]`, exact in f32. F(4x4): `G = [[1/4,0,0],
+/// [-1/6,-1/6,-1/6],[-1/6,1/6,-1/6],[1/24,1/12,1/6],[1/24,-1/12,1/6],
+/// [0,0,1]]`, whose sixths, twelfths and twenty-fourths round.
+#[inline(always)]
+fn filter_line<const T: usize>([g0, g1, g2]: [&[f32; A_LANES]; 3], u: &mut [[f32; A_LANES]]) {
+    let u = &mut u[..T + 2];
+    for l in 0..A_LANES {
+        let (g0, g1, g2) = (g0[l], g1[l], g2[l]);
+        if T == 2 {
+            u[0][l] = g0;
+            u[1][l] = 0.5 * (g0 + g1 + g2);
+            u[2][l] = 0.5 * (g0 - g1 + g2);
+            u[3][l] = g2;
+        } else {
+            let (outer, inner) = (g0 * (1.0 / 24.0) + g2 * (1.0 / 6.0), g1 * (1.0 / 12.0));
+            u[0][l] = 0.25 * g0;
+            u[1][l] = (g0 + g1 + g2) * (-1.0 / 6.0);
+            u[2][l] = (g0 - g1 + g2) * (-1.0 / 6.0);
+            u[3][l] = outer + inner;
+            u[4][l] = outer - inner;
+            u[5][l] = g2;
         }
     }
+}
+
+/// `B^T` applied to one line of `T + 2` input values (the rest of `d`
+/// unused). F(2x2): `B^T = [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]]`.
+/// F(4x4): `B^T = [[4,0,-5,0,1,0],[0,-4,-4,1,1,0],[0,4,-4,-1,1,0],
+/// [0,-2,-1,2,1,0],[0,2,-1,-2,1,0],[0,4,0,-5,0,1]]`. Integer
+/// coefficients: only the sums round.
+#[inline(always)]
+fn input_line<const T: usize>(d: [f32; 6]) -> [f32; 6] {
+    if T == 2 {
+        return [d[0] - d[2], d[1] + d[2], d[2] - d[1], d[1] - d[3], 0.0, 0.0];
+    }
+    let (e, f) = (d[4] - d[2], d[3] - d[1]);
+    [
+        4.0 * (d[0] - d[2]) + e,
+        (d[3] + d[4]) - 4.0 * (d[1] + d[2]),
+        (d[4] - d[3]) + 4.0 * (d[1] - d[2]),
+        e + 2.0 * f,
+        e - 2.0 * f,
+        4.0 * (d[1] - d[3]) + (d[5] - d[3]),
+    ]
+}
+
+/// `A^T` applied to one line of `T + 2` products, giving `T` outputs (the
+/// rest zero). F(2x2): `A^T = [[1,1,1,0],[0,1,-1,-1]]`. F(4x4):
+/// `A^T = [[1,1,1,1,1,0],[0,1,-1,2,-2,0],[0,1,1,4,4,0],[0,1,-1,8,-8,1]]`.
+#[inline(always)]
+fn inverse_line<const T: usize>(m: [f32; 6]) -> [f32; 4] {
+    if T == 2 {
+        return [m[0] + m[1] + m[2], m[1] - m[2] - m[3], 0.0, 0.0];
+    }
+    let (a, b, c, d) = (m[1] + m[2], m[1] - m[2], m[3] + m[4], m[3] - m[4]);
+    [m[0] + a + c, b + 2.0 * d, a + 4.0 * c, b + 8.0 * d + m[5]]
 }
 
 fn assert_winograd_supports(geom: &Conv2dGeometry) {
@@ -569,7 +761,9 @@ fn assert_winograd_supports(geom: &Conv2dGeometry) {
 }
 
 /// Winograd F(2x2,3x3) convolution of one CHW image (stride-1 3x3 only):
-/// `out = weight (*) input + bias`, fully overwriting `out`.
+/// `out = weight (*) input + bias`, fully overwriting `out` — the F(2x2)
+/// kernel whatever the shape ([`conv2d`] picks the tile by
+/// [`winograd_tile`]).
 ///
 /// Each 2x2 output tile is produced from a 4x4 input tile via the
 /// classic minimal-filtering factorisation `Y = A^T [ (G g G^T) .*
@@ -596,17 +790,17 @@ pub fn conv2d_winograd(
     input: &[f32],
     out: &mut [f32],
 ) {
-    let filter = WinogradFilter::new(geom, out_channels, weight);
+    let filter = WinogradFilter::new(geom, out_channels, weight, 2);
     conv2d_winograd_prepared(geom, &filter, bias, input, WriteBack::Bias, out);
 }
 
-/// [`conv2d_winograd`] with the filter transform already done, writing
-/// back through `wb`.
+/// One image through a Winograd kernel whose filter transform is already
+/// done (or, chunked, planned), writing back through `wb`.
 ///
 /// Runs the block pipeline of the module docs at the block height
 /// `winograd_block_rows` picks for the shape: nothing image-sized is
 /// materialised, and every output element sees the same sequence of IEEE
-/// operations whatever the block height or thread count.
+/// operations whatever the block height, chunk or thread count.
 ///
 /// # Panics
 ///
@@ -626,22 +820,22 @@ fn conv2d_winograd_prepared(
         filter.in_channels, geom.in_channels,
         "filter was transformed for another layer"
     );
-    let (oc, ic) = (filter.out_channels, geom.in_channels);
+    let (oc, ic, t) = (filter.out_channels, geom.in_channels, filter.tile);
     assert!(input.len() >= ic * geom.in_h * geom.in_w, "input too short");
     assert!(bias.len() >= oc, "bias too short");
     assert!(out.len() >= oc * wb.positions(geom), "out too short");
     if oc == 0 || ic == 0 || geom.out_positions() == 0 {
         return;
     }
-    let (tiles_y, tiles_x) = (geom.out_h.div_ceil(2), geom.out_w.div_ceil(2));
-    let block_rows = winograd_block_rows(ic, oc, tiles_x, tiles_y);
+    let (tiles_y, tiles_x) = (geom.out_h.div_ceil(t), geom.out_w.div_ceil(t));
+    let block_rows = winograd_block_rows(t, ic, oc, tiles_x, tiles_y);
     winograd_pipeline(geom, filter, bias, input, wb, out, block_rows);
 }
 
 /// Runs the block pipeline at `block_rows` tile rows per block (the last
 /// block takes what is left). `out` is handed to the blocks as safely
 /// split per-channel row bands: block `b` owns output rows
-/// `2 * b * block_rows..` of every channel (`b * block_rows..` pooled).
+/// `tile * b * block_rows..` of every channel (half that, pooled).
 fn winograd_pipeline(
     geom: &Conv2dGeometry,
     filter: &WinogradFilter,
@@ -651,11 +845,11 @@ fn winograd_pipeline(
     out: &mut [f32],
     block_rows: usize,
 ) {
-    let (oc, map) = (filter.out_channels, wb.positions(geom));
-    let tiles_y = geom.out_h.div_ceil(2);
+    let (oc, map, t) = (filter.out_channels, wb.positions(geom), filter.tile);
+    let tiles_y = geom.out_h.div_ceil(t);
     let band = match wb {
-        WriteBack::ReluPool => block_rows * geom.out_w / 2,
-        _ => 2 * block_rows * geom.out_w,
+        WriteBack::ReluPool => block_rows * t / 2 * geom.out_w / 2,
+        _ => t * block_rows * geom.out_w,
     };
     let n_blocks = tiles_y.div_ceil(block_rows);
     // Block-major list of bands: `bands[b * oc + o]` is channel `o`'s
@@ -672,7 +866,10 @@ fn winograd_pipeline(
     }
     let run_block = |b: usize, bands: &mut [&mut [f32]]| {
         let tile_rows = b * block_rows..tiles_y.min((b + 1) * block_rows);
-        winograd_block(geom, filter, bias, input, tile_rows, wb, bands);
+        match t {
+            2 => winograd_block::<2>(geom, filter, bias, input, tile_rows, wb, bands),
+            _ => winograd_block::<4>(geom, filter, bias, input, tile_rows, wb, bands),
+        }
     };
     if n_blocks == 1 {
         // Not a region of one task: that would mark this thread as a
@@ -690,10 +887,11 @@ fn winograd_pipeline(
     }
 }
 
-/// One block of the pipeline: input transform of tile rows `tile_rows`,
-/// the 16 GEMMs, inverse transform into `bands` (one slice of output rows
-/// per channel).
-fn winograd_block(
+/// One block of the pipeline on a `T x T`-output kernel: input transform
+/// of tile rows `tile_rows`; then per chunk of `U`, the `(T + 2)²` GEMMs
+/// and the inverse transform into that chunk's `bands` (one slice of
+/// output rows per channel).
+fn winograd_block<const T: usize>(
     geom: &Conv2dGeometry,
     filter: &WinogradFilter,
     bias: &[f32],
@@ -702,134 +900,152 @@ fn winograd_block(
     wb: WriteBack,
     bands: &mut [&mut [f32]],
 ) {
-    let (oc, ic) = (filter.out_channels, geom.in_channels);
-    let tiles_x = geom.out_w.div_ceil(2);
+    let (oc, ic, coords) = (filter.out_channels, geom.in_channels, (T + 2) * (T + 2));
+    let tiles_x = geom.out_w.div_ceil(T);
     let tb = tile_rows.len() * tiles_x;
-    // Padded input row width: tile `tx` reads columns `2 tx..2 tx + 4`.
-    let wp = 2 * tiles_x + 2;
+    let chunk = filter.chunk.min(oc);
+    // Padded input row width: tile `tx` reads columns `T tx..T tx + T + 2`.
+    let wp = T * tiles_x + 2;
 
     // The span starts before the checkout (pooled scratch), so pool
     // bookkeeping counts as transform time.
     let span = phase_span(Phase::WinogradTransform);
-    // V[xi]: ic x tb, M[xi]: oc x tb — 16 coordinates each — plus row
-    // temporaries for the two transforms.
-    let mut scratch = pcnn_parallel::scratch_f32(16 * (ic + oc) * tb + 8 * wp);
-    let (v, rest) = scratch.split_at_mut(16 * ic * tb);
-    let (m, rows) = rest.split_at_mut(16 * oc * tb);
-    input_transform(geom, input, tile_rows.clone(), v, rows);
+    // V[xi]: ic x tb, M[xi]: chunk x tb — per coordinate — plus row
+    // temporaries: the input transform's 2 x 6 rows of `wp`, the
+    // inverse's 6 x 4 + 4 rows of at most `T * tiles_x`.
+    let mut scratch = pcnn_parallel::scratch_f32(coords * (ic + chunk) * tb + 40 * wp);
+    let (v, rest) = scratch.split_at_mut(coords * ic * tb);
+    let (m, rows) = rest.split_at_mut(coords * chunk * tb);
+    input_transform::<T>(geom, input, tile_rows.clone(), v, rows);
     if let Some(s) = span {
         // The input rows this block is the first to read (halo rows
-        // belong to the block above), V written; ~40 adds per 4x4.
+        // belong to the block above), V written.
         let first_row = |ty: usize| match ty {
             0 => 0,
-            ty if ty == geom.out_h.div_ceil(2) => geom.in_h,
-            ty => (2 * ty).saturating_sub(geom.pad).min(geom.in_h),
+            ty if ty == geom.out_h.div_ceil(T) => geom.in_h,
+            ty => (T * ty).saturating_sub(geom.pad).min(geom.in_h),
         };
         let in_rows = first_row(tile_rows.end) - first_row(tile_rows.start);
         s.finish(
-            (40 * ic * tb) as u64,
-            4 * (ic * in_rows * geom.in_w + 16 * ic * tb) as u64,
+            (transform_flops(T)[1] * ic * tb) as u64,
+            4 * (ic * in_rows * geom.in_w + coords * ic * tb) as u64,
         );
     }
 
-    // 16 per-coordinate GEMMs: M[xi] = U[xi] * V[xi], stored, so M needs
-    // no zero-fill.
-    let us = filter.u.chunks_exact(filter.u.len() / 16);
-    let vs = v.chunks_exact(ic * tb);
-    for ((u, v), m) in us.zip(vs).zip(m.chunks_exact_mut(oc * tb)) {
-        gemm_packed_a(oc, tb, ic, u, v, m);
-    }
+    for chans in filter.chunks() {
+        let built;
+        let u = match &filter.whole {
+            Some(u) => u,
+            None => {
+                built = filter.transform(chans.clone());
+                &built
+            }
+        };
+        // Per-coordinate GEMMs: M[xi] = U[xi] * V[xi], stored, so M needs
+        // no zero-fill.
+        let n = chans.len();
+        let m = &mut m[..coords * n * tb];
+        let us = u.chunks_exact(u.len() / coords);
+        let vs = v.chunks_exact(ic * tb);
+        for ((u, v), m) in us.zip(vs).zip(m.chunks_exact_mut(n * tb)) {
+            gemm_packed_a(n, tb, ic, u, v, m);
+        }
 
-    let span = phase_span(Phase::WinogradInverse);
-    inverse_transform(geom, tile_rows, m, bias, wb, bands, rows);
-    if let Some(s) = span {
-        // 16 adds per tile, and the fused layers' own counts: a max per
-        // output for the ReLU, a compare per window element for the pool.
-        s.finish(
-            ((16 + 4 * wb as usize) * oc * tb) as u64,
-            4 * (16 * oc * tb + bands.iter().map(|b| b.len()).sum::<usize>()) as u64,
-        );
+        let span = phase_span(Phase::WinogradInverse);
+        let bands = &mut bands[chans.clone()];
+        inverse_transform::<T>(geom, tile_rows.clone(), m, &bias[chans], wb, bands, rows);
+        if let Some(s) = span {
+            // The inverse and bias per tile, and the fused layers' own
+            // counts: a max per output for the ReLU, a compare per window
+            // element for the pool.
+            s.finish(
+                ((transform_flops(T)[2] + T * T * wb as usize) * n * tb) as u64,
+                4 * (coords * n * tb + bands.iter().map(|b| b.len()).sum::<usize>()) as u64,
+            );
+        }
     }
 }
 
-/// Input transform of a block: `V = B^T d B` per (channel, tile) 4x4
-/// input patch, where `B^T = [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]]`
-/// and tile `(ty, tx)` reads the patch at `(2 ty - pad, 2 tx - pad)`, zero
-/// outside the image. `v` is `[16][ic][tiles of the block]`.
+/// Input transform of a block: `V = B^T d B` per (channel, tile)
+/// `(T + 2)²` input patch ([`input_line`] has `B^T`), where tile
+/// `(ty, tx)` reads the patch at `(T ty - pad, T tx - pad)`, zero outside
+/// the image. `v` is `[coordinate][ic][tiles of the block]`.
 ///
-/// Works a tile row at a time so every inner loop is contiguous: the four
-/// zero-padded input rows of the tile row, the `B^T d` row combination
-/// across their whole width, then the stride-2 column combination writing
-/// each of the 16 planes along the tiles.
-fn input_transform(
+/// Works a tile row at a time so every inner loop is contiguous: the
+/// `T + 2` zero-padded input rows of the tile row, the `B^T d` row
+/// combination across their whole width, then the stride-`T` column
+/// combination writing each coordinate's plane along the tiles.
+fn input_transform<const T: usize>(
     geom: &Conv2dGeometry,
     input: &[f32],
     tile_rows: Range<usize>,
     v: &mut [f32],
     rows: &mut [f32],
 ) {
-    let ic = geom.in_channels;
-    let tiles_x = geom.out_w.div_ceil(2);
+    let (ic, alpha) = (geom.in_channels, T + 2);
+    let tiles_x = geom.out_w.div_ceil(T);
     let tb = tile_rows.len() * tiles_x;
-    let wp = 2 * tiles_x + 2;
-    let [d, w] = split_rows(rows, 4 * wp);
+    let wp = T * tiles_x + 2;
+    let [d, w] = split_rows(rows, 6 * wp);
     for c in 0..ic {
         let chan = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
         for (r, ty) in tile_rows.clone().enumerate() {
-            for (dy, drow) in d.chunks_exact_mut(wp).enumerate() {
+            for (dy, drow) in d.chunks_exact_mut(wp).take(alpha).enumerate() {
                 drow.fill(0.0);
-                if let Some(iy) = (2 * ty + dy).checked_sub(geom.pad) {
+                if let Some(iy) = (T * ty + dy).checked_sub(geom.pad) {
                     if iy < geom.in_h {
                         drow[geom.pad..geom.pad + geom.in_w]
                             .copy_from_slice(&chan[iy * geom.in_w..(iy + 1) * geom.in_w]);
                     }
                 }
             }
-            // Rows: B^T d -> 4 rows, across the whole padded width.
-            let [d0, d1, d2, d3] = split_rows(d, wp);
-            let [w0, w1, w2, w3] = split_rows(w, wp);
+            // Rows: B^T d -> T + 2 rows, across the whole padded width.
+            let [d0, d1, d2, d3, d4, d5] = split_rows(d, wp);
+            let [w0, w1, w2, w3, w4, w5] = split_rows(w, wp);
             for j in 0..wp {
-                w0[j] = d0[j] - d2[j];
-                w1[j] = d1[j] + d2[j];
-                w2[j] = d2[j] - d1[j];
-                w3[j] = d1[j] - d3[j];
+                let far = |row: &[f32]| if T == 4 { row[j] } else { 0.0 };
+                let line = input_line::<T>([d0[j], d1[j], d2[j], d3[j], far(d4), far(d5)]);
+                (w0[j], w1[j], w2[j], w3[j]) = (line[0], line[1], line[2], line[3]);
+                if T == 4 {
+                    (w4[j], w5[j]) = (line[4], line[5]);
+                }
             }
-            // Columns: (B^T d) B -> 4x4 per tile, plane by plane.
-            for (a, wa) in w.chunks_exact(wp).enumerate() {
-                let at = |b: usize| (a * 4 + b) * ic * tb + c * tb + r * tiles_x;
-                // The four planes of row `a` are `ic * tb` apart.
-                let (z0, rest) = v[at(0)..].split_at_mut(ic * tb);
-                let (z1, rest) = rest.split_at_mut(ic * tb);
-                let (z2, z3) = rest.split_at_mut(ic * tb);
-                let (z0, z1, z2, z3) = (
-                    &mut z0[..tiles_x],
-                    &mut z1[..tiles_x],
-                    &mut z2[..tiles_x],
-                    &mut z3[..tiles_x],
-                );
+            // Columns: (B^T d) B -> (T + 2)² per tile, plane by plane.
+            for (a, wa) in w.chunks_exact(wp).take(alpha).enumerate() {
+                let wa = &wa[..wp];
+                // The T + 2 planes of row `a` are `ic * tb` apart.
+                let mut planes = v[((a * alpha) * ic + c) * tb + r * tiles_x..].chunks_mut(ic * tb);
+                let mut plane = || &mut planes.next().expect("a plane per coordinate")[..tiles_x];
+                let (z0, z1, z2, z3) = (plane(), plane(), plane(), plane());
+                let (z4, z5) = if T == 4 {
+                    (plane(), plane())
+                } else {
+                    Default::default()
+                };
                 for tx in 0..tiles_x {
-                    let (r0, r1, r2, r3) =
-                        (wa[2 * tx], wa[2 * tx + 1], wa[2 * tx + 2], wa[2 * tx + 3]);
-                    z0[tx] = r0 - r2;
-                    z1[tx] = r1 + r2;
-                    z2[tx] = r2 - r1;
-                    z3[tx] = r1 - r3;
+                    let x = |k: usize| if k < alpha { wa[T * tx + k] } else { 0.0 };
+                    let line = input_line::<T>([x(0), x(1), x(2), x(3), x(4), x(5)]);
+                    (z0[tx], z1[tx], z2[tx], z3[tx]) = (line[0], line[1], line[2], line[3]);
+                    if T == 4 {
+                        (z4[tx], z5[tx]) = (line[4], line[5]);
+                    }
                 }
             }
         }
     }
 }
 
-/// Inverse transform of a block: `Y = A^T M A + bias` per (channel, tile),
-/// clipping the ragged right/bottom edge, where
-/// `A^T = [[1,1,1,0],[0,1,-1,-1]]`. `m` is `[16][oc][tiles of the block]`,
-/// `bands[o]` channel `o`'s output rows of the block.
+/// Inverse transform of a block: `Y = A^T M A + bias` per (channel, tile)
+/// ([`inverse_line`] has `A^T`), clipping the ragged right/bottom edge.
+/// `m` is `[coordinate][oc][tiles of the block]`, `bands[o]` channel
+/// `o`'s output rows of the block.
 ///
-/// The mirror image of [`input_transform`]: a tile row at a time, the 16
-/// planes read contiguously along the tiles, both output rows of the tile
-/// row assembled in `rows`, rectified there if `wb` says so, and copied
-/// out clipped to the map width — or pooled in `MaxPool2d`'s window order.
-fn inverse_transform(
+/// The mirror image of [`input_transform`]: a tile row at a time, the
+/// coordinates' planes read contiguously along the tiles, the tile row's
+/// `T` output rows assembled in `rows`, rectified there if `wb` says so,
+/// and copied out clipped to the map — or pooled in `MaxPool2d`'s window
+/// order (a 2x2 window of an even map lies inside one tile).
+fn inverse_transform<const T: usize>(
     geom: &Conv2dGeometry,
     tile_rows: Range<usize>,
     m: &[f32],
@@ -838,46 +1054,86 @@ fn inverse_transform(
     bands: &mut [&mut [f32]],
     rows: &mut [f32],
 ) {
-    let oc = bands.len();
-    let tiles_x = geom.out_w.div_ceil(2);
+    let (oc, alpha) = (bands.len(), T + 2);
+    let tiles_x = geom.out_w.div_ceil(T);
     let tb = tile_rows.len() * tiles_x;
-    let [y0, y1] = split_rows(rows, 2 * tiles_x);
+    // `s[j * T + i]`: row `i` of `A^T M`, column `j`, along the tiles;
+    // then the tile row's `T` output rows.
+    let (s, ys) = rows.split_at_mut(6 * 4 * tiles_x);
+    let mut ys: [&mut [f32]; 4] = split_rows(ys, T * tiles_x);
+    let ys = &mut ys[..T];
     for (o, band) in bands.iter_mut().enumerate() {
         let bias_o = bias[o];
         for (r, ty) in tile_rows.clone().enumerate() {
-            let p: [&[f32]; 16] =
-                std::array::from_fn(|xi| &m[xi * oc * tb + o * tb + r * tiles_x..][..tiles_x]);
-            for tx in 0..tiles_x {
-                // Rows: A^T M -> 2 rows of 4.
-                let s0: [f32; 4] = std::array::from_fn(|j| p[j][tx] + p[4 + j][tx] + p[8 + j][tx]);
-                let s1: [f32; 4] =
-                    std::array::from_fn(|j| p[4 + j][tx] - p[8 + j][tx] - p[12 + j][tx]);
-                // Columns: (A^T M) A -> 2x2, plus bias.
-                y0[2 * tx] = s0[0] + s0[1] + s0[2] + bias_o;
-                y0[2 * tx + 1] = s0[1] - s0[2] - s0[3] + bias_o;
-                y1[2 * tx] = s1[0] + s1[1] + s1[2] + bias_o;
-                y1[2 * tx + 1] = s1[1] - s1[2] - s1[3] + bias_o;
+            let plane = |xi: usize| &m[xi * oc * tb + o * tb + r * tiles_x..][..tiles_x];
+            // Rows: A^T M -> T rows of T + 2, a column j at a time, along
+            // the tiles.
+            for j in 0..alpha {
+                let p = |a: usize| plane(if a < alpha { a * alpha + j } else { j });
+                let (p0, p1, p2, p3, p4, p5) = (p(0), p(1), p(2), p(3), p(4), p(5));
+                let mut sj = s[j * T * tiles_x..][..T * tiles_x].chunks_exact_mut(tiles_x);
+                let mut row = || sj.next().expect("T rows per column");
+                let (s0, s1) = (row(), row());
+                let (s2, s3) = if T == 4 {
+                    (row(), row())
+                } else {
+                    Default::default()
+                };
+                for tx in 0..tiles_x {
+                    let far = |plane: &[f32]| if T == 4 { plane[tx] } else { 0.0 };
+                    let line =
+                        inverse_line::<T>([p0[tx], p1[tx], p2[tx], p3[tx], far(p4), far(p5)]);
+                    (s0[tx], s1[tx]) = (line[0], line[1]);
+                    if T == 4 {
+                        (s2[tx], s3[tx]) = (line[2], line[3]);
+                    }
+                }
+            }
+            // Columns: (A^T M) A -> T x T per tile, plus bias.
+            for (i, y) in ys.iter_mut().enumerate() {
+                let q =
+                    |j: usize| &s[((if j < alpha { j } else { 0 }) * T + i) * tiles_x..][..tiles_x];
+                let (q0, q1, q2, q3, q4, q5) = (q(0), q(1), q(2), q(3), q(4), q(5));
+                let y = &mut y[..T * tiles_x];
+                for tx in 0..tiles_x {
+                    let far = |row: &[f32]| if T == 4 { row[tx] } else { 0.0 };
+                    let line =
+                        inverse_line::<T>([q0[tx], q1[tx], q2[tx], q3[tx], far(q4), far(q5)]);
+                    for (jj, v) in line.into_iter().take(T).enumerate() {
+                        y[T * tx + jj] = v + bias_o;
+                    }
+                }
             }
             if wb != WriteBack::Bias {
-                for v in y0.iter_mut().chain(y1.iter_mut()) {
+                for v in ys.iter_mut().flat_map(|y| y.iter_mut()) {
                     *v = v.max(0.0);
                 }
             }
             if wb == WriteBack::ReluPool {
-                for (tx, d) in band[r * tiles_x..][..tiles_x].iter_mut().enumerate() {
-                    let mut best = y0[2 * tx];
-                    for v in [y0[2 * tx + 1], y1[2 * tx], y1[2 * tx + 1]] {
-                        if v > best {
-                            best = v;
-                        }
+                let half = geom.out_w / 2;
+                for pr in 0..T / 2 {
+                    if T * ty + 2 * pr >= geom.out_h {
+                        break;
                     }
-                    *d = best;
+                    let (y0, y1) = (&ys[2 * pr], &ys[2 * pr + 1]);
+                    for (q, d) in band[(T / 2 * r + pr) * half..][..half]
+                        .iter_mut()
+                        .enumerate()
+                    {
+                        let mut best = y0[2 * q];
+                        for v in [y0[2 * q + 1], y1[2 * q], y1[2 * q + 1]] {
+                            if v > best {
+                                best = v;
+                            }
+                        }
+                        *d = best;
+                    }
                 }
                 continue;
             }
-            for (dy, y) in [&*y0, &*y1].into_iter().enumerate() {
-                if 2 * ty + dy < geom.out_h {
-                    band[(2 * r + dy) * geom.out_w..][..geom.out_w]
+            for (dy, y) in ys.iter().enumerate() {
+                if T * ty + dy < geom.out_h {
+                    band[(T * r + dy) * geom.out_w..][..geom.out_w]
                         .copy_from_slice(&y[..geom.out_w]);
                 }
             }
@@ -886,13 +1142,15 @@ fn inverse_transform(
 }
 
 /// The first `N` rows of `buf`, each `len` long.
+#[inline(always)]
 fn split_rows<const N: usize>(buf: &mut [f32], len: usize) -> [&mut [f32]; N] {
     let mut rows = buf.chunks_exact_mut(len);
     std::array::from_fn(|_| rows.next().expect("scratch holds the rows"))
 }
 
-/// Absolute error bound of [`conv2d_winograd`] vs the im2col reference,
-/// per output element, for this layer's actual operands.
+/// Absolute error bound of a `tile` Winograd kernel — [`conv2d_winograd`]
+/// at 2, [`conv2d`] at [`winograd_tile`]'s choice — vs the im2col
+/// reference, per output element, for this layer's actual operands.
 ///
 /// The F(2x2,3x3) transforms amplify magnitudes by at most 4 (`B^T d B`)
 /// and 2.25 (`G g G^T`), each product chain then runs ~`patch_len`
@@ -905,11 +1163,23 @@ fn split_rows<const N: usize>(buf: &mut [f32], len: usize) -> [&mut [f32]; N] {
 /// |winograd - im2col| <= 64 * patch_len * max|W| * max|X| * eps_f32
 /// ```
 ///
-/// which the property tests in `tests/conv_algorithms.rs` assert on
-/// random operands (in practice the observed error is ~100x smaller).
-pub fn winograd_error_bound(geom: &Conv2dGeometry, weight: &[f32], input: &[f32]) -> f32 {
+/// F(4x4,3x3)'s transforms amplify far more — up to 100 (`B^T d B`, row
+/// sums of 10) and 361 (`A^T M A`, row sums of 19) — and its `G` rounds
+/// (sixths, twelfths, twenty-fourths). On the property tests' operands
+/// its error reaches ~8 of the units above against F(2x2)'s ~0.5, so its
+/// constant is 16 times F(2x2)'s: 1024.
+///
+/// The property tests in `tests/conv_algorithms.rs` assert both on random
+/// operands (in practice the observed error is ~100x smaller).
+pub fn winograd_error_bound(
+    tile: usize,
+    geom: &Conv2dGeometry,
+    weight: &[f32],
+    input: &[f32],
+) -> f32 {
     let max_abs = |xs: &[f32]| xs.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
-    64.0 * geom.patch_len() as f32 * max_abs(weight) * max_abs(input) * f32::EPSILON
+    let safety = if tile == 2 { 64.0 } else { 1024.0 };
+    safety * geom.patch_len() as f32 * max_abs(weight) * max_abs(input) * f32::EPSILON
 }
 
 #[cfg(test)]
@@ -1099,7 +1369,7 @@ mod tests {
         let want = reference(&geom, oc, &w, &b, &x);
         let mut got = vec![f32::NAN; oc * geom.out_positions()];
         conv2d_winograd(&geom, oc, &w, &b, &x, &mut got);
-        let bound = winograd_error_bound(&geom, &w, &x);
+        let bound = winograd_error_bound(2, &geom, &w, &x);
         for (i, (g, r)) in got.iter().zip(&want).enumerate() {
             assert!(
                 (g - r).abs() <= bound,
@@ -1163,7 +1433,7 @@ mod tests {
             let weight = noise(seed, oc * geom.patch_len());
             let bias = noise(seed ^ 0xB1A5, oc);
             let input = noise(seed ^ 0x1DEA, ic * in_h * in_w);
-            let filter = WinogradFilter::new(&geom, oc, &weight);
+            let filter = WinogradFilter::new(&geom, oc, &weight, 2);
             let tiles_y = geom.out_h.div_ceil(2);
             let run = |block_rows: usize| {
                 let mut out = vec![f32::NAN; oc * geom.out_positions()];
@@ -1182,15 +1452,15 @@ mod tests {
         // VGG conv1_2 (64 -> 64 @ 224^2): one tile row of V + M is
         // 16 * 128 * 112 floats = 7/16 of the budget, so blocks are two
         // tile rows.
-        assert_eq!(winograd_block_rows(64, 64, 112, 112), 2);
+        assert_eq!(winograd_block_rows(2, 64, 64, 112, 112), 2);
         // A map whose single tile row already overflows still gets one.
-        assert_eq!(winograd_block_rows(64, 64, 400, 9), 1);
+        assert_eq!(winograd_block_rows(2, 64, 64, 400, 9), 1);
         // Small maps fit whole.
-        assert_eq!(winograd_block_rows(128, 128, 7, 7), 7);
+        assert_eq!(winograd_block_rows(2, 128, 128, 7, 7), 7);
         // Deep layers follow the same rule: U is packed once per call, so
         // a block re-reads it but never re-packs it.
-        assert_eq!(winograd_block_rows(128, 256, 28, 28), 3);
-        assert_eq!(winograd_block_rows(512, 512, 14, 14), 2);
+        assert_eq!(winograd_block_rows(2, 128, 256, 28, 28), 3);
+        assert_eq!(winograd_block_rows(2, 512, 512, 14, 14), 2);
         // So every VGG-16 3x3 layer's V + M block is within the budget.
         for (ic, oc, map) in [
             (3, 64, 224),
@@ -1204,11 +1474,125 @@ mod tests {
             (512, 512, 14),
         ] {
             let tiles = map / 2;
-            let rows = winograd_block_rows(ic, oc, tiles, tiles);
+            let rows = winograd_block_rows(2, ic, oc, tiles, tiles);
             assert!(
                 16 * (ic + oc) * rows * tiles <= WINOGRAD_BLOCK_FLOATS,
                 "{ic} -> {oc} @ {map}: {rows} tile rows"
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// F(4x4) the same way, and on top the `U` chunk: which output
+        /// channels share a GEMM never changes what a row computes, so
+        /// every block height under every chunk width gives the same bits
+        /// (a chunk of 1 is a one-row GEMM per channel).
+        #[test]
+        fn winograd4_is_bitwise_independent_of_block_height_and_chunk(
+            ic in 1usize..7,
+            in_h in 1usize..24,
+            in_w in 1usize..24,
+            pad in 0usize..3,
+            oc in 1usize..9,
+            seed in proptest::any::<u64>(),
+        ) {
+            proptest::prop_assume!(in_h + 2 * pad >= 3 && in_w + 2 * pad >= 3);
+            let geom = Conv2dGeometry::new(ic, in_h, in_w, 3, 1, pad);
+            let weight = noise(seed, oc * geom.patch_len());
+            let bias = noise(seed ^ 0xB1A5, oc);
+            let input = noise(seed ^ 0x1DEA, ic * in_h * in_w);
+            let tiles_y = geom.out_h.div_ceil(4);
+            let run = |chunk: usize, block_rows: usize| {
+                let filter = WinogradFilter::chunked(&geom, oc, &weight, 4, chunk);
+                let mut out = vec![f32::NAN; oc * geom.out_positions()];
+                winograd_pipeline(&geom, &filter, &bias, &input, WriteBack::Bias, &mut out, block_rows);
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let whole = run(oc, tiles_y);
+            for chunk in [oc, 1, 3] {
+                for block_rows in [1, 2, tiles_y] {
+                    proptest::prop_assert_eq!(run(chunk, block_rows.min(tiles_y)), whole.clone());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn winograd4_within_documented_bound() {
+        // Ragged tiles on both axes (out 13 x 10) and a channel tail.
+        let geom = Conv2dGeometry::new(5, 13, 10, 3, 1, 1);
+        let oc = 7;
+        let (w, b, x) = fixture(&geom, oc);
+        let want = reference(&geom, oc, &w, &b, &x);
+        let filter = WinogradFilter::new(&geom, oc, &w, 4);
+        let mut got = vec![f32::NAN; oc * geom.out_positions()];
+        conv2d_winograd_prepared(&geom, &filter, &b, &x, WriteBack::Bias, &mut got);
+        let bound = winograd_error_bound(4, &geom, &w, &x);
+        for (i, (g, r)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                (g - r).abs() <= bound,
+                "element {i}: {g} vs {r} (bound {bound})"
+            );
+        }
+    }
+
+    #[test]
+    fn the_tile_follows_the_map_and_the_channels() {
+        let tile = |ic, side, oc| winograd_tile(&Conv2dGeometry::new(ic, side, side, 3, 1, 1), oc);
+        // VGG-16: F(4x4) from 224² down to 28², F(2x2) on 14² and on the
+        // three-channel first layer.
+        for (ic, side, oc) in [
+            (64, 224, 64),
+            (64, 112, 128),
+            (256, 56, 256),
+            (512, 28, 512),
+        ] {
+            assert_eq!(tile(ic, side, oc), 4, "{ic} -> {oc} @ {side}");
+        }
+        assert_eq!(tile(512, 14, 512), 2);
+        assert_eq!(tile(3, 224, 64), 2);
+        // AlexNet's 13² layers and the tiny nets' few-channel ones.
+        assert_eq!(tile(384, 13, 384), 2);
+        assert_eq!(tile(8, 32, 8), 2);
+        assert_eq!(tile(16, 16, 16), 2);
+        // Both sides count: a 28-row map 27 wide stays F(2x2).
+        let narrow = Conv2dGeometry::new(16, 28, 27, 3, 1, 1);
+        assert_eq!(winograd_tile(&narrow, 16), 2);
+    }
+
+    #[test]
+    fn u_chunks_stay_inside_the_budget() {
+        // VGG-16's two F(4x4) layers over the budget: 512 -> 512 in three
+        // chunks of whole 16-row tiles, 256 -> 512 in two.
+        assert_eq!(winograd_chunk(4, 512, 512), 176);
+        assert_eq!(winograd_chunk(4, 256, 512), 256);
+        // Everything else is one chunk, F(2x2)'s 512 -> 512 included.
+        assert_eq!(winograd_chunk(4, 256, 256), 256);
+        assert_eq!(winograd_chunk(2, 512, 512), 512);
+        for (tile, ic, oc) in [
+            (4, 512, 512),
+            (4, 256, 512),
+            (4, 2048, 100),
+            (2, 1024, 1024),
+        ] {
+            let chunk = winograd_chunk(tile, ic, oc);
+            let coords = (tile + 2) * (tile + 2);
+            assert!(coords * ic * chunk.next_multiple_of(16) <= WINOGRAD_U_FLOATS);
+            // A chunked layer is one block: its input is transformed once.
+            assert_eq!(winograd_block_rows(tile, ic, oc, 7, 7), 7);
+        }
+        // F(4x4)'s unchunked VGG layers keep V + M within their budget.
+        for (ic, oc, map) in [
+            (64, 64, 224),
+            (64, 128, 112),
+            (128, 128, 112),
+            (128, 256, 56),
+            (256, 256, 56),
+        ] {
+            let tiles = map / 4;
+            let rows = winograd_block_rows(4, ic, oc, tiles, tiles);
+            assert!(rows < tiles, "{ic} -> {oc} @ {map}: one block");
+            assert!(36 * (ic + oc) * rows * tiles <= 2 * WINOGRAD_BLOCK_FLOATS);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Cross-algorithm convolution correctness: the direct kernel must match
 //! the im2col reference **bitwise** on every geometry it accepts, and the
-//! Winograd F(2x2,3x3) kernel must stay within its documented error bound
-//! (and be exact where f32 arithmetic is exact).
+//! Winograd F(2x2,3x3) and F(4x4,3x3) kernels must stay within their
+//! documented error bounds (F(2x2) exact where f32 arithmetic is exact).
 //!
 //! The property tests deliberately sweep the ugly corners: strided and
 //! padded geometries together, 1x1 kernels, non-square inputs, and
@@ -11,7 +11,7 @@
 use pcnn_profile::{Phase, PhaseTotals};
 use pcnn_tensor::{
     conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, gemm_bias, im2col,
-    winograd_error_bound, Conv2dGeometry, ConvAlgo,
+    winograd_error_bound, winograd_tile, Conv2dGeometry, ConvAlgo,
 };
 use proptest::prelude::*;
 
@@ -117,7 +117,39 @@ proptest! {
         let (w, b, x) = operands(&geom, oc, seed);
         let want = reference(&geom, oc, &w, &b, &x);
         let got = run_winograd(&geom, oc, &w, &b, &x);
-        let bound = winograd_error_bound(&geom, &w, &x);
+        let bound = winograd_error_bound(2, &geom, &w, &x);
+        for (i, (g, r)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(
+                (g - r).abs() <= bound,
+                "element {}: {} vs {} (bound {})", i, g, r, bound
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `conv2d` runs F(4x4) on maps of 28 and more with 16 or more
+    /// channels each way — ragged tiles, every padding, a pack block and
+    /// a half of depth — and stays within F(4x4)'s documented bound.
+    #[test]
+    fn winograd4_within_bound_on_large_maps(
+        c in 16usize..40,
+        in_h in 26usize..36,
+        in_w in 26usize..36,
+        pad in 0usize..3,
+        oc in 16usize..24,
+        seed in any::<u64>(),
+    ) {
+        let geom = Conv2dGeometry::new(c, in_h, in_w, 3, 1, pad);
+        prop_assume!(geom.out_h.min(geom.out_w) >= 28);
+        prop_assert_eq!(winograd_tile(&geom, oc), 4);
+        let (w, b, x) = operands(&geom, oc, seed);
+        let want = reference(&geom, oc, &w, &b, &x);
+        let mut got = vec![f32::NAN; oc * geom.out_positions()];
+        conv2d(ConvAlgo::Winograd, &geom, oc, &w, &b, &x, 1, &mut got);
+        let bound = winograd_error_bound(4, &geom, &w, &x);
         for (i, (g, r)) in got.iter().zip(&want).enumerate() {
             prop_assert!(
                 (g - r).abs() <= bound,
@@ -224,7 +256,7 @@ fn winograd_edge_shapes_stay_within_bound() {
         let (w, b, x) = operands(geom, *oc, 43);
         let want = reference(geom, *oc, &w, &b, &x);
         let got = run_winograd(geom, *oc, &w, &b, &x);
-        let bound = winograd_error_bound(geom, &w, &x);
+        let bound = winograd_error_bound(2, geom, &w, &x);
         for (i, (g, r)) in got.iter().zip(&want).enumerate() {
             assert!(
                 (g - r).abs() <= bound,
@@ -303,34 +335,52 @@ fn conv_algorithms_bitwise_equal_across_thread_counts() {
 /// must still be the whole-image formulas `pcnn profile` has always
 /// reported; the 16 GEMMs read the `U` the filter transform packed, so
 /// they report no `PackA`; and together with the GEMM's phases the spans
-/// must still cover the layer's wall time.
+/// must still cover the layer's wall time. `conv2d`'s F(4x4) layers
+/// report the same phases with their own counts — 36 coordinates per 4x4
+/// tile, a chunked `U` transformed a chunk at a time — and no `PackA`
+/// either.
 #[test]
 fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
-    // (in_channels, in_h, in_w, pad, out_channels): four blocks with a
-    // short last one and ragged tiles; one block; padding 0 and 2, where
-    // the blocks' input-row shares meet the image border differently.
+    // (in_channels, in_h, in_w, pad, out_channels, tile): four blocks with
+    // a short last one and ragged tiles; one block; padding 0 and 2, where
+    // the blocks' input-row shares meet the image border differently;
+    // then F(4x4) in two blocks, and with `U` in two chunks.
     let shapes = [
-        (64usize, 55usize, 56usize, 1usize, 64usize),
-        (128, 14, 14, 1, 128),
-        (32, 112, 40, 0, 48),
-        (32, 112, 40, 2, 48),
+        (64usize, 55usize, 56usize, 1usize, 64usize, 2usize),
+        (128, 14, 14, 1, 128, 2),
+        (32, 112, 40, 0, 48, 2),
+        (32, 112, 40, 2, 48, 2),
+        (48, 120, 60, 1, 48, 4),
+        (384, 30, 30, 0, 320, 4),
     ];
     pcnn_profile::set_enabled(true);
     pcnn_profile::reset();
-    for (layer, &(ic, in_h, in_w, pad, oc)) in shapes.iter().enumerate() {
+    for (layer, &(ic, in_h, in_w, pad, oc, tile)) in shapes.iter().enumerate() {
         let geom = Conv2dGeometry::new(ic, in_h, in_w, 3, 1, pad);
+        assert!(tile == 2 || winograd_tile(&geom, oc) == tile);
         let weight = vec![0.25f32; oc * geom.patch_len()];
         let bias = vec![0.5f32; oc];
         let input = vec![1.0f32; ic * in_h * in_w];
         let mut out = vec![0.0f32; oc * geom.out_positions()];
+        let conv = |out: &mut [f32]| match tile {
+            2 => conv2d_winograd(&geom, oc, &weight, &bias, &input, out),
+            _ => conv2d(
+                ConvAlgo::Winograd,
+                &geom,
+                oc,
+                &weight,
+                &bias,
+                &input,
+                1,
+                out,
+            ),
+        };
         // Warm the scratch pool so first-use allocation is not timed.
-        conv2d_winograd(&geom, oc, &weight, &bias, &input, &mut out);
+        conv(&mut out);
         let mut run = |threads: usize| {
             pcnn_profile::reset();
             let scope = pcnn_profile::layer_scope(layer, "conv");
-            pcnn_parallel::with_threads(threads, || {
-                conv2d_winograd(&geom, oc, &weight, &bias, &input, &mut out);
-            });
+            pcnn_parallel::with_threads(threads, || conv(&mut out));
             drop(scope);
             pcnn_profile::snapshot()
                 .into_iter()
@@ -339,7 +389,14 @@ fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
         };
         let profile = run(1);
 
-        let t = geom.out_h.div_ceil(2) * geom.out_w.div_ceil(2);
+        let t = geom.out_h.div_ceil(tile) * geom.out_w.div_ceil(tile);
+        let coords = (tile + 2) * (tile + 2);
+        // Flops per filter, input tile and output tile.
+        let [filter, tile_in, tile_out] = if tile == 2 {
+            [40, 40, 16]
+        } else {
+            [117, 210, 146]
+        };
         // The filter transform writes U packed for the GEMMs (counted
         // without the tier's tile padding), so they pack no A; M is
         // stored by the GEMMs, never zero-filled.
@@ -351,29 +408,29 @@ fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
         let transform = profile.phase(Phase::WinogradTransform);
         assert_eq!(
             transform.flops,
-            (40 * oc * ic + 40 * ic * t) as u64,
+            (filter * oc * ic + tile_in * ic * t) as u64,
             "transform flops, layer {layer}"
         );
         assert_eq!(
             transform.bytes,
-            4 * (oc * geom.patch_len() + ic * in_h * in_w + 16 * (oc * ic + ic * t)) as u64,
+            4 * (oc * geom.patch_len() + ic * in_h * in_w + coords * (oc * ic + ic * t)) as u64,
             "transform bytes, layer {layer}"
         );
         let inverse = profile.phase(Phase::WinogradInverse);
         assert_eq!(
             inverse.flops,
-            (16 * oc * t) as u64,
+            (tile_out * oc * t) as u64,
             "inverse flops, layer {layer}"
         );
         assert_eq!(
             inverse.bytes,
-            4 * (16 * oc * t + oc * geom.out_positions()) as u64,
+            4 * (coords * oc * t + oc * geom.out_positions()) as u64,
             "inverse bytes, layer {layer}"
         );
         assert_eq!(
             profile.phase(Phase::Microkernel).flops,
-            2 * (16 * oc * ic * t) as u64,
-            "the 16 GEMMs' flops, layer {layer}"
+            2 * (coords * oc * ic * t) as u64,
+            "the {coords} GEMMs' flops, layer {layer}"
         );
 
         // Wall-clock: a preemption between two spans is not a hole in

@@ -23,7 +23,9 @@
 mod common;
 
 use common::{fixture, fnv1a};
-use pcnn_tensor::{conv2d_winograd, Conv2dGeometry};
+use pcnn_tensor::{
+    conv2d, conv2d_winograd, conv2d_winograd_relu, winograd_tile, Conv2dGeometry, ConvAlgo,
+};
 
 /// `(in_channels, in_h, in_w, pad, out_channels, hash of out)`.
 const PINNED: &[(usize, usize, usize, usize, usize, u64)] = &[
@@ -66,6 +68,71 @@ fn winograd_output_bits_are_pinned_across_block_and_thread_changes() {
             assert_eq!(
                 got, want,
                 "winograd {ic}x{in_h}x{in_w} pad {pad} -> {oc} at {threads} thread(s): \
+                 hash {got:#018x}, pinned {want:#018x}"
+            );
+        }
+    }
+}
+
+/// What an F(4x4) [`PINNED_F4`] row runs: `conv2d` through
+/// [`ConvAlgo::Winograd`], or `conv2d_winograd_relu` with the ReLU fused
+/// and, with `Pool`, the 2x2 stride-2 max-pool too.
+#[derive(Clone, Copy, Debug)]
+enum Fused {
+    No,
+    Relu,
+    Pool,
+}
+
+/// F(4x4,3x3), which `conv2d` runs on these shapes (maps of 28 and more,
+/// 16 or more channels each way): `(in_channels, in_h, in_w, pad,
+/// out_channels, fused, hash of out)`, recorded on the commit that added
+/// the kernel, once it agreed with the im2col reference within
+/// `winograd_error_bound` and with itself at every block height, `U`
+/// chunk and thread count.
+const PINNED_F4: &[(usize, usize, usize, usize, usize, Fused, u64)] = &[
+    // Two blocks, the second short.
+    (48, 120, 60, 1, 48, Fused::No, 0xe005_390b_2450_0628),
+    // `U` over its budget: two chunks of output channels, and more input
+    // channels than one `KC` block.
+    (320, 28, 28, 1, 384, Fused::No, 0x1af5_944a_4c96_0176),
+    // Maps of 1, 2 and 3 mod 4: ragged bottom rows and right columns.
+    (16, 29, 29, 1, 16, Fused::No, 0x1d1d_512d_8210_f63a),
+    (24, 30, 34, 1, 20, Fused::No, 0xc70b_6aa3_8a86_323f),
+    (16, 31, 33, 1, 24, Fused::No, 0xf47f_5d79_a520_8c5c),
+    // Padding 0 and 2, the second with a ragged register tile of rows.
+    (16, 32, 30, 0, 16, Fused::No, 0xaed4_4e43_14ae_a12c),
+    (20, 28, 29, 2, 17, Fused::No, 0x9a0b_72e1_877d_6cc7),
+    // The fused write-back: ReLU on a map of 3 mod 4, ReLU and the 2x2
+    // pool on one of 2 mod 4, whose last tile row and column hold one
+    // pool window each.
+    (16, 31, 29, 1, 16, Fused::Relu, 0xaec3_6e97_2c52_4cdb),
+    (16, 30, 30, 1, 24, Fused::Pool, 0x9ca3_dd42_a582_574c),
+];
+
+#[test]
+fn winograd4_output_bits_are_pinned_across_block_chunk_and_thread_changes() {
+    for &(ic, in_h, in_w, pad, oc, fused, want) in PINNED_F4 {
+        let geom = Conv2dGeometry::new(ic, in_h, in_w, 3, 1, pad);
+        assert_eq!(winograd_tile(&geom, oc), 4, "{ic}x{in_h}x{in_w} -> {oc}");
+        let weight = fixture(0x5749_4e4f, oc * geom.patch_len());
+        let bias = fixture(0x0b1a_5000, oc);
+        let input = fixture(0x1d3a_7e57, ic * in_h * in_w);
+        for threads in [1usize, 2, 3, 8] {
+            let got = pcnn_parallel::with_threads(threads, || {
+                let (w, b, x) = (&weight[..], &bias[..], &input[..]);
+                let positions = geom.out_positions() / if let Fused::Pool = fused { 4 } else { 1 };
+                let mut out = vec![f32::NAN; oc * positions];
+                match fused {
+                    Fused::No => conv2d(ConvAlgo::Winograd, &geom, oc, w, b, x, 1, &mut out),
+                    Fused::Relu => conv2d_winograd_relu(&geom, oc, w, b, x, 1, false, &mut out),
+                    Fused::Pool => conv2d_winograd_relu(&geom, oc, w, b, x, 1, true, &mut out),
+                }
+                fnv1a(&out)
+            });
+            assert_eq!(
+                got, want,
+                "F(4x4) {ic}x{in_h}x{in_w} pad {pad} -> {oc} {fused:?} at {threads} thread(s): \
                  hash {got:#018x}, pinned {want:#018x}"
             );
         }
