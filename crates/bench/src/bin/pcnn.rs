@@ -53,7 +53,7 @@ use pcnn_telemetry::json::JsonValue;
 /// text, `Err(Failed)` exits 1.
 type CmdResult = Result<(), CliError>;
 
-const USAGE: &str = "usage:\n  pcnn platforms\n  pcnn compile  --gpu <k20|titanx|970m|tx1> --net <alexnet|vggnet|googlenet> --task <interactive|realtime|background> [--rate <imgs/s>]\n  pcnn simulate --gpu <...> --net <...> [--batch N] [--library <cublas|cudnn|nervana>]\n  pcnn tune     --gpu <...> --m <M> --n <N> --k <K>\n  pcnn serve    [--gpu <a,b,...>] [--net <...>] [--seed N] [--requests N] [--rate R] [--fps F] [--frames N] [--bg-images N] [--max-batch N] [--no-degrade] [--smoke] [--json <path>]\n  pcnn serve-fleet [--smoke] [--policy <round-robin|affinity|energy|steal>] [--scenario <deadline|slack|drain|ladder>] [--stream N] [--json <path>]\n                                             run the heterogeneous K20c+TX1 fleet scenarios under every routing policy; --scenario runs exactly one (clean traces); --stream N serves N lazy requests in O(1) memory\n  pcnn bench-gemm [--reps N] [--json <path>]\n  pcnn bench-conv [--reps N] [--smoke] [--json <path>]\n                                             sweep conv algorithms ({im2col,direct,winograd}) over the canonical layer shapes, the tuner's predicted ms beside the observed, + tuned-plan e2e proof\n  pcnn profile <alexnet|vggnet|googlenet> [--batch N] [--reps N] [--json <path>]\n                                             per-layer phase/roofline report; --json writes the deterministic profile document\n  pcnn repro <id> | --list | all --dir <path>\n                                             regenerate a table / figure of the paper (ids: --list); `all` writes <path>/<id>.txt for every results/<id>.txt\n  pcnn obs <trace.json>                      analyze an exported serve trace\n  pcnn obs diff <a.json> <b.json>            attribute the time delta between two profile documents or Chrome traces\n  pcnn obs route <trace.json> [--req N] [--workload W]   routing audit trail: reason histogram, steal flows, per-request \"why platform P\"\n  pcnn obs incident <trace>.incident.json    postmortem a flight-recorder incident snapshot (alert + last windows + recent decisions)\n  pcnn obs check [--baseline-<name> P] [--candidate-<name> P] [--reps N]   (<name>: serve, gemm, profile, conv, fleet)\n                                             gate fresh runs against the committed baselines\nevery subcommand also accepts --trace <path> (or PCNN_TRACE=<path>) to write a Chrome trace + JSONL manifest + Prometheus metrics,\nand --threads <N> (or PCNN_THREADS=<N>) to pin the CPU worker pool\nexit codes: 0 success, 1 the run failed, 2 the command line was refused";
+const USAGE: &str = "usage:\n  pcnn platforms\n  pcnn compile  --gpu <k20|titanx|970m|tx1> --net <alexnet|vggnet|googlenet> --task <interactive|realtime|background> [--rate <imgs/s>]\n  pcnn simulate --gpu <...> --net <...> [--batch N] [--library <cublas|cudnn|nervana>]\n  pcnn tune     --gpu <...> --m <M> --n <N> --k <K>\n  pcnn serve    [--gpu <a,b,...>] [--net <...>] [--seed N] [--requests N] [--rate R] [--fps F] [--frames N] [--bg-images N] [--max-batch N] [--no-degrade] [--smoke] [--json <path>]\n  pcnn serve-fleet [--smoke] [--policy <round-robin|affinity|energy|steal>] [--scenario <deadline|slack|drain|ladder>] [--stream N] [--json <path>]\n                                             run the heterogeneous K20c+TX1 fleet scenarios under every routing policy; --scenario runs exactly one (clean traces); --stream N serves N lazy requests in O(1) memory\n  pcnn bench-gemm [--reps N] [--json <path>]\n  pcnn bench-conv [--reps N] [--smoke] [--json <path>]\n                                             sweep conv algorithms ({im2col,direct,winograd}) over the canonical layer shapes, the tuner's predicted ms beside the observed, + tuned-plan e2e proof\n  pcnn profile <alexnet|vggnet|googlenet> [--batch N] [--reps N] [--json <path>]\n                                             per-layer phase/roofline report; --json writes the deterministic profile document\n  pcnn repro <id> | --list | all --dir <path>\n                                             regenerate a table / figure of the paper (ids: --list); `all` writes <path>/<id>.txt for every results/<id>.txt\n  pcnn obs <trace.json>                      analyze an exported serve trace\n  pcnn obs diff <a.json> <b.json>            attribute the time delta between two profile documents or Chrome traces\n  pcnn obs route <trace.json> [--req N] [--workload W]   routing audit trail: reason histogram, steal flows, per-request \"why platform P\"\n  pcnn obs incident <trace>.incident.json    postmortem a flight-recorder incident snapshot (alert + last windows + recent decisions)\n  pcnn obs check [--baseline-<name> P] [--candidate-<name> P] [--reps N]   (<name>: serve, gemm, profile, conv, fleet)\n                                             gate fresh runs against the committed baselines\nevery subcommand also accepts --trace <path> (or PCNN_TRACE=<path>) to write a Chrome trace + Prometheus metrics (+ an incident snapshot when an SLO alert fires),\nand --threads <N> (or PCNN_THREADS=<N>) to pin the CPU worker pool\nexit codes: 0 success, 1 the run failed, 2 the command line was refused";
 
 /// A run that failed after its command line was accepted.
 fn failed(msg: impl std::fmt::Display) -> CliError {

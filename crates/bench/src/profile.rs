@@ -75,11 +75,6 @@ pub struct ProfileRun {
     /// `(region label, max/mean busy ratio)` per instrumented pool
     /// region, from telemetry — empty unless telemetry was recording.
     pub imbalance: Vec<(String, f64)>,
-    /// Layer registrations beyond the profiler's fixed table
-    /// ([`pcnn_profile::MAX_LAYERS`]) during the run. Nonzero means the
-    /// per-layer tables are truncated and the report says so explicitly
-    /// instead of silently attributing a partial network.
-    pub dropped_layers: u64,
 }
 
 impl ProfileRun {
@@ -124,7 +119,6 @@ pub fn run_profile(net: &Network, batch: usize, reps: usize) -> Result<ProfileRu
     let forward_wall_ns = t0.elapsed().as_nanos() as u64;
     pcnn_profile::set_enabled(false);
     let layers = pcnn_profile::snapshot();
-    let dropped_layers = pcnn_profile::dropped_layers();
     pcnn_profile::reset();
     result?;
     let imbalance = if pcnn_telemetry::enabled() {
@@ -153,7 +147,6 @@ pub fn run_profile(net: &Network, batch: usize, reps: usize) -> Result<ProfileRu
         layers,
         forward_wall_ns,
         imbalance,
-        dropped_layers,
     })
 }
 
@@ -343,13 +336,6 @@ pub fn render_report(run: &ProfileRun, peaks: &MachinePeaks) -> String {
         run.coverage() * 100.0,
         run.forward_wall_ns as f64 / reps as f64 / 1e6
     ));
-    if run.dropped_layers > 0 {
-        out.push_str(&format!(
-            "WARNING: {} layer(s) beyond the profiler's {}-layer table were dropped — per-layer rows above are truncated\n",
-            run.dropped_layers,
-            pcnn_profile::MAX_LAYERS
-        ));
-    }
     for (label, ratio) in &run.imbalance {
         out.push_str(&format!(
             "pool imbalance [{label}]: max/mean busy = {ratio:.2}x{}\n",

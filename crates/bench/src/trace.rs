@@ -1,15 +1,15 @@
 //! Telemetry wiring for `pcnn`: every subcommand accepts
 //! `--trace <path>` (or the `PCNN_TRACE` environment variable) and
-//! writes a Chrome trace-event file there plus a JSON-Lines manifest to
-//! `<path>.manifest.jsonl` and a Prometheus text exposition to
-//! `<path>.prom` when it exits.
+//! writes a Chrome trace-event file there, a Prometheus text exposition
+//! to `<path>.prom` and, when an SLO alert fired, an incident snapshot
+//! to `<path>.incident.json` when it exits.
 //!
 //! `PCNN_TRACE_MODE=full|deterministic` forces the export mode; without
 //! it, `pcnn serve` switches to the deterministic (virtual-time-only)
 //! export so seeded traces are byte-identical, while other commands keep
 //! the full wall-clock export.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use pcnn_telemetry::ExportMode;
 
@@ -30,67 +30,45 @@ impl TraceSession {
 }
 
 impl Drop for TraceSession {
+    /// Writes each file on its own: one that cannot be written is named
+    /// on stderr and the others are still written.
     fn drop(&mut self) {
         let Some(path) = self.path.take() else {
             return;
         };
-        if let Err(e) = pcnn_telemetry::export_chrome_trace(&path) {
-            eprintln!("warning: could not write trace {}: {e}", path.display());
-            return;
-        }
-        let manifest = manifest_path(&path);
-        if let Err(e) = pcnn_telemetry::export_manifest(&manifest) {
-            eprintln!(
-                "warning: could not write manifest {}: {e}",
-                manifest.display()
-            );
-            return;
-        }
-        let prom = prom_path(&path);
-        if let Err(e) = pcnn_telemetry::export_prometheus(&prom) {
-            eprintln!("warning: could not write metrics {}: {e}", prom.display());
-            return;
-        }
-        // An SLO alert during the run froze an incident snapshot: write it
+        let mut files = vec![
+            ("trace", path.clone(), pcnn_telemetry::render_chrome_trace()),
+            (
+                "metrics",
+                sidecar(&path, ".prom"),
+                pcnn_telemetry::render_prometheus(),
+            ),
+        ];
+        // An SLO alert during the run froze an incident snapshot: it goes
         // next to the trace for `pcnn obs incident`.
         if let Some(snapshot) = pcnn_telemetry::incident() {
-            let incident = incident_path(&path);
-            match std::fs::write(&incident, snapshot) {
-                Ok(()) => eprintln!("telemetry: incident snapshot {}", incident.display()),
-                Err(e) => eprintln!(
-                    "warning: could not write incident snapshot {}: {e}",
-                    incident.display()
-                ),
+            files.push((
+                "incident snapshot",
+                sidecar(&path, ".incident.json"),
+                snapshot,
+            ));
+        }
+        for (what, file, body) in files {
+            match std::fs::write(&file, body) {
+                Ok(()) => eprintln!("telemetry: {what} {}", file.display()),
+                Err(e) => eprintln!("warning: could not write {what} {}: {e}", file.display()),
             }
         }
-        eprintln!(
-            "telemetry: trace {} manifest {} metrics {} (open the trace in https://ui.perfetto.dev)",
-            path.display(),
-            manifest.display(),
-            prom.display()
-        );
     }
 }
 
-/// The manifest sidecar written next to a trace file.
-pub fn manifest_path(trace: &std::path::Path) -> PathBuf {
+/// The file `suffix` names next to a trace file: `.prom` for the
+/// Prometheus text exposition, `.incident.json` for the incident snapshot
+/// a run that fires an SLO alert freezes (see
+/// [`pcnn_telemetry::record_incident`]).
+fn sidecar(trace: &Path, suffix: &str) -> PathBuf {
     let mut s = trace.as_os_str().to_os_string();
-    s.push(".manifest.jsonl");
-    PathBuf::from(s)
-}
-
-/// The Prometheus text-exposition sidecar written next to a trace file.
-pub fn prom_path(trace: &std::path::Path) -> PathBuf {
-    let mut s = trace.as_os_str().to_os_string();
-    s.push(".prom");
-    PathBuf::from(s)
-}
-
-/// The incident-snapshot sidecar written next to a trace file when a run
-/// fires an SLO alert (see [`pcnn_telemetry::record_incident`]).
-pub fn incident_path(trace: &std::path::Path) -> PathBuf {
-    let mut s = trace.as_os_str().to_os_string();
-    s.push(".incident.json");
+    s.push(suffix);
     PathBuf::from(s)
 }
 
@@ -204,13 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn manifest_is_a_sidecar() {
+    fn sidecars_sit_beside_the_trace() {
+        let trace = Path::new("/tmp/x.json");
+        assert_eq!(sidecar(trace, ".prom"), PathBuf::from("/tmp/x.json.prom"));
         assert_eq!(
-            manifest_path(std::path::Path::new("/tmp/x.json")),
-            PathBuf::from("/tmp/x.json.manifest.jsonl")
-        );
-        assert_eq!(
-            incident_path(std::path::Path::new("/tmp/x.json")),
+            sidecar(trace, ".incident.json"),
             PathBuf::from("/tmp/x.json.incident.json")
         );
     }

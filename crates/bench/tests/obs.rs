@@ -249,7 +249,6 @@ fn traced_serve_runs_are_byte_identical_and_analyzable() {
     let out = pcnn().arg("obs").arg(&trace_a).output().unwrap();
     for p in [&trace_a, &trace_b] {
         std::fs::remove_file(p).ok();
-        std::fs::remove_file(format!("{}.manifest.jsonl", p.display())).ok();
         std::fs::remove_file(format!("{}.prom", p.display())).ok();
     }
     assert!(
@@ -261,6 +260,34 @@ fn traced_serve_runs_are_byte_identical_and_analyzable() {
     assert!(stdout.contains("queueing vs service per workload"));
     assert!(stdout.contains("age detection"));
     assert!(stdout.contains("critical path"));
+}
+
+#[test]
+fn an_unwritable_sidecar_leaves_the_others_written() {
+    // `<trace>.prom` cannot be written over a directory of that name; the
+    // trace and the incident snapshot of the alerting run still are.
+    let trace = tmp("unwritable-prom.json");
+    let prom = PathBuf::from(format!("{}.prom", trace.display()));
+    let incident = PathBuf::from(format!("{}.incident.json", trace.display()));
+    std::fs::create_dir_all(&prom).unwrap();
+    let out = pcnn()
+        .args(["serve-fleet", "--smoke", "--scenario", "deadline"])
+        .args(["--policy", "round-robin"])
+        .env("PCNN_TRACE", &trace)
+        .output()
+        .unwrap();
+    let (trace_written, incident_written) = (trace.is_file(), incident.is_file());
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&incident).ok();
+    std::fs::remove_dir(&prom).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "serve-fleet failed: {stderr}");
+    assert!(
+        stderr.contains(&format!("could not write metrics {}", prom.display())),
+        "the failed sidecar is not named: {stderr}"
+    );
+    assert!(trace_written, "no trace: {stderr}");
+    assert!(incident_written, "no incident snapshot: {stderr}");
 }
 
 #[test]
@@ -330,7 +357,6 @@ fn fleet_incident_and_route_trail_are_queryable_end_to_end() {
         .unwrap();
     std::fs::remove_file(&trace).ok();
     std::fs::remove_file(&incident).ok();
-    std::fs::remove_file(format!("{}.manifest.jsonl", trace.display())).ok();
     std::fs::remove_file(format!("{}.prom", trace.display())).ok();
     assert!(
         out.status.success(),

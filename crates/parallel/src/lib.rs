@@ -59,9 +59,9 @@
 //! histogram, and the region emits `parallel.busy_ns` /
 //! `parallel.idle_ns` counters (summed worker busy time vs. the
 //! remainder of `workers x region wall time`) so pool starvation is
-//! visible in trace manifests: a starved region shows `idle_ns` dwarfing
-//! `busy_ns`. The scratch pool counts `parallel.scratch.reuse` /
-//! `parallel.scratch.alloc`.
+//! visible in a trace's `.prom` exposition: a starved region shows
+//! `idle_ns` dwarfing `busy_ns`. The scratch pool counts
+//! `parallel.scratch.reuse` / `parallel.scratch.alloc`.
 //!
 //! Regions additionally meter **per-worker** busy time: every worker of
 //! a parallel region emits a [`pcnn_telemetry::worker_slice`] onto the

@@ -49,17 +49,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// Maximum distinct layer rows; deeper networks fold into the
-/// unattributed row rather than losing time, and every folded layer is
-/// counted by [`dropped_layers`] so reports can say so instead of
-/// silently merging.
-pub const MAX_LAYERS: usize = 128;
-
 /// Number of [`Phase`] variants.
 pub const NUM_PHASES: usize = 7;
 
-/// One row past the last layer: work recorded outside any layer scope.
-const UNATTRIBUTED: usize = MAX_LAYERS;
+/// The row past any layer index: work recorded outside any layer scope.
+const UNATTRIBUTED: usize = usize::MAX;
 
 /// The execution phases a layer's time divides into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,11 +115,6 @@ type Tables = Arc<Mutex<Recording>>;
 struct Recording {
     /// Rows by index, created on first touch ([`UNATTRIBUTED`] last).
     layers: BTreeMap<usize, LayerProfile>,
-    /// Layer scopes opened with `index >= MAX_LAYERS` (their spans fold
-    /// into the unattributed row); surfaced as the
-    /// `profile.dropped_layers` metric so deep models degrade visibly
-    /// instead of silently merging.
-    dropped_layers: u64,
 }
 
 impl Recording {
@@ -239,12 +228,6 @@ pub fn reset() {
     with_tables(|rec, _| *rec = Recording::default());
 }
 
-/// How many layer scopes overflowed the table (folded into the
-/// unattributed row) since the last [`reset`].
-pub fn dropped_layers() -> u64 {
-    with_tables(|rec, _| rec.dropped_layers).unwrap_or(0)
-}
-
 /// A recording thread's tables and current layer, for a pool worker it
 /// spawns to record into: capture it on the spawning thread, enter it on
 /// the worker. Empty — and free — when the capturing thread is not
@@ -323,18 +306,13 @@ pub fn layer_scope(index: usize, kind: &str) -> Option<LayerGuard> {
     if !enabled() {
         return None;
     }
-    let row = with_tables(|rec, _| {
-        if index >= MAX_LAYERS {
-            rec.dropped_layers += 1;
-            return UNATTRIBUTED;
-        }
+    with_tables(|rec, _| {
         rec.row(index, || format!("L{index:02} {kind}"));
-        index
     })?;
-    let prev = LOCAL.with(|l| std::mem::replace(&mut l.borrow_mut().row, row));
+    let prev = LOCAL.with(|l| std::mem::replace(&mut l.borrow_mut().row, index));
     Some(LayerGuard {
         prev,
-        row,
+        row: index,
         t0: Instant::now(),
     })
 }
@@ -391,7 +369,7 @@ pub struct PhaseTotals {
 /// One layer's accumulated profile.
 #[derive(Debug, Clone)]
 pub struct LayerProfile {
-    /// Layer index within the network ([`MAX_LAYERS`] = unattributed).
+    /// Layer index within the network (`usize::MAX` = unattributed).
     pub index: usize,
     /// Display name (`L{index:02} {kind}`, or `(unattributed)`).
     pub name: String,
@@ -557,55 +535,39 @@ mod tests {
     }
 
     #[test]
-    fn out_of_scope_and_overflow_spans_land_on_the_unattributed_row() {
+    fn out_of_scope_spans_land_on_the_unattributed_row() {
         set_enabled(true);
         reset();
         phase_span(Phase::Microkernel).unwrap().finish(10, 20);
         {
-            let _scope = layer_scope(MAX_LAYERS + 3, "conv");
+            let _scope = layer_scope(3, "conv");
             phase_span(Phase::Epilogue).unwrap().finish(1, 2);
         }
+        phase_span(Phase::Epilogue).unwrap().finish(4, 8);
         let snap = snapshot();
         set_enabled(false);
-        assert_eq!(snap.len(), 1);
-        let row = &snap[0];
-        assert_eq!(row.index, MAX_LAYERS);
+        assert_eq!(snap.len(), 2);
+        let row = &snap[1];
+        assert_eq!(row.index, UNATTRIBUTED);
         assert_eq!(row.name, "(unattributed)");
         assert_eq!(row.phase(Phase::Microkernel).flops, 10);
-        assert_eq!(row.phase(Phase::Epilogue).bytes, 2);
+        assert_eq!(row.phase(Phase::Epilogue).bytes, 8);
     }
 
     #[test]
-    fn layer_table_boundary_counts_dropped_layers() {
+    fn a_layer_past_index_128_gets_its_own_row() {
         set_enabled(true);
         reset();
-        // The last in-table index gets its own row, no drop counted.
         {
-            let _scope = layer_scope(MAX_LAYERS - 1, "conv");
-            phase_span(Phase::Microkernel).unwrap().finish(3, 4);
-        }
-        assert_eq!(dropped_layers(), 0);
-        // The first out-of-table index folds — and is counted.
-        {
-            let _scope = layer_scope(MAX_LAYERS, "conv");
+            let _scope = layer_scope(200, "conv");
             phase_span(Phase::Microkernel).unwrap().finish(7, 8);
         }
         let snap = snapshot();
-        assert_eq!(dropped_layers(), 1);
         set_enabled(false);
-        let last = snap
-            .iter()
-            .find(|l| l.index == MAX_LAYERS - 1)
-            .expect("boundary layer row");
-        assert_eq!(last.name, format!("L{:02} conv", MAX_LAYERS - 1));
-        assert_eq!(last.phase(Phase::Microkernel).flops, 3);
-        let unattributed = snap
-            .iter()
-            .find(|l| l.index == MAX_LAYERS)
-            .expect("unattributed row");
-        assert_eq!(unattributed.phase(Phase::Microkernel).flops, 7);
-        reset();
-        assert_eq!(dropped_layers(), 0);
+        assert_eq!(snap.len(), 1, "no unattributed row: {snap:?}");
+        assert_eq!(snap[0].index, 200);
+        assert_eq!(snap[0].name, "L200 conv");
+        assert_eq!(snap[0].phase(Phase::Microkernel).flops, 7);
     }
 
     #[test]

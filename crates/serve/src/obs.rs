@@ -19,7 +19,7 @@
 //!   and oracle error (predicted vs dispatched batch latency) per
 //!   fixed-width virtual-time window — per workload *and*, under a
 //!   `platform:<arch>` label, per platform — exported as Chrome counter
-//!   tracks, manifest `window` records and Prometheus totals (the
+//!   tracks (per-window quantiles included) and Prometheus totals (the
 //!   `platform:` prefix renders as a `platform="…"` label pair; see
 //!   [`pcnn_telemetry::prom::PLATFORM_LABEL_PREFIX`]).
 //! * **Routing audit trail**: every [`RouteDecision`] the router returns —

@@ -90,15 +90,15 @@ fn seeded_traces_are_byte_identical() {
         pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Deterministic);
         run_report(&spec);
         let trace = pcnn_telemetry::render_chrome_trace();
-        let manifest = pcnn_telemetry::render_manifest();
+        let prom = pcnn_telemetry::render_prometheus();
         pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
         pcnn_telemetry::set_enabled(false);
-        (trace, manifest)
+        (trace, prom)
     };
-    let (trace_a, manifest_a) = traced_run();
-    let (trace_b, manifest_b) = traced_run();
+    let (trace_a, prom_a) = traced_run();
+    let (trace_b, prom_b) = traced_run();
     assert_eq!(trace_a, trace_b, "seeded traces differ");
-    assert_eq!(manifest_a, manifest_b, "seeded manifests differ");
+    assert_eq!(prom_a, prom_b, "seeded expositions differ");
 
     // The trace carries the full request lifecycle on named tracks.
     assert!(trace_a.contains("\"gpu0 (K20c)\""));
@@ -107,8 +107,22 @@ fn seeded_traces_are_byte_identical() {
     assert!(trace_a.contains(": execute\""));
     assert!(trace_a.contains("\"batch 0: obs overload"));
     assert!(trace_a.contains("request.complete"));
-    // Windowed series ride along as counter events.
+    // Windowed series ride along as counter events; a histogram window's
+    // sample carries its count, mean and quantiles.
     assert!(trace_a.contains("serve.throughput [obs overload]"));
+    let doc = json::parse(&trace_a).expect("trace must be valid JSON");
+    let records = pcnn_telemetry::read_chrome_trace(&doc).expect("trace must read back");
+    let latency = records
+        .iter()
+        .find(|r| r.ph == "C" && r.name == "serve.latency_s [obs overload]")
+        .expect("a latency window sample");
+    assert!(latency.args.u64_at("count").is_some_and(|n| n > 0));
+    for key in ["mean", "p50", "p95", "p99"] {
+        assert!(
+            latency.args.f64_at(key).is_some(),
+            "no {key} in {latency:?}"
+        );
+    }
 }
 
 /// Batch-1 latency of `spec` on the reference K20c.
@@ -270,7 +284,7 @@ fn overload_fires_slo_alerts_in_the_trace() {
     // (90 % hit rate, 1.4-nat entropy ceiling), over 0.25 s windows.
     run_report(&spec);
     let trace = pcnn_telemetry::render_chrome_trace();
-    let manifest = pcnn_telemetry::render_manifest();
+    let prom = pcnn_telemetry::render_prometheus();
     pcnn_telemetry::set_export_mode(pcnn_telemetry::ExportMode::Full);
     pcnn_telemetry::set_enabled(false);
 
@@ -279,6 +293,6 @@ fn overload_fires_slo_alerts_in_the_trace() {
         "no SLO alert fired under 1.5x overload"
     );
     assert!(trace.contains("serve.slo_alerts [obs overload]"));
-    // The manifest carries the same windows and alert counters.
-    assert!(manifest.contains("\"serve.slo_alerts\""));
+    // The exposition totals the alert counter over the windows.
+    assert!(prom.contains("serve_slo_alerts{label=\"obs overload\"}"));
 }

@@ -3,7 +3,7 @@
 //! The crate is zero-dependency, so exporters build their JSON by hand;
 //! this module centralises string escaping and number formatting, and
 //! provides a small recursive-descent parser used by the golden tests (and
-//! anyone wanting to post-process manifests without pulling in serde).
+//! anyone wanting to post-process traces without pulling in serde).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

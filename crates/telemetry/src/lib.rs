@@ -17,18 +17,18 @@
 //! * **Simulated-time slices** — [`sim_slice`] places events on a
 //!   separate "simulated time" process so per-SM busy timelines from the
 //!   dispatch simulator can be inspected alongside wall-clock spans.
-//! * **Exporters** — [`export_chrome_trace`] writes a Perfetto /
-//!   `chrome://tracing`-loadable JSON file; [`export_manifest`] writes a
-//!   JSON-Lines run manifest (one record per counter, histogram,
-//!   span aggregate and instant event).
+//! * **Exporters** — [`render_chrome_trace`] renders a Perfetto /
+//!   `chrome://tracing`-loadable JSON document (every span, instant and
+//!   window); [`render_prometheus`] renders the counters, histograms and
+//!   windowed totals as a Prometheus text exposition.
 //!
 //! # Thread-owned state and the handoff
 //!
 //! Everything recorded lands in a *sink* that belongs to the thread that
 //! switched recording on: [`set_enabled`]`(true)` gives the calling
 //! thread its own, and every free function here — recording, [`reset`],
-//! [`snapshot`], [`set_export_mode`], the renderers and exporters — acts
-//! on the calling thread's. Two threads that enable never see each
+//! [`snapshot`], [`set_export_mode`], the renderers — acts on the
+//! calling thread's. Two threads that enable never see each
 //! other's data; a thread that never enabled records nothing. A pool
 //! worker records into its spawner's sink through a [`Handoff`], which
 //! `pcnn-parallel` captures and enters in every region it runs — every
@@ -71,7 +71,6 @@ pub use windowed::WindowedSeries;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -587,8 +586,7 @@ impl Collector {
 }
 
 /// Selects what the calling thread's [`render_chrome_trace`] /
-/// [`render_manifest`] (and the file exporters) include. Defaults to
-/// [`ExportMode::Full`].
+/// [`render_prometheus`] include. Defaults to [`ExportMode::Full`].
 pub fn set_export_mode(mode: ExportMode) {
     THREAD.with(|t| t.borrow_mut().export_mode = mode);
 }
@@ -813,7 +811,7 @@ pub fn incident() -> Option<String> {
 }
 
 /// Merges a windowed virtual-time series into the sink for export
-/// (Chrome counter track, manifest `window` records, Prometheus totals).
+/// (Chrome counter track, Prometheus totals).
 /// No-op while disabled.
 pub fn merge_windowed(series: &windowed::WindowedSeries) {
     if !series.is_empty() {
@@ -856,7 +854,7 @@ pub fn snapshot() -> Metrics {
 }
 
 /// Appends an args list as one JSON object, keys in list order — the
-/// `"args"` of every trace event and manifest record, and the form any
+/// `"args"` of every trace event and flight record, and the form any
 /// other sink should use for the same list.
 pub fn write_args(out: &mut String, args: &[(&'static str, Value)]) {
     out.push('{');
@@ -871,11 +869,11 @@ pub fn write_args(out: &mut String, args: &[(&'static str, Value)]) {
     out.push('}');
 }
 
-/// Renders the Chrome trace-event document (what [`export_chrome_trace`]
-/// writes) as a string. Under [`ExportMode::Deterministic`] only
-/// virtual-time data is included (observability events, their track
-/// names, windowed counter tracks), so the document is byte-identical
-/// across runs with identical simulation inputs.
+/// Renders the Chrome trace-event document. Under
+/// [`ExportMode::Deterministic`] only virtual-time data is included
+/// (observability events, their track names, windowed counter tracks), so
+/// the document is byte-identical across runs with identical simulation
+/// inputs.
 pub fn render_chrome_trace() -> String {
     let sink = sink();
     let c = sink.lock().expect("telemetry lock");
@@ -1021,7 +1019,8 @@ pub fn render_chrome_trace() -> String {
         push_event(line, &mut out);
     }
     // Windowed series plot as counter tracks on the virtual-time process:
-    // one "C" sample per window at the window's start.
+    // one "C" sample per window at the window's start, a histogram's
+    // carrying its count, mean and interpolated quantiles.
     for series in &c.windowed {
         for rec in series.records() {
             let mut line = String::from("{\"name\":");
@@ -1038,10 +1037,12 @@ pub fn render_chrome_trace() -> String {
                     line.push_str(&format!("\"value\":{v}"));
                 }
                 windowed::WindowValue::Hist(h) => {
-                    line.push_str("\"mean\":");
+                    line.push_str(&format!("\"count\":{},\"mean\":", h.count));
                     json::write_number(&mut line, h.mean());
-                    line.push_str(",\"p95\":");
-                    json::write_number(&mut line, h.quantile(0.95));
+                    for (key, q) in prom::QUANTILES {
+                        line.push_str(&format!(",\"{key}\":"));
+                        json::write_number(&mut line, h.quantile(q));
+                    }
                 }
             }
             line.push_str("}}");
@@ -1124,186 +1125,6 @@ pub fn read_chrome_trace(doc: &json::JsonValue) -> Result<Vec<TraceRecord<'_>>, 
     Ok(out)
 }
 
-/// Renders the JSON-Lines manifest (what [`export_manifest`] writes) as a
-/// string: a `meta` record, one record per counter, histogram, span
-/// aggregate, observability-span aggregate and window, and one per
-/// instant event. Under [`ExportMode::Deterministic`] only the
-/// virtual-time records remain (meta, windows, `obs_span` aggregates,
-/// `obs_event` instants).
-pub fn render_manifest() -> String {
-    let sink = sink();
-    let c = sink.lock().expect("telemetry lock");
-    let mode = export_mode();
-    let full = mode == ExportMode::Full;
-    let mut out = String::new();
-    let n_events = if full {
-        c.events.len()
-    } else {
-        c.events.iter().filter(|e| e.kind.is_virtual()).count()
-    };
-    let n_windows: usize = c.windowed.iter().map(|s| s.records().len()).sum();
-    out.push_str(&format!(
-        "{{\"type\":\"meta\",\"format\":\"pcnn-telemetry/1\",\"events\":{},\"counters\":{},\
-         \"histograms\":{},\"windows\":{}}}\n",
-        n_events,
-        if full { c.metrics.counters.len() } else { 0 },
-        if full { c.metrics.histograms.len() } else { 0 },
-        n_windows,
-    ));
-    if full {
-        let mut counters: Vec<_> = c.metrics.counters.iter().collect();
-        counters.sort();
-        for (name, value) in counters {
-            let mut line = String::from("{\"type\":\"counter\",\"name\":");
-            json::write_escaped(&mut line, name);
-            line.push_str(&format!(",\"value\":{value}}}\n"));
-            out.push_str(&line);
-        }
-        let mut histograms: Vec<_> = c.metrics.histograms.iter().collect();
-        histograms.sort_by_key(|(k, _)| k.as_str());
-        for (name, h) in histograms {
-            let mut line = String::from("{\"type\":\"histogram\",\"name\":");
-            json::write_escaped(&mut line, name);
-            write_histogram_fields(&mut line, h);
-            line.push_str(",\"buckets\":{");
-            let mut first = true;
-            for (i, &n) in h.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    line.push(',');
-                }
-                first = false;
-                line.push_str(&format!("\"{:.3e}\":{n}", bucket_low(i)));
-            }
-            line.push_str("}}\n");
-            out.push_str(&line);
-        }
-        // Span aggregates: count and total wall time per name (pool
-        // worker slices fold in alongside ordinary spans).
-        let mut spans: HashMap<&str, (u64, f64)> = HashMap::new();
-        for ev in &c.events {
-            if let EventKind::Complete { dur_us } | EventKind::WorkerSlice { dur_us } = ev.kind {
-                let e = spans.entry(c.name(ev)).or_insert((0, 0.0));
-                e.0 += 1;
-                e.1 += dur_us;
-            }
-        }
-        let mut spans: Vec<_> = spans.into_iter().collect();
-        spans.sort_by_key(|(k, _)| *k);
-        for (name, (count, total_us)) in spans {
-            let mut line = String::from("{\"type\":\"span\",\"name\":");
-            json::write_escaped(&mut line, name);
-            line.push_str(&format!(",\"count\":{count},\"total_us\":"));
-            json::write_number(&mut line, total_us);
-            line.push_str("}\n");
-            out.push_str(&line);
-        }
-    }
-    // Observability-span aggregates: count and total *virtual* time per
-    // name. Virtual-time data, so present in both modes.
-    let mut obs_spans: HashMap<&str, (u64, f64)> = HashMap::new();
-    for ev in &c.events {
-        if let EventKind::ObsSlice { dur_us } = ev.kind {
-            let e = obs_spans.entry(c.name(ev)).or_insert((0, 0.0));
-            e.0 += 1;
-            e.1 += dur_us;
-        }
-    }
-    let mut obs_spans: Vec<_> = obs_spans.into_iter().collect();
-    obs_spans.sort_by_key(|(k, _)| *k);
-    for (name, (count, total_us)) in obs_spans {
-        let mut line = String::from("{\"type\":\"obs_span\",\"name\":");
-        json::write_escaped(&mut line, name);
-        line.push_str(&format!(",\"count\":{count},\"total_us\":"));
-        json::write_number(&mut line, total_us);
-        line.push_str("}\n");
-        out.push_str(&line);
-    }
-    // Window records, with interpolated quantiles for histogram windows.
-    for series in &c.windowed {
-        for rec in series.records() {
-            let mut line = String::from("{\"type\":\"window\",\"name\":");
-            json::write_escaped(&mut line, rec.name);
-            line.push_str(",\"label\":");
-            json::write_escaped(&mut line, rec.label);
-            line.push_str(&format!(",\"index\":{},\"start_s\":", rec.index));
-            json::write_number(&mut line, rec.start_s);
-            line.push_str(",\"end_s\":");
-            json::write_number(&mut line, rec.end_s);
-            match rec.value {
-                windowed::WindowValue::Count(v) => {
-                    line.push_str(&format!(",\"kind\":\"count\",\"value\":{v}}}\n"));
-                }
-                windowed::WindowValue::Hist(h) => {
-                    line.push_str(",\"kind\":\"hist\"");
-                    write_histogram_fields(&mut line, h);
-                    for (suffix, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                        line.push_str(&format!(",\"{suffix}\":"));
-                        json::write_number(&mut line, h.quantile(q));
-                    }
-                    line.push_str("}\n");
-                }
-            }
-            out.push_str(&line);
-        }
-    }
-    for ev in &c.events {
-        let ty = match ev.kind {
-            EventKind::Instant if full => "event",
-            EventKind::ObsInstant => "obs_event",
-            _ => continue,
-        };
-        let mut line = format!("{{\"type\":\"{ty}\",\"name\":");
-        json::write_escaped(&mut line, c.name(ev));
-        if matches!(ev.kind, EventKind::ObsInstant) {
-            line.push_str(&format!(",\"track\":{}", ev.tid));
-        }
-        line.push_str(",\"ts_us\":");
-        json::write_number(&mut line, ev.ts_us);
-        line.push_str(",\"args\":");
-        write_args(&mut line, &ev.args);
-        line.push_str("}\n");
-        out.push_str(&line);
-    }
-    out
-}
-
-/// Writes the shared `count/sum/mean/min/max` JSON fields of a histogram
-/// record (leading comma included).
-fn write_histogram_fields(line: &mut String, h: &Histogram) {
-    line.push_str(&format!(",\"count\":{},\"sum\":", h.count));
-    json::write_number(line, h.sum);
-    line.push_str(",\"mean\":");
-    json::write_number(line, h.mean());
-    line.push_str(",\"min\":");
-    json::write_number(line, if h.count == 0 { 0.0 } else { h.min });
-    line.push_str(",\"max\":");
-    json::write_number(line, if h.count == 0 { 0.0 } else { h.max });
-}
-
-/// Writes the Chrome trace-event file (open in Perfetto or
-/// `chrome://tracing`).
-///
-/// # Errors
-///
-/// Propagates file-system errors.
-pub fn export_chrome_trace(path: &std::path::Path) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(render_chrome_trace().as_bytes())
-}
-
-/// Writes the JSON-Lines run manifest.
-///
-/// # Errors
-///
-/// Propagates file-system errors.
-pub fn export_manifest(path: &std::path::Path) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(render_manifest().as_bytes())
-}
-
 /// Renders the Prometheus text exposition (see [`prom`]). Under
 /// [`ExportMode::Deterministic`] only the windowed virtual-time series
 /// are exposed, since the wall-clock counters/histograms vary across
@@ -1315,16 +1136,6 @@ pub fn render_prometheus() -> String {
         ExportMode::Full => prom::render(&c.metrics, &c.windowed),
         ExportMode::Deterministic => prom::render(&Metrics::default(), &c.windowed),
     }
-}
-
-/// Writes the Prometheus text exposition.
-///
-/// # Errors
-///
-/// Propagates file-system errors.
-pub fn export_prometheus(path: &std::path::Path) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(render_prometheus().as_bytes())
 }
 
 #[cfg(test)]
@@ -1369,11 +1180,9 @@ mod tests {
             let _outer = span!("outer");
             let _inner = span!("inner", layer = "CONV2");
         }
-        let manifest = render_manifest();
         let trace = render_chrome_trace();
         set_enabled(false);
-        assert!(manifest.contains("\"type\":\"span\",\"name\":\"outer\""));
-        assert!(manifest.contains("\"inner\""));
+        assert!(trace.contains("\"name\":\"outer\",\"ph\":\"X\""));
         let doc = json::parse(&trace).expect("valid chrome trace");
         let events = doc.as_array().unwrap();
         let inner = events
@@ -1482,7 +1291,6 @@ mod tests {
         let full = render_chrome_trace();
         set_export_mode(ExportMode::Deterministic);
         let det = render_chrome_trace();
-        let det_manifest = render_manifest();
         set_export_mode(ExportMode::Full);
         set_enabled(false);
 
@@ -1507,14 +1315,10 @@ mod tests {
         assert!(det.contains("slo.alert"));
         assert!(det.contains("gpu0 (K20)"));
         assert!(det.contains("\"ph\":\"C\""));
-        assert!(det_manifest.contains("\"type\":\"obs_span\",\"name\":\"req 3: queue\""));
-        assert!(det_manifest.contains("\"type\":\"obs_event\",\"name\":\"slo.alert\""));
-        assert!(det_manifest.contains("\"type\":\"window\",\"name\":\"serve.throughput\""));
-        assert!(!det_manifest.contains("\"type\":\"span\""));
     }
 
     #[test]
-    fn windowed_series_render_in_manifest_and_prometheus() {
+    fn windowed_series_render_in_trace_and_prometheus() {
         set_enabled(true);
         reset();
         set_export_mode(ExportMode::Full);
@@ -1523,15 +1327,24 @@ mod tests {
         w.observe(0.1, "serve.latency_s", "real_time", 0.02);
         w.observe(0.3, "serve.latency_s", "real_time", 0.04);
         merge_windowed(&w);
-        let manifest = render_manifest();
+        let trace = render_chrome_trace();
         let prom_doc = render_prometheus();
         set_enabled(false);
-        assert!(manifest.contains(
-            "{\"type\":\"window\",\"name\":\"serve.deadline_hits\",\"label\":\"real_time\",\
-             \"index\":0,\"start_s\":0,\"end_s\":0.25,\"kind\":\"count\",\"value\":3}"
+        assert!(trace.contains(
+            "{\"name\":\"serve.deadline_hits [real_time]\",\"ph\":\"C\",\"pid\":3,\"tid\":0,\
+             \"ts\":0,\"args\":{\"value\":3}}"
         ));
-        assert!(manifest.contains("\"kind\":\"hist\""));
-        assert!(manifest.contains("\"p99\":"));
+        // One sample per window, each with its own quantiles.
+        let doc = json::parse(&trace).unwrap();
+        let records = read_chrome_trace(&doc).unwrap();
+        let latency: Vec<_> = records
+            .iter()
+            .filter(|r| r.name == "serve.latency_s [real_time]")
+            .collect();
+        assert_eq!(latency.len(), 2);
+        assert_eq!(latency[1].ts_us, 0.25e6);
+        assert_eq!(latency[1].args.u64_at("count"), Some(1));
+        assert_eq!(latency[1].args.f64_at("p99"), Some(0.04));
         assert!(prom_doc.contains("serve_deadline_hits{label=\"real_time\"} 3"));
         assert!(prom_doc.contains("serve_latency_s_count{label=\"real_time\"} 2"));
     }
@@ -1671,7 +1484,7 @@ mod tests {
             event!(name);
             barrier.wait();
             set_enabled(false);
-            (snapshot(), render_manifest())
+            (snapshot(), render_chrome_trace())
         };
         let (a, b, bystander) = std::thread::scope(|s| {
             let a = s.spawn(|| record("tenant.a", 3));
@@ -1682,7 +1495,7 @@ mod tests {
                 counter("bystander", 1);
                 drop(span!("bystander"));
                 barrier.wait();
-                (snapshot(), render_manifest())
+                (snapshot(), render_chrome_trace())
             });
             (
                 a.join().unwrap(),
@@ -1691,16 +1504,16 @@ mod tests {
             )
         });
         assert_eq!(bystander.0, Metrics::default());
-        for ((metrics, manifest), own, n, other) in [
+        for ((metrics, trace), own, n, other) in [
             (a, "tenant.a", 3, "tenant.b"),
             (b, "tenant.b", 5, "tenant.a"),
         ] {
             assert_eq!(metrics.counters.len(), 1, "a neighbour's counter leaked in");
             assert_eq!(metrics.counter_value(own), n);
             assert_eq!(metrics.histograms.len(), 1);
-            assert!(manifest.contains(&format!("\"type\":\"span\",\"name\":\"{own}\"")));
-            assert!(manifest.contains(&format!("\"type\":\"event\",\"name\":\"{own}\"")));
-            assert!(!manifest.contains(other) && !manifest.contains("bystander"));
+            assert!(trace.contains(&format!("\"name\":\"{own}\",\"ph\":\"X\"")));
+            assert!(trace.contains(&format!("\"name\":\"{own}\",\"ph\":\"i\"")));
+            assert!(!trace.contains(other) && !trace.contains("bystander"));
         }
     }
 
@@ -1736,7 +1549,7 @@ mod tests {
         let m = snapshot();
         assert_eq!(m.counter_value("worker"), 2);
         assert_eq!(m.counter_value("spawner"), 1);
-        assert!(render_manifest().contains("worker.span"));
+        assert!(render_chrome_trace().contains("worker.span"));
     }
 
     #[test]

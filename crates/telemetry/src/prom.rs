@@ -8,8 +8,8 @@
 //! interpolated with [`Histogram::quantile`](crate::Histogram::quantile).
 //! Windowed series are exposed cumulatively (totals across windows) with
 //! their label as a `label="…"` pair — per-window detail lives in the
-//! JSONL manifest and the Chrome trace counter track, which this
-//! exposition complements rather than duplicates. Labels carrying the
+//! Chrome trace counter track, which this exposition complements rather
+//! than duplicates. Labels carrying the
 //! [`PLATFORM_LABEL_PREFIX`] convention (`"platform:<name>"`, used by the
 //! per-platform fleet series) render as a first-class `platform="…"`
 //! label pair instead of being flattened into the generic `label`
@@ -123,8 +123,9 @@ fn write_histogram_base(out: &mut String, name: &str, labels: &str, h: &Histogra
     out.push_str(&format!("{name}_count{{{labels}}} {}\n", h.count));
 }
 
-/// The quantile-gauge suffixes derived from every histogram family.
-const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
+/// The quantile-gauge suffixes derived from every histogram family (and
+/// carried by every histogram window sample of the Chrome trace).
+pub(crate) const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
 
 fn write_quantile(out: &mut String, name: &str, suffix: &str, labels: &str, h: &Histogram, q: f64) {
     out.push_str(&format!("{name}_{suffix}{{{labels}}} "));

@@ -10,10 +10,10 @@
 //! pure function of the observation stream.
 //!
 //! A series merged into the recording thread's sink via
-//! [`merge_windowed`](crate::merge_windowed) is exported three ways:
+//! [`merge_windowed`](crate::merge_windowed) is exported two ways:
 //! Chrome trace counter events (`ph:"C"`, one point per window, plotted
-//! by Perfetto), `{"type":"window"}` JSONL manifest records, and the
-//! cumulative Prometheus exposition (see [`crate::prom`]).
+//! by Perfetto; a histogram window carries its count, mean, p50, p95 and
+//! p99), and the cumulative Prometheus exposition (see [`crate::prom`]).
 
 use std::collections::BTreeMap;
 
