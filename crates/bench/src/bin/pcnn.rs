@@ -291,7 +291,7 @@ fn cmd_bench_conv(mut args: Args) -> CmdResult {
         "GF/s 1T",
         "vs im2col",
         sweep_header.as_str(),
-        "pred ms 1T (error)",
+        "pred ms 1T (|error|)",
         "win",
     ]);
     for r in &bench.rows {
@@ -310,16 +310,19 @@ fn cmd_bench_conv(mut args: Args) -> CmdResult {
                 format!("{:.2}", a.gflops_1t),
                 format!("{:.2}x", a.speedup_vs_im2col_1t),
                 slashed(a.secs.iter().map(|sec| format!("{:.2}", sec * 1e3))),
-                a.predicted_secs.map_or(String::new(), |p| {
-                    format!("{:.2} ({:+.0}%)", p * 1e3, 100.0 * (p / a.secs[0] - 1.0))
-                }),
+                a.predicted_secs
+                    .zip(a.model_error)
+                    .map_or(String::new(), |(p, e)| {
+                        format!("{:.2} ({:.0}%)", p * 1e3, 100.0 * e)
+                    }),
                 if a.algo == r.winner { "*" } else { "" }.to_string(),
             ]);
         }
     }
     t.print(&format!(
         "conv algorithm sweep ({} shapes, best of {reps}, {} cores, GEMM kernel {}; \
-         predicted over the 1-thread peaks probed before each shape)",
+         predicted over the fastest 1-thread probe; |error|: median over reps, \
+         each rep priced over its own probe)",
         bench.rows.len(),
         baselines::machine_cores(),
         pcnn_tensor::kernel_tier()

@@ -191,8 +191,13 @@ pub struct AlgoRow {
     /// `im2col_secs_1t / secs_1t` — the machine-normalised ratio the
     /// regression gate reads. 1.0 for im2col itself.
     pub speedup_vs_im2col_1t: f64,
-    /// The tuner's predicted 1-thread seconds (`None`: the im2col row).
+    /// The tuner's predicted 1-thread seconds over the fastest probe
+    /// (`None`: the im2col row).
     pub predicted_secs: Option<f64>,
+    /// Median over reps of the tuner's |predicted / observed - 1|, each
+    /// rep's prediction priced over that rep's probe (`None`: the im2col
+    /// row) — what the conv-model gate reads.
+    pub model_error: Option<f64>,
 }
 
 /// One swept shape with all its algorithm rows.
@@ -205,7 +210,7 @@ pub struct ConvRow {
     pub algos: Vec<AlgoRow>,
     /// The single-thread winner.
     pub winner: ConvAlgo,
-    /// The single-thread peaks its predictions were priced over.
+    /// The fastest single-thread peaks probed over its reps.
     pub peaks: MachinePeaks,
 }
 
@@ -259,14 +264,14 @@ fn input_fill(i: usize) -> f32 {
 }
 
 /// Measures one shape under the im2col reference lowering and every
-/// eligible tuned algorithm at every sweep width, and prices the tuned
-/// ones over the peaks probed around them. Operands are the tuner's
+/// eligible tuned algorithm at every sweep width, and holds the tuned
+/// ones' predictions to their one-thread timings rep by rep: each rep
+/// probes the peaks, then times every algorithm once, each tuned one
+/// priced over that probe. A row's model error is the median over reps of
+/// `|predicted / observed - 1|`, so a stall caught by one probe or one
+/// timing moves one sample, never the verdict. Operands are the tuner's
 /// deterministic fills.
 fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
-    // Probed either side of the timings and priced over the faster
-    // reading: a probe caught in a stall must not price best-of timings.
-    let probe = || pcnn_parallel::with_threads(1, || pcnn_tensor::calibrate(reps));
-    let before = probe();
     let geom = shape.geometry();
     let (k, n) = (geom.patch_len(), geom.out_positions());
     let weight: Vec<f32> = (0..shape.oc * k).map(weight_fill).collect();
@@ -274,54 +279,72 @@ fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
     let input: Vec<f32> = (0..shape.c * shape.h * shape.w).map(input_fill).collect();
     let mut out = vec![0.0f32; shape.oc * n];
     let mut cols = vec![0.0f32; k * n];
-    let mut algos = Vec::new();
     // `Im2col` names the reference row: the column matrix materialised,
     // then one GEMM with the bias (paper Fig. 2). No inference path runs
     // it; every ratio is taken against it.
-    for algo in [ConvAlgo::Im2col].into_iter().chain(ConvAlgo::TUNED) {
-        if !algo.supports(&geom) {
-            continue;
+    let eligible: Vec<ConvAlgo> = [ConvAlgo::Im2col]
+        .into_iter()
+        .chain(ConvAlgo::TUNED)
+        .filter(|a| a.supports(&geom))
+        .collect();
+    let mut run = |algo: ConvAlgo| match algo {
+        ConvAlgo::Im2col => {
+            im2col(&geom, &input, &mut cols);
+            gemm_bias(shape.oc, n, k, &weight, &cols, &bias, &mut out);
         }
-        let secs: Vec<f64> = threads
-            .iter()
-            .map(|&t| {
-                pcnn_parallel::with_threads(t, || {
-                    let mut run = || match algo {
-                        ConvAlgo::Im2col => {
-                            im2col(&geom, &input, &mut cols);
-                            gemm_bias(shape.oc, n, k, &weight, &cols, &bias, &mut out);
-                        }
-                        _ => conv2d(algo, &geom, shape.oc, &weight, &bias, &input, 1, &mut out),
-                    };
-                    run(); // warm once per width: pool scratch, page faults
-                    best_secs(reps, run)
-                })
-            })
-            .collect();
-        algos.push(AlgoRow {
-            algo,
-            gflops_1t: shape.gflop() / secs[0],
-            speedup_vs_im2col_1t: 0.0, // filled below, needs im2col's row
-            predicted_secs: None,      // filled below, needs the second probe
-            secs,
-        });
-    }
-    let im2col_1t = algos
-        .iter()
-        .find(|a| a.algo == ConvAlgo::Im2col)
-        .map(|a| a.secs[0])
-        .expect("im2col supports every geometry");
-    let after = probe();
-    let peaks = MachinePeaks {
-        gflops: before.gflops.max(after.gflops),
-        gbs: before.gbs.max(after.gbs),
+        _ => conv2d(algo, &geom, shape.oc, &weight, &bias, &input, 1, &mut out),
     };
-    let model = CostModel::new(peaks, pcnn_tensor::gemm_tile());
-    for a in &mut algos {
-        a.speedup_vs_im2col_1t = im2col_1t / a.secs[0];
-        a.predicted_secs =
-            (a.algo != ConvAlgo::Im2col).then(|| model.predict(a.algo, &geom, shape.oc));
+    let mut secs = vec![vec![f64::INFINITY; threads.len()]; eligible.len()];
+    let mut errors = vec![Vec::new(); eligible.len()];
+    let mut peaks = MachinePeaks {
+        gflops: 0.0,
+        gbs: 0.0,
+    };
+    pcnn_parallel::with_threads(1, || {
+        // Warm once: pool scratch, page faults.
+        eligible.iter().for_each(|&algo| run(algo));
+        for _ in 0..reps.max(1) {
+            let probe = pcnn_tensor::calibrate(3);
+            (peaks.gflops, peaks.gbs) = (peaks.gflops.max(probe.gflops), peaks.gbs.max(probe.gbs));
+            let model = CostModel::new(probe, pcnn_tensor::gemm_tile());
+            for (i, &algo) in eligible.iter().enumerate() {
+                let observed = best_secs(1, || run(algo));
+                secs[i][0] = secs[i][0].min(observed);
+                if algo != ConvAlgo::Im2col {
+                    let predicted = model.predict(algo, &geom, shape.oc);
+                    errors[i].push((predicted / observed - 1.0).abs());
+                }
+            }
+        }
+    });
+    for (w, &t) in threads.iter().enumerate().skip(1) {
+        for (i, &algo) in eligible.iter().enumerate() {
+            secs[i][w] = pcnn_parallel::with_threads(t, || {
+                run(algo); // warm once per width
+                best_secs(reps, || run(algo))
+            });
+        }
     }
+    // Priced for the document over the fastest probe.
+    let model = CostModel::new(peaks, pcnn_tensor::gemm_tile());
+    let im2col_1t = secs[0][0];
+    let algos: Vec<AlgoRow> = eligible
+        .into_iter()
+        .zip(secs)
+        .zip(errors.iter_mut())
+        .map(|((algo, secs), errors)| {
+            errors.sort_by(f64::total_cmp);
+            let tuned = algo != ConvAlgo::Im2col;
+            AlgoRow {
+                algo,
+                gflops_1t: shape.gflop() / secs[0],
+                speedup_vs_im2col_1t: im2col_1t / secs[0],
+                predicted_secs: tuned.then(|| model.predict(algo, &geom, shape.oc)),
+                model_error: tuned.then(|| (errors[(reps - 1) / 2] + errors[reps / 2]) / 2.0),
+                secs,
+            }
+        })
+        .collect();
     let winner = algos
         .iter()
         .min_by(|a, b| a.secs[0].total_cmp(&b.secs[0]))
@@ -543,7 +566,13 @@ pub fn conv_json(bench: &ConvBench, threads: &[usize]) -> String {
                         .collect();
                     let predicted = a
                         .predicted_secs
-                        .map(|p| format!("\"predicted_ms\": {:.4}, ", p * 1e3))
+                        .zip(a.model_error)
+                        .map(|(p, e)| {
+                            format!(
+                                "\"predicted_ms\": {:.4}, \"model_error\": {e:.4}, ",
+                                p * 1e3
+                            )
+                        })
                         .unwrap_or_default();
                     let tile = winograd_tile_ran(a.algo, s)
                         .map(|t| format!("\"tile\": {t}, "))

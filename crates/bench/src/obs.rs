@@ -232,22 +232,20 @@ pub const CONV_MODEL_MEDIAN_ERROR: f64 = 0.15;
 /// observed time was itself the outlier.
 pub const CONV_MODEL_WORST_ERROR: f64 = 0.5;
 
-/// `|predicted / observed - 1|` of every algorithm row of a conv document
-/// that carries a `predicted_ms`, observed at one thread; sorted.
+/// The `model_error` of every algorithm row of a conv document that
+/// carries one — the row's median over reps of `|predicted / observed -
+/// 1|`, each rep priced over its own probe; sorted.
 fn conv_model_errors(doc: &JsonValue) -> Vec<f64> {
-    let mut errors = Vec::new();
-    for shape in rows_by(doc, "shapes", "layer").unwrap_or_default().values() {
-        for row in rows_by(shape, "algos", "algo").unwrap_or_default().values() {
-            let observed = row
-                .get("sweep")
-                .and_then(|s| s.as_array())
-                .and_then(|s| s.iter().find(|p| p.f64_at("threads") == Some(1.0)))
-                .and_then(|p| p.f64_at("ms"));
-            if let (Some(p), Some(o)) = (row.f64_at("predicted_ms"), observed) {
-                errors.push((p / o - 1.0).abs());
-            }
-        }
-    }
+    let mut errors: Vec<f64> = rows_by(doc, "shapes", "layer")
+        .unwrap_or_default()
+        .values()
+        .flat_map(|shape| {
+            rows_by(shape, "algos", "algo")
+                .unwrap_or_default()
+                .into_values()
+        })
+        .filter_map(|row| row.f64_at("model_error"))
+        .collect();
     errors.sort_by(f64::total_cmp);
     errors
 }
@@ -927,16 +925,15 @@ mod tests {
             .any(|x| x.metric.contains("winograd") && x.metric.contains("missing")));
     }
 
-    /// A conv document whose one shape carries `(predicted, observed)`
-    /// ms pairs for its algorithm rows.
+    /// A conv document whose one shape carries algorithm rows whose median
+    /// model errors are `|p / o - 1|` of `(p, o)` pairs.
     fn model_doc(rows: &[(f64, f64)]) -> JsonValue {
         let algos: Vec<String> = rows
             .iter()
             .enumerate()
             .map(|(i, (p, o))| {
-                format!(
-                    r#"{{"algo":"a{i}","predicted_ms":{p},"sweep":[{{"threads":1,"ms":{o}}},{{"threads":2,"ms":1.0}}]}}"#
-                )
+                let e = (p / o - 1.0f64).abs();
+                format!(r#"{{"algo":"a{i}","predicted_ms":{p},"model_error":{e}}}"#)
             })
             .collect();
         json::parse(&format!(

@@ -273,8 +273,8 @@ pub fn render_report(run: &ProfileRun, peaks: &MachinePeaks) -> String {
         ..*peaks
     };
     let mut t = TableWriter::new(vec![
-        "layer", "wall ms", "pack_a", "pack_b", "micro", "wino_t", "wino_i", "epilog", "activ",
-        "GFLOP/s", "FLOP/B", "bound",
+        "layer", "wall ms", "pack_a", "pack_b", "micro", "wino_f", "wino_t", "wino_i", "epilog",
+        "activ", "GFLOP/s", "FLOP/B", "bound",
     ]);
     for l in &run.layers {
         let total = l.total();
@@ -299,6 +299,7 @@ pub fn render_report(run: &ProfileRun, peaks: &MachinePeaks) -> String {
             cell(Phase::PackA),
             cell(Phase::PackB),
             cell(Phase::Microkernel),
+            cell(Phase::WinogradFilter),
             cell(Phase::WinogradTransform),
             cell(Phase::WinogradInverse),
             cell(Phase::Epilogue),

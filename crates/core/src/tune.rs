@@ -96,23 +96,22 @@ impl CandidateTimer for WallClockTimer {
 
 /// The model's stated error, measured on the table beside the tests
 /// (`tests::CALIBRATION`, which they hold it to): the predicted direct /
-/// winograd ratio misses the observed one by at most 0.17 there (conv1_2,
-/// 64 -> 64 @ 224²); by 0.15–0.39 on the single busy-host recordings it
-/// is the median of. Predictions further
-/// apart than this name the faster candidate on the machine too.
+/// winograd ratio misses the observed one by at most 0.15 there (256 ->
+/// 384 @ 13² and 256 -> 256 @ 28²); by up to 0.27 on the single
+/// recordings it is the median of. Predictions further apart than this
+/// name the faster candidate on the machine too.
 pub const ERROR_BAND: f64 = 0.25;
 
 /// The work one execution of a candidate does: microkernel FLOPs (padded
 /// tiles included), then bytes — `C` traffic (bias fill, one read + write
-/// per packed block), direct's patch gather and zero border, copy-packed
-/// GEMM `B` (Winograd's `V`), Winograd's input / inverse transforms, its
-/// filter transform — and GEMM calls.
+/// per packed block), direct's patch gather into packed `B` and zero
+/// border, Winograd's input / inverse transforms, its filter transform —
+/// and GEMM calls.
 #[derive(Debug, Default)]
 struct Work {
     flops: f64,
     c: f64,
     gather: f64,
-    pack: f64,
     transform: f64,
     filter: f64,
     calls: f64,
@@ -120,22 +119,18 @@ struct Work {
 
 /// What one unit of each kind of [`Work`] costs, as a multiple of the
 /// probed peak's time for it (`calls`: bytes of copy per call — pool
-/// checkouts, partition, loop set-up); fitted by non-negative least
-/// squares on relative error over `tests::CALIBRATION` before its F(4x4)
-/// rows were recorded (which put `V`'s copy into packed `B` in the
-/// transform and per-call terms: `pack` 0). Refitting on the table as it
-/// stands moves VGG-16's 14² shape just outside [`ERROR_BAND`] at the
-/// recorder's peaks (predicted margin 0.24 -> 0.31), so it would no
-/// longer be timed, while these values already keep the table inside the
-/// band.
+/// checkouts, partition, loop set-up); fitted over `tests::CALIBRATION`
+/// by non-negative least squares on relative error, then by a
+/// coordinate search from there on the worst direct / winograd ratio
+/// miss (least squares alone left VGG-16's conv1_1 at 0.27, over
+/// [`ERROR_BAND`]).
 const COST: Work = Work {
-    flops: 0.908,
-    c: 2.195,
-    gather: 5.288,
-    pack: 0.0,
-    transform: 2.659,
-    filter: 4.907,
-    calls: 18327.0,
+    flops: 1.084,
+    c: 1.203,
+    gather: 2.324,
+    transform: 0.641,
+    filter: 1.937,
+    calls: 3272.0,
 };
 
 impl Work {
@@ -144,7 +139,6 @@ impl Work {
         let times = times as f64;
         self.flops += times * (2 * m.div_ceil(mr) * mr * n.div_ceil(nr) * nr * k) as f64;
         self.c += times * (8 * m * n * k.div_ceil(kc)) as f64;
-        self.pack += times * (4 * k * n.div_ceil(nr) * nr) as f64;
         self.calls += times;
     }
 }
@@ -185,24 +179,23 @@ impl CostModel {
                 let tiles = rows.min(tiles_y - first) * tiles_x;
                 w.gemm(self.tile, (oc, tiles, ic), coords);
             }
-            // Input read, V written, M read, output written.
+            // Input read, V written packed, M read, output written.
             let tiles = tiles_y * tiles_x;
             w.transform = (4 * (ic * plane + coords * (ic + oc) * tiles + oc * positions)) as f64;
-            // F(2x2)'s 9 weights read and 16 U written per filter, scaled
-            // by the transform's arithmetic (the profiler's 40 flops per
-            // filter, 117 for F(4x4)): it, not the traffic, sets the cost.
-            let flops = if t == 2 { 40.0 } else { 117.0 };
-            w.filter = (4 * 25 * oc * ic) as f64 * flops / 40.0;
+            // 9 weights read and `coords` values of U written per filter:
+            // the vector walk runs at the rate U is written.
+            w.filter = (4 * (9 + coords) * oc * ic) as f64;
         } else {
-            w.gemm(self.tile, (oc, positions, geom.patch_len()), 1);
+            let [_, nr, _] = self.tile;
+            let (k, n) = (geom.patch_len(), positions);
+            w.gemm(self.tile, (oc, n, k), 1);
             let padded = (geom.in_h + 2 * geom.pad) * (geom.in_w + 2 * geom.pad);
             let border = usize::from(geom.pad > 0) * 4 * ic * (plane + padded);
-            w.gather = std::mem::take(&mut w.pack) + border as f64;
+            w.gather = (4 * k * n.div_ceil(nr) * nr + border) as f64;
             w.c += (4 * oc * positions) as f64;
         }
         let bytes = COST.c * w.c
             + COST.gather * w.gather
-            + COST.pack * w.pack
             + COST.transform * w.transform
             + COST.filter * w.filter
             + COST.calls * w.calls;
@@ -490,7 +483,7 @@ mod tests {
     /// Typical peaks of [`CALIBRATION`]: what a [`RecordedTimer`] replays
     /// unless told otherwise.
     const CALIBRATION_PEAKS: MachinePeaks = MachinePeaks {
-        gflops: 50.0,
+        gflops: 63.0,
         gbs: 23.0,
     };
 
@@ -502,34 +495,32 @@ mod tests {
     /// What [`COST`] was fitted to and [`ERROR_BAND`] measured on: per cell,
     /// the median of three recordings, each the medians of 22 interleaved
     /// rounds of probe, direct best-of-3 and winograd best-of-3 at one
-    /// thread on the 2-vCPU Xeon recorder (`avx512 16x16`), taken on the
-    /// kernel whose filter transform writes `U` packed: VGG-16's nine
+    /// thread on one pinned core of the 2-vCPU Xeon recorder (`avx512
+    /// 16x16`), taken on the kernels whose filter and input transforms
+    /// write `U` and `V` packed with their 16-lane bodies: VGG-16's nine
     /// shapes, AlexNet's five, `BENCH_conv.json`'s VGG2_2 / VGG3_2 (the two
-    /// rows after AlexNet's), and the tiny and smoke ones. The rows whose
-    /// Winograd runs F(4x4) — VGG-16's 224² to 28² layers after the first,
-    /// VGG2_2 and VGG3_2 — were recorded again on that kernel, on a busier
-    /// host (their probes read ~42 GFLOP/s against ~46).
+    /// rows after AlexNet's), and the tiny and smoke ones.
     const CALIBRATION: [CalibrationRow; 20] = [
-        ([3, 224, 3, 1, 1, 64], (45.2, 22.7), 8.557, 19.546),
-        ([64, 224, 3, 1, 1, 64], (42.1, 19.6), 135.416, 47.656),
-        ([64, 112, 3, 1, 1, 128], (43.0, 19.4), 63.638, 20.812),
-        ([128, 112, 3, 1, 1, 128], (41.3, 19.4), 124.289, 35.501),
-        ([128, 56, 3, 1, 1, 256], (41.6, 19.5), 58.239, 19.986),
-        ([256, 56, 3, 1, 1, 256], (42.1, 19.5), 109.386, 36.157),
-        ([256, 28, 3, 1, 1, 512], (43.6, 19.5), 47.319, 24.140),
-        ([512, 28, 3, 1, 1, 512], (42.5, 19.3), 92.242, 50.204),
-        ([512, 14, 3, 1, 1, 512], (49.1, 21.6), 24.088, 18.788),
-        ([3, 227, 11, 4, 0, 96], (44.1, 21.9), 5.984, f64::NAN),
-        ([96, 27, 5, 1, 2, 256], (44.6, 22.1), 20.762, f64::NAN),
-        ([256, 13, 3, 1, 1, 384], (45.0, 21.9), 6.992, 6.314),
-        ([384, 13, 3, 1, 1, 384], (49.6, 22.6), 9.831, 9.256),
-        ([384, 13, 3, 1, 1, 256], (48.8, 22.7), 7.108, 6.581),
-        ([128, 56, 3, 1, 1, 128], (42.7, 19.8), 30.907, 10.450),
-        ([256, 28, 3, 1, 1, 256], (41.7, 19.3), 24.062, 12.747),
-        ([1, 32, 3, 1, 1, 8], (43.9, 22.3), 0.027, 0.069),
-        ([8, 16, 3, 1, 1, 16], (49.0, 23.0), 0.034, 0.045),
-        ([64, 13, 3, 1, 1, 96], (50.8, 23.1), 0.543, 0.556),
-        ([3, 63, 11, 4, 0, 32], (45.5, 22.5), 0.184, f64::NAN),
+        ([3, 224, 3, 1, 1, 64], (64.4, 23.6), 7.761, 10.307),
+        ([64, 224, 3, 1, 1, 64], (63.0, 22.9), 93.850, 26.208),
+        ([64, 112, 3, 1, 1, 128], (61.9, 23.3), 46.369, 12.137),
+        ([128, 112, 3, 1, 1, 128], (63.7, 23.5), 87.509, 21.535),
+        ([128, 56, 3, 1, 1, 256], (61.1, 22.9), 39.167, 11.434),
+        ([256, 56, 3, 1, 1, 256], (64.3, 22.4), 77.682, 22.488),
+        ([256, 28, 3, 1, 1, 512], (64.2, 22.9), 33.694, 13.542),
+        ([512, 28, 3, 1, 1, 512], (62.3, 22.9), 68.057, 26.204),
+        ([512, 14, 3, 1, 1, 512], (64.1, 22.9), 17.281, 12.200),
+        ([3, 227, 11, 4, 0, 96], (61.9, 22.8), 4.134, f64::NAN),
+        ([96, 27, 5, 1, 2, 256], (64.2, 22.8), 15.862, f64::NAN),
+        ([256, 13, 3, 1, 1, 384], (64.4, 22.7), 5.487, 3.705),
+        ([384, 13, 3, 1, 1, 384], (64.4, 23.3), 8.632, 7.046),
+        ([384, 13, 3, 1, 1, 256], (63.9, 22.7), 5.812, 3.973),
+        ([128, 56, 3, 1, 1, 128], (62.1, 22.4), 21.597, 5.503),
+        ([256, 28, 3, 1, 1, 256], (62.3, 22.7), 16.358, 6.962),
+        ([1, 32, 3, 1, 1, 8], (64.4, 22.8), 0.020, 0.029),
+        ([8, 16, 3, 1, 1, 16], (64.3, 24.0), 0.024, 0.022),
+        ([64, 13, 3, 1, 1, 96], (64.9, 23.8), 0.358, 0.274),
+        ([3, 63, 11, 4, 0, 32], (64.6, 22.9), 0.126, f64::NAN),
     ];
 
     /// A layer of this shape; the recorded timers read only its shape.
@@ -722,11 +713,12 @@ mod tests {
         [384, 13, 3, 1, 1, 256],
     ];
 
-    /// With the recorder's peaks, only VGG-16's 14² shape and AlexNet's
-    /// three 13² shapes are close enough to time: a recording holding
-    /// nothing else (it panics on anything else) tunes both full-size
-    /// networks to exactly the plan exhaustive tuning builds from the
-    /// same recorded timings.
+    /// With the recorder's peaks every full-size VGG-16 and AlexNet shape
+    /// is separated by more than the band — the 14² and 13² ones too,
+    /// since the filter transform runs at the rate `U` is written — so an
+    /// empty recording (it panics on any timing) tunes both networks to
+    /// exactly the plan exhaustive tuning builds from the recorded
+    /// timings, and times nothing.
     #[test]
     fn the_model_times_only_close_calls_and_keeps_the_exhaustive_plan() {
         let recorded = |row: [usize; 6]| {
@@ -736,23 +728,7 @@ mod tests {
                 .map(|r| (r.2 / 1e3, r.3 / 1e3))
                 .expect("every full-size shape is in the table")
         };
-        let close = [
-            [512, 14, 3, 1, 1, 512],
-            [256, 13, 3, 1, 1, 384],
-            [384, 13, 3, 1, 1, 384],
-            [384, 13, 3, 1, 1, 256],
-        ];
-        let mut timer = RecordedTimer::new();
-        for row in close {
-            let ((geom, oc), (direct, winograd)) = (square(row), recorded(row));
-            timer = timer.with(geom, oc, ConvAlgo::Direct, direct).with(
-                geom,
-                oc,
-                ConvAlgo::Winograd,
-                winograd,
-            );
-        }
-        let mut tuner = ConvTuner::new(timer);
+        let mut tuner = ConvTuner::new(RecordedTimer::new());
         for (name, shapes) in [("VGG16", &VGG16[..]), ("AlexNet", &ALEXNET[..])] {
             let report = tuner.tune_network(&tower(name, shapes));
             let exhaustive: Vec<ConvAlgo> = shapes
@@ -768,11 +744,10 @@ mod tests {
                 })
                 .collect();
             assert_eq!(report.plan(), ConvPlan::from_algos(exhaustive), "{name}");
+            assert_eq!(report.explored, 0, "{name}");
             for (layer, row) in report.layers.iter().zip(shapes) {
-                let timed = close.contains(row);
                 let two = ConvAlgo::Winograd.supports(&layer.geom);
-                assert_eq!(!layer.timings.is_empty(), timed, "{name} {row:?}");
-                assert_eq!(layer.predicted, two && !timed, "{name} {row:?}");
+                assert_eq!(layer.predicted, two, "{name} {row:?}");
             }
         }
     }

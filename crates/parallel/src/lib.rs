@@ -544,24 +544,29 @@ static SCRATCH_POOL: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
 const SCRATCH_POOL_CAP: usize = 64;
 
 /// A reusable `f32` buffer checked out of the process-wide scratch pool
-/// by [`scratch_f32`]; dereferences to the first `len` elements of a
-/// pooled buffer kept at its full length, and returns the buffer to the
-/// pool when dropped.
+/// by [`scratch_f32`]; dereferences to `len` elements of a pooled buffer
+/// kept at its full length, starting at the buffer's first 64-byte
+/// boundary, and returns the buffer to the pool when dropped.
 pub struct ScratchF32 {
     buf: Vec<f32>,
+    start: usize,
     len: usize,
 }
+
+/// Floats a checkout asks the pool for beyond its length: room to start
+/// the view on a 64-byte boundary (`Vec<f32>` is only 4-byte aligned).
+const ALIGN_SLACK: usize = 64 / std::mem::size_of::<f32>() - 1;
 
 impl Deref for ScratchF32 {
     type Target = [f32];
     fn deref(&self) -> &[f32] {
-        &self.buf[..self.len]
+        &self.buf[self.start..self.start + self.len]
     }
 }
 
 impl DerefMut for ScratchF32 {
     fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf[..self.len]
+        &mut self.buf[self.start..self.start + self.len]
     }
 }
 
@@ -597,14 +602,17 @@ impl Drop for ScratchF32 {
 /// **Contents are unspecified** — callers must write every element they
 /// later read (the packing routines zero their own padding explicitly).
 /// Checkouts are independent: concurrent or nested calls receive disjoint
-/// buffers.
+/// buffers. Every view starts on a 64-byte boundary, a cache line, so a
+/// 16-float vector store into it never straddles two lines (glibc's chunk
+/// header puts a plain `Vec`'s data at 16 mod 64).
 pub fn scratch_f32(len: usize) -> ScratchF32 {
+    let need = len + ALIGN_SLACK;
     let taken = SCRATCH_POOL
         .lock()
         .ok()
-        .and_then(|mut pool| take(&mut pool, len));
+        .and_then(|mut pool| take(&mut pool, need));
     // A buffer too short to reuse is dropped here, before the allocation.
-    let reused = taken.filter(|b| b.len() >= len);
+    let reused = taken.filter(|b| b.len() >= need);
     if pcnn_telemetry::enabled() {
         pcnn_telemetry::counter(
             if reused.is_some() {
@@ -618,8 +626,11 @@ pub fn scratch_f32(len: usize) -> ScratchF32 {
     // Pooled buffers keep their full length, so a reused one is handed
     // out as a view and never written here; a new one is zeroed memory
     // straight from the allocator.
-    let buf = reused.unwrap_or_else(|| vec![0.0; len]);
-    ScratchF32 { buf, len }
+    let buf = reused.unwrap_or_else(|| vec![0.0; need]);
+    // Floats to the next line boundary: a `Vec<f32>`'s data is 4-byte
+    // aligned, so at most `ALIGN_SLACK`.
+    let start = (buf.as_ptr() as usize).wrapping_neg() % 64 / std::mem::size_of::<f32>();
+    ScratchF32 { buf, start, len }
 }
 
 /// Takes out of `pool` the buffer a `len`-element checkout reuses — the
@@ -809,6 +820,29 @@ mod tests {
         assert_eq!(c.len(), 8);
         let d = scratch_f32(32);
         assert_eq!(d.len(), 32);
+    }
+
+    #[test]
+    fn scratch_views_start_on_a_cache_line_and_stay_disjoint() {
+        let aligned = |s: &ScratchF32| (s.as_ptr() as usize).is_multiple_of(64);
+        let disjoint = |a: &ScratchF32, b: &ScratchF32| {
+            let (a, b) = (a.as_ptr_range(), b.as_ptr_range());
+            a.end <= b.start || b.end <= a.start
+        };
+        for len in [1, 15, 16, 17, 1000, 40_000, 1 << 20] {
+            // Fresh, then reused by a smaller checkout, then nested in it.
+            let fresh = scratch_f32(len);
+            assert!(aligned(&fresh), "fresh {len}");
+            drop(fresh);
+            let mut reused = scratch_f32(len / 2 + 1);
+            let mut nested = scratch_f32(len);
+            assert!(aligned(&reused) && aligned(&nested), "{len}");
+            assert!(disjoint(&reused, &nested), "{len}");
+            reused.fill(1.0);
+            nested.fill(2.0);
+            assert!(reused.iter().all(|&v| v == 1.0), "views alias at {len}");
+            assert_eq!((reused.len(), nested.len()), (len / 2 + 1, len));
+        }
     }
 
     /// [`scratch_f32`] and the drop of its buffer on a local pool.

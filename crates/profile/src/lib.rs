@@ -6,7 +6,7 @@
 //! the CPU engine. `pcnn-nn` opens a [`layer_scope`] around each layer of
 //! a forward pass, and the hot kernels in `pcnn-tensor` / `pcnn-nn` wrap
 //! their phases (A/B packing, the microkernel loop, epilogues,
-//! activations, Winograd transforms) in [`phase_span`]s that record elapsed time plus the
+//! activations, the three Winograd transforms) in [`phase_span`]s that record elapsed time plus the
 //! phase's arithmetic work (FLOPs) and memory traffic (bytes). Everything
 //! lands in tables keyed by `(layer, phase)` that belong to the thread
 //! that switched profiling on; [`snapshot`] returns them as per-layer
@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Number of [`Phase`] variants.
-pub const NUM_PHASES: usize = 7;
+pub const NUM_PHASES: usize = 8;
 
 /// The row past any layer index: work recorded outside any layer scope.
 const UNATTRIBUTED: usize = usize::MAX;
@@ -69,7 +69,11 @@ pub enum Phase {
     Epilogue,
     /// Elementwise nonlinearities and pooling.
     Activation,
-    /// Winograd filter/input transforms (`G g G^T`, `B^T d B`).
+    /// Winograd filter transform (`G g G^T`), written as the GEMMs'
+    /// packed `A`: its bytes over its time are the rate `U` is written.
+    WinogradFilter,
+    /// Winograd input transform (`B^T d B`), written as the GEMMs' packed
+    /// `B`.
     WinogradTransform,
     /// Winograd inverse transform + bias (`A^T M A`).
     WinogradInverse,
@@ -83,6 +87,7 @@ impl Phase {
         Phase::Microkernel,
         Phase::Epilogue,
         Phase::Activation,
+        Phase::WinogradFilter,
         Phase::WinogradTransform,
         Phase::WinogradInverse,
     ];
@@ -95,6 +100,7 @@ impl Phase {
             Phase::Microkernel => "microkernel",
             Phase::Epilogue => "epilogue",
             Phase::Activation => "activation",
+            Phase::WinogradFilter => "winograd_filter",
             Phase::WinogradTransform => "winograd_transform",
             Phase::WinogradInverse => "winograd_inverse",
         }

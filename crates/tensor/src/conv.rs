@@ -91,9 +91,12 @@
 //! The filter transform depends on the weights only, so [`conv2d`] does
 //! it once per call, for all its images (`WinogradFilter`). It writes
 //! `U` straight into the packed-`A` micropanels the GEMM reads, so no
-//! block packs `U` again, however many blocks re-read it; and each GEMM
-//! stores its first `KC` block into `M` instead of adding it, so `M` is
-//! never zero-filled — bitwise the same as zero-fill plus add. A `U`
+//! block packs `U` again, however many blocks re-read it; the input
+//! transform likewise writes each block's `V` into the packed-`B` panels;
+//! on the AVX-512 tier both run explicit 16-lane bodies, bitwise their
+//! portable ones. Each GEMM stores its first `KC` block into `M` instead
+//! of adding it, so `M` is never zero-filled — bitwise the same as
+//! zero-fill plus add. A `U`
 //! larger than the scratch pool's largest buffer (F(4x4)'s 36 coordinates
 //! on 256 -> 512 and 512 -> 512) is packed and run in chunks of output
 //! channels instead: such a layer is one block, its input transformed
@@ -103,18 +106,17 @@
 //! # Profiling
 //!
 //! The patch gather reports as [`Phase::PackB`] (it *is* the B pack) and
-//! its bias broadcast as [`Phase::Epilogue`];
-//! Winograd's filter transform (once, or once per `U` chunk, packing `U`
-//! included — its GEMMs report no [`Phase::PackA`]) and input transform
-//! (per block) report as
-//! [`Phase::WinogradTransform`], the per-GEMM copy of `V` into packed `B`
-//! as [`Phase::PackB`], and its inverse transform + bias (per block) as
-//! [`Phase::WinogradInverse`], their flops and bytes summing per layer to
-//! the whole-image figures, so `pcnn profile` attributes the phases per
-//! layer.
+//! its bias broadcast as [`Phase::Epilogue`]. Winograd's filter transform
+//! reports as [`Phase::WinogradFilter`] (once, or once per `U` chunk),
+//! its input transform as [`Phase::WinogradTransform`] and its inverse
+//! transform + bias as [`Phase::WinogradInverse`] (per block); they write
+//! `U` and `V` packed, so its GEMMs report neither [`Phase::PackA`] nor
+//! [`Phase::PackB`]. Their flops and bytes sum per layer to the
+//! whole-image figures, so `pcnn profile` attributes the phases per layer.
 
 use crate::gemm::{
-    active_partition, gemm_packed, gemm_packed_a, pack_a_images, pack_b_with, packed_b_len, A_LANES,
+    active_partition, avx512_tier, gemm_packed, gemm_packed_ab, pack_a_images, pack_b_with,
+    packed_b_at, packed_b_len, write_packed_b_row, AColumns, A_LANES, IMAGE_SKEW, NR,
 };
 use crate::im2col::Conv2dGeometry;
 use pcnn_profile::{phase_span, Phase};
@@ -650,34 +652,14 @@ impl<'w> WinogradFilter<'w> {
         &self,
         rows: Range<usize>,
     ) -> pcnn_parallel::ScratchF32 {
-        let (ic, alpha, weight, first) = (self.in_channels, T + 2, self.weight, rows.start);
-        let span = phase_span(Phase::WinogradTransform);
-        // A tile column at a time: lane `l` is output channel `o0 + l`'s
-        // filter of input channel `c` (lanes past `live` stay zero, and so
-        // does their transform), so the arithmetic runs over
-        // `A_LANES`-wide arrays and returns the column of all N images.
-        let u = pack_a_images::<N>(rows.len(), ic, |c, o0, live| {
-            let mut g = [[0.0f32; A_LANES]; 9];
-            for l in 0..live {
-                let f = &weight[((first + o0 + l) * ic + c) * 9..][..9];
-                for (q, &val) in f.iter().enumerate() {
-                    g[q][l] = val;
-                }
-            }
-            // Rows: G applied to the 3 filter rows -> alpha rows of 3,
-            // stored column by column.
-            let mut gg = [[[0.0f32; A_LANES]; 6]; 3];
-            for (j, col) in gg.iter_mut().enumerate() {
-                filter_line::<T>([&g[j], &g[3 + j], &g[6 + j]], col);
-            }
-            // Columns: right-multiply by G^T -> alpha x alpha, coordinate
-            // a * alpha + b.
-            let mut uu = [[0.0f32; A_LANES]; N];
-            for a in 0..alpha {
-                filter_line::<T>([&gg[0][a], &gg[1][a], &gg[2][a]], &mut uu[a * alpha..]);
-            }
-            uu
-        });
+        let ic = self.in_channels;
+        let span = phase_span(Phase::WinogradFilter);
+        let source = FilterColumns::<T> {
+            weight: self.weight,
+            ic,
+            first: rows.start,
+        };
+        let u = pack_a_images::<N>(rows.len(), ic, &source);
         if let Some(s) = span {
             // Filter reads, packed U writes (without the tier's tile
             // padding).
@@ -689,6 +671,144 @@ impl<'w> WinogradFilter<'w> {
         }
         u
     }
+}
+
+/// The filter transform as the source of `U`'s packed images: column `c`
+/// of the tile at output channel `o0` is input channel `c` of the filters
+/// of output channels `first + o0..`, lane `l` being `first + o0 + l`'s.
+struct FilterColumns<'w, const T: usize> {
+    weight: &'w [f32],
+    ic: usize,
+    first: usize,
+}
+
+impl<const T: usize, const N: usize> AColumns<N> for FilterColumns<'_, T> {
+    /// The per-lane walk: each lane's 9 taps gathered into `A_LANES`-wide
+    /// arrays (lanes past `live` stay zero, and so does their transform),
+    /// the arithmetic run over the arrays.
+    fn column(&self, c: usize, o0: usize, live: usize) -> [[f32; A_LANES]; N] {
+        let (ic, alpha) = (self.ic, T + 2);
+        let mut g = [[0.0f32; A_LANES]; 9];
+        let filters = self.weight[((self.first + o0) * ic + c) * 9..].chunks(ic * 9);
+        for (l, f) in filters.take(live).enumerate() {
+            for (q, &val) in f[..9].iter().enumerate() {
+                g[q][l] = val;
+            }
+        }
+        // Rows: G applied to the 3 filter rows -> alpha rows of 3, stored
+        // column by column.
+        let mut gg = [[[0.0f32; A_LANES]; 6]; 3];
+        for (j, col) in gg.iter_mut().enumerate() {
+            filter_line::<T>([&g[j], &g[3 + j], &g[6 + j]], col);
+        }
+        // Columns: right-multiply by G^T -> alpha x alpha, coordinate
+        // a * alpha + b.
+        let mut uu = [[0.0f32; A_LANES]; N];
+        for a in 0..alpha {
+            filter_line::<T>([&gg[0][a], &gg[1][a], &gg[2][a]], &mut uu[a * alpha..]);
+        }
+        uu
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn store_avx512(
+        &self,
+        c: usize,
+        o0: usize,
+        live: usize,
+        images: &mut [f32],
+        at: usize,
+        len: usize,
+    ) {
+        // SAFETY: this method's caller guarantees `avx512f`; the body
+        // checks its own bounds.
+        unsafe { filter_column_avx512::<T, N>(self, c, o0, live, images, at, len) };
+    }
+}
+
+/// [`FilterColumns::column`] as 16-lane vectors, stored in place: each of
+/// the 9 taps is one masked gather across the tile's filters (`ic * 9`
+/// floats apart; lanes past `live` masked, so they read nothing and stay
+/// zero), [`filter_line`]'s expressions run as vector ops in the same
+/// order, and each of the `N` results is stored at `at` in its image — so
+/// every lane is bitwise the per-lane walk's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn filter_column_avx512<const T: usize, const N: usize>(
+    source: &FilterColumns<'_, T>,
+    c: usize,
+    o0: usize,
+    live: usize,
+    images: &mut [f32],
+    at: usize,
+    len: usize,
+) {
+    use core::arch::x86_64::{
+        _mm512_mask_i32gather_ps, _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_setr_epi32,
+        _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    let (ic, alpha) = (source.ic, T + 2);
+    let first = (source.first + o0) * ic + c;
+    assert!((1..=A_LANES).contains(&live) && (N - 1) * len + at + A_LANES <= images.len());
+    assert!(
+        (first + (live - 1) * ic) * 9 + 9 <= source.weight.len()
+            && 15 * ic * 9 <= i32::MAX as usize
+    );
+    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let index = _mm512_mullo_epi32(lanes, _mm512_set1_epi32((ic * 9) as i32));
+    let mask = (u32::MAX >> (32 - live)) as u16;
+    let taps = source.weight[first * 9..].as_ptr();
+    // SAFETY: lane `l < live` reads tap `q` of filter `first + l * ic`,
+    // inside `weight` by the assertion; masked lanes read nothing.
+    let g: [_; 9] = std::array::from_fn(|q| unsafe {
+        _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, index, taps.add(q))
+    });
+    let gg: [[_; 6]; 3] =
+        std::array::from_fn(|j| filter_line_avx512::<T>([g[j], g[3 + j], g[6 + j]]));
+    let columns = gg[0].iter().zip(&gg[1]).zip(&gg[2]).take(alpha);
+    for (a, ((&g0, &g1), &g2)) in columns.enumerate() {
+        let u = filter_line_avx512::<T>([g0, g1, g2]);
+        for (b, &v) in u.iter().take(alpha).enumerate() {
+            // SAFETY: image `a * alpha + b < N` holds 16 floats at `at`, by
+            // the assertion.
+            unsafe { _mm512_storeu_ps(images.as_mut_ptr().add((a * alpha + b) * len + at), v) };
+        }
+    }
+}
+
+/// [`filter_line`] on 16 lanes at once: the same expressions, in the same
+/// order, as `_mm512` multiplies, adds and subtracts (never fused).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn filter_line_avx512<const T: usize>(
+    [g0, g1, g2]: [core::arch::x86_64::__m512; 3],
+) -> [core::arch::x86_64::__m512; 6] {
+    use core::arch::x86_64::{_mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_sub_ps};
+    let (add, sub, mul, k) = (_mm512_add_ps, _mm512_sub_ps, _mm512_mul_ps, _mm512_set1_ps);
+    if T == 2 {
+        let half = k(0.5);
+        // The last two lines are unused at T + 2 = 4.
+        return [
+            g0,
+            mul(half, add(add(g0, g1), g2)),
+            mul(half, add(sub(g0, g1), g2)),
+            g2,
+            g2,
+            g2,
+        ];
+    }
+    let outer = add(mul(g0, k(1.0 / 24.0)), mul(g2, k(1.0 / 6.0)));
+    let inner = mul(g1, k(1.0 / 12.0));
+    let sixth = k(-1.0 / 6.0);
+    [
+        mul(k(0.25), g0),
+        mul(add(add(g0, g1), g2), sixth),
+        mul(add(sub(g0, g1), g2), sixth),
+        add(outer, inner),
+        sub(outer, inner),
+        g2,
+    ]
 }
 
 /// `G` applied to one line of a 3x3 filter, lane by lane, writing the
@@ -907,19 +1027,27 @@ fn winograd_block<const T: usize>(
     // Padded input row width: tile `tx` reads columns `T tx..T tx + T + 2`.
     let wp = T * tiles_x + 2;
 
+    // A chunked U is built a chunk at a time (a chunked layer is one
+    // block); the first chunk before the block's own scratch, so that the
+    // largest checkout of the layer is made first.
+    let chunk_u = |rows: Range<usize>| filter.whole.is_none().then(|| filter.transform(rows));
+    let mut chunks = filter.chunks().map(|c| (chunk_u(c.clone()), c)).peekable();
+    chunks.peek();
     // The span starts before the checkout (pooled scratch), so pool
     // bookkeeping counts as transform time.
     let span = phase_span(Phase::WinogradTransform);
-    // V[xi]: ic x tb, M[xi]: chunk x tb — per coordinate — plus row
-    // temporaries: the input transform's 2 x 6 rows of `wp`, the
-    // inverse's 6 x 4 + 4 rows of at most `T * tiles_x`.
-    let mut scratch = pcnn_parallel::scratch_f32(coords * (ic + chunk) * tb + 40 * wp);
-    let (v, rest) = scratch.split_at_mut(coords * ic * tb);
+    // V[xi]: ic x tb packed as the GEMMs' B, M[xi]: chunk x tb — per
+    // coordinate — plus row temporaries: the input transform's 3 x 6 rows
+    // of `wp`, the inverse's 6 x 4 + 4 rows of at most `T * tiles_x`.
+    let v_len = packed_b_len(tb, ic) + IMAGE_SKEW;
+    let mut scratch = pcnn_parallel::scratch_f32(coords * (v_len + chunk * tb) + 40 * wp);
+    let (v, rest) = scratch.split_at_mut(coords * v_len);
     let (m, rows) = rest.split_at_mut(coords * chunk * tb);
-    input_transform::<T>(geom, input, tile_rows.clone(), v, rows);
+    input_transform::<T>(geom, input, tile_rows.clone(), v, rows, avx512_tier());
     if let Some(s) = span {
         // The input rows this block is the first to read (halo rows
-        // belong to the block above), V written.
+        // belong to the block above), V written (without its panel
+        // padding).
         let first_row = |ty: usize| match ty {
             0 => 0,
             ty if ty == geom.out_h.div_ceil(T) => geom.in_h,
@@ -932,23 +1060,21 @@ fn winograd_block<const T: usize>(
         );
     }
 
-    for chans in filter.chunks() {
-        let built;
-        let u = match &filter.whole {
-            Some(u) => u,
-            None => {
-                built = filter.transform(chans.clone());
-                &built
-            }
-        };
-        // Per-coordinate GEMMs: M[xi] = U[xi] * V[xi], stored, so M needs
-        // no zero-fill.
+    for (built, chans) in chunks {
+        let u = built
+            .as_ref()
+            .or(filter.whole.as_ref())
+            .expect("U whole or chunked");
+        // Per-coordinate GEMMs on both operands in place: M[xi] =
+        // U[xi] * V[xi], stored, so M needs no zero-fill.
         let n = chans.len();
         let m = &mut m[..coords * n * tb];
         let us = u.chunks_exact(u.len() / coords);
-        let vs = v.chunks_exact(ic * tb);
-        for ((u, v), m) in us.zip(vs).zip(m.chunks_exact_mut(n * tb)) {
-            gemm_packed_a(n, tb, ic, u, v, m);
+        for ((u, v), m) in us
+            .zip(v.chunks_exact(v_len))
+            .zip(m.chunks_exact_mut(n * tb))
+        {
+            gemm_packed_ab(n, tb, ic, u, v, m);
         }
 
         let span = phase_span(Phase::WinogradInverse);
@@ -969,27 +1095,35 @@ fn winograd_block<const T: usize>(
 /// Input transform of a block: `V = B^T d B` per (channel, tile)
 /// `(T + 2)²` input patch ([`input_line`] has `B^T`), where tile
 /// `(ty, tx)` reads the patch at `(T ty - pad, T tx - pad)`, zero outside
-/// the image. `v` is `[coordinate][ic][tiles of the block]`.
+/// the image. `v` holds one `ic x tiles` operand per coordinate, each
+/// written straight into the packed-`B` layout its GEMM reads
+/// ([`write_packed_b_row`]), padding lanes zeroed: the `B`-side twin of
+/// the filter transform's packed `U`.
 ///
 /// Works a tile row at a time so every inner loop is contiguous: the
 /// `T + 2` zero-padded input rows of the tile row, the `B^T d` row
 /// combination across their whole width, then the stride-`T` column
-/// combination writing each coordinate's plane along the tiles.
+/// combination writing each coordinate's row along the tiles, copied into
+/// its packed image a micropanel run at a time — or on the AVX-512 tier
+/// (`vector`), [`input_columns_avx512`].
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 fn input_transform<const T: usize>(
     geom: &Conv2dGeometry,
     input: &[f32],
     tile_rows: Range<usize>,
     v: &mut [f32],
     rows: &mut [f32],
+    vector: bool,
 ) {
     let (ic, alpha) = (geom.in_channels, T + 2);
     let tiles_x = geom.out_w.div_ceil(T);
     let tb = tile_rows.len() * tiles_x;
     let wp = T * tiles_x + 2;
-    let [d, w] = split_rows(rows, 6 * wp);
-    for c in 0..ic {
-        let chan = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
-        for (r, ty) in tile_rows.clone().enumerate() {
+    let [d, w, z] = split_rows(rows, 6 * wp);
+    let v_len = v.len() / (alpha * alpha);
+    for (r, ty) in tile_rows.clone().enumerate() {
+        for c in 0..ic {
+            let chan = &input[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
             for (dy, drow) in d.chunks_exact_mut(wp).take(alpha).enumerate() {
                 drow.fill(0.0);
                 if let Some(iy) = (T * ty + dy).checked_sub(geom.pad) {
@@ -1010,18 +1144,18 @@ fn input_transform<const T: usize>(
                     (w4[j], w5[j]) = (line[4], line[5]);
                 }
             }
-            // Columns: (B^T d) B -> (T + 2)² per tile, plane by plane.
+            // Columns: (B^T d) B -> (T + 2)² per tile.
+            #[cfg(target_arch = "x86_64")]
+            if vector {
+                // SAFETY: `vector` is set only on the AVX-512 tier.
+                unsafe { input_columns_avx512::<T>(w, wp, tiles_x, r, tb, ic, c, v, v_len) };
+                continue;
+            }
+            // Row `a`'s T + 2 coordinates along the tiles in `z`, then
+            // into their images.
             for (a, wa) in w.chunks_exact(wp).take(alpha).enumerate() {
                 let wa = &wa[..wp];
-                // The T + 2 planes of row `a` are `ic * tb` apart.
-                let mut planes = v[((a * alpha) * ic + c) * tb + r * tiles_x..].chunks_mut(ic * tb);
-                let mut plane = || &mut planes.next().expect("a plane per coordinate")[..tiles_x];
-                let (z0, z1, z2, z3) = (plane(), plane(), plane(), plane());
-                let (z4, z5) = if T == 4 {
-                    (plane(), plane())
-                } else {
-                    Default::default()
-                };
+                let [z0, z1, z2, z3, z4, z5] = split_rows(z, tiles_x);
                 for tx in 0..tiles_x {
                     let x = |k: usize| if k < alpha { wa[T * tx + k] } else { 0.0 };
                     let line = input_line::<T>([x(0), x(1), x(2), x(3), x(4), x(5)]);
@@ -1030,9 +1164,122 @@ fn input_transform<const T: usize>(
                         (z4[tx], z5[tx]) = (line[4], line[5]);
                     }
                 }
+                for (b, zb) in z.chunks_exact(tiles_x).take(alpha).enumerate() {
+                    let image = &mut v[(a * alpha + b) * v_len..][..v_len];
+                    write_packed_b_row(tb, ic, c, r * tiles_x, zb, image);
+                }
             }
         }
     }
+    // The last micropanel's padding lanes.
+    let padding = [0.0; A_LANES];
+    for image in v.chunks_exact_mut(v_len).take(alpha * alpha) {
+        for c in 0..ic {
+            write_packed_b_row(tb, ic, c, tb, &padding[..packed_b_len(tb, 1) - tb], image);
+        }
+    }
+}
+
+/// The column pass of [`input_transform`] on the AVX-512 tier, for
+/// channel `c` of tile row `r`: the micropanels the row's tiles fall in
+/// are computed 16 tiles at once — lane `l` is the panel's tile `l` —
+/// each `(B^T d)` value a masked gather along the row `w` (`T` floats
+/// apart per tile, lanes of tiles outside the row masked, so they read
+/// nothing), [`input_line`]'s expressions as vector ops in the same
+/// order, and each coordinate stored into its image with the same mask:
+/// every lane bitwise the portable pass's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn input_columns_avx512<const T: usize>(
+    w: &[f32],
+    wp: usize,
+    tiles_x: usize,
+    r: usize,
+    tb: usize,
+    ic: usize,
+    c: usize,
+    v: &mut [f32],
+    v_len: usize,
+) {
+    use core::arch::x86_64::{
+        _mm512_add_epi32, _mm512_mask_i32gather_ps, _mm512_mask_storeu_ps, _mm512_mullo_epi32,
+        _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_ps,
+    };
+    const { assert!(NR == 16, "one lane per tile of a micropanel") };
+    let alpha = T + 2;
+    // The gathers stay inside `w`'s rows, and every store's panel row of
+    // 16 inside its image: row `c < ic` of a panel holding a tile `< tb`.
+    assert!(w.len() >= alpha * wp && wp > T * tiles_x + 1);
+    assert!(c < ic && (r + 1) * tiles_x <= tb && v_len >= packed_b_len(tb, ic));
+    assert!(alpha * alpha * v_len <= v.len());
+    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let row = r * tiles_x..(r + 1) * tiles_x;
+    for j0 in (row.start / NR * NR..row.end).step_by(NR) {
+        // Lane `l` is tile `j0 + l`, column `j0 + l - row.start` of the
+        // tile row, whose patch starts at `T` times that in `w`.
+        let live = |l: usize| row.contains(&(j0 + l));
+        let mask = (0..NR).filter(|&l| live(l)).fold(0u16, |m, l| m | 1 << l);
+        let first = T as i32 * (j0 as i32 - row.start as i32);
+        let index = _mm512_add_epi32(
+            _mm512_mullo_epi32(lanes, _mm512_set1_epi32(T as i32)),
+            _mm512_set1_epi32(first),
+        );
+        let at = packed_b_at(tb, ic, c, j0);
+        for (a, wa) in w.chunks_exact(wp).take(alpha).enumerate() {
+            // SAFETY: a live lane reads `wa[T * tx + k]` for a column
+            // `tx < tiles_x` and `k < alpha`, inside the row by the
+            // assertion; masked lanes read nothing.
+            let x: [_; 6] = std::array::from_fn(|k| unsafe {
+                let tap = wa.as_ptr().add(k.min(alpha - 1));
+                _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, index, tap)
+            });
+            for (b, value) in input_line_avx512::<T>(x)
+                .into_iter()
+                .take(alpha)
+                .enumerate()
+            {
+                // SAFETY: image `a * alpha + b` holds its panel row of 16
+                // at `at`, inside `v` by the assertion.
+                unsafe {
+                    let dst = v.as_mut_ptr().add((a * alpha + b) * v_len + at);
+                    _mm512_mask_storeu_ps(dst, mask, value);
+                }
+            }
+        }
+    }
+}
+
+/// [`input_line`] on 16 lanes at once: the same expressions, in the same
+/// order, as `_mm512` adds, subtracts and multiplies (never fused).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn input_line_avx512<const T: usize>(
+    d: [core::arch::x86_64::__m512; 6],
+) -> [core::arch::x86_64::__m512; 6] {
+    use core::arch::x86_64::{_mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_sub_ps};
+    let (add, sub, mul, k) = (_mm512_add_ps, _mm512_sub_ps, _mm512_mul_ps, _mm512_set1_ps);
+    if T == 2 {
+        // The last two lines are unused at T + 2 = 4.
+        return [
+            sub(d[0], d[2]),
+            add(d[1], d[2]),
+            sub(d[2], d[1]),
+            sub(d[1], d[3]),
+            d[0],
+            d[0],
+        ];
+    }
+    let (e, f) = (sub(d[4], d[2]), sub(d[3], d[1]));
+    [
+        add(mul(k(4.0), sub(d[0], d[2])), e),
+        sub(add(d[3], d[4]), mul(k(4.0), add(d[1], d[2]))),
+        add(sub(d[4], d[3]), mul(k(4.0), sub(d[1], d[2]))),
+        add(e, mul(k(2.0), f)),
+        sub(e, mul(k(2.0), f)),
+        add(mul(k(4.0), sub(d[1], d[3])), sub(d[5], d[3])),
+    ]
 }
 
 /// Inverse transform of a block: `Y = A^T M A + bias` per (channel, tile)
@@ -1558,6 +1805,99 @@ mod tests {
         // Both sides count: a 28-row map 27 wide stays F(2x2).
         let narrow = Conv2dGeometry::new(16, 28, 27, 3, 1, 1);
         assert_eq!(winograd_tile(&narrow, 16), 2);
+    }
+
+    /// [`FilterColumns`] with the portable body only: its `store_avx512`
+    /// is the default, which stores the per-lane walk's columns.
+    struct PerLane<'w, const T: usize>(FilterColumns<'w, T>);
+
+    impl<const T: usize, const N: usize> AColumns<N> for PerLane<'_, T> {
+        fn column(&self, c: usize, o0: usize, live: usize) -> [[f32; A_LANES]; N] {
+            self.0.column(c, o0, live)
+        }
+    }
+
+    /// The filter transform's vector walk (the AVX-512 tier's) packs
+    /// bitwise the images the per-lane walk does: both tiles, ragged last
+    /// tiles (`oc % 16` of 1, 7 and 15, starting past the first tile as a
+    /// chunk of `U` does), input channels on either side of one and two
+    /// `KC` blocks, at pool widths 1 to 3.
+    #[test]
+    fn the_vector_filter_walk_on_every_tier_is_bitwise_the_per_lane_walk() {
+        fn check<const T: usize, const N: usize>(weight: &[f32], ic: usize, rows: Range<usize>) {
+            let walk = || FilterColumns::<T> {
+                weight,
+                ic,
+                first: rows.start,
+            };
+            let vector = pack_a_images::<N>(rows.len(), ic, &walk());
+            let per_lane = pack_a_images::<N>(rows.len(), ic, &PerLane(walk()));
+            // Each image, without the unwritten skew after it.
+            let bits = |u: &[f32]| {
+                u.chunks_exact(u.len() / N)
+                    .flat_map(|x| &x[..x.len() - IMAGE_SKEW])
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert!(
+                bits(&vector) == bits(&per_lane),
+                "F({T}x{T}), ic {ic}, rows {rows:?}"
+            );
+        }
+        let kc = crate::gemm_tile()[2];
+        for ic in [1, kc - 1, kc + 1, 2 * kc + 3] {
+            for oc in [17, 23, 31] {
+                let weight = noise((ic * oc) as u64, oc * ic * 9);
+                for width in 1..=3 {
+                    pcnn_parallel::with_threads(width, || {
+                        for rows in [0..oc, 16..oc] {
+                            check::<2, 16>(&weight, ic, rows.clone());
+                            check::<4, 36>(&weight, ic, rows);
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    /// The input transform's vector column pass (the AVX-512 tier's)
+    /// writes bitwise the packed `V` the portable pass does, padding lanes
+    /// included: both tiles, tile rows whose tiles start and end inside a
+    /// micropanel (a block of several rows, a short one of one), borders of
+    /// 0 and 1, input channels on either side of one and two `KC` blocks.
+    #[test]
+    fn the_vector_input_transform_on_every_tier_is_bitwise_the_portable_one() {
+        if !avx512_tier() {
+            eprintln!("skipped: the AVX-512 tier does not run here");
+            return;
+        }
+        fn check<const T: usize>(geom: &Conv2dGeometry, tile_rows: Range<usize>) {
+            let (ic, coords) = (geom.in_channels, (T + 2) * (T + 2));
+            let tiles_x = geom.out_w.div_ceil(T);
+            let tb = tile_rows.len() * tiles_x;
+            let input = noise((ic * geom.in_w) as u64, ic * geom.in_h * geom.in_w);
+            let run = |vector: bool| {
+                let mut v = vec![f32::NAN; coords * packed_b_len(tb, ic)];
+                let mut rows = vec![0.0; 40 * (T * tiles_x + 2)];
+                input_transform::<T>(geom, &input, tile_rows.clone(), &mut v, &mut rows, vector);
+                v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            assert!(
+                run(true) == run(false),
+                "F({T}x{T}) {geom:?} rows {tile_rows:?}"
+            );
+        }
+        let kc = crate::gemm_tile()[2];
+        for ic in [1, 3, kc - 1, kc + 1, 2 * kc + 3] {
+            for (side, pad) in [(13, 1), (23, 0), (30, 1)] {
+                let geom = Conv2dGeometry::new(ic, side, side + 5, 3, 1, pad);
+                let rows = |t: usize| geom.out_h.div_ceil(t);
+                check::<2>(&geom, 0..rows(2));
+                check::<2>(&geom, 1..4.min(rows(2)));
+                check::<4>(&geom, 0..rows(4));
+                check::<4>(&geom, rows(4) - 1..rows(4));
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //!    it to `C`.
 //!
 //! An `A` many GEMMs share (Winograd's `U`) is packed once instead, by
-//! [`pack_a_images`], and read in place by [`gemm_packed_a`] (`C = A * B`).
+//! [`pack_a_images`]; a caller that also writes `B` in the packed layout
+//! (Winograd's `V`) runs the loop nest on both in place through
+//! [`gemm_packed_ab`] (`C = A * B`).
 //!
 //! # ISA tiers
 //!
@@ -72,7 +74,7 @@
 //! Each `C` element starts every `KC` block from `+0.0`, accumulates
 //! `acc = acc + a * b` (one IEEE multiply, one IEEE add — never a fused
 //! multiply-add) in ascending-`k` order, and the blocks are added to `C`
-//! in ascending order ([`gemm_packed_a`] stores the first instead, which
+//! in ascending order ([`gemm_packed_ab`] stores the first instead, which
 //! is the same bits as adding it to a zeroed `C`). That sequence — and therefore [`KC`] — *is* the
 //! rounding contract; `MR`, `NR`, `MC`, the vector width — the whole ISA
 //! tier — and the thread count only decide which elements are computed
@@ -113,7 +115,7 @@ use std::ops::Range;
 /// 16-lane AVX-512 vector per accumulator row. Being tier-independent is
 /// what keeps the packed-`B` layout (and everyone who fills it) ignorant
 /// of tiers.
-const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
 /// Tile height of the `portable` and `avx2` tiers: 6x16 is 12 of AVX2's 16
 /// `ymm` registers for accumulators, two for the `B` row and one for the
@@ -132,6 +134,12 @@ const MR_AVX512: usize = 16;
 /// of each tier's `MR` — so the group boundaries, and with them the
 /// profiler's span counts, do not depend on the tier.
 const MC: usize = 96;
+/// Live columns up to which the `avx512` tier computes a ragged last panel
+/// column by column ([`microkernel_avx512_columns`]) rather than as a full
+/// padded tile: the width where the column kernel stops winning
+/// (EXPERIMENTS.md, "The ragged last panel").
+#[cfg(target_arch = "x86_64")]
+const RAGGED_COLUMNS: usize = 12;
 /// Depth of one packed block: a `KC x NR` `B` micropanel (16 KiB) stays
 /// L1-resident while every row tile of a group streams over it. Unlike
 /// the tile constants above, `KC` is part of the rounding contract (every
@@ -363,32 +371,59 @@ impl TileSink {
 ///
 /// Panics if any slice is shorter than its `m/n/k`-implied length.
 pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_on(Tier::detect(), m, n, k, OperandA::Rows(a), b, c);
+    gemm_on(Tier::detect(), m, n, k, a, b, c);
 }
 
-/// `C = A * B` with `A` already packed: one image of a [`pack_a_images`]
-/// result. `B` is row-major and packed here, as [`gemm`] packs it.
+/// `C = A * B` with both operands already packed: `A` one image of a
+/// [`pack_a_images`] result, `B` a [`pack_b_with`] image of
+/// [`packed_b_len`] elements. So a caller whose operands are produced in
+/// the layouts the loop nest reads (Winograd's `U` and `V`) pays for no
+/// packing here.
 ///
 /// The first `KC` block *stores* its products into `C` instead of adding
 /// them, so `C` needs no zero-fill. That is bitwise [`gemm`] into a zeroed
 /// `C`: an accumulator starts at `+0.0` and `+0.0 + x` is `+0.0` for
 /// `x = -0.0`, so it is never `-0.0`, and `+0.0 + x == x` for every other
 /// `x`.
-pub(crate) fn gemm_packed_a(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_on(Tier::detect(), m, n, k, OperandA::Packed(a), b, c);
+pub(crate) fn gemm_packed_ab(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b_pack: &[f32],
+    c: &mut [f32],
+) {
+    gemm_packed_ab_on(Tier::detect(), m, n, k, a, b_pack, c);
 }
 
-/// [`gemm`] or [`gemm_packed_a`] on an explicit tier (the one that packed
-/// a packed `A`; its slices panic if it is short).
-fn gemm_on(tier: Tier, m: usize, n: usize, k: usize, a: OperandA, b: &[f32], c: &mut [f32]) {
-    if let OperandA::Rows(a) = a {
-        assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
-    }
-    assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
+/// [`gemm_packed_ab`] on an explicit tier (the one that packed `A`; its
+/// slices panic if it is short).
+fn gemm_packed_ab_on(
+    tier: Tier,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b_pack: &[f32],
+    c: &mut [f32],
+) {
+    assert!(b_pack.len() >= packed_b_len(n, k), "packed B too short");
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    if k == 0 && matches!(a, OperandA::Packed(_)) {
+    if k == 0 {
         c[..m * n].fill(0.0);
     }
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let part = active_partition_on(tier, m, n, k);
+    gemm_packed_on(tier, m, n, k, OperandA::Packed(a), b_pack, part, c);
+}
+
+/// [`gemm`] on an explicit tier.
+fn gemm_on(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
+    assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
+    assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -407,7 +442,7 @@ fn gemm_on(tier: Tier, m: usize, n: usize, k: usize, a: OperandA, b: &[f32], c: 
         // Reads the k x n source, writes the padded packed image.
         s.finish(0, 4 * (k * n + packed_b_len(n, k)) as u64);
     }
-    gemm_packed_on(tier, m, n, k, a, &b_pack, part, c);
+    gemm_packed_on(tier, m, n, k, OperandA::Rows(a), &b_pack, part, c);
 }
 
 /// The partition [`gemm`] would actually run with right now: collapses to
@@ -465,7 +500,7 @@ enum OperandA<'a> {
     /// and every block's products are added to `C` (`C += A * B`).
     Rows(&'a [f32]),
     /// A [`pack_a_images`] image, read in place; the first `KC` block's
-    /// products are stored into `C` (`C = A * B`, see [`gemm_packed_a`]).
+    /// products are stored into `C` (`C = A * B`, see [`gemm_packed_ab`]).
     Packed(&'a [f32]),
 }
 
@@ -556,21 +591,108 @@ pub(crate) fn pack_b_with(
     }
 }
 
-/// Lanes of the column [`pack_a_images`]'s `fill_col` returns: at least
-/// every tier's `MR`.
+/// Where element `(p, j)` of a `k x n` operand sits in its [`pack_b_with`]
+/// image; the rest of `j`'s micropanel row follows it, up to the next
+/// multiple of `NR`.
+pub(crate) fn packed_b_at(n: usize, k: usize, p: usize, j: usize) -> usize {
+    let p0 = p / KC * KC;
+    p0 * n.div_ceil(NR) * NR + j / NR * KC.min(k - p0) * NR + (p - p0) * NR + j % NR
+}
+
+/// Whether the packed GEMM runs on the AVX-512 tier: what a producer of a
+/// packed operand asks before running its own 16-lane body.
+pub(crate) fn avx512_tier() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if Tier::detect() == Tier::Avx512 {
+        return true;
+    }
+    false
+}
+
+/// Writes `row` as `B[p][j0..j0 + row.len()]` of a `k x n` operand into
+/// its [`pack_b_with`] image `packed`, a contiguous run per micropanel —
+/// for a producer that writes `B` packed itself. The row may run on into
+/// the last micropanel's padding, up to [`packed_b_len`]`(n, 1)`: that is
+/// how such a producer zeroes it.
+pub(crate) fn write_packed_b_row(
+    n: usize,
+    k: usize,
+    p: usize,
+    j0: usize,
+    row: &[f32],
+    packed: &mut [f32],
+) {
+    let (mut j, mut rest) = (j0, row);
+    while !rest.is_empty() {
+        let (run, tail) = rest.split_at((NR - j % NR).min(rest.len()));
+        packed[packed_b_at(n, k, p, j)..][..run.len()].copy_from_slice(run);
+        (j, rest) = (j + run.len(), tail);
+    }
+}
+
+/// Floats between the end of one packed image and the start of the next,
+/// in [`pack_a_images`]'s result and Winograd's `V`: one cache line, so
+/// that the same element of the `N` images — which a producer writes
+/// together — does not fall in one L1 set (an image is a multiple of 4 KiB
+/// on most layer shapes).
+pub(crate) const IMAGE_SKEW: usize = 16;
+
+/// Lanes of the column an [`AColumns`] source returns: at least every
+/// tier's `MR`.
 pub(crate) const A_LANES: usize = 16;
+
+/// The `N` operands [`pack_a_images`] packs, computed a tile column at a
+/// time in one pass over their common source.
+pub(crate) trait AColumns<const N: usize> {
+    /// Column `p` of rows `i0..i0 + live` (`live <= MR`) of every image,
+    /// with zeros in the lanes past `live`: they are a ragged last tile's
+    /// padding. The portable body, and the oracle of
+    /// [`store_avx512`](Self::store_avx512).
+    fn column(&self, p: usize, i0: usize, live: usize) -> [[f32; A_LANES]; N];
+
+    /// [`column`](Self::column) on the AVX-512 tier, stored in place: image
+    /// `x`'s 16 lanes at `images[x * len + at..][..A_LANES]`, bitwise what
+    /// `column` returns — which is all this default does. A source
+    /// overrides it with an explicit 16-lane body.
+    ///
+    /// # Safety
+    ///
+    /// The CPU runs `avx512f`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn store_avx512(
+        &self,
+        p: usize,
+        i0: usize,
+        live: usize,
+        images: &mut [f32],
+        at: usize,
+        len: usize,
+    ) {
+        for (x, col) in self.column(p, i0, live).iter().enumerate() {
+            images[x * len + at..][..A_LANES].copy_from_slice(col);
+        }
+    }
+}
+
+/// A closure returning the columns is a source with the portable body
+/// only.
+impl<F: Fn(usize, usize, usize) -> [[f32; A_LANES]; N], const N: usize> AColumns<N> for F {
+    fn column(&self, p: usize, i0: usize, live: usize) -> [[f32; A_LANES]; N] {
+        self(p, i0, live)
+    }
+}
 
 /// Length in f32 of one packed-`A` image of an `m x k` operand on `tier`.
 fn packed_a_len_on(tier: Tier, m: usize, k: usize) -> usize {
     m.div_ceil(tier.mr()) * tier.mr() * k
 }
 
-/// Packs `N` `m x k` operands for [`gemm_packed_a`] into one pooled
+/// Packs `N` `m x k` operands for [`gemm_packed_ab`] into one pooled
 /// scratch of `N` equal images — the `A` side's one owner of the layout,
-/// as [`pack_b_with`] is `B`'s. `fill_col(p, i0, live)` returns, for every
-/// image, column `p` of rows `i0..i0 + live` (`live <= MR`), with zeros in
-/// the lanes past `live`: they are a ragged last tile's padding. So a
-/// caller computes all `N` operands in one pass over its source.
+/// as [`pack_b_with`] is `B`'s — from the columns `source` computes, so a
+/// caller computes all `N` operands in one pass over its source. Each
+/// image is followed by [`IMAGE_SKEW`] unused floats: image `x` starts at
+/// `x * packed.len() / N`.
 ///
 /// The image is the layout [`gemm`] packs one `MC`-row group into, for the
 /// whole operand: `KC` block `pc` starts at `p0 * ceil(m/MR) * MR`
@@ -579,45 +701,68 @@ fn packed_a_len_on(tier: Tier, m: usize, k: usize) -> usize {
 pub(crate) fn pack_a_images<const N: usize>(
     m: usize,
     k: usize,
-    fill_col: impl FnMut(usize, usize, usize) -> [[f32; A_LANES]; N],
+    source: &impl AColumns<N>,
 ) -> pcnn_parallel::ScratchF32 {
-    pack_a_images_on(Tier::detect(), m, k, fill_col)
+    pack_a_images_on(Tier::detect(), m, k, source)
 }
 
 fn pack_a_images_on<const N: usize>(
     tier: Tier,
     m: usize,
     k: usize,
-    fill_col: impl FnMut(usize, usize, usize) -> [[f32; A_LANES]; N],
+    source: &impl AColumns<N>,
 ) -> pcnn_parallel::ScratchF32 {
-    let mut packed = pcnn_parallel::scratch_f32(N * packed_a_len_on(tier, m, k));
+    let len = packed_a_len_on(tier, m, k) + IMAGE_SKEW;
+    let mut packed = pcnn_parallel::scratch_f32(N * len);
+    let images = &mut packed[..];
     match tier {
+        // SAFETY: `Tier::Avx512` is only constructed after the runtime
+        // probe found `avx512f` (the invariant on `Tier`).
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => fill_a_images::<MR_AVX512, N>(m, k, &mut packed, fill_col),
-        _ => fill_a_images::<MR_BASE, N>(m, k, &mut packed, fill_col),
+        Tier::Avx512 => unsafe { fill_a_images_avx512(m, k, images, len, source) },
+        _ => a_image_walk::<MR_BASE>(m, k, |p, i0, live, at| {
+            for (x, col) in source.column(p, i0, live).iter().enumerate() {
+                images[x * len + at..][..MR_BASE].copy_from_slice(&col[..MR_BASE]);
+            }
+        }),
     }
     packed
 }
 
-/// [`pack_a_images`]'s walk for an `MR`-row tile: blocks, then tiles, then
-/// depth, so each image is written front to back in `MR`-float runs.
-fn fill_a_images<const MR: usize, const N: usize>(
+/// [`pack_a_images`] on the AVX-512 tier: the source's 16-lane body stores
+/// each column in place.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn fill_a_images_avx512<const N: usize>(
     m: usize,
     k: usize,
-    packed: &mut [f32],
-    mut fill_col: impl FnMut(usize, usize, usize) -> [[f32; A_LANES]; N],
+    images: &mut [f32],
+    len: usize,
+    source: &impl AColumns<N>,
+) {
+    a_image_walk::<MR_AVX512>(m, k, |p, i0, live, at| {
+        // SAFETY: this function runs only where `avx512f` does.
+        unsafe { source.store_avx512(p, i0, live, images, at, len) }
+    });
+}
+
+/// The packed-`A` image's walk for an `MR`-row tile: blocks, then tiles,
+/// then depth, so each image is written front to back in `MR`-float runs.
+/// `visit(p, i0, live, at)`: column `p` of the tile at row `i0` (`live`
+/// rows of it real) starts at `at` in each image.
+#[inline(always)]
+fn a_image_walk<const MR: usize>(
+    m: usize,
+    k: usize,
+    mut visit: impl FnMut(usize, usize, usize, usize),
 ) {
     const { assert!(MR <= A_LANES, "a tile column fits the lanes") };
-    let len = m.div_ceil(MR) * MR * k;
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
         for i0 in (0..m).step_by(MR) {
             let tile = p0 * m.div_ceil(MR) * MR + i0 * kc;
             for p in 0..kc {
-                let cols = fill_col(p0 + p, i0, MR.min(m - i0));
-                for (x, col) in cols.iter().enumerate() {
-                    packed[x * len + tile + p * MR..][..MR].copy_from_slice(&col[..MR]);
-                }
+                visit(p0 + p, i0, MR.min(m - i0), tile + p * MR);
             }
         }
     }
@@ -720,16 +865,17 @@ fn gemm_tiles(
             tile_rows,
             tile_cols,
             a_pack,
-            microkernel::<MR_BASE>,
+            |kc, _, a_micro, b_micro| microkernel::<MR_BASE>(kc, a_micro, b_micro),
         ),
     }
 }
 
 /// AVX-512 instantiation of [`gemm_tiles_body`]: packing and the `C`
 /// update are compiled for the 16-row tile with 512-bit vectors available,
-/// and the tile product is the explicit [`microkernel_avx512`] (the
-/// closure inherits this function's target features, so the kernel inlines
-/// into the loop nest).
+/// and the tile product is the explicit [`microkernel_avx512`] — or, on a
+/// last panel of at most [`RAGGED_COLUMNS`] live columns,
+/// [`microkernel_avx512_columns`] (the closure inherits this function's
+/// target features, so the kernels inline into the loop nest).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -754,8 +900,30 @@ fn gemm_tiles_avx512(
         tile_rows,
         tile_cols,
         a_pack,
-        |kc, a_micro, b_micro| microkernel_avx512::<MR_AVX512>(kc, a_micro, b_micro),
+        |kc, nr, a_micro, b_micro| match nr {
+            NR => microkernel_avx512::<MR_AVX512>(kc, a_micro, b_micro),
+            _ => ragged_avx512(kc, nr, a_micro, b_micro),
+        },
     )
+}
+
+/// The AVX-512 tile product of a panel with `nr < NR` live columns:
+/// [`microkernel_avx512_columns`] at the next multiple of 4 up to
+/// [`RAGGED_COLUMNS`] (a dead column reads `B`'s zero padding and is never
+/// stored), the full tile past it. Never inlined: at most one panel per
+/// row band is ragged, and its kernels inlined into the loop nest cost the
+/// full tiles' code 15–20 % on `k = 27` (VGG-16's conv1_1 through direct).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline(never)]
+fn ragged_avx512(kc: usize, nr: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR_AVX512] {
+    const { assert!(RAGGED_COLUMNS == 12, "one arm per width below") };
+    match nr {
+        ..=4 => microkernel_avx512_columns::<4>(kc, a, b),
+        5..=8 => microkernel_avx512_columns::<8>(kc, a, b),
+        9..=12 => microkernel_avx512_columns::<12>(kc, a, b),
+        _ => microkernel_avx512::<MR_AVX512>(kc, a, b),
+    }
 }
 
 /// AVX2 instantiation of [`gemm_tiles_body`]: packing and the `C` update
@@ -785,15 +953,16 @@ fn gemm_tiles_avx2(
         tile_rows,
         tile_cols,
         a_pack,
-        |kc, a_micro, b_micro| microkernel_avx2(kc, a_micro, b_micro),
+        |kc, _, a_micro, b_micro| microkernel_avx2(kc, a_micro, b_micro),
     )
 }
 
 /// The rectangle loop nest: ascending `KC` blocks on the outside (the
 /// per-element accumulation order that fixes bitwise determinism), then
 /// `MC`-row `A` groups (packed into `a_pack`, or read from a packed
-/// image), then the `jr`/`ir` loops calling `kernel` on one `MR x NR`
-/// tile at a time. `tile_rows` counts `MR`-row tiles.
+/// image), then the `jr`/`ir` loops calling `kernel(kc, nr, a, b)` on one
+/// `MR x NR` tile at a time, `nr` of its columns live. `tile_rows` counts
+/// `MR`-row tiles.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn gemm_tiles_body<const MR: usize>(
@@ -806,7 +975,7 @@ fn gemm_tiles_body<const MR: usize>(
     tile_rows: Range<usize>,
     tile_cols: Range<usize>,
     a_pack: &mut [f32],
-    kernel: impl Fn(usize, &[f32], &[f32]) -> [[f32; NR]; MR],
+    kernel: impl Fn(usize, usize, &[f32], &[f32]) -> [[f32; NR]; MR],
 ) {
     const { assert!(MC.is_multiple_of(MR), "packing groups hold whole tiles") };
     let n_panels = n.div_ceil(NR);
@@ -851,7 +1020,7 @@ fn gemm_tiles_body<const MR: usize>(
                 for (g, a_micro) in a_group.chunks(kc * MR).enumerate() {
                     let i0 = (g0 + g) * MR;
                     let mr = MR.min(m - i0);
-                    let acc = kernel(kc, a_micro, b_micro);
+                    let acc = kernel(kc, nr, a_micro, b_micro);
                     for (i, acc_row) in acc.iter().enumerate().take(mr) {
                         // SAFETY: row `i0 + i` < m and columns
                         // `j0..j0 + nr` <= n lie inside `C`, and this
@@ -982,6 +1151,53 @@ fn microkernel_avx512<const MR: usize>(kc: usize, a: &[f32], b: &[f32]) -> [[f32
         // SAFETY: `row` is a `[f32; 16]`, room for one unaligned 16-lane
         // store.
         unsafe { _mm512_storeu_ps(row.as_mut_ptr(), v) };
+    }
+    out
+}
+
+/// [`microkernel`]'s first `L < NR` columns, for a ragged panel of at most
+/// `L` live ones, written out for AVX-512 the other way round: each column
+/// `j` is one 16-lane accumulator over the tile's rows, and each depth
+/// step is one `A` load, `L` broadcasts of `b[p][j]` and `L`
+/// multiply-then-add pairs, `acc[j] + a[p][0..16] * b[p][j]` — per element
+/// the product and the sum [`microkernel`] forms, in the same order over
+/// `p` (an IEEE product commutes), so the columns are bitwise its. They
+/// are transposed on the way out; the columns past `L` are zero.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn microkernel_avx512_columns<const L: usize>(
+    kc: usize,
+    a: &[f32],
+    b: &[f32],
+) -> [[f32; NR]; MR_AVX512] {
+    use core::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    const MR: usize = MR_AVX512;
+    const { assert!(MR == 16 && L < NR, "one 16-lane vector per live column") };
+    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
+    let mut acc = [_mm512_setzero_ps(); L];
+    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
+        // SAFETY: `av` is a `chunks_exact(MR)` chunk — exactly 16
+        // contiguous f32 — so the unaligned 16-lane load is in bounds.
+        let a0 = unsafe { _mm512_loadu_ps(av.as_ptr()) };
+        for j in 0..L {
+            acc[j] = _mm512_add_ps(acc[j], _mm512_mul_ps(a0, _mm512_set1_ps(bv[j])));
+        }
+    }
+    let mut cols = [[0.0f32; MR]; L];
+    for (col, &v) in cols.iter_mut().zip(&acc) {
+        // SAFETY: `col` is a `[f32; 16]`, room for one unaligned 16-lane
+        // store.
+        unsafe { _mm512_storeu_ps(col.as_mut_ptr(), v) };
+    }
+    let mut out = [[0.0f32; NR]; MR];
+    for (i, row) in out.iter_mut().enumerate() {
+        for (d, col) in row.iter_mut().zip(&cols) {
+            *d = col[i];
+        }
     }
     out
 }
@@ -1584,7 +1800,7 @@ mod tests {
             let run = |tier: Tier| {
                 let mut c = c0.clone();
                 pcnn_parallel::with_threads(width, || {
-                    gemm_on(tier, m, n, k, OperandA::Rows(&a), &b, &mut c)
+                    gemm_on(tier, m, n, k, &a, &b, &mut c)
                 });
                 bits(&c)
             };
@@ -1598,14 +1814,16 @@ mod tests {
         }
     }
 
-    /// The packed-`A` entry with its first-block store is, bit for bit,
-    /// `gemm` into a zeroed `C`, on every tier this CPU runs, at pool
-    /// widths 1, 2 and the ambient one (CI sets 2 and 8); the 2-D split
-    /// reads a row range of the packed image. Shapes: ragged rows on both
-    /// tile heights, ragged columns, one and three `KC` blocks, `k = 0`,
-    /// and operands whose products are all `-0.0` or cancel exactly, where
-    /// a first block that stored a `-0.0` would show. Both images of a
-    /// two-image pack are run, so the image offsets are held too.
+    /// The packed entry with its first-block store is, bit for bit, `gemm`
+    /// into a zeroed `C`, on every tier this CPU runs, at pool widths 1, 2
+    /// and the ambient one (CI sets 2 and 8); the 2-D split reads a row
+    /// range of the packed `A` image and a panel range of the packed `B`.
+    /// Shapes: ragged rows on both tile heights, ragged columns (every
+    /// last-panel width the AVX-512 tier computes column by column among
+    /// them), one and three `KC` blocks, `k = 0`, and operands whose
+    /// products are all `-0.0` or cancel exactly, where a first block that
+    /// stored a `-0.0` would show. Both images of a two-image pack are run,
+    /// so the image offsets are held too.
     #[test]
     fn packed_a_gemm_on_every_tier_is_bitwise_gemm_into_a_zeroed_c() {
         let shapes = [
@@ -1616,6 +1834,8 @@ mod tests {
             (16, 16, 256),
             (33, 17, 5),
             (3, 4, 0),
+            (16, 28, 513),
+            (48, 61, 257),
         ];
         for (case, &(m, n, k)) in shapes.iter().enumerate() {
             let seed = case as u64;
@@ -1634,9 +1854,20 @@ mod tests {
                 b_pairs.copy_within(p * n..(p + 1) * n, (p + 1) * n);
             }
             for (a, b) in [(&minus_zero, &b_abs), (&cancel, &b_pairs)] {
+                // `B` packed through its producers' entry, in runs that
+                // start anywhere in a micropanel, and the padding zeroed.
+                let mut b_pack = vec![f32::NAN; packed_b_len(n, k)];
+                for p in 0..k {
+                    let row = &b[p * n..][..n];
+                    for (i, run) in row.chunks(7 + p % 5).enumerate() {
+                        write_packed_b_row(n, k, p, i * (7 + p % 5), run, &mut b_pack);
+                    }
+                    let pad = vec![0.0; packed_b_len(n, 1) - n];
+                    write_packed_b_row(n, k, p, n, &pad, &mut b_pack);
+                }
                 for width in [1, 2, pcnn_parallel::current_threads()] {
                     for tier in Tier::available() {
-                        let packed = pack_a_images_on::<2>(tier, m, k, |p, i0, live| {
+                        let packed = pack_a_images_on::<2>(tier, m, k, &|p, i0, live| {
                             let mut cols = [[0.0; A_LANES]; 2];
                             for (x, col) in cols.iter_mut().enumerate() {
                                 for (l, v) in col[..live].iter_mut().enumerate() {
@@ -1650,9 +1881,9 @@ mod tests {
                             let mut want = vec![0.0; m * n];
                             let mut got = vec![f32::NAN; m * n];
                             pcnn_parallel::with_threads(width, || {
-                                gemm_on(tier, m, n, k, OperandA::Rows(a), b, &mut want);
-                                let image = OperandA::Packed(&packed[x * len..(x + 1) * len]);
-                                gemm_on(tier, m, n, k, image, b, &mut got);
+                                gemm_on(tier, m, n, k, a, b, &mut want);
+                                let image = &packed[x * len..(x + 1) * len];
+                                gemm_packed_ab_on(tier, m, n, k, image, &b_pack, &mut got);
                             });
                             assert_eq!(
                                 bits(&got),
@@ -1662,6 +1893,45 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Every ragged last panel, `n % 16` in 1..=15, computes bitwise what
+    /// the portable tier does, on every tier this CPU runs — the AVX-512
+    /// tier's column kernel up to `RAGGED_COLUMNS` live columns, its full
+    /// tile past that — with `k` spanning two `KC` blocks, from a
+    /// row-major `A` (added into a non-zero `C`) and from a packed one
+    /// (stored).
+    #[test]
+    fn ragged_panels_on_every_tier_are_bitwise_the_portable_tier() {
+        let (m, k) = (37, KC + 45);
+        for nr in 1..NR {
+            let n = NR + nr;
+            let a = noise(nr as u64, m * k);
+            let b = noise(!(nr as u64), k * n);
+            let c0 = noise(0xC0C ^ nr as u64, m * n);
+            let mut b_pack = vec![0.0; packed_b_len(n, k)];
+            pack_b_with(n, k, &mut b_pack, false, |p, j0, dst| {
+                dst.copy_from_slice(&b[p * n + j0..][..dst.len()]);
+            });
+            let run = |tier: Tier| {
+                let mut rows = c0.clone();
+                gemm_on(tier, m, n, k, &a, &b, &mut rows);
+                let image = pack_a_images_on::<1>(tier, m, k, &|p, i0, live| {
+                    let mut col = [[0.0; A_LANES]; 1];
+                    for (l, v) in col[0][..live].iter_mut().enumerate() {
+                        *v = a[(i0 + l) * k + p];
+                    }
+                    col
+                });
+                let mut packed = vec![f32::NAN; m * n];
+                gemm_packed_ab_on(tier, m, n, k, &image, &b_pack, &mut packed);
+                (bits(&rows), bits(&packed))
+            };
+            let want = run(Tier::Portable);
+            for tier in Tier::available() {
+                assert!(run(tier) == want, "n % 16 = {nr} on {tier}");
             }
         }
     }
@@ -1855,9 +2125,7 @@ mod tests {
                 pcnn_profile::reset();
                 {
                     let _scope = pcnn_profile::layer_scope(0, "gemm");
-                    pcnn_parallel::with_threads(1, || {
-                        gemm_on(tier, m, n, k, OperandA::Rows(&a), &b, &mut c)
-                    });
+                    pcnn_parallel::with_threads(1, || gemm_on(tier, m, n, k, &a, &b, &mut c));
                 }
                 pcnn_profile::set_enabled(false);
                 let snap = pcnn_profile::snapshot();

@@ -331,14 +331,14 @@ fn conv_algorithms_bitwise_equal_across_thread_counts() {
 
 /// Profiler attribution of the Winograd block pipeline:
 /// `conv2d_winograd` emits its `WinogradTransform` / `WinogradInverse`
-/// spans per block (the filter transform once), so their *sums* per layer
-/// must still be the whole-image formulas `pcnn profile` has always
-/// reported; the 16 GEMMs read the `U` the filter transform packed, so
-/// they report no `PackA`; and together with the GEMM's phases the spans
-/// must still cover the layer's wall time. `conv2d`'s F(4x4) layers
-/// report the same phases with their own counts — 36 coordinates per 4x4
-/// tile, a chunked `U` transformed a chunk at a time — and no `PackA`
-/// either.
+/// spans per block and its `WinogradFilter` span once, so their *sums*
+/// per layer must be the whole-image formulas; the 16 GEMMs read the `U`
+/// the filter transform packed and the `V` the input transform packed, so
+/// they report neither `PackA` nor `PackB`; and together with the GEMM's
+/// phases the spans must still cover the layer's wall time. `conv2d`'s
+/// F(4x4) layers report the same phases with their own counts — 36
+/// coordinates per 4x4 tile, a chunked `U` transformed a chunk at a time
+/// — and no packing either.
 #[test]
 fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
     // (in_channels, in_h, in_w, pad, out_channels, tile): four blocks with
@@ -397,23 +397,34 @@ fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
         } else {
             [117, 210, 146]
         };
-        // The filter transform writes U packed for the GEMMs (counted
-        // without the tier's tile padding), so they pack no A; M is
-        // stored by the GEMMs, never zero-filled.
+        // The filter and input transforms write U and V packed for the
+        // GEMMs (counted without the tier's padding), so they pack
+        // neither; M is stored by the GEMMs, never zero-filled.
+        for packing in [Phase::PackA, Phase::PackB] {
+            assert_eq!(
+                profile.phase(packing).calls,
+                0,
+                "{packing:?} per GEMM, layer {layer}"
+            );
+        }
+        let filter_phase = profile.phase(Phase::WinogradFilter);
         assert_eq!(
-            profile.phase(Phase::PackA).calls,
-            0,
-            "A packed per GEMM, layer {layer}"
+            (filter_phase.flops, filter_phase.bytes),
+            (
+                (filter * oc * ic) as u64,
+                4 * (oc * geom.patch_len() + coords * oc * ic) as u64
+            ),
+            "filter transform, layer {layer}"
         );
         let transform = profile.phase(Phase::WinogradTransform);
         assert_eq!(
             transform.flops,
-            (filter * oc * ic + tile_in * ic * t) as u64,
+            (tile_in * ic * t) as u64,
             "transform flops, layer {layer}"
         );
         assert_eq!(
             transform.bytes,
-            4 * (oc * geom.patch_len() + ic * in_h * in_w + coords * (oc * ic + ic * t)) as u64,
+            4 * (ic * in_h * in_w + coords * ic * t) as u64,
             "transform bytes, layer {layer}"
         );
         let inverse = profile.phase(Phase::WinogradInverse);
@@ -454,9 +465,11 @@ fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
         let wide = run(3);
         let work = |t: PhaseTotals| (t.flops, t.bytes, t.calls);
         for p in [
+            Phase::WinogradFilter,
             Phase::WinogradTransform,
             Phase::WinogradInverse,
             Phase::PackA,
+            Phase::PackB,
         ] {
             assert_eq!(work(wide.phase(p)), work(profile.phase(p)), "{p:?}");
         }
