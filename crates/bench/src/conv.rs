@@ -73,7 +73,8 @@ impl ConvShape {
 /// The swept layer shapes: the real AlexNet conv tower (conv2 taken
 /// ungrouped), VGG-16's conv1_2 and two VGG-style 3x3 stages. CONV1 is
 /// strided 11x11 — Winograd-ineligible, the shape where direct's fused
-/// packing wins; the 3x3 stride-1 layers are Winograd's home turf, and
+/// packing wins; the stride-1 layers are Winograd's home turf (CONV2
+/// through F(2x2,5x5), the 3x3 ones through F(2x2) or F(4x4)), and
 /// VGG1_2 (12.8 MB maps, 64 channels) is the one whose Winograd working
 /// set only fits cache a block of tile rows at a time.
 pub const BENCH_CONV_SHAPES: &[ConvShape] = &[
@@ -660,7 +661,7 @@ mod tests {
     #[test]
     fn shape_table_has_each_algorithms_home_turf() {
         // At least one swept shape is Winograd-ineligible (direct's win)
-        // and at least one is a stride-1 3x3 (Winograd's win).
+        // and at least one is stride-1 3x3 or 5x5 (Winograd's win).
         let strided = BENCH_CONV_SHAPES
             .iter()
             .any(|s| !ConvAlgo::Winograd.supports(&s.geometry()));

@@ -28,7 +28,8 @@ use std::time::Instant;
 use pcnn_nn::layer::Conv2d;
 use pcnn_nn::{ConvPlan, Layer, Network};
 use pcnn_tensor::{
-    conv2d, gemm_tile, winograd_block_rows, winograd_tile, Conv2dGeometry, ConvAlgo, MachinePeaks,
+    conv2d, gemm_tile, winograd_block_rows, winograd_coords, winograd_tile, Conv2dGeometry,
+    ConvAlgo, MachinePeaks,
 };
 
 /// Memoization key: a conv layer's full shape.
@@ -170,11 +171,12 @@ impl CostModel {
         let (plane, positions) = (geom.in_h * geom.in_w, geom.out_positions());
         let mut w = Work::default();
         if algo == ConvAlgo::Winograd {
-            // The tile the kernel runs: (t + 2)² coordinates per t x t outputs.
+            // The tile the kernel runs: (t + r - 1)² coordinates per t x t
+            // outputs of r x r filters.
             let t = winograd_tile(geom, oc);
-            let coords = (t + 2) * (t + 2);
+            let coords = winograd_coords(t, geom.kernel);
             let (tiles_y, tiles_x) = (geom.out_h.div_ceil(t), geom.out_w.div_ceil(t));
-            let rows = winograd_block_rows(t, ic, oc, tiles_x, tiles_y);
+            let rows = winograd_block_rows(coords, ic, oc, tiles_x, tiles_y);
             for first in (0..tiles_y).step_by(rows) {
                 let tiles = rows.min(tiles_y - first) * tiles_x;
                 w.gemm(self.tile, (oc, tiles, ic), coords);
@@ -182,9 +184,10 @@ impl CostModel {
             // Input read, V written packed, M read, output written.
             let tiles = tiles_y * tiles_x;
             w.transform = (4 * (ic * plane + coords * (ic + oc) * tiles + oc * positions)) as f64;
-            // 9 weights read and `coords` values of U written per filter:
+            // r² weights read and `coords` values of U written per filter:
             // the vector walk runs at the rate U is written.
-            w.filter = (4 * (9 + coords) * oc * ic) as f64;
+            let taps = geom.kernel * geom.kernel;
+            w.filter = (4 * (taps + coords) * oc * ic) as f64;
         } else {
             let [_, nr, _] = self.tile;
             let (k, n) = (geom.patch_len(), positions);
@@ -499,8 +502,11 @@ mod tests {
     /// 16x16`), taken on the kernels whose filter and input transforms
     /// write `U` and `V` packed with their 16-lane bodies: VGG-16's nine
     /// shapes, AlexNet's five, `BENCH_conv.json`'s VGG2_2 / VGG3_2 (the two
-    /// rows after AlexNet's), and the tiny and smoke ones.
-    const CALIBRATION: [CalibrationRow; 20] = [
+    /// rows after AlexNet's), a 5x5 row (the two-group AlexNet's per-group
+    /// conv2), and the tiny and smoke ones. AlexNet conv2's row and the
+    /// 5x5 one were recorded the same way, later, on the F(2x2,5x5)
+    /// kernel.
+    const CALIBRATION: [CalibrationRow; 21] = [
         ([3, 224, 3, 1, 1, 64], (64.4, 23.6), 7.761, 10.307),
         ([64, 224, 3, 1, 1, 64], (63.0, 22.9), 93.850, 26.208),
         ([64, 112, 3, 1, 1, 128], (61.9, 23.3), 46.369, 12.137),
@@ -511,12 +517,13 @@ mod tests {
         ([512, 28, 3, 1, 1, 512], (62.3, 22.9), 68.057, 26.204),
         ([512, 14, 3, 1, 1, 512], (64.1, 22.9), 17.281, 12.200),
         ([3, 227, 11, 4, 0, 96], (61.9, 22.8), 4.134, f64::NAN),
-        ([96, 27, 5, 1, 2, 256], (64.2, 22.8), 15.862, f64::NAN),
+        ([96, 27, 5, 1, 2, 256], (62.0, 21.5), 17.092, 8.356),
         ([256, 13, 3, 1, 1, 384], (64.4, 22.7), 5.487, 3.705),
         ([384, 13, 3, 1, 1, 384], (64.4, 23.3), 8.632, 7.046),
         ([384, 13, 3, 1, 1, 256], (63.9, 22.7), 5.812, 3.973),
         ([128, 56, 3, 1, 1, 128], (62.1, 22.4), 21.597, 5.503),
         ([256, 28, 3, 1, 1, 256], (62.3, 22.7), 16.358, 6.962),
+        ([48, 27, 5, 1, 2, 128], (62.2, 21.7), 4.382, 2.251),
         ([1, 32, 3, 1, 1, 8], (64.4, 22.8), 0.020, 0.029),
         ([8, 16, 3, 1, 1, 16], (64.3, 24.0), 0.024, 0.022),
         ([64, 13, 3, 1, 1, 96], (64.9, 23.8), 0.358, 0.274),
@@ -576,14 +583,16 @@ mod tests {
         assert_eq!(algo, ConvAlgo::Direct);
     }
 
-    /// AlexNet CONV1 / CONV2 (11x11 stride 4, 5x5) leave direct alone:
-    /// the empty recording panics if the tuner asks it for anything.
+    /// AlexNet CONV1 (11x11 stride 4), a 7x7 stem and a stride-2 5x5 layer
+    /// leave direct alone: the empty recording panics if the tuner asks it
+    /// for anything.
     #[test]
     fn a_single_candidate_shape_is_never_timed() {
         let mut tuner = ConvTuner::new(RecordedTimer::new());
         for (geom, oc) in [
             (conv1_geom(), 96),
-            (Conv2dGeometry::new(48, 27, 27, 5, 1, 2), 128),
+            (Conv2dGeometry::new(3, 224, 224, 7, 2, 3), 64),
+            (Conv2dGeometry::new(48, 27, 27, 5, 2, 2), 128),
         ] {
             assert_eq!(
                 tuner.tune_shape(&layer(geom, oc)),

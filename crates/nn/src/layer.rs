@@ -169,7 +169,7 @@ impl Conv2d {
     /// [`ConvAlgo::Direct`] (and [`ConvAlgo::Im2col`], its other name)
     /// computes the im2col reference lowering (paper Fig. 2) bit for bit
     /// without the materialised column matrix; [`ConvAlgo::Winograd`]
-    /// (stride-1 3x3 layers only) is deterministic but within
+    /// (stride-1 3x3 and 5x5 layers only) is deterministic but within
     /// [`pcnn_tensor::winograd_error_bound`] of the reference.
     ///
     /// # Errors

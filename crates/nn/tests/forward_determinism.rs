@@ -203,9 +203,10 @@ fn compile_alone_rejects_each_bad_plan() {
         net.compile(&identity, Some(&ConvPlan::im2col(1))),
         Err(NnError::Plan(m)) if m.contains("covers 1 conv layers, network has 2")
     ));
-    let five = one_conv_net(5, 16);
+    // Winograd runs 3x3 and 5x5 filters, not 7x7.
+    let seven = one_conv_net(7, 16);
     assert!(matches!(
-        five.compile(
+        seven.compile(
             &PerforationPlan::identity(1),
             Some(&ConvPlan::from_algos(vec![ConvAlgo::Winograd]))
         ),
@@ -234,7 +235,8 @@ fn run_refuses_a_plan_compiled_for_another_network() {
         .compile(&PerforationPlan::identity(vgg.conv_count()), None)
         .expect("plan fits");
     refused(&three, &vgg_plan, 16);
-    // Same layers, but Winograd was chosen for 3x3 filters, not 5x5.
+    // Same layers, but Winograd was chosen for 3x3 filters, not 7x7 (a
+    // shape it cannot run).
     let winograd = three
         .compile(
             &identity,
@@ -244,7 +246,7 @@ fn run_refuses_a_plan_compiled_for_another_network() {
     three
         .run(&winograd, &Tensor::zeros(vec![1, 1, 16, 16]))
         .expect("its own network runs it");
-    refused(&one_conv_net(5, 16), &winograd, 16);
+    refused(&one_conv_net(7, 16), &winograd, 16);
     // Same layers, but the perforation is of a 16x16 map, not 12x12.
     let sampled = three
         .compile(&PerforationPlan::from_rates(vec![0.5]), None)

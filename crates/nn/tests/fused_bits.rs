@@ -14,10 +14,15 @@ use rand::SeedableRng;
 
 use ConvAlgo::{Direct, Winograd};
 
-/// A conv layer whose channel 0 has no weights and no bias: a map of
+/// A 3x3 conv layer whose channel 0 has no weights and no bias: a map of
 /// exact zeros.
 fn conv(rng: &mut StdRng, c: usize, side: usize, pad: usize, oc: usize) -> Layer {
-    let geom = Conv2dGeometry::new(c, side, side, 3, 1, pad);
+    conv_k(rng, 3, c, side, pad, oc)
+}
+
+/// [`conv`] with `kernel x kernel` filters.
+fn conv_k(rng: &mut StdRng, kernel: usize, c: usize, side: usize, pad: usize, oc: usize) -> Layer {
+    let geom = Conv2dGeometry::new(c, side, side, kernel, 1, pad);
     let mut layer = Conv2d::new(geom, oc, rng);
     let (weight, bias) = layer.params_mut();
     weight.data_mut()[..geom.patch_len()].fill(0.0);
@@ -80,6 +85,26 @@ fn large_tower() -> (Network, ConvPlan) {
     (Network::new("large tower", [3, 30, 30], layers), plan)
 }
 
+/// An AlexNet-style tower on a 3x29x29 image whose two convs are 5x5,
+/// which `ConvAlgo::Winograd` runs as F(2x2,5x5).
+fn five_tower() -> (Network, ConvPlan) {
+    let mut rng = StdRng::seed_from_u64(13);
+    let layers = vec![
+        // The ReLU fuses; a 3x3 stride-2 pool stays unfused (29 -> 14).
+        conv_k(&mut rng, 5, 3, 29, 2, 16),
+        Layer::Relu,
+        Layer::MaxPool2d(MaxPool2d::new(3, 2)),
+        // 14x14 is even: ReLU and the 2x2 pool both fuse.
+        conv_k(&mut rng, 5, 16, 14, 2, 8),
+        Layer::Relu,
+        Layer::MaxPool2d(MaxPool2d::new(2, 2)),
+        Layer::Flatten,
+        Layer::Linear(Linear::new(8 * 7 * 7, 5, &mut rng)),
+    ];
+    let plan = ConvPlan::from_algos(vec![Winograd, Winograd]);
+    (Network::new("five tower", [3, 29, 29], layers), plan)
+}
+
 /// `batch` images of signed values with a few NaN pixels in each, so
 /// that some tiles' conv outputs are NaN before the ReLU.
 fn images(batch: usize) -> Tensor {
@@ -115,7 +140,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn fused_forward_is_bitwise_the_layer_walk_at_every_width() {
-    for ((net, plan), side) in [(tower(), 33), (large_tower(), 30)] {
+    for ((net, plan), side) in [(tower(), 33), (large_tower(), 30), (five_tower(), 29)] {
         let identity = PerforationPlan::identity(net.conv_count());
         for batch in [1, 4] {
             let input = images_of(batch, side);
@@ -151,23 +176,11 @@ fn the_tower_has_nan_negative_and_zero_conv_outputs() {
 }
 
 /// The profile shows what ran: the ReLUs after Winograd layers and the
-/// one 2x2 pool on an even Winograd map have no layer of their own.
+/// 2x2 pools on even Winograd maps have no layer of their own — on 3x3
+/// layers and on 5x5 ones, whose 3x3 stride-2 pool stays.
 #[test]
 fn fused_layers_leave_the_profile() {
-    let (net, plan) = tower();
-    let identity = PerforationPlan::identity(net.conv_count());
-    pcnn_profile::set_enabled(true);
-    pcnn_profile::reset();
-    pcnn_parallel::with_threads(1, || {
-        net.forward_planned(&images(1), &identity, &plan)
-            .expect("runs")
-    });
-    let layers: Vec<String> = pcnn_profile::snapshot()
-        .into_iter()
-        .map(|l| l.name)
-        .collect();
-    pcnn_profile::set_enabled(false);
-    let ran = [
+    let three = [
         "L00 conv",
         "L02 maxpool",
         "L03 conv",
@@ -180,5 +193,26 @@ fn fused_layers_leave_the_profile() {
         "L13 flatten",
         "L14 linear",
     ];
-    assert_eq!(layers, ran);
+    let five = [
+        "L00 conv",
+        "L02 maxpool",
+        "L03 conv",
+        "L06 flatten",
+        "L07 linear",
+    ];
+    for ((net, plan), side, ran) in [(tower(), 33, &three[..]), (five_tower(), 29, &five[..])] {
+        let identity = PerforationPlan::identity(net.conv_count());
+        pcnn_profile::set_enabled(true);
+        pcnn_profile::reset();
+        pcnn_parallel::with_threads(1, || {
+            net.forward_planned(&images_of(1, side), &identity, &plan)
+                .expect("runs")
+        });
+        let layers: Vec<String> = pcnn_profile::snapshot()
+            .into_iter()
+            .map(|l| l.name)
+            .collect();
+        pcnn_profile::set_enabled(false);
+        assert_eq!(layers, ran, "{}", net.name());
+    }
 }

@@ -1,5 +1,5 @@
 //! The inference convolutions: direct (fused-pack) and Winograd
-//! F(2x2,3x3) / F(4x4,3x3), selectable per layer by the offline
+//! F(2x2, r x r) / F(4x4,3x3), selectable per layer by the offline
 //! autotuner — and the sampled convolution perforated inference runs on.
 //!
 //! The reference lowering is [`crate::im2col`] followed by the packed
@@ -17,17 +17,19 @@
 //!   packs from `im2col(input)`, and the compute tail is the *same*
 //!   partition + loop nest as [`crate::gemm`], so outputs are **bitwise
 //!   equal** to the im2col path at every thread count.
-//! - Winograd minimal filtering for stride-1 3x3 layers, at one of two
-//!   output tiles that [`winograd_tile`] picks from the layer's shape:
-//!   F(4x4,3x3) on maps of 28 and more with 16 or more channels each way
-//!   (microkernel multiplies per output 9 -> 36/16 = 2.25, 4x), F(2x2,3x3)
-//!   — [`conv2d_winograd`] — everywhere else (9 -> 16/4 = 4, 2.25x).
-//!   F(2x2)'s transform matrices use only `{0, ±1, ±0.5}`, exact in f32;
-//!   F(4x4)'s `B` and `A` are integers, but its `G` has sixths, twelfths
-//!   and twenty-fourths, which round. Either way the accumulation *order*
+//! - Winograd minimal filtering F(t x t, r x r) for stride-1 3x3 and 5x5
+//!   layers, at the output tile [`winograd_tile`] picks from the layer's
+//!   shape: on 3x3 layers F(4x4,3x3) on maps of 28 and more with 16 or
+//!   more channels each way (microkernel multiplies per output 9 -> 36/16
+//!   = 2.25, 4x), F(2x2,3x3) everywhere else (9 -> 16/4 = 4, 2.25x); on
+//!   5x5 layers F(2x2,5x5) (25 -> 36/4 = 9, 2.78x). [`conv2d_winograd`]
+//!   runs F(2x2, r x r). F(2x2,3x3)'s transform matrices use only
+//!   `{0, ±1, ±0.5}`, exact in f32; the other two share six interpolation
+//!   points, so one integer `B`, and a `G` with sixths, twelfths and
+//!   twenty-fourths, which round. Either way the accumulation *order*
 //!   differs from im2col, so outputs are not bitwise-equal to the
 //!   reference — they carry a rounding difference bounded by
-//!   [`winograd_error_bound`], 16x larger for F(4x4) — but they are
+//!   [`winograd_error_bound`], 16x larger on six points — but they are
 //!   bitwise **deterministic**: the tile is a function of the shape
 //!   alone, the transforms are pure per-element maps with one fixed
 //!   sequence of adds, subs and multiplies by constants, and the
@@ -67,14 +69,16 @@
 //!
 //! # The Winograd block pipeline
 //!
-//! One pipeline runs both tiles; only the per-line transform kernels
-//! (`input_line`, `inverse_line`, `filter_line`) differ. A `t x t`
-//! output tile reads a `(t + 2)²` input patch, so there are `(t + 2)²`
-//! transform coordinates: 16 for F(2x2), 36 for F(4x4).
+//! One pipeline runs the three kernels; only the per-line transform
+//! kernels (`input_line`, `inverse_line`, `filter_line`) differ. A `t x t`
+//! output tile of `r x r` filters reads an `alpha = t + r - 1` square
+//! input patch, so there are `alpha²` transform coordinates: 16 for
+//! F(2x2,3x3), 36 for F(4x4,3x3) and F(2x2,5x5). `B^T` depends on the
+//! interpolation points alone, so `input_line` is keyed by `alpha`.
 //!
 //! Winograd's intermediates are large — `V` (transformed input) and `M`
 //! (products) are each `coordinates x channels x tiles`, 51 MB on VGG
-//! conv1_2 at F(2x2) — so the image is never transformed whole. It runs
+//! conv1_2 at F(2x2,3x3) — so the image is never transformed whole. It runs
 //! as a pipeline over **blocks of whole tile rows** (`winograd_block_rows`
 //! of them, from the shape and one cache-budget constant): transform the
 //! block's input rows into a cache-resident `V` block, run the
@@ -97,8 +101,8 @@
 //! portable ones. Each GEMM stores its first `KC` block into `M` instead
 //! of adding it, so `M` is never zero-filled — bitwise the same as
 //! zero-fill plus add. A `U`
-//! larger than the scratch pool's largest buffer (F(4x4)'s 36 coordinates
-//! on 256 -> 512 and 512 -> 512) is packed and run in chunks of output
+//! larger than the scratch pool's largest buffer (36 coordinates on 256 ->
+//! 512 and 512 -> 512) is packed and run in chunks of output
 //! channels instead: such a layer is one block, its input transformed
 //! once, and each chunk's filter transform, GEMMs and inverse run in turn
 //! on it. GEMM rows are independent, so the chunk moves no bit either.
@@ -131,12 +135,13 @@ pub enum ConvAlgo {
     Im2col,
     /// Fused patch-gather into the packed GEMM (no column matrix).
     Direct,
-    /// Winograd minimal filtering (stride-1 3x3 only): F(4x4,3x3) on maps
-    /// of 28 and more with 16 or more channels each way, F(2x2,3x3)
-    /// elsewhere ([`winograd_tile`]). The tile is a function of the shape
-    /// alone, so a layer's bits are the same on every host; F(4x4)'s
-    /// filter transform rounds (its `G` has sixths), so its error bound
-    /// is looser ([`winograd_error_bound`]).
+    /// Winograd minimal filtering F(t x t, r x r) (stride-1 3x3 and 5x5
+    /// only): F(4x4,3x3) on maps of 28 and more with 16 or more channels
+    /// each way, F(2x2,3x3) on other 3x3 layers, F(2x2,5x5) on every 5x5
+    /// one ([`winograd_tile`]). The tile is a function of the shape alone,
+    /// so a layer's bits are the same on every host; F(4x4,3x3)'s and
+    /// F(2x2,5x5)'s filter transforms round (their `G` has sixths), so
+    /// their error bounds are looser ([`winograd_error_bound`]).
     Winograd,
 }
 
@@ -166,11 +171,11 @@ impl ConvAlgo {
 
     /// Whether this algorithm can execute the given layer shape exactly.
     /// Im2col and direct handle every geometry; Winograd is specialised to
-    /// stride-1 3x3 filters.
+    /// stride-1 3x3 and 5x5 filters.
     pub fn supports(self, geom: &Conv2dGeometry) -> bool {
         match self {
             ConvAlgo::Im2col | ConvAlgo::Direct => true,
-            ConvAlgo::Winograd => geom.kernel == 3 && geom.stride == 1,
+            ConvAlgo::Winograd => geom.stride == 1 && matches!(geom.kernel, 3 | 5),
         }
     }
 }
@@ -484,26 +489,27 @@ fn add_zero_border(geom: &Conv2dGeometry, planes: &[f32], bordered: &mut [f32]) 
     }
 }
 
-/// Cache budget of one F(2x2) Winograd block, in `f32` elements (2 MiB,
-/// one core's L2): the `V` and `M` planes of a block of tile rows —
-/// `16 * (ic + oc)` floats per tile — stay within it, so what the input
-/// transform writes is still cache-resident when the 16 GEMMs read it,
-/// and what they write still is when the inverse transform reads it.
-/// F(4x4)'s `36 * (ic + oc)` floats per tile get twice the budget: at
-/// 2 MiB the GEMMs of 256 -> 256 @ 56² would get 28 tiles a block. The
-/// Winograd analogue of the GEMM's `MC` / `KC`: it moves time, never
-/// bits.
+/// Cache budget of one 16-coordinate Winograd block (F(2x2,3x3)), in
+/// `f32` elements (2 MiB, one core's L2): the `V` and `M` planes of a
+/// block of tile rows — `16 * (ic + oc)` floats per tile — stay within
+/// it, so what the input transform writes is still cache-resident when
+/// the 16 GEMMs read it, and what they write still is when the inverse
+/// transform reads it. The 36-coordinate kernels' `36 * (ic + oc)` floats
+/// per tile get twice the budget: at 2 MiB the GEMMs of 256 -> 256 @ 56²
+/// would get 28 tiles a block. The Winograd analogue of the GEMM's `MC` /
+/// `KC`: it moves time, never bits.
 const WINOGRAD_BLOCK_FLOATS: usize = 512 * 1024;
 
 /// Budget of one packed `U`, in `f32` elements (16 MiB): F(2x2)'s `U` of
 /// a 512 -> 512 layer, the largest buffer the scratch pool already holds
-/// for VGG-16. A larger `U` (F(4x4)'s 36 coordinates on 256 -> 512 and
-/// 512 -> 512) is packed and run in chunks of output channels.
+/// for VGG-16. A larger `U` (36 coordinates on 256 -> 512 and 512 -> 512)
+/// is packed and run in chunks of output channels.
 const WINOGRAD_U_FLOATS: usize = 16 * 512 * 512;
 
-/// The output tile side [`ConvAlgo::Winograd`] runs a layer at: 4 —
+/// The output tile side [`ConvAlgo::Winograd`] runs a layer at: 2 on a
+/// 5x5 layer — F(2x2,5x5), 36 coordinates already; on a 3x3 one, 4 —
 /// F(4x4,3x3) — where the map is at least 28 on each side and both
-/// channel counts are at least 16; 2 — F(2x2,3x3) — elsewhere.
+/// channel counts are at least 16, and 2 — F(2x2,3x3) — elsewhere.
 ///
 /// F(4x4) does 36 products per 16 outputs against F(2x2)'s 16 per 4,
 /// 1.78x fewer GEMM flops, but its filter transform costs ~2.3x F(2x2)'s
@@ -513,6 +519,9 @@ const WINOGRAD_U_FLOATS: usize = 16 * 512 * 512;
 /// [`winograd_block_rows`]: no flag and no timing, so a layer computes
 /// the same bits on every host.
 pub fn winograd_tile(geom: &Conv2dGeometry, out_channels: usize) -> usize {
+    if geom.kernel == 5 {
+        return 2;
+    }
     let large = geom.out_h.min(geom.out_w) >= 28;
     if large && geom.in_channels.min(out_channels) >= 16 {
         4
@@ -521,35 +530,40 @@ pub fn winograd_tile(geom: &Conv2dGeometry, out_channels: usize) -> usize {
     }
 }
 
-/// Tile rows per block of the Winograd pipeline on a `tile` kernel — a
-/// pure function of the layer shape, so block boundaries (and with them
-/// the parallel split) never depend on thread count or timing.
+/// Tile rows per block of the Winograd pipeline on a kernel of `coords`
+/// transform coordinates (16 or 36) — a pure function of the layer shape,
+/// so block boundaries (and with them the parallel split) never depend on
+/// thread count or timing.
 ///
-/// A block is as many whole tile rows as fit the tile's share of
+/// A block is as many whole tile rows as fit the kernel's share of
 /// [`WINOGRAD_BLOCK_FLOATS`], at least one: `U` is packed once per call,
 /// so a block re-reads it but never re-packs it. A layer whose `U` is
 /// chunked is one block, so its input is transformed once and each chunk
 /// of `U` is packed once.
 pub fn winograd_block_rows(
-    tile: usize,
+    coords: usize,
     ic: usize,
     oc: usize,
     tiles_x: usize,
     tiles_y: usize,
 ) -> usize {
-    if winograd_chunk(tile, ic, oc) < oc {
+    if winograd_chunk(coords, ic, oc) < oc {
         return tiles_y;
     }
-    let coords = (tile + 2) * (tile + 2);
-    (WINOGRAD_BLOCK_FLOATS * tile / 2 / (coords * (ic + oc) * tiles_x)).clamp(1, tiles_y)
+    (WINOGRAD_BLOCK_FLOATS * (coords / 16) / (coords * (ic + oc) * tiles_x)).clamp(1, tiles_y)
 }
 
-/// Output channels per chunk of a `tile` kernel's packed `U`: all of them
-/// where `U` fits [`WINOGRAD_U_FLOATS`], else the fewest balanced chunks
-/// of whole `A_LANES`-row tiles that each fit. GEMM rows are independent,
-/// so the chunk moves time and memory, never bits.
-fn winograd_chunk(tile: usize, ic: usize, oc: usize) -> usize {
-    let coords = (tile + 2) * (tile + 2);
+/// The transform coordinates of a `tile x tile`-output kernel on `kernel
+/// x kernel` filters: `(tile + kernel - 1)²`.
+pub fn winograd_coords(tile: usize, kernel: usize) -> usize {
+    (tile + kernel - 1) * (tile + kernel - 1)
+}
+
+/// Output channels per chunk of a `coords`-coordinate kernel's packed
+/// `U`: all of them where `U` fits [`WINOGRAD_U_FLOATS`], else the fewest
+/// balanced chunks of whole `A_LANES`-row tiles that each fit. GEMM rows
+/// are independent, so the chunk moves time and memory, never bits.
+fn winograd_chunk(coords: usize, ic: usize, oc: usize) -> usize {
     if coords * ic * oc <= WINOGRAD_U_FLOATS {
         return oc;
     }
@@ -559,17 +573,19 @@ fn winograd_chunk(tile: usize, ic: usize, oc: usize) -> usize {
         .min(oc)
 }
 
-/// The profiler's flop counts of a `tile` kernel's transforms: one 3x3
-/// filter, one input tile, one output tile's inverse and bias.
-const fn transform_flops(tile: usize) -> [usize; 3] {
-    if tile == 2 {
-        [40, 40, 16]
-    } else {
-        [117, 210, 146]
+/// The profiler's flop counts of F(`tile`, `kernel`)'s transforms: one
+/// filter, one input tile, one output tile's inverse and bias. F(2x2,5x5)
+/// shares F(4x4,3x3)'s input transform; its filter runs 11 lines of 21
+/// operations, its inverse 8 lines of 9 and 4 bias adds.
+const fn transform_flops(tile: usize, kernel: usize) -> [usize; 3] {
+    match (tile, kernel) {
+        (2, 3) => [40, 40, 16],
+        (2, _) => [231, 210, 76],
+        _ => [117, 210, 146],
     }
 }
 
-/// The Winograd-domain image of one layer's 3x3 filters on a `tile`
+/// The Winograd-domain image of one layer's `r x r` filters on a `tile`
 /// kernel: `U[xi] = (G g G^T)[xi]`, one `out_channels x in_channels`
 /// matrix per transform coordinate ([`filter_line`] has `G`), each
 /// written straight into the packed-`A` image its GEMM reads
@@ -583,6 +599,8 @@ const fn transform_flops(tile: usize) -> [usize; 3] {
 /// layer.
 struct WinogradFilter<'w> {
     tile: usize,
+    /// The filters' side `r`.
+    kernel: usize,
     out_channels: usize,
     in_channels: usize,
     /// Output channels per chunk of `U`.
@@ -599,10 +617,11 @@ impl<'w> WinogradFilter<'w> {
     ///
     /// # Panics
     ///
-    /// Panics if `geom` is not a stride-1 3x3 layer or `weight` is shorter
-    /// than the geometry implies.
+    /// Panics if `geom` is not a stride-1 3x3 or 5x5 layer or `weight` is
+    /// shorter than the geometry implies.
     fn new(geom: &Conv2dGeometry, out_channels: usize, weight: &'w [f32], tile: usize) -> Self {
-        let chunk = winograd_chunk(tile, geom.in_channels, out_channels);
+        let coords = winograd_coords(tile, geom.kernel);
+        let chunk = winograd_chunk(coords, geom.in_channels, out_channels);
         Self::chunked(geom, out_channels, weight, tile, chunk)
     }
 
@@ -616,9 +635,10 @@ impl<'w> WinogradFilter<'w> {
     ) -> Self {
         assert_winograd_supports(geom);
         let (oc, ic) = (out_channels, geom.in_channels);
-        assert!(weight.len() >= oc * ic * 9, "weight too short");
+        assert!(weight.len() >= oc * geom.patch_len(), "weight too short");
         let mut filter = Self {
             tile,
+            kernel: geom.kernel,
             out_channels,
             in_channels: ic,
             chunk: chunk.max(1),
@@ -640,21 +660,22 @@ impl<'w> WinogradFilter<'w> {
 
     /// The packed `U` of output channels `rows`.
     fn transform(&self, rows: Range<usize>) -> pcnn_parallel::ScratchF32 {
-        match self.tile {
-            2 => self.transform_tile::<2, 16>(rows),
-            _ => self.transform_tile::<4, 36>(rows),
+        match (self.tile, self.kernel) {
+            (2, 3) => self.transform_tile::<2, 3, 16>(rows),
+            (2, _) => self.transform_tile::<2, 5, 36>(rows),
+            _ => self.transform_tile::<4, 3, 36>(rows),
         }
     }
 
-    /// [`transform`](Self::transform) for tile side `T` with `N = (T + 2)²`
-    /// coordinates.
-    fn transform_tile<const T: usize, const N: usize>(
+    /// [`transform`](Self::transform) for tile side `T` and filter side
+    /// `R`, with `N = (T + R - 1)²` coordinates.
+    fn transform_tile<const T: usize, const R: usize, const N: usize>(
         &self,
         rows: Range<usize>,
     ) -> pcnn_parallel::ScratchF32 {
         let ic = self.in_channels;
         let span = phase_span(Phase::WinogradFilter);
-        let source = FilterColumns::<T> {
+        let source = FilterColumns::<T, R> {
             weight: self.weight,
             ic,
             first: rows.start,
@@ -665,8 +686,8 @@ impl<'w> WinogradFilter<'w> {
             // padding).
             let filters = rows.len() * ic;
             s.finish(
-                (transform_flops(T)[0] * filters) as u64,
-                4 * (filters * (9 + N)) as u64,
+                (transform_flops(T, R)[0] * filters) as u64,
+                4 * (filters * (R * R + N)) as u64,
             );
         }
         u
@@ -676,36 +697,36 @@ impl<'w> WinogradFilter<'w> {
 /// The filter transform as the source of `U`'s packed images: column `c`
 /// of the tile at output channel `o0` is input channel `c` of the filters
 /// of output channels `first + o0..`, lane `l` being `first + o0 + l`'s.
-struct FilterColumns<'w, const T: usize> {
+struct FilterColumns<'w, const T: usize, const R: usize> {
     weight: &'w [f32],
     ic: usize,
     first: usize,
 }
 
-impl<const T: usize, const N: usize> AColumns<N> for FilterColumns<'_, T> {
-    /// The per-lane walk: each lane's 9 taps gathered into `A_LANES`-wide
-    /// arrays (lanes past `live` stay zero, and so does their transform),
-    /// the arithmetic run over the arrays.
+impl<const T: usize, const R: usize, const N: usize> AColumns<N> for FilterColumns<'_, T, R> {
+    /// The per-lane walk: each lane's `R²` taps gathered into
+    /// `A_LANES`-wide arrays (lanes past `live` stay zero, and so does
+    /// their transform), the arithmetic run over the arrays.
     fn column(&self, c: usize, o0: usize, live: usize) -> [[f32; A_LANES]; N] {
-        let (ic, alpha) = (self.ic, T + 2);
-        let mut g = [[0.0f32; A_LANES]; 9];
-        let filters = self.weight[((self.first + o0) * ic + c) * 9..].chunks(ic * 9);
-        for (l, f) in filters.take(live).enumerate() {
-            for (q, &val) in f[..9].iter().enumerate() {
-                g[q][l] = val;
-            }
-        }
-        // Rows: G applied to the 3 filter rows -> alpha rows of 3, stored
-        // column by column.
-        let mut gg = [[[0.0f32; A_LANES]; 6]; 3];
+        let (ic, alpha, taps) = (self.ic, T + R - 1, R * R);
+        let filters = self.weight[((self.first + o0) * ic + c) * taps..].chunks(ic * taps);
+        // Rows: G applied to the R filter rows -> alpha rows of R, stored
+        // column by column; column `j` gathers tap `i R + j` of each lane.
+        let mut gg = [[[0.0f32; A_LANES]; 6]; R];
         for (j, col) in gg.iter_mut().enumerate() {
-            filter_line::<T>([&g[j], &g[3 + j], &g[6 + j]], col);
+            let mut g = [[0.0f32; A_LANES]; R];
+            for (l, f) in filters.clone().take(live).enumerate() {
+                for (i, gi) in g.iter_mut().enumerate() {
+                    gi[l] = f[i * R + j];
+                }
+            }
+            filter_line::<T, R>(std::array::from_fn(|i| &g[i]), col);
         }
         // Columns: right-multiply by G^T -> alpha x alpha, coordinate
         // a * alpha + b.
         let mut uu = [[0.0f32; A_LANES]; N];
         for a in 0..alpha {
-            filter_line::<T>([&gg[0][a], &gg[1][a], &gg[2][a]], &mut uu[a * alpha..]);
+            filter_line::<T, R>(std::array::from_fn(|j| &gg[j][a]), &mut uu[a * alpha..]);
         }
         uu
     }
@@ -722,20 +743,20 @@ impl<const T: usize, const N: usize> AColumns<N> for FilterColumns<'_, T> {
     ) {
         // SAFETY: this method's caller guarantees `avx512f`; the body
         // checks its own bounds.
-        unsafe { filter_column_avx512::<T, N>(self, c, o0, live, images, at, len) };
+        unsafe { filter_column_avx512::<T, R, N>(self, c, o0, live, images, at, len) };
     }
 }
 
 /// [`FilterColumns::column`] as 16-lane vectors, stored in place: each of
-/// the 9 taps is one masked gather across the tile's filters (`ic * 9`
+/// the `R²` taps is one masked gather across the tile's filters (`ic * R²`
 /// floats apart; lanes past `live` masked, so they read nothing and stay
 /// zero), [`filter_line`]'s expressions run as vector ops in the same
 /// order, and each of the `N` results is stored at `at` in its image — so
 /// every lane is bitwise the per-lane walk's.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn filter_column_avx512<const T: usize, const N: usize>(
-    source: &FilterColumns<'_, T>,
+fn filter_column_avx512<const T: usize, const R: usize, const N: usize>(
+    source: &FilterColumns<'_, T, R>,
     c: usize,
     o0: usize,
     live: usize,
@@ -747,27 +768,28 @@ fn filter_column_avx512<const T: usize, const N: usize>(
         _mm512_mask_i32gather_ps, _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_setr_epi32,
         _mm512_setzero_ps, _mm512_storeu_ps,
     };
-    let (ic, alpha) = (source.ic, T + 2);
+    let (ic, alpha, taps) = (source.ic, T + R - 1, R * R);
     let first = (source.first + o0) * ic + c;
     assert!((1..=A_LANES).contains(&live) && (N - 1) * len + at + A_LANES <= images.len());
     assert!(
-        (first + (live - 1) * ic) * 9 + 9 <= source.weight.len()
-            && 15 * ic * 9 <= i32::MAX as usize
+        (first + (live - 1) * ic) * taps + taps <= source.weight.len()
+            && 15 * ic * taps <= i32::MAX as usize
     );
     let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    let index = _mm512_mullo_epi32(lanes, _mm512_set1_epi32((ic * 9) as i32));
+    let index = _mm512_mullo_epi32(lanes, _mm512_set1_epi32((ic * taps) as i32));
     let mask = (u32::MAX >> (32 - live)) as u16;
-    let taps = source.weight[first * 9..].as_ptr();
-    // SAFETY: lane `l < live` reads tap `q` of filter `first + l * ic`,
-    // inside `weight` by the assertion; masked lanes read nothing.
-    let g: [_; 9] = std::array::from_fn(|q| unsafe {
-        _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, index, taps.add(q))
+    let base = source.weight[first * taps..].as_ptr();
+    // SAFETY: lane `l < live` reads tap `q < R²` of filter `first + l *
+    // ic`, inside `weight` by the assertion; masked lanes read nothing.
+    let tap = |q: usize| unsafe {
+        _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, index, base.add(q))
+    };
+    let gg: [[_; 6]; R] = std::array::from_fn(|j| {
+        filter_line_avx512::<T, R>(std::array::from_fn(|i| tap(i * R + j)))
     });
-    let gg: [[_; 6]; 3] =
-        std::array::from_fn(|j| filter_line_avx512::<T>([g[j], g[3 + j], g[6 + j]]));
-    let columns = gg[0].iter().zip(&gg[1]).zip(&gg[2]).take(alpha);
-    for (a, ((&g0, &g1), &g2)) in columns.enumerate() {
-        let u = filter_line_avx512::<T>([g0, g1, g2]);
+    let columns = (0..alpha).map(|a| std::array::from_fn(|j| gg[j][a]));
+    for (a, column) in columns.enumerate() {
+        let u = filter_line_avx512::<T, R>(column);
         for (b, &v) in u.iter().take(alpha).enumerate() {
             // SAFETY: image `a * alpha + b < N` holds 16 floats at `at`, by
             // the assertion.
@@ -781,11 +803,29 @@ fn filter_column_avx512<const T: usize, const N: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn filter_line_avx512<const T: usize>(
-    [g0, g1, g2]: [core::arch::x86_64::__m512; 3],
+fn filter_line_avx512<const T: usize, const R: usize>(
+    g: [core::arch::x86_64::__m512; R],
 ) -> [core::arch::x86_64::__m512; 6] {
     use core::arch::x86_64::{_mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_sub_ps};
     let (add, sub, mul, k) = (_mm512_add_ps, _mm512_sub_ps, _mm512_mul_ps, _mm512_set1_ps);
+    let sixth = k(-1.0 / 6.0);
+    if R == 5 {
+        let [g0, g1, g2, g3, g4] = std::array::from_fn(|i| g[i]);
+        let outer = add(
+            add(mul(g0, k(1.0 / 24.0)), mul(g2, k(1.0 / 6.0))),
+            mul(g4, k(2.0 / 3.0)),
+        );
+        let inner = add(mul(g1, k(1.0 / 12.0)), mul(g3, k(1.0 / 3.0)));
+        return [
+            mul(k(0.25), g0),
+            mul(add(add(add(add(g0, g1), g2), g3), g4), sixth),
+            mul(add(sub(add(sub(g0, g1), g2), g3), g4), sixth),
+            add(outer, inner),
+            sub(outer, inner),
+            g4,
+        ];
+    }
+    let [g0, g1, g2] = std::array::from_fn(|i| g[i]);
     if T == 2 {
         let half = k(0.5);
         // The last two lines are unused at T + 2 = 4.
@@ -800,7 +840,6 @@ fn filter_line_avx512<const T: usize>(
     }
     let outer = add(mul(g0, k(1.0 / 24.0)), mul(g2, k(1.0 / 6.0)));
     let inner = mul(g1, k(1.0 / 12.0));
-    let sixth = k(-1.0 / 6.0);
     [
         mul(k(0.25), g0),
         mul(add(add(g0, g1), g2), sixth),
@@ -811,16 +850,32 @@ fn filter_line_avx512<const T: usize>(
     ]
 }
 
-/// `G` applied to one line of a 3x3 filter, lane by lane, writing the
-/// `T + 2` lines of `u`. F(2x2): `G = [[1,0,0],[1/2,1/2,1/2],
-/// [1/2,-1/2,1/2],[0,0,1]]`, exact in f32. F(4x4): `G = [[1/4,0,0],
+/// `G` applied to one line of an `R x R` filter, lane by lane, writing
+/// the `T + R - 1` lines of `u`. F(2x2,3x3): `G = [[1,0,0],[1/2,1/2,1/2],
+/// [1/2,-1/2,1/2],[0,0,1]]`, exact in f32. F(4x4,3x3): `G = [[1/4,0,0],
 /// [-1/6,-1/6,-1/6],[-1/6,1/6,-1/6],[1/24,1/12,1/6],[1/24,-1/12,1/6],
 /// [0,0,1]]`, whose sixths, twelfths and twenty-fourths round.
+/// F(2x2,5x5), on the same points `0, ±1, ±2, ∞`: `G = [[1/4,0,0,0,0],
+/// [-1/6]x5,[-1/6,1/6,-1/6,1/6,-1/6],[1/24,1/12,1/6,1/3,2/3],
+/// [1/24,-1/12,1/6,-1/3,2/3],[0,0,0,0,1]]` — point `p`'s row is
+/// F(4x4,3x3)'s scale times `[1, p, p², p³, p⁴]`.
 #[inline(always)]
-fn filter_line<const T: usize>([g0, g1, g2]: [&[f32; A_LANES]; 3], u: &mut [[f32; A_LANES]]) {
-    let u = &mut u[..T + 2];
+fn filter_line<const T: usize, const R: usize>(g: [&[f32; A_LANES]; R], u: &mut [[f32; A_LANES]]) {
+    let u = &mut u[..T + R - 1];
     for l in 0..A_LANES {
-        let (g0, g1, g2) = (g0[l], g1[l], g2[l]);
+        if R == 5 {
+            let [g0, g1, g2, g3, g4] = std::array::from_fn(|i| g[i][l]);
+            let outer = g0 * (1.0 / 24.0) + g2 * (1.0 / 6.0) + g4 * (2.0 / 3.0);
+            let inner = g1 * (1.0 / 12.0) + g3 * (1.0 / 3.0);
+            u[0][l] = 0.25 * g0;
+            u[1][l] = (g0 + g1 + g2 + g3 + g4) * (-1.0 / 6.0);
+            u[2][l] = (g0 - g1 + g2 - g3 + g4) * (-1.0 / 6.0);
+            u[3][l] = outer + inner;
+            u[4][l] = outer - inner;
+            u[5][l] = g4;
+            continue;
+        }
+        let (g0, g1, g2) = (g[0][l], g[1][l], g[2][l]);
         if T == 2 {
             u[0][l] = g0;
             u[1][l] = 0.5 * (g0 + g1 + g2);
@@ -838,14 +893,16 @@ fn filter_line<const T: usize>([g0, g1, g2]: [&[f32; A_LANES]; 3], u: &mut [[f32
     }
 }
 
-/// `B^T` applied to one line of `T + 2` input values (the rest of `d`
-/// unused). F(2x2): `B^T = [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]]`.
-/// F(4x4): `B^T = [[4,0,-5,0,1,0],[0,-4,-4,1,1,0],[0,4,-4,-1,1,0],
-/// [0,-2,-1,2,1,0],[0,2,-1,-2,1,0],[0,4,0,-5,0,1]]`. Integer
-/// coefficients: only the sums round.
+/// `B^T` applied to one line of `alpha = T + R - 1` input values (the
+/// rest of `d` unused). `B^T` depends only on the `alpha` interpolation
+/// points, so it is keyed by `alpha`. 4 (F(2x2,3x3)): `B^T =
+/// [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]]`. 6 (F(4x4,3x3) and
+/// F(2x2,5x5), points `0, ±1, ±2, ∞`): `B^T = [[4,0,-5,0,1,0],
+/// [0,-4,-4,1,1,0],[0,4,-4,-1,1,0],[0,-2,-1,2,1,0],[0,2,-1,-2,1,0],
+/// [0,4,0,-5,0,1]]`. Integer coefficients: only the sums round.
 #[inline(always)]
-fn input_line<const T: usize>(d: [f32; 6]) -> [f32; 6] {
-    if T == 2 {
+fn input_line<const T: usize, const R: usize>(d: [f32; 6]) -> [f32; 6] {
+    if T + R - 1 == 4 {
         return [d[0] - d[2], d[1] + d[2], d[2] - d[1], d[1] - d[3], 0.0, 0.0];
     }
     let (e, f) = (d[4] - d[2], d[3] - d[1]);
@@ -859,49 +916,56 @@ fn input_line<const T: usize>(d: [f32; 6]) -> [f32; 6] {
     ]
 }
 
-/// `A^T` applied to one line of `T + 2` products, giving `T` outputs (the
-/// rest zero). F(2x2): `A^T = [[1,1,1,0],[0,1,-1,-1]]`. F(4x4):
-/// `A^T = [[1,1,1,1,1,0],[0,1,-1,2,-2,0],[0,1,1,4,4,0],[0,1,-1,8,-8,1]]`.
+/// `A^T` applied to one line of `T + R - 1` products, giving `T` outputs
+/// (the rest zero). F(2x2,3x3): `A^T = [[1,1,1,0],[0,1,-1,-1]]`.
+/// F(4x4,3x3): `A^T = [[1,1,1,1,1,0],[0,1,-1,2,-2,0],[0,1,1,4,4,0],
+/// [0,1,-1,8,-8,1]]`. F(2x2,5x5): `A^T = [[1,1,1,1,1,0],
+/// [0,1,-1,2,-2,1]]`, F(4x4,3x3)'s first two rows with `∞`'s term moved to
+/// the last output.
 #[inline(always)]
-fn inverse_line<const T: usize>(m: [f32; 6]) -> [f32; 4] {
-    if T == 2 {
+fn inverse_line<const T: usize, const R: usize>(m: [f32; 6]) -> [f32; 4] {
+    if T + R - 1 == 4 {
         return [m[0] + m[1] + m[2], m[1] - m[2] - m[3], 0.0, 0.0];
     }
     let (a, b, c, d) = (m[1] + m[2], m[1] - m[2], m[3] + m[4], m[3] - m[4]);
+    if T == 2 {
+        return [m[0] + a + c, b + 2.0 * d + m[5], 0.0, 0.0];
+    }
     [m[0] + a + c, b + 2.0 * d, a + 4.0 * c, b + 8.0 * d + m[5]]
 }
 
 fn assert_winograd_supports(geom: &Conv2dGeometry) {
     assert!(
         ConvAlgo::Winograd.supports(geom),
-        "winograd F(2x2,3x3) requires kernel 3, stride 1 (got kernel {}, stride {})",
+        "winograd requires kernel 3 or 5, stride 1 (got kernel {}, stride {})",
         geom.kernel,
         geom.stride
     );
 }
 
-/// Winograd F(2x2,3x3) convolution of one CHW image (stride-1 3x3 only):
-/// `out = weight (*) input + bias`, fully overwriting `out` — the F(2x2)
-/// kernel whatever the shape ([`conv2d`] picks the tile by
-/// [`winograd_tile`]).
+/// Winograd F(2x2, r x r) convolution of one CHW image (stride-1 3x3 or
+/// 5x5 only): `out = weight (*) input + bias`, fully overwriting `out` —
+/// the 2x2-output kernel for the layer's `r` whatever the map ([`conv2d`]
+/// picks the tile by [`winograd_tile`]).
 ///
-/// Each 2x2 output tile is produced from a 4x4 input tile via the
+/// Each 2x2 output tile is produced from a `(r + 1)²` input tile via the
 /// classic minimal-filtering factorisation `Y = A^T [ (G g G^T) .*
 /// (B^T d B) ] A`, with the element-wise products batched over channels
-/// into 16 `out_channels x in_channels x tiles` GEMMs (one per transform
-/// coordinate) through the deterministic packed GEMM — bitwise
+/// into `(r + 1)²` `out_channels x in_channels x tiles` GEMMs (one per
+/// transform coordinate) through the deterministic packed GEMM — bitwise
 /// [`crate::gemm`] into a zeroed product, with the transformed filter
 /// packed once per call. The image is processed as a pipeline over
-/// blocks of whole tile rows (see the module docs). All transform
-/// coefficients are `{0, ±1, ±0.5}` — exact in f32 — and the transforms
-/// are pure per-element maps, so the output is bitwise deterministic at
-/// every thread count. Accumulation order differs from im2col; the numerical
+/// blocks of whole tile rows (see the module docs). F(2x2,3x3)'s
+/// transform coefficients are `{0, ±1, ±0.5}` — exact in f32 —
+/// F(2x2,5x5)'s `G` rounds; either way the transforms are pure
+/// per-element maps, so the output is bitwise deterministic at every
+/// thread count. Accumulation order differs from im2col; the numerical
 /// difference is bounded by [`winograd_error_bound`].
 ///
 /// # Panics
 ///
-/// Panics if `geom` is not a stride-1 3x3 layer or a slice is shorter
-/// than the geometry implies.
+/// Panics if `geom` is not a stride-1 3x3 or 5x5 layer or a slice is
+/// shorter than the geometry implies.
 pub fn conv2d_winograd(
     geom: &Conv2dGeometry,
     out_channels: usize,
@@ -924,8 +988,8 @@ pub fn conv2d_winograd(
 ///
 /// # Panics
 ///
-/// Panics if `geom` is not a stride-1 3x3 layer, if `filter` was built
-/// for another channel count, or if a slice is shorter than the geometry
+/// Panics if `geom` is not a stride-1 3x3 or 5x5 layer, if `filter` was
+/// built for another layer, or if a slice is shorter than the geometry
 /// implies.
 fn conv2d_winograd_prepared(
     geom: &Conv2dGeometry,
@@ -937,7 +1001,8 @@ fn conv2d_winograd_prepared(
 ) {
     assert_winograd_supports(geom);
     assert_eq!(
-        filter.in_channels, geom.in_channels,
+        (filter.in_channels, filter.kernel),
+        (geom.in_channels, geom.kernel),
         "filter was transformed for another layer"
     );
     let (oc, ic, t) = (filter.out_channels, geom.in_channels, filter.tile);
@@ -948,7 +1013,8 @@ fn conv2d_winograd_prepared(
         return;
     }
     let (tiles_y, tiles_x) = (geom.out_h.div_ceil(t), geom.out_w.div_ceil(t));
-    let block_rows = winograd_block_rows(t, ic, oc, tiles_x, tiles_y);
+    let coords = winograd_coords(t, geom.kernel);
+    let block_rows = winograd_block_rows(coords, ic, oc, tiles_x, tiles_y);
     winograd_pipeline(geom, filter, bias, input, wb, out, block_rows);
 }
 
@@ -986,9 +1052,10 @@ fn winograd_pipeline(
     }
     let run_block = |b: usize, bands: &mut [&mut [f32]]| {
         let tile_rows = b * block_rows..tiles_y.min((b + 1) * block_rows);
-        match t {
-            2 => winograd_block::<2>(geom, filter, bias, input, tile_rows, wb, bands),
-            _ => winograd_block::<4>(geom, filter, bias, input, tile_rows, wb, bands),
+        match (t, filter.kernel) {
+            (2, 3) => winograd_block::<2, 3>(geom, filter, bias, input, tile_rows, wb, bands),
+            (2, _) => winograd_block::<2, 5>(geom, filter, bias, input, tile_rows, wb, bands),
+            _ => winograd_block::<4, 3>(geom, filter, bias, input, tile_rows, wb, bands),
         }
     };
     if n_blocks == 1 {
@@ -1007,11 +1074,11 @@ fn winograd_pipeline(
     }
 }
 
-/// One block of the pipeline on a `T x T`-output kernel: input transform
-/// of tile rows `tile_rows`; then per chunk of `U`, the `(T + 2)²` GEMMs
-/// and the inverse transform into that chunk's `bands` (one slice of
-/// output rows per channel).
-fn winograd_block<const T: usize>(
+/// One block of the pipeline on a `T x T`-output, `R x R`-filter kernel:
+/// input transform of tile rows `tile_rows`; then per chunk of `U`, the
+/// `(T + R - 1)²` GEMMs and the inverse transform into that chunk's
+/// `bands` (one slice of output rows per channel).
+fn winograd_block<const T: usize, const R: usize>(
     geom: &Conv2dGeometry,
     filter: &WinogradFilter,
     bias: &[f32],
@@ -1020,12 +1087,13 @@ fn winograd_block<const T: usize>(
     wb: WriteBack,
     bands: &mut [&mut [f32]],
 ) {
-    let (oc, ic, coords) = (filter.out_channels, geom.in_channels, (T + 2) * (T + 2));
+    let (oc, ic, coords) = (filter.out_channels, geom.in_channels, winograd_coords(T, R));
     let tiles_x = geom.out_w.div_ceil(T);
     let tb = tile_rows.len() * tiles_x;
     let chunk = filter.chunk.min(oc);
-    // Padded input row width: tile `tx` reads columns `T tx..T tx + T + 2`.
-    let wp = T * tiles_x + 2;
+    // Padded input row width: tile `tx` reads columns `T tx..T tx + T + R -
+    // 1`.
+    let wp = T * tiles_x + R - 1;
 
     // A chunked U is built a chunk at a time (a chunked layer is one
     // block); the first chunk before the block's own scratch, so that the
@@ -1043,7 +1111,7 @@ fn winograd_block<const T: usize>(
     let mut scratch = pcnn_parallel::scratch_f32(coords * (v_len + chunk * tb) + 40 * wp);
     let (v, rest) = scratch.split_at_mut(coords * v_len);
     let (m, rows) = rest.split_at_mut(coords * chunk * tb);
-    input_transform::<T>(geom, input, tile_rows.clone(), v, rows, avx512_tier());
+    input_transform::<T, R>(geom, input, tile_rows.clone(), v, rows, avx512_tier());
     if let Some(s) = span {
         // The input rows this block is the first to read (halo rows
         // belong to the block above), V written (without its panel
@@ -1055,7 +1123,7 @@ fn winograd_block<const T: usize>(
         };
         let in_rows = first_row(tile_rows.end) - first_row(tile_rows.start);
         s.finish(
-            (transform_flops(T)[1] * ic * tb) as u64,
+            (transform_flops(T, R)[1] * ic * tb) as u64,
             4 * (ic * in_rows * geom.in_w + coords * ic * tb) as u64,
         );
     }
@@ -1079,13 +1147,13 @@ fn winograd_block<const T: usize>(
 
         let span = phase_span(Phase::WinogradInverse);
         let bands = &mut bands[chans.clone()];
-        inverse_transform::<T>(geom, tile_rows.clone(), m, &bias[chans], wb, bands, rows);
+        inverse_transform::<T, R>(geom, tile_rows.clone(), m, &bias[chans], wb, bands, rows);
         if let Some(s) = span {
             // The inverse and bias per tile, and the fused layers' own
             // counts: a max per output for the ReLU, a compare per window
             // element for the pool.
             s.finish(
-                ((transform_flops(T)[2] + T * T * wb as usize) * n * tb) as u64,
+                ((transform_flops(T, R)[2] + T * T * wb as usize) * n * tb) as u64,
                 4 * (coords * n * tb + bands.iter().map(|b| b.len()).sum::<usize>()) as u64,
             );
         }
@@ -1093,7 +1161,7 @@ fn winograd_block<const T: usize>(
 }
 
 /// Input transform of a block: `V = B^T d B` per (channel, tile)
-/// `(T + 2)²` input patch ([`input_line`] has `B^T`), where tile
+/// `(T + R - 1)²` input patch ([`input_line`] has `B^T`), where tile
 /// `(ty, tx)` reads the patch at `(T ty - pad, T tx - pad)`, zero outside
 /// the image. `v` holds one `ic x tiles` operand per coordinate, each
 /// written straight into the packed-`B` layout its GEMM reads
@@ -1101,13 +1169,13 @@ fn winograd_block<const T: usize>(
 /// the filter transform's packed `U`.
 ///
 /// Works a tile row at a time so every inner loop is contiguous: the
-/// `T + 2` zero-padded input rows of the tile row, the `B^T d` row
+/// `T + R - 1` zero-padded input rows of the tile row, the `B^T d` row
 /// combination across their whole width, then the stride-`T` column
 /// combination writing each coordinate's row along the tiles, copied into
 /// its packed image a micropanel run at a time — or on the AVX-512 tier
 /// (`vector`), [`input_columns_avx512`].
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn input_transform<const T: usize>(
+fn input_transform<const T: usize, const R: usize>(
     geom: &Conv2dGeometry,
     input: &[f32],
     tile_rows: Range<usize>,
@@ -1115,10 +1183,10 @@ fn input_transform<const T: usize>(
     rows: &mut [f32],
     vector: bool,
 ) {
-    let (ic, alpha) = (geom.in_channels, T + 2);
+    let (ic, alpha) = (geom.in_channels, T + R - 1);
     let tiles_x = geom.out_w.div_ceil(T);
     let tb = tile_rows.len() * tiles_x;
-    let wp = T * tiles_x + 2;
+    let wp = T * tiles_x + R - 1;
     let [d, w, z] = split_rows(rows, 6 * wp);
     let v_len = v.len() / (alpha * alpha);
     for (r, ty) in tile_rows.clone().enumerate() {
@@ -1133,34 +1201,34 @@ fn input_transform<const T: usize>(
                     }
                 }
             }
-            // Rows: B^T d -> T + 2 rows, across the whole padded width.
+            // Rows: B^T d -> alpha rows, across the whole padded width.
             let [d0, d1, d2, d3, d4, d5] = split_rows(d, wp);
             let [w0, w1, w2, w3, w4, w5] = split_rows(w, wp);
             for j in 0..wp {
-                let far = |row: &[f32]| if T == 4 { row[j] } else { 0.0 };
-                let line = input_line::<T>([d0[j], d1[j], d2[j], d3[j], far(d4), far(d5)]);
+                let far = |row: &[f32]| if alpha == 6 { row[j] } else { 0.0 };
+                let line = input_line::<T, R>([d0[j], d1[j], d2[j], d3[j], far(d4), far(d5)]);
                 (w0[j], w1[j], w2[j], w3[j]) = (line[0], line[1], line[2], line[3]);
-                if T == 4 {
+                if alpha == 6 {
                     (w4[j], w5[j]) = (line[4], line[5]);
                 }
             }
-            // Columns: (B^T d) B -> (T + 2)² per tile.
+            // Columns: (B^T d) B -> alpha² per tile.
             #[cfg(target_arch = "x86_64")]
             if vector {
                 // SAFETY: `vector` is set only on the AVX-512 tier.
-                unsafe { input_columns_avx512::<T>(w, wp, tiles_x, r, tb, ic, c, v, v_len) };
+                unsafe { input_columns_avx512::<T, R>(w, wp, tiles_x, r, tb, ic, c, v, v_len) };
                 continue;
             }
-            // Row `a`'s T + 2 coordinates along the tiles in `z`, then
+            // Row `a`'s alpha coordinates along the tiles in `z`, then
             // into their images.
             for (a, wa) in w.chunks_exact(wp).take(alpha).enumerate() {
                 let wa = &wa[..wp];
                 let [z0, z1, z2, z3, z4, z5] = split_rows(z, tiles_x);
                 for tx in 0..tiles_x {
                     let x = |k: usize| if k < alpha { wa[T * tx + k] } else { 0.0 };
-                    let line = input_line::<T>([x(0), x(1), x(2), x(3), x(4), x(5)]);
+                    let line = input_line::<T, R>([x(0), x(1), x(2), x(3), x(4), x(5)]);
                     (z0[tx], z1[tx], z2[tx], z3[tx]) = (line[0], line[1], line[2], line[3]);
-                    if T == 4 {
+                    if alpha == 6 {
                         (z4[tx], z5[tx]) = (line[4], line[5]);
                     }
                 }
@@ -1191,7 +1259,7 @@ fn input_transform<const T: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
-fn input_columns_avx512<const T: usize>(
+fn input_columns_avx512<const T: usize, const R: usize>(
     w: &[f32],
     wp: usize,
     tiles_x: usize,
@@ -1207,10 +1275,10 @@ fn input_columns_avx512<const T: usize>(
         _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_ps,
     };
     const { assert!(NR == 16, "one lane per tile of a micropanel") };
-    let alpha = T + 2;
+    let alpha = T + R - 1;
     // The gathers stay inside `w`'s rows, and every store's panel row of
     // 16 inside its image: row `c < ic` of a panel holding a tile `< tb`.
-    assert!(w.len() >= alpha * wp && wp > T * tiles_x + 1);
+    assert!(w.len() >= alpha * wp && tiles_x >= 1 && wp >= T * (tiles_x - 1) + alpha);
     assert!(c < ic && (r + 1) * tiles_x <= tb && v_len >= packed_b_len(tb, ic));
     assert!(alpha * alpha * v_len <= v.len());
     let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
@@ -1234,7 +1302,7 @@ fn input_columns_avx512<const T: usize>(
                 let tap = wa.as_ptr().add(k.min(alpha - 1));
                 _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, index, tap)
             });
-            for (b, value) in input_line_avx512::<T>(x)
+            for (b, value) in input_line_avx512::<T, R>(x)
                 .into_iter()
                 .take(alpha)
                 .enumerate()
@@ -1255,13 +1323,13 @@ fn input_columns_avx512<const T: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-fn input_line_avx512<const T: usize>(
+fn input_line_avx512<const T: usize, const R: usize>(
     d: [core::arch::x86_64::__m512; 6],
 ) -> [core::arch::x86_64::__m512; 6] {
     use core::arch::x86_64::{_mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_sub_ps};
     let (add, sub, mul, k) = (_mm512_add_ps, _mm512_sub_ps, _mm512_mul_ps, _mm512_set1_ps);
-    if T == 2 {
-        // The last two lines are unused at T + 2 = 4.
+    if T + R - 1 == 4 {
+        // The last two lines are unused at alpha = 4.
         return [
             sub(d[0], d[2]),
             add(d[1], d[2]),
@@ -1292,7 +1360,7 @@ fn input_line_avx512<const T: usize>(
 /// `T` output rows assembled in `rows`, rectified there if `wb` says so,
 /// and copied out clipped to the map — or pooled in `MaxPool2d`'s window
 /// order (a 2x2 window of an even map lies inside one tile).
-fn inverse_transform<const T: usize>(
+fn inverse_transform<const T: usize, const R: usize>(
     geom: &Conv2dGeometry,
     tile_rows: Range<usize>,
     m: &[f32],
@@ -1301,7 +1369,7 @@ fn inverse_transform<const T: usize>(
     bands: &mut [&mut [f32]],
     rows: &mut [f32],
 ) {
-    let (oc, alpha) = (bands.len(), T + 2);
+    let (oc, alpha) = (bands.len(), T + R - 1);
     let tiles_x = geom.out_w.div_ceil(T);
     let tb = tile_rows.len() * tiles_x;
     // `s[j * T + i]`: row `i` of `A^T M`, column `j`, along the tiles;
@@ -1313,7 +1381,7 @@ fn inverse_transform<const T: usize>(
         let bias_o = bias[o];
         for (r, ty) in tile_rows.clone().enumerate() {
             let plane = |xi: usize| &m[xi * oc * tb + o * tb + r * tiles_x..][..tiles_x];
-            // Rows: A^T M -> T rows of T + 2, a column j at a time, along
+            // Rows: A^T M -> T rows of alpha, a column j at a time, along
             // the tiles.
             for j in 0..alpha {
                 let p = |a: usize| plane(if a < alpha { a * alpha + j } else { j });
@@ -1327,9 +1395,9 @@ fn inverse_transform<const T: usize>(
                     Default::default()
                 };
                 for tx in 0..tiles_x {
-                    let far = |plane: &[f32]| if T == 4 { plane[tx] } else { 0.0 };
+                    let far = |plane: &[f32]| if alpha == 6 { plane[tx] } else { 0.0 };
                     let line =
-                        inverse_line::<T>([p0[tx], p1[tx], p2[tx], p3[tx], far(p4), far(p5)]);
+                        inverse_line::<T, R>([p0[tx], p1[tx], p2[tx], p3[tx], far(p4), far(p5)]);
                     (s0[tx], s1[tx]) = (line[0], line[1]);
                     if T == 4 {
                         (s2[tx], s3[tx]) = (line[2], line[3]);
@@ -1343,9 +1411,9 @@ fn inverse_transform<const T: usize>(
                 let (q0, q1, q2, q3, q4, q5) = (q(0), q(1), q(2), q(3), q(4), q(5));
                 let y = &mut y[..T * tiles_x];
                 for tx in 0..tiles_x {
-                    let far = |row: &[f32]| if T == 4 { row[tx] } else { 0.0 };
+                    let far = |row: &[f32]| if alpha == 6 { row[tx] } else { 0.0 };
                     let line =
-                        inverse_line::<T>([q0[tx], q1[tx], q2[tx], q3[tx], far(q4), far(q5)]);
+                        inverse_line::<T, R>([q0[tx], q1[tx], q2[tx], q3[tx], far(q4), far(q5)]);
                     for (jj, v) in line.into_iter().take(T).enumerate() {
                         y[T * tx + jj] = v + bias_o;
                     }
@@ -1395,9 +1463,10 @@ fn split_rows<const N: usize>(buf: &mut [f32], len: usize) -> [&mut [f32]; N] {
     std::array::from_fn(|_| rows.next().expect("scratch holds the rows"))
 }
 
-/// Absolute error bound of a `tile` Winograd kernel — [`conv2d_winograd`]
-/// at 2, [`conv2d`] at [`winograd_tile`]'s choice — vs the im2col
-/// reference, per output element, for this layer's actual operands.
+/// Absolute error bound of a `tile` Winograd kernel on the layer's
+/// filters — [`conv2d_winograd`] at 2, [`conv2d`] at [`winograd_tile`]'s
+/// choice; the filter side is `geom.kernel` — vs the im2col reference, per
+/// output element, for this layer's actual operands.
 ///
 /// The F(2x2,3x3) transforms amplify magnitudes by at most 4 (`B^T d B`)
 /// and 2.25 (`G g G^T`), each product chain then runs ~`patch_len`
@@ -1416,8 +1485,16 @@ fn split_rows<const N: usize>(buf: &mut [f32], len: usize) -> [&mut [f32]; N] {
 /// its error reaches ~8 of the units above against F(2x2)'s ~0.5, so its
 /// constant is 16 times F(2x2)'s: 1024.
 ///
-/// The property tests in `tests/conv_algorithms.rs` assert both on random
-/// operands (in practice the observed error is ~100x smaller).
+/// F(2x2,5x5) shares F(4x4,3x3)'s `B^T` (the same six points) and its
+/// rounding `G`; its `A^T M A` amplifies by at most 49 (row sums of 5 and
+/// 7), its `G g G^T` by (31/24)². Bounding an output by `Σ_a |A_ia| |G_a|
+/// |B_a|` over the six points, squared, per patch element, gives 133
+/// against F(4x4,3x3)'s 256 (its 5x5 patch is 25/9 as long), and on
+/// random operands over 1 to 40 channels its error reaches ~5 units, as
+/// F(4x4,3x3)'s does: the same constant, 1024.
+///
+/// The property tests in `tests/conv_algorithms.rs` assert all three on
+/// random operands (in practice the observed error is ~100x smaller).
 pub fn winograd_error_bound(
     tile: usize,
     geom: &Conv2dGeometry,
@@ -1425,7 +1502,11 @@ pub fn winograd_error_bound(
     input: &[f32],
 ) -> f32 {
     let max_abs = |xs: &[f32]| xs.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
-    let safety = if tile == 2 { 64.0 } else { 1024.0 };
+    let safety = if winograd_coords(tile, geom.kernel) == 16 {
+        64.0
+    } else {
+        1024.0
+    };
     safety * geom.patch_len() as f32 * max_abs(weight) * max_abs(input) * f32::EPSILON
 }
 
@@ -1665,7 +1746,7 @@ mod tests {
         /// The block height decides which tiles are computed together,
         /// never what any tile computes: every height — one tile row,
         /// heights that leave a short last block, the whole image — gives
-        /// the same bits.
+        /// the same bits, on 3x3 and 5x5 filters alike.
         #[test]
         fn winograd_is_bitwise_independent_of_block_height(
             ic in 1usize..7,
@@ -1673,10 +1754,12 @@ mod tests {
             in_w in 1usize..20,
             pad in 0usize..3,
             oc in 1usize..9,
+            five in proptest::any::<bool>(),
             seed in proptest::any::<u64>(),
         ) {
-            proptest::prop_assume!(in_h + 2 * pad >= 3 && in_w + 2 * pad >= 3);
-            let geom = Conv2dGeometry::new(ic, in_h, in_w, 3, 1, pad);
+            let kernel = if five { 5 } else { 3 };
+            proptest::prop_assume!(in_h + 2 * pad >= kernel && in_w + 2 * pad >= kernel);
+            let geom = Conv2dGeometry::new(ic, in_h, in_w, kernel, 1, pad);
             let weight = noise(seed, oc * geom.patch_len());
             let bias = noise(seed ^ 0xB1A5, oc);
             let input = noise(seed ^ 0x1DEA, ic * in_h * in_w);
@@ -1699,15 +1782,19 @@ mod tests {
         // VGG conv1_2 (64 -> 64 @ 224^2): one tile row of V + M is
         // 16 * 128 * 112 floats = 7/16 of the budget, so blocks are two
         // tile rows.
-        assert_eq!(winograd_block_rows(2, 64, 64, 112, 112), 2);
+        assert_eq!(winograd_block_rows(16, 64, 64, 112, 112), 2);
         // A map whose single tile row already overflows still gets one.
-        assert_eq!(winograd_block_rows(2, 64, 64, 400, 9), 1);
+        assert_eq!(winograd_block_rows(16, 64, 64, 400, 9), 1);
         // Small maps fit whole.
-        assert_eq!(winograd_block_rows(2, 128, 128, 7, 7), 7);
+        assert_eq!(winograd_block_rows(16, 128, 128, 7, 7), 7);
         // Deep layers follow the same rule: U is packed once per call, so
         // a block re-reads it but never re-packs it.
-        assert_eq!(winograd_block_rows(2, 128, 256, 28, 28), 3);
-        assert_eq!(winograd_block_rows(2, 512, 512, 14, 14), 2);
+        assert_eq!(winograd_block_rows(16, 128, 256, 28, 28), 3);
+        assert_eq!(winograd_block_rows(16, 512, 512, 14, 14), 2);
+        // The budget keys on the coordinates, not the tile: AlexNet
+        // conv2's F(2x2,5x5) (96 -> 256 @ 27², 14 tile rows of 14) gets
+        // the 36-coordinate share, five tile rows a block.
+        assert_eq!(winograd_block_rows(36, 96, 256, 14, 14), 5);
         // So every VGG-16 3x3 layer's V + M block is within the budget.
         for (ic, oc, map) in [
             (3, 64, 224),
@@ -1721,7 +1808,7 @@ mod tests {
             (512, 512, 14),
         ] {
             let tiles = map / 2;
-            let rows = winograd_block_rows(2, ic, oc, tiles, tiles);
+            let rows = winograd_block_rows(16, ic, oc, tiles, tiles);
             assert!(
                 16 * (ic + oc) * rows * tiles <= WINOGRAD_BLOCK_FLOATS,
                 "{ic} -> {oc} @ {map}: {rows} tile rows"
@@ -1784,6 +1871,28 @@ mod tests {
     }
 
     #[test]
+    fn winograd5_exact_on_scaled_integers() {
+        // Filter taps of 576 * {-1, 0, 1} (576 = 24²) and inputs of
+        // {-1, 0, 1}: `G g G^T` lands on integers (each pass divides by at
+        // most 24) and every later sum stays an integer below 2^24, so
+        // F(2x2,5x5) — `G` rounding and all — must agree with the
+        // reference to the bit.
+        let geom = Conv2dGeometry::new(1, 13, 11, 5, 1, 2);
+        let oc = 17;
+        let weight: Vec<f32> = (0..oc * geom.patch_len())
+            .map(|i| 576.0 * ((i * 7 % 3) as f32 - 1.0))
+            .collect();
+        let bias: Vec<f32> = (0..oc).map(|i| i as f32).collect();
+        let input: Vec<f32> = (0..geom.in_h * geom.in_w)
+            .map(|i| (i * 5 % 3) as f32 - 1.0)
+            .collect();
+        let want = reference(&geom, oc, &weight, &bias, &input);
+        let mut got = vec![f32::NAN; oc * geom.out_positions()];
+        conv2d_winograd(&geom, oc, &weight, &bias, &input, &mut got);
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn the_tile_follows_the_map_and_the_channels() {
         let tile = |ic, side, oc| winograd_tile(&Conv2dGeometry::new(ic, side, side, 3, 1, 1), oc);
         // VGG-16: F(4x4) from 224² down to 28², F(2x2) on 14² and on the
@@ -1805,27 +1914,36 @@ mod tests {
         // Both sides count: a 28-row map 27 wide stays F(2x2).
         let narrow = Conv2dGeometry::new(16, 28, 27, 3, 1, 1);
         assert_eq!(winograd_tile(&narrow, 16), 2);
+        // A 5x5 layer is F(2x2,5x5) whatever its map: 36 coordinates
+        // already.
+        let five = |side| winograd_tile(&Conv2dGeometry::new(96, side, side, 5, 1, 2), 256);
+        assert_eq!((five(27), five(56)), (2, 2));
     }
 
     /// [`FilterColumns`] with the portable body only: its `store_avx512`
     /// is the default, which stores the per-lane walk's columns.
-    struct PerLane<'w, const T: usize>(FilterColumns<'w, T>);
+    struct PerLane<'w, const T: usize, const R: usize>(FilterColumns<'w, T, R>);
 
-    impl<const T: usize, const N: usize> AColumns<N> for PerLane<'_, T> {
+    impl<const T: usize, const R: usize, const N: usize> AColumns<N> for PerLane<'_, T, R> {
         fn column(&self, c: usize, o0: usize, live: usize) -> [[f32; A_LANES]; N] {
             self.0.column(c, o0, live)
         }
     }
 
     /// The filter transform's vector walk (the AVX-512 tier's) packs
-    /// bitwise the images the per-lane walk does: both tiles, ragged last
+    /// bitwise the images the per-lane walk does: all three kernels (the
+    /// 5x5 one's 25 taps `ic * 25` floats apart), ragged last
     /// tiles (`oc % 16` of 1, 7 and 15, starting past the first tile as a
     /// chunk of `U` does), input channels on either side of one and two
     /// `KC` blocks, at pool widths 1 to 3.
     #[test]
     fn the_vector_filter_walk_on_every_tier_is_bitwise_the_per_lane_walk() {
-        fn check<const T: usize, const N: usize>(weight: &[f32], ic: usize, rows: Range<usize>) {
-            let walk = || FilterColumns::<T> {
+        fn check<const T: usize, const R: usize, const N: usize>(
+            weight: &[f32],
+            ic: usize,
+            rows: Range<usize>,
+        ) {
+            let walk = || FilterColumns::<T, R> {
                 weight,
                 ic,
                 first: rows.start,
@@ -1841,18 +1959,19 @@ mod tests {
             };
             assert!(
                 bits(&vector) == bits(&per_lane),
-                "F({T}x{T}), ic {ic}, rows {rows:?}"
+                "F({T}x{T},{R}x{R}), ic {ic}, rows {rows:?}"
             );
         }
         let kc = crate::gemm_tile()[2];
         for ic in [1, kc - 1, kc + 1, 2 * kc + 3] {
             for oc in [17, 23, 31] {
-                let weight = noise((ic * oc) as u64, oc * ic * 9);
+                let weight = noise((ic * oc) as u64, oc * ic * 25);
                 for width in 1..=3 {
                     pcnn_parallel::with_threads(width, || {
                         for rows in [0..oc, 16..oc] {
-                            check::<2, 16>(&weight, ic, rows.clone());
-                            check::<4, 36>(&weight, ic, rows);
+                            check::<2, 3, 16>(&weight, ic, rows.clone());
+                            check::<4, 3, 36>(&weight, ic, rows.clone());
+                            check::<2, 5, 36>(&weight, ic, rows);
                         }
                     });
                 }
@@ -1862,7 +1981,7 @@ mod tests {
 
     /// The input transform's vector column pass (the AVX-512 tier's)
     /// writes bitwise the packed `V` the portable pass does, padding lanes
-    /// included: both tiles, tile rows whose tiles start and end inside a
+    /// included: all three kernels, tile rows whose tiles start and end inside a
     /// micropanel (a block of several rows, a short one of one), borders of
     /// 0 and 1, input channels on either side of one and two `KC` blocks.
     #[test]
@@ -1871,20 +1990,20 @@ mod tests {
             eprintln!("skipped: the AVX-512 tier does not run here");
             return;
         }
-        fn check<const T: usize>(geom: &Conv2dGeometry, tile_rows: Range<usize>) {
-            let (ic, coords) = (geom.in_channels, (T + 2) * (T + 2));
+        fn check<const T: usize, const R: usize>(geom: &Conv2dGeometry, tile_rows: Range<usize>) {
+            let (ic, coords) = (geom.in_channels, winograd_coords(T, R));
             let tiles_x = geom.out_w.div_ceil(T);
             let tb = tile_rows.len() * tiles_x;
             let input = noise((ic * geom.in_w) as u64, ic * geom.in_h * geom.in_w);
             let run = |vector: bool| {
                 let mut v = vec![f32::NAN; coords * packed_b_len(tb, ic)];
-                let mut rows = vec![0.0; 40 * (T * tiles_x + 2)];
-                input_transform::<T>(geom, &input, tile_rows.clone(), &mut v, &mut rows, vector);
+                let mut rows = vec![0.0; 40 * (T * tiles_x + R - 1)];
+                input_transform::<T, R>(geom, &input, tile_rows.clone(), &mut v, &mut rows, vector);
                 v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             };
             assert!(
                 run(true) == run(false),
-                "F({T}x{T}) {geom:?} rows {tile_rows:?}"
+                "F({T}x{T},{R}x{R}) {geom:?} rows {tile_rows:?}"
             );
         }
         let kc = crate::gemm_tile()[2];
@@ -1892,10 +2011,14 @@ mod tests {
             for (side, pad) in [(13, 1), (23, 0), (30, 1)] {
                 let geom = Conv2dGeometry::new(ic, side, side + 5, 3, 1, pad);
                 let rows = |t: usize| geom.out_h.div_ceil(t);
-                check::<2>(&geom, 0..rows(2));
-                check::<2>(&geom, 1..4.min(rows(2)));
-                check::<4>(&geom, 0..rows(4));
-                check::<4>(&geom, rows(4) - 1..rows(4));
+                check::<2, 3>(&geom, 0..rows(2));
+                check::<2, 3>(&geom, 1..4.min(rows(2)));
+                check::<4, 3>(&geom, 0..rows(4));
+                check::<4, 3>(&geom, rows(4) - 1..rows(4));
+                let five = Conv2dGeometry::new(ic, side, side + 5, 5, 1, 2 * pad);
+                let rows = five.out_h.div_ceil(2);
+                check::<2, 5>(&five, 0..rows);
+                check::<2, 5>(&five, 1..4.min(rows));
             }
         }
     }
@@ -1904,23 +2027,24 @@ mod tests {
     fn u_chunks_stay_inside_the_budget() {
         // VGG-16's two F(4x4) layers over the budget: 512 -> 512 in three
         // chunks of whole 16-row tiles, 256 -> 512 in two.
-        assert_eq!(winograd_chunk(4, 512, 512), 176);
-        assert_eq!(winograd_chunk(4, 256, 512), 256);
+        assert_eq!(winograd_chunk(36, 512, 512), 176);
+        assert_eq!(winograd_chunk(36, 256, 512), 256);
         // Everything else is one chunk, F(2x2)'s 512 -> 512 included.
-        assert_eq!(winograd_chunk(4, 256, 256), 256);
-        assert_eq!(winograd_chunk(2, 512, 512), 512);
-        for (tile, ic, oc) in [
-            (4, 512, 512),
-            (4, 256, 512),
-            (4, 2048, 100),
-            (2, 1024, 1024),
+        assert_eq!(winograd_chunk(36, 256, 256), 256);
+        assert_eq!(winograd_chunk(16, 512, 512), 512);
+        for (coords, ic, oc) in [
+            (36, 512, 512),
+            (36, 256, 512),
+            (36, 2048, 100),
+            (16, 1024, 1024),
         ] {
-            let chunk = winograd_chunk(tile, ic, oc);
-            let coords = (tile + 2) * (tile + 2);
+            let chunk = winograd_chunk(coords, ic, oc);
             assert!(coords * ic * chunk.next_multiple_of(16) <= WINOGRAD_U_FLOATS);
             // A chunked layer is one block: its input is transformed once.
-            assert_eq!(winograd_block_rows(tile, ic, oc, 7, 7), 7);
+            assert_eq!(winograd_block_rows(coords, ic, oc, 7, 7), 7);
         }
+        // AlexNet conv2's F(2x2,5x5) U (36 x 96 x 256) is one chunk.
+        assert_eq!(winograd_chunk(36, 96, 256), 256);
         // F(4x4)'s unchunked VGG layers keep V + M within their budget.
         for (ic, oc, map) in [
             (64, 64, 224),
@@ -1930,7 +2054,7 @@ mod tests {
             (256, 256, 56),
         ] {
             let tiles = map / 4;
-            let rows = winograd_block_rows(4, ic, oc, tiles, tiles);
+            let rows = winograd_block_rows(36, ic, oc, tiles, tiles);
             assert!(rows < tiles, "{ic} -> {oc} @ {map}: one block");
             assert!(36 * (ic + oc) * rows * tiles <= 2 * WINOGRAD_BLOCK_FLOATS);
         }
@@ -1939,12 +2063,15 @@ mod tests {
     #[test]
     fn winograd_rejects_unsupported_geometry() {
         assert!(!ConvAlgo::Winograd.supports(&Conv2dGeometry::new(1, 8, 8, 3, 2, 1)));
-        assert!(!ConvAlgo::Winograd.supports(&Conv2dGeometry::new(1, 8, 8, 5, 1, 2)));
+        assert!(!ConvAlgo::Winograd.supports(&Conv2dGeometry::new(1, 8, 8, 5, 2, 2)));
+        assert!(!ConvAlgo::Winograd.supports(&Conv2dGeometry::new(1, 8, 8, 7, 1, 3)));
+        assert!(!ConvAlgo::Winograd.supports(&Conv2dGeometry::new(1, 8, 8, 1, 1, 0)));
         assert!(ConvAlgo::Winograd.supports(&Conv2dGeometry::new(1, 8, 8, 3, 1, 0)));
+        assert!(ConvAlgo::Winograd.supports(&Conv2dGeometry::new(1, 8, 8, 5, 1, 2)));
     }
 
     #[test]
-    #[should_panic(expected = "winograd F(2x2,3x3) requires")]
+    #[should_panic(expected = "winograd requires kernel 3 or 5, stride 1")]
     fn winograd_panics_on_stride_2() {
         let geom = Conv2dGeometry::new(1, 8, 8, 3, 2, 1);
         let mut out = vec![0.0; geom.out_positions()];

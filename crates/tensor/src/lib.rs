@@ -29,7 +29,7 @@ mod tensor;
 
 pub use conv::{
     conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, conv2d_winograd_relu,
-    winograd_block_rows, winograd_error_bound, winograd_tile, ConvAlgo,
+    winograd_block_rows, winograd_coords, winograd_error_bound, winograd_tile, ConvAlgo,
 };
 pub use error::ShapeError;
 pub use gemm::{

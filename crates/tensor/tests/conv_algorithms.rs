@@ -1,7 +1,8 @@
 //! Cross-algorithm convolution correctness: the direct kernel must match
 //! the im2col reference **bitwise** on every geometry it accepts, and the
-//! Winograd F(2x2,3x3) and F(4x4,3x3) kernels must stay within their
-//! documented error bounds (F(2x2) exact where f32 arithmetic is exact).
+//! Winograd F(2x2,3x3), F(4x4,3x3) and F(2x2,5x5) kernels must stay within
+//! their documented error bounds (F(2x2,3x3) exact where f32 arithmetic is
+//! exact).
 //!
 //! The property tests deliberately sweep the ugly corners: strided and
 //! padded geometries together, 1x1 kernels, non-square inputs, and
@@ -10,7 +11,7 @@
 
 use pcnn_profile::{Phase, PhaseTotals};
 use pcnn_tensor::{
-    conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, gemm_bias, im2col,
+    conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, gemm_bias, im2col, winograd_coords,
     winograd_error_bound, winograd_tile, Conv2dGeometry, ConvAlgo,
 };
 use proptest::prelude::*;
@@ -102,18 +103,21 @@ proptest! {
         prop_assert_eq!(run_sampled_identity(&geom, oc, &w, &b, &x), want);
     }
 
-    /// Winograd on any stride-1 3x3 geometry it supports stays within the
-    /// documented per-element error bound of the reference.
+    /// Winograd on any stride-1 3x3 or 5x5 geometry it supports stays
+    /// within the documented per-element error bound of the reference.
     #[test]
     fn winograd_within_bound_on_any_supported_geometry(
         c in 1usize..6,
         in_h in 3usize..16,
         in_w in 3usize..16,
-        pad in 0usize..2,
-        oc in 1usize..12,
+        pad in 0usize..3,
+        oc in 1usize..20,
+        five in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let geom = Conv2dGeometry::new(c, in_h, in_w, 3, 1, pad);
+        let kernel = if five { 5 } else { 3 };
+        prop_assume!(in_h + 2 * pad >= kernel && in_w + 2 * pad >= kernel);
+        let geom = Conv2dGeometry::new(c, in_h, in_w, kernel, 1, pad);
         let (w, b, x) = operands(&geom, oc, seed);
         let want = reference(&geom, oc, &w, &b, &x);
         let got = run_winograd(&geom, oc, &w, &b, &x);
@@ -237,7 +241,8 @@ fn direct_edge_shapes_are_bitwise_exact() {
 
 /// Winograd edge geometries: ragged tile grids (odd output dims), single
 /// row/column outputs, channel tails and two-pack-block depths — all
-/// within the documented bound.
+/// within the documented bound, for `conv2d_winograd`'s F(2x2,3x3) and
+/// F(2x2,5x5) alike.
 #[test]
 fn winograd_edge_shapes_stay_within_bound() {
     let cases: &[(Conv2dGeometry, usize)] = &[
@@ -251,6 +256,19 @@ fn winograd_edge_shapes_stay_within_bound() {
         (Conv2dGeometry::new(4, 9, 13, 3, 1, 0), 7),
         // channel tail vs the microkernel and a 297-deep U/V GEMM
         (Conv2dGeometry::new(33, 6, 6, 3, 1, 1), 5),
+        // 5x5, pad 2 on an odd map: 27 x 27, the last tiles clipped
+        (Conv2dGeometry::new(3, 27, 27, 5, 1, 2), 17),
+        // 5x5, pad 0: the output shrinks to 9 x 5
+        (Conv2dGeometry::new(4, 13, 9, 5, 1, 0), 7),
+        // 5x5, pad 1 on a ragged non-square map, oc past two 16-row tiles
+        (Conv2dGeometry::new(2, 8, 19, 5, 1, 1), 33),
+        // 5x5 to a single output pixel, and to a single row
+        (Conv2dGeometry::new(5, 5, 5, 5, 1, 0), 3),
+        (Conv2dGeometry::new(6, 5, 12, 5, 1, 0), 18),
+        // 5x5 with 300 input channels: U/V GEMMs deeper than one KC block
+        (Conv2dGeometry::new(300, 7, 7, 5, 1, 2), 20),
+        // AlexNet conv2: 96 -> 256 @ 27², pad 2
+        (Conv2dGeometry::new(96, 27, 27, 5, 1, 2), 256),
     ];
     for (geom, oc) in cases {
         let (w, b, x) = operands(geom, *oc, 43);
@@ -338,25 +356,30 @@ fn conv_algorithms_bitwise_equal_across_thread_counts() {
 /// phases the spans must still cover the layer's wall time. `conv2d`'s
 /// F(4x4) layers report the same phases with their own counts — 36
 /// coordinates per 4x4 tile, a chunked `U` transformed a chunk at a time
-/// — and no packing either.
+/// — and no packing either; so do F(2x2,5x5)'s, 36 coordinates per 2x2
+/// tile and 25 taps a filter.
 #[test]
 fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
-    // (in_channels, in_h, in_w, pad, out_channels, tile): four blocks with
-    // a short last one and ragged tiles; one block; padding 0 and 2, where
-    // the blocks' input-row shares meet the image border differently;
-    // then F(4x4) in two blocks, and with `U` in two chunks.
+    // (in_channels, in_h, in_w, pad, out_channels, tile, kernel): four
+    // blocks with a short last one and ragged tiles; one block; padding 0
+    // and 2, where the blocks' input-row shares meet the image border
+    // differently; then F(4x4) in two blocks, and with `U` in two chunks;
+    // then F(2x2,5x5) on AlexNet conv2's shape (three blocks) and on a
+    // ragged unpadded map of eight blocks.
     let shapes = [
-        (64usize, 55usize, 56usize, 1usize, 64usize, 2usize),
-        (128, 14, 14, 1, 128, 2),
-        (32, 112, 40, 0, 48, 2),
-        (32, 112, 40, 2, 48, 2),
-        (48, 120, 60, 1, 48, 4),
-        (384, 30, 30, 0, 320, 4),
+        (64usize, 55usize, 56usize, 1usize, 64usize, 2usize, 3usize),
+        (128, 14, 14, 1, 128, 2, 3),
+        (32, 112, 40, 0, 48, 2, 3),
+        (32, 112, 40, 2, 48, 2, 3),
+        (48, 120, 60, 1, 48, 4, 3),
+        (384, 30, 30, 0, 320, 4, 3),
+        (96, 27, 27, 2, 256, 2, 5),
+        (64, 61, 90, 0, 80, 2, 5),
     ];
     pcnn_profile::set_enabled(true);
     pcnn_profile::reset();
-    for (layer, &(ic, in_h, in_w, pad, oc, tile)) in shapes.iter().enumerate() {
-        let geom = Conv2dGeometry::new(ic, in_h, in_w, 3, 1, pad);
+    for (layer, &(ic, in_h, in_w, pad, oc, tile, kernel)) in shapes.iter().enumerate() {
+        let geom = Conv2dGeometry::new(ic, in_h, in_w, kernel, 1, pad);
         assert!(tile == 2 || winograd_tile(&geom, oc) == tile);
         let weight = vec![0.25f32; oc * geom.patch_len()];
         let bias = vec![0.5f32; oc];
@@ -390,12 +413,12 @@ fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
         let profile = run(1);
 
         let t = geom.out_h.div_ceil(tile) * geom.out_w.div_ceil(tile);
-        let coords = (tile + 2) * (tile + 2);
+        let coords = winograd_coords(tile, kernel);
         // Flops per filter, input tile and output tile.
-        let [filter, tile_in, tile_out] = if tile == 2 {
-            [40, 40, 16]
-        } else {
-            [117, 210, 146]
+        let [filter, tile_in, tile_out] = match (tile, kernel) {
+            (2, 3) => [40, 40, 16],
+            (2, _) => [231, 210, 76],
+            _ => [117, 210, 146],
         };
         // The filter and input transforms write U and V packed for the
         // GEMMs (counted without the tier's padding), so they pack

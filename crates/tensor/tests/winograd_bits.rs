@@ -138,3 +138,65 @@ fn winograd4_output_bits_are_pinned_across_block_chunk_and_thread_changes() {
         }
     }
 }
+
+/// F(2x2,5x5), which `conv2d` and `conv2d_winograd` both run on a stride-1
+/// 5x5 layer: `(in_channels, in_h, in_w, pad, out_channels, fused, hash
+/// of out)`, recorded on the commit that added the kernel, once it agreed
+/// with the im2col reference within `winograd_error_bound` (and, on
+/// scaled integers, to the bit) and with itself at every block height and
+/// thread count.
+const PINNED_F2_5: &[(usize, usize, usize, usize, usize, Fused, u64)] = &[
+    // AlexNet conv2: three blocks of 5, 5 and 4 tile rows, ragged last
+    // tile row and column.
+    (96, 27, 27, 2, 256, Fused::No, 0x0592_4ad8_947b_3495),
+    // More input channels than one `KC` block, two blocks, the second
+    // short.
+    (300, 20, 20, 2, 40, Fused::No, 0x4836_a30d_dc85_6322),
+    // Odd and ragged maps, an output-channel tail of the 16-row tile.
+    (16, 13, 13, 2, 24, Fused::No, 0xaf3a_2ae1_b39f_54b8),
+    (5, 7, 9, 1, 7, Fused::No, 0xf7b5_4183_7618_1dad),
+    // Padding 0: the output shrinks by four.
+    (8, 12, 10, 0, 6, Fused::No, 0x4f5e_47a0_47bd_313f),
+    // Maps narrower than one 6x6 input tile, and a single output pixel.
+    (3, 5, 6, 0, 4, Fused::No, 0x9baf_5710_b236_e1bc),
+    (4, 3, 2, 2, 3, Fused::No, 0x7a1a_9e9c_a9cc_d6a7),
+    (6, 5, 5, 0, 5, Fused::No, 0x77e0_cbbd_3be0_3a30),
+    // The fused write-back: ReLU on an odd map, ReLU and the 2x2 pool on
+    // an even one.
+    (16, 31, 29, 2, 16, Fused::Relu, 0x10a2_ebc4_e3f4_1609),
+    (16, 30, 30, 2, 24, Fused::Pool, 0x0a9c_6f79_0c6b_c19a),
+];
+
+#[test]
+fn winograd5_output_bits_are_pinned_across_block_and_thread_changes() {
+    for &(ic, in_h, in_w, pad, oc, fused, want) in PINNED_F2_5 {
+        let geom = Conv2dGeometry::new(ic, in_h, in_w, 5, 1, pad);
+        assert_eq!(winograd_tile(&geom, oc), 2, "{ic}x{in_h}x{in_w} -> {oc}");
+        let weight = fixture(0x5749_4e4f, oc * geom.patch_len());
+        let bias = fixture(0x0b1a_5000, oc);
+        let input = fixture(0x1d3a_7e57, ic * in_h * in_w);
+        for threads in [1usize, 2, 3, 8] {
+            let got = pcnn_parallel::with_threads(threads, || {
+                let (w, b, x) = (&weight[..], &bias[..], &input[..]);
+                let positions = geom.out_positions() / if let Fused::Pool = fused { 4 } else { 1 };
+                let mut out = vec![f32::NAN; oc * positions];
+                match fused {
+                    Fused::No => {
+                        conv2d(ConvAlgo::Winograd, &geom, oc, w, b, x, 1, &mut out);
+                        let mut alone = vec![f32::NAN; out.len()];
+                        conv2d_winograd(&geom, oc, w, b, x, &mut alone);
+                        assert_eq!(fnv1a(&alone), fnv1a(&out), "conv2d_winograd is F(2x2,5x5)");
+                    }
+                    Fused::Relu => conv2d_winograd_relu(&geom, oc, w, b, x, 1, false, &mut out),
+                    Fused::Pool => conv2d_winograd_relu(&geom, oc, w, b, x, 1, true, &mut out),
+                }
+                fnv1a(&out)
+            });
+            assert_eq!(
+                got, want,
+                "F(2x2,5x5) {ic}x{in_h}x{in_w} pad {pad} -> {oc} {fused:?} at {threads} thread(s): \
+                 hash {got:#018x}, pinned {want:#018x}"
+            );
+        }
+    }
+}
