@@ -84,6 +84,8 @@
 //! assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64));
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut, Range};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -97,8 +97,9 @@
 //! `U` straight into the packed-`A` micropanels the GEMM reads, so no
 //! block packs `U` again, however many blocks re-read it; the input
 //! transform likewise writes each block's `V` into the packed-`B` panels;
-//! on the AVX-512 tier both run explicit 16-lane bodies, bitwise their
-//! portable ones. Each GEMM stores its first `KC` block into `M` instead
+//! on the AVX-512 tier both walks gather and store 16 lanes at a time,
+//! and run the one transform body (`filter_tile`, `input_line`) on
+//! `__m512` lanes, bitwise the portable walks. Each GEMM stores its first `KC` block into `M` instead
 //! of adding it, so `M` is never zero-filled — bitwise the same as
 //! zero-fill plus add. A `U`
 //! larger than the scratch pool's largest buffer (36 coordinates on 256 ->
@@ -123,6 +124,11 @@ use crate::gemm::{
     packed_b_at, packed_b_len, write_packed_b_row, AColumns, A_LANES, IMAGE_SKEW, NR,
 };
 use crate::im2col::Conv2dGeometry;
+use crate::lanes::Lane;
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::Strided;
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::__m512;
 use pcnn_profile::{phase_span, Phase};
 use std::ops::Range;
 
@@ -704,30 +710,22 @@ struct FilterColumns<'w, const T: usize, const R: usize> {
 }
 
 impl<const T: usize, const R: usize, const N: usize> AColumns<N> for FilterColumns<'_, T, R> {
-    /// The per-lane walk: each lane's `R²` taps gathered into
-    /// `A_LANES`-wide arrays (lanes past `live` stay zero, and so does
-    /// their transform), the arithmetic run over the arrays.
+    /// The per-lane walk: each lane's taps read into `A_LANES`-wide arrays
+    /// (lanes past `live` stay zero, and so does their transform),
+    /// [`filter_tile`] run over the arrays.
     fn column(&self, c: usize, o0: usize, live: usize) -> [[f32; A_LANES]; N] {
-        let (ic, alpha, taps) = (self.ic, T + R - 1, R * R);
-        let filters = self.weight[((self.first + o0) * ic + c) * taps..].chunks(ic * taps);
-        // Rows: G applied to the R filter rows -> alpha rows of R, stored
-        // column by column; column `j` gathers tap `i R + j` of each lane.
-        let mut gg = [[[0.0f32; A_LANES]; 6]; R];
-        for (j, col) in gg.iter_mut().enumerate() {
-            let mut g = [[0.0f32; A_LANES]; R];
-            for (l, f) in filters.clone().take(live).enumerate() {
-                for (i, gi) in g.iter_mut().enumerate() {
-                    gi[l] = f[i * R + j];
-                }
+        let (ic, taps) = (self.ic, R * R);
+        let first = ((self.first + o0) * ic + c) * taps;
+        // Every lane's `R²` (at most 25) taps, a filter's run at a time.
+        let mut g = [[0.0f32; A_LANES]; 25];
+        let filters = self.weight[first..].chunks(ic * taps);
+        for (l, f) in filters.take(live).enumerate() {
+            for (g, &w) in g.iter_mut().zip(&f[..taps]) {
+                g[l] = w;
             }
-            filter_line::<T, R>(std::array::from_fn(|i| &g[i]), col);
         }
-        // Columns: right-multiply by G^T -> alpha x alpha, coordinate
-        // a * alpha + b.
         let mut uu = [[0.0f32; A_LANES]; N];
-        for a in 0..alpha {
-            filter_line::<T, R>(std::array::from_fn(|j| &gg[j][a]), &mut uu[a * alpha..]);
-        }
+        filter_tile::<[f32; A_LANES], A_LANES, T, R>(|q| g[q], |xi, u| uu[xi] = u);
         uu
     }
 
@@ -747,12 +745,12 @@ impl<const T: usize, const R: usize, const N: usize> AColumns<N> for FilterColum
     }
 }
 
-/// [`FilterColumns::column`] as 16-lane vectors, stored in place: each of
-/// the `R²` taps is one masked gather across the tile's filters (`ic * R²`
-/// floats apart; lanes past `live` masked, so they read nothing and stay
-/// zero), [`filter_line`]'s expressions run as vector ops in the same
-/// order, and each of the `N` results is stored at `at` in its image — so
-/// every lane is bitwise the per-lane walk's.
+/// [`FilterColumns::column`] on `__m512` lanes, stored in place: each of
+/// the `R²` taps is one masked gather ([`Strided`]) across the tile's filters
+/// (`ic * R²` floats apart; lanes past `live` masked, so they read nothing
+/// and stay zero), [`filter_tile`] runs on the vectors, and each of the
+/// `N` results is stored at `at` in its image — so every lane is bitwise
+/// the per-lane walk's.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn filter_column_avx512<const T: usize, const R: usize, const N: usize>(
@@ -764,53 +762,66 @@ fn filter_column_avx512<const T: usize, const R: usize, const N: usize>(
     at: usize,
     len: usize,
 ) {
-    use core::arch::x86_64::{
-        _mm512_mask_i32gather_ps, _mm512_mullo_epi32, _mm512_set1_epi32, _mm512_setr_epi32,
-        _mm512_setzero_ps, _mm512_storeu_ps,
-    };
-    let (ic, alpha, taps) = (source.ic, T + R - 1, R * R);
-    let first = (source.first + o0) * ic + c;
-    assert!((1..=A_LANES).contains(&live) && (N - 1) * len + at + A_LANES <= images.len());
-    assert!(
-        (first + (live - 1) * ic) * taps + taps <= source.weight.len()
-            && 15 * ic * taps <= i32::MAX as usize
+    const { assert!(N == (T + R - 1) * (T + R - 1), "a coordinate per image") };
+    let (ic, taps) = (source.ic, R * R);
+    let first = ((source.first + o0) * ic + c) * taps;
+    assert!((N - 1) * len + at + A_LANES <= images.len(), "images");
+    let lanes = Strided::new(ic * taps, 0..live);
+    let images = images.as_mut_ptr();
+    filter_tile::<__m512, A_LANES, T, R>(
+        |q| lanes.gather(source.weight, first + q),
+        // SAFETY: coordinate `xi < N`'s 16 floats at `at` lie inside its
+        // image, inside `images` by the assertion.
+        |xi, u| u.store(unsafe { &mut *images.add(xi * len + at).cast::<[f32; A_LANES]>() }),
     );
-    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    let index = _mm512_mullo_epi32(lanes, _mm512_set1_epi32((ic * taps) as i32));
-    let mask = (u32::MAX >> (32 - live)) as u16;
-    let base = source.weight[first * taps..].as_ptr();
-    // SAFETY: lane `l < live` reads tap `q < R²` of filter `first + l *
-    // ic`, inside `weight` by the assertion; masked lanes read nothing.
-    let tap = |q: usize| unsafe {
-        _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, index, base.add(q))
-    };
-    let gg: [[_; 6]; R] = std::array::from_fn(|j| {
-        filter_line_avx512::<T, R>(std::array::from_fn(|i| tap(i * R + j)))
-    });
-    let columns = (0..alpha).map(|a| std::array::from_fn(|j| gg[j][a]));
-    for (a, column) in columns.enumerate() {
-        let u = filter_line_avx512::<T, R>(column);
-        for (b, &v) in u.iter().take(alpha).enumerate() {
-            // SAFETY: image `a * alpha + b < N` holds 16 floats at `at`, by
-            // the assertion.
-            unsafe { _mm512_storeu_ps(images.as_mut_ptr().add((a * alpha + b) * len + at), v) };
+}
+
+/// `U = G g G^T` of one tile column, written once for every lane type:
+/// `tap(q)` is tap `q` (row-major) of the lanes' `R x R` filters, and
+/// `put(xi, u)` takes coordinate `xi = a * alpha + b`, `alpha = T + R - 1`.
+/// Rows first — [`filter_line`] on each filter column's `R` taps, `alpha`
+/// lines of `R` — then columns, right-multiplying by `G^T`.
+#[inline(always)]
+fn filter_tile<L: Lane<W>, const W: usize, const T: usize, const R: usize>(
+    tap: impl Fn(usize) -> L,
+    mut put: impl FnMut(usize, L),
+) {
+    // Loops, not `array::from_fn`, whose closures would not get the
+    // caller's target features and could leave the lane ops out of line.
+    let (alpha, mut line) = (T + R - 1, [L::splat(0.0); R]);
+    let mut rows = [[L::splat(0.0); 6]; R];
+    for (j, row) in rows.iter_mut().enumerate() {
+        for (i, g) in line.iter_mut().enumerate() {
+            *g = tap(i * R + j);
+        }
+        *row = filter_line::<L, W, T, R>(line);
+    }
+    for a in 0..alpha {
+        for (g, row) in line.iter_mut().zip(&rows) {
+            *g = row[a];
+        }
+        let u = filter_line::<L, W, T, R>(line);
+        for (b, &u) in u[..alpha].iter().enumerate() {
+            put(a * alpha + b, u);
         }
     }
 }
 
-/// [`filter_line`] on 16 lanes at once: the same expressions, in the same
-/// order, as `_mm512` multiplies, adds and subtracts (never fused).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn filter_line_avx512<const T: usize, const R: usize>(
-    g: [core::arch::x86_64::__m512; R],
-) -> [core::arch::x86_64::__m512; 6] {
-    use core::arch::x86_64::{_mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_sub_ps};
-    let (add, sub, mul, k) = (_mm512_add_ps, _mm512_sub_ps, _mm512_mul_ps, _mm512_set1_ps);
+/// `G` applied to one line of an `R x R` filter, giving the `T + R - 1`
+/// lines of `u` (the rest unused). F(2x2,3x3): `G = [[1,0,0],[1/2,1/2,1/2],
+/// [1/2,-1/2,1/2],[0,0,1]]`, exact in f32. F(4x4,3x3): `G = [[1/4,0,0],
+/// [-1/6,-1/6,-1/6],[-1/6,1/6,-1/6],[1/24,1/12,1/6],[1/24,-1/12,1/6],
+/// [0,0,1]]`, whose sixths, twelfths and twenty-fourths round.
+/// F(2x2,5x5), on the same points `0, ±1, ±2, ∞`: `G = [[1/4,0,0,0,0],
+/// [-1/6]x5,[-1/6,1/6,-1/6,1/6,-1/6],[1/24,1/12,1/6,1/3,2/3],
+/// [1/24,-1/12,1/6,-1/3,2/3],[0,0,0,0,1]]` — point `p`'s row is
+/// F(4x4,3x3)'s scale times `[1, p, p², p³, p⁴]`.
+#[inline(always)]
+fn filter_line<L: Lane<W>, const W: usize, const T: usize, const R: usize>(g: [L; R]) -> [L; 6] {
+    let (add, sub, mul, k) = (L::add, L::sub, L::mul, L::splat);
     let sixth = k(-1.0 / 6.0);
     if R == 5 {
-        let [g0, g1, g2, g3, g4] = std::array::from_fn(|i| g[i]);
+        let (g0, g1, g2, g3, g4) = (g[0], g[1], g[2], g[3], g[4]);
         let outer = add(
             add(mul(g0, k(1.0 / 24.0)), mul(g2, k(1.0 / 6.0))),
             mul(g4, k(2.0 / 3.0)),
@@ -825,10 +836,9 @@ fn filter_line_avx512<const T: usize, const R: usize>(
             g4,
         ];
     }
-    let [g0, g1, g2] = std::array::from_fn(|i| g[i]);
+    let (g0, g1, g2) = (g[0], g[1], g[2]);
     if T == 2 {
         let half = k(0.5);
-        // The last two lines are unused at T + 2 = 4.
         return [
             g0,
             mul(half, add(add(g0, g1), g2)),
@@ -850,69 +860,35 @@ fn filter_line_avx512<const T: usize, const R: usize>(
     ]
 }
 
-/// `G` applied to one line of an `R x R` filter, lane by lane, writing
-/// the `T + R - 1` lines of `u`. F(2x2,3x3): `G = [[1,0,0],[1/2,1/2,1/2],
-/// [1/2,-1/2,1/2],[0,0,1]]`, exact in f32. F(4x4,3x3): `G = [[1/4,0,0],
-/// [-1/6,-1/6,-1/6],[-1/6,1/6,-1/6],[1/24,1/12,1/6],[1/24,-1/12,1/6],
-/// [0,0,1]]`, whose sixths, twelfths and twenty-fourths round.
-/// F(2x2,5x5), on the same points `0, ±1, ±2, ∞`: `G = [[1/4,0,0,0,0],
-/// [-1/6]x5,[-1/6,1/6,-1/6,1/6,-1/6],[1/24,1/12,1/6,1/3,2/3],
-/// [1/24,-1/12,1/6,-1/3,2/3],[0,0,0,0,1]]` — point `p`'s row is
-/// F(4x4,3x3)'s scale times `[1, p, p², p³, p⁴]`.
-#[inline(always)]
-fn filter_line<const T: usize, const R: usize>(g: [&[f32; A_LANES]; R], u: &mut [[f32; A_LANES]]) {
-    let u = &mut u[..T + R - 1];
-    for l in 0..A_LANES {
-        if R == 5 {
-            let [g0, g1, g2, g3, g4] = std::array::from_fn(|i| g[i][l]);
-            let outer = g0 * (1.0 / 24.0) + g2 * (1.0 / 6.0) + g4 * (2.0 / 3.0);
-            let inner = g1 * (1.0 / 12.0) + g3 * (1.0 / 3.0);
-            u[0][l] = 0.25 * g0;
-            u[1][l] = (g0 + g1 + g2 + g3 + g4) * (-1.0 / 6.0);
-            u[2][l] = (g0 - g1 + g2 - g3 + g4) * (-1.0 / 6.0);
-            u[3][l] = outer + inner;
-            u[4][l] = outer - inner;
-            u[5][l] = g4;
-            continue;
-        }
-        let (g0, g1, g2) = (g[0][l], g[1][l], g[2][l]);
-        if T == 2 {
-            u[0][l] = g0;
-            u[1][l] = 0.5 * (g0 + g1 + g2);
-            u[2][l] = 0.5 * (g0 - g1 + g2);
-            u[3][l] = g2;
-        } else {
-            let (outer, inner) = (g0 * (1.0 / 24.0) + g2 * (1.0 / 6.0), g1 * (1.0 / 12.0));
-            u[0][l] = 0.25 * g0;
-            u[1][l] = (g0 + g1 + g2) * (-1.0 / 6.0);
-            u[2][l] = (g0 - g1 + g2) * (-1.0 / 6.0);
-            u[3][l] = outer + inner;
-            u[4][l] = outer - inner;
-            u[5][l] = g2;
-        }
-    }
-}
-
 /// `B^T` applied to one line of `alpha = T + R - 1` input values (the
-/// rest of `d` unused). `B^T` depends only on the `alpha` interpolation
-/// points, so it is keyed by `alpha`. 4 (F(2x2,3x3)): `B^T =
-/// [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]]`. 6 (F(4x4,3x3) and
-/// F(2x2,5x5), points `0, ±1, ±2, ∞`): `B^T = [[4,0,-5,0,1,0],
-/// [0,-4,-4,1,1,0],[0,4,-4,-1,1,0],[0,-2,-1,2,1,0],[0,2,-1,-2,1,0],
-/// [0,4,0,-5,0,1]]`. Integer coefficients: only the sums round.
+/// rest of `d` unused, and so are the lines past `alpha`). `B^T` depends
+/// only on the `alpha` interpolation points, so it is keyed by `alpha`. 4
+/// (F(2x2,3x3)): `B^T = [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]]`. 6
+/// (F(4x4,3x3) and F(2x2,5x5), points `0, ±1, ±2, ∞`): `B^T =
+/// [[4,0,-5,0,1,0],[0,-4,-4,1,1,0],[0,4,-4,-1,1,0],[0,-2,-1,2,1,0],
+/// [0,2,-1,-2,1,0],[0,4,0,-5,0,1]]`. Integer coefficients: only the sums
+/// round.
 #[inline(always)]
-fn input_line<const T: usize, const R: usize>(d: [f32; 6]) -> [f32; 6] {
+fn input_line<L: Lane<W>, const W: usize, const T: usize, const R: usize>(d: [L; 6]) -> [L; 6] {
+    let (add, sub, mul, k) = (L::add, L::sub, L::mul, L::splat);
     if T + R - 1 == 4 {
-        return [d[0] - d[2], d[1] + d[2], d[2] - d[1], d[1] - d[3], 0.0, 0.0];
+        return [
+            sub(d[0], d[2]),
+            add(d[1], d[2]),
+            sub(d[2], d[1]),
+            sub(d[1], d[3]),
+            d[0],
+            d[0],
+        ];
     }
-    let (e, f) = (d[4] - d[2], d[3] - d[1]);
+    let (e, f) = (sub(d[4], d[2]), sub(d[3], d[1]));
     [
-        4.0 * (d[0] - d[2]) + e,
-        (d[3] + d[4]) - 4.0 * (d[1] + d[2]),
-        (d[4] - d[3]) + 4.0 * (d[1] - d[2]),
-        e + 2.0 * f,
-        e - 2.0 * f,
-        4.0 * (d[1] - d[3]) + (d[5] - d[3]),
+        add(mul(k(4.0), sub(d[0], d[2])), e),
+        sub(add(d[3], d[4]), mul(k(4.0), add(d[1], d[2]))),
+        add(sub(d[4], d[3]), mul(k(4.0), sub(d[1], d[2]))),
+        add(e, mul(k(2.0), f)),
+        sub(e, mul(k(2.0), f)),
+        add(mul(k(4.0), sub(d[1], d[3])), sub(d[5], d[3])),
     ]
 }
 
@@ -1206,7 +1182,8 @@ fn input_transform<const T: usize, const R: usize>(
             let [w0, w1, w2, w3, w4, w5] = split_rows(w, wp);
             for j in 0..wp {
                 let far = |row: &[f32]| if alpha == 6 { row[j] } else { 0.0 };
-                let line = input_line::<T, R>([d0[j], d1[j], d2[j], d3[j], far(d4), far(d5)]);
+                let line =
+                    input_line::<f32, 1, T, R>([d0[j], d1[j], d2[j], d3[j], far(d4), far(d5)]);
                 (w0[j], w1[j], w2[j], w3[j]) = (line[0], line[1], line[2], line[3]);
                 if alpha == 6 {
                     (w4[j], w5[j]) = (line[4], line[5]);
@@ -1226,7 +1203,7 @@ fn input_transform<const T: usize, const R: usize>(
                 let [z0, z1, z2, z3, z4, z5] = split_rows(z, tiles_x);
                 for tx in 0..tiles_x {
                     let x = |k: usize| if k < alpha { wa[T * tx + k] } else { 0.0 };
-                    let line = input_line::<T, R>([x(0), x(1), x(2), x(3), x(4), x(5)]);
+                    let line = input_line::<f32, 1, T, R>([x(0), x(1), x(2), x(3), x(4), x(5)]);
                     (z0[tx], z1[tx], z2[tx], z3[tx]) = (line[0], line[1], line[2], line[3]);
                     if alpha == 6 {
                         (z4[tx], z5[tx]) = (line[4], line[5]);
@@ -1251,11 +1228,11 @@ fn input_transform<const T: usize, const R: usize>(
 /// The column pass of [`input_transform`] on the AVX-512 tier, for
 /// channel `c` of tile row `r`: the micropanels the row's tiles fall in
 /// are computed 16 tiles at once — lane `l` is the panel's tile `l` —
-/// each `(B^T d)` value a masked gather along the row `w` (`T` floats
+/// each `(B^T d)` value a masked gather ([`Strided`]) along the row `w` (`T` floats
 /// apart per tile, lanes of tiles outside the row masked, so they read
-/// nothing), [`input_line`]'s expressions as vector ops in the same
-/// order, and each coordinate stored into its image with the same mask:
-/// every lane bitwise the portable pass's.
+/// nothing), [`input_line`] on `__m512` lanes, and each coordinate stored
+/// into its image with the same mask: every lane bitwise the portable
+/// pass's.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -1270,84 +1247,25 @@ fn input_columns_avx512<const T: usize, const R: usize>(
     v: &mut [f32],
     v_len: usize,
 ) {
-    use core::arch::x86_64::{
-        _mm512_add_epi32, _mm512_mask_i32gather_ps, _mm512_mask_storeu_ps, _mm512_mullo_epi32,
-        _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_ps,
-    };
     const { assert!(NR == 16, "one lane per tile of a micropanel") };
     let alpha = T + R - 1;
-    // The gathers stay inside `w`'s rows, and every store's panel row of
-    // 16 inside its image: row `c < ic` of a panel holding a tile `< tb`.
-    assert!(w.len() >= alpha * wp && tiles_x >= 1 && wp >= T * (tiles_x - 1) + alpha);
-    assert!(c < ic && (r + 1) * tiles_x <= tb && v_len >= packed_b_len(tb, ic));
-    assert!(alpha * alpha * v_len <= v.len());
-    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
     let row = r * tiles_x..(r + 1) * tiles_x;
     for j0 in (row.start / NR * NR..row.end).step_by(NR) {
         // Lane `l` is tile `j0 + l`, column `j0 + l - row.start` of the
         // tile row, whose patch starts at `T` times that in `w`.
-        let live = |l: usize| row.contains(&(j0 + l));
-        let mask = (0..NR).filter(|&l| live(l)).fold(0u16, |m, l| m | 1 << l);
-        let first = T as i32 * (j0 as i32 - row.start as i32);
-        let index = _mm512_add_epi32(
-            _mm512_mullo_epi32(lanes, _mm512_set1_epi32(T as i32)),
-            _mm512_set1_epi32(first),
-        );
-        let at = packed_b_at(tb, ic, c, j0);
-        for (a, wa) in w.chunks_exact(wp).take(alpha).enumerate() {
-            // SAFETY: a live lane reads `wa[T * tx + k]` for a column
-            // `tx < tiles_x` and `k < alpha`, inside the row by the
-            // assertion; masked lanes read nothing.
-            let x: [_; 6] = std::array::from_fn(|k| unsafe {
-                let tap = wa.as_ptr().add(k.min(alpha - 1));
-                _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), mask, index, tap)
-            });
-            for (b, value) in input_line_avx512::<T, R>(x)
-                .into_iter()
-                .take(alpha)
-                .enumerate()
-            {
-                // SAFETY: image `a * alpha + b` holds its panel row of 16
-                // at `at`, inside `v` by the assertion.
-                unsafe {
-                    let dst = v.as_mut_ptr().add((a * alpha + b) * v_len + at);
-                    _mm512_mask_storeu_ps(dst, mask, value);
-                }
+        let live = row.start.saturating_sub(j0)..(row.end - j0).min(NR);
+        let first = T * (j0 + live.start - row.start);
+        let (lanes, at) = (Strided::new(T, live), packed_b_at(tb, ic, c, j0));
+        // Row `a` of `w` feeds images `a * alpha..(a + 1) * alpha`.
+        let images = v.chunks_exact_mut(alpha * v_len);
+        for (wa, images) in w.chunks_exact(wp).zip(images).take(alpha) {
+            let x = std::array::from_fn(|k| lanes.gather(wa, first + k.min(alpha - 1)));
+            let line = input_line::<__m512, 16, T, R>(x);
+            for (value, image) in line.iter().zip(images.chunks_exact_mut(v_len)) {
+                lanes.store(*value, image[at..].first_chunk_mut().expect("a row"));
             }
         }
     }
-}
-
-/// [`input_line`] on 16 lanes at once: the same expressions, in the same
-/// order, as `_mm512` adds, subtracts and multiplies (never fused).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn input_line_avx512<const T: usize, const R: usize>(
-    d: [core::arch::x86_64::__m512; 6],
-) -> [core::arch::x86_64::__m512; 6] {
-    use core::arch::x86_64::{_mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_sub_ps};
-    let (add, sub, mul, k) = (_mm512_add_ps, _mm512_sub_ps, _mm512_mul_ps, _mm512_set1_ps);
-    if T + R - 1 == 4 {
-        // The last two lines are unused at alpha = 4.
-        return [
-            sub(d[0], d[2]),
-            add(d[1], d[2]),
-            sub(d[2], d[1]),
-            sub(d[1], d[3]),
-            d[0],
-            d[0],
-        ];
-    }
-    let (e, f) = (sub(d[4], d[2]), sub(d[3], d[1]));
-    [
-        add(mul(k(4.0), sub(d[0], d[2])), e),
-        sub(add(d[3], d[4]), mul(k(4.0), add(d[1], d[2]))),
-        add(sub(d[4], d[3]), mul(k(4.0), sub(d[1], d[2]))),
-        add(e, mul(k(2.0), f)),
-        sub(e, mul(k(2.0), f)),
-        add(mul(k(4.0), sub(d[1], d[3])), sub(d[5], d[3])),
-    ]
 }
 
 /// Inverse transform of a block: `Y = A^T M A + bias` per (channel, tile)
@@ -1513,6 +1431,7 @@ pub fn winograd_error_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::tests::{agree, with_specials};
     use crate::{gemm, gemm_bias, im2col, im2col_positions};
 
     fn reference(
@@ -1930,18 +1849,22 @@ mod tests {
         }
     }
 
-    /// The filter transform's vector walk (the AVX-512 tier's) packs
-    /// bitwise the images the per-lane walk does: all three kernels (the
+    /// The filter transform's vector walk (the AVX-512 tier's: the one
+    /// `filter_tile` on `__m512` lanes) packs bitwise the images the
+    /// per-lane walk (on `[f32; 16]` lanes) does: all three kernels (the
     /// 5x5 one's 25 taps `ic * 25` floats apart), ragged last
     /// tiles (`oc % 16` of 1, 7 and 15, starting past the first tile as a
     /// chunk of `U` does), input channels on either side of one and two
-    /// `KC` blocks, at pool widths 1 to 3.
+    /// `KC` blocks, at pool widths 1 to 3; on noise, then on filters
+    /// holding signed zeros and infinities (bit for bit), then NaNs too (by
+    /// position).
     #[test]
     fn the_vector_filter_walk_on_every_tier_is_bitwise_the_per_lane_walk() {
         fn check<const T: usize, const R: usize, const N: usize>(
             weight: &[f32],
             ic: usize,
             rows: Range<usize>,
+            nan: bool,
         ) {
             let walk = || FilterColumns::<T, R> {
                 weight,
@@ -1951,39 +1874,49 @@ mod tests {
             let vector = pack_a_images::<N>(rows.len(), ic, &walk());
             let per_lane = pack_a_images::<N>(rows.len(), ic, &PerLane(walk()));
             // Each image, without the unwritten skew after it.
-            let bits = |u: &[f32]| {
+            let images = |u: &[f32]| {
                 u.chunks_exact(u.len() / N)
                     .flat_map(|x| &x[..x.len() - IMAGE_SKEW])
-                    .map(|v| v.to_bits())
+                    .copied()
                     .collect::<Vec<_>>()
             };
             assert!(
-                bits(&vector) == bits(&per_lane),
-                "F({T}x{T},{R}x{R}), ic {ic}, rows {rows:?}"
+                agree(&images(&vector), &images(&per_lane), nan),
+                "F({T}x{T},{R}x{R}), ic {ic}, rows {rows:?}, NaNs {nan}"
             );
         }
         let kc = crate::gemm_tile()[2];
         for ic in [1, kc - 1, kc + 1, 2 * kc + 3] {
             for oc in [17, 23, 31] {
-                let weight = noise((ic * oc) as u64, oc * ic * 25);
-                for width in 1..=3 {
-                    pcnn_parallel::with_threads(width, || {
-                        for rows in [0..oc, 16..oc] {
-                            check::<2, 3, 16>(&weight, ic, rows.clone());
-                            check::<4, 3, 36>(&weight, ic, rows.clone());
-                            check::<2, 5, 36>(&weight, ic, rows);
-                        }
-                    });
+                let seed = (ic * oc) as u64;
+                let noise = noise(seed, oc * ic * 25);
+                for (weight, nan) in [
+                    (noise.clone(), false),
+                    (with_specials(noise.clone(), seed, false), false),
+                    (with_specials(noise, seed, true), true),
+                ] {
+                    for width in 1..=3 {
+                        pcnn_parallel::with_threads(width, || {
+                            for rows in [0..oc, 16..oc] {
+                                check::<2, 3, 16>(&weight, ic, rows.clone(), nan);
+                                check::<4, 3, 36>(&weight, ic, rows.clone(), nan);
+                                check::<2, 5, 36>(&weight, ic, rows, nan);
+                            }
+                        });
+                    }
                 }
             }
         }
     }
 
-    /// The input transform's vector column pass (the AVX-512 tier's)
-    /// writes bitwise the packed `V` the portable pass does, padding lanes
-    /// included: all three kernels, tile rows whose tiles start and end inside a
-    /// micropanel (a block of several rows, a short one of one), borders of
-    /// 0 and 1, input channels on either side of one and two `KC` blocks.
+    /// The input transform's vector column pass (the AVX-512 tier's:
+    /// `input_line` on `__m512` lanes) writes bitwise the packed `V` the
+    /// portable pass (on `f32`) does, padding lanes included: all three
+    /// kernels, tile rows whose tiles start and end inside a micropanel (a
+    /// block of several rows, a short one of one), borders of 0 and 1,
+    /// input channels on either side of one and two `KC` blocks; on noise,
+    /// then on inputs holding signed zeros and infinities (bit for bit),
+    /// then NaNs too (by position).
     #[test]
     fn the_vector_input_transform_on_every_tier_is_bitwise_the_portable_one() {
         if !avx512_tier() {
@@ -1994,17 +1927,25 @@ mod tests {
             let (ic, coords) = (geom.in_channels, winograd_coords(T, R));
             let tiles_x = geom.out_w.div_ceil(T);
             let tb = tile_rows.len() * tiles_x;
-            let input = noise((ic * geom.in_w) as u64, ic * geom.in_h * geom.in_w);
-            let run = |vector: bool| {
-                let mut v = vec![f32::NAN; coords * packed_b_len(tb, ic)];
-                let mut rows = vec![0.0; 40 * (T * tiles_x + R - 1)];
-                input_transform::<T, R>(geom, &input, tile_rows.clone(), &mut v, &mut rows, vector);
-                v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            };
-            assert!(
-                run(true) == run(false),
-                "F({T}x{T},{R}x{R}) {geom:?} rows {tile_rows:?}"
-            );
+            let seed = (ic * geom.in_w) as u64;
+            let noise = noise(seed, ic * geom.in_h * geom.in_w);
+            for (input, nan) in [
+                (noise.clone(), false),
+                (with_specials(noise.clone(), seed, false), false),
+                (with_specials(noise, seed, true), true),
+            ] {
+                let run = |vector: bool| {
+                    let mut v = vec![f32::NAN; coords * packed_b_len(tb, ic)];
+                    let mut rows = vec![0.0; 40 * (T * tiles_x + R - 1)];
+                    let tiles = tile_rows.clone();
+                    input_transform::<T, R>(geom, &input, tiles, &mut v, &mut rows, vector);
+                    v
+                };
+                assert!(
+                    agree(&run(true), &run(false), nan),
+                    "F({T}x{T},{R}x{R}) {geom:?} rows {tile_rows:?}, NaNs {nan}"
+                );
+            }
         }
         let kc = crate::gemm_tile()[2];
         for ic in [1, 3, kc - 1, kc + 1, 2 * kc + 3] {

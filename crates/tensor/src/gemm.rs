@@ -38,30 +38,30 @@
 //! the paper's offline compiler fits an SGEMM tile to each GPU (§IV.B,
 //! Table IV). A private [`Tier`] — resolved by one cached runtime probe,
 //! the only dispatch, with no knob to override it — is a tile height `MR`
-//! plus a microkernel; `NR = 16` columns and the packed-`B` layout are the
-//! same on every tier, so nothing outside this module (the direct and
-//! sampled convolutions' gather, Winograd's 16 GEMMs) knows tiers exist:
+//! plus the lane type one accumulator row of the microkernel is held in;
+//! `NR = 16` columns and the packed-`B` layout are the same on every tier,
+//! so nothing outside this module (the direct and sampled convolutions'
+//! gather, Winograd's GEMMs) knows tiers exist:
 //!
-//! | tier       | runs on               | tile    | registers                          |
-//! |------------|-----------------------|---------|------------------------------------|
-//! | `avx512`   | x86-64, `avx512f`     | 16 x 16 | 16 acc + `B` + broadcast, 32 `zmm` |
-//! | `avx2`     | x86-64, `avx2`        | 6 x 16  | 12 acc + 2 `B` + broadcast, 16 `ymm` |
-//! | `portable` | everything else       | 6 x 16  | the autovectorizer's choice        |
+//! | tier       | runs on               | tile    | row lane      | registers                            |
+//! |------------|-----------------------|---------|---------------|--------------------------------------|
+//! | `avx512`   | x86-64, `avx512f`     | 16 x 16 | `__m512`      | 16 acc + `B` + broadcast, 32 `zmm`   |
+//! | `avx2`     | x86-64, `avx2`        | 6 x 16  | `[__m256; 2]` | 12 acc + 2 `B` + broadcast, 16 `ymm` |
+//! | `portable` | everything else       | 6 x 16  | `[f32; 16]`   | the autovectorizer's choice          |
 //!
-//! The two x86 tiers run [`microkernel_avx512`] / [`microkernel_avx2`],
-//! written with explicit `mul_ps` + `add_ps` intrinsics so the hot loop's
-//! shape does not hang on the autovectorizer's heuristics (an
-//! autovectorised tile is a lottery: the same constant-bound body compiles
-//! to clean broadcast/mul/add in one context and to shuffles with a stack
-//! spill in another), and the loop nest around them is instantiated per
-//! tile height inside the tier's `#[target_feature]` function, so
-//! `A`-packing and the `C` update may use the tier's vectors too. The
-//! portable tier runs [`microkernel`], plain indexed
-//! arithmetic with constant bounds on the *same* packed layout — which is
-//! also the oracle both explicit kernels are tested bitwise against, and
-//! the whole `gemm` is held bitwise equal across every tier the host can
-//! run. [`kernel_tier`] names the tier in force so a recording can say
-//! which kernel produced it.
+//! There is one [`microkernel`], generic over the lane type
+//! ([`crate::lanes`]); each tier instantiates it, and the loop nest around
+//! it, inside its own `#[target_feature]` function, so `A`-packing and the
+//! `C` update may use the tier's vectors too. The x86 lane types are
+//! explicit intrinsics, so the hot loop's shape does not hang on the
+//! autovectorizer's heuristics (an autovectorised tile is a lottery: the
+//! same constant-bound body compiles to clean broadcast/mul/add in one
+//! context and to shuffles with a stack spill in another). The lane trait
+//! has no fused multiply-add, so every instantiation performs the same
+//! IEEE operations per element: the tests hold each tier's kernel bitwise
+//! to the portable one, and the whole `gemm` bitwise equal across every
+//! tier the host can run. [`kernel_tier`] names the tier in force so a
+//! recording can say which kernel produced it.
 //!
 //! [`gemm_nt`] (`C += A * B^T`, the FC layers) reduces along the
 //! contiguous axis of both operands, so it needs no packing: it is a
@@ -108,6 +108,9 @@
 //! on the worker-pool trace tracks. Disabled recording costs one atomic
 //! load per would-be span and never changes any arithmetic.
 
+use crate::lanes::Lane;
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::{__m256, __m512};
 use pcnn_profile::{phase_span, Phase};
 use std::ops::Range;
 
@@ -515,27 +518,67 @@ fn gemm_packed_on(
     part: GemmPartition,
     c: &mut [f32],
 ) {
+    let (mr, tasks) = (tier.mr(), part.tasks());
     let n_panels = n.div_ceil(NR);
-    let mr_tiles = m.div_ceil(tier.mr());
+    let mr_tiles = m.div_ceil(mr);
     let sink = TileSink {
         ptr: c.as_mut_ptr(),
     };
-    if part.tasks() <= 1 {
-        gemm_tiles(tier, m, n, k, a, b_pack, &sink, 0..mr_tiles, 0..n_panels);
-        return;
-    }
-    let run_task = |t: usize| {
+    let task_tiles = |t: usize| {
         let rows = split_range(mr_tiles, part.row_splits, t / part.col_splits);
         let cols = split_range(n_panels, part.col_splits, t % part.col_splits);
-        gemm_tiles(tier, m, n, k, a, b_pack, &sink, rows, cols);
+        (rows, cols)
     };
+    // Every task's `A`-packing scratch (none when `A` arrives packed) is
+    // one checkout made here, on the calling thread, before any worker
+    // starts: which pooled buffer it gets then depends on the call
+    // sequence alone, never on the order workers reach the pool.
+    let per_task = (MC / mr).min(mr_tiles.div_ceil(part.row_splits)) * KC * mr;
+    let mut a_packs = matches!(a, OperandA::Rows(_)).then(|| {
+        let span = phase_span(Phase::PackA);
+        let a_packs = pcnn_parallel::scratch_f32(tasks * per_task);
+        if let Some(s) = span {
+            // Pool bookkeeping plus any first-use zero-fill, counted as
+            // each task's rows of one group without the tile padding.
+            let rows = (0..tasks).map(|t| {
+                let (tiles, _) = task_tiles(t);
+                ((tiles.end * mr).min(m) - tiles.start * mr).min(MC)
+            });
+            s.finish(0, 4 * (rows.sum::<usize>() * KC) as u64);
+        }
+        a_packs
+    });
+    let run_task = |t: usize, a_pack: &mut [f32]| {
+        let (rows, cols) = task_tiles(t);
+        let sink = &sink;
+        gemm_tiles(
+            tier,
+            Rect {
+                m,
+                n,
+                k,
+                a,
+                b_pack,
+                sink,
+                rows,
+                cols,
+                a_pack,
+            },
+        );
+    };
+    if tasks <= 1 {
+        return run_task(0, a_packs.as_deref_mut().unwrap_or_default());
+    }
     // Workers record their pack-A / microkernel spans into the caller's
     // profile, under the caller's layer.
     let handoff = pcnn_profile::Handoff::capture();
-    pcnn_parallel::with_region_label("gemm", || {
-        pcnn_parallel::par_for(part.tasks(), 1, |range| {
-            handoff.enter(|| range.for_each(run_task));
-        });
+    pcnn_parallel::with_region_label("gemm", || match a_packs.as_deref_mut() {
+        Some(a_packs) => pcnn_parallel::par_chunks_mut(a_packs, per_task, |t, a_pack| {
+            handoff.enter(|| run_task(t, a_pack));
+        }),
+        None => pcnn_parallel::par_for(tasks, 1, |range| {
+            handoff.enter(|| range.for_each(|t| run_task(t, &mut [])));
+        }),
     });
 }
 
@@ -653,7 +696,7 @@ pub(crate) trait AColumns<const N: usize> {
     /// [`column`](Self::column) on the AVX-512 tier, stored in place: image
     /// `x`'s 16 lanes at `images[x * len + at..][..A_LANES]`, bitwise what
     /// `column` returns — which is all this default does. A source
-    /// overrides it with an explicit 16-lane body.
+    /// overrides it with a 16-lane walk.
     ///
     /// # Safety
     ///
@@ -801,110 +844,53 @@ fn pack_a<const MR: usize>(
 }
 
 /// One worker's rectangle of the packed GEMM:
-/// `C[tiles tile_rows, panels tile_cols] += A * B`, the tiles being
-/// `tier`'s.
-///
-/// Checks its `A`-packing scratch out of the pool (unless `A` arrives
-/// packed), then dispatches to the tier's instantiation of
-/// [`gemm_tiles_body`]: the whole loop nest
-/// compiled for AVX-512 around [`microkernel_avx512`], for AVX2 around
-/// [`microkernel_avx2`], or the baseline build around the portable
-/// [`microkernel`]. All three perform the identical sequence of IEEE
-/// mul/add per accumulator on the one packed-`B` layout, so the result is
-/// bitwise-equal whichever runs.
-#[allow(clippy::too_many_arguments)]
-fn gemm_tiles(
-    tier: Tier,
+/// `C[tiles rows, panels cols] += A * B` (`=` when `A` arrives packed),
+/// the tiles being its tier's.
+struct Rect<'a> {
     m: usize,
     n: usize,
     k: usize,
-    a: OperandA,
-    b_pack: &[f32],
-    sink: &TileSink,
-    tile_rows: Range<usize>,
-    tile_cols: Range<usize>,
-) {
-    if tile_rows.is_empty() || tile_cols.is_empty() {
-        return;
-    }
-    let mr = tier.mr();
-    let group_cap = (MC / mr).min(tile_rows.len());
-    // A packed image needs no packing scratch.
-    let mut a_pack = matches!(a, OperandA::Rows(_)).then(|| {
-        let span = phase_span(Phase::PackA);
-        let a_pack = pcnn_parallel::scratch_f32(group_cap * KC * mr);
-        if let Some(s) = span {
-            // Scratch checkout for the A-panel group (pool bookkeeping plus
-            // any first-use zero-fill), counted without the tile padding.
-            let rows = (tile_rows.end * mr).min(m) - tile_rows.start * mr;
-            s.finish(0, 4 * (rows.min(MC) * KC) as u64);
-        }
-        a_pack
-    });
-    let a_pack = a_pack.as_deref_mut().unwrap_or_default();
+    a: OperandA<'a>,
+    b_pack: &'a [f32],
+    sink: &'a TileSink,
+    rows: Range<usize>,
+    cols: Range<usize>,
+    /// `A`-packing scratch; empty when `A` arrives packed.
+    a_pack: &'a mut [f32],
+}
+
+/// Runs `rect` through the tier's instantiation of [`gemm_tiles_body`] and
+/// [`microkernel`]: on `__m512`, `[__m256; 2]` or `[f32; 16]` rows, the
+/// same IEEE mul/add sequence per accumulator, so the same bits.
+fn gemm_tiles(tier: Tier, rect: Rect) {
     match tier {
         // SAFETY: `Tier::Avx512` is only constructed after the runtime
         // probe found `avx512f` (the invariant on `Tier`).
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => unsafe {
-            gemm_tiles_avx512(m, n, k, a, b_pack, sink, tile_rows, tile_cols, a_pack)
-        },
+        Tier::Avx512 => unsafe { gemm_tiles_avx512(rect) },
         // SAFETY: `Tier::Avx2` is only constructed after the runtime
         // probe found `avx2` (the invariant on `Tier`).
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe {
-            gemm_tiles_avx2(m, n, k, a, b_pack, sink, tile_rows, tile_cols, a_pack)
-        },
-        Tier::Portable => gemm_tiles_body(
-            m,
-            n,
-            k,
-            a,
-            b_pack,
-            sink,
-            tile_rows,
-            tile_cols,
-            a_pack,
-            |kc, _, a_micro, b_micro| microkernel::<MR_BASE>(kc, a_micro, b_micro),
-        ),
+        Tier::Avx2 => unsafe { gemm_tiles_avx2(rect) },
+        Tier::Portable => gemm_tiles_body(rect, |kc, _, a, b, tile| {
+            microkernel::<[f32; NR], MR_BASE, MR_BASE>(kc, a, b, tile)
+        }),
     }
 }
 
-/// AVX-512 instantiation of [`gemm_tiles_body`]: packing and the `C`
-/// update are compiled for the 16-row tile with 512-bit vectors available,
-/// and the tile product is the explicit [`microkernel_avx512`] — or, on a
-/// last panel of at most [`RAGGED_COLUMNS`] live columns,
+/// AVX-512 instantiation of [`gemm_tiles_body`]: packing and the `C` update
+/// are compiled for the 16-row tile with 512-bit vectors available, and
+/// the tile product is [`microkernel`] on `__m512` rows — or, on a last
+/// panel of at most [`RAGGED_COLUMNS`] live columns,
 /// [`microkernel_avx512_columns`] (the closure inherits this function's
 /// target features, so the kernels inline into the loop nest).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-fn gemm_tiles_avx512(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: OperandA,
-    b_pack: &[f32],
-    sink: &TileSink,
-    tile_rows: Range<usize>,
-    tile_cols: Range<usize>,
-    a_pack: &mut [f32],
-) {
-    gemm_tiles_body(
-        m,
-        n,
-        k,
-        a,
-        b_pack,
-        sink,
-        tile_rows,
-        tile_cols,
-        a_pack,
-        |kc, nr, a_micro, b_micro| match nr {
-            NR => microkernel_avx512::<MR_AVX512>(kc, a_micro, b_micro),
-            _ => ragged_avx512(kc, nr, a_micro, b_micro),
-        },
-    )
+fn gemm_tiles_avx512(rect: Rect) {
+    gemm_tiles_body(rect, |kc, nr, a, b, tile| match nr {
+        NR => microkernel::<__m512, MR_AVX512, MR_AVX512>(kc, a, b, tile),
+        _ => ragged_avx512(kc, nr, a, b, tile),
+    })
 }
 
 /// The AVX-512 tile product of a panel with `nr < NR` live columns:
@@ -916,68 +902,79 @@ fn gemm_tiles_avx512(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline(never)]
-fn ragged_avx512(kc: usize, nr: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR_AVX512] {
+fn ragged_avx512(kc: usize, nr: usize, a: &[f32], b: &[f32], tile: &mut [[f32; NR]; MR_AVX512]) {
     const { assert!(RAGGED_COLUMNS == 12, "one arm per width below") };
     match nr {
-        ..=4 => microkernel_avx512_columns::<4>(kc, a, b),
-        5..=8 => microkernel_avx512_columns::<8>(kc, a, b),
-        9..=12 => microkernel_avx512_columns::<12>(kc, a, b),
-        _ => microkernel_avx512::<MR_AVX512>(kc, a, b),
+        ..=4 => microkernel_avx512_columns::<4>(kc, a, b, tile),
+        5..=8 => microkernel_avx512_columns::<8>(kc, a, b, tile),
+        9..=12 => microkernel_avx512_columns::<12>(kc, a, b, tile),
+        _ => microkernel::<__m512, MR_AVX512, MR_AVX512>(kc, a, b, tile),
+    }
+}
+
+/// The first `L < NR` columns of the AVX-512 tile, for a ragged panel of
+/// at most `L` live ones: [`microkernel`] with the operands' roles swapped,
+/// so each column `j` is one 16-lane accumulator over the tile's rows,
+/// `acc[j] + b[p][j] * a[p][0..16]` — per element the product and the sum
+/// the row kernel forms, in the same order over `p` (an IEEE product
+/// commutes), so the columns are bitwise its. They are transposed into
+/// `tile`; its columns past `L` are left as they were.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn microkernel_avx512_columns<const L: usize>(
+    kc: usize,
+    a: &[f32],
+    b: &[f32],
+    tile: &mut [[f32; NR]; MR_AVX512],
+) {
+    let mut cols = [[0.0f32; NR]; L];
+    microkernel::<__m512, L, NR>(kc, b, a, &mut cols);
+    for (i, row) in tile.iter_mut().enumerate() {
+        for (d, col) in row.iter_mut().zip(&cols) {
+            *d = col[i];
+        }
     }
 }
 
 /// AVX2 instantiation of [`gemm_tiles_body`]: packing and the `C` update
-/// autovectorise 8 lanes wide, and the tile product is the explicit
-/// [`microkernel_avx2`].
+/// autovectorise 8 lanes wide, and the tile product is [`microkernel`] on
+/// `[__m256; 2]` rows.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn gemm_tiles_avx2(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: OperandA,
-    b_pack: &[f32],
-    sink: &TileSink,
-    tile_rows: Range<usize>,
-    tile_cols: Range<usize>,
-    a_pack: &mut [f32],
-) {
-    gemm_tiles_body(
-        m,
-        n,
-        k,
-        a,
-        b_pack,
-        sink,
-        tile_rows,
-        tile_cols,
-        a_pack,
-        |kc, _, a_micro, b_micro| microkernel_avx2(kc, a_micro, b_micro),
-    )
+fn gemm_tiles_avx2(rect: Rect) {
+    gemm_tiles_body(rect, |kc, _, a, b, tile| {
+        microkernel::<[__m256; 2], MR_BASE, MR_BASE>(kc, a, b, tile)
+    })
 }
 
 /// The rectangle loop nest: ascending `KC` blocks on the outside (the
 /// per-element accumulation order that fixes bitwise determinism), then
 /// `MC`-row `A` groups (packed into `a_pack`, or read from a packed
-/// image), then the `jr`/`ir` loops calling `kernel(kc, nr, a, b)` on one
-/// `MR x NR` tile at a time, `nr` of its columns live. `tile_rows` counts
-/// `MR`-row tiles.
+/// image), then the `jr`/`ir` loops calling `kernel(kc, nr, a, b, tile)`
+/// on one `MR x NR` tile at a time, `nr` of its columns live.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn gemm_tiles_body<const MR: usize>(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: OperandA,
-    b_pack: &[f32],
-    sink: &TileSink,
-    tile_rows: Range<usize>,
-    tile_cols: Range<usize>,
-    a_pack: &mut [f32],
-    kernel: impl Fn(usize, usize, &[f32], &[f32]) -> [[f32; NR]; MR],
+    rect: Rect,
+    kernel: impl Fn(usize, usize, &[f32], &[f32], &mut [[f32; NR]; MR]),
+) {
+    // One nest per form of `A`: through a shared one the Winograd GEMMs
+    // (packed `A`, short `k`) ran 2-6 % slower on the AVX-512 tier.
+    match rect.a {
+        OperandA::Rows(_) => tiles_nest::<MR, false>(rect, kernel),
+        OperandA::Packed(_) => tiles_nest::<MR, true>(rect, kernel),
+    }
+}
+
+/// [`gemm_tiles_body`] for one form of `A`, packed when `PACKED`.
+#[inline(always)]
+fn tiles_nest<const MR: usize, const PACKED: bool>(
+    rect: Rect,
+    kernel: impl Fn(usize, usize, &[f32], &[f32], &mut [[f32; NR]; MR]),
 ) {
     const { assert!(MC.is_multiple_of(MR), "packing groups hold whole tiles") };
+    let (m, n, k, a, b_pack, sink) = (rect.m, rect.n, rect.k, rect.a, rect.b_pack, rect.sink);
+    let (tile_rows, tile_cols, a_pack) = (rect.rows, rect.cols, rect.a_pack);
     let n_panels = n.div_ceil(NR);
     for pc in 0..k.div_ceil(KC) {
         let p0 = pc * KC;
@@ -1011,7 +1008,7 @@ fn gemm_tiles_body<const MR: usize>(
                     &image[p0 * m.div_ceil(MR) * MR + g0 * kc * MR..][..g_tiles * kc * MR]
                 }
             };
-            let set = pc == 0 && matches!(a, OperandA::Packed(_));
+            let set = pc == 0 && PACKED;
             let span = phase_span(Phase::Microkernel);
             for jp in tile_cols.clone() {
                 let b_micro = &b_block[jp * kc * NR..(jp + 1) * kc * NR];
@@ -1020,8 +1017,11 @@ fn gemm_tiles_body<const MR: usize>(
                 for (g, a_micro) in a_group.chunks(kc * MR).enumerate() {
                     let i0 = (g0 + g) * MR;
                     let mr = MR.min(m - i0);
-                    let acc = kernel(kc, nr, a_micro, b_micro);
-                    for (i, acc_row) in acc.iter().enumerate().take(mr) {
+                    // A tile per call (LLVM drops the zero-fill): one hoisted
+                    // out of the loops cost AlexNet conv1 2-5 % on AVX-512.
+                    let mut tile = [[0.0f32; NR]; MR];
+                    kernel(kc, nr, a_micro, b_micro, &mut tile);
+                    for (i, acc_row) in tile.iter().enumerate().take(mr) {
                         // SAFETY: row `i0 + i` < m and columns
                         // `j0..j0 + nr` <= n lie inside `C`, and this
                         // task is the sole owner of the rectangle.
@@ -1050,156 +1050,42 @@ fn gemm_tiles_body<const MR: usize>(
     }
 }
 
-/// The portable `MR x NR` register-blocked microkernel: returns the
-/// product of an `MR x kc` packed `A` micropanel and a `kc x NR` packed
-/// `B` micropanel. Constant loop bounds let LLVM keep `acc` in vector
-/// registers and autovectorize without reassociating any float sum.
+/// The `MR x NR` register-blocked microkernel, written once for every
+/// tier: the product of an `MR x kc` packed `A` micropanel (depth step `p`
+/// at `a[p * STEP..]`, `STEP >= MR`) and a `kc x NR` packed `B` micropanel,
+/// stored into the caller's `tile`. Accumulator row `i` is one lane value
+/// `L` of `NR` floats; each depth step is one `B` load, `MR` broadcasts and
+/// `MR` multiply-then-add pairs, `acc + a * b` with the accumulator as the
+/// add's first operand, and no fused multiply-add ([`Lane`] has none).
 ///
-/// It is the kernel of the portable tier and, at each explicit kernel's
-/// tile height, the differential oracle that kernel is tested bitwise
-/// against.
+/// The rows are stored into `tile`, not returned: a kernel that returns
+/// its accumulators by value runs `k = 27` at under 60 % of this one's
+/// speed on the AVX-512 tier (EXPERIMENTS.md, "Each SIMD kernel written
+/// once"). On `__m512` rows the kernel does not miss the FMA either: `MR`
+/// independent four-cycle add chains keep both 512-bit ports busy on
+/// separate multiplies and adds.
 #[inline(always)]
-fn microkernel<const MR: usize>(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
-    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kc {
-        let av: &[f32; MR] = a[p * MR..p * MR + MR].try_into().expect("packed A tile");
-        let bv: &[f32; NR] = b[p * NR..p * NR + NR].try_into().expect("packed B tile");
-        for i in 0..MR {
-            let ai = av[i];
-            for j in 0..NR {
-                acc[i][j] += ai * bv[j];
-            }
-        }
-    }
-    acc
-}
-
-/// [`microkernel`] written out for AVX2: each accumulator row is two
-/// 8-lane vectors, each depth step is two `B` loads, `MR` broadcasts and
-/// `2 * MR` multiply-then-add pairs. Explicitly `_mm256_mul_ps` followed
-/// by `_mm256_add_ps` — never a fused multiply-add, whose single rounding would change
-/// the bits — with the accumulator as the add's first operand, exactly
-/// the portable body's `acc + a * b`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-fn microkernel_avx2(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR_BASE] {
-    use core::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-    const MR: usize = MR_BASE;
-    const { assert!(NR == 16, "two 8-lane vectors per accumulator row") };
-    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
-        // SAFETY: `bv` is a `chunks_exact(NR)` chunk — exactly 16
-        // contiguous f32 — so both unaligned 8-lane loads are in bounds.
-        let (b0, b1) = unsafe {
-            (
-                _mm256_loadu_ps(bv.as_ptr()),
-                _mm256_loadu_ps(bv.as_ptr().add(8)),
-            )
-        };
-        for i in 0..MR {
-            let ai = _mm256_set1_ps(av[i]);
-            acc[i][0] = _mm256_add_ps(acc[i][0], _mm256_mul_ps(ai, b0));
-            acc[i][1] = _mm256_add_ps(acc[i][1], _mm256_mul_ps(ai, b1));
-        }
-    }
-    let mut out = [[0.0f32; NR]; MR];
-    for (row, vecs) in out.iter_mut().zip(&acc) {
-        // SAFETY: `row` is a `[f32; 16]`, room for two unaligned 8-lane
-        // stores at offsets 0 and 8.
-        unsafe {
-            _mm256_storeu_ps(row.as_mut_ptr(), vecs[0]);
-            _mm256_storeu_ps(row.as_mut_ptr().add(8), vecs[1]);
-        }
-    }
-    out
-}
-
-/// [`microkernel`] written out for AVX-512: each accumulator row is one
-/// 16-lane vector, each depth step is one `B` load, `MR` broadcasts and
-/// `MR` multiply-then-add pairs. Explicitly `_mm512_mul_ps` followed by
-/// `_mm512_add_ps` — never a fused multiply-add, for the same reason as
-/// [`microkernel_avx2`] — with the accumulator as the add's first operand.
-/// The kernel does not miss the FMA: `MR` independent four-cycle add
-/// chains keep both 512-bit ports busy on separate multiplies and adds.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn microkernel_avx512<const MR: usize>(kc: usize, a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
-    use core::arch::x86_64::{
-        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps,
-    };
-    const { assert!(NR == 16, "one 16-lane vector per accumulator row") };
-    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    let mut acc = [_mm512_setzero_ps(); MR];
-    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
-        // SAFETY: `bv` is a `chunks_exact(NR)` chunk — exactly 16
-        // contiguous f32 — so the unaligned 16-lane load is in bounds.
-        let b0 = unsafe { _mm512_loadu_ps(bv.as_ptr()) };
-        for i in 0..MR {
-            acc[i] = _mm512_add_ps(acc[i], _mm512_mul_ps(_mm512_set1_ps(av[i]), b0));
-        }
-    }
-    let mut out = [[0.0f32; NR]; MR];
-    for (row, &v) in out.iter_mut().zip(&acc) {
-        // SAFETY: `row` is a `[f32; 16]`, room for one unaligned 16-lane
-        // store.
-        unsafe { _mm512_storeu_ps(row.as_mut_ptr(), v) };
-    }
-    out
-}
-
-/// [`microkernel`]'s first `L < NR` columns, for a ragged panel of at most
-/// `L` live ones, written out for AVX-512 the other way round: each column
-/// `j` is one 16-lane accumulator over the tile's rows, and each depth
-/// step is one `A` load, `L` broadcasts of `b[p][j]` and `L`
-/// multiply-then-add pairs, `acc[j] + a[p][0..16] * b[p][j]` — per element
-/// the product and the sum [`microkernel`] forms, in the same order over
-/// `p` (an IEEE product commutes), so the columns are bitwise its. They
-/// are transposed on the way out; the columns past `L` are zero.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn microkernel_avx512_columns<const L: usize>(
+fn microkernel<L: Lane<NR>, const MR: usize, const STEP: usize>(
     kc: usize,
     a: &[f32],
     b: &[f32],
-) -> [[f32; NR]; MR_AVX512] {
-    use core::arch::x86_64::{
-        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps,
-    };
-    const MR: usize = MR_AVX512;
-    const { assert!(MR == 16 && L < NR, "one 16-lane vector per live column") };
-    debug_assert!(a.len() >= kc * MR && b.len() >= kc * NR);
-    let mut acc = [_mm512_setzero_ps(); L];
-    for (av, bv) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
-        // SAFETY: `av` is a `chunks_exact(MR)` chunk — exactly 16
-        // contiguous f32 — so the unaligned 16-lane load is in bounds.
-        let a0 = unsafe { _mm512_loadu_ps(av.as_ptr()) };
-        for j in 0..L {
-            acc[j] = _mm512_add_ps(acc[j], _mm512_mul_ps(a0, _mm512_set1_ps(bv[j])));
+    tile: &mut [[f32; NR]; MR],
+) {
+    const { assert!(MR <= STEP, "a depth step holds the tile's rows") };
+    // Both operands cut to exactly `kc` steps (a short one panics): one
+    // trip count, so the depth loop tests one bound.
+    let a_steps = &a.as_chunks::<STEP>().0[..kc];
+    let b_steps = &b.as_chunks::<NR>().0[..kc];
+    let mut acc = [L::splat(0.0); MR];
+    for (av, bv) in a_steps.iter().zip(b_steps) {
+        let bv = L::load(bv);
+        for (acc, &ai) in acc.iter_mut().zip(av) {
+            *acc = acc.add(L::splat(ai).mul(bv));
         }
     }
-    let mut cols = [[0.0f32; MR]; L];
-    for (col, &v) in cols.iter_mut().zip(&acc) {
-        // SAFETY: `col` is a `[f32; 16]`, room for one unaligned 16-lane
-        // store.
-        unsafe { _mm512_storeu_ps(col.as_mut_ptr(), v) };
+    for (row, acc) in tile.iter_mut().zip(acc) {
+        acc.store(row);
     }
-    let mut out = [[0.0f32; NR]; MR];
-    for (i, row) in out.iter_mut().enumerate() {
-        for (d, col) in row.iter_mut().zip(&cols) {
-            *d = col[i];
-        }
-    }
-    out
 }
 
 /// `C = A * B + bias` where `bias` is broadcast along rows: `C[i][j] += bias[i]`.
@@ -1299,7 +1185,17 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
         } else {
             (outer(m), 0..n)
         };
-        gemm_nt_rect(n, k, a, b, &sink, rows, cols, b_outer);
+        let sink = &sink;
+        gemm_nt_rect(NtRect {
+            n,
+            k,
+            a,
+            b,
+            sink,
+            rows,
+            cols,
+            b_outer,
+        });
     };
     let span = phase_span(Phase::Microkernel);
     if m * n * k < PAR_MAC_THRESHOLD {
@@ -1319,57 +1215,50 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]
 }
 
 /// One worker's rectangle of [`gemm_nt`]: `C[rows, cols] += A[rows] *
-/// B[cols]^T`, dispatched once (cached feature probe) between the two
-/// instantiations of [`gemm_nt_rect_body`] — the explicit AVX2 tiles on
-/// x86-64 with AVX2, their portable twins anywhere else. Both run the
-/// identical IEEE sequence per output, so the result is bitwise-equal
-/// whichever path runs.
-#[allow(clippy::too_many_arguments)]
-fn gemm_nt_rect(
+/// B[cols]^T`; `b_outer` puts the loop over `B`'s panels outside.
+struct NtRect<'a> {
     n: usize,
     k: usize,
-    a: &[f32],
-    b: &[f32],
-    sink: &TileSink,
+    a: &'a [f32],
+    b: &'a [f32],
+    sink: &'a TileSink,
     rows: Range<usize>,
     cols: Range<usize>,
     b_outer: bool,
-) {
+}
+
+/// Runs `rect`, dispatched once (cached feature probe) between the two
+/// instantiations of [`gemm_nt_rect_body`] and [`nt_dots`] — on `__m256`
+/// lanes on x86-64 with AVX2, on `[f32; 8]` anywhere else. Both run the
+/// identical IEEE sequence per output, so the result is bitwise-equal
+/// whichever path runs.
+fn gemm_nt_rect(rect: NtRect) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the AVX2 requirement is established by the runtime
         // feature probe on the line above.
-        return unsafe { gemm_nt_rect_avx2(n, k, a, b, sink, rows, cols, b_outer) };
+        return unsafe { gemm_nt_rect_avx2(rect) };
     }
-    gemm_nt_rect_body(n, k, a, b, sink, rows, cols, b_outer, nt_dots, nt_dots)
+    gemm_nt_rect_body(
+        rect,
+        nt_dots::<[f32; DOT_LANES], NT_GROUP, NT_PAIR>,
+        nt_dots::<[f32; DOT_LANES], 1, NT_PANEL>,
+    )
 }
 
-/// AVX2 instantiation of [`gemm_nt_rect_body`] (the closures inherit this
-/// function's target features, so calling the explicit tiles is safe).
+/// AVX2 instantiation of [`gemm_nt_rect_body`]: [`nt_dots`] on `__m256`
+/// lanes. Closures, not the function items: a closure inherits this
+/// function's target features, so the tiles and their intrinsics inline
+/// into the loop nest, where a function item's call shim would leave them
+/// out of line.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-fn gemm_nt_rect_avx2(
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    sink: &TileSink,
-    rows: Range<usize>,
-    cols: Range<usize>,
-    b_outer: bool,
-) {
+#[allow(clippy::redundant_closure)]
+fn gemm_nt_rect_avx2(rect: NtRect) {
     gemm_nt_rect_body(
-        n,
-        k,
-        a,
-        b,
-        sink,
-        rows,
-        cols,
-        b_outer,
-        |a_rows, b_rows| nt_dots_avx2(a_rows, b_rows),
-        |a_rows, b_rows| nt_dots_avx2(a_rows, b_rows),
+        rect,
+        |a, b| nt_dots::<__m256, NT_GROUP, NT_PAIR>(a, b),
+        |a, b| nt_dots::<__m256, 1, NT_PANEL>(a, b),
     )
 }
 
@@ -1386,19 +1275,13 @@ fn row_of(x: &[f32], k: usize, r: usize) -> &[f32] {
 /// group meets every panel). `wide` and `tall` return the finished dot
 /// products of one register tile.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn gemm_nt_rect_body(
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    sink: &TileSink,
-    rows: Range<usize>,
-    cols: Range<usize>,
-    b_outer: bool,
+    rect: NtRect,
     wide: impl Fn([&[f32]; NT_GROUP], [&[f32]; NT_PAIR]) -> [[f32; NT_PAIR]; NT_GROUP],
     tall: impl Fn([&[f32]; 1], [&[f32]; NT_PANEL]) -> [[f32; NT_PANEL]; 1],
 ) {
+    let (n, k, a, b, sink) = (rect.n, rect.k, rect.a, rect.b, rect.sink);
+    let (rows, cols, b_outer) = (rect.rows, rect.cols, rect.b_outer);
     // C[i0..i0 + mb, j0..j0 + nb] for one row group and one panel.
     let block = |i0: usize, mb: usize, j0: usize, nb: usize| {
         // A ragged panel repeats its last row, so every tile is whole;
@@ -1450,82 +1333,40 @@ fn gemm_nt_rect_body(
     }
 }
 
-/// The portable `MB x NB` register tile of [`gemm_nt`]: the dot products
-/// of `MB` rows of `A` with `NB` rows of `B`, each accumulated in its own
-/// [`DOT_LANES`] lanes over the whole eight-element chunks of `k` and
-/// finished by [`nt_finish`]. Constant bounds let LLVM keep `acc` in
-/// vector registers without reassociating any sum.
-///
-/// It is the kernel of every target without AVX2 and the differential
-/// oracle [`nt_dots_avx2`] is tested bitwise against.
+/// The `MB x NB` register tile of [`gemm_nt`], written once for every
+/// tier: the dot products of `MB` rows of `A` with `NB` rows of `B`, each
+/// accumulated in one lane value `L` of [`DOT_LANES`] floats over the
+/// whole eight-element chunks of `k` — per chunk `NB` loads of `B`, `MB`
+/// loads of `A` and `MB * NB` multiply-then-add pairs, `acc + a * b`,
+/// never fused — and finished by [`nt_finish`].
 #[inline(always)]
-fn nt_dots<const MB: usize, const NB: usize>(a: [&[f32]; MB], b: [&[f32]; NB]) -> [[f32; NB]; MB] {
-    let chunk = |row: &[f32], p: usize| -> [f32; DOT_LANES] {
-        row[p * DOT_LANES..(p + 1) * DOT_LANES]
-            .try_into()
-            .expect("whole chunk")
-    };
-    let mut acc = [[[0.0f32; DOT_LANES]; NB]; MB];
-    for p in 0..a[0].len() / DOT_LANES {
-        let bv: [[f32; DOT_LANES]; NB] = std::array::from_fn(|j| chunk(b[j], p));
-        for i in 0..MB {
-            let av = chunk(a[i], p);
-            for j in 0..NB {
-                for l in 0..DOT_LANES {
-                    acc[i][j][l] += av[l] * bv[j][l];
-                }
-            }
-        }
-    }
-    nt_finish(a, b, acc)
-}
-
-/// [`nt_dots`] written out for AVX2: one `ymm` register per dot product,
-/// each chunk `NB` loads of `B`, `MB` loads of `A` and `MB * NB`
-/// multiply-then-add pairs. Explicitly `_mm256_mul_ps` followed by
-/// `_mm256_add_ps` — never a fused multiply-add — with the accumulator as
-/// the add's first operand, exactly the portable body's `acc + a * b`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-fn nt_dots_avx2<const MB: usize, const NB: usize>(
+fn nt_dots<L: Lane<DOT_LANES>, const MB: usize, const NB: usize>(
     a: [&[f32]; MB],
     b: [&[f32]; NB],
 ) -> [[f32; NB]; MB] {
-    use core::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-    };
-    const { assert!(DOT_LANES == 8, "one 8-lane vector per dot product") };
     let chunks = a[0].len() / DOT_LANES;
-    assert!(
-        a.iter()
-            .chain(&b)
-            .all(|row| row.len() >= chunks * DOT_LANES),
-        "tile rows shorter than the first"
-    );
-    let mut acc = [[_mm256_setzero_ps(); NB]; MB];
+    let whole = chunks * DOT_LANES;
+    assert!(a.iter().chain(&b).all(|row| row.len() >= whole));
+    let mut acc = [[L::splat(0.0); NB]; MB];
     for p in 0..chunks {
-        let at = p * DOT_LANES;
-        let mut bv = [_mm256_setzero_ps(); NB];
-        for j in 0..NB {
-            // SAFETY: `at + 8 <= chunks * 8 <= b[j].len()` by the assert
-            // before the loop, so the unaligned 8-lane load is in bounds.
-            bv[j] = unsafe { _mm256_loadu_ps(b[j].as_ptr().add(at)) };
+        // SAFETY: chunk `p < chunks` lies inside every row (the assertion);
+        // checked, it costs a branch per row and chunk that LLVM keeps.
+        let chunk = |row: &[f32]| unsafe { &*row.as_ptr().add(p * DOT_LANES).cast() };
+        let mut bv = [L::splat(0.0); NB];
+        for (bv, row) in bv.iter_mut().zip(b) {
+            *bv = L::load(chunk(row));
         }
-        for i in 0..MB {
-            // SAFETY: as above, for `a[i]`.
-            let av = unsafe { _mm256_loadu_ps(a[i].as_ptr().add(at)) };
-            for j in 0..NB {
-                acc[i][j] = _mm256_add_ps(acc[i][j], _mm256_mul_ps(av, bv[j]));
+        for (acc, row) in acc.iter_mut().zip(a) {
+            let av = L::load(chunk(row));
+            for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                *acc = acc.add(av.mul(bv));
             }
         }
     }
     let mut lanes = [[[0.0f32; DOT_LANES]; NB]; MB];
-    for (row, vecs) in lanes.iter_mut().zip(&acc) {
-        for (l, &v) in row.iter_mut().zip(vecs) {
-            // SAFETY: `l` is a `[f32; 8]`, room for one unaligned 8-lane
-            // store.
-            unsafe { _mm256_storeu_ps(l.as_mut_ptr(), v) };
+    for (row, acc) in lanes.iter_mut().zip(acc) {
+        for (l, acc) in row.iter_mut().zip(acc) {
+            acc.store(l);
         }
     }
     nt_finish(a, b, lanes)
@@ -1620,6 +1461,7 @@ pub fn gemm_naive(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lanes::tests::{agree, with_specials};
 
     fn seq(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i % 13) as f32 - 6.0).collect()
@@ -1695,7 +1537,8 @@ mod tests {
             let kc = 19;
             let a: Vec<f32> = (0..kc * MR).map(|i| (i % 5) as f32 - 2.0).collect();
             let b: Vec<f32> = (0..kc * NR).map(|i| (i % 9) as f32 - 4.0).collect();
-            let acc = microkernel::<MR>(kc, &a, &b);
+            let mut acc = [[f32::NAN; NR]; MR];
+            microkernel::<[f32; NR], MR, MR>(kc, &a, &b, &mut acc);
             for i in 0..MR {
                 for j in 0..NR {
                     let want: f32 = (0..kc).map(|p| a[p * MR + i] * b[p * NR + j]).sum();
@@ -1726,27 +1569,38 @@ mod tests {
         x.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Holds an explicit `kernel` bitwise to the portable microkernel of
-    /// its tile height at every depth in `0..=300` (past `KC`: the kernel
-    /// does not know the constant), the live extent of the tile cycling
-    /// through 1..=MR rows and 1..=NR columns; the dead rows and columns
-    /// are zero, as `pack_a` / `pack_b_with` pad them.
+    /// Holds `kernel` — the one microkernel on an x86 lane type — bitwise
+    /// to its portable instantiation of the same tile height at every
+    /// depth in `0..=300` (past `KC`: the kernel does not know the
+    /// constant), the live extent of the tile cycling through 1..=MR rows
+    /// and 1..=NR columns; the dead rows and columns are zero, as `pack_a`
+    /// / `pack_b_with` pad them. On noise, then on operands holding signed
+    /// zeros and infinities (bit for bit), then NaNs too (by position).
     #[cfg(target_arch = "x86_64")]
     fn assert_bitwise_the_portable_microkernel<const MR: usize>(
-        kernel: impl Fn(usize, &[f32], &[f32]) -> [[f32; NR]; MR],
+        kernel: impl Fn(usize, &[f32], &[f32], &mut [[f32; NR]; MR]),
     ) {
-        for kc in 0..=300 {
-            let (mr, nr) = (1 + kc % MR, 1 + kc % NR);
-            let mut a = noise(kc as u64, kc * MR);
-            let mut b = noise(!(kc as u64), kc * NR);
-            for p in 0..kc {
-                a[p * MR + mr..(p + 1) * MR].fill(0.0);
-                b[p * NR + nr..(p + 1) * NR].fill(0.0);
-            }
-            let want = microkernel::<MR>(kc, &a, &b);
-            let got = kernel(kc, &a, &b);
-            for i in 0..MR {
-                assert_eq!(bits(&got[i]), bits(&want[i]), "kc {kc}, tile row {i}");
+        for specials in [None, Some(false), Some(true)] {
+            let operand = |seed: u64, len: usize| match specials {
+                None => noise(seed, len),
+                Some(nan) => with_specials(noise(seed, len), seed, nan),
+            };
+            for kc in 0..=300 {
+                let (mr, nr) = (1 + kc % MR, 1 + kc % NR);
+                let mut a = operand(kc as u64, kc * MR);
+                let mut b = operand(!(kc as u64), kc * NR);
+                for p in 0..kc {
+                    a[p * MR + mr..(p + 1) * MR].fill(0.0);
+                    b[p * NR + nr..(p + 1) * NR].fill(0.0);
+                }
+                let (mut want, mut got) = ([[0.0; NR]; MR], [[0.0; NR]; MR]);
+                microkernel::<[f32; NR], MR, MR>(kc, &a, &b, &mut want);
+                kernel(kc, &a, &b, &mut got);
+                let nan = specials == Some(true);
+                assert!(
+                    agree(got.as_flattened(), want.as_flattened(), nan),
+                    "kc {kc}, specials {specials:?}"
+                );
             }
         }
     }
@@ -1755,11 +1609,10 @@ mod tests {
     #[test]
     fn avx2_microkernel_is_bitwise_the_portable_microkernel() {
         if !std::arch::is_x86_feature_detected!("avx2") {
-            eprintln!("skipped: this CPU lacks AVX2, the explicit microkernel never runs here");
+            eprintln!("skipped: this CPU lacks AVX2, the 8-lane microkernel never runs here");
             return;
         }
-        // SAFETY: AVX2 support was probed at the top of the test.
-        assert_bitwise_the_portable_microkernel(|kc, a, b| unsafe { microkernel_avx2(kc, a, b) });
+        assert_bitwise_the_portable_microkernel(microkernel::<[__m256; 2], MR_BASE, MR_BASE>);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -1769,10 +1622,17 @@ mod tests {
             eprintln!("skipped: this CPU lacks AVX-512F, the 16-lane microkernel never runs here");
             return;
         }
-        // SAFETY: AVX-512F support was probed at the top of the test.
-        assert_bitwise_the_portable_microkernel(|kc, a, b| unsafe {
-            microkernel_avx512::<MR_AVX512>(kc, a, b)
-        });
+        assert_bitwise_the_portable_microkernel(microkernel::<__m512, MR_AVX512, MR_AVX512>);
+        // The ragged-panel kernel, the same body with the operands' roles
+        // swapped: its live columns over the full tile's.
+        fn ragged<const L: usize>(kc: usize, a: &[f32], b: &[f32], tile: &mut [[f32; NR]; 16]) {
+            microkernel::<__m512, MR_AVX512, MR_AVX512>(kc, a, b, tile);
+            // SAFETY: AVX-512F support was probed at the top of the test.
+            unsafe { microkernel_avx512_columns::<L>(kc, a, b, tile) };
+        }
+        assert_bitwise_the_portable_microkernel(ragged::<4>);
+        assert_bitwise_the_portable_microkernel(ragged::<8>);
+        assert_bitwise_the_portable_microkernel(ragged::<12>);
     }
 
     proptest::proptest! {
@@ -1902,36 +1762,46 @@ mod tests {
     /// tier's column kernel up to `RAGGED_COLUMNS` live columns, its full
     /// tile past that — with `k` spanning two `KC` blocks, from a
     /// row-major `A` (added into a non-zero `C`) and from a packed one
-    /// (stored).
+    /// (stored). On noise, then on operands holding signed zeros and
+    /// infinities (bit for bit), then NaNs too (by position).
     #[test]
     fn ragged_panels_on_every_tier_are_bitwise_the_portable_tier() {
         let (m, k) = (37, KC + 45);
-        for nr in 1..NR {
-            let n = NR + nr;
-            let a = noise(nr as u64, m * k);
-            let b = noise(!(nr as u64), k * n);
-            let c0 = noise(0xC0C ^ nr as u64, m * n);
-            let mut b_pack = vec![0.0; packed_b_len(n, k)];
-            pack_b_with(n, k, &mut b_pack, false, |p, j0, dst| {
-                dst.copy_from_slice(&b[p * n + j0..][..dst.len()]);
-            });
-            let run = |tier: Tier| {
-                let mut rows = c0.clone();
-                gemm_on(tier, m, n, k, &a, &b, &mut rows);
-                let image = pack_a_images_on::<1>(tier, m, k, &|p, i0, live| {
-                    let mut col = [[0.0; A_LANES]; 1];
-                    for (l, v) in col[0][..live].iter_mut().enumerate() {
-                        *v = a[(i0 + l) * k + p];
-                    }
-                    col
-                });
-                let mut packed = vec![f32::NAN; m * n];
-                gemm_packed_ab_on(tier, m, n, k, &image, &b_pack, &mut packed);
-                (bits(&rows), bits(&packed))
+        for specials in [None, Some(false), Some(true)] {
+            let operand = |seed: u64, len: usize| match specials {
+                None => noise(seed, len),
+                Some(nan) => with_specials(noise(seed, len), seed, nan),
             };
-            let want = run(Tier::Portable);
-            for tier in Tier::available() {
-                assert!(run(tier) == want, "n % 16 = {nr} on {tier}");
+            for nr in 1..NR {
+                let n = NR + nr;
+                let a = operand(nr as u64, m * k);
+                let b = operand(!(nr as u64), k * n);
+                let c0 = noise(0xC0C ^ nr as u64, m * n);
+                let mut b_pack = vec![0.0; packed_b_len(n, k)];
+                pack_b_with(n, k, &mut b_pack, false, |p, j0, dst| {
+                    dst.copy_from_slice(&b[p * n + j0..][..dst.len()]);
+                });
+                let run = |tier: Tier| {
+                    let mut rows = c0.clone();
+                    gemm_on(tier, m, n, k, &a, &b, &mut rows);
+                    let image = pack_a_images_on::<1>(tier, m, k, &|p, i0, live| {
+                        let mut col = [[0.0; A_LANES]; 1];
+                        for (l, v) in col[0][..live].iter_mut().enumerate() {
+                            *v = a[(i0 + l) * k + p];
+                        }
+                        col
+                    });
+                    let mut packed = vec![f32::NAN; m * n];
+                    gemm_packed_ab_on(tier, m, n, k, &image, &b_pack, &mut packed);
+                    [rows, packed].concat()
+                };
+                let want = run(Tier::Portable);
+                for tier in Tier::available() {
+                    assert!(
+                        agree(&run(tier), &want, specials == Some(true)),
+                        "n % 16 = {nr} on {tier}, specials {specials:?}"
+                    );
+                }
             }
         }
     }
@@ -2002,46 +1872,55 @@ mod tests {
 
     #[test]
     fn portable_nt_tiles_are_bitwise_dot_lanes() {
-        assert_tiles_match_dot_lanes(300, nt_dots, nt_dots);
+        assert_tiles_match_dot_lanes(
+            300,
+            nt_dots::<[f32; DOT_LANES], NT_GROUP, NT_PAIR>,
+            nt_dots::<[f32; DOT_LANES], 1, NT_PANEL>,
+        );
     }
 
+    /// The one `gemm_nt` tile on `__m256` lanes against its portable
+    /// instantiation, both shapes, every `k` in `0..=300`: on noise, then on
+    /// operands holding signed zeros and infinities (bit for bit), then
+    /// NaNs too (by position) — and on noise against `dot_lanes`.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_nt_tiles_are_bitwise_the_portable_tiles() {
         if !std::arch::is_x86_feature_detected!("avx2") {
-            eprintln!("skipped: this CPU lacks AVX2, the explicit tiles never run here");
+            eprintln!("skipped: this CPU lacks AVX2, the 8-lane tiles never run here");
             return;
         }
-        for k in 0..=300 {
-            let a = noise(k as u64, NT_GROUP * k);
-            let b = noise(!(k as u64), NT_PANEL * k);
-            let a_rows: [&[f32]; NT_GROUP] = std::array::from_fn(|i| row_of(&a, k, i));
-            let b_rows: [&[f32]; NT_PANEL] = std::array::from_fn(|j| row_of(&b, k, j));
-            let wide_b = [b_rows[0], b_rows[3]];
-            // SAFETY: AVX2 support was probed at the top of the test.
-            let (wide, tall) = unsafe {
-                (
-                    nt_dots_avx2(a_rows, wide_b),
-                    nt_dots_avx2([a_rows[2]], b_rows),
-                )
+        for specials in [None, Some(false), Some(true)] {
+            let operand = |seed: u64, len: usize| match specials {
+                None => noise(seed, len),
+                Some(nan) => with_specials(noise(seed, len), seed, nan),
             };
-            assert_eq!(
-                wide.map(|r| r.map(f32::to_bits)),
-                nt_dots(a_rows, wide_b).map(|r| r.map(f32::to_bits)),
-                "k {k}, wide"
-            );
-            assert_eq!(
-                tall.map(|r| r.map(f32::to_bits)),
-                nt_dots([a_rows[2]], b_rows).map(|r| r.map(f32::to_bits)),
-                "k {k}, tall"
-            );
+            let nan = specials == Some(true);
+            for k in 0..=300 {
+                let a = operand(k as u64, NT_GROUP * k);
+                let b = operand(!(k as u64), NT_PANEL * k);
+                let a_rows: [&[f32]; NT_GROUP] = std::array::from_fn(|i| row_of(&a, k, i));
+                let b_rows: [&[f32]; NT_PANEL] = std::array::from_fn(|j| row_of(&b, k, j));
+                let wide_b = [b_rows[0], b_rows[3]];
+                let wide = nt_dots::<__m256, NT_GROUP, NT_PAIR>(a_rows, wide_b);
+                let want = nt_dots::<[f32; DOT_LANES], NT_GROUP, NT_PAIR>(a_rows, wide_b);
+                assert!(
+                    agree(wide.as_flattened(), want.as_flattened(), nan),
+                    "k {k}, wide, specials {specials:?}"
+                );
+                let tall = nt_dots::<__m256, 1, NT_PANEL>([a_rows[2]], b_rows);
+                let want = nt_dots::<[f32; DOT_LANES], 1, NT_PANEL>([a_rows[2]], b_rows);
+                assert!(
+                    agree(tall.as_flattened(), want.as_flattened(), nan),
+                    "k {k}, tall, specials {specials:?}"
+                );
+            }
         }
         // And against the reference the contract is stated in.
         assert_tiles_match_dot_lanes(
             300,
-            // SAFETY: as above.
-            |a, b| unsafe { nt_dots_avx2(a, b) },
-            |a, b| unsafe { nt_dots_avx2(a, b) },
+            nt_dots::<__m256, NT_GROUP, NT_PAIR>,
+            nt_dots::<__m256, 1, NT_PANEL>,
         );
     }
 

@@ -20,10 +20,13 @@
 //! assert_eq!(c.data(), &[58., 64., 139., 154.]);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod conv;
 mod error;
 mod gemm;
 mod im2col;
+mod lanes;
 mod peaks;
 mod tensor;
 
