@@ -75,6 +75,10 @@ pub struct ProfileRun {
     /// `(region label, max/mean busy ratio)` per instrumented pool
     /// region, from telemetry — empty unless telemetry was recording.
     pub imbalance: Vec<(String, f64)>,
+    /// Floats of workspace the forward lays out
+    /// (`ExecPlan::workspace_len` at this batch and width), and the layer
+    /// whose step sets that peak.
+    pub workspace: (usize, String),
 }
 
 impl ProfileRun {
@@ -139,6 +143,8 @@ pub fn run_profile(net: &Network, batch: usize, reps: usize) -> Result<ProfileRu
     } else {
         Vec::new()
     };
+    let threads = pcnn_parallel::active_threads();
+    let (floats, peak) = plan.workspace_peak(batch, threads);
     Ok(ProfileRun {
         model: net.name().to_string(),
         batch,
@@ -147,6 +153,7 @@ pub fn run_profile(net: &Network, batch: usize, reps: usize) -> Result<ProfileRu
         layers,
         forward_wall_ns,
         imbalance,
+        workspace: (floats, format!("L{peak:02} {}", net.layers()[peak].kind())),
     })
 }
 
@@ -336,6 +343,11 @@ pub fn render_report(run: &ProfileRun, peaks: &MachinePeaks) -> String {
         "\nphase coverage: {:.1}% of {:.3} ms measured forward wall time\n",
         run.coverage() * 100.0,
         run.forward_wall_ns as f64 / reps as f64 / 1e6
+    ));
+    let (floats, peak) = &run.workspace;
+    out.push_str(&format!(
+        "workspace: {:.2} MB of activations and scratch per forward, peak at {peak}\n",
+        (4 * floats) as f64 / 1e6
     ));
     for (label, ratio) in &run.imbalance {
         out.push_str(&format!(

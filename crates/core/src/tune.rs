@@ -51,9 +51,10 @@ pub trait CandidateTimer {
 /// Measures candidates by running them: the layer's own weights on a
 /// deterministic synthetic image, best-of-`reps` wall time. Runs on the
 /// worker pool — the kernels parallelise internally at the configured
-/// thread count. Image and output are scratch-pool checkouts, so timing
-/// a layer adds no copy of its weights and nothing a forward would not
-/// hold.
+/// thread count. Image and output are plain buffers, dropped once timed;
+/// what is timed is [`conv2d`], the entry point a plan's layer calls,
+/// scratch from the calling thread's workspace included — so timing a
+/// layer adds no copy of its weights.
 #[derive(Debug, Clone)]
 pub struct WallClockTimer {
     reps: usize,
@@ -72,14 +73,13 @@ impl CandidateTimer for WallClockTimer {
         let (weight, bias) = layer.params();
         // A deterministic pseudo-random image (the GEMM benchmarks' fill
         // pattern): values in roughly [-2, 2).
-        let mut input = pcnn_parallel::scratch_f32(geom.in_channels * geom.in_h * geom.in_w);
-        for (i, v) in input.iter_mut().enumerate() {
-            *v = ((i % 1999) as f32 - 999.0) / 512.0;
-        }
-        let mut out = pcnn_parallel::scratch_f32(oc * geom.out_positions());
+        let input: Vec<f32> = (0..geom.in_channels * geom.in_h * geom.in_w)
+            .map(|i| ((i % 1999) as f32 - 999.0) / 512.0)
+            .collect();
+        let mut out = vec![0.0; oc * geom.out_positions()];
         // The call the plan's layer then makes, one image at a time.
         let mut run = || conv2d(algo, geom, oc, weight.data(), bias, &input, 1, &mut out);
-        // Warm once (pool scratch checkout, page faults), then measure.
+        // Warm once (workspace growth, page faults), then measure.
         run();
         let mut best = f64::INFINITY;
         for _ in 0..self.reps {

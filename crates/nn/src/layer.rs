@@ -11,17 +11,20 @@
 //! operand, one GEMM per group of images — and interpolates the rest.
 //! Inference runs every layer through one step executor
 //! (`Layer::run_step`, what `Network::run` and [`Layer::forward_algo`]
-//! both call), which writes each output into storage its caller hands it:
-//! pooled scratch in `Network::run`, a zeroed tensor behind the public
-//! forwards. Training runs through [`Layer::forward_train`].
+//! both call), which writes each output into storage its caller hands it,
+//! with the scratch its kernels carve beside it: both laid out in the
+//! calling thread's workspace by `Network::run`, a zeroed tensor and the
+//! workspace behind the public forwards. Training runs through
+//! [`Layer::forward_train`].
 
 use std::borrow::Cow;
 use std::ops::DerefMut;
 
+use pcnn_parallel::{active_threads, carve, lines, with_workspace};
 use pcnn_profile::{phase_span, Phase};
 use pcnn_tensor::{
-    col2im_accumulate, conv2d, conv2d_sampled, conv2d_winograd_relu, gemm, gemm_nt, gemm_tn,
-    im2col, Conv2dGeometry, ConvAlgo, Tensor,
+    col2im_accumulate, conv2d_in, conv2d_sampled, conv2d_sampled_scratch_len, conv2d_scratch_len,
+    gemm, gemm_nt, gemm_tn, im2col, Conv2dGeometry, ConvAlgo, Tensor, WriteBack,
 };
 use rand::Rng;
 
@@ -68,9 +71,38 @@ fn images_per_sampled_gemm(patch_len: usize, n_keep: usize) -> usize {
 /// A step's output and its shape, in the storage its caller handed it.
 type Out<O> = Result<(Vec<usize>, O), NnError>;
 
-/// Zeroed storage: what the public forwards write into.
-fn zeroed(len: usize) -> Vec<f32> {
-    vec![0.0; len]
+/// What a step's `new_out(len)` hands it: storage for its `len`-float
+/// output, and the scratch its kernels carve (on a cache line, contents
+/// unspecified) — or the error that the output does not fit.
+type Storage<'s, O> = Result<(O, &'s mut [f32]), NnError>;
+
+/// Zeroed output storage beside `scratch`: what the public forwards write
+/// into.
+fn zeroed<'s>(scratch: &'s mut [f32]) -> impl FnOnce(usize) -> Storage<'s, Vec<f32>> {
+    move |len| Ok((vec![0.0; len], scratch))
+}
+
+/// Floats of scratch `step` carves on a conv layer of this geometry and
+/// output channel count, for `images` images at pool width `threads`: the
+/// conv kernel's, and a perforated layer's sampled block beside the
+/// sampled GEMM's (the larger of a whole image group's and the short last
+/// group's). 0 for a step that runs no conv kernel.
+pub(crate) fn conv_scratch_len(
+    step: &Step,
+    (geom, oc): (&Conv2dGeometry, usize),
+    images: usize,
+    threads: usize,
+) -> usize {
+    match step {
+        Step::Conv(algo, _) => conv2d_scratch_len(*algo, geom, oc, threads),
+        Step::Sampled(p) => {
+            let n_keep = p.kept_positions().len();
+            let group = images_per_sampled_gemm(geom.patch_len(), n_keep).min(images.max(1));
+            let gather = |images| conv2d_sampled_scratch_len(geom, oc, images, n_keep, threads);
+            lines(oc * group * n_keep) + gather(group).max(gather(images % group))
+        }
+        Step::Fused | Step::Other => 0,
+    }
 }
 
 /// A step's output as a tensor.
@@ -177,19 +209,52 @@ impl Conv2d {
     /// Returns [`NnError::Shape`] on input shape mismatch, or
     /// [`NnError::Plan`] if the algorithm cannot run this layer's shape.
     pub fn forward_with(&self, input: &Tensor, algo: ConvAlgo) -> Result<Tensor, NnError> {
-        self.full_into(input.shape(), input.data(), algo, None, zeroed)
-            .map(tensor)
+        self.forward_step(input, &Step::Conv(algo, WriteBack::Bias))
     }
 
-    /// [`forward_with`](Self::forward_with) into storage from `new_out`;
-    /// `fused = Some(pool)` runs [`conv2d_winograd_relu`] instead.
-    fn full_into<O: DerefMut<Target = [f32]>>(
+    /// `step` on `input` into a new tensor, its kernels' scratch the
+    /// calling thread's workspace: the public conv forwards.
+    fn forward_step(&self, input: &Tensor, step: &Step) -> Result<Tensor, NnError> {
+        let images = input.shape().first().copied().unwrap_or(0);
+        let len = conv_scratch_len(step, self.shape(), images, active_threads());
+        with_workspace(len, |ws| {
+            self.run_step(input.shape(), input.data(), step, zeroed(ws))
+        })
+        .map(tensor)
+    }
+
+    /// Geometry and output channels: what the layer's scratch is a
+    /// function of.
+    pub(crate) fn shape(&self) -> (&Conv2dGeometry, usize) {
+        (&self.geom, self.out_channels)
+    }
+
+    /// The conv step executor: `step` into storage from `new_out`.
+    fn run_step<'s, O: DerefMut<Target = [f32]>>(
+        &self,
+        shape: &[usize],
+        x: &[f32],
+        step: &Step,
+        new_out: impl FnOnce(usize) -> Storage<'s, O>,
+    ) -> Out<O> {
+        match step {
+            Step::Sampled(p) => self.sampled_into(shape, x, p, new_out),
+            Step::Conv(algo, wb) => self.full_into(shape, x, *algo, *wb, new_out),
+            Step::Fused | Step::Other => Err(NnError::Plan(
+                "a conv layer was handed a step compiled for a non-conv layer".into(),
+            )),
+        }
+    }
+
+    /// [`forward_with`](Self::forward_with) into storage from `new_out`,
+    /// writing back through `wb` (a fused ReLU, and pool, on Winograd).
+    fn full_into<'s, O: DerefMut<Target = [f32]>>(
         &self,
         shape: &[usize],
         x: &[f32],
         algo: ConvAlgo,
-        fused: Option<bool>,
-        new_out: impl FnOnce(usize) -> O,
+        wb: WriteBack,
+        new_out: impl FnOnce(usize) -> Storage<'s, O>,
     ) -> Out<O> {
         if !algo.supports(&self.geom) {
             return Err(NnError::Plan(format!(
@@ -199,12 +264,12 @@ impl Conv2d {
         }
         let batch = self.check_input(shape)?;
         let mut out_shape = self.output_shape(batch);
-        if fused == Some(true) {
+        if wb == WriteBack::ReluPool {
             out_shape[2] /= 2;
             out_shape[3] /= 2;
         }
         let span = phase_span(Phase::Epilogue);
-        let mut out = new_out(out_shape.iter().product());
+        let (mut out, scratch) = new_out(out_shape.iter().product())?;
         if let Some(s) = span {
             s.finish(0, 4 * out.len() as u64);
         }
@@ -214,10 +279,7 @@ impl Conv2d {
             self.weight.data(),
             &self.bias,
         );
-        match fused {
-            None => conv2d(algo, g, oc, w, b, x, batch, &mut out),
-            Some(pool) => conv2d_winograd_relu(g, oc, w, b, x, batch, pool, &mut out),
-        }
+        conv2d_in(algo, wb, g, oc, w, b, x, batch, &mut out, scratch);
         Ok((out_shape, out))
     }
 
@@ -246,18 +308,17 @@ impl Conv2d {
         input: &Tensor,
         perf: &LayerPerforation,
     ) -> Result<Tensor, NnError> {
-        self.sampled_into(input.shape(), input.data(), perf, zeroed)
-            .map(tensor)
+        self.forward_step(input, &Step::Sampled(Cow::Borrowed(perf)))
     }
 
     /// [`forward_perforated`](Self::forward_perforated) into storage from
     /// `new_out`.
-    fn sampled_into<O: DerefMut<Target = [f32]>>(
+    fn sampled_into<'s, O: DerefMut<Target = [f32]>>(
         &self,
         shape: &[usize],
         x: &[f32],
         perf: &LayerPerforation,
-        new_out: impl FnOnce(usize) -> O,
+        new_out: impl FnOnce(usize) -> Storage<'s, O>,
     ) -> Out<O> {
         let batch = self.check_input(shape)?;
         let g = &self.geom;
@@ -277,13 +338,13 @@ impl Conv2d {
         let (k, n_pos, n_keep) = (g.patch_len(), g.out_positions(), kept.len());
         let (oc, chw) = (self.out_channels, g.in_channels * g.in_h * g.in_w);
         let group = images_per_sampled_gemm(k, n_keep).min(batch.max(1));
-        // Pooled scratch: `conv2d_sampled` overwrites all it is handed.
-        let mut sampled = pcnn_parallel::scratch_f32(oc * group * n_keep);
         let span = phase_span(Phase::Epilogue);
-        let mut out = new_out(batch * oc * n_pos);
+        let (mut out, mut scratch) = new_out(batch * oc * n_pos)?;
         if let Some(s) = span {
             s.finish(0, 4 * out.len() as u64);
         }
+        // `conv2d_sampled` overwrites all of the block it is handed.
+        let sampled = carve(&mut scratch, oc * group * n_keep);
         for first in (0..batch).step_by(group) {
             let images = group.min(batch - first);
             let n = images * n_keep;
@@ -296,6 +357,7 @@ impl Conv2d {
                 images,
                 kept,
                 &mut sampled[..oc * n],
+                &mut *scratch,
             );
             let span = phase_span(Phase::Epilogue);
             for i in 0..images {
@@ -394,7 +456,7 @@ impl MaxPool2d {
     /// larger than its map.
     pub fn forward(&self, input: &Tensor) -> Result<(Tensor, LayerCache), NnError> {
         let mut indices = Vec::new();
-        let out = self.pool(input.shape(), input.data(), zeroed, |best_idx| {
+        let out = self.pool(input.shape(), input.data(), zeroed(&mut []), |best_idx| {
             indices.push(best_idx)
         })?;
         Ok((tensor(out), LayerCache::PoolIndices(indices)))
@@ -405,11 +467,11 @@ impl MaxPool2d {
     /// strictly greater, in row-major window order — ties keep the
     /// earliest, and a NaN wins exactly when it comes first. `on_max` is
     /// told the winner's flat input index, output by output.
-    fn pool<O: DerefMut<Target = [f32]>>(
+    fn pool<'s, O: DerefMut<Target = [f32]>>(
         &self,
         shape: &[usize],
         in_data: &[f32],
-        new_out: impl FnOnce(usize) -> O,
+        new_out: impl FnOnce(usize) -> Storage<'s, O>,
         mut on_max: impl FnMut(usize),
     ) -> Out<O> {
         let k = self.kernel;
@@ -424,7 +486,7 @@ impl MaxPool2d {
             }
         };
         let (oh, ow) = ((h - k) / self.stride + 1, (w - k) / self.stride + 1);
-        let mut out = new_out(n * c * oh * ow);
+        let (mut out, _) = new_out(n * c * oh * ow)?;
         let out_data = &mut out[..];
         let mut oi = 0;
         for b in 0..n {
@@ -538,16 +600,16 @@ impl Linear {
     ///
     /// Returns [`NnError::Shape`] on mismatch.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_into(input.shape(), input.data(), zeroed)
+        self.forward_into(input.shape(), input.data(), zeroed(&mut []))
             .map(tensor)
     }
 
     /// [`forward`](Self::forward) into storage from `new_out`.
-    fn forward_into<O: DerefMut<Target = [f32]>>(
+    fn forward_into<'s, O: DerefMut<Target = [f32]>>(
         &self,
         shape: &[usize],
         x: &[f32],
-        new_out: impl FnOnce(usize) -> O,
+        new_out: impl FnOnce(usize) -> Storage<'s, O>,
     ) -> Out<O> {
         let n = match *shape {
             [n, features] if features == self.in_features => n,
@@ -560,7 +622,7 @@ impl Linear {
             }
         };
         let span = phase_span(Phase::Epilogue);
-        let mut out = new_out(n * self.out_features);
+        let (mut out, _) = new_out(n * self.out_features)?;
         for o in out.chunks_mut(self.out_features) {
             o.copy_from_slice(&self.bias);
         }
@@ -618,12 +680,10 @@ impl Linear {
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Step<'a> {
-    /// A full conv layer through one algorithm.
-    Conv(ConvAlgo),
-    /// A full conv layer through Winograd with the ReLU after it — and,
-    /// with `pool`, the 2x2 stride-2 max-pool after that — in its
-    /// write-back.
-    WinogradRelu { pool: bool },
+    /// A full conv layer through one algorithm, and Winograd with the
+    /// ReLU after it — and the 2x2 stride-2 max-pool after that — in its
+    /// write-back when it says so.
+    Conv(ConvAlgo, WriteBack),
     /// A conv layer evaluated at the perforation's kept positions only,
     /// the rest interpolated.
     Sampled(Cow<'a, LayerPerforation>),
@@ -712,15 +772,39 @@ impl Layer {
         perf: Option<&LayerPerforation>,
         algo: ConvAlgo,
     ) -> Result<(Tensor, LayerCache), NnError> {
-        let step = match (self, perf) {
-            (Layer::Conv2d(_), Some(p)) if !p.is_identity() => Step::Sampled(Cow::Borrowed(p)),
-            (Layer::Conv2d(_), _) => Step::Conv(algo),
-            _ => Step::Other,
+        let step = self.step(perf, algo);
+        let out = match self {
+            Layer::Conv2d(c) => c.forward_step(input, &step)?,
+            _ => tensor(self.run_step(input.shape(), input.data(), &step, zeroed(&mut []))?),
         };
-        Ok((
-            tensor(self.run_step(input.shape(), input.data(), &step, zeroed)?),
-            LayerCache::None,
-        ))
+        Ok((out, LayerCache::None))
+    }
+
+    /// Floats of scratch [`forward_algo`](Self::forward_algo) takes from
+    /// the calling thread's workspace on `images` images at pool width
+    /// `threads` (the width it runs at: 1 inside a pool worker).
+    pub fn scratch_len(
+        &self,
+        images: usize,
+        perf: Option<&LayerPerforation>,
+        algo: ConvAlgo,
+        threads: usize,
+    ) -> usize {
+        match self {
+            Layer::Conv2d(c) => {
+                conv_scratch_len(&self.step(perf, algo), c.shape(), images, threads)
+            }
+            _ => 0,
+        }
+    }
+
+    /// The step [`forward_algo`](Self::forward_algo) runs.
+    fn step<'a>(&self, perf: Option<&'a LayerPerforation>, algo: ConvAlgo) -> Step<'a> {
+        match (self, perf) {
+            (Layer::Conv2d(_), Some(p)) if !p.is_identity() => Step::Sampled(Cow::Borrowed(p)),
+            (Layer::Conv2d(_), _) => Step::Conv(algo, WriteBack::Bias),
+            _ => Step::Other,
+        }
     }
 
     /// Whether `step` is one this layer can execute: a conv layer needs an
@@ -730,9 +814,9 @@ impl Layer {
     /// [`Step::Other`] only.
     pub(crate) fn accepts(&self, step: &Step) -> bool {
         match (self, step) {
-            (Layer::Conv2d(c), Step::Conv(algo)) => algo.supports(&c.geom),
-            (Layer::Conv2d(c), Step::WinogradRelu { pool }) => {
-                ConvAlgo::Winograd.supports(&c.geom) && (!pool || c.even_map())
+            (Layer::Conv2d(c), Step::Conv(algo, wb)) => {
+                let fuses = *algo == ConvAlgo::Winograd || *wb == WriteBack::Bias;
+                algo.supports(&c.geom) && fuses && (*wb != WriteBack::ReluPool || c.even_map())
             }
             (Layer::Conv2d(c), Step::Sampled(p)) => {
                 (p.out_h(), p.out_w()) == (c.geom.out_h, c.geom.out_w)
@@ -746,25 +830,20 @@ impl Layer {
 
     /// The step executor: the one inference forward of a layer, behind
     /// both `Network::run` and [`forward_algo`](Self::forward_algo). It
-    /// writes every element of the output, into storage from `new_out`.
-    pub(crate) fn run_step<O: DerefMut<Target = [f32]>>(
+    /// writes every element of the output into storage from `new_out`,
+    /// and a conv's kernels carve their scratch from what comes with it
+    /// (`conv_scratch_len` floats).
+    pub(crate) fn run_step<'s, O: DerefMut<Target = [f32]>>(
         &self,
         shape: &[usize],
         x: &[f32],
         step: &Step,
-        new_out: impl FnOnce(usize) -> O,
+        new_out: impl FnOnce(usize) -> Storage<'s, O>,
     ) -> Out<O> {
         match (self, step) {
-            (Layer::Conv2d(c), Step::Sampled(p)) => c.sampled_into(shape, x, p, new_out),
-            (Layer::Conv2d(c), Step::Conv(algo)) => c.full_into(shape, x, *algo, None, new_out),
-            (Layer::Conv2d(c), Step::WinogradRelu { pool }) => {
-                c.full_into(shape, x, ConvAlgo::Winograd, Some(*pool), new_out)
-            }
-            (Layer::Conv2d(_), _) => Err(NnError::Plan(
-                "a conv layer was handed a step compiled for a non-conv layer".into(),
-            )),
+            (Layer::Conv2d(c), _) => c.run_step(shape, x, step, new_out),
             (Layer::Relu, _) => {
-                let mut out = new_out(x.len());
+                let (mut out, _) = new_out(x.len())?;
                 relu(Some(x), &mut out);
                 Ok((shape.to_vec(), out))
             }
@@ -785,7 +864,7 @@ impl Layer {
             // A copy, flattened or not (dropout is the identity here).
             (Layer::Flatten | Layer::Dropout(_), _) => {
                 let span = phase_span(Phase::Epilogue);
-                let mut out = new_out(x.len());
+                let (mut out, _) = new_out(x.len())?;
                 out.copy_from_slice(x);
                 if let Some(s) = span {
                     s.finish(0, 8 * out.len() as u64);

@@ -1,11 +1,13 @@
 //! A runnable sequential CNN.
 
 use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::OnceLock;
 
-use pcnn_parallel::ScratchF32;
-use pcnn_tensor::{ConvAlgo, Tensor};
+use pcnn_parallel::lines;
+use pcnn_tensor::{Conv2dGeometry, ConvAlgo, Tensor, WriteBack};
 
-use crate::layer::{relu, Layer, LayerCache, Step};
+use crate::layer::{conv_scratch_len, relu, Layer, LayerCache, Step};
 use crate::perforation::{LayerPerforation, PerforationPlan};
 use crate::plan::ConvPlan;
 use crate::spec::{ConvSpec, FcSpec, LayerSpec, NetworkSpec, PoolSpec};
@@ -30,18 +32,164 @@ impl ForwardTrace {
 
 /// Everything [`Network::compile`] decided for one network under one
 /// perforation plan and conv plan: one step per layer (a ReLU or pool
-/// fused into the Winograd conv before it runs there) and where the
-/// per-image prefix ends. It holds what a forward used to rebuild at the
-/// top of every call and nothing else — no weights, no batch size, no
-/// scratch — so it is cheap to keep, valid for any batch, and
-/// [`Network::run`] refuses it on any network it was not compiled for.
+/// fused into the Winograd conv before it runs there), what each step
+/// holds while it runs, and where the per-image prefix ends. It holds what
+/// a forward used to rebuild at the top of every call and nothing else —
+/// no weights, no batch size, no storage — so it is cheap to keep, valid
+/// for any batch, and [`Network::run`] refuses it on any network it was
+/// not compiled for. The workspace a forward lays out is a function of
+/// the plan, the batch and the pool width ([`workspace_len`](Self::workspace_len)).
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     /// One step per layer, in layer order.
     steps: Vec<Step<'static>>,
+    /// One per layer, in layer order.
+    mem: Vec<StepMem>,
     /// Index of the first `Flatten` (the layer count without one): the
     /// layers before it are batch-split, the rest run on the joined batch.
     split: usize,
+}
+
+/// What one layer's step holds while it runs, as `compile` sizes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StepMem {
+    /// Floats per image of the layer's output (a fused layer's: what its
+    /// conv wrote).
+    output: usize,
+    /// A ReLU: it rectifies an activation the walk holds where it is.
+    relu: bool,
+    /// A conv layer's geometry and output channels, which its scratch is
+    /// a function of.
+    conv: Option<(Conv2dGeometry, usize)>,
+}
+
+impl StepMem {
+    /// `layer`'s, on images of `image` (its input's shape per image),
+    /// under `step`; `image` becomes the output's.
+    fn new(layer: &Layer, step: &Step, image: &mut Vec<usize>) -> Self {
+        *image = match (layer, step) {
+            (_, Step::Fused) | (Layer::Relu | Layer::Dropout(_), _) => image.clone(),
+            (Layer::Conv2d(c), _) => {
+                let d = 1 + usize::from(matches!(step, Step::Conv(_, WriteBack::ReluPool)));
+                let g = c.geometry();
+                vec![c.out_channels(), g.out_h / d, g.out_w / d]
+            }
+            (Layer::MaxPool2d(p), _) => match image[..] {
+                [c, h, w] => {
+                    let side = |x: usize| x.saturating_sub(p.kernel) / p.stride + 1;
+                    vec![c, side(h), side(w)]
+                }
+                _ => image.clone(),
+            },
+            (Layer::Flatten, _) => vec![image.iter().product()],
+            (Layer::Linear(l), _) => vec![l.out_features()],
+        };
+        Self {
+            output: image.iter().product(),
+            relu: matches!(layer, Layer::Relu),
+            conv: conv_of(layer),
+        }
+    }
+}
+
+/// A conv layer's geometry and output channels.
+fn conv_of(layer: &Layer) -> Option<(Conv2dGeometry, usize)> {
+    match layer {
+        Layer::Conv2d(c) => Some((*c.geometry(), c.out_channels())),
+        _ => None,
+    }
+}
+
+impl ExecPlan {
+    /// Floats of the calling thread's workspace [`Network::run`] lays a
+    /// forward of `batch` images out in at pool width `threads` (the
+    /// width it runs at: 1 inside a pool worker) — a pure function of the
+    /// plan, the batch and the width, and the engine's answer to the
+    /// paper's Table III question (does this deployment fit?) for its own
+    /// activations and scratch; the weights are the network's.
+    ///
+    /// A walk of layers keeps the activation it holds at one end of its
+    /// region and writes the next at the other, each step's scratch in
+    /// the gap between: the walk's region is the largest held input +
+    /// output + scratch over its steps (a ReLU rectifies in place). One
+    /// group walks every layer in the whole workspace. A batch split gives
+    /// the joined `[batch, ...]` features their own region first, then one
+    /// region per image group, each of which writes its last prefix
+    /// activation straight into its rows of the features; the classifier
+    /// tail then walks what the groups used.
+    pub fn workspace_len(&self, batch: usize, threads: usize) -> usize {
+        self.workspace_peak(batch, threads).0
+    }
+
+    /// [`workspace_len`](Self::workspace_len), and the layer whose step
+    /// sets it: the one whose held input, output and scratch take the
+    /// most.
+    pub fn workspace_peak(&self, batch: usize, threads: usize) -> (usize, usize) {
+        let all = 0..self.steps.len();
+        if !self.batch_split(batch, threads) {
+            return self.walk_len(all, batch, threads, false);
+        }
+        let group = batch.div_ceil(threads);
+        let features = lines(batch * self.mem[self.split - 1].output);
+        let (prefix, at) = self.walk_len(0..self.split, group, 1, true);
+        let groups = batch.div_ceil(group) * prefix;
+        match self.walk_len(self.split..all.end, batch, threads, false) {
+            (tail, at) if tail > groups => (features + tail, at),
+            _ => (features + groups, at),
+        }
+    }
+
+    /// Whether a run of `batch` images at width `threads` splits the
+    /// prefix across image groups: not for fewer images than workers (so
+    /// the pool stays free for the 2-D GEMM split inside each layer) nor
+    /// without a prefix.
+    fn batch_split(&self, batch: usize, threads: usize) -> bool {
+        batch >= 2 && threads >= 2 && batch >= threads && self.split > 0
+    }
+
+    /// The region one walk of `layers` on `images` images at width
+    /// `threads` takes, its input elsewhere (and its last output too, with
+    /// `out_elsewhere`), and the layer that sets it: the rule
+    /// `Network::run_layers` lays activations out by.
+    fn walk_len(
+        &self,
+        layers: Range<usize>,
+        images: usize,
+        threads: usize,
+        out_elsewhere: bool,
+    ) -> (usize, usize) {
+        let last = self.last_step(layers.clone());
+        let (mut held, mut peak) = (None, (0, layers.start));
+        for i in layers.filter(|&i| !matches!(self.steps[i], Step::Fused)) {
+            let m = &self.mem[i];
+            let out = if out_elsewhere && Some(i) == last {
+                0
+            } else {
+                lines(images * m.output)
+            };
+            let need = match held {
+                Some(input) if m.relu && out > 0 => input,
+                input => {
+                    let scratch = m.conv.map_or(0, |(g, oc)| {
+                        conv_scratch_len(&self.steps[i], (&g, oc), images, threads)
+                    });
+                    held = Some(out);
+                    input.unwrap_or(0) + out + scratch
+                }
+            };
+            if need > peak.0 {
+                peak = (need, i);
+            }
+        }
+        peak
+    }
+
+    /// The last layer of `layers` whose step runs (is not fused).
+    fn last_step(&self, layers: Range<usize>) -> Option<usize> {
+        layers
+            .rev()
+            .find(|&i| !matches!(self.steps[i], Step::Fused))
+    }
 }
 
 /// A runnable sequential network.
@@ -171,17 +319,18 @@ impl Network {
                 let perf = (rate > 0.0).then(|| LayerPerforation::new(g.out_h, g.out_w, rate, 1));
                 match perf {
                     Some(p) if !p.is_identity() => Step::Sampled(Cow::Owned(p)),
-                    _ => Step::Conv(algo),
+                    _ => Step::Conv(algo, WriteBack::Bias),
                 }
             })
             .collect();
         for (i, w) in self.layers.windows(3).enumerate() {
-            if let (Layer::Conv2d(c), Layer::Relu, Step::Conv(ConvAlgo::Winograd)) =
+            if let (Layer::Conv2d(c), Layer::Relu, Step::Conv(ConvAlgo::Winograd, _)) =
                 (&w[0], &w[1], &steps[i])
             {
                 let pool = c.even_map()
                     && matches!(&w[2], Layer::MaxPool2d(p) if (p.kernel, p.stride) == (2, 2));
-                steps[i] = Step::WinogradRelu { pool };
+                let wb = [WriteBack::Relu, WriteBack::ReluPool][usize::from(pool)];
+                steps[i] = Step::Conv(ConvAlgo::Winograd, wb);
                 steps[i + 1..i + 2 + usize::from(pool)].fill(Step::Fused);
             }
         }
@@ -192,7 +341,11 @@ impl Network {
             .iter()
             .position(|l| matches!(l, Layer::Flatten))
             .unwrap_or(self.layers.len());
-        Ok(ExecPlan { steps, split })
+        let mut image = self.input_shape.to_vec();
+        let mem = (self.layers.iter().zip(&steps))
+            .map(|(layer, step)| StepMem::new(layer, step, &mut image))
+            .collect();
+        Ok(ExecPlan { steps, mem, split })
     }
 
     /// Inference forward pass under a perforation plan. Returns logits
@@ -228,14 +381,17 @@ impl Network {
     /// Executes a compiled plan on `input`: the one inference path.
     /// Returns logits `[N, classes]`.
     ///
-    /// Every activation `run` makes is checked out of the scratch pool
-    /// (`pcnn_parallel::scratch_f32`) and goes back to it once the next
-    /// layer has read it, so a steady-state forward writes each one into
-    /// memory the process already holds; only the logits are copied out.
+    /// Every activation `run` makes, and every piece of kernel scratch,
+    /// is laid out in one entry to the calling thread's workspace
+    /// ([`pcnn_parallel::with_workspace`]), [`ExecPlan::workspace_len`]
+    /// floats long, so a steady-state forward writes into memory the
+    /// thread already holds and no worker allocates; only the logits are
+    /// copied out.
     ///
     /// Batches are data-parallel (Cappuccino-style) up to the first
     /// `Flatten`: images are split into contiguous groups, one per worker,
-    /// and each group runs the conv / relu / pool prefix independently.
+    /// and each group runs the conv / relu / pool prefix independently,
+    /// writing its last activation into its rows of the joined features.
     /// The classifier tail then runs once on the whole batch, so the FC
     /// weights — the operand every image shares — are streamed once per
     /// batch. Every layer treats images independently, so the logits are
@@ -247,15 +403,15 @@ impl Network {
     ///
     /// Returns [`NnError::Shape`] on input shape mismatch, or
     /// [`NnError::Plan`] if `plan` was compiled for another network (its
-    /// step count, a conv layer's position or a conv layer's geometry
-    /// does not match this one).
+    /// step count, a conv layer's position, geometry or channels, or a
+    /// perforated layer's map does not match this one).
     pub fn run(&self, plan: &ExecPlan, input: &Tensor) -> Result<Tensor, NnError> {
         let fits = plan.steps.len() == self.layers.len()
             && self
                 .layers
                 .iter()
-                .zip(&plan.steps)
-                .all(|(l, s)| l.accepts(s));
+                .zip(plan.steps.iter().zip(&plan.mem))
+                .all(|(l, (s, m))| l.accepts(s) && m.conv == conv_of(l));
         if !fits {
             return Err(NnError::Plan(format!(
                 "execution plan ({} steps) was compiled for another network than {} ({} layers)",
@@ -269,79 +425,134 @@ impl Network {
         } else {
             1
         };
-        let threads = pcnn_parallel::current_threads();
+        let threads = pcnn_parallel::active_threads();
         let (all, split) = (0..self.layers.len(), plan.split);
-        // Small batches (fewer images than workers) run the whole
-        // pipeline as one group so the pool stays free for the 2-D GEMM
-        // split inside each layer — a starved batch split would pin every
-        // worker to at most one image and leave the kernels
-        // single-threaded.
-        if batch < 2
-            || threads < 2
-            || batch < threads
-            || split == 0
-            || pcnn_parallel::in_parallel_region()
-        {
-            let x = (input.shape(), input.data());
-            return Ok(copy_out(self.run_layers(plan, x, all)?));
-        }
-        // Only the prefix is batch-split: contiguous image groups, one
-        // per worker, boundaries a function of batch and thread count.
-        // The tail then runs once on the joined `[batch, ...]` features,
-        // outside the region, so every FC weight is read once per batch
-        // (by `gemm_nt`, split over weight rows) instead of once per
-        // group. No layer mixes images, so where the pipeline is cut and
-        // how images are grouped never reaches any logit's arithmetic:
-        // outputs match the one-group path bitwise. Each group's layer
-        // scopes and spans land in the caller's profile, so a profiled
-        // forward is the forward production runs.
-        let group = batch.div_ceil(threads);
-        let per_image = input.len() / batch;
-        let handoff = pcnn_profile::Handoff::capture();
-        let parts = pcnn_parallel::par_map(batch.div_ceil(group), |gi| {
-            let images = group.min(batch - gi * group);
-            let shape = [&[images], &input.shape()[1..]].concat();
-            let data = &input.data()[gi * group * per_image..][..images * per_image];
-            handoff.enter(|| self.run_layers(plan, (&shape, data), 0..split))
+        let len = plan.workspace_len(batch, threads);
+        pcnn_parallel::with_workspace(len, |ws| {
+            if !plan.batch_split(batch, threads) {
+                let x = (input.shape(), input.data());
+                let (shape, at) = self.run_layers(plan, x, all, ws, None)?;
+                return Ok(copy_out(shape, &ws[at]));
+            }
+            // Only the prefix is batch-split: contiguous image groups, one
+            // per worker, boundaries a function of batch and thread count,
+            // each writing its last activation into its rows of the joined
+            // `[batch, ...]` features. The tail then runs once on them,
+            // outside the region, so every FC weight is read once per batch
+            // (by `gemm_nt`, split over weight rows) instead of once per
+            // group. No layer mixes images, so where the pipeline is cut and
+            // how images are grouped never reaches any logit's arithmetic:
+            // outputs match the one-group path bitwise. Each group's layer
+            // scopes and spans land in the caller's profile, so a profiled
+            // forward is the forward production runs.
+            let group = batch.div_ceil(threads);
+            let (per_image, per_feature) = (input.len() / batch, plan.mem[split - 1].output);
+            let (features, rest) = ws.split_at_mut(lines(batch * per_feature));
+            let features = &mut features[..batch * per_feature];
+            let region = plan.walk_len(0..split, group, 1, true).0;
+            let ran: Vec<OnceLock<_>> = (0..batch.div_ceil(group))
+                .map(|_| OnceLock::new())
+                .collect();
+            let handoff = pcnn_profile::Handoff::capture();
+            // One group per worker, each with its rows of the features and
+            // its own region.
+            let rows = group * per_feature;
+            pcnn_parallel::par_chunks_mut_with(features, rows, rest, region, |g, rows, region| {
+                let images = group.min(batch - g * group);
+                let shape = [&[images], &input.shape()[1..]].concat();
+                let data = &input.data()[g * group * per_image..][..images * per_image];
+                let layers = 0..split;
+                let run = || self.run_layers(plan, (&shape, data), layers, region, Some(rows));
+                let _ = ran[g].set(handoff.enter(run));
+            });
+            let mut shape = Vec::new();
+            for result in ran {
+                (shape, _) = result.into_inner().expect("every group ran")?;
+            }
+            shape[0] = batch;
+            let (shape, at) =
+                self.run_layers(plan, (&shape, features), split..all.end, rest, None)?;
+            Ok(copy_out(shape, &rest[at]))
         })
-        .into_iter()
-        .collect::<Result<Vec<_>, NnError>>()?;
-        let shape = [&[batch], &parts[0].0[1..]].concat();
-        let mut features = pcnn_parallel::scratch_f32(shape.iter().product());
-        for (dst, (_, part)) in features.chunks_mut(parts[0].1.len().max(1)).zip(&parts) {
-            dst.copy_from_slice(part);
-        }
-        drop(parts); // back to the pool before the tail runs
-        let tail = self.run_layers(plan, (&shape, &features), split..all.end)?;
-        Ok(copy_out(tail))
     }
 
     /// Runs `layers` (at least one) of the pipeline on `input`, read in
     /// place, opening a profiler layer scope around each layer (a no-op
-    /// unless profiling is on) but those a conv step has fused. Each
-    /// output is a scratch-pool checkout, and the one it was computed
-    /// from goes back to the pool once it is written; a ReLU rectifies an
-    /// activation this walk holds in place.
+    /// unless profiling is on) but those a conv step has fused. The
+    /// activations between them are laid out in `region` by
+    /// [`ExecPlan::walk_len`]'s rule: the one held at one end, the next
+    /// written at the other, the step's scratch the gap between; a ReLU
+    /// rectifies the one held where it is. The last output goes to `last`
+    /// instead when given. Returns the last output's shape and its place
+    /// in `region` (empty when it went to `last`).
     fn run_layers(
         &self,
         plan: &ExecPlan,
         (shape, data): (&[usize], &[f32]),
-        layers: std::ops::Range<usize>,
-    ) -> Result<Activation, NnError> {
-        let mut held: Option<Activation> = None;
+        layers: Range<usize>,
+        region: &mut [f32],
+        mut last: Option<&mut [f32]>,
+    ) -> Result<(Vec<usize>, Range<usize>), NnError> {
+        let final_step = plan.last_step(layers.clone());
+        let total = region.len();
+        // The activation the walk holds: its shape and its place.
+        let mut held: Option<(Vec<usize>, Range<usize>)> = None;
         for i in layers {
             let (layer, step) = (&self.layers[i], &plan.steps[i]);
             if matches!(step, Step::Fused) {
                 continue;
             }
             let scope = pcnn_profile::layer_scope(i, layer.kind());
-            match (layer, held.as_mut()) {
-                (Layer::Relu, Some((_, buf))) => relu(None, buf),
-                _ => {
-                    let (shape, x) = held.as_ref().map_or((shape, data), |(s, b)| (s, b));
-                    held = Some(layer.run_step(shape, x, step, pcnn_parallel::scratch_f32)?);
-                }
+            let dest = if Some(i) == final_step {
+                last.take()
+            } else {
+                None
+            };
+            if let (Layer::Relu, Some((_, at)), None) = (layer, &held, &dest) {
+                relu(None, &mut region[at.clone()]);
+                drop(scope);
+                continue;
             }
+            // The output goes to the end the held input is not at; the
+            // first, its input elsewhere, to the back, so the first conv's
+            // scratch starts where the region does. (Its packed `B` carved
+            // 2.4 KB into a page instead gathered ~20 % slower on AlexNet's
+            // conv1.)
+            let (x_shape, x, free, front) = match &held {
+                None => (shape, data, &mut region[..], false),
+                Some((s, at)) if at.start == 0 => {
+                    let (x, free) = region.split_at_mut(lines(at.end));
+                    (&s[..], &x[..at.end], free, false)
+                }
+                Some((s, at)) => {
+                    let (free, x) = region.split_at_mut(at.start);
+                    (&s[..], &x[..at.len()], free, true)
+                }
+            };
+            let to_last = dest.is_some();
+            let new_out = |len: usize| match dest {
+                Some(rows) if rows.len() == len => Ok((rows, free)),
+                None if lines(len) <= free.len() => {
+                    let (out, scratch) = if front {
+                        free.split_at_mut(lines(len))
+                    } else {
+                        let (scratch, out) = free.split_at_mut(free.len() - lines(len));
+                        (out, scratch)
+                    };
+                    Ok((&mut out[..len], scratch))
+                }
+                _ => Err(NnError::Plan(format!(
+                    "layer {i}'s {len}-float output does not fit the workspace its plan laid out"
+                ))),
+            };
+            let (out_shape, out) = layer.run_step(x_shape, x, step, new_out)?;
+            let len = out.len();
+            let at = match (to_last, front) {
+                (true, _) => 0..0,
+                (false, true) => 0..len,
+                (false, false) => total - lines(len)..total - lines(len) + len,
+            };
+            held = Some((out_shape, at));
             drop(scope);
         }
         Ok(held.expect("a range of at least one layer"))
@@ -431,12 +642,8 @@ impl Network {
     }
 }
 
-/// An activation [`Network::run`] made: its shape and its pooled storage,
-/// which goes back to the pool when dropped.
-type Activation = (Vec<usize>, ScratchF32);
-
-/// The logits, copied out of the pool for the caller to keep.
-fn copy_out((shape, data): Activation) -> Tensor {
+/// The logits, copied out of the workspace for the caller to keep.
+fn copy_out(shape: Vec<usize>, data: &[f32]) -> Tensor {
     Tensor::from_vec(shape, data.to_vec()).expect("an activation fills its shape")
 }
 

@@ -1,14 +1,17 @@
 //! The batched inference forward pass splits the conv prefix's images
 //! across workers and runs the classifier tail once on the joined batch;
 //! each image's arithmetic is untouched by the split and by the join, so
-//! logits must be **bitwise** identical at any thread count.
+//! logits must be **bitwise** identical at any thread count — and the
+//! same from a workspace filled with NaN (`poisoned`), so no layer reads
+//! scratch or an activation it did not write.
 
-// Only the hash of the shared pinned-hash fixture is used here.
+// The hash and the poisoned workspace of the shared pinned-hash fixture
+// are used here, not its operands.
 #[allow(dead_code)]
 #[path = "../../tensor/tests/common/mod.rs"]
 mod common;
 
-use common::fnv1a;
+use common::{fnv1a, poisoned};
 use pcnn_nn::layer::{Conv2d, Linear};
 use pcnn_nn::models::{tiny_alexnet, tiny_vggnet};
 use pcnn_nn::{ConvPlan, Layer, Network, NnError, PerforationPlan};
@@ -21,8 +24,12 @@ fn logits_at(threads: usize, batch: usize, plan: &PerforationPlan) -> Vec<f32> {
     let input = Tensor::from_fn(vec![batch, 1, 32, 32], |i| {
         ((i * 37 % 101) as f32 - 50.0) / 25.0
     });
+    let len = net
+        .compile(plan, None)
+        .expect("fits")
+        .workspace_len(batch, threads);
     pcnn_parallel::with_threads(threads, || {
-        net.forward(&input, plan)
+        poisoned(len, || net.forward(&input, plan))
             .expect("forward succeeds")
             .into_vec()
     })
@@ -130,10 +137,11 @@ fn compiled_run_is_forward_planned_is_the_pinned_bits() {
         let c = ConvPlan::from_algos(algos.to_vec());
         let exec = net.compile(&p, Some(&c)).expect("plans fit");
         for threads in [1, 2, 3, 8] {
+            let len = exec.workspace_len(8, threads);
             let (ran, planned) = pcnn_parallel::with_threads(threads, || {
                 (
-                    net.run(&exec, &input).expect("runs"),
-                    net.forward_planned(&input, &p, &c).expect("runs"),
+                    poisoned(len, || net.run(&exec, &input)).expect("runs"),
+                    poisoned(len, || net.forward_planned(&input, &p, &c)).expect("runs"),
                 )
             });
             let at = format!("{rates:?} {} at {threads} threads", c.serialize());

@@ -4,8 +4,14 @@
 //! the same operations in the same order as the layer-by-layer walk, so
 //! the logits must be **bitwise** that walk's — at every pool width, on
 //! the batch-split path too, and whatever the conv outputs are: negative,
-//! zero, or NaN.
+//! zero, or NaN — and from a workspace filled with NaN (`poisoned`), so no
+//! step reads scratch or an activation it did not write.
 
+#[allow(dead_code)]
+#[path = "../../tensor/tests/common/mod.rs"]
+mod common;
+
+use common::poisoned;
 use pcnn_nn::layer::{Conv2d, Linear, MaxPool2d};
 use pcnn_nn::{ConvPlan, Layer, Network, PerforationPlan};
 use pcnn_tensor::{Conv2dGeometry, ConvAlgo, Tensor};
@@ -145,9 +151,11 @@ fn fused_forward_is_bitwise_the_layer_walk_at_every_width() {
         for batch in [1, 4] {
             let input = images_of(batch, side);
             let want = bits(&walk(&net, &plan, &input));
+            let exec = net.compile(&identity, Some(&plan)).expect("fits");
             for threads in [1, 2, 3, 8] {
+                let len = exec.workspace_len(batch, threads);
                 let got = pcnn_parallel::with_threads(threads, || {
-                    net.forward_planned(&input, &identity, &plan).expect("runs")
+                    poisoned(len, || net.forward_planned(&input, &identity, &plan)).expect("runs")
                 });
                 let name = net.name();
                 assert_eq!(

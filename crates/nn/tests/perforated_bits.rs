@@ -13,15 +13,18 @@
 //! `im2col_positions` -> bias fill -> `gemm` -> CSR-walk route was replaced
 //! by the grouped gather and are asserted unchanged at every thread
 //! count, which is why no golden, `results/*.txt` or `BENCH_*` document
-//! needed re-pinning.
+//! needed re-pinning. Every run starts from a workspace filled with NaN
+//! (`poisoned`), so a kernel that read scratch it had not written would
+//! move a hash.
 
 #[path = "../../tensor/tests/common/mod.rs"]
 mod common;
 
-use common::{fixture, fnv1a};
+use common::{fixture, fnv1a, poisoned};
 use pcnn_nn::layer::Conv2d;
 use pcnn_nn::perforation::LayerPerforation;
-use pcnn_tensor::{Conv2dGeometry, Tensor};
+use pcnn_nn::Layer;
+use pcnn_tensor::{Conv2dGeometry, ConvAlgo, Tensor};
 
 /// The perforation rates of rungs 1-3 of the default degradation ladder.
 const RATES: [f64; 3] = [0.25, 0.45, 0.60];
@@ -104,6 +107,7 @@ fn perforated_conv_output_bits_are_pinned_across_grouping_and_thread_changes() {
         )
         .expect("length is the shape's product");
         let conv = Conv2d::from_parts(geom, oc, weight, fixture(0x0b1a_5000, oc));
+        let layer = Layer::Conv2d(conv.clone());
         for (rate, hashes) in RATES.iter().zip(hashes) {
             let perf = LayerPerforation::new(geom.out_h, geom.out_w, *rate, 1);
             for (&batch, want) in BATCHES.iter().zip(hashes) {
@@ -118,8 +122,8 @@ fn perforated_conv_output_bits_are_pinned_across_grouping_and_thread_changes() {
                 .expect("length is the shape's product");
                 for threads in [1usize, 2, 3, 8] {
                     let got = pcnn_parallel::with_threads(threads, || {
-                        let out = conv
-                            .forward_perforated(&input, &perf)
+                        let len = layer.scratch_len(batch, Some(&perf), ConvAlgo::Direct, threads);
+                        let out = poisoned(len, || conv.forward_perforated(&input, &perf))
                             .expect("shapes match");
                         fnv1a(out.data())
                     });

@@ -11,8 +11,10 @@
 //! scaffold, `region`: one scoped thread per item but the last, which
 //! runs on the caller, every handle joined — built on
 //! [`std::thread::scope`] so borrowed data needs no `'static` bound and
-//! no `unsafe`. A process-wide [`scratch_f32`] buffer pool lets hot
-//! kernels reuse packing scratch instead of allocating on every call.
+//! no `unsafe`. Each thread has one grow-only workspace
+//! ([`with_workspace`]) that the engine's entry points lay their
+//! activations and kernel scratch out in, so a steady caller allocates
+//! nothing.
 //!
 //! # Determinism
 //!
@@ -60,8 +62,8 @@
 //! `parallel.idle_ns` counters (summed worker busy time vs. the
 //! remainder of `workers x region wall time`) so pool starvation is
 //! visible in a trace's `.prom` exposition: a starved region shows
-//! `idle_ns` dwarfing `busy_ns`. The scratch pool counts
-//! `parallel.scratch.reuse` / `parallel.scratch.alloc`.
+//! `idle_ns` dwarfing `busy_ns`. Every allocation a workspace makes
+//! counts `parallel.workspace.alloc`.
 //!
 //! Regions additionally meter **per-worker** busy time: every worker of
 //! a parallel region emits a [`pcnn_telemetry::worker_slice`] onto the
@@ -86,8 +88,8 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-use std::cell::Cell;
-use std::ops::{Deref, DerefMut, Range};
+use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -202,13 +204,31 @@ pub fn with_region_label<R>(label: &'static str, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Worker count for a region of `n_tasks` independent tasks.
-fn effective_threads(n_tasks: usize) -> usize {
-    if n_tasks <= 1 || in_parallel_region() {
+/// The width a region started from this thread runs at: 1 inside a pool
+/// worker (nested regions run serially), else [`current_threads`]. What a
+/// caller sizes per-worker scratch with.
+pub fn active_threads() -> usize {
+    if in_parallel_region() {
         1
     } else {
-        current_threads().min(n_tasks).max(1)
+        current_threads()
     }
+}
+
+/// Workers a region of `n_tasks` independent tasks runs on at width
+/// `threads`: the one count both the helpers and a caller sizing one piece
+/// of scratch per worker use.
+pub fn workers(n_tasks: usize, threads: usize) -> usize {
+    if n_tasks <= 1 {
+        1
+    } else {
+        threads.min(n_tasks).max(1)
+    }
+}
+
+/// Worker count for a region of `n_tasks` independent tasks.
+fn effective_threads(n_tasks: usize) -> usize {
+    workers(n_tasks, active_threads())
 }
 
 /// Runs `f` as a pool worker: marks the thread as in-pool for the
@@ -395,22 +415,50 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    par_chunks_mut_with(data, chunk_len, &mut [], 0, |i, chunk, _| f(i, chunk));
+}
+
+/// [`par_chunks_mut`] that also hands each worker its own `per_worker`
+/// floats of `scratch`, the same piece for every chunk of its run: one
+/// piece per worker, not per chunk. `scratch` must hold
+/// [`workers`]`(n_chunks, `[`active_threads`]`())` pieces; a caller sizes
+/// it with that count.
+///
+/// # Panics
+///
+/// Panics if `chunk_len == 0` or `scratch` is shorter than the pieces.
+pub fn par_chunks_mut_with<T, F>(
+    data: &mut [T],
+    chunk_len: usize,
+    scratch: &mut [f32],
+    per_worker: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, &mut [T], &mut [f32]) + Sync,
+{
     assert!(chunk_len > 0, "chunk_len must be positive");
     let n_chunks = data.len().div_ceil(chunk_len);
-    let mut rest = data;
+    let (mut rest, mut pieces) = (data, scratch);
     let mut first_chunk = 0;
     let parts = balanced(n_chunks, effective_threads(n_chunks)).map(|take_chunks| {
         let take = (take_chunks * chunk_len).min(rest.len());
         let (part, tail) = std::mem::take(&mut rest).split_at_mut(take);
         rest = tail;
+        let (piece, later) = std::mem::take(&mut pieces).split_at_mut(per_worker);
+        pieces = later;
         first_chunk += take_chunks;
-        (first_chunk - take_chunks, part)
+        (first_chunk - take_chunks, part, piece)
     });
-    region(n_chunks, parts, |(base, part): (usize, &mut [T])| {
-        for (i, chunk) in part.chunks_mut(chunk_len).enumerate() {
-            f(base + i, chunk);
-        }
-    });
+    region(
+        n_chunks,
+        parts,
+        |(base, part, piece): (usize, &mut [T], &mut [f32])| {
+            for (i, chunk) in part.chunks_mut(chunk_len).enumerate() {
+                f(base + i, chunk, piece);
+            }
+        },
+    );
 }
 
 /// [`par_chunks_mut`] with a grain fallback for coarse workloads: when
@@ -448,11 +496,7 @@ where
     if n_chunks == 0 {
         return;
     }
-    let threads = if in_parallel_region() {
-        1
-    } else {
-        current_threads()
-    };
+    let threads = active_threads();
     let splits = (chunk_len / unit).min(threads);
     if threads <= 1 || n_chunks >= threads || splits <= 1 {
         // Enough chunks to feed the pool (or no parallelism at all):
@@ -534,118 +578,89 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Scratch-buffer pool
+// The calling thread's workspace
 // ---------------------------------------------------------------------------
 
-/// Buffers returned to the pool after use; capped so a burst of huge
-/// GEMMs cannot pin unbounded memory.
-static SCRATCH_POOL: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
+/// Floats per 64-byte cache line: every carve of a workspace takes a whole
+/// number of them, so each carved view starts on a line.
+const LINE_FLOATS: usize = 64 / std::mem::size_of::<f32>();
 
-/// At most one buffer per plausible worker plus headroom for the shared
-/// packed-`B` blocks of nested callers.
-const SCRATCH_POOL_CAP: usize = 64;
-
-/// A reusable `f32` buffer checked out of the process-wide scratch pool
-/// by [`scratch_f32`]; dereferences to `len` elements of a pooled buffer
-/// kept at its full length, starting at the buffer's first 64-byte
-/// boundary, and returns the buffer to the pool when dropped.
-pub struct ScratchF32 {
-    buf: Vec<f32>,
-    start: usize,
-    len: usize,
+/// `len` rounded up to whole cache lines: the floats a carve of `len`
+/// takes out of a workspace.
+pub fn lines(len: usize) -> usize {
+    len.next_multiple_of(LINE_FLOATS)
 }
 
-/// Floats a checkout asks the pool for beyond its length: room to start
-/// the view on a 64-byte boundary (`Vec<f32>` is only 4-byte aligned).
-const ALIGN_SLACK: usize = 64 / std::mem::size_of::<f32>() - 1;
+/// Splits a `len`-float view off the front of `ws`, taking [`lines`]`(len)`
+/// floats, so what is left starts on a cache line when `ws` did.
+///
+/// # Panics
+///
+/// Panics if `ws` is shorter than `lines(len)`: the caller sized it for
+/// less than it carves.
+pub fn carve<'a>(ws: &mut &'a mut [f32], len: usize) -> &'a mut [f32] {
+    let (head, rest) = std::mem::take(ws).split_at_mut(lines(len));
+    *ws = rest;
+    &mut head[..len]
+}
 
-impl Deref for ScratchF32 {
-    type Target = [f32];
-    fn deref(&self) -> &[f32] {
-        &self.buf[self.start..self.start + self.len]
+thread_local! {
+    /// This thread's workspace: grown, never shrunk, and handed out from
+    /// its first cache line.
+    static WORKSPACE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on a `len`-float view of the calling thread's workspace,
+/// starting on a 64-byte cache line (glibc puts a plain `Vec`'s data at 16
+/// mod 64), so a 16-float vector store into it never straddles two lines.
+///
+/// The buffer is grown when it is shorter than `len` and never shrunk, so
+/// a thread that asks for the same length again allocates nothing. Each
+/// public entry point of the engine that needs scratch — `Network::run`,
+/// a conv forward, `gemm` — enters once and hands its kernels views
+/// carved from this one ([`carve`]), workers included, so no worker
+/// allocates. An entry from inside another on the same thread gets a
+/// buffer of its own instead, dropped on return; one on a pool worker uses
+/// that worker's, which lives as long as the worker. Growth and that
+/// fallback are the only allocations, and each counts
+/// `parallel.workspace.alloc` when telemetry is recording.
+///
+/// **Contents are unspecified**: what an earlier entry left, or zeros.
+/// Callers write every element they later read.
+pub fn with_workspace<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    if len == 0 {
+        return f(&mut []);
     }
-}
-
-impl DerefMut for ScratchF32 {
-    fn deref_mut(&mut self) -> &mut [f32] {
-        &mut self.buf[self.start..self.start + self.len]
-    }
-}
-
-impl Drop for ScratchF32 {
-    fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.buf);
-        if buf.capacity() == 0 {
-            return;
-        }
-        if let Ok(mut pool) = SCRATCH_POOL.lock() {
-            if pool.len() < SCRATCH_POOL_CAP {
-                pool.push(buf);
-            } else if let Some(smallest) = pool.iter_mut().min_by_key(|b| b.capacity()) {
-                if smallest.capacity() < buf.capacity() {
-                    *smallest = buf;
-                }
+    WORKSPACE.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => {
+            if line_view(&mut buf, len).is_none() {
+                // The old buffer goes before the new one comes.
+                *buf = Vec::new();
+                *buf = fresh(len);
             }
+            f(line_view(&mut buf, len).expect("a grown workspace holds the view"))
         }
-    }
+        Err(_) => {
+            let mut buf = fresh(len);
+            f(line_view(&mut buf, len).expect("a fresh buffer holds the view"))
+        }
+    })
 }
 
-/// Checks a `len`-element `f32` buffer out of the process-wide scratch
-/// pool, allocating only when no pooled buffer is large enough. The
-/// packing scratch of every GEMM call and every activation of
-/// `Network::run` come from here, so a steady-state forward allocates
-/// nothing.
-///
-/// When no pooled buffer fits, the largest one is dropped before the new
-/// one is allocated: the new buffer replaces it rather than joining it,
-/// so the pool holds one buffer per checkout that is live at the same
-/// time, not one per size it has ever been asked for.
-///
-/// **Contents are unspecified** — callers must write every element they
-/// later read (the packing routines zero their own padding explicitly).
-/// Checkouts are independent: concurrent or nested calls receive disjoint
-/// buffers. Every view starts on a 64-byte boundary, a cache line, so a
-/// 16-float vector store into it never straddles two lines (glibc's chunk
-/// header puts a plain `Vec`'s data at 16 mod 64).
-pub fn scratch_f32(len: usize) -> ScratchF32 {
-    let need = len + ALIGN_SLACK;
-    let taken = SCRATCH_POOL
-        .lock()
-        .ok()
-        .and_then(|mut pool| take(&mut pool, need));
-    // A buffer too short to reuse is dropped here, before the allocation.
-    let reused = taken.filter(|b| b.len() >= need);
+/// A new buffer with room for a `len`-float view on a cache line: zeroed
+/// memory straight from the allocator, counted.
+fn fresh(len: usize) -> Vec<f32> {
     if pcnn_telemetry::enabled() {
-        pcnn_telemetry::counter(
-            if reused.is_some() {
-                "parallel.scratch.reuse"
-            } else {
-                "parallel.scratch.alloc"
-            },
-            1,
-        );
+        pcnn_telemetry::counter("parallel.workspace.alloc", 1);
     }
-    // Pooled buffers keep their full length, so a reused one is handed
-    // out as a view and never written here; a new one is zeroed memory
-    // straight from the allocator.
-    let buf = reused.unwrap_or_else(|| vec![0.0; need]);
-    // Floats to the next line boundary: a `Vec<f32>`'s data is 4-byte
-    // aligned, so at most `ALIGN_SLACK`.
-    let start = (buf.as_ptr() as usize).wrapping_neg() % 64 / std::mem::size_of::<f32>();
-    ScratchF32 { buf, start, len }
+    vec![0.0; len + LINE_FLOATS - 1]
 }
 
-/// Takes out of `pool` the buffer a `len`-element checkout reuses — the
-/// best fit, the smallest that already holds `len` — or, when none does,
-/// the largest, for the caller to drop.
-fn take(pool: &mut Vec<Vec<f32>>, len: usize) -> Option<Vec<f32>> {
-    let fit = pool
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.len() >= len)
-        .min_by_key(|(_, b)| b.capacity());
-    let (i, _) = fit.or_else(|| pool.iter().enumerate().max_by_key(|(_, b)| b.capacity()))?;
-    Some(pool.swap_remove(i))
+/// The `len` floats of `buf` from its first cache-line boundary, if it
+/// holds them.
+fn line_view(buf: &mut [f32], len: usize) -> Option<&mut [f32]> {
+    let start = (buf.as_ptr() as usize).wrapping_neg() % 64 / std::mem::size_of::<f32>();
+    buf.get_mut(start..start + len)
 }
 
 #[cfg(test)]
@@ -806,81 +821,89 @@ mod tests {
         set_threads(0);
     }
 
+    fn aligned(s: &[f32]) -> bool {
+        (s.as_ptr() as usize).is_multiple_of(64)
+    }
+
+    fn disjoint(a: &[f32], b: &[f32]) -> bool {
+        let (a, b) = (a.as_ptr_range(), b.as_ptr_range());
+        a.end <= b.start || b.end <= a.start
+    }
+
     #[test]
     fn scratch_checkouts_are_disjoint_and_sized() {
-        let mut a = scratch_f32(16);
-        let mut b = scratch_f32(16);
-        assert_eq!((a.len(), b.len()), (16, 16));
-        a.fill(1.0);
-        b.fill(2.0);
-        assert!(a.iter().all(|&v| v == 1.0), "buffers alias");
-        drop(a);
-        drop(b);
-        // A later checkout reuses pooled capacity; contents are
+        with_workspace(16 + 16 + lines(8), |mut ws| {
+            assert_eq!(ws.len(), 48);
+            let a = carve(&mut ws, 16);
+            let b = carve(&mut ws, 16);
+            let c = carve(&mut ws, 8);
+            assert_eq!((a.len(), b.len(), c.len(), ws.len()), (16, 16, 8, 0));
+            a.fill(1.0);
+            b.fill(2.0);
+            c.fill(3.0);
+            assert!(a.iter().all(|&v| v == 1.0), "carves alias");
+            assert!(b.iter().all(|&v| v == 2.0), "carves alias");
+        });
+        // A shorter entry later is a view of the same buffer; contents are
         // unspecified but the length contract holds.
-        let c = scratch_f32(8);
-        assert_eq!(c.len(), 8);
-        let d = scratch_f32(32);
-        assert_eq!(d.len(), 32);
+        with_workspace(8, |ws| assert_eq!(ws.len(), 8));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_carve_longer_than_its_workspace_panics() {
+        with_workspace(16, |mut ws| {
+            carve(&mut ws, 17);
+        });
     }
 
     #[test]
     fn scratch_views_start_on_a_cache_line_and_stay_disjoint() {
-        let aligned = |s: &ScratchF32| (s.as_ptr() as usize).is_multiple_of(64);
-        let disjoint = |a: &ScratchF32, b: &ScratchF32| {
-            let (a, b) = (a.as_ptr_range(), b.as_ptr_range());
-            a.end <= b.start || b.end <= a.start
-        };
         for len in [1, 15, 16, 17, 1000, 40_000, 1 << 20] {
-            // Fresh, then reused by a smaller checkout, then nested in it.
-            let fresh = scratch_f32(len);
-            assert!(aligned(&fresh), "fresh {len}");
-            drop(fresh);
-            let mut reused = scratch_f32(len / 2 + 1);
-            let mut nested = scratch_f32(len);
-            assert!(aligned(&reused) && aligned(&nested), "{len}");
-            assert!(disjoint(&reused, &nested), "{len}");
-            reused.fill(1.0);
-            nested.fill(2.0);
-            assert!(reused.iter().all(|&v| v == 1.0), "views alias at {len}");
-            assert_eq!((reused.len(), nested.len()), (len / 2 + 1, len));
+            // Grown to `len` at least (a longer earlier entry leaves it
+            // longer), carved into ragged pieces, and entered again inside
+            // itself.
+            with_workspace(3 * lines(len), |mut ws| {
+                assert!(aligned(ws), "workspace {len}");
+                let pieces = [len, len / 2 + 1, 1].map(|l| carve(&mut ws, l));
+                for (i, p) in pieces.iter().enumerate() {
+                    assert!(aligned(p), "carve {i} of {len}");
+                    for q in &pieces[i + 1..] {
+                        assert!(disjoint(p, q), "carves of {len}");
+                    }
+                }
+                with_workspace(len, |nested| {
+                    assert!(aligned(nested), "nested {len}");
+                    assert!(pieces.iter().all(|p| disjoint(p, nested)), "nested {len}");
+                    assert_eq!(nested.len(), len);
+                });
+            });
         }
-    }
-
-    /// [`scratch_f32`] and the drop of its buffer on a local pool.
-    fn checkout(pool: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
-        take(pool, len)
-            .filter(|b| b.len() >= len)
-            .unwrap_or_else(|| vec![0.0; len])
+        // A grown buffer keeps its alignment.
+        let before = with_workspace(LINE_FLOATS, |ws| ws.as_ptr() as usize);
+        with_workspace(1 << 22, |ws| assert!(aligned(ws), "grown"));
+        with_workspace(LINE_FLOATS, |ws| assert!(aligned(ws), "after growth"));
+        assert!(before.is_multiple_of(64));
     }
 
     #[test]
-    fn a_checkout_nothing_fits_drops_the_largest_buffer_first() {
-        let mut pool = vec![vec![0.0; 10], vec![0.0; 40], vec![0.0; 20]];
-        // Best fit: the 20, not the 40.
-        assert_eq!(take(&mut pool, 15).map(|b| b.len()), Some(20));
-        // Nothing holds 50: the 40 comes out, to be dropped.
-        assert_eq!(take(&mut pool, 50).map(|b| b.len()), Some(40));
-        assert_eq!(pool.len(), 1);
-        assert_eq!(take(&mut Vec::new(), 1), None);
-    }
-
-    #[test]
-    fn pooled_capacity_stays_bounded_over_alternating_sizes() {
-        // Two checkouts live at a time, their sizes alternating and
-        // growing: the pool keeps two buffers, never one per size seen.
-        let mut pool = Vec::new();
-        for round in 1..=40 {
-            let sizes = if round % 2 == 0 { [10, 30] } else { [30, 10] };
-            let live: Vec<Vec<f32>> = sizes
-                .iter()
-                .map(|&len| checkout(&mut pool, len * round))
-                .collect();
-            pool.extend(live);
-            assert_eq!(pool.len(), 2, "round {round}");
-            let held: usize = pool.iter().map(Vec::capacity).sum();
-            assert!(held <= 2 * 30 * round, "round {round}: {held} floats held");
-        }
+    fn only_growth_and_nesting_allocate() {
+        pcnn_telemetry::set_enabled(true);
+        let allocs = |len: usize, nest: bool| {
+            pcnn_telemetry::reset();
+            with_workspace(len, |_| {
+                if nest {
+                    with_workspace(len, |_| {});
+                }
+            });
+            pcnn_telemetry::snapshot().counter_value("parallel.workspace.alloc")
+        };
+        allocs(1 << 16, false);
+        assert_eq!(allocs(1 << 16, false), 0, "same length again");
+        assert_eq!(allocs(1 << 10, false), 0, "shorter");
+        assert_eq!(allocs(1 << 10, true), 1, "nested entry");
+        assert_eq!(allocs(1 << 17, false), 1, "growth");
+        pcnn_telemetry::set_enabled(false);
     }
 
     #[test]
@@ -938,14 +961,26 @@ mod tests {
 
     #[test]
     fn scratch_is_usable_from_workers() {
+        // One piece per worker, the same for each chunk of its run.
+        let mut data = vec![0usize; 8];
+        let mut scratch = vec![0.0f32; 4 * 64];
         with_threads(4, || {
+            par_chunks_mut_with(&mut data, 1, &mut scratch, 64, |i, chunk, piece| {
+                assert_eq!(piece.len(), 64);
+                piece.fill(i as f32);
+                assert!(piece.iter().all(|&v| v == i as f32), "pieces alias");
+                chunk[0] = i;
+            });
+            // A worker entering the workspace gets its own thread's.
             par_for(8, 1, |range| {
                 for _ in range {
-                    let mut s = scratch_f32(64);
-                    s.fill(3.0);
-                    assert!(s.iter().all(|&v| v == 3.0));
+                    with_workspace(64, |ws| {
+                        ws.fill(3.0);
+                        assert!(aligned(ws) && ws.iter().all(|&v| v == 3.0));
+                    });
                 }
             });
         });
+        assert!(data.iter().enumerate().all(|(i, &v)| v == i));
     }
 }

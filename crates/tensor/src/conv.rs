@@ -120,8 +120,9 @@
 //! whole-image figures, so `pcnn profile` attributes the phases per layer.
 
 use crate::gemm::{
-    active_partition, avx512_tier, gemm_packed, gemm_packed_ab, pack_a_images, pack_b_with,
-    packed_b_at, packed_b_len, write_packed_b_row, AColumns, A_LANES, IMAGE_SKEW, NR,
+    active_partition, avx512_tier, gemm_packed, gemm_packed_ab, gemm_packed_scratch_len,
+    pack_a_images, pack_b_with, packed_a_images_len, packed_b_at, packed_b_len, write_packed_b_row,
+    AColumns, A_LANES, IMAGE_SKEW, NR,
 };
 use crate::im2col::Conv2dGeometry;
 use crate::lanes::Lane;
@@ -129,6 +130,7 @@ use crate::lanes::Lane;
 use crate::lanes::Strided;
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::__m512;
+use pcnn_parallel::{active_threads, carve, lines, with_workspace};
 use pcnn_profile::{phase_span, Phase};
 use std::ops::Range;
 
@@ -201,9 +203,10 @@ impl std::fmt::Display for ConvAlgo {
 /// `out_channels x out_positions` map is written (every element) to
 /// `out[i * map..(i + 1) * map]`. [`ConvAlgo::Im2col`] and
 /// [`ConvAlgo::Direct`] both run [`conv2d_direct`] per image. What the
-/// images of a Winograd call share is one [`WinogradFilter`], built here
+/// images of a Winograd call share is one transformed filter, built here
 /// and dropped on return, never arithmetic — so a call on a group is
-/// bitwise the calls on its images alone.
+/// bitwise the calls on its images alone. Its scratch is the calling
+/// thread's workspace; [`conv2d_in`] takes it from the caller instead.
 ///
 /// # Panics
 ///
@@ -220,36 +223,89 @@ pub fn conv2d(
     images: usize,
     out: &mut [f32],
 ) {
-    let chw = geom.in_channels * geom.in_h * geom.in_w;
-    let map = out_channels * geom.out_positions();
+    let (wb, oc, w, b, x) = (WriteBack::Bias, out_channels, weight, bias, input);
+    let len = conv2d_scratch_len(algo, geom, oc, active_threads());
+    with_workspace(len, |ws| {
+        conv2d_in(algo, wb, geom, oc, w, b, x, images, out, ws)
+    });
+}
+
+/// Floats of scratch [`conv2d_in`] carves for `algo` on this layer at pool
+/// width `threads`, whatever the image count: per image the direct
+/// gather's, or Winograd's transformed filter and one block's scratch per
+/// worker. 0 where `algo` cannot run the layer.
+pub fn conv2d_scratch_len(
+    algo: ConvAlgo,
+    geom: &Conv2dGeometry,
+    oc: usize,
+    threads: usize,
+) -> usize {
+    match algo {
+        _ if !algo.supports(geom) => 0,
+        ConvAlgo::Im2col | ConvAlgo::Direct => {
+            conv2d_sampled_scratch_len(geom, oc, 1, geom.out_positions(), threads)
+        }
+        ConvAlgo::Winograd => winograd_scratch_len(geom, oc, winograd_tile(geom, oc), threads),
+    }
+}
+
+/// [`conv2d`] (`wb` [`WriteBack::Bias`]) or [`conv2d_winograd_relu`] in
+/// `scratch`: at least [`conv2d_scratch_len`] floats at the width the call
+/// runs, on a cache line, contents unspecified.
+///
+/// # Panics
+///
+/// As [`conv2d`], if `scratch` is too short, and if a write-back other
+/// than the bias is asked of an algorithm other than Winograd, or the
+/// pool of an odd map.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_in(
+    algo: ConvAlgo,
+    wb: WriteBack,
+    geom: &Conv2dGeometry,
+    out_channels: usize,
+    weight: &[f32],
+    bias: &[f32],
+    input: &[f32],
+    images: usize,
+    out: &mut [f32],
+    scratch: &mut [f32],
+) {
+    let even = geom.out_h.is_multiple_of(2) && geom.out_w.is_multiple_of(2);
+    assert!(
+        wb != WriteBack::ReluPool || even,
+        "a fused 2x2 pool needs an even map"
+    );
+    let (oc, chw) = (out_channels, geom.in_channels * geom.in_h * geom.in_w);
+    let map = oc * wb.positions(geom);
     assert!(input.len() >= images * chw, "input too short");
     assert!(out.len() >= images * map, "out too short");
-    let (image, maps) = (|i| i * chw..(i + 1) * chw, |i| i * map..(i + 1) * map);
     match algo {
         ConvAlgo::Im2col | ConvAlgo::Direct => {
+            assert!(wb == WriteBack::Bias, "only winograd fuses its write-back");
             for i in 0..images {
-                let (x, y) = (&input[image(i)], &mut out[maps(i)]);
-                conv2d_direct(geom, out_channels, weight, bias, x, y);
+                let (x, y) = (&input[i * chw..][..chw], &mut out[i * map..][..map]);
+                let all = 0..geom.out_positions();
+                gather_conv(geom, oc, weight, bias, x, 1, all, y, scratch);
             }
         }
         ConvAlgo::Winograd => {
-            let tile = winograd_tile(geom, out_channels);
-            let filter = WinogradFilter::new(geom, out_channels, weight, tile);
-            for i in 0..images {
-                let (x, y) = (&input[image(i)], &mut out[maps(i)]);
-                conv2d_winograd_prepared(geom, &filter, bias, x, WriteBack::Bias, y);
-            }
+            let filter = WinogradFilter::new(geom, oc, weight, winograd_tile(geom, oc));
+            winograd_images(geom, &filter, bias, input, images, wb, out, scratch);
         }
     }
 }
 
-/// What Winograd's write-back applies after the bias: nothing, ReLU, or
-/// ReLU and then the 2x2 stride-2 max-pool, one window per tile. The
-/// discriminant counts the layers fused.
-#[derive(Clone, Copy, PartialEq)]
-enum WriteBack {
+/// What Winograd's write-back applies after the bias. The discriminant
+/// counts the layers fused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteBack {
+    /// Nothing: the layer's own map.
     Bias,
+    /// `max(x, 0)`.
     Relu,
+    /// `max(x, 0)`, then the 2x2 stride-2 max-pool, one window per tile:
+    /// a map of `out_h/2 x out_w/2` per channel.
     ReluPool,
 }
 
@@ -281,23 +337,12 @@ pub fn conv2d_winograd_relu(
     pool: bool,
     out: &mut [f32],
 ) {
-    assert!(
-        !pool || (geom.out_h.is_multiple_of(2) && geom.out_w.is_multiple_of(2)),
-        "a fused 2x2 pool needs an even map"
-    );
-    let wb = if pool {
-        WriteBack::ReluPool
-    } else {
-        WriteBack::Relu
-    };
-    let chw = geom.in_channels * geom.in_h * geom.in_w;
-    let map = out_channels * wb.positions(geom);
-    let tile = winograd_tile(geom, out_channels);
-    let filter = WinogradFilter::new(geom, out_channels, weight, tile);
-    for i in 0..images {
-        let (x, y) = (&input[i * chw..][..chw], &mut out[i * map..][..map]);
-        conv2d_winograd_prepared(geom, &filter, bias, x, wb, y);
-    }
+    let wb = [WriteBack::Relu, WriteBack::ReluPool][usize::from(pool)];
+    let (algo, oc, w, b, x) = (ConvAlgo::Winograd, out_channels, weight, bias, input);
+    let len = conv2d_scratch_len(algo, geom, oc, active_threads());
+    with_workspace(len, |ws| {
+        conv2d_in(algo, wb, geom, oc, w, b, x, images, out, ws)
+    });
 }
 
 /// Direct convolution of one CHW image: `out = weight * patches + bias`.
@@ -323,8 +368,16 @@ pub fn conv2d_direct(
     input: &[f32],
     out: &mut [f32],
 ) {
-    let all = 0..geom.out_positions();
-    gather_conv(geom, out_channels, weight, bias, input, 1, all, out);
+    conv2d(
+        ConvAlgo::Direct,
+        geom,
+        out_channels,
+        weight,
+        bias,
+        input,
+        1,
+        out,
+    );
 }
 
 /// Convolution of a group of images at a sampled subset of output
@@ -340,6 +393,7 @@ pub fn conv2d_direct(
 /// `positions[j]`. No column matrix exists at any point — the patches are
 /// gathered straight into the packed `B` micropanels (see the module
 /// docs) — and the filter matrix is packed once for the whole group.
+/// Its scratch is `scratch`, on a cache line, contents unspecified.
 ///
 /// Every element is bitwise what [`crate::im2col_positions`] followed by
 /// a bias fill and [`crate::gemm`] computes for its image alone: a `C`
@@ -348,9 +402,10 @@ pub fn conv2d_direct(
 ///
 /// # Panics
 ///
-/// Panics if any slice is shorter than the geometry implies, if a
-/// position is out of range, or if the group is too large for 32-bit
-/// offsets (`images` padded images of 2^32 floats or more).
+/// Panics if any slice is shorter than the geometry implies, `scratch`
+/// shorter than [`conv2d_sampled_scratch_len`] at the width the call runs,
+/// a position out of range, or the group too large for 32-bit offsets
+/// (`images` padded images of 2^32 floats or more).
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_sampled(
     geom: &Conv2dGeometry,
@@ -361,18 +416,34 @@ pub fn conv2d_sampled(
     images: usize,
     positions: &[usize],
     out: &mut [f32],
+    scratch: &mut [f32],
 ) {
-    let positions = positions.iter().copied();
-    gather_conv(
-        geom,
-        out_channels,
-        weight,
-        bias,
-        input,
-        images,
-        positions,
-        out,
-    );
+    let (g, oc, w, b, at) = (geom, out_channels, weight, bias, positions.iter().copied());
+    gather_conv(g, oc, w, b, input, images, at, out, scratch);
+}
+
+/// Floats of scratch [`conv2d_sampled`] carves for `images` images at
+/// `positions` output positions each, at pool width `threads`: the
+/// zero-bordered images of a padded layer, the packed `B`, the GEMM's `A`
+/// packs. [`conv2d_direct`] is the case of one image at every position.
+pub fn conv2d_sampled_scratch_len(
+    geom: &Conv2dGeometry,
+    out_channels: usize,
+    images: usize,
+    positions: usize,
+    threads: usize,
+) -> usize {
+    let (m, n, k) = (out_channels, images * positions, geom.patch_len());
+    if m == 0 || n == 0 || k == 0 {
+        return 0;
+    }
+    let padded = (geom.in_h + 2 * geom.pad) * (geom.in_w + 2 * geom.pad);
+    let border = if geom.pad > 0 {
+        images * geom.in_channels * padded
+    } else {
+        0
+    };
+    lines(border) + lines(packed_b_len(n, k)) + gemm_packed_scratch_len(m, n, k, threads)
 }
 
 /// The one patch gather behind [`conv2d_direct`] and [`conv2d_sampled`]:
@@ -387,7 +458,8 @@ pub fn conv2d_sampled(
 /// ragged panel edges, parallel split) is [`pack_b_with`]'s, shared with
 /// [`gemm`], so the packed image is byte-for-byte the one `gemm` packs
 /// from the materialised column matrix, and the compute tail is the same
-/// [`gemm_packed`].
+/// [`gemm_packed`]. Its bordered images, packed `B` and `A` packs are
+/// carved from `scratch` ([`conv2d_sampled_scratch_len`]).
 #[allow(clippy::too_many_arguments)]
 fn gather_conv(
     geom: &Conv2dGeometry,
@@ -398,6 +470,7 @@ fn gather_conv(
     images: usize,
     positions: impl ExactSizeIterator<Item = usize> + Clone,
     out: &mut [f32],
+    mut scratch: &mut [f32],
 ) {
     let (m, n, k) = (out_channels, images * positions.len(), geom.patch_len());
     let chw = geom.in_channels * geom.in_h * geom.in_w;
@@ -421,11 +494,11 @@ fn gather_conv(
         "image group too large for 32-bit gather offsets"
     );
     let bordered = (pad > 0).then(|| {
-        let mut buf = pcnn_parallel::scratch_f32(images * image_len);
-        add_zero_border(geom, &input[..images * chw], &mut buf);
-        buf
+        let buf = carve(&mut scratch, images * image_len);
+        add_zero_border(geom, &input[..images * chw], buf);
+        &*buf
     });
-    let src = bordered.as_deref().unwrap_or(&input[..images * chw]);
+    let src = bordered.unwrap_or(&input[..images * chw]);
     // Every offset is below `images * image_len`, so the casts are exact.
     let row_base: Vec<u32> = (0..k)
         .map(|r| {
@@ -442,9 +515,9 @@ fn gather_conv(
             (image * image_len + (oy * pw + ox) * geom.stride) as u32
         }));
     }
-    let mut b_pack = pcnn_parallel::scratch_f32(packed_b_len(n, k));
+    let b_pack = carve(&mut scratch, packed_b_len(n, k));
     pcnn_parallel::with_region_label("conv.gather", || {
-        pack_b_with(n, k, &mut b_pack, part.tasks() > 1, |r, j0, dst| {
+        pack_b_with(n, k, b_pack, part.tasks() > 1, |r, j0, dst| {
             let row = &src[row_base[r] as usize..];
             for (d, &off) in dst.iter_mut().zip(&col_off[j0..]) {
                 *d = row[off as usize];
@@ -465,7 +538,7 @@ fn gather_conv(
     if let Some(s) = span {
         s.finish(0, 4 * (m * n) as u64);
     }
-    gemm_packed(m, n, k, weight, &b_pack, part, out);
+    gemm_packed(m, n, k, weight, b_pack, part, out, scratch);
 }
 
 /// Copies CHW planes (`geom.in_h x geom.in_w` each) into `bordered` with
@@ -507,9 +580,10 @@ fn add_zero_border(geom: &Conv2dGeometry, planes: &[f32], bordered: &mut [f32]) 
 const WINOGRAD_BLOCK_FLOATS: usize = 512 * 1024;
 
 /// Budget of one packed `U`, in `f32` elements (16 MiB): F(2x2)'s `U` of
-/// a 512 -> 512 layer, the largest buffer the scratch pool already holds
-/// for VGG-16. A larger `U` (36 coordinates on 256 -> 512 and 512 -> 512)
-/// is packed and run in chunks of output channels.
+/// a 512 -> 512 layer, no more than a VGG-16 forward's own largest
+/// activation (conv1's 64 x 224² maps). A larger `U` (36 coordinates on
+/// 256 -> 512 and 512 -> 512) is packed and run in chunks of output
+/// channels, one chunk held at a time.
 const WINOGRAD_U_FLOATS: usize = 16 * 512 * 512;
 
 /// The output tile side [`ConvAlgo::Winograd`] runs a layer at: 2 on a
@@ -595,14 +669,13 @@ const fn transform_flops(tile: usize, kernel: usize) -> [usize; 3] {
 /// kernel: `U[xi] = (G g G^T)[xi]`, one `out_channels x in_channels`
 /// matrix per transform coordinate ([`filter_line`] has `G`), each
 /// written straight into the packed-`A` image its GEMM reads
-/// ([`gemm_packed_a`]), so no block packs it again.
+/// ([`gemm_packed_ab`]), so no block packs it again.
 ///
-/// It depends on the weights only, so [`conv2d`] builds it once for all
-/// the images of a call. A `U` over [`WINOGRAD_U_FLOATS`] is instead
-/// transformed a chunk of output channels at a time, by the block that
-/// runs the chunk, so one chunk is held at once. The storage is pooled
-/// scratch: dropping the value returns it, nothing is cached on the
-/// layer.
+/// It depends on the weights only, so [`conv2d`] transforms it once for
+/// all the images of a call, into its scratch. A `U` over
+/// [`WINOGRAD_U_FLOATS`] is instead transformed a chunk of output channels
+/// at a time, by the block that runs the chunk, into one chunk's room.
+/// Nothing is cached on the layer.
 struct WinogradFilter<'w> {
     tile: usize,
     /// The filters' side `r`.
@@ -612,14 +685,11 @@ struct WinogradFilter<'w> {
     /// Output channels per chunk of `U`.
     chunk: usize,
     weight: &'w [f32],
-    /// `U` of every output channel when that is one chunk: the
-    /// coordinates' packed images, `U[xi]` at `xi * u.len() / coords`.
-    whole: Option<pcnn_parallel::ScratchF32>,
 }
 
 impl<'w> WinogradFilter<'w> {
-    /// Transforms the `[out_channels, patch_len]` filter matrix `weight`
-    /// for a `tile` kernel, chunked as [`winograd_chunk`] says.
+    /// The filter matrix `weight` (`[out_channels, patch_len]`) for a
+    /// `tile` kernel, chunked as [`winograd_chunk`] says.
     ///
     /// # Panics
     ///
@@ -640,21 +710,23 @@ impl<'w> WinogradFilter<'w> {
         chunk: usize,
     ) -> Self {
         assert_winograd_supports(geom);
-        let (oc, ic) = (out_channels, geom.in_channels);
-        assert!(weight.len() >= oc * geom.patch_len(), "weight too short");
-        let mut filter = Self {
+        assert!(
+            weight.len() >= out_channels * geom.patch_len(),
+            "weight too short"
+        );
+        Self {
             tile,
             kernel: geom.kernel,
             out_channels,
-            in_channels: ic,
+            in_channels: geom.in_channels,
             chunk: chunk.max(1),
             weight,
-            whole: None,
-        };
-        if chunk >= oc {
-            filter.whole = Some(filter.transform(0..oc));
         }
-        filter
+    }
+
+    /// Whether `U` is one chunk: transformed once, before any block.
+    fn whole(&self) -> bool {
+        self.chunk >= self.out_channels
     }
 
     /// The chunks of output channels, in order.
@@ -664,12 +736,19 @@ impl<'w> WinogradFilter<'w> {
             .map(|o| o..self.out_channels.min(o + self.chunk))
     }
 
-    /// The packed `U` of output channels `rows`.
-    fn transform(&self, rows: Range<usize>) -> pcnn_parallel::ScratchF32 {
+    /// Floats of the packed `U` of `rows` output channels.
+    fn u_len(&self, rows: usize) -> usize {
+        let coords = winograd_coords(self.tile, self.kernel);
+        packed_a_images_len(coords, rows, self.in_channels)
+    }
+
+    /// Writes the packed `U` of output channels `rows` into `u`, its
+    /// [`u_len`](Self::u_len) floats.
+    fn transform(&self, rows: Range<usize>, u: &mut [f32]) {
         match (self.tile, self.kernel) {
-            (2, 3) => self.transform_tile::<2, 3, 16>(rows),
-            (2, _) => self.transform_tile::<2, 5, 36>(rows),
-            _ => self.transform_tile::<4, 3, 36>(rows),
+            (2, 3) => self.transform_tile::<2, 3, 16>(rows, u),
+            (2, _) => self.transform_tile::<2, 5, 36>(rows, u),
+            _ => self.transform_tile::<4, 3, 36>(rows, u),
         }
     }
 
@@ -678,7 +757,8 @@ impl<'w> WinogradFilter<'w> {
     fn transform_tile<const T: usize, const R: usize, const N: usize>(
         &self,
         rows: Range<usize>,
-    ) -> pcnn_parallel::ScratchF32 {
+        u: &mut [f32],
+    ) {
         let ic = self.in_channels;
         let span = phase_span(Phase::WinogradFilter);
         let source = FilterColumns::<T, R> {
@@ -686,7 +766,7 @@ impl<'w> WinogradFilter<'w> {
             ic,
             first: rows.start,
         };
-        let u = pack_a_images::<N>(rows.len(), ic, &source);
+        pack_a_images::<N>(rows.len(), ic, &source, u);
         if let Some(s) = span {
             // Filter reads, packed U writes (without the tier's tile
             // padding).
@@ -696,8 +776,15 @@ impl<'w> WinogradFilter<'w> {
                 4 * (filters * (R * R + N)) as u64,
             );
         }
-        u
     }
+}
+
+/// The packed `U` a block multiplies by: all of it, transformed before
+/// the blocks, or one chunk's room that the block transforms each chunk
+/// into in turn.
+enum UStore<'a> {
+    Whole(&'a [f32]),
+    Chunks(&'a mut [f32]),
 }
 
 /// The filter transform as the source of `U`'s packed images: column `c`
@@ -950,62 +1037,123 @@ pub fn conv2d_winograd(
     input: &[f32],
     out: &mut [f32],
 ) {
-    let filter = WinogradFilter::new(geom, out_channels, weight, 2);
-    conv2d_winograd_prepared(geom, &filter, bias, input, WriteBack::Bias, out);
+    let len = winograd_scratch_len(geom, out_channels, 2, active_threads());
+    with_workspace(len, |ws| {
+        let filter = WinogradFilter::new(geom, out_channels, weight, 2);
+        winograd_images(geom, &filter, bias, input, 1, WriteBack::Bias, out, ws);
+    });
 }
 
-/// One image through a Winograd kernel whose filter transform is already
-/// done (or, chunked, planned), writing back through `wb`.
-///
-/// Runs the block pipeline of the module docs at the block height
-/// `winograd_block_rows` picks for the shape: nothing image-sized is
-/// materialised, and every output element sees the same sequence of IEEE
-/// operations whatever the block height, chunk or thread count.
+/// Floats of scratch a `tile x tile`-output Winograd kernel carves for
+/// this layer at pool width `threads`: the packed `U` (one chunk of it when
+/// it is chunked), then one block's scratch per worker of the block
+/// region. 0 where Winograd cannot run the layer.
+pub fn winograd_scratch_len(
+    geom: &Conv2dGeometry,
+    oc: usize,
+    tile: usize,
+    threads: usize,
+) -> usize {
+    if !ConvAlgo::Winograd.supports(geom) {
+        return 0;
+    }
+    let (ic, coords) = (geom.in_channels, winograd_coords(tile, geom.kernel));
+    let chunk = winograd_chunk(coords, ic, oc).min(oc);
+    let u = lines(packed_a_images_len(coords, chunk, ic));
+    if oc == 0 || ic == 0 || geom.out_positions() == 0 {
+        return u;
+    }
+    let (tiles_y, tiles_x) = (geom.out_h.div_ceil(tile), geom.out_w.div_ceil(tile));
+    let block_rows = winograd_block_rows(coords, ic, oc, tiles_x, tiles_y);
+    let workers = pcnn_parallel::workers(tiles_y.div_ceil(block_rows), threads);
+    u + workers * winograd_block_len(geom, tile, chunk, block_rows)
+}
+
+/// Floats of scratch one block of `block_rows` tile rows carves: `V`
+/// (`ic x tiles` per coordinate, packed as the GEMMs' `B`), `M` (`chunk x
+/// tiles` per coordinate) and the transforms' row temporaries — the input
+/// transform's 3 x 6 rows of the padded width `wp`, the inverse's 6 x 4 + 4
+/// rows of at most `T * tiles_x`.
+fn winograd_block_len(geom: &Conv2dGeometry, t: usize, chunk: usize, block_rows: usize) -> usize {
+    let (coords, tiles_x) = (winograd_coords(t, geom.kernel), geom.out_w.div_ceil(t));
+    let (tb, wp) = (block_rows * tiles_x, t * tiles_x + geom.kernel - 1);
+    let v = coords * (packed_b_len(tb, geom.in_channels) + IMAGE_SKEW);
+    lines(v) + lines(coords * chunk * tb) + lines(40 * wp)
+}
+
+/// `images` CHW images through the Winograd kernel of `filter`, writing
+/// back through `wb`: `U` carved from `scratch` and transformed once (or a
+/// chunk's room carved), then each image's block pipeline, at the block
+/// height `winograd_block_rows` picks for the shape, in the rest. Nothing
+/// image-sized is materialised, and every output element sees the same
+/// sequence of IEEE operations whatever the block height, chunk or thread
+/// count.
 ///
 /// # Panics
 ///
-/// Panics if `geom` is not a stride-1 3x3 or 5x5 layer, if `filter` was
-/// built for another layer, or if a slice is shorter than the geometry
-/// implies.
-fn conv2d_winograd_prepared(
+/// Panics if `filter` was built for another layer, or if a slice is
+/// shorter than the geometry implies.
+#[allow(clippy::too_many_arguments)]
+fn winograd_images(
     geom: &Conv2dGeometry,
     filter: &WinogradFilter,
     bias: &[f32],
     input: &[f32],
+    images: usize,
     wb: WriteBack,
     out: &mut [f32],
+    mut scratch: &mut [f32],
 ) {
-    assert_winograd_supports(geom);
-    assert_eq!(
+    let (ic, kernel) = (geom.in_channels, geom.kernel);
+    let (filtered, (oc, t)) = (
         (filter.in_channels, filter.kernel),
-        (geom.in_channels, geom.kernel),
+        (filter.out_channels, filter.tile),
+    );
+    assert_eq!(
+        filtered,
+        (ic, kernel),
         "filter was transformed for another layer"
     );
-    let (oc, ic, t) = (filter.out_channels, geom.in_channels, filter.tile);
-    assert!(input.len() >= ic * geom.in_h * geom.in_w, "input too short");
+    let (chw, map) = (ic * geom.in_h * geom.in_w, oc * wb.positions(geom));
+    assert!(input.len() >= images * chw, "input too short");
     assert!(bias.len() >= oc, "bias too short");
-    assert!(out.len() >= oc * wb.positions(geom), "out too short");
+    assert!(out.len() >= images * map, "out too short");
     if oc == 0 || ic == 0 || geom.out_positions() == 0 {
         return;
     }
+    let u = carve(&mut scratch, filter.u_len(filter.chunk.min(oc)));
+    if filter.whole() {
+        filter.transform(0..oc, u);
+    }
     let (tiles_y, tiles_x) = (geom.out_h.div_ceil(t), geom.out_w.div_ceil(t));
-    let coords = winograd_coords(t, geom.kernel);
-    let block_rows = winograd_block_rows(coords, ic, oc, tiles_x, tiles_y);
-    winograd_pipeline(geom, filter, bias, input, wb, out, block_rows);
+    let block_rows = winograd_block_rows(winograd_coords(t, kernel), ic, oc, tiles_x, tiles_y);
+    for i in 0..images {
+        let (x, y) = (&input[i * chw..][..chw], &mut out[i * map..][..map]);
+        let u = if filter.whole() {
+            UStore::Whole(&*u)
+        } else {
+            UStore::Chunks(&mut *u)
+        };
+        winograd_pipeline(geom, filter, u, bias, x, wb, y, block_rows, &mut *scratch);
+    }
 }
 
 /// Runs the block pipeline at `block_rows` tile rows per block (the last
 /// block takes what is left). `out` is handed to the blocks as safely
 /// split per-channel row bands: block `b` owns output rows
-/// `tile * b * block_rows..` of every channel (half that, pooled).
+/// `tile * b * block_rows..` of every channel (half that, pooled). Each
+/// worker gets one block's scratch of `scratch` with its run of blocks.
+#[allow(clippy::too_many_arguments)]
 fn winograd_pipeline(
     geom: &Conv2dGeometry,
     filter: &WinogradFilter,
+    u: UStore,
     bias: &[f32],
     input: &[f32],
     wb: WriteBack,
     out: &mut [f32],
     block_rows: usize,
+    scratch: &mut [f32],
 ) {
     let (oc, map, t) = (filter.out_channels, wb.positions(geom), filter.tile);
     let tiles_y = geom.out_h.div_ceil(t);
@@ -1026,67 +1174,74 @@ fn winograd_pipeline(
             bands.push(chan.next().expect("every channel has one band per block"));
         }
     }
-    let run_block = |b: usize, bands: &mut [&mut [f32]]| {
+    let run_block = |b: usize, bands: &mut [&mut [f32]], u: UStore, ws: &mut [f32]| {
         let tile_rows = b * block_rows..tiles_y.min((b + 1) * block_rows);
+        let (g, x) = (geom, input);
         match (t, filter.kernel) {
-            (2, 3) => winograd_block::<2, 3>(geom, filter, bias, input, tile_rows, wb, bands),
-            (2, _) => winograd_block::<2, 5>(geom, filter, bias, input, tile_rows, wb, bands),
-            _ => winograd_block::<4, 3>(geom, filter, bias, input, tile_rows, wb, bands),
+            (2, 3) => winograd_block::<2, 3>(g, filter, u, bias, x, tile_rows, wb, bands, ws),
+            (2, _) => winograd_block::<2, 5>(g, filter, u, bias, x, tile_rows, wb, bands, ws),
+            _ => winograd_block::<4, 3>(g, filter, u, bias, x, tile_rows, wb, bands, ws),
         }
     };
-    if n_blocks == 1 {
-        // Not a region of one task: that would mark this thread as a
-        // pool worker and serialise the GEMMs inside.
-        run_block(0, &mut bands);
-    } else {
-        // Workers record their blocks' spans into the caller's profile,
-        // under the caller's layer.
-        let handoff = pcnn_profile::Handoff::capture();
-        pcnn_parallel::with_region_label("conv.winograd", || {
-            pcnn_parallel::par_chunks_mut(&mut bands, oc, |b, bands| {
-                handoff.enter(|| run_block(b, bands));
-            });
+    let u = match u {
+        // Not a region of one task: that would mark this thread as a pool
+        // worker and serialise the GEMMs inside. A chunked `U` is one block
+        // (`winograd_block_rows`); were it more, they would take turns
+        // with its one room.
+        UStore::Chunks(room) => {
+            for (b, bands) in bands.chunks_mut(oc).enumerate() {
+                run_block(b, bands, UStore::Chunks(&mut *room), &mut *scratch);
+            }
+            return;
+        }
+        UStore::Whole(u) if n_blocks == 1 => {
+            return run_block(0, &mut bands, UStore::Whole(u), scratch)
+        }
+        UStore::Whole(u) => u,
+    };
+    // Workers record their blocks' spans into the caller's profile, under
+    // the caller's layer.
+    let handoff = pcnn_profile::Handoff::capture();
+    let per_worker = winograd_block_len(geom, t, filter.chunk.min(oc), block_rows);
+    pcnn_parallel::with_region_label("conv.winograd", || {
+        pcnn_parallel::par_chunks_mut_with(&mut bands, oc, scratch, per_worker, |b, bands, ws| {
+            handoff.enter(|| run_block(b, bands, UStore::Whole(u), ws));
         });
-    }
+    });
 }
 
 /// One block of the pipeline on a `T x T`-output, `R x R`-filter kernel:
-/// input transform of tile rows `tile_rows`; then per chunk of `U`, the
+/// input transform of tile rows `tile_rows`; then per chunk of `U` (each
+/// chunk transformed into `u`'s room first when `U` is chunked), the
 /// `(T + R - 1)²` GEMMs and the inverse transform into that chunk's
-/// `bands` (one slice of output rows per channel).
+/// `bands` (one slice of output rows per channel). `V`, `M` and the row
+/// temporaries are carved from `scratch` ([`winograd_block_len`]).
+#[allow(clippy::too_many_arguments)]
 fn winograd_block<const T: usize, const R: usize>(
     geom: &Conv2dGeometry,
     filter: &WinogradFilter,
+    mut u: UStore,
     bias: &[f32],
     input: &[f32],
     tile_rows: Range<usize>,
     wb: WriteBack,
     bands: &mut [&mut [f32]],
+    mut scratch: &mut [f32],
 ) {
     let (oc, ic, coords) = (filter.out_channels, geom.in_channels, winograd_coords(T, R));
     let tiles_x = geom.out_w.div_ceil(T);
     let tb = tile_rows.len() * tiles_x;
     let chunk = filter.chunk.min(oc);
-    // Padded input row width: tile `tx` reads columns `T tx..T tx + T + R -
-    // 1`.
-    let wp = T * tiles_x + R - 1;
 
-    // A chunked U is built a chunk at a time (a chunked layer is one
-    // block); the first chunk before the block's own scratch, so that the
-    // largest checkout of the layer is made first.
-    let chunk_u = |rows: Range<usize>| filter.whole.is_none().then(|| filter.transform(rows));
-    let mut chunks = filter.chunks().map(|c| (chunk_u(c.clone()), c)).peekable();
-    chunks.peek();
-    // The span starts before the checkout (pooled scratch), so pool
-    // bookkeeping counts as transform time.
+    // The span covers the carve too, so whatever the scratch costs counts
+    // as transform time.
     let span = phase_span(Phase::WinogradTransform);
     // V[xi]: ic x tb packed as the GEMMs' B, M[xi]: chunk x tb — per
-    // coordinate — plus row temporaries: the input transform's 3 x 6 rows
-    // of `wp`, the inverse's 6 x 4 + 4 rows of at most `T * tiles_x`.
+    // coordinate — plus row temporaries: `winograd_block_len`.
     let v_len = packed_b_len(tb, ic) + IMAGE_SKEW;
-    let mut scratch = pcnn_parallel::scratch_f32(coords * (v_len + chunk * tb) + 40 * wp);
-    let (v, rest) = scratch.split_at_mut(coords * v_len);
-    let (m, rows) = rest.split_at_mut(coords * chunk * tb);
+    let v = carve(&mut scratch, coords * v_len);
+    let m = carve(&mut scratch, coords * chunk * tb);
+    let rows = carve(&mut scratch, 40 * (T * tiles_x + R - 1));
     input_transform::<T, R>(geom, input, tile_rows.clone(), v, rows, avx512_tier());
     if let Some(s) = span {
         // The input rows this block is the first to read (halo rows
@@ -1104,11 +1259,15 @@ fn winograd_block<const T: usize, const R: usize>(
         );
     }
 
-    for (built, chans) in chunks {
-        let u = built
-            .as_ref()
-            .or(filter.whole.as_ref())
-            .expect("U whole or chunked");
+    for chans in filter.chunks() {
+        let u: &[f32] = match &mut u {
+            UStore::Whole(u) => u,
+            UStore::Chunks(room) => {
+                let u = &mut room[..filter.u_len(chans.len())];
+                filter.transform(chans.clone(), u);
+                u
+            }
+        };
         // Per-coordinate GEMMs on both operands in place: M[xi] =
         // U[xi] * V[xi], stored, so M needs no zero-fill.
         let n = chans.len();
@@ -1512,7 +1671,20 @@ mod tests {
         positions: &[usize],
     ) -> Vec<u32> {
         let mut out = vec![f32::NAN; oc * images * positions.len()];
-        conv2d_sampled(geom, oc, weight, bias, input, images, positions, &mut out);
+        let threads = pcnn_parallel::active_threads();
+        let len = conv2d_sampled_scratch_len(geom, oc, images, positions.len(), threads);
+        let (w, b, x, at) = (weight, bias, input, positions);
+        conv2d_sampled(
+            geom,
+            oc,
+            w,
+            b,
+            x,
+            images,
+            at,
+            &mut out,
+            &mut vec![f32::NAN; len],
+        );
         out.iter().map(|v| v.to_bits()).collect()
     }
 
@@ -1595,7 +1767,7 @@ mod tests {
     #[should_panic(expected = "position 36 out of range (36)")]
     fn sampled_panics_on_an_out_of_range_position() {
         let geom = Conv2dGeometry::new(1, 6, 6, 3, 1, 1);
-        let mut out = vec![0.0; 2];
+        let (mut out, mut scratch) = (vec![0.0; 2], vec![0.0; 1024]);
         conv2d_sampled(
             &geom,
             1,
@@ -1605,6 +1777,7 @@ mod tests {
             1,
             &[0, 36],
             &mut out,
+            &mut scratch,
         );
     }
 
@@ -1686,7 +1859,7 @@ mod tests {
             let tiles_y = geom.out_h.div_ceil(2);
             let run = |block_rows: usize| {
                 let mut out = vec![f32::NAN; oc * geom.out_positions()];
-                winograd_pipeline(&geom, &filter, &bias, &input, WriteBack::Bias, &mut out, block_rows);
+                pipeline(&geom, &filter, &bias, &input, &mut out, block_rows);
                 out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             let whole = run(tiles_y);
@@ -1694,6 +1867,40 @@ mod tests {
                 proptest::prop_assert_eq!(run(block_rows.min(tiles_y)), whole.clone());
             }
         }
+    }
+
+    /// [`winograd_pipeline`] at `block_rows` tile rows a block, `U` and
+    /// the blocks' scratch in buffers of their own, NaN-filled.
+    fn pipeline(
+        geom: &Conv2dGeometry,
+        filter: &WinogradFilter,
+        bias: &[f32],
+        input: &[f32],
+        out: &mut [f32],
+        block_rows: usize,
+    ) {
+        let (oc, t) = (filter.out_channels, filter.tile);
+        let mut u = vec![f32::NAN; filter.u_len(filter.chunk.min(oc))];
+        let u = if filter.whole() {
+            filter.transform(0..oc, &mut u);
+            UStore::Whole(&u)
+        } else {
+            UStore::Chunks(&mut u)
+        };
+        let block = winograd_block_len(geom, t, filter.chunk.min(oc), block_rows);
+        let mut scratch = vec![f32::NAN; block * pcnn_parallel::active_threads()];
+        let wb = WriteBack::Bias;
+        winograd_pipeline(
+            geom,
+            filter,
+            u,
+            bias,
+            input,
+            wb,
+            out,
+            block_rows,
+            &mut scratch,
+        );
     }
 
     #[test]
@@ -1758,7 +1965,7 @@ mod tests {
             let run = |chunk: usize, block_rows: usize| {
                 let filter = WinogradFilter::chunked(&geom, oc, &weight, 4, chunk);
                 let mut out = vec![f32::NAN; oc * geom.out_positions()];
-                winograd_pipeline(&geom, &filter, &bias, &input, WriteBack::Bias, &mut out, block_rows);
+                pipeline(&geom, &filter, &bias, &input, &mut out, block_rows);
                 out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             let whole = run(oc, tiles_y);
@@ -1779,7 +1986,19 @@ mod tests {
         let want = reference(&geom, oc, &w, &b, &x);
         let filter = WinogradFilter::new(&geom, oc, &w, 4);
         let mut got = vec![f32::NAN; oc * geom.out_positions()];
-        conv2d_winograd_prepared(&geom, &filter, &b, &x, WriteBack::Bias, &mut got);
+        let mut scratch = vec![f32::NAN; winograd_scratch_len(&geom, oc, 4, 1)];
+        pcnn_parallel::with_threads(1, || {
+            winograd_images(
+                &geom,
+                &filter,
+                &b,
+                &x,
+                1,
+                WriteBack::Bias,
+                &mut got,
+                &mut scratch,
+            );
+        });
         let bound = winograd_error_bound(4, &geom, &w, &x);
         for (i, (g, r)) in got.iter().zip(&want).enumerate() {
             assert!(
@@ -1871,8 +2090,13 @@ mod tests {
                 ic,
                 first: rows.start,
             };
-            let vector = pack_a_images::<N>(rows.len(), ic, &walk());
-            let per_lane = pack_a_images::<N>(rows.len(), ic, &PerLane(walk()));
+            let packed = |source: &dyn Fn(&mut [f32])| {
+                let mut u = vec![f32::NAN; packed_a_images_len(N, rows.len(), ic)];
+                source(&mut u);
+                u
+            };
+            let vector = packed(&|u| pack_a_images::<N>(rows.len(), ic, &walk(), u));
+            let per_lane = packed(&|u| pack_a_images::<N>(rows.len(), ic, &PerLane(walk()), u));
             // Each image, without the unwritten skew after it.
             let images = |u: &[f32]| {
                 u.chunks_exact(u.len() / N)

@@ -13,8 +13,9 @@
 //! transplanted to CPU SIMD):
 //!
 //! 1. `B` is packed once into `NR`-column micropanels, zero-padded to a
-//!    multiple of [`NR`], one [`KC`]-deep block at a time, into reusable
-//!    scratch from the `pcnn-parallel` buffer pool;
+//!    multiple of [`NR`], one [`KC`]-deep block at a time, into scratch
+//!    carved from the calling thread's workspace
+//!    ([`pcnn_parallel::with_workspace`]);
 //! 2. a shape-aware partitioner ([`partition_gemm`]) splits the `MR`-row
 //!    tile and `NR`-column panel grids of `C` into a 2-D grid of
 //!    `row_splits x col_splits` rectangles — one per worker — so both fat
@@ -22,7 +23,7 @@
 //!    pool (the earlier one-dimensional `MC`-row-panel split produced only
 //!    `ceil(m / 64)` = 2–6 work units for AlexNet shapes, starving it);
 //! 3. every worker shares the read-only packed `B`, packs its own
-//!    `MR`-row micropanels of `A` into pooled scratch ([`MC`]-row groups,
+//!    `MR`-row micropanels of `A` into its own piece of that scratch ([`MC`]-row groups,
 //!    L2-resident), and runs a branch-free `MR x `[`NR`] register-blocked
 //!    microkernel that accumulates each tile over one `KC` block and adds
 //!    it to `C`.
@@ -377,6 +378,30 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     gemm_on(Tier::detect(), m, n, k, a, b, c);
 }
 
+/// Floats of scratch [`gemm`] carves for an `m x n x k` product at pool
+/// width `threads` on `tier`: the packed `B`, then [`gemm_packed`]'s.
+fn gemm_scratch_len(tier: Tier, m: usize, n: usize, k: usize, threads: usize) -> usize {
+    pcnn_parallel::lines(packed_b_len(n, k)) + a_packs_len(tier, m, n, k, threads)
+}
+
+/// Floats of scratch [`gemm_packed`] carves at width `threads`: every
+/// task's `A` packs.
+pub(crate) fn gemm_packed_scratch_len(m: usize, n: usize, k: usize, threads: usize) -> usize {
+    a_packs_len(Tier::detect(), m, n, k, threads)
+}
+
+fn a_packs_len(tier: Tier, m: usize, n: usize, k: usize, threads: usize) -> usize {
+    let part = partition_at(tier, m, n, k, threads);
+    pcnn_parallel::lines(part.tasks() * a_pack_len(tier, m, part))
+}
+
+/// One task's `A`-packing scratch: one `MC`-row group of its rows, `KC`
+/// deep.
+fn a_pack_len(tier: Tier, m: usize, part: GemmPartition) -> usize {
+    let mr = tier.mr();
+    (MC / mr).min(m.div_ceil(mr).div_ceil(part.row_splits)) * KC * mr
+}
+
 /// `C = A * B` with both operands already packed: `A` one image of a
 /// [`pack_a_images`] result, `B` a [`pack_b_with`] image of
 /// [`packed_b_len`] elements. So a caller whose operands are produced in
@@ -419,10 +444,11 @@ fn gemm_packed_ab_on(
         return;
     }
     let part = active_partition_on(tier, m, n, k);
-    gemm_packed_on(tier, m, n, k, OperandA::Packed(a), b_pack, part, c);
+    gemm_packed_on(tier, m, n, k, OperandA::Packed(a), b_pack, part, c, &mut []);
 }
 
-/// [`gemm`] on an explicit tier.
+/// [`gemm`] on an explicit tier, its scratch carved from the calling
+/// thread's workspace.
 fn gemm_on(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
@@ -432,20 +458,23 @@ fn gemm_on(tier: Tier, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &m
     }
 
     let part = active_partition_on(tier, m, n, k);
-    // The span starts before the scratch checkout so pool bookkeeping
-    // (and any first-use zero-fill) counts as packing time.
-    let span = phase_span(Phase::PackB);
-    let mut b_pack = pcnn_parallel::scratch_f32(packed_b_len(n, k));
-    pcnn_parallel::with_region_label("gemm.pack_b", || {
-        pack_b_with(n, k, &mut b_pack, part.tasks() > 1, |p, j0, dst| {
-            dst.copy_from_slice(&b[p * n + j0..p * n + j0 + dst.len()]);
+    let len = gemm_scratch_len(tier, m, n, k, pcnn_parallel::active_threads());
+    pcnn_parallel::with_workspace(len, |mut scratch| {
+        // The span covers the carve too, so whatever the scratch costs
+        // counts as packing time.
+        let span = phase_span(Phase::PackB);
+        let b_pack = pcnn_parallel::carve(&mut scratch, packed_b_len(n, k));
+        pcnn_parallel::with_region_label("gemm.pack_b", || {
+            pack_b_with(n, k, b_pack, part.tasks() > 1, |p, j0, dst| {
+                dst.copy_from_slice(&b[p * n + j0..p * n + j0 + dst.len()]);
+            });
         });
+        if let Some(s) = span {
+            // Reads the k x n source, writes the padded packed image.
+            s.finish(0, 4 * (k * n + packed_b_len(n, k)) as u64);
+        }
+        gemm_packed_on(tier, m, n, k, OperandA::Rows(a), b_pack, part, c, scratch);
     });
-    if let Some(s) = span {
-        // Reads the k x n source, writes the padded packed image.
-        s.finish(0, 4 * (k * n + packed_b_len(n, k)) as u64);
-    }
-    gemm_packed_on(tier, m, n, k, OperandA::Rows(a), &b_pack, part, c);
 }
 
 /// The partition [`gemm`] would actually run with right now: collapses to
@@ -457,11 +486,12 @@ pub(crate) fn active_partition(m: usize, n: usize, k: usize) -> GemmPartition {
 }
 
 fn active_partition_on(tier: Tier, m: usize, n: usize, k: usize) -> GemmPartition {
-    let threads = if pcnn_parallel::in_parallel_region() {
-        1
-    } else {
-        pcnn_parallel::current_threads()
-    };
+    partition_at(tier, m, n, k, pcnn_parallel::active_threads())
+}
+
+/// The partition [`gemm`] runs with at pool width `threads`: what its
+/// scratch is sized with.
+fn partition_at(tier: Tier, m: usize, n: usize, k: usize, threads: usize) -> GemmPartition {
     if threads <= 1 || m * n * k < PAR_MAC_THRESHOLD {
         GemmPartition {
             row_splits: 1,
@@ -482,7 +512,9 @@ pub(crate) fn packed_b_len(n: usize, k: usize) -> usize {
 /// micropanel layout. The compute tail of [`gemm`], shared with the direct
 /// convolution (which streams input patches into the packed image
 /// without materialising `B` at all); identical partitioning and loop
-/// nest, so outputs are bitwise-equal to the two-step path.
+/// nest, so outputs are bitwise-equal to the two-step path. `scratch`
+/// holds the `A` packs: [`gemm_packed_scratch_len`] floats or more.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed(
     m: usize,
     n: usize,
@@ -491,8 +523,10 @@ pub(crate) fn gemm_packed(
     b_pack: &[f32],
     part: GemmPartition,
     c: &mut [f32],
+    scratch: &mut [f32],
 ) {
-    gemm_packed_on(Tier::detect(), m, n, k, OperandA::Rows(a), b_pack, part, c);
+    let (tier, a) = (Tier::detect(), OperandA::Rows(a));
+    gemm_packed_on(tier, m, n, k, a, b_pack, part, c, scratch);
 }
 
 /// The `A` operand of the packed loop nest, and with it what the loop
@@ -517,6 +551,7 @@ fn gemm_packed_on(
     b_pack: &[f32],
     part: GemmPartition,
     c: &mut [f32],
+    mut scratch: &mut [f32],
 ) {
     let (mr, tasks) = (tier.mr(), part.tasks());
     let n_panels = n.div_ceil(NR);
@@ -530,16 +565,14 @@ fn gemm_packed_on(
         (rows, cols)
     };
     // Every task's `A`-packing scratch (none when `A` arrives packed) is
-    // one checkout made here, on the calling thread, before any worker
-    // starts: which pooled buffer it gets then depends on the call
-    // sequence alone, never on the order workers reach the pool.
-    let per_task = (MC / mr).min(mr_tiles.div_ceil(part.row_splits)) * KC * mr;
+    // one carve of the caller's scratch, split per task.
+    let per_task = a_pack_len(tier, m, part);
     let mut a_packs = matches!(a, OperandA::Rows(_)).then(|| {
         let span = phase_span(Phase::PackA);
-        let a_packs = pcnn_parallel::scratch_f32(tasks * per_task);
+        let a_packs = pcnn_parallel::carve(&mut scratch, tasks * per_task);
         if let Some(s) = span {
-            // Pool bookkeeping plus any first-use zero-fill, counted as
-            // each task's rows of one group without the tile padding.
+            // Counted as each task's rows of one group without the tile
+            // padding: one span per call, which `BENCH_profile.json` pins.
             let rows = (0..tasks).map(|t| {
                 let (tiles, _) = task_tiles(t);
                 ((tiles.end * mr).min(m) - tiles.start * mr).min(MC)
@@ -572,7 +605,7 @@ fn gemm_packed_on(
     // Workers record their pack-A / microkernel spans into the caller's
     // profile, under the caller's layer.
     let handoff = pcnn_profile::Handoff::capture();
-    pcnn_parallel::with_region_label("gemm", || match a_packs.as_deref_mut() {
+    pcnn_parallel::with_region_label("gemm", || match a_packs {
         Some(a_packs) => pcnn_parallel::par_chunks_mut(a_packs, per_task, |t, a_pack| {
             handoff.enter(|| run_task(t, a_pack));
         }),
@@ -582,8 +615,8 @@ fn gemm_packed_on(
     });
 }
 
-/// Builds the packed-`B` image of a `k x n` operand in `packed` (pooled
-/// scratch, [`packed_b_len`] elements) as `NR`-wide micropanels, one `KC`
+/// Builds the packed-`B` image of a `k x n` operand in `packed` (scratch,
+/// [`packed_b_len`] elements) as `NR`-wide micropanels, one `KC`
 /// block after another — the one owner of that layout. The operand
 /// itself is never read here: `fill_row(p, j0, dst)` must write
 /// `B[p][j0..j0 + dst.len()]` into `dst`, which lets [`gemm`] copy rows of
@@ -730,12 +763,17 @@ fn packed_a_len_on(tier: Tier, m: usize, k: usize) -> usize {
     m.div_ceil(tier.mr()) * tier.mr() * k
 }
 
-/// Packs `N` `m x k` operands for [`gemm_packed_ab`] into one pooled
-/// scratch of `N` equal images — the `A` side's one owner of the layout,
-/// as [`pack_b_with`] is `B`'s — from the columns `source` computes, so a
-/// caller computes all `N` operands in one pass over its source. Each
-/// image is followed by [`IMAGE_SKEW`] unused floats: image `x` starts at
-/// `x * packed.len() / N`.
+/// Floats [`pack_a_images`] writes for `images` `m x k` operands.
+pub(crate) fn packed_a_images_len(images: usize, m: usize, k: usize) -> usize {
+    images * (packed_a_len_on(Tier::detect(), m, k) + IMAGE_SKEW)
+}
+
+/// Packs `N` `m x k` operands for [`gemm_packed_ab`] into `packed`,
+/// [`packed_a_images_len`] floats of `N` equal images — the `A` side's one
+/// owner of the layout, as [`pack_b_with`] is `B`'s — from the columns
+/// `source` computes, so a caller computes all `N` operands in one pass
+/// over its source. Each image is followed by [`IMAGE_SKEW`] unused
+/// floats: image `x` starts at `x * packed.len() / N`.
 ///
 /// The image is the layout [`gemm`] packs one `MC`-row group into, for the
 /// whole operand: `KC` block `pc` starts at `p0 * ceil(m/MR) * MR`
@@ -745,8 +783,9 @@ pub(crate) fn pack_a_images<const N: usize>(
     m: usize,
     k: usize,
     source: &impl AColumns<N>,
-) -> pcnn_parallel::ScratchF32 {
-    pack_a_images_on(Tier::detect(), m, k, source)
+    packed: &mut [f32],
+) {
+    pack_a_images_on(Tier::detect(), m, k, source, packed);
 }
 
 fn pack_a_images_on<const N: usize>(
@@ -754,10 +793,10 @@ fn pack_a_images_on<const N: usize>(
     m: usize,
     k: usize,
     source: &impl AColumns<N>,
-) -> pcnn_parallel::ScratchF32 {
+    packed: &mut [f32],
+) {
     let len = packed_a_len_on(tier, m, k) + IMAGE_SKEW;
-    let mut packed = pcnn_parallel::scratch_f32(N * len);
-    let images = &mut packed[..];
+    let images = &mut packed[..N * len];
     match tier {
         // SAFETY: `Tier::Avx512` is only constructed after the runtime
         // probe found `avx512f` (the invariant on `Tier`).
@@ -769,7 +808,6 @@ fn pack_a_images_on<const N: usize>(
             }
         }),
     }
-    packed
 }
 
 /// [`pack_a_images`] on the AVX-512 tier: the source's 16-lane body stores
@@ -814,7 +852,7 @@ fn a_image_walk<const MR: usize>(
 /// Packs `rows x kc` of `A` (starting at `(m0, p0)`) into `MR`-row
 /// micropanels: tile `ir` starts at `ir * kc * MR`, element `(p, i)` at
 /// `p * MR + i`. Short bottom tiles are zero-padded; every element of
-/// `packed[..ceil(rows/MR) * kc * MR]` is written, so pooled scratch with
+/// `packed[..ceil(rows/MR) * kc * MR]` is written, so scratch with
 /// unspecified contents is safe.
 fn pack_a<const MR: usize>(
     m0: usize,
@@ -1684,6 +1722,18 @@ mod tests {
     /// products are all `-0.0` or cancel exactly, where a first block that
     /// stored a `-0.0` would show. Both images of a two-image pack are run,
     /// so the image offsets are held too.
+    /// [`pack_a_images_on`] into a buffer of its own.
+    fn packed_images<const N: usize>(
+        tier: Tier,
+        m: usize,
+        k: usize,
+        source: &impl AColumns<N>,
+    ) -> Vec<f32> {
+        let mut packed = vec![f32::NAN; N * (packed_a_len_on(tier, m, k) + IMAGE_SKEW)];
+        pack_a_images_on(tier, m, k, source, &mut packed);
+        packed
+    }
+
     #[test]
     fn packed_a_gemm_on_every_tier_is_bitwise_gemm_into_a_zeroed_c() {
         let shapes = [
@@ -1727,7 +1777,7 @@ mod tests {
                 }
                 for width in [1, 2, pcnn_parallel::current_threads()] {
                     for tier in Tier::available() {
-                        let packed = pack_a_images_on::<2>(tier, m, k, &|p, i0, live| {
+                        let packed = packed_images::<2>(tier, m, k, &|p, i0, live| {
                             let mut cols = [[0.0; A_LANES]; 2];
                             for (x, col) in cols.iter_mut().enumerate() {
                                 for (l, v) in col[..live].iter_mut().enumerate() {
@@ -1784,7 +1834,7 @@ mod tests {
                 let run = |tier: Tier| {
                     let mut rows = c0.clone();
                     gemm_on(tier, m, n, k, &a, &b, &mut rows);
-                    let image = pack_a_images_on::<1>(tier, m, k, &|p, i0, live| {
+                    let image = packed_images::<1>(tier, m, k, &|p, i0, live| {
                         let mut col = [[0.0; A_LANES]; 1];
                         for (l, v) in col[0][..live].iter_mut().enumerate() {
                             *v = a[(i0 + l) * k + p];

@@ -31,8 +31,10 @@ mod peaks;
 mod tensor;
 
 pub use conv::{
-    conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, conv2d_winograd_relu,
-    winograd_block_rows, winograd_coords, winograd_error_bound, winograd_tile, ConvAlgo,
+    conv2d, conv2d_direct, conv2d_in, conv2d_sampled, conv2d_sampled_scratch_len,
+    conv2d_scratch_len, conv2d_winograd, conv2d_winograd_relu, winograd_block_rows,
+    winograd_coords, winograd_error_bound, winograd_scratch_len, winograd_tile, ConvAlgo,
+    WriteBack,
 };
 pub use error::ShapeError;
 pub use gemm::{

@@ -30,24 +30,19 @@ impl MachinePeaks {
 /// 96-row packing group, so no tier runs a ragged edge, and ~570 KiB of
 /// operands, L2-resident, packing amortised over 288 rows and 128 columns.
 /// The copy moves 2 MiB into 2 MiB — a 4 MiB working set, past one core's
-/// L2. The operands are scratch-pool checkouts, so a probe in a process
-/// that has run a forward adds nothing to its footprint. Run this
-/// *before* enabling the profiler, or the probe GEMM lands on its
-/// unattributed row.
+/// L2. The operands are plain buffers, dropped on return; the GEMM's own
+/// packing scratch is the calling thread's workspace, like any `gemm`
+/// call's. Run this *before* enabling the profiler, or the probe GEMM
+/// lands on its unattributed row.
 pub fn calibrate(reps: usize) -> MachinePeaks {
     let (m, n, k) = (288, 128, 256);
-    let filled = |len, v| {
-        let mut buf = pcnn_parallel::scratch_f32(len);
-        buf.fill(v);
-        buf
-    };
-    let (a, b, mut c) = (filled(m * k, 1.0), filled(k * n, 0.5), filled(m * n, 0.0));
+    let (a, b, mut c) = (vec![1.0; m * k], vec![0.5; k * n], vec![0.0; m * n]);
     let gemm_secs = best_of(reps, || {
         crate::gemm(m, n, k, &a, &b, &mut c);
         std::hint::black_box(&c);
     });
     drop((a, b, c));
-    let (src, mut dst) = (filled(1 << 19, 1.0), filled(1 << 19, 0.0));
+    let (src, mut dst) = (vec![1.0f32; 1 << 19], vec![0.0f32; 1 << 19]);
     let secs = best_of(reps, || {
         dst.copy_from_slice(&src);
         std::hint::black_box(&dst);

@@ -1,6 +1,7 @@
 //! The fixture shared by the pinned-hash tests (`gemm_bits.rs`,
-//! `winograd_bits.rs`): operands and hash are part of what the recorded
-//! constants mean, so there is one copy.
+//! `winograd_bits.rs`, and `pcnn-nn`'s): operands and hash are part of
+//! what the recorded constants mean, so there is one copy — and the
+//! poisoned workspace those tests run their entry points on.
 
 /// Deterministic operand fill from an integer hash of the index: values
 /// in `[-1000, 1000] / 512`, so products carry ~20 significant bits and
@@ -27,4 +28,14 @@ pub fn fnv1a(c: &[f32]) -> u64 {
         }
     }
     h
+}
+
+/// Runs `f` after filling the first `len` floats of the calling thread's
+/// workspace with NaN: an entry point in `f` that asks for `len` floats or
+/// fewer starts from NaN wherever its kernels read scratch they did not
+/// write, and a pinned hash would show it.
+#[allow(dead_code)] // `gemm_bits.rs` pins no entry point that takes scratch.
+pub fn poisoned<R>(len: usize, f: impl FnOnce() -> R) -> R {
+    pcnn_parallel::with_workspace(len, |ws| ws.fill(f32::NAN));
+    f()
 }

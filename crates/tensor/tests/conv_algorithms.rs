@@ -11,8 +11,8 @@
 
 use pcnn_profile::{Phase, PhaseTotals};
 use pcnn_tensor::{
-    conv2d, conv2d_direct, conv2d_sampled, conv2d_winograd, gemm_bias, im2col, winograd_coords,
-    winograd_error_bound, winograd_tile, Conv2dGeometry, ConvAlgo,
+    conv2d, conv2d_direct, conv2d_sampled, conv2d_sampled_scratch_len, conv2d_winograd, gemm_bias,
+    im2col, winograd_coords, winograd_error_bound, winograd_tile, Conv2dGeometry, ConvAlgo,
 };
 use proptest::prelude::*;
 
@@ -68,7 +68,18 @@ fn run_sampled_identity(
 ) -> Vec<f32> {
     let all: Vec<usize> = (0..geom.out_positions()).collect();
     let mut out = vec![f32::NAN; oc * all.len()];
-    conv2d_sampled(geom, oc, w, b, x, 1, &all, &mut out);
+    let len = conv2d_sampled_scratch_len(geom, oc, 1, all.len(), pcnn_parallel::active_threads());
+    conv2d_sampled(
+        geom,
+        oc,
+        w,
+        b,
+        x,
+        1,
+        &all,
+        &mut out,
+        &mut vec![f32::NAN; len],
+    );
     out
 }
 

@@ -19,12 +19,16 @@
 //! before the filter transform wrote the GEMM's packed `A` and the 16
 //! GEMMs began storing their first block instead of adding it to a
 //! zero-filled `M`.
+//!
+//! Every run starts from a workspace filled with NaN ([`poisoned`]), so a
+//! kernel that read scratch it had not written would move a hash.
 
 mod common;
 
-use common::{fixture, fnv1a};
+use common::{fixture, fnv1a, poisoned};
 use pcnn_tensor::{
-    conv2d, conv2d_winograd, conv2d_winograd_relu, winograd_tile, Conv2dGeometry, ConvAlgo,
+    conv2d, conv2d_scratch_len, conv2d_winograd, conv2d_winograd_relu, winograd_scratch_len,
+    winograd_tile, Conv2dGeometry, ConvAlgo,
 };
 
 /// `(in_channels, in_h, in_w, pad, out_channels, hash of out)`.
@@ -62,7 +66,9 @@ fn winograd_output_bits_are_pinned_across_block_and_thread_changes() {
         for threads in [1usize, 2, 3, 8] {
             let got = pcnn_parallel::with_threads(threads, || {
                 let mut out = vec![f32::NAN; oc * geom.out_positions()];
-                conv2d_winograd(&geom, oc, &weight, &bias, &input, &mut out);
+                poisoned(winograd_scratch_len(&geom, oc, 2, threads), || {
+                    conv2d_winograd(&geom, oc, &weight, &bias, &input, &mut out)
+                });
                 fnv1a(&out)
             });
             assert_eq!(
@@ -123,11 +129,12 @@ fn winograd4_output_bits_are_pinned_across_block_chunk_and_thread_changes() {
                 let (w, b, x) = (&weight[..], &bias[..], &input[..]);
                 let positions = geom.out_positions() / if let Fused::Pool = fused { 4 } else { 1 };
                 let mut out = vec![f32::NAN; oc * positions];
-                match fused {
+                let len = conv2d_scratch_len(ConvAlgo::Winograd, &geom, oc, threads);
+                poisoned(len, || match fused {
                     Fused::No => conv2d(ConvAlgo::Winograd, &geom, oc, w, b, x, 1, &mut out),
                     Fused::Relu => conv2d_winograd_relu(&geom, oc, w, b, x, 1, false, &mut out),
                     Fused::Pool => conv2d_winograd_relu(&geom, oc, w, b, x, 1, true, &mut out),
-                }
+                });
                 fnv1a(&out)
             });
             assert_eq!(
@@ -180,16 +187,17 @@ fn winograd5_output_bits_are_pinned_across_block_and_thread_changes() {
                 let (w, b, x) = (&weight[..], &bias[..], &input[..]);
                 let positions = geom.out_positions() / if let Fused::Pool = fused { 4 } else { 1 };
                 let mut out = vec![f32::NAN; oc * positions];
-                match fused {
+                let len = conv2d_scratch_len(ConvAlgo::Winograd, &geom, oc, threads);
+                poisoned(len, || match fused {
                     Fused::No => {
                         conv2d(ConvAlgo::Winograd, &geom, oc, w, b, x, 1, &mut out);
                         let mut alone = vec![f32::NAN; out.len()];
-                        conv2d_winograd(&geom, oc, w, b, x, &mut alone);
+                        poisoned(len, || conv2d_winograd(&geom, oc, w, b, x, &mut alone));
                         assert_eq!(fnv1a(&alone), fnv1a(&out), "conv2d_winograd is F(2x2,5x5)");
                     }
                     Fused::Relu => conv2d_winograd_relu(&geom, oc, w, b, x, 1, false, &mut out),
                     Fused::Pool => conv2d_winograd_relu(&geom, oc, w, b, x, 1, true, &mut out),
-                }
+                });
                 fnv1a(&out)
             });
             assert_eq!(
