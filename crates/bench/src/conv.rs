@@ -273,7 +273,7 @@ fn input_fill(i: usize) -> f32 {
 /// timing moves one sample, never the verdict. Operands are the tuner's
 /// deterministic fills.
 fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
-    let geom = shape.geometry();
+    let (geom, oc, wb) = (shape.geometry(), shape.oc, pcnn_tensor::WriteBack::Bias);
     let (k, n) = (geom.patch_len(), geom.out_positions());
     let weight: Vec<f32> = (0..shape.oc * k).map(weight_fill).collect();
     let bias: Vec<f32> = (0..shape.oc).map(bias_fill).collect();
@@ -293,7 +293,7 @@ fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
             im2col(&geom, &input, &mut cols);
             gemm_bias(shape.oc, n, k, &weight, &cols, &bias, &mut out);
         }
-        _ => conv2d(algo, &geom, shape.oc, &weight, &bias, &input, 1, &mut out),
+        _ => conv2d(algo, wb, &geom, oc, &weight, &bias, &input, 1, &mut out),
     };
     let mut secs = vec![vec![f64::INFINITY; threads.len()]; eligible.len()];
     let mut errors = vec![Vec::new(); eligible.len()];
@@ -302,7 +302,7 @@ fn sweep_shape(shape: &ConvShape, reps: usize, threads: &[usize]) -> ConvRow {
         gbs: 0.0,
     };
     pcnn_parallel::with_threads(1, || {
-        // Warm once: pool scratch, page faults.
+        // Warm once: workspace growth, page faults.
         eligible.iter().for_each(|&algo| run(algo));
         for _ in 0..reps.max(1) {
             let probe = pcnn_tensor::calibrate(3);
@@ -430,7 +430,7 @@ pub fn run_perforation_bench(reps: usize, smoke: bool) -> Vec<PerforationRow> {
                 input_fill,
             );
             let timed = |f: &dyn Fn() -> Tensor| {
-                f(); // warm: pool scratch, page faults
+                f(); // warm: workspace growth, page faults
                 1e3 * best_secs(reps, || {
                     std::hint::black_box(f());
                 })

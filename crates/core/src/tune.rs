@@ -29,7 +29,7 @@ use pcnn_nn::layer::Conv2d;
 use pcnn_nn::{ConvPlan, Layer, Network};
 use pcnn_tensor::{
     conv2d, gemm_tile, winograd_block_rows, winograd_coords, winograd_tile, Conv2dGeometry,
-    ConvAlgo, MachinePeaks,
+    ConvAlgo, MachinePeaks, WriteBack,
 };
 
 /// Memoization key: a conv layer's full shape.
@@ -69,7 +69,7 @@ impl WallClockTimer {
 
 impl CandidateTimer for WallClockTimer {
     fn time(&mut self, algo: ConvAlgo, layer: &Conv2d) -> f64 {
-        let (geom, oc) = (layer.geometry(), layer.out_channels());
+        let (geom, oc, wb) = (layer.geometry(), layer.out_channels(), WriteBack::Bias);
         let (weight, bias) = layer.params();
         // A deterministic pseudo-random image (the GEMM benchmarks' fill
         // pattern): values in roughly [-2, 2).
@@ -78,7 +78,7 @@ impl CandidateTimer for WallClockTimer {
             .collect();
         let mut out = vec![0.0; oc * geom.out_positions()];
         // The call the plan's layer then makes, one image at a time.
-        let mut run = || conv2d(algo, geom, oc, weight.data(), bias, &input, 1, &mut out);
+        let mut run = || conv2d(algo, wb, geom, oc, weight.data(), bias, &input, 1, &mut out);
         // Warm once (workspace growth, page faults), then measure.
         run();
         let mut best = f64::INFINITY;

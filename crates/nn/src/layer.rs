@@ -9,16 +9,17 @@
 //! Perforated inference (Fig. 11) evaluates the GEMM only at a sampled
 //! subset of output positions — gathered straight into the GEMM's packed
 //! operand, one GEMM per group of images — and interpolates the rest.
-//! Inference runs every layer through one step executor
-//! (`Layer::run_step`, what `Network::run` and [`Layer::forward_algo`]
-//! both call), which writes each output into storage its caller hands it,
-//! with the scratch its kernels carve beside it: both laid out in the
-//! calling thread's workspace by `Network::run`, a zeroed tensor and the
-//! workspace behind the public forwards. Training runs through
-//! [`Layer::forward_train`].
+//! Inference decides each layer's shapes by one rule
+//! (`Layer::output_shape`: it checks the input, and the step against the
+//! layer) and runs it through one step executor (`Layer::run_step`), which
+//! trusts that rule and writes the output into the slice its caller hands
+//! it, its kernels' scratch carved from a second one. `Network::run`
+//! hands both from the slots its plan lays out in the calling thread's
+//! workspace; the public forwards ([`Layer::forward_algo`] and the
+//! per-layer ones) a new tensor of the rule's shape and the workspace.
+//! Training runs through [`Layer::forward_train`].
 
 use std::borrow::Cow;
-use std::ops::DerefMut;
 
 use pcnn_parallel::{active_threads, carve, lines, with_workspace};
 use pcnn_profile::{phase_span, Phase};
@@ -68,18 +69,14 @@ fn images_per_sampled_gemm(patch_len: usize, n_keep: usize) -> usize {
     (SAMPLED_GEMM_FLOATS / (patch_len * n_keep).max(1)).max(1)
 }
 
-/// A step's output and its shape, in the storage its caller handed it.
-type Out<O> = Result<(Vec<usize>, O), NnError>;
-
-/// What a step's `new_out(len)` hands it: storage for its `len`-float
-/// output, and the scratch its kernels carve (on a cache line, contents
-/// unspecified) — or the error that the output does not fit.
-type Storage<'s, O> = Result<(O, &'s mut [f32]), NnError>;
-
-/// Zeroed output storage beside `scratch`: what the public forwards write
-/// into.
-fn zeroed<'s>(scratch: &'s mut [f32]) -> impl FnOnce(usize) -> Storage<'s, Vec<f32>> {
-    move |len| Ok((vec![0.0; len], scratch))
+/// `context`'s refusal of an input of shape `actual`.
+pub(crate) fn refuse(context: &str, expected: String, actual: &[usize]) -> NnError {
+    let (context, actual) = (context.into(), actual.to_vec());
+    NnError::Shape {
+        context,
+        expected,
+        actual,
+    }
 }
 
 /// Floats of scratch `step` carves on a conv layer of this geometry and
@@ -103,11 +100,6 @@ pub(crate) fn conv_scratch_len(
         }
         Step::Fused | Step::Other => 0,
     }
-}
-
-/// A step's output as a tensor.
-fn tensor((shape, data): (Vec<usize>, Vec<f32>)) -> Tensor {
-    Tensor::from_vec(shape, data).expect("a step writes its whole output shape")
 }
 
 /// 2-D convolution: weights `[out_channels, S_f^2 * N_c]`, NCHW activations.
@@ -173,26 +165,50 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Output shape for a batch of `n` images.
-    pub fn output_shape(&self, n: usize) -> Vec<usize> {
-        vec![n, self.out_channels, self.geom.out_h, self.geom.out_w]
-    }
-
     /// Whether the output map tiles exactly into 2x2 pooling windows.
     pub(crate) fn even_map(&self) -> bool {
         self.geom.out_h.is_multiple_of(2) && self.geom.out_w.is_multiple_of(2)
     }
 
-    fn check_input(&self, shape: &[usize]) -> Result<usize, NnError> {
+    /// The conv arm of [`Layer::output_shape`]: `[N, out_channels, out_h,
+    /// out_w]` (each side halved by a pool fused into the write-back) from
+    /// `[N, in_channels, in_h, in_w]`, under a step this layer can run: an
+    /// algorithm that supports its shape (Winograd to fuse a write-back, an
+    /// even map to pool in it), or a perforation of its own output map.
+    fn shape_after(&self, input: &[usize], step: &Step) -> Result<Vec<usize>, NnError> {
         let g = &self.geom;
-        if shape.len() != 4 || shape[1..] != [g.in_channels, g.in_h, g.in_w] {
-            return Err(NnError::Shape {
-                context: "Conv2d".into(),
-                expected: format!("[N, {}, {}, {}]", g.in_channels, g.in_h, g.in_w),
-                actual: shape.to_vec(),
-            });
+        let halve = match step {
+            Step::Conv(algo, _) if !algo.supports(g) => {
+                return Err(NnError::Plan(format!(
+                    "{algo} cannot run a {}x{} stride-{} conv layer",
+                    g.kernel, g.kernel, g.stride
+                )))
+            }
+            Step::Conv(ConvAlgo::Winograd, WriteBack::ReluPool) if self.even_map() => true,
+            Step::Conv(ConvAlgo::Winograd, WriteBack::Relu) | Step::Conv(_, WriteBack::Bias) => {
+                false
+            }
+            Step::Sampled(p) if (p.out_h(), p.out_w()) != (g.out_h, g.out_w) => {
+                return Err(NnError::Perforation(format!(
+                    "plan is for {}x{} map, layer has {}x{}",
+                    p.out_h(),
+                    p.out_w(),
+                    g.out_h,
+                    g.out_w
+                )))
+            }
+            Step::Sampled(p) if p.kept_positions().is_empty() => {
+                return Err(NnError::Perforation("no kept positions".into()))
+            }
+            Step::Sampled(_) => false,
+            _ => return Err(foreign_step("conv")),
+        };
+        if input.len() != 4 || input[1..] != [g.in_channels, g.in_h, g.in_w] {
+            let expected = format!("[N, {}, {}, {}]", g.in_channels, g.in_h, g.in_w);
+            return Err(refuse("Conv2d", expected, input));
         }
-        Ok(shape[0])
+        let d = 1 + usize::from(halve);
+        Ok(vec![input[0], self.out_channels, g.out_h / d, g.out_w / d])
     }
 
     /// Full (unperforated) forward pass through the chosen convolution
@@ -215,12 +231,11 @@ impl Conv2d {
     /// `step` on `input` into a new tensor, its kernels' scratch the
     /// calling thread's workspace: the public conv forwards.
     fn forward_step(&self, input: &Tensor, step: &Step) -> Result<Tensor, NnError> {
-        let images = input.shape().first().copied().unwrap_or(0);
-        let len = conv_scratch_len(step, self.shape(), images, active_threads());
-        with_workspace(len, |ws| {
-            self.run_step(input.shape(), input.data(), step, zeroed(ws))
-        })
-        .map(tensor)
+        let mut out = Tensor::zeros(self.shape_after(input.shape(), step)?);
+        let len = conv_scratch_len(step, self.shape(), input.shape()[0], active_threads());
+        let (shape, x) = (input.shape(), input.data());
+        with_workspace(len, |ws| self.run_step(shape, x, step, out.data_mut(), ws));
+        Ok(out)
     }
 
     /// Geometry and output channels: what the layer's scratch is a
@@ -229,48 +244,19 @@ impl Conv2d {
         (&self.geom, self.out_channels)
     }
 
-    /// The conv step executor: `step` into storage from `new_out`.
-    fn run_step<'s, O: DerefMut<Target = [f32]>>(
+    /// The conv step executor: `step` on the `shape` input `x` into `out`,
+    /// its kernels' scratch carved from `scratch` (`conv_scratch_len`
+    /// floats), both as [`Layer::output_shape`] sized them.
+    fn run_step(
         &self,
         shape: &[usize],
         x: &[f32],
         step: &Step,
-        new_out: impl FnOnce(usize) -> Storage<'s, O>,
-    ) -> Out<O> {
-        match step {
-            Step::Sampled(p) => self.sampled_into(shape, x, p, new_out),
-            Step::Conv(algo, wb) => self.full_into(shape, x, *algo, *wb, new_out),
-            Step::Fused | Step::Other => Err(NnError::Plan(
-                "a conv layer was handed a step compiled for a non-conv layer".into(),
-            )),
-        }
-    }
-
-    /// [`forward_with`](Self::forward_with) into storage from `new_out`,
-    /// writing back through `wb` (a fused ReLU, and pool, on Winograd).
-    fn full_into<'s, O: DerefMut<Target = [f32]>>(
-        &self,
-        shape: &[usize],
-        x: &[f32],
-        algo: ConvAlgo,
-        wb: WriteBack,
-        new_out: impl FnOnce(usize) -> Storage<'s, O>,
-    ) -> Out<O> {
-        if !algo.supports(&self.geom) {
-            return Err(NnError::Plan(format!(
-                "{algo} cannot run a {}x{} stride-{} conv layer",
-                self.geom.kernel, self.geom.kernel, self.geom.stride
-            )));
-        }
-        let batch = self.check_input(shape)?;
-        let mut out_shape = self.output_shape(batch);
-        if wb == WriteBack::ReluPool {
-            out_shape[2] /= 2;
-            out_shape[3] /= 2;
-        }
-        let span = phase_span(Phase::Epilogue);
-        let (mut out, scratch) = new_out(out_shape.iter().product())?;
-        if let Some(s) = span {
+        out: &mut [f32],
+        scratch: &mut [f32],
+    ) {
+        // The output map, booked to the epilogue as the layer's store.
+        if let Some(s) = phase_span(Phase::Epilogue) {
             s.finish(0, 4 * out.len() as u64);
         }
         let (g, oc, w, b) = (
@@ -279,8 +265,11 @@ impl Conv2d {
             self.weight.data(),
             &self.bias,
         );
-        conv2d_in(algo, wb, g, oc, w, b, x, batch, &mut out, scratch);
-        Ok((out_shape, out))
+        match step {
+            Step::Conv(algo, wb) => conv2d_in(*algo, *wb, g, oc, w, b, x, shape[0], out, scratch),
+            Step::Sampled(p) => self.sampled_into(shape[0], x, p, out, scratch),
+            Step::Fused | Step::Other => unreachable!("the shape rule refuses it a conv layer"),
+        }
     }
 
     /// Perforated forward pass (paper Fig. 11): evaluate the convolution
@@ -311,38 +300,20 @@ impl Conv2d {
         self.forward_step(input, &Step::Sampled(Cow::Borrowed(perf)))
     }
 
-    /// [`forward_perforated`](Self::forward_perforated) into storage from
-    /// `new_out`.
-    fn sampled_into<'s, O: DerefMut<Target = [f32]>>(
+    /// [`forward_perforated`](Self::forward_perforated) of `batch` images
+    /// into `out`.
+    fn sampled_into(
         &self,
-        shape: &[usize],
+        batch: usize,
         x: &[f32],
         perf: &LayerPerforation,
-        new_out: impl FnOnce(usize) -> Storage<'s, O>,
-    ) -> Out<O> {
-        let batch = self.check_input(shape)?;
-        let g = &self.geom;
-        if perf.out_h() != g.out_h || perf.out_w() != g.out_w {
-            return Err(NnError::Perforation(format!(
-                "plan is for {}x{} map, layer has {}x{}",
-                perf.out_h(),
-                perf.out_w(),
-                g.out_h,
-                g.out_w
-            )));
-        }
-        let kept = perf.kept_positions();
-        if kept.is_empty() {
-            return Err(NnError::Perforation("no kept positions".into()));
-        }
+        out: &mut [f32],
+        mut scratch: &mut [f32],
+    ) {
+        let (g, kept) = (&self.geom, perf.kept_positions());
         let (k, n_pos, n_keep) = (g.patch_len(), g.out_positions(), kept.len());
         let (oc, chw) = (self.out_channels, g.in_channels * g.in_h * g.in_w);
         let group = images_per_sampled_gemm(k, n_keep).min(batch.max(1));
-        let span = phase_span(Phase::Epilogue);
-        let (mut out, mut scratch) = new_out(batch * oc * n_pos)?;
-        if let Some(s) = span {
-            s.finish(0, 4 * out.len() as u64);
-        }
         // `conv2d_sampled` overwrites all of the block it is handed.
         let sampled = carve(&mut scratch, oc * group * n_keep);
         for first in (0..batch).step_by(group) {
@@ -357,7 +328,7 @@ impl Conv2d {
                 images,
                 kept,
                 &mut sampled[..oc * n],
-                &mut *scratch,
+                scratch,
             );
             let span = phase_span(Phase::Epilogue);
             for i in 0..images {
@@ -375,7 +346,6 @@ impl Conv2d {
                 );
             }
         }
-        Ok((self.output_shape(batch), out))
     }
 
     /// Backward pass. Recomputes im2col from the saved `input`.
@@ -455,39 +425,46 @@ impl MaxPool2d {
     /// Returns [`NnError::Shape`] if `input` is not 4-D or a window is
     /// larger than its map.
     pub fn forward(&self, input: &Tensor) -> Result<(Tensor, LayerCache), NnError> {
-        let mut indices = Vec::new();
-        let out = self.pool(input.shape(), input.data(), zeroed(&mut []), |best_idx| {
+        let mut out = Tensor::zeros(self.shape_after(input.shape())?);
+        let mut indices = Vec::with_capacity(out.len());
+        self.pool(input.shape(), input.data(), out.data_mut(), |best_idx| {
             indices.push(best_idx)
-        })?;
-        Ok((tensor(out), LayerCache::PoolIndices(indices)))
+        });
+        Ok((out, LayerCache::PoolIndices(indices)))
     }
 
-    /// The pooling walk, into storage from `new_out`. A window's best
+    /// The pool arm of [`Layer::output_shape`]: `[N, C, H, W]`, each
+    /// window inside its map, to `[N, C, (H - k) / s + 1, (W - k) / s + 1]`.
+    fn shape_after(&self, input: &[usize]) -> Result<Vec<usize>, NnError> {
+        let (k, s) = (self.kernel, self.stride);
+        match *input {
+            [n, c, h, w] if h >= k && w >= k => Ok(vec![n, c, (h - k) / s + 1, (w - k) / s + 1]),
+            _ => Err(refuse(
+                "MaxPool2d",
+                format!("[N, C, H >= {k}, W >= {k}]"),
+                input,
+            )),
+        }
+    }
+
+    /// The pooling walk of a `shape` input into `out`. A window's best
     /// starts as its first element and a later one replaces it only if
     /// strictly greater, in row-major window order — ties keep the
     /// earliest, and a NaN wins exactly when it comes first. `on_max` is
     /// told the winner's flat input index, output by output.
-    fn pool<'s, O: DerefMut<Target = [f32]>>(
+    fn pool(
         &self,
         shape: &[usize],
         in_data: &[f32],
-        new_out: impl FnOnce(usize) -> Storage<'s, O>,
+        out: &mut [f32],
         mut on_max: impl FnMut(usize),
-    ) -> Out<O> {
-        let k = self.kernel;
-        let (n, c, h, w) = match *shape {
-            [n, c, h, w] if h >= k && w >= k => (n, c, h, w),
-            _ => {
-                return Err(NnError::Shape {
-                    context: "MaxPool2d".into(),
-                    expected: format!("[N, C, H >= {k}, W >= {k}]"),
-                    actual: shape.to_vec(),
-                })
-            }
+    ) {
+        let (c, h, w) = (shape[1], shape[2], shape[3]);
+        let (n, oh, ow) = match self.shape_after(shape).as_deref() {
+            Ok(&[n, _, oh, ow]) => (n, oh, ow),
+            _ => unreachable!("the shape rule refuses the pool this input"),
         };
-        let (oh, ow) = ((h - k) / self.stride + 1, (w - k) / self.stride + 1);
-        let (mut out, _) = new_out(n * c * oh * ow)?;
-        let out_data = &mut out[..];
+        let out_data = out;
         let mut oi = 0;
         for b in 0..n {
             for ch in 0..c {
@@ -513,7 +490,6 @@ impl MaxPool2d {
                 }
             }
         }
-        Ok((vec![n, c, oh, ow], out))
     }
 
     /// Backward pass: scatter gradients to the cached argmax positions.
@@ -600,39 +576,36 @@ impl Linear {
     ///
     /// Returns [`NnError::Shape`] on mismatch.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_into(input.shape(), input.data(), zeroed(&mut []))
-            .map(tensor)
+        let mut out = Tensor::zeros(self.shape_after(input.shape())?);
+        self.forward_into(input.shape()[0], input.data(), out.data_mut());
+        Ok(out)
     }
 
-    /// [`forward`](Self::forward) into storage from `new_out`.
-    fn forward_into<'s, O: DerefMut<Target = [f32]>>(
-        &self,
-        shape: &[usize],
-        x: &[f32],
-        new_out: impl FnOnce(usize) -> Storage<'s, O>,
-    ) -> Out<O> {
-        let n = match *shape {
-            [n, features] if features == self.in_features => n,
-            _ => {
-                return Err(NnError::Shape {
-                    context: "Linear".into(),
-                    expected: format!("[N, {}]", self.in_features),
-                    actual: shape.to_vec(),
-                })
-            }
-        };
+    /// The linear arm of [`Layer::output_shape`]: `[N, in_features]` to
+    /// `[N, out_features]`.
+    fn shape_after(&self, input: &[usize]) -> Result<Vec<usize>, NnError> {
+        match *input {
+            [n, features] if features == self.in_features => Ok(vec![n, self.out_features]),
+            _ => Err(refuse(
+                "Linear",
+                format!("[N, {}]", self.in_features),
+                input,
+            )),
+        }
+    }
+
+    /// [`forward`](Self::forward) of `n` rows into `out`.
+    fn forward_into(&self, n: usize, x: &[f32], out: &mut [f32]) {
         let span = phase_span(Phase::Epilogue);
-        let (mut out, _) = new_out(n * self.out_features)?;
         for o in out.chunks_mut(self.out_features) {
             o.copy_from_slice(&self.bias);
         }
         if let Some(s) = span {
-            // The output checkout plus the bias broadcast into every row.
-            s.finish(0, 8 * (n * self.out_features) as u64);
+            // The output written and the bias broadcast into every row.
+            s.finish(0, 8 * out.len() as u64);
         }
         let (m, k) = (self.out_features, self.in_features);
-        gemm_nt(n, m, k, x, self.weight.data(), &mut out);
-        Ok((vec![n, self.out_features], out))
+        gemm_nt(n, m, k, x, self.weight.data(), out);
     }
 
     /// Backward pass; returns `(d_input, grads)`.
@@ -712,6 +685,13 @@ pub enum Layer {
     Dropout(f32),
 }
 
+/// The refusal of a step compiled for another layer than a `kind` one.
+fn foreign_step(kind: &str) -> NnError {
+    NnError::Plan(format!(
+        "a {kind} layer cannot run a step compiled for another layer"
+    ))
+}
+
 /// ReLU, `max(x, 0)` per element, as one `Activation` span: `out` written
 /// from `input`, or in place without one.
 pub(crate) fn relu(input: Option<&[f32]>, out: &mut [f32]) {
@@ -773,10 +753,11 @@ impl Layer {
         algo: ConvAlgo,
     ) -> Result<(Tensor, LayerCache), NnError> {
         let step = self.step(perf, algo);
-        let out = match self {
-            Layer::Conv2d(c) => c.forward_step(input, &step)?,
-            _ => tensor(self.run_step(input.shape(), input.data(), &step, zeroed(&mut []))?),
-        };
+        let mut out = Tensor::zeros(self.output_shape(input.shape(), &step)?);
+        let (shape, x) = (input.shape(), input.data());
+        let images = shape.first().map_or(0, |n| *n);
+        let len = self.scratch_len(images, perf, algo, active_threads());
+        with_workspace(len, |ws| self.run_step(shape, x, &step, out.data_mut(), ws));
         Ok((out, LayerCache::None))
     }
 
@@ -807,73 +788,70 @@ impl Layer {
         }
     }
 
-    /// Whether `step` is one this layer can execute: a conv layer needs an
-    /// algorithm that supports its shape (an even map, to pool in its
-    /// write-back) or a perforation of its own output map, a ReLU or a
-    /// 2x2 stride-2 pool may be fused, every other layer takes
-    /// [`Step::Other`] only.
-    pub(crate) fn accepts(&self, step: &Step) -> bool {
+    /// The one shape rule of inference: the shape `step` writes on an
+    /// input of shape `input` (`[N, ...]`), or why this layer cannot run
+    /// it — an input of another shape ([`NnError::Shape`]), a perforation
+    /// of another map ([`NnError::Perforation`]), or a step compiled for
+    /// another layer ([`NnError::Plan`]). A ReLU or a 2x2 stride-2 pool
+    /// fused into the conv before it passes that conv's output on.
+    /// `Network::compile` records every step's output by it, `Network::run`
+    /// refuses a plan that disagrees with it, and the public forwards
+    /// allocate their output by it; the step bodies trust it.
+    pub(crate) fn output_shape(&self, input: &[usize], step: &Step) -> Result<Vec<usize>, NnError> {
         match (self, step) {
-            (Layer::Conv2d(c), Step::Conv(algo, wb)) => {
-                let fuses = *algo == ConvAlgo::Winograd || *wb == WriteBack::Bias;
-                algo.supports(&c.geom) && fuses && (*wb != WriteBack::ReluPool || c.even_map())
+            (Layer::Conv2d(c), _) => c.shape_after(input, step),
+            (Layer::MaxPool2d(p), Step::Other) => p.shape_after(input),
+            (Layer::Linear(l), Step::Other) => l.shape_after(input),
+            (Layer::Flatten, Step::Other) => match input {
+                [n, image @ ..] => Ok(vec![*n, image.iter().product()]),
+                [] => Err(refuse("Flatten", "[N, ...]".into(), input)),
+            },
+            (Layer::Relu, Step::Other | Step::Fused) | (Layer::Dropout(_), Step::Other) => {
+                Ok(input.to_vec())
             }
-            (Layer::Conv2d(c), Step::Sampled(p)) => {
-                (p.out_h(), p.out_w()) == (c.geom.out_h, c.geom.out_w)
+            (Layer::MaxPool2d(p), Step::Fused) if (p.kernel, p.stride) == (2, 2) => {
+                Ok(input.to_vec())
             }
-            (Layer::Relu, Step::Fused) => true,
-            (Layer::MaxPool2d(p), Step::Fused) => (p.kernel, p.stride) == (2, 2),
-            (Layer::Conv2d(_), _) => false,
-            (_, step) => matches!(step, Step::Other),
+            _ => Err(foreign_step(self.kind())),
         }
     }
 
     /// The step executor: the one inference forward of a layer, behind
     /// both `Network::run` and [`forward_algo`](Self::forward_algo). It
-    /// writes every element of the output into storage from `new_out`,
-    /// and a conv's kernels carve their scratch from what comes with it
-    /// (`conv_scratch_len` floats).
-    pub(crate) fn run_step<'s, O: DerefMut<Target = [f32]>>(
+    /// runs `step` on the `shape` input `x`, writing every element of
+    /// `out`, and a conv's kernels carve their scratch from `scratch`
+    /// (`conv_scratch_len` floats): both sized by
+    /// [`output_shape`](Self::output_shape), which has checked `shape`.
+    pub(crate) fn run_step(
         &self,
         shape: &[usize],
         x: &[f32],
         step: &Step,
-        new_out: impl FnOnce(usize) -> Storage<'s, O>,
-    ) -> Out<O> {
-        match (self, step) {
-            (Layer::Conv2d(c), _) => c.run_step(shape, x, step, new_out),
-            (Layer::Relu, _) => {
-                let (mut out, _) = new_out(x.len())?;
-                relu(Some(x), &mut out);
-                Ok((shape.to_vec(), out))
-            }
-            (Layer::MaxPool2d(p), _) => {
+        out: &mut [f32],
+        scratch: &mut [f32],
+    ) {
+        match self {
+            Layer::Conv2d(c) => c.run_step(shape, x, step, out, scratch),
+            Layer::Relu => relu(Some(x), out),
+            Layer::MaxPool2d(p) => {
                 let span = phase_span(Phase::Activation);
                 // No argmax cache (8 bytes per output, twice the tensor
                 // itself): only a training pass has a backward to feed.
-                let result = p.pool(shape, x, new_out, |_| {});
+                p.pool(shape, x, out, |_| {});
                 if let Some(s) = span {
-                    let in_n = x.len() as u64;
-                    let out_n = result.as_ref().map_or(0, |(_, o)| o.len() as u64);
+                    let (in_n, out_n) = (x.len() as u64, out.len() as u64);
                     // ~1 compare per input element.
                     s.finish(in_n, 4 * (in_n + out_n));
                 }
-                result
             }
-            (Layer::Linear(l), _) => l.forward_into(shape, x, new_out),
+            Layer::Linear(l) => l.forward_into(shape[0], x, out),
             // A copy, flattened or not (dropout is the identity here).
-            (Layer::Flatten | Layer::Dropout(_), _) => {
+            Layer::Flatten | Layer::Dropout(_) => {
                 let span = phase_span(Phase::Epilogue);
-                let (mut out, _) = new_out(x.len())?;
                 out.copy_from_slice(x);
                 if let Some(s) = span {
                     s.finish(0, 8 * out.len() as u64);
                 }
-                let shape = match self {
-                    Layer::Flatten => vec![shape[0], shape[1..].iter().product()],
-                    _ => shape.to_vec(),
-                };
-                Ok((shape, out))
             }
         }
     }
@@ -1062,7 +1040,7 @@ mod tests {
         let n_keep = kept.len();
         let (weight, bias) = conv.params();
         let batch = input.shape()[0];
-        let mut out = Tensor::zeros(conv.output_shape(batch));
+        let mut out = Tensor::zeros(vec![batch, oc, g.out_h, g.out_w]);
         let mut cols = vec![0.0; k * n_keep];
         for b in 0..batch {
             pcnn_tensor::im2col_positions(g, input.batch_item(b), kept, &mut cols);

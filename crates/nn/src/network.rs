@@ -2,7 +2,6 @@
 
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use pcnn_parallel::lines;
 use pcnn_tensor::{Conv2dGeometry, ConvAlgo, Tensor, WriteBack};
@@ -54,7 +53,7 @@ pub struct ExecPlan {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct StepMem {
     /// Floats per image of the layer's output (a fused layer's: what its
-    /// conv wrote).
+    /// conv wrote), by [`Layer::output_shape`].
     output: usize,
     /// A ReLU: it rectifies an activation the walk holds where it is.
     relu: bool,
@@ -63,40 +62,35 @@ struct StepMem {
     conv: Option<(Conv2dGeometry, usize)>,
 }
 
-impl StepMem {
-    /// `layer`'s, on images of `image` (its input's shape per image),
-    /// under `step`; `image` becomes the output's.
-    fn new(layer: &Layer, step: &Step, image: &mut Vec<usize>) -> Self {
-        *image = match (layer, step) {
-            (_, Step::Fused) | (Layer::Relu | Layer::Dropout(_), _) => image.clone(),
-            (Layer::Conv2d(c), _) => {
-                let d = 1 + usize::from(matches!(step, Step::Conv(_, WriteBack::ReluPool)));
-                let g = c.geometry();
-                vec![c.out_channels(), g.out_h / d, g.out_w / d]
-            }
-            (Layer::MaxPool2d(p), _) => match image[..] {
-                [c, h, w] => {
-                    let side = |x: usize| x.saturating_sub(p.kernel) / p.stride + 1;
-                    vec![c, side(h), side(w)]
-                }
-                _ => image.clone(),
-            },
-            (Layer::Flatten, _) => vec![image.iter().product()],
-            (Layer::Linear(l), _) => vec![l.out_features()],
-        };
-        Self {
-            output: image.iter().product(),
-            relu: matches!(layer, Layer::Relu),
-            conv: conv_of(layer),
-        }
-    }
+/// Where one step of a walk reads and writes in the walk's region: its
+/// held input at one end, its output at the other, and its kernels'
+/// scratch in the gap between.
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    /// The step's layer.
+    layer: usize,
+    /// Floats of the input the region holds, at the end the output is not
+    /// written to; `None` for the walk's own input, held elsewhere.
+    input: Option<usize>,
+    /// Floats of the output; `None` where it goes elsewhere (the walk's
+    /// last, handed rows of its own).
+    output: Option<usize>,
+    /// The output at the front of the region, the input at the back.
+    front: bool,
+    /// A ReLU that rectifies the held input where it is.
+    in_place: bool,
+    /// Floats of scratch the step's kernels carve from the gap.
+    scratch: usize,
 }
 
-/// A conv layer's geometry and output channels.
-fn conv_of(layer: &Layer) -> Option<(Conv2dGeometry, usize)> {
-    match layer {
-        Layer::Conv2d(c) => Some((*c.geometry(), c.out_channels())),
-        _ => None,
+impl Place {
+    /// Floats of the region the step takes.
+    fn need(&self) -> usize {
+        let held = lines(self.input.unwrap_or(0));
+        if self.in_place {
+            return held;
+        }
+        held + lines(self.output.unwrap_or(0)) + self.scratch
     }
 }
 
@@ -147,10 +141,48 @@ impl ExecPlan {
         batch >= 2 && threads >= 2 && batch >= threads && self.split > 0
     }
 
-    /// The region one walk of `layers` on `images` images at width
-    /// `threads` takes, its input elsewhere (and its last output too, with
-    /// `out_elsewhere`), and the layer that sets it: the rule
-    /// `Network::run_layers` lays activations out by.
+    /// The one layout walk: each step of `layers` (but those fused) on
+    /// `images` images at width `threads`, and its [`Place`]. The first
+    /// step's input is elsewhere and its output goes to the back of the
+    /// region, so the first conv's scratch starts where the region does
+    /// (its packed `B` carved 2.4 KB into a page gathered ~20 % slower on
+    /// AlexNet's conv1); every later output goes to the end its input is
+    /// not at, and a ReLU rectifies its input where it is. With
+    /// `out_elsewhere` the last output goes elsewhere too.
+    fn walk(
+        &self,
+        layers: Range<usize>,
+        images: usize,
+        threads: usize,
+        out_elsewhere: bool,
+    ) -> impl Iterator<Item = Place> + '_ {
+        let runs = |i: &usize| !matches!(self.steps[*i], Step::Fused);
+        let last = layers.clone().rev().find(runs);
+        // The held activation: its floats, and whether it is at the front.
+        let mut held: Option<(usize, bool)> = None;
+        layers.filter(runs).map(move |layer| {
+            let m = &self.mem[layer];
+            let output = (!out_elsewhere || Some(layer) != last).then(|| images * m.output);
+            let scratch = m.conv.map_or(0, |(g, oc)| {
+                conv_scratch_len(&self.steps[layer], (&g, oc), images, threads)
+            });
+            let place = Place {
+                layer,
+                input: held.map(|(floats, _)| floats),
+                output,
+                front: held.is_some_and(|(_, front)| !front),
+                in_place: m.relu && output.is_some() && held.is_some(),
+                scratch,
+            };
+            if !place.in_place {
+                held = Some((output.unwrap_or(0), place.front));
+            }
+            place
+        })
+    }
+
+    /// The region one walk of `layers` takes, and the layer that sets it:
+    /// the largest [`Place::need`] of [`walk`](Self::walk).
     fn walk_len(
         &self,
         layers: Range<usize>,
@@ -158,37 +190,12 @@ impl ExecPlan {
         threads: usize,
         out_elsewhere: bool,
     ) -> (usize, usize) {
-        let last = self.last_step(layers.clone());
-        let (mut held, mut peak) = (None, (0, layers.start));
-        for i in layers.filter(|&i| !matches!(self.steps[i], Step::Fused)) {
-            let m = &self.mem[i];
-            let out = if out_elsewhere && Some(i) == last {
-                0
-            } else {
-                lines(images * m.output)
-            };
-            let need = match held {
-                Some(input) if m.relu && out > 0 => input,
-                input => {
-                    let scratch = m.conv.map_or(0, |(g, oc)| {
-                        conv_scratch_len(&self.steps[i], (&g, oc), images, threads)
-                    });
-                    held = Some(out);
-                    input.unwrap_or(0) + out + scratch
-                }
-            };
-            if need > peak.0 {
-                peak = (need, i);
-            }
-        }
-        peak
-    }
-
-    /// The last layer of `layers` whose step runs (is not fused).
-    fn last_step(&self, layers: Range<usize>) -> Option<usize> {
-        layers
-            .rev()
-            .find(|&i| !matches!(self.steps[i], Step::Fused))
+        let start = (0, layers.start);
+        self.walk(layers, images, threads, out_elsewhere)
+            .fold(start, |peak, p| match p.need() {
+                need if need > peak.0 => (need, p.layer),
+                _ => peak,
+            })
     }
 }
 
@@ -284,9 +291,10 @@ impl Network {
     /// # Errors
     ///
     /// Returns [`NnError::Plan`] for a conv plan that does not fit this
-    /// network (length, or an algorithm a layer's shape cannot run) and
+    /// network (length, or an algorithm a layer's shape cannot run),
     /// [`NnError::Perforation`] for a perforation plan of the wrong
-    /// length.
+    /// length, and [`NnError::Shape`] for a network whose layers do not
+    /// take each other's outputs.
     pub fn compile(
         &self,
         plan: &PerforationPlan,
@@ -341,11 +349,29 @@ impl Network {
             .iter()
             .position(|l| matches!(l, Layer::Flatten))
             .unwrap_or(self.layers.len());
-        let mut image = self.input_shape.to_vec();
-        let mem = (self.layers.iter().zip(&steps))
-            .map(|(layer, step)| StepMem::new(layer, step, &mut image))
-            .collect();
+        let mem = self.step_mems(&steps).collect::<Result<_, _>>()?;
         Ok(ExecPlan { steps, mem, split })
+    }
+
+    /// What each of `steps` holds on this network, its shapes by
+    /// [`Layer::output_shape`] from the network's input (one image): what
+    /// `compile` records and what `run` holds a plan to.
+    fn step_mems<'a>(
+        &'a self,
+        steps: &'a [Step],
+    ) -> impl Iterator<Item = Result<StepMem, NnError>> + 'a {
+        let mut shape = [&[1], &self.input_shape[..]].concat();
+        (self.layers.iter().zip(steps)).map(move |(layer, step)| {
+            shape = layer.output_shape(&shape, step)?;
+            Ok(StepMem {
+                output: shape[1..].iter().product(),
+                relu: matches!(layer, Layer::Relu),
+                conv: match layer {
+                    Layer::Conv2d(c) => Some((*c.geometry(), c.out_channels())),
+                    _ => None,
+                },
+            })
+        })
     }
 
     /// Inference forward pass under a perforation plan. Returns logits
@@ -386,7 +412,8 @@ impl Network {
     /// ([`pcnn_parallel::with_workspace`]), [`ExecPlan::workspace_len`]
     /// floats long, so a steady-state forward writes into memory the
     /// thread already holds and no worker allocates; only the logits are
-    /// copied out.
+    /// copied out. The plan and the input are checked before any layer
+    /// runs, so every step fits the slot its plan laid out.
     ///
     /// Batches are data-parallel (Cappuccino-style) up to the first
     /// `Flatten`: images are split into contiguous groups, one per worker,
@@ -401,18 +428,13 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Shape`] on input shape mismatch, or
-    /// [`NnError::Plan`] if `plan` was compiled for another network (its
-    /// step count, a conv layer's position, geometry or channels, or a
-    /// perforated layer's map does not match this one).
+    /// Returns [`NnError::Shape`] if `input` is not `[N, C, H, W]` of this
+    /// network's input, or [`NnError::Plan`] if `plan` was compiled for
+    /// another network (its step count, a step a layer cannot run, or a
+    /// layer's conv shape or per-image output does not match this one).
     pub fn run(&self, plan: &ExecPlan, input: &Tensor) -> Result<Tensor, NnError> {
-        let fits = plan.steps.len() == self.layers.len()
-            && self
-                .layers
-                .iter()
-                .zip(plan.steps.iter().zip(&plan.mem))
-                .all(|(l, (s, m))| l.accepts(s) && m.conv == conv_of(l));
-        if !fits {
+        let mut mems = self.step_mems(&plan.steps).zip(&plan.mem);
+        if plan.steps.len() != self.layers.len() || !mems.all(|(m, p)| m.ok().as_ref() == Some(p)) {
             return Err(NnError::Plan(format!(
                 "execution plan ({} steps) was compiled for another network than {} ({} layers)",
                 plan.steps.len(),
@@ -420,19 +442,24 @@ impl Network {
                 self.layers.len()
             )));
         }
-        let batch = if input.ndim() == 4 {
-            input.shape()[0]
-        } else {
-            1
-        };
-        let threads = pcnn_parallel::active_threads();
+        if input.shape().get(1..) != Some(&self.input_shape[..]) {
+            // The first layer says what it takes, where it checks at all.
+            self.layers[0].output_shape(input.shape(), &plan.steps[0])?;
+            let [c, h, w] = self.input_shape;
+            let expected = format!("[N, {c}, {h}, {w}]");
+            return Err(crate::layer::refuse(&self.name, expected, input.shape()));
+        }
+        let (batch, threads) = (input.shape()[0], pcnn_parallel::active_threads());
         let (all, split) = (0..self.layers.len(), plan.split);
+        let logits = |(shape, at): (Vec<usize>, Range<usize>), data: &[f32]| {
+            Tensor::from_vec(shape, data[at].to_vec()).expect("the logits fill their shape")
+        };
         let len = plan.workspace_len(batch, threads);
-        pcnn_parallel::with_workspace(len, |ws| {
+        Ok(pcnn_parallel::with_workspace(len, |ws| {
             if !plan.batch_split(batch, threads) {
                 let x = (input.shape(), input.data());
-                let (shape, at) = self.run_layers(plan, x, all, ws, None)?;
-                return Ok(copy_out(shape, &ws[at]));
+                let out = self.run_layers(plan, x, all.clone(), threads, ws, None);
+                return logits(out, ws);
             }
             // Only the prefix is batch-split: contiguous image groups, one
             // per worker, boundaries a function of batch and thread count,
@@ -450,9 +477,6 @@ impl Network {
             let (features, rest) = ws.split_at_mut(lines(batch * per_feature));
             let features = &mut features[..batch * per_feature];
             let region = plan.walk_len(0..split, group, 1, true).0;
-            let ran: Vec<OnceLock<_>> = (0..batch.div_ceil(group))
-                .map(|_| OnceLock::new())
-                .collect();
             let handoff = pcnn_profile::Handoff::capture();
             // One group per worker, each with its rows of the features and
             // its own region.
@@ -461,101 +485,70 @@ impl Network {
                 let images = group.min(batch - g * group);
                 let shape = [&[images], &input.shape()[1..]].concat();
                 let data = &input.data()[g * group * per_image..][..images * per_image];
-                let layers = 0..split;
-                let run = || self.run_layers(plan, (&shape, data), layers, region, Some(rows));
-                let _ = ran[g].set(handoff.enter(run));
+                let x = (&shape[..], data);
+                handoff.enter(|| self.run_layers(plan, x, 0..split, 1, region, Some(rows)));
             });
-            let mut shape = Vec::new();
-            for result in ran {
-                (shape, _) = result.into_inner().expect("every group ran")?;
-            }
-            shape[0] = batch;
-            let (shape, at) =
-                self.run_layers(plan, (&shape, features), split..all.end, rest, None)?;
-            Ok(copy_out(shape, &rest[at]))
-        })
+            // The tail opens with the `Flatten`, whose output is the same
+            // from `[batch, C, H, W]` as from the flat features.
+            let x = (&[batch, per_feature][..], &features[..]);
+            let out = self.run_layers(plan, x, split..all.end, threads, rest, None);
+            logits(out, rest)
+        }))
     }
 
-    /// Runs `layers` (at least one) of the pipeline on `input`, read in
-    /// place, opening a profiler layer scope around each layer (a no-op
-    /// unless profiling is on) but those a conv step has fused. The
-    /// activations between them are laid out in `region` by
-    /// [`ExecPlan::walk_len`]'s rule: the one held at one end, the next
-    /// written at the other, the step's scratch the gap between; a ReLU
-    /// rectifies the one held where it is. The last output goes to `last`
-    /// instead when given. Returns the last output's shape and its place
-    /// in `region` (empty when it went to `last`).
+    /// Runs `layers` (at least one) of the pipeline on the `shape` input
+    /// `data`, read in place, at pool width `threads`, opening a profiler
+    /// layer scope around each layer (a no-op unless profiling is on) but
+    /// those a conv step has fused. Each step reads and writes where
+    /// [`ExecPlan::walk`] places it in `region`; the last output goes to
+    /// `last` instead when given. Returns the last output's shape and its
+    /// place in `region` (empty when it went to `last`).
     fn run_layers(
         &self,
         plan: &ExecPlan,
         (shape, data): (&[usize], &[f32]),
         layers: Range<usize>,
+        threads: usize,
         region: &mut [f32],
         mut last: Option<&mut [f32]>,
-    ) -> Result<(Vec<usize>, Range<usize>), NnError> {
-        let final_step = plan.last_step(layers.clone());
-        let total = region.len();
-        // The activation the walk holds: its shape and its place.
-        let mut held: Option<(Vec<usize>, Range<usize>)> = None;
-        for i in layers {
-            let (layer, step) = (&self.layers[i], &plan.steps[i]);
-            if matches!(step, Step::Fused) {
+    ) -> (Vec<usize>, Range<usize>) {
+        let (total, mut at) = (region.len(), 0..0);
+        let mut shape = shape.to_vec();
+        for place in plan.walk(layers, shape[0], threads, last.is_some()) {
+            let (i, step) = (place.layer, &plan.steps[place.layer]);
+            let layer = &self.layers[i];
+            let _scope = pcnn_profile::layer_scope(i, layer.kind());
+            // The front end of the region, the gap, the back end.
+            let (input, output) = (place.input.unwrap_or(0), place.output.unwrap_or(0));
+            let written = if place.in_place { 0 } else { lines(output) };
+            let (lo, hi) = match place.front {
+                true => (written, lines(input)),
+                false => (lines(input), written),
+            };
+            let (lo, rest) = region.split_at_mut(lo);
+            let (gap, hi) = rest.split_at_mut(rest.len() - hi);
+            let (out, held) = if place.front { (lo, hi) } else { (hi, lo) };
+            if place.in_place {
+                relu(None, &mut held[..input]);
                 continue;
             }
-            let scope = pcnn_profile::layer_scope(i, layer.kind());
-            let dest = if Some(i) == final_step {
-                last.take()
-            } else {
-                None
+            let x = place.input.map_or(data, |len| &held[..len]);
+            let out = match place.output {
+                Some(len) => &mut out[..len],
+                None => last
+                    .take()
+                    .expect("only a walk handed `last` writes elsewhere"),
             };
-            if let (Layer::Relu, Some((_, at)), None) = (layer, &held, &dest) {
-                relu(None, &mut region[at.clone()]);
-                drop(scope);
-                continue;
-            }
-            // The output goes to the end the held input is not at; the
-            // first, its input elsewhere, to the back, so the first conv's
-            // scratch starts where the region does. (Its packed `B` carved
-            // 2.4 KB into a page instead gathered ~20 % slower on AlexNet's
-            // conv1.)
-            let (x_shape, x, free, front) = match &held {
-                None => (shape, data, &mut region[..], false),
-                Some((s, at)) if at.start == 0 => {
-                    let (x, free) = region.split_at_mut(lines(at.end));
-                    (&s[..], &x[..at.end], free, false)
-                }
-                Some((s, at)) => {
-                    let (free, x) = region.split_at_mut(at.start);
-                    (&s[..], &x[..at.len()], free, true)
-                }
+            let next = (layer.output_shape(&shape, step))
+                .expect("`run` checked the plan and the input by this rule");
+            layer.run_step(&shape, x, step, out, gap);
+            shape = next;
+            at = match place.front {
+                true => 0..output,
+                false => total - lines(output)..total - lines(output) + output,
             };
-            let to_last = dest.is_some();
-            let new_out = |len: usize| match dest {
-                Some(rows) if rows.len() == len => Ok((rows, free)),
-                None if lines(len) <= free.len() => {
-                    let (out, scratch) = if front {
-                        free.split_at_mut(lines(len))
-                    } else {
-                        let (scratch, out) = free.split_at_mut(free.len() - lines(len));
-                        (out, scratch)
-                    };
-                    Ok((&mut out[..len], scratch))
-                }
-                _ => Err(NnError::Plan(format!(
-                    "layer {i}'s {len}-float output does not fit the workspace its plan laid out"
-                ))),
-            };
-            let (out_shape, out) = layer.run_step(x_shape, x, step, new_out)?;
-            let len = out.len();
-            let at = match (to_last, front) {
-                (true, _) => 0..0,
-                (false, true) => 0..len,
-                (false, false) => total - lines(len)..total - lines(len) + len,
-            };
-            held = Some((out_shape, at));
-            drop(scope);
         }
-        Ok(held.expect("a range of at least one layer"))
+        (shape, at)
     }
 
     /// Training-mode forward pass (never perforated) that records every
@@ -642,11 +635,6 @@ impl Network {
     }
 }
 
-/// The logits, copied out of the workspace for the caller to keep.
-fn copy_out(shape: Vec<usize>, data: &[f32]) -> Tensor {
-    Tensor::from_vec(shape, data.to_vec()).expect("an activation fills its shape")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,10 +663,10 @@ mod tests {
 
     #[test]
     fn error_inside_a_prefix_group_surfaces_as_err() {
-        // 8 images over 2 workers takes the batch-split path; the wrong
-        // image size is only noticed by the first conv, inside each
-        // group's worker. The caller must see that error — not a panic,
-        // and not logits assembled from whatever groups finished.
+        // 8 images over 2 workers would take the batch-split path; the
+        // wrong image size is refused by the first conv's shape rule
+        // before any group starts. The caller must see that error — not a
+        // panic, and not logits assembled from whatever groups finished.
         let net = tiny_alexnet(5);
         let input = Tensor::zeros(vec![8, 1, 30, 30]);
         let err = pcnn_parallel::with_threads(2, || {

@@ -182,8 +182,8 @@ fn one_plan_serves_every_run_and_batch_size() {
 }
 
 /// A one-conv network: `kernel` x `kernel` filters (same-padded) over a
-/// `side` x `side` image.
-fn one_conv_net(kernel: usize, side: usize) -> Network {
+/// `side` x `side` image, and a `classes`-way classifier.
+fn one_conv_net(kernel: usize, side: usize, classes: usize) -> Network {
     let mut rng = StdRng::seed_from_u64(9);
     let geom = Conv2dGeometry::new(1, side, side, kernel, 1, kernel / 2);
     Network::new(
@@ -193,7 +193,7 @@ fn one_conv_net(kernel: usize, side: usize) -> Network {
             Layer::Conv2d(Conv2d::new(geom, 4, &mut rng)),
             Layer::Relu,
             Layer::Flatten,
-            Layer::Linear(Linear::new(4 * side * side, 3, &mut rng)),
+            Layer::Linear(Linear::new(4 * side * side, classes, &mut rng)),
         ],
     )
 }
@@ -212,7 +212,7 @@ fn compile_alone_rejects_each_bad_plan() {
         Err(NnError::Plan(m)) if m.contains("covers 1 conv layers, network has 2")
     ));
     // Winograd runs 3x3 and 5x5 filters, not 7x7.
-    let seven = one_conv_net(7, 16);
+    let seven = one_conv_net(7, 16, 3);
     assert!(matches!(
         seven.compile(
             &PerforationPlan::identity(1),
@@ -223,9 +223,10 @@ fn compile_alone_rejects_each_bad_plan() {
 }
 
 /// `run` refuses a plan compiled for another network — by layer count,
-/// by where the conv layers sit, and by conv geometry (an algorithm the
-/// layer's shape cannot run, a perforation of another output map) — with
-/// the typed error, before any layer runs.
+/// by where the conv layers sit, by conv geometry (an algorithm the
+/// layer's shape cannot run, a perforation of another output map), and by
+/// a layer's output (another classifier width) — with the typed error,
+/// before any layer runs.
 #[test]
 fn run_refuses_a_plan_compiled_for_another_network() {
     let refused = |net: &Network, exec, side: usize| {
@@ -235,7 +236,7 @@ fn run_refuses_a_plan_compiled_for_another_network() {
             Err(NnError::Plan(m)) if m.contains("compiled for another network")
         ));
     };
-    let three = one_conv_net(3, 16);
+    let three = one_conv_net(3, 16, 3);
     let identity = PerforationPlan::identity(1);
     // Another layer count.
     let vgg = tiny_vggnet(6);
@@ -254,10 +255,14 @@ fn run_refuses_a_plan_compiled_for_another_network() {
     three
         .run(&winograd, &Tensor::zeros(vec![1, 1, 16, 16]))
         .expect("its own network runs it");
-    refused(&one_conv_net(7, 16), &winograd, 16);
+    refused(&one_conv_net(7, 16, 3), &winograd, 16);
     // Same layers, but the perforation is of a 16x16 map, not 12x12.
     let sampled = three
         .compile(&PerforationPlan::from_rates(vec![0.5]), None)
         .expect("plan fits");
-    refused(&one_conv_net(3, 12), &sampled, 12);
+    refused(&one_conv_net(3, 12, 3), &sampled, 12);
+    // Same conv, but a 1024 -> 20 classifier where the plan recorded
+    // 1024 -> 3.
+    let direct = three.compile(&identity, None).expect("plan fits");
+    refused(&one_conv_net(3, 16, 20), &direct, 16);
 }

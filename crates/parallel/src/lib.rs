@@ -5,14 +5,14 @@
 //! `pcnn-nn`'s layer loops; this crate supplies the multicore substrate
 //! they run on: chunked index-range parallelism ([`par_for`]), ordered
 //! parallel mapping ([`par_map`]), disjoint `&mut` slice-chunk
-//! parallelism ([`par_chunks_mut`], plus the grain-splitting
-//! [`par_chunks_mut_fine`] for workloads whose natural chunk count is
-//! smaller than the pool). All four are splits in front of one private
-//! scaffold, `region`: one scoped thread per item but the last, which
-//! runs on the caller, every handle joined — built on
-//! [`std::thread::scope`] so borrowed data needs no `'static` bound and
-//! no `unsafe`. Each thread has one grow-only workspace
-//! ([`with_workspace`]) that the engine's entry points lay their
+//! parallelism ([`par_chunks_mut`], [`par_chunks_mut_with`], which hands
+//! each worker its own piece of scratch, and the grain-splitting
+//! [`par_chunks_mut_fine`] for chunk counts smaller than the pool). All
+//! five are splits in front of one private scaffold, `region`: one
+//! scoped thread per item but the last, which runs on the caller, every
+//! handle joined — built on [`std::thread::scope`] so borrowed data needs
+//! no `'static` bound and no `unsafe`. Each thread has one grow-only
+//! workspace ([`with_workspace`]) that the engine's entry points lay their
 //! activations and kernel scratch out in, so a steady caller allocates
 //! nothing.
 //!
@@ -180,7 +180,7 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 
 /// True while the current thread is inside a pool worker (nested parallel
 /// regions run serially).
-pub fn in_parallel_region() -> bool {
+fn in_parallel_region() -> bool {
     IN_POOL.with(Cell::get)
 }
 

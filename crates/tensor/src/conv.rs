@@ -102,8 +102,8 @@
 //! `__m512` lanes, bitwise the portable walks. Each GEMM stores its first `KC` block into `M` instead
 //! of adding it, so `M` is never zero-filled — bitwise the same as
 //! zero-fill plus add. A `U`
-//! larger than the scratch pool's largest buffer (36 coordinates on 256 ->
-//! 512 and 512 -> 512) is packed and run in chunks of output
+//! larger than its budget, `WINOGRAD_U_FLOATS` (36 coordinates on 256 ->
+//! 512 and 512 -> 512), is packed and run in chunks of output
 //! channels instead: such a layer is one block, its input transformed
 //! once, and each chunk's filter transform, GEMMs and inverse run in turn
 //! on it. GEMM rows are independent, so the chunk moves no bit either.
@@ -194,27 +194,34 @@ impl std::fmt::Display for ConvAlgo {
     }
 }
 
-/// Full convolution of `images` CHW images through `algo` — the one way
-/// an unperforated conv layer runs, whoever asks: the layer forward, the
-/// offline tuner timing a candidate, `pcnn bench-conv`.
+/// Full convolution of `images` CHW images through `algo`, written back
+/// through `wb` — the one way an unperforated conv layer runs, whoever
+/// asks: the layer forward, the offline tuner timing a candidate,
+/// `pcnn bench-conv`.
 ///
 /// `input` holds the images back to back, `weight` is the
-/// `[out_channels, patch_len]` filter matrix, and image `i`'s
-/// `out_channels x out_positions` map is written (every element) to
-/// `out[i * map..(i + 1) * map]`. [`ConvAlgo::Im2col`] and
-/// [`ConvAlgo::Direct`] both run [`conv2d_direct`] per image. What the
-/// images of a Winograd call share is one transformed filter, built here
-/// and dropped on return, never arithmetic — so a call on a group is
-/// bitwise the calls on its images alone. Its scratch is the calling
-/// thread's workspace; [`conv2d_in`] takes it from the caller instead.
+/// `[out_channels, patch_len]` filter matrix, and image `i`'s map is
+/// written (every element) to `out[i * map..(i + 1) * map]`: `out_channels
+/// x out_positions` floats, a quarter of that under [`WriteBack::ReluPool`].
+/// [`ConvAlgo::Im2col`] and [`ConvAlgo::Direct`] both run [`conv2d_direct`]
+/// per image. What the images of a Winograd call share is one transformed
+/// filter, built here and dropped on return, never arithmetic — so a call
+/// on a group is bitwise the calls on its images alone. A fused write-back
+/// applies the same operations in the same order as the separate ReLU (and
+/// pool) passes, so their bits, but the maps in between are never stored.
+/// Its scratch is the calling thread's workspace; [`conv2d_in`] takes it
+/// from the caller instead.
 ///
 /// # Panics
 ///
-/// Panics if `algo` does not [support](ConvAlgo::supports) `geom` or a
-/// slice is shorter than the geometry and `images` imply.
+/// Panics if `algo` does not [support](ConvAlgo::supports) `geom`, a slice
+/// is shorter than the geometry and `images` imply, a write-back other
+/// than the bias is asked of an algorithm other than Winograd, or the pool
+/// of an odd map.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d(
     algo: ConvAlgo,
+    wb: WriteBack,
     geom: &Conv2dGeometry,
     out_channels: usize,
     weight: &[f32],
@@ -223,7 +230,7 @@ pub fn conv2d(
     images: usize,
     out: &mut [f32],
 ) {
-    let (wb, oc, w, b, x) = (WriteBack::Bias, out_channels, weight, bias, input);
+    let (oc, w, b, x) = (out_channels, weight, bias, input);
     let len = conv2d_scratch_len(algo, geom, oc, active_threads());
     with_workspace(len, |ws| {
         conv2d_in(algo, wb, geom, oc, w, b, x, images, out, ws)
@@ -249,15 +256,12 @@ pub fn conv2d_scratch_len(
     }
 }
 
-/// [`conv2d`] (`wb` [`WriteBack::Bias`]) or [`conv2d_winograd_relu`] in
-/// `scratch`: at least [`conv2d_scratch_len`] floats at the width the call
-/// runs, on a cache line, contents unspecified.
+/// [`conv2d`] in `scratch`: at least [`conv2d_scratch_len`] floats at the
+/// width the call runs, on a cache line, contents unspecified.
 ///
 /// # Panics
 ///
-/// As [`conv2d`], if `scratch` is too short, and if a write-back other
-/// than the bias is asked of an algorithm other than Winograd, or the
-/// pool of an odd map.
+/// As [`conv2d`], and if `scratch` is too short.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_in(
     algo: ConvAlgo,
@@ -316,35 +320,6 @@ impl WriteBack {
     }
 }
 
-/// [`conv2d`] through Winograd with the ReLU after the layer — and, with
-/// `pool`, the 2x2 stride-2 max-pool after that — in the inverse
-/// transform's write-back: the same operations in the same order as the
-/// separate passes, so their bits, but the maps in between are never
-/// stored. With `pool`, image `i`'s map is `out_channels x out_h/2 x
-/// out_w/2` floats.
-///
-/// # Panics
-///
-/// As [`conv2d`] for Winograd, and if `pool` is asked of an odd map.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_winograd_relu(
-    geom: &Conv2dGeometry,
-    out_channels: usize,
-    weight: &[f32],
-    bias: &[f32],
-    input: &[f32],
-    images: usize,
-    pool: bool,
-    out: &mut [f32],
-) {
-    let wb = [WriteBack::Relu, WriteBack::ReluPool][usize::from(pool)];
-    let (algo, oc, w, b, x) = (ConvAlgo::Winograd, out_channels, weight, bias, input);
-    let len = conv2d_scratch_len(algo, geom, oc, active_threads());
-    with_workspace(len, |ws| {
-        conv2d_in(algo, wb, geom, oc, w, b, x, images, out, ws)
-    });
-}
-
 /// Direct convolution of one CHW image: `out = weight * patches + bias`.
 ///
 /// `weight` is the `[out_channels, patch_len]` filter matrix, `out` the
@@ -370,6 +345,7 @@ pub fn conv2d_direct(
 ) {
     conv2d(
         ConvAlgo::Direct,
+        WriteBack::Bias,
         geom,
         out_channels,
         weight,

@@ -13,6 +13,7 @@ use pcnn_profile::{Phase, PhaseTotals};
 use pcnn_tensor::{
     conv2d, conv2d_direct, conv2d_sampled, conv2d_sampled_scratch_len, conv2d_winograd, gemm_bias,
     im2col, winograd_coords, winograd_error_bound, winograd_tile, Conv2dGeometry, ConvAlgo,
+    WriteBack,
 };
 use proptest::prelude::*;
 
@@ -163,7 +164,7 @@ proptest! {
         let (w, b, x) = operands(&geom, oc, seed);
         let want = reference(&geom, oc, &w, &b, &x);
         let mut got = vec![f32::NAN; oc * geom.out_positions()];
-        conv2d(ConvAlgo::Winograd, &geom, oc, &w, &b, &x, 1, &mut got);
+        conv2d(ConvAlgo::Winograd, WriteBack::Bias, &geom, oc, &w, &b, &x, 1, &mut got);
         let bound = winograd_error_bound(4, &geom, &w, &x);
         for (i, (g, r)) in got.iter().zip(&want).enumerate() {
             prop_assert!(
@@ -189,11 +190,21 @@ fn conv2d_on_a_group_is_bitwise_its_images_alone() {
     let group = pseudo(0x6120, 3 * chw);
     for algo in ConvAlgo::ALL {
         let mut together = vec![f32::NAN; 3 * map];
-        conv2d(algo, &geom, oc, &w, &b, &group, 3, &mut together);
+        conv2d(
+            algo,
+            WriteBack::Bias,
+            &geom,
+            oc,
+            &w,
+            &b,
+            &group,
+            3,
+            &mut together,
+        );
         for i in 0..3 {
             let x = &group[i * chw..(i + 1) * chw];
             let mut alone = vec![f32::NAN; map];
-            conv2d(algo, &geom, oc, &w, &b, x, 1, &mut alone);
+            conv2d(algo, WriteBack::Bias, &geom, oc, &w, &b, x, 1, &mut alone);
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&together[i * map..(i + 1) * map]),
@@ -400,6 +411,7 @@ fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
             2 => conv2d_winograd(&geom, oc, &weight, &bias, &input, out),
             _ => conv2d(
                 ConvAlgo::Winograd,
+                WriteBack::Bias,
                 &geom,
                 oc,
                 &weight,
@@ -409,7 +421,7 @@ fn block_spans_sum_to_the_layer_formulas_and_cover_the_layer() {
                 out,
             ),
         };
-        // Warm the scratch pool so first-use allocation is not timed.
+        // Warm the workspace so its growth is not timed.
         conv(&mut out);
         let mut run = |threads: usize| {
             pcnn_profile::reset();

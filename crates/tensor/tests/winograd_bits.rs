@@ -27,8 +27,8 @@ mod common;
 
 use common::{fixture, fnv1a, poisoned};
 use pcnn_tensor::{
-    conv2d, conv2d_scratch_len, conv2d_winograd, conv2d_winograd_relu, winograd_scratch_len,
-    winograd_tile, Conv2dGeometry, ConvAlgo,
+    conv2d, conv2d_scratch_len, conv2d_winograd, winograd_scratch_len, winograd_tile,
+    Conv2dGeometry, ConvAlgo, WriteBack,
 };
 
 /// `(in_channels, in_h, in_w, pad, out_channels, hash of out)`.
@@ -80,14 +80,23 @@ fn winograd_output_bits_are_pinned_across_block_and_thread_changes() {
     }
 }
 
-/// What an F(4x4) [`PINNED_F4`] row runs: `conv2d` through
-/// [`ConvAlgo::Winograd`], or `conv2d_winograd_relu` with the ReLU fused
-/// and, with `Pool`, the 2x2 stride-2 max-pool too.
+/// What a pinned Winograd row fuses into `conv2d`'s write-back: nothing,
+/// the ReLU, or the ReLU and the 2x2 stride-2 max-pool.
 #[derive(Clone, Copy, Debug)]
 enum Fused {
     No,
     Relu,
     Pool,
+}
+
+impl Fused {
+    fn write_back(self) -> WriteBack {
+        match self {
+            Fused::No => WriteBack::Bias,
+            Fused::Relu => WriteBack::Relu,
+            Fused::Pool => WriteBack::ReluPool,
+        }
+    }
 }
 
 /// F(4x4,3x3), which `conv2d` runs on these shapes (maps of 28 and more,
@@ -130,10 +139,9 @@ fn winograd4_output_bits_are_pinned_across_block_chunk_and_thread_changes() {
                 let positions = geom.out_positions() / if let Fused::Pool = fused { 4 } else { 1 };
                 let mut out = vec![f32::NAN; oc * positions];
                 let len = conv2d_scratch_len(ConvAlgo::Winograd, &geom, oc, threads);
-                poisoned(len, || match fused {
-                    Fused::No => conv2d(ConvAlgo::Winograd, &geom, oc, w, b, x, 1, &mut out),
-                    Fused::Relu => conv2d_winograd_relu(&geom, oc, w, b, x, 1, false, &mut out),
-                    Fused::Pool => conv2d_winograd_relu(&geom, oc, w, b, x, 1, true, &mut out),
+                let wb = fused.write_back();
+                poisoned(len, || {
+                    conv2d(ConvAlgo::Winograd, wb, &geom, oc, w, b, x, 1, &mut out)
                 });
                 fnv1a(&out)
             });
@@ -188,16 +196,15 @@ fn winograd5_output_bits_are_pinned_across_block_and_thread_changes() {
                 let positions = geom.out_positions() / if let Fused::Pool = fused { 4 } else { 1 };
                 let mut out = vec![f32::NAN; oc * positions];
                 let len = conv2d_scratch_len(ConvAlgo::Winograd, &geom, oc, threads);
-                poisoned(len, || match fused {
-                    Fused::No => {
-                        conv2d(ConvAlgo::Winograd, &geom, oc, w, b, x, 1, &mut out);
-                        let mut alone = vec![f32::NAN; out.len()];
-                        poisoned(len, || conv2d_winograd(&geom, oc, w, b, x, &mut alone));
-                        assert_eq!(fnv1a(&alone), fnv1a(&out), "conv2d_winograd is F(2x2,5x5)");
-                    }
-                    Fused::Relu => conv2d_winograd_relu(&geom, oc, w, b, x, 1, false, &mut out),
-                    Fused::Pool => conv2d_winograd_relu(&geom, oc, w, b, x, 1, true, &mut out),
+                let wb = fused.write_back();
+                poisoned(len, || {
+                    conv2d(ConvAlgo::Winograd, wb, &geom, oc, w, b, x, 1, &mut out)
                 });
+                if let Fused::No = fused {
+                    let mut alone = vec![f32::NAN; out.len()];
+                    poisoned(len, || conv2d_winograd(&geom, oc, w, b, x, &mut alone));
+                    assert_eq!(fnv1a(&alone), fnv1a(&out), "conv2d_winograd is F(2x2,5x5)");
+                }
                 fnv1a(&out)
             });
             assert_eq!(
